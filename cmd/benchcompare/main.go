@@ -1,6 +1,8 @@
 // Command benchcompare gates benchmark regressions: it compares a new
 // `go test -bench` run against a checked-in baseline and exits non-zero
-// when any shared benchmark's ns/op grew beyond the tolerance. CI runs it
+// when any shared benchmark's ns/op grew beyond the tolerance, or when the
+// two runs share no (name, procs) pair at all ("0 of N baseline rows
+// matched": the gate compared nothing). CI runs it
 // after the benchmark smoke step so a hot-path slowdown fails the build
 // instead of silently landing.
 //
@@ -52,6 +54,9 @@ func main() {
 		fatal(fmt.Errorf("no %q benchmarks in common between %s and %s", *unit, *oldPath, *newPath))
 	}
 	fmt.Print(benchparse.FormatDeltas(deltas, *tolerance))
+	if matched, baseline := benchparse.Matched(deltas); matched == 0 {
+		fatal(fmt.Errorf("0 of %d baseline rows matched: no (name, procs) pair is shared — run the benchmarks at the baseline's GOMAXPROCS (-cpu)", baseline))
+	}
 
 	failed := false
 	for _, d := range deltas {

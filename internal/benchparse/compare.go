@@ -91,6 +91,22 @@ func Compare(old, new *Report, unit string) []Delta {
 	return deltas
 }
 
+// Matched counts the deltas present in both reports and the deltas the
+// baseline holds. matched == 0 with baseline > 0 means the two runs share
+// no (name, procs) pair — typically a run at a different GOMAXPROCS than
+// the baseline's — so the comparison compared nothing.
+func Matched(deltas []Delta) (matched, baseline int) {
+	for _, d := range deltas {
+		if !d.OnlyNew {
+			baseline++
+			if !d.OnlyOld {
+				matched++
+			}
+		}
+	}
+	return matched, baseline
+}
+
 // FormatDeltas renders deltas as an aligned text table, flagging
 // regressions beyond tolerance. The layout is stable so CI logs diff
 // cleanly between runs.

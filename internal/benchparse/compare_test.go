@@ -62,6 +62,21 @@ func TestCompareMissingAndNew(t *testing.T) {
 	}
 }
 
+// TestMatchedDetectsDisjointProcs: a baseline recorded at procs=1 against
+// a run at procs=2 shares names but no (name, procs) pair; the gate must be
+// able to tell that apart from "one benchmark went missing".
+func TestMatchedDetectsDisjointProcs(t *testing.T) {
+	old := report(bench("BenchmarkA", 1, 100), bench("BenchmarkB", 1, 10))
+	ds := Compare(old, report(bench("BenchmarkA", 2, 100), bench("BenchmarkB", 2, 10)), "ns/op")
+	if m, n := Matched(ds); m != 0 || n != 2 {
+		t.Fatalf("disjoint procs: matched %d of %d, want 0 of 2", m, n)
+	}
+	ds = Compare(old, report(bench("BenchmarkA", 1, 100), bench("BenchmarkC", 1, 5)), "ns/op")
+	if m, n := Matched(ds); m != 1 || n != 2 {
+		t.Fatalf("one shared row: matched %d of %d, want 1 of 2", m, n)
+	}
+}
+
 func TestCompareSkipsBenchmarksWithoutMetric(t *testing.T) {
 	old := report(
 		Benchmark{Name: "BenchmarkTrials", Procs: 8, Iters: 1,

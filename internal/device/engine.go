@@ -495,19 +495,7 @@ func (e *Engine) Stats() memctrl.Stats {
 		return total
 	}
 	for _, r := range e.control(opStats, nil) {
-		total.MemRequests += r.stats.MemRequests
-		total.DataReads += r.stats.DataReads
-		total.DataWrites += r.stats.DataWrites
-		total.ColdReads += r.stats.ColdReads
-		for i := range total.NVMWrites {
-			total.NVMWrites[i] += r.stats.NVMWrites[i]
-		}
-		total.NVMReads += r.stats.NVMReads
-		total.WPQForwards += r.stats.WPQForwards
-		total.PageReencrypt += r.stats.PageReencrypt
-		total.ForcedWB += r.stats.ForcedWB
-		total.RecoveredOK += r.stats.RecoveredOK
-		total.RecoveryLost += r.stats.RecoveryLost
+		total.Add(r.stats)
 	}
 	return total
 }

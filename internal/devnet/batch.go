@@ -46,27 +46,13 @@ const (
 	batchBodyOff  = batchCountOff + 4
 )
 
-// batchEntrySize returns the wire size of one request entry.
-func batchEntrySize(op uint8) int {
-	if op == device.BatchWrite {
-		return 1 + 8 + nvm.LineSize
-	}
-	return 1 + 8
-}
-
 // newBatchFrame resets buf to an unsealed OpBatch request frame for the
 // session: zeroed frame-header space, request header with a placeholder
 // sequence, zero count. Append entries with appendBatchOp, then
 // sealBatchFrame.
 func newBatchFrame(buf []byte, session uint64) []byte {
-	buf = buf[:0]
-	var zero [frameHeaderSize]byte
-	buf = append(buf, zero[:]...)
-	buf = append(buf, OpBatch)
-	buf = putU64(buf, session)
-	buf = putU64(buf, 0) // seq, patched by sealBatchFrame
-	buf = putU32(buf, 0) // count, patched by sealBatchFrame
-	return buf
+	// seq and count are placeholders, patched by sealBatchFrame.
+	return putU32(newRequestFrame(buf, OpBatch, session, 0), 0)
 }
 
 // appendBatchOp appends one entry to an unsealed batch frame. op is a
@@ -88,15 +74,6 @@ func sealBatchFrame(buf []byte, seq uint64, count int) {
 	bePutU64(buf[batchSeqOff:], seq)
 	bePutU32(buf[batchCountOff:], uint32(count))
 	sealFrame(buf)
-}
-
-// sealFrame fills buf's leading frame-header space from its payload
-// (buf[frameHeaderSize:]), so the whole buffer goes out in one Write
-// instead of writeFrame's header-then-payload pair.
-func sealFrame(buf []byte) {
-	payload := buf[frameHeaderSize:]
-	bePutU32(buf, uint32(len(payload)))
-	bePutU32(buf[4:], crcChecksum(payload))
 }
 
 // decodeBatchOps parses a batch request body into dst (reusing its

@@ -1,120 +1,33 @@
 package devnet
 
 import (
-	"crypto/rand"
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	mrand "math/rand"
-	"net"
 	"sync"
-	"time"
 
 	"soteria/internal/device"
-	"soteria/internal/memctrl"
 	"soteria/internal/nvm"
 	"soteria/internal/sim"
-	"soteria/internal/telemetry"
-	"soteria/internal/tenant"
 )
-
-// RetryPolicy governs how a Client reacts to retryable failures. Every
-// retry re-sends the same (session, seq), so the server's dedup window
-// guarantees a retried operation whose original already committed is
-// acknowledged without being applied twice.
-type RetryPolicy struct {
-	// MaxAttempts caps total attempts per operation. 0 selects the
-	// default (5); negative means unlimited (bounded by MaxElapsed).
-	MaxAttempts int
-	// MaxElapsed caps the wall-clock time spent on one operation,
-	// backoff waits included. 0 selects the default (30s).
-	MaxElapsed time.Duration
-	// BaseBackoff is the first retry's wait (default 5ms); each further
-	// retry doubles it, capped at MaxBackoff (default 500ms), plus up to
-	// 50% seeded jitter so a fleet of retrying clients decorrelates.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// RetryDown also retries ClassDown errors (device crashed / power
-	// lost). Only safe in supervised deployments where something will
-	// run recovery; otherwise a crashed device retries forever.
-	RetryDown bool
-}
-
-func (p *RetryPolicy) fill() {
-	if p.MaxAttempts == 0 {
-		p.MaxAttempts = 5
-	}
-	if p.MaxElapsed <= 0 {
-		p.MaxElapsed = 30 * time.Second
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 5 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 500 * time.Millisecond
-	}
-}
-
-// Options configures a resilient client.
-type Options struct {
-	// DialTimeout bounds each (re)connection attempt. Default 5s.
-	DialTimeout time.Duration
-	// OpTimeout is the per-attempt round-trip deadline: send the request
-	// and receive the full response within it or the attempt counts as a
-	// transport timeout and is retried. Default 30s.
-	OpTimeout time.Duration
-	// Retry is the retry policy; its zero value selects the defaults.
-	Retry RetryPolicy
-	// Session identifies this client in the server's dedup window. 0
-	// (the default) draws a random non-zero id.
-	Session uint64
-	// Seed drives backoff jitter; 0 derives it from the session id.
-	Seed int64
-	// Telemetry, when non-nil, receives the client's resilience counters
-	// (devnet_client_*) and the retry-backoff histogram.
-	Telemetry *telemetry.Registry
-	// Logf, when non-nil, receives reconnect/retry diagnostics.
-	Logf func(format string, args ...any)
-}
 
 // Client drives a remote device over TCP and satisfies device.Client,
 // reconstructing the device's typed error surface from the wire statuses
 // so code written against the in-process device runs unchanged against a
-// server. It is self-healing: every operation runs under a deadline, a
-// broken connection is replaced automatically with capped exponential
-// backoff, and failed attempts are retried idempotently (the server
-// deduplicates by session and sequence). A Client serializes its
-// requests (the protocol is strict stop-and-wait); open several clients
-// for concurrency.
+// server. It is a link with a window of one frame (strict stop-and-wait),
+// so it inherits the link's self-healing: every exchange runs under a
+// deadline, a broken connection is replaced with capped exponential
+// backoff, and the unanswered request is retransmitted with its original
+// (session, seq) so the server deduplicates it. A Client serializes its
+// requests; open several clients, or a Pipe, for concurrency.
 type Client struct {
-	addr string
-	opts Options
-
-	mu   sync.Mutex
-	conn net.Conn
-	seq  uint64
-	rng  *mrand.Rand
-
-	// req and rbuf are the pooled request/receive buffers: a client in
-	// steady state allocates nothing per data op. Response bodies alias
-	// rbuf and are valid only until the next operation, so accessors
-	// that return bytes to the caller copy first.
-	req  []byte
-	rbuf []byte
+	mu sync.Mutex
+	l  *link
 
 	// attached/tenantID/tenantTok hold the tenant binding, replayed on
 	// every reconnect (the binding is per-connection on the server).
 	attached  bool
 	tenantID  uint32
 	tenantTok uint64
-
-	retries    *telemetry.Counter
-	reconnects *telemetry.Counter
-	timeouts   *telemetry.Counter
-	busyWaits  *telemetry.Counter
-	gaveUp     *telemetry.Counter
-	backoffNS  *telemetry.Histogram
 }
 
 var _ device.Client = (*Client)(nil)
@@ -124,280 +37,104 @@ func Dial(addr string) (*Client, error) {
 	return DialWith(addr, Options{})
 }
 
-// DialWith connects with explicit resilience options. The first
-// connection is established eagerly so an unreachable server fails
-// fast; later reconnects happen inside the retry loop.
+// DialWith connects with explicit resilience options.
 func DialWith(addr string, opts Options) (*Client, error) {
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 5 * time.Second
-	}
-	if opts.OpTimeout <= 0 {
-		opts.OpTimeout = 30 * time.Second
-	}
-	opts.Retry.fill()
-	if opts.Session == 0 {
-		opts.Session = randomSession()
-	}
-	if opts.Seed == 0 {
-		opts.Seed = int64(opts.Session)
-	}
-	c := &Client{addr: addr, opts: opts, rng: mrand.New(mrand.NewSource(opts.Seed))}
-	reg := opts.Telemetry
-	c.retries = reg.Counter("devnet_client_retries_total")
-	c.reconnects = reg.Counter("devnet_client_reconnects_total")
-	c.timeouts = reg.Counter("devnet_client_timeouts_total")
-	c.busyWaits = reg.Counter("devnet_client_busy_waits_total")
-	c.gaveUp = reg.Counter("devnet_client_gave_up_total")
-	c.backoffNS = reg.Histogram("devnet_client_retry_backoff_ns", telemetry.ExpBounds(40))
-	conn, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
+	l, err := dialLink(addr, opts)
 	if err != nil {
 		return nil, err
 	}
-	c.conn = conn
+	c := &Client{l: l}
+	l.onConnect = c.reattach
 	return c, nil
 }
 
-func randomSession() uint64 {
-	var b [8]byte
-	for {
-		if _, err := rand.Read(b[:]); err != nil {
-			// Crypto randomness is best-effort uniqueness, not security;
-			// fall back to the wall clock.
-			return uint64(time.Now().UnixNano()) | 1
-		}
-		if v := binary.BigEndian.Uint64(b[:]); v != 0 {
-			return v
-		}
-	}
-}
-
 // Session returns the client's dedup session id.
-func (c *Client) Session() uint64 { return c.opts.Session }
+func (c *Client) Session() uint64 { return c.l.opts.Session }
 
 // Close closes the connection. The remote device keeps running.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.conn == nil {
-		return nil
-	}
-	err := c.conn.Close()
-	c.conn = nil
-	return err
+	c.l.drop()
+	return nil
 }
 
-func (c *Client) logf(format string, args ...any) {
-	if c.opts.Logf != nil {
-		c.opts.Logf(format, args...)
-	}
-}
-
-// do runs one logical operation: assign a sequence number, then attempt
-// and retry under the policy until it succeeds, fails fatally, or the
-// budget runs out.
-func (c *Client) do(opName string, op uint8, body []byte) (sim.Time, []byte, error) {
+// begin locks the client and opens the frame of one operation; the
+// caller appends the body and hands the frame to finish.
+func (c *Client) begin(opName string, op uint8) *frame {
 	c.mu.Lock()
+	c.l.what = opName
+	f := c.l.next()
+	f.buf = newRequestFrame(f.buf, op, c.l.opts.Session, f.seq)
+	return f
+}
+
+// finish sends the frame and settles its response: success and
+// non-retryable statuses go back to the caller (leaving the link usable),
+// retryable ones go back to the link until its budget runs out. The
+// response body aliases the link's receive buffer and is valid only until
+// the next operation, so accessors that return bytes copy first.
+func (c *Client) finish(f *frame) (sim.Time, []byte, error) {
 	defer c.mu.Unlock()
-	c.seq++
-	seq := c.seq
-	c.req = c.req[:0]
-	c.req = append(c.req, op)
-	c.req = putU64(c.req, c.opts.Session)
-	c.req = putU64(c.req, seq)
-	c.req = append(c.req, body...)
-	return c.retryLoop(opName, c.req, seq)
+	l := c.l
+	defer l.ack() // answered or given up on, the frame leaves the window
+	sealFrame(f.buf)
+	err := l.send(f)
+	for err == nil {
+		var resp wireResponse
+		if resp, err = l.recv(); err != nil {
+			break
+		}
+		derr := statusError(resp.status, resp.body)
+		if derr == nil {
+			return sim.Time(resp.latPS), resp.body, nil
+		}
+		if !l.retryable(derr) {
+			return 0, nil, derr
+		}
+		err = l.recover(derr)
+	}
+	return 0, nil, err
+}
+
+func (c *Client) do(opName string, op uint8, body []byte) (sim.Time, []byte, error) {
+	f := c.begin(opName, op)
+	f.buf = append(f.buf, body...)
+	return c.finish(f)
 }
 
 // doAddr is do for the addr(+line) data ops, encoding the body straight
-// into the pooled request buffer so the hot path builds no intermediate
-// body slice.
+// into the pooled frame so the hot path builds no intermediate slice.
 func (c *Client) doAddr(opName string, op uint8, addr uint64, line *nvm.Line) (sim.Time, []byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.seq++
-	seq := c.seq
-	c.req = c.req[:0]
-	c.req = append(c.req, op)
-	c.req = putU64(c.req, c.opts.Session)
-	c.req = putU64(c.req, seq)
-	c.req = putU64(c.req, addr)
+	f := c.begin(opName, op)
+	f.buf = putU64(f.buf, addr)
 	if line != nil {
-		c.req = append(c.req, line[:]...)
+		f.buf = append(f.buf, line[:]...)
 	}
-	return c.retryLoop(opName, c.req, seq)
+	return c.finish(f)
 }
 
-// retryLoop drives one encoded request to success, fatal failure, or
-// budget exhaustion. Called with c.mu held.
-func (c *Client) retryLoop(opName string, req []byte, seq uint64) (sim.Time, []byte, error) {
-	start := time.Now()
-	pol := c.opts.Retry
-	backoff := pol.BaseBackoff
-	for attempt := 1; ; attempt++ {
-		lat, respBody, err := c.attempt(req, seq)
-		if err == nil {
-			return lat, respBody, nil
-		}
-		class := ClassOf(err)
-		retryable := class == ClassTransport || class == ClassBusy || class == ClassRetired ||
-			(class == ClassDown && pol.RetryDown)
-		if !retryable {
-			return 0, nil, err
-		}
-		if class == ClassTransport {
-			c.dropConn()
-		}
-		exhausted := pol.MaxAttempts > 0 && attempt >= pol.MaxAttempts
-		if elapsed := time.Since(start); exhausted || elapsed+backoff > pol.MaxElapsed {
-			c.gaveUp.Inc()
-			return 0, nil, &OpError{Op: opName, Attempts: attempt, Elapsed: time.Since(start), Err: err}
-		}
-		wait := backoff
-		if backoff < pol.MaxBackoff {
-			backoff *= 2
-			if backoff > pol.MaxBackoff {
-				backoff = pol.MaxBackoff
-			}
-		}
-		if class == ClassBusy {
-			// Honor the server's retry-after estimate when it is more
-			// conservative than our own schedule.
-			c.busyWaits.Inc()
-			var be *device.BusyError
-			if errors.As(err, &be) && be.RetryAfter > wait {
-				wait = be.RetryAfter
-				if wait > pol.MaxBackoff {
-					wait = pol.MaxBackoff
-				}
-			}
-		}
-		wait += time.Duration(c.rng.Int63n(int64(wait/2) + 1))
-		c.backoffNS.Observe(uint64(wait))
-		c.retries.Inc()
-		c.logf("devnet: %s attempt %d failed (%s: %v), retrying in %v", opName, attempt, class, err, wait)
-		time.Sleep(wait)
-	}
-}
-
-// dropConn discards a connection the retry loop no longer trusts.
-func (c *Client) dropConn() {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-	}
-}
-
-// attempt performs one request/response exchange, reconnecting first if
-// the previous attempt poisoned the connection. Called with c.mu held.
-func (c *Client) attempt(req []byte, seq uint64) (sim.Time, []byte, error) {
-	if c.conn == nil {
-		conn, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
-		if err != nil {
-			return 0, nil, err
-		}
-		c.conn = conn
-		c.reconnects.Inc()
-		c.logf("devnet: reconnected to %s", c.addr)
-		if c.attached {
-			// The tenant binding died with the old connection; restore it
-			// before the retried operation runs, or the server would
-			// reject the data op the retry is trying to land.
-			if err := c.sendAttach(); err != nil {
-				return 0, nil, err
-			}
-		}
-	}
-	c.conn.SetDeadline(time.Now().Add(c.opts.OpTimeout))
-	defer c.conn.SetDeadline(time.Time{})
-	if err := writeFrame(c.conn, req); err != nil {
-		return 0, nil, c.noteTimeout(fmt.Errorf("devnet: send: %w", err))
-	}
-	payload, err := readFrameInto(c.conn, &c.rbuf)
+// doJSON is do for the ops answered in JSON, decoded into v.
+func (c *Client) doJSON(opName string, op uint8, body []byte, v any) error {
+	_, data, err := c.do(opName, op, body)
 	if err != nil {
-		return 0, nil, c.noteTimeout(fmt.Errorf("devnet: receive: %w", err))
+		return err
 	}
-	resp, err := parseResponse(payload)
+	return json.Unmarshal(data, v)
+}
+
+// lineOf copies the 64-byte line a read returned out of the receive
+// buffer.
+func lineOf(lat sim.Time, body []byte, err error) (nvm.Line, sim.Time, error) {
+	var line nvm.Line
 	if err != nil {
-		return 0, nil, err
+		return line, 0, err
 	}
-	if resp.seq != seq {
-		return 0, nil, &FrameError{Reason: fmt.Sprintf("response for sequence %d, want %d", resp.seq, seq)}
+	if len(body) != nvm.LineSize {
+		return line, 0, &FrameError{Reason: fmt.Sprintf("read returned %d bytes", len(body))}
 	}
-	if derr := statusError(resp.status, resp.body); derr != nil {
-		return 0, nil, derr
-	}
-	return sim.Time(resp.latPS), resp.body, nil
-}
-
-// noteTimeout counts deadline expirations for the resilience report.
-func (c *Client) noteTimeout(err error) error {
-	if ne, ok := errAsNet(err); ok && ne.Timeout() {
-		c.timeouts.Inc()
-	}
-	return err
-}
-
-func errAsNet(err error) (net.Error, bool) {
-	var ne net.Error
-	return ne, errors.As(err, &ne)
-}
-
-// statusError reconstructs the device's typed error surface from a wire
-// status (nil for StatusOK).
-func statusError(status uint8, body []byte) error {
-	switch status {
-	case StatusOK:
-		return nil
-	case StatusBusy:
-		if len(body) != 16 {
-			return &FrameError{Reason: fmt.Sprintf("malformed busy body (%d bytes)", len(body))}
-		}
-		return &device.BusyError{
-			Shard:      int(int32(binary.BigEndian.Uint32(body))),
-			Pending:    int(binary.BigEndian.Uint32(body[4:])),
-			RetryAfter: time.Duration(binary.BigEndian.Uint64(body[8:])) * time.Nanosecond,
-		}
-	case StatusCrashed:
-		return memctrl.ErrCrashed
-	case StatusClosed:
-		return device.ErrClosed
-	case StatusPowerLoss:
-		if len(body) != 12 {
-			return &FrameError{Reason: fmt.Sprintf("malformed power-loss body (%d bytes)", len(body))}
-		}
-		return &device.PowerError{
-			Shard:    int(int32(binary.BigEndian.Uint32(body))),
-			Boundary: int(binary.BigEndian.Uint64(body[4:])),
-		}
-	case StatusRetired:
-		return device.ErrRetired
-	case StatusQuota:
-		if len(body) != 12 {
-			return &FrameError{Reason: fmt.Sprintf("malformed quota body (%d bytes)", len(body))}
-		}
-		return &tenant.QuotaError{
-			Tenant: binary.BigEndian.Uint32(body),
-			Used:   binary.BigEndian.Uint32(body[4:]),
-			Budget: binary.BigEndian.Uint32(body[8:]),
-		}
-	case StatusTenantDenied:
-		if len(body) != 4 {
-			return &FrameError{Reason: fmt.Sprintf("malformed denied body (%d bytes)", len(body))}
-		}
-		return &tenant.AuthError{Tenant: binary.BigEndian.Uint32(body)}
-	case StatusTenantIntegrity:
-		if len(body) != 12 {
-			return &FrameError{Reason: fmt.Sprintf("malformed integrity body (%d bytes)", len(body))}
-		}
-		return &tenant.IntegrityError{
-			Tenant: binary.BigEndian.Uint32(body),
-			Line:   binary.BigEndian.Uint64(body[4:]),
-		}
-	case StatusError:
-		return fmt.Errorf("devnet: server: %s", body)
-	default:
-		return &FrameError{Reason: fmt.Sprintf("unknown status %d", status)}
-	}
+	copy(line[:], body)
+	return line, lat, nil
 }
 
 // Ping round-trips an empty request.
@@ -409,35 +146,18 @@ func (c *Client) Ping() error {
 // Info fetches the remote device description.
 func (c *Client) Info() (device.Info, error) {
 	var info device.Info
-	_, body, err := c.do("info", OpInfo, nil)
-	if err != nil {
-		return info, err
-	}
-	return info, json.Unmarshal(body, &info)
+	return info, c.doJSON("info", OpInfo, nil, &info)
 }
 
 // Health fetches the server's readiness probe.
 func (c *Client) Health() (Health, error) {
 	var h Health
-	_, body, err := c.do("health", OpHealth, nil)
-	if err != nil {
-		return h, err
-	}
-	return h, json.Unmarshal(body, &h)
+	return h, c.doJSON("health", OpHealth, nil, &h)
 }
 
 // Read services one 64-byte read.
 func (c *Client) Read(addr uint64) (nvm.Line, sim.Time, error) {
-	var line nvm.Line
-	lat, body, err := c.doAddr("read", OpRead, addr, nil)
-	if err != nil {
-		return line, 0, err
-	}
-	if len(body) != nvm.LineSize {
-		return line, 0, &FrameError{Reason: fmt.Sprintf("read returned %d bytes", len(body))}
-	}
-	copy(line[:], body)
-	return line, lat, nil
+	return lineOf(c.doAddr("read", OpRead, addr, nil))
 }
 
 // Write services one 64-byte write. Retries are safe: the request
@@ -469,12 +189,8 @@ func (c *Client) Crash() error {
 
 // Recover rebuilds the remote device and returns its report.
 func (c *Client) Recover() (*device.RecoveryReport, error) {
-	_, body, err := c.do("recover", OpRecover, nil)
-	if err != nil {
-		return nil, err
-	}
 	rep := &device.RecoveryReport{}
-	if err := json.Unmarshal(body, rep); err != nil {
+	if err := c.doJSON("recover", OpRecover, nil, rep); err != nil {
 		return nil, err
 	}
 	return rep, nil

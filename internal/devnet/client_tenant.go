@@ -1,40 +1,40 @@
 package devnet
 
 import (
-	"encoding/json"
 	"fmt"
-	"time"
 
 	"soteria/internal/nvm"
 	"soteria/internal/sim"
 	"soteria/internal/telemetry"
 )
 
-// sendAttach replays the stored tenant binding on the current connection.
-// Called with c.mu held and a live connection. Session 0 and sequence 0:
-// the attach must execute on this connection (the server keeps it out of
-// the dedup window anyway), and it is not one of the client's numbered
-// operations.
-func (c *Client) sendAttach() error {
+// reattach is the link's on-connect hook: it replays the stored tenant
+// binding on a replacement connection before anything is retransmitted
+// over it, or the server would reject the data op the retransmission is
+// trying to land. Session 0 and sequence 0: the attach must execute on
+// this connection (the server keeps it out of the dedup window anyway),
+// and it is not one of the client's numbered operations.
+func (c *Client) reattach() error {
+	if !c.attached {
+		return nil
+	}
 	f := TenantFrame{Op: OpTenantAttach, Tenant: c.tenantID, Token: c.tenantTok}
-	req := append(encodeRequest(OpTenantAttach, 0, 0, 12), f.Encode()...)
-	c.conn.SetDeadline(time.Now().Add(c.opts.OpTimeout))
-	defer c.conn.SetDeadline(time.Time{})
-	if err := writeFrame(c.conn, req); err != nil {
-		return c.noteTimeout(fmt.Errorf("devnet: attach send: %w", err))
+	buf := append(newRequestFrame(nil, OpTenantAttach, 0, 0), f.Encode()...)
+	sealFrame(buf)
+	if err := c.l.write(buf); err != nil {
+		return err
 	}
-	payload, err := readFrameInto(c.conn, &c.rbuf)
-	if err != nil {
-		return c.noteTimeout(fmt.Errorf("devnet: attach receive: %w", err))
-	}
-	resp, err := parseResponse(payload)
+	resp, err := c.l.read(0)
 	if err != nil {
 		return err
 	}
-	if resp.seq != 0 {
-		return &FrameError{Reason: fmt.Sprintf("attach answered with sequence %d", resp.seq)}
-	}
 	return statusError(resp.status, resp.body)
+}
+
+// doTenant is do for a tenant-plane op, its body rendered by the one
+// tenant frame codec.
+func (c *Client) doTenant(opName string, f TenantFrame) (sim.Time, []byte, error) {
+	return c.do(opName, f.Op, f.Encode())
 }
 
 // AttachTenant authenticates this client's connection as tenant id and
@@ -42,12 +42,9 @@ func (c *Client) sendAttach() error {
 // reconnect. Data ops (TenantRead/TenantWrite) require it.
 func (c *Client) AttachTenant(id uint32, token uint64) error {
 	c.mu.Lock()
-	c.attached = true
-	c.tenantID = id
-	c.tenantTok = token
+	c.attached, c.tenantID, c.tenantTok = true, id, token
 	c.mu.Unlock()
-	f := TenantFrame{Op: OpTenantAttach, Tenant: id, Token: token}
-	_, _, err := c.do("tenant-attach", OpTenantAttach, f.Encode())
+	_, _, err := c.doTenant("tenant-attach", TenantFrame{Op: OpTenantAttach, Tenant: id, Token: token})
 	if err != nil {
 		c.mu.Lock()
 		c.attached = false
@@ -58,17 +55,7 @@ func (c *Client) AttachTenant(id uint32, token uint64) error {
 
 // TenantRead services one 64-byte read in the attached tenant's space.
 func (c *Client) TenantRead(id uint32, addr uint64) (nvm.Line, sim.Time, error) {
-	var line nvm.Line
-	f := TenantFrame{Op: OpTenantRead, Tenant: id, Addr: addr}
-	lat, body, err := c.do("tenant-read", OpTenantRead, f.Encode())
-	if err != nil {
-		return line, 0, err
-	}
-	if len(body) != nvm.LineSize {
-		return line, 0, &FrameError{Reason: fmt.Sprintf("tenant read returned %d bytes", len(body))}
-	}
-	copy(line[:], body)
-	return line, lat, nil
+	return lineOf(c.doTenant("tenant-read", TenantFrame{Op: OpTenantRead, Tenant: id, Addr: addr}))
 }
 
 // TenantWrite services one 64-byte write in the attached tenant's space.
@@ -76,16 +63,14 @@ func (c *Client) TenantRead(id uint32, addr uint64) (nvm.Line, sim.Time, error) 
 // writes. A quota rejection surfaces as a *TenantQuotaError and is NOT
 // retried: the budget will not refill inside a retry loop's horizon.
 func (c *Client) TenantWrite(id uint32, addr uint64, data *nvm.Line) (sim.Time, error) {
-	f := TenantFrame{Op: OpTenantWrite, Tenant: id, Addr: addr, Line: *data}
-	lat, _, err := c.do("tenant-write", OpTenantWrite, f.Encode())
+	lat, _, err := c.doTenant("tenant-write", TenantFrame{Op: OpTenantWrite, Tenant: id, Addr: addr, Line: *data})
 	return lat, err
 }
 
 // TenantCreate provisions a tenant (operator plane) and returns its
 // access token.
 func (c *Client) TenantCreate(id uint32, lines uint64, quotaOps uint32) (uint64, error) {
-	f := TenantFrame{Op: OpTenantCreate, Tenant: id, Lines: lines, Quota: quotaOps}
-	_, body, err := c.do("tenant-create", OpTenantCreate, f.Encode())
+	_, body, err := c.doTenant("tenant-create", TenantFrame{Op: OpTenantCreate, Tenant: id, Lines: lines, Quota: quotaOps})
 	if err != nil {
 		return 0, err
 	}
@@ -97,16 +82,14 @@ func (c *Client) TenantCreate(id uint32, lines uint64, quotaOps uint32) (uint64,
 
 // TenantRotate begins an online key rotation (operator plane).
 func (c *Client) TenantRotate(id uint32) error {
-	f := TenantFrame{Op: OpTenantRotate, Tenant: id}
-	_, _, err := c.do("tenant-rotate", OpTenantRotate, f.Encode())
+	_, _, err := c.doTenant("tenant-rotate", TenantFrame{Op: OpTenantRotate, Tenant: id})
 	return err
 }
 
 // TenantRotateStep advances a rotation sweep by up to max lines,
 // reporting progress (operator plane).
 func (c *Client) TenantRotateStep(id uint32, max uint32) (rotated uint32, cursor uint64, done bool, err error) {
-	f := TenantFrame{Op: OpTenantStep, Tenant: id, Max: max}
-	_, body, err := c.do("tenant-step", OpTenantStep, f.Encode())
+	_, body, err := c.doTenant("tenant-step", TenantFrame{Op: OpTenantStep, Tenant: id, Max: max})
 	if err != nil {
 		return 0, 0, false, err
 	}
@@ -120,31 +103,19 @@ func (c *Client) TenantRotateStep(id uint32, max uint32) (rotated uint32, cursor
 func (c *Client) TenantInfo(id uint32) (TenantInfo, error) {
 	var info TenantInfo
 	f := TenantFrame{Op: OpTenantInfo, Tenant: id}
-	_, body, err := c.do("tenant-info", OpTenantInfo, f.Encode())
-	if err != nil {
-		return info, err
-	}
-	return info, json.Unmarshal(body, &info)
+	return info, c.doJSON("tenant-info", f.Op, f.Encode(), &info)
 }
 
 // TenantList fetches the provisioned tenants (operator plane).
 func (c *Client) TenantList() ([]TenantRecord, error) {
-	f := TenantFrame{Op: OpTenantList}
-	_, body, err := c.do("tenant-list", OpTenantList, f.Encode())
-	if err != nil {
-		return nil, err
-	}
 	var out []TenantRecord
-	return out, json.Unmarshal(body, &out)
+	f := TenantFrame{Op: OpTenantList}
+	return out, c.doJSON("tenant-list", f.Op, f.Encode(), &out)
 }
 
 // TenantMetrics fetches one tenant's telemetry snapshot.
 func (c *Client) TenantMetrics(id uint32) (*telemetry.Snapshot, error) {
-	f := TenantFrame{Op: OpTenantMetrics, Tenant: id}
-	_, body, err := c.do("tenant-metrics", OpTenantMetrics, f.Encode())
-	if err != nil {
-		return nil, err
-	}
 	snap := &telemetry.Snapshot{}
-	return snap, json.Unmarshal(body, snap)
+	f := TenantFrame{Op: OpTenantMetrics, Tenant: id}
+	return snap, c.doJSON("tenant-metrics", f.Op, f.Encode(), snap)
 }

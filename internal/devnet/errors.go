@@ -112,17 +112,16 @@ func ClassOf(err error) Class {
 	return ClassFatal
 }
 
+// isTimeout reports whether err is a network deadline expiring.
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
+}
+
 // Retryable reports whether the default client policy would retry err
 // (transport faults, backpressure, and crash-barrier retirement; not
 // ClassDown, which needs RetryPolicy.RetryDown).
-func Retryable(err error) bool {
-	switch ClassOf(err) {
-	case ClassTransport, ClassBusy, ClassRetired:
-		return true
-	default:
-		return false
-	}
-}
+func Retryable(err error) bool { return RetryPolicy{}.retries(ClassOf(err)) }
 
 // OpError is returned when the client's retry budget ran out. It wraps
 // the last underlying error, so errors.Is/As still see the typed cause.

@@ -6,7 +6,7 @@ package devnet
 func (c *Client) BreakConnForTest() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.conn != nil {
-		c.conn.Close()
+	if c.l.conn != nil {
+		c.l.conn.Close()
 	}
 }

@@ -20,7 +20,7 @@ func frameBytes(payload []byte) []byte {
 // FuzzDecodeFrame throws arbitrary byte streams at the full inbound
 // decode path — framing, request parsing, response parsing. The
 // invariants: no panic, no over-allocation from a lying length header
-// (readFramePayload grows with the bytes that actually arrive), and a
+// (readFramePayloadInto grows with the bytes that actually arrive), and a
 // frame that decodes must re-encode to the same payload.
 func FuzzDecodeFrame(f *testing.F) {
 	// Valid frames: ping request, write-shaped request, OK response,

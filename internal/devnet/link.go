@@ -1,0 +1,381 @@
+package devnet
+
+import (
+	"crypto/rand"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	mrand "math/rand"
+	"net"
+	"time"
+
+	"soteria/internal/device"
+	"soteria/internal/telemetry"
+)
+
+// RetryPolicy governs how a client reacts to retryable failures. Every
+// retransmission re-sends the same (session, seq) bytes, so the server's
+// dedup window guarantees an operation whose original already committed
+// is acknowledged without being applied twice.
+type RetryPolicy struct {
+	// MaxAttempts caps total attempts per operation. 0 selects the
+	// default (5); negative means unlimited (bounded by MaxElapsed).
+	MaxAttempts int
+	// MaxElapsed caps the wall-clock time spent retrying one operation,
+	// backoff waits included. 0 selects the default (30s).
+	MaxElapsed time.Duration
+	// BaseBackoff is the first retry's wait (default 5ms); each further
+	// retry doubles it, capped at MaxBackoff (default 500ms), plus up to
+	// 50% seeded jitter so a fleet of retrying clients decorrelates.
+	BaseBackoff time.Duration
+	MaxBackoff  time.Duration
+	// RetryDown also retries ClassDown errors (device crashed / power
+	// lost). Only safe in supervised deployments where something will
+	// run recovery; otherwise a crashed device retries forever.
+	RetryDown bool
+}
+
+// retries is the one retryable-class predicate: transport faults,
+// backpressure and crash-barrier retirement always, ClassDown on request.
+func (p RetryPolicy) retries(c Class) bool {
+	return c == ClassTransport || c == ClassBusy || c == ClassRetired || (c == ClassDown && p.RetryDown)
+}
+
+// Options configures a resilient client.
+type Options struct {
+	// DialTimeout bounds each (re)connection attempt. Default 5s.
+	DialTimeout time.Duration
+	// OpTimeout is the deadline on sending one request frame and on
+	// receiving one response frame; past it the attempt counts as a
+	// transport timeout and is retried. Default 30s.
+	OpTimeout time.Duration
+	// Retry is the retry policy; its zero value selects the defaults.
+	Retry RetryPolicy
+	// Session identifies this client in the server's dedup window. 0
+	// (the default) draws a random non-zero id.
+	Session uint64
+	// Seed drives backoff jitter; 0 derives it from the session id.
+	Seed int64
+	// Telemetry, when non-nil, receives the client's resilience counters
+	// (devnet_client_*) and the retry-backoff histogram.
+	Telemetry *telemetry.Registry
+	// Logf, when non-nil, receives reconnect/retry diagnostics.
+	Logf func(format string, args ...any)
+}
+
+func (o *Options) fill() {
+	if o.DialTimeout <= 0 {
+		o.DialTimeout = 5 * time.Second
+	}
+	if o.OpTimeout <= 0 {
+		o.OpTimeout = 30 * time.Second
+	}
+	if o.Retry.MaxAttempts == 0 {
+		o.Retry.MaxAttempts = 5
+	}
+	if o.Retry.MaxElapsed <= 0 {
+		o.Retry.MaxElapsed = 30 * time.Second
+	}
+	if o.Retry.BaseBackoff <= 0 {
+		o.Retry.BaseBackoff = 5 * time.Millisecond
+	}
+	if o.Retry.MaxBackoff <= 0 {
+		o.Retry.MaxBackoff = 500 * time.Millisecond
+	}
+	if o.Session == 0 {
+		o.Session = randomSession()
+	}
+	if o.Seed == 0 {
+		o.Seed = int64(o.Session)
+	}
+}
+
+func randomSession() uint64 {
+	var b [8]byte
+	for {
+		if _, err := rand.Read(b[:]); err != nil {
+			// Crypto randomness is best-effort uniqueness, not security;
+			// fall back to the wall clock.
+			return uint64(time.Now().UnixNano()) | 1
+		}
+		if v := binary.BigEndian.Uint64(b[:]); v != 0 {
+			return v
+		}
+	}
+}
+
+// frame is one sealed request: its sequence number and its wire bytes,
+// frame header included, so sending it is one conn.Write and resending it
+// repeats the original bytes. ops is the Pipe's per-entry bookkeeping for
+// a batch frame; the link never looks at it.
+type frame struct {
+	seq uint64
+	buf []byte
+	ops []pendOp
+}
+
+// link is the one wire transport under both clients: Client is a link
+// with a window of one frame, Pipe a link with a window of N. It owns
+// everything that is not about what a frame carries — the connection
+// (dial, redial, drop), deadlines and timeout accounting, the session
+// and sequence numbers, the pooled receive buffer, the FIFO window of
+// sealed frames not answered yet, and the single recovery routine with
+// its backoff schedule and retry budget. Its users build request bodies
+// and interpret response bodies. Not safe for concurrent use.
+type link struct {
+	addr string
+	opts Options
+	// what names the operation under way in OpError and the log.
+	what string
+	// onConnect, when set, runs on every replacement connection before
+	// anything is retransmitted over it (Client re-attaches its tenant).
+	onConnect func() error
+
+	conn net.Conn
+	seq  uint64
+	rng  *mrand.Rand
+	rbuf []byte // pooled receive buffer; responses alias it until the next read
+
+	window []*frame // sent and unanswered, oldest first
+	free   []*frame // recycled frames
+
+	// failures and failedAt are the retry budget: failures of the oldest
+	// unanswered frame since it was last answered, and when the first
+	// one happened. ack resets them, so progress refills the budget.
+	failures int
+	failedAt time.Time
+
+	// resent counts frames written again by recover. For Client a frame
+	// is an operation, so it is the retries counter; Pipe points it at
+	// its batch-retransmit counter and keeps retries for per-op requeues.
+	resent, retries                         *telemetry.Counter
+	reconnects, timeouts, busyWaits, gaveUp *telemetry.Counter
+	backoffNS                               *telemetry.Histogram
+}
+
+var errNoConn = fmt.Errorf("devnet: no connection: %w", net.ErrClosed)
+
+// dialLink fills the option defaults, registers the resilience counters
+// and connects. The first connection is made eagerly so an unreachable
+// server fails fast; later reconnects happen inside recover.
+func dialLink(addr string, opts Options) (*link, error) {
+	opts.fill()
+	l := &link{addr: addr, opts: opts, rng: mrand.New(mrand.NewSource(opts.Seed))}
+	reg := opts.Telemetry
+	l.retries = reg.Counter("devnet_client_retries_total")
+	l.resent = l.retries
+	l.reconnects = reg.Counter("devnet_client_reconnects_total")
+	l.timeouts = reg.Counter("devnet_client_timeouts_total")
+	l.busyWaits = reg.Counter("devnet_client_busy_waits_total")
+	l.gaveUp = reg.Counter("devnet_client_gave_up_total")
+	l.backoffNS = reg.Histogram("devnet_client_retry_backoff_ns", telemetry.ExpBounds(40))
+	return l, l.dial()
+}
+
+func (l *link) dial() (err error) {
+	l.conn, err = net.DialTimeout("tcp", l.addr, l.opts.DialTimeout)
+	return err
+}
+
+// drop discards a connection recovery no longer trusts.
+func (l *link) drop() {
+	if l.conn != nil {
+		l.conn.Close()
+		l.conn = nil
+	}
+}
+
+// close drops the connection and forgets every unanswered frame.
+func (l *link) close() {
+	l.drop()
+	for len(l.window) > 0 {
+		l.ack()
+	}
+}
+
+func (l *link) logf(format string, args ...any) {
+	if l.opts.Logf != nil {
+		l.opts.Logf(format, args...)
+	}
+}
+
+// next returns a recycled frame stamped with the next sequence number.
+// At most one frame is open (taken but not sent) at a time, so frames
+// are sent in sequence order.
+func (l *link) next() *frame {
+	var f *frame
+	if n := len(l.free); n > 0 {
+		f, l.free = l.free[n-1], l.free[:n-1]
+	} else {
+		f = &frame{}
+	}
+	l.seq++
+	f.seq = l.seq
+	return f
+}
+
+// send puts a sealed frame at the back of the window and writes it. A
+// failed write is recovered here, so an error means the budget ran out.
+func (l *link) send(f *frame) error {
+	l.window = append(l.window, f)
+	if err := l.write(f.buf); err != nil {
+		return l.recover(err)
+	}
+	return nil
+}
+
+// recv returns the response to the oldest unanswered frame, whatever its
+// status, recovering the link for as long as the budget allows. The
+// caller settles the frame with ack, or hands a retryable status back to
+// recover.
+func (l *link) recv() (wireResponse, error) {
+	for {
+		resp, err := l.read(l.window[0].seq)
+		if err == nil {
+			return resp, nil
+		}
+		if err := l.recover(err); err != nil {
+			return wireResponse{}, err
+		}
+	}
+}
+
+// ack retires the answered head of the window and refills the budget.
+func (l *link) ack() {
+	l.free = append(l.free, l.window[0])
+	copy(l.window, l.window[1:])
+	l.window = l.window[:len(l.window)-1]
+	l.failures = 0
+}
+
+// write sends one sealed frame under the op deadline.
+func (l *link) write(buf []byte) error {
+	if l.conn == nil {
+		return errNoConn
+	}
+	l.conn.SetWriteDeadline(time.Now().Add(l.opts.OpTimeout))
+	if _, err := l.conn.Write(buf); err != nil {
+		return l.noteTimeout(fmt.Errorf("devnet: send: %w", err))
+	}
+	return nil
+}
+
+// read receives one response under the op deadline and checks that it
+// answers sequence number want.
+func (l *link) read(want uint64) (wireResponse, error) {
+	if l.conn == nil {
+		return wireResponse{}, errNoConn
+	}
+	l.conn.SetReadDeadline(time.Now().Add(l.opts.OpTimeout))
+	payload, err := readFrameInto(l.conn, &l.rbuf)
+	if err != nil {
+		return wireResponse{}, l.noteTimeout(fmt.Errorf("devnet: receive: %w", err))
+	}
+	resp, err := parseResponse(payload)
+	if err == nil && resp.seq != want {
+		err = &FrameError{Reason: fmt.Sprintf("response for sequence %d, want %d", resp.seq, want)}
+	}
+	return resp, err
+}
+
+// noteTimeout counts deadline expirations for the resilience report.
+func (l *link) noteTimeout(err error) error {
+	if isTimeout(err) {
+		l.timeouts.Inc()
+	}
+	return err
+}
+
+// retryable reports whether the policy retries err.
+func (l *link) retryable(err error) bool { return l.opts.Retry.retries(ClassOf(err)) }
+
+// backoff is the one backoff schedule: the wait before attempt+1, the
+// base doubled per earlier attempt and stretched to the server's
+// retry-after hint when that is longer, both capped at MaxBackoff.
+func (l *link) backoff(attempt int, cause error) time.Duration {
+	pol := l.opts.Retry
+	w := pol.BaseBackoff
+	for a := 1; a < attempt && w < pol.MaxBackoff; a++ {
+		w *= 2
+	}
+	var busy *device.BusyError
+	if errors.As(cause, &busy) && busy.RetryAfter > w {
+		w = busy.RetryAfter
+	}
+	return min(w, pol.MaxBackoff)
+}
+
+// sleep waits out a backoff plus up to 50% seeded jitter.
+func (l *link) sleep(wait time.Duration) {
+	wait += time.Duration(l.rng.Int63n(int64(wait/2) + 1))
+	l.backoffNS.Observe(uint64(wait))
+	time.Sleep(wait)
+}
+
+// recover is the one recovery routine. cause is what went wrong with the
+// oldest unanswered frame: a transport failure, or a retryable status in
+// its response. The connection is dropped when the stream can no longer
+// be trusted, or when later frames ride behind the failed one (their
+// responses would arrive out of step with the retransmission; dropping
+// also stops the old server handler promptly). Then: back off, redial if
+// needed, run the on-connect hook, and retransmit every unanswered frame
+// in order (go-back-N) — the server's dedup window answers any that
+// already executed from cache. Each pass charges the budget; a non-nil
+// return is the *OpError of an exhausted budget, or a non-retryable
+// error from the on-connect hook.
+func (l *link) recover(cause error) error {
+	pol := l.opts.Retry
+	for {
+		class := ClassOf(cause)
+		if class == ClassTransport || len(l.window) > 1 {
+			l.drop()
+		}
+		if l.failures == 0 {
+			l.failedAt = time.Now()
+		}
+		l.failures++
+		wait := l.backoff(l.failures, cause)
+		if elapsed := time.Since(l.failedAt); (pol.MaxAttempts > 0 && l.failures >= pol.MaxAttempts) || elapsed+wait > pol.MaxElapsed {
+			l.gaveUp.Inc()
+			return &OpError{Op: l.what, Attempts: l.failures, Elapsed: elapsed, Err: cause}
+		}
+		if class == ClassBusy {
+			l.busyWaits.Inc()
+		}
+		l.logf("devnet: %s attempt %d failed (%s: %v), retrying in %v", l.what, l.failures, class, cause, wait)
+		l.sleep(wait)
+		if cause = l.retransmit(); cause == nil {
+			return nil
+		}
+		if !l.retryable(cause) {
+			return cause
+		}
+	}
+}
+
+// retransmit writes every unanswered frame again, over a replacement
+// connection (greeted by the on-connect hook) if the old one was dropped.
+func (l *link) retransmit() error {
+	if l.conn == nil {
+		if err := l.dial(); err != nil {
+			return err
+		}
+		l.reconnects.Inc()
+		l.logf("devnet: reconnected to %s", l.addr)
+		if l.onConnect != nil {
+			if err := l.onConnect(); err != nil {
+				// Unbound is worse than absent: the next pass redials and
+				// greets again rather than retransmitting over this one.
+				l.drop()
+				return err
+			}
+		}
+	}
+	for _, f := range l.window {
+		if err := l.write(f.buf); err != nil {
+			return err
+		}
+		l.resent.Inc()
+	}
+	return nil
+}

@@ -3,14 +3,11 @@ package devnet
 import (
 	"errors"
 	"fmt"
-	mrand "math/rand"
-	"net"
 	"time"
 
 	"soteria/internal/device"
 	"soteria/internal/nvm"
 	"soteria/internal/sim"
-	"soteria/internal/telemetry"
 )
 
 // PipeOptions configures a pipelined client.
@@ -18,7 +15,7 @@ type PipeOptions struct {
 	Options
 
 	// Window is how many sealed batches may be awaiting responses at
-	// once. Default 8; clamped to the server's dedup window (16) so a
+	// once. Default 8; clamped to the server's default dedup window so a
 	// go-back-N retransmit can always be answered from cache.
 	Window int
 	// MaxBatch caps ops per batch frame; a full batch is sealed and sent
@@ -45,14 +42,6 @@ type pendOp struct {
 	off, n   int
 }
 
-// pbatch is one batch frame: the sealed wire bytes (frame header
-// included, one conn.Write) and the ops inside it, in entry order.
-type pbatch struct {
-	seq uint64
-	buf []byte
-	ops []pendOp
-}
-
 // retryQueue accumulates ops that failed retryably inside an executed
 // batch. Entry bytes are copied out of the dying batch's buffer so the
 // batch can be recycled immediately.
@@ -67,18 +56,19 @@ type retryQueue struct {
 // device instead of by round-trips. Outcomes are delivered to the
 // PipeHandler exactly once per submitted op, in batch order.
 //
-// Resilience mirrors the stop-and-wait Client but is window-aware:
+// A Pipe is a link with a window of N frames, so resilience is the
+// link's, shared with the stop-and-wait Client, at two levels:
 //
-//   - A transport failure, a sequence mismatch, or a batch-level
-//     retryable status drops the connection and, after backoff, redials
-//     and retransmits every unanswered batch in order (go-back-N). The
+//   - A transport failure, a sequence mismatch, a malformed response or
+//     a batch-level retryable status goes to the link's recovery, which
+//     retransmits every unanswered batch in order (go-back-N). The
 //     server's dedup window replays results for any batch that already
 //     executed, so retransmits never re-apply writes. These count as
 //     devnet_client_batch_retransmits_total, NOT as op retries.
 //   - An op that failed retryably inside an executed batch (shard busy,
 //     retired by a crash, down with RetryDown) was never applied; it is
 //     re-enqueued into a later batch under a NEW sequence number after
-//     the policy's backoff. Only these increment
+//     the link's backoff. Only these increment
 //     devnet_client_retries_total.
 //
 // A Pipe is not safe for concurrent use; everything (including handler
@@ -88,19 +78,13 @@ type retryQueue struct {
 // read-your-write per key must not have two ops for the same key in
 // flight at once.
 type Pipe struct {
-	addr string
-	opts PipeOptions
-	h    PipeHandler
+	l        *link
+	window   int
+	maxBatch int
+	h        PipeHandler
+	err      error // sticky fatal error; set once, delivered to all pending ops
 
-	conn net.Conn
-	seq  uint64
-	rng  *mrand.Rand
-	err  error // sticky fatal error; set once, delivered to all pending ops
-
-	cur      *pbatch   // open batch accepting Submits (nil when empty)
-	inflight []*pbatch // sealed, sent, awaiting responses; FIFO by seq
-	free     []*pbatch // recycled batches
-	rbuf     []byte    // pooled receive buffer
+	cur *frame // open batch accepting Submits (nil when empty)
 
 	// Double-buffered retry queues: deliver() appends to retry while
 	// flushRetries drains the other, so a retry queued during a nested
@@ -108,14 +92,6 @@ type Pipe struct {
 	retry      retryQueue
 	retrySpare retryQueue
 	retryWait  time.Duration // max backoff owed before the next retry flush
-
-	opRetries   *telemetry.Counter
-	retransmits *telemetry.Counter
-	reconnects  *telemetry.Counter
-	timeouts    *telemetry.Counter
-	busyWaits   *telemetry.Counter
-	gaveUp      *telemetry.Counter
-	backoffNS   *telemetry.Histogram
 }
 
 var errPipeClosed = errors.New("devnet: pipe closed")
@@ -126,59 +102,30 @@ func DialPipe(addr string, h PipeHandler, opts PipeOptions) (*Pipe, error) {
 	if h == nil {
 		return nil, errors.New("devnet: DialPipe requires a handler")
 	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 5 * time.Second
+	p := &Pipe{window: opts.Window, maxBatch: opts.MaxBatch, h: h}
+	if p.window <= 0 {
+		p.window = 8
 	}
-	if opts.OpTimeout <= 0 {
-		opts.OpTimeout = 30 * time.Second
+	// More batches in flight than the server keeps responses per session
+	// and a go-back-N retransmit could miss the cache and re-execute a
+	// committed batch.
+	p.window = min(p.window, defaultDedupWindow)
+	if p.maxBatch <= 0 {
+		p.maxBatch = 64
 	}
-	opts.Retry.fill()
-	if opts.Session == 0 {
-		opts.Session = randomSession()
-	}
-	if opts.Seed == 0 {
-		opts.Seed = int64(opts.Session)
-	}
-	if opts.Window <= 0 {
-		opts.Window = 8
-	}
-	if opts.Window > 16 {
-		// The server's dedup window defaults to 16 responses per session;
-		// more batches in flight than that and a go-back-N retransmit
-		// could miss the cache and re-execute a committed batch.
-		opts.Window = 16
-	}
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = 64
-	}
-	if opts.MaxBatch > maxBatchOps {
-		opts.MaxBatch = maxBatchOps
-	}
-	p := &Pipe{addr: addr, opts: opts, h: h, rng: mrand.New(mrand.NewSource(opts.Seed))}
-	reg := opts.Telemetry
-	p.opRetries = reg.Counter("devnet_client_retries_total")
-	p.retransmits = reg.Counter("devnet_client_batch_retransmits_total")
-	p.reconnects = reg.Counter("devnet_client_reconnects_total")
-	p.timeouts = reg.Counter("devnet_client_timeouts_total")
-	p.busyWaits = reg.Counter("devnet_client_busy_waits_total")
-	p.gaveUp = reg.Counter("devnet_client_gave_up_total")
-	p.backoffNS = reg.Histogram("devnet_client_retry_backoff_ns", telemetry.ExpBounds(40))
-	conn, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
+	p.maxBatch = min(p.maxBatch, maxBatchOps)
+	l, err := dialLink(addr, opts.Options)
 	if err != nil {
 		return nil, err
 	}
-	p.conn = conn
+	l.what = "pipeline"
+	l.resent = opts.Telemetry.Counter("devnet_client_batch_retransmits_total")
+	p.l = l
 	return p, nil
 }
 
 // Session returns the pipe's dedup session id.
-func (p *Pipe) Session() uint64 { return p.opts.Session }
-
-func (p *Pipe) logf(format string, args ...any) {
-	if p.opts.Logf != nil {
-		p.opts.Logf(format, args...)
-	}
-}
+func (p *Pipe) Session() uint64 { return p.l.opts.Session }
 
 // Submit enqueues one op. op is a device.Batch* code; line is required
 // for BatchWrite. The op's outcome arrives via the handler during a
@@ -207,7 +154,7 @@ func (p *Pipe) Submit(tag uint64, op uint8, addr uint64, line *nvm.Line) error {
 	off := len(b.buf)
 	b.buf = appendBatchOp(b.buf, op, addr, line)
 	b.ops = append(b.ops, pendOp{tag: tag, op: op, attempts: 1, off: off, n: len(b.buf) - off})
-	if len(b.ops) >= p.opts.MaxBatch {
+	if len(b.ops) >= p.maxBatch {
 		return p.seal()
 	}
 	return nil
@@ -232,7 +179,7 @@ func (p *Pipe) Wait() error {
 	if p.err != nil {
 		return p.err
 	}
-	if len(p.inflight) == 0 {
+	if len(p.l.window) == 0 {
 		if err := p.flushRetries(); err != nil {
 			return err
 		}
@@ -240,10 +187,7 @@ func (p *Pipe) Wait() error {
 			return err
 		}
 	}
-	if len(p.inflight) > 0 {
-		return p.recvOne()
-	}
-	return nil
+	return p.recvOne()
 }
 
 // Flush drives everything submitted so far — current batch, in-flight
@@ -253,7 +197,7 @@ func (p *Pipe) Flush() error {
 		if p.err != nil {
 			return p.err
 		}
-		if len(p.inflight) == 0 && (p.cur == nil || len(p.cur.ops) == 0) && len(p.retry.ops) == 0 {
+		if !p.pending() {
 			return nil
 		}
 		if err := p.Wait(); err != nil {
@@ -262,32 +206,27 @@ func (p *Pipe) Flush() error {
 	}
 }
 
+// pending reports whether any submitted op still awaits its outcome.
+func (p *Pipe) pending() bool {
+	return len(p.l.window) > 0 || (p.cur != nil && len(p.cur.ops) > 0) || len(p.retry.ops) > 0
+}
+
 // Close tears the pipe down. Pending ops (if any) are failed to the
 // handler; call Flush first for a clean shutdown.
 func (p *Pipe) Close() error {
 	if p.err == nil {
-		if len(p.inflight) > 0 || (p.cur != nil && len(p.cur.ops) > 0) || len(p.retry.ops) > 0 {
-			p.fail(errPipeClosed)
-		} else {
-			p.err = errPipeClosed
-		}
+		p.fail(errPipeClosed)
 	}
-	p.dropConn()
 	return nil
 }
 
-// ensureCur returns the open batch, recycling a free one if possible.
-func (p *Pipe) ensureCur() *pbatch {
+// ensureCur returns the open batch, taking the link's next frame if none
+// is open.
+func (p *Pipe) ensureCur() *frame {
 	if p.cur == nil {
-		var b *pbatch
-		if n := len(p.free); n > 0 {
-			b, p.free = p.free[n-1], p.free[:n-1]
-		} else {
-			b = &pbatch{}
-		}
-		b.buf = newBatchFrame(b.buf, p.opts.Session)
-		b.ops = b.ops[:0]
-		p.cur = b
+		p.cur = p.l.next()
+		p.cur.buf = newBatchFrame(p.cur.buf, p.l.opts.Session)
+		p.cur.ops = p.cur.ops[:0]
 	}
 	return p.cur
 }
@@ -298,114 +237,58 @@ func (p *Pipe) seal() error {
 	if b == nil || len(b.ops) == 0 {
 		return nil
 	}
-	for len(p.inflight) >= p.opts.Window {
+	for len(p.l.window) >= p.window {
 		if err := p.recvOne(); err != nil {
 			return err
 		}
 	}
 	p.cur = nil
-	p.seq++
-	b.seq = p.seq
 	sealBatchFrame(b.buf, b.seq, len(b.ops))
-	p.inflight = append(p.inflight, b)
-	if err := p.send(b); err != nil {
-		return p.recover(err)
+	if err := p.l.send(b); err != nil {
+		return p.fail(err)
 	}
 	return nil
 }
 
-// send writes one sealed batch under the op deadline.
-func (p *Pipe) send(b *pbatch) error {
-	if p.conn == nil {
-		return errors.New("devnet: no connection")
-	}
-	p.conn.SetWriteDeadline(time.Now().Add(p.opts.OpTimeout))
-	_, err := p.conn.Write(b.buf)
-	p.conn.SetWriteDeadline(time.Time{})
-	if err != nil {
-		p.noteTimeout(err)
-	}
-	return err
-}
-
-// recvOne receives and delivers the oldest in-flight batch's responses,
-// recovering the connection as needed. Returns only the pipe's fatal
-// error; retryable trouble is handled internally.
+// recvOne receives and delivers the oldest in-flight batch's responses.
+// Returns only the pipe's fatal error; retryable trouble goes back to the
+// link, whose error means the retry budget ran out.
 func (p *Pipe) recvOne() error {
-	for {
-		if p.err != nil {
-			return p.err
-		}
-		if len(p.inflight) == 0 {
-			return nil
-		}
-		if p.conn == nil {
-			if err := p.recover(errors.New("devnet: no connection")); err != nil {
-				return err
-			}
-		}
-		b := p.inflight[0]
-		p.conn.SetReadDeadline(time.Now().Add(p.opts.OpTimeout))
-		payload, err := readFrameInto(p.conn, &p.rbuf)
-		if p.conn != nil {
-			p.conn.SetReadDeadline(time.Time{})
-		}
+	for p.err == nil && len(p.l.window) > 0 {
+		resp, err := p.l.recv()
 		if err != nil {
-			p.noteTimeout(err)
-			if err := p.recover(fmt.Errorf("devnet: receive: %w", err)); err != nil {
-				return err
-			}
-			continue
+			return p.fail(err)
 		}
-		resp, perr := parseResponse(payload)
-		if perr == nil && resp.seq != b.seq {
-			perr = &FrameError{Reason: fmt.Sprintf("response for sequence %d, want %d", resp.seq, b.seq)}
+		b := p.l.window[0]
+		cause := statusError(resp.status, resp.body)
+		switch {
+		case cause == nil:
+			// Validate the whole body before firing any handler, so a
+			// malformed response never delivers a partial batch (recovery
+			// would then replay it and double-deliver).
+			if cause = validateBatchResponse(b, resp.body); cause == nil {
+				p.deliver(b, resp.body)
+				p.l.ack()
+				return nil
+			}
+		case !p.l.retryable(cause):
+			// Nothing in the frame executed and retrying cannot help.
+			return p.fail(cause)
 		}
-		if perr != nil {
-			if err := p.recover(perr); err != nil {
-				return err
-			}
-			continue
+		// A malformed response, or a retryable batch status (e.g. the
+		// server shed the whole frame, so nothing in it executed): the link
+		// retransmits it with the SAME seq.
+		if err := p.l.recover(cause); err != nil {
+			return p.fail(err)
 		}
-		if resp.status != StatusOK {
-			derr := statusError(resp.status, resp.body)
-			class := ClassOf(derr)
-			retryable := class == ClassTransport || class == ClassBusy || class == ClassRetired ||
-				(class == ClassDown && p.opts.Retry.RetryDown)
-			if !retryable {
-				// Batch-level fatal: nothing in the frame executed and
-				// retrying cannot help.
-				return p.fail(derr)
-			}
-			// Batch-level retryable (e.g. the server shed the whole batch):
-			// nothing executed; recover retransmits it with the SAME seq.
-			if class == ClassBusy {
-				p.busyWaits.Inc()
-			}
-			if err := p.recover(derr); err != nil {
-				return err
-			}
-			continue
-		}
-		// Validate the whole body before firing any handler, so a
-		// malformed response never delivers a partial batch (recovery
-		// would then replay it and double-deliver).
-		if verr := validateBatchResponse(b, resp.body); verr != nil {
-			if err := p.recover(verr); err != nil {
-				return err
-			}
-			continue
-		}
-		p.deliver(b, resp.body)
-		p.pop()
-		return nil
 	}
+	return p.err
 }
 
 // validateBatchResponse checks a StatusOK batch body end to end:
 // count matches the batch, every entry parses, read bodies are
 // line-sized.
-func validateBatchResponse(b *pbatch, body []byte) error {
+func validateBatchResponse(b *frame, body []byte) error {
 	it, err := parseBatchResults(body)
 	if err != nil {
 		return err
@@ -431,7 +314,7 @@ func validateBatchResponse(b *pbatch, body []byte) error {
 // deliver fires the handler for every op in a validated StatusOK batch,
 // re-enqueueing per-op retryable failures. The body has already been
 // validated, so iteration cannot fail.
-func (p *Pipe) deliver(b *pbatch, body []byte) {
+func (p *Pipe) deliver(b *frame, body []byte) {
 	it, _ := parseBatchResults(body)
 	for i := range b.ops {
 		st, lat, obody, _ := it.next()
@@ -446,18 +329,19 @@ func (p *Pipe) deliver(b *pbatch, body []byte) {
 		}
 		derr := statusError(st, obody)
 		class := ClassOf(derr)
-		retryable := class == ClassBusy || class == ClassRetired ||
-			(class == ClassDown && p.opts.Retry.RetryDown)
-		if retryable && (p.opts.Retry.MaxAttempts < 0 || op.attempts < p.opts.Retry.MaxAttempts) {
+		// The batch executed over a sound stream, so a per-op status the
+		// decoder rejects is the op's own failure, not a reason to resend.
+		retryable := class != ClassTransport && p.l.retryable(derr)
+		if limit := p.l.opts.Retry.MaxAttempts; retryable && (limit < 0 || op.attempts < limit) {
 			if class == ClassBusy {
-				p.busyWaits.Inc()
+				p.l.busyWaits.Inc()
 			}
-			p.opRetries.Inc()
+			p.l.retries.Inc()
 			p.queueRetry(b, i, derr)
 			continue
 		}
 		if retryable {
-			p.gaveUp.Inc()
+			p.l.gaveUp.Inc()
 			derr = &OpError{Op: batchOpName(op.op), Attempts: op.attempts, Err: derr}
 		}
 		p.h(op.tag, op.op, nil, 0, derr)
@@ -466,9 +350,9 @@ func (p *Pipe) deliver(b *pbatch, body []byte) {
 
 // queueRetry copies op i's entry bytes out of its batch and schedules
 // it for re-submission under a new sequence number.
-func (p *Pipe) queueRetry(b *pbatch, i int, cause error) {
+func (p *Pipe) queueRetry(b *frame, i int, cause error) {
 	op := b.ops[i]
-	if w := p.backoffFor(op.attempts, cause); w > p.retryWait {
+	if w := p.l.backoff(op.attempts, cause); w > p.retryWait {
 		p.retryWait = w
 	}
 	off := len(p.retry.buf)
@@ -476,27 +360,6 @@ func (p *Pipe) queueRetry(b *pbatch, i int, cause error) {
 	op.off = off
 	op.attempts++
 	p.retry.ops = append(p.retry.ops, op)
-}
-
-// backoffFor computes the policy backoff for an op's next attempt,
-// stretched to a server retry-after hint when that is longer.
-func (p *Pipe) backoffFor(attempts int, cause error) time.Duration {
-	pol := p.opts.Retry
-	w := pol.BaseBackoff
-	for a := 1; a < attempts && w < pol.MaxBackoff; a++ {
-		w *= 2
-	}
-	if w > pol.MaxBackoff {
-		w = pol.MaxBackoff
-	}
-	var be *device.BusyError
-	if errors.As(cause, &be) && be.RetryAfter > w {
-		w = be.RetryAfter
-		if w > pol.MaxBackoff {
-			w = pol.MaxBackoff
-		}
-	}
-	return w
 }
 
 // flushRetries sleeps the owed backoff once, then re-submits every
@@ -507,17 +370,13 @@ func (p *Pipe) flushRetries() error {
 	}
 	if wait := p.retryWait; wait > 0 {
 		p.retryWait = 0
-		wait += time.Duration(p.rng.Int63n(int64(wait/2) + 1))
-		p.backoffNS.Observe(uint64(wait))
-		p.logf("devnet: retrying %d batched ops in %v", len(p.retry.ops), wait)
-		time.Sleep(wait)
+		p.l.logf("devnet: retrying %d batched ops in %v", len(p.retry.ops), wait)
+		p.l.sleep(wait)
 	}
 	// Swap queues so retries queued while we drain (recvOne inside
 	// seal may deliver a batch) land in a clean queue.
 	q := p.retry
-	p.retry = p.retrySpare
-	p.retry.ops = p.retry.ops[:0]
-	p.retry.buf = p.retry.buf[:0]
+	p.retry, p.retrySpare = retryQueue{ops: p.retrySpare.ops[:0], buf: p.retrySpare.buf[:0]}, q
 	for i := range q.ops {
 		op := q.ops[i]
 		b := p.ensureCur()
@@ -525,87 +384,17 @@ func (p *Pipe) flushRetries() error {
 		b.buf = append(b.buf, q.buf[op.off:op.off+op.n]...)
 		op.off = off
 		b.ops = append(b.ops, op)
-		if len(b.ops) >= p.opts.MaxBatch {
+		if len(b.ops) >= p.maxBatch {
 			if err := p.seal(); err != nil {
-				// Fatal: ops already moved to cur were failed by fail();
+				// Fatal: fail() reached the ops already moved into a batch;
 				// fail the rest of the queue here so every op still gets
 				// exactly one handler call.
-				cause := p.err
-				if cause == nil {
-					cause = err
-				}
-				for _, rop := range q.ops[i+1:] {
-					p.h(rop.tag, rop.op, nil, 0, cause)
-				}
-				p.retrySpare = retryQueue{ops: q.ops[:0], buf: q.buf[:0]}
+				p.failOps(q.ops[i+1:], err)
 				return err
 			}
 		}
 	}
-	p.retrySpare = retryQueue{ops: q.ops[:0], buf: q.buf[:0]}
 	return nil
-}
-
-// recover handles a window-level failure: drop the connection first
-// (so the old server handler stops executing against it promptly),
-// back off, redial, and retransmit every unanswered batch in order.
-// The dedup window answers any batch that already executed from cache.
-func (p *Pipe) recover(cause error) error {
-	if p.err != nil {
-		return p.err
-	}
-	p.dropConn()
-	pol := p.opts.Retry
-	start := time.Now()
-	backoff := pol.BaseBackoff
-	var be *device.BusyError
-	if errors.As(cause, &be) && be.RetryAfter > backoff {
-		backoff = be.RetryAfter
-		if backoff > pol.MaxBackoff {
-			backoff = pol.MaxBackoff
-		}
-	}
-	for attempt := 1; ; attempt++ {
-		if pol.MaxAttempts > 0 && attempt > pol.MaxAttempts {
-			p.gaveUp.Inc()
-			return p.fail(&OpError{Op: "pipeline", Attempts: attempt - 1, Elapsed: time.Since(start), Err: cause})
-		}
-		wait := backoff + time.Duration(p.rng.Int63n(int64(backoff/2)+1))
-		if time.Since(start)+wait > pol.MaxElapsed {
-			p.gaveUp.Inc()
-			return p.fail(&OpError{Op: "pipeline", Attempts: attempt - 1, Elapsed: time.Since(start), Err: cause})
-		}
-		p.backoffNS.Observe(uint64(wait))
-		p.logf("devnet: pipeline recovering (%s: %v), reconnecting in %v", ClassOf(cause), cause, wait)
-		time.Sleep(wait)
-		if backoff < pol.MaxBackoff {
-			backoff *= 2
-			if backoff > pol.MaxBackoff {
-				backoff = pol.MaxBackoff
-			}
-		}
-		conn, err := net.DialTimeout("tcp", p.addr, p.opts.DialTimeout)
-		if err != nil {
-			cause = err
-			continue
-		}
-		p.conn = conn
-		p.reconnects.Inc()
-		ok := true
-		for _, b := range p.inflight {
-			if err := p.send(b); err != nil {
-				cause = err
-				p.dropConn()
-				ok = false
-				break
-			}
-			p.retransmits.Inc()
-		}
-		if ok {
-			p.logf("devnet: pipeline reconnected, %d batches retransmitted", len(p.inflight))
-			return nil
-		}
-	}
 }
 
 // fail marks the pipe fatally dead and delivers the error to every op
@@ -616,45 +405,24 @@ func (p *Pipe) fail(cause error) error {
 		return p.err
 	}
 	p.err = cause
-	p.dropConn()
-	for _, b := range p.inflight {
-		for i := range b.ops {
-			p.h(b.ops[i].tag, b.ops[i].op, nil, 0, cause)
-		}
+	for _, b := range p.l.window {
+		p.failOps(b.ops, cause)
 	}
-	p.inflight = p.inflight[:0]
+	p.l.close()
 	if p.cur != nil {
-		for i := range p.cur.ops {
-			p.h(p.cur.ops[i].tag, p.cur.ops[i].op, nil, 0, cause)
-		}
+		p.failOps(p.cur.ops, cause)
 		p.cur = nil
 	}
-	for i := range p.retry.ops {
-		p.h(p.retry.ops[i].tag, p.retry.ops[i].op, nil, 0, cause)
-	}
+	p.failOps(p.retry.ops, cause)
 	p.retry.ops = p.retry.ops[:0]
 	p.retry.buf = p.retry.buf[:0]
 	return cause
 }
 
-// pop retires the delivered head-of-line batch into the free list.
-func (p *Pipe) pop() {
-	b := p.inflight[0]
-	copy(p.inflight, p.inflight[1:])
-	p.inflight = p.inflight[:len(p.inflight)-1]
-	p.free = append(p.free, b)
-}
-
-func (p *Pipe) dropConn() {
-	if p.conn != nil {
-		p.conn.Close()
-		p.conn = nil
-	}
-}
-
-func (p *Pipe) noteTimeout(err error) {
-	if ne, ok := errAsNet(err); ok && ne.Timeout() {
-		p.timeouts.Inc()
+// failOps delivers cause as the outcome of every op in ops.
+func (p *Pipe) failOps(ops []pendOp, cause error) {
+	for i := range ops {
+		p.h(ops[i].tag, ops[i].op, nil, 0, cause)
 	}
 }
 

@@ -2,6 +2,7 @@ package devnet_test
 
 import (
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"sync"
@@ -258,8 +259,20 @@ func (kp *killingProxy) relayResponses(client, server net.Conn, budget int) {
 // go-back-N batch retransmits, and NOT as per-op retries (nothing
 // failed inside an executed batch).
 func TestPipeRetransmitOnConnectionLoss(t *testing.T) {
+	t.Run("unlimited attempts", func(t *testing.T) {
+		testPipeRetransmit(t, []int{2, 1, 3}, -1)
+	})
+	// More separate connection losses than MaxAttempts, each followed by
+	// an answered batch: the budget is charged per unanswered frame and
+	// refilled by progress, so it must not accumulate across losses.
+	t.Run("budget resets on progress", func(t *testing.T) {
+		testPipeRetransmit(t, []int{1, 2, 1, 1, 2, 1, 1, 1}, 4)
+	})
+}
+
+func testPipeRetransmit(t *testing.T, schedule []int, maxAttempts int) {
 	dev, backend := startServer(t, nil)
-	kp := startKillingProxy(t, backend, []int{2, 1, 3})
+	kp := startKillingProxy(t, backend, schedule)
 
 	reg := telemetry.NewRegistry()
 	delivered := make(map[uint64]int)
@@ -273,7 +286,7 @@ func TestPipeRetransmitOnConnectionLoss(t *testing.T) {
 		Options: devnet.Options{
 			Telemetry: reg,
 			Retry: devnet.RetryPolicy{
-				MaxAttempts: -1,
+				MaxAttempts: maxAttempts,
 				MaxElapsed:  30 * time.Second,
 				BaseBackoff: time.Millisecond,
 				MaxBackoff:  10 * time.Millisecond,
@@ -325,7 +338,7 @@ func TestPipeRetransmitOnConnectionLoss(t *testing.T) {
 	}
 	_ = dev
 
-	if kp.connCount() < 4 {
+	if kp.connCount() <= len(schedule) {
 		t.Fatalf("kill schedule only produced %d connections", kp.connCount())
 	}
 	counters := map[string]uint64{
@@ -334,8 +347,8 @@ func TestPipeRetransmitOnConnectionLoss(t *testing.T) {
 		"devnet_client_retries_total":           reg.Counter("devnet_client_retries_total").Value(),
 		"devnet_client_gave_up_total":           reg.Counter("devnet_client_gave_up_total").Value(),
 	}
-	if counters["devnet_client_reconnects_total"] < 3 {
-		t.Fatalf("reconnects = %d, want >= 3 (schedule kills 3 connections): %v", counters["devnet_client_reconnects_total"], counters)
+	if got := counters["devnet_client_reconnects_total"]; got < uint64(len(schedule)) {
+		t.Fatalf("reconnects = %d, want >= %d (one per killed connection): %v", got, len(schedule), counters)
 	}
 	if counters["devnet_client_batch_retransmits_total"] == 0 {
 		t.Fatalf("no batch retransmits recorded: %v", counters)
@@ -344,6 +357,97 @@ func TestPipeRetransmitOnConnectionLoss(t *testing.T) {
 		t.Fatalf("go-back-N recovery leaked into per-op retries: %v", counters)
 	}
 	if counters["devnet_client_gave_up_total"] != 0 {
-		t.Fatalf("gave up under an unlimited-attempt policy: %v", counters)
+		t.Fatalf("gave up although every loss was followed by progress: %v", counters)
+	}
+}
+
+// TestPipeTimeoutIsTypedAndBounded is TestClientTimeoutIsTypedAndRetried
+// for the pipelined client: against a listener that accepts and never
+// answers, Flush must come back inside the retry budget with a typed
+// timeout, and every submitted op must hear about it exactly once.
+func TestPipeTimeoutIsTypedAndBounded(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	delivered := make(map[uint64]int)
+	var opErrs []error
+	p, err := devnet.DialPipe(blackHole(t), func(tag uint64, op uint8, line *nvm.Line, lat sim.Time, err error) {
+		delivered[tag]++
+		opErrs = append(opErrs, err)
+	}, devnet.PipeOptions{
+		Options: devnet.Options{
+			OpTimeout: 50 * time.Millisecond,
+			Retry: devnet.RetryPolicy{
+				MaxAttempts: 3,
+				MaxElapsed:  time.Second,
+				BaseBackoff: 5 * time.Millisecond,
+				MaxBackoff:  10 * time.Millisecond,
+			},
+			Telemetry: reg,
+		},
+		Window:   2,
+		MaxBatch: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	// Enough for three sealed batches (one more than the window) and an
+	// open one; the Submit that has to wait for window space is the one
+	// that learns the pipe is dead, and nothing after it is submitted.
+	const n = 14
+	submitted := uint64(0)
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		for i := uint64(0); i < n; i++ {
+			line := testLine(i*64, 1)
+			submitted++
+			if err := p.Submit(i, device.BatchWrite, i*64, &line); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- p.Flush()
+	}()
+	select {
+	case err = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("pipe still retrying a black-hole peer after 5s; the retry budget is not bounding it")
+	}
+	var oe *devnet.OpError
+	if !errors.As(err, &oe) {
+		t.Fatalf("want *OpError, got %T: %v", err, err)
+	}
+	if oe.Attempts != 3 {
+		t.Fatalf("attempts = %d, want 3", oe.Attempts)
+	}
+	var ne net.Error
+	if !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("error does not unwrap to a net timeout: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("pipe took %v to give up, want well inside MaxElapsed + deadlines", elapsed)
+	}
+	if submitted < 9 || len(delivered) != int(submitted) {
+		t.Fatalf("%d ops submitted, %d heard an outcome", submitted, len(delivered))
+	}
+	for i := uint64(0); i < submitted; i++ {
+		if delivered[i] != 1 {
+			t.Fatalf("op %d heard %d outcomes, want exactly one", i, delivered[i])
+		}
+	}
+	for _, e := range opErrs {
+		if !errors.Is(e, err) {
+			t.Fatalf("op outcome %v is not the pipe's fatal error %v", e, err)
+		}
+	}
+	if got := reg.Counter("devnet_client_gave_up_total").Value(); got != 1 {
+		t.Fatalf("gave-up counted = %d, want 1", got)
+	}
+	if got := reg.Counter("devnet_client_timeouts_total").Value(); got != 3 {
+		t.Fatalf("timeouts counted = %d, want 3", got)
+	}
+	if err := p.Submit(99, device.BatchRead, 0, nil); err == nil {
+		t.Fatal("submit on a failed pipe succeeded")
 	}
 }

@@ -1,10 +1,13 @@
 // Package devnet puts a sharded internal/device behind a TCP socket with
 // a small length-prefixed binary protocol, so load generators and other
-// processes can drive a live secure-NVM device service. The wire client
-// satisfies device.Client, making in-process and over-the-wire use
-// interchangeable, and is self-healing: per-operation deadlines,
-// automatic reconnect with capped exponential backoff, and idempotent
-// retries keyed by a (session, sequence) pair the server deduplicates.
+// processes can drive a live secure-NVM device service. Two clients
+// share one transport (link.go): Client, stop-and-wait, satisfies
+// device.Client, making in-process and over-the-wire use interchangeable;
+// Pipe keeps a window of batch frames in flight. The link under both is
+// self-healing — per-frame deadlines, automatic reconnect with capped
+// exponential backoff, and go-back-N retransmission of every unanswered
+// frame under one retry budget, made exactly-once by the (session,
+// sequence) pair the server deduplicates.
 //
 // Framing: every message is [u32 big-endian payload length][u32 CRC-32C
 // of the payload][payload]. The checksum makes corruption on the wire a
@@ -36,7 +39,8 @@
 //	OpHealth   —                       response body: Health JSON
 //
 // Error statuses carry typed bodies so the client can reconstruct the
-// device's error surface exactly (see StatusBusy etc.).
+// device's error surface exactly (see StatusBusy etc.; wireerr.go is the
+// one codec for both response framings).
 package devnet
 
 import (
@@ -86,7 +90,7 @@ const (
 	// OpBatch is the v3 batched data plane: one frame carries up to
 	// maxBatchOps read/write/drain operations, executed by the server as
 	// one device batch (see batch.go for the body codec and DESIGN.md
-	// "Wire-speed front-end" for the pipelining and dedup rules). The
+	// "Client link" for the pipelining and dedup rules). The
 	// whole batch is one (session, seq) dedup unit.
 	OpBatch
 )
@@ -153,28 +157,19 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// readFrame receives one frame: header, then payload, then CRC check.
+// readFrame receives one frame into a fresh buffer.
 func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	return readFramePayload(r, hdr)
-}
-
-// readFramePayload reads and verifies a frame body whose header has
-// already been consumed. The payload buffer grows in bounded chunks as
-// bytes actually arrive, so a header claiming maxFrame cannot make the
-// receiver allocate maxFrame before the stream has to deliver.
-func readFramePayload(r io.Reader, hdr [frameHeaderSize]byte) ([]byte, error) {
 	var scratch []byte
-	return readFramePayloadInto(r, hdr, &scratch)
+	return readFrameInto(r, &scratch)
 }
 
-// readFramePayloadInto is readFramePayload reusing *scratch's capacity
-// across calls, so a steady-state receive loop allocates nothing once
-// the buffer has grown to its working-set size. The returned payload
-// aliases *scratch and is valid until the next call.
+// readFramePayloadInto reads and verifies a frame body whose header has
+// already been consumed, reusing *scratch's capacity across calls so a
+// steady-state receive loop allocates nothing once the buffer has grown
+// to its working-set size. The buffer grows in bounded chunks as bytes
+// actually arrive, so a header claiming maxFrame cannot make the receiver
+// allocate maxFrame before the stream has to deliver. The returned
+// payload aliases *scratch and is valid until the next call.
 func readFramePayloadInto(r io.Reader, hdr [frameHeaderSize]byte, scratch *[]byte) ([]byte, error) {
 	n := binary.BigEndian.Uint32(hdr[:4])
 	want := binary.BigEndian.Uint32(hdr[4:])
@@ -205,8 +200,8 @@ func readFramePayloadInto(r io.Reader, hdr [frameHeaderSize]byte, scratch *[]byt
 	return payload, nil
 }
 
-// readFrameInto receives one frame into *scratch (header, payload, CRC
-// check), the zero-steady-state-alloc sibling of readFrame.
+// readFrameInto receives one frame into *scratch: header, then payload,
+// then CRC check.
 func readFrameInto(r io.Reader, scratch *[]byte) ([]byte, error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -223,12 +218,30 @@ type wireRequest struct {
 	body    []byte
 }
 
-// encodeRequest builds a request payload with room for body bytes.
+// newRequestFrame resets buf to an unsealed request frame: zeroed
+// frame-header space, then the request header. Append the body, then
+// sealFrame — the whole buffer goes out in one Write.
+func newRequestFrame(buf []byte, op uint8, session, seq uint64) []byte {
+	var zero [frameHeaderSize]byte
+	buf = append(buf[:0], zero[:]...)
+	buf = append(buf, op)
+	buf = putU64(buf, session)
+	return putU64(buf, seq)
+}
+
+// encodeRequest builds the same request header unframed, with room for
+// body bytes; writeFrame frames it.
 func encodeRequest(op uint8, session, seq uint64, bodyCap int) []byte {
-	out := make([]byte, 0, reqHeaderSize+bodyCap)
-	out = append(out, op)
-	out = putU64(out, session)
-	return putU64(out, seq)
+	buf := make([]byte, 0, frameHeaderSize+reqHeaderSize+bodyCap)
+	return newRequestFrame(buf, op, session, seq)[frameHeaderSize:]
+}
+
+// sealFrame fills buf's leading frame-header space (length + CRC) from
+// its payload, buf[frameHeaderSize:].
+func sealFrame(buf []byte) {
+	payload := buf[frameHeaderSize:]
+	bePutU32(buf, uint32(len(payload)))
+	bePutU32(buf[4:], crc32.Checksum(payload, castagnoli))
 }
 
 // parseRequest splits a request payload into its header and body.
@@ -284,5 +297,3 @@ func beU64(b []byte) uint64 { return binary.BigEndian.Uint64(b) }
 func bePutU32(b []byte, v uint32) { binary.BigEndian.PutUint32(b, v) }
 
 func bePutU64(b []byte, v uint64) { binary.BigEndian.PutUint64(b, v) }
-
-func crcChecksum(payload []byte) uint32 { return crc32.Checksum(payload, castagnoli) }

@@ -46,28 +46,34 @@ func startServerWith(t *testing.T, sopts devnet.ServerOptions) (*device.Device, 
 	return dev, reg, ln.Addr().String()
 }
 
-// TestClientTimeoutIsTypedAndRetried points a client at a listener that
-// accepts and then plays dead. Every attempt must end in a typed
-// transport timeout, the retry budget must be honored, and the final
-// error must carry the attempt count.
-func TestClientTimeoutIsTypedAndRetried(t *testing.T) {
+// blackHole returns the address of a listener that accepts every
+// connection, holds it open and never answers.
+func blackHole(t *testing.T) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { ln.Close() })
 	go func() {
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			defer conn.Close() // hold it open, answer nothing
+			defer conn.Close() // hold it open until the listener closes
 		}
 	}()
+	return ln.Addr().String()
+}
 
+// TestClientTimeoutIsTypedAndRetried points a client at a listener that
+// accepts and then plays dead. Every attempt must end in a typed
+// transport timeout, the retry budget must be honored, and the final
+// error must carry the attempt count.
+func TestClientTimeoutIsTypedAndRetried(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	c, err := devnet.DialWith(ln.Addr().String(), devnet.Options{
+	c, err := devnet.DialWith(blackHole(t), devnet.Options{
 		OpTimeout: 100 * time.Millisecond,
 		Retry: devnet.RetryPolicy{
 			MaxAttempts: 3,

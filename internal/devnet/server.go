@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"soteria/internal/device"
-	"soteria/internal/memctrl"
 	"soteria/internal/nvm"
 	"soteria/internal/sim"
 	"soteria/internal/telemetry"
@@ -96,12 +95,9 @@ type Health struct {
 // with typed backpressure instead of queueing without bound.
 type Server struct {
 	dev  *device.Device
+	ctl  control
 	opts ServerOptions
 	ln   net.Listener
-
-	// Logf, when non-nil, receives connection lifecycle lines (kept for
-	// callers predating ServerOptions.Logf).
-	Logf func(format string, args ...any)
 
 	sessions *SessionTable
 	inflight atomic.Int64
@@ -121,6 +117,25 @@ type Server struct {
 	appliedWrites *telemetry.Counter
 }
 
+// control is what the flat control and introspection ops (info, health,
+// flush, crash, recover, snapshot) act on: the flat device, or on a
+// tenant-only server the device under the tenant service.
+type control interface {
+	Info() device.Info
+	Down() bool
+	Flush() error
+	Crash() error
+	Recover() (*device.RecoveryReport, error)
+	Snapshot() *telemetry.Snapshot
+}
+
+// tenantControl adapts a tenant service to control: its own Info and
+// Snapshot describe one tenant, the device-wide ones carry other names.
+type tenantControl struct{ *tenant.Service }
+
+func (t tenantControl) Info() device.Info             { return t.DeviceInfo() }
+func (t tenantControl) Snapshot() *telemetry.Snapshot { return t.DeviceSnapshot() }
+
 // NewServer wraps a device with default hardening options. The caller
 // keeps ownership of the device: Shutdown stops serving but does not
 // Close it.
@@ -132,6 +147,13 @@ func NewServer(dev *device.Device) *Server {
 func NewServerWith(dev *device.Device, opts ServerOptions) *Server {
 	opts.fill()
 	s := &Server{dev: dev, opts: opts, sessions: opts.Sessions, conns: map[net.Conn]struct{}{}}
+	// The control target is picked once; with neither a device nor a
+	// tenant service it stays nil and only ping and health answer.
+	if dev != nil {
+		s.ctl = dev
+	} else if opts.Tenants != nil {
+		s.ctl = tenantControl{opts.Tenants}
+	}
 	reg := opts.Telemetry
 	s.connsTotal = reg.Counter("devnet_server_conns_total")
 	s.shed = reg.Counter("devnet_server_shed_total")
@@ -180,14 +202,24 @@ func (s *Server) Serve(ln net.Listener) error {
 // Shutdown drains gracefully: stop accepting, let every in-flight request
 // finish, then close the connections. The device itself is left running.
 func (s *Server) Shutdown() {
-	s.mu.Lock()
-	s.draining = true
-	ln := s.ln
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
+	s.stopAccepting()
 	s.wg.Wait()
+}
+
+// stopAccepting marks the server draining, closes the listener and
+// returns the connections live at that moment.
+func (s *Server) stopAccepting() []net.Conn {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.draining = true
+	if s.ln != nil {
+		s.ln.Close()
+	}
+	conns := make([]net.Conn, 0, len(s.conns))
+	for c := range s.conns {
+		conns = append(conns, c)
+	}
+	return conns
 }
 
 // Abort is the non-graceful sibling of Shutdown: stop accepting and
@@ -197,18 +229,7 @@ func (s *Server) Shutdown() {
 // returns no handler is touching the device and a supervisor may Crash
 // it. The dedup table survives for the replacement server.
 func (s *Server) Abort() {
-	s.mu.Lock()
-	s.draining = true
-	ln := s.ln
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	for _, c := range conns {
+	for _, c := range s.stopAccepting() {
 		hardClose(c)
 	}
 	s.wg.Wait()
@@ -228,14 +249,9 @@ func (s *Server) Health() Health {
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
-	down := s.dev != nil && s.dev.Down()
-	shards := 0
-	if s.dev != nil {
-		shards = s.dev.Info().Shards
-	}
-	if s.dev == nil && s.opts.Tenants != nil {
-		down = s.opts.Tenants.Down()
-		shards = s.opts.Tenants.DeviceInfo().Shards
+	down, shards := false, 0
+	if s.ctl != nil {
+		down, shards = s.ctl.Down(), s.ctl.Info().Shards
 	}
 	return Health{
 		Ready:      !draining && !down,
@@ -250,8 +266,6 @@ func (s *Server) Health() Health {
 func (s *Server) logf(format string, args ...any) {
 	if s.opts.Logf != nil {
 		s.opts.Logf(format, args...)
-	} else if s.Logf != nil {
-		s.Logf(format, args...)
 	}
 }
 
@@ -306,8 +320,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			if errors.As(err, &fe) {
 				s.frameErrors.Inc()
 			}
-			var nerr net.Error
-			if errors.As(err, &nerr) && nerr.Timeout() {
+			if isTimeout(err) {
 				s.stallDrops.Inc()
 			}
 			s.logf("devnet: %v bad frame: %v", conn.RemoteAddr(), err)
@@ -348,8 +361,7 @@ func (s *Server) awaitHeader(conn net.Conn) ([frameHeaderSize]byte, error) {
 		n, err := conn.Read(hdr[got:])
 		got += n
 		if err != nil {
-			var nerr net.Error
-			if !errors.As(err, &nerr) || !nerr.Timeout() {
+			if !isTimeout(err) {
 				return hdr, err
 			}
 			// Timeout slice. Mid-header, a single stall window is the
@@ -438,97 +450,67 @@ func (s *Server) handleSafe(req wireRequest, bound *uint32, bs *batchScratch) (r
 	return s.handle(req)
 }
 
-// handle executes one request and builds the response payload.
+// handle executes one flat request and builds the response payload.
+// Control ops go to the control target; data ops need the flat device.
 func (s *Server) handle(req wireRequest) []byte {
-	op, body, seq := req.op, req.body, req.seq
-	if s.dev == nil && s.opts.Tenants != nil {
-		// Tenant-only server: the control plane routes to the tenant
-		// service's device; the flat data plane does not exist.
-		return s.handleTenantControl(req)
-	}
+	op, seq := req.op, req.seq
 	switch op {
 	case OpPing:
 		return respOK(seq, 0, nil)
 	case OpInfo:
-		data, err := json.Marshal(s.dev.Info())
-		if err != nil {
-			return respErr(seq, err)
-		}
-		return respOK(seq, 0, data)
+		return respJSON(seq, s.ctl.Info())
 	case OpHealth:
-		data, err := json.Marshal(s.Health())
-		if err != nil {
-			return respErr(seq, err)
-		}
-		return respOK(seq, 0, data)
-	case OpRead:
-		addr, ok := bodyAddr(body)
-		if !ok {
-			return respErr(seq, fmt.Errorf("read: want 8-byte address, got %d bytes", len(body)))
-		}
-		line, lat, err := s.dev.Read(addr)
-		if err != nil {
-			return respFromErr(seq, err)
-		}
-		return respOK(seq, lat, line[:])
-	case OpWrite:
-		if len(body) != 8+nvm.LineSize {
-			return respErr(seq, fmt.Errorf("write: want address + %d-byte line, got %d bytes", nvm.LineSize, len(body)))
-		}
-		addr := binary.BigEndian.Uint64(body)
-		var line nvm.Line
-		copy(line[:], body[8:])
-		lat, err := s.dev.Write(addr, &line)
-		if err != nil {
-			return respFromErr(seq, err)
-		}
-		s.appliedWrites.Inc()
-		return respOK(seq, lat, nil)
-	case OpDrain:
-		addr, ok := bodyAddr(body)
-		if !ok {
-			return respErr(seq, fmt.Errorf("drain: want 8-byte address, got %d bytes", len(body)))
-		}
-		if err := s.dev.Drain(addr); err != nil {
-			return respFromErr(seq, err)
-		}
-		return respOK(seq, 0, nil)
+		return respJSON(seq, s.Health())
 	case OpFlush:
-		if err := s.dev.Flush(); err != nil {
-			return respFromErr(seq, err)
-		}
-		return respOK(seq, 0, nil)
+		return respDone(seq, 0, s.ctl.Flush())
 	case OpCrash:
-		if err := s.dev.Crash(); err != nil {
-			return respFromErr(seq, err)
-		}
-		return respOK(seq, 0, nil)
+		return respDone(seq, 0, s.ctl.Crash())
 	case OpRecover:
-		rep, err := s.dev.Recover()
+		rep, err := s.ctl.Recover()
 		if err != nil {
 			return respFromErr(seq, err)
 		}
-		data, err := json.Marshal(rep)
-		if err != nil {
-			return respErr(seq, err)
-		}
-		return respOK(seq, 0, data)
+		return respJSON(seq, rep)
 	case OpSnapshot:
-		data, err := s.dev.Snapshot().MarshalIndentJSON()
-		if err != nil {
-			return respErr(seq, err)
-		}
-		return respOK(seq, 0, data)
+		return respSnapshot(seq, s.ctl.Snapshot())
+	case OpRead, OpWrite, OpDrain:
+		return s.handleData(req)
 	default:
 		return respErr(seq, fmt.Errorf("unknown op %d", op))
 	}
 }
 
-func bodyAddr(body []byte) (uint64, bool) {
-	if len(body) != 8 {
-		return 0, false
+// handleData executes one flat data op against the flat device.
+func (s *Server) handleData(req wireRequest) []byte {
+	op, body, seq := req.op, req.body, req.seq
+	if s.dev == nil && s.opts.Tenants != nil {
+		// In tenant mode every line belongs to some tenant's key domain.
+		return respErr(seq, fmt.Errorf("flat data ops are disabled on a tenant-only server"))
 	}
-	return binary.BigEndian.Uint64(body), true
+	if op == OpWrite {
+		if len(body) != 8+nvm.LineSize {
+			return respErr(seq, fmt.Errorf("write: want address + %d-byte line, got %d bytes", nvm.LineSize, len(body)))
+		}
+		var line nvm.Line
+		copy(line[:], body[8:])
+		lat, err := s.dev.Write(binary.BigEndian.Uint64(body), &line)
+		if err == nil {
+			s.appliedWrites.Inc()
+		}
+		return respDone(seq, lat, err)
+	}
+	if len(body) != 8 {
+		return respErr(seq, fmt.Errorf("read/drain: want 8-byte address, got %d bytes", len(body)))
+	}
+	addr := binary.BigEndian.Uint64(body)
+	if op == OpDrain {
+		return respDone(seq, 0, s.dev.Drain(addr))
+	}
+	line, lat, err := s.dev.Read(addr)
+	if err != nil {
+		return respFromErr(seq, err)
+	}
+	return respOK(seq, lat, line[:])
 }
 
 func respHeader(status uint8, seq uint64, lat sim.Time, bodyCap int) []byte {
@@ -546,45 +528,38 @@ func respErr(seq uint64, err error) []byte {
 	return append(respHeader(StatusError, seq, 0, len(err.Error())), err.Error()...)
 }
 
-// respFromErr maps the device's and tenant layer's typed error surfaces
-// onto wire statuses.
-func respFromErr(seq uint64, err error) []byte {
-	var busy *device.BusyError
-	var power *device.PowerError
-	var quota *tenant.QuotaError
-	var auth *tenant.AuthError
-	var integ *tenant.IntegrityError
-	switch {
-	case errors.As(err, &quota):
-		out := respHeader(StatusQuota, seq, 0, 12)
-		out = putU32(out, quota.Tenant)
-		out = putU32(out, quota.Used)
-		return putU32(out, quota.Budget)
-	case errors.As(err, &auth):
-		out := respHeader(StatusTenantDenied, seq, 0, 4)
-		return putU32(out, auth.Tenant)
-	case errors.As(err, &integ):
-		out := respHeader(StatusTenantIntegrity, seq, 0, 12)
-		out = putU32(out, integ.Tenant)
-		return putU64(out, integ.Line)
-	case errors.As(err, &busy):
-		out := respHeader(StatusBusy, seq, 0, 16)
-		out = putU32(out, uint32(int32(busy.Shard)))
-		out = putU32(out, uint32(busy.Pending))
-		return putU64(out, uint64(busy.RetryAfter.Nanoseconds()))
-	case errors.As(err, &power):
-		out := respHeader(StatusPowerLoss, seq, 0, 12)
-		out = putU32(out, uint32(int32(power.Shard)))
-		return putU64(out, uint64(power.Boundary))
-	case errors.Is(err, memctrl.ErrCrashed):
-		return respHeader(StatusCrashed, seq, 0, 0)
-	case errors.Is(err, device.ErrRetired):
-		return respHeader(StatusRetired, seq, 0, 0)
-	case errors.Is(err, device.ErrClosed):
-		return respHeader(StatusClosed, seq, 0, 0)
-	default:
+// respDone answers an op whose success carries no body.
+func respDone(seq uint64, lat sim.Time, err error) []byte {
+	if err != nil {
+		return respFromErr(seq, err)
+	}
+	return respOK(seq, lat, nil)
+}
+
+// respJSON answers with v's JSON rendering.
+func respJSON(seq uint64, v any) []byte {
+	data, err := json.Marshal(v)
+	if err != nil {
 		return respErr(seq, err)
 	}
+	return respOK(seq, 0, data)
+}
+
+// respSnapshot answers with a telemetry snapshot in its canonical JSON
+// rendering (byte-identical to a local MarshalIndentJSON).
+func respSnapshot(seq uint64, snap *telemetry.Snapshot) []byte {
+	data, err := snap.MarshalIndentJSON()
+	if err != nil {
+		return respErr(seq, err)
+	}
+	return respOK(seq, 0, data)
+}
+
+// respFromErr answers with err's wire status and typed body.
+func respFromErr(seq uint64, err error) []byte {
+	var tmp [16]byte
+	status, body := encodeErr(err, tmp[:0])
+	return append(respHeader(status, seq, 0, len(body)), body...)
 }
 
 // batchScratch is one connection's reusable batch-execution state:
@@ -649,48 +624,10 @@ func (s *Server) handleBatch(req wireRequest, bs *batchScratch) []byte {
 	return out
 }
 
-// appendBatchErr appends one failed per-op result, mapping the device's
-// and tenant layer's typed error surfaces onto the same wire statuses
-// and bodies respFromErr uses, so the client's statusError reconstructs
-// them identically.
+// appendBatchErr appends one failed per-op result: the same wire status
+// and typed body respFromErr sends, in the batch-result framing.
 func appendBatchErr(out []byte, err error) []byte {
-	var (
-		busy  *device.BusyError
-		power *device.PowerError
-		quota *tenant.QuotaError
-		auth  *tenant.AuthError
-		integ *tenant.IntegrityError
-		tmp   [16]byte
-	)
-	switch {
-	case errors.As(err, &quota):
-		bePutU32(tmp[:], quota.Tenant)
-		bePutU32(tmp[4:], quota.Used)
-		bePutU32(tmp[8:], quota.Budget)
-		return appendBatchResult(out, StatusQuota, 0, tmp[:12])
-	case errors.As(err, &auth):
-		bePutU32(tmp[:], auth.Tenant)
-		return appendBatchResult(out, StatusTenantDenied, 0, tmp[:4])
-	case errors.As(err, &integ):
-		bePutU32(tmp[:], integ.Tenant)
-		bePutU64(tmp[4:], integ.Line)
-		return appendBatchResult(out, StatusTenantIntegrity, 0, tmp[:12])
-	case errors.As(err, &busy):
-		bePutU32(tmp[:], uint32(int32(busy.Shard)))
-		bePutU32(tmp[4:], uint32(busy.Pending))
-		bePutU64(tmp[8:], uint64(busy.RetryAfter.Nanoseconds()))
-		return appendBatchResult(out, StatusBusy, 0, tmp[:16])
-	case errors.As(err, &power):
-		bePutU32(tmp[:], uint32(int32(power.Shard)))
-		bePutU64(tmp[4:], uint64(power.Boundary))
-		return appendBatchResult(out, StatusPowerLoss, 0, tmp[:12])
-	case errors.Is(err, memctrl.ErrCrashed):
-		return appendBatchResult(out, StatusCrashed, 0, nil)
-	case errors.Is(err, device.ErrRetired):
-		return appendBatchResult(out, StatusRetired, 0, nil)
-	case errors.Is(err, device.ErrClosed):
-		return appendBatchResult(out, StatusClosed, 0, nil)
-	default:
-		return appendBatchResult(out, StatusError, 0, []byte(err.Error()))
-	}
+	var tmp [16]byte
+	status, body := encodeErr(err, tmp[:0])
+	return appendBatchResult(out, status, 0, body)
 }

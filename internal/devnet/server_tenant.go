@@ -1,7 +1,6 @@
 package devnet
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -27,61 +26,6 @@ type TenantRecord struct {
 	QuotaOps  uint32 `json:"quota_ops"`
 }
 
-// handleTenantControl serves the flat control/introspection ops on a
-// tenant-only server (no flat device): they route to the tenant service's
-// underlying device. Flat data ops are rejected — in tenant mode every
-// line belongs to some tenant's key domain.
-func (s *Server) handleTenantControl(req wireRequest) []byte {
-	svc := s.opts.Tenants
-	seq := req.seq
-	switch req.op {
-	case OpPing:
-		return respOK(seq, 0, nil)
-	case OpInfo:
-		data, err := json.Marshal(svc.DeviceInfo())
-		if err != nil {
-			return respErr(seq, err)
-		}
-		return respOK(seq, 0, data)
-	case OpHealth:
-		data, err := json.Marshal(s.Health())
-		if err != nil {
-			return respErr(seq, err)
-		}
-		return respOK(seq, 0, data)
-	case OpFlush:
-		if err := svc.Flush(); err != nil {
-			return respFromErr(seq, err)
-		}
-		return respOK(seq, 0, nil)
-	case OpCrash:
-		if err := svc.Crash(); err != nil {
-			return respFromErr(seq, err)
-		}
-		return respOK(seq, 0, nil)
-	case OpRecover:
-		rep, err := svc.Recover()
-		if err != nil {
-			return respFromErr(seq, err)
-		}
-		data, err := json.Marshal(rep)
-		if err != nil {
-			return respErr(seq, err)
-		}
-		return respOK(seq, 0, data)
-	case OpSnapshot:
-		data, err := svc.DeviceSnapshot().MarshalIndentJSON()
-		if err != nil {
-			return respErr(seq, err)
-		}
-		return respOK(seq, 0, data)
-	case OpRead, OpWrite, OpDrain:
-		return respErr(seq, fmt.Errorf("flat data ops are disabled on a tenant-only server"))
-	default:
-		return respErr(seq, fmt.Errorf("unknown op %d", req.op))
-	}
-}
-
 // handleTenant executes one tenant-plane request against the configured
 // tenant service. Data ops require the connection to be bound (attached)
 // to the tenant they address; admin ops (create, rotate, step, info,
@@ -98,6 +42,9 @@ func (s *Server) handleTenant(req wireRequest, bound *uint32) []byte {
 		s.frameErrors.Inc()
 		return respErr(seq, err)
 	}
+	if (f.Op == OpTenantRead || f.Op == OpTenantWrite) && (*bound == 0 || *bound != f.Tenant) {
+		return respFromErr(seq, &tenant.AuthError{Tenant: f.Tenant})
+	}
 	switch f.Op {
 	case OpTenantAttach:
 		if err := svc.Authenticate(f.Tenant, f.Token); err != nil {
@@ -107,24 +54,17 @@ func (s *Server) handleTenant(req wireRequest, bound *uint32) []byte {
 		*bound = f.Tenant
 		return respOK(seq, 0, nil)
 	case OpTenantRead:
-		if *bound == 0 || *bound != f.Tenant {
-			return respFromErr(seq, &tenant.AuthError{Tenant: f.Tenant})
-		}
 		line, lat, err := svc.Read(f.Tenant, f.Addr)
 		if err != nil {
 			return respFromErr(seq, err)
 		}
 		return respOK(seq, lat, line[:])
 	case OpTenantWrite:
-		if *bound == 0 || *bound != f.Tenant {
-			return respFromErr(seq, &tenant.AuthError{Tenant: f.Tenant})
-		}
 		lat, err := svc.Write(f.Tenant, f.Addr, &f.Line)
-		if err != nil {
-			return respFromErr(seq, err)
+		if err == nil {
+			s.appliedWrites.Inc()
 		}
-		s.appliedWrites.Inc()
-		return respOK(seq, lat, nil)
+		return respDone(seq, lat, err)
 	case OpTenantCreate:
 		token, err := svc.Provision(f.Tenant, f.Lines, f.Quota)
 		if err != nil {
@@ -132,10 +72,7 @@ func (s *Server) handleTenant(req wireRequest, bound *uint32) []byte {
 		}
 		return respOK(seq, 0, putU64(nil, token))
 	case OpTenantRotate:
-		if err := svc.Rotate(f.Tenant); err != nil {
-			return respFromErr(seq, err)
-		}
-		return respOK(seq, 0, nil)
+		return respDone(seq, 0, svc.Rotate(f.Tenant))
 	case OpTenantStep:
 		rotated, done, err := svc.RotateStep(f.Tenant, int(f.Max))
 		if err != nil && !errors.Is(err, tenant.ErrNotRotating) {
@@ -162,14 +99,10 @@ func (s *Server) handleTenant(req wireRequest, bound *uint32) []byte {
 		if err != nil {
 			return respFromErr(seq, err)
 		}
-		data, err := json.Marshal(TenantInfo{
+		return respJSON(seq, TenantInfo{
 			ID: rec.ID, Epoch: rec.Epoch, Rotating: st.Rotating,
 			Cursor: st.Cursor, DataLines: rec.DataLines, QuotaOps: rec.QuotaOps,
 		})
-		if err != nil {
-			return respErr(seq, err)
-		}
-		return respOK(seq, 0, data)
 	case OpTenantList:
 		recs := svc.Tenants()
 		out := make([]TenantRecord, 0, len(recs))
@@ -179,21 +112,13 @@ func (s *Server) handleTenant(req wireRequest, bound *uint32) []byte {
 				DataLines: r.DataLines, QuotaOps: r.QuotaOps,
 			})
 		}
-		data, err := json.Marshal(out)
-		if err != nil {
-			return respErr(seq, err)
-		}
-		return respOK(seq, 0, data)
+		return respJSON(seq, out)
 	case OpTenantMetrics:
 		snap, err := svc.Snapshot(f.Tenant)
 		if err != nil {
 			return respFromErr(seq, err)
 		}
-		data, err := snap.MarshalIndentJSON()
-		if err != nil {
-			return respErr(seq, err)
-		}
-		return respOK(seq, 0, data)
+		return respSnapshot(seq, snap)
 	default:
 		return respErr(seq, fmt.Errorf("unknown tenant op %d", f.Op))
 	}

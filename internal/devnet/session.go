@@ -36,14 +36,19 @@ type sessionState struct {
 	order    []uint64 // insertion ring, oldest first
 }
 
+// defaultDedupWindow is how many responses a session keeps by default.
+// It is also the most frames a Pipe puts in flight: a go-back-N
+// retransmit of a full window must still find every executed batch here.
+const defaultDedupWindow = 16
+
 // NewSessionTable builds a table keeping the last window responses per
 // session across at most maxSessions sessions (LRU-evicted). Zero or
-// negative arguments select the defaults (16 entries, 1024 sessions);
-// the client is stop-and-wait, so even a window of 1 is correct — the
-// slack absorbs future pipelined clients.
+// negative arguments select the defaults (defaultDedupWindow entries,
+// 1024 sessions). A stop-and-wait Client needs a window of 1; a Pipe
+// needs one entry per batch it may have in flight.
 func NewSessionTable(window, maxSessions int) *SessionTable {
 	if window <= 0 {
-		window = 16
+		window = defaultDedupWindow
 	}
 	if maxSessions <= 0 {
 		maxSessions = 1024

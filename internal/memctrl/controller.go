@@ -112,6 +112,23 @@ type Stats struct {
 	RecoveryLost  uint64
 }
 
+// Add accumulates o into s, field by field (a device sums its shards).
+func (s *Stats) Add(o Stats) {
+	s.MemRequests += o.MemRequests
+	s.DataReads += o.DataReads
+	s.DataWrites += o.DataWrites
+	s.ColdReads += o.ColdReads
+	for i := range s.NVMWrites {
+		s.NVMWrites[i] += o.NVMWrites[i]
+	}
+	s.NVMReads += o.NVMReads
+	s.WPQForwards += o.WPQForwards
+	s.PageReencrypt += o.PageReencrypt
+	s.ForcedWB += o.ForcedWB
+	s.RecoveredOK += o.RecoveredOK
+	s.RecoveryLost += o.RecoveryLost
+}
+
 // TotalNVMWrites sums all write categories.
 func (s Stats) TotalNVMWrites() uint64 {
 	var t uint64
