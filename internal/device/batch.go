@@ -154,54 +154,44 @@ func (d *Device) ExecBatch(ops []BatchOp, res []BatchResult) error {
 	return nil
 }
 
+// batchOpcode maps a validated wire op code to the shard opcode.
+func batchOpcode(op uint8) opcode {
+	switch op {
+	case BatchRead:
+		return opRead
+	case BatchWrite:
+		return opWrite
+	default:
+		return opDrain
+	}
+}
+
 // execBatch runs one shard group of a batch on the worker goroutine:
 // coalesce writes within the group, execute the survivors in order, and
 // write each op's outcome into the batch's shared result slice at its
 // original index (shards own disjoint index sets, so concurrent workers
-// never touch the same slot). The group-local request r.breq is reused
+// never touch the same slot). The group-local request s.breq is reused
 // per op so the loop allocates nothing.
-func (s *shard) execBatch(r *request) response {
+func (s *shard) execBatch(r *request) {
 	ops, idx, out := r.bops, r.bidx, r.bres
 	s.batches.Inc()
 	s.batched.Observe(uint64(len(ops)))
 
-	if s.bSupersededBy == nil {
-		s.bSupersededBy = make(map[int]int)
-		s.bLastWrite = make(map[uint64]int)
-	}
-	supersededBy, lastWrite := s.bSupersededBy, s.bLastWrite
-	clear(supersededBy)
-	clear(lastWrite)
+	s.planReset()
 	for i := range ops {
-		switch ops[i].Op {
-		case BatchWrite:
-			if j, ok := lastWrite[ops[i].Addr]; ok {
-				supersededBy[j] = i
-			}
-			lastWrite[ops[i].Addr] = i
-		case BatchRead:
-			delete(lastWrite, ops[i].Addr)
-		default:
-			clear(lastWrite)
-		}
+		s.planOp(i, batchOpcode(ops[i].Op), ops[i].Addr)
 	}
-
 	for i := range ops {
-		if _, dropped := supersededBy[i]; dropped {
+		if _, dropped := s.supersededBy[i]; dropped {
 			s.coalesced.Inc()
 			continue
 		}
+		s.breq.op = batchOpcode(ops[i].Op)
 		s.breq.addr = ops[i].Addr
 		s.breq.epoch = r.epoch
 		s.breq.data = nil
-		switch ops[i].Op {
-		case BatchRead:
-			s.breq.op = opRead
-		case BatchWrite:
-			s.breq.op = opWrite
+		if s.breq.op == opWrite {
 			s.breq.data = &ops[i].Line
-		default:
-			s.breq.op = opDrain
 		}
 		start := time.Now()
 		res := s.exec(&s.breq)
@@ -209,86 +199,9 @@ func (s *shard) execBatch(r *request) response {
 		out[idx[i]] = BatchResult{Data: res.data, Latency: res.latency, Err: res.err}
 	}
 	for i := range ops {
-		if j, dropped := supersededBy[i]; dropped {
-			// Mirror the absorbing write's outcome at zero added latency;
-			// chains resolve because a superseder is never itself
-			// superseded by an earlier index.
-			for {
-				if k, again := supersededBy[j]; again {
-					j = k
-					continue
-				}
-				break
-			}
+		if j, ok := s.absorber(i); ok {
+			// Mirror the absorbing write's outcome at zero added latency.
 			out[idx[i]] = BatchResult{Err: out[idx[j]].Err}
 		}
 	}
-	return response{}
-}
-
-// ExecBatch is the Engine's batched submission path: every op is queued,
-// then Run dispatches the whole batch as one unit and the completions are
-// folded back into res by transaction ID. The engine never coalesces
-// (Info.BatchSize is 1), so per-op latencies match one-at-a-time
-// submission; the batching saves the per-op Submit/Run round-trips.
-// Pending transactions submitted outside this call are dispatched too
-// (their results are simply not folded into res), so callers should not
-// interleave ExecBatch with un-Run Submits.
-func (e *Engine) ExecBatch(ops []BatchOp, res []BatchResult) error {
-	if len(ops) != len(res) {
-		return fmt.Errorf("device: batch of %d ops with %d result slots", len(ops), len(res))
-	}
-	if len(ops) == 0 {
-		return nil
-	}
-	if cap(e.bids) < len(ops) {
-		e.bids = make([]uint64, len(ops))
-	}
-	// ids[i] holds the op's transaction ID plus one (0 = not submitted),
-	// increasing with i among submitted ops.
-	ids := e.bids[:len(ops)]
-	firstID := e.nextID
-	for i := range ops {
-		var (
-			id  uint64
-			err error
-		)
-		switch ops[i].Op {
-		case BatchRead:
-			id, err = e.submitTxn(opRead, ops[i].Addr, nil)
-		case BatchWrite:
-			id, err = e.submitTxn(opWrite, ops[i].Addr, &ops[i].Line)
-		case BatchDrain:
-			id, err = e.submitTxn(opDrain, ops[i].Addr, nil)
-		default:
-			err = fmt.Errorf("device: unknown batch op %d", ops[i].Op)
-		}
-		if err != nil {
-			res[i] = BatchResult{Err: err}
-			ids[i] = 0
-			continue
-		}
-		ids[i] = id + 1
-		// Overwritten on completion; survives only if the shard is paused
-		// and the transaction never dispatches in this Run.
-		res[i] = BatchResult{Err: fmt.Errorf("device: batch op %d not dispatched (shard paused?)", i)}
-	}
-	// Run returns completions in ID order; our ops' ids are in ID order
-	// too, so a two-pointer merge folds them back. Completions of
-	// transactions queued before this call (ID < firstID) are skipped.
-	j := 0
-	for _, tr := range e.Run() {
-		if tr.ID < firstID {
-			continue
-		}
-		want := tr.ID + 1
-		for j < len(ops) && ids[j] != want {
-			j++
-		}
-		if j < len(ops) {
-			res[j] = BatchResult{Data: tr.Data, Latency: tr.Latency, Err: tr.Err}
-			j++
-		}
-	}
-	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"soteria/internal/config"
 	"soteria/internal/device"
 	"soteria/internal/memctrl"
 )
@@ -182,53 +181,30 @@ func TestDeviceExecBatchAllocs(t *testing.T) {
 	}
 }
 
-func TestEngineExecBatch(t *testing.T) {
-	eng, err := device.NewEngine(device.EngineOptions{Options: device.Options{
-		System: config.TestSystem(),
-		Mode:   memctrl.ModeSRC,
-		Key:    []byte("engine-batch-key"),
-		Shards: 4,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+// TestDeviceExecBatchCountedOnce pins the batch accounting: one wire group
+// is one device_batches_total increment and one device_batch_size sample
+// of the group's size — not a second "batch of 1" for the queue entry that
+// carried it.
+func TestDeviceExecBatchCountedOnce(t *testing.T) {
+	d := newTestDevice(t, func(o *device.Options) { o.Shards = 1; o.Telemetry = true })
 
-	const n = 24
-	ops := make([]device.BatchOp, 0, 2*n)
-	for i := uint64(0); i < n; i++ {
-		ops = append(ops, device.BatchOp{Op: device.BatchWrite, Addr: i * 64, Line: fill(i*64, 9)})
+	const n = 8
+	ops := make([]device.BatchOp, n)
+	for i := range ops {
+		addr := uint64(i) * 64
+		ops[i] = device.BatchOp{Op: device.BatchWrite, Addr: addr, Line: fill(addr, 1)}
 	}
-	for i := uint64(0); i < n; i++ {
-		ops = append(ops, device.BatchOp{Op: device.BatchRead, Addr: i * 64})
-	}
-	// One invalid op in the middle of the submission stream exercises the
-	// id-merge skipping non-submitted slots.
-	ops[n] = device.BatchOp{Op: 77}
-	res := make([]device.BatchResult, len(ops))
-	if err := eng.ExecBatch(ops, res); err != nil {
+	before := d.Snapshot()
+	if err := d.ExecBatch(ops, make([]device.BatchResult, n)); err != nil {
 		t.Fatal(err)
 	}
-	if res[n].Err == nil {
-		t.Fatal("invalid op not rejected")
+	after := d.Snapshot()
+	if got := after.Counters["device_batches_total"] - before.Counters["device_batches_total"]; got != 1 {
+		t.Fatalf("one ExecBatch moved device_batches_total by %d, want 1", got)
 	}
-	for i, r := range res {
-		if i == n {
-			continue
-		}
-		if r.Err != nil {
-			t.Fatalf("op %d: %v", i, r.Err)
-		}
-		if ops[i].Op == device.BatchRead {
-			if r.Data != fill(ops[i].Addr, 9) {
-				t.Fatalf("engine batch read %d returned wrong data", i)
-			}
-		}
-	}
-	if err := eng.ExecBatch(nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.ExecBatch(make([]device.BatchOp, 1), nil); err == nil {
-		t.Fatal("length mismatch not rejected")
+	hb, ha := before.Histograms["device_batch_size"], after.Histograms["device_batch_size"]
+	if ha.Count-hb.Count != 1 || ha.Sum-hb.Sum != n {
+		t.Fatalf("one ExecBatch of %d ops added %d device_batch_size samples summing to %d, want 1 sample of %d",
+			n, ha.Count-hb.Count, ha.Sum-hb.Sum, n)
 	}
 }

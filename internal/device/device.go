@@ -24,6 +24,13 @@
 // telemetry snapshots at any worker count (cmd/loadgen's golden test).
 // Batching and coalescing only engage when a queue actually backs up, so
 // they never perturb a closed-loop run.
+//
+// Engine is the second host of the same per-shard state machine
+// (shardCore): no goroutines and no queues, every operation executes in
+// place on the caller's goroutine. It trades concurrency for a device that
+// is a plain value — Checkpoint/Restore round-trip it byte-for-byte and a
+// recorded Trace replays it — and is what the tenant service and the chaos
+// replay harness run on.
 package device
 
 import (
@@ -66,6 +73,16 @@ type Options struct {
 	Telemetry bool
 }
 
+func (o *Options) info() Info {
+	return Info{
+		Shards:        o.Shards,
+		CapacityBytes: o.System.NVM.CapacityBytes,
+		Mode:          o.Mode.String(),
+		QueueDepth:    o.QueueDepth,
+		BatchSize:     o.BatchSize,
+	}
+}
+
 func (o *Options) fill() {
 	if o.Shards <= 0 {
 		o.Shards = 1
@@ -92,6 +109,7 @@ type Info struct {
 // methods are safe for concurrent use.
 type Device struct {
 	opts   Options
+	cores  []*shardCore
 	shards []*shard
 
 	// epoch is the crash-barrier generation. Data requests are stamped at
@@ -121,55 +139,64 @@ type Device struct {
 	batchPool sync.Pool
 }
 
-// shardSystem validates the sharding geometry (fill defaults, line
-// alignment, even division across shards) and returns the per-shard system
-// configuration. Shared by the goroutine Device and the deterministic
-// Engine so both hosts agree on the address-space split.
-func shardSystem(opts *Options) (config.SystemConfig, error) {
+// newShardCores validates the sharding geometry (fill defaults, line
+// alignment, even division across shards) and builds one controller per
+// shard, each with its own telemetry registry when opts.Telemetry is set.
+// Shared by the goroutine Device and the deterministic Engine so both hosts
+// agree on the address-space split and on what a shard is.
+func newShardCores(env shardEnv, opts *Options) ([]*shardCore, error) {
 	opts.fill()
 	totalLines := opts.System.NVM.CapacityBytes / nvm.LineSize
 	if totalLines == 0 || opts.System.NVM.CapacityBytes%nvm.LineSize != 0 {
-		return config.SystemConfig{}, fmt.Errorf("device: capacity %d is not a positive multiple of the %d-byte line",
+		return nil, fmt.Errorf("device: capacity %d is not a positive multiple of the %d-byte line",
 			opts.System.NVM.CapacityBytes, nvm.LineSize)
 	}
 	if totalLines%uint64(opts.Shards) != 0 {
-		return config.SystemConfig{}, fmt.Errorf("device: %d lines do not shard evenly across %d shards", totalLines, opts.Shards)
+		return nil, fmt.Errorf("device: %d lines do not shard evenly across %d shards", totalLines, opts.Shards)
 	}
 	shardCfg := opts.System
 	shardCfg.NVM.CapacityBytes = opts.System.NVM.CapacityBytes / uint64(opts.Shards)
-	return shardCfg, nil
+
+	cores := make([]*shardCore, opts.Shards)
+	for i := range cores {
+		ctrl, err := memctrl.New(shardCfg, opts.Mode, opts.Key, opts.Ctrl)
+		if err != nil {
+			return nil, fmt.Errorf("device: shard %d: %w", i, err)
+		}
+		core := &shardCore{id: i, env: env, ctrl: ctrl}
+		if opts.Telemetry {
+			core.reg = telemetry.NewRegistry()
+			ctrl.AttachTelemetry(core.reg)
+			core.retired = core.reg.Counter("device_retired_requests_total")
+			core.powerLoss = core.reg.Counter("device_power_losses_total")
+		}
+		cores[i] = core
+	}
+	return cores, nil
 }
 
 // New builds and starts a sharded device. The per-shard capacity is
 // System.NVM.CapacityBytes / Shards; the total line count must divide
 // evenly.
 func New(opts Options) (*Device, error) {
-	shardCfg, err := shardSystem(&opts)
+	d := &Device{}
+	cores, err := newShardCores(d, &opts)
 	if err != nil {
 		return nil, err
 	}
-
-	d := &Device{opts: opts, shards: make([]*shard, opts.Shards)}
-	for i := range d.shards {
-		ctrl, err := memctrl.New(shardCfg, opts.Mode, opts.Key, opts.Ctrl)
-		if err != nil {
-			return nil, fmt.Errorf("device: shard %d: %w", i, err)
-		}
+	d.opts, d.cores, d.shards = opts, cores, make([]*shard, len(cores))
+	for i, core := range cores {
 		s := &shard{
-			shardCore: shardCore{id: i, env: d, ctrl: ctrl},
+			shardCore: core,
 			dev:       d,
 			reqs:      make(chan *request, opts.QueueDepth),
 			batchMax:  opts.BatchSize,
 		}
 		if opts.Telemetry {
-			s.reg = telemetry.NewRegistry()
-			ctrl.AttachTelemetry(s.reg)
 			s.batches = s.reg.Counter("device_batches_total")
 			s.batched = s.reg.Histogram("device_batch_size", telemetry.LinearBounds(1, 1, opts.BatchSize))
 			s.coalesced = s.reg.Counter("device_coalesced_writes_total")
 			s.busy = s.reg.Counter("device_busy_rejects_total")
-			s.retired = s.reg.Counter("device_retired_requests_total")
-			s.powerLoss = s.reg.Counter("device_power_losses_total")
 		}
 		d.shards[i] = s
 	}
@@ -181,15 +208,7 @@ func New(opts Options) (*Device, error) {
 }
 
 // Info describes the device.
-func (d *Device) Info() Info {
-	return Info{
-		Shards:        d.opts.Shards,
-		CapacityBytes: d.opts.System.NVM.CapacityBytes,
-		Mode:          d.opts.Mode.String(),
-		QueueDepth:    d.opts.QueueDepth,
-		BatchSize:     d.opts.BatchSize,
-	}
-}
+func (d *Device) Info() Info { return d.opts.info() }
 
 // Down reports whether the device is in the post-crash/power-loss state
 // where data operations are rejected until Recover — the readiness bit
@@ -302,6 +321,37 @@ func firstErr(rs []response) error {
 	return nil
 }
 
+// recoveryReport collects the per-shard reports of one opRecover round, in
+// shard order, with the first shard error (the report is returned either
+// way: a nested power loss leaves partial reports worth printing).
+func recoveryReport(rs []response) (*RecoveryReport, error) {
+	rep := &RecoveryReport{Shards: make([]*memctrl.RecoveryReport, len(rs))}
+	for i, r := range rs {
+		rep.Shards[i] = r.report
+	}
+	return rep, firstErr(rs)
+}
+
+// repeatHook is SetHook's fan-out: the same hook for each of n shards.
+func repeatHook(h inject.Hook, n int) []inject.Hook {
+	hooks := make([]inject.Hook, n)
+	for i := range hooks {
+		hooks[i] = h
+	}
+	return hooks
+}
+
+// mergeSnapshots merges the per-shard telemetry registries in shard order
+// (the merge of nil registries — a host built without Telemetry — is an
+// empty snapshot).
+func mergeSnapshots(cores []*shardCore) *telemetry.Snapshot {
+	merged := &telemetry.Snapshot{}
+	for _, core := range cores {
+		merged.Merge(core.reg.Snapshot())
+	}
+	return merged
+}
+
 // Crash cuts power across the whole device: the epoch advances first, so
 // every data request still queued behind the barrier is retired
 // unexecuted, then each shard's controller drops its volatile state. The
@@ -312,8 +362,7 @@ func (d *Device) Crash() error {
 	if d.closed.Load() {
 		return ErrClosed
 	}
-	d.down.Store(true)
-	d.epoch.Add(1)
+	d.powerCut()
 	return firstErr(d.broadcast(opCrash, nil))
 }
 
@@ -328,16 +377,11 @@ func (d *Device) Recover() (*RecoveryReport, error) {
 	if d.closed.Load() {
 		return nil, ErrClosed
 	}
-	rs := d.broadcast(opRecover, nil)
-	rep := &RecoveryReport{Shards: make([]*memctrl.RecoveryReport, len(rs))}
-	for i, r := range rs {
-		rep.Shards[i] = r.report
+	rep, err := recoveryReport(d.broadcast(opRecover, nil))
+	if err == nil {
+		d.down.Store(false)
 	}
-	if err := firstErr(rs); err != nil {
-		return rep, err
-	}
-	d.down.Store(false)
-	return rep, nil
+	return rep, err
 }
 
 // Flush writes back every dirty metadata block and drains the WPQ on all
@@ -384,11 +428,7 @@ func (d *Device) Stats() memctrl.Stats {
 // is in flight device-wide (closed-loop chaos harness); concurrent
 // drivers must use SetShardHooks with per-shard state.
 func (d *Device) SetHook(h inject.Hook) error {
-	hooks := make([]inject.Hook, len(d.shards))
-	for i := range hooks {
-		hooks[i] = h
-	}
-	return d.SetShardHooks(hooks)
+	return d.SetShardHooks(repeatHook(h, len(d.shards)))
 }
 
 // SetShardHooks installs hooks[i] on shard i's controller stack (nil
@@ -406,16 +446,8 @@ func (d *Device) SetShardHooks(hooks []inject.Hook) error {
 }
 
 // Snapshot merges the per-shard telemetry registries in shard order. The
-// result is deterministic whenever each shard's request order is (nil
-// when the device was built without Telemetry — the merge of zero
-// registries is an empty snapshot).
-func (d *Device) Snapshot() *telemetry.Snapshot {
-	merged := &telemetry.Snapshot{}
-	for _, s := range d.shards {
-		merged.Merge(s.reg.Snapshot())
-	}
-	return merged
-}
+// result is deterministic whenever each shard's request order is.
+func (d *Device) Snapshot() *telemetry.Snapshot { return mergeSnapshots(d.cores) }
 
 // Close drains and stops every shard worker. Data submissions racing with
 // Close either complete or return ErrClosed; requests already queued are

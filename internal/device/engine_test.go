@@ -9,11 +9,13 @@ import (
 	"soteria/internal/chaos"
 	"soteria/internal/config"
 	"soteria/internal/device"
+	"soteria/internal/inject"
 	"soteria/internal/memctrl"
 	"soteria/internal/nvm"
+	"soteria/internal/sim"
 )
 
-func engineOpts(shards, workers int, trace bool) device.EngineOptions {
+func engineOpts(shards int, trace bool) device.EngineOptions {
 	return device.EngineOptions{
 		Options: device.Options{
 			System:     config.TestSystem(),
@@ -23,19 +25,18 @@ func engineOpts(shards, workers int, trace bool) device.EngineOptions {
 			QueueDepth: 16,
 			Telemetry:  true,
 		},
-		Workers: workers,
-		Trace:   trace,
+		Trace: trace,
 	}
 }
 
 // TestEngineMatchesDeviceClosedLoop drives the identical closed-loop
 // workload — including a mid-workload power loss and recovery — through
-// the goroutine-backed Device and the event-queue Engine, asserting the
+// the goroutine-backed Device and the synchronous Engine, asserting the
 // two hosts implement the same device semantics: same data, same simulated
-// latencies, same controller statistics.
+// latencies, same controller statistics, same typed rejections.
 func TestEngineMatchesDeviceClosedLoop(t *testing.T) {
 	const shards = 4
-	opts := engineOpts(shards, 2, false)
+	opts := engineOpts(shards, false)
 
 	dev, err := device.New(opts.Options)
 	if err != nil {
@@ -128,25 +129,98 @@ func TestEngineMatchesDeviceClosedLoop(t *testing.T) {
 	if dev.Stats() != eng.Stats() {
 		t.Fatalf("stats diverged:\ndevice: %+v\nengine: %+v", dev.Stats(), eng.Stats())
 	}
+
+	// Both hosts refuse a data operation with the same typed error in
+	// every state that refuses one.
+	capacity := opts.System.NVM.CapacityBytes
+	rejections := []struct {
+		name  string
+		setup func(t *testing.T, h deviceHost)
+		addr  uint64
+		want  error // nil: an address error, compared by text
+	}{
+		{name: "closed", addr: 0, want: device.ErrClosed,
+			setup: func(t *testing.T, h deviceHost) { h.Close() }},
+		{name: "down", addr: 0, want: memctrl.ErrCrashed,
+			setup: func(t *testing.T, h deviceHost) {
+				if err := h.Crash(); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		{name: "unaligned", addr: 7},
+		{name: "out-of-range", addr: capacity},
+		{name: "other shard after power cut", addr: nvm.LineSize, want: memctrl.ErrCrashed,
+			setup: func(t *testing.T, h deviceHost) { cutPowerOnShard0(t, h, shards) }},
+	}
+	for _, tc := range rejections {
+		t.Run("rejects/"+tc.name, func(t *testing.T) {
+			dev, err := device.New(opts.Options)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dev.Close()
+			eng, err := device.NewEngine(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var errs [2][3]error
+			for i, h := range []deviceHost{dev, eng} {
+				if tc.setup != nil {
+					tc.setup(t, h)
+				}
+				line := fill(tc.addr, 1)
+				_, _, errs[i][0] = h.Read(tc.addr)
+				_, errs[i][1] = h.Write(tc.addr, &line)
+				errs[i][2] = h.Drain(tc.addr)
+			}
+			for op, name := range []string{"Read", "Write", "Drain"} {
+				errD, errE := errs[0][op], errs[1][op]
+				if errD == nil || errE == nil {
+					t.Fatalf("%s accepted: device %v, engine %v", name, errD, errE)
+				}
+				if tc.want != nil && !(errors.Is(errD, tc.want) && errors.Is(errE, tc.want)) {
+					t.Errorf("%s: device %v, engine %v, want both %v", name, errD, errE, tc.want)
+				}
+				if errD.Error() != errE.Error() {
+					t.Errorf("%s rejections differ: device %q, engine %q", name, errD, errE)
+				}
+			}
+		})
+	}
 }
 
-// driveEngineWorkload runs a deterministic open-loop workload: bursts of
-// submissions (respecting queue depth via the Busy backpressure), a Run
-// per burst, a power loss targeted at shard 1's own 40th boundary, crash,
-// recover, a second burst phase, and a final flush. Returns a transcript
+// deviceHost is what the rejection cases need from either host.
+type deviceHost interface {
+	device.Client
+	SetShardHooks([]inject.Hook) error
+}
+
+// cutPowerOnShard0 arms a power loss at the second write boundary and
+// writes to shard 0 (line 0) until it fires.
+func cutPowerOnShard0(t testing.TB, h deviceHost, shards int) {
+	t.Helper()
+	if err := h.SetShardHooks(chaos.NewDeviceInjector(2).ShardHooks(shards)); err != nil {
+		t.Fatal(err)
+	}
+	line := fill(0, 1)
+	for i := 0; i < 100; i++ {
+		if _, err := h.Write(0, &line); errors.Is(err, device.ErrPowerLoss) {
+			return
+		} else if err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	t.Fatal("injected power loss never fired")
+}
+
+// driveEngineWorkload runs a deterministic closed-loop workload: mixed
+// reads and writes, a power loss targeted at shard 1's own 40th boundary,
+// crash, recover, a second phase, and a final flush. Returns a transcript
 // of everything observable.
 func driveEngineWorkload(t *testing.T, eng *device.Engine, shards int) string {
 	t.Helper()
 	var log bytes.Buffer
-	record := func(rs []device.TxnResult) {
-		for _, r := range rs {
-			fmt.Fprintf(&log, "txn %d shard %d lat %d err %v data %x\n", r.ID, r.Shard, r.Latency, r.Err, r.Data[:8])
-		}
-	}
 
-	// Power loss when shard 1 crosses its own 40th write boundary —
-	// shard-local counting keeps the trigger deterministic at any worker
-	// count.
 	inj := chaos.NewDeviceInjector(40)
 	hooks := inj.ShardHooks(shards)
 	for i := range hooks {
@@ -158,34 +232,33 @@ func driveEngineWorkload(t *testing.T, eng *device.Engine, shards int) string {
 		t.Fatal(err)
 	}
 
-	submitBurst := func(base, n int) {
-		for i := 0; i < n; i++ {
-			addr := uint64((base+i*7)%(shards*64)) * nvm.LineSize
-			var err error
-			if (base+i)%5 == 4 {
-				_, err = eng.SubmitRead(addr)
+	// phase runs n ops from base and reports whether power was lost.
+	phase := func(base, n int) bool {
+		for i := base; i < base+n; i++ {
+			addr := uint64((i*7)%(shards*64)) * nvm.LineSize
+			var (
+				data nvm.Line
+				lat  sim.Time
+				err  error
+			)
+			if i%5 == 4 {
+				data, lat, err = eng.Read(addr)
 			} else {
-				line := fill(addr, uint64(base+i))
-				_, err = eng.SubmitWrite(addr, &line)
+				line := fill(addr, uint64(i))
+				lat, err = eng.Write(addr, &line)
 			}
-			if err != nil && !errors.Is(err, device.ErrBusy) && !errors.Is(err, memctrl.ErrCrashed) {
-				t.Fatalf("submit %d: %v", base+i, err)
+			fmt.Fprintf(&log, "op %d lat %d err %v data %x\n", i, lat, err, data[:8])
+			if errors.Is(err, device.ErrPowerLoss) {
+				return true
 			}
 			if err != nil {
-				fmt.Fprintf(&log, "submit %d rejected: %v\n", base+i, err)
+				t.Fatalf("op %d: %v", i, err)
 			}
 		}
+		return false
 	}
 
-	for burst := 0; burst < 12; burst++ {
-		submitBurst(burst*40, 40)
-		record(eng.Run())
-		if eng.Down() {
-			fmt.Fprintf(&log, "down after burst %d\n", burst)
-			break
-		}
-	}
-	if !eng.Down() {
+	if !phase(0, 480) || !eng.Down() {
 		t.Fatal("injected power loss never fired")
 	}
 	if err := eng.Crash(); err != nil {
@@ -199,10 +272,7 @@ func driveEngineWorkload(t *testing.T, eng *device.Engine, shards int) string {
 	fmt.Fprintf(&log, "recovered tracked=%d recovered=%d failed=%d lost=%d\n",
 		rep.TrackedEntries(), rep.RecoveredBlocks(), rep.FailedBlocks(), rep.LostSlots())
 
-	for burst := 0; burst < 4; burst++ {
-		submitBurst(1000+burst*40, 40)
-		record(eng.Run())
-	}
+	phase(1000, 160)
 	if err := eng.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -210,10 +280,10 @@ func driveEngineWorkload(t *testing.T, eng *device.Engine, shards int) string {
 	return log.String()
 }
 
-// TestEngineDeterministicAcrossWorkers is the event-schedule determinism
-// contract: the same workload produces a byte-identical transcript,
-// telemetry snapshot, event trace and final checkpoint at every worker
-// count.
+// TestEngineDeterministicAcrossWorkers is the determinism contract: the
+// same workload run twice — through a targeted power loss and recovery —
+// produces a byte-identical transcript, telemetry snapshot, event trace
+// and final checkpoint.
 func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 	const shards = 8
 	type run struct {
@@ -222,9 +292,9 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 		trace      []byte
 		ckpt       []byte
 	}
-	var runs []run
-	for _, workers := range []int{1, 2, 3, 8} {
-		eng, err := device.NewEngine(engineOpts(shards, workers, true))
+	var runs [2]run
+	for i := range runs {
+		eng, err := device.NewEngine(engineOpts(shards, true))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,55 +307,30 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runs = append(runs, run{transcript, snap, device.EncodeTrace(eng.Trace()), ckpt})
+		runs[i] = run{transcript, snap, device.EncodeTrace(eng.Trace()), ckpt}
 	}
-	for i := 1; i < len(runs); i++ {
-		if runs[i].transcript != runs[0].transcript {
-			t.Errorf("run %d transcript diverged from workers=1", i)
-		}
-		if !bytes.Equal(runs[i].telemetry, runs[0].telemetry) {
-			t.Errorf("run %d telemetry snapshot diverged:\n%s\nvs\n%s", i, runs[i].telemetry, runs[0].telemetry)
-		}
-		if !bytes.Equal(runs[i].trace, runs[0].trace) {
-			t.Errorf("run %d event trace diverged", i)
-		}
-		if !bytes.Equal(runs[i].ckpt, runs[0].ckpt) {
-			t.Errorf("run %d final checkpoint diverged", i)
-		}
+	if len(runs[0].trace) <= 4 {
+		t.Fatal("traced run recorded no events")
+	}
+	if runs[1].transcript != runs[0].transcript {
+		t.Error("second run's transcript diverged")
+	}
+	if !bytes.Equal(runs[1].telemetry, runs[0].telemetry) {
+		t.Errorf("telemetry snapshot diverged:\n%s\nvs\n%s", runs[1].telemetry, runs[0].telemetry)
+	}
+	if !bytes.Equal(runs[1].trace, runs[0].trace) {
+		t.Error("event trace diverged")
+	}
+	if !bytes.Equal(runs[1].ckpt, runs[0].ckpt) {
+		t.Error("final checkpoint diverged")
 	}
 }
 
-// TestEngineCheckpointRestoreRoundTrip checkpoints an engine mid-workload
-// — with transactions still pending in the queues — and asserts the
-// restored engine is byte-identical and behaviorally indistinguishable.
-func TestEngineCheckpointRestoreRoundTrip(t *testing.T) {
-	const shards = 4
-	a, err := device.NewEngine(engineOpts(shards, 1, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 120; i++ {
-		addr := uint64((i*11)%(shards*32)) * nvm.LineSize
-		line := fill(addr, uint64(i))
-		if _, err := a.Write(addr, &line); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	// Leave transactions pending so the checkpoint exercises Txn
-	// serialization.
-	for i := 0; i < 10; i++ {
-		addr := uint64(i) * nvm.LineSize
-		line := fill(addr, 7000+uint64(i))
-		if _, err := a.SubmitWrite(addr, &line); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-	}
-
+// restoredCopy checkpoints a, restores the bytes into the fresh engine b
+// and asserts b re-checkpoints byte-identically.
+func restoredCopy(t *testing.T, a, b *device.Engine) *device.Engine {
+	t.Helper()
 	ckpt, err := a.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := device.NewEngine(engineOpts(shards, 3, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,25 +344,12 @@ func TestEngineCheckpointRestoreRoundTrip(t *testing.T) {
 	if !bytes.Equal(ckpt, ckpt2) {
 		t.Fatalf("restore is not byte-identical: %d vs %d bytes", len(ckpt), len(ckpt2))
 	}
+	return b
+}
 
-	// Both engines dispatch the pending queue and continue identically.
-	ra, rb := a.Run(), b.Run()
-	if len(ra) != 10 || len(rb) != 10 {
-		t.Fatalf("pending dispatch: %d vs %d results, want 10", len(ra), len(rb))
-	}
-	for i := range ra {
-		if ra[i].ID != rb[i].ID || ra[i].Latency != rb[i].Latency || (ra[i].Err == nil) != (rb[i].Err == nil) {
-			t.Fatalf("result %d diverged: %+v vs %+v", i, ra[i], rb[i])
-		}
-	}
-	for i := 0; i < 20; i++ {
-		addr := uint64((i*11)%(shards*32)) * nvm.LineSize
-		da, la, e1 := a.Read(addr)
-		db, lb, e2 := b.Read(addr)
-		if (e1 == nil) != (e2 == nil) || da != db || la != lb {
-			t.Fatalf("read %#x diverged", addr)
-		}
-	}
+// sameCheckpoint asserts two engines hold byte-identical state.
+func sameCheckpoint(t *testing.T, a, b *device.Engine, when string) {
+	t.Helper()
 	ca, err := a.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
@@ -327,8 +359,86 @@ func TestEngineCheckpointRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(ca, cb) {
-		t.Fatal("engines diverged after continued execution")
+		t.Fatalf("engines diverged %s", when)
 	}
+}
+
+// TestEngineCheckpointRestoreRoundTrip checkpoints an engine mid-workload
+// and again while it is down after a power loss mid-write, and asserts each restored
+// engine is byte-identical and behaviorally indistinguishable.
+func TestEngineCheckpointRestoreRoundTrip(t *testing.T) {
+	const shards = 4
+	fresh := func() *device.Engine {
+		eng, err := device.NewEngine(engineOpts(shards, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	a := fresh()
+	step := func(i int) uint64 { return uint64((i*11)%(shards*32)) * nvm.LineSize }
+	for i := 0; i < 120; i++ {
+		line := fill(step(i), uint64(i))
+		if _, err := a.Write(step(i), &line); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+
+	// Mid-workload: dirty metadata cached, WPQ occupied.
+	b := restoredCopy(t, a, fresh())
+	for i := 120; i < 160; i++ {
+		if i%2 == 0 {
+			line := fill(step(i), uint64(i))
+			la, e1 := a.Write(step(i), &line)
+			lb, e2 := b.Write(step(i), &line)
+			if e1 != nil || e2 != nil || la != lb {
+				t.Fatalf("write %d diverged: (%v,%v) vs (%v,%v)", i, la, e1, lb, e2)
+			}
+			continue
+		}
+		da, la, e1 := a.Read(step(i))
+		db, lb, e2 := b.Read(step(i))
+		if e1 != nil || e2 != nil || da != db || la != lb {
+			t.Fatalf("read %#x diverged", step(i))
+		}
+	}
+	sameCheckpoint(t, a, b, "after continued execution")
+
+	// Crashed: power lost mid-write, the device down and not yet recovered.
+	cutPowerOnShard0(t, a, shards)
+	if err := a.SetShardHooks(make([]inject.Hook, shards)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	c := restoredCopy(t, a, fresh())
+	if !c.Down() {
+		t.Fatal("restored engine lost the down bit")
+	}
+	if _, _, err := c.Read(0); !errors.Is(err, memctrl.ErrCrashed) {
+		t.Fatalf("read on a restored down engine: %v", err)
+	}
+	repA, err := a.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	repC, err := c.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if repA.TrackedEntries() != repC.TrackedEntries() || repA.RecoveredBlocks() != repC.RecoveredBlocks() {
+		t.Fatalf("recovery diverged: tracked %d vs %d, recovered %d vs %d",
+			repA.TrackedEntries(), repC.TrackedEntries(), repA.RecoveredBlocks(), repC.RecoveredBlocks())
+	}
+	for i := 0; i < 160; i += 3 {
+		da, la, e1 := a.Read(step(i))
+		dc, lc, e2 := c.Read(step(i))
+		if e1 != nil || e2 != nil || da != dc || la != lc {
+			t.Fatalf("post-recovery read %#x diverged", step(i))
+		}
+	}
+	sameCheckpoint(t, a, c, "after recovery")
 	if err := a.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +449,7 @@ func TestEngineCheckpointRestoreRoundTrip(t *testing.T) {
 
 // TestEngineRestoreRejectsMismatch covers the identity and integrity gates.
 func TestEngineRestoreRejectsMismatch(t *testing.T) {
-	a, err := device.NewEngine(engineOpts(4, 1, false))
+	a, err := device.NewEngine(engineOpts(4, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +462,7 @@ func TestEngineRestoreRejectsMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	other, err := device.NewEngine(engineOpts(8, 1, false))
+	other, err := device.NewEngine(engineOpts(8, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,6 +477,15 @@ func TestEngineRestoreRejectsMismatch(t *testing.T) {
 	if err := a.Restore(flipped); err == nil {
 		t.Fatal("corrupted checkpoint accepted")
 	}
+	// A well-formed envelope of the previous layout version (which carried
+	// queue state this engine no longer has) is refused by version.
+	payload, err := sim.Open(sim.SnapKindEngine, 2, ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Restore(sim.Seal(sim.SnapKindEngine, 1, payload)); err == nil {
+		t.Fatal("v1 envelope accepted")
+	}
 	// The engine must still work after rejecting garbage.
 	if err := a.Restore(ckpt); err != nil {
 		t.Fatalf("valid checkpoint rejected after garbage: %v", err)
@@ -376,56 +495,10 @@ func TestEngineRestoreRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestEngineShardModes exercises the Enabled/Paused/Draining state machine.
-func TestEngineShardModes(t *testing.T) {
-	const shards = 2
-	eng, err := device.NewEngine(engineOpts(shards, 1, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pause shard 1 (odd lines); its transactions queue but do not run.
-	if err := eng.SetShardMode(1, device.ShardPaused); err != nil {
-		t.Fatal(err)
-	}
-	line := fill(0, 1)
-	id0, err := eng.SubmitWrite(0, &line)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id1, err := eng.SubmitWrite(nvm.LineSize, &line)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := eng.Run()
-	if len(rs) != 1 || rs[0].ID != id0 {
-		t.Fatalf("paused shard dispatched: %+v", rs)
-	}
-	// Draining rejects new submissions, dispatches the queue, then parks.
-	if err := eng.SetShardMode(1, device.ShardDraining); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.SubmitWrite(nvm.LineSize, &line); !errors.Is(err, device.ErrBusy) {
-		t.Fatalf("draining shard accepted a submission: %v", err)
-	}
-	rs = eng.Run()
-	if len(rs) != 1 || rs[0].ID != id1 {
-		t.Fatalf("draining shard did not dispatch its queue: %+v", rs)
-	}
-	if got := eng.ShardState(1); got != device.ShardPaused {
-		t.Fatalf("drained shard in mode %v, want paused", got)
-	}
-	// Draining an empty shard parks immediately; re-enabling accepts work.
-	if err := eng.SetShardMode(1, device.ShardEnabled); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Write(nvm.LineSize, &line); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestEngineScale1000Shards runs a 1024-shard device through a workload,
-// a checkpoint/restore round-trip and a worker-count determinism check —
-// the "one machine simulates a thousand controllers" scale target.
+// TestEngineScale1000Shards runs a 1024-shard device through a closed-loop
+// workload, a run-twice determinism check and a checkpoint/restore
+// round-trip — the "one machine simulates a thousand controllers" scale
+// target.
 func TestEngineScale1000Shards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-shard scale test skipped in -short")
@@ -434,75 +507,41 @@ func TestEngineScale1000Shards(t *testing.T) {
 	sys := config.TestSystem()
 	sys.NVM.CapacityBytes = 4 << 20 << 6 // 256 MB device, 256 KB per shard
 	sys.Security.MetadataCache = config.CacheConfig{SizeBytes: 1 << 10, Ways: 2, LatencyCycles: 3}
-	mk := func(workers int) *device.Engine {
+	mk := func() *device.Engine {
 		eng, err := device.NewEngine(device.EngineOptions{
 			Options: device.Options{
-				System:     sys,
-				Mode:       memctrl.ModeSAC,
-				Key:        []byte("engine-scale-key"),
-				Shards:     shards,
-				QueueDepth: 4,
+				System: sys,
+				Mode:   memctrl.ModeSAC,
+				Key:    []byte("engine-scale-key"),
+				Shards: shards,
 			},
-			Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return eng
 	}
-	drive := func(eng *device.Engine) []device.TxnResult {
-		var out []device.TxnResult
+	drive := func(eng *device.Engine) {
 		for round := 0; round < 2; round++ {
 			for s := 0; s < shards; s++ {
 				addr := uint64(s+round*shards) * nvm.LineSize
 				line := fill(addr, uint64(round))
-				if _, err := eng.SubmitWrite(addr, &line); err != nil {
+				if _, err := eng.Write(addr, &line); err != nil {
 					t.Fatalf("shard %d round %d: %v", s, round, err)
 				}
 			}
-			out = append(out, eng.Run()...)
-		}
-		return out
-	}
-
-	a := mk(8)
-	ra := drive(a)
-	if len(ra) != 2*shards {
-		t.Fatalf("dispatched %d of %d transactions", len(ra), 2*shards)
-	}
-	for _, r := range ra {
-		if r.Err != nil {
-			t.Fatalf("txn %d failed: %v", r.ID, r.Err)
 		}
 	}
-	ckptA, err := a.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	// Determinism at scale: a single-threaded engine produces the same
-	// bytes.
-	b := mk(1)
-	rb := drive(b)
-	if len(ra) != len(rb) {
-		t.Fatalf("result counts diverged: %d vs %d", len(ra), len(rb))
-	}
-	ckptB, err := b.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ckptA, ckptB) {
-		t.Fatal("1024-shard checkpoints diverged across worker counts")
-	}
+	a, b := mk(), mk()
+	drive(a)
+	drive(b)
+	sameCheckpoint(t, a, b, "across two identical 1024-shard runs")
 
 	// Restore the full 1024-shard state into a third engine and spot-check.
-	c := mk(4)
-	if err := c.Restore(ckptA); err != nil {
-		t.Fatal(err)
-	}
+	c := restoredCopy(t, a, mk())
 	for s := 0; s < shards; s += 97 {
-		addr := uint64(s + shards)
-		addr *= nvm.LineSize
+		addr := uint64(s+shards) * nvm.LineSize
 		got, _, err := c.Read(addr)
 		if err != nil {
 			t.Fatalf("restored read shard %d: %v", s, err)

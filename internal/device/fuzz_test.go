@@ -33,8 +33,8 @@ func fuzzEngine(t testing.TB) *device.Engine {
 // FuzzCheckpointRestore mutates serialized engine checkpoints: Restore
 // must either reject the bytes with an error or accept them into a state
 // that round-trips byte-for-byte — and must never panic. The seed corpus
-// covers a pristine engine, one with traffic and pending transactions, a
-// crashed one, and structurally broken variants of each.
+// covers a pristine engine, one with traffic, one crashed by a power loss
+// mid-write, and structurally broken variants.
 func FuzzCheckpointRestore(f *testing.F) {
 	eng := fuzzEngine(f)
 	pristine, err := eng.Checkpoint()
@@ -52,17 +52,15 @@ func FuzzCheckpointRestore(f *testing.F) {
 			f.Fatalf("seed write %d: %v", i, err)
 		}
 	}
-	for i := 0; i < 3; i++ {
-		if _, err := eng.SubmitWrite(uint64(i)*nvm.LineSize, &line); err != nil {
-			f.Fatalf("seed submit %d: %v", i, err)
-		}
-	}
 	busy, err := eng.Checkpoint()
 	if err != nil {
 		f.Fatalf("busy checkpoint: %v", err)
 	}
 	f.Add(busy)
 
+	// Power lost mid-write, then crashed: down, barrier advanced, a torn
+	// write group in NVM and nothing recovered yet.
+	cutPowerOnShard0(f, eng, 2)
 	if err := eng.Crash(); err != nil {
 		f.Fatalf("seed crash: %v", err)
 	}

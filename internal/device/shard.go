@@ -27,9 +27,9 @@ const (
 	opHook
 	opStop
 	// opBatch carries one shard's slice of an ExecBatch call: the worker
-	// coalesces and executes exactly that group as a unit (batch.go). It
-	// is never serialized into a Txn, so appending it here leaves the
-	// checkpointed data-plane opcodes (opRead..opDrain) untouched.
+	// coalesces and executes exactly that group as a unit (batch.go).
+	// Appended last so the data-plane opcodes recorded in traces
+	// (opRead..opDrain) keep their values.
 	opBatch
 )
 
@@ -65,23 +65,20 @@ type response struct {
 // queue is touched only by the worker goroutine, preserving memctrl's
 // single-threaded contract.
 type shard struct {
-	shardCore
+	*shardCore
 	dev      *Device
 	reqs     chan *request
 	batchMax int
 
-	// Batch scratch (worker-only), reused across runBatch calls so the
-	// steady-state batch loop performs no per-batch allocations.
-	supersededBy map[int]int
-	lastWrite    map[uint64]int
+	// Coalescing scratch (worker-only), shared by runBatch and execBatch —
+	// the worker runs one or the other, never nested — and reused across
+	// calls so the steady-state loops perform no per-batch allocations.
+	supersededBy map[int]int    // dropped write index -> absorbing write index
+	lastWrite    map[uint64]int // local line addr -> pending write index
 	results      []response
 
-	// execBatch scratch (worker-only, separate from the runBatch maps
-	// because execBatch runs inside runBatch's execution loop) plus a
-	// reusable per-op request so the batch loop allocates nothing.
-	bSupersededBy map[int]int
-	bLastWrite    map[uint64]int
-	breq          request
+	// breq is execBatch's reusable per-op request.
+	breq request
 
 	// svc estimates wall-clock nanoseconds per request for retry hints.
 	svc ewma
@@ -101,12 +98,25 @@ func (s *shard) retryHint(pending int) time.Duration {
 	return time.Duration(pending+1) * per
 }
 
-// run is the shard worker: drain a batch, coalesce, execute, respond.
+// run is the shard worker: drain a batch, coalesce, execute, respond. An
+// ExecBatch group (opBatch) is its own unit of coalescing and accounting,
+// so it is never folded into a queue slice: one met while filling a slice
+// ends the slice and is carried over as the next unit.
 func (s *shard) run() {
 	defer s.dev.wg.Done()
 	batch := make([]*request, 0, s.batchMax)
+	var carry *request
 	for {
-		req := <-s.reqs
+		req := carry
+		carry = nil
+		if req == nil {
+			req = <-s.reqs
+		}
+		if req.op == opBatch {
+			s.execBatch(req)
+			req.resp <- response{}
+			continue
+		}
 		batch = append(batch[:0], req)
 		// Opportunistically extend the batch with whatever is already
 		// queued, up to the batch bound; never wait for more.
@@ -114,50 +124,84 @@ func (s *shard) run() {
 		for len(batch) < s.batchMax {
 			select {
 			case r := <-s.reqs:
+				if r.op == opBatch {
+					carry = r
+					break fill
+				}
 				batch = append(batch, r)
 			default:
 				break fill
 			}
 		}
 		if !s.runBatch(batch) {
+			if carry != nil {
+				carry.resp <- response{err: ErrClosed}
+			}
 			return
 		}
 	}
 }
 
-// runBatch coalesces and executes one batch; false means opStop was seen
-// and the worker must exit (any requests after the stop are answered with
-// ErrClosed — Close has already fenced out new senders, so the tail is
-// finite and fully drained here).
+// Write coalescing before WPQ admission: within one unit (a queue slice or
+// an ExecBatch group) a write superseded by a later write to the same line
+// — with no read of that line and no barrier-like operation in between —
+// is dropped and acknowledged with its superseder's outcome, exactly the
+// semantics of an ADR write-combining buffer. planReset starts a unit,
+// planOp feeds it op i in order; supersededBy then holds the dropped
+// indices and absorber resolves each to its surviving write.
+
+func (s *shard) planReset() {
+	if s.supersededBy == nil {
+		s.supersededBy = make(map[int]int)
+		s.lastWrite = make(map[uint64]int)
+	}
+	clear(s.supersededBy)
+	clear(s.lastWrite)
+}
+
+func (s *shard) planOp(i int, op opcode, addr uint64) {
+	switch op {
+	case opWrite:
+		if j, ok := s.lastWrite[addr]; ok {
+			s.supersededBy[j] = i
+		}
+		s.lastWrite[addr] = i
+	case opRead:
+		delete(s.lastWrite, addr)
+	default:
+		// Drains, flushes and control ops order against every write.
+		clear(s.lastWrite)
+	}
+}
+
+// absorber returns the surviving write that carries dropped op i's
+// durability. Chains resolve because a superseder is never itself
+// superseded by an earlier index.
+func (s *shard) absorber(i int) (int, bool) {
+	j, ok := s.supersededBy[i]
+	if !ok {
+		return 0, false
+	}
+	for {
+		k, again := s.supersededBy[j]
+		if !again {
+			return j, true
+		}
+		j = k
+	}
+}
+
+// runBatch coalesces and executes one queue slice; false means opStop was
+// seen and the worker must exit (any requests after the stop are answered
+// with ErrClosed — Close has already fenced out new senders, so the tail
+// is finite and fully drained here).
 func (s *shard) runBatch(batch []*request) bool {
 	s.batches.Inc()
 	s.batched.Observe(uint64(len(batch)))
 
-	// Write coalescing before WPQ admission: a write superseded by a
-	// later write to the same line — with no read of that line and no
-	// barrier-like operation in between — is dropped and acknowledged
-	// with its superseder's outcome, exactly the semantics of an ADR
-	// write-combining buffer. supersededBy[i] holds the absorbing index.
-	if s.supersededBy == nil {
-		s.supersededBy = make(map[int]int)
-		s.lastWrite = make(map[uint64]int) // local line addr -> pending write index
-	}
-	supersededBy, lastWrite := s.supersededBy, s.lastWrite
-	clear(supersededBy)
-	clear(lastWrite)
+	s.planReset()
 	for i, r := range batch {
-		switch r.op {
-		case opWrite:
-			if j, ok := lastWrite[r.addr]; ok {
-				supersededBy[j] = i
-			}
-			lastWrite[r.addr] = i
-		case opRead:
-			delete(lastWrite, r.addr)
-		default:
-			// Drains, flushes and control ops order against every write.
-			clear(lastWrite)
-		}
+		s.planOp(i, r.op, r.addr)
 	}
 
 	if cap(s.results) < len(batch) {
@@ -169,7 +213,7 @@ func (s *shard) runBatch(batch []*request) bool {
 	}
 	stopAt := -1
 	for i, r := range batch {
-		if _, dropped := supersededBy[i]; dropped {
+		if _, dropped := s.supersededBy[i]; dropped {
 			s.coalesced.Inc()
 			continue
 		}
@@ -181,31 +225,15 @@ func (s *shard) runBatch(batch []*request) bool {
 			stopAt = i
 			continue
 		}
-		if r.op == opBatch {
-			// A wire batch's shard group: coalesced and executed as its
-			// own unit, with per-op outcomes written straight into the
-			// batch's result slice (batch.go).
-			results[i] = s.execBatch(r)
-			continue
-		}
 		start := time.Now()
 		results[i] = s.exec(r)
 		s.svc.observe(time.Since(start))
 	}
 	for i, r := range batch {
-		if j, dropped := supersededBy[i]; dropped {
+		if j, ok := s.absorber(i); ok {
 			// The absorbing write carries this one's durability; mirror
-			// its outcome with zero added latency. Chains resolve because
-			// a superseder is never itself superseded by an earlier index.
-			res := results[j]
-			for {
-				if k, again := supersededBy[j]; again {
-					j, res = k, results[k]
-					continue
-				}
-				break
-			}
-			results[i] = response{err: res.err}
+			// its outcome with zero added latency.
+			results[i] = response{err: results[j].err}
 		}
 		r.resp <- results[i]
 	}

@@ -10,61 +10,11 @@ import (
 	"soteria/internal/telemetry"
 )
 
-// ShardMode is the explicit state of one shard's request pipeline. The
-// goroutine-backed Device always runs shards Enabled; the deterministic
-// Engine exposes the full state machine (pause for checkpoint barriers,
-// drain for controlled shutdown of a single shard).
-type ShardMode uint8
-
-const (
-	// ShardEnabled: submissions are accepted and dispatched.
-	ShardEnabled ShardMode = iota
-	// ShardPaused: submissions are accepted and queued but not dispatched.
-	ShardPaused
-	// ShardDraining: queued transactions dispatch, new submissions are
-	// rejected; the shard parks itself in ShardPaused once empty.
-	ShardDraining
-)
-
-func (m ShardMode) String() string {
-	switch m {
-	case ShardEnabled:
-		return "enabled"
-	case ShardPaused:
-		return "paused"
-	case ShardDraining:
-		return "draining"
-	default:
-		return "invalid"
-	}
-}
-
-// Txn is one in-flight data-plane transaction in serializable form: plain
-// data instead of a goroutine stack parked on a channel, so a pending
-// queue round-trips through Engine.Checkpoint byte-for-byte.
-type Txn struct {
-	// ID orders results deterministically (assigned at submission).
-	ID uint64
-	// Op is the data-plane opcode (opRead, opWrite or opDrain).
-	Op uint8
-	// Addr is the shard-local line address.
-	Addr uint64
-	// HasData marks a write payload in Data.
-	HasData bool
-	// Data is the 64-byte write payload (zero for reads and drains).
-	Data nvm.Line
-	// Epoch is the crash-barrier generation stamped at submission; a
-	// transaction older than the environment's epoch retires unexecuted.
-	Epoch uint64
-}
-
 // shardEnv is what a shard's execution state machine needs from its host:
 // the crash-barrier generation, the device-down bit, and a way to report a
 // mid-operation power loss. The goroutine Device backs it with atomics
 // (cuts propagate immediately across concurrent workers); the
-// deterministic Engine backs it with plain per-run snapshots (cuts apply
-// at the end of the current run quantum, keeping every shard's outcome a
-// pure function of its own stream).
+// single-threaded Engine backs it with plain fields.
 type shardEnv interface {
 	epochNow() uint64
 	isDown() bool
@@ -74,16 +24,15 @@ type shardEnv interface {
 }
 
 // shardCore is the pure-data per-shard state machine shared by the
-// goroutine-backed Device and the event-driven Engine: one controller, one
-// simulated clock, one mode, and the counters its execution path touches.
-// Nothing in here knows about channels or goroutines; exec is called by
-// exactly one dispatcher at a time.
+// goroutine-backed Device and the synchronous Engine: one controller, one
+// simulated clock, and the counters its execution path touches. Nothing in
+// here knows about channels or goroutines; exec is called by exactly one
+// host at a time.
 type shardCore struct {
 	id   int
 	env  shardEnv
 	ctrl *memctrl.Controller
 	reg  *telemetry.Registry
-	mode ShardMode
 
 	// now is the shard's private simulated clock.
 	now sim.Time
@@ -158,16 +107,6 @@ func (s *shardCore) exec(r *request) (res response) {
 	}
 }
 
-// request converts a serializable transaction back into the internal
-// request form exec dispatches on.
-func (t *Txn) request() *request {
-	r := &request{op: opcode(t.Op), addr: t.Addr, epoch: t.Epoch}
-	if t.HasData {
-		r.data = &t.Data
-	}
-	return r
-}
-
 // shardOf maps a device data address to its shard: global line g lives on
 // shard g mod shards (line interleaving).
 func shardOf(addr uint64, shards int) int {
@@ -189,42 +128,4 @@ func checkLineAddr(addr, capacity uint64) error {
 		return fmt.Errorf("device: address %#x beyond capacity %#x", addr, capacity)
 	}
 	return nil
-}
-
-// checkpoint serializes the shard's mode, clock and pending transactions.
-// The controller itself is checkpointed separately (length-prefixed) so a
-// corrupt inner payload fails cleanly.
-func appendTxns(w *sim.SnapW, pend []Txn) {
-	w.U32(uint32(len(pend)))
-	for i := range pend {
-		t := &pend[i]
-		w.U64(t.ID)
-		w.U8(t.Op)
-		w.U64(t.Addr)
-		w.Bool(t.HasData)
-		w.Raw(t.Data[:])
-		w.U64(t.Epoch)
-	}
-}
-
-func readTxns(r *sim.SnapR, maxPending int) []Txn {
-	n := r.Count(8 + 1 + 8 + 1 + nvm.LineSize + 8)
-	if n > maxPending {
-		r.Fail(fmt.Errorf("device: pending queue of %d exceeds depth bound %d", n, maxPending))
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	pend := make([]Txn, n)
-	for i := range pend {
-		t := &pend[i]
-		t.ID = r.U64()
-		t.Op = r.U8()
-		t.Addr = r.U64()
-		t.HasData = r.Bool()
-		copy(t.Data[:], r.Raw(nvm.LineSize))
-		t.Epoch = r.U64()
-	}
-	return pend
 }

@@ -2,68 +2,8 @@ package sim
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 )
-
-func TestEngineDispatchOrder(t *testing.T) {
-	var got []Event
-	e := NewEngine(func(ev Event) { got = append(got, ev) })
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 500; i++ {
-		e.Schedule(Time(rng.Int63n(50)), rng.Intn(7))
-	}
-	if n := e.Run(); n != 500 {
-		t.Fatalf("dispatched %d events, want 500", n)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Before(got[i-1]) {
-			t.Fatalf("event %d (%+v) dispatched after %+v", i, got[i], got[i-1])
-		}
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("pending = %d after Run", e.Pending())
-	}
-}
-
-func TestEngineTiesBreakByActorThenSeq(t *testing.T) {
-	var got []Event
-	e := NewEngine(func(ev Event) { got = append(got, ev) })
-	e.Schedule(10, 3)
-	e.Schedule(10, 1)
-	e.Schedule(10, 1)
-	e.Schedule(5, 9)
-	e.Run()
-	want := []Event{{5, 9, 3}, {10, 1, 1}, {10, 1, 2}, {10, 3, 0}}
-	for i, ev := range want {
-		if got[i] != ev {
-			t.Fatalf("dispatch[%d] = %+v, want %+v", i, got[i], ev)
-		}
-	}
-}
-
-func TestEngineReentrantScheduleAndClock(t *testing.T) {
-	var e *Engine
-	hops := 0
-	e = NewEngine(func(ev Event) {
-		if hops++; hops < 5 {
-			e.Schedule(ev.At+100, ev.Actor)
-		}
-	})
-	e.Schedule(1000, 0)
-	e.Run()
-	if hops != 5 {
-		t.Fatalf("hops = %d, want 5", hops)
-	}
-	if e.Now() != 1400 {
-		t.Fatalf("Now() = %v, want 1400", e.Now())
-	}
-	// Scheduling in the past clamps to now.
-	e.Schedule(3, 0)
-	if ev, _ := e.Step(); ev.At != 1400 {
-		t.Fatalf("past event dispatched at %v, want clamp to 1400", ev.At)
-	}
-}
 
 func TestSnapRoundTrip(t *testing.T) {
 	w := &SnapW{}
