@@ -440,8 +440,8 @@ func BenchmarkControllerSteadyStateScheme(b *testing.B) {
 }
 
 // benchDevice measures the sharded device service end to end: one
-// closed-loop goroutine per shard issuing a write-heavy mix through the
-// full submit/batch/worker path. Scaling from 1 to 8 shards shows how
+// closed-loop goroutine per shard issuing a write-heavy mix, each op
+// executing in place under its shard's lock. Scaling from 1 to 8 shards shows how
 // much concurrency the sharding actually buys at the device surface.
 func benchDevice(b *testing.B, shards int) {
 	dev, err := device.New(device.Options{
@@ -500,25 +500,22 @@ func BenchmarkDeviceThroughput(b *testing.B) {
 // benchTenants measures the multi-tenant secure-memory service end to
 // end: closed-loop round-robin over the tenants through admission, the
 // per-tenant key domain (seal + MAC + guard protocol) and the
-// engine-hosted device underneath. Scaling 1 -> 16 tenants shows what the
+// device underneath. Scaling 1 -> 16 tenants shows what the
 // tenant layer costs on top of BenchmarkDeviceThroughput (key-domain
 // switching, guard-cache pressure) at even load, where fair-share
 // admission never throttles.
 func benchTenants(b *testing.B, tenants int) {
-	eng, err := device.NewEngine(device.EngineOptions{
-		Options: device.Options{
-			System:     config.TestSystem(),
-			Mode:       memctrl.ModeSRC,
-			Key:        []byte("bench-device-key"),
-			Shards:     4,
-			QueueDepth: 16,
-		},
+	dev, err := device.New(device.Options{
+		System: config.TestSystem(),
+		Mode:   memctrl.ModeSRC,
+		Key:    []byte("bench-device-key"),
+		Shards: 4,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer eng.Close()
-	svc, err := tenant.New(eng, tenant.Options{MasterKey: []byte("bench-tenant-master")})
+	defer dev.Close()
+	svc, err := tenant.New(dev, tenant.Options{MasterKey: []byte("bench-tenant-master")})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,11 +9,12 @@
 //	soteria-serve -shards 8 -metrics-addr 127.0.0.1:9651 -metrics final.prom
 //	soteria-serve -tenants 4 -tenant-lines 256 -metrics-addr 127.0.0.1:9651
 //
-// With -tenants N the server runs in multi-tenant mode: the flat data
-// plane is disabled, the registry accepts tenant ids 1..N, and clients
-// attach per session with OpTenantAttach after provisioning over the
-// wire's operator plane (TenantCreate — cmd/loadgen -tenants does this
-// itself). -provision M additionally provisions tenants 1..M at startup
+// With -tenants N the same device is wrapped in a tenant service and the
+// server runs in multi-tenant mode: the flat data plane is disabled, the
+// registry accepts tenant ids 1..N, and clients attach per session with
+// OpTenantAttach after provisioning over the wire's operator plane
+// (TenantCreate — cmd/loadgen -tenants does this itself). -provision M
+// additionally provisions tenants 1..M at startup
 // and prints their access tokens to stderr, one per line, for the
 // operator to hand out. Online key rotation runs over the operator
 // plane (TenantRotate/TenantStep), and the metrics endpoint gains
@@ -50,8 +51,6 @@ func main() {
 		addr        = flag.String("addr", "127.0.0.1:9650", "TCP listen address for the device protocol")
 		shards      = flag.Int("shards", 4, "independent controller shards (line count must divide evenly)")
 		modeName    = flag.String("mode", "src", "protection scheme: nonsecure|baseline|src|sac")
-		queueDepth  = flag.Int("queue", 64, "per-shard request queue bound (full queue = busy reject)")
-		batchSize   = flag.Int("batch", 8, "per-shard write batching/coalescing bound")
 		capacity    = flag.Uint64("capacity", config.TestSystem().NVM.CapacityBytes, "device data capacity in bytes")
 		metricsFile = flag.String("metrics", "", "write the final telemetry snapshot here on shutdown (.prom = Prometheus text, else JSON, - = stdout)")
 		metricsAddr = flag.String("metrics-addr", "", "serve live metrics over HTTP at this address (/metrics Prometheus, /metrics.json JSON, /healthz, /readyz)")
@@ -74,33 +73,25 @@ func main() {
 	cfg := config.TestSystem()
 	cfg.NVM.CapacityBytes = *capacity
 
-	devOpts := device.Options{
-		System:     cfg,
-		Mode:       mode,
-		Key:        []byte("soteria-serve-key"),
-		Shards:     *shards,
-		QueueDepth: *queueDepth,
-		BatchSize:  *batchSize,
-		Telemetry:  true,
+	dev, err := device.New(device.Options{
+		System:    cfg,
+		Mode:      mode,
+		Key:       []byte("soteria-serve-key"),
+		Shards:    *shards,
+		Telemetry: true,
+	})
+	if err != nil {
+		fatal(err)
 	}
+	info := dev.Info()
 
-	// Flat and tenant mode share every downstream hook — metrics
-	// snapshots, the final flush, teardown — so the rest of main is
-	// mode-blind.
-	var (
-		dev      *device.Device
-		svc      *tenant.Service
-		info     device.Info
-		snapshot func() *telemetry.Snapshot
-		flush    func() error
-		closeDev func() error
-	)
+	// Tenant mode wraps the same device in a tenant.Service and hands the
+	// server no flat device: every data op must then come through a tenant
+	// key domain.
+	var svc *tenant.Service
+	flat := dev
 	if *tenants > 0 {
-		eng, err := device.NewEngine(device.EngineOptions{Options: devOpts})
-		if err != nil {
-			fatal(err)
-		}
-		svc, err = tenant.New(eng, tenant.Options{
+		svc, err = tenant.New(dev, tenant.Options{
 			MasterKey:  []byte(*masterKey),
 			MaxTenants: *tenants,
 			Telemetry:  true,
@@ -118,20 +109,7 @@ func main() {
 			}
 			fmt.Fprintf(os.Stderr, "soteria-serve: tenant %d token %016x\n", id, token)
 		}
-		info = svc.DeviceInfo()
-		snapshot = svc.DeviceSnapshot
-		flush = svc.Flush
-		closeDev = eng.Close
-	} else {
-		var err error
-		dev, err = device.New(devOpts)
-		if err != nil {
-			fatal(err)
-		}
-		info = dev.Info()
-		snapshot = dev.Snapshot
-		flush = dev.Flush
-		closeDev = dev.Close
+		flat = nil
 	}
 
 	// The server's own resilience counters (shed, panics, dedup hits) live
@@ -149,7 +127,7 @@ func main() {
 	if *verbose {
 		sopts.Logf = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
 	}
-	srv := devnet.NewServerWith(dev, sopts)
+	srv := devnet.NewServerWith(flat, sopts)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -167,11 +145,11 @@ func main() {
 		mux := http.NewServeMux()
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			snapshot().WritePrometheus(w, "")
+			dev.Snapshot().WritePrometheus(w, "")
 		})
 		mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
-			snapshot().WriteJSON(w)
+			dev.Snapshot().WriteJSON(w)
 		})
 		if svc != nil {
 			mux.HandleFunc("/tenants", func(w http.ResponseWriter, _ *http.Request) {
@@ -232,17 +210,17 @@ func main() {
 	}
 
 	srv.Shutdown()
-	if err := flush(); err != nil {
+	if err := dev.Flush(); err != nil {
 		fmt.Fprintf(os.Stderr, "soteria-serve: final flush: %v\n", err)
 	}
 	if *metricsFile != "" {
-		if err := snapshot().WriteFile(*metricsFile, ""); err != nil {
+		if err := dev.Snapshot().WriteFile(*metricsFile, ""); err != nil {
 			fmt.Fprintf(os.Stderr, "soteria-serve: write metrics: %v\n", err)
 		} else if *metricsFile != "-" {
 			fmt.Fprintf(os.Stderr, "soteria-serve: telemetry snapshot written to %s\n", *metricsFile)
 		}
 	}
-	if err := closeDev(); err != nil {
+	if err := dev.Close(); err != nil {
 		fatal(err)
 	}
 }

@@ -16,7 +16,7 @@ import (
 
 // DeviceInjector is the sharded-device counterpart of Injector: one
 // device-wide write-boundary counter fed by per-shard hooks. Each shard
-// worker gets its own hook (with its own SealTracker, since seal nesting
+// gets its own hook (with its own SealTracker, since seal nesting
 // is per-controller state), and the hooks funnel boundary crossings into
 // this shared, mutex-guarded counter. Crashing "at boundary k" therefore
 // means the k-th persistent write boundary the device as a whole crosses,
@@ -103,8 +103,8 @@ func (in *DeviceInjector) hit(shard int) {
 }
 
 // deviceShardHook adapts one shard's event stream to the shared counter.
-// It is only ever called from its shard's worker goroutine, so the seal
-// tracker needs no locking.
+// It is only ever called under its shard's lock, so the seal tracker needs
+// no locking of its own.
 type deviceShardHook struct {
 	in    *DeviceInjector
 	shard int
@@ -123,9 +123,7 @@ func (h *deviceShardHook) Event(ev inject.Event) {
 
 // DeviceConfig fully determines one sharded-device chaos scenario.
 // Nested crash-during-recovery sweeps stay on the single-controller
-// harness (Config.NestedCrashAt): device recovery runs the shards
-// concurrently, so a nested boundary index would not name a reproducible
-// point.
+// harness (Config.NestedCrashAt).
 type DeviceConfig struct {
 	Seed   int64
 	Writes int // workload operations (roughly 3/4 writes, 1/4 reads)
@@ -208,14 +206,14 @@ func DeviceRepro(cfg DeviceConfig) string {
 	return s
 }
 
-// deviceHarness is one sharded-device scenario in progress: the engine
-// hosting the shards, the boundary-counting injector, the deterministic
-// workload, and the acknowledged-write oracle. DeviceRun drives it from op
+// deviceHarness is one sharded-device scenario in progress: the device,
+// the boundary-counting injector, the deterministic workload, and the
+// acknowledged-write oracle. DeviceRun drives it from op
 // 0; DeviceReplay restores a checkpoint and drives it from the middle.
 type deviceHarness struct {
 	cfg  DeviceConfig
 	logf func(format string, args ...any)
-	eng  *device.Engine
+	dev  *device.Device
 	inj  *DeviceInjector
 	ops  []wop
 
@@ -226,8 +224,8 @@ type deviceHarness struct {
 	crashOp      int
 }
 
-// newDeviceHarness builds the engine-hosted device, the workload and the
-// injector for cfg. trace enables the engine's canonical event trace
+// newDeviceHarness builds the device, the workload and the injector for
+// cfg. trace enables the device's canonical event trace
 // (needed when the run is recorded for replay).
 func newDeviceHarness(cfg DeviceConfig, trace bool) (*deviceHarness, error) {
 	cfg = cfg.normalized()
@@ -235,15 +233,13 @@ func newDeviceHarness(cfg DeviceConfig, trace bool) (*deviceHarness, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	eng, err := device.NewEngine(device.EngineOptions{
-		Options: device.Options{
-			System: config.TestSystem(),
-			Mode:   cfg.Mode,
-			Key:    []byte("chaos-harness-key"),
-			Shards: cfg.Shards,
-			Ctrl:   memctrl.Options{Strategy: cfg.Strategy},
-		},
-		Trace: trace,
+	dev, err := device.New(device.Options{
+		System: config.TestSystem(),
+		Mode:   cfg.Mode,
+		Key:    []byte("chaos-harness-key"),
+		Shards: cfg.Shards,
+		Ctrl:   memctrl.Options{Strategy: cfg.Strategy},
+		Trace:  trace,
 	})
 	if err != nil {
 		return nil, err
@@ -251,17 +247,17 @@ func newDeviceHarness(cfg DeviceConfig, trace bool) (*deviceHarness, error) {
 
 	// Deterministic workload over the device's global data space, same
 	// shape as the single-controller harness.
-	dataLines := eng.Info().CapacityBytes / nvm.LineSize
+	dataLines := dev.Info().CapacityBytes / nvm.LineSize
 	ops := genOps(cfg.Seed, cfg.Writes, dataLines)
 
 	inj := NewDeviceInjector(cfg.CrashAt)
-	if err := eng.SetShardHooks(inj.ShardHooks(cfg.Shards)); err != nil {
+	if err := dev.SetShardHooks(inj.ShardHooks(cfg.Shards)); err != nil {
 		return nil, err
 	}
 	return &deviceHarness{
 		cfg:  cfg,
 		logf: logf,
-		eng:  eng,
+		dev:  dev,
 		inj:  inj,
 		ops:  ops,
 		res:  &DeviceResult{CrashBoundary: -1, CrashShard: -1},
@@ -276,10 +272,10 @@ func (h *deviceHarness) runOp(i int) error {
 	o := h.ops[i]
 	if o.kind == opWrite {
 		line := lineFor(h.cfg.Seed, i)
-		_, err := h.eng.Write(o.addr, &line)
+		_, err := h.dev.Write(o.addr, &line)
 		return err
 	}
-	_, _, err := h.eng.Read(o.addr)
+	_, _, err := h.dev.Read(o.addr)
 	return err
 }
 
@@ -291,8 +287,8 @@ func (h *deviceHarness) runOp(i int) error {
 //
 // When ckptEvery > 0, onCkpt is invoked before every ckptEvery-th workload
 // op until the crash fires — the recording side of time-travel replay. The
-// closed-loop drive guarantees the engine is at an op boundary there, so
-// Engine.Checkpoint always succeeds.
+// closed-loop drive guarantees the device is at an op boundary there, so
+// Device.Checkpoint always succeeds.
 func (h *deviceHarness) run(start, ckptEvery int, onCkpt func(op int) error) (*DeviceResult, error) {
 	cfg, res := h.cfg, h.res
 
@@ -330,12 +326,12 @@ func (h *deviceHarness) run(start, ckptEvery int, onCkpt func(op int) error) (*D
 		h.logf("power loss at device boundary %d (op %d, shard %d)", res.CrashBoundary, h.crashOp, res.CrashShard)
 		// The power loss already took the device down and fenced the
 		// epoch; Crash() drops every shard's volatile state.
-		if err := h.eng.Crash(); err != nil {
+		if err := h.dev.Crash(); err != nil {
 			res.violate("Crash() after power loss: %v", err)
 			return res, nil
 		}
 		h.inj.Disarm()
-		rep, rerr := h.eng.Recover()
+		rep, rerr := h.dev.Recover()
 		if rerr != nil {
 			res.violate("Recover failed: %v", rerr)
 			return res, nil
@@ -384,20 +380,20 @@ func (h *deviceHarness) run(start, ckptEvery int, onCkpt func(op int) error) (*D
 	}
 
 	// Settle and verify every shard's full image.
-	if err := h.eng.Flush(); err != nil {
+	if err := h.dev.Flush(); err != nil {
 		res.violate("Flush: %v", err)
 		return res, nil
 	}
-	if err := h.eng.VerifyAll(); err != nil {
+	if err := h.dev.VerifyAll(); err != nil {
 		res.violate("VerifyAll after replay: %v", err)
 	}
 
 	// A clean crash/recover round-trip on the flushed image must be
 	// lossless on every shard.
-	if err := h.eng.Crash(); err != nil {
+	if err := h.dev.Crash(); err != nil {
 		res.violate("clean-round Crash: %v", err)
 	} else {
-		rep, err := h.eng.Recover()
+		rep, err := h.dev.Recover()
 		switch {
 		case err != nil:
 			res.violate("clean-round Recover: %v", err)
@@ -421,7 +417,7 @@ func (h *deviceHarness) readCheck(phase string, inFlightExempt bool) {
 	}
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	for _, a := range addrs {
-		got, _, rdErr := h.eng.Read(a)
+		got, _, rdErr := h.dev.Read(a)
 		if rdErr != nil {
 			res.violate("%s: read %#x (committed op %d) failed: %v", phase, a, h.committed[a], rdErr)
 			continue
@@ -440,7 +436,7 @@ func (h *deviceHarness) readCheck(phase string, inFlightExempt bool) {
 	}
 	if inFlightExempt && h.inFlight >= 0 {
 		if _, ok := h.committed[h.inFlightAddr]; !ok {
-			got, _, rdErr := h.eng.Read(h.inFlightAddr)
+			got, _, rdErr := h.dev.Read(h.inFlightAddr)
 			switch {
 			case rdErr != nil:
 				res.violate("%s: read in-flight %#x failed: %v", phase, h.inFlightAddr, rdErr)
@@ -451,8 +447,8 @@ func (h *deviceHarness) readCheck(phase string, inFlightExempt bool) {
 	}
 }
 
-// DeviceRun executes one scenario against the engine-hosted sharded
-// device, closed-loop (one request in flight device-wide, so boundary
+// DeviceRun executes one scenario against the sharded device,
+// closed-loop (one request in flight device-wide, so boundary
 // numbering is deterministic), and checks the same invariants as Run:
 // every committed write reads back after recovery, the one in-flight write
 // is old-or-new, every shard's recovery report accounts for its tracked
@@ -463,7 +459,7 @@ func DeviceRun(cfg DeviceConfig) (*DeviceResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer h.eng.Close()
+	defer h.dev.Close()
 	return h.run(0, 0, nil)
 }
 

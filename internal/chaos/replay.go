@@ -13,10 +13,10 @@ import (
 const replayVersion = 1
 
 // ReplayTrace is the time-travel record of one crashed sharded-device
-// scenario: the full scenario config, the engine checkpoint taken nearest
+// scenario: the full scenario config, the device checkpoint taken nearest
 // before the fault, the oracle state at that checkpoint, and the canonical
 // event trace of the original run. DeviceReplay restores the checkpoint
-// and re-executes the workload from there; because the engine is
+// and re-executes the workload from there; because the device is
 // deterministic, the replay crosses the same boundaries, crashes at the
 // same event and produces a byte-identical failure Summary.
 type ReplayTrace struct {
@@ -35,7 +35,7 @@ type ReplayTrace struct {
 	CkptOpErrors   int
 	CkptViolations []string
 	CkptCommitted  map[uint64]int
-	// Ckpt is the sealed device.Engine checkpoint.
+	// Ckpt is the sealed device.Device checkpoint.
 	Ckpt []byte
 	// Events is the canonical event trace of the full original run
 	// (per-shard dispatch streams concatenated in shard order).
@@ -123,7 +123,7 @@ func DeviceRunTraced(cfg DeviceConfig) (*DeviceResult, *ReplayTrace, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	defer h.eng.Close()
+	defer h.dev.Close()
 
 	// Checkpoint cadence: 8 checkpoints across the workload, so the replay
 	// re-executes at most ~1/8th of it. Op 0 always has one — a crash on
@@ -134,7 +134,7 @@ func DeviceRunTraced(cfg DeviceConfig) (*DeviceResult, *ReplayTrace, error) {
 	}
 	tr := &ReplayTrace{CkptOp: -1}
 	onCkpt := func(op int) error {
-		ckpt, err := h.eng.Checkpoint()
+		ckpt, err := h.dev.Checkpoint()
 		if err != nil {
 			return fmt.Errorf("chaos: checkpoint at op %d: %w", op, err)
 		}
@@ -157,12 +157,12 @@ func DeviceRunTraced(cfg DeviceConfig) (*DeviceResult, *ReplayTrace, error) {
 	tr.Cfg = h.cfg
 	tr.Cfg.Logf = nil
 	tr.CrashOp = h.crashOp
-	tr.Events = h.eng.Trace()
+	tr.Events = h.dev.Trace()
 	return res, tr, nil
 }
 
 // DeviceReplay re-executes a recorded scenario from its checkpoint: the
-// engine state is restored byte-for-byte, the injector's boundary counter
+// device state is restored byte-for-byte, the injector's boundary counter
 // resumes at the checkpoint's count, and the workload re-runs from the
 // checkpoint op through the crash, recovery and the full invariant oracle.
 // The returned DeviceResult.Summary() is byte-identical to the original
@@ -174,14 +174,14 @@ func DeviceReplay(tr *ReplayTrace, logf func(format string, args ...any)) (*Devi
 	if err != nil {
 		return nil, err
 	}
-	defer h.eng.Close()
-	if err := h.eng.Restore(tr.Ckpt); err != nil {
+	defer h.dev.Close()
+	if err := h.dev.Restore(tr.Ckpt); err != nil {
 		return nil, fmt.Errorf("chaos: restore checkpoint: %w", err)
 	}
 	// Hooks survive a controller restore, but the trackers' seal state is
 	// volatile; re-install fresh ones (the checkpoint was taken at an op
 	// boundary, where every seal depth is zero).
-	if err := h.eng.SetShardHooks(h.inj.ShardHooks(h.cfg.Shards)); err != nil {
+	if err := h.dev.SetShardHooks(h.inj.ShardHooks(h.cfg.Shards)); err != nil {
 		return nil, err
 	}
 	h.inj.Preset(tr.CkptBoundary)
@@ -194,7 +194,7 @@ func DeviceReplay(tr *ReplayTrace, logf func(format string, args ...any)) (*Devi
 	if err != nil {
 		return nil, err
 	}
-	checkReplayedTrace(res, tr.Events, h.eng.Trace())
+	checkReplayedTrace(res, tr.Events, h.dev.Trace())
 	return res, nil
 }
 

@@ -13,7 +13,7 @@ import (
 )
 
 // TenantConfig fully determines one multi-tenant chaos scenario: a tenant
-// service over the engine-hosted device, a deterministic workload
+// service over the sharded device, a deterministic workload
 // interleaved round-robin across tenants, an optional online key rotation
 // of tenant 1 beginning mid-workload, and a power cut at a chosen
 // device-wide write boundary.
@@ -100,7 +100,7 @@ func tenantLineFor(seed int64, t uint32, i int) nvm.Line {
 type tenantHarness struct {
 	cfg  TenantConfig
 	logf func(format string, args ...any)
-	eng  *device.Engine
+	dev  *device.Device
 	svc  *tenant.Service
 	inj  *DeviceInjector
 	ops  []wop // tenant-local addresses; op i belongs to tenant 1+i%T
@@ -120,43 +120,41 @@ func newTenantHarness(cfg TenantConfig) (*tenantHarness, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	eng, err := device.NewEngine(device.EngineOptions{
-		Options: device.Options{
-			System: config.TestSystem(),
-			Mode:   cfg.Mode,
-			Key:    []byte("chaos-harness-key"),
-			Shards: cfg.Shards,
-			Ctrl:   memctrl.Options{Strategy: cfg.Strategy},
-		},
+	dev, err := device.New(device.Options{
+		System: config.TestSystem(),
+		Mode:   cfg.Mode,
+		Key:    []byte("chaos-harness-key"),
+		Shards: cfg.Shards,
+		Ctrl:   memctrl.Options{Strategy: cfg.Strategy},
 	})
 	if err != nil {
 		return nil, err
 	}
 	inj := NewDeviceInjector(cfg.CrashAt)
-	svc, err := tenant.New(eng, tenant.Options{MasterKey: []byte("chaos-tenant-master")})
+	svc, err := tenant.New(dev, tenant.Options{MasterKey: []byte("chaos-tenant-master")})
 	if err != nil {
-		eng.Close()
+		dev.Close()
 		return nil, err
 	}
 	for t := 1; t <= cfg.Tenants; t++ {
 		// Quota 0 (unlimited): the oracle wants every op admitted, and the
 		// quota path has its own tests.
 		if _, err := svc.Provision(uint32(t), cfg.LinesPerTenant, 0); err != nil {
-			eng.Close()
+			dev.Close()
 			return nil, err
 		}
 	}
 	// Hooks go in only after provisioning: the registry setup is the
 	// fixture, the workload is the scenario, so boundary numbering starts
 	// at the first workload write.
-	if err := eng.SetShardHooks(inj.ShardHooks(cfg.Shards)); err != nil {
-		eng.Close()
+	if err := dev.SetShardHooks(inj.ShardHooks(cfg.Shards)); err != nil {
+		dev.Close()
 		return nil, err
 	}
 	return &tenantHarness{
 		cfg:       cfg,
 		logf:      logf,
-		eng:       eng,
+		dev:       dev,
 		svc:       svc,
 		inj:       inj,
 		ops:       genOps(cfg.Seed, cfg.Writes, cfg.LinesPerTenant),
@@ -446,7 +444,7 @@ func TenantRun(cfg TenantConfig) (*DeviceResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer h.eng.Close()
+	defer h.dev.Close()
 	return h.run()
 }
 

@@ -2,9 +2,7 @@ package device
 
 import (
 	"fmt"
-	"time"
 
-	"soteria/internal/memctrl"
 	"soteria/internal/nvm"
 	"soteria/internal/sim"
 )
@@ -36,13 +34,10 @@ type BatchResult struct {
 }
 
 // batchGroup is the per-shard slice of one batch: shard-local copies of
-// the ops plus their original indices, and a reusable request/response
-// pair so steady-state batch execution allocates nothing.
+// the ops plus their original indices.
 type batchGroup struct {
-	ops  []BatchOp
-	idx  []int32
-	req  *request
-	sent bool
+	ops []BatchOp
+	idx []int32
 }
 
 // batchRun is the pooled scratch of one ExecBatch call.
@@ -52,22 +47,21 @@ type batchRun struct {
 }
 
 // ExecBatch executes len(ops) data-plane operations as one unit: the ops
-// are partitioned by shard, each shard's group is submitted as a single
-// queue entry, and the shard worker coalesces and executes exactly that
-// group — so the coalescing window is the batch itself, deterministic for
-// a fixed batch composition regardless of queue-drain timing, and the
-// whole batch costs one channel round-trip per shard instead of one per
-// op.
+// are partitioned by shard and each shard's group is coalesced and executed
+// under one hold of that shard's lock — so the coalescing window is the
+// batch itself, deterministic for a fixed batch composition, and the whole
+// batch costs one lock acquisition per shard instead of one per op. Groups
+// run one after another on the caller's goroutine, in order of each shard's
+// first op in the batch.
 //
 // Per-op outcomes land in res at the op's index (len(res) must equal
-// len(ops)). A full shard queue rejects that shard's entire group with a
-// per-op *BusyError — none of the group's ops execute, so the caller may
-// re-submit just those. ExecBatch itself only fails on length mismatch.
+// len(ops)); an op is rejected in the same order as a single Read, Write or
+// Drain, with an unknown op code ranking with the address errors. ExecBatch
+// itself only fails on length mismatch.
 //
-// Write coalescing within a group mirrors the worker's opportunistic
-// batching: a write superseded by a later write to the same line (with no
-// intervening read or drain) is dropped and acknowledged with its
-// superseder's outcome at zero added latency.
+// Write coalescing within a group: a write superseded by a later write to
+// the same line (with no intervening read or drain) is dropped and
+// acknowledged with its superseder's outcome at zero added latency.
 func (d *Device) ExecBatch(ops []BatchOp, res []BatchResult) error {
 	if len(ops) != len(res) {
 		return fmt.Errorf("device: batch of %d ops with %d result slots", len(ops), len(res))
@@ -77,24 +71,15 @@ func (d *Device) ExecBatch(ops []BatchOp, res []BatchResult) error {
 	}
 	br, _ := d.batchPool.Get().(*batchRun)
 	if br == nil {
-		br = &batchRun{}
-	}
-	if len(br.groups) < d.opts.Shards {
-		br.groups = make([]batchGroup, d.opts.Shards)
+		br = &batchRun{groups: make([]batchGroup, d.opts.Shards)}
 	}
 	br.used = br.used[:0]
 
 	for i := range ops {
 		op := &ops[i]
-		var err error
-		switch op.Op {
-		case BatchRead, BatchWrite, BatchDrain:
-			err = d.checkAddr(op.Addr)
-		default:
+		err := d.admit(op.Addr)
+		if err != ErrClosed && (op.Op < BatchRead || op.Op > BatchDrain) {
 			err = fmt.Errorf("device: unknown batch op %d", op.Op)
-		}
-		if err == nil && d.down.Load() {
-			err = memctrl.ErrCrashed
 		}
 		if err != nil {
 			res[i] = BatchResult{Err: err}
@@ -112,43 +97,8 @@ func (d *Device) ExecBatch(ops []BatchOp, res []BatchResult) error {
 	epoch := d.epoch.Load()
 	for _, sh := range br.used {
 		g := &br.groups[sh]
-		if g.req == nil {
-			g.req = &request{resp: make(chan response, 1)}
-		}
-		g.req.op = opBatch
-		g.req.epoch = epoch
-		g.req.bops, g.req.bidx, g.req.bres = g.ops, g.idx, res
-		s := d.shards[sh]
-		d.subMu.RLock()
-		if d.closed.Load() {
-			d.subMu.RUnlock()
-			for _, ix := range g.idx {
-				res[ix] = BatchResult{Err: ErrClosed}
-			}
-			continue
-		}
-		select {
-		case s.reqs <- g.req:
-			d.subMu.RUnlock()
-			g.sent = true
-		default:
-			pending := len(s.reqs)
-			d.subMu.RUnlock()
-			s.busy.Inc()
-			err := &BusyError{Shard: s.id, Pending: pending, RetryAfter: s.retryHint(pending)}
-			for _, ix := range g.idx {
-				res[ix] = BatchResult{Err: err}
-			}
-		}
-	}
-	for _, sh := range br.used {
-		g := &br.groups[sh]
-		if g.sent {
-			<-g.req.resp
-			g.req.bops, g.req.bidx, g.req.bres = nil, nil, nil
-		}
+		d.shards[sh].execGroup(g.ops, g.idx, res, epoch)
 		g.ops, g.idx = g.ops[:0], g.idx[:0]
-		g.sent = false
 	}
 	d.batchPool.Put(br)
 	return nil
@@ -166,14 +116,19 @@ func batchOpcode(op uint8) opcode {
 	}
 }
 
-// execBatch runs one shard group of a batch on the worker goroutine:
+// execGroup runs one shard's group of a batch under the shard lock:
 // coalesce writes within the group, execute the survivors in order, and
-// write each op's outcome into the batch's shared result slice at its
-// original index (shards own disjoint index sets, so concurrent workers
-// never touch the same slot). The group-local request s.breq is reused
-// per op so the loop allocates nothing.
-func (s *shard) execBatch(r *request) {
-	ops, idx, out := r.bops, r.bidx, r.bres
+// write each op's outcome into the batch's result slice at its original
+// index.
+func (s *shard) execGroup(ops []BatchOp, idx []int32, out []BatchResult, epoch uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.dev.closed.Load() {
+		for _, ix := range idx {
+			out[ix] = BatchResult{Err: ErrClosed}
+		}
+		return
+	}
 	s.batches.Inc()
 	s.batched.Observe(uint64(len(ops)))
 
@@ -186,16 +141,7 @@ func (s *shard) execBatch(r *request) {
 			s.coalesced.Inc()
 			continue
 		}
-		s.breq.op = batchOpcode(ops[i].Op)
-		s.breq.addr = ops[i].Addr
-		s.breq.epoch = r.epoch
-		s.breq.data = nil
-		if s.breq.op == opWrite {
-			s.breq.data = &ops[i].Line
-		}
-		start := time.Now()
-		res := s.exec(&s.breq)
-		s.svc.observe(time.Since(start))
+		res := s.exec(batchOpcode(ops[i].Op), ops[i].Addr, &ops[i].Line, epoch)
 		out[idx[i]] = BatchResult{Data: res.data, Latency: res.latency, Err: res.err}
 	}
 	for i := range ops {

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"soteria/internal/chaos"
@@ -15,189 +18,20 @@ import (
 	"soteria/internal/sim"
 )
 
-func engineOpts(shards int, trace bool) device.EngineOptions {
-	return device.EngineOptions{
-		Options: device.Options{
-			System:     config.TestSystem(),
-			Mode:       memctrl.ModeSAC,
-			Key:        []byte("engine-test-key"),
-			Shards:     shards,
-			QueueDepth: 16,
-			Telemetry:  true,
-		},
-		Trace: trace,
+func testOpts(shards int, trace bool) device.Options {
+	return device.Options{
+		System:    config.TestSystem(),
+		Mode:      memctrl.ModeSAC,
+		Key:       []byte("engine-test-key"),
+		Shards:    shards,
+		Telemetry: true,
+		Trace:     trace,
 	}
-}
-
-// TestEngineMatchesDeviceClosedLoop drives the identical closed-loop
-// workload — including a mid-workload power loss and recovery — through
-// the goroutine-backed Device and the synchronous Engine, asserting the
-// two hosts implement the same device semantics: same data, same simulated
-// latencies, same controller statistics, same typed rejections.
-func TestEngineMatchesDeviceClosedLoop(t *testing.T) {
-	const shards = 4
-	opts := engineOpts(shards, false)
-
-	dev, err := device.New(opts.Options)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dev.Close()
-	eng, err := device.NewEngine(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	injD := chaos.NewDeviceInjector(120)
-	injE := chaos.NewDeviceInjector(120)
-	if err := dev.SetShardHooks(injD.ShardHooks(shards)); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.SetShardHooks(injE.ShardHooks(shards)); err != nil {
-		t.Fatal(err)
-	}
-
-	step := func(i int) (addr uint64) {
-		return uint64((i*13)%256) * nvm.LineSize
-	}
-	var crashedAtD, crashedAtE = -1, -1
-	for i := 0; i < 200; i++ {
-		addr := step(i)
-		var errD, errE error
-		if i%4 == 3 {
-			gotD, latD, e1 := dev.Read(addr)
-			gotE, latE, e2 := eng.Read(addr)
-			if (e1 == nil) != (e2 == nil) || gotD != gotE || latD != latE {
-				t.Fatalf("op %d: read diverged: (%v,%v) vs (%v,%v)", i, latD, e1, latE, e2)
-			}
-			errD, errE = e1, e2
-		} else {
-			line := fill(addr, uint64(i))
-			latD, e1 := dev.Write(addr, &line)
-			latE, e2 := eng.Write(addr, &line)
-			if (e1 == nil) != (e2 == nil) || latD != latE {
-				t.Fatalf("op %d: write diverged: (%v,%v) vs (%v,%v)", i, latD, e1, latE, e2)
-			}
-			errD, errE = e1, e2
-		}
-		var pd, pe *device.PowerError
-		if errors.As(errD, &pd) {
-			crashedAtD = i
-		}
-		if errors.As(errE, &pe) {
-			crashedAtE = i
-		}
-		if crashedAtD >= 0 || crashedAtE >= 0 {
-			if pd == nil || pe == nil || pd.Shard != pe.Shard || pd.Boundary != pe.Boundary {
-				t.Fatalf("op %d: power loss diverged: %v vs %v", i, errD, errE)
-			}
-			break
-		}
-	}
-	if crashedAtD < 0 {
-		t.Fatal("injected power loss never fired")
-	}
-	if err := dev.Crash(); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Crash(); err != nil {
-		t.Fatal(err)
-	}
-	injD.Disarm()
-	injE.Disarm()
-	repD, err := dev.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	repE, err := eng.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repD.TrackedEntries() != repE.TrackedEntries() || repD.RecoveredBlocks() != repE.RecoveredBlocks() ||
-		repD.FailedBlocks() != repE.FailedBlocks() || repD.LostSlots() != repE.LostSlots() {
-		t.Fatalf("recovery diverged: device tracked=%d recovered=%d, engine tracked=%d recovered=%d",
-			repD.TrackedEntries(), repD.RecoveredBlocks(), repE.TrackedEntries(), repE.RecoveredBlocks())
-	}
-	for i := 0; i < 200; i += 7 {
-		addr := step(i)
-		gotD, latD, e1 := dev.Read(addr)
-		gotE, latE, e2 := eng.Read(addr)
-		if (e1 == nil) != (e2 == nil) || gotD != gotE || latD != latE {
-			t.Fatalf("post-recovery read %#x diverged", addr)
-		}
-	}
-	if dev.Stats() != eng.Stats() {
-		t.Fatalf("stats diverged:\ndevice: %+v\nengine: %+v", dev.Stats(), eng.Stats())
-	}
-
-	// Both hosts refuse a data operation with the same typed error in
-	// every state that refuses one.
-	capacity := opts.System.NVM.CapacityBytes
-	rejections := []struct {
-		name  string
-		setup func(t *testing.T, h deviceHost)
-		addr  uint64
-		want  error // nil: an address error, compared by text
-	}{
-		{name: "closed", addr: 0, want: device.ErrClosed,
-			setup: func(t *testing.T, h deviceHost) { h.Close() }},
-		{name: "down", addr: 0, want: memctrl.ErrCrashed,
-			setup: func(t *testing.T, h deviceHost) {
-				if err := h.Crash(); err != nil {
-					t.Fatal(err)
-				}
-			}},
-		{name: "unaligned", addr: 7},
-		{name: "out-of-range", addr: capacity},
-		{name: "other shard after power cut", addr: nvm.LineSize, want: memctrl.ErrCrashed,
-			setup: func(t *testing.T, h deviceHost) { cutPowerOnShard0(t, h, shards) }},
-	}
-	for _, tc := range rejections {
-		t.Run("rejects/"+tc.name, func(t *testing.T) {
-			dev, err := device.New(opts.Options)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer dev.Close()
-			eng, err := device.NewEngine(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var errs [2][3]error
-			for i, h := range []deviceHost{dev, eng} {
-				if tc.setup != nil {
-					tc.setup(t, h)
-				}
-				line := fill(tc.addr, 1)
-				_, _, errs[i][0] = h.Read(tc.addr)
-				_, errs[i][1] = h.Write(tc.addr, &line)
-				errs[i][2] = h.Drain(tc.addr)
-			}
-			for op, name := range []string{"Read", "Write", "Drain"} {
-				errD, errE := errs[0][op], errs[1][op]
-				if errD == nil || errE == nil {
-					t.Fatalf("%s accepted: device %v, engine %v", name, errD, errE)
-				}
-				if tc.want != nil && !(errors.Is(errD, tc.want) && errors.Is(errE, tc.want)) {
-					t.Errorf("%s: device %v, engine %v, want both %v", name, errD, errE, tc.want)
-				}
-				if errD.Error() != errE.Error() {
-					t.Errorf("%s rejections differ: device %q, engine %q", name, errD, errE)
-				}
-			}
-		})
-	}
-}
-
-// deviceHost is what the rejection cases need from either host.
-type deviceHost interface {
-	device.Client
-	SetShardHooks([]inject.Hook) error
 }
 
 // cutPowerOnShard0 arms a power loss at the second write boundary and
 // writes to shard 0 (line 0) until it fires.
-func cutPowerOnShard0(t testing.TB, h deviceHost, shards int) {
+func cutPowerOnShard0(t testing.TB, h *device.Device, shards int) {
 	t.Helper()
 	if err := h.SetShardHooks(chaos.NewDeviceInjector(2).ShardHooks(shards)); err != nil {
 		t.Fatal(err)
@@ -213,11 +47,11 @@ func cutPowerOnShard0(t testing.TB, h deviceHost, shards int) {
 	t.Fatal("injected power loss never fired")
 }
 
-// driveEngineWorkload runs a deterministic closed-loop workload: mixed
+// driveWorkload runs a deterministic closed-loop workload: mixed
 // reads and writes, a power loss targeted at shard 1's own 40th boundary,
 // crash, recover, a second phase, and a final flush. Returns a transcript
 // of everything observable.
-func driveEngineWorkload(t *testing.T, eng *device.Engine, shards int) string {
+func driveWorkload(t *testing.T, dev *device.Device, shards int) string {
 	t.Helper()
 	var log bytes.Buffer
 
@@ -228,7 +62,7 @@ func driveEngineWorkload(t *testing.T, eng *device.Engine, shards int) string {
 			hooks[i] = nil
 		}
 	}
-	if err := eng.SetShardHooks(hooks); err != nil {
+	if err := dev.SetShardHooks(hooks); err != nil {
 		t.Fatal(err)
 	}
 
@@ -242,10 +76,10 @@ func driveEngineWorkload(t *testing.T, eng *device.Engine, shards int) string {
 				err  error
 			)
 			if i%5 == 4 {
-				data, lat, err = eng.Read(addr)
+				data, lat, err = dev.Read(addr)
 			} else {
 				line := fill(addr, uint64(i))
-				lat, err = eng.Write(addr, &line)
+				lat, err = dev.Write(addr, &line)
 			}
 			fmt.Fprintf(&log, "op %d lat %d err %v data %x\n", i, lat, err, data[:8])
 			if errors.Is(err, device.ErrPowerLoss) {
@@ -258,14 +92,14 @@ func driveEngineWorkload(t *testing.T, eng *device.Engine, shards int) string {
 		return false
 	}
 
-	if !phase(0, 480) || !eng.Down() {
+	if !phase(0, 480) || !dev.Down() {
 		t.Fatal("injected power loss never fired")
 	}
-	if err := eng.Crash(); err != nil {
+	if err := dev.Crash(); err != nil {
 		t.Fatal(err)
 	}
 	inj.Disarm()
-	rep, err := eng.Recover()
+	rep, err := dev.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,10 +107,10 @@ func driveEngineWorkload(t *testing.T, eng *device.Engine, shards int) string {
 		rep.TrackedEntries(), rep.RecoveredBlocks(), rep.FailedBlocks(), rep.LostSlots())
 
 	phase(1000, 160)
-	if err := eng.Flush(); err != nil {
+	if err := dev.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(&log, "stats %+v\n", eng.Stats())
+	fmt.Fprintf(&log, "stats %+v\n", dev.Stats())
 	return log.String()
 }
 
@@ -294,20 +128,20 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 	}
 	var runs [2]run
 	for i := range runs {
-		eng, err := device.NewEngine(engineOpts(shards, true))
+		dev, err := device.New(testOpts(shards, true))
 		if err != nil {
 			t.Fatal(err)
 		}
-		transcript := driveEngineWorkload(t, eng, shards)
-		snap, err := eng.Snapshot().MarshalIndentJSON()
+		transcript := driveWorkload(t, dev, shards)
+		snap, err := dev.Snapshot().MarshalIndentJSON()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ckpt, err := eng.Checkpoint()
+		ckpt, err := dev.Checkpoint()
 		if err != nil {
 			t.Fatal(err)
 		}
-		runs[i] = run{transcript, snap, device.EncodeTrace(eng.Trace()), ckpt}
+		runs[i] = run{transcript, snap, device.EncodeTrace(dev.Trace()), ckpt}
 	}
 	if len(runs[0].trace) <= 4 {
 		t.Fatal("traced run recorded no events")
@@ -326,9 +160,9 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// restoredCopy checkpoints a, restores the bytes into the fresh engine b
+// restoredCopy checkpoints a, restores the bytes into the fresh device b
 // and asserts b re-checkpoints byte-identically.
-func restoredCopy(t *testing.T, a, b *device.Engine) *device.Engine {
+func restoredCopy(t *testing.T, a, b *device.Device) *device.Device {
 	t.Helper()
 	ckpt, err := a.Checkpoint()
 	if err != nil {
@@ -347,8 +181,8 @@ func restoredCopy(t *testing.T, a, b *device.Engine) *device.Engine {
 	return b
 }
 
-// sameCheckpoint asserts two engines hold byte-identical state.
-func sameCheckpoint(t *testing.T, a, b *device.Engine, when string) {
+// sameCheckpoint asserts two devices hold byte-identical state.
+func sameCheckpoint(t *testing.T, a, b *device.Device, when string) {
 	t.Helper()
 	ca, err := a.Checkpoint()
 	if err != nil {
@@ -359,21 +193,21 @@ func sameCheckpoint(t *testing.T, a, b *device.Engine, when string) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(ca, cb) {
-		t.Fatalf("engines diverged %s", when)
+		t.Fatalf("devices diverged %s", when)
 	}
 }
 
-// TestEngineCheckpointRestoreRoundTrip checkpoints an engine mid-workload
-// and again while it is down after a power loss mid-write, and asserts each restored
-// engine is byte-identical and behaviorally indistinguishable.
+// TestEngineCheckpointRestoreRoundTrip checkpoints a device mid-workload
+// and again while it is down after a power loss mid-write, and asserts each
+// restored device is byte-identical and behaviorally indistinguishable.
 func TestEngineCheckpointRestoreRoundTrip(t *testing.T) {
 	const shards = 4
-	fresh := func() *device.Engine {
-		eng, err := device.NewEngine(engineOpts(shards, false))
+	fresh := func() *device.Device {
+		dev, err := device.New(testOpts(shards, false))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return eng
+		return dev
 	}
 	a := fresh()
 	step := func(i int) uint64 { return uint64((i*11)%(shards*32)) * nvm.LineSize }
@@ -414,10 +248,10 @@ func TestEngineCheckpointRestoreRoundTrip(t *testing.T) {
 	}
 	c := restoredCopy(t, a, fresh())
 	if !c.Down() {
-		t.Fatal("restored engine lost the down bit")
+		t.Fatal("restored device lost the down bit")
 	}
 	if _, _, err := c.Read(0); !errors.Is(err, memctrl.ErrCrashed) {
-		t.Fatalf("read on a restored down engine: %v", err)
+		t.Fatalf("read on a restored down device: %v", err)
 	}
 	repA, err := a.Recover()
 	if err != nil {
@@ -447,9 +281,106 @@ func TestEngineCheckpointRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointUnderConcurrentLoad takes a checkpoint while four writers
+// run. The cut must be consistent: restored onto a fresh device, every
+// line holds a version its writer had been acked for by the time Checkpoint
+// was called, or issued by the time it returned, and the image verifies.
+func TestCheckpointUnderConcurrentLoad(t *testing.T) {
+	const (
+		shards  = 4
+		writers = 4
+		lines   = 8 // per writer; consecutive lines, so each writer spans every shard
+	)
+	a, err := device.New(testOpts(shards, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Writer w's n-th write puts version n on its line n%lines. issued is
+	// stored before the write is submitted, acked after it returned.
+	addrOf := func(w, k int) uint64 { return uint64(w*lines+k) * nvm.LineSize }
+	var issued, acked [writers]atomic.Int64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		issued[w].Store(-1)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := 0; !stop.Load(); n++ {
+				addr := addrOf(w, n%lines)
+				line := fill(addr, uint64(n))
+				issued[w].Store(int64(n))
+				if _, err := a.Write(addr, &line); err != nil {
+					t.Errorf("writer %d write %d: %v", w, n, err)
+					return
+				}
+				acked[w].Store(int64(n + 1))
+			}
+		}(w)
+	}
+	// Let every writer lap its lines before cutting.
+	for w := 0; w < writers; w++ {
+		for acked[w].Load() < 4*lines && !t.Failed() {
+			runtime.Gosched()
+		}
+	}
+	var lo, hi [writers]int64
+	for w := range lo {
+		lo[w] = acked[w].Load()
+	}
+	ckpt, err := a.Checkpoint()
+	for w := range hi {
+		hi[w] = issued[w].Load()
+	}
+	stop.Store(true)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	b, err := device.New(testOpts(shards, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Restore(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < writers; w++ {
+		for k := 0; k < lines; k++ {
+			addr := addrOf(w, k)
+			got, _, err := b.Read(addr)
+			if err != nil {
+				t.Fatalf("writer %d line %d: %v", w, k, err)
+			}
+			// Oldest admissible version: the last write to this line
+			// acked before the cut. Newest: the last one issued by its end.
+			oldest := (lo[w]-1-int64(k))/lines*lines + int64(k)
+			found := false
+			for n := oldest; n <= hi[w]; n += lines {
+				if got == fill(addr, uint64(n)) {
+					found = true
+					break
+				}
+			}
+			if !found {
+				t.Errorf("writer %d line %d: restored content is none of versions %d..%d (step %d)",
+					w, k, oldest, hi[w], lines)
+			}
+		}
+	}
+	for _, d := range []*device.Device{a, b} {
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.VerifyAll(); err != nil {
+			t.Fatalf("image fails verification: %v", err)
+		}
+	}
+}
+
 // TestEngineRestoreRejectsMismatch covers the identity and integrity gates.
 func TestEngineRestoreRejectsMismatch(t *testing.T) {
-	a, err := device.NewEngine(engineOpts(4, false))
+	a, err := device.New(testOpts(4, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +393,7 @@ func TestEngineRestoreRejectsMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	other, err := device.NewEngine(engineOpts(8, false))
+	other, err := device.New(testOpts(8, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +409,7 @@ func TestEngineRestoreRejectsMismatch(t *testing.T) {
 		t.Fatal("corrupted checkpoint accepted")
 	}
 	// A well-formed envelope of the previous layout version (which carried
-	// queue state this engine no longer has) is refused by version.
+	// queue state the device no longer has) is refused by version.
 	payload, err := sim.Open(sim.SnapKindEngine, 2, ckpt)
 	if err != nil {
 		t.Fatal(err)
@@ -486,7 +417,7 @@ func TestEngineRestoreRejectsMismatch(t *testing.T) {
 	if err := a.Restore(sim.Seal(sim.SnapKindEngine, 1, payload)); err == nil {
 		t.Fatal("v1 envelope accepted")
 	}
-	// The engine must still work after rejecting garbage.
+	// The device must still work after rejecting garbage.
 	if err := a.Restore(ckpt); err != nil {
 		t.Fatalf("valid checkpoint rejected after garbage: %v", err)
 	}
@@ -507,26 +438,24 @@ func TestEngineScale1000Shards(t *testing.T) {
 	sys := config.TestSystem()
 	sys.NVM.CapacityBytes = 4 << 20 << 6 // 256 MB device, 256 KB per shard
 	sys.Security.MetadataCache = config.CacheConfig{SizeBytes: 1 << 10, Ways: 2, LatencyCycles: 3}
-	mk := func() *device.Engine {
-		eng, err := device.NewEngine(device.EngineOptions{
-			Options: device.Options{
-				System: sys,
-				Mode:   memctrl.ModeSAC,
-				Key:    []byte("engine-scale-key"),
-				Shards: shards,
-			},
+	mk := func() *device.Device {
+		dev, err := device.New(device.Options{
+			System: sys,
+			Mode:   memctrl.ModeSAC,
+			Key:    []byte("engine-scale-key"),
+			Shards: shards,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return eng
+		return dev
 	}
-	drive := func(eng *device.Engine) {
+	drive := func(dev *device.Device) {
 		for round := 0; round < 2; round++ {
 			for s := 0; s < shards; s++ {
 				addr := uint64(s+round*shards) * nvm.LineSize
 				line := fill(addr, uint64(round))
-				if _, err := eng.Write(addr, &line); err != nil {
+				if _, err := dev.Write(addr, &line); err != nil {
 					t.Fatalf("shard %d round %d: %v", s, round, err)
 				}
 			}
@@ -538,7 +467,7 @@ func TestEngineScale1000Shards(t *testing.T) {
 	drive(b)
 	sameCheckpoint(t, a, b, "across two identical 1024-shard runs")
 
-	// Restore the full 1024-shard state into a third engine and spot-check.
+	// Restore the full 1024-shard state into a third device and spot-check.
 	c := restoredCopy(t, a, mk())
 	for s := 0; s < shards; s += 97 {
 		addr := uint64(s+shards) * nvm.LineSize

@@ -22,7 +22,7 @@ type Client interface {
 	Crash() error
 	// Recover rebuilds every shard and reports what each reconstructed.
 	Recover() (*RecoveryReport, error)
-	// Close releases the client (and, for *Device, stops the shards).
+	// Close releases the client (and, for *Device, shuts the device down).
 	Close() error
 }
 

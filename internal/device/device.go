@@ -2,42 +2,39 @@
 // thread-safe secure-NVM device service. The address space is sharded by
 // line interleaving across N independent controllers — each with its own
 // metadata cache, WPQ, telemetry registry and simulated clock — and every
-// shard is driven by exactly one goroutine, preserving the controller's
+// shard is guarded by one mutex, preserving the controller's
 // single-threaded contract while the device as a whole serves concurrent
 // traffic.
 //
-// The concurrency model, in one paragraph: callers Submit requests into
-// bounded per-shard queues (backpressure is a typed *BusyError with a
-// retry-after hint, never a block); each shard worker drains its queue in
-// batches, coalescing adjacent writes to the same line before WPQ
-// admission; control operations (Crash, Recover, Flush, VerifyAll) are
-// broadcast to every shard and collected in shard order under one
-// control mutex, and Crash additionally advances a device-wide epoch so
-// data requests admitted before the crash barrier are retired unexecuted
-// — the same thing a real power cut does to queued commands.
+// The concurrency model, in one paragraph: every data operation executes in
+// place, on the caller's goroutine, under the lock of the shard that owns
+// its address; the device keeps no goroutine and holds no queue, so
+// callers on different shards run in parallel and callers on one shard take
+// turns. ExecBatch partitions a batch by shard and runs each shard's group
+// under one lock hold, coalescing superseded writes inside the group.
+// Control operations (Crash, Recover, Flush, VerifyAll) visit every shard
+// under one control mutex and report in shard order, and Crash additionally
+// advances a device-wide epoch so data operations stamped before the crash
+// barrier — callers still waiting for their shard — are retired unexecuted,
+// the same thing a real power cut does to queued commands.
 //
-// Determinism: for a fixed per-shard request order the device is fully
+// Determinism: for a fixed per-shard operation order the device is fully
 // deterministic — each shard's sim clock, controller state and telemetry
-// registry depend only on its own stream, and Snapshot merges the
-// per-shard registries in shard order. A closed-loop client that keeps at
-// most one request in flight per shard therefore produces byte-identical
-// telemetry snapshots at any worker count (cmd/loadgen's golden test).
-// Batching and coalescing only engage when a queue actually backs up, so
-// they never perturb a closed-loop run.
-//
-// Engine is the second host of the same per-shard state machine
-// (shardCore): no goroutines and no queues, every operation executes in
-// place on the caller's goroutine. It trades concurrency for a device that
-// is a plain value — Checkpoint/Restore round-trip it byte-for-byte and a
-// recorded Trace replays it — and is what the tenant service and the chaos
-// replay harness run on.
+// registry depend only on its own stream, and Snapshot merges the per-shard
+// registries in shard order. A closed-loop client that keeps at most one
+// operation in flight per shard therefore produces byte-identical telemetry
+// snapshots at any worker count (cmd/loadgen's golden test), and a
+// single-goroutine driver makes the whole device a pure function of its
+// call sequence: Checkpoint/Restore round-trip it byte-for-byte and a
+// recorded Trace replays it, which is what the tenant service and the chaos
+// replay harness build on.
 package device
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"soteria/internal/config"
 	"soteria/internal/inject"
@@ -60,39 +57,15 @@ type Options struct {
 	Key []byte
 	// Shards is the number of independent controllers (default 1).
 	Shards int
-	// QueueDepth bounds each shard's request queue (default 64). A full
-	// queue rejects submissions with *BusyError.
-	QueueDepth int
-	// BatchSize bounds how many queued requests one worker iteration
-	// drains and coalesces (default 8).
-	BatchSize int
 	// Ctrl passes through controller options (Osiris limit, ablations).
 	Ctrl memctrl.Options
 	// Telemetry attaches a per-shard registry to every controller stack;
 	// Snapshot merges them in shard order.
 	Telemetry bool
-}
-
-func (o *Options) info() Info {
-	return Info{
-		Shards:        o.Shards,
-		CapacityBytes: o.System.NVM.CapacityBytes,
-		Mode:          o.Mode.String(),
-		QueueDepth:    o.QueueDepth,
-		BatchSize:     o.BatchSize,
-	}
-}
-
-func (o *Options) fill() {
-	if o.Shards <= 0 {
-		o.Shards = 1
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 64
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 8
-	}
+	// Trace records the canonical event trace (per-shard execution streams,
+	// concatenated in shard order) for chaos replay and determinism
+	// golden tests.
+	Trace bool
 }
 
 // Info describes a running device (served to loadgen over the wire so the
@@ -101,114 +74,85 @@ type Info struct {
 	Shards        int    `json:"shards"`
 	CapacityBytes uint64 `json:"capacity_bytes"`
 	Mode          string `json:"mode"`
-	QueueDepth    int    `json:"queue_depth"`
-	BatchSize     int    `json:"batch_size"`
 }
 
 // Device is the sharded, thread-safe secure-NVM service. All exported
 // methods are safe for concurrent use.
 type Device struct {
 	opts   Options
-	cores  []*shardCore
 	shards []*shard
 
-	// epoch is the crash-barrier generation. Data requests are stamped at
-	// submission; a Crash (or an in-flight power loss) advances it, and
-	// workers retire any dequeued request from an older epoch unexecuted.
+	// epoch is the crash-barrier generation. Data operations read it before
+	// they take their shard's lock; a Crash (or an in-flight power loss)
+	// advances it, and an operation that reaches its shard with an older
+	// stamp is retired unexecuted.
 	epoch atomic.Uint64
 	// down is set on power loss or Crash and cleared by Recover; data
-	// submissions are rejected while set.
+	// operations are rejected while set.
 	down atomic.Bool
-	// closed is set by Close; checked under subMu so no submission can
-	// race past a completed shutdown.
+	// closed is set by Close. Data operations check it again under the
+	// shard lock, so none runs once Close has visited its shard.
 	closed atomic.Bool
+	// nextID is the device-wide id the next executed data operation takes.
+	nextID atomic.Uint64
 
 	// ctl serializes control-plane operations (Crash/Recover/Flush/
-	// VerifyAll/Stats/SetHook/Close) so their shard broadcasts never
-	// interleave.
+	// VerifyAll/Stats/SetShardHooks/Checkpoint/Restore/Close) so their
+	// shard visits never interleave.
 	ctl sync.Mutex
-	// subMu guards the submission send: Submit holds it shared for the
-	// instant of the channel send; Close holds it exclusively to fence
-	// out in-flight senders before stopping the workers.
-	subMu sync.RWMutex
-	wg    sync.WaitGroup
+	// hooked records that some shard has an inject.Hook installed
+	// (guarded by ctl); see control.
+	hooked bool
 
-	// batchPool recycles ExecBatch's per-call scratch (per-shard groups
-	// and their reusable requests) so steady-state batched execution
-	// allocates nothing.
+	// batchPool recycles ExecBatch's per-call scratch (the per-shard
+	// groups) so steady-state batched execution allocates nothing.
 	batchPool sync.Pool
 }
 
-// newShardCores validates the sharding geometry (fill defaults, line
-// alignment, even division across shards) and builds one controller per
-// shard, each with its own telemetry registry when opts.Telemetry is set.
-// Shared by the goroutine Device and the deterministic Engine so both hosts
-// agree on the address-space split and on what a shard is.
-func newShardCores(env shardEnv, opts *Options) ([]*shardCore, error) {
-	opts.fill()
-	totalLines := opts.System.NVM.CapacityBytes / nvm.LineSize
-	if totalLines == 0 || opts.System.NVM.CapacityBytes%nvm.LineSize != 0 {
-		return nil, fmt.Errorf("device: capacity %d is not a positive multiple of the %d-byte line",
-			opts.System.NVM.CapacityBytes, nvm.LineSize)
+// New builds a sharded device: it validates the geometry (line alignment,
+// even division across shards) and builds one controller per shard, each
+// with its own telemetry registry when opts.Telemetry is set. The per-shard
+// capacity is System.NVM.CapacityBytes / Shards.
+func New(opts Options) (*Device, error) {
+	if opts.Shards <= 0 {
+		opts.Shards = 1
+	}
+	capacity := opts.System.NVM.CapacityBytes
+	totalLines := capacity / nvm.LineSize
+	if totalLines == 0 || capacity%nvm.LineSize != 0 {
+		return nil, fmt.Errorf("device: capacity %d is not a positive multiple of the %d-byte line", capacity, nvm.LineSize)
 	}
 	if totalLines%uint64(opts.Shards) != 0 {
 		return nil, fmt.Errorf("device: %d lines do not shard evenly across %d shards", totalLines, opts.Shards)
 	}
 	shardCfg := opts.System
-	shardCfg.NVM.CapacityBytes = opts.System.NVM.CapacityBytes / uint64(opts.Shards)
+	shardCfg.NVM.CapacityBytes = capacity / uint64(opts.Shards)
 
-	cores := make([]*shardCore, opts.Shards)
-	for i := range cores {
+	d := &Device{opts: opts, shards: make([]*shard, opts.Shards)}
+	for i := range d.shards {
 		ctrl, err := memctrl.New(shardCfg, opts.Mode, opts.Key, opts.Ctrl)
 		if err != nil {
 			return nil, fmt.Errorf("device: shard %d: %w", i, err)
 		}
-		core := &shardCore{id: i, env: env, ctrl: ctrl}
+		s := &shard{id: i, dev: d, ctrl: ctrl}
 		if opts.Telemetry {
-			core.reg = telemetry.NewRegistry()
-			ctrl.AttachTelemetry(core.reg)
-			core.retired = core.reg.Counter("device_retired_requests_total")
-			core.powerLoss = core.reg.Counter("device_power_losses_total")
-		}
-		cores[i] = core
-	}
-	return cores, nil
-}
-
-// New builds and starts a sharded device. The per-shard capacity is
-// System.NVM.CapacityBytes / Shards; the total line count must divide
-// evenly.
-func New(opts Options) (*Device, error) {
-	d := &Device{}
-	cores, err := newShardCores(d, &opts)
-	if err != nil {
-		return nil, err
-	}
-	d.opts, d.cores, d.shards = opts, cores, make([]*shard, len(cores))
-	for i, core := range cores {
-		s := &shard{
-			shardCore: core,
-			dev:       d,
-			reqs:      make(chan *request, opts.QueueDepth),
-			batchMax:  opts.BatchSize,
-		}
-		if opts.Telemetry {
+			s.reg = telemetry.NewRegistry()
+			ctrl.AttachTelemetry(s.reg)
+			s.retired = s.reg.Counter("device_retired_requests_total")
+			s.powerLoss = s.reg.Counter("device_power_losses_total")
 			s.batches = s.reg.Counter("device_batches_total")
-			s.batched = s.reg.Histogram("device_batch_size", telemetry.LinearBounds(1, 1, opts.BatchSize))
+			s.batched = s.reg.Histogram("device_batch_size", telemetry.LinearBounds(1, 1, 8))
 			s.coalesced = s.reg.Counter("device_coalesced_writes_total")
-			s.busy = s.reg.Counter("device_busy_rejects_total")
 		}
 		d.shards[i] = s
-	}
-	for _, s := range d.shards {
-		d.wg.Add(1)
-		go s.run()
 	}
 	return d, nil
 }
 
 // Info describes the device.
-func (d *Device) Info() Info { return d.opts.info() }
+func (d *Device) Info() Info {
+	return Info{Shards: d.opts.Shards, CapacityBytes: d.opts.System.NVM.CapacityBytes, Mode: d.opts.Mode.String()}
+}
 
 // Down reports whether the device is in the post-crash/power-loss state
 // where data operations are rejected until Recover — the readiness bit
@@ -221,13 +165,13 @@ func (d *Device) Down() bool {
 // shard g mod Shards (line interleaving, so sequential streams spread
 // across all controllers).
 func (d *Device) ShardOf(addr uint64) int {
-	return shardOf(addr, d.opts.Shards)
+	return int((addr / nvm.LineSize) % uint64(d.opts.Shards))
 }
 
 // localAddr translates a device address to the owning shard's local
 // address space: global line g becomes local line g / Shards.
 func (d *Device) localAddr(addr uint64) uint64 {
-	return toLocalAddr(addr, d.opts.Shards)
+	return (addr / nvm.LineSize) / uint64(d.opts.Shards) * nvm.LineSize
 }
 
 // GlobalAddr is the inverse mapping: the device address of local line
@@ -236,51 +180,54 @@ func (d *Device) GlobalAddr(shard int, local uint64) uint64 {
 	return ((local/nvm.LineSize)*uint64(d.opts.Shards) + uint64(shard)) * nvm.LineSize
 }
 
-func (d *Device) checkAddr(addr uint64) error {
-	return checkLineAddr(addr, d.opts.System.NVM.CapacityBytes)
-}
-
-// submit enqueues a data-plane request on the owning shard without
-// blocking; a full queue returns *BusyError immediately.
-func (d *Device) submit(op opcode, addr uint64, data *nvm.Line) response {
-	if err := d.checkAddr(addr); err != nil {
-		return response{err: err}
+// admit is the one rejection order of every data operation: ErrClosed,
+// then a misaligned or out-of-range address, then memctrl.ErrCrashed.
+func (d *Device) admit(addr uint64) error {
+	if d.closed.Load() {
+		return ErrClosed
+	}
+	if addr%nvm.LineSize != 0 {
+		return fmt.Errorf("device: unaligned address %#x", addr)
+	}
+	if capacity := d.opts.System.NVM.CapacityBytes; addr >= capacity {
+		return fmt.Errorf("device: address %#x beyond capacity %#x", addr, capacity)
 	}
 	if d.down.Load() {
-		return response{err: memctrl.ErrCrashed}
+		return memctrl.ErrCrashed
 	}
-	s := d.shards[d.ShardOf(addr)]
-	req := &request{op: op, addr: d.localAddr(addr), data: data, epoch: d.epoch.Load(), resp: make(chan response, 1)}
+	return nil
+}
 
-	d.subMu.RLock()
+// do executes one data-plane operation in place under the owning shard's
+// lock. The epoch is read before the lock is taken, so a caller still
+// waiting for its shard when Crash advances the barrier is retired.
+func (d *Device) do(op opcode, addr uint64, data *nvm.Line) response {
+	if err := d.admit(addr); err != nil {
+		return response{err: err}
+	}
+	epoch := d.epoch.Load()
+	s := d.shards[d.ShardOf(addr)]
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if d.closed.Load() {
-		d.subMu.RUnlock()
 		return response{err: ErrClosed}
 	}
-	select {
-	case s.reqs <- req:
-		d.subMu.RUnlock()
-	default:
-		pending := len(s.reqs)
-		d.subMu.RUnlock()
-		s.busy.Inc()
-		return response{err: &BusyError{Shard: s.id, Pending: pending, RetryAfter: s.retryHint(pending)}}
-	}
-	return <-req.resp
+	s.batches.Inc()
+	s.batched.Observe(1)
+	return s.exec(op, d.localAddr(addr), data, epoch)
 }
 
 // Read services one 64-byte read. The returned time is the simulated
 // latency of the access on its shard's clock.
 func (d *Device) Read(addr uint64) (nvm.Line, sim.Time, error) {
-	r := d.submit(opRead, addr, nil)
+	r := d.do(opRead, addr, nil)
 	return r.data, r.latency, r.err
 }
 
 // Write services one 64-byte write (encrypt, MAC, shadow log, WPQ on the
-// owning shard). data is copied before the call returns.
+// owning shard). data is not retained past the call.
 func (d *Device) Write(addr uint64, data *nvm.Line) (sim.Time, error) {
-	line := *data // the request outlives the caller's buffer
-	r := d.submit(opWrite, addr, &line)
+	r := d.do(opWrite, addr, data)
 	return r.latency, r.err
 }
 
@@ -288,27 +235,51 @@ func (d *Device) Write(addr uint64, data *nvm.Line) (sim.Time, error) {
 // left its write pending queue (the per-shard sfence). Device-wide
 // durability is Flush.
 func (d *Device) Drain(addr uint64) error {
-	return d.submit(opDrain, addr, nil).err
+	return d.do(opDrain, addr, nil).err
 }
 
-// broadcast sends one control request to every shard (blocking sends: the
-// workers are alive and draining) and collects the responses in shard
-// order. Callers hold d.ctl.
-func (d *Device) broadcast(op opcode, hook []inject.Hook) []response {
-	reqs := make([]*request, len(d.shards))
-	for i, s := range d.shards {
-		reqs[i] = &request{op: op, epoch: d.epoch.Load(), resp: make(chan response, 1)}
-		if hook != nil {
-			reqs[i].hook = hook[i]
-		}
-		d.subMu.RLock()
-		s.reqs <- reqs[i]
-		d.subMu.RUnlock()
-	}
+// powerCut takes the device down and advances the crash barrier. The two
+// live in atomics so a power loss on one shard reaches callers executing
+// on, or waiting for, every other shard immediately.
+func (d *Device) powerCut() {
+	d.down.Store(true)
+	d.epoch.Add(1)
+}
+
+// control runs one control opcode on every shard, each under its own lock,
+// and returns the responses in shard order. Callers hold d.ctl. The shards
+// are independent and Recover and Flush are the slow control paths, so the
+// visit is spread over one goroutine per P — the caller's included — each
+// taking the next unvisited shard until none is left; the helpers are
+// joined before control returns. With an inject.Hook installed on any shard
+// the caller visits alone, in shard order: a chaos harness is numbering
+// device-wide write boundaries, and a hook shared across shards is not
+// thread-safe.
+func (d *Device) control(op opcode) []response {
 	out := make([]response, len(d.shards))
-	for i, req := range reqs {
-		out[i] = <-req.resp
+	var next atomic.Int64
+	visit := func() {
+		for i := int(next.Add(1)) - 1; i < len(d.shards); i = int(next.Add(1)) - 1 {
+			s := d.shards[i]
+			s.mu.Lock()
+			out[i] = s.exec(op, 0, nil, 0)
+			s.mu.Unlock()
+		}
 	}
+	workers := min(runtime.GOMAXPROCS(0), len(d.shards))
+	if d.hooked {
+		workers = 1
+	}
+	var wg sync.WaitGroup
+	for h := 1; h < workers; h++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			visit()
+		}()
+	}
+	visit()
+	wg.Wait()
 	return out
 }
 
@@ -321,39 +292,8 @@ func firstErr(rs []response) error {
 	return nil
 }
 
-// recoveryReport collects the per-shard reports of one opRecover round, in
-// shard order, with the first shard error (the report is returned either
-// way: a nested power loss leaves partial reports worth printing).
-func recoveryReport(rs []response) (*RecoveryReport, error) {
-	rep := &RecoveryReport{Shards: make([]*memctrl.RecoveryReport, len(rs))}
-	for i, r := range rs {
-		rep.Shards[i] = r.report
-	}
-	return rep, firstErr(rs)
-}
-
-// repeatHook is SetHook's fan-out: the same hook for each of n shards.
-func repeatHook(h inject.Hook, n int) []inject.Hook {
-	hooks := make([]inject.Hook, n)
-	for i := range hooks {
-		hooks[i] = h
-	}
-	return hooks
-}
-
-// mergeSnapshots merges the per-shard telemetry registries in shard order
-// (the merge of nil registries — a host built without Telemetry — is an
-// empty snapshot).
-func mergeSnapshots(cores []*shardCore) *telemetry.Snapshot {
-	merged := &telemetry.Snapshot{}
-	for _, core := range cores {
-		merged.Merge(core.reg.Snapshot())
-	}
-	return merged
-}
-
 // Crash cuts power across the whole device: the epoch advances first, so
-// every data request still queued behind the barrier is retired
+// every data operation still waiting behind the barrier is retired
 // unexecuted, then each shard's controller drops its volatile state. The
 // device rejects data operations until Recover.
 func (d *Device) Crash() error {
@@ -363,21 +303,27 @@ func (d *Device) Crash() error {
 		return ErrClosed
 	}
 	d.powerCut()
-	return firstErr(d.broadcast(opCrash, nil))
+	return firstErr(d.control(opCrash))
 }
 
 // Recover rebuilds every shard after a crash and reports what each one
 // reconstructed, in shard order. On success the device accepts data
 // operations again. If a shard's recovery is itself cut by a power loss
-// (nested chaos injection), the error is a *PowerError and the device
-// stays down: call Crash and Recover again.
+// (nested chaos injection), the error is a *PowerError, the report holds
+// the partial per-shard reports, and the device stays down: call Crash and
+// Recover again.
 func (d *Device) Recover() (*RecoveryReport, error) {
 	d.ctl.Lock()
 	defer d.ctl.Unlock()
 	if d.closed.Load() {
 		return nil, ErrClosed
 	}
-	rep, err := recoveryReport(d.broadcast(opRecover, nil))
+	rs := d.control(opRecover)
+	rep := &RecoveryReport{Shards: make([]*memctrl.RecoveryReport, len(rs))}
+	for i, r := range rs {
+		rep.Shards[i] = r.report
+	}
+	err := firstErr(rs)
 	if err == nil {
 		d.down.Store(false)
 	}
@@ -386,15 +332,15 @@ func (d *Device) Recover() (*RecoveryReport, error) {
 
 // Flush writes back every dirty metadata block and drains the WPQ on all
 // shards — the device-wide durability barrier a clean shutdown performs.
-// Unlike Crash it does not fence the epoch: requests already queued
-// execute before the flush reaches their shard.
+// Unlike Crash it does not fence the epoch: operations already waiting for
+// a shard may execute before or after the flush reaches it.
 func (d *Device) Flush() error {
 	d.ctl.Lock()
 	defer d.ctl.Unlock()
 	if d.closed.Load() {
 		return ErrClosed
 	}
-	return firstErr(d.broadcast(opFlush, nil))
+	return firstErr(d.control(opFlush))
 }
 
 // VerifyAll re-verifies the full NVM image of every shard.
@@ -404,12 +350,11 @@ func (d *Device) VerifyAll() error {
 	if d.closed.Load() {
 		return ErrClosed
 	}
-	return firstErr(d.broadcast(opVerify, nil))
+	return firstErr(d.control(opVerify))
 }
 
-// Stats sums the controller statistics across shards. The collection runs
-// through the shard queues, so it reflects a consistent per-shard point
-// in each stream.
+// Stats sums the controller statistics across shards, reading each shard
+// under its lock, so the sum reflects a consistent point in each stream.
 func (d *Device) Stats() memctrl.Stats {
 	d.ctl.Lock()
 	defer d.ctl.Unlock()
@@ -417,18 +362,26 @@ func (d *Device) Stats() memctrl.Stats {
 	if d.closed.Load() {
 		return total
 	}
-	for _, r := range d.broadcast(opStats, nil) {
-		total.Add(r.stats)
+	for _, s := range d.shards {
+		s.mu.Lock()
+		total.Add(s.ctrl.Stats())
+		s.mu.Unlock()
 	}
 	return total
 }
 
 // SetHook installs the same chaos-injection hook on every shard's
-// controller stack. A shared hook is only safe when at most one request
-// is in flight device-wide (closed-loop chaos harness); concurrent
-// drivers must use SetShardHooks with per-shard state.
+// controller stack. The device calls a shared hook from one goroutine at a
+// time during control operations; data operations call it from whichever
+// goroutine issued them, so it is only safe under a driver that keeps at
+// most one data operation in flight device-wide (closed-loop chaos
+// harness). Concurrent drivers must use SetShardHooks with per-shard state.
 func (d *Device) SetHook(h inject.Hook) error {
-	return d.SetShardHooks(repeatHook(h, len(d.shards)))
+	hooks := make([]inject.Hook, len(d.shards))
+	for i := range hooks {
+		hooks[i] = h
+	}
+	return d.SetShardHooks(hooks)
 }
 
 // SetShardHooks installs hooks[i] on shard i's controller stack (nil
@@ -442,50 +395,54 @@ func (d *Device) SetShardHooks(hooks []inject.Hook) error {
 	if d.closed.Load() {
 		return ErrClosed
 	}
-	return firstErr(d.broadcast(opHook, hooks))
-}
-
-// Snapshot merges the per-shard telemetry registries in shard order. The
-// result is deterministic whenever each shard's request order is.
-func (d *Device) Snapshot() *telemetry.Snapshot { return mergeSnapshots(d.cores) }
-
-// Close drains and stops every shard worker. Data submissions racing with
-// Close either complete or return ErrClosed; requests already queued are
-// executed before their worker exits. Close is idempotent.
-func (d *Device) Close() error {
-	d.ctl.Lock()
-	defer d.ctl.Unlock()
-	if d.closed.Load() {
-		return nil
+	d.hooked = false
+	for i, s := range d.shards {
+		s.mu.Lock()
+		s.ctrl.SetHook(hooks[i])
+		s.mu.Unlock()
+		if hooks[i] != nil {
+			d.hooked = true
+		}
 	}
-	// Fence: after this critical section no sender is mid-send and every
-	// future Submit observes closed under the shared lock.
-	d.subMu.Lock()
-	d.closed.Store(true)
-	d.subMu.Unlock()
-	for _, s := range d.shards {
-		s.reqs <- &request{op: opStop, resp: make(chan response, 1)}
-	}
-	d.wg.Wait()
 	return nil
 }
 
-// retryHint estimates a backoff for a rejected submission from the
-// shard's recent wall-clock service time and the observed queue depth.
-type ewma struct{ ns atomic.Int64 }
+// Snapshot merges the per-shard telemetry registries in shard order (an
+// empty snapshot on a device built without Telemetry). The result is
+// deterministic whenever each shard's operation order is.
+func (d *Device) Snapshot() *telemetry.Snapshot {
+	merged := &telemetry.Snapshot{}
+	for _, s := range d.shards {
+		merged.Merge(s.reg.Snapshot())
+	}
+	return merged
+}
 
-func (e *ewma) observe(d time.Duration) {
-	const alpha = 8 // new sample weight 1/8
-	for {
-		old := e.ns.Load()
-		nw := old + (int64(d)-old)/alpha
-		if old == 0 {
-			nw = int64(d)
-		}
-		if e.ns.CompareAndSwap(old, nw) {
-			return
-		}
+// Close shuts the device down and returns once every data operation that
+// was executing has left its shard: those complete with their real result,
+// every later one gets ErrClosed. Close is idempotent.
+func (d *Device) Close() error {
+	d.ctl.Lock()
+	defer d.ctl.Unlock()
+	if d.closed.Swap(true) {
+		return nil
+	}
+	d.lockShards()
+	d.unlockShards()
+	return nil
+}
+
+// lockShards takes every shard lock in shard order (callers hold d.ctl, the
+// only path that holds more than one), stopping the data plane at an
+// operation boundary on every shard.
+func (d *Device) lockShards() {
+	for _, s := range d.shards {
+		s.mu.Lock()
 	}
 }
 
-func (e *ewma) value() time.Duration { return time.Duration(e.ns.Load()) }
+func (d *Device) unlockShards() {
+	for _, s := range d.shards {
+		s.mu.Unlock()
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -113,7 +115,8 @@ func TestRejectsBadAddresses(t *testing.T) {
 }
 
 // gateHook blocks the first write boundary it sees until released, so
-// tests can hold a shard worker mid-batch while they stuff its queue.
+// tests can hold an operation inside its shard while others line up on the
+// shard lock.
 type gateHook struct {
 	once    sync.Once
 	started chan struct{}
@@ -134,137 +137,8 @@ func (g *gateHook) Event(ev inject.Event) {
 	})
 }
 
-func TestBackpressureTypedBusy(t *testing.T) {
-	const depth = 4
-	d := newTestDevice(t, func(o *device.Options) {
-		o.Shards = 1
-		o.QueueDepth = depth
-	})
-	gate := newGateHook()
-	hooks := []inject.Hook{gate}
-	if err := d.SetShardHooks(hooks); err != nil {
-		t.Fatal(err)
-	}
-
-	// First write parks the worker inside the gate...
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		line := fill(0, 2)
-		if _, err := d.Write(0, &line); err != nil {
-			t.Errorf("gated write: %v", err)
-		}
-	}()
-	<-gate.started
-
-	// ...then fill the queue with spaced submissions (the worker already
-	// holds its batch, so nothing drains until the gate opens). Each
-	// waiter blocks on its response; the last ones may bounce.
-	for i := 1; i <= depth+1; i++ {
-		addr := uint64(i) * 64
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			line := fill(addr, 2)
-			_, err := d.Write(addr, &line)
-			if err != nil && !errors.Is(err, device.ErrBusy) {
-				t.Errorf("queued write %#x: %v", addr, err)
-			}
-		}()
-		time.Sleep(20 * time.Millisecond)
-	}
-	// The queue is now full: one more submission must bounce with the
-	// typed error instead of blocking.
-	var busy *device.BusyError
-	line := fill((depth+10)*64, 2)
-	_, err := d.Write((depth+10)*64, &line)
-	if err == nil {
-		t.Fatal("submission on a full queue succeeded; backpressure did not engage")
-	}
-	if !errors.As(err, &busy) {
-		t.Fatalf("want *BusyError, got %v", err)
-	}
-	if !errors.Is(busy, device.ErrBusy) {
-		t.Fatal("BusyError does not match ErrBusy sentinel")
-	}
-	if busy.Shard != 0 || busy.Pending == 0 || busy.RetryAfter <= 0 {
-		t.Fatalf("busy hint incomplete: %+v", busy)
-	}
-	close(gate.release)
-	wg.Wait()
-}
-
-func TestWriteCoalescingInBatch(t *testing.T) {
-	d := newTestDevice(t, func(o *device.Options) {
-		o.Shards = 1
-		o.QueueDepth = 16
-		o.BatchSize = 8
-		o.Telemetry = true
-	})
-	gate := newGateHook()
-	if err := d.SetShardHooks([]inject.Hook{gate}); err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		line := fill(64, 3)
-		if _, err := d.Write(64, &line); err != nil {
-			t.Errorf("gated write: %v", err)
-		}
-	}()
-	<-gate.started
-
-	// Three writes to the same line queue up behind the gate; when the
-	// worker drains them in one batch, the first two coalesce into the
-	// third.
-	results := make(chan error, 3)
-	for v := uint64(0); v < 3; v++ {
-		line := fill(0, 10+v)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := d.Write(0, &line)
-			results <- err
-		}()
-		// Space the submissions so they enqueue in salt order and the
-		// worker drains all three in a single batch.
-		time.Sleep(20 * time.Millisecond)
-	}
-	time.Sleep(50 * time.Millisecond)
-	if len(results) > 0 {
-		t.Fatal("writes completed before gate release")
-	}
-	close(gate.release)
-	wg.Wait()
-	close(results)
-	for err := range results {
-		if err != nil {
-			t.Fatalf("coalesced write: %v", err)
-		}
-	}
-
-	got, _, err := d.Read(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := fill(0, 12); got != want {
-		t.Fatal("last write did not win after coalescing")
-	}
-	snap := d.Snapshot()
-	if snap.Counters["device_coalesced_writes_total"] == 0 {
-		t.Fatal("no writes were coalesced (batch never formed?)")
-	}
-}
-
 func TestCrashRetiresQueuedRequests(t *testing.T) {
-	d := newTestDevice(t, func(o *device.Options) {
-		o.Shards = 1
-		o.QueueDepth = 8
-	})
+	d := newTestDevice(t, func(o *device.Options) { o.Shards = 1 })
 	line := fill(0, 4)
 	if _, err := d.Write(0, &line); err != nil {
 		t.Fatal(err)
@@ -279,11 +153,11 @@ func TestCrashRetiresQueuedRequests(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		l := fill(64, 4)
-		d.Write(64, &l) // parks the worker
+		d.Write(64, &l) // parks inside the shard, holding its lock
 	}()
 	<-gate.started
 
-	// Queue three more writes behind the gate, then crash: the barrier
+	// Line three more writes up on the shard lock, then crash: the barrier
 	// must retire them unexecuted.
 	errs := make([]error, 3)
 	for i := range errs {
@@ -296,9 +170,9 @@ func TestCrashRetiresQueuedRequests(t *testing.T) {
 			_, errs[i] = d.Write(addr, &l)
 		}()
 	}
-	// Let the writes enqueue behind the gate, then start the crash; the
-	// epoch advances (and opCrash lands in the queue) before the gate
-	// opens, so the queued writes must retire.
+	// Let the writes stamp their epoch and block on the lock, then start
+	// the crash; the epoch advances before the gate opens, so the waiting
+	// writes must retire.
 	time.Sleep(100 * time.Millisecond)
 	crashDone := make(chan error, 1)
 	go func() { crashDone <- d.Crash() }()
@@ -407,7 +281,6 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	d := newTestDevice(t, func(o *device.Options) {
 		o.Shards = 4
 		o.Telemetry = true
-		o.QueueDepth = 16
 	})
 	const workers = 8
 	var wg sync.WaitGroup
@@ -418,14 +291,12 @@ func TestConcurrentMixedLoad(t *testing.T) {
 			for i := 0; i < 150; i++ {
 				addr := uint64((w*151+i*7)%2048) * 64
 				if i%4 == 0 {
-					_, _, err := d.Read(addr)
-					if err != nil && !errors.Is(err, device.ErrBusy) {
+					if _, _, err := d.Read(addr); err != nil {
 						t.Errorf("read: %v", err)
 					}
 				} else {
 					line := fill(addr, uint64(w))
-					_, err := d.Write(addr, &line)
-					if err != nil && !errors.Is(err, device.ErrBusy) {
+					if _, err := d.Write(addr, &line); err != nil {
 						t.Errorf("write: %v", err)
 					}
 				}
@@ -443,6 +314,240 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	if err := d.VerifyAll(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRejectionOrder pins the one rejection order of every data op —
+// ErrClosed, then an address error, then memctrl.ErrCrashed — across Read,
+// Write, Drain and each ExecBatch op code.
+func TestRejectionOrder(t *testing.T) {
+	const shards = 4
+	capacity := config.TestSystem().NVM.CapacityBytes
+	crash := func(t *testing.T, d *device.Device) {
+		if err := d.Crash(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name  string
+		setup func(t *testing.T, d *device.Device)
+		addr  uint64
+		want  error // nil: an address error
+	}{
+		{name: "closed", addr: 0, want: device.ErrClosed,
+			setup: func(t *testing.T, d *device.Device) { d.Close() }},
+		{name: "closed beats bad address", addr: 7, want: device.ErrClosed,
+			setup: func(t *testing.T, d *device.Device) { d.Close() }},
+		{name: "closed beats down", addr: 0, want: device.ErrClosed,
+			setup: func(t *testing.T, d *device.Device) { crash(t, d); d.Close() }},
+		{name: "unaligned", addr: 7},
+		{name: "out-of-range", addr: capacity},
+		{name: "bad address beats down", addr: capacity, setup: crash},
+		{name: "down", addr: 0, want: memctrl.ErrCrashed, setup: crash},
+		{name: "other shard after power cut", addr: nvm.LineSize, want: memctrl.ErrCrashed,
+			setup: func(t *testing.T, d *device.Device) { cutPowerOnShard0(t, d, shards) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := newTestDevice(t, func(o *device.Options) { o.Shards = shards })
+			if tc.setup != nil {
+				tc.setup(t, d)
+			}
+			line := fill(tc.addr, 1)
+			batch := []device.BatchOp{
+				{Op: device.BatchRead, Addr: tc.addr},
+				{Op: device.BatchWrite, Addr: tc.addr, Line: line},
+				{Op: device.BatchDrain, Addr: tc.addr},
+			}
+			res := make([]device.BatchResult, len(batch))
+			if err := d.ExecBatch(batch, res); err != nil {
+				t.Fatal(err)
+			}
+			errs := map[string]error{
+				"ExecBatch/read": res[0].Err, "ExecBatch/write": res[1].Err, "ExecBatch/drain": res[2].Err,
+			}
+			_, _, errs["Read"] = d.Read(tc.addr)
+			_, errs["Write"] = d.Write(tc.addr, &line)
+			errs["Drain"] = d.Drain(tc.addr)
+			for op, err := range errs {
+				switch {
+				case err == nil:
+					t.Errorf("%s accepted", op)
+				case tc.want != nil && !errors.Is(err, tc.want):
+					t.Errorf("%s: got %v, want %v", op, err, tc.want)
+				case tc.want == nil && !strings.Contains(err.Error(), "address"):
+					t.Errorf("%s: got %v, want an address error", op, err)
+				}
+			}
+		})
+	}
+}
+
+// TestCloseWaitsForInFlight: Close returns only after an op already inside
+// its shard has finished with its real result; ops that were waiting for
+// the shard, and every later op, get ErrClosed; a second Close is a no-op.
+func TestCloseWaitsForInFlight(t *testing.T) {
+	d := newTestDevice(t, func(o *device.Options) { o.Shards = 2 })
+	gate := newGateHook()
+	if err := d.SetShardHooks([]inject.Hook{gate, nil}); err != nil {
+		t.Fatal(err)
+	}
+	parked := make(chan error, 1)
+	go func() {
+		line := fill(0, 9)
+		_, err := d.Write(0, &line)
+		parked <- err
+	}()
+	<-gate.started
+
+	// A second writer lines up on shard 0's lock before Close begins.
+	waiting := make(chan error, 1)
+	go func() {
+		line := fill(128, 9)
+		_, err := d.Write(128, &line)
+		waiting <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+
+	closed := make(chan error, 1)
+	go func() { closed <- d.Close() }()
+	// Shard 1 is idle, so it answers ErrClosed as soon as Close has begun.
+	for {
+		if _, _, err := d.Read(64); errors.Is(err, device.ErrClosed) {
+			break
+		} else if err != nil {
+			t.Fatalf("read on the idle shard: %v", err)
+		}
+		runtime.Gosched()
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an op was still inside its shard")
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	close(gate.release)
+	if err := <-parked; err != nil {
+		t.Fatalf("op in flight at Close: %v, want its real result", err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-waiting; !errors.Is(err, device.ErrClosed) {
+		t.Fatalf("op waiting for its shard at Close: %v, want ErrClosed", err)
+	}
+	if _, _, err := d.Read(0); !errors.Is(err, device.ErrClosed) {
+		t.Fatalf("read after close: %v", err)
+	}
+	if err := d.Flush(); !errors.Is(err, device.ErrClosed) {
+		t.Fatalf("flush after close: %v", err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// countingHook is deliberately not thread-safe: the race detector flags
+// any two shards calling it concurrently.
+type countingHook struct{ events int }
+
+func (h *countingHook) Event(inject.Event) { h.events++ }
+
+// TestSharedHookControlIsSerial: with one hook shared by all shards,
+// Flush, Crash and Recover visit the shards one at a time (run under
+// -race).
+func TestSharedHookControlIsSerial(t *testing.T) {
+	const shards = 8
+	d := newTestDevice(t, func(o *device.Options) { o.Shards = shards })
+	h := &countingHook{}
+	if err := d.SetHook(h); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 4*shards; i++ {
+		line := fill(i*64, 6)
+		if _, err := d.Write(i*64, &line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := h.events
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if h.events == before {
+		t.Fatal("control ops crossed no hook event; the test is vacuous")
+	}
+}
+
+// TestDeviceOpAllocs pins the steady-state single-op path at zero
+// allocations: no request, no response channel, no copy of the line.
+func TestDeviceOpAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	d := newTestDevice(t, nil)
+	const lines = 64
+	line := fill(0, 8)
+	// Warm: fault in the metadata cache and the lazily populated NVM
+	// backing lines of the working set.
+	for pass := 0; pass < 16; pass++ {
+		for i := uint64(0); i < lines; i++ {
+			if _, err := d.Write(i*64, &line); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	i := uint64(0)
+	writes := testing.AllocsPerRun(4*lines, func() {
+		if _, err := d.Write(i%lines*64, &line); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	reads := testing.AllocsPerRun(4*lines, func() {
+		if _, _, err := d.Read(i % lines * 64); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if writes != 0 || reads != 0 {
+		t.Fatalf("steady state allocates %.2f per Write, %.2f per Read, want 0", writes, reads)
+	}
+}
+
+// TestDeviceSpawnsNoGoroutines: the device owns no goroutine — building,
+// driving and closing a 1024-shard device leaves the count where it was.
+func TestDeviceSpawnsNoGoroutines(t *testing.T) {
+	sys := config.TestSystem()
+	sys.NVM.CapacityBytes = 4 << 20 << 6
+	sys.Security.MetadataCache = config.CacheConfig{SizeBytes: 1 << 10, Ways: 2, LatencyCycles: 3}
+	base := runtime.NumGoroutine()
+	d, err := device.New(device.Options{System: sys, Mode: memctrl.ModeSAC, Key: []byte("k"), Shards: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		if n := runtime.NumGoroutine(); n != base {
+			t.Fatalf("%s: %d goroutines, started with %d", when, n, base)
+		}
+	}
+	check("after New")
+	for s := uint64(0); s < 1024; s++ {
+		line := fill(s*64, 1)
+		if _, err := d.Write(s*64, &line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after one write per shard")
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("after Close")
 }
 
 func TestCloseRejectsAndIsIdempotent(t *testing.T) {

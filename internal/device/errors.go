@@ -10,9 +10,11 @@ import (
 // detail but match these sentinels through errors.Is, so callers can
 // branch without type assertions.
 var (
-	// ErrBusy: the target shard's request queue is full. The concrete
-	// error is always a *BusyError carrying a retry-after hint.
-	ErrBusy = errors.New("device: shard queue full")
+	// ErrBusy: the service shed the request under load. The device itself
+	// never does — a caller waits for its shard's lock — so the concrete
+	// error is a *BusyError built by a layer above it: devnet's in-flight
+	// cap or the tenant service's fair-share gate.
+	ErrBusy = errors.New("device: busy")
 	// ErrClosed: the device has been shut down.
 	ErrClosed = errors.New("device: closed")
 	// ErrRetired: the request was admitted before a crash barrier and
@@ -24,20 +26,22 @@ var (
 	ErrPowerLoss = errors.New("device: power loss during operation")
 )
 
-// BusyError is the typed backpressure signal: the shard queue was full at
-// submit time. RetryAfter estimates when a slot will open, extrapolated
-// from the shard's recent wall-clock service rate and its queue depth.
+// BusyError is the typed backpressure signal of the layers above the
+// device: the request was shed, not executed, and may be retried after
+// RetryAfter.
 type BusyError struct {
-	// Shard is the shard whose queue rejected the request.
+	// Shard names the gate that shed the request: -1 the server's
+	// in-flight cap, -2 the tenant fair-share gate.
 	Shard int
-	// Pending is the queue occupancy observed at rejection.
+	// Pending is the load observed at rejection (requests in flight, or
+	// the ops the tenant has used this window).
 	Pending int
 	// RetryAfter is the suggested wall-clock backoff before retrying.
 	RetryAfter time.Duration
 }
 
 func (e *BusyError) Error() string {
-	return fmt.Sprintf("device: shard %d queue full (%d pending, retry after %v)", e.Shard, e.Pending, e.RetryAfter)
+	return fmt.Sprintf("device: busy (gate %d, %d pending, retry after %v)", e.Shard, e.Pending, e.RetryAfter)
 }
 
 // Is matches ErrBusy.
@@ -60,7 +64,7 @@ func (e *PowerError) Error() string {
 // Is matches ErrPowerLoss.
 func (e *PowerError) Is(target error) bool { return target == ErrPowerLoss }
 
-// PanicError wraps a non-PowerLoss panic recovered from a shard worker.
+// PanicError wraps a non-PowerLoss panic recovered from a shard operation.
 // The storage stack promises that a simulated power cut is the only
 // legitimate panic, so seeing this error is itself an invariant violation
 // the chaos harness reports.
@@ -70,5 +74,5 @@ type PanicError struct {
 }
 
 func (e *PanicError) Error() string {
-	return fmt.Sprintf("device: shard %d worker panicked: %v", e.Shard, e.Value)
+	return fmt.Sprintf("device: shard %d panicked: %v", e.Shard, e.Value)
 }

@@ -10,34 +10,31 @@ import (
 	"soteria/internal/nvm"
 )
 
-func fuzzEngine(t testing.TB) *device.Engine {
-	// A deliberately tiny device: the fuzzer rebuilds the engine on every
-	// exec, so construction cost bounds throughput.
+func fuzzDevice(t testing.TB) *device.Device {
+	// A deliberately tiny device: the fuzzer rebuilds it on every exec, so
+	// construction cost bounds throughput.
 	sys := config.TestSystem()
 	sys.NVM.CapacityBytes = 256 << 10
-	eng, err := device.NewEngine(device.EngineOptions{
-		Options: device.Options{
-			System:     sys,
-			Mode:       memctrl.ModeSAC,
-			Key:        []byte("fuzz-ckpt-key"),
-			Shards:     2,
-			QueueDepth: 8,
-		},
+	dev, err := device.New(device.Options{
+		System: sys,
+		Mode:   memctrl.ModeSAC,
+		Key:    []byte("fuzz-ckpt-key"),
+		Shards: 2,
 	})
 	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
+		t.Fatalf("New: %v", err)
 	}
-	return eng
+	return dev
 }
 
-// FuzzCheckpointRestore mutates serialized engine checkpoints: Restore
+// FuzzCheckpointRestore mutates serialized device checkpoints: Restore
 // must either reject the bytes with an error or accept them into a state
 // that round-trips byte-for-byte — and must never panic. The seed corpus
-// covers a pristine engine, one with traffic, one crashed by a power loss
+// covers a pristine device, one with traffic, one crashed by a power loss
 // mid-write, and structurally broken variants.
 func FuzzCheckpointRestore(f *testing.F) {
-	eng := fuzzEngine(f)
-	pristine, err := eng.Checkpoint()
+	dev := fuzzDevice(f)
+	pristine, err := dev.Checkpoint()
 	if err != nil {
 		f.Fatalf("pristine checkpoint: %v", err)
 	}
@@ -48,11 +45,11 @@ func FuzzCheckpointRestore(f *testing.F) {
 		line[i] = byte(i * 7)
 	}
 	for i := 0; i < 24; i++ {
-		if _, err := eng.Write(uint64(i%12)*nvm.LineSize, &line); err != nil {
+		if _, err := dev.Write(uint64(i%12)*nvm.LineSize, &line); err != nil {
 			f.Fatalf("seed write %d: %v", i, err)
 		}
 	}
-	busy, err := eng.Checkpoint()
+	busy, err := dev.Checkpoint()
 	if err != nil {
 		f.Fatalf("busy checkpoint: %v", err)
 	}
@@ -60,11 +57,11 @@ func FuzzCheckpointRestore(f *testing.F) {
 
 	// Power lost mid-write, then crashed: down, barrier advanced, a torn
 	// write group in NVM and nothing recovered yet.
-	cutPowerOnShard0(f, eng, 2)
-	if err := eng.Crash(); err != nil {
+	cutPowerOnShard0(f, dev, 2)
+	if err := dev.Crash(); err != nil {
 		f.Fatalf("seed crash: %v", err)
 	}
-	crashed, err := eng.Checkpoint()
+	crashed, err := dev.Checkpoint()
 	if err != nil {
 		f.Fatalf("crashed checkpoint: %v", err)
 	}
@@ -78,25 +75,25 @@ func FuzzCheckpointRestore(f *testing.F) {
 	f.Add([]byte("SOTC not actually a checkpoint"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		eng := fuzzEngine(t)
-		defer eng.Close()
-		if err := eng.Restore(data); err != nil {
+		dev := fuzzDevice(t)
+		defer dev.Close()
+		if err := dev.Restore(data); err != nil {
 			// Rejected — the only acceptable alternative to a clean
 			// round-trip.
 			return
 		}
 		// Accepted: the restored state must be checkpointable again and
 		// byte-stable through a second restore.
-		ckpt, err := eng.Checkpoint()
+		ckpt, err := dev.Checkpoint()
 		if err != nil {
 			t.Fatalf("Restore accepted %d bytes but re-checkpoint failed: %v", len(data), err)
 		}
-		eng2 := fuzzEngine(t)
-		defer eng2.Close()
-		if err := eng2.Restore(ckpt); err != nil {
+		dev2 := fuzzDevice(t)
+		defer dev2.Close()
+		if err := dev2.Restore(ckpt); err != nil {
 			t.Fatalf("re-checkpoint of an accepted restore does not restore: %v", err)
 		}
-		ckpt2, err := eng2.Checkpoint()
+		ckpt2, err := dev2.Checkpoint()
 		if err != nil {
 			t.Fatalf("second re-checkpoint failed: %v", err)
 		}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"soteria/internal/chaos"
 	"soteria/internal/config"
@@ -14,12 +13,12 @@ import (
 	"soteria/internal/nvm"
 )
 
-// TestCrashMidBatchPerShard is the satellite-4 sweep: concurrent writers
-// keep every shard's queue busy (so the workers really form batches), a
-// chaos injector cuts power at boundary k of one targeted shard, and
-// after Crash/Recover the test asserts (a) every shard's recovery report
-// is present and — crash-only, no device faults — clean, and (b) every
-// write that was acknowledged before the cut reads back exactly.
+// TestCrashMidBatchPerShard is the concurrent crash sweep: four writers
+// contend for every shard's lock, a chaos injector cuts power at boundary
+// k of one targeted shard, and after Crash/Recover the test asserts (a)
+// every shard's recovery report is present and — crash-only, no device
+// faults — clean, and (b) every write that was acknowledged before the cut
+// reads back exactly.
 func TestCrashMidBatchPerShard(t *testing.T) {
 	const (
 		shards       = 4
@@ -30,12 +29,10 @@ func TestCrashMidBatchPerShard(t *testing.T) {
 		for _, crashAt := range []int{0, 3, 8} {
 			t.Run("", func(t *testing.T) {
 				d, err := device.New(device.Options{
-					System:     config.TestSystem(),
-					Mode:       memctrl.ModeSRC,
-					Key:        []byte("recovery-test-key"),
-					Shards:     shards,
-					QueueDepth: 32,
-					BatchSize:  4,
+					System: config.TestSystem(),
+					Mode:   memctrl.ModeSRC,
+					Key:    []byte("recovery-test-key"),
+					Shards: shards,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -56,8 +53,8 @@ func TestCrashMidBatchPerShard(t *testing.T) {
 				}
 
 				// Each writer owns a contiguous run of global lines, so
-				// its stream cycles through every shard and the shard
-				// queues see concurrent traffic from all writers.
+				// its stream cycles through every shard and every shard
+				// sees concurrent traffic from all writers.
 				type ack struct {
 					addr uint64
 					line nvm.Line
@@ -71,26 +68,19 @@ func TestCrashMidBatchPerShard(t *testing.T) {
 						for j := 0; j < opsPerWriter; j++ {
 							addr := uint64(w*opsPerWriter+j) * nvm.LineSize
 							line := fill(addr, uint64(w)<<32|uint64(j))
-							for {
-								_, err := d.Write(addr, &line)
-								if errors.Is(err, device.ErrBusy) {
-									time.Sleep(time.Millisecond)
-									continue
-								}
-								if err == nil {
-									acked[w] = append(acked[w], ack{addr, line})
-									break
-								}
-								// Power is gone (directly, or observed as
-								// crashed/retired): stop this writer.
-								if errors.Is(err, device.ErrPowerLoss) ||
-									errors.Is(err, memctrl.ErrCrashed) ||
-									errors.Is(err, device.ErrRetired) {
-									return
-								}
-								t.Errorf("writer %d op %d: %v", w, j, err)
-								return
+							_, err := d.Write(addr, &line)
+							if err == nil {
+								acked[w] = append(acked[w], ack{addr, line})
+								continue
 							}
+							// Power is gone (directly, or observed as
+							// crashed/retired): stop this writer.
+							if !errors.Is(err, device.ErrPowerLoss) &&
+								!errors.Is(err, memctrl.ErrCrashed) &&
+								!errors.Is(err, device.ErrRetired) {
+								t.Errorf("writer %d op %d: %v", w, j, err)
+							}
+							return
 						}
 					}(w)
 				}
@@ -206,6 +196,81 @@ func TestPowerLossTypedError(t *testing.T) {
 	}
 	if _, err := d.Write(0, &line); err != nil {
 		t.Fatalf("write after recovery: %v", err)
+	}
+}
+
+// TestNestedCrashDuringRecoverDeterministic: with hooks installed Recover
+// visits the shards in shard order on the caller's goroutine, so a power
+// loss armed at a device-wide boundary inside recovery fires at the same
+// boundary, on the same shard, every run — and a second Crash/Recover
+// then brings every acknowledged write back.
+func TestNestedCrashDuringRecoverDeterministic(t *testing.T) {
+	const (
+		shards = 8
+		writes = 96
+	)
+	// run drives the workload, crashes, and recovers with power armed to
+	// fail at device-wide boundary crashAt (negative: never). It returns
+	// the boundary counts before and after the first Recover.
+	run := func(crashAt int) (before, after int, perr *device.PowerError) {
+		d := newTestDevice(t, func(o *device.Options) { o.Shards = shards })
+		inj := chaos.NewDeviceInjector(crashAt)
+		if err := d.SetShardHooks(inj.ShardHooks(shards)); err != nil {
+			t.Fatal(err)
+		}
+		for i := uint64(0); i < writes; i++ {
+			line := fill(i*nvm.LineSize, 11)
+			if _, err := d.Write(i*nvm.LineSize, &line); err != nil {
+				t.Fatalf("write %d: %v", i, err)
+			}
+		}
+		if err := d.Crash(); err != nil {
+			t.Fatal(err)
+		}
+		before = inj.Boundaries()
+		_, err := d.Recover()
+		after = inj.Boundaries()
+		if crashAt < 0 {
+			if err != nil {
+				t.Fatalf("unarmed recover: %v", err)
+			}
+			return before, after, nil
+		}
+		if !errors.As(err, &perr) {
+			t.Fatalf("recover armed at boundary %d: %v, want *PowerError", crashAt, err)
+		}
+		if fired, shard := inj.Fired(); !fired || shard != perr.Shard {
+			t.Fatalf("injector fired=%t on shard %d, error names shard %d", fired, shard, perr.Shard)
+		}
+		if !d.Down() {
+			t.Fatal("device came up after a recovery cut by power loss")
+		}
+		inj.Disarm()
+		if err := d.Crash(); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := d.Recover()
+		if err != nil || !rep.Clean() {
+			t.Fatalf("second recover: %v (clean=%t)", err, err == nil && rep.Clean())
+		}
+		for i := uint64(0); i < writes; i++ {
+			got, _, err := d.Read(i * nvm.LineSize)
+			if err != nil || got != fill(i*nvm.LineSize, 11) {
+				t.Fatalf("line %d after nested recovery: err=%v", i, err)
+			}
+		}
+		return before, after, perr
+	}
+
+	before, after, _ := run(-1)
+	if after-before < 2 {
+		t.Fatalf("recovery crosses %d write boundaries; nothing to cut", after-before)
+	}
+	crashAt := before + (after-before)/2
+	_, _, first := run(crashAt)
+	_, _, second := run(crashAt)
+	if first.Boundary != crashAt || *first != *second {
+		t.Fatalf("nested power loss armed at %d fired at %+v, then %+v", crashAt, *first, *second)
 	}
 }
 

@@ -1,7 +1,7 @@
 package device
 
 import (
-	"time"
+	"sync"
 
 	"soteria/internal/inject"
 	"soteria/internal/memctrl"
@@ -10,145 +10,129 @@ import (
 	"soteria/internal/telemetry"
 )
 
-// opcode selects the operation a request carries.
+// opcode selects the operation exec runs on a shard. The data-plane values
+// (opRead..opDrain) are recorded in traces and must keep their values.
 type opcode uint8
 
 const (
 	opRead opcode = iota
 	opWrite
 	opDrain // per-shard WPQ drain (sfence)
-	// Control plane (broadcast under the device control mutex; these skip
-	// the epoch barrier because they implement it).
+	// Control plane (run on every shard by Device.control; these skip the
+	// epoch barrier because they implement it).
 	opFlush
 	opCrash
 	opRecover
 	opVerify
-	opStats
-	opHook
-	opStop
-	// opBatch carries one shard's slice of an ExecBatch call: the worker
-	// coalesces and executes exactly that group as a unit (batch.go).
-	// Appended last so the data-plane opcodes recorded in traces
-	// (opRead..opDrain) keep their values.
-	opBatch
 )
-
-// request is one unit of work on a shard queue. addr is shard-local.
-type request struct {
-	op    opcode
-	addr  uint64
-	data  *nvm.Line
-	hook  inject.Hook
-	epoch uint64
-	resp  chan response // buffered(1): the worker never blocks responding
-
-	// opBatch only: this shard's slice of one ExecBatch call — shard-local
-	// ops, their original indices, and the batch's shared result slice
-	// (shards own disjoint index sets, so concurrent workers never write
-	// the same slot).
-	bops []BatchOp
-	bidx []int32
-	bres []BatchResult
-}
 
 // response carries everything any opcode can return.
 type response struct {
 	data    nvm.Line
 	latency sim.Time
 	report  *memctrl.RecoveryReport
-	stats   memctrl.Stats
 	err     error
 }
 
-// shard couples one shardCore (controller, clock, execution state machine)
-// with its queue, worker state and metric handles. Everything below the
-// queue is touched only by the worker goroutine, preserving memctrl's
-// single-threaded contract.
+// shard is one slice of the device: a controller, its simulated clock and
+// the bookkeeping its execution path touches. mu serializes every access to
+// the fields below it, preserving memctrl's single-threaded contract; the
+// caller that holds it executes in place on its own goroutine.
 type shard struct {
-	*shardCore
-	dev      *Device
-	reqs     chan *request
-	batchMax int
+	mu sync.Mutex
 
-	// Coalescing scratch (worker-only), shared by runBatch and execBatch —
-	// the worker runs one or the other, never nested — and reused across
-	// calls so the steady-state loops perform no per-batch allocations.
+	id   int
+	dev  *Device
+	ctrl *memctrl.Controller
+	reg  *telemetry.Registry
+
+	// now is the shard's private simulated clock.
+	now sim.Time
+	// execSeq numbers the data ops this shard has executed; trace is their
+	// record when Options.Trace is set.
+	execSeq uint64
+	trace   []TraceEvent
+
+	// Coalescing scratch, reused across ExecBatch groups so the steady
+	// state allocates nothing.
 	supersededBy map[int]int    // dropped write index -> absorbing write index
 	lastWrite    map[uint64]int // local line addr -> pending write index
-	results      []response
 
-	// breq is execBatch's reusable per-op request.
-	breq request
-
-	// svc estimates wall-clock nanoseconds per request for retry hints.
-	svc ewma
-
+	retired   *telemetry.Counter
+	powerLoss *telemetry.Counter
 	batches   *telemetry.Counter
 	batched   *telemetry.Histogram
 	coalesced *telemetry.Counter
-	busy      *telemetry.Counter
 }
 
-// retryHint converts queue depth into a wall-clock backoff suggestion.
-func (s *shard) retryHint(pending int) time.Duration {
-	per := s.svc.value()
-	if per <= 0 {
-		per = time.Microsecond
+// exec runs one operation on the controller, converting an inject.PowerLoss
+// unwind into a typed error and a device-wide crash barrier. addr is
+// shard-local; epoch is the barrier generation the caller read before it
+// took s.mu. Each data op that passes the barrier takes the next op id and
+// the shard's next execution sequence number, and is recorded in the trace
+// before it runs, so a checkpoint plus the trace suffix replays the run
+// exactly.
+func (s *shard) exec(op opcode, addr uint64, data *nvm.Line, epoch uint64) (res response) {
+	d := s.dev
+	if op <= opDrain {
+		// A data op stamped before the last crash barrier is retired
+		// unexecuted: power was lost while it waited for the shard.
+		if epoch < d.epoch.Load() {
+			s.retired.Inc()
+			return response{err: ErrRetired}
+		}
+		if d.down.Load() {
+			return response{err: memctrl.ErrCrashed}
+		}
+		id := d.nextID.Add(1) - 1
+		if d.opts.Trace {
+			s.trace = append(s.trace,
+				TraceEvent{Shard: s.id, Seq: s.execSeq, At: s.now, Op: uint8(op), Addr: addr, ID: id})
+		}
+		s.execSeq++
 	}
-	return time.Duration(pending+1) * per
-}
 
-// run is the shard worker: drain a batch, coalesce, execute, respond. An
-// ExecBatch group (opBatch) is its own unit of coalescing and accounting,
-// so it is never folded into a queue slice: one met while filling a slice
-// ends the slice and is carried over as the next unit.
-func (s *shard) run() {
-	defer s.dev.wg.Done()
-	batch := make([]*request, 0, s.batchMax)
-	var carry *request
-	for {
-		req := carry
-		carry = nil
-		if req == nil {
-			req = <-s.reqs
-		}
-		if req.op == opBatch {
-			s.execBatch(req)
-			req.resp <- response{}
-			continue
-		}
-		batch = append(batch[:0], req)
-		// Opportunistically extend the batch with whatever is already
-		// queued, up to the batch bound; never wait for more.
-	fill:
-		for len(batch) < s.batchMax {
-			select {
-			case r := <-s.reqs:
-				if r.op == opBatch {
-					carry = r
-					break fill
-				}
-				batch = append(batch, r)
-			default:
-				break fill
+	defer func() {
+		if p := recover(); p != nil {
+			if pl, ok := p.(inject.PowerLoss); ok {
+				// Simulated power cut mid-operation: take the whole device
+				// down and retire everything waiting behind the barrier.
+				s.powerLoss.Inc()
+				d.powerCut()
+				res = response{err: &PowerError{Shard: s.id, Boundary: pl.Boundary}}
+				return
 			}
+			res = response{err: &PanicError{Shard: s.id, Value: p}}
 		}
-		if !s.runBatch(batch) {
-			if carry != nil {
-				carry.resp <- response{err: ErrClosed}
-			}
-			return
-		}
+	}()
+
+	before := s.now
+	switch op {
+	case opRead:
+		res.data, s.now, res.err = s.ctrl.ReadBlock(s.now, addr)
+	case opWrite:
+		s.now, res.err = s.ctrl.WriteBlock(s.now, addr, data)
+	case opDrain:
+		s.now = s.ctrl.DrainWPQ(s.now)
+	case opFlush:
+		s.now = s.ctrl.FlushAll(s.now)
+	case opCrash:
+		res.err = s.ctrl.Crash()
+	case opRecover:
+		res.report, res.err = s.ctrl.Recover()
+	case opVerify:
+		res.err = s.ctrl.VerifyAll()
 	}
+	res.latency = s.now - before
+	return res
 }
 
-// Write coalescing before WPQ admission: within one unit (a queue slice or
-// an ExecBatch group) a write superseded by a later write to the same line
-// — with no read of that line and no barrier-like operation in between —
-// is dropped and acknowledged with its superseder's outcome, exactly the
-// semantics of an ADR write-combining buffer. planReset starts a unit,
-// planOp feeds it op i in order; supersededBy then holds the dropped
-// indices and absorber resolves each to its surviving write.
+// Write coalescing: within one ExecBatch shard group a write superseded by
+// a later write to the same line — with no read of that line and no drain
+// in between — is dropped and acknowledged with its superseder's outcome,
+// exactly the semantics of an ADR write-combining buffer. planReset starts
+// a group, planOp feeds it op i in order; supersededBy then holds the
+// dropped indices and absorber resolves each to its surviving write.
 
 func (s *shard) planReset() {
 	if s.supersededBy == nil {
@@ -169,7 +153,7 @@ func (s *shard) planOp(i int, op opcode, addr uint64) {
 	case opRead:
 		delete(s.lastWrite, addr)
 	default:
-		// Drains, flushes and control ops order against every write.
+		// A drain orders against every write.
 		clear(s.lastWrite)
 	}
 }
@@ -189,74 +173,4 @@ func (s *shard) absorber(i int) (int, bool) {
 		}
 		j = k
 	}
-}
-
-// runBatch coalesces and executes one queue slice; false means opStop was
-// seen and the worker must exit (any requests after the stop are answered
-// with ErrClosed — Close has already fenced out new senders, so the tail
-// is finite and fully drained here).
-func (s *shard) runBatch(batch []*request) bool {
-	s.batches.Inc()
-	s.batched.Observe(uint64(len(batch)))
-
-	s.planReset()
-	for i, r := range batch {
-		s.planOp(i, r.op, r.addr)
-	}
-
-	if cap(s.results) < len(batch) {
-		s.results = make([]response, len(batch))
-	}
-	results := s.results[:len(batch)]
-	for i := range results {
-		results[i] = response{}
-	}
-	stopAt := -1
-	for i, r := range batch {
-		if _, dropped := s.supersededBy[i]; dropped {
-			s.coalesced.Inc()
-			continue
-		}
-		if stopAt >= 0 {
-			results[i] = response{err: ErrClosed}
-			continue
-		}
-		if r.op == opStop {
-			stopAt = i
-			continue
-		}
-		start := time.Now()
-		results[i] = s.exec(r)
-		s.svc.observe(time.Since(start))
-	}
-	for i, r := range batch {
-		if j, ok := s.absorber(i); ok {
-			// The absorbing write carries this one's durability; mirror
-			// its outcome with zero added latency.
-			results[i] = response{err: results[j].err}
-		}
-		r.resp <- results[i]
-	}
-	if stopAt >= 0 {
-		// Drain the finite tail left by senders that raced Close's fence.
-		for {
-			select {
-			case r := <-s.reqs:
-				r.resp <- response{err: ErrClosed}
-			default:
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Device is the shardEnv of its goroutine-backed shards: the crash barrier
-// and the down bit live in atomics so a power cut on one worker propagates
-// to concurrently executing shards immediately.
-func (d *Device) epochNow() uint64 { return d.epoch.Load() }
-func (d *Device) isDown() bool     { return d.down.Load() }
-func (d *Device) powerCut() {
-	d.down.Store(true)
-	d.epoch.Add(1)
 }

@@ -44,8 +44,8 @@ const (
 	// executed — safe to retry only because the server deduplicates by
 	// (session, seq).
 	ClassTransport
-	// ClassBusy: typed backpressure (shard queue full, or the server's
-	// max-in-flight cap). The operation did not execute; honor the
+	// ClassBusy: typed backpressure (the server's max-in-flight cap, or
+	// the tenant fair-share gate). The operation did not execute; honor the
 	// retry-after hint.
 	ClassBusy
 	// ClassRetired: the request was retired unexecuted by a crash

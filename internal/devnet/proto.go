@@ -101,7 +101,7 @@ const (
 	StatusOK uint8 = iota
 	// StatusBusy: body is [i32 shard][u32 pending][u64 retry-after ns].
 	// Shard -1 means the server itself shed the request (max-in-flight
-	// cap), not a device shard queue.
+	// cap), -2 the tenant fair-share gate.
 	StatusBusy
 	// StatusCrashed: the device is down; Recover it. Empty body.
 	StatusCrashed

@@ -573,7 +573,7 @@ type batchScratch struct {
 
 // handleBatch executes one OpBatch frame: decode into the connection's
 // scratch, run the whole batch through the device as one unit (per-shard
-// coalesced groups, one queue entry per shard — device.ExecBatch), and
+// coalesced groups, one lock hold per shard — device.ExecBatch), and
 // encode the per-op outcomes. The response header is StatusOK whenever
 // the batch executed; individual failures ride inside as per-op
 // status/body pairs. Batch-level failures keep their v2 meanings: the

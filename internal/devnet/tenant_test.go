@@ -14,24 +14,21 @@ import (
 	"soteria/internal/tenant"
 )
 
-// startTenantServer brings up an engine-hosted device, a tenant service
+// startTenantServer brings up a device, a tenant service
 // over it, and a tenant-enabled server (no flat device) on a loopback
 // port.
 func startTenantServer(t *testing.T, sopts devnet.ServerOptions) (*tenant.Service, string) {
 	t.Helper()
-	eng, err := device.NewEngine(device.EngineOptions{
-		Options: device.Options{
-			System:     config.TestSystem(),
-			Mode:       memctrl.ModeSAC,
-			Key:        []byte("devnet-tenant-device-key"),
-			Shards:     4,
-			QueueDepth: 16,
-		},
+	dev, err := device.New(device.Options{
+		System: config.TestSystem(),
+		Mode:   memctrl.ModeSAC,
+		Key:    []byte("devnet-tenant-device-key"),
+		Shards: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := tenant.New(eng, tenant.Options{MasterKey: []byte("devnet-tenant-master")})
+	svc, err := tenant.New(dev, tenant.Options{MasterKey: []byte("devnet-tenant-master")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +43,7 @@ func startTenantServer(t *testing.T, sopts devnet.ServerOptions) (*tenant.Servic
 	t.Cleanup(func() {
 		srv.Shutdown()
 		<-done
-		eng.Close()
+		dev.Close()
 	})
 	return svc, ln.Addr().String()
 }

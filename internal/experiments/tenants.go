@@ -72,23 +72,20 @@ func (p TenantExpParams) fill() TenantExpParams {
 	return p
 }
 
-// tenantRun provisions n tenants on a fresh engine-hosted device and
+// tenantRun provisions n tenants on a fresh device and
 // runs one multi-tenant load run, optionally with a rotation armed.
 func tenantRun(p TenantExpParams, n int, rotate uint32, rotateAt int) (*loadgen.TenantReport, error) {
-	eng, err := device.NewEngine(device.EngineOptions{
-		Options: device.Options{
-			System:     config.TestSystem(),
-			Mode:       memctrl.ModeSAC,
-			Key:        []byte("experiments-tenant-device-key"),
-			Shards:     p.Shards,
-			QueueDepth: 16,
-		},
+	dev, err := device.New(device.Options{
+		System: config.TestSystem(),
+		Mode:   memctrl.ModeSAC,
+		Key:    []byte("experiments-tenant-device-key"),
+		Shards: p.Shards,
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer eng.Close()
-	svc, err := tenant.New(eng, tenant.Options{MasterKey: []byte("experiments-tenant-master")})
+	defer dev.Close()
+	svc, err := tenant.New(dev, tenant.Options{MasterKey: []byte("experiments-tenant-master")})
 	if err != nil {
 		return nil, err
 	}

@@ -21,24 +21,21 @@ var (
 	_ loadgen.TenantAdmin = (*loadgen.LocalTenantConn)(nil)
 )
 
-// newTenantService provisions n equal tenants on a fresh engine-hosted
-// device and returns the service plus the stream specs.
+// newTenantService provisions n equal tenants on a fresh device and
+// returns the service plus the stream specs.
 func newTenantService(t *testing.T, n int, lines uint64) (*tenant.Service, []loadgen.TenantSpec) {
 	t.Helper()
-	eng, err := device.NewEngine(device.EngineOptions{
-		Options: device.Options{
-			System:     config.TestSystem(),
-			Mode:       memctrl.ModeSAC,
-			Key:        []byte("loadgen-tenant-device-key"),
-			Shards:     4,
-			QueueDepth: 16,
-		},
+	dev, err := device.New(device.Options{
+		System: config.TestSystem(),
+		Mode:   memctrl.ModeSAC,
+		Key:    []byte("loadgen-tenant-device-key"),
+		Shards: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { eng.Close() })
-	svc, err := tenant.New(eng, tenant.Options{MasterKey: []byte("loadgen-tenant-master")})
+	t.Cleanup(func() { dev.Close() })
+	svc, err := tenant.New(dev, tenant.Options{MasterKey: []byte("loadgen-tenant-master")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -210,9 +210,9 @@ func (r *SnapR) Count(elemSize int) int {
 // Snapshot envelope kinds.
 const (
 	SnapKindController uint16 = 1 // one memctrl.Controller
-	SnapKindEngine     uint16 = 2 // a whole device.Engine
+	SnapKindEngine     uint16 = 2 // a whole device.Device
 	SnapKindTrace      uint16 = 3 // a chaos replay trace
-	SnapKindTenant     uint16 = 4 // a tenant.Service (embeds an engine checkpoint)
+	SnapKindTenant     uint16 = 4 // a tenant.Service (embeds a device checkpoint)
 )
 
 var snapMagic = [4]byte{'S', 'O', 'T', 'C'}

@@ -8,11 +8,11 @@ import (
 )
 
 // TestSingleTenantSteadyStateZeroAllocs pins the warm single-tenant
-// read+write path — admission, guard cache hit, seal, two engine
-// synchronous ops — at zero heap allocations per operation. The first
+// read+write path — admission, guard cache hit, seal, two device ops —
+// at zero heap allocations per operation. The first
 // pass over the working set warms the guard cache and the key-domain
 // engine; what remains is the pure datapath running out of service-owned
-// scratch, through the engine's trySync fast path.
+// scratch, each device op executing in place under its shard's lock.
 func TestSingleTenantSteadyStateZeroAllocs(t *testing.T) {
 	_, svc := newService(t, 4, tenant.Options{})
 	const lines = 64

@@ -13,11 +13,11 @@ const tenantCkptVersion = 1
 
 // Checkpoint serializes the whole service — identity, the registry image,
 // the volatile quota/rotation bookkeeping the registry does not persist,
-// and a full engine checkpoint — as one sealed snapshot. Restore on an
+// and a full device checkpoint — as one sealed snapshot. Restore on an
 // identically configured service is byte-identical: Restore(Checkpoint())
 // followed by Checkpoint() returns the same bytes. The registry records
 // are carried in the snapshot (not re-read from the restored device)
-// precisely to keep that identity: reloading them through the engine
+// precisely to keep that identity: reloading them through the device
 // would advance the device clocks. Key-domain engines and the guard cache
 // are pure caches and excluded; per-tenant telemetry restarts.
 func (s *Service) Checkpoint() ([]byte, error) {
@@ -52,20 +52,20 @@ func (s *Service) Checkpoint() ([]byte, error) {
 	}
 	// The device underneath (which holds the persistent registry, guard
 	// tables and ciphertext).
-	eng, err := s.eng.Checkpoint()
+	dev, err := s.dev.Checkpoint()
 	if err != nil {
 		return nil, err
 	}
-	w.Bytes(eng)
+	w.Bytes(dev)
 	return sim.Seal(sim.SnapKindTenant, tenantCkptVersion, w.Data()), nil
 }
 
 // Restore replaces the service's entire state with a checkpoint taken
-// from an identically configured service: the engine is restored first,
+// from an identically configured service: the device is restored first,
 // then the registry and volatile per-tenant state are rebuilt from the
 // snapshot's own registry image. On a decode or identity error nothing is
-// touched; if the engine restore fails after decoding succeeded, the
-// engine's own guarantees apply.
+// touched; if the device restore fails after decoding succeeded, the
+// device's own guarantees apply.
 func (s *Service) Restore(data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -122,14 +122,14 @@ func (s *Service) Restore(data []byte) error {
 		}
 		stages = append(stages, staged{rec: rec, windowID: r.U64(), usedOps: r.U32(), cursor: r.U64()})
 	}
-	engCkpt := r.Bytes()
+	devCkpt := r.Bytes()
 	if err := r.Done(); err != nil {
 		return err
 	}
-	if err := s.eng.Restore(engCkpt); err != nil {
+	if err := s.dev.Restore(devCkpt); err != nil {
 		return err
 	}
-	// Engine state is now the checkpointed image; rebuild the in-memory
+	// Device state is now the checkpointed image; rebuild the in-memory
 	// registry from the snapshot and drop every volatile cache.
 	s.sb.nextFree = nextFree
 	s.sb.gen = gen

@@ -1,5 +1,5 @@
 // Package tenant layers a multi-tenant secure-memory service over the
-// deterministic engine-hosted device: a crash-persistent tenant registry,
+// sharded device: a crash-persistent tenant registry,
 // per-tenant key domains derived from one master key (ctrenc subkeys),
 // address-space virtualization mapping (tenant, addr) onto the sharded
 // physical space, per-tenant quotas with fair-share admission, and online

@@ -184,7 +184,7 @@ func (s *Service) CrossCheck(attacker, victim uint32, addr uint64) error {
 			if slot.ctr == 0 {
 				continue
 			}
-			data, _, err := s.eng.Read(vic.rec.dataLine(line, slot.ctr) * nvm.LineSize)
+			data, _, err := s.dev.Read(vic.rec.dataLine(line, slot.ctr) * nvm.LineSize)
 			if err != nil {
 				return err
 			}

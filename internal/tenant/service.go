@@ -76,10 +76,10 @@ type tenantState struct {
 	latencyPS      *telemetry.Histogram
 }
 
-// Service is the multi-tenant secure-memory service over one
-// deterministic engine-hosted device. All methods are safe for concurrent
-// use (one internal mutex serializes them onto the single-threaded
-// engine), and the whole service state rides Checkpoint/Restore.
+// Service is the multi-tenant secure-memory service over one device. All
+// methods are safe for concurrent use (one internal mutex serializes them,
+// so the device underneath sees a single closed-loop caller and stays
+// deterministic), and the whole service state rides Checkpoint/Restore.
 //
 // Crash-safety protocol of the data path — the invariant the per-tenant
 // chaos oracle checks:
@@ -107,7 +107,7 @@ type tenantState struct {
 // never reuses the one-time pad of its torn pre-crash attempt.
 type Service struct {
 	mu     sync.Mutex
-	eng    *device.Engine
+	dev    *device.Device
 	opts   Options
 	master *ctrenc.Engine
 
@@ -130,24 +130,23 @@ type Service struct {
 	opClock uint64
 
 	// scratch buffers keep the sealed ciphertext and guard-line updates
-	// off the heap on the steady-state path (the engine's Write interface
+	// off the heap on the steady-state path (the device's Write interface
 	// takes a pointer, which would otherwise force a stack line to
 	// escape).
 	scratchData  nvm.Line
 	scratchGuard nvm.Line
 }
 
-// New opens (or formats) the tenant registry on an engine-hosted device.
-// The engine must be up; the caller keeps ownership (Close does not close
-// the engine).
-func New(eng *device.Engine, opts Options) (*Service, error) {
+// New opens (or formats) the tenant registry on a device. The device must
+// be up; the caller keeps ownership (Close does not close it).
+func New(dev *device.Device, opts Options) (*Service, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
-	if eng.Down() {
+	if dev.Down() {
 		return nil, fmt.Errorf("tenant: device is down; recover it first")
 	}
-	capLines := eng.Info().CapacityBytes / nvm.LineSize
+	capLines := dev.Info().CapacityBytes / nvm.LineSize
 	if need := uint64(opts.MaxTenants) + 2; capLines < need {
 		return nil, fmt.Errorf("tenant: device of %d lines cannot hold a %d-tenant registry", capLines, opts.MaxTenants)
 	}
@@ -156,7 +155,7 @@ func New(eng *device.Engine, opts Options) (*Service, error) {
 		return nil, err
 	}
 	s := &Service{
-		eng:      eng,
+		dev:      dev,
 		opts:     opts,
 		master:   master,
 		capLines: capLines,
@@ -186,7 +185,7 @@ func (s *Service) token(id uint32) uint64 {
 // (formatting a fresh device) and every provisioned record. Volatile
 // caches are dropped; the op clock is preserved.
 func (s *Service) load() error {
-	line0, _, err := s.eng.Read(0)
+	line0, _, err := s.dev.Read(0)
 	if err != nil {
 		return fmt.Errorf("tenant: read superblock: %w", err)
 	}
@@ -200,7 +199,7 @@ func (s *Service) load() error {
 			gen:        1,
 		}
 		enc := s.sb.encode()
-		if _, err := s.eng.Write(0, &enc); err != nil {
+		if _, err := s.dev.Write(0, &enc); err != nil {
 			return fmt.Errorf("tenant: format superblock: %w", err)
 		}
 	} else {
@@ -230,7 +229,7 @@ func (s *Service) load() error {
 	s.active = 0
 	s.guards = map[uint64]*nvm.Line{}
 	for id := 1; id <= s.opts.MaxTenants; id++ {
-		l, _, err := s.eng.Read(uint64(id) * nvm.LineSize)
+		l, _, err := s.dev.Read(uint64(id) * nvm.LineSize)
 		if err != nil {
 			return fmt.Errorf("tenant: read record %d: %w", id, err)
 		}
@@ -276,7 +275,7 @@ func (s *Service) install(rec Record) *tenantState {
 // ack — the crash-safety unit of every registry state transition).
 func (s *Service) persistRecord(ts *tenantState) error {
 	enc := ts.rec.encode()
-	if _, err := s.eng.Write(uint64(ts.rec.ID)*nvm.LineSize, &enc); err != nil {
+	if _, err := s.dev.Write(uint64(ts.rec.ID)*nvm.LineSize, &enc); err != nil {
 		return fmt.Errorf("tenant: persist record %d: %w", ts.rec.ID, err)
 	}
 	return nil
@@ -285,7 +284,7 @@ func (s *Service) persistRecord(ts *tenantState) error {
 // persistSuper writes the superblock.
 func (s *Service) persistSuper() error {
 	enc := s.sb.encode()
-	if _, err := s.eng.Write(0, &enc); err != nil {
+	if _, err := s.dev.Write(0, &enc); err != nil {
 		return fmt.Errorf("tenant: persist superblock: %w", err)
 	}
 	return nil
@@ -470,7 +469,7 @@ func (s *Service) guardLineRef(gLine uint64, lat *sim.Time) (*nvm.Line, error) {
 	if l := s.guards[gLine]; l != nil {
 		return l, nil
 	}
-	data, t, err := s.eng.Read(gLine * nvm.LineSize)
+	data, t, err := s.dev.Read(gLine * nvm.LineSize)
 	if err != nil {
 		return nil, err
 	}
@@ -523,7 +522,7 @@ func (s *Service) writeLine(ts *tenantState, line uint64, data *nvm.Line, epoch 
 	// prev entry references — destroying it is safe because under
 	// data-first ordering the cur entry always names ciphertext that was
 	// durable before the guard named it, so recovery never needs prev.
-	t, err := s.eng.Write(ts.rec.dataLine(line, newCtr)*nvm.LineSize, &s.scratchData)
+	t, err := s.dev.Write(ts.rec.dataLine(line, newCtr)*nvm.LineSize, &s.scratchData)
 	lat += t
 	if err != nil {
 		return lat, err
@@ -535,7 +534,7 @@ func (s *Service) writeLine(ts *tenantState, line uint64, data *nvm.Line, epoch 
 		curCtr: newCtr, prevCtr: ge.curCtr,
 		curGen: gen, prevGen: ge.curGen,
 	})
-	t, err = s.eng.Write(gLine*nvm.LineSize, &s.scratchGuard)
+	t, err = s.dev.Write(gLine*nvm.LineSize, &s.scratchGuard)
 	lat += t
 	if err != nil {
 		return lat, err
@@ -607,7 +606,7 @@ func (s *Service) readLine(ts *tenantState, line uint64, rewrite bool) (out nvm.
 			}
 			p := ctrs[si] & 1
 			if !slotRead[p] {
-				d, t, err := s.eng.Read(ts.rec.dataLine(line, p) * nvm.LineSize)
+				d, t, err := s.dev.Read(ts.rec.dataLine(line, p) * nvm.LineSize)
 				lat += t
 				if err != nil {
 					return nvm.Line{}, lat, false, err
@@ -647,28 +646,28 @@ func (s *Service) finishRead(ts *tenantState, line uint64, out nvm.Line, lat sim
 func (s *Service) DeviceInfo() device.Info {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.eng.Info()
+	return s.dev.Info()
 }
 
 // Down reports whether the underlying device is in the post-crash state.
 func (s *Service) Down() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.eng.Down()
+	return s.dev.Down()
 }
 
 // Flush is the device-wide durability barrier.
 func (s *Service) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.eng.Flush()
+	return s.dev.Flush()
 }
 
 // Crash cuts power across the whole device.
 func (s *Service) Crash() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.eng.Crash()
+	return s.dev.Crash()
 }
 
 // Recover rebuilds the device after a crash, drops every volatile tenant
@@ -679,7 +678,7 @@ func (s *Service) Crash() error {
 func (s *Service) Recover() (*device.RecoveryReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rep, err := s.eng.Recover()
+	rep, err := s.dev.Recover()
 	if err != nil {
 		return rep, err
 	}
@@ -695,14 +694,14 @@ func (s *Service) Recover() (*device.RecoveryReport, error) {
 func (s *Service) VerifyAll() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.eng.VerifyAll()
+	return s.dev.VerifyAll()
 }
 
 // DeviceSnapshot merges the device's per-shard telemetry registries.
 func (s *Service) DeviceSnapshot() *telemetry.Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.eng.Snapshot()
+	return s.dev.Snapshot()
 }
 
 // Snapshot returns tenant id's metric registry snapshot (empty when
@@ -720,5 +719,5 @@ func (s *Service) Snapshot(id uint32) (*telemetry.Snapshot, error) {
 	return ts.reg.Snapshot(), nil
 }
 
-// Close marks the service closed. The engine stays with its owner.
+// Close marks the service closed. The device stays with its owner.
 func (s *Service) Close() error { return nil }

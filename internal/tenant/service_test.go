@@ -12,35 +12,32 @@ import (
 	"soteria/internal/tenant"
 )
 
-func newEngine(t testing.TB, shards int) *device.Engine {
+func newDevice(t testing.TB, shards int) *device.Device {
 	t.Helper()
-	eng, err := device.NewEngine(device.EngineOptions{
-		Options: device.Options{
-			System:     config.TestSystem(),
-			Mode:       memctrl.ModeSAC,
-			Key:        []byte("tenant-test-device-key"),
-			Shards:     shards,
-			QueueDepth: 16,
-		},
+	dev, err := device.New(device.Options{
+		System: config.TestSystem(),
+		Mode:   memctrl.ModeSAC,
+		Key:    []byte("tenant-test-device-key"),
+		Shards: shards,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { eng.Close() })
-	return eng
+	t.Cleanup(func() { dev.Close() })
+	return dev
 }
 
-func newService(t testing.TB, shards int, opts tenant.Options) (*device.Engine, *tenant.Service) {
+func newService(t testing.TB, shards int, opts tenant.Options) (*device.Device, *tenant.Service) {
 	t.Helper()
 	if opts.MasterKey == nil {
 		opts.MasterKey = []byte("tenant-test-master-key")
 	}
-	eng := newEngine(t, shards)
-	svc, err := tenant.New(eng, opts)
+	dev := newDevice(t, shards)
+	svc, err := tenant.New(dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, svc
+	return dev, svc
 }
 
 func fill(b byte) *nvm.Line {
@@ -52,9 +49,9 @@ func fill(b byte) *nvm.Line {
 }
 
 // TestRoundTripAndPersistence: writes read back, survive a reopen of the
-// service on the same engine, and unwritten lines read as zeros.
+// service on the same device, and unwritten lines read as zeros.
 func TestRoundTripAndPersistence(t *testing.T) {
-	eng, svc := newService(t, 4, tenant.Options{})
+	dev, svc := newService(t, 4, tenant.Options{})
 	tok, err := svc.Provision(1, 32, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -86,14 +83,14 @@ func TestRoundTripAndPersistence(t *testing.T) {
 	check(svc)
 
 	// Reopen on the same device: registry and data must come back.
-	svc2, err := tenant.New(eng, tenant.Options{MasterKey: []byte("tenant-test-master-key")})
+	svc2, err := tenant.New(dev, tenant.Options{MasterKey: []byte("tenant-test-master-key")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	check(svc2)
 
 	// Wrong master key must be rejected at open.
-	if _, err := tenant.New(eng, tenant.Options{MasterKey: []byte("wrong")}); err == nil {
+	if _, err := tenant.New(dev, tenant.Options{MasterKey: []byte("wrong")}); err == nil {
 		t.Fatal("opened the registry with the wrong master key")
 	}
 }
@@ -352,7 +349,7 @@ func TestCrashRecoverMidRotation(t *testing.T) {
 // through Checkpoint/Restore — including mid-rotation, mid-window state —
 // and a restored service serves the same data.
 func TestCheckpointRestoreGolden(t *testing.T) {
-	eng, svc := newService(t, 4, tenant.Options{QuotaWindow: 128})
+	dev, svc := newService(t, 4, tenant.Options{QuotaWindow: 128})
 	if _, err := svc.Provision(1, 24, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -416,8 +413,8 @@ func TestCheckpointRestoreGolden(t *testing.T) {
 		t.Fatalf("restored rotation state: %+v", st)
 	}
 
-	// A fresh service over the same engine restores the same bytes too.
-	svc2, err := tenant.New(eng, tenant.Options{
+	// A fresh service over the same device restores the same bytes too.
+	svc2, err := tenant.New(dev, tenant.Options{
 		MasterKey: []byte("tenant-test-master-key"), QuotaWindow: 128,
 	})
 	if err != nil {
