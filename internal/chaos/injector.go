@@ -11,7 +11,6 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"soteria/internal/inject"
 	"soteria/internal/nvm"
@@ -135,8 +134,6 @@ func (in *Injector) applyFault(b int) {
 	if len(lines) == 0 {
 		return
 	}
-	// ForEachTouched iterates a map; sort so the rng draw is deterministic.
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
 	addr := lines[in.rng.Intn(len(lines))]
 	f := AppliedFault{Boundary: b, Addr: addr}
 	switch p := in.rng.Float64(); {

@@ -408,33 +408,25 @@ func (c *CounterBlock) ContentMAC(e *Engine, blockIndex, parentCounter uint64) u
 	return e.MAC(DomainCounter, blockIndex, parentCounter, body[:56])
 }
 
-// packMinors packs 64 6-bit values into 48 bytes.
+// packMinors packs 64 6-bit values into 48 bytes, minor i in bits
+// [6i, 6i+6) of the little-endian bit string: four minors fill three bytes.
 func packMinors(dst []byte, minors *[CountersPerBlock]uint8) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	bit := 0
-	for _, m := range minors {
-		v := uint16(m & MinorMax)
-		byteIdx, off := bit/8, bit%8
-		dst[byteIdx] |= byte(v << uint(off))
-		if off > 2 { // spills into the next byte
-			dst[byteIdx+1] |= byte(v >> uint(8-off))
-		}
-		bit += MinorBits
+	dst = dst[:CountersPerBlock*MinorBits/8]
+	for i := 0; i < CountersPerBlock/4; i++ {
+		m := minors[i*4 : i*4+4 : i*4+4]
+		v := uint32(m[0]&MinorMax) | uint32(m[1]&MinorMax)<<6 | uint32(m[2]&MinorMax)<<12 | uint32(m[3]&MinorMax)<<18
+		d := dst[i*3 : i*3+3 : i*3+3]
+		d[0], d[1], d[2] = byte(v), byte(v>>8), byte(v>>16)
 	}
 }
 
 // unpackMinors reverses packMinors.
 func unpackMinors(src []byte, minors *[CountersPerBlock]uint8) {
-	bit := 0
-	for i := range minors {
-		byteIdx, off := bit/8, bit%8
-		v := uint16(src[byteIdx]) >> uint(off)
-		if off > 2 {
-			v |= uint16(src[byteIdx+1]) << uint(8-off)
-		}
-		minors[i] = uint8(v & MinorMax)
-		bit += MinorBits
+	src = src[:CountersPerBlock*MinorBits/8]
+	for i := 0; i < CountersPerBlock/4; i++ {
+		s := src[i*3 : i*3+3 : i*3+3]
+		v := uint32(s[0]) | uint32(s[1])<<8 | uint32(s[2])<<16
+		m := minors[i*4 : i*4+4 : i*4+4]
+		m[0], m[1], m[2], m[3] = uint8(v)&MinorMax, uint8(v>>6)&MinorMax, uint8(v>>12)&MinorMax, uint8(v>>18)&MinorMax
 	}
 }

@@ -1,6 +1,7 @@
 package ctrenc
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -226,5 +227,88 @@ func TestDeriveSubkeySeparation(t *testing.T) {
 	sub := e.DeriveSubkey("tenant-data", 1, 1)
 	if _, err := NewEngine(sub[:]); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// packMinorsBitwise and unpackMinorsBitwise are the one-value-at-a-time
+// loops packMinors and unpackMinors replaced; the stored format is theirs.
+func packMinorsBitwise(dst []byte, minors *[CountersPerBlock]uint8) {
+	for i := range dst {
+		dst[i] = 0
+	}
+	bit := 0
+	for _, m := range minors {
+		v := uint16(m & MinorMax)
+		byteIdx, off := bit/8, bit%8
+		dst[byteIdx] |= byte(v << uint(off))
+		if off > 2 {
+			dst[byteIdx+1] |= byte(v >> uint(8-off))
+		}
+		bit += MinorBits
+	}
+}
+
+func unpackMinorsBitwise(src []byte, minors *[CountersPerBlock]uint8) {
+	bit := 0
+	for i := range minors {
+		byteIdx, off := bit/8, bit%8
+		v := uint16(src[byteIdx]) >> uint(off)
+		if off > 2 {
+			v |= uint16(src[byteIdx+1]) << uint(8-off)
+		}
+		minors[i] = uint8(v & MinorMax)
+		bit += MinorBits
+	}
+}
+
+func TestPackMinorsFormatUnchanged(t *testing.T) {
+	same := func(minors [CountersPerBlock]uint8, what string) {
+		t.Helper()
+		var got, want [48]byte
+		for i := range got {
+			got[i] = 0xEE // packMinors must overwrite, not OR into, its destination
+		}
+		packMinors(got[:], &minors)
+		packMinorsBitwise(want[:], &minors)
+		if got != want {
+			t.Fatalf("%s: packed %x, want %x", what, got, want)
+		}
+		var back, backWant [CountersPerBlock]uint8
+		unpackMinors(got[:], &back)
+		unpackMinorsBitwise(want[:], &backWant)
+		if back != backWant {
+			t.Fatalf("%s: unpacked %v, want %v", what, back, backWant)
+		}
+	}
+	var v [CountersPerBlock]uint8
+	same(v, "all zero")
+	for i := range v {
+		v[i] = MinorMax
+	}
+	same(v, "all MinorMax")
+	for i := 0; i < CountersPerBlock; i++ {
+		for bit := 0; bit < MinorBits; bit++ {
+			v = [CountersPerBlock]uint8{}
+			v[i] = 1 << bit
+			same(v, "walking one")
+		}
+	}
+	rng := rand.New(rand.NewSource(15))
+	for n := 0; n < 10000; n++ {
+		for i := range v {
+			v[i] = uint8(rng.Intn(256)) // bits above MinorMax must be dropped, as before
+		}
+		same(v, "random")
+	}
+	// Arbitrary stored bytes unpack alike too.
+	var raw [48]byte
+	for n := 0; n < 10000; n++ {
+		rng.Read(raw[:])
+		var back, backWant [CountersPerBlock]uint8
+		unpackMinors(raw[:], &back)
+		unpackMinorsBitwise(raw[:], &backWant)
+		if back != backWant {
+			t.Fatalf("unpack of %x: %v, want %v", raw, back, backWant)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package ecc
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Result reports the outcome of decoding one protected line.
 type Result struct {
@@ -67,8 +70,17 @@ func (NoECC) Decode([]byte, []byte) Result { return Result{} }
 // failures on two chips of the same rank produce two bad symbols per
 // codeword and are detected as uncorrectable. This mirrors the
 // Chipkill-Correct repair mechanism named in Table 4.
+//
+// The code is linear over GF(2), so a beat's check symbols are the XOR of the
+// check symbols of its eight data symbols taken one at a time: eight
+// independent table loads. A systematic codeword is valid (all syndromes
+// zero) exactly when its stored check symbols equal the re-encoded ones, so
+// only a beat that fails that comparison goes to the RS decoder.
 type Chipkill struct {
 	rs *RS
+	// pos[j][v] is the check-symbol pair (first symbol in the low byte) of
+	// the beat whose only non-zero data symbol is v at position j.
+	pos [8][256]uint16
 }
 
 // NewChipkill constructs the Chipkill line codec.
@@ -77,7 +89,18 @@ func NewChipkill() *Chipkill {
 	if err != nil {
 		panic(fmt.Sprintf("ecc: building RS(10,8): %v", err))
 	}
-	return &Chipkill{rs: rs}
+	c := &Chipkill{rs: rs}
+	var msg [8]byte
+	var rem [2]byte
+	for j := range c.pos {
+		for v := 1; v < 256; v++ {
+			msg[j] = byte(v)
+			rs.EncodeTo(rem[:], msg[:])
+			c.pos[j][v] = binary.LittleEndian.Uint16(rem[:])
+		}
+		msg[j] = 0
+	}
+	return c
 }
 
 // Name implements Codec.
@@ -93,27 +116,37 @@ func (c *Chipkill) Encode(data []byte) []byte {
 	return check
 }
 
+// beatCheck returns the check-symbol pair, packed as in pos, of the beat
+// whose eight data symbols are the bytes of w, first symbol lowest.
+func (c *Chipkill) beatCheck(w uint64) uint16 {
+	return c.pos[0][byte(w)] ^ c.pos[1][byte(w>>8)] ^ c.pos[2][byte(w>>16)] ^ c.pos[3][byte(w>>24)] ^
+		c.pos[4][byte(w>>32)] ^ c.pos[5][byte(w>>40)] ^ c.pos[6][byte(w>>48)] ^ c.pos[7][byte(w>>56)]
+}
+
 // EncodeInto implements Codec.
 func (c *Chipkill) EncodeInto(check, data []byte) {
+	data, check = data[:64], check[:16]
 	for b := 0; b < 8; b++ {
-		c.rs.EncodeTo(check[b*2:b*2+2], data[b*8:b*8+8])
+		binary.LittleEndian.PutUint16(check[b*2:], c.beatCheck(binary.LittleEndian.Uint64(data[b*8:])))
 	}
 }
 
 // Decode implements Codec.
 func (c *Chipkill) Decode(data, check []byte) Result {
+	data, check = data[:64], check[:16]
 	res := Result{}
 	for b := 0; b < 8; b++ {
+		if c.beatCheck(binary.LittleEndian.Uint64(data[b*8:])) == binary.LittleEndian.Uint16(check[b*2:]) {
+			continue
+		}
 		n, ok := c.rs.Decode(data[b*8:b*8+8], check[b*2:b*2+2])
 		if !ok {
 			res.Uncorrectable = true
 			res.BadWords = append(res.BadWords, b)
 			continue
 		}
-		if n > 0 {
-			res.Corrected = true
-			res.SymbolsCorrected += n
-		}
+		res.Corrected = true
+		res.SymbolsCorrected += n
 	}
 	return res
 }

@@ -323,12 +323,31 @@ func BenchmarkSECDEDEncodeLine(b *testing.B) {
 	}
 }
 
+func BenchmarkChipkillEncodeLine(b *testing.B) {
+	ck := NewChipkill()
+	line := make([]byte, 64)
+	rand.New(rand.NewSource(1)).Read(line)
+	check := make([]byte, ck.CheckBytes())
+	b.SetBytes(64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		line[i&63]++
+		ck.EncodeInto(check, line)
+	}
+}
+
 func BenchmarkChipkillDecodeClean(b *testing.B) {
 	ck := NewChipkill()
 	line := make([]byte, 64)
+	rand.New(rand.NewSource(1)).Read(line)
 	check := ck.Encode(line)
 	b.SetBytes(64)
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ck.Decode(line, check)
+		if ck.Decode(line, check).Uncorrectable {
+			b.Fatal("clean line reported uncorrectable")
+		}
 	}
 }

@@ -10,19 +10,10 @@ type RS struct {
 	gen     []byte // generator polynomial, highest-degree first
 
 	// cw/syn are decode scratch: one codec instance serves one device,
-	// which (like the controller above it) is single-goroutine, so the
-	// no-error fast path of Decode runs without allocating.
+	// which (like the controller above it) is single-goroutine, so a
+	// clean codeword decodes without allocating.
 	cw  []byte
 	syn []byte
-
-	// genMul[j][f] = gfMul(gen[j+1], f): the long-division step of
-	// EncodeTo reduced to one table load per check symbol, replacing the
-	// log/exp lookups and zero tests of gfMul on the encode hot path.
-	genMul [][256]byte
-
-	// alphaMul[f] = gfMul(alpha, f), for Horner steps in the syndrome
-	// fast path.
-	alphaMul [256]byte
 }
 
 // NewRS builds a Reed-Solomon code with k data symbols and nsym check
@@ -35,21 +26,11 @@ func NewRS(k, nsym int) (*RS, error) {
 	for i := 0; i < nsym; i++ {
 		gen = polyMul(gen, []byte{1, gfPow(i)})
 	}
-	r := &RS{
+	return &RS{
 		k: k, nsym: nsym, gen: gen,
-		cw:     make([]byte, k+nsym),
-		syn:    make([]byte, nsym),
-		genMul: make([][256]byte, nsym),
-	}
-	for j := 1; j <= nsym; j++ {
-		for f := 0; f < 256; f++ {
-			r.genMul[j-1][f] = gfMul(gen[j], byte(f))
-		}
-	}
-	for f := 0; f < 256; f++ {
-		r.alphaMul[f] = gfMul(2, byte(f))
-	}
-	return r, nil
+		cw:  make([]byte, k+nsym),
+		syn: make([]byte, nsym),
+	}, nil
 }
 
 // K returns the number of data symbols per codeword.
@@ -71,20 +52,6 @@ func (r *RS) EncodeTo(rem, msg []byte) {
 	if len(msg) != r.k || len(rem) != r.nsym {
 		panic(fmt.Sprintf("ecc: RS.EncodeTo got %d/%d symbols, want %d/%d", len(msg), len(rem), r.k, r.nsym))
 	}
-	if r.nsym == 2 {
-		// The Chipkill shape (RS(10,8), two check symbols) runs on every
-		// device read and write; keep its long division in registers with
-		// one table load per generator coefficient.
-		m0, m1 := &r.genMul[0], &r.genMul[1]
-		var r0, r1 byte
-		for _, m := range msg {
-			f := m ^ r0
-			r0 = r1 ^ m0[f]
-			r1 = m1[f]
-		}
-		rem[0], rem[1] = r0, r1
-		return
-	}
 	// Polynomial long division of msg * x^nsym by the generator.
 	for i := range rem {
 		rem[i] = 0
@@ -93,10 +60,8 @@ func (r *RS) EncodeTo(rem, msg []byte) {
 		factor := m ^ rem[0]
 		copy(rem, rem[1:])
 		rem[r.nsym-1] = 0
-		if factor != 0 {
-			for j := 1; j < len(r.gen); j++ {
-				rem[j-1] ^= r.genMul[j-1][factor]
-			}
+		for j := 1; j < len(r.gen); j++ {
+			rem[j-1] ^= gfMul(r.gen[j], factor)
 		}
 	}
 }
@@ -122,28 +87,7 @@ func (r *RS) Decode(msg, check []byte) (corrected int, ok bool) {
 	if len(msg) != r.k || len(check) != r.nsym {
 		panic("ecc: RS.Decode called with wrong lengths")
 	}
-	// The overwhelmingly common case is a clean codeword. For the
-	// Chipkill shape, check it straight off the input slices: syndrome 0
-	// is the plain XOR of the codeword, syndrome 1 a Horner walk at
-	// alpha — no copies, no allocation, no log/exp lookups.
-	if r.nsym == 2 {
-		var s0, s1 byte
-		aM := &r.alphaMul
-		for _, b := range msg {
-			s0 ^= b
-			s1 = aM[s1] ^ b
-		}
-		for _, b := range check {
-			s0 ^= b
-			s1 = aM[s1] ^ b
-		}
-		if s0|s1 == 0 {
-			return 0, true
-		}
-	}
-
-	// Scratch buffers keep the full decode allocation-free on its common
-	// exits too.
+	// Scratch buffers keep the clean exit allocation-free.
 	cw := r.cw
 	copy(cw, msg)
 	copy(cw[r.k:], check)

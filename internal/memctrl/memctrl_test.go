@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -183,6 +184,29 @@ func TestFlushAllThenVerifyAll(t *testing.T) {
 				t.Fatalf("verify: %v", err)
 			}
 		})
+	}
+}
+
+// With several bad data blocks VerifyAll names the lowest-addressed one on
+// every run: it walks the device in ascending order.
+func TestVerifyAllReportsLowestBadBlock(t *testing.T) {
+	const low, high = 37 * 4096, 141 * 4096
+	for run := 0; run < 20; run++ {
+		c := newCtrl(t, ModeSRC)
+		var now sim.Time
+		var err error
+		for i, l := range fill(3, 200) {
+			if now, err = c.WriteBlock(now, uint64(i)*4096, &l); err != nil {
+				t.Fatalf("write %d: %v", i, err)
+			}
+		}
+		c.FlushAll(now)
+		c.Device().CorruptLine(high)
+		c.Device().CorruptLine(low)
+		err = c.VerifyAll()
+		if want := fmt.Sprintf("memctrl: verify: data block %#x uncorrectable", low); err == nil || err.Error() != want {
+			t.Fatalf("run %d: VerifyAll = %v, want %q", run, err, want)
+		}
 	}
 }
 

@@ -12,8 +12,10 @@ import (
 // must verify under its parent's counter (walking down from the on-chip
 // root), every clone must match its home copy, and every materialized data
 // block must pass its data-MAC check. Call FlushAll first so the cache and
-// memory agree. This is a test/diagnostic walk, deliberately off the
-// timing path.
+// memory agree. Data blocks are walked in ascending address order
+// (nvm.Device.ForEachTouched), so the data-block failure reported is the
+// lowest-addressed one, deterministically. This is a test/diagnostic walk,
+// deliberately off the timing path.
 func (c *Controller) VerifyAll() error {
 	if c.mode == ModeNonSecure {
 		return nil

@@ -85,7 +85,7 @@ func (d *Device) ecpRepairAfterWrite(idx uint64, intended *Line, l *storedLine) 
 
 // ecpApply substitutes repaired cells into a line image before ECC decode.
 func (d *Device) ecpApply(idx uint64, buf *Line) {
-	if d.ecpBudget <= 0 {
+	if d.ecpBudget <= 0 || len(d.ecp) == 0 {
 		return
 	}
 	for _, e := range d.ecp[idx] {
