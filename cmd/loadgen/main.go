@@ -22,7 +22,9 @@
 // switches to the multi-tenant generator: it provisions the named
 // tenants over the operator plane, runs one closed-loop stream per
 // tenant (one session each — the protocol binds a session to its tenant
-// at attach), verifies every read against the run's own content oracle,
+// at attach; its reads and writes are then ordinary one-entry batch
+// frames with tenant-local addresses), verifies every read against the
+// run's own content oracle,
 // and reports per-tenant latency plus a Jain fairness index. An online
 // key rotation can be armed mid-run to measure its cost under load:
 //

@@ -10,11 +10,13 @@
 //	soteria-serve -tenants 4 -tenant-lines 256 -metrics-addr 127.0.0.1:9651
 //
 // With -tenants N the same device is wrapped in a tenant service and the
-// server runs in multi-tenant mode: the flat data plane is disabled, the
-// registry accepts tenant ids 1..N, and clients attach per session with
-// OpTenantAttach after provisioning over the wire's operator plane
-// (TenantCreate — cmd/loadgen -tenants does this itself). -provision M
-// additionally provisions tenants 1..M at startup
+// server runs in multi-tenant mode: the registry accepts tenant ids 1..N,
+// a connection attaches to one tenant with OpTenantAttach (after
+// provisioning over the wire's operator plane: TenantCreate — cmd/loadgen
+// -tenants does this itself) and its batch frames, stop-and-wait or
+// pipelined, then run in that tenant's space with tenant-local addresses;
+// batch frames from a connection that never attached are denied.
+// -provision M additionally provisions tenants 1..M at startup
 // and prints their access tokens to stderr, one per line, for the
 // operator to hand out. Online key rotation runs over the operator
 // plane (TenantRotate/TenantStep), and the metrics endpoint gains

@@ -136,9 +136,9 @@ func (r *NetResult) Report() string {
 // Diagnostics renders the wall-clock-dependent counters.
 func (r *NetResult) Diagnostics() string {
 	return fmt.Sprintf(
-		"diagnostics: retries %d, batch-retransmits %d, reconnects %d, timeouts %d, busy-waits %d, dedup-hits %d, applied-writes %d, shed %d, panics %d, proxy{conns %d refused %d resets %d corrupted %d truncated %d frames %d batch-frames %d}",
+		"diagnostics: retries %d, batch-retransmits %d, reconnects %d, timeouts %d, busy-waits %d, dedup-hits %d, applied-writes %d, shed %d, panics %d, proxy{conns %d refused %d resets %d corrupted %d truncated %d frames %d}",
 		r.Retries, r.BatchRetransmits, r.Reconnects, r.Timeouts, r.BusyWaits, r.DedupHits, r.AppliedWrites, r.Shed, r.Panics,
-		r.Proxy.Conns, r.Proxy.Refused, r.Proxy.Resets, r.Proxy.CorruptedBytes, r.Proxy.TruncatedFrames, r.Proxy.FramesRelayed, r.Proxy.BatchFrames)
+		r.Proxy.Conns, r.Proxy.Refused, r.Proxy.Resets, r.Proxy.CorruptedBytes, r.Proxy.TruncatedFrames, r.Proxy.FramesRelayed)
 }
 
 // NetRepro renders the cmd/chaos invocation that replays cfg.
@@ -414,11 +414,6 @@ func NetRun(cfg NetConfig) (*NetResult, error) {
 	}
 	if len(res.Violations) == 0 && res.AckedWrites+res.AckedReads != int(total) {
 		res.violate("acked %d ops, planned %d", res.AckedWrites+res.AckedReads, total)
-	}
-	// A pipelined run must actually exercise the batched wire path (this
-	// also pins the proxy's mirrored batch-op classifier to the protocol).
-	if cfg.Pipeline > 0 && res.Proxy.BatchFrames == 0 {
-		res.violate("pipelined run relayed no batch frames through the proxy")
 	}
 	return res, nil
 }

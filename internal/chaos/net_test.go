@@ -92,9 +92,6 @@ func TestNetRunPipelinedCombinedWithKill(t *testing.T) {
 	if res.AppliedWrites != uint64(res.AckedWrites) {
 		t.Fatalf("exactly-once broken: applied %d != acked %d", res.AppliedWrites, res.AckedWrites)
 	}
-	if res.Proxy.BatchFrames == 0 {
-		t.Fatal("no batch frames classified by the proxy")
-	}
 	if !strings.Contains(res.Report(), "front end: pipelined") {
 		t.Fatalf("report missing pipelined front-end line:\n%s", res.Report())
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // Batch op codes, the device-level vocabulary of a batched data-plane
-// request. devnet's v3 batch frames carry these bytes on the wire, so
+// request. devnet's batch frames carry these bytes on the wire, so
 // they are fixed protocol constants, not an iota that may drift.
 const (
 	BatchRead  uint8 = 1

@@ -1,5 +1,6 @@
-// v3 batched framing: one OpBatch frame carries many data-plane ops,
-// encoded append-only into a reusable buffer and decoded in place, so the
+// The data plane's framing: one OpBatch frame carries many read, write
+// and drain ops — a stop-and-wait op is a batch of one — encoded
+// append-only into a reusable buffer and decoded in place, so the
 // steady-state hot path on both sides allocates nothing per op.
 //
 // Request body (after the [u8 op][u64 session][u64 seq] header):
@@ -8,23 +9,28 @@
 //	count × [u8 op][u64 addr]            op = device.BatchRead/BatchDrain
 //	        [u8 op][u64 addr][64B line]  op = device.BatchWrite
 //
+// addr is a device address on an unbound connection and a tenant-local
+// one on a connection bound with OpTenantAttach.
+//
 // Response body (status StatusOK — "the batch executed"; per-op outcomes
 // are inside):
 //
 //	[u32 count]
 //	count × [u8 status][u64 latency ps][u16 blen][blen-byte body]
 //
-// Per-op status/body pairs reuse the v2 vocabulary (statusError decodes
-// them), so a batched busy/retired/crash surfaces exactly like its
-// stop-and-wait sibling. A non-OK batch-level status means nothing in the
-// frame executed: StatusBusy is the server shedding the whole batch
-// (retransmit it), StatusError a malformed frame (fatal).
+// Per-op status/body pairs are the response-level vocabulary (statusError
+// decodes both), so a busy, retired, crashed, quota or integrity outcome
+// of one entry is the same typed error wherever it surfaces. A non-OK
+// batch-level status means nothing in the frame executed: StatusBusy is
+// the server shedding the whole batch (retransmit it), StatusTenantDenied
+// an unbound frame on a tenant-only server, StatusError a malformed frame
+// (both fatal).
 //
 // Dedup: the whole batch is one (session, seq) unit. A transport-level
 // retransmit replays the identical per-op results from the dedup window;
 // an op that failed retryably inside an executed batch was never applied
-// and must be re-enqueued under a NEW sequence number (the pipelined
-// client does both).
+// and must be re-sent under a NEW sequence number (link.requeue is the
+// rule both clients follow).
 package devnet
 
 import (

@@ -5,7 +5,10 @@ import (
 	"errors"
 	"testing"
 
+	"soteria/internal/config"
 	"soteria/internal/device"
+	"soteria/internal/memctrl"
+	"soteria/internal/tenant"
 )
 
 // frameBytes renders a valid frame for the seed corpus.
@@ -23,14 +26,14 @@ func frameBytes(payload []byte) []byte {
 // (readFramePayloadInto grows with the bytes that actually arrive), and a
 // frame that decodes must re-encode to the same payload.
 func FuzzDecodeFrame(f *testing.F) {
-	// Valid frames: ping request, write-shaped request, OK response,
-	// busy response.
+	// Valid frames: ping request, one-entry write batch, OK response,
+	// error response.
 	f.Add(frameBytes(encodeRequest(OpPing, 1, 1, 0)))
-	f.Add(frameBytes(append(encodeRequest(OpWrite, 42, 9, 72), make([]byte, 72)...)))
+	f.Add(batchFuzzFrame(42, 9, 1))
 	f.Add(frameBytes(respOK(9, 0, []byte("body"))))
 	f.Add(frameBytes(respErr(3, bytes.ErrTooLarge)))
 	// Truncated frame: header promises more than the stream holds.
-	f.Add(frameBytes(encodeRequest(OpRead, 7, 2, 8))[:10])
+	f.Add(batchFuzzFrame(7, 2, 1)[:10])
 	// Lying length header: claims 1 GiB.
 	f.Add([]byte{0x40, 0x00, 0x00, 0x00, 0, 0, 0, 0})
 	// Bad checksum.
@@ -76,7 +79,7 @@ func FuzzDecodeFrame(f *testing.F) {
 // so short and malformed payloads are explored densely.
 func FuzzParseRequest(f *testing.F) {
 	f.Add(encodeRequest(OpPing, 1, 1, 0))
-	f.Add(append(encodeRequest(OpWrite, 2, 2, 72), make([]byte, 72)...))
+	f.Add(batchFuzzFrame(2, 2, 1)[frameHeaderSize:])
 	f.Add([]byte{})
 	f.Add(make([]byte, reqHeaderSize-1))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -112,15 +115,14 @@ func FuzzParseResponse(f *testing.F) {
 }
 
 // FuzzTenantFrame throws arbitrary (op, body) pairs at the tenant-plane
-// body codec — the single parse point for every tenant op the server
-// accepts. The invariants: never panic, reject with a typed *FrameError
-// on any length mismatch, and any accepted body must re-encode
+// body codec — the single parse point for the attach and admin ops the
+// server accepts. The invariants: never panic, reject with a typed
+// *FrameError on any length mismatch or non-tenant op (the retired data
+// opcodes 12 and 13 included), and any accepted body must re-encode
 // byte-identically (no silently ignored trailing bytes, no lossy fields).
 func FuzzTenantFrame(f *testing.F) {
 	seed := []TenantFrame{
 		{Op: OpTenantAttach, Tenant: 1, Token: 0xdeadbeefcafef00d},
-		{Op: OpTenantRead, Tenant: 2, Addr: 64 * 17},
-		{Op: OpTenantWrite, Tenant: 3, Addr: 128, Line: [64]byte{1, 2, 3}},
 		{Op: OpTenantCreate, Tenant: 4, Lines: 4096, Quota: 100},
 		{Op: OpTenantRotate, Tenant: 5},
 		{Op: OpTenantStep, Tenant: 6, Max: 32},
@@ -133,8 +135,12 @@ func FuzzTenantFrame(f *testing.F) {
 	}
 	// Off-by-one lengths, truncations, non-tenant ops, trailing garbage.
 	f.Add(OpTenantAttach, []byte{})
-	f.Add(OpTenantWrite, make([]byte, 12))
-	f.Add(OpTenantRead, make([]byte, 13))
+	f.Add(OpTenantCreate, make([]byte, 12))
+	f.Add(OpTenantStep, make([]byte, 13))
+	// The retired tenant read/write opcodes with the bodies they used to
+	// take: not tenant ops any more.
+	f.Add(uint8(12), make([]byte, 12))
+	f.Add(uint8(13), make([]byte, 12+64))
 	f.Add(OpPing, []byte{1, 2, 3})
 	f.Add(uint8(255), []byte{})
 	f.Add(OpTenantList, []byte{0})
@@ -148,6 +154,9 @@ func FuzzTenantFrame(f *testing.F) {
 			}
 			return
 		}
+		if op < OpTenantAttach || op > OpTenantMetrics || op == 12 || op == 13 {
+			t.Fatalf("op %d accepted as a tenant op", op)
+		}
 		re := frame.Encode()
 		if !bytes.Equal(re, body) {
 			t.Fatalf("accepted body is not stable: in %x, out %x", body, re)
@@ -160,6 +169,63 @@ func FuzzTenantFrame(f *testing.F) {
 			t.Fatal("frame not stable across re-encode")
 		}
 	})
+}
+
+// fuzzTenantServer builds a tenant-only server with one provisioned
+// tenant whose extent covers the seed corpus's addresses, and returns the
+// binding a connection attached to it would hold.
+func fuzzTenantServer(f *testing.F) (*Server, uint32) {
+	dev, err := device.New(device.Options{
+		System: config.TestSystem(),
+		Mode:   memctrl.ModeSRC,
+		Key:    []byte("fuzz-tenant-device-key"),
+		Shards: 2,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { dev.Close() })
+	svc, err := tenant.New(dev, tenant.Options{MasterKey: []byte("fuzz-tenant-master")})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := svc.Provision(1, 64, 0); err != nil {
+		f.Fatal(err)
+	}
+	return NewServerWith(nil, ServerOptions{Tenants: svc}), 1
+}
+
+// checkBoundDispatch pushes one batch request payload through dispatch as
+// a connection bound to a tenant would, and checks the response against
+// what the decoder said about the body. The session is zeroed first so
+// the frame executes instead of replaying an earlier input's response.
+func checkBoundDispatch(t *testing.T, srv *Server, bound uint32, payload []byte, req wireRequest, ops []device.BatchOp, derr error) {
+	payload = append([]byte(nil), payload...)
+	bePutU64(payload[1:], 0)
+	var bs batchScratch
+	resp, err := parseResponse(srv.dispatch(payload, &bound, &bs))
+	if err != nil {
+		t.Fatalf("bound dispatch answered garbage: %v", err)
+	}
+	if resp.seq != req.seq {
+		t.Fatalf("bound dispatch echoed seq %d, want %d", resp.seq, req.seq)
+	}
+	if derr != nil {
+		if resp.status != StatusError {
+			t.Fatalf("rejected batch body answered with status %d", resp.status)
+		}
+		return
+	}
+	if resp.status != StatusOK {
+		t.Fatalf("accepted batch answered with status %d (%s)", resp.status, resp.body)
+	}
+	sent := &frame{}
+	for _, op := range ops {
+		sent.ops = append(sent.ops, pendOp{op: op.Op})
+	}
+	if err := validateBatchResponse(sent, resp.body); err != nil {
+		t.Fatalf("bound dispatch of %d ops: %v", len(ops), err)
+	}
 }
 
 // batchFuzzFrame builds a loadgen-shaped batch frame for the fuzz seed
@@ -183,12 +249,16 @@ func batchFuzzFrame(session, seq uint64, count int) []byte {
 }
 
 // FuzzDecodeBatchFrame drives arbitrary byte streams through the full
-// v3 inbound path — framing, request parsing, batch-body decoding — and
-// the response-side result iterator. The invariants: no panic; every
-// rejection of a framed batch body is a typed *FrameError; and any
-// accepted batch body must re-encode byte-identically (the decoder
-// accepts exactly the encoder's language, nothing more).
+// inbound data path — framing, request parsing, batch-body decoding,
+// and dispatch on a tenant-bound connection — and the response-side
+// result iterator. The invariants: no panic; every rejection of a framed
+// batch body is a typed *FrameError; any accepted batch body must
+// re-encode byte-identically (the decoder accepts exactly the encoder's
+// language, nothing more); and a bound dispatch answers an accepted batch
+// with one result per entry and a rejected one with StatusError.
 func FuzzDecodeBatchFrame(f *testing.F) {
+	srv, bound := fuzzTenantServer(f)
+
 	// Well-formed frames at loadgen-typical batch sizes.
 	f.Add(batchFuzzFrame(1, 1, 1))
 	f.Add(batchFuzzFrame(7, 3, 8))
@@ -224,6 +294,7 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 		}
 		if req, err := parseRequest(payload); err == nil && req.op == OpBatch {
 			ops, derr := decodeBatchOps(req.body, nil)
+			checkBoundDispatch(t, srv, bound, payload, req, ops, derr)
 			if derr != nil {
 				var fe *FrameError
 				if !errors.As(derr, &fe) {

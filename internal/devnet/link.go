@@ -106,8 +106,9 @@ func randomSession() uint64 {
 
 // frame is one sealed request: its sequence number and its wire bytes,
 // frame header included, so sending it is one conn.Write and resending it
-// repeats the original bytes. ops is the Pipe's per-entry bookkeeping for
-// a batch frame; the link never looks at it.
+// repeats the original bytes. ops has one element per entry of a batch
+// frame and is empty for every other op: the link checks a batch response
+// against it, and the Pipe keeps its callers' tags there.
 type frame struct {
 	seq uint64
 	buf []byte
@@ -116,20 +117,24 @@ type frame struct {
 
 // link is the one wire transport under both clients: Client is a link
 // with a window of one frame, Pipe a link with a window of N. It owns
-// everything that is not about what a frame carries — the connection
+// everything that is not about which ops a caller wants — the connection
 // (dial, redial, drop), deadlines and timeout accounting, the session
-// and sequence numbers, the pooled receive buffer, the FIFO window of
-// sealed frames not answered yet, and the single recovery routine with
-// its backoff schedule and retry budget. Its users build request bodies
-// and interpret response bodies. Not safe for concurrent use.
+// and sequence numbers, the tenant binding and its replay on every new
+// connection, the pooled receive buffer, the FIFO window of sealed frames
+// not answered yet, the single recovery routine with its backoff schedule
+// and retry budget, and the two retry rules of the data plane (answer for
+// a frame, requeue for an op inside an executed batch). Not safe for
+// concurrent use.
 type link struct {
 	addr string
 	opts Options
 	// what names the operation under way in OpError and the log.
 	what string
-	// onConnect, when set, runs on every replacement connection before
-	// anything is retransmitted over it (Client re-attaches its tenant).
-	onConnect func() error
+	// tenant and token are the binding attachTenant established (tenant 0
+	// = unbound). The server binds a connection, not a session, so greet
+	// replays it on every replacement connection.
+	tenant uint32
+	token  uint64
 
 	conn net.Conn
 	seq  uint64
@@ -211,6 +216,7 @@ func (l *link) next() *frame {
 	}
 	l.seq++
 	f.seq = l.seq
+	f.ops = f.ops[:0]
 	return f
 }
 
@@ -224,20 +230,119 @@ func (l *link) send(f *frame) error {
 	return nil
 }
 
-// recv returns the response to the oldest unanswered frame, whatever its
-// status, recovering the link for as long as the budget allows. The
-// caller settles the frame with ack, or hands a retryable status back to
-// recover.
-func (l *link) recv() (wireResponse, error) {
+// answer returns the StatusOK response to the oldest unanswered frame,
+// recovering the link for as long as the budget allows: a transport
+// failure, a malformed response (a batch body is checked whole against
+// the frame's entries, so a caller never acts on half a batch) and a
+// retryable status (nothing in the frame executed) all retransmit it with
+// the SAME sequence number. A non-nil error is a non-retryable status,
+// which leaves the link usable, or the exhausted budget's *OpError.
+// Either way the caller settles the frame with ack.
+func (l *link) answer() (wireResponse, error) {
 	for {
-		resp, err := l.read(l.window[0].seq)
-		if err == nil {
+		f := l.window[0]
+		resp, cause := l.read(f.seq)
+		if cause == nil {
+			cause = statusError(resp.status, resp.body)
+		}
+		if cause == nil && len(f.ops) > 0 {
+			cause = validateBatchResponse(f, resp.body)
+		}
+		if cause == nil {
 			return resp, nil
 		}
-		if err := l.recover(err); err != nil {
+		if !l.retryable(cause) {
+			return wireResponse{}, cause
+		}
+		if err := l.recover(cause); err != nil {
 			return wireResponse{}, err
 		}
 	}
+}
+
+// exchange is one stop-and-wait round over an idle link: send the sealed
+// frame, return its answer. The response body aliases the receive buffer
+// and is valid until the next read.
+func (l *link) exchange(f *frame) (wireResponse, error) {
+	defer l.ack() // answered or given up on, the frame leaves the window
+	if err := l.send(f); err != nil {
+		return wireResponse{}, err
+	}
+	return l.answer()
+}
+
+// requeue is the retry rule for one op that came back with derr inside an
+// executed batch. The batch sits in the server's dedup window with that
+// failure in it, so its sequence number could only replay it: an op the
+// policy retries goes out again under a NEW one after the returned
+// backoff, charged to the op's own budget (MaxAttempts sends, MaxElapsed
+// since its first failure). Otherwise the error is the op's final
+// outcome, wrapped in *OpError if the budget ran out. The batch arrived
+// over a sound stream, so a per-op status the decoder rejects is the op's
+// own failure, not a reason to resend.
+func (l *link) requeue(op *pendOp, derr error) (time.Duration, error) {
+	class := ClassOf(derr)
+	if class == ClassTransport || !l.retryable(derr) {
+		return 0, derr
+	}
+	if op.attempts == 1 {
+		op.failedAt = time.Now()
+	}
+	pol := l.opts.Retry
+	wait := l.backoff(op.attempts, derr)
+	if elapsed := time.Since(op.failedAt); (pol.MaxAttempts > 0 && op.attempts >= pol.MaxAttempts) || elapsed+wait > pol.MaxElapsed {
+		l.gaveUp.Inc()
+		return 0, &OpError{Op: batchOpName(op.op), Attempts: op.attempts, Elapsed: elapsed, Err: derr}
+	}
+	if class == ClassBusy {
+		l.busyWaits.Inc()
+	}
+	l.retries.Inc()
+	op.attempts++
+	return wait, nil
+}
+
+// appendAttach renders a sealed OpTenantAttach frame into buf.
+func appendAttach(buf []byte, session, seq uint64, id uint32, token uint64) []byte {
+	tf := TenantFrame{Op: OpTenantAttach, Tenant: id, Token: token}
+	buf = append(newRequestFrame(buf, OpTenantAttach, session, seq), tf.Encode()...)
+	sealFrame(buf)
+	return buf
+}
+
+// attachTenant binds the idle link's connection to tenant id: every batch
+// frame sent from now on runs in that tenant's space. The binding is
+// remembered and replayed on every replacement connection (greet).
+func (l *link) attachTenant(id uint32, token uint64) error {
+	f := l.next()
+	f.buf = appendAttach(f.buf, l.opts.Session, f.seq, id, token)
+	_, err := l.exchange(f)
+	if err != nil {
+		// The server leaves a connection whose attach failed unbound.
+		id, token = 0, 0
+	}
+	l.tenant, l.token = id, token
+	return err
+}
+
+// greet runs on every replacement connection before anything is
+// retransmitted over it: it replays the tenant binding, or the server
+// would deny the batches the retransmission is trying to land. Session 0
+// and sequence 0: the attach must execute on this connection (the server
+// keeps it out of the dedup window anyway), and it is not one of the
+// link's numbered frames.
+func (l *link) greet() error {
+	if l.tenant == 0 {
+		return nil
+	}
+	if err := l.write(appendAttach(nil, 0, 0, l.tenant, l.token)); err != nil {
+		return err
+	}
+	resp, err := l.read(0)
+	if err != nil {
+		return err
+	}
+	return statusError(resp.status, resp.body)
 }
 
 // ack retires the answered head of the window and refills the budget.
@@ -318,11 +423,11 @@ func (l *link) sleep(wait time.Duration) {
 // be trusted, or when later frames ride behind the failed one (their
 // responses would arrive out of step with the retransmission; dropping
 // also stops the old server handler promptly). Then: back off, redial if
-// needed, run the on-connect hook, and retransmit every unanswered frame
+// needed, greet the new connection, and retransmit every unanswered frame
 // in order (go-back-N) — the server's dedup window answers any that
 // already executed from cache. Each pass charges the budget; a non-nil
 // return is the *OpError of an exhausted budget, or a non-retryable
-// error from the on-connect hook.
+// error from the greeting.
 func (l *link) recover(cause error) error {
 	pol := l.opts.Retry
 	for {
@@ -354,7 +459,7 @@ func (l *link) recover(cause error) error {
 }
 
 // retransmit writes every unanswered frame again, over a replacement
-// connection (greeted by the on-connect hook) if the old one was dropped.
+// connection (greeted first) if the old one was dropped.
 func (l *link) retransmit() error {
 	if l.conn == nil {
 		if err := l.dial(); err != nil {
@@ -362,13 +467,11 @@ func (l *link) retransmit() error {
 		}
 		l.reconnects.Inc()
 		l.logf("devnet: reconnected to %s", l.addr)
-		if l.onConnect != nil {
-			if err := l.onConnect(); err != nil {
-				// Unbound is worse than absent: the next pass redials and
-				// greets again rather than retransmitting over this one.
-				l.drop()
-				return err
-			}
+		if err := l.greet(); err != nil {
+			// Unbound is worse than absent: the next pass redials and
+			// greets again rather than retransmitting over this one.
+			l.drop()
+			return err
 		}
 	}
 	for _, f := range l.window {

@@ -31,14 +31,16 @@ type PipeOptions struct {
 // retry budget arrives wrapped in *OpError.
 type PipeHandler func(tag uint64, op uint8, data *nvm.Line, lat sim.Time, err error)
 
-// pendOp tracks one submitted op: the caller's tag, the op code, how
-// many times it has been sent in a batch that executed, and the byte
-// span [off, off+n) of its encoded entry inside its batch's buffer so a
-// retry can re-transcribe it without re-encoding.
+// pendOp tracks one submitted op: the caller's tag, the op code, which
+// send this is and when the first one failed (the op's retry budget, see
+// link.requeue), and the byte span [off, off+n) of its encoded entry
+// inside its batch's buffer so a retry can re-transcribe it without
+// re-encoding.
 type pendOp struct {
 	tag      uint64
 	op       uint8
 	attempts int
+	failedAt time.Time
 	off, n   int
 }
 
@@ -60,16 +62,20 @@ type retryQueue struct {
 // link's, shared with the stop-and-wait Client, at two levels:
 //
 //   - A transport failure, a sequence mismatch, a malformed response or
-//     a batch-level retryable status goes to the link's recovery, which
-//     retransmits every unanswered batch in order (go-back-N). The
-//     server's dedup window replays results for any batch that already
-//     executed, so retransmits never re-apply writes. These count as
-//     devnet_client_batch_retransmits_total, NOT as op retries.
+//     a batch-level retryable status goes to the link's recovery
+//     (link.answer), which retransmits every unanswered batch in order
+//     (go-back-N). The server's dedup window replays results for any
+//     batch that already executed, so retransmits never re-apply writes.
+//     These count as devnet_client_batch_retransmits_total, NOT as op
+//     retries.
 //   - An op that failed retryably inside an executed batch (shard busy,
-//     retired by a crash, down with RetryDown) was never applied; it is
-//     re-enqueued into a later batch under a NEW sequence number after
-//     the link's backoff. Only these increment
+//     tenant fair-share gate, retired by a crash, down with RetryDown)
+//     was never applied; link.requeue sends it into a later batch under a
+//     NEW sequence number after the link's backoff. Only these increment
 //     devnet_client_retries_total.
+//
+// After AttachTenant the same ops run in a tenant's space, addresses
+// tenant-local.
 //
 // A Pipe is not safe for concurrent use; everything (including handler
 // callbacks) runs on the calling goroutine. Responses in one batch are
@@ -126,6 +132,17 @@ func DialPipe(addr string, h PipeHandler, opts PipeOptions) (*Pipe, error) {
 
 // Session returns the pipe's dedup session id.
 func (p *Pipe) Session() uint64 { return p.l.opts.Session }
+
+// AttachTenant authenticates the pipe's connection as tenant id, after
+// driving everything already submitted to its outcome: every op submitted
+// afterwards takes a tenant-local address and runs in the tenant's space.
+// The link re-attaches after every reconnect, before it retransmits.
+func (p *Pipe) AttachTenant(id uint32, token uint64) error {
+	if err := p.Flush(); err != nil {
+		return err
+	}
+	return p.l.attachTenant(id, token)
+}
 
 // Submit enqueues one op. op is a device.Batch* code; line is required
 // for BatchWrite. The op's outcome arrives via the handler during a
@@ -226,7 +243,6 @@ func (p *Pipe) ensureCur() *frame {
 	if p.cur == nil {
 		p.cur = p.l.next()
 		p.cur.buf = newBatchFrame(p.cur.buf, p.l.opts.Session)
-		p.cur.ops = p.cur.ops[:0]
 	}
 	return p.cur
 }
@@ -251,43 +267,26 @@ func (p *Pipe) seal() error {
 }
 
 // recvOne receives and delivers the oldest in-flight batch's responses.
-// Returns only the pipe's fatal error; retryable trouble goes back to the
-// link, whose error means the retry budget ran out.
+// Returns only the pipe's fatal error: a batch-level status retrying
+// cannot help (nothing in the frame executed), or the link's exhausted
+// retry budget.
 func (p *Pipe) recvOne() error {
-	for p.err == nil && len(p.l.window) > 0 {
-		resp, err := p.l.recv()
-		if err != nil {
-			return p.fail(err)
-		}
-		b := p.l.window[0]
-		cause := statusError(resp.status, resp.body)
-		switch {
-		case cause == nil:
-			// Validate the whole body before firing any handler, so a
-			// malformed response never delivers a partial batch (recovery
-			// would then replay it and double-deliver).
-			if cause = validateBatchResponse(b, resp.body); cause == nil {
-				p.deliver(b, resp.body)
-				p.l.ack()
-				return nil
-			}
-		case !p.l.retryable(cause):
-			// Nothing in the frame executed and retrying cannot help.
-			return p.fail(cause)
-		}
-		// A malformed response, or a retryable batch status (e.g. the
-		// server shed the whole frame, so nothing in it executed): the link
-		// retransmits it with the SAME seq.
-		if err := p.l.recover(cause); err != nil {
-			return p.fail(err)
-		}
+	if p.err != nil || len(p.l.window) == 0 {
+		return p.err
 	}
-	return p.err
+	resp, err := p.l.answer()
+	if err != nil {
+		return p.fail(err)
+	}
+	p.deliver(p.l.window[0], resp.body)
+	p.l.ack()
+	return nil
 }
 
-// validateBatchResponse checks a StatusOK batch body end to end:
-// count matches the batch, every entry parses, read bodies are
-// line-sized.
+// validateBatchResponse checks a StatusOK batch body end to end before
+// anything acts on it, so a malformed response never delivers a partial
+// batch (recovery would then replay it and double-deliver): count matches
+// the batch, every entry parses, read bodies are line-sized.
 func validateBatchResponse(b *frame, body []byte) error {
 	it, err := parseBatchResults(body)
 	if err != nil {
@@ -312,8 +311,8 @@ func validateBatchResponse(b *frame, body []byte) error {
 }
 
 // deliver fires the handler for every op in a validated StatusOK batch,
-// re-enqueueing per-op retryable failures. The body has already been
-// validated, so iteration cannot fail.
+// re-enqueueing the failures link.requeue says to retry. The body has
+// already been validated, so iteration cannot fail.
 func (p *Pipe) deliver(b *frame, body []byte) {
 	it, _ := parseBatchResults(body)
 	for i := range b.ops {
@@ -327,38 +326,23 @@ func (p *Pipe) deliver(b *frame, body []byte) {
 			p.h(op.tag, op.op, data, sim.Time(lat), nil)
 			continue
 		}
-		derr := statusError(st, obody)
-		class := ClassOf(derr)
-		// The batch executed over a sound stream, so a per-op status the
-		// decoder rejects is the op's own failure, not a reason to resend.
-		retryable := class != ClassTransport && p.l.retryable(derr)
-		if limit := p.l.opts.Retry.MaxAttempts; retryable && (limit < 0 || op.attempts < limit) {
-			if class == ClassBusy {
-				p.l.busyWaits.Inc()
-			}
-			p.l.retries.Inc()
-			p.queueRetry(b, i, derr)
+		wait, err := p.l.requeue(op, statusError(st, obody))
+		if err != nil {
+			p.h(op.tag, op.op, nil, 0, err)
 			continue
 		}
-		if retryable {
-			p.l.gaveUp.Inc()
-			derr = &OpError{Op: batchOpName(op.op), Attempts: op.attempts, Err: derr}
-		}
-		p.h(op.tag, op.op, nil, 0, derr)
+		p.queueRetry(b, i, wait)
 	}
 }
 
 // queueRetry copies op i's entry bytes out of its batch and schedules
-// it for re-submission under a new sequence number.
-func (p *Pipe) queueRetry(b *frame, i int, cause error) {
+// it for re-submission under a new sequence number, wait from now.
+func (p *Pipe) queueRetry(b *frame, i int, wait time.Duration) {
 	op := b.ops[i]
-	if w := p.l.backoff(op.attempts, cause); w > p.retryWait {
-		p.retryWait = w
-	}
+	p.retryWait = max(p.retryWait, wait)
 	off := len(p.retry.buf)
 	p.retry.buf = append(p.retry.buf, b.buf[op.off:op.off+op.n]...)
 	op.off = off
-	op.attempts++
 	p.retry.ops = append(p.retry.ops, op)
 }
 

@@ -170,8 +170,9 @@ func TestPipeSteadyStateAllocs(t *testing.T) {
 }
 
 // killingProxy relays TCP between the client and a devnet server, but
-// closes connection i after relaying schedule[i] response frames —
-// a deterministic connection-loss schedule for retransmit tests.
+// on connection i it relays schedule[i] response frames, swallows the
+// next one and closes — a deterministic schedule of connections lost
+// with an executed request's response in flight, for retransmit tests.
 type killingProxy struct {
 	ln       net.Listener
 	backend  string
@@ -228,11 +229,12 @@ func (kp *killingProxy) run() {
 }
 
 // relayResponses forwards whole response frames server→client, cutting
-// the connection after budget frames (budget < 0: forward forever).
+// the connection once it has read frame budget+1 from the server, without
+// forwarding it (budget < 0: forward forever).
 func (kp *killingProxy) relayResponses(client, server net.Conn, budget int) {
 	var hdr [8]byte
 	buf := make([]byte, 64<<10)
-	for n := 0; budget < 0 || n < budget; n++ {
+	for n := 0; ; n++ {
 		if _, err := io.ReadFull(server, hdr[:]); err != nil {
 			return
 		}
@@ -241,6 +243,9 @@ func (kp *killingProxy) relayResponses(client, server net.Conn, budget int) {
 			buf = make([]byte, size)
 		}
 		if _, err := io.ReadFull(server, buf[:size]); err != nil {
+			return
+		}
+		if n == budget {
 			return
 		}
 		if _, err := client.Write(hdr[:]); err != nil {
@@ -358,6 +363,43 @@ func testPipeRetransmit(t *testing.T, schedule []int, maxAttempts int) {
 	}
 	if counters["devnet_client_gave_up_total"] != 0 {
 		t.Fatalf("gave up although every loss was followed by progress: %v", counters)
+	}
+}
+
+// TestClientWriteRetriedAcrossDropAppliedOnce loses the response to a
+// stop-and-wait write — a one-entry batch — with the connection: the
+// client must reconnect and retransmit the same (session, seq), and the
+// server must acknowledge it from the dedup window instead of applying
+// the write again.
+func TestClientWriteRetriedAcrossDropAppliedOnce(t *testing.T) {
+	_, serverReg, backend := startServerWith(t, devnet.ServerOptions{})
+	kp := startKillingProxy(t, backend, []int{0})
+	clientReg := telemetry.NewRegistry()
+	c, err := devnet.DialWith(kp.addr(), devnet.Options{
+		Retry:     devnet.RetryPolicy{BaseBackoff: time.Millisecond},
+		Telemetry: clientReg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	line := testLine(0, 6)
+	if _, err := c.Write(0, &line); err != nil {
+		t.Fatalf("write across a dropped connection: %v", err)
+	}
+	if got := serverReg.Counter("devnet_server_applied_writes_total").Value(); got != 1 {
+		t.Fatalf("write applied %d times, want exactly once", got)
+	}
+	if got := serverReg.Counter("devnet_server_dedup_hits_total").Value(); got != 1 {
+		t.Fatalf("dedup hits = %d, want 1 (the retransmit)", got)
+	}
+	if clientReg.Counter("devnet_client_reconnects_total").Value() != 1 ||
+		clientReg.Counter("devnet_client_retries_total").Value() != 1 {
+		t.Fatalf("recovery counters: %v", clientReg.Snapshot().Counters)
+	}
+	if got, _, err := c.Read(0); err != nil || got != line {
+		t.Fatalf("read back: %v", err)
 	}
 }
 

@@ -1,13 +1,13 @@
 // Package devnet puts a sharded internal/device behind a TCP socket with
 // a small length-prefixed binary protocol, so load generators and other
 // processes can drive a live secure-NVM device service. Two clients
-// share one transport (link.go): Client, stop-and-wait, satisfies
-// device.Client, making in-process and over-the-wire use interchangeable;
-// Pipe keeps a window of batch frames in flight. The link under both is
-// self-healing — per-frame deadlines, automatic reconnect with capped
-// exponential backoff, and go-back-N retransmission of every unanswered
-// frame under one retry budget, made exactly-once by the (session,
-// sequence) pair the server deduplicates.
+// share one transport (link.go): Client is stop-and-wait, making
+// in-process and over-the-wire use interchangeable; Pipe keeps a window
+// of batch frames in flight. The link under both is self-healing —
+// per-frame deadlines, automatic reconnect with capped exponential
+// backoff (replaying the tenant binding first), and go-back-N
+// retransmission of every unanswered frame under one retry budget, made
+// exactly-once by the (session, sequence) pair the server deduplicates.
 //
 // Framing: every message is [u32 big-endian payload length][u32 CRC-32C
 // of the payload][payload]. The checksum makes corruption on the wire a
@@ -25,22 +25,36 @@
 // A response payload is [u8 status][u64 seq echo][u64 latency in
 // simulated picoseconds][status/op-specific body]. The echoed sequence
 // lets the client reject a response that does not answer the request it
-// has in flight. All integers are big-endian. Request bodies:
+// has in flight. All integers are big-endian.
 //
-//	OpPing     —
-//	OpInfo     —                       response body: device.Info JSON
-//	OpRead     [u64 addr]              response body: 64-byte line
-//	OpWrite    [u64 addr][64B line]
-//	OpDrain    [u64 addr]
-//	OpFlush    —
-//	OpCrash    —
-//	OpRecover  —                       response body: device.RecoveryReport JSON
-//	OpSnapshot —                       response body: telemetry snapshot JSON
-//	OpHealth   —                       response body: Health JSON
+// There is one wire encoding of a data op: an entry of an OpBatch frame
+// (batch.go). A stop-and-wait read, write or drain is a one-entry batch;
+// a tenant's is the same entry sent over a connection bound to the tenant
+// with OpTenantAttach, its address tenant-local. Request bodies:
+//
+//	 1 OpPing          —
+//	 2 OpInfo          —                       response: device.Info JSON
+//	 6 OpFlush         —
+//	 7 OpCrash         —
+//	 8 OpRecover       —                       response: device.RecoveryReport JSON
+//	 9 OpSnapshot      —                       response: telemetry snapshot JSON
+//	10 OpHealth        —                       response: Health JSON
+//	11 OpTenantAttach  [u32 tenant][u64 token]
+//	14 OpTenantCreate  [u32 tenant][u64 lines][u32 quota]  response: [u64 token]
+//	15 OpTenantRotate  [u32 tenant]
+//	16 OpTenantStep    [u32 tenant][u32 max]   response: [u8 done][u32 rotated][u64 cursor]
+//	17 OpTenantInfo    [u32 tenant]            response: TenantInfo JSON
+//	18 OpTenantList    —                       response: []TenantRecord JSON
+//	19 OpTenantMetrics [u32 tenant]            response: telemetry snapshot JSON
+//	20 OpBatch         see batch.go
+//
+// Opcodes 3, 4, 5 (OpRead, OpWrite, OpDrain) and 12, 13 (OpTenantRead,
+// OpTenantWrite) were the single-op data frames. They are retired:
+// reserved, never reused, and answered "unknown op".
 //
 // Error statuses carry typed bodies so the client can reconstruct the
 // device's error surface exactly (see StatusBusy etc.; wireerr.go is the
-// one codec for both response framings).
+// one codec for a stand-alone response and a batch entry alike).
 package devnet
 
 import (
@@ -50,49 +64,37 @@ import (
 	"io"
 )
 
-// Protocol ops.
+// Protocol ops. The values are the wire protocol; the gaps are the
+// retired opcodes listed in the package comment.
 const (
-	OpPing uint8 = iota + 1
-	OpInfo
-	OpRead
-	OpWrite
-	OpDrain
-	OpFlush
-	OpCrash
-	OpRecover
-	OpSnapshot
-	OpHealth
+	OpPing     uint8 = 1
+	OpInfo     uint8 = 2
+	OpFlush    uint8 = 6
+	OpCrash    uint8 = 7
+	OpRecover  uint8 = 8
+	OpSnapshot uint8 = 9
+	OpHealth   uint8 = 10
 
-	// Tenant plane (see tenantframe.go for the body codec). A session must
-	// OpTenantAttach with a valid token before its data ops; the binding
-	// is per-connection, so attach bypasses the dedup window and the
-	// client replays it after every reconnect.
-	//
-	//	OpTenantAttach  [u32 tenant][u64 token]
-	//	OpTenantRead    [u32 tenant][u64 addr]           response: 64-byte line
-	//	OpTenantWrite   [u32 tenant][u64 addr][64B line]
-	//	OpTenantCreate  [u32 tenant][u64 lines][u32 quota]  response: [u64 token]
-	//	OpTenantRotate  [u32 tenant]
-	//	OpTenantStep    [u32 tenant][u32 max]            response: [u8 done][u32 rotated][u64 cursor]
-	//	OpTenantInfo    [u32 tenant]                     response: TenantInfo JSON
-	//	OpTenantList    —                                response: []tenant.Record JSON
-	//	OpTenantMetrics [u32 tenant]                     response: telemetry snapshot JSON
-	OpTenantAttach
-	OpTenantRead
-	OpTenantWrite
-	OpTenantCreate
-	OpTenantRotate
-	OpTenantStep
-	OpTenantInfo
-	OpTenantList
-	OpTenantMetrics
+	// Tenant plane (see tenantframe.go for the body codec). OpTenantAttach
+	// binds the connection to a tenant after checking its token; every
+	// batch frame that follows on the connection runs in that tenant's
+	// space. The binding is per-connection, so attach bypasses the dedup
+	// window and the client link replays it after every reconnect. The
+	// rest are operator-plane ops and need no binding.
+	OpTenantAttach  uint8 = 11
+	OpTenantCreate  uint8 = 14
+	OpTenantRotate  uint8 = 15
+	OpTenantStep    uint8 = 16
+	OpTenantInfo    uint8 = 17
+	OpTenantList    uint8 = 18
+	OpTenantMetrics uint8 = 19
 
-	// OpBatch is the v3 batched data plane: one frame carries up to
-	// maxBatchOps read/write/drain operations, executed by the server as
-	// one device batch (see batch.go for the body codec and DESIGN.md
-	// "Client link" for the pipelining and dedup rules). The
-	// whole batch is one (session, seq) dedup unit.
-	OpBatch
+	// OpBatch is the data plane: one frame carries up to maxBatchOps
+	// read/write/drain operations, executed by the server as one unit (see
+	// batch.go for the body codec and DESIGN.md "Client link" for the
+	// pipelining and dedup rules). The whole batch is one (session, seq)
+	// dedup unit.
+	OpBatch uint8 = 20
 )
 
 // Response statuses.

@@ -13,6 +13,7 @@ import (
 	"soteria/internal/memctrl"
 	"soteria/internal/nvm"
 	"soteria/internal/telemetry"
+	"soteria/internal/tenant"
 )
 
 // rawServer brings up a device and a hardened server, returning the
@@ -59,6 +60,12 @@ func exchange(t *testing.T, conn net.Conn, req []byte) []byte {
 	return resp
 }
 
+// writeBatch is the request payload of a one-entry write batch — what
+// Client.Write puts on the wire.
+func writeBatch(session, seq, addr uint64, line nvm.Line) []byte {
+	return buildBatchFrame(session, seq, []device.BatchOp{{Op: device.BatchWrite, Addr: addr, Line: line}})[frameHeaderSize:]
+}
+
 // TestDedupWindowAnswersRetriedWrite replays the exact bytes of a
 // committed write — what a client that lost the first response does —
 // and checks the server acknowledges from the dedup window without
@@ -75,9 +82,7 @@ func TestDedupWindowAnswersRetriedWrite(t *testing.T) {
 	for i := range line {
 		line[i] = byte(i) ^ 0xa5
 	}
-	body := putU64(make([]byte, 0, 8+nvm.LineSize), 3*nvm.LineSize)
-	body = append(body, line[:]...)
-	req := append(encodeRequest(OpWrite, 42, 7, len(body)), body...)
+	req := writeBatch(42, 7, 3*nvm.LineSize, line)
 
 	first := exchange(t, conn, req)
 	if first[0] != StatusOK {
@@ -95,8 +100,7 @@ func TestDedupWindowAnswersRetriedWrite(t *testing.T) {
 	}
 
 	// A fresh sequence number from the same session must execute.
-	req2 := append(encodeRequest(OpWrite, 42, 8, len(body)), body...)
-	if resp := exchange(t, conn, req2); resp[0] != StatusOK {
+	if resp := exchange(t, conn, writeBatch(42, 8, 3*nvm.LineSize, line)); resp[0] != StatusOK {
 		t.Fatalf("fresh seq status %d", resp[0])
 	}
 	if got := reg.Counter("devnet_server_applied_writes_total").Value(); got != 2 {
@@ -114,14 +118,126 @@ func TestSessionZeroBypassesDedup(t *testing.T) {
 	}
 	defer conn.Close()
 
-	var line nvm.Line
-	body := putU64(make([]byte, 0, 8+nvm.LineSize), 0)
-	body = append(body, line[:]...)
-	req := append(encodeRequest(OpWrite, 0, 1, len(body)), body...)
+	req := writeBatch(0, 1, 0, nvm.Line{})
 	exchange(t, conn, req)
 	exchange(t, conn, req)
 	if got := reg.Counter("devnet_server_applied_writes_total").Value(); got != 2 {
 		t.Fatalf("session-0 writes applied %d times, want 2", got)
+	}
+}
+
+// TestRetiredOpcodesAnswerUnknownOp: the single-op data frames are gone;
+// their opcode numbers are reserved and must not execute anything.
+func TestRetiredOpcodesAnswerUnknownOp(t *testing.T) {
+	_, reg, addr := rawServer(t, ServerOptions{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Each retired number with the body its single-op frame used to take.
+	for op, n := range map[uint8]int{3: 8, 4: 8 + nvm.LineSize, 5: 8, 12: 12, 13: 12 + nvm.LineSize} {
+		req := append(encodeRequest(op, 9, uint64(op), n), make([]byte, n)...)
+		resp, err := parseResponse(exchange(t, conn, req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.status != StatusError || !bytes.Contains(resp.body, []byte("unknown op")) {
+			t.Fatalf("retired op %d answered status %d %q", op, resp.status, resp.body)
+		}
+	}
+	if got := reg.Counter("devnet_server_applied_writes_total").Value(); got != 0 {
+		t.Fatalf("a retired opcode applied %d writes", got)
+	}
+}
+
+// TestDedupReplayRequiresSameBinding: the dedup window must not be a way
+// around OpTenantAttach. A session id is a uniqueness token, not a
+// credential, so the cached response of a tenant read — plaintext line
+// included — is replayed only to a connection bound to the tenant it was
+// produced for (where a genuine retransmit always arrives, because the
+// link re-attaches first).
+func TestDedupReplayRequiresSameBinding(t *testing.T) {
+	dev, err := device.New(device.Options{
+		System: config.TestSystem(),
+		Mode:   memctrl.ModeSRC,
+		Key:    []byte("devnet-raw-tenant-key"),
+		Shards: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := tenant.New(dev, tenant.Options{MasterKey: []byte("devnet-raw-tenant-master")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tokens := map[uint32]uint64{}
+	for id := uint32(1); id <= 2; id++ {
+		if tokens[id], err = svc.Provision(id, 8, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := telemetry.NewRegistry()
+	srv := NewServerWith(nil, ServerOptions{Tenants: svc, Telemetry: reg})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() { defer close(done); srv.Serve(ln) }()
+	t.Cleanup(func() { srv.Shutdown(); <-done; dev.Close() })
+
+	// dial opens a raw connection, attached as tenant id unless id is 0.
+	dial := func(id uint32) net.Conn {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		if id != 0 {
+			attach := appendAttach(nil, 0, 0, id, tokens[id])[frameHeaderSize:]
+			if resp := exchange(t, conn, attach); resp[0] != StatusOK {
+				t.Fatalf("attach tenant %d: status %d", id, resp[0])
+			}
+		}
+		return conn
+	}
+
+	secret := batchTestLine(0, 0x5e)
+	owner := dial(1)
+	if resp := exchange(t, owner, writeBatch(42, 1, 0, secret)); resp[0] != StatusOK {
+		t.Fatalf("write status %d", resp[0])
+	}
+	read := buildBatchFrame(42, 2, []device.BatchOp{{Op: device.BatchRead, Addr: 0}})[frameHeaderSize:]
+	first := exchange(t, owner, read)
+	if first[0] != StatusOK || !bytes.Contains(first, secret[:]) {
+		t.Fatalf("tenant read did not return the line (status %d)", first[0])
+	}
+
+	for name, id := range map[string]uint32{"unattached": 0, "attached as another tenant": 2} {
+		replay := exchange(t, dial(id), read)
+		if bytes.Contains(replay, secret[:]) {
+			t.Fatalf("%s connection replayed tenant 1's cached read, plaintext included", name)
+		}
+		resp, err := parseResponse(replay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if derr := statusError(resp.status, resp.body); !errors.Is(derr, tenant.ErrAuth) {
+			t.Fatalf("%s replay: status %d (%v), want StatusTenantDenied", name, resp.status, derr)
+		}
+	}
+	if got := reg.Counter("devnet_server_dedup_hits_total").Value(); got != 0 {
+		t.Fatalf("denied replays counted %d dedup hits", got)
+	}
+
+	// The retransmit the window exists for: same session, a new connection
+	// that re-attached as the same tenant.
+	if again := exchange(t, dial(1), read); !bytes.Equal(again, first) {
+		t.Fatal("re-attached retransmit was not answered from the dedup window")
+	}
+	if got := reg.Counter("devnet_server_dedup_hits_total").Value(); got != 1 {
+		t.Fatalf("dedup hits = %d, want 1", got)
 	}
 }
 

@@ -13,6 +13,8 @@ import (
 	"soteria/internal/devnet"
 	"soteria/internal/inject"
 	"soteria/internal/memctrl"
+	"soteria/internal/nvm"
+	"soteria/internal/sim"
 	"soteria/internal/telemetry"
 )
 
@@ -185,6 +187,76 @@ func TestClientRecoversAcrossServerRestart(t *testing.T) {
 	}
 	if reg.Counter("devnet_client_reconnects_total").Value() == 0 {
 		t.Fatal("client never counted a reconnect")
+	}
+}
+
+// TestDownRetryBoundedByMaxElapsed: with unlimited attempts and
+// RetryDown, an op against a device nobody recovers comes back — inside an
+// executed batch, so under the per-op retry rule — again and again.
+// MaxElapsed must still end it, for the stop-and-wait client and for the
+// pipe alike, with the typed cause inside an *OpError, and without
+// poisoning either client.
+func TestDownRetryBoundedByMaxElapsed(t *testing.T) {
+	dev, _, addr := startServerWith(t, devnet.ServerOptions{})
+	if err := dev.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	opts := devnet.Options{Retry: devnet.RetryPolicy{
+		MaxAttempts: -1,
+		MaxElapsed:  150 * time.Millisecond,
+		BaseBackoff: 5 * time.Millisecond,
+		MaxBackoff:  20 * time.Millisecond,
+		RetryDown:   true,
+	}}
+	check := func(who string, start time.Time, err error) {
+		t.Helper()
+		var oe *devnet.OpError
+		if !errors.As(err, &oe) || !errors.Is(err, memctrl.ErrCrashed) || oe.Op != "write" || oe.Attempts < 2 {
+			t.Fatalf("%s: %v, want an *OpError for a write wrapping ErrCrashed after several attempts", who, err)
+		}
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Fatalf("%s kept retrying for %v, MaxElapsed is 150ms", who, elapsed)
+		}
+	}
+	line := testLine(0, 4)
+
+	c, err := devnet.DialWith(addr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	start := time.Now()
+	_, err = c.Write(0, &line)
+	check("client", start, err)
+
+	var opErr error
+	p, err := devnet.DialPipe(addr, func(_ uint64, _ uint8, _ *nvm.Line, _ sim.Time, err error) { opErr = err },
+		devnet.PipeOptions{Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	start = time.Now()
+	if err := p.Submit(1, device.BatchWrite, 0, &line); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatalf("a per-op give-up poisoned the pipe: %v", err)
+	}
+	check("pipe", start, opErr)
+
+	// Both clients are still usable once something recovers the device.
+	if _, err := dev.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write(0, &line); err != nil {
+		t.Fatalf("client write after recovery: %v", err)
+	}
+	if err := p.Submit(2, device.BatchRead, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(); err != nil || opErr != nil {
+		t.Fatalf("pipe read after recovery: %v / %v", err, opErr)
 	}
 }
 

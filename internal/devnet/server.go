@@ -1,7 +1,6 @@
 package devnet
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"soteria/internal/device"
-	"soteria/internal/nvm"
 	"soteria/internal/sim"
 	"soteria/internal/telemetry"
 	"soteria/internal/tenant"
@@ -44,9 +42,11 @@ type ServerOptions struct {
 	// registries so wire snapshots stay byte-identical to local ones.
 	Telemetry *telemetry.Registry
 	// Tenants, when non-nil, enables the tenant plane (OpTenantAttach and
-	// friends) against this multi-tenant service. The flat device may then
-	// be nil, in which case data ops are tenant-only and the control ops
-	// (flush, crash, recover, snapshot) route to the service's device.
+	// friends) against this multi-tenant service: batch frames on a
+	// connection bound to a tenant run through it. The flat device may
+	// then be nil, in which case unbound batch frames are denied and the
+	// control ops (flush, crash, recover, snapshot) route to the service's
+	// device.
 	Tenants *tenant.Service
 	// Logf, when non-nil, receives connection lifecycle lines.
 	Logf func(format string, args ...any)
@@ -395,7 +395,14 @@ func (s *Server) dispatch(payload []byte, bound *uint32, bs *batchScratch) []byt
 	// connection that sends it — a dedup hit replaying a cached OK
 	// without binding would leave the new connection unauthenticated.
 	if req.session != 0 && req.op != OpTenantAttach {
-		if cached, ok := s.sessions.Cached(req.session, req.seq); ok {
+		if cached, owner, ok := s.sessions.Cached(req.session, req.seq); ok {
+			// A session id is not a credential: a response is replayed only
+			// to a connection bound like the one that earned it. A genuine
+			// retransmit qualifies, because the link re-attaches before it
+			// resends anything.
+			if owner != *bound {
+				return respFromErr(req.seq, &tenant.AuthError{Tenant: *bound})
+			}
 			s.dedupHits.Inc()
 			return cached
 		}
@@ -426,7 +433,7 @@ func (s *Server) dispatch(payload []byte, bound *uint32, bs *batchScratch) []byt
 			// allocation per batch, amortized across its ops).
 			resp = append([]byte(nil), resp...)
 		}
-		s.sessions.Store(req.session, req.seq, resp)
+		s.sessions.Store(req.session, req.seq, *bound, resp)
 	}
 	return resp
 }
@@ -441,17 +448,17 @@ func (s *Server) handleSafe(req wireRequest, bound *uint32, bs *batchScratch) (r
 			resp = respErr(req.seq, fmt.Errorf("internal: handler panic: %v", p))
 		}
 	}()
-	if req.op >= OpTenantAttach && req.op <= OpTenantMetrics {
-		return s.handleTenant(req, bound)
-	}
 	if req.op == OpBatch {
-		return s.handleBatch(req, bs)
+		return s.handleBatch(req, *bound, bs)
+	}
+	if tenantBodyLen(req.op) >= 0 {
+		return s.handleTenant(req, bound)
 	}
 	return s.handle(req)
 }
 
-// handle executes one flat request and builds the response payload.
-// Control ops go to the control target; data ops need the flat device.
+// handle executes one control or introspection request against the
+// control target and builds the response payload.
 func (s *Server) handle(req wireRequest) []byte {
 	op, seq := req.op, req.seq
 	switch op {
@@ -473,44 +480,9 @@ func (s *Server) handle(req wireRequest) []byte {
 		return respJSON(seq, rep)
 	case OpSnapshot:
 		return respSnapshot(seq, s.ctl.Snapshot())
-	case OpRead, OpWrite, OpDrain:
-		return s.handleData(req)
 	default:
 		return respErr(seq, fmt.Errorf("unknown op %d", op))
 	}
-}
-
-// handleData executes one flat data op against the flat device.
-func (s *Server) handleData(req wireRequest) []byte {
-	op, body, seq := req.op, req.body, req.seq
-	if s.dev == nil && s.opts.Tenants != nil {
-		// In tenant mode every line belongs to some tenant's key domain.
-		return respErr(seq, fmt.Errorf("flat data ops are disabled on a tenant-only server"))
-	}
-	if op == OpWrite {
-		if len(body) != 8+nvm.LineSize {
-			return respErr(seq, fmt.Errorf("write: want address + %d-byte line, got %d bytes", nvm.LineSize, len(body)))
-		}
-		var line nvm.Line
-		copy(line[:], body[8:])
-		lat, err := s.dev.Write(binary.BigEndian.Uint64(body), &line)
-		if err == nil {
-			s.appliedWrites.Inc()
-		}
-		return respDone(seq, lat, err)
-	}
-	if len(body) != 8 {
-		return respErr(seq, fmt.Errorf("read/drain: want 8-byte address, got %d bytes", len(body)))
-	}
-	addr := binary.BigEndian.Uint64(body)
-	if op == OpDrain {
-		return respDone(seq, 0, s.dev.Drain(addr))
-	}
-	line, lat, err := s.dev.Read(addr)
-	if err != nil {
-		return respFromErr(seq, err)
-	}
-	return respOK(seq, lat, line[:])
 }
 
 func respHeader(status uint8, seq uint64, lat sim.Time, bodyCap int) []byte {
@@ -571,17 +543,23 @@ type batchScratch struct {
 	resp []byte
 }
 
-// handleBatch executes one OpBatch frame: decode into the connection's
-// scratch, run the whole batch through the device as one unit (per-shard
-// coalesced groups, one lock hold per shard — device.ExecBatch), and
-// encode the per-op outcomes. The response header is StatusOK whenever
-// the batch executed; individual failures ride inside as per-op
-// status/body pairs. Batch-level failures keep their v2 meanings: the
-// in-flight cap sheds the whole frame with StatusBusy before this
-// handler runs, and a malformed body is StatusError.
-func (s *Server) handleBatch(req wireRequest, bs *batchScratch) []byte {
-	if s.dev == nil {
-		return respErr(req.seq, fmt.Errorf("batch: this server has no flat data plane"))
+// handleBatch executes one OpBatch frame — the only way a data op
+// arrives: decode into the connection's scratch, run the batch, encode
+// the per-op outcomes. The connection's tenant binding picks the
+// executor, one branch per frame: unbound, the whole batch goes through
+// the flat device as one unit (per-shard coalesced groups, one lock hold
+// per shard — device.ExecBatch); bound, each entry goes through the
+// tenant service in the bound tenant's space. The response header is
+// StatusOK whenever the batch executed; individual failures (quota,
+// fair-share and integrity included) ride inside as per-op status/body
+// pairs. Nothing executes under a batch-level failure: the in-flight cap
+// sheds the whole frame with StatusBusy before this handler runs, a
+// malformed body is StatusError, and an unbound frame on a server without
+// a flat device is StatusTenantDenied (every line there belongs to some
+// tenant's key domain).
+func (s *Server) handleBatch(req wireRequest, bound uint32, bs *batchScratch) []byte {
+	if bound == 0 && s.dev == nil {
+		return respFromErr(req.seq, &tenant.AuthError{})
 	}
 	if bs == nil {
 		bs = &batchScratch{}
@@ -596,7 +574,9 @@ func (s *Server) handleBatch(req wireRequest, bs *batchScratch) []byte {
 		bs.res = make([]device.BatchResult, len(ops))
 	}
 	res := bs.res[:len(ops)]
-	if err := s.dev.ExecBatch(ops, res); err != nil {
+	if bound != 0 {
+		s.execTenantBatch(bound, ops, res)
+	} else if err := s.dev.ExecBatch(ops, res); err != nil {
 		return respFromErr(req.seq, err)
 	}
 	out := bs.resp[:0]
@@ -622,6 +602,24 @@ func (s *Server) handleBatch(req wireRequest, bs *batchScratch) []byte {
 	}
 	bs.resp = out
 	return out
+}
+
+// execTenantBatch runs a bound connection's batch entry by entry through
+// the tenant service, addresses tenant-local. A drain acknowledges
+// without touching the device: the tenant layer holds no write back, so
+// every write it acknowledged is already durable.
+func (s *Server) execTenantBatch(id uint32, ops []device.BatchOp, res []device.BatchResult) {
+	svc := s.opts.Tenants
+	for i := range ops {
+		r := &res[i]
+		*r = device.BatchResult{}
+		switch ops[i].Op {
+		case device.BatchRead:
+			r.Data, r.Latency, r.Err = svc.Read(id, ops[i].Addr)
+		case device.BatchWrite:
+			r.Latency, r.Err = svc.Write(id, ops[i].Addr, &ops[i].Line)
+		}
+	}
 }
 
 // appendBatchErr appends one failed per-op result: the same wire status

@@ -27,10 +27,11 @@ type TenantRecord struct {
 }
 
 // handleTenant executes one tenant-plane request against the configured
-// tenant service. Data ops require the connection to be bound (attached)
-// to the tenant they address; admin ops (create, rotate, step, info,
-// list, metrics) are operator-plane and need no binding, matching the
-// flat protocol's stance that Crash/Recover are trusted-operator ops.
+// tenant service. Attach binds the connection, which is what routes its
+// batch frames into the tenant's space (handleBatch); the admin ops
+// (create, rotate, step, info, list, metrics) are operator-plane and need
+// no binding, matching the flat protocol's stance that Crash/Recover are
+// trusted-operator ops.
 func (s *Server) handleTenant(req wireRequest, bound *uint32) []byte {
 	seq := req.seq
 	svc := s.opts.Tenants
@@ -42,9 +43,6 @@ func (s *Server) handleTenant(req wireRequest, bound *uint32) []byte {
 		s.frameErrors.Inc()
 		return respErr(seq, err)
 	}
-	if (f.Op == OpTenantRead || f.Op == OpTenantWrite) && (*bound == 0 || *bound != f.Tenant) {
-		return respFromErr(seq, &tenant.AuthError{Tenant: f.Tenant})
-	}
 	switch f.Op {
 	case OpTenantAttach:
 		if err := svc.Authenticate(f.Tenant, f.Token); err != nil {
@@ -53,18 +51,6 @@ func (s *Server) handleTenant(req wireRequest, bound *uint32) []byte {
 		}
 		*bound = f.Tenant
 		return respOK(seq, 0, nil)
-	case OpTenantRead:
-		line, lat, err := svc.Read(f.Tenant, f.Addr)
-		if err != nil {
-			return respFromErr(seq, err)
-		}
-		return respOK(seq, lat, line[:])
-	case OpTenantWrite:
-		lat, err := svc.Write(f.Tenant, f.Addr, &f.Line)
-		if err == nil {
-			s.appliedWrites.Inc()
-		}
-		return respDone(seq, lat, err)
 	case OpTenantCreate:
 		token, err := svc.Provision(f.Tenant, f.Lines, f.Quota)
 		if err != nil {

@@ -7,7 +7,11 @@ import "sync"
 // numbers and their successful response payloads. A retransmitted
 // (session, seq) whose original already succeeded is answered from the
 // cache without touching the device — that is what makes a blind client
-// retry of a write exactly-once.
+// retry of a write exactly-once. Each response is kept with the tenant
+// binding of the connection it was produced for and is replayed only to a
+// connection with the same binding: a session id is a uniqueness token,
+// not a credential, so presenting one must not be a way around
+// OpTenantAttach.
 //
 // Only successful (StatusOK) responses are cached: a failed operation
 // did not commit anything, so re-executing it on retry is both safe and
@@ -32,8 +36,15 @@ type SessionTable struct {
 
 type sessionState struct {
 	lastUsed uint64
-	entries  map[uint64][]byte
+	entries  map[uint64]cachedResponse
 	order    []uint64 // insertion ring, oldest first
+}
+
+// cachedResponse is one window entry: the response payload and the tenant
+// the connection that earned it was bound to (0 = unbound).
+type cachedResponse struct {
+	tenant uint32
+	resp   []byte
 }
 
 // defaultDedupWindow is how many responses a session keeps by default.
@@ -60,30 +71,33 @@ func NewSessionTable(window, maxSessions int) *SessionTable {
 	}
 }
 
-// Cached returns the stored response for (session, seq), if any.
-func (t *SessionTable) Cached(session, seq uint64) ([]byte, bool) {
+// Cached returns the stored response for (session, seq), if any, and the
+// tenant binding it was produced under; the caller replays it only to a
+// connection bound the same way.
+func (t *SessionTable) Cached(session, seq uint64) (resp []byte, tenant uint32, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.clock++
 	s, ok := t.sessions[session]
 	if !ok {
 		t.misses++
-		return nil, false
+		return nil, 0, false
 	}
 	s.lastUsed = t.clock
-	resp, ok := s.entries[seq]
+	c, ok := s.entries[seq]
 	if !ok {
 		t.misses++
-		return nil, false
+		return nil, 0, false
 	}
 	t.hits++
-	return resp, true
+	return c.resp, c.tenant, true
 }
 
-// Store records a successful response for (session, seq), evicting the
-// oldest window entry and, if a new session pushes the table over its
-// session cap, the least-recently-used session.
-func (t *SessionTable) Store(session, seq uint64, resp []byte) {
+// Store records a successful response for (session, seq) and the tenant
+// binding it was produced under, evicting the oldest window entry and, if
+// a new session pushes the table over its session cap, the
+// least-recently-used session.
+func (t *SessionTable) Store(session, seq uint64, tenant uint32, resp []byte) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.clock++
@@ -93,7 +107,7 @@ func (t *SessionTable) Store(session, seq uint64, resp []byte) {
 		if len(t.sessions) >= t.maxSessions {
 			t.evictLRU()
 		}
-		s = &sessionState{entries: make(map[uint64][]byte, t.window)}
+		s = &sessionState{entries: make(map[uint64]cachedResponse, t.window)}
 		t.sessions[session] = s
 	}
 	s.lastUsed = t.clock
@@ -105,7 +119,7 @@ func (t *SessionTable) Store(session, seq uint64, resp []byte) {
 	if _, dup := s.entries[seq]; !dup {
 		s.order = append(s.order, seq)
 	}
-	s.entries[seq] = resp
+	s.entries[seq] = cachedResponse{tenant: tenant, resp: resp}
 }
 
 // evictLRU drops the least-recently-used session. Called with t.mu held.

@@ -3,13 +3,13 @@ package devnet
 import (
 	"encoding/binary"
 	"fmt"
-
-	"soteria/internal/nvm"
 )
 
-// TenantFrame is the parsed body of one tenant-plane request. One codec
-// (ParseTenantFrame / Encode) is the single entry and exit point for
-// every tenant op body on both sides of the wire, so the fuzz target
+// TenantFrame is the parsed body of one tenant-plane request: the attach
+// that binds a connection, and the operator ops. (Tenant data ops have no
+// frame of their own; they are batch entries on a bound connection.) One
+// codec (ParseTenantFrame / Encode) is the single entry and exit point
+// for every tenant op body on both sides of the wire, so the fuzz target
 // exercises exactly what the server parses: any byte string either
 // decodes into a frame that re-encodes to the same bytes, or is rejected
 // with a typed *FrameError — never a panic, never a silent truncation.
@@ -20,10 +20,6 @@ type TenantFrame struct {
 	Tenant uint32
 	// Token is the access token (OpTenantAttach).
 	Token uint64
-	// Addr is the tenant-local byte address (OpTenantRead/OpTenantWrite).
-	Addr uint64
-	// Line is the payload line (OpTenantWrite).
-	Line nvm.Line
 	// Lines is the extent size in lines (OpTenantCreate).
 	Lines uint64
 	// Quota is the per-window op budget, 0 = unlimited (OpTenantCreate).
@@ -38,10 +34,6 @@ func tenantBodyLen(op uint8) int {
 	switch op {
 	case OpTenantAttach:
 		return 12
-	case OpTenantRead:
-		return 12
-	case OpTenantWrite:
-		return 12 + nvm.LineSize
 	case OpTenantCreate:
 		return 16
 	case OpTenantRotate, OpTenantInfo, OpTenantMetrics:
@@ -72,11 +64,6 @@ func ParseTenantFrame(op uint8, body []byte) (TenantFrame, error) {
 	switch op {
 	case OpTenantAttach:
 		f.Token = binary.BigEndian.Uint64(body[4:12])
-	case OpTenantRead:
-		f.Addr = binary.BigEndian.Uint64(body[4:12])
-	case OpTenantWrite:
-		f.Addr = binary.BigEndian.Uint64(body[4:12])
-		copy(f.Line[:], body[12:])
 	case OpTenantCreate:
 		f.Lines = binary.BigEndian.Uint64(body[4:12])
 		f.Quota = binary.BigEndian.Uint32(body[12:16])
@@ -100,11 +87,6 @@ func (f *TenantFrame) Encode() []byte {
 	switch f.Op {
 	case OpTenantAttach:
 		out = putU64(out, f.Token)
-	case OpTenantRead:
-		out = putU64(out, f.Addr)
-	case OpTenantWrite:
-		out = putU64(out, f.Addr)
-		out = append(out, f.Line[:]...)
 	case OpTenantCreate:
 		out = putU64(out, f.Lines)
 		out = putU32(out, f.Quota)

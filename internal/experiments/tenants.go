@@ -98,9 +98,8 @@ func tenantRun(p TenantExpParams, n int, rotate uint32, rotateAt int) (*loadgen.
 		}
 		specs[i] = loadgen.TenantSpec{ID: id, Token: token, Lines: p.Lines}
 	}
-	conn := loadgen.NewLocalTenantConn(svc)
 	return loadgen.RunTenants(loadgen.TenantParams{
-		Dial:         func() (loadgen.TenantConn, error) { return conn, nil },
+		Dial:         func() (loadgen.TenantConn, error) { return loadgen.NewLocalTenantConn(svc), nil },
 		Tenants:      specs,
 		Ops:          p.Ops,
 		Seed:         p.Seed,
@@ -108,7 +107,7 @@ func tenantRun(p TenantExpParams, n int, rotate uint32, rotateAt int) (*loadgen.
 		RotateTenant: rotate,
 		RotateAt:     rotateAt,
 		RotateStride: p.RotateStride,
-		Admin:        conn,
+		Admin:        loadgen.NewLocalTenantConn(svc),
 	})
 }
 

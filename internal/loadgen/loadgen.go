@@ -1,6 +1,6 @@
 // Package loadgen is a deterministic closed-loop load generator for the
 // sharded secure-NVM device service. It replays internal/workload access
-// patterns against a live server (or any device.Client-shaped connection)
+// patterns against a live server (or anything else that implements Conn)
 // and reports throughput and latency percentiles computed from the
 // device's simulated clocks — wall-clock time never enters the report, so
 // a run is reproducible bit for bit.
@@ -30,9 +30,10 @@ import (
 	"soteria/internal/workload"
 )
 
-// Conn is the slice of the device surface the generator needs. Both
-// devnet.Client (over TCP) and deviceConn (in-process, for tests)
-// implement it.
+// Conn is the slice of the device surface the generator needs — the one
+// interface that keeps the over-the-wire and in-process implementations
+// interchangeable: devnet.Client (over TCP) and LocalConn (in-process,
+// for tests) both implement it.
 type Conn interface {
 	Info() (device.Info, error)
 	Read(addr uint64) (nvm.Line, sim.Time, error)

@@ -15,14 +15,15 @@ import (
 	"soteria/internal/workload"
 )
 
-// TenantConn is the tenant-plane slice of the connection surface the
-// multi-tenant generator needs. devnet.Client implements it over TCP
-// (where a session binds to one tenant at attach time), and
-// LocalTenantConn implements it in-process for tests and experiments.
+// TenantConn is the slice of the connection surface the multi-tenant
+// generator needs: a connection it can bind to one tenant, after which
+// the Read and Write it shares with Conn take tenant-local addresses.
+// devnet.Client implements it over TCP, LocalTenantConn in-process for
+// tests and experiments.
 type TenantConn interface {
 	AttachTenant(id uint32, token uint64) error
-	TenantRead(id uint32, addr uint64) (nvm.Line, sim.Time, error)
-	TenantWrite(id uint32, addr uint64, data *nvm.Line) (sim.Time, error)
+	Read(addr uint64) (nvm.Line, sim.Time, error)
+	Write(addr uint64, data *nvm.Line) (sim.Time, error)
 	Close() error
 }
 
@@ -46,8 +47,8 @@ type TenantSpec struct {
 
 // TenantParams configures one multi-tenant run.
 type TenantParams struct {
-	// Dial opens one connection; called once per tenant, because the
-	// network protocol binds a session to a single tenant at attach time.
+	// Dial opens one connection; called once per tenant, because a
+	// connection is bound to a single tenant at attach time.
 	Dial func() (TenantConn, error)
 	// Tenants lists the streams. Each must already be provisioned.
 	Tenants []TenantSpec
@@ -175,7 +176,7 @@ func (s *tenantStream) step() (bool, error) {
 	addr := line * nvm.LineSize
 	switch rec.Op {
 	case trace.OpRead:
-		data, lat, err := s.conn.TenantRead(s.spec.ID, addr)
+		data, lat, err := s.conn.Read(addr)
 		if busy(err) {
 			s.throttled++
 			s.pending = &rec
@@ -195,7 +196,7 @@ func (s *tenantStream) step() (bool, error) {
 		s.simBusy += uint64(lat)
 	case trace.OpWrite, trace.OpWritePersist:
 		content := s.lineContent(s.writeIdx)
-		lat, err := s.conn.TenantWrite(s.spec.ID, addr, &content)
+		lat, err := s.conn.Write(addr, &content)
 		if busy(err) {
 			s.throttled++
 			s.pending = &rec
@@ -210,8 +211,9 @@ func (s *tenantStream) step() (bool, error) {
 		s.writes++
 		s.simBusy += uint64(lat)
 	case trace.OpBarrier:
-		// The tenant plane has no per-shard drain; every acknowledged
-		// write is already durable, so a barrier is a no-op.
+		// Every acknowledged tenant write is already durable, so a
+		// barrier is a no-op (over the wire a drain entry on a bound
+		// connection acknowledges for the same reason).
 		s.barriers++
 	}
 	s.remaining--
@@ -417,11 +419,12 @@ func (r *TenantReport) WriteMarkdown(w io.Writer) error {
 
 // LocalTenantConn adapts an in-process *tenant.Service to TenantConn and
 // TenantAdmin, so the generator (and its tests) can drive a tenant
-// service without a socket. Close is a no-op: the caller owns the
-// service. Unlike a network session it enforces no per-connection tenant
-// binding — AttachTenant just verifies the token.
+// service without a socket: one value per tenant stream, bound by
+// AttachTenant like a network connection. Close is a no-op: the caller
+// owns the service.
 type LocalTenantConn struct {
-	svc *tenant.Service
+	svc   *tenant.Service
+	bound uint32
 }
 
 // NewLocalTenantConn wraps a tenant service.
@@ -431,17 +434,21 @@ func NewLocalTenantConn(svc *tenant.Service) *LocalTenantConn {
 
 // AttachTenant implements TenantConn.
 func (c *LocalTenantConn) AttachTenant(id uint32, token uint64) error {
-	return c.svc.Authenticate(id, token)
+	if err := c.svc.Authenticate(id, token); err != nil {
+		return err
+	}
+	c.bound = id
+	return nil
 }
 
-// TenantRead implements TenantConn.
-func (c *LocalTenantConn) TenantRead(id uint32, addr uint64) (nvm.Line, sim.Time, error) {
-	return c.svc.Read(id, addr)
+// Read implements TenantConn.
+func (c *LocalTenantConn) Read(addr uint64) (nvm.Line, sim.Time, error) {
+	return c.svc.Read(c.bound, addr)
 }
 
-// TenantWrite implements TenantConn.
-func (c *LocalTenantConn) TenantWrite(id uint32, addr uint64, data *nvm.Line) (sim.Time, error) {
-	return c.svc.Write(id, addr, data)
+// Write implements TenantConn.
+func (c *LocalTenantConn) Write(addr uint64, data *nvm.Line) (sim.Time, error) {
+	return c.svc.Write(c.bound, addr, data)
 }
 
 // TenantRotate implements TenantAdmin.

@@ -13,7 +13,8 @@ import (
 	"soteria/internal/tenant"
 )
 
-// compile-time: the wire client speaks both tenant planes.
+// compile-time: the wire client and the in-process adapter both bind to
+// a tenant and drive its rotation.
 var (
 	_ loadgen.TenantConn  = (*devnet.Client)(nil)
 	_ loadgen.TenantAdmin = (*devnet.Client)(nil)
@@ -96,9 +97,8 @@ func TestRunTenantsDeterministic(t *testing.T) {
 // i.e. lazy re-encryption never serves a stale or foreign line.
 func TestRunTenantsRotationUnderLoad(t *testing.T) {
 	svc, specs := newTenantService(t, 3, 48)
-	conn := loadgen.NewLocalTenantConn(svc)
 	rep, err := loadgen.RunTenants(loadgen.TenantParams{
-		Dial:         func() (loadgen.TenantConn, error) { return conn, nil },
+		Dial:         func() (loadgen.TenantConn, error) { return loadgen.NewLocalTenantConn(svc), nil },
 		Tenants:      specs,
 		Ops:          600,
 		Seed:         7,
@@ -106,7 +106,7 @@ func TestRunTenantsRotationUnderLoad(t *testing.T) {
 		RotateTenant: 2,
 		RotateAt:     100,
 		RotateStride: 4,
-		Admin:        conn,
+		Admin:        loadgen.NewLocalTenantConn(svc),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -75,13 +75,10 @@ type Stats struct {
 	TruncatedFrames uint64
 	BytesRelayed    uint64
 	FramesRelayed   uint64
-	// BatchFrames counts client->server frames carrying the batched v3
-	// request op — how much of the offered load used the pipelined path.
-	BatchFrames uint64
 }
 
 type counters struct {
-	conns, refused, resets, corrupted, truncated, bytes, frames, batchFrames atomic.Uint64
+	conns, refused, resets, corrupted, truncated, bytes, frames atomic.Uint64
 }
 
 // Proxy is the fault-injecting TCP relay. It listens on a loopback
@@ -160,7 +157,6 @@ func (p *Proxy) Stats() Stats {
 		TruncatedFrames: p.stats.truncated.Load(),
 		BytesRelayed:    p.stats.bytes.Load(),
 		FramesRelayed:   p.stats.frames.Load(),
-		BatchFrames:     p.stats.batchFrames.Load(),
 	}
 }
 
@@ -243,19 +239,18 @@ func (p *Proxy) relayPair(client, upstream net.Conn, idx uint64) {
 	}
 	var inner sync.WaitGroup
 	inner.Add(2)
-	run := func(src, dst net.Conn, dirSalt int64, c2s bool) {
+	run := func(src, dst net.Conn, dirSalt int64) {
 		defer inner.Done()
 		defer kill()
 		l := &link{
 			p:     p,
 			rng:   rand.New(rand.NewSource(p.seed ^ int64(idx*0x9e3779b97f4a7c15) ^ dirSalt)),
 			total: &total,
-			c2s:   c2s,
 		}
 		l.relay(src, dst)
 	}
-	go run(client, upstream, 0x5bf03635, true)
-	go run(upstream, client, 0x2545f491, false)
+	go run(client, upstream, 0x5bf03635)
+	go run(upstream, client, 0x2545f491)
 	inner.Wait()
 	p.mu.Lock()
 	delete(p.conns, client)
@@ -269,8 +264,7 @@ type link struct {
 	rng    *rand.Rand
 	total  *atomic.Uint64
 	frames uint64
-	sinceC int  // bytes since last injected corruption
-	c2s    bool // this direction carries client requests
+	sinceC int // bytes since last injected corruption
 }
 
 // frameHeaderSize mirrors devnet's framing: [u32 len][u32 crc]. The
@@ -281,11 +275,6 @@ const frameHeaderSize = 8
 // maxSaneFrame mirrors the endpoints' frame cap; a longer claim means
 // the stream is garbage, and the relay severs it.
 const maxSaneFrame = 16 << 20
-
-// opBatch mirrors devnet.OpBatch, the same way frameHeaderSize mirrors
-// the framing: the proxy classifies batch request frames without
-// depending on the endpoint package.
-const opBatch = 20
 
 // relay forwards frames from src to dst, injecting the armed faults.
 // Any error on either side returns (the caller severs the pair).
@@ -317,9 +306,6 @@ func (l *link) relay(src, dst net.Conn) {
 		}
 		l.frames++
 		l.p.stats.frames.Add(1)
-		if l.c2s && n > 0 && payload[0] == opBatch {
-			l.p.stats.batchFrames.Add(1)
-		}
 
 		out := append(append(make([]byte, 0, frameHeaderSize+n), hdr...), payload...)
 		truncate := f.TruncateEveryNthFrame > 0 && l.frames%uint64(f.TruncateEveryNthFrame) == 0 && n >= 2

@@ -52,12 +52,16 @@ func (e *QuotaError) Error() string {
 // Is matches ErrQuota.
 func (e *QuotaError) Is(target error) bool { return target == ErrQuota }
 
-// AuthError reports a failed tenant authentication.
+// AuthError reports a failed tenant authentication. Tenant 0 (never a
+// valid id) is a data op from a connection that attached to no tenant.
 type AuthError struct {
 	Tenant uint32
 }
 
 func (e *AuthError) Error() string {
+	if e.Tenant == 0 {
+		return "tenant: connection is not attached to a tenant"
+	}
 	return fmt.Sprintf("tenant %d: authentication failed", e.Tenant)
 }
 
