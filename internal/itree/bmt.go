@@ -2,9 +2,11 @@ package itree
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"soteria/internal/ctrenc"
+	"soteria/internal/sim"
 	"soteria/internal/telemetry"
 )
 
@@ -22,27 +24,44 @@ type LineStore interface {
 // recomputable from its children, so the tree supports only eager updates —
 // which is exactly why the paper (and Anubis before it) uses a small eager
 // BMT to protect the shadow region while the main tree stays a lazy ToC.
+//
+// The internal nodes are on-chip state too: the BMT keeps a trusted copy
+// of every node, like the root register, and Update changes that copy and
+// writes it through to the store without reading the store back. A node
+// the store replays or corrupts therefore never reaches the root through
+// an Update; Verify still reads the store, so it is caught there.
 type BMT struct {
 	eng      *ctrenc.Engine
 	store    LineStore
 	leafBase uint64
 	leaves   uint64
 	// levelBase[i] is the NVM address of internal level i (level 0 is
-	// nearest the leaves); levelNodes[i] its node count. The last level
-	// always has one node.
+	// nearest the leaves); levelNodes[i] its node count and levelOff[i]
+	// its first index in nodes. The last level always has one node.
 	levelBase  []uint64
 	levelNodes []uint64
+	levelOff   []uint64
 	root       uint64 // on-chip root hash
 	tel        telemetryHooks
 
-	// leafBuf/nodeBuf are Update scratch. WriteLine is an interface
-	// call, so lines routed through it must live somewhere the compiler
-	// can prove heap-resident — these BMT-owned buffers — or every
-	// update would allocate per level. The BMT is single-goroutine,
-	// like the shadow table and controller that drive it.
+	// nodes is the trusted on-chip copy of every internal node, level by
+	// level. distrust marks the nodes AttachBMT could not verify against
+	// the root (nil when every node is trusted); an Update whose path
+	// crosses one fails.
+	nodes    [][BlockSize]byte
+	distrust []bool
+
+	// leafBuf is Update scratch. WriteLine is an interface call, so a
+	// line routed through it must live somewhere the compiler can prove
+	// heap-resident — this BMT-owned buffer, like nodes — or every update
+	// would allocate. The BMT is single-goroutine, like the shadow table
+	// and controller that drive it.
 	leafBuf [BlockSize]byte
-	nodeBuf [BlockSize]byte
 }
+
+// ErrUntrusted is wrapped by an Update whose path crosses a node that
+// failed verification when the tree was attached after a crash.
+var ErrUntrusted = errors.New("itree: BMT node failed verification against the root")
 
 // telemetryHooks holds the BMT's metric handles; nil handles (no registry
 // attached) are no-ops.
@@ -83,22 +102,34 @@ func BMTStorageLines(n uint64) uint64 {
 	}
 }
 
-// NewBMT builds a BMT over `leaves` lines starting at leafBase, storing
-// internal nodes at treeBase. The tree is initialized from the current leaf
-// contents.
-func NewBMT(eng *ctrenc.Engine, store LineStore, leafBase, leaves, treeBase uint64) (*BMT, error) {
+// shape builds a BMT's level map (and an empty node copy) over `leaves`
+// lines at leafBase with internal nodes at treeBase.
+func shape(eng *ctrenc.Engine, store LineStore, leafBase, leaves, treeBase uint64) (*BMT, error) {
 	if leaves == 0 {
 		return nil, fmt.Errorf("itree: BMT needs at least one leaf")
 	}
 	b := &BMT{eng: eng, store: store, leafBase: leafBase, leaves: leaves}
-	cursor := treeBase
+	var off uint64
 	for n := ceilDiv(leaves, 8); ; n = ceilDiv(n, 8) {
-		b.levelBase = append(b.levelBase, cursor)
+		b.levelBase = append(b.levelBase, treeBase+off*BlockSize)
 		b.levelNodes = append(b.levelNodes, n)
-		cursor += n * BlockSize
+		b.levelOff = append(b.levelOff, off)
+		off += n
 		if n == 1 {
 			break
 		}
+	}
+	b.nodes = make([][BlockSize]byte, off)
+	return b, nil
+}
+
+// NewBMT builds a BMT over `leaves` lines starting at leafBase, storing
+// internal nodes at treeBase. The tree is initialized from the current leaf
+// contents.
+func NewBMT(eng *ctrenc.Engine, store LineStore, leafBase, leaves, treeBase uint64) (*BMT, error) {
+	b, err := shape(eng, store, leafBase, leaves, treeBase)
+	if err != nil {
+		return nil, err
 	}
 	if err := b.Rebuild(); err != nil {
 		return nil, err
@@ -110,30 +141,57 @@ func NewBMT(eng *ctrenc.Engine, store LineStore, leafBase, leaves, treeBase uint
 // rebuilding anything, then installs the given root. It is the post-crash
 // constructor: the root survived in the processor's persistent register and
 // the stored tree nodes are verified against it, never regenerated from
-// possibly-tampered leaves.
+// possibly-tampered leaves. Every internal node is read once, top down; a
+// node that is unreadable, or whose hash its (trusted) parent does not
+// vouch for, stays untrusted along with everything below it.
 func AttachBMT(eng *ctrenc.Engine, store LineStore, leafBase, leaves, treeBase uint64, root uint64) (*BMT, error) {
-	if leaves == 0 {
-		return nil, fmt.Errorf("itree: BMT needs at least one leaf")
+	b, err := shape(eng, store, leafBase, leaves, treeBase)
+	if err != nil {
+		return nil, err
 	}
-	b := &BMT{eng: eng, store: store, leafBase: leafBase, leaves: leaves, root: root}
-	cursor := treeBase
-	for n := ceilDiv(leaves, 8); ; n = ceilDiv(n, 8) {
-		b.levelBase = append(b.levelBase, cursor)
-		b.levelNodes = append(b.levelNodes, n)
-		cursor += n * BlockSize
-		if n == 1 {
-			break
+	b.root = root
+	top := len(b.levelBase) - 1
+	for lvl := top; lvl >= 0; lvl-- {
+		for n := uint64(0); n < b.levelNodes[lvl]; n++ {
+			i := b.levelOff[lvl] + n
+			line, err := b.store.ReadLine(b.levelBase[lvl] + n*BlockSize)
+			ok := err == nil
+			if ok {
+				b.nodes[i] = line
+				want := root
+				if lvl < top {
+					parent := b.levelOff[lvl+1] + n/8
+					ok = !b.untrusted(parent)
+					want = slotHash(&b.nodes[parent], n%8)
+				}
+				ok = ok && b.nodeHash(lvl, n, &line) == want
+			}
+			if !ok {
+				b.distrustNode(i)
+			}
 		}
 	}
 	return b, nil
 }
 
+// untrusted reports whether node i (an index into nodes) failed
+// verification at attach time.
+func (b *BMT) untrusted(i uint64) bool { return b.distrust != nil && b.distrust[i] }
+
+func (b *BMT) distrustNode(i uint64) {
+	if b.distrust == nil {
+		b.distrust = make([]bool, len(b.nodes))
+	}
+	b.distrust[i] = true
+}
+
+// slotHash reads the child hash stored in one slot of a node.
+func slotHash(node *[BlockSize]byte, slot uint64) uint64 {
+	return binary.LittleEndian.Uint64(node[slot*8 : slot*8+8])
+}
+
 // Root returns the on-chip root hash.
 func (b *BMT) Root() uint64 { return b.root }
-
-// SetRoot installs a previously saved root (recovery after power loss: the
-// root survives in the processor's persistent root register).
-func (b *BMT) SetRoot(r uint64) { b.root = r }
 
 // leafHash hashes one leaf line bound to its index.
 func (b *BMT) leafHash(index uint64, line *[BlockSize]byte) uint64 {
@@ -146,55 +204,43 @@ func (b *BMT) nodeHash(level int, index uint64, line *[BlockSize]byte) uint64 {
 }
 
 // Rebuild recomputes the whole tree from the leaves (used at construction
-// and by recovery once leaves are restored).
+// and by recovery once leaves are restored), refilling the trusted node
+// copy and writing every node through to the store.
 func (b *BMT) Rebuild() error {
 	b.tel.rebuilds.Inc()
-	prevCount := b.leaves
-	hash := func(i uint64) (uint64, error) {
-		line, err := b.store.ReadLine(b.leafBase + i*BlockSize)
-		if err != nil {
-			return 0, err
-		}
-		return b.leafHash(i, &line), nil
-	}
+	b.distrust = nil
+	children := b.leaves
 	for lvl := range b.levelBase {
-		for node := uint64(0); node < b.levelNodes[lvl]; node++ {
-			var line [BlockSize]byte
-			for c := 0; c < 8; c++ {
-				child := node*8 + uint64(c)
-				if child >= prevCount {
-					break
+		for n := uint64(0); n < b.levelNodes[lvl]; n++ {
+			node := &b.nodes[b.levelOff[lvl]+n]
+			*node = [BlockSize]byte{}
+			for c := uint64(0); c < 8 && n*8+c < children; c++ {
+				child := n*8 + c
+				var h uint64
+				if lvl == 0 {
+					line, err := b.store.ReadLine(b.leafBase + child*BlockSize)
+					if err != nil {
+						return err
+					}
+					h = b.leafHash(child, &line)
+				} else {
+					h = b.nodeHash(lvl-1, child, &b.nodes[b.levelOff[lvl-1]+child])
 				}
-				h, err := hash(child)
-				if err != nil {
-					return err
-				}
-				binary.LittleEndian.PutUint64(line[c*8:(c+1)*8], h)
+				binary.LittleEndian.PutUint64(node[c*8:c*8+8], h)
 			}
-			b.store.WriteLine(b.levelBase[lvl]+node*BlockSize, &line)
+			b.store.WriteLine(b.levelBase[lvl]+n*BlockSize, node)
 		}
-		prevCount = b.levelNodes[lvl]
-		base := b.levelBase[lvl]
-		l := lvl
-		hash = func(i uint64) (uint64, error) {
-			line, err := b.store.ReadLine(base + i*BlockSize)
-			if err != nil {
-				return 0, err
-			}
-			return b.nodeHash(l, i, &line), nil
-		}
+		children = b.levelNodes[lvl]
 	}
-	top, err := b.store.ReadLine(b.levelBase[len(b.levelBase)-1])
-	if err != nil {
-		return err
-	}
-	b.root = b.nodeHash(len(b.levelBase)-1, 0, &top)
+	top := len(b.levelBase) - 1
+	b.root = b.nodeHash(top, 0, &b.nodes[b.levelOff[top]])
 	return nil
 }
 
 // Update writes a leaf and eagerly propagates hashes to the root — the
 // BMT's root is always fresh, giving the shadow region a single point of
-// verification after a crash.
+// verification after a crash. Each node on the path changes in the
+// trusted copy and is written through; the store is never read.
 func (b *BMT) Update(index uint64, line *[BlockSize]byte) error {
 	if index >= b.leaves {
 		return fmt.Errorf("itree: BMT leaf %d out of range (%d)", index, b.leaves)
@@ -206,15 +252,14 @@ func (b *BMT) Update(index uint64, line *[BlockSize]byte) error {
 	child := index
 	for lvl := range b.levelBase {
 		nodeIdx := child / 8
-		slot := child % 8
-		addr := b.levelBase[lvl] + nodeIdx*BlockSize
-		var err error
-		if b.nodeBuf, err = b.store.ReadLine(addr); err != nil {
-			return fmt.Errorf("itree: BMT level %d node %d unreadable: %w", lvl, nodeIdx, err)
+		i := b.levelOff[lvl] + nodeIdx
+		if b.untrusted(i) {
+			return fmt.Errorf("itree: BMT level %d node %d unreadable: %w", lvl, nodeIdx, ErrUntrusted)
 		}
-		binary.LittleEndian.PutUint64(b.nodeBuf[slot*8:(slot+1)*8], h)
-		b.store.WriteLine(addr, &b.nodeBuf)
-		h = b.nodeHash(lvl, nodeIdx, &b.nodeBuf)
+		node := &b.nodes[i]
+		binary.LittleEndian.PutUint64(node[child%8*8:child%8*8+8], h)
+		b.store.WriteLine(b.levelBase[lvl]+nodeIdx*BlockSize, node)
+		h = b.nodeHash(lvl, nodeIdx, node)
 		child = nodeIdx
 	}
 	b.root = h
@@ -265,4 +310,36 @@ func (b *BMT) VerifyAll() error {
 		}
 	}
 	return nil
+}
+
+// Checkpoint serializes the BMT's on-chip state: the root register and the
+// trusted node copy (an untrusted node as a bare false flag). The stored
+// lines themselves live in the NVM device, checkpointed by its owner.
+func (b *BMT) Checkpoint(w *sim.SnapW) {
+	w.U64(b.root)
+	for i := range b.nodes {
+		trusted := !b.untrusted(uint64(i))
+		w.Bool(trusted)
+		if trusted {
+			w.Raw(b.nodes[i][:])
+		}
+	}
+}
+
+// RestoreBMT rebuilds a BMT from a Checkpoint over the same geometry. It
+// reads nothing from the store: the node copy comes from the checkpoint.
+func RestoreBMT(eng *ctrenc.Engine, store LineStore, leafBase, leaves, treeBase uint64, r *sim.SnapR) (*BMT, error) {
+	b, err := shape(eng, store, leafBase, leaves, treeBase)
+	if err != nil {
+		return nil, err
+	}
+	b.root = r.U64()
+	for i := range b.nodes {
+		if !r.Bool() {
+			b.distrustNode(uint64(i))
+			continue
+		}
+		copy(b.nodes[i][:], r.Raw(BlockSize))
+	}
+	return b, r.Err()
 }

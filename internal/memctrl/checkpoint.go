@@ -3,14 +3,13 @@ package memctrl
 import (
 	"fmt"
 
-	"soteria/internal/metacache"
 	"soteria/internal/sim"
 )
 
 // ckptFormatVersion is the controller checkpoint envelope version; bump it
 // whenever any serialized layout below (or in a component Checkpoint)
 // changes shape.
-const ckptFormatVersion = 1
+const ckptFormatVersion = 2
 
 // Checkpoint serializes the controller's complete state — persistent
 // registers, timing, statistics, banks, the full NVM image, the WPQ, the
@@ -165,9 +164,7 @@ func (c *Controller) Restore(data []byte) error {
 	}
 
 	// Transient per-operation structures restart empty.
-	c.inflight = make(map[uint64]*metacache.Block)
-	c.forcing = make(map[uint64]bool)
-	c.pinned = make(map[uint64]bool)
+	c.resetTransient()
 	c.sealDepth = 0
 	return r.Done()
 }

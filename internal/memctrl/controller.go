@@ -221,24 +221,28 @@ type Controller struct {
 	hook      inject.Hook
 	sealDepth int
 
+	// forcing, pinned and inflight hold at most the current write-back
+	// cascade depth (a handful of entries), so they are scanned slices,
+	// not maps.
+	//
 	// forcing marks home addresses whose forced write-back is already on
 	// the stack, so a nested insertion steers victim selection away from
 	// them instead of recursing into the same write-back.
-	forcing map[uint64]bool
+	forcing addrSet
 
 	// pinned marks home addresses held by an in-progress data write: the
 	// leaf counter advances in cache before the sealed data commit, and an
 	// eviction in that window would make the increment durable ahead of
 	// the ciphertext. Victim selection steers around pinned blocks.
-	pinned map[uint64]bool
+	pinned addrSet
 
-	// inflight holds metadata blocks currently being written back,
-	// keyed by home address. While a block is in flight, getBlock serves
+	// inflight holds metadata blocks currently being written back, with
+	// their home addresses. While a block is in flight, getBlock serves
 	// the in-flight copy so that nested write-backs (eviction cascades)
 	// apply their parent-counter bumps to the copy that will actually be
 	// serialized — otherwise a concurrent re-fetch of the stale NVM copy
 	// could roll those bumps back.
-	inflight map[uint64]*metacache.Block
+	inflight []inflightEntry
 
 	// wbAddrs/wbWrites are write-back scratch, reused across calls: the
 	// copy-address list and its atomic write group are fully consumed by
@@ -278,9 +282,6 @@ func newController(cfg config.SystemConfig, mode Mode, policy core.ClonePolicy, 
 		osirisLimit: opt.OsirisLimit,
 		eager:       opt.EagerTreeUpdate,
 		opt:         opt,
-		inflight:    make(map[uint64]*metacache.Block),
-		forcing:     make(map[uint64]bool),
-		pinned:      make(map[uint64]bool),
 	}
 	if c.osirisLimit <= 0 {
 		c.osirisLimit = defaultOsirisLimit
@@ -503,7 +504,9 @@ func (s shadowStore) WriteLine(addr uint64, data *[nvm.LineSize]byte) {
 	// "shadow log" cost. The shadow *tree* above it is tiny (tens of kB)
 	// and is held in ADR-protected on-chip SRAM — like the WPQ, it
 	// persists across power loss without consuming NVM write bandwidth.
-	// The device stands in for that SRAM functionally.
+	// The device stands in for that SRAM functionally: the BMT writes
+	// each updated node through to it from its trusted on-chip copy and
+	// reads it back only to attach after a crash and to verify.
 	if s.c.layout.ShadowTreeLn > 0 && addr >= s.c.layout.ShadowTreeBase {
 		s.c.dev.Write(addr, data)
 		return

@@ -115,8 +115,8 @@ func (c *Controller) WriteBlock(now sim.Time, addr uint64, data *[nvm.LineSize]b
 	// would recover the new counter with the old ciphertext still in NVM —
 	// the block would decrypt under neither value. Hardware pins the MSHR
 	// entry of an in-progress write the same way.
-	c.pinned[home] = true
-	defer delete(c.pinned, home)
+	c.pinned.push(home)
+	defer c.pinned.pop()
 	if cb.Counter.Increment(slot) {
 		// Minor overflow: re-encrypt the whole covered page under an
 		// incremented major counter, then retry the bump.

@@ -105,7 +105,7 @@ func (c *Controller) parentCounterOf(level int, index uint64) (uint64, error) {
 // until the next cache-mutating call.
 func (c *Controller) getBlock(level int, index uint64) (*metacache.Block, error) {
 	home := c.layout.NodeAddr(level, index)
-	if b, ok := c.inflight[home]; ok {
+	if b := c.inflightCopy(home); b != nil {
 		return b, nil
 	}
 	for tries := 0; tries < 64; tries++ {
@@ -199,7 +199,7 @@ func (c *Controller) insertBlock(home uint64, blk metacache.Block, dirty bool) {
 			c.mcache.CleanLine(v.Addr)
 			continue
 		}
-		if c.forcing[v.Addr] || c.pinned[v.Addr] {
+		if c.forcing.has(v.Addr) || c.pinned.has(v.Addr) {
 			// The victim's write-back is already on the stack (this
 			// insertion is part of its parent-ensure cascade), or the
 			// block is pinned by the data write in progress — persisting
@@ -270,11 +270,11 @@ func (c *Controller) writebackBlock(blk *metacache.Block) error {
 	}
 	level, index := blk.Level, blk.Index
 	home := c.layout.NodeAddr(level, index)
-	if _, dup := c.inflight[home]; dup {
+	if c.inflightCopy(home) != nil {
 		panic(fmt.Sprintf("memctrl: L%d[%d] written back re-entrantly", level, index))
 	}
-	c.inflight[home] = blk
-	defer delete(c.inflight, home)
+	c.inflight = append(c.inflight, inflightEntry{home, blk})
+	defer func() { c.inflight = c.inflight[:len(c.inflight)-1] }()
 
 	_, pindex, slot, stored := c.layout.Parent(level, index)
 	var pctr uint64
@@ -390,13 +390,13 @@ func (c *Controller) forceWriteback(home uint64) error {
 	if !ok {
 		return nil
 	}
-	if c.forcing[home] {
+	if c.forcing.has(home) {
 		// Already being written back higher on the stack; that call will
 		// complete the job.
 		return nil
 	}
-	c.forcing[home] = true
-	defer delete(c.forcing, home)
+	c.forcing.push(home)
+	defer c.forcing.pop()
 	// Pre-ensure the parent chain: the fetch cascade this can trigger
 	// must run *before* we commit to writing the resident copy, because
 	// the cascade may evict (and thereby already write back) this very
@@ -486,4 +486,45 @@ func (c *Controller) setDataMAC(dataBlock uint64, mac uint64) error {
 	line := b.Raw
 	c.pushWrite(lineAddr, &line, WCDataMAC)
 	return nil
+}
+
+// addrSet is a set of home addresses pushed and popped in stack order by
+// the write-back and data-write frames that own them. It holds at most the
+// cascade depth, so membership is a scan.
+type addrSet []uint64
+
+func (s addrSet) has(addr uint64) bool {
+	for _, a := range s {
+		if a == addr {
+			return true
+		}
+	}
+	return false
+}
+
+func (s *addrSet) push(addr uint64) { *s = append(*s, addr) }
+
+func (s *addrSet) pop() { *s = (*s)[:len(*s)-1] }
+
+// inflightEntry is one block on the write-back stack.
+type inflightEntry struct {
+	home uint64
+	blk  *metacache.Block
+}
+
+// inflightCopy returns the in-flight copy of the block at home, or nil.
+func (c *Controller) inflightCopy(home uint64) *metacache.Block {
+	for i := range c.inflight {
+		if c.inflight[i].home == home {
+			return c.inflight[i].blk
+		}
+	}
+	return nil
+}
+
+// resetTransient empties the per-operation stacks (crash, restore).
+func (c *Controller) resetTransient() {
+	c.inflight = c.inflight[:0]
+	c.forcing = c.forcing[:0]
+	c.pinned = c.pinned[:0]
 }

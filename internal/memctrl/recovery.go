@@ -33,9 +33,7 @@ func (c *Controller) Crash() error {
 	c.mcache.DropAll()
 	c.strat.onCrash(c)
 	c.q.Reset()
-	c.inflight = make(map[uint64]*metacache.Block)
-	c.forcing = make(map[uint64]bool)
-	c.pinned = make(map[uint64]bool)
+	c.resetTransient()
 	c.cascade = 0
 	c.sealDepth = 0
 	c.recovering = false

@@ -4,18 +4,20 @@ import (
 	"fmt"
 
 	"soteria/internal/ctrenc"
+	"soteria/internal/itree"
 	"soteria/internal/sim"
 )
 
-// Checkpoint serializes the table's volatile state: the on-chip BMT root
-// register, the slot mirror and the statistics. The stored lines themselves
-// live in the NVM device, checkpointed by its owner.
+// Checkpoint serializes the table's volatile state: the BMT's on-chip state
+// (root register and trusted node copy), the slot mirror and the
+// statistics. The stored lines themselves live in the NVM device,
+// checkpointed by its owner.
 func (t *Table) Checkpoint(w *sim.SnapW) {
 	w.U64(t.base)
 	w.U64(t.slots)
 	w.Bool(t.duped)
 	w.Bool(t.norep)
-	w.U64(t.bmt.Root())
+	t.bmt.Checkpoint(w)
 	checkpointStats(w, &t.stats)
 	for _, e := range t.mirror {
 		w.Bool(e.Valid)
@@ -30,8 +32,8 @@ func (t *Table) Checkpoint(w *sim.SnapW) {
 	}
 }
 
-// RestoreTable rebuilds a Table from a Checkpoint, attaching to the (already
-// restored) NVM image through store.
+// RestoreTable rebuilds a Table from a Checkpoint over the (already
+// restored) NVM image behind store. It reads no device line.
 func RestoreTable(eng *ctrenc.Engine, store Store, base uint64, slots uint64, treeBase uint64, opt Options, r *sim.SnapR) (*Table, error) {
 	if b := r.U64(); b != base {
 		return nil, fmt.Errorf("shadow: checkpoint base %#x, layout has %#x", b, base)
@@ -45,14 +47,14 @@ func RestoreTable(eng *ctrenc.Engine, store Store, base uint64, slots uint64, tr
 	if n := r.Bool(); n != opt.DisableHalfRepair {
 		return nil, fmt.Errorf("shadow: checkpoint norepair=%v, options have %v", n, opt.DisableHalfRepair)
 	}
-	root := r.U64()
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	t, err := Attach(eng, store, base, slots, treeBase, root, opt)
+	bmt, err := itree.RestoreBMT(eng, store, base, slots, treeBase, r)
 	if err != nil {
 		return nil, err
 	}
+	t := onBMT(eng, store, base, slots, bmt, opt)
 	restoreStats(r, &t.stats)
 	for i := range t.mirror {
 		if !r.Bool() {
@@ -68,12 +70,12 @@ func RestoreTable(eng *ctrenc.Engine, store Store, base uint64, slots uint64, tr
 	return t, r.Err()
 }
 
-// Checkpoint serializes the content table's volatile state (root register,
-// mirror, statistics).
+// Checkpoint serializes the content table's volatile state (the BMT's
+// on-chip state, mirror, statistics).
 func (t *ContentTable) Checkpoint(w *sim.SnapW) {
 	w.U64(t.base)
 	w.U64(t.slots)
-	w.U64(t.bmt.Root())
+	t.bmt.Checkpoint(w)
 	checkpointStats(w, &t.stats)
 	for _, e := range t.mirror {
 		w.Bool(e.valid)
@@ -83,8 +85,8 @@ func (t *ContentTable) Checkpoint(w *sim.SnapW) {
 	}
 }
 
-// RestoreContentTable rebuilds a ContentTable from a Checkpoint, attaching
-// to the (already restored) NVM image through store.
+// RestoreContentTable rebuilds a ContentTable from a Checkpoint over the
+// (already restored) NVM image behind store. It reads no device line.
 func RestoreContentTable(eng *ctrenc.Engine, store Store, base uint64, slots uint64, treeBase uint64, r *sim.SnapR) (*ContentTable, error) {
 	if b := r.U64(); b != base {
 		return nil, fmt.Errorf("shadow: content checkpoint base %#x, layout has %#x", b, base)
@@ -92,14 +94,14 @@ func RestoreContentTable(eng *ctrenc.Engine, store Store, base uint64, slots uin
 	if s := r.U64(); s != slots {
 		return nil, fmt.Errorf("shadow: content checkpoint slots %d, layout has %d", s, slots)
 	}
-	root := r.U64()
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	t, err := AttachContent(eng, store, base, slots, treeBase, root)
+	bmt, err := itree.RestoreBMT(eng, store, base, slots*ContentLinesPerSlot, treeBase, r)
 	if err != nil {
 		return nil, err
 	}
+	t := contentOnBMT(eng, store, base, slots, bmt)
 	restoreStats(r, &t.stats)
 	for i := range t.mirror {
 		if r.Bool() {

@@ -116,12 +116,19 @@ func NewContentTable(eng *ctrenc.Engine, store Store, base uint64, slots uint64,
 }
 
 // AttachContent reconnects to an existing content table after a crash,
-// using the BMT root that survived on chip. No writes are performed.
+// using the BMT root that survived on chip: the BMT reads and verifies its
+// nodes, no writes are performed.
 func AttachContent(eng *ctrenc.Engine, store Store, base uint64, slots uint64, treeBase uint64, root uint64) (*ContentTable, error) {
 	bmt, err := itree.AttachBMT(eng, store, base, slots*ContentLinesPerSlot, treeBase, root)
 	if err != nil {
 		return nil, err
 	}
+	return contentOnBMT(eng, store, base, slots, bmt), nil
+}
+
+// contentOnBMT wraps an attached or restored BMT in a content table with an
+// empty mirror.
+func contentOnBMT(eng *ctrenc.Engine, store Store, base uint64, slots uint64, bmt *itree.BMT) *ContentTable {
 	return &ContentTable{
 		eng:    eng,
 		store:  store,
@@ -129,7 +136,7 @@ func AttachContent(eng *ctrenc.Engine, store Store, base uint64, slots uint64, t
 		slots:  slots,
 		bmt:    bmt,
 		mirror: make([]contentMirror, slots),
-	}, nil
+	}
 }
 
 // Root returns the BMT root that must be kept in a persistent on-chip

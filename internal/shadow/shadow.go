@@ -184,12 +184,18 @@ func NewTable(eng *ctrenc.Engine, store Store, base uint64, slots uint64, treeBa
 }
 
 // Attach reconnects to an existing shadow table after a crash, using the
-// BMT root that survived on chip. No writes are performed.
+// BMT root that survived on chip: the BMT reads and verifies its nodes, no
+// writes are performed.
 func Attach(eng *ctrenc.Engine, store Store, base uint64, slots uint64, treeBase uint64, root uint64, opt Options) (*Table, error) {
 	bmt, err := itree.AttachBMT(eng, store, base, slots, treeBase, root)
 	if err != nil {
 		return nil, err
 	}
+	return onBMT(eng, store, base, slots, bmt, opt), nil
+}
+
+// onBMT wraps an attached or restored BMT in a table with an empty mirror.
+func onBMT(eng *ctrenc.Engine, store Store, base uint64, slots uint64, bmt *itree.BMT, opt Options) *Table {
 	return &Table{
 		eng:    eng,
 		store:  store,
@@ -199,7 +205,7 @@ func Attach(eng *ctrenc.Engine, store Store, base uint64, slots uint64, treeBase
 		duped:  opt.Duplicate,
 		norep:  opt.DisableHalfRepair,
 		mirror: make([]Entry, slots),
-	}, nil
+	}
 }
 
 // Root returns the BMT root that must be kept in a persistent on-chip

@@ -7,8 +7,8 @@ import (
 )
 
 // Checkpoint serializes the queue's timing state — pending entries in
-// enqueue order plus statistics. The occupancy index is derivable and the
-// device/banks are checkpointed by their owners.
+// enqueue order plus statistics. The soonest-completion watermark is
+// derivable and the device/banks are checkpointed by their owners.
 func (q *Queue) Checkpoint(w *sim.SnapW) {
 	w.U32(uint32(q.capacity))
 	w.Time(q.writeLat)
@@ -26,7 +26,7 @@ func (q *Queue) Checkpoint(w *sim.SnapW) {
 }
 
 // Restore loads a Checkpoint written by a queue with the same geometry,
-// rebuilding the occupancy index from the entry list.
+// rederiving the soonest-completion watermark from the entry list.
 func (q *Queue) Restore(r *sim.SnapR) error {
 	if c := r.U32(); int(c) != q.capacity {
 		return fmt.Errorf("wpq: checkpoint capacity %d, queue has %d", c, q.capacity)
@@ -48,11 +48,11 @@ func (q *Queue) Restore(r *sim.SnapR) error {
 		return fmt.Errorf("wpq: checkpoint has %d pending entries, capacity %d", n, q.capacity)
 	}
 	q.pending = q.pending[:0]
-	q.inQueue = make(map[uint64]int, n)
+	q.soonest = never
 	for i := 0; i < n; i++ {
 		e := entry{addr: r.U64(), completion: r.Time()}
 		q.pending = append(q.pending, e)
-		q.inQueue[e.addr]++
+		q.soonest = min(q.soonest, e.completion)
 	}
 	return r.Err()
 }

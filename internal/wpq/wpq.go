@@ -10,6 +10,7 @@ package wpq
 
 import (
 	"fmt"
+	"math"
 
 	"soteria/internal/inject"
 	"soteria/internal/nvm"
@@ -33,17 +34,25 @@ type entry struct {
 }
 
 // Queue is the write pending queue draining into one NVM device.
+//
+// pending holds at most capacity entries (16 or 32 in the shipped
+// configurations), so "is this line queued" is a scan of it, not a map.
 type Queue struct {
 	dev      *nvm.Device
 	banks    *sim.Banks
 	writeLat sim.Time
 	capacity int
-	pending  []entry
-	inQueue  map[uint64]int // line addr -> count of pending entries
-	stats    Stats
-	hook     inject.Hook
-	tel      telemetryHooks
+	pending  []entry // in enqueue order
+	// soonest is the earliest completion among pending entries (never
+	// when empty): until then drain has nothing to retire.
+	soonest sim.Time
+	stats   Stats
+	hook    inject.Hook
+	tel     telemetryHooks
 }
+
+// never is the soonest completion of an empty queue.
+const never = sim.Time(math.MaxInt64)
 
 // telemetryHooks holds the queue's metric handles; nil handles (no
 // registry attached) are no-ops.
@@ -86,7 +95,7 @@ func (q *Queue) SetHook(h inject.Hook) { q.hook = h }
 // the occupancy/timing state is volatile controller state.
 func (q *Queue) Reset() {
 	q.pending = q.pending[:0]
-	q.inQueue = make(map[uint64]int)
+	q.soonest = never
 }
 
 // New builds a WPQ of the given capacity in front of dev, draining into the
@@ -100,7 +109,7 @@ func New(dev *nvm.Device, banks *sim.Banks, capacity int, writeLat sim.Time) (*Q
 		banks:    banks,
 		writeLat: writeLat,
 		capacity: capacity,
-		inQueue:  make(map[uint64]int),
+		soonest:  never,
 	}, nil
 }
 
@@ -120,26 +129,50 @@ func (q *Queue) Stats() Stats { return q.stats }
 // `now` — the controller forwards reads from the WPQ in that case.
 func (q *Queue) Pending(now sim.Time, lineAddr uint64) bool {
 	q.drain(now)
-	return q.inQueue[lineAddr] > 0
+	for i := range q.pending {
+		if q.pending[i].addr == lineAddr {
+			return true
+		}
+	}
+	return false
 }
 
 // drain retires every entry whose NVM write completed by now. Completions
-// are not FIFO — banks finish independently — so the whole queue is
-// filtered, not just a prefix.
+// are not FIFO — banks finish independently — so once the soonest one is
+// due the whole queue is filtered, not just a prefix.
 func (q *Queue) drain(now sim.Time) {
+	if now < q.soonest {
+		return
+	}
 	kept := q.pending[:0]
+	q.soonest = never
 	for _, e := range q.pending {
 		if e.completion > now {
 			kept = append(kept, e)
-			continue
-		}
-		if q.inQueue[e.addr] == 1 {
-			delete(q.inQueue, e.addr)
-		} else {
-			q.inQueue[e.addr]--
+			q.soonest = min(q.soonest, e.completion)
 		}
 	}
 	q.pending = kept
+}
+
+// enqueue schedules one new entry on addr's bank.
+func (q *Queue) enqueue(now sim.Time, addr uint64) sim.Time {
+	done := q.banks.Schedule(q.banks.BankFor(addr/nvm.LineSize), now, q.writeLat)
+	q.pending = append(q.pending, entry{addr: addr, completion: done})
+	q.soonest = min(q.soonest, done)
+	return done
+}
+
+// stall advances now to the soonest completion and retires it: the
+// producer waits for a free entry.
+func (q *Queue) stall(now sim.Time) sim.Time {
+	q.stats.Stalls++
+	q.stats.StallTime += q.soonest - now
+	q.tel.stalls.Inc()
+	q.tel.stallTicks.Add(uint64(q.soonest - now))
+	now = q.soonest
+	q.drain(now)
+	return now
 }
 
 // Push accepts one line write. The data is applied to the device
@@ -152,34 +185,19 @@ func (q *Queue) drain(now sim.Time) {
 // entry and no extra bank time. This is what makes the eagerly rewritten
 // shadow-tree lines nearly free in steady state.
 func (q *Queue) Push(now sim.Time, addr uint64, data *nvm.Line) sim.Time {
-	q.drain(now)
-	if q.inQueue[addr] > 0 {
+	if q.Pending(now, addr) {
 		q.dev.Write(addr, data)
 		q.stats.Coalesced++
 		q.tel.coalesced.Inc()
 		return now
 	}
 	if len(q.pending) >= q.capacity {
-		// Stall until the oldest entry drains. Entries complete in
-		// the order their banks free up, so the head is not
-		// necessarily the earliest; find the minimum.
-		earliest := q.pending[0].completion
-		for _, e := range q.pending[1:] {
-			if e.completion < earliest {
-				earliest = e.completion
-			}
-		}
-		q.stats.Stalls++
-		q.stats.StallTime += earliest - now
-		q.tel.stalls.Inc()
-		q.tel.stallTicks.Add(uint64(earliest - now))
-		now = earliest
-		q.drain(now)
+		// Stall until an entry drains. Entries complete in the order
+		// their banks free up, so the head is not necessarily the
+		// earliest; soonest is.
+		now = q.stall(now)
 	}
-	bank := q.banks.BankFor(addr / nvm.LineSize)
-	done := q.banks.Schedule(bank, now, q.writeLat)
-	q.pending = append(q.pending, entry{addr: addr, completion: done})
-	q.inQueue[addr]++
+	done := q.enqueue(now, addr)
 	q.dev.Write(addr, data)
 	q.stats.Inserts++
 	q.tel.inserts.Inc()
@@ -202,27 +220,13 @@ func (q *Queue) PushAtomic(now sim.Time, writes []Write) sim.Time {
 	}
 	q.drain(now)
 	for len(q.pending)+len(writes) > q.capacity {
-		earliest := q.pending[0].completion
-		for _, e := range q.pending[1:] {
-			if e.completion < earliest {
-				earliest = e.completion
-			}
-		}
-		q.stats.Stalls++
-		q.stats.StallTime += earliest - now
-		q.tel.stalls.Inc()
-		q.tel.stallTicks.Add(uint64(earliest - now))
-		now = earliest
-		q.drain(now)
+		now = q.stall(now)
 	}
 	if q.hook != nil {
 		q.hook.Event(inject.Event{Kind: inject.GroupBegin, Label: "atomic-group"})
 	}
 	for i := range writes {
-		bank := q.banks.BankFor(writes[i].Addr / nvm.LineSize)
-		done := q.banks.Schedule(bank, now, q.writeLat)
-		q.pending = append(q.pending, entry{addr: writes[i].Addr, completion: done})
-		q.inQueue[writes[i].Addr]++
+		done := q.enqueue(now, writes[i].Addr)
 		q.dev.Write(writes[i].Addr, &writes[i].Data)
 		q.stats.Inserts++
 		q.tel.inserts.Inc()
