@@ -224,17 +224,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		out := &chaos.CampaignResult{Runs: 1, Boundaries: res.Boundaries}
-		if len(res.Violations) > 0 {
-			out.Failures = []chaos.Failure{{Repro: chaos.TenantRepro(tbase), Violations: res.Violations}}
-		}
 		if res.Crashed {
 			fmt.Printf("tenant run: %d tenants, %d shards, %d boundaries, crashed at %d (shard %d)\n",
 				*tenantCount, *shards, res.Boundaries, res.CrashBoundary, res.CrashShard)
 		} else {
 			fmt.Printf("tenant run: %d tenants, %d shards, %d boundaries, no crash\n", *tenantCount, *shards, res.Boundaries)
 		}
-		report("tenant run", out, nil, false)
+		report("tenant run", single(chaos.TenantRepro(tbase), res.Boundaries, res.Violations), nil, false)
 		return
 	}
 
@@ -283,10 +279,6 @@ func main() {
 				fatal(err)
 			}
 		}
-		out := &chaos.CampaignResult{Runs: 1, Boundaries: res.Boundaries}
-		if len(res.Violations) > 0 {
-			out.Failures = []chaos.Failure{{Repro: chaos.DeviceRepro(dbase), Violations: res.Violations}}
-		}
 		if res.Crashed {
 			fmt.Printf("device run: %d shards, %d boundaries, crashed at %d (shard %d)",
 				*shards, res.Boundaries, res.CrashBoundary, res.CrashShard)
@@ -297,7 +289,7 @@ func main() {
 		} else {
 			fmt.Printf("device run: %d shards, %d boundaries, no crash\n", *shards, res.Boundaries)
 		}
-		report("device run", out, nil, false)
+		report("device run", single(chaos.DeviceRepro(dbase), res.Boundaries, res.Violations), nil, false)
 		return
 	}
 
@@ -401,10 +393,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		out := &chaos.CampaignResult{Runs: 1, Boundaries: res.Boundaries}
-		if len(res.Violations) > 0 {
-			out.Failures = []chaos.Failure{{Repro: chaos.Repro(base), Violations: res.Violations}}
-		}
 		if res.Crashed {
 			fmt.Printf("run: %d boundaries, crashed at %d", res.Boundaries, res.CrashBoundary)
 			if res.NestedCrashed {
@@ -420,8 +408,17 @@ func main() {
 		if len(res.Faults) > 0 {
 			fmt.Printf("injected %d device faults\n", len(res.Faults))
 		}
-		report("run", out, nil, *breakRepair)
+		report("run", single(chaos.Repro(base), res.Boundaries, res.Violations), nil, *breakRepair)
 	}
+}
+
+// single is one run as a one-run campaign, so it reports like a sweep.
+func single(repro string, boundaries int, violations []string) *chaos.CampaignResult {
+	out := &chaos.CampaignResult{Runs: 1, Boundaries: boundaries}
+	if len(violations) > 0 {
+		out.Failures = []chaos.Failure{{Repro: repro, Violations: violations}}
+	}
+	return out
 }
 
 // report prints failures with their repro lines and exits. With inverted

@@ -3,27 +3,21 @@ package chaos
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
-	"sort"
 
-	"soteria/internal/config"
+	"soteria/internal/device"
 	"soteria/internal/memctrl"
-	"soteria/internal/nvm"
-	"soteria/internal/sim"
 )
 
 // CheckpointRun proves restore-then-recover is indistinguishable from
 // straight-line recover for one crash point. It drives cfg's workload on
 // controller A to the crash (or to completion when CrashAt is negative),
-// serializes A with Checkpoint, restores the bytes into a fresh controller
-// B, and then demands:
+// serializes A with Checkpoint, restores the bytes into a fresh twin B,
+// and then demands:
 //
 //   - B's re-checkpoint is byte-identical to A's (golden round-trip);
 //   - A.Recover() and B.Recover() report identical accounting;
 //   - A and B are byte-identical again after both recoveries;
-//   - B passes the full acknowledged-write oracle: committed writes read
-//     back (in-flight write old-or-new), the interrupted tail replays,
-//     FlushAll + VerifyAll succeed, and a final strict read-back holds.
+//   - B, carrying the run on, passes the runner's full oracle.
 //
 // Faults and nested crashes stay on Run; this leg is about checkpoint
 // fidelity, so the scenario is crash-only.
@@ -31,235 +25,85 @@ func CheckpointRun(cfg Config) (*Result, error) {
 	if cfg.FaultRate > 0 || cfg.ShadowFaults > 0 || cfg.BreakHalfRepair || cfg.NestedCrashAt >= 0 {
 		return nil, fmt.Errorf("chaos: CheckpointRun is crash-only (no faults, no nested crash)")
 	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	res := &Result{CrashBoundary: -1}
-
-	newCtrl := func() (*memctrl.Controller, error) {
-		return memctrl.New(config.TestSystem(), cfg.Mode, []byte("chaos-harness-key"),
-			memctrl.Options{Strategy: cfg.Strategy})
-	}
-	ctrlA, err := newCtrl()
+	sc, c, err := newCtrlScenario(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var dataLines uint64
-	if l := ctrlA.Layout(); l != nil {
-		dataLines = l.DataBlocks
-	} else {
-		dataLines = ctrlA.Device().Capacity() / nvm.LineSize
-	}
-	ops := genOps(cfg.Seed, cfg.Writes, dataLines)
-
-	inj := NewInjector(ctrlA.Device(), rand.New(rand.NewSource(cfg.Seed^0x5eedfa11)), 0, 0)
-	inj.CrashAt = cfg.CrashAt
-	ctrlA.SetHook(inj)
-
-	committed := make(map[uint64]int)
-	var nowA sim.Time
-	inFlight := -1
-	var inFlightAddr uint64
-	crashOp := -1
-
-	for i := 0; i < len(ops); i++ {
-		var opErr error
-		pl, pan := guard(func() {
-			o := ops[i]
-			if o.kind == opWrite {
-				line := lineFor(cfg.Seed, i)
-				nowA, opErr = ctrlA.WriteBlock(nowA, o.addr, &line)
-			} else {
-				_, nowA, opErr = ctrlA.ReadBlock(nowA, o.addr)
-			}
-		})
-		if pan != nil {
-			res.violate("op %d (%v %#x): unexpected panic: %v", i, ops[i].kind, ops[i].addr, pan)
-			return res, nil
-		}
-		if pl != nil {
-			res.Crashed = true
-			res.CrashBoundary = pl.Boundary
-			crashOp = i
-			if ops[i].kind == opWrite {
-				inFlight = i
-				inFlightAddr = ops[i].addr
-			}
-			break
-		}
-		if opErr != nil {
-			res.OpErrors++
-			res.violate("op %d (%v %#x): unexpected error: %v", i, ops[i].kind, ops[i].addr, opErr)
-			continue
-		}
-		if ops[i].kind == opWrite {
-			committed[ops[i].addr] = i
-		}
-	}
-	res.Boundaries = inj.Boundary
-
-	if res.Crashed {
-		logf("power loss at boundary %d (op %d); checkpointing the crashed controller", res.CrashBoundary, crashOp)
-		if err := ctrlA.Crash(); err != nil {
-			res.violate("Crash() after power loss: %v", err)
-			return res, nil
-		}
-	}
-	inj.Disarm()
-
-	// Serialize A (crashed or at rest) and restore into a fresh B.
-	ckptA, err := ctrlA.Checkpoint()
-	if err != nil {
-		res.violate("Checkpoint of controller A: %v", err)
-		return res, nil
-	}
-	ctrlB, err := newCtrl()
-	if err != nil {
-		return nil, err
-	}
-	if err := ctrlB.Restore(ckptA); err != nil {
-		res.violate("Restore into fresh controller: %v", err)
-		return res, nil
-	}
-	ckptB, err := ctrlB.Checkpoint()
-	if err != nil {
-		res.violate("re-Checkpoint of restored controller: %v", err)
-		return res, nil
-	}
-	if !bytes.Equal(ckptA, ckptB) {
-		res.violate("restored controller re-checkpoints differently (%d vs %d bytes)", len(ckptA), len(ckptB))
-	}
-
-	if res.Crashed {
-		// Straight-line recover on A, restore-then-recover on B: the two
-		// reports and the two post-recovery checkpoints must agree.
-		repA, errA := recoverGuarded(res, "controller A", ctrlA)
-		repB, errB := recoverGuarded(res, "restored controller B", ctrlB)
-		if (errA == nil) != (errB == nil) {
-			res.violate("recover outcomes diverge: A err %v, B err %v", errA, errB)
-			return res, nil
-		}
-		if errA != nil {
-			res.violate("Recover failed: %v", errA)
-			return res, nil
-		}
-		res.Report = repB
-		checkReport(cfg, res, repB)
-		if repA != nil && repB != nil {
-			if repA.TrackedEntries != repB.TrackedEntries ||
-				repA.RecoveredBlocks != repB.RecoveredBlocks ||
-				len(repA.FailedBlocks) != len(repB.FailedBlocks) ||
-				len(repA.LostSlots) != len(repB.LostSlots) ||
-				repA.HalfRepairs != repB.HalfRepairs {
-				res.violate("recovery reports diverge: A tracked=%d recovered=%d failed=%d lost=%d repairs=%d, B tracked=%d recovered=%d failed=%d lost=%d repairs=%d",
-					repA.TrackedEntries, repA.RecoveredBlocks, len(repA.FailedBlocks), len(repA.LostSlots), repA.HalfRepairs,
-					repB.TrackedEntries, repB.RecoveredBlocks, len(repB.FailedBlocks), len(repB.LostSlots), repB.HalfRepairs)
-			}
-		}
-		ckptA2, errA2 := ctrlA.Checkpoint()
-		ckptB2, errB2 := ctrlB.Checkpoint()
-		switch {
-		case errA2 != nil || errB2 != nil:
-			res.violate("post-recovery checkpoints: A err %v, B err %v", errA2, errB2)
-		case !bytes.Equal(ckptA2, ckptB2):
-			res.violate("post-recovery states diverge: straight-line recover and restore-then-recover checkpoint differently")
-		}
-	}
-
-	// The restored controller must carry the workload forward: full oracle
-	// pass on B.
-	var nowB sim.Time
-	readCheckB := func(phase string, inFlightExempt bool) {
-		addrs := make([]uint64, 0, len(committed))
-		for a := range committed {
-			addrs = append(addrs, a)
-		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-		for _, a := range addrs {
-			var got nvm.Line
-			var rdErr error
-			pl, pan := guard(func() { got, nowB, rdErr = ctrlB.ReadBlock(nowB, a) })
-			if pan != nil || pl != nil {
-				res.violate("%s: read %#x: panic %v / power loss %v", phase, a, pan, pl)
-				return
-			}
-			if rdErr != nil {
-				res.violate("%s: read %#x (committed op %d) failed: %v", phase, a, committed[a], rdErr)
-				continue
-			}
-			want := lineFor(cfg.Seed, committed[a])
-			if inFlightExempt && inFlight >= 0 && a == inFlightAddr {
-				if got != want && got != lineFor(cfg.Seed, inFlight) {
-					res.violate("%s: in-flight block %#x holds neither the old value (op %d) nor the new (op %d)",
-						phase, a, committed[a], inFlight)
-				}
-				continue
-			}
-			if got != want {
-				res.violate("%s: silent corruption at %#x: committed op %d does not read back on the restored controller",
-					phase, a, committed[a])
-			}
-		}
-	}
-
-	if res.Crashed {
-		readCheckB("post-restore-recovery", true)
-		for i := crashOp; i >= 0 && i < len(ops); i++ {
-			var opErr error
-			pl, pan := guard(func() {
-				o := ops[i]
-				if o.kind == opWrite {
-					line := lineFor(cfg.Seed, i)
-					nowB, opErr = ctrlB.WriteBlock(nowB, o.addr, &line)
-				} else {
-					_, nowB, opErr = ctrlB.ReadBlock(nowB, o.addr)
-				}
-			})
-			if pan != nil || pl != nil {
-				res.violate("replay op %d: panic %v / power loss %v", i, pan, pl)
-				return res, nil
-			}
-			if opErr != nil {
-				res.OpErrors++
-				res.violate("replay op %d (%v %#x): unexpected error: %v", i, ops[i].kind, ops[i].addr, opErr)
-				continue
-			}
-			if ops[i].kind == opWrite {
-				committed[ops[i].addr] = i
-			}
-		}
-	} else {
-		readCheckB("post-restore", false)
-	}
-
-	pl, pan := guard(func() { nowB = ctrlB.FlushAll(nowB) })
-	if pan != nil || pl != nil {
-		res.violate("FlushAll on restored controller: panic %v / power loss %v", pan, pl)
-		return res, nil
-	}
-	if err := ctrlB.VerifyAll(); err != nil {
-		res.violate("VerifyAll on restored controller: %v", err)
-	}
-	readCheckB("final", false)
-	return res, nil
+	sc.stack = &twinStack{ctrlStack: c}
+	res, _ := sc.run(0)
+	return c.result(res), nil
 }
 
-// recoverGuarded runs Recover under the PowerLoss guard (injection is
-// disarmed here; any panic is a violation).
-func recoverGuarded(res *Result, who string, ctrl *memctrl.Controller) (*memctrl.RecoveryReport, error) {
-	var rep *memctrl.RecoveryReport
-	var err error
-	pl, pan := guard(func() { rep, err = ctrl.Recover() })
-	if pan != nil {
-		res.violate("%s Recover: unexpected panic: %v", who, pan)
-		return nil, fmt.Errorf("panic: %v", pan)
+// twinStack is the controller adapter with one difference: the recovery
+// after the power loss — or, on a crash-free run, the end of the workload —
+// hands the run over to a twin restored from the controller's checkpoint.
+type twinStack struct {
+	*ctrlStack
+	a *memctrl.Controller // the original, once the twin has taken over
+}
+
+// handover checkpoints the controller, restores the bytes into a fresh
+// twin, and carries on with the twin.
+func (t *twinStack) handover() error {
+	ckpt, err := t.ctrl.Checkpoint()
+	if err != nil {
+		return fmt.Errorf("Checkpoint of controller A: %w", err)
 	}
-	if pl != nil {
-		res.violate("%s Recover: power loss fired while disarmed", who)
-		return nil, fmt.Errorf("power loss while disarmed")
+	b, err := newCtrl(t.cfg)
+	if err != nil {
+		return err
 	}
-	return rep, err
+	if err := b.Restore(ckpt); err != nil {
+		return fmt.Errorf("Restore into fresh controller: %w", err)
+	}
+	again, err := b.Checkpoint()
+	if err != nil {
+		return fmt.Errorf("re-Checkpoint of restored controller: %w", err)
+	}
+	if !bytes.Equal(ckpt, again) {
+		t.res.violate("restored controller re-checkpoints differently (%d vs %d bytes)", len(ckpt), len(again))
+	}
+	t.a, t.ctrl, t.now = t.ctrl, b, 0
+	return nil
+}
+
+func (t *twinStack) disarm() {
+	t.ctrlStack.disarm()
+	if err := t.handover(); err != nil {
+		t.res.violate("%v", err)
+	}
+}
+
+func (t *twinStack) recover() (*device.RecoveryReport, error) {
+	if t.a != nil {
+		return t.ctrlStack.recover()
+	}
+	t.inj.Disarm()
+	if err := t.handover(); err != nil {
+		return nil, err
+	}
+	// Straight-line recover on A, restore-then-recover on B: the two
+	// reports and the two post-recovery checkpoints must agree.
+	repA, errA := recoverCtrl(t.a)
+	repB, errB := recoverCtrl(t.ctrl)
+	if (errA == nil) != (errB == nil) {
+		return nil, fmt.Errorf("recover outcomes diverge: A err %v, B err %v", errA, errB)
+	}
+	if errA != nil {
+		return nil, errA
+	}
+	if a, b := accounting(repA.Shards[0]), accounting(repB.Shards[0]); a != b {
+		t.res.violate("recovery reports diverge: A %s, B %s", a, b)
+	}
+	ckptA, errA := t.a.Checkpoint()
+	ckptB, errB := t.ctrl.Checkpoint()
+	switch {
+	case errA != nil || errB != nil:
+		t.res.violate("post-recovery checkpoints: A err %v, B err %v", errA, errB)
+	case !bytes.Equal(ckptA, ckptB):
+		t.res.violate("post-recovery states diverge: straight-line recover and restore-then-recover checkpoint differently")
+	}
+	return repB, nil
 }
 
 // CheckpointSweep runs CheckpointRun at every stride-th crash boundary
@@ -268,32 +112,9 @@ func recoverGuarded(res *Result, who string, ctrl *memctrl.Controller) (*memctrl
 // restoring a checkpoint of a crashed controller and recovering is
 // indistinguishable from recovering in place, at every crash point.
 func CheckpointSweep(base Config, stride int, logf func(string, ...any)) (*CampaignResult, error) {
-	if stride <= 0 {
-		stride = 1
-	}
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	probe := base
-	probe.CrashAt, probe.NestedCrashAt = -1, -1
-	pres, err := CheckpointRun(probe)
-	if err != nil {
-		return nil, err
-	}
-	out := &CampaignResult{Boundaries: pres.Boundaries}
-	out.collect(probe, pres)
-	logf("checkpoint sweep: %d workload boundaries, stride %d", pres.Boundaries, stride)
-	for k := 0; k < pres.Boundaries; k += stride {
+	return sweep("checkpoint sweep: %d workload boundaries, stride %d", stride, logf, func(k int) (point, error) {
 		cfg := base
 		cfg.CrashAt, cfg.NestedCrashAt = k, -1
-		res, err := CheckpointRun(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if !res.Crashed {
-			logf("note: crash-at %d never fired (run saw %d boundaries)", k, res.Boundaries)
-		}
-		out.collect(cfg, res)
-	}
-	return out, nil
+		return ctrlPoint(CheckpointRun, cfg)
+	})
 }

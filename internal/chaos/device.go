@@ -1,9 +1,7 @@
 package chaos
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -183,14 +181,18 @@ func (r *DeviceResult) Summary() string {
 				fmt.Fprintf(&b, "shard %d: no report\n", i)
 				continue
 			}
-			fmt.Fprintf(&b, "shard %d: tracked=%d recovered=%d failed=%d lost-slots=%d half-repairs=%d\n",
-				i, sr.TrackedEntries, sr.RecoveredBlocks, len(sr.FailedBlocks), len(sr.LostSlots), sr.HalfRepairs)
+			fmt.Fprintf(&b, "shard %d: %s\n", i, accounting(sr))
 		}
 	}
 	for _, v := range r.Violations {
 		fmt.Fprintf(&b, "violation: %s\n", v)
 	}
 	return b.String()
+}
+
+func accounting(r *memctrl.RecoveryReport) string {
+	return fmt.Sprintf("tracked=%d recovered=%d failed=%d lost-slots=%d half-repairs=%d",
+		r.TrackedEntries, r.RecoveredBlocks, len(r.FailedBlocks), len(r.LostSlots), r.HalfRepairs)
 }
 
 // DeviceRepro renders the cmd/chaos invocation that replays cfg. Every
@@ -206,300 +208,104 @@ func DeviceRepro(cfg DeviceConfig) string {
 	return s
 }
 
-// deviceHarness is one sharded-device scenario in progress: the device,
-// the boundary-counting injector, the deterministic workload, and the
-// acknowledged-write oracle. DeviceRun drives it from op
-// 0; DeviceReplay restores a checkpoint and drives it from the middle.
-type deviceHarness struct {
-	cfg  DeviceConfig
-	logf func(format string, args ...any)
-	dev  *device.Device
-	inj  *DeviceInjector
-	ops  []wop
-
-	res          *DeviceResult
-	committed    map[uint64]int // addr -> op index of last durable write
-	inFlight     int            // op index interrupted by the crash, when a write
-	inFlightAddr uint64
-	crashOp      int
+// devStack drives the sharded device closed-loop: one request in flight
+// device-wide, so boundary numbering is deterministic.
+type devStack struct {
+	dev *device.Device
+	inj *DeviceInjector
 }
 
-// newDeviceHarness builds the device, the workload and the injector for
-// cfg. trace enables the device's canonical event trace
-// (needed when the run is recorded for replay).
-func newDeviceHarness(cfg DeviceConfig, trace bool) (*deviceHarness, error) {
-	cfg = cfg.normalized()
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	dev, err := device.New(device.Options{
+func newDevice(mode memctrl.Mode, shards int, strategy string, trace bool) (*device.Device, error) {
+	return device.New(device.Options{
 		System: config.TestSystem(),
-		Mode:   cfg.Mode,
+		Mode:   mode,
 		Key:    []byte("chaos-harness-key"),
-		Shards: cfg.Shards,
-		Ctrl:   memctrl.Options{Strategy: cfg.Strategy},
+		Shards: shards,
+		Ctrl:   memctrl.Options{Strategy: strategy},
 		Trace:  trace,
 	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Deterministic workload over the device's global data space, same
-	// shape as the single-controller harness.
-	dataLines := dev.Info().CapacityBytes / nvm.LineSize
-	ops := genOps(cfg.Seed, cfg.Writes, dataLines)
-
-	inj := NewDeviceInjector(cfg.CrashAt)
-	if err := dev.SetShardHooks(inj.ShardHooks(cfg.Shards)); err != nil {
-		return nil, err
-	}
-	return &deviceHarness{
-		cfg:  cfg,
-		logf: logf,
-		dev:  dev,
-		inj:  inj,
-		ops:  ops,
-		res:  &DeviceResult{CrashBoundary: -1, CrashShard: -1},
-
-		committed: make(map[uint64]int),
-		inFlight:  -1,
-		crashOp:   -1,
-	}, nil
 }
 
-func (h *deviceHarness) runOp(i int) error {
-	o := h.ops[i]
-	if o.kind == opWrite {
-		line := lineFor(h.cfg.Seed, i)
-		_, err := h.dev.Write(o.addr, &line)
+// newDeviceScenario builds the device, the injector and the workload over
+// the device's global data space for cfg. trace enables the device's
+// canonical event trace (needed when the run is recorded for replay).
+func newDeviceScenario(cfg DeviceConfig, trace bool) (*scenario, *devStack, error) {
+	cfg = cfg.normalized()
+	dev, err := newDevice(cfg.Mode, cfg.Shards, cfg.Strategy, trace)
+	if err != nil {
+		return nil, nil, err
+	}
+	d := &devStack{dev: dev, inj: NewDeviceInjector(cfg.CrashAt)}
+	if err := dev.SetShardHooks(d.inj.ShardHooks(cfg.Shards)); err != nil {
+		dev.Close()
+		return nil, nil, err
+	}
+	ops := genOps(cfg.Seed, cfg.Writes, dev.Info().CapacityBytes/nvm.LineSize)
+	return newScenario(d, cfg.Seed, ops, cfg.Shards, cfg.Logf), d, nil
+}
+
+func (d *devStack) op(_ int, k key, line *nvm.Line) error {
+	if line == nil {
+		_, err := d.read(k)
 		return err
 	}
-	_, _, err := h.dev.Read(o.addr)
+	_, err := d.dev.Write(k.addr, line)
 	return err
 }
 
-// run executes the scenario from workload op start: the (remaining)
-// workload with optional crash, recovery with report checks, post-recovery
-// read-back with an old-or-new exemption for the one in-flight write,
-// replay of the interrupted tail, Flush + VerifyAll, a clean crash/recover
-// round-trip, and a final strict read-back.
-//
-// When ckptEvery > 0, onCkpt is invoked before every ckptEvery-th workload
-// op until the crash fires — the recording side of time-travel replay. The
-// closed-loop drive guarantees the device is at an op boundary there, so
-// Device.Checkpoint always succeeds.
-func (h *deviceHarness) run(start, ckptEvery int, onCkpt func(op int) error) (*DeviceResult, error) {
-	cfg, res := h.cfg, h.res
-
-	var powerErr *device.PowerError
-	for i := start; i < len(h.ops); i++ {
-		if ckptEvery > 0 && (i-start)%ckptEvery == 0 {
-			if err := onCkpt(i); err != nil {
-				return nil, err
-			}
-		}
-		opErr := h.runOp(i)
-		if errors.As(opErr, &powerErr) {
-			res.Crashed = true
-			res.CrashBoundary = powerErr.Boundary
-			res.CrashShard = powerErr.Shard
-			h.crashOp = i
-			if h.ops[i].kind == opWrite {
-				h.inFlight = i
-				h.inFlightAddr = h.ops[i].addr
-			}
-			break
-		}
-		if opErr != nil {
-			res.OpErrors++
-			res.violate("op %d (%v %#x): unexpected error: %v", i, h.ops[i].kind, h.ops[i].addr, opErr)
-			continue
-		}
-		if h.ops[i].kind == opWrite {
-			h.committed[h.ops[i].addr] = i
-		}
-	}
-	res.Boundaries = h.inj.Boundaries()
-
-	if res.Crashed {
-		h.logf("power loss at device boundary %d (op %d, shard %d)", res.CrashBoundary, h.crashOp, res.CrashShard)
-		// The power loss already took the device down and fenced the
-		// epoch; Crash() drops every shard's volatile state.
-		if err := h.dev.Crash(); err != nil {
-			res.violate("Crash() after power loss: %v", err)
-			return res, nil
-		}
-		h.inj.Disarm()
-		rep, rerr := h.dev.Recover()
-		if rerr != nil {
-			res.violate("Recover failed: %v", rerr)
-			return res, nil
-		}
-		res.Report = rep
-		if len(rep.Shards) != cfg.Shards {
-			res.violate("recovery report covers %d of %d shards", len(rep.Shards), cfg.Shards)
-		}
-		for sid, sr := range rep.Shards {
-			if sr == nil {
-				res.violate("shard %d: recovery report missing", sid)
-				continue
-			}
-			if sr.RecoveredBlocks+len(sr.FailedBlocks) > sr.TrackedEntries {
-				res.violate("shard %d report accounting: %d recovered + %d failed > %d tracked",
-					sid, sr.RecoveredBlocks, len(sr.FailedBlocks), sr.TrackedEntries)
-			}
-			// Crash-only scenario: every tracked block must come back.
-			for _, fb := range sr.FailedBlocks {
-				res.violate("shard %d: recovery lost tracked block %#x: %s", sid, fb.Addr, fb.Reason)
-			}
-			for _, s := range sr.LostSlots {
-				res.violate("shard %d: recovery lost shadow slot %d entirely", sid, s)
-			}
-		}
-	} else {
-		h.inj.Disarm()
-	}
-
-	if res.Crashed {
-		h.readCheck("post-recovery", true)
-		// Replay the interrupted operation and the rest of the workload
-		// with injection disarmed.
-		for i := h.crashOp; i >= 0 && i < len(h.ops); i++ {
-			if opErr := h.runOp(i); opErr != nil {
-				res.OpErrors++
-				res.violate("replay op %d (%v %#x): unexpected error: %v", i, h.ops[i].kind, h.ops[i].addr, opErr)
-				continue
-			}
-			if h.ops[i].kind == opWrite {
-				h.committed[h.ops[i].addr] = i
-			}
-		}
-	} else {
-		h.readCheck("post-workload", false)
-	}
-
-	// Settle and verify every shard's full image.
-	if err := h.dev.Flush(); err != nil {
-		res.violate("Flush: %v", err)
-		return res, nil
-	}
-	if err := h.dev.VerifyAll(); err != nil {
-		res.violate("VerifyAll after replay: %v", err)
-	}
-
-	// A clean crash/recover round-trip on the flushed image must be
-	// lossless on every shard.
-	if err := h.dev.Crash(); err != nil {
-		res.violate("clean-round Crash: %v", err)
-	} else {
-		rep, err := h.dev.Recover()
-		switch {
-		case err != nil:
-			res.violate("clean-round Recover: %v", err)
-		case !rep.Clean():
-			res.violate("clean-round recovery lost blocks: %d failed, %d lost slots",
-				rep.FailedBlocks(), rep.LostSlots())
-		}
-	}
-	h.readCheck("final", false)
-	return res, nil
+func (d *devStack) read(k key) (nvm.Line, error) {
+	got, _, err := d.dev.Read(k.addr)
+	return got, err
 }
 
-// readCheck verifies every committed write reads back; with inFlightExempt
-// the one write interrupted by the crash may hold either its old or its
-// new value.
-func (h *deviceHarness) readCheck(phase string, inFlightExempt bool) {
-	res := h.res
-	addrs := make([]uint64, 0, len(h.committed))
-	for a := range h.committed {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		got, _, rdErr := h.dev.Read(a)
-		if rdErr != nil {
-			res.violate("%s: read %#x (committed op %d) failed: %v", phase, a, h.committed[a], rdErr)
-			continue
-		}
-		want := lineFor(h.cfg.Seed, h.committed[a])
-		if inFlightExempt && h.inFlight >= 0 && a == h.inFlightAddr {
-			if got != want && got != lineFor(h.cfg.Seed, h.inFlight) {
-				res.violate("%s: in-flight block %#x holds neither the old value (op %d) nor the new (op %d)",
-					phase, a, h.committed[a], h.inFlight)
-			}
-			continue
-		}
-		if got != want {
-			res.violate("%s: silent corruption at %#x: committed op %d does not read back", phase, a, h.committed[a])
-		}
-	}
-	if inFlightExempt && h.inFlight >= 0 {
-		if _, ok := h.committed[h.inFlightAddr]; !ok {
-			got, _, rdErr := h.dev.Read(h.inFlightAddr)
-			switch {
-			case rdErr != nil:
-				res.violate("%s: read in-flight %#x failed: %v", phase, h.inFlightAddr, rdErr)
-			case got != (nvm.Line{}) && got != lineFor(h.cfg.Seed, h.inFlight):
-				res.violate("%s: in-flight cold block %#x is neither zero nor the new value", phase, h.inFlightAddr)
-			}
-		}
-	}
+func (d *devStack) boundaries() int { return d.inj.Boundaries() }
+func (d *devStack) disarm()         { d.inj.Disarm() }
+
+// crash drops every shard's volatile state; after a power loss the device
+// is already down with its epoch fenced.
+func (d *devStack) crash() error { return d.dev.Crash() }
+
+func (d *devStack) recover() (*device.RecoveryReport, error) {
+	d.inj.Disarm()
+	return d.dev.Recover()
 }
 
-// DeviceRun executes one scenario against the sharded device,
-// closed-loop (one request in flight device-wide, so boundary
-// numbering is deterministic), and checks the same invariants as Run:
-// every committed write reads back after recovery, the one in-flight write
-// is old-or-new, every shard's recovery report accounts for its tracked
-// blocks, and a clean crash/recover round-trip on the settled image loses
-// nothing.
+func (d *devStack) flush() error       { return d.dev.Flush() }
+func (d *devStack) verify() error      { return d.dev.VerifyAll() }
+func (d *devStack) extraChecks(string) {}
+
+// DeviceRun executes one scenario against the sharded device and checks
+// the same invariants as Run: every committed write reads back after
+// recovery, the one in-flight write is old-or-new, every shard's recovery
+// report accounts for its tracked blocks, and a clean crash/recover
+// round-trip on the settled image loses nothing.
 func DeviceRun(cfg DeviceConfig) (*DeviceResult, error) {
-	h, err := newDeviceHarness(cfg, false)
+	sc, d, err := newDeviceScenario(cfg, false)
 	if err != nil {
 		return nil, err
 	}
-	defer h.dev.Close()
-	return h.run(0, 0, nil)
+	defer d.dev.Close()
+	return sc.run(0)
 }
 
 // DeviceCrashSweep probes the workload for its device-wide boundary
 // count, then replays it crashing at every stride-th boundary — the
 // sharded-device version of CrashSweep.
 func DeviceCrashSweep(base DeviceConfig, stride int, logf func(string, ...any)) (*CampaignResult, error) {
-	if stride <= 0 {
-		stride = 1
-	}
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	probe := base
-	probe.CrashAt = -1
-	pres, err := DeviceRun(probe)
-	if err != nil {
-		return nil, err
-	}
-	out := &CampaignResult{Boundaries: pres.Boundaries}
-	out.collectDevice(probe, pres)
-	logf("device crash sweep: %d shards, %d workload boundaries, stride %d", base.Shards, pres.Boundaries, stride)
-	for k := 0; k < pres.Boundaries; k += stride {
+	base = base.normalized()
+	header := fmt.Sprintf("device crash sweep: %d shards, ", base.Shards) + "%d workload boundaries, stride %d"
+	return sweep(header, stride, logf, func(k int) (point, error) {
 		cfg := base
 		cfg.CrashAt = k
 		res, err := DeviceRun(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if !res.Crashed {
-			logf("note: crash-at %d never fired (run saw %d boundaries)", k, res.Boundaries)
-		}
-		out.collectDevice(cfg, res)
-	}
-	return out, nil
+		return res.sweepPoint(DeviceRepro(cfg), err)
+	})
 }
 
-func (c *CampaignResult) collectDevice(cfg DeviceConfig, res *DeviceResult) {
-	c.Runs++
-	if len(res.Violations) > 0 {
-		c.Failures = append(c.Failures, Failure{Repro: DeviceRepro(cfg), Violations: res.Violations})
+// sweepPoint is one device or tenant run as a sweep point.
+func (r *DeviceResult) sweepPoint(repro string, err error) (point, error) {
+	if err != nil {
+		return point{}, err
 	}
+	return point{r.Boundaries, r.Crashed, repro, r.Violations}, nil
 }

@@ -53,7 +53,7 @@ func TestDifferentialStrategies(t *testing.T) {
 				var now sim.Time
 				runOp := func(i int) {
 					if sched[i].write {
-						line := lineFor(seed, i)
+						line := lineFor(seed, 0, i)
 						if now, err = ctrl.WriteBlock(now, sched[i].addr, &line); err != nil {
 							t.Fatalf("%s op %d: %v", strategy, i, err)
 						}

@@ -283,7 +283,7 @@ func NetRun(cfg NetConfig) (*NetResult, error) {
 				slot := w.rng.Intn(netWorkingSet)
 				_, written := w.last[slot]
 				if !written || j%3 != 2 {
-					line := lineFor(cfg.Seed, w.id*1_000_000+j)
+					line := lineFor(cfg.Seed, 0, w.id*1_000_000+j)
 					if _, err := w.c.Write(w.addr(slot), &line); err != nil {
 						addViolation("client %d write op %d failed through retries: %v", w.id, j, err)
 						return
@@ -469,7 +469,7 @@ func (w *netClient) runPipelined(cfg *NetConfig, addr string,
 		}
 		_, written := w.last[slot]
 		if !written || j%3 != 2 {
-			pending[slot] = lineFor(cfg.Seed, w.id*1_000_000+j)
+			pending[slot] = lineFor(cfg.Seed, 0, w.id*1_000_000+j)
 			busy[slot] = true
 			err = p.Submit(uint64(slot), device.BatchWrite, w.addr(slot), &pending[slot])
 		} else {

@@ -119,45 +119,45 @@ func DecodeReplayTrace(data []byte) (*ReplayTrace, error) {
 // everything DeviceReplay needs to re-execute it from the checkpoint
 // nearest the fault; a crash-free run returns a nil trace.
 func DeviceRunTraced(cfg DeviceConfig) (*DeviceResult, *ReplayTrace, error) {
-	h, err := newDeviceHarness(cfg, true)
+	sc, d, err := newDeviceScenario(cfg, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer h.dev.Close()
+	defer d.dev.Close()
 
 	// Checkpoint cadence: 8 checkpoints across the workload, so the replay
 	// re-executes at most ~1/8th of it. Op 0 always has one — a crash on
-	// the very first op still replays.
-	every := h.cfg.Writes / 8
-	if every < 1 {
-		every = 1
-	}
+	// the very first op still replays. The closed-loop drive guarantees
+	// the device is at an op boundary here, so Checkpoint always succeeds.
+	every := max(cfg.Writes/8, 1)
 	tr := &ReplayTrace{CkptOp: -1}
-	onCkpt := func(op int) error {
-		ckpt, err := h.dev.Checkpoint()
+	sc.beforeOp = func(op int) error {
+		if op%every != 0 {
+			return nil
+		}
+		ckpt, err := d.dev.Checkpoint()
 		if err != nil {
 			return fmt.Errorf("chaos: checkpoint at op %d: %w", op, err)
 		}
 		tr.CkptOp = op
-		tr.CkptBoundary = h.inj.Boundaries()
-		tr.CkptOpErrors = h.res.OpErrors
-		tr.CkptViolations = append([]string(nil), h.res.Violations...)
-		committed := make(map[uint64]int, len(h.committed))
-		for a, i := range h.committed {
-			committed[a] = i
+		tr.CkptBoundary = d.inj.Boundaries()
+		tr.CkptOpErrors = sc.res.OpErrors
+		tr.CkptViolations = append([]string(nil), sc.res.Violations...)
+		tr.CkptCommitted = make(map[uint64]int, len(sc.committed))
+		for k, i := range sc.committed {
+			tr.CkptCommitted[k.addr] = i
 		}
-		tr.CkptCommitted = committed
 		tr.Ckpt = ckpt
 		return nil
 	}
-	res, err := h.run(0, every, onCkpt)
+	res, err := sc.run(0)
 	if err != nil || !res.Crashed || tr.CkptOp < 0 {
 		return res, nil, err
 	}
-	tr.Cfg = h.cfg
+	tr.Cfg = cfg.normalized()
 	tr.Cfg.Logf = nil
-	tr.CrashOp = h.crashOp
-	tr.Events = h.dev.Trace()
+	tr.CrashOp = sc.crashOp
+	tr.Events = d.dev.Trace()
 	return res, tr, nil
 }
 
@@ -170,31 +170,31 @@ func DeviceRunTraced(cfg DeviceConfig) (*DeviceResult, *ReplayTrace, error) {
 func DeviceReplay(tr *ReplayTrace, logf func(format string, args ...any)) (*DeviceResult, error) {
 	cfg := tr.Cfg
 	cfg.Logf = logf
-	h, err := newDeviceHarness(cfg, true)
+	sc, d, err := newDeviceScenario(cfg, true)
 	if err != nil {
 		return nil, err
 	}
-	defer h.dev.Close()
-	if err := h.dev.Restore(tr.Ckpt); err != nil {
+	defer d.dev.Close()
+	if err := d.dev.Restore(tr.Ckpt); err != nil {
 		return nil, fmt.Errorf("chaos: restore checkpoint: %w", err)
 	}
 	// Hooks survive a controller restore, but the trackers' seal state is
 	// volatile; re-install fresh ones (the checkpoint was taken at an op
 	// boundary, where every seal depth is zero).
-	if err := h.dev.SetShardHooks(h.inj.ShardHooks(h.cfg.Shards)); err != nil {
+	if err := d.dev.SetShardHooks(d.inj.ShardHooks(sc.shards)); err != nil {
 		return nil, err
 	}
-	h.inj.Preset(tr.CkptBoundary)
-	h.res.OpErrors = tr.CkptOpErrors
-	h.res.Violations = append([]string(nil), tr.CkptViolations...)
+	d.inj.Preset(tr.CkptBoundary)
+	sc.res.OpErrors = tr.CkptOpErrors
+	sc.res.Violations = append([]string(nil), tr.CkptViolations...)
 	for a, i := range tr.CkptCommitted {
-		h.committed[a] = i
+		sc.committed[key{addr: a}] = i
 	}
-	res, err := h.run(tr.CkptOp, 0, nil)
+	res, err := sc.run(tr.CkptOp)
 	if err != nil {
 		return nil, err
 	}
-	checkReplayedTrace(res, tr.Events, h.dev.Trace())
+	checkReplayedTrace(res, tr.Events, d.dev.Trace())
 	return res, nil
 }
 

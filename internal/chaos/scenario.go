@@ -1,12 +1,12 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"soteria/internal/config"
-	"soteria/internal/inject"
+	"soteria/internal/device"
 	"soteria/internal/memctrl"
 	"soteria/internal/nvm"
 	"soteria/internal/sim"
@@ -63,114 +63,10 @@ type Result struct {
 	Violations []string
 }
 
-func (r *Result) violate(format string, args ...any) {
-	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-}
-
-type opKind int
-
-const (
-	opWrite opKind = iota
-	opRead
-)
-
-func (k opKind) String() string {
-	if k == opWrite {
-		return "write"
-	}
-	return "read"
-}
-
-type wop struct {
-	kind opKind
-	addr uint64
-}
-
-// genOps derives the deterministic workload for one seed: a working set big
-// enough to thrash the TestSystem metadata cache, then ops drawn from it
-// (roughly 3/4 writes, 1/4 reads). Every harness — single-controller runs,
-// sharded-device runs, checkpoint conformance — observes the identical
-// stream for the same seed, which is what makes repro lines portable
-// between them.
-func genOps(seed int64, writes int, dataLines uint64) []wop {
-	return genOpsFrom(rand.New(rand.NewSource(seed)), writes, dataLines)
-}
-
-// genOpsFrom is genOps over a caller-owned RNG (the draw order is part of
-// the repro contract; never reorder these calls).
-func genOpsFrom(rng *rand.Rand, writes int, dataLines uint64) []wop {
-	wsSize := writes/2 + 1
-	if wsSize > 96 {
-		wsSize = 96
-	}
-	seen := make(map[uint64]bool, wsSize)
-	ws := make([]uint64, 0, wsSize)
-	for len(ws) < wsSize {
-		blk := uint64(rng.Int63n(int64(dataLines)))
-		if !seen[blk] {
-			seen[blk] = true
-			ws = append(ws, blk*nvm.LineSize)
-		}
-	}
-	ops := make([]wop, writes)
-	for i := range ops {
-		k := opWrite
-		if i > 0 && rng.Float64() < 0.25 {
-			k = opRead
-		}
-		ops[i] = wop{kind: k, addr: ws[rng.Intn(len(ws))]}
-	}
-	return ops
-}
-
-// lineFor is the deterministic content of the i-th workload write; the
-// oracle recomputes it instead of remembering it (splitmix64 over seed+i).
-func lineFor(seed int64, i int) nvm.Line {
-	var l nvm.Line
-	x := uint64(seed)*0x9e3779b97f4a7c15 + uint64(i+1)*0xbf58476d1ce4e5b9
-	for off := 0; off < nvm.LineSize; off += 8 {
-		x ^= x >> 30
-		x *= 0xbf58476d1ce4e5b9
-		x ^= x >> 27
-		x *= 0x94d049bb133111eb
-		x ^= x >> 31
-		for k := 0; k < 8; k++ {
-			l[off+k] = byte(x >> (8 * uint(k)))
-		}
-	}
-	return l
-}
-
-// guard runs f, converting an inject.PowerLoss panic into a return value.
-// Any other panic is returned as panicked: a simulated power cut must
-// never surface as anything but PowerLoss.
-func guard(f func()) (pl *inject.PowerLoss, panicked any) {
-	defer func() {
-		if r := recover(); r != nil {
-			if p, ok := r.(inject.PowerLoss); ok {
-				pl = &p
-				return
-			}
-			panicked = r
-		}
-	}()
-	f()
-	return pl, panicked
-}
-
-// Run executes one scenario end to end: workload (with optional crash and
-// fault schedule), recovery (with optional nested crash), then the
-// invariant oracle — post-recovery read-back with an old-or-new exemption
-// for the one in-flight operation, replay of the interrupted tail,
-// FlushAll + VerifyAll, a second clean crash/recover round-trip, and a
-// final strict read-back.
+// Run executes one scenario end to end on a bare controller: workload
+// (with optional crash and fault schedule), recovery (with optional nested
+// crash), then the runner's invariant oracle.
 func Run(cfg Config) (*Result, error) {
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	res := &Result{CrashBoundary: -1}
-
 	if cfg.Strategy != "" && cfg.Strategy != "soteria" {
 		// Shadow-entry faults and the half-repair kill switch target the
 		// Soteria duplicated-entry table specifically.
@@ -181,16 +77,44 @@ func Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("chaos: BreakHalfRepair requires the soteria strategy (got %q)", cfg.Strategy)
 		}
 	}
-
-	ctrl, err := memctrl.New(config.TestSystem(), cfg.Mode, []byte("chaos-harness-key"),
-		memctrl.Options{DisableShadowHalfRepair: cfg.BreakHalfRepair, Strategy: cfg.Strategy})
+	sc, c, err := newCtrlScenario(cfg)
 	if err != nil {
 		return nil, err
 	}
+	res, _ := sc.run(0)
+	return c.result(res), nil
+}
 
-	// Deterministic workload: a working set big enough to thrash the
-	// TestSystem metadata cache (128 slots), ops drawn from it.
-	rng := rand.New(rand.NewSource(cfg.Seed))
+// ctrlStack drives one bare memctrl.Controller. It owns sim time and the
+// PowerLoss guard, and the recovery that follows the workload's power loss
+// is where shadow-entry faults land and a nested power loss may cut in.
+type ctrlStack struct {
+	cfg  Config
+	res  *DeviceResult
+	logf func(format string, args ...any)
+	ctrl *memctrl.Controller
+	inj  *Injector
+	now  sim.Time
+
+	tracked []uint64 // shadow slots in use when power was lost
+	// What the power-loss recovery observed, for Result.
+	nested             bool
+	recoveryBoundaries int
+	shadowNotes        []string
+}
+
+func newCtrl(cfg Config) (*memctrl.Controller, error) {
+	return memctrl.New(config.TestSystem(), cfg.Mode, []byte("chaos-harness-key"),
+		memctrl.Options{DisableShadowHalfRepair: cfg.BreakHalfRepair, Strategy: cfg.Strategy})
+}
+
+// newCtrlScenario builds the controller, its injector and the workload
+// for cfg.
+func newCtrlScenario(cfg Config) (*scenario, *ctrlStack, error) {
+	ctrl, err := newCtrl(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
 	var dataLines, faultCeil uint64
 	if l := ctrl.Layout(); l != nil {
 		dataLines = l.DataBlocks
@@ -204,289 +128,141 @@ func Run(cfg Config) (*Result, error) {
 	} else {
 		dataLines = ctrl.Device().Capacity() / nvm.LineSize
 	}
-	ops := genOpsFrom(rng, cfg.Writes, dataLines)
-
 	inj := NewInjector(ctrl.Device(), rand.New(rand.NewSource(cfg.Seed^0x5eedfa11)), cfg.FaultRate, faultCeil)
 	inj.CrashAt = cfg.CrashAt
 	ctrl.SetHook(inj)
 
+	c := &ctrlStack{cfg: cfg, ctrl: ctrl, inj: inj}
+	sc := newScenario(c, cfg.Seed, genOps(cfg.Seed, cfg.Writes, dataLines), 1, cfg.Logf)
+	c.res, c.logf = sc.res, sc.logf
 	// With random device faults (or deliberately broken recovery) reads
 	// and ops may legitimately fail with a typed error; what is never
 	// legitimate is wrong data without an error, or a panic.
-	errTolerant := cfg.FaultRate > 0 || cfg.BreakHalfRepair
-
-	committed := make(map[uint64]int) // addr -> op index of last durable write
-	var now sim.Time
-	inFlight := -1 // op index interrupted by the crash, when it was a write
-	var inFlightAddr uint64
-	crashOp := -1
-
-	runOp := func(i int) (opErr error, pl *inject.PowerLoss, pan any) {
-		o := ops[i]
-		pl, pan = guard(func() {
-			if o.kind == opWrite {
-				line := lineFor(cfg.Seed, i)
-				now, opErr = ctrl.WriteBlock(now, o.addr, &line)
-			} else {
-				_, now, opErr = ctrl.ReadBlock(now, o.addr)
-			}
-		})
-		return opErr, pl, pan
-	}
-
-	for i := 0; i < len(ops); i++ {
-		opErr, pl, pan := runOp(i)
-		if pan != nil {
-			res.violate("op %d (%v %#x): unexpected panic: %v", i, ops[i].kind, ops[i].addr, pan)
-			res.Faults = inj.Applied
-			return res, nil
-		}
-		if pl != nil {
-			res.Crashed = true
-			res.CrashBoundary = pl.Boundary
-			crashOp = i
-			if ops[i].kind == opWrite {
-				inFlight = i
-				inFlightAddr = ops[i].addr
-			}
-			break
-		}
-		if opErr != nil {
-			res.OpErrors++
-			if !errTolerant {
-				res.violate("op %d (%v %#x): unexpected error: %v", i, ops[i].kind, ops[i].addr, opErr)
-			}
-			continue
-		}
-		if ops[i].kind == opWrite {
-			committed[ops[i].addr] = i
-		}
-	}
-	res.Boundaries = inj.Boundary
-	res.Faults = inj.Applied
-
-	if res.Crashed {
-		logf("power loss at boundary %d (op %d)", res.CrashBoundary, crashOp)
-		// Tracked slots must be read before Crash wipes the volatile
-		// table handle.
-		tracked := ctrl.TrackedSlots()
-		if err := ctrl.Crash(); err != nil {
-			res.violate("Crash() after power loss: %v", err)
-			return res, nil
-		}
-		inj.StopFaults()
-
-		if cfg.ShadowFaults > 0 && ctrl.Layout() != nil {
-			applyShadowFaults(cfg, res, ctrl, tracked)
-		}
-
-		// Recovery, possibly cut by a second power loss.
-		inj.Rearm(cfg.NestedCrashAt)
-		var rep *memctrl.RecoveryReport
-		var rerr error
-		pl, pan := guard(func() { rep, rerr = ctrl.Recover() })
-		if pan != nil {
-			res.violate("Recover: unexpected panic: %v", pan)
-			return res, nil
-		}
-		if pl != nil {
-			res.NestedCrashed = true
-			logf("nested power loss at recovery boundary %d", pl.Boundary)
-			if err := ctrl.Crash(); err != nil {
-				res.violate("Crash() during interrupted recovery: %v", err)
-				return res, nil
-			}
-			inj.Disarm()
-			pl2, pan2 := guard(func() { rep, rerr = ctrl.Recover() })
-			if pan2 != nil {
-				res.violate("second Recover: unexpected panic: %v", pan2)
-				return res, nil
-			}
-			if pl2 != nil {
-				res.violate("second Recover: power loss fired while disarmed")
-				return res, nil
-			}
-		}
-		res.RecoveryBoundaries = inj.Boundary
-		inj.Disarm()
-		if rerr != nil {
-			res.violate("Recover failed: %v", rerr)
-			return res, nil
-		}
-		res.Report = rep
-		checkReport(cfg, res, rep)
-	} else {
-		inj.Disarm()
-	}
-
-	readCheck := func(phase string, inFlightExempt bool) {
-		addrs := make([]uint64, 0, len(committed))
-		for a := range committed {
-			addrs = append(addrs, a)
-		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-		for _, a := range addrs {
-			var got nvm.Line
-			var rdErr error
-			pl, pan := guard(func() { got, now, rdErr = ctrl.ReadBlock(now, a) })
-			if pan != nil {
-				res.violate("%s: read %#x: unexpected panic: %v", phase, a, pan)
-				return
-			}
-			if pl != nil {
-				res.violate("%s: read %#x: power loss fired while disarmed", phase, a)
-				return
-			}
-			if rdErr != nil {
-				if !errTolerant {
-					res.violate("%s: read %#x (committed op %d) failed: %v", phase, a, committed[a], rdErr)
-				}
-				continue
-			}
-			want := lineFor(cfg.Seed, committed[a])
-			if inFlightExempt && inFlight >= 0 && a == inFlightAddr {
-				if got != want && got != lineFor(cfg.Seed, inFlight) {
-					res.violate("%s: in-flight block %#x holds neither the old value (op %d) nor the new (op %d)",
-						phase, a, committed[a], inFlight)
-				}
-				continue
-			}
-			if got != want {
-				res.violate("%s: silent corruption at %#x: committed op %d does not read back", phase, a, committed[a])
-			}
-		}
-		// An in-flight write to a never-before-written block must read
-		// back as either the new value or pristine zeros.
-		if inFlightExempt && inFlight >= 0 {
-			if _, ok := committed[inFlightAddr]; !ok {
-				var got nvm.Line
-				var rdErr error
-				pl, pan := guard(func() { got, now, rdErr = ctrl.ReadBlock(now, inFlightAddr) })
-				switch {
-				case pan != nil:
-					res.violate("%s: read in-flight %#x: unexpected panic: %v", phase, inFlightAddr, pan)
-				case pl != nil:
-					res.violate("%s: read in-flight %#x: power loss fired while disarmed", phase, inFlightAddr)
-				case rdErr != nil:
-					if !errTolerant {
-						res.violate("%s: read in-flight %#x failed: %v", phase, inFlightAddr, rdErr)
-					}
-				case got != (nvm.Line{}) && got != lineFor(cfg.Seed, inFlight):
-					res.violate("%s: in-flight cold block %#x is neither zero nor the new value", phase, inFlightAddr)
-				}
-			}
-		}
-	}
-
-	if res.Crashed {
-		readCheck("post-recovery", true)
-		// Replay the interrupted operation and the rest of the workload
-		// with injection disarmed.
-		for i := crashOp; i >= 0 && i < len(ops); i++ {
-			opErr, pl, pan := runOp(i)
-			if pan != nil {
-				res.violate("replay op %d: unexpected panic: %v", i, pan)
-				return res, nil
-			}
-			if pl != nil {
-				res.violate("replay op %d: power loss fired while disarmed", i)
-				return res, nil
-			}
-			if opErr != nil {
-				res.OpErrors++
-				if !errTolerant {
-					res.violate("replay op %d (%v %#x): unexpected error: %v", i, ops[i].kind, ops[i].addr, opErr)
-				}
-				continue
-			}
-			if ops[i].kind == opWrite {
-				committed[ops[i].addr] = i
-			}
-		}
-	} else {
-		readCheck("post-workload", false)
-	}
-
-	// Settle and verify the whole image.
-	pl, pan := guard(func() { now = ctrl.FlushAll(now) })
-	if pan != nil {
-		res.violate("FlushAll: unexpected panic: %v", pan)
-		return res, nil
-	}
-	if pl != nil {
-		res.violate("FlushAll: power loss fired while disarmed")
-		return res, nil
-	}
-	if err := ctrl.VerifyAll(); err != nil && !errTolerant {
-		res.violate("VerifyAll after replay: %v", err)
-	}
-
-	// A clean crash/recover round-trip on the flushed image must be
-	// lossless regardless of what came before (faults excepted).
-	if err := ctrl.Crash(); err != nil {
-		res.violate("clean-round Crash: %v", err)
-	} else {
-		rep, err := ctrl.Recover()
-		switch {
-		case err != nil:
-			res.violate("clean-round Recover: %v", err)
-		case cfg.FaultRate == 0 && (len(rep.FailedBlocks) > 0 || len(rep.LostSlots) > 0):
-			res.violate("clean-round recovery lost blocks: %d failed, %d lost slots", len(rep.FailedBlocks), len(rep.LostSlots))
-		}
-	}
-	readCheck("final", false)
-	return res, nil
+	sc.errOK = cfg.FaultRate > 0 || cfg.BreakHalfRepair
+	sc.lossOK = cfg.FaultRate > 0
+	return sc, c, nil
 }
+
+// result is the controller's view of a run.
+func (c *ctrlStack) result(r *DeviceResult) *Result {
+	res := &Result{
+		Boundaries:         r.Boundaries,
+		RecoveryBoundaries: c.recoveryBoundaries,
+		Crashed:            r.Crashed,
+		CrashBoundary:      r.CrashBoundary,
+		NestedCrashed:      c.nested,
+		Faults:             c.inj.Applied,
+		ShadowFaultNotes:   c.shadowNotes,
+		OpErrors:           r.OpErrors,
+		Violations:         r.Violations,
+	}
+	if r.Report != nil {
+		res.Report = r.Report.Shards[0]
+	}
+	return res
+}
+
+func (c *ctrlStack) op(_ int, k key, line *nvm.Line) error {
+	if line == nil {
+		_, err := c.read(k)
+		return err
+	}
+	return guard(func() (err error) {
+		c.now, err = c.ctrl.WriteBlock(c.now, k.addr, line)
+		return err
+	})
+}
+
+func (c *ctrlStack) read(k key) (got nvm.Line, err error) {
+	err = guard(func() (err error) {
+		got, c.now, err = c.ctrl.ReadBlock(c.now, k.addr)
+		return err
+	})
+	return got, err
+}
+
+func (c *ctrlStack) boundaries() int { return c.inj.Boundary }
+func (c *ctrlStack) disarm()         { c.inj.Disarm() }
+
+func (c *ctrlStack) crash() error {
+	// Tracked slots must be read before Crash wipes the volatile table
+	// handle.
+	c.tracked = c.ctrl.TrackedSlots()
+	return c.ctrl.Crash()
+}
+
+// recover, after the workload's power loss, stops device faults, plants
+// the shadow-entry faults and arms the nested crash; once injection is
+// disarmed it is a plain guarded Recover.
+func (c *ctrlStack) recover() (*device.RecoveryReport, error) {
+	if c.inj.disarmed {
+		return recoverCtrl(c.ctrl)
+	}
+	c.inj.StopFaults()
+	if c.cfg.ShadowFaults > 0 && c.ctrl.Layout() != nil {
+		c.applyShadowFaults()
+	}
+	c.inj.Rearm(c.cfg.NestedCrashAt)
+	rep, err := recoverCtrl(c.ctrl)
+	var pe *device.PowerError
+	if errors.As(err, &pe) {
+		c.nested = true
+		c.logf("nested power loss at recovery boundary %d", pe.Boundary)
+		if err := c.ctrl.Crash(); err != nil {
+			return nil, fmt.Errorf("Crash() during interrupted recovery: %w", err)
+		}
+		c.inj.Disarm()
+		rep, err = recoverCtrl(c.ctrl)
+	}
+	c.recoveryBoundaries = c.inj.Boundary
+	c.inj.Disarm()
+	if err == nil && !c.cfg.BreakHalfRepair && len(c.shadowNotes) > 0 && rep.Shards[0].HalfRepairs == 0 {
+		c.res.violate("shadow faults injected (%v) but recovery performed no half repairs", c.shadowNotes)
+	}
+	return rep, err
+}
+
+// recoverCtrl runs Recover under guard, reported as a one-shard device.
+func recoverCtrl(ctrl *memctrl.Controller) (*device.RecoveryReport, error) {
+	var rep *memctrl.RecoveryReport
+	err := guard(func() (err error) {
+		rep, err = ctrl.Recover()
+		return err
+	})
+	return &device.RecoveryReport{Shards: []*memctrl.RecoveryReport{rep}}, err
+}
+
+func (c *ctrlStack) flush() error {
+	return guard(func() error {
+		c.now = c.ctrl.FlushAll(c.now)
+		return nil
+	})
+}
+
+func (c *ctrlStack) verify() error      { return c.ctrl.VerifyAll() }
+func (c *ctrlStack) extraChecks(string) {}
 
 // applyShadowFaults kills one word of one half of cfg.ShadowFaults shadow
 // entries, preferring slots that were actually tracking blocks at crash
 // time so the fault hits an entry recovery needs.
-func applyShadowFaults(cfg Config, res *Result, ctrl *memctrl.Controller, tracked []uint64) {
-	frng := rand.New(rand.NewSource(cfg.Seed ^ 0x0fa111))
-	slots := tracked
+func (c *ctrlStack) applyShadowFaults() {
+	frng := rand.New(rand.NewSource(c.cfg.Seed ^ 0x0fa111))
+	slots := c.tracked
 	if len(slots) == 0 {
-		for s := uint64(0); s < ctrl.Layout().ShadowEntries; s++ {
+		for s := uint64(0); s < c.ctrl.Layout().ShadowEntries; s++ {
 			slots = append(slots, s)
 		}
 	}
 	frng.Shuffle(len(slots), func(i, j int) { slots[i], slots[j] = slots[j], slots[i] })
-	n := cfg.ShadowFaults
+	n := c.cfg.ShadowFaults
 	if n > len(slots) {
 		n = len(slots)
 	}
 	for j := 0; j < n; j++ {
 		slot := slots[j]
 		word := 4*frng.Intn(2) + frng.Intn(4) // one word of one 32-byte half
-		addr := ctrl.Layout().ShadowBase + slot*nvm.LineSize
-		ctrl.Device().CorruptWord(addr, word)
-		res.ShadowFaultNotes = append(res.ShadowFaultNotes,
-			fmt.Sprintf("slot %d word %d (line %#x)", slot, word, addr))
-	}
-}
-
-// checkReport enforces the accounting invariants on a recovery report.
-func checkReport(cfg Config, res *Result, rep *memctrl.RecoveryReport) {
-	if rep == nil {
-		return
-	}
-	if rep.RecoveredBlocks+len(rep.FailedBlocks) > rep.TrackedEntries {
-		res.violate("recovery report accounting: %d recovered + %d failed > %d tracked",
-			rep.RecoveredBlocks, len(rep.FailedBlocks), rep.TrackedEntries)
-	}
-	if cfg.FaultRate == 0 {
-		// Without random device faults every tracked block must come
-		// back: crash-only sweeps always, and single-half shadow faults
-		// because Soteria duplicates each entry. When BreakHalfRepair is
-		// set these violations firing is the harness catching the broken
-		// recovery — exactly what that knob is for.
-		for _, fb := range rep.FailedBlocks {
-			res.violate("recovery lost tracked block %#x: %s", fb.Addr, fb.Reason)
-		}
-		for _, s := range rep.LostSlots {
-			res.violate("recovery lost shadow slot %d entirely", s)
-		}
-	}
-	if cfg.ShadowFaults > 0 && !cfg.BreakHalfRepair && len(res.ShadowFaultNotes) > 0 && rep.HalfRepairs == 0 {
-		res.violate("shadow faults injected (%v) but recovery performed no half repairs", res.ShadowFaultNotes)
+		addr := c.ctrl.Layout().ShadowBase + slot*nvm.LineSize
+		c.ctrl.Device().CorruptWord(addr, word)
+		c.shadowNotes = append(c.shadowNotes, fmt.Sprintf("slot %d word %d (line %#x)", slot, word, addr))
 	}
 }

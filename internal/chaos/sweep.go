@@ -90,83 +90,53 @@ func (c *CampaignResult) ViolationCount() int {
 	return n
 }
 
-func (c *CampaignResult) collect(cfg Config, res *Result) {
+func (c *CampaignResult) collect(repro string, violations []string) {
 	c.Runs++
-	if len(res.Violations) > 0 {
-		c.Failures = append(c.Failures, Failure{Repro: Repro(cfg), Violations: res.Violations})
+	if len(violations) > 0 {
+		c.Failures = append(c.Failures, Failure{Repro: repro, Violations: violations})
 	}
+}
+
+// ctrlPoint runs one controller scenario as a sweep point.
+func ctrlPoint(run func(Config) (*Result, error), cfg Config) (point, error) {
+	res, err := run(cfg)
+	if err != nil {
+		return point{}, err
+	}
+	return point{res.Boundaries, res.Crashed, Repro(cfg), res.Violations}, nil
 }
 
 // CrashSweep first probes the workload to count its write boundaries, then
 // replays it crashing at every stride-th boundary: "crash at write k,
 // recover, verify, for all k".
 func CrashSweep(base Config, stride int, logf func(string, ...any)) (*CampaignResult, error) {
-	if stride <= 0 {
-		stride = 1
-	}
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	probe := base
-	probe.CrashAt, probe.NestedCrashAt = -1, -1
-	pres, err := Run(probe)
-	if err != nil {
-		return nil, err
-	}
-	out := &CampaignResult{Boundaries: pres.Boundaries}
-	out.collect(probe, pres)
-	logf("crash sweep: %d workload boundaries, stride %d", pres.Boundaries, stride)
-	for k := 0; k < pres.Boundaries; k += stride {
+	return sweep("crash sweep: %d workload boundaries, stride %d", stride, logf, func(k int) (point, error) {
 		cfg := base
 		cfg.CrashAt, cfg.NestedCrashAt = k, -1
-		res, err := Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if !res.Crashed {
-			logf("note: crash-at %d never fired (run saw %d boundaries)", k, res.Boundaries)
-		}
-		out.collect(cfg, res)
-	}
-	return out, nil
+		return ctrlPoint(Run, cfg)
+	})
 }
 
 // NestedSweep crashes the workload at base.CrashAt, then sweeps a second
 // power loss over every stride-th boundary of the recovery itself —
 // "crash during Recover, recover again".
 func NestedSweep(base Config, stride int, logf func(string, ...any)) (*CampaignResult, error) {
-	if stride <= 0 {
-		stride = 1
-	}
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	if base.CrashAt < 0 {
 		return nil, fmt.Errorf("chaos: nested sweep needs a first crash point (CrashAt >= 0)")
 	}
-	probe := base
-	probe.NestedCrashAt = -1
-	pres, err := Run(probe)
-	if err != nil {
-		return nil, err
-	}
-	if !pres.Crashed {
-		return nil, fmt.Errorf("chaos: crash-at %d never fired (workload has %d boundaries)", base.CrashAt, pres.Boundaries)
-	}
-	out := &CampaignResult{Boundaries: pres.RecoveryBoundaries}
-	out.collect(probe, pres)
-	logf("nested sweep: first crash at %d, %d recovery boundaries, stride %d",
-		base.CrashAt, pres.RecoveryBoundaries, stride)
-	for k := 0; k < pres.RecoveryBoundaries; k += stride {
+	header := fmt.Sprintf("nested sweep: first crash at %d, ", base.CrashAt) + "%d recovery boundaries, stride %d"
+	return sweep(header, stride, logf, func(k int) (point, error) {
 		cfg := base
 		cfg.NestedCrashAt = k
 		res, err := Run(cfg)
 		if err != nil {
-			return nil, err
+			return point{}, err
 		}
-		out.collect(cfg, res)
-	}
-	return out, nil
+		if !res.Crashed {
+			return point{}, fmt.Errorf("chaos: crash-at %d never fired (workload has %d boundaries)", base.CrashAt, res.Boundaries)
+		}
+		return point{res.RecoveryBoundaries, true, Repro(cfg), res.Violations}, nil
+	})
 }
 
 // crashPointFor derives a trial's crash boundary from its seed alone, so a
@@ -175,43 +145,48 @@ func crashPointFor(seed int64, boundaries int) int {
 	return int(rand.New(rand.NewSource(seed ^ 0xc4a5b0)).Int63n(int64(boundaries)))
 }
 
-// FaultCampaign layers a seeded probabilistic device-fault schedule on
-// randomized crash points: each trial probes the faulted workload for its
-// boundary count, then crashes at a seed-derived boundary. Reported data
-// loss is legal under faults; silent corruption or a non-PowerLoss panic
-// is a violation.
-func FaultCampaign(base Config, trials int, logf func(string, ...any)) (*CampaignResult, error) {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	if base.FaultRate <= 0 {
-		return nil, fmt.Errorf("chaos: fault campaign needs FaultRate > 0")
-	}
+// campaign runs trials seeded base.Seed+t, each a crash-free probe (without
+// shadow faults, which land only at a crash) and a run crashing at a
+// seed-derived boundary of it; trial reports each crashing run.
+func campaign(base Config, trials int, trial func(t int, cfg Config, boundaries int, res *Result)) (*CampaignResult, error) {
 	out := &CampaignResult{}
 	for t := 0; t < trials; t++ {
 		cfg := base
 		cfg.Seed = base.Seed + int64(t)
+		cfg.CrashAt, cfg.NestedCrashAt = -1, -1
 		probe := cfg
-		probe.CrashAt, probe.NestedCrashAt = -1, -1
+		probe.ShadowFaults = 0
 		pres, err := Run(probe)
 		if err != nil {
 			return nil, err
 		}
-		out.collect(probe, pres)
+		out.collect(Repro(probe), pres.Violations)
 		if pres.Boundaries == 0 {
 			continue
 		}
 		cfg.CrashAt = crashPointFor(cfg.Seed, pres.Boundaries)
-		cfg.NestedCrashAt = -1
 		res, err := Run(cfg)
 		if err != nil {
 			return nil, err
 		}
-		out.collect(cfg, res)
-		logf("fault trial %d: seed %d, crash-at %d/%d, %d faults, %d op errors, %d violations",
-			t, cfg.Seed, cfg.CrashAt, pres.Boundaries, len(res.Faults), res.OpErrors, len(res.Violations))
+		out.collect(Repro(cfg), res.Violations)
+		trial(t, cfg, pres.Boundaries, res)
 	}
 	return out, nil
+}
+
+// FaultCampaign layers a seeded probabilistic device-fault schedule on
+// randomized crash points. Reported data loss is legal under faults;
+// silent corruption or a non-PowerLoss panic is a violation.
+func FaultCampaign(base Config, trials int, logf func(string, ...any)) (*CampaignResult, error) {
+	if base.FaultRate <= 0 {
+		return nil, fmt.Errorf("chaos: fault campaign needs FaultRate > 0")
+	}
+	logf = orNop(logf)
+	return campaign(base, trials, func(t int, cfg Config, boundaries int, res *Result) {
+		logf("fault trial %d: seed %d, crash-at %d/%d, %d faults, %d op errors, %d violations",
+			t, cfg.Seed, cfg.CrashAt, boundaries, len(res.Faults), res.OpErrors, len(res.Violations))
+	})
 }
 
 // ShadowCampaign crashes at a seed-derived boundary and kills one half of
@@ -219,40 +194,16 @@ func FaultCampaign(base Config, trials int, logf func(string, ...any)) (*Campaig
 // recovery must lose nothing (the duplicate absorbs the fault); with
 // BreakHalfRepair set the harness must catch the resulting loss.
 func ShadowCampaign(base Config, trials int, logf func(string, ...any)) (*CampaignResult, error) {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	if base.ShadowFaults <= 0 {
 		base.ShadowFaults = 2
 	}
-	out := &CampaignResult{}
-	for t := 0; t < trials; t++ {
-		cfg := base
-		cfg.Seed = base.Seed + int64(t)
-		probe := cfg
-		probe.CrashAt, probe.NestedCrashAt = -1, -1
-		probe.ShadowFaults = 0
-		pres, err := Run(probe)
-		if err != nil {
-			return nil, err
-		}
-		out.collect(probe, pres)
-		if pres.Boundaries == 0 {
-			continue
-		}
-		cfg.CrashAt = crashPointFor(cfg.Seed, pres.Boundaries)
-		cfg.NestedCrashAt = -1
-		res, err := Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out.collect(cfg, res)
+	logf = orNop(logf)
+	return campaign(base, trials, func(t int, cfg Config, boundaries int, res *Result) {
 		half := uint64(0)
 		if res.Report != nil {
 			half = res.Report.HalfRepairs
 		}
 		logf("shadow trial %d: seed %d, crash-at %d/%d, faults [%v], %d half repairs, %d violations",
-			t, cfg.Seed, cfg.CrashAt, pres.Boundaries, res.ShadowFaultNotes, half, len(res.Violations))
-	}
-	return out, nil
+			t, cfg.Seed, cfg.CrashAt, boundaries, res.ShadowFaultNotes, half, len(res.Violations))
+	})
 }
