@@ -10,6 +10,7 @@ package soteria
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -322,6 +323,37 @@ func BenchmarkControllerReadHit(b *testing.B) { benchReadHit(b, false) }
 // BenchmarkControllerReadHitTelemetry is the same path with every counter
 // and span live.
 func BenchmarkControllerReadHitTelemetry(b *testing.B) { benchReadHit(b, true) }
+
+// BenchmarkControllerReadMiss is the read-miss rung of the layer ladder,
+// the regime of soteria-bench's ctrl-read-cold: a 16 MB image with every
+// block written, read uniformly at random, so nearly every read misses the
+// metadata cache and pays verified fetches of its counter block and
+// ancestors (NVM read, ECC decode, MAC check) plus a MAC-line fill. The CI
+// bench-compare step gates on it.
+func BenchmarkControllerReadMiss(b *testing.B) {
+	cfg := config.TestSystem()
+	cfg.NVM.CapacityBytes = 16 << 20
+	ctrl, err := memctrl.New(cfg, memctrl.ModeSRC, []byte("b"), memctrl.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	blocks := int64(cfg.NVM.CapacityBytes / 64)
+	var line [64]byte
+	now := ctrl.DrainWPQ(0)
+	for i := int64(0); i < blocks; i++ {
+		if now, err = ctrl.WriteBlock(now, uint64(i)*64, &line); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, now, err = ctrl.ReadBlock(now, uint64(rng.Int63n(blocks))*64); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // benchWrite measures the secure write path (encrypt + MAC + shadow log +
 // WPQ), optionally with telemetry attached.

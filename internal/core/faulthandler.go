@@ -100,6 +100,12 @@ type FaultHandler struct {
 	stats      Stats
 	eventLimit int
 	tel        telemetryHooks
+
+	// buf is the line every candidate copy is read into and verified in
+	// place. The predicate is a function value, so the compiler must assume
+	// it keeps the pointer it is handed; a stack line would move to the
+	// heap on every read. ReadVerified never re-enters, so one suffices.
+	buf nvm.Line
 }
 
 // telemetryHooks holds the handler's metric handles; nil handles (no
@@ -169,36 +175,39 @@ func (h *FaultHandler) ResetStats() Stats {
 
 // ReadVerified reads metadata node (level, index), verifying each candidate
 // copy with the caller-supplied predicate (MAC check under the parent
-// counter). It returns the verified line and the outcome; for
-// OutcomeUnverifiable and OutcomeTamper the returned line must not be
+// counter). The predicate sees a handler-owned buffer that is valid only
+// for the duration of the call. ReadVerified returns the verified line, the
+// outcome and how many clones it consulted (each one an extra device read);
+// for OutcomeUnverifiable and OutcomeTamper the returned line must not be
 // trusted.
-func (h *FaultHandler) ReadVerified(level int, index uint64, verify func(line *nvm.Line) bool) (nvm.Line, Outcome) {
+func (h *FaultHandler) ReadVerified(level int, index uint64, verify func(line *nvm.Line) bool) (nvm.Line, Outcome, int) {
 	h.stats.Reads++
 	h.tel.reads.Inc()
-	home := h.layout.NodeAddr(level, index)
-	line, unc := h.mem.ReadLine(home)
-	homeECCBad := unc
-	if !unc && verify(&line) {
-		return line, OutcomeClean
+	var unc bool
+	h.buf, unc = h.mem.ReadLine(h.layout.NodeAddr(level, index))
+	if !unc && verify(&h.buf) {
+		return h.buf, OutcomeClean, 0
 	}
+	homeECCBad, line := unc, h.buf
 
 	// Step 4 of Fig 9: bring all clones and attempt to verify/repair.
 	copies := h.layout.CopyAddrs(level, index)
-	for _, addr := range copies[1:] {
+	for i, addr := range copies[1:] {
 		h.stats.CloneLookups++
 		h.tel.cloneLookups.Inc()
-		cl, unc := h.mem.ReadLine(addr)
-		if unc || !verify(&cl) {
+		h.buf, unc = h.mem.ReadLine(addr)
+		if unc || !verify(&h.buf) {
 			continue
 		}
 		// Step 6-7: a clone passed; purify all affected copies.
 		for _, a := range copies {
-			h.mem.WriteLine(a, &cl)
+			h.mem.WriteLine(a, &h.buf)
 		}
 		h.stats.Repairs++
 		h.tel.repairs.Inc()
-		return cl, OutcomeRepaired
+		return h.buf, OutcomeRepaired, i + 1
 	}
+	clones := len(copies) - 1
 
 	// No copy verified. Distinguish "random faults killed everything"
 	// from "consistent content that simply fails verification", which
@@ -207,7 +216,7 @@ func (h *FaultHandler) ReadVerified(level int, index uint64, verify func(line *n
 	if !homeECCBad {
 		h.stats.TamperDetections++
 		h.tel.tampers.Inc()
-		return line, OutcomeTamper
+		return line, OutcomeTamper, clones
 	}
 	start, end := h.layout.CoverageOf(level, index)
 	h.stats.UnverifiableNodes++
@@ -220,7 +229,7 @@ func (h *FaultHandler) ReadVerified(level int, index uint64, verify func(line *n
 		h.stats.EventsDropped++
 		h.tel.eventsDropped.Inc()
 	}
-	return line, OutcomeUnverifiable
+	return line, OutcomeUnverifiable, clones
 }
 
 // WriteWithClones writes a node's line to its home address and every clone

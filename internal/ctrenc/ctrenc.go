@@ -405,7 +405,14 @@ func DeserializeCounterBlock(line *[BlockSize]byte) CounterBlock {
 // part of the input.
 func (c *CounterBlock) ContentMAC(e *Engine, blockIndex, parentCounter uint64) uint64 {
 	body := c.Serialize()
-	return e.MAC(DomainCounter, blockIndex, parentCounter, body[:56])
+	return CounterLineMAC(e, blockIndex, parentCounter, &body)
+}
+
+// CounterLineMAC is ContentMAC computed straight from a stored line: the
+// codec is lossless (a 64-bit major and 64 six-bit minors fill bytes 0..55
+// exactly), so the MAC input is the line's first 56 bytes as they are.
+func CounterLineMAC(e *Engine, blockIndex, parentCounter uint64, line *[BlockSize]byte) uint64 {
+	return e.MAC(DomainCounter, blockIndex, parentCounter, line[:56])
 }
 
 // packMinors packs 64 6-bit values into 48 bytes, minor i in bits

@@ -277,7 +277,7 @@ func (l *Layout) TopLevel() int { return len(l.Levels) }
 
 // NodeAddr returns the home address of node (level, index).
 func (l *Layout) NodeAddr(level int, index uint64) uint64 {
-	li := l.Levels[level-1]
+	li := &l.Levels[level-1]
 	if index >= li.Nodes {
 		panic(fmt.Sprintf("itree: node index %d out of range for level %d (%d nodes)", index, level, li.Nodes))
 	}
@@ -335,7 +335,7 @@ func modInverse(s, n uint64) uint64 {
 // CloneSlot returns the slot within clone region c that holds node index's
 // copy.
 func (l *Layout) CloneSlot(level int, index uint64, c int) uint64 {
-	li := l.Levels[level-1]
+	li := &l.Levels[level-1]
 	if li.Nodes <= 1 {
 		return 0
 	}
@@ -348,7 +348,7 @@ func (l *Layout) CloneSlot(level int, index uint64, c int) uint64 {
 // stripe) that covers a run of home copies does not cover the same nodes'
 // clones.
 func (l *Layout) CloneAddr(level int, index uint64, c int) uint64 {
-	li := l.Levels[level-1]
+	li := &l.Levels[level-1]
 	if c < 0 || c >= len(li.CloneBases) {
 		panic(fmt.Sprintf("itree: clone %d out of range for level %d", c, level))
 	}
@@ -360,15 +360,14 @@ func (l *Layout) CloneAddr(level int, index uint64, c int) uint64 {
 
 // CopyAddrs returns all copy addresses of a node, home first.
 func (l *Layout) CopyAddrs(level int, index uint64) []uint64 {
-	li := l.Levels[level-1]
-	return l.AppendCopyAddrs(make([]uint64, 0, 1+len(li.CloneBases)), level, index)
+	return l.AppendCopyAddrs(make([]uint64, 0, 1+len(l.Levels[level-1].CloneBases)), level, index)
 }
 
 // AppendCopyAddrs appends all copy addresses of a node, home first, to
 // dst and returns it — CopyAddrs for callers that recycle a scratch
 // slice across write-backs.
 func (l *Layout) AppendCopyAddrs(dst []uint64, level int, index uint64) []uint64 {
-	li := l.Levels[level-1]
+	li := &l.Levels[level-1]
 	dst = append(dst, l.NodeAddr(level, index))
 	for c := range li.CloneBases {
 		dst = append(dst, l.CloneAddr(level, index, c))

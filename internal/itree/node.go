@@ -50,8 +50,15 @@ func DeserializeNode(line *[BlockSize]byte) Node {
 // MAC field is excluded from the input.
 func (n *Node) ContentMAC(e *ctrenc.Engine, level int, index uint64, parentCounter uint64) uint64 {
 	body := n.Serialize()
+	return NodeLineMAC(e, level, index, parentCounter, &body)
+}
+
+// NodeLineMAC is ContentMAC computed straight from a stored line: eight
+// 7-byte counters fill bytes 0..55 exactly, so the MAC input is the line's
+// first 56 bytes as they are.
+func NodeLineMAC(e *ctrenc.Engine, level int, index uint64, parentCounter uint64, line *[BlockSize]byte) uint64 {
 	tweak := uint64(level)<<48 | (index & ((1 << 48) - 1))
-	return e.MAC(ctrenc.DomainNode, tweak, parentCounter, body[:56])
+	return e.MAC(ctrenc.DomainNode, tweak, parentCounter, line[:56])
 }
 
 // Increment bumps the counter in the given child slot, wrapping at the

@@ -326,11 +326,8 @@ func (c *Controller) FlushAll(now sim.Time) sim.Time {
 				if e.Value.Level != level || e.Value.Kind == metacache.KindMAC {
 					continue
 				}
-				if _, ok := c.mcache.Peek(e.Addr); !ok {
-					continue
-				}
-				// Skip if a cascade already cleaned it.
-				if !stillDirty(c, e.Addr) {
+				// Skip if a cascade already evicted or cleaned it.
+				if !c.mcache.IsDirty(e.Addr) {
 					continue
 				}
 				if err := c.forceWriteback(e.Addr); err != nil {
@@ -350,13 +347,4 @@ func (c *Controller) FlushAll(now sim.Time) sim.Time {
 	}
 	c.now = c.q.FlushTime(c.now)
 	return c.now
-}
-
-func stillDirty(c *Controller, addr uint64) bool {
-	for _, d := range c.mcache.DirtyEntries() {
-		if d.Addr == addr {
-			return true
-		}
-	}
-	return false
 }

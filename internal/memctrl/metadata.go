@@ -29,46 +29,39 @@ func isZeroLine(l *nvm.Line) bool {
 	return true
 }
 
-// verifierFor builds the MAC-check predicate for metadata node (level,
-// index) under the protecting parent counter. The pristine all-zero state
-// is valid exactly when the parent counter is still zero (the node was
-// never written back, so the only legitimate content is the initial one —
-// and replaying zeroes later fails because the parent counter has moved).
-func (c *Controller) verifierFor(level int, index uint64, pctr uint64) func(*nvm.Line) bool {
+// verifyLine is the MAC check of a stored image of metadata node (level,
+// index) under the protecting parent counter: the MAC over the line's first
+// 56 bytes must equal the one stored in its last 8. Both codecs are
+// lossless, so those 56 bytes are exactly what ContentMAC serializes from
+// the decoded block — the check needs no decode. The pristine all-zero
+// state is valid exactly when the parent counter is still zero (the node
+// was never written back, so the only legitimate content is the initial
+// one — and replaying zeroes later fails because the parent counter has
+// moved).
+func (c *Controller) verifyLine(level int, index, pctr uint64, l *nvm.Line) bool {
+	if isZeroLine(l) {
+		return pctr == 0
+	}
+	var mac uint64
 	if level == 1 {
-		return func(l *nvm.Line) bool {
-			if isZeroLine(l) {
-				return pctr == 0
-			}
-			cb := ctrenc.DeserializeCounterBlock(l)
-			return cb.ContentMAC(c.eng, index, pctr) == cb.MAC
-		}
+		mac = ctrenc.CounterLineMAC(c.eng, index, pctr, l)
+	} else {
+		mac = itree.NodeLineMAC(c.eng, level, index, pctr, l)
 	}
-	return func(l *nvm.Line) bool {
-		if isZeroLine(l) {
-			return pctr == 0
-		}
-		n := itree.DeserializeNode(l)
-		return n.ContentMAC(c.eng, level, index, pctr) == n.MAC
-	}
+	return mac == binary.LittleEndian.Uint64(l[56:])
 }
 
-// decodeBlock turns a verified line into a metadata cache payload.
-func (c *Controller) decodeBlock(level int, index uint64, line *nvm.Line) metacache.Block {
+// decodeInto decodes a verified line of node (level, index) into b, which
+// must be zero (a freshly claimed cache way, or a new variable).
+func decodeInto(b *metacache.Block, level int, index uint64, line *nvm.Line) {
+	b.Level, b.Index = level, index
 	if level == 1 {
-		return metacache.Block{
-			Kind:           metacache.KindCounter,
-			Level:          1,
-			Index:          index,
-			Counter: ctrenc.DeserializeCounterBlock(line),
-		}
+		b.Kind = metacache.KindCounter
+		b.Counter = ctrenc.DeserializeCounterBlock(line)
+		return
 	}
-	return metacache.Block{
-		Kind:  metacache.KindNode,
-		Level: level,
-		Index: index,
-		Node:  itree.DeserializeNode(line),
-	}
+	b.Kind = metacache.KindNode
+	b.Node = itree.DeserializeNode(line)
 }
 
 // serializeBlock renders a metadata block's current content (MAC field
@@ -128,12 +121,12 @@ func (c *Controller) fetchBlock(level int, index uint64) error {
 	if err != nil {
 		return err
 	}
-	preClones := c.fh.Stats().CloneLookups
-	line, out := c.fh.ReadVerified(level, index, c.verifierFor(level, index, pctr))
+	line, out, clones := c.fh.ReadVerified(level, index, func(l *nvm.Line) bool {
+		return c.verifyLine(level, index, pctr, l)
+	})
 	// Timing: the home read always happens; each clone consulted adds a
 	// read. (Purify writes are off the critical path.)
-	c.chargeReadLatency(home)
-	for n := c.fh.Stats().CloneLookups - preClones; n > 0; n-- {
+	for n := 0; n <= clones; n++ {
 		c.chargeReadLatency(home)
 	}
 	switch out {
@@ -152,7 +145,9 @@ func (c *Controller) fetchBlock(level int, index uint64) error {
 	if level >= 0 && level < len(c.tel.fillsByLevel) {
 		c.tel.fillsByLevel[level].Inc()
 	}
-	c.insertBlock(home, c.decodeBlock(level, index, &line), false)
+	if b := c.claimWay(home); b != nil {
+		decodeInto(b, level, index, &line)
+	}
 	return nil
 }
 
@@ -171,11 +166,13 @@ func (c *Controller) chargeReadLatency(addr uint64) {
 	c.tel.nvmReads.Inc()
 }
 
-// insertBlock places a block into the metadata cache, fully handling any
-// eviction this causes (write-back with lazy parent update, clone writes,
-// shadow maintenance). When dirty is true the new block's shadow entry is
-// written as well.
-func (c *Controller) insertBlock(home uint64, blk metacache.Block, dirty bool) {
+// claimWay makes room for the block at home in the metadata cache, fully
+// handling the eviction this causes (write-back with lazy parent update,
+// clone writes, shadow maintenance), and returns the clean, zeroed way the
+// block now occupies for the caller to fill in place. It returns nil when
+// the block became resident during that cascade: the resident copy is then
+// authoritative and must not be overwritten.
+func (c *Controller) claimWay(home uint64) *metacache.Block {
 	// Crash safety: a dirty victim's shadow entry must stay valid until
 	// the victim's write-back clone group is durable, and its slot is only
 	// then handed to the new occupant. Evicting first and writing back
@@ -191,11 +188,12 @@ func (c *Controller) insertBlock(home uint64, blk metacache.Block, dirty bool) {
 		if !has || !v.Dirty {
 			break
 		}
-		if v.Value.Kind == metacache.KindMAC {
+		if v.Kind == metacache.KindMAC {
 			// MAC lines are write-through and should never be dirty;
 			// handle defensively.
-			line := v.Value.Raw
-			c.pushWrite(c.macLineAddr(v.Value.Index), &line, WCDataMAC)
+			mb, _ := c.mcache.Peek(v.Addr)
+			line := mb.Raw
+			c.pushWrite(c.macLineAddr(mb.Index), &line, WCDataMAC)
 			c.mcache.CleanLine(v.Addr)
 			continue
 		}
@@ -209,7 +207,7 @@ func (c *Controller) insertBlock(home uint64, blk metacache.Block, dirty bool) {
 			c.mcache.Touch(v.Addr)
 			continue
 		}
-		c.mcache.NoteEvictionWriteback(v.Value.Level)
+		c.mcache.NoteEvictionWriteback(v.Level)
 		if err := c.forceWriteback(v.Addr); err != nil {
 			// Unverifiable parent chain: the update is lost (the fault
 			// handler accounted the coverage loss). Drop the tracking
@@ -226,39 +224,24 @@ func (c *Controller) insertBlock(home uint64, blk metacache.Block, dirty bool) {
 	// with the stale decoded line would roll those bumps back and break
 	// the children's MACs.
 	if _, ok := c.mcache.Peek(home); ok {
-		if dirty {
-			c.mcache.MarkDirty(home)
-			if blk.Kind != metacache.KindMAC {
-				c.strat.onDirty(c, home)
-			}
-		}
-		return
+		return nil
 	}
-	ev, has := c.mcache.Insert(home, blk, dirty)
-	if has && ev.Dirty {
-		// Unreachable in normal operation — the loop above cleaned the
-		// victim and nothing between the final peek and the insert can
-		// dirty it — kept as a safety net.
-		if ev.Value.Kind == metacache.KindMAC {
-			line := ev.Value.Raw
-			c.pushWrite(c.macLineAddr(ev.Value.Index), &line, WCDataMAC)
-		} else if err := c.writebackBlock(&ev.Value); err != nil {
-			c.stats.RecoveryLost++
-			c.tel.recoveryLost.Inc()
-		}
+	// Victim and Claim select the same way, and the loop above left it
+	// clean, so the claim drops nothing that is not already in memory.
+	b, ev, _ := c.mcache.Claim(home, false)
+	if ev.Dirty {
+		panic(fmt.Sprintf("memctrl: claiming %#x evicted dirty %#x", home, ev.Addr))
 	}
-	if dirty && blk.Kind != metacache.KindMAC {
-		c.strat.onDirty(c, home)
-	}
+	return b
 }
 
-// writebackBlock persists a metadata block that is no longer (or not)
-// resident: it bumps the parent counter (the lazy ToC update), recomputes
-// the block's MAC under the new parent counter, and pushes the home copy
-// plus every configured clone through the WPQ as one atomic group.
+// writebackBlock persists a metadata block: it bumps the parent counter
+// (the lazy ToC update), recomputes the block's MAC under the new parent
+// counter, and pushes the home copy plus every configured clone through the
+// WPQ as one atomic group.
 //
-// blk must be a stable pointer (an evicted entry's local copy, or a
-// resident way protected by a pre-ensured parent — see forceWriteback).
+// blk must be a stable pointer (a resident way protected by a pre-ensured
+// parent — see forceWriteback).
 // The block is registered as in-flight for the duration, so any nested
 // write-back that needs to bump one of blk's own counters mutates *this*
 // copy, which is serialized only afterwards.
@@ -457,7 +440,9 @@ func (c *Controller) getMACLine(dataBlock uint64) (*metacache.Block, error) {
 		if len(c.tel.fillsByLevel) > 0 {
 			c.tel.fillsByLevel[0].Inc() // MAC lines fill as level 0
 		}
-		c.insertBlock(lineAddr, metacache.Block{Kind: metacache.KindMAC, Index: lineIdx, Raw: r.Data}, false)
+		if b := c.claimWay(lineAddr); b != nil {
+			b.Kind, b.Index, b.Raw = metacache.KindMAC, lineIdx, r.Data
+		}
 	}
 	panic("memctrl: livelock fetching MAC line")
 }

@@ -161,7 +161,7 @@ func StrategyReliability(name string, trackedSlots uint64) (shadowLines uint64, 
 // re-insert and its retirement the duplicate entries are content-identical,
 // so a crash in that window is harmless.
 //
-// Order matters: ascending old slot. Insert fills the lowest free way
+// Order matters: ascending old slot. A claim takes the lowest free way
 // first, so the i-th re-seeded block lands at way i of its set, and any
 // still-valid entry at that slot would belong to a block with a smaller
 // minimum slot — re-inserted earlier, its old slots already retired. The
@@ -178,7 +178,11 @@ func (c *Controller) reseedRecovered(recovered map[uint64]metacache.Block, slots
 		return slices.Min(slotsOf[order[i]]) < slices.Min(slotsOf[order[j]])
 	})
 	for _, addr := range order {
-		c.insertBlock(addr, recovered[addr], true)
+		if b := c.claimWay(addr); b != nil {
+			*b = recovered[addr]
+		}
+		c.mcache.MarkDirty(addr)
+		c.strat.onDirty(c, addr)
 		newSlot := c.mcache.SlotOf(addr)
 		for _, s := range slotsOf[addr] {
 			if int(s) != newSlot {

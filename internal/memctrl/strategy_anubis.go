@@ -210,8 +210,8 @@ func (s *anubisStrategy) recover(c *Controller) (*RecoveryReport, error) {
 			continue
 		}
 		slotsOf[se.Addr] = append(slotsOf[se.Addr], se.Slot)
-		line := se.Line
-		blk := c.decodeBlock(loc.Level, loc.Index, &line)
+		var blk metacache.Block
+		decodeInto(&blk, loc.Level, loc.Index, &se.Line)
 		if prev, dup := recovered[se.Addr]; !dup || counterTotal(&blk) > counterTotal(&prev) {
 			recovered[se.Addr] = blk
 		}

@@ -265,7 +265,7 @@ func (s *triadStrategy) recover(c *Controller) (*RecoveryReport, error) {
 			}
 			line := r.Data
 			if v, ok := osiris.RecoverValue(base, triadWindow, func(v uint64) bool {
-				return c.verifierFor(1, idx, v&itree.CounterMask)(&line)
+				return c.verifyLine(1, idx, v&itree.CounterMask, &line)
 			}); ok {
 				exact, found = v&itree.CounterMask, true
 				break

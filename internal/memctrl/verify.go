@@ -50,7 +50,7 @@ func (c *Controller) VerifyAll() error {
 		return n.Counters[slot], true
 	}
 	for level := top; level >= 1; level-- {
-		li := c.layout.Levels[level-1]
+		li := &c.layout.Levels[level-1]
 		for index := uint64(0); index < li.Nodes; index++ {
 			home := c.layout.NodeAddr(level, index)
 			if !c.dev.Materialized(home) && !c.anyCloneMaterialized(level, index) {
@@ -63,7 +63,6 @@ func (c *Controller) VerifyAll() error {
 			// fault handler repairs them lazily on the next access or
 			// write-back — but zero verifiable copies means the
 			// covered region is unverifiable.
-			verify := c.verifierFor(level, index, pctr)
 			found := false
 			for _, a := range c.layout.CopyAddrs(level, index) {
 				r := c.dev.Read(a)
@@ -71,7 +70,7 @@ func (c *Controller) VerifyAll() error {
 					continue
 				}
 				line := r.Data
-				if verify(&line) {
+				if c.verifyLine(level, index, pctr, &line) {
 					if !found {
 						if level > 1 {
 							verifiedNodes[nodeKey{level, index}] = itree.DeserializeNode(&line)
@@ -135,7 +134,7 @@ func (c *Controller) VerifyAll() error {
 // anyCloneMaterialized reports whether any clone slot of the node holds
 // written storage.
 func (c *Controller) anyCloneMaterialized(level int, index uint64) bool {
-	li := c.layout.Levels[level-1]
+	li := &c.layout.Levels[level-1]
 	for ci := range li.CloneBases {
 		if c.dev.Materialized(c.layout.CloneAddr(level, index, ci)) {
 			return true

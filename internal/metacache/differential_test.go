@@ -79,14 +79,14 @@ func (r *refCache) lookup(addr uint64) (Block, bool) {
 	return Block{}, false
 }
 
-func (r *refCache) insert(addr uint64, b Block, dirty bool) (evAddr uint64, evDirty bool, hasEvict bool) {
+func (r *refCache) insert(addr uint64, b Block, dirty bool) (ev Evicted, hasEvict bool) {
 	r.tick++
 	base := addr &^ (config.BlockSize - 1)
 	if l := r.find(addr); l != nil {
 		l.block = b
 		l.dirty = l.dirty || dirty
 		l.lru = r.tick
-		return 0, false, false
+		return Evicted{}, false
 	}
 	ws := r.set(addr)
 	victim := -1
@@ -103,18 +103,19 @@ func (r *refCache) insert(addr uint64, b Block, dirty bool) (evAddr uint64, evDi
 				victim = i
 			}
 		}
-		evAddr, evDirty, hasEvict = ws[victim].addr, ws[victim].dirty, true
+		v := &ws[victim]
+		ev, hasEvict = Evicted{Addr: v.addr, Dirty: v.dirty, Kind: v.block.Kind, Level: v.block.Level}, true
 		r.evictions++
-		if evDirty {
+		if ev.Dirty {
 			r.writebacks++
 		}
-		if evDirty && ws[victim].block.Kind != KindMAC {
+		if ev.Dirty && ws[victim].block.Kind != KindMAC {
 			r.dirtyTreeEvictions++
 			r.dirtyEvByLevel[ws[victim].block.Level]++
 		}
 	}
 	ws[victim] = refLine{valid: true, dirty: dirty, addr: base, lru: r.tick, block: b}
-	return evAddr, evDirty, hasEvict
+	return ev, hasEvict
 }
 
 func (r *refCache) markDirty(addr uint64) bool {
@@ -182,8 +183,10 @@ func randomBlock(rng *rand.Rand, levels int, index uint64) Block {
 // TestMetacacheDifferential drives the real metadata cache and the naive
 // reference model through the same seeded randomized access sequence and
 // demands identical observable behaviour at every step: hit/miss results,
-// eviction victims (address, dirty bit, payload kind), residency, the
-// legacy statistics, and the telemetry counters.
+// eviction victims (address, dirty bit, payload kind and level) as
+// predicted by Victim and as reported by the insertion, residency, the
+// legacy statistics, and the telemetry counters. Insertions alternate
+// between Insert and Claim with the payload filled in place.
 func TestMetacacheDifferential(t *testing.T) {
 	const (
 		levels = 5
@@ -222,14 +225,27 @@ func TestMetacacheDifferential(t *testing.T) {
 					a := addr()
 					b := randomBlock(rng, levels, uint64(i))
 					dirty := rng.Intn(2) == 0
-					ev, has := m.Insert(a, b, dirty)
-					wAddr, wDirty, wHas := ref.insert(a, b, dirty)
-					if has != wHas {
-						t.Fatalf("op %d: Insert(%#x) evicted=%v, reference says %v", i, a, has, wHas)
+					pv, phas := m.Victim(a)
+					var (
+						ev  Evicted
+						has bool
+					)
+					if rng.Intn(2) == 0 {
+						ev, has = m.Insert(a, b, dirty)
+					} else {
+						var p *Block
+						p, ev, has = m.Claim(a, dirty)
+						if *p != (Block{}) {
+							t.Fatalf("op %d: Claim(%#x) returned a way holding %+v, want it zeroed", i, a, *p)
+						}
+						*p = b
 					}
-					if has && (ev.Addr != wAddr || ev.Dirty != wDirty) {
-						t.Fatalf("op %d: Insert(%#x) evicted (%#x dirty=%v), reference (%#x dirty=%v)",
-							i, a, ev.Addr, ev.Dirty, wAddr, wDirty)
+					want, wHas := ref.insert(a, b, dirty)
+					if has != wHas || phas != wHas {
+						t.Fatalf("op %d: Insert(%#x) evicted=%v (Victim predicted %v), reference says %v", i, a, has, phas, wHas)
+					}
+					if has && (ev != want || pv != want) {
+						t.Fatalf("op %d: Insert(%#x) evicted %+v (Victim predicted %+v), reference %+v", i, a, ev, pv, want)
 					}
 				case op < 85: // mark dirty
 					a := addr()

@@ -259,74 +259,27 @@ func (m *Cache) CleanLine(homeAddr uint64) {
 	}
 }
 
-// Insert fills the block, returning any evicted victim. Dirty tree
-// evictions are histogrammed by level. Inserting a resident address
-// replaces its payload in place (dirty bits OR together) and evicts
-// nothing.
-func (m *Cache) Insert(homeAddr uint64, b Block, dirty bool) (cache.Entry[Block], bool) {
-	set, tag := m.index(homeAddr)
-	ws := m.set(set)
-	m.tick++
-	if i := m.find(ws, tag); i >= 0 {
-		ws[i].block = b
-		ws[i].dirty = ws[i].dirty || dirty
-		ws[i].lru = m.tick
-		return cache.Entry[Block]{}, false
-	}
-	victim := -1
-	for i := range ws {
-		if !ws[i].valid {
-			victim = i
-			break
-		}
-	}
-	var (
-		ev  cache.Entry[Block]
-		has bool
-	)
-	if victim == -1 {
-		victim = 0
-		for i := 1; i < len(ws); i++ {
-			if ws[i].lru < ws[victim].lru {
-				victim = i
-			}
-		}
-		ev = cache.Entry[Block]{
-			Addr:  m.addrOf(set, ws[victim].tag),
-			Dirty: ws[victim].dirty,
-			Value: ws[victim].block,
-		}
-		has = true
-		m.cs.Evictions++
-		m.tel.evictions.Inc()
-		if ws[victim].dirty {
-			m.cs.Writebacks++
-		}
-		if ws[victim].dirty && ws[victim].block.Kind != KindMAC {
-			m.st.EvictionsByLevel.Observe(ws[victim].block.Level)
-			m.st.DirtyTreeEvictions++
-			m.tel.dirtyEvict.Inc()
-			noteLevel(m.tel.evByLevel, ws[victim].block.Level)
-		}
-	}
-	ws[victim] = line{valid: true, dirty: dirty, tag: tag, lru: m.tick, block: b}
-	return ev, has
+// Evicted identifies a line an insertion displaces: enough to decide what
+// to do about it (write it back, steer around it) without copying its
+// ~500-byte payload. A caller that needs the payload of a predicted victim
+// reads it in place with Peek(Addr).
+type Evicted struct {
+	Addr  uint64
+	Dirty bool
+	Kind  Kind
+	Level int
 }
 
-// Victim predicts what Insert(homeAddr, ...) would evict, without
-// changing any cache state: nothing when the address is resident or its
-// set has a free way, otherwise the set's LRU line. The secure controller
-// uses this to write back a dirty victim *before* the insertion so the
-// victim's shadow-table entry stays valid until its contents are durable.
-func (m *Cache) Victim(homeAddr uint64) (cache.Entry[Block], bool) {
-	set, tag := m.index(homeAddr)
-	ws := m.set(set)
-	if m.find(ws, tag) >= 0 {
-		return cache.Entry[Block]{}, false
+// wayFor returns the way an insertion of tag into ws occupies: its
+// resident way, else the first free way, else the LRU way, whose occupant
+// is then evicted (evict is true).
+func (m *Cache) wayFor(ws []line, tag uint64) (way int, evict bool) {
+	if i := m.find(ws, tag); i >= 0 {
+		return i, false
 	}
 	for i := range ws {
 		if !ws[i].valid {
-			return cache.Entry[Block]{}, false
+			return i, false
 		}
 	}
 	victim := 0
@@ -335,11 +288,61 @@ func (m *Cache) Victim(homeAddr uint64) (cache.Entry[Block], bool) {
 			victim = i
 		}
 	}
-	return cache.Entry[Block]{
-		Addr:  m.addrOf(set, ws[victim].tag),
-		Dirty: ws[victim].dirty,
-		Value: ws[victim].block,
-	}, true
+	return victim, true
+}
+
+// Claim makes homeAddr resident and returns its way's payload, zeroed, for
+// the caller to fill in place — a fetched line decodes once, straight into
+// the cache. It reports the line it evicted, if any; dirty tree evictions
+// are histogrammed by level. Claiming a resident address reuses its way
+// (dirty bits OR together) and evicts nothing.
+func (m *Cache) Claim(homeAddr uint64, dirty bool) (*Block, Evicted, bool) {
+	set, tag := m.index(homeAddr)
+	ws := m.set(set)
+	m.tick++
+	w, evict := m.wayFor(ws, tag)
+	l := &ws[w]
+	wasDirty := l.valid && !evict && l.dirty // resident re-claim
+	var ev Evicted
+	if evict {
+		ev = Evicted{Addr: m.addrOf(set, l.tag), Dirty: l.dirty, Kind: l.block.Kind, Level: l.block.Level}
+		m.cs.Evictions++
+		m.tel.evictions.Inc()
+		if ev.Dirty {
+			m.cs.Writebacks++
+		}
+		if ev.Dirty && ev.Kind != KindMAC {
+			m.st.EvictionsByLevel.Observe(ev.Level)
+			m.st.DirtyTreeEvictions++
+			m.tel.dirtyEvict.Inc()
+			noteLevel(m.tel.evByLevel, ev.Level)
+		}
+	}
+	*l = line{valid: true, dirty: dirty || wasDirty, tag: tag, lru: m.tick}
+	return &l.block, ev, evict
+}
+
+// Insert is Claim with the payload supplied by value.
+func (m *Cache) Insert(homeAddr uint64, b Block, dirty bool) (Evicted, bool) {
+	p, ev, has := m.Claim(homeAddr, dirty)
+	*p = b
+	return ev, has
+}
+
+// Victim predicts what Claim(homeAddr, ...) would evict, without
+// changing any cache state: nothing when the address is resident or its
+// set has a free way, otherwise the set's LRU line. The secure controller
+// uses this to write back a dirty victim *before* the insertion so the
+// victim's shadow-table entry stays valid until its contents are durable.
+func (m *Cache) Victim(homeAddr uint64) (Evicted, bool) {
+	set, tag := m.index(homeAddr)
+	ws := m.set(set)
+	w, evict := m.wayFor(ws, tag)
+	if !evict {
+		return Evicted{}, false
+	}
+	l := &ws[w]
+	return Evicted{Addr: m.addrOf(set, l.tag), Dirty: l.dirty, Kind: l.block.Kind, Level: l.block.Level}, true
 }
 
 // Touch refreshes a resident block's LRU state (no hit is counted).
