@@ -1,32 +1,31 @@
 // Command loadgen replays a workload pattern against a running
-// soteria-serve instance, closed-loop, and reports simulated latency
-// percentiles and throughput. The report (stdout) is deterministic for a
-// fixed seed, op count and server shard count — at any -workers setting —
-// because every statistic derives from the per-shard simulated clocks;
-// wall-clock progress goes to stderr.
+// soteria-serve instance and reports simulated latency percentiles and
+// throughput. The report (stdout) is deterministic for a fixed seed, op
+// count and server shard count — at any -workers or -conns setting, and
+// the same for both front ends — because every statistic derives from
+// the per-shard simulated clocks; wall-clock progress goes to stderr.
+// Every read of a line the run itself wrote is checked against the run's
+// content oracle, so a stale or corrupted line fails the run.
 //
 // Typical invocations:
 //
 //	loadgen -addr 127.0.0.1:9650 -workload hashmap -ops 100000 -workers 4
 //	loadgen -workload btree -ops 50000 -seed 7 -snapshot snap.json
 //
-// -conns switches to the pipelined front end: each connection keeps a
-// window of batch frames in flight instead of one op. -saturation runs
-// the self-contained scale-out sweep (fresh in-process server per grid
-// point) and writes the deterministic curve, e.g. to results/saturation.md:
+// -conns switches from -workers stop-and-wait connections (one op in
+// flight per shard) to pipelined ones: each keeps a window of batch
+// frames in flight.
 //
 //	loadgen -conns 4 -pipeline 8 -batch 64 -ops 100000
-//	loadgen -saturation results/saturation.md -ops 20000
 //
 // Against a tenant-mode server (soteria-serve -tenants N), -tenants
 // switches to the multi-tenant generator: it provisions the named
 // tenants over the operator plane, runs one closed-loop stream per
 // tenant (one session each — the protocol binds a session to its tenant
 // at attach; its reads and writes are then ordinary one-entry batch
-// frames with tenant-local addresses), verifies every read against the
-// run's own content oracle,
-// and reports per-tenant latency plus a Jain fairness index. An online
-// key rotation can be armed mid-run to measure its cost under load:
+// frames with tenant-local addresses) and reports per-tenant latency
+// plus a Jain fairness index. An online key rotation can be armed mid-run
+// to measure its cost under load:
 //
 //	loadgen -tenants 4 -tenant-lines 256 -ops 20000
 //	loadgen -tenants 4 -rotate-tenant 2 -rotate-at 5000
@@ -62,8 +61,6 @@ func main() {
 		conns     = flag.Int("conns", 0, "pipelined connections; > 0 switches to the windowed batching front end")
 		pipeline  = flag.Int("pipeline", 8, "batch frames in flight per pipelined connection")
 		batchSize = flag.Int("batch", 64, "max operations per batch frame")
-		satPath   = flag.String("saturation", "", "run the self-contained saturation sweep and write the deterministic curve here (- = stdout)")
-		satShards = flag.Int("saturation-shards", 8, "shard count of each sweep cell's in-process server")
 
 		tenants      = flag.Int("tenants", 0, "drive this many tenant streams against a tenant-mode server (0 = flat device)")
 		tenantLines  = flag.Uint64("tenant-lines", 256, "extent size, in 64-byte lines, of each provisioned tenant")
@@ -89,11 +86,6 @@ func main() {
 	}
 	dial := func() (loadgen.Conn, error) { return dialClient() }
 
-	if *satPath != "" {
-		runSaturation(*satPath, *satShards, *ops, *seed, *wlName)
-		return
-	}
-
 	if *tenants > 0 {
 		runTenants(dialClient, *tenants, *tenantLines, *tenantTokens, *ops, *seed, *wlName,
 			uint32(*rotateTenant), *rotateAt, *rotateStride)
@@ -107,7 +99,6 @@ func main() {
 		Seed:       *seed,
 		Workload:   *wlName,
 		Footprint:  *footprint,
-		Logf:       func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
 		Resilience: resilience,
 	}
 	if *conns > 0 {
@@ -125,7 +116,7 @@ func main() {
 				MaxBatch: *batchSize,
 			})
 		}
-		params.Conns = *conns
+		params.Workers = *conns
 		params.Pipeline = *pipeline
 		params.Batch = *batchSize
 	}
@@ -141,8 +132,8 @@ func main() {
 	// Wall-clock numbers vary run to run; keep them off the
 	// machine-parsable stream.
 	opsDone := rep.Read.Count + rep.Write.Count + rep.Barriers
-	fmt.Fprintf(os.Stderr, "loadgen: %d ops in %v wall (%.0f ops/s)\n",
-		opsDone, wall.Round(time.Millisecond), float64(opsDone)/wall.Seconds())
+	fmt.Fprintf(os.Stderr, "loadgen: %d ops over %d shards in %v wall (%.0f ops/s), %d reads verified\n",
+		opsDone, rep.Shards, wall.Round(time.Millisecond), float64(opsDone)/wall.Seconds(), rep.Verified)
 
 	if err := rep.WriteMarkdown(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
@@ -161,8 +152,7 @@ func main() {
 }
 
 // runTenants provisions the tenants over the operator plane, then runs
-// the multi-tenant generator: one session per tenant stream, the control
-// connection doubling as the rotation admin.
+// the multi-tenant generator: one session per tenant stream.
 func runTenants(dial func() (*devnet.Client, error), tenants int, lines uint64,
 	tokens string, ops int, seed int64, wlName string, rotTenant uint32, rotAt, rotStride int) {
 	admin, err := dial()
@@ -209,8 +199,6 @@ func runTenants(dial func() (*devnet.Client, error), tenants int, lines uint64,
 		RotateTenant: rotTenant,
 		RotateAt:     rotAt,
 		RotateStride: rotStride,
-		Admin:        admin,
-		Logf:         func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)

@@ -520,7 +520,10 @@ func TestDeviceOpAllocs(t *testing.T) {
 }
 
 // TestDeviceSpawnsNoGoroutines: the device owns no goroutine — building,
-// driving and closing a 1024-shard device leaves the count where it was.
+// driving and closing a 1024-shard device never raises the count. The
+// check is one-sided on purpose: a goroutine an earlier test left behind
+// may exit mid-test (parallel -race runs), which lowers the count without
+// saying anything about the device.
 func TestDeviceSpawnsNoGoroutines(t *testing.T) {
 	sys := config.TestSystem()
 	sys.NVM.CapacityBytes = 4 << 20 << 6
@@ -532,7 +535,7 @@ func TestDeviceSpawnsNoGoroutines(t *testing.T) {
 	}
 	check := func(when string) {
 		t.Helper()
-		if n := runtime.NumGoroutine(); n != base {
+		if n := runtime.NumGoroutine(); n > base {
 			t.Fatalf("%s: %d goroutines, started with %d", when, n, base)
 		}
 	}

@@ -14,9 +14,11 @@ import (
 // TenantExpParams scales the multi-tenant service experiments: throughput
 // and latency under tenant contention, fairness of the admission
 // throttle, and the cost of an online key rotation under live load. All
-// runs are in-process (loadgen.RunTenants over a LocalTenantConn), single
-// driver, so every number derives from the simulated clocks and the
-// tables are deterministic for a fixed seed.
+// runs are in-process (loadgen.RunTenants over NewLocalTenantConn
+// sessions) and driven by loadgen's one stream loop from a single
+// goroutine, so every number derives from the simulated clocks, the
+// tables are deterministic for a fixed seed, and every read of a line a
+// run wrote is checked against loadgen's content oracle.
 type TenantExpParams struct {
 	// Ops is the total operation budget per run, split evenly across the
 	// run's tenants.
@@ -107,7 +109,6 @@ func tenantRun(p TenantExpParams, n int, rotate uint32, rotateAt int) (*loadgen.
 		RotateTenant: rotate,
 		RotateAt:     rotateAt,
 		RotateStride: p.RotateStride,
-		Admin:        loadgen.NewLocalTenantConn(svc),
 	})
 }
 

@@ -7,11 +7,15 @@
 //
 // Determinism model: the Ops budget is split into one request stream per
 // *shard* (seeded per shard, like internal/runner's block scheduling
-// splits work units, not workers), and each worker drives the shards it
-// owns closed-loop — at most one request in flight per shard, in stream
-// order. A shard's controller, sim clock and telemetry then depend only
-// on its own stream, so the merged telemetry snapshot and the latency
-// report are byte-identical at any -workers setting.
+// splits work units, not workers), and each connection drives the shards
+// it owns in stream order. A shard's controller, sim clock and telemetry
+// then depend only on its own stream, so the merged telemetry snapshot
+// and the latency report are byte-identical at any connection count,
+// stop-and-wait or pipelined.
+//
+// Every front end — stop-and-wait, pipelined, multi-tenant — is the same
+// stream loop (stream.go) and checks every read of a line the run itself
+// wrote against one content oracle.
 package loadgen
 
 import (
@@ -26,14 +30,11 @@ import (
 	"soteria/internal/sim"
 	"soteria/internal/stats"
 	"soteria/internal/telemetry"
-	"soteria/internal/trace"
 	"soteria/internal/workload"
 )
 
-// Conn is the slice of the device surface the generator needs — the one
-// interface that keeps the over-the-wire and in-process implementations
-// interchangeable: devnet.Client (over TCP) and LocalConn (in-process,
-// for tests) both implement it.
+// Conn is the slice of the device surface a stop-and-wait run needs:
+// devnet.Client (over TCP) and NewLocalConn (in-process) implement it.
 type Conn interface {
 	Info() (device.Info, error)
 	Read(addr uint64) (nvm.Line, sim.Time, error)
@@ -43,13 +44,36 @@ type Conn interface {
 	Close() error
 }
 
+// PipeHandler mirrors devnet.PipeHandler so the generator can take a
+// pipelined dialer without importing the transport package.
+type PipeHandler func(tag uint64, op uint8, data *nvm.Line, lat sim.Time, err error)
+
+// PipeConn is the one shape the stream loop drives: submit ops, then
+// flush. devnet.Pipe implements it directly; every blocking connection
+// is wrapped in an adapter that runs the op inside Submit.
+type PipeConn interface {
+	// Submit enqueues one op tagged for the completion handler. It may
+	// block on window back-pressure, running the handler inline for
+	// completions it reaps while waiting.
+	Submit(tag uint64, op uint8, addr uint64, line *nvm.Line) error
+	// Flush drives the pipe until every submitted op has completed.
+	Flush() error
+	Close() error
+}
+
 // Params configures one run.
 type Params struct {
-	// Dial opens one connection; it is called once per worker plus once
-	// for the control connection.
+	// Dial opens one connection: the control connection (Info and the
+	// final snapshot) and, unless DialPipe is set, each worker's.
 	Dial func() (Conn, error)
-	// Workers drives the shards concurrently; capped at the shard count
-	// (extra workers would own no shards). Default 1.
+	// DialPipe, when non-nil, switches the workers to the pipelined
+	// front end: each submits through a windowed batching client. The
+	// handler passed to DialPipe must be installed as the pipe's
+	// completion handler.
+	DialPipe func(h PipeHandler) (PipeConn, error)
+	// Workers is the number of connections driving the shards —
+	// stop-and-wait clients, or pipes under DialPipe; capped at the
+	// shard count (extra connections would own no shards). Default 1.
 	Workers int
 	// Ops is the total operation budget, split across shards as evenly
 	// as the stream allows (shard i gets the i-th residue). Default 1000.
@@ -61,8 +85,6 @@ type Params struct {
 	// Footprint is the per-shard data footprint the generator walks;
 	// 0 means the shard's whole capacity.
 	Footprint uint64
-	// Logf, when non-nil, receives progress lines (stderr material).
-	Logf func(format string, args ...any)
 	// Resilience, when non-nil, is the registry the run's connections
 	// report their devnet_client_* counters into (the caller wires it
 	// through its Dial). After the run the counters appear in the report
@@ -70,15 +92,6 @@ type Params struct {
 	// table stays deterministic; under faults they quantify the retry
 	// traffic the run absorbed.
 	Resilience *telemetry.Registry
-
-	// DialPipe, when non-nil, switches the run to the pipelined open-loop
-	// mode: Conns connection goroutines submit through windowed batching
-	// clients instead of Workers stop-and-wait loops. The handler passed
-	// to DialPipe must be installed as the pipe's completion handler.
-	DialPipe func(h PipeHandler) (PipeConn, error)
-	// Conns is the pipelined connection count (pipelined mode only);
-	// capped at the shard count. Default 1.
-	Conns int
 	// Pipeline and Batch record the window and batch sizes the caller
 	// configured on its pipes; they only annotate the report (the pipe
 	// itself enforces them).
@@ -105,8 +118,8 @@ type LatencySummary struct {
 // Report is the deterministic outcome of a run.
 type Report struct {
 	Workload string
-	// Mode is "stop-and-wait" (closed loop, Workers connections) or
-	// "pipelined" (open loop, Conns windowed batching connections).
+	// Mode is "stop-and-wait" (Workers blocking connections) or
+	// "pipelined" (Conns windowed batching connections).
 	Mode     string
 	Shards   int
 	Workers  int
@@ -120,14 +133,17 @@ type Report struct {
 	// SimNanos is the busiest shard's total simulated service time — the
 	// run's simulated makespan under perfect shard parallelism.
 	SimNanos float64
+	// Verified counts reads checked against the content oracle (every
+	// read of a line the run itself wrote).
+	Verified uint64
 	// Resilience holds the run's client retry/timeout/reconnect counters
 	// (sorted by name) when Params.Resilience was set.
 	Resilience []ResilienceCounter
 }
 
-// classHist is a worker-local latency histogram: log2 buckets over
-// simulated picoseconds. No locks — each shard's stats are owned by the
-// one worker driving it.
+// classHist is a stream-local latency histogram: log2 buckets over
+// simulated picoseconds. No locks — each stream's stats are owned by the
+// one driver running it.
 type classHist struct {
 	buckets [65]uint64
 	count   uint64
@@ -192,94 +208,23 @@ func (h *classHist) summary() LatencySummary {
 	return s
 }
 
-// shardStream is one shard's deterministic request stream plus the stats
-// it accumulates. Exactly one worker touches it.
-type shardStream struct {
-	shard     int
-	remaining int
-	gen       trace.Generator
-	lines     uint64 // shard-local line count
-	stride    uint64 // device shard count, for the global mapping
-	seed      int64
-	writeIdx  int
-	reads     classHist
-	writes    classHist
-	barriers  uint64
-	simBusy   uint64 // ps, sum of op latencies on this shard
-}
-
-// globalAddr maps a generator byte address into this shard's slice of the
-// device address space (the inverse of the device's line interleave).
-func (s *shardStream) globalAddr(addr uint64) uint64 {
-	local := (addr / nvm.LineSize) % s.lines
-	return (local*s.stride + uint64(s.shard)) * nvm.LineSize
-}
-
-// lineContent derives the deterministic payload of this shard's i-th
-// write (splitmix64, like the chaos harness's content oracle).
-func (s *shardStream) lineContent(i int) nvm.Line {
-	var l nvm.Line
-	x := uint64(s.seed)*0x9e3779b97f4a7c15 + uint64(s.shard+1)*0x94d049bb133111eb + uint64(i+1)*0xbf58476d1ce4e5b9
-	for off := 0; off < nvm.LineSize; off += 8 {
-		x ^= x >> 30
-		x *= 0xbf58476d1ce4e5b9
-		x ^= x >> 27
-		for k := 0; k < 8; k++ {
-			l[off+k] = byte(x >> (8 * uint(k)))
-		}
-	}
-	return l
-}
-
-// step executes the stream's next operation on conn.
-func (s *shardStream) step(conn Conn) error {
-	var rec trace.Record
-	if !s.gen.Next(&rec) {
-		s.remaining = 0
-		return nil
-	}
-	switch rec.Op {
-	case trace.OpRead:
-		addr := s.globalAddr(rec.Addr)
-		_, lat, err := conn.Read(addr)
-		if err != nil {
-			return fmt.Errorf("shard %d read %#x: %w", s.shard, addr, err)
-		}
-		s.reads.observe(lat)
-		s.simBusy += uint64(lat)
-	case trace.OpWrite, trace.OpWritePersist:
-		addr := s.globalAddr(rec.Addr)
-		line := s.lineContent(s.writeIdx)
-		s.writeIdx++
-		lat, err := conn.Write(addr, &line)
-		if err != nil {
-			return fmt.Errorf("shard %d write %#x: %w", s.shard, addr, err)
-		}
-		s.writes.observe(lat)
-		s.simBusy += uint64(lat)
-	case trace.OpBarrier:
-		if err := conn.Drain(uint64(s.shard) * nvm.LineSize); err != nil {
-			return fmt.Errorf("shard %d drain: %w", s.shard, err)
-		}
-		s.barriers++
-	}
-	s.remaining--
-	return nil
-}
-
 // Run executes one load-generation run and returns the deterministic
 // report plus the server's merged telemetry snapshot (canonical JSON),
 // fetched over a control connection after every stream finishes.
+//
+// Each of the Workers connections owns the shard streams congruent to
+// its index. Shard ownership puts all of a shard's ops on one connection
+// in stream order, and a pipe's batch composition is a pure function of
+// the submission sequence (batches seal at MaxBatch ops, not on timers),
+// so the per-shard simulated latencies — and therefore the report and
+// the snapshot — do not depend on scheduling. Only wall-clock throughput
+// does.
 func Run(p Params) (*Report, []byte, error) {
 	if p.Ops <= 0 {
 		p.Ops = 1000
 	}
 	if p.Workers <= 0 {
 		p.Workers = 1
-	}
-	logf := p.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
 	}
 	wl, err := workload.ByName(p.Workload)
 	if err != nil {
@@ -296,43 +241,34 @@ func Run(p Params) (*Report, []byte, error) {
 		return nil, nil, fmt.Errorf("loadgen: info: %w", err)
 	}
 	shards := info.Shards
-	if p.Workers > shards {
-		p.Workers = shards
-	}
+	p.Workers = min(p.Workers, shards)
 	shardLines := info.CapacityBytes / nvm.LineSize / uint64(shards)
 	footprint := p.Footprint
 	if footprint == 0 || footprint > shardLines*nvm.LineSize {
 		footprint = shardLines * nvm.LineSize
 	}
 
-	// One deterministic stream per shard; the worker that drives it is an
-	// execution detail.
-	streams := make([]*shardStream, shards)
+	// One deterministic stream per shard, walking the shard's slice of
+	// the line interleave; the connection that drives it is an execution
+	// detail.
+	streams := make([]*stream, shards)
 	for i := range streams {
-		streams[i] = &shardStream{
-			shard:     i,
-			remaining: p.Ops/shards + btoi(i < p.Ops%shards),
-			gen:       wl.New(footprint, p.Seed+int64(i)*0x9e37),
-			lines:     shardLines,
-			stride:    uint64(shards),
-			seed:      p.Seed,
-		}
+		streams[i] = newStream(fmt.Sprintf("shard %d", i), uint64(i+1), p.Seed,
+			wl.New(footprint, p.Seed+int64(i)*0x9e37), p.Ops/shards+btoi(i < p.Ops%shards),
+			shardLines, uint64(shards), uint64(i))
 	}
-	if p.DialPipe != nil {
-		if p.Conns <= 0 {
-			p.Conns = 1
-		}
-		if p.Conns > shards {
-			p.Conns = shards
-		}
-		logf("loadgen: %s over %d shards, %d ops, %d pipelined conns (window %d, batch %d)",
-			wl.Name, shards, p.Ops, p.Conns, p.Pipeline, p.Batch)
-		if err := runPipelined(&p, streams, shards); err != nil {
-			return nil, nil, err
-		}
-	} else {
-		logf("loadgen: %s over %d shards, %d ops, %d workers", wl.Name, shards, p.Ops, p.Workers)
-		if err := runStopAndWait(&p, streams, shards); err != nil {
+	var wg sync.WaitGroup
+	errs := make([]error, p.Workers)
+	for w := range errs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			errs[w] = runWorker(&p, w, streams)
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			return nil, nil, err
 		}
 	}
@@ -347,8 +283,7 @@ func Run(p Params) (*Report, []byte, error) {
 	rep := &Report{Workload: wl.Name, Mode: "stop-and-wait", Shards: shards, Workers: p.Workers, Ops: p.Ops}
 	if p.DialPipe != nil {
 		rep.Mode = "pipelined"
-		rep.Workers = 0
-		rep.Conns = p.Conns
+		rep.Workers, rep.Conns = 0, p.Workers
 		rep.Pipeline = p.Pipeline
 		rep.Batch = p.Batch
 	}
@@ -357,6 +292,7 @@ func Run(p Params) (*Report, []byte, error) {
 		reads.merge(&s.reads)
 		writes.merge(&s.writes)
 		rep.Barriers += s.barriers
+		rep.Verified += s.verified
 		if busy := float64(s.simBusy) / 1e3; busy > rep.SimNanos {
 			rep.SimNanos = busy
 		}
@@ -373,53 +309,30 @@ func Run(p Params) (*Report, []byte, error) {
 	return rep, snapshot, nil
 }
 
-// runStopAndWait is Run's closed-loop branch: Workers connection
-// goroutines each drive the shard streams they own, one op in flight
-// per shard, round-robin across the owned shards.
-func runStopAndWait(p *Params, streams []*shardStream, shards int) error {
-	var wg sync.WaitGroup
-	errs := make([]error, p.Workers)
-	for w := 0; w < p.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			conn, err := p.Dial()
-			if err != nil {
-				errs[w] = fmt.Errorf("loadgen: worker %d dial: %w", w, err)
-				return
-			}
-			defer conn.Close()
-			// Round-robin the owned shards, one op per visit, until all
-			// are exhausted: closed loop per shard, fair across shards.
-			owned := make([]*shardStream, 0, shards/p.Workers+1)
-			for i := w; i < shards; i += p.Workers {
-				owned = append(owned, streams[i])
-			}
-			for {
-				live := 0
-				for _, s := range owned {
-					if s.remaining <= 0 {
-						continue
-					}
-					live++
-					if err := s.step(conn); err != nil {
-						errs[w] = err
-						return
-					}
-				}
-				if live == 0 {
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
+// runWorker dials connection w and drives the shard streams it owns.
+func runWorker(p *Params, w int, streams []*stream) error {
+	d := newDriver()
+	var target PipeConn
+	if p.DialPipe != nil {
+		pc, err := p.DialPipe(d.complete)
 		if err != nil {
-			return err
+			return fmt.Errorf("loadgen: conn %d dial: %w", w, err)
 		}
+		target = pc
+	} else {
+		c, err := p.Dial()
+		if err != nil {
+			return fmt.Errorf("loadgen: conn %d dial: %w", w, err)
+		}
+		target = &inline{c: c, drain: c.Drain, h: d.complete}
 	}
-	return nil
+	defer target.Close()
+	var owned []*stream
+	for i := w; i < len(streams); i += p.Workers {
+		streams[i].target = target
+		owned = append(owned, streams[i])
+	}
+	return d.run(owned, nil)
 }
 
 func btoi(b bool) int {
@@ -468,3 +381,20 @@ func (r *Report) WriteMarkdown(w io.Writer) error {
 	}
 	return nil
 }
+
+// localConn adapts an in-process *device.Device to Conn. Close is a
+// no-op: the caller owns the device.
+type localConn struct{ dev *device.Device }
+
+// NewLocalConn wraps a device as a Conn, so the generator (and its tests)
+// can drive it without a socket.
+func NewLocalConn(dev *device.Device) Conn { return localConn{dev} }
+
+func (c localConn) Info() (device.Info, error)                   { return c.dev.Info(), nil }
+func (c localConn) Read(addr uint64) (nvm.Line, sim.Time, error) { return c.dev.Read(addr) }
+func (c localConn) Write(addr uint64, data *nvm.Line) (sim.Time, error) {
+	return c.dev.Write(addr, data)
+}
+func (c localConn) Drain(addr uint64) error       { return c.dev.Drain(addr) }
+func (c localConn) SnapshotJSON() ([]byte, error) { return c.dev.Snapshot().MarshalIndentJSON() }
+func (c localConn) Close() error                  { return nil }

@@ -3,6 +3,7 @@ package loadgen_test
 import (
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
@@ -31,7 +32,7 @@ func pipeParams(addr string, conns, window, batch int, reg *telemetry.Registry, 
 				MaxBatch: batch,
 			})
 		},
-		Conns:      conns,
+		Workers:    conns,
 		Pipeline:   window,
 		Batch:      batch,
 		Ops:        600,
@@ -79,43 +80,69 @@ func TestPipelinedRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestPipelinedMatchesStopAndWaitOpMix checks the pipelined branch
-// replays exactly the same per-shard streams as the stop-and-wait
-// branch: op-class counts and barrier counts agree, and the server saw
-// batch frames.
+// TestPipelinedMatchesStopAndWaitOpMix checks the front end is only a
+// transport: every stop-and-wait worker count and every pipelined
+// (conns, window, batch) point replays the same per-shard streams, so the
+// op mix, the read and write latency summaries and the simulated makespan
+// all agree, and the pipelined runs pushed batch frames through the
+// device.
 func TestPipelinedMatchesStopAndWaitOpMix(t *testing.T) {
 	const shards = 4
-	dev := newDevice(t, shards)
-	addr := serve(t, dev)
-	base, _, err := loadgen.Run(loadgen.Params{
-		Dial:     func() (loadgen.Conn, error) { return devnet.Dial(addr) },
-		Workers:  2,
-		Ops:      600,
-		Seed:     42,
-		Workload: "hashmap",
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, wl := range []string{"hashmap", "btree"} {
+		var base *loadgen.Report
+		for _, workers := range []int{1, 2, 4} {
+			dev := newDevice(t, shards)
+			addr := serve(t, dev)
+			rep, _, err := loadgen.Run(loadgen.Params{
+				Dial:     func() (loadgen.Conn, error) { return devnet.Dial(addr) },
+				Workers:  workers,
+				Ops:      600,
+				Seed:     42,
+				Workload: wl,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if base == nil {
+				base = rep
+				continue
+			}
+			sameService(t, fmt.Sprintf("%s stop-and-wait workers=%d", wl, workers), rep, base)
+		}
+		for _, g := range []struct{ conns, window, batch int }{{1, 4, 32}, {2, 4, 16}, {4, 8, 64}} {
+			dev := newDevice(t, shards)
+			addr := serve(t, dev)
+			p := pipeParams(addr, g.conns, g.window, g.batch, nil, devnet.RetryPolicy{})
+			p.Workload = wl
+			rep, snap, err := loadgen.Run(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Read.Count != base.Read.Count || rep.Write.Count != base.Write.Count || rep.Barriers != base.Barriers {
+				t.Fatalf("op mix differs: pipelined %d/%d/%d vs stop-and-wait %d/%d/%d",
+					rep.Read.Count, rep.Write.Count, rep.Barriers, base.Read.Count, base.Write.Count, base.Barriers)
+			}
+			sameService(t, fmt.Sprintf("%s pipelined %+v", wl, g), rep, base)
+			var counters struct {
+				Counters map[string]uint64 `json:"counters"`
+			}
+			if err := json.Unmarshal(snap, &counters); err != nil {
+				t.Fatal(err)
+			}
+			if counters.Counters["device_batches_total"] == 0 {
+				t.Fatalf("pipelined run pushed no batches through the device: %v", counters.Counters)
+			}
+		}
 	}
+}
 
-	dev2 := newDevice(t, shards)
-	addr2 := serve(t, dev2)
-	rep, snap, err := loadgen.Run(pipeParams(addr2, 2, 4, 16, nil, devnet.RetryPolicy{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Read.Count != base.Read.Count || rep.Write.Count != base.Write.Count || rep.Barriers != base.Barriers {
-		t.Fatalf("op mix differs: pipelined %d/%d/%d vs stop-and-wait %d/%d/%d",
-			rep.Read.Count, rep.Write.Count, rep.Barriers, base.Read.Count, base.Write.Count, base.Barriers)
-	}
-	var counters struct {
-		Counters map[string]uint64 `json:"counters"`
-	}
-	if err := json.Unmarshal(snap, &counters); err != nil {
-		t.Fatal(err)
-	}
-	if counters.Counters["device_batches_total"] == 0 {
-		t.Fatalf("pipelined run pushed no batches through the device: %v", counters.Counters)
+// sameService fails unless rep saw the service base saw: identical read
+// and write latency summaries and simulated makespan.
+func sameService(t *testing.T, what string, rep, base *loadgen.Report) {
+	t.Helper()
+	if rep.Read != base.Read || rep.Write != base.Write || rep.SimNanos != base.SimNanos {
+		t.Errorf("%s: service differs from stop-and-wait workers=1:\nread  %+v\n      %+v\nwrite %+v\n      %+v\nsim   %v vs %v",
+			what, rep.Read, base.Read, rep.Write, base.Write, rep.SimNanos, base.SimNanos)
 	}
 }
 
@@ -218,6 +245,11 @@ func TestPipelinedLoadgenResilienceCounters(t *testing.T) {
 	}
 	if got := rep.Read.Count + rep.Write.Count + rep.Barriers; got != uint64(rep.Ops) {
 		t.Fatalf("%d ops acked through kill schedule, want %d", got, rep.Ops)
+	}
+	// The content oracle ran through the kills: retransmitted batches
+	// replay their original results, so no read was reported stale.
+	if rep.Verified == 0 {
+		t.Fatal("no reads verified through the kill schedule")
 	}
 	want := map[string]func(v uint64) bool{
 		"devnet_client_reconnects_total":        func(v uint64) bool { return v >= 2 },

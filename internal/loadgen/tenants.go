@@ -6,33 +6,25 @@ import (
 	"io"
 	"sort"
 
-	"soteria/internal/device"
 	"soteria/internal/nvm"
 	"soteria/internal/sim"
 	"soteria/internal/stats"
 	"soteria/internal/tenant"
-	"soteria/internal/trace"
 	"soteria/internal/workload"
 )
 
-// TenantConn is the slice of the connection surface the multi-tenant
-// generator needs: a connection it can bind to one tenant, after which
-// the Read and Write it shares with Conn take tenant-local addresses.
-// devnet.Client implements it over TCP, LocalTenantConn in-process for
-// tests and experiments.
+// TenantConn is the connection surface the multi-tenant generator needs:
+// a session it can bind to one tenant, after which Read and Write take
+// tenant-local addresses, plus the operator plane that drives an online
+// key rotation (used on an unbound control connection). devnet.Client
+// implements it over TCP, NewLocalTenantConn in-process.
 type TenantConn interface {
 	AttachTenant(id uint32, token uint64) error
 	Read(addr uint64) (nvm.Line, sim.Time, error)
 	Write(addr uint64, data *nvm.Line) (sim.Time, error)
-	Close() error
-}
-
-// TenantAdmin is the operator-plane slice used to drive an online key
-// rotation while the data streams run. devnet.Client and LocalTenantConn
-// both implement it.
-type TenantAdmin interface {
 	TenantRotate(id uint32) error
 	TenantRotateStep(id uint32, max uint32) (rotated uint32, cursor uint64, done bool, err error)
+	Close() error
 }
 
 // TenantSpec names one tenant stream: the tenant to attach and the
@@ -47,8 +39,9 @@ type TenantSpec struct {
 
 // TenantParams configures one multi-tenant run.
 type TenantParams struct {
-	// Dial opens one connection; called once per tenant, because a
-	// connection is bound to a single tenant at attach time.
+	// Dial opens one connection: one per tenant stream (a connection is
+	// bound to a single tenant at attach time), plus a control
+	// connection when a rotation is armed.
 	Dial func() (TenantConn, error)
 	// Tenants lists the streams. Each must already be provisioned.
 	Tenants []TenantSpec
@@ -70,10 +63,6 @@ type TenantParams struct {
 	// RotateStride is the number of lines each interleaved sweep step
 	// re-encrypts. Default 8.
 	RotateStride int
-	// Admin drives the rotation; required when RotateTenant is set.
-	Admin TenantAdmin
-	// Logf, when non-nil, receives progress lines (stderr material).
-	Logf func(format string, args ...any)
 }
 
 // TenantResult is one tenant stream's outcome.
@@ -120,122 +109,55 @@ type TenantReport struct {
 	Verified uint64
 }
 
-// tenantStream is one tenant's deterministic request stream plus the
-// stats it accumulates. The single driver goroutine owns all of them.
-type tenantStream struct {
-	spec      TenantSpec
-	conn      TenantConn
-	remaining int
-	gen       trace.Generator
-	// pending holds an op a fair-share throttle bounced, replayed on the
-	// next round-robin visit (the generator has no pushback).
-	pending  *trace.Record
-	seed     int64
-	writeIdx int
-	// committed is the content oracle: line -> index of the last write
-	// the server acknowledged, so every later read can be verified.
-	committed map[uint64]int
-	hist      classHist
-	reads     uint64
-	writes    uint64
-	barriers  uint64
-	throttled uint64
-	verified  uint64
-	simBusy   uint64 // ps
+// rotation is the online key rotation a tenant run interleaves with its
+// streams: armed once enough ops have completed, then one sweep step
+// between rounds until the sweep is done.
+type rotation struct {
+	admin   TenantConn
+	at      uint64
+	stride  uint32
+	running bool
+	res     RotationResult
 }
 
-// lineContent derives the deterministic payload of this tenant's i-th
-// write (splitmix64, same family as the chaos harness's oracle).
-func (s *tenantStream) lineContent(i int) nvm.Line {
-	var l nvm.Line
-	x := uint64(s.seed)*0x9e3779b97f4a7c15 + uint64(s.spec.ID)*0x94d049bb133111eb + uint64(i+1)*0xbf58476d1ce4e5b9
-	for off := 0; off < nvm.LineSize; off += 8 {
-		x ^= x >> 30
-		x *= 0xbf58476d1ce4e5b9
-		x ^= x >> 27
-		for k := 0; k < 8; k++ {
-			l[off+k] = byte(x >> (8 * uint(k)))
-		}
+func (r *rotation) arm(completed uint64) error {
+	if r.running || r.res.Done || completed < r.at {
+		return nil
 	}
-	return l
+	if err := r.admin.TenantRotate(r.res.Tenant); err != nil {
+		return fmt.Errorf("loadgen: rotate tenant %d: %w", r.res.Tenant, err)
+	}
+	r.running = true
+	r.res.StartedAtOp = completed
+	return nil
 }
 
-// step executes the stream's next operation. It returns (progress,
-// error): a fair-share throttle leaves the op pending (progress=false)
-// so the driver retries it on the next round-robin visit, by which time
-// the other tenants' admitted ops have advanced the quota window.
-func (s *tenantStream) step() (bool, error) {
-	var rec trace.Record
-	if s.pending != nil {
-		rec, s.pending = *s.pending, nil
-	} else if !s.gen.Next(&rec) {
-		s.remaining = 0
-		return true, nil
+// step re-encrypts the next stride of lines and reports whether any moved.
+func (r *rotation) step(completed uint64) (bool, error) {
+	moved, _, done, err := r.admin.TenantRotateStep(r.res.Tenant, r.stride)
+	if err != nil {
+		return false, fmt.Errorf("loadgen: rotate step: %w", err)
 	}
-	line := (rec.Addr / nvm.LineSize) % s.spec.Lines
-	addr := line * nvm.LineSize
-	switch rec.Op {
-	case trace.OpRead:
-		data, lat, err := s.conn.Read(addr)
-		if busy(err) {
-			s.throttled++
-			s.pending = &rec
-			return false, nil
-		}
-		if err != nil {
-			return false, fmt.Errorf("tenant %d read %#x: %w", s.spec.ID, addr, err)
-		}
-		if idx, ok := s.committed[line]; ok {
-			if want := s.lineContent(idx); data != want {
-				return false, fmt.Errorf("tenant %d line %#x: read returned stale or foreign content (want write %d)", s.spec.ID, addr, idx)
-			}
-			s.verified++
-		}
-		s.hist.observe(lat)
-		s.reads++
-		s.simBusy += uint64(lat)
-	case trace.OpWrite, trace.OpWritePersist:
-		content := s.lineContent(s.writeIdx)
-		lat, err := s.conn.Write(addr, &content)
-		if busy(err) {
-			s.throttled++
-			s.pending = &rec
-			return false, nil
-		}
-		if err != nil {
-			return false, fmt.Errorf("tenant %d write %#x: %w", s.spec.ID, addr, err)
-		}
-		s.committed[line] = s.writeIdx
-		s.writeIdx++
-		s.hist.observe(lat)
-		s.writes++
-		s.simBusy += uint64(lat)
-	case trace.OpBarrier:
-		// Every acknowledged tenant write is already durable, so a
-		// barrier is a no-op (over the wire a drain entry on a bound
-		// connection acknowledges for the same reason).
-		s.barriers++
+	r.res.Steps++
+	r.res.Lines += uint64(moved)
+	if done {
+		r.running = false
+		r.res.Done = true
+		r.res.DoneAtOp = completed
 	}
-	s.remaining--
-	return true, nil
-}
-
-// busy reports whether err is the retryable fair-share (or queue-full)
-// backpressure signal. Quota errors are deliberately NOT matched: a hard
-// budget does not refill by retrying, so they abort the stream.
-func busy(err error) bool {
-	var be *device.BusyError
-	return errors.As(err, &be)
+	return moved > 0, nil
 }
 
 // RunTenants executes one multi-tenant load run: one deterministic
-// closed-loop stream per tenant, driven round-robin by a single
-// goroutine (one op per visit — the interleaving, and with it the quota
-// windows and per-shard sim clocks, is then fully reproducible for a
-// fixed seed). Every read of a line the run itself wrote is verified
-// against the deterministic content oracle, so the run doubles as an
-// end-to-end isolation check: a key-domain mix-up surfaces as a verify
-// failure, not a silent wrong answer.
+// closed-loop stream per tenant, each on its own session, driven
+// round-robin by a single goroutine (one op per visit — the
+// interleaving, and with it the quota windows and per-shard sim clocks,
+// is then fully reproducible for a fixed seed). A throttled op is
+// retried on the stream's next visit, by which time the other tenants'
+// admitted ops have advanced the quota window. Every read of a line the
+// run itself wrote is verified against the content oracle, so the run
+// doubles as an end-to-end isolation check: a key-domain mix-up surfaces
+// as a verify failure, not a silent wrong answer.
 func RunTenants(p TenantParams) (*TenantReport, error) {
 	if len(p.Tenants) == 0 {
 		return nil, fmt.Errorf("loadgen: no tenant streams")
@@ -243,28 +165,14 @@ func RunTenants(p TenantParams) (*TenantReport, error) {
 	if p.Ops <= 0 {
 		p.Ops = 1000
 	}
-	if p.RotateTenant != 0 {
-		if p.Admin == nil {
-			return nil, fmt.Errorf("loadgen: RotateTenant set but no Admin connection")
-		}
-		if p.RotateAt <= 0 {
-			p.RotateAt = p.Ops / 2
-		}
-		if p.RotateStride <= 0 {
-			p.RotateStride = 8
-		}
-	}
-	logf := p.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	wl, err := workload.ByName(p.Workload)
 	if err != nil {
 		return nil, err
 	}
 
+	d := newDriver()
 	n := len(p.Tenants)
-	streams := make([]*tenantStream, n)
+	streams := make([]*stream, n)
 	for i, spec := range p.Tenants {
 		if spec.Lines == 0 {
 			return nil, fmt.Errorf("loadgen: tenant %d has a zero-line extent", spec.ID)
@@ -277,83 +185,48 @@ func RunTenants(p TenantParams) (*TenantReport, error) {
 		if err := conn.AttachTenant(spec.ID, spec.Token); err != nil {
 			return nil, fmt.Errorf("loadgen: tenant %d attach: %w", spec.ID, err)
 		}
-		streams[i] = &tenantStream{
-			spec:      spec,
-			conn:      conn,
-			remaining: p.Ops/n + btoi(i < p.Ops%n),
-			gen:       wl.New(spec.Lines*nvm.LineSize, p.Seed+int64(spec.ID)*0x9e37),
-			seed:      p.Seed,
-			committed: map[uint64]int{},
+		streams[i] = newStream(fmt.Sprintf("tenant %d", spec.ID), uint64(spec.ID), p.Seed,
+			wl.New(spec.Lines*nvm.LineSize, p.Seed+int64(spec.ID)*0x9e37), p.Ops/n+btoi(i < p.Ops%n),
+			spec.Lines, 1, 0)
+		streams[i].target = &inline{c: conn, h: d.complete}
+	}
+
+	var rot *rotation
+	if p.RotateTenant != 0 {
+		admin, err := p.Dial()
+		if err != nil {
+			return nil, fmt.Errorf("loadgen: control dial: %w", err)
+		}
+		defer admin.Close()
+		rot = &rotation{admin: admin, at: uint64(p.Ops / 2), stride: 8, res: RotationResult{Tenant: p.RotateTenant}}
+		if p.RotateAt > 0 {
+			rot.at = uint64(p.RotateAt)
+		}
+		if p.RotateStride > 0 {
+			rot.stride = uint32(p.RotateStride)
 		}
 	}
-	logf("loadgen: %s over %d tenants, %d ops", wl.Name, n, p.Ops)
-
-	rot := &RotationResult{Tenant: p.RotateTenant}
-	var completed uint64
-	rotating := false
-	for {
-		live, progressed := 0, false
-		for _, s := range streams {
-			if s.remaining <= 0 {
-				continue
-			}
-			live++
-			ok, err := s.step()
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				progressed = true
-				completed++
-			}
-			if p.RotateTenant != 0 && !rotating && !rot.Done && completed >= uint64(p.RotateAt) {
-				if err := p.Admin.TenantRotate(p.RotateTenant); err != nil {
-					return nil, fmt.Errorf("loadgen: rotate tenant %d: %w", p.RotateTenant, err)
-				}
-				rotating = true
-				rot.StartedAtOp = completed
-				logf("loadgen: rotation of tenant %d armed at op %d", p.RotateTenant, completed)
-			}
-		}
-		if rotating {
-			moved, _, done, err := p.Admin.TenantRotateStep(p.RotateTenant, uint32(p.RotateStride))
-			if err != nil {
-				return nil, fmt.Errorf("loadgen: rotate step: %w", err)
-			}
-			rot.Steps++
-			rot.Lines += uint64(moved)
-			progressed = progressed || moved > 0
-			if done {
-				rotating = false
-				rot.Done = true
-				rot.DoneAtOp = completed
-				logf("loadgen: rotation done at op %d (%d lines in %d steps)", completed, rot.Lines, rot.Steps)
-			}
-		}
-		if live == 0 && !rotating {
-			break
-		}
-		if live > 0 && !progressed {
-			// Every live stream was throttled and nothing advanced the
-			// service's op clock, so no retry can ever succeed.
-			return nil, fmt.Errorf("loadgen: fair-share livelock: %d streams throttled with no admitted ops to roll the quota window", live)
-		}
+	if err := d.run(streams, rot); err != nil {
+		return nil, err
 	}
 
 	rep := &TenantReport{Workload: wl.Name, Ops: p.Ops}
-	if p.RotateTenant != 0 {
-		rep.Rotation = rot
+	if rot != nil {
+		rep.Rotation = &rot.res
 	}
 	var all classHist
 	var rates []float64
 	for _, s := range streams {
+		// A tenant's latency profile covers reads and writes alike.
+		h := s.reads
+		h.merge(&s.writes)
 		res := TenantResult{
-			ID:           s.spec.ID,
-			Ops:          s.reads + s.writes,
-			Reads:        s.reads,
-			Writes:       s.writes,
+			ID:           uint32(s.key),
+			Ops:          h.count,
+			Reads:        s.reads.count,
+			Writes:       s.writes.count,
 			Throttled:    s.throttled,
-			Latency:      s.hist.summary(),
+			Latency:      h.summary(),
 			SimBusyNanos: float64(s.simBusy) / 1e3,
 		}
 		if s.simBusy > 0 {
@@ -362,7 +235,7 @@ func RunTenants(p TenantParams) (*TenantReport, error) {
 		rep.Per = append(rep.Per, res)
 		rep.Barriers += s.barriers
 		rep.Verified += s.verified
-		all.merge(&s.hist)
+		all.merge(&h)
 		rates = append(rates, res.RateOpsPerSimMs)
 	}
 	sort.Slice(rep.Per, func(i, j int) bool { return rep.Per[i].ID < rep.Per[j].ID })
@@ -417,23 +290,19 @@ func (r *TenantReport) WriteMarkdown(w io.Writer) error {
 	return ts.WriteMarkdown(w)
 }
 
-// LocalTenantConn adapts an in-process *tenant.Service to TenantConn and
-// TenantAdmin, so the generator (and its tests) can drive a tenant
-// service without a socket: one value per tenant stream, bound by
-// AttachTenant like a network connection. Close is a no-op: the caller
-// owns the service.
-type LocalTenantConn struct {
+// localTenantConn adapts an in-process *tenant.Service to TenantConn:
+// one value per tenant stream, bound by AttachTenant like a network
+// connection. Close is a no-op: the caller owns the service.
+type localTenantConn struct {
 	svc   *tenant.Service
 	bound uint32
 }
 
-// NewLocalTenantConn wraps a tenant service.
-func NewLocalTenantConn(svc *tenant.Service) *LocalTenantConn {
-	return &LocalTenantConn{svc: svc}
-}
+// NewLocalTenantConn wraps a tenant service as a TenantConn, so the
+// generator (and its tests) can drive it without a socket.
+func NewLocalTenantConn(svc *tenant.Service) TenantConn { return &localTenantConn{svc: svc} }
 
-// AttachTenant implements TenantConn.
-func (c *LocalTenantConn) AttachTenant(id uint32, token uint64) error {
+func (c *localTenantConn) AttachTenant(id uint32, token uint64) error {
 	if err := c.svc.Authenticate(id, token); err != nil {
 		return err
 	}
@@ -441,22 +310,19 @@ func (c *LocalTenantConn) AttachTenant(id uint32, token uint64) error {
 	return nil
 }
 
-// Read implements TenantConn.
-func (c *LocalTenantConn) Read(addr uint64) (nvm.Line, sim.Time, error) {
+func (c *localTenantConn) Read(addr uint64) (nvm.Line, sim.Time, error) {
 	return c.svc.Read(c.bound, addr)
 }
 
-// Write implements TenantConn.
-func (c *LocalTenantConn) Write(addr uint64, data *nvm.Line) (sim.Time, error) {
+func (c *localTenantConn) Write(addr uint64, data *nvm.Line) (sim.Time, error) {
 	return c.svc.Write(c.bound, addr, data)
 }
 
-// TenantRotate implements TenantAdmin.
-func (c *LocalTenantConn) TenantRotate(id uint32) error { return c.svc.Rotate(id) }
+func (c *localTenantConn) TenantRotate(id uint32) error { return c.svc.Rotate(id) }
 
-// TenantRotateStep implements TenantAdmin, mirroring the server
-// handler's shape: ErrNotRotating means the sweep already finished.
-func (c *LocalTenantConn) TenantRotateStep(id uint32, max uint32) (uint32, uint64, bool, error) {
+// TenantRotateStep mirrors the server handler's shape: ErrNotRotating
+// means the sweep already finished.
+func (c *localTenantConn) TenantRotateStep(id uint32, max uint32) (uint32, uint64, bool, error) {
 	rotated, done, err := c.svc.RotateStep(id, int(max))
 	if err != nil && !errors.Is(err, tenant.ErrNotRotating) {
 		return 0, 0, false, err
@@ -468,5 +334,4 @@ func (c *LocalTenantConn) TenantRotateStep(id uint32, max uint32) (uint32, uint6
 	return uint32(rotated), st.Cursor, done || !st.Rotating, nil
 }
 
-// Close implements TenantConn; the service stays up.
-func (c *LocalTenantConn) Close() error { return nil }
+func (c *localTenantConn) Close() error { return nil }

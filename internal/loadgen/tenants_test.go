@@ -16,10 +16,8 @@ import (
 // compile-time: the wire client and the in-process adapter both bind to
 // a tenant and drive its rotation.
 var (
-	_ loadgen.TenantConn  = (*devnet.Client)(nil)
-	_ loadgen.TenantAdmin = (*devnet.Client)(nil)
-	_ loadgen.TenantConn  = (*loadgen.LocalTenantConn)(nil)
-	_ loadgen.TenantAdmin = (*loadgen.LocalTenantConn)(nil)
+	_ loadgen.TenantConn = (*devnet.Client)(nil)
+	_ loadgen.TenantConn = loadgen.NewLocalTenantConn(nil)
 )
 
 // newTenantService provisions n equal tenants on a fresh device and
@@ -106,7 +104,6 @@ func TestRunTenantsRotationUnderLoad(t *testing.T) {
 		RotateTenant: 2,
 		RotateAt:     100,
 		RotateStride: 4,
-		Admin:        loadgen.NewLocalTenantConn(svc),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,11 +130,6 @@ func TestRunTenantsRotationUnderLoad(t *testing.T) {
 func TestRunTenantsOverWire(t *testing.T) {
 	svc, specs := newTenantService(t, 2, 32)
 	addr := serveTenants(t, svc)
-	admin, err := devnet.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer admin.Close()
 	rep, err := loadgen.RunTenants(loadgen.TenantParams{
 		Dial:         func() (loadgen.TenantConn, error) { return devnet.Dial(addr) },
 		Tenants:      specs,
@@ -146,7 +138,6 @@ func TestRunTenantsOverWire(t *testing.T) {
 		Workload:     "hashmap",
 		RotateTenant: 1,
 		RotateAt:     60,
-		Admin:        admin,
 	})
 	if err != nil {
 		t.Fatal(err)
