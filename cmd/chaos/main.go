@@ -1,9 +1,10 @@
 // Command chaos drives the deterministic chaos harness against the memory
-// controller: single scripted crash/fault scenarios, exhaustive crash-point
-// sweeps ("crash at write k, recover, verify, for all k"), nested
-// crash-during-recovery sweeps, and randomized fault campaigns. Every
-// failure prints a one-line repro command; the same seed always replays the
-// same scenario.
+// controller, the sharded device (-device), the tenant service (-tenants)
+// and the device served over TCP behind a fault proxy (-net): single
+// scripted crash/fault scenarios, exhaustive crash-point sweeps ("crash at
+// write k, recover, verify, for all k"), nested crash-during-recovery
+// sweeps, and randomized fault campaigns. Every failure prints a one-line
+// repro command; the same seed always replays the same scenario.
 //
 // Typical invocations:
 //
@@ -16,6 +17,8 @@
 //	go run ./cmd/chaos -seed 1 -quick -schemes
 //	go run ./cmd/chaos -tenants -quick -sweep
 //	go run ./cmd/chaos -tenants -schemes -quick
+//	go run ./cmd/chaos -net -sweep -quick -pipeline 4
+//	go run ./cmd/chaos -net -quick -net-fault combined -kills 1 -crash-at 25
 package main
 
 import (
@@ -50,13 +53,13 @@ func main() {
 		tenantsRun   = flag.Bool("tenants", false, "run the multi-tenant service leg: per-tenant acked-write oracle, cross-tenant isolation oracle and online rotation under crashes; combine with -sweep or -schemes")
 		tenantCount  = flag.Int("tenant-count", 3, "provisioned tenants for -tenants")
 		rotateAt     = flag.Int("rotate-at", -1, "for -tenants: begin an online key rotation of tenant 1 before this workload op (default: mid-workload; -1 disables only when set explicitly)")
-		shards       = flag.Int("shards", 4, "shard count for -device")
+		shards       = flag.Int("shards", 4, "shard count for -device, -tenants and -net")
 		tracePath    = flag.String("trace", "", "with a single -device run: record the scenario and write a time-travel replay trace here when it crashes")
 		replayPath   = flag.String("replay", "", "re-execute a recorded replay trace file: restore the checkpoint nearest the fault and re-run events up to the crash point")
-		netRun       = flag.Bool("net", false, "run the full network stack (server + fault proxy + retrying clients); combine with -sweep for the standard fault sweep")
+		netRun       = flag.Bool("net", false, "serve the device over TCP behind a fault proxy (server + proxy + retrying clients); combine with -sweep to crash-sweep every fault case")
 		netFault     = flag.String("net-fault", "clean", "fault schedule for -net: clean|latency|throttle|corrupt|reset|truncate|partition|combined")
-		netClients   = flag.Int("net-clients", 3, "concurrent clients for -net")
-		netPipeline  = flag.Int("pipeline", 0, "for -net: batch frames in flight per client (> 0 switches to the pipelined batched front end)")
+		netClients   = flag.Int("net-clients", 3, "stop-and-wait clients for -net (op i goes to client i mod n)")
+		netPipeline  = flag.Int("pipeline", 0, "for -net: send the workload through one pipe with this many batch frames in flight")
 		netBatch     = flag.Int("net-batch", 0, "for -net with -pipeline: max ops per batch frame (default 8)")
 		kills        = flag.Int("kills", 0, "server kill/restart cycles mid-workload for -net")
 		verbose      = flag.Bool("v", false, "per-run progress output")
@@ -95,6 +98,9 @@ func main() {
 		logf = func(format string, a ...any) { fmt.Printf(format+"\n", a...) }
 		base.Logf = logf
 	}
+	// The device under the -device, -tenants and -net legs.
+	dbase := chaos.DeviceConfig{Seed: *seed, Writes: *writes, Shards: *shards, Mode: mode,
+		Strategy: *strategyName, CrashAt: *crashAt, Logf: base.Logf}
 
 	if *replayPath != "" {
 		if *netRun || *deviceRun || *sweep || *schemes || *campaign != "" || *nested {
@@ -124,67 +130,36 @@ func main() {
 	}
 
 	if *netRun {
-		if *campaign != "" || *nested || *crashAt2 >= 0 || *deviceRun {
-			fatal(fmt.Errorf("-net supports single runs and -sweep only"))
+		if err := netFlagsErr(set, *netPipeline, *netClients); err != nil {
+			fatal(err)
 		}
 		nbase := chaos.NetConfig{
-			Seed:     *seed,
-			Ops:      *writes,
-			Clients:  *netClients,
-			Shards:   *shards,
-			Mode:     mode,
-			Kills:    *kills,
-			Pipeline: *netPipeline,
-			Batch:    *netBatch,
-			Logf:     base.Logf,
-		}
-		if *quick && !set["writes"] {
-			nbase.Ops = 30
+			DeviceConfig: dbase,
+			Clients:      *netClients,
+			Kills:        *kills,
+			FaultName:    *netFault,
+			Pipeline:     *netPipeline,
+			Batch:        *netBatch,
 		}
 		if *sweep {
-			res, err := chaos.NetSweep(nbase, func(format string, a ...any) {
-				// Sweep progress carries wall-clock-dependent counters;
-				// keep stdout deterministic by diverting it to stderr.
-				fmt.Fprintf(os.Stderr, format+"\n", a...)
-			})
+			res, err := chaos.NetSweep(nbase, *stride, logf)
 			report("net sweep", res, err, false)
 			return
 		}
-		nbase.FaultName = *netFault
-		sched, err := chaos.NetFaultSchedule(*netFault)
-		if err != nil {
-			fatal(err)
-		}
-		nbase.Schedule = sched
 		res, err := chaos.NetRun(nbase)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Print(res.Report())
-		fmt.Fprintln(os.Stderr, res.Diagnostics())
-		if len(res.Violations) > 0 {
-			fmt.Printf("REPRO: %s\n", chaos.NetRepro(nbase))
-			os.Exit(1)
-		}
+		runLine(fmt.Sprintf("net run: %d shards, fault %s, %d kills", *shards, *netFault, *kills), res)
+		report("net run", single(chaos.NetRepro(nbase), res.Boundaries, res.Violations), nil, false)
 		return
 	}
 
 	if *tenantsRun {
-		if *campaign != "" || *nested || *crashAt2 >= 0 || set["fault-rate"] || set["shadow-faults"] ||
-			*breakRepair || *deviceRun || *netRun || *tracePath != "" {
-			fatal(fmt.Errorf("-tenants supports single runs, -sweep and -schemes only"))
+		if err := flagsErr("-tenants supports single runs, -sweep and -schemes only", set, append(harnessOnly, "device", "trace")...); err != nil {
+			fatal(err)
 		}
-		tbase := chaos.TenantConfig{
-			Seed:     *seed,
-			Writes:   *writes,
-			Tenants:  *tenantCount,
-			Shards:   *shards,
-			Mode:     mode,
-			Strategy: *strategyName,
-			CrashAt:  *crashAt,
-			RotateAt: *rotateAt,
-			Logf:     base.Logf,
-		}
+		tbase := chaos.TenantConfig{DeviceConfig: dbase, Tenants: *tenantCount, RotateAt: *rotateAt}
 		if !set["rotate-at"] {
 			// Rotation coverage on by default: kick off tenant 1's key
 			// rotation mid-workload so sweeps cross the rotation window.
@@ -193,22 +168,13 @@ func main() {
 		if *schemes {
 			bad := false
 			for _, strategy := range memctrl.Strategies() {
-				res, err := chaos.TenantConformance(strategy, tbase, *stride)
+				cfg := tbase
+				cfg.Strategy = strategy
+				res, err := chaos.TenantCrashSweep(cfg, *stride, cfg.Logf)
 				if err != nil {
 					fatal(err)
 				}
-				for _, f := range res.Failures {
-					for _, v := range f.Violations {
-						fmt.Printf("VIOLATION: %s\n", v)
-					}
-					fmt.Printf("REPRO: %s\n", f.Repro)
-				}
-				status := "ok"
-				if len(res.Failures) > 0 {
-					status = fmt.Sprintf("%d FAILED runs", len(res.Failures))
-					bad = true
-				}
-				fmt.Printf("tenants %-13s %4d runs, %s\n", strategy+":", res.Runs, status)
+				bad = schemeLine("tenants", strategy, res.Runs, res.Failures) || bad
 			}
 			if bad {
 				os.Exit(1)
@@ -224,28 +190,14 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if res.Crashed {
-			fmt.Printf("tenant run: %d tenants, %d shards, %d boundaries, crashed at %d (shard %d)\n",
-				*tenantCount, *shards, res.Boundaries, res.CrashBoundary, res.CrashShard)
-		} else {
-			fmt.Printf("tenant run: %d tenants, %d shards, %d boundaries, no crash\n", *tenantCount, *shards, res.Boundaries)
-		}
+		runLine(fmt.Sprintf("tenant run: %d tenants, %d shards", *tenantCount, *shards), res)
 		report("tenant run", single(chaos.TenantRepro(tbase), res.Boundaries, res.Violations), nil, false)
 		return
 	}
 
 	if *deviceRun {
-		if *campaign != "" || *nested || *crashAt2 >= 0 || set["fault-rate"] || set["shadow-faults"] || *breakRepair {
-			fatal(fmt.Errorf("-device supports single runs and -sweep only (campaigns, nested crashes and fault schedules stay on the single-controller harness)"))
-		}
-		dbase := chaos.DeviceConfig{
-			Seed:     *seed,
-			Writes:   *writes,
-			Shards:   *shards,
-			Mode:     mode,
-			Strategy: *strategyName,
-			CrashAt:  *crashAt,
-			Logf:     base.Logf,
+		if err := flagsErr("-device supports single runs and -sweep only", set, harnessOnly...); err != nil {
+			fatal(err)
 		}
 		if *sweep {
 			if *tracePath != "" {
@@ -279,16 +231,7 @@ func main() {
 				fatal(err)
 			}
 		}
-		if res.Crashed {
-			fmt.Printf("device run: %d shards, %d boundaries, crashed at %d (shard %d)",
-				*shards, res.Boundaries, res.CrashBoundary, res.CrashShard)
-			if res.Report != nil {
-				fmt.Printf(", recovered %d/%d tracked blocks", res.Report.RecoveredBlocks(), res.Report.TrackedEntries())
-			}
-			fmt.Println()
-		} else {
-			fmt.Printf("device run: %d shards, %d boundaries, no crash\n", *shards, res.Boundaries)
-		}
+		runLine(fmt.Sprintf("device run: %d shards", *shards), res)
 		report("device run", single(chaos.DeviceRepro(dbase), res.Boundaries, res.Violations), nil, false)
 		return
 	}
@@ -306,25 +249,13 @@ func main() {
 			FaultRate:   *faultRate,
 			Logf:        base.Logf,
 		}
-		results, err := chaos.ConformanceAll(nil, cfg)
-		if err != nil {
-			fatal(err)
-		}
 		bad := false
-		for _, r := range results {
-			fails := r.Failures()
-			for _, f := range fails {
-				for _, v := range f.Violations {
-					fmt.Printf("VIOLATION: %s\n", v)
-				}
-				fmt.Printf("REPRO: %s\n", f.Repro)
+		for _, strategy := range memctrl.Strategies() {
+			r, err := chaos.Conformance(strategy, cfg)
+			if err != nil {
+				fatal(err)
 			}
-			status := "ok"
-			if len(fails) > 0 {
-				status = fmt.Sprintf("%d FAILED runs", len(fails))
-				bad = true
-			}
-			fmt.Printf("schemes %-13s %4d runs, %s\n", r.Strategy+":", r.Runs(), status)
+			bad = schemeLine("schemes", strategy, r.Runs(), r.Failures()) || bad
 		}
 		if bad {
 			os.Exit(1)
@@ -356,18 +287,6 @@ func main() {
 		if set["fault-rate"] {
 			base.FaultRate = *faultRate
 		}
-		if base.CrashAt < 0 {
-			// No first crash point given: probe the workload and crash in
-			// the middle of it.
-			probe := base
-			probe.CrashAt, probe.NestedCrashAt = -1, -1
-			pres, err := chaos.Run(probe)
-			if err != nil {
-				fatal(err)
-			}
-			base.CrashAt = pres.Boundaries / 2
-		}
-		base.NestedCrashAt = -1
 		res, err := chaos.NestedSweep(base, *stride, logf)
 		report("nested sweep", res, err, *breakRepair)
 
@@ -410,6 +329,66 @@ func main() {
 		}
 		report("run", single(chaos.Repro(base), res.Boundaries, res.Violations), nil, *breakRepair)
 	}
+}
+
+// harnessOnly names the flags only the single-controller harness honours:
+// campaigns, nested crashes and device fault schedules.
+var harnessOnly = []string{"campaign", "nested", "crash-at2", "fault-rate", "shadow-faults", "break-half-repair"}
+
+// flagsErr refuses, with one message, every flag set that a leg cannot
+// honour.
+func flagsErr(leg string, set map[string]bool, flags ...string) error {
+	var bad []string
+	for _, f := range flags {
+		if set[f] {
+			bad = append(bad, "-"+f)
+		}
+	}
+	if len(bad) > 0 {
+		return fmt.Errorf("%s; drop %s", leg, strings.Join(bad, " "))
+	}
+	return nil
+}
+
+// netFlagsErr refuses the flags a -net run cannot honour.
+func netFlagsErr(set map[string]bool, pipeline, clients int) error {
+	if err := flagsErr("-net supports single runs and -sweep only", set, append(harnessOnly, "device", "tenants", "schemes", "trace")...); err != nil {
+		return err
+	}
+	if pipeline > 0 && set["net-clients"] && clients > 1 {
+		return fmt.Errorf("-pipeline sends through one pipe; it cannot be combined with -net-clients %d", clients)
+	}
+	return nil
+}
+
+// runLine prints a device-backed single run's crash coordinates.
+func runLine(what string, res *chaos.DeviceResult) {
+	if !res.Crashed {
+		fmt.Printf("%s, %d boundaries, no crash\n", what, res.Boundaries)
+		return
+	}
+	fmt.Printf("%s, %d boundaries, crashed at %d (shard %d)", what, res.Boundaries, res.CrashBoundary, res.CrashShard)
+	if res.Report != nil {
+		fmt.Printf(", recovered %d/%d tracked blocks", res.Report.RecoveredBlocks(), res.Report.TrackedEntries())
+	}
+	fmt.Println()
+}
+
+// schemeLine prints one strategy's suite outcome, each failure with its
+// repro line, and reports whether anything failed.
+func schemeLine(suite, strategy string, runs int, fails []chaos.Failure) bool {
+	for _, f := range fails {
+		for _, v := range f.Violations {
+			fmt.Printf("VIOLATION: %s\n", v)
+		}
+		fmt.Printf("REPRO: %s\n", f.Repro)
+	}
+	status := "ok"
+	if len(fails) > 0 {
+		status = fmt.Sprintf("%d FAILED runs", len(fails))
+	}
+	fmt.Printf("%s %-13s %4d runs, %s\n", suite, strategy+":", runs, status)
+	return len(fails) > 0
 }
 
 // single is one run as a one-run campaign, so it reports like a sweep.

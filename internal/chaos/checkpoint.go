@@ -61,7 +61,7 @@ func (t *twinStack) handover() error {
 		return fmt.Errorf("re-Checkpoint of restored controller: %w", err)
 	}
 	if !bytes.Equal(ckpt, again) {
-		t.res.violate("restored controller re-checkpoints differently (%d vs %d bytes)", len(ckpt), len(again))
+		t.sc.res.violate("restored controller re-checkpoints differently (%d vs %d bytes)", len(ckpt), len(again))
 	}
 	t.a, t.ctrl, t.now = t.ctrl, b, 0
 	return nil
@@ -70,7 +70,7 @@ func (t *twinStack) handover() error {
 func (t *twinStack) disarm() {
 	t.ctrlStack.disarm()
 	if err := t.handover(); err != nil {
-		t.res.violate("%v", err)
+		t.sc.res.violate("%v", err)
 	}
 }
 
@@ -93,15 +93,15 @@ func (t *twinStack) recover() (*device.RecoveryReport, error) {
 		return nil, errA
 	}
 	if a, b := accounting(repA.Shards[0]), accounting(repB.Shards[0]); a != b {
-		t.res.violate("recovery reports diverge: A %s, B %s", a, b)
+		t.sc.res.violate("recovery reports diverge: A %s, B %s", a, b)
 	}
 	ckptA, errA := t.a.Checkpoint()
 	ckptB, errB := t.ctrl.Checkpoint()
 	switch {
 	case errA != nil || errB != nil:
-		t.res.violate("post-recovery checkpoints: A err %v, B err %v", errA, errB)
+		t.sc.res.violate("post-recovery checkpoints: A err %v, B err %v", errA, errB)
 	case !bytes.Equal(ckptA, ckptB):
-		t.res.violate("post-recovery states diverge: straight-line recover and restore-then-recover checkpoint differently")
+		t.sc.res.violate("post-recovery states diverge: straight-line recover and restore-then-recover checkpoint differently")
 	}
 	return repB, nil
 }
@@ -112,9 +112,5 @@ func (t *twinStack) recover() (*device.RecoveryReport, error) {
 // restoring a checkpoint of a crashed controller and recovering is
 // indistinguishable from recovering in place, at every crash point.
 func CheckpointSweep(base Config, stride int, logf func(string, ...any)) (*CampaignResult, error) {
-	return sweep("checkpoint sweep: %d workload boundaries, stride %d", stride, logf, func(k int) (point, error) {
-		cfg := base
-		cfg.CrashAt, cfg.NestedCrashAt = k, -1
-		return ctrlPoint(CheckpointRun, cfg)
-	})
+	return ctrlSweep("checkpoint sweep: %d workload boundaries, stride %d", CheckpointRun, base, stride, logf)
 }

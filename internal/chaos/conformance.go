@@ -66,10 +66,7 @@ func (r *ConformanceResult) Runs() int {
 // anchors its first crash at the middle workload boundary — the point where
 // the most tracked state is in flight.
 func Conformance(strategy string, cfg ConformanceConfig) (*ConformanceResult, error) {
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
+	logf := orNop(cfg.Logf)
 	base := Config{
 		Seed:     cfg.Seed,
 		Writes:   cfg.Writes,
@@ -123,23 +120,6 @@ func Conformance(strategy string, cfg ConformanceConfig) (*ConformanceResult, er
 			return nil, fmt.Errorf("chaos: %s fault campaign: %w", strategy, err)
 		}
 		out.Faults = fc
-	}
-	return out, nil
-}
-
-// ConformanceAll runs every named strategy (nil = all registered) through
-// the suite and returns the per-strategy results in order.
-func ConformanceAll(strategies []string, cfg ConformanceConfig) ([]*ConformanceResult, error) {
-	if strategies == nil {
-		strategies = memctrl.Strategies()
-	}
-	out := make([]*ConformanceResult, 0, len(strategies))
-	for _, s := range strategies {
-		r, err := Conformance(s, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
 	}
 	return out, nil
 }

@@ -31,6 +31,9 @@ type DeviceInjector struct {
 	fired      bool
 	firedShard int
 	disarmed   bool
+	// down, when set, reports the device down; boundaries crossed then (a
+	// kill's crash and restart recovery) are neither counted nor armed.
+	down func() bool
 }
 
 // NewDeviceInjector builds an injector that cuts power at the given
@@ -86,6 +89,9 @@ func (in *DeviceInjector) Disarm() {
 // inject.PowerLoss (unwinding that shard's in-flight operation) when the
 // crossing is the armed one.
 func (in *DeviceInjector) hit(shard int) {
+	if in.down != nil && in.down() {
+		return
+	}
 	in.mu.Lock()
 	b := in.boundary
 	in.boundary++
@@ -200,12 +206,21 @@ func accounting(r *memctrl.RecoveryReport) string {
 // repro printed by a -schemes or sweep run is self-contained.
 func DeviceRepro(cfg DeviceConfig) string {
 	cfg = cfg.normalized()
-	s := fmt.Sprintf("go run ./cmd/chaos -device -shards %d -seed %d -writes %d -mode %s -strategy %s",
+	return "go run ./cmd/chaos -device " + cfg.flags() + crashFlag(cfg.CrashAt)
+}
+
+// flags renders the device flags every device-backed leg's repro shares.
+func (cfg DeviceConfig) flags() string {
+	return fmt.Sprintf("-shards %d -seed %d -writes %d -mode %s -strategy %s",
 		cfg.Shards, cfg.Seed, cfg.Writes, ModeFlag(cfg.Mode), cfg.Strategy)
-	if cfg.CrashAt >= 0 {
-		s += fmt.Sprintf(" -crash-at %d", cfg.CrashAt)
+}
+
+// crashFlag renders a repro's crash point, "" for none.
+func crashFlag(k int) string {
+	if k < 0 {
+		return ""
 	}
-	return s
+	return fmt.Sprintf(" -crash-at %d", k)
 }
 
 // devStack drives the sharded device closed-loop: one request in flight
@@ -213,6 +228,7 @@ func DeviceRepro(cfg DeviceConfig) string {
 type devStack struct {
 	dev *device.Device
 	inj *DeviceInjector
+	sc  *scenario
 }
 
 func newDevice(mode memctrl.Mode, shards int, strategy string, trace bool) (*device.Device, error) {
@@ -241,16 +257,19 @@ func newDeviceScenario(cfg DeviceConfig, trace bool) (*scenario, *devStack, erro
 		return nil, nil, err
 	}
 	ops := genOps(cfg.Seed, cfg.Writes, dev.Info().CapacityBytes/nvm.LineSize)
-	return newScenario(d, cfg.Seed, ops, cfg.Shards, cfg.Logf), d, nil
+	d.sc = newScenario(d, cfg.Seed, ops, cfg.Shards, cfg.Logf)
+	return d.sc, d, nil
 }
 
-func (d *devStack) op(_ int, k key, line *nvm.Line) error {
+func (d *devStack) op(i int, k key, line *nvm.Line) {
+	var got nvm.Line
+	var err error
 	if line == nil {
-		_, err := d.read(k)
-		return err
+		got, err = d.read(k)
+	} else {
+		_, err = d.dev.Write(k.addr, line)
 	}
-	_, err := d.dev.Write(k.addr, line)
-	return err
+	d.sc.done(i, got, err)
 }
 
 func (d *devStack) read(k key) (nvm.Line, error) {
@@ -258,6 +277,7 @@ func (d *devStack) read(k key) (nvm.Line, error) {
 	return got, err
 }
 
+func (d *devStack) wait()           {}
 func (d *devStack) boundaries() int { return d.inj.Boundaries() }
 func (d *devStack) disarm()         { d.inj.Disarm() }
 

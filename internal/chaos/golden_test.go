@@ -85,6 +85,14 @@ func sweepTranscripts(t *testing.T) string {
 		b.WriteString(renderDeviceResult(TenantRepro(cfg), logs, res))
 		return res
 	}
+	netRun := func(cfg NetConfig) *DeviceResult {
+		var logs []string
+		cfg.Logf = func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
+		res, err := NetRun(cfg)
+		must(err)
+		b.WriteString(renderDeviceResult(NetRepro(cfg), logs, res))
+		return res
+	}
 	const stride = 5
 
 	base := Config{Seed: 1, Writes: 60, Mode: memctrl.ModeSRC, CrashAt: -1, NestedCrashAt: -1}
@@ -153,7 +161,7 @@ func sweepTranscripts(t *testing.T) string {
 		dev(cfg)
 	}
 
-	tbase := TenantConfig{Seed: 1, Writes: 60, Tenants: 3, Shards: 4, Mode: memctrl.ModeSRC, CrashAt: -1, RotateAt: 30}
+	tbase := TenantConfig{DeviceConfig: DeviceConfig{Seed: 1, Writes: 60, Shards: 4, Mode: memctrl.ModeSRC, CrashAt: -1}, Tenants: 3, RotateAt: 30}
 	sweep("tenant crash sweep", func(logf func(string, ...any)) (*CampaignResult, error) {
 		return TenantCrashSweep(tbase, stride, logf)
 	})
@@ -162,6 +170,24 @@ func sweepTranscripts(t *testing.T) string {
 		cfg := tbase
 		cfg.CrashAt = k
 		ten(cfg)
+	}
+
+	// Over TCP: stop-and-wait on a clean link, then one pipe through every
+	// fault family and a kill/restart cycle.
+	ndev := DeviceConfig{Seed: 1, Writes: 40, Shards: 4, Mode: memctrl.ModeSRC, CrashAt: -1}
+	for _, nbase := range []NetConfig{
+		{DeviceConfig: ndev, Clients: 3},
+		{DeviceConfig: ndev, FaultName: "combined", Kills: 1, Pipeline: 4},
+	} {
+		sweep("net crash sweep", func(logf func(string, ...any)) (*CampaignResult, error) {
+			return NetCrashSweep(nbase, stride, logf)
+		})
+		np := netRun(nbase)
+		for k := 0; k < np.Boundaries; k += stride {
+			cfg := nbase
+			cfg.CrashAt = k
+			netRun(cfg)
+		}
 	}
 	return b.String()
 }

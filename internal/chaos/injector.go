@@ -1,16 +1,16 @@
 // Package chaos is the crash-and-fault campaign harness. One scenario
 // runner drives a deterministic workload through a stack — a bare
 // memctrl.Controller, its checkpoint-restored twin, the sharded
-// device.Device, or the tenant.Service over it — while inject.Hooks cut
-// power at chosen write boundaries (and, on the controller, sprinkle
-// seeded device faults), then recovers it and applies one oracle to every
-// stack: every acknowledged write reads back, the in-flight write holds
-// its old or its new value, recovery reports account for what they
-// tracked and lose nothing without faults, and the image verifies and
-// survives a clean crash/recover round. Every scenario is fully determined
-// by its config, so any failure is reproducible from the one-line command
-// the harness prints. NetRun exercises the network stack on its own: it is
-// concurrent, wall-clock timed and has no crash boundary.
+// device.Device, the tenant.Service over it, or the device served over TCP
+// behind a fault proxy — while inject.Hooks cut power at chosen write
+// boundaries (and, on the controller, sprinkle seeded device faults), then
+// recovers it and applies one oracle to every stack: every acknowledged
+// write and read holds committed content, the in-flight write holds its
+// old or its new value, recovery reports account for what they tracked
+// and lose nothing without faults, and the image verifies and survives a
+// clean crash/recover round. Every scenario is fully determined by its
+// config, so any failure is reproducible from the one-line command the
+// harness prints.
 package chaos
 
 import (

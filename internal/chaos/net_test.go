@@ -8,122 +8,154 @@ import (
 )
 
 func TestNetRunCleanSchedule(t *testing.T) {
-	res, err := NetRun(NetConfig{
-		Seed:    11,
-		Ops:     20,
-		Clients: 2,
-		Shards:  2,
-		Mode:    memctrl.ModeSRC,
-	})
+	cfg := NetConfig{DeviceConfig: DeviceConfig{Seed: 11, Writes: 40, Shards: 2, Mode: memctrl.ModeSRC, CrashAt: -1}, Clients: 2}
+	sc, n, err := newNetScenario(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Violations) > 0 {
-		t.Fatalf("clean run violated: %v", res.Violations)
+	defer n.close()
+	if len(sc.ops) != 40 {
+		t.Fatalf("workload has %d ops, want Writes = 40 in total", len(sc.ops))
 	}
-	if res.AckedWrites+res.AckedReads != 40 {
-		t.Fatalf("acked %d ops, want 40", res.AckedWrites+res.AckedReads)
+	res, _ := sc.run(0)
+	if len(res.Violations) > 0 || res.Crashed {
+		t.Fatalf("clean run: crashed %t, violations %v", res.Crashed, res.Violations)
 	}
-	if res.AppliedWrites != uint64(res.AckedWrites) {
-		t.Fatalf("applied %d != acked %d", res.AppliedWrites, res.AckedWrites)
+	if n.acked == 0 || n.applied.Value() != n.acked {
+		t.Fatalf("applied %d, acked %d", n.applied.Value(), n.acked)
 	}
 }
 
 func TestNetRunCombinedWithKill(t *testing.T) {
-	sched, err := NetFaultSchedule("combined")
+	cfg := NetConfig{DeviceConfig: DeviceConfig{Seed: 5, Writes: 50, Shards: 2, Mode: memctrl.ModeSRC, CrashAt: -1}, Clients: 3, Kills: 1, FaultName: "combined"}
+	sc, n, err := newNetScenario(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := NetConfig{
-		Seed:      5,
-		Ops:       25,
-		Clients:   3,
-		Shards:    2,
-		Mode:      memctrl.ModeSRC,
-		Kills:     1,
-		Schedule:  sched,
-		FaultName: "combined",
-	}
-	res, err := NetRun(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer n.close()
+	res, _ := sc.run(0)
 	if len(res.Violations) > 0 {
 		t.Fatalf("combined+kill run violated: %v\nrepro: %s", res.Violations, NetRepro(cfg))
 	}
-	if res.Kills != 1 {
-		t.Fatalf("kills = %d, want 1", res.Kills)
-	}
-	if res.AppliedWrites != uint64(res.AckedWrites) {
-		t.Fatalf("exactly-once broken: applied %d != acked %d", res.AppliedWrites, res.AckedWrites)
+	if n.sup.Kills() != 1 {
+		t.Fatalf("kills = %d, want 1", n.sup.Kills())
 	}
 }
 
 // TestNetRunPipelinedCombinedWithKill drives the windowed batching front
-// end through the combined fault schedule plus a kill/restart cycle: the
-// acked-write oracle, the exactly-once equality and the batch-frame
-// classifier must all hold with go-back-N recovery in play.
+// end through the combined fault schedule, a kill/restart cycle and a
+// power cut: the runner's oracle and the exactly-once check must hold with
+// go-back-N recovery in play.
 func TestNetRunPipelinedCombinedWithKill(t *testing.T) {
-	sched, err := NetFaultSchedule("combined")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := NetConfig{
-		Seed:      5,
-		Ops:       25,
-		Clients:   3,
-		Shards:    2,
-		Mode:      memctrl.ModeSRC,
-		Kills:     1,
-		Pipeline:  4,
-		Schedule:  sched,
-		FaultName: "combined",
-	}
+	cfg := NetConfig{DeviceConfig: DeviceConfig{Seed: 5, Writes: 50, Shards: 2, Mode: memctrl.ModeSRC, CrashAt: 30}, Kills: 1, FaultName: "combined", Pipeline: 4}
 	res, err := NetRun(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Violations) > 0 {
-		t.Fatalf("pipelined combined+kill run violated: %v\nrepro: %s", res.Violations, NetRepro(cfg))
+	if len(res.Violations) > 0 || !res.Crashed {
+		t.Fatalf("pipelined combined+kill run: crashed %t, violations %v\nrepro: %s", res.Crashed, res.Violations, NetRepro(cfg))
 	}
-	if res.Batch != 8 {
-		t.Fatalf("batch defaulted to %d, want 8", res.Batch)
-	}
-	if res.AppliedWrites != uint64(res.AckedWrites) {
-		t.Fatalf("exactly-once broken: applied %d != acked %d", res.AppliedWrites, res.AckedWrites)
-	}
-	if !strings.Contains(res.Report(), "front end: pipelined") {
-		t.Fatalf("report missing pipelined front-end line:\n%s", res.Report())
-	}
-	if !strings.Contains(NetRepro(cfg), "-pipeline 4") {
-		t.Fatalf("repro missing pipeline flag: %s", NetRepro(cfg))
+	if repro := NetRepro(cfg); !strings.Contains(repro, "-pipeline 4 -net-batch 8") || !strings.Contains(repro, "-crash-at 30") {
+		t.Fatalf("repro missing the pipeline or crash point: %s", repro)
 	}
 }
 
+// TestNetReportDeterministic: a net run that crashes is a seeded scenario
+// like any other — two runs of the same config render the same transcript.
 func TestNetReportDeterministic(t *testing.T) {
-	run := func() string {
-		res, err := NetRun(NetConfig{Seed: 9, Ops: 15, Clients: 2, Shards: 2, Mode: memctrl.ModeSRC})
-		if err != nil {
-			t.Fatal(err)
+	dev := DeviceConfig{Seed: 9, Writes: 30, Shards: 2, Mode: memctrl.ModeSRC, CrashAt: 12}
+	for _, cfg := range []NetConfig{
+		{DeviceConfig: dev, Clients: 2},
+		{DeviceConfig: dev, Pipeline: 4, FaultName: "corrupt", Kills: 1},
+	} {
+		run := func() string {
+			res, err := NetRun(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Crashed {
+				t.Fatalf("%s never crashed (%d boundaries)", NetRepro(cfg), res.Boundaries)
+			}
+			return renderDeviceResult(NetRepro(cfg), nil, res)
 		}
-		return res.Report()
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("same config produced different reports:\n%s\nvs\n%s", a, b)
-	}
-	if !strings.Contains(a, "oracle:") {
-		t.Fatalf("report missing oracle verdict:\n%s", a)
+		if a, b := run(), run(); a != b {
+			t.Fatalf("same config rendered different transcripts:\n%s\nvs\n%s", a, b)
+		}
 	}
 }
 
 func TestNetFaultScheduleNames(t *testing.T) {
 	for _, name := range []string{"clean", "latency", "throttle", "corrupt", "reset", "truncate", "partition", "combined"} {
-		if _, err := NetFaultSchedule(name); err != nil {
-			t.Errorf("schedule %q: %v", name, err)
+		if len(netFaults[name]) == 0 {
+			t.Errorf("schedule %q has no phases", name)
 		}
 	}
-	if _, err := NetFaultSchedule("bogus"); err == nil {
+	if _, err := NetRun(NetConfig{DeviceConfig: DeviceConfig{Writes: 4, CrashAt: -1}, FaultName: "bogus"}); err == nil {
 		t.Error("bogus schedule accepted")
+	}
+}
+
+// TestNetRunHonoursStrategy: the served device runs the configured
+// metadata-persistence scheme, so its boundary count is that scheme's.
+func TestNetRunHonoursStrategy(t *testing.T) {
+	boundaries := func(cfg NetConfig) int {
+		res, err := NetRun(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Boundaries
+	}
+	for _, strategy := range []string{"soteria", "triad-nvm"} {
+		cfg := NetConfig{DeviceConfig: DeviceConfig{Seed: 1, Writes: 60, Shards: 1, Mode: memctrl.ModeSRC, CrashAt: -1, Strategy: strategy}, Clients: 1}
+		dev := DeviceConfig{Seed: 1, Writes: 60, Shards: 1, Mode: memctrl.ModeSRC, CrashAt: -1, Strategy: strategy}
+		dres, err := DeviceRun(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := boundaries(cfg); got != dres.Boundaries {
+			t.Errorf("%s: net run crossed %d boundaries, the device leg %d", strategy, got, dres.Boundaries)
+		}
+	}
+}
+
+// settledAtCrash records which ops had settled when the workload loop
+// ended, before replay settles the rest.
+type settledAtCrash struct {
+	stack
+	sc      *scenario
+	settled []bool
+}
+
+func (s *settledAtCrash) wait() {
+	s.stack.wait()
+	if s.settled == nil {
+		s.settled = append([]bool(nil), s.sc.settled...)
+	}
+}
+
+// TestPipeCutRule pins the commit rule for a pipelined power loss. Seed 1,
+// crash-at 6: the batch holding ops 3..10 executes as shard groups in order
+// of first op — shard 0 [3 8 10], shard 1 [4 7], shard 3 [5 6], shard 2 [9]
+// — and power is lost inside write 7. Write 8, numbered after it, executed
+// earlier and was acknowledged; write 5, numbered before it, executed later
+// and was cut. Committing by acknowledgement keeps the oracle clean;
+// committing in submission order would expect 5 and not 8.
+func TestPipeCutRule(t *testing.T) {
+	sc, n, err := newNetScenario(NetConfig{DeviceConfig: DeviceConfig{Seed: 1, Writes: 40, Shards: 4, Mode: memctrl.ModeSRC, CrashAt: 6}, Pipeline: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.close()
+	rec := &settledAtCrash{stack: sc.stack, sc: sc}
+	sc.stack = rec
+	res, _ := sc.run(0)
+	shard := func(i int) int { return n.dev.ShardOf(sc.ops[i].addr) }
+	if sc.crashOp != 7 || sc.replayFrom != 5 || !rec.settled[8] || rec.settled[5] ||
+		sc.ops[5].kind != opWrite || sc.ops[8].kind != opWrite || shard(7) != 1 || shard(8) != 0 || shard(5) != 3 {
+		t.Fatalf("scenario moved: crash op %d, replay from %d, settled 5=%t 8=%t, shards 5=%d 7=%d 8=%d",
+			sc.crashOp, sc.replayFrom, rec.settled[5], rec.settled[8], shard(5), shard(7), shard(8))
+	}
+	if len(res.Violations) > 0 {
+		t.Fatalf("out-of-order cut raised violations: %v", res.Violations)
 	}
 }

@@ -17,6 +17,7 @@ const (
 	plantStale            // one acknowledged write reads back stale
 	plantInFlight         // the in-flight line reads a third value
 	plantAccounting       // the report claims more recovered than tracked
+	plantStaleRead        // one acknowledged workload read returns stale data
 )
 
 // faultyStack wraps a real stack and plants one fault in what the
@@ -38,6 +39,17 @@ func (f *faultyStack) recover() (*device.RecoveryReport, error) {
 	}
 	f.recovered = true
 	return rep, err
+}
+
+// op answers the first workload read of a committed line with the line
+// as it was before its first write.
+func (f *faultyStack) op(i int, k key, line *nvm.Line) {
+	if _, ok := f.sc.committed[k]; ok && line == nil && f.plant == plantStaleRead && !f.planted {
+		f.planted = true
+		f.sc.done(i, nvm.Line{}, nil)
+		return
+	}
+	f.stack.op(i, k, line)
 }
 
 func (f *faultyStack) read(k key) (nvm.Line, error) {
@@ -88,12 +100,27 @@ func TestOracleCatchesPlantedFaults(t *testing.T) {
 			return sc
 		}},
 		{"tenant", func(t *testing.T, k int) *scenario {
-			sc, ts, err := newTenantScenario(TenantConfig{Seed: 3, Writes: 40, Tenants: 2, Shards: 2,
-				Mode: memctrl.ModeSRC, CrashAt: k, RotateAt: 10})
+			sc, ts, err := newTenantScenario(TenantConfig{DeviceConfig: DeviceConfig{Seed: 3, Writes: 40, Shards: 2, Mode: memctrl.ModeSRC, CrashAt: k}, Tenants: 2, RotateAt: 10})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { ts.dev.Close() })
+			return sc
+		}},
+		{"net stop-and-wait", func(t *testing.T, k int) *scenario {
+			sc, n, err := newNetScenario(NetConfig{DeviceConfig: DeviceConfig{Seed: 3, Writes: 40, Shards: 2, Mode: memctrl.ModeSRC, CrashAt: k}, Clients: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(n.close)
+			return sc
+		}},
+		{"net pipe", func(t *testing.T, k int) *scenario {
+			sc, n, err := newNetScenario(NetConfig{DeviceConfig: DeviceConfig{Seed: 3, Writes: 40, Shards: 2, Mode: memctrl.ModeSRC, CrashAt: k}, Pipeline: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(n.close)
 			return sc
 		}},
 	}
@@ -105,6 +132,7 @@ func TestOracleCatchesPlantedFaults(t *testing.T) {
 		{plantStale, "silent corruption"},
 		{plantInFlight, "in-flight"},
 		{plantAccounting, "recovery report accounting"},
+		{plantStaleRead, "stale or corrupt read"},
 	}
 	for _, st := range stacks {
 		t.Run(st.name, func(t *testing.T) {

@@ -140,13 +140,17 @@ func (k key) String() string {
 }
 
 // stack is one system under test — a bare controller, its checkpoint twin,
-// the sharded device, or the tenant service over it — as the scenario
-// runner drives it. Whatever the stack, a power loss surfaces as a
-// *device.PowerError and any other panic as a *device.PanicError.
+// the sharded device, the tenant service over it, or that device served
+// over TCP — as the scenario runner drives it. Whatever the stack, a power
+// loss surfaces as a *device.PowerError and any other panic as a
+// *device.PanicError.
 type stack interface {
-	// op executes workload op i: a write of line to k, or a read of k when
-	// line is nil.
-	op(i int, k key, line *nvm.Line) error
+	// op starts workload op i — a write of line to k, or a read of k when
+	// line is nil — and reports its outcome through sc.done: inline, or
+	// for a pipelined stack from a later op or wait.
+	op(i int, k key, line *nvm.Line)
+	// wait returns once every op started so far has reported its outcome.
+	wait()
 	read(k key) (nvm.Line, error)
 	// boundaries counts the write boundaries crossed so far.
 	boundaries() int
@@ -182,15 +186,23 @@ type scenario struct {
 	inFlight    int         // op index of the write the power loss cut, or -1
 	inFlightKey key
 	crashOp     int
+	settled     []bool // op i was acknowledged, or failed before the power loss
+	replayFrom  int    // lowest op the power loss left unacknowledged
+	cut         bool   // the power loss was seen and recovery has not run yet
+	stopped     bool   // a fatal outcome ended the run
+	what        string // "op", or "replay op" once recovery ran
 }
 
 func newScenario(s stack, seed int64, ops []wop, shards int, logf func(string, ...any)) *scenario {
 	return &scenario{
 		stack: s, seed: seed, ops: ops, shards: shards, logf: orNop(logf),
-		res:       &DeviceResult{CrashBoundary: -1, CrashShard: -1},
-		committed: make(map[key]int),
-		inFlight:  -1,
-		crashOp:   -1,
+		res:        &DeviceResult{CrashBoundary: -1, CrashShard: -1},
+		committed:  make(map[key]int),
+		inFlight:   -1,
+		crashOp:    -1,
+		settled:    make([]bool, len(ops)),
+		replayFrom: len(ops),
+		what:       "op",
 	}
 }
 
@@ -202,60 +214,85 @@ func (sc *scenario) key(i int) key {
 	return k
 }
 
-func (sc *scenario) exec(i int, k key) error {
+func (sc *scenario) exec(i int) {
+	k := sc.key(i)
 	if sc.ops[i].kind == opRead {
-		return sc.stack.op(i, k, nil)
+		sc.stack.op(i, k, nil)
+		return
 	}
 	line := lineFor(sc.seed, k.tenant, i)
-	return sc.stack.op(i, k, &line)
+	sc.stack.op(i, k, &line)
 }
 
-// settle accounts for the outcome of op i; false means the run must stop.
-func (sc *scenario) settle(what string, i int, k key, err error) bool {
-	if msg, ok := fatal(err); ok {
-		sc.res.violate("%s %d (%v %v): %s", what, i, sc.ops[i].kind, k, msg)
-		return false
+// halt records a violation that leaves the run unable to go on.
+func (sc *scenario) halt(format string, args ...any) {
+	sc.res.violate(format, args...)
+	sc.stopped = true
+}
+
+// done accounts for the outcome of op i, got being what a read returned.
+// Stacks report every op they start exactly once, in the order outcomes
+// arrive: a pipelined stack may acknowledge an op numbered after the
+// power-loss op, or fail one numbered before it. So every acknowledged op
+// commits, the power-loss op alone may read back old or new, and any other
+// error between the power loss and recovery means "not applied": replay
+// starts at the lowest such op.
+func (sc *scenario) done(i int, got nvm.Line, err error) {
+	if sc.stopped {
+		return
 	}
-	if err != nil {
-		sc.res.OpErrors++
-		if !sc.errOK {
-			sc.res.violate("%s %d (%v %v): unexpected error: %v", what, i, sc.ops[i].kind, k, err)
+	k, res := sc.key(i), sc.res
+	var pe *device.PowerError
+	if sc.crashOp < 0 && errors.As(err, &pe) {
+		res.Crashed, res.CrashBoundary, res.CrashShard = true, pe.Boundary, pe.Shard
+		sc.crashOp, sc.cut = i, true
+		sc.replayFrom = min(sc.replayFrom, i)
+		if sc.ops[i].kind == opWrite {
+			sc.inFlight, sc.inFlightKey = i, k
 		}
-		return true
+		return
 	}
-	if sc.ops[i].kind == opWrite {
+	if msg, ok := fatal(err); ok {
+		sc.halt("%s %d (%v %v): %s", sc.what, i, sc.ops[i].kind, k, msg)
+		return
+	}
+	if sc.cut && err != nil {
+		sc.replayFrom = min(sc.replayFrom, i)
+		return
+	}
+	sc.settled[i] = true
+	switch c, ok := sc.committed[k]; {
+	case err != nil:
+		res.OpErrors++
+		if !sc.errOK {
+			res.violate("%s %d (%v %v): unexpected error: %v", sc.what, i, sc.ops[i].kind, k, err)
+		}
+	case sc.ops[i].kind == opWrite:
 		sc.committed[k] = i
+	case ok && got != lineFor(sc.seed, k.tenant, c):
+		res.violate("%s %d (read %v): stale or corrupt read: committed op %d does not read back", sc.what, i, k, c)
 	}
-	return true
 }
 
 // run drives the workload from op start to its end or to the power loss,
 // then recovery and the oracle: the report checks, a read-back in which the
-// one in-flight write may hold its old or its new value, replay of the
-// interrupted tail, flush and VerifyAll, a clean crash/recover round, and a
-// final strict read-back. It fails only when beforeOp does.
+// one in-flight write may hold its old or its new value, replay of what the
+// power loss left unacknowledged, flush and VerifyAll, a clean
+// crash/recover round, and a final strict read-back. It fails only when
+// beforeOp does.
 func (sc *scenario) run(start int) (*DeviceResult, error) {
 	s, res := sc.stack, sc.res
-	for i := start; i < len(sc.ops); i++ {
+	for i := start; i < len(sc.ops) && sc.crashOp < 0 && !sc.stopped; i++ {
 		if sc.beforeOp != nil {
 			if err := sc.beforeOp(i); err != nil {
 				return nil, err
 			}
 		}
-		k := sc.key(i)
-		err := sc.exec(i, k)
-		var pe *device.PowerError
-		if errors.As(err, &pe) {
-			res.Crashed, res.CrashBoundary, res.CrashShard = true, pe.Boundary, pe.Shard
-			sc.crashOp = i
-			if sc.ops[i].kind == opWrite {
-				sc.inFlight, sc.inFlightKey = i, k
-			}
-			break
-		}
-		if !sc.settle("op", i, k, err) {
-			return res, nil
-		}
+		sc.exec(i)
+	}
+	s.wait()
+	if sc.stopped {
+		return res, nil
 	}
 	res.Boundaries = s.boundaries()
 
@@ -274,11 +311,16 @@ func (sc *scenario) run(start int) (*DeviceResult, error) {
 		sc.checkReport(rep)
 		sc.readCheck("post-recovery", true)
 		s.extraChecks("post-recovery")
-		// Replay the interrupted op and the rest of the workload disarmed.
-		for i := sc.crashOp; i < len(sc.ops); i++ {
-			if !sc.settle("replay op", i, sc.key(i), sc.exec(i, sc.key(i))) {
-				return res, nil
+		// Replay what the power loss left unacknowledged, disarmed.
+		sc.cut, sc.what = false, "replay op"
+		for i := sc.replayFrom; i < len(sc.ops) && !sc.stopped; i++ {
+			if !sc.settled[i] {
+				sc.exec(i)
 			}
+		}
+		s.wait()
+		if sc.stopped {
+			return res, nil
 		}
 	} else {
 		s.disarm()

@@ -90,8 +90,7 @@ func Run(cfg Config) (*Result, error) {
 // is where shadow-entry faults land and a nested power loss may cut in.
 type ctrlStack struct {
 	cfg  Config
-	res  *DeviceResult
-	logf func(format string, args ...any)
+	sc   *scenario
 	ctrl *memctrl.Controller
 	inj  *Injector
 	now  sim.Time
@@ -134,7 +133,7 @@ func newCtrlScenario(cfg Config) (*scenario, *ctrlStack, error) {
 
 	c := &ctrlStack{cfg: cfg, ctrl: ctrl, inj: inj}
 	sc := newScenario(c, cfg.Seed, genOps(cfg.Seed, cfg.Writes, dataLines), 1, cfg.Logf)
-	c.res, c.logf = sc.res, sc.logf
+	c.sc = sc
 	// With random device faults (or deliberately broken recovery) reads
 	// and ops may legitimately fail with a typed error; what is never
 	// legitimate is wrong data without an error, or a panic.
@@ -162,16 +161,21 @@ func (c *ctrlStack) result(r *DeviceResult) *Result {
 	return res
 }
 
-func (c *ctrlStack) op(_ int, k key, line *nvm.Line) error {
+func (c *ctrlStack) op(i int, k key, line *nvm.Line) {
+	var got nvm.Line
+	var err error
 	if line == nil {
-		_, err := c.read(k)
-		return err
+		got, err = c.read(k)
+	} else {
+		err = guard(func() (err error) {
+			c.now, err = c.ctrl.WriteBlock(c.now, k.addr, line)
+			return err
+		})
 	}
-	return guard(func() (err error) {
-		c.now, err = c.ctrl.WriteBlock(c.now, k.addr, line)
-		return err
-	})
+	c.sc.done(i, got, err)
 }
+
+func (c *ctrlStack) wait() {}
 
 func (c *ctrlStack) read(k key) (got nvm.Line, err error) {
 	err = guard(func() (err error) {
@@ -207,7 +211,7 @@ func (c *ctrlStack) recover() (*device.RecoveryReport, error) {
 	var pe *device.PowerError
 	if errors.As(err, &pe) {
 		c.nested = true
-		c.logf("nested power loss at recovery boundary %d", pe.Boundary)
+		c.sc.logf("nested power loss at recovery boundary %d", pe.Boundary)
 		if err := c.ctrl.Crash(); err != nil {
 			return nil, fmt.Errorf("Crash() during interrupted recovery: %w", err)
 		}
@@ -217,7 +221,7 @@ func (c *ctrlStack) recover() (*device.RecoveryReport, error) {
 	c.recoveryBoundaries = c.inj.Boundary
 	c.inj.Disarm()
 	if err == nil && !c.cfg.BreakHalfRepair && len(c.shadowNotes) > 0 && rep.Shards[0].HalfRepairs == 0 {
-		c.res.violate("shadow faults injected (%v) but recovery performed no half repairs", c.shadowNotes)
+		c.sc.res.violate("shadow faults injected (%v) but recovery performed no half repairs", c.shadowNotes)
 	}
 	return rep, err
 }

@@ -7,34 +7,26 @@ import (
 	"soteria/internal/memctrl"
 )
 
+// modeFlags are the cmd/chaos -mode flag values, indexed by mode.
+var modeFlags = [...]string{memctrl.ModeNonSecure: "nonsecure", memctrl.ModeBaseline: "baseline",
+	memctrl.ModeSRC: "src", memctrl.ModeSAC: "sac"}
+
 // ModeFlag renders a mode as the cmd/chaos -mode flag value.
 func ModeFlag(m memctrl.Mode) string {
-	switch m {
-	case memctrl.ModeNonSecure:
-		return "nonsecure"
-	case memctrl.ModeBaseline:
-		return "baseline"
-	case memctrl.ModeSAC:
-		return "sac"
-	default:
-		return "src"
+	if uint(m) < uint(len(modeFlags)) {
+		return modeFlags[m]
 	}
+	return "src"
 }
 
 // ParseMode is the inverse of ModeFlag.
 func ParseMode(s string) (memctrl.Mode, error) {
-	switch s {
-	case "nonsecure":
-		return memctrl.ModeNonSecure, nil
-	case "baseline":
-		return memctrl.ModeBaseline, nil
-	case "src":
-		return memctrl.ModeSRC, nil
-	case "sac":
-		return memctrl.ModeSAC, nil
-	default:
-		return 0, fmt.Errorf("chaos: unknown mode %q (want nonsecure|baseline|src|sac)", s)
+	for m, f := range modeFlags {
+		if f == s {
+			return memctrl.Mode(m), nil
+		}
 	}
+	return 0, fmt.Errorf("chaos: unknown mode %q (want nonsecure|baseline|src|sac)", s)
 }
 
 // Repro renders the cmd/chaos invocation that replays cfg exactly. Every
@@ -97,32 +89,38 @@ func (c *CampaignResult) collect(repro string, violations []string) {
 	}
 }
 
-// ctrlPoint runs one controller scenario as a sweep point.
-func ctrlPoint(run func(Config) (*Result, error), cfg Config) (point, error) {
-	res, err := run(cfg)
-	if err != nil {
-		return point{}, err
-	}
-	return point{res.Boundaries, res.Crashed, Repro(cfg), res.Violations}, nil
+// ctrlSweep is the crash sweep of one controller scenario runner.
+func ctrlSweep(header string, run func(Config) (*Result, error), base Config, stride int, logf func(string, ...any)) (*CampaignResult, error) {
+	return sweep(header, stride, logf, func(k int) (point, error) {
+		cfg := base
+		cfg.CrashAt, cfg.NestedCrashAt = k, -1
+		res, err := run(cfg)
+		if err != nil {
+			return point{}, err
+		}
+		return point{res.Boundaries, res.Crashed, Repro(cfg), res.Violations}, nil
+	})
 }
 
 // CrashSweep first probes the workload to count its write boundaries, then
 // replays it crashing at every stride-th boundary: "crash at write k,
 // recover, verify, for all k".
 func CrashSweep(base Config, stride int, logf func(string, ...any)) (*CampaignResult, error) {
-	return sweep("crash sweep: %d workload boundaries, stride %d", stride, logf, func(k int) (point, error) {
-		cfg := base
-		cfg.CrashAt, cfg.NestedCrashAt = k, -1
-		return ctrlPoint(Run, cfg)
-	})
+	return ctrlSweep("crash sweep: %d workload boundaries, stride %d", Run, base, stride, logf)
 }
 
-// NestedSweep crashes the workload at base.CrashAt, then sweeps a second
-// power loss over every stride-th boundary of the recovery itself —
-// "crash during Recover, recover again".
+// NestedSweep crashes the workload at base.CrashAt — when negative, at the
+// middle boundary of a crash-free probe — then sweeps a second power loss
+// over every stride-th boundary of the recovery itself: "crash during
+// Recover, recover again".
 func NestedSweep(base Config, stride int, logf func(string, ...any)) (*CampaignResult, error) {
+	base.NestedCrashAt = -1
 	if base.CrashAt < 0 {
-		return nil, fmt.Errorf("chaos: nested sweep needs a first crash point (CrashAt >= 0)")
+		probe, err := Run(base)
+		if err != nil {
+			return nil, err
+		}
+		base.CrashAt = probe.Boundaries / 2
 	}
 	header := fmt.Sprintf("nested sweep: first crash at %d, ", base.CrashAt) + "%d recovery boundaries, stride %d"
 	return sweep(header, stride, logf, func(k int) (point, error) {

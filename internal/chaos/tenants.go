@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"soteria/internal/device"
-	"soteria/internal/memctrl"
 	"soteria/internal/nvm"
 	"soteria/internal/tenant"
 )
@@ -16,39 +15,26 @@ import (
 // of tenant 1 beginning mid-workload, and a power cut at a chosen
 // device-wide write boundary.
 type TenantConfig struct {
-	Seed   int64
-	Writes int // workload operations (roughly 3/4 writes, 1/4 reads)
+	// DeviceConfig shapes the device under the service. Its CrashAt counts
+	// device-wide boundaries: tenant-layer guard and registry writes cross
+	// them like any other line, so the sweep hits mid-protocol points for
+	// free.
+	DeviceConfig
 	// Tenants is the number of provisioned tenants (default 3).
 	Tenants int
-	Shards  int
-	Mode    memctrl.Mode
-	// Strategy selects the metadata-persistence scheme on every shard
-	// (empty = memctrl.DefaultStrategy).
-	Strategy string
 	// LinesPerTenant sizes each tenant's extent (default 48).
 	LinesPerTenant uint64
-	// CrashAt cuts power at this device-wide write boundary; negative
-	// never. Tenant-layer guard and registry writes cross boundaries like
-	// any other line, so the sweep hits mid-protocol points for free.
-	CrashAt int
 	// RotateAt begins an online key rotation of tenant 1 before this
 	// workload op, with sweep steps interleaved into the remaining ops;
 	// negative disables. Crashing after RotateAt exercises the
 	// mid-rotation recovery path.
 	RotateAt int
-	// Logf, when non-nil, receives per-phase progress lines.
-	Logf func(format string, args ...any)
 }
 
 func (cfg TenantConfig) normalized() TenantConfig {
+	cfg.DeviceConfig = cfg.DeviceConfig.normalized()
 	if cfg.Tenants <= 0 {
 		cfg.Tenants = 3
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 4
-	}
-	if cfg.Strategy == "" {
-		cfg.Strategy = memctrl.DefaultStrategy
 	}
 	if cfg.LinesPerTenant == 0 {
 		cfg.LinesPerTenant = 48
@@ -59,15 +45,11 @@ func (cfg TenantConfig) normalized() TenantConfig {
 // TenantRepro renders the cmd/chaos invocation that replays cfg.
 func TenantRepro(cfg TenantConfig) string {
 	cfg = cfg.normalized()
-	s := fmt.Sprintf("go run ./cmd/chaos -tenants -tenant-count %d -shards %d -seed %d -writes %d -mode %s -strategy %s",
-		cfg.Tenants, cfg.Shards, cfg.Seed, cfg.Writes, ModeFlag(cfg.Mode), cfg.Strategy)
+	s := fmt.Sprintf("go run ./cmd/chaos -tenants -tenant-count %d %s", cfg.Tenants, cfg.flags())
 	if cfg.RotateAt >= 0 {
 		s += fmt.Sprintf(" -rotate-at %d", cfg.RotateAt)
 	}
-	if cfg.CrashAt >= 0 {
-		s += fmt.Sprintf(" -crash-at %d", cfg.CrashAt)
-	}
-	return s
+	return s + crashFlag(cfg.CrashAt)
 }
 
 // tenantStack drives the tenant service over the sharded device: tenant
@@ -77,7 +59,6 @@ type tenantStack struct {
 	devStack
 	svc          *tenant.Service
 	cfg          TenantConfig
-	res          *DeviceResult
 	rotating     bool // rotation of tenant 1 has begun
 	rotationDone bool
 }
@@ -111,37 +92,41 @@ func newTenantScenario(cfg TenantConfig) (*scenario, *tenantStack, error) {
 	}
 	sc := newScenario(t, cfg.Seed, genOps(cfg.Seed, cfg.Writes, cfg.LinesPerTenant), cfg.Shards, cfg.Logf)
 	sc.tenants = cfg.Tenants
-	t.res = sc.res
+	t.sc = sc
 	return sc, t, nil
 }
 
 // op executes the data op, preceded by the rotation kickoff at RotateAt
 // and followed by a rotation sweep step while a rotation is in progress.
-func (t *tenantStack) op(i int, k key, line *nvm.Line) error {
+func (t *tenantStack) op(i int, k key, line *nvm.Line) {
+	got, err := t.data(i, k, line)
+	t.sc.done(i, got, err)
+}
+
+func (t *tenantStack) data(i int, k key, line *nvm.Line) (got nvm.Line, err error) {
 	// ErrRotating is tolerated on the kickoff: a crash during the kickoff's
 	// record persist may have landed the flag durably before the replay
 	// re-runs this op.
 	if t.cfg.RotateAt >= 0 && i == t.cfg.RotateAt && !t.rotating {
 		if err := t.svc.Rotate(1); err != nil && !errors.Is(err, tenant.ErrRotating) {
-			return fmt.Errorf("rotate kickoff: %w", err)
+			return got, fmt.Errorf("rotate kickoff: %w", err)
 		}
 		t.rotating = true
 	}
-	var err error
 	if line != nil {
 		_, err = t.svc.Write(k.tenant, k.addr, line)
 	} else {
-		_, err = t.read(k)
+		got, err = t.read(k)
 	}
 	if err != nil || !t.rotating || t.rotationDone {
-		return err
+		return got, err
 	}
 	_, done, err := t.svc.RotateStep(1, 2)
 	if err != nil && !errors.Is(err, tenant.ErrNotRotating) {
-		return err
+		return got, err
 	}
 	t.rotationDone = done
-	return nil
+	return got, nil
 }
 
 func (t *tenantStack) read(k key) (nvm.Line, error) {
@@ -159,7 +144,7 @@ func (t *tenantStack) recover() (*device.RecoveryReport, error) {
 		// Rotating flag decide, not our volatile belief.
 		st, err := t.svc.RotateStatus(1)
 		if err != nil {
-			t.res.violate("RotateStatus after recovery: %v", err)
+			t.sc.res.violate("RotateStatus after recovery: %v", err)
 		} else {
 			t.rotationDone = !st.Rotating
 		}
@@ -175,11 +160,11 @@ func (t *tenantStack) flush() error {
 		st, err := t.svc.RotateStatus(1)
 		switch {
 		case err != nil:
-			t.res.violate("final RotateStatus: %v", err)
+			t.sc.res.violate("final RotateStatus: %v", err)
 		case st.Rotating:
-			t.res.violate("rotation never completed (cursor %d of %d)", st.Cursor, st.DataLines)
+			t.sc.res.violate("rotation never completed (cursor %d of %d)", st.Cursor, st.DataLines)
 		case st.Epoch != 2:
-			t.res.violate("tenant 1 epoch %d after one rotation, want 2", st.Epoch)
+			t.sc.res.violate("tenant 1 epoch %d after one rotation, want 2", st.Epoch)
 		}
 	}
 	return t.svc.Flush()
@@ -213,12 +198,12 @@ func (t *tenantStack) isolationCheck(phase string) {
 		v := a%n + 1
 		for line := uint64(0); line < t.cfg.LinesPerTenant; line += 7 {
 			if err := t.svc.CrossCheck(a, v, line*nvm.LineSize); err != nil {
-				t.res.violate("%s: %v", phase, err)
+				t.sc.res.violate("%s: %v", phase, err)
 			}
 		}
 		var re *tenant.RangeError
 		if _, _, err := t.svc.Read(a, t.cfg.LinesPerTenant*nvm.LineSize); !errors.As(err, &re) {
-			t.res.violate("%s: tenant %d out-of-extent read returned %v, want RangeError", phase, a, err)
+			t.sc.res.violate("%s: tenant %d out-of-extent read returned %v, want RangeError", phase, a, err)
 		}
 	}
 }
@@ -235,7 +220,7 @@ func (t *tenantStack) finishRotation() {
 			if errors.Is(err, tenant.ErrNotRotating) {
 				break
 			}
-			t.res.violate("rotation completion: %v", err)
+			t.sc.res.violate("rotation completion: %v", err)
 			return
 		}
 		if done {
@@ -269,25 +254,4 @@ func TenantCrashSweep(base TenantConfig, stride int, logf func(string, ...any)) 
 		res, err := TenantRun(cfg)
 		return res.sweepPoint(TenantRepro(cfg), err)
 	})
-}
-
-// TenantConformance runs the tenant crash sweep — rotation window armed,
-// so mid-rotation crash points are part of the sweep — for one strategy.
-func TenantConformance(strategy string, cfg TenantConfig, stride int) (*CampaignResult, error) {
-	cfg.Strategy = strategy
-	return TenantCrashSweep(cfg, stride, cfg.Logf)
-}
-
-// TenantConformanceAll runs the tenant sweep across every registered
-// metadata-persistence strategy.
-func TenantConformanceAll(cfg TenantConfig, stride int) (map[string]*CampaignResult, error) {
-	out := make(map[string]*CampaignResult, len(memctrl.Strategies()))
-	for _, strategy := range memctrl.Strategies() {
-		res, err := TenantConformance(strategy, cfg, stride)
-		if err != nil {
-			return nil, err
-		}
-		out[strategy] = res
-	}
-	return out, nil
 }

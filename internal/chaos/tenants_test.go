@@ -12,15 +12,7 @@ import (
 // tenant's acked writes survive, no cross-tenant read ever succeeds, and
 // the rotation completes — zero violations expected.
 func TestTenantCrashSweepQuick(t *testing.T) {
-	res, err := TenantCrashSweep(TenantConfig{
-		Seed:     1,
-		Writes:   30,
-		Tenants:  3,
-		Shards:   4,
-		Mode:     memctrl.ModeSAC,
-		CrashAt:  -1,
-		RotateAt: 10,
-	}, 25, t.Logf)
+	res, err := TenantCrashSweep(TenantConfig{DeviceConfig: DeviceConfig{Seed: 1, Writes: 30, Shards: 4, Mode: memctrl.ModeSAC, CrashAt: -1}, Tenants: 3, RotateAt: 10}, 25, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,8 +28,7 @@ func TestTenantCrashSweepQuick(t *testing.T) {
 // same TenantConfig crashes at the same boundary on the same shard with
 // the same counts, every time.
 func TestTenantRunDeterministic(t *testing.T) {
-	cfg := TenantConfig{Seed: 7, Writes: 40, Tenants: 3, Shards: 4,
-		Mode: memctrl.ModeSAC, CrashAt: 60, RotateAt: 8}
+	cfg := TenantConfig{DeviceConfig: DeviceConfig{Seed: 7, Writes: 40, Shards: 4, Mode: memctrl.ModeSAC, CrashAt: 60}, Tenants: 3, RotateAt: 8}
 	first, err := TenantRun(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -67,22 +58,13 @@ func TestTenantConformanceAllStrategies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-strategy sweep in -short mode")
 	}
-	results, err := TenantConformanceAll(TenantConfig{
-		Seed:     2,
-		Writes:   20,
-		Tenants:  2,
-		Shards:   2,
-		Mode:     memctrl.ModeSAC,
-		CrashAt:  -1,
-		RotateAt: 6,
-	}, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(memctrl.Strategies()) {
-		t.Fatalf("covered %d of %d strategies", len(results), len(memctrl.Strategies()))
-	}
-	for strategy, res := range results {
+	for _, strategy := range memctrl.Strategies() {
+		cfg := TenantConfig{DeviceConfig: DeviceConfig{Seed: 2, Writes: 20, Shards: 2, Mode: memctrl.ModeSAC, Strategy: strategy, CrashAt: -1},
+			Tenants: 2, RotateAt: 6}
+		res, err := TenantCrashSweep(cfg, 40, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, f := range res.Failures {
 			t.Errorf("%s: %s: %v", strategy, f.Repro, f.Violations)
 		}
@@ -92,8 +74,7 @@ func TestTenantConformanceAllStrategies(t *testing.T) {
 // TestTenantReproSelfContained: the repro line names every
 // scenario-shaping knob, including the tenant count and rotation point.
 func TestTenantReproSelfContained(t *testing.T) {
-	repro := TenantRepro(TenantConfig{Seed: 3, Writes: 50, Tenants: 5,
-		Mode: memctrl.ModeSRC, CrashAt: 12, RotateAt: 9})
+	repro := TenantRepro(TenantConfig{DeviceConfig: DeviceConfig{Seed: 3, Writes: 50, Mode: memctrl.ModeSRC, CrashAt: 12}, Tenants: 5, RotateAt: 9})
 	for _, want := range []string{"-tenants", "-tenant-count 5", "-seed 3",
 		"-writes 50", "-mode src", "-strategy " + memctrl.DefaultStrategy,
 		"-rotate-at 9", "-crash-at 12"} {
