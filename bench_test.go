@@ -95,8 +95,12 @@ func BenchmarkFig4EvictionLevels(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r := res.Get("hashmap", memctrl.ModeSRC)
-		leafShare = r.Meta.EvictionsByLevel.Fraction(1)
+		byLevel := res.Get("hashmap", memctrl.ModeSRC).Meta.EvictionsByLevel
+		var total uint64
+		for _, n := range byLevel {
+			total += n
+		}
+		leafShare = float64(byLevel[1]) / float64(max(total, 1))
 	}
 	b.ReportMetric(leafShare*100, "%leaf-evictions")
 }

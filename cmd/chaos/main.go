@@ -15,6 +15,7 @@
 //	go run ./cmd/chaos -seed 3 -writes 60 -mode src -crash-at 30 -crash-at2 12
 //	go run ./cmd/chaos -seed 2 -writes 80 -strategy triad-nvm -sweep
 //	go run ./cmd/chaos -seed 1 -quick -schemes
+//	go run ./cmd/chaos -device -shards 4 -seed 5 -writes 120 -crash-at 50
 //	go run ./cmd/chaos -tenants -quick -sweep
 //	go run ./cmd/chaos -tenants -schemes -quick
 //	go run ./cmd/chaos -net -sweep -quick -pipeline 4
@@ -54,8 +55,6 @@ func main() {
 		tenantCount  = flag.Int("tenant-count", 3, "provisioned tenants for -tenants")
 		rotateAt     = flag.Int("rotate-at", -1, "for -tenants: begin an online key rotation of tenant 1 before this workload op (default: mid-workload; -1 disables only when set explicitly)")
 		shards       = flag.Int("shards", 4, "shard count for -device, -tenants and -net")
-		tracePath    = flag.String("trace", "", "with a single -device run: record the scenario and write a time-travel replay trace here when it crashes")
-		replayPath   = flag.String("replay", "", "re-execute a recorded replay trace file: restore the checkpoint nearest the fault and re-run events up to the crash point")
 		netRun       = flag.Bool("net", false, "serve the device over TCP behind a fault proxy (server + proxy + retrying clients); combine with -sweep to crash-sweep every fault case")
 		netFault     = flag.String("net-fault", "clean", "fault schedule for -net: clean|latency|throttle|corrupt|reset|truncate|partition|combined")
 		netClients   = flag.Int("net-clients", 3, "stop-and-wait clients for -net (op i goes to client i mod n)")
@@ -102,33 +101,6 @@ func main() {
 	dbase := chaos.DeviceConfig{Seed: *seed, Writes: *writes, Shards: *shards, Mode: mode,
 		Strategy: *strategyName, CrashAt: *crashAt, Logf: base.Logf}
 
-	if *replayPath != "" {
-		if *netRun || *deviceRun || *sweep || *schemes || *campaign != "" || *nested {
-			fatal(fmt.Errorf("-replay is self-contained; the trace file names the full scenario"))
-		}
-		data, err := os.ReadFile(*replayPath)
-		if err != nil {
-			fatal(err)
-		}
-		tr, err := chaos.DecodeReplayTrace(data)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("replaying %s: seed %d, %d shards, strategy %s, crash-at %d (checkpoint at op %d, %d recorded events)\n",
-			*replayPath, tr.Cfg.Seed, tr.Cfg.Shards, tr.Cfg.Strategy, tr.Cfg.CrashAt, tr.CkptOp, len(tr.Events))
-		res, err := chaos.DeviceReplay(tr, logf)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(res.Summary())
-		if len(res.Violations) > 0 {
-			fmt.Printf("REPRO: %s\n", chaos.ReplayRepro(*replayPath))
-			os.Exit(1)
-		}
-		fmt.Println("replay: no violations")
-		return
-	}
-
 	if *netRun {
 		if err := netFlagsErr(set, *netPipeline, *netClients); err != nil {
 			fatal(err)
@@ -156,7 +128,7 @@ func main() {
 	}
 
 	if *tenantsRun {
-		if err := flagsErr("-tenants supports single runs, -sweep and -schemes only", set, append(harnessOnly, "device", "trace")...); err != nil {
+		if err := flagsErr("-tenants supports single runs, -sweep and -schemes only", set, append(harnessOnly, "device")...); err != nil {
 			fatal(err)
 		}
 		tbase := chaos.TenantConfig{DeviceConfig: dbase, Tenants: *tenantCount, RotateAt: *rotateAt}
@@ -200,36 +172,13 @@ func main() {
 			fatal(err)
 		}
 		if *sweep {
-			if *tracePath != "" {
-				fatal(fmt.Errorf("-trace records a single -device run; re-run a failing sweep point's REPRO line with -trace to capture it"))
-			}
 			res, err := chaos.DeviceCrashSweep(dbase, *stride, logf)
 			report("device crash sweep", res, err, false)
 			return
 		}
-		var res *chaos.DeviceResult
-		var err error
-		if *tracePath != "" {
-			var tr *chaos.ReplayTrace
-			res, tr, err = chaos.DeviceRunTraced(dbase)
-			if err != nil {
-				fatal(err)
-			}
-			if tr != nil {
-				if werr := os.WriteFile(*tracePath, tr.Encode(), 0o644); werr != nil {
-					fatal(werr)
-				}
-				fmt.Fprintf(os.Stderr, "wrote replay trace to %s (%d events, checkpoint at op %d of %d)\n",
-					*tracePath, len(tr.Events), tr.CkptOp, tr.CrashOp)
-				fmt.Printf("REPLAY: %s\n", chaos.ReplayRepro(*tracePath))
-			} else {
-				fmt.Fprintln(os.Stderr, "no crash fired; no replay trace written")
-			}
-		} else {
-			res, err = chaos.DeviceRun(dbase)
-			if err != nil {
-				fatal(err)
-			}
+		res, err := chaos.DeviceRun(dbase)
+		if err != nil {
+			fatal(err)
 		}
 		runLine(fmt.Sprintf("device run: %d shards", *shards), res)
 		report("device run", single(chaos.DeviceRepro(dbase), res.Boundaries, res.Violations), nil, false)
@@ -352,7 +301,7 @@ func flagsErr(leg string, set map[string]bool, flags ...string) error {
 
 // netFlagsErr refuses the flags a -net run cannot honour.
 func netFlagsErr(set map[string]bool, pipeline, clients int) error {
-	if err := flagsErr("-net supports single runs and -sweep only", set, append(harnessOnly, "device", "tenants", "schemes", "trace")...); err != nil {
+	if err := flagsErr("-net supports single runs and -sweep only", set, append(harnessOnly, "device", "tenants", "schemes")...); err != nil {
 		return err
 	}
 	if pipeline > 0 && set["net-clients"] && clients > 1 {

@@ -158,7 +158,7 @@ func TestNetFlagsRefused(t *testing.T) {
 		{[]string{"pipeline", "net-clients"}, 4, 1, ""},
 		{[]string{"pipeline", "net-clients"}, 4, 2, "-net-clients 2"},
 		{[]string{"tenants"}, 0, 3, "-tenants"},
-		{[]string{"schemes", "trace"}, 0, 3, "-schemes -trace"},
+		{[]string{"schemes", "tenants"}, 0, 3, "-tenants -schemes"},
 		{[]string{"fault-rate", "shadow-faults", "break-half-repair"}, 0, 3, "-fault-rate -shadow-faults -break-half-repair"},
 		{[]string{"campaign", "nested", "crash-at2", "device"}, 0, 3, "-campaign -nested -crash-at2 -device"},
 	}

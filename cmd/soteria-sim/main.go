@@ -26,7 +26,6 @@ import (
 	"soteria/internal/cpusim"
 	"soteria/internal/memctrl"
 	"soteria/internal/runner"
-	"soteria/internal/stats"
 	"soteria/internal/telemetry"
 	"soteria/internal/workload"
 )
@@ -178,36 +177,37 @@ func printRun(mode memctrl.Mode, res cpusim.Result, check bool) {
 	fmt.Printf("workload %s on %s: %d memory ops in %v simulated time\n\n",
 		res.Workload, res.Mode, res.MemOps, res.ExecTime.Duration())
 
-	c := stats.NewCounters()
-	c.Add("instructions", res.Instructions)
-	c.Add("memory ops", res.MemOps)
-	c.Add("reads", res.Reads)
-	c.Add("writes", res.Writes)
-	c.Add("persist barriers", res.Barriers)
-	c.Add("L1 hits", res.L1.Hits)
-	c.Add("L1 misses", res.L1.Misses)
-	c.Add("LLC misses", res.LLC.Misses)
-	c.Add("controller requests", res.Ctrl.MemRequests)
-	c.Add("NVM reads", res.Ctrl.NVMReads)
+	counter := func(name string, n uint64) { fmt.Printf("%-40s %12d\n", name, n) }
+	counter("instructions", res.Instructions)
+	counter("memory ops", res.MemOps)
+	counter("reads", res.Reads)
+	counter("writes", res.Writes)
+	counter("persist barriers", res.Barriers)
+	counter("L1 hits", res.L1.Hits)
+	counter("L1 misses", res.L1.Misses)
+	counter("LLC misses", res.LLC.Misses)
+	counter("controller requests", res.Ctrl.MemRequests)
+	counter("NVM reads", res.Ctrl.NVMReads)
 	for i := memctrl.WCData; i <= memctrl.WCRecovery; i++ {
-		c.Add("NVM writes: "+i.String(), res.Ctrl.NVMWrites[i])
+		counter("NVM writes: "+i.String(), res.Ctrl.NVMWrites[i])
 	}
-	c.Add("WPQ forwards", res.Ctrl.WPQForwards)
-	c.Add("WPQ stalls", res.WPQ.Stalls)
-	c.Add("page re-encryptions", res.Ctrl.PageReencrypt)
-	c.Add("Osiris forced write-backs", res.Ctrl.ForcedWB)
-	c.Add("metadata cache hits", res.Meta.Hits)
-	c.Add("metadata cache misses", res.Meta.Misses)
-	c.Add("dirty tree evictions", res.Meta.DirtyTreeEvictions)
-	if _, err := c.WriteTo(os.Stdout); err != nil {
-		fatal(err)
-	}
+	counter("WPQ forwards", res.Ctrl.WPQForwards)
+	counter("WPQ stalls", res.WPQ.Stalls)
+	counter("page re-encryptions", res.Ctrl.PageReencrypt)
+	counter("Osiris forced write-backs", res.Ctrl.ForcedWB)
+	counter("metadata cache hits", res.Meta.Hits)
+	counter("metadata cache misses", res.Meta.Misses)
+	counter("dirty tree evictions", res.Meta.DirtyTreeEvictions)
 
-	if mode != memctrl.ModeNonSecure && res.Meta.EvictionsByLevel != nil {
+	if byLevel := res.Meta.EvictionsByLevel; mode != memctrl.ModeNonSecure && byLevel != nil {
+		var total uint64
+		for _, n := range byLevel {
+			total += n
+		}
 		fmt.Println("\neviction share by tree level:")
-		for l := 1; l < res.Meta.EvictionsByLevel.Buckets(); l++ {
-			if n := res.Meta.EvictionsByLevel.Count(l); n > 0 {
-				fmt.Printf("  L%-2d %6.2f%% (%d)\n", l, res.Meta.EvictionsByLevel.Fraction(l)*100, n)
+		for l := 1; l < len(byLevel); l++ {
+			if n := byLevel[l]; n > 0 {
+				fmt.Printf("  L%-2d %6.2f%% (%d)\n", l, float64(n)/float64(total)*100, n)
 			}
 		}
 	}

@@ -23,24 +23,21 @@ type ConformanceConfig struct {
 	Logf        func(format string, args ...any)
 }
 
-// ConformanceResult is one strategy's outcome across the four legs of the
+// ConformanceResult is one strategy's outcome across the three legs of the
 // suite: the full crash-point sweep, the nested crash-during-recovery
-// sweep, the unrecoverable-data fault campaign, and the checkpoint/restore
-// sweep (restore-then-recover must equal straight-line recover at every
-// crash point).
+// sweep, and the unrecoverable-data fault campaign.
 type ConformanceResult struct {
 	Strategy    string
 	CrashSweep  *CampaignResult
 	NestedSweep *CampaignResult
 	Faults      *CampaignResult
-	Checkpoint  *CampaignResult
 }
 
 func (r *ConformanceResult) legs() []*CampaignResult {
-	return []*CampaignResult{r.CrashSweep, r.NestedSweep, r.Faults, r.Checkpoint}
+	return []*CampaignResult{r.CrashSweep, r.NestedSweep, r.Faults}
 }
 
-// Failures flattens every failing scenario across the four legs.
+// Failures flattens every failing scenario across the three legs.
 func (r *ConformanceResult) Failures() []Failure {
 	var out []Failure
 	for _, c := range r.legs() {
@@ -51,7 +48,7 @@ func (r *ConformanceResult) Failures() []Failure {
 	return out
 }
 
-// Runs sums scenario executions across the four legs.
+// Runs sums scenario executions across the three legs.
 func (r *ConformanceResult) Runs() int {
 	n := 0
 	for _, c := range r.legs() {
@@ -92,20 +89,6 @@ func Conformance(strategy string, cfg ConformanceConfig) (*ConformanceResult, er
 			return nil, fmt.Errorf("chaos: %s nested sweep: %w", strategy, err)
 		}
 		out.NestedSweep = ns
-	}
-
-	if cs.Boundaries > 0 {
-		// Checkpoint/restore conformance: serializing the crashed
-		// controller, restoring it into a fresh one and recovering must be
-		// indistinguishable — byte-identical checkpoints, identical
-		// recovery reports — from recovering in place, at every crash
-		// point the crash sweep covered.
-		logf("[%s] checkpoint sweep", strategy)
-		ck, err := CheckpointSweep(base, cfg.Stride, logf)
-		if err != nil {
-			return nil, fmt.Errorf("chaos: %s checkpoint sweep: %w", strategy, err)
-		}
-		out.Checkpoint = ck
 	}
 
 	if cfg.FaultTrials > 0 {

@@ -60,16 +60,6 @@ func (in *DeviceInjector) Boundaries() int {
 	return in.boundary
 }
 
-// Preset seeds the boundary counter. Time-travel replay starts from a
-// restored checkpoint that had already crossed that many boundaries, so
-// the counter must resume there for the armed crash point to keep its
-// original meaning.
-func (in *DeviceInjector) Preset(boundary int) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.boundary = boundary
-}
-
 // Fired reports whether the crash trigger went off, and on which shard.
 func (in *DeviceInjector) Fired() (bool, int) {
 	in.mu.Lock()
@@ -174,9 +164,8 @@ func (r *DeviceResult) violate(format string, args ...any) {
 }
 
 // Summary renders the outcome deterministically — crash coordinates,
-// per-shard recovery accounting, every violation. A time-travel replay is
-// correct exactly when its Summary matches the original run's byte for
-// byte, which is what the replay tests assert.
+// per-shard recovery accounting, every violation — so two runs of one
+// repro line compare byte for byte.
 func (r *DeviceResult) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "boundaries=%d crashed=%t crash-boundary=%d crash-shard=%d op-errors=%d\n",
@@ -231,23 +220,21 @@ type devStack struct {
 	sc  *scenario
 }
 
-func newDevice(mode memctrl.Mode, shards int, strategy string, trace bool) (*device.Device, error) {
+func newDevice(mode memctrl.Mode, shards int, strategy string) (*device.Device, error) {
 	return device.New(device.Options{
 		System: config.TestSystem(),
 		Mode:   mode,
 		Key:    []byte("chaos-harness-key"),
 		Shards: shards,
 		Ctrl:   memctrl.Options{Strategy: strategy},
-		Trace:  trace,
 	})
 }
 
 // newDeviceScenario builds the device, the injector and the workload over
-// the device's global data space for cfg. trace enables the device's
-// canonical event trace (needed when the run is recorded for replay).
-func newDeviceScenario(cfg DeviceConfig, trace bool) (*scenario, *devStack, error) {
+// the device's global data space for cfg.
+func newDeviceScenario(cfg DeviceConfig) (*scenario, *devStack, error) {
 	cfg = cfg.normalized()
-	dev, err := newDevice(cfg.Mode, cfg.Shards, cfg.Strategy, trace)
+	dev, err := newDevice(cfg.Mode, cfg.Shards, cfg.Strategy)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -300,12 +287,12 @@ func (d *devStack) extraChecks(string) {}
 // report accounts for its tracked blocks, and a clean crash/recover
 // round-trip on the settled image loses nothing.
 func DeviceRun(cfg DeviceConfig) (*DeviceResult, error) {
-	sc, d, err := newDeviceScenario(cfg, false)
+	sc, d, err := newDeviceScenario(cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer d.dev.Close()
-	return sc.run(0)
+	return sc.run(), nil
 }
 
 // DeviceCrashSweep probes the workload for its device-wide boundary

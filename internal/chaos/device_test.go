@@ -58,3 +58,21 @@ func TestDeviceRunDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestDeviceReproSelfContained: repro lines must carry the full flag set —
+// in particular the strategy, which used to be dropped when a failure was
+// found via -schemes.
+func TestDeviceReproSelfContained(t *testing.T) {
+	got := DeviceRepro(DeviceConfig{Seed: 9, Writes: 80, Shards: 8, Mode: memctrl.ModeSRC, Strategy: "triad-nvm", CrashAt: 17})
+	want := "go run ./cmd/chaos -device -shards 8 -seed 9 -writes 80 -mode src -strategy triad-nvm -crash-at 17"
+	if got != want {
+		t.Fatalf("repro line:\n got %q\nwant %q", got, want)
+	}
+	// Defaulted fields are named explicitly so the line replays the same
+	// scenario no matter what the defaults become later.
+	got = DeviceRepro(DeviceConfig{Seed: 1, Writes: 60, Mode: memctrl.ModeSAC, CrashAt: -1})
+	want = "go run ./cmd/chaos -device -shards 4 -seed 1 -writes 60 -mode sac -strategy soteria"
+	if got != want {
+		t.Fatalf("defaulted repro line:\n got %q\nwant %q", got, want)
+	}
+}

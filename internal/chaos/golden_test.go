@@ -115,16 +115,16 @@ func sweepTranscripts(t *testing.T) string {
 	}
 
 	for _, strategy := range memctrl.Strategies() {
-		ck := base
-		ck.Strategy = strategy
-		sweep("checkpoint sweep "+strategy, func(logf func(string, ...any)) (*CampaignResult, error) {
-			return CheckpointSweep(ck, stride, logf)
+		sb := base
+		sb.Strategy = strategy
+		sweep("crash sweep "+strategy, func(logf func(string, ...any)) (*CampaignResult, error) {
+			return CrashSweep(sb, stride, logf)
 		})
-		p := ctrl(ck, CheckpointRun)
+		p := ctrl(sb, Run)
 		for k := 0; k < p.Boundaries; k += stride {
-			cfg := ck
+			cfg := sb
 			cfg.CrashAt = k
-			ctrl(cfg, CheckpointRun)
+			ctrl(cfg, Run)
 		}
 	}
 

@@ -96,7 +96,7 @@ func newNetScenario(cfg NetConfig) (*scenario, *netStack, error) {
 	if !ok {
 		return nil, nil, fmt.Errorf("chaos: unknown net fault %q (want clean|latency|throttle|corrupt|reset|truncate|partition|combined)", cfg.FaultName)
 	}
-	sc, d, err := newDeviceScenario(cfg.DeviceConfig, false)
+	sc, d, err := newDeviceScenario(cfg.DeviceConfig)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -321,7 +321,7 @@ func NetRun(cfg NetConfig) (*DeviceResult, error) {
 		return nil, err
 	}
 	defer n.close()
-	return sc.run(0)
+	return sc.run(), nil
 }
 
 // NetCrashSweep probes the network scenario for its device-wide boundary

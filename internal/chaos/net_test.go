@@ -17,7 +17,7 @@ func TestNetRunCleanSchedule(t *testing.T) {
 	if len(sc.ops) != 40 {
 		t.Fatalf("workload has %d ops, want Writes = 40 in total", len(sc.ops))
 	}
-	res, _ := sc.run(0)
+	res := sc.run()
 	if len(res.Violations) > 0 || res.Crashed {
 		t.Fatalf("clean run: crashed %t, violations %v", res.Crashed, res.Violations)
 	}
@@ -33,7 +33,7 @@ func TestNetRunCombinedWithKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.close()
-	res, _ := sc.run(0)
+	res := sc.run()
 	if len(res.Violations) > 0 {
 		t.Fatalf("combined+kill run violated: %v\nrepro: %s", res.Violations, NetRepro(cfg))
 	}
@@ -148,7 +148,7 @@ func TestPipeCutRule(t *testing.T) {
 	defer n.close()
 	rec := &settledAtCrash{stack: sc.stack, sc: sc}
 	sc.stack = rec
-	res, _ := sc.run(0)
+	res := sc.run()
 	shard := func(i int) int { return n.dev.ShardOf(sc.ops[i].addr) }
 	if sc.crashOp != 7 || sc.replayFrom != 5 || !rec.settled[8] || rec.settled[5] ||
 		sc.ops[5].kind != opWrite || sc.ops[8].kind != opWrite || shard(7) != 1 || shard(8) != 0 || shard(5) != 3 {

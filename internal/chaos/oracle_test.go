@@ -83,16 +83,8 @@ func TestOracleCatchesPlantedFaults(t *testing.T) {
 			}
 			return sc
 		}},
-		{"checkpoint twin", func(t *testing.T, k int) *scenario {
-			sc, c, err := newCtrlScenario(Config{Seed: 3, Writes: 40, Mode: memctrl.ModeSRC, CrashAt: k, NestedCrashAt: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc.stack = &twinStack{ctrlStack: c}
-			return sc
-		}},
 		{"device", func(t *testing.T, k int) *scenario {
-			sc, d, err := newDeviceScenario(DeviceConfig{Seed: 3, Writes: 40, Shards: 2, Mode: memctrl.ModeSRC, CrashAt: k}, false)
+			sc, d, err := newDeviceScenario(DeviceConfig{Seed: 3, Writes: 40, Shards: 2, Mode: memctrl.ModeSRC, CrashAt: k})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +128,7 @@ func TestOracleCatchesPlantedFaults(t *testing.T) {
 	}
 	for _, st := range stacks {
 		t.Run(st.name, func(t *testing.T) {
-			probe, _ := st.build(t, -1).run(0)
+			probe := st.build(t, -1).run()
 			for _, p := range plants {
 				// Crash mid-workload on a write, so there is an in-flight
 				// line as well as acknowledged ones.
@@ -144,7 +136,7 @@ func TestOracleCatchesPlantedFaults(t *testing.T) {
 				for k := probe.Boundaries / 2; k < probe.Boundaries && !ran; k++ {
 					sc := st.build(t, k)
 					sc.stack = &faultyStack{stack: sc.stack, sc: sc, plant: p.plant}
-					res, _ := sc.run(0)
+					res := sc.run()
 					if ran = res.Crashed && sc.inFlight >= 0; !ran {
 						continue
 					}

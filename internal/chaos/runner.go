@@ -139,11 +139,10 @@ func (k key) String() string {
 	return fmt.Sprintf("tenant %d %#x", k.tenant, k.addr)
 }
 
-// stack is one system under test — a bare controller, its checkpoint twin,
-// the sharded device, the tenant service over it, or that device served
-// over TCP — as the scenario runner drives it. Whatever the stack, a power
-// loss surfaces as a *device.PowerError and any other panic as a
-// *device.PanicError.
+// stack is one system under test — a bare controller, the sharded device,
+// the tenant service over it, or that device served over TCP — as the
+// scenario runner drives it. Whatever the stack, a power loss surfaces as
+// a *device.PowerError and any other panic as a *device.PanicError.
 type stack interface {
 	// op starts workload op i — a write of line to k, or a read of k when
 	// line is nil — and reports its outcome through sc.done: inline, or
@@ -178,8 +177,6 @@ type scenario struct {
 	errOK   bool // typed op and read errors are legal (device faults, sabotaged recovery)
 	lossOK  bool // recovery may report lost blocks (device faults)
 	logf    func(format string, args ...any)
-	// beforeOp, when set, runs before every workload op up to the crash.
-	beforeOp func(i int) error
 
 	res         *DeviceResult
 	committed   map[key]int // line -> op index of its last acknowledged write
@@ -274,25 +271,19 @@ func (sc *scenario) done(i int, got nvm.Line, err error) {
 	}
 }
 
-// run drives the workload from op start to its end or to the power loss,
-// then recovery and the oracle: the report checks, a read-back in which the
-// one in-flight write may hold its old or its new value, replay of what the
+// run drives the workload to its end or to the power loss, then recovery
+// and the oracle: the report checks, a read-back in which the one
+// in-flight write may hold its old or its new value, replay of what the
 // power loss left unacknowledged, flush and VerifyAll, a clean
-// crash/recover round, and a final strict read-back. It fails only when
-// beforeOp does.
-func (sc *scenario) run(start int) (*DeviceResult, error) {
+// crash/recover round, and a final strict read-back.
+func (sc *scenario) run() *DeviceResult {
 	s, res := sc.stack, sc.res
-	for i := start; i < len(sc.ops) && sc.crashOp < 0 && !sc.stopped; i++ {
-		if sc.beforeOp != nil {
-			if err := sc.beforeOp(i); err != nil {
-				return nil, err
-			}
-		}
+	for i := 0; i < len(sc.ops) && sc.crashOp < 0 && !sc.stopped; i++ {
 		sc.exec(i)
 	}
 	s.wait()
 	if sc.stopped {
-		return res, nil
+		return res
 	}
 	res.Boundaries = s.boundaries()
 
@@ -300,12 +291,12 @@ func (sc *scenario) run(start int) (*DeviceResult, error) {
 		sc.logf("power loss at boundary %d (op %d, shard %d)", res.CrashBoundary, sc.crashOp, res.CrashShard)
 		if err := s.crash(); err != nil {
 			res.violate("Crash() after power loss: %v", err)
-			return res, nil
+			return res
 		}
 		rep, err := s.recover()
 		if err != nil {
 			res.violate("Recover failed: %s", describe(err))
-			return res, nil
+			return res
 		}
 		res.Report = rep
 		sc.checkReport(rep)
@@ -320,7 +311,7 @@ func (sc *scenario) run(start int) (*DeviceResult, error) {
 		}
 		s.wait()
 		if sc.stopped {
-			return res, nil
+			return res
 		}
 	} else {
 		s.disarm()
@@ -330,7 +321,7 @@ func (sc *scenario) run(start int) (*DeviceResult, error) {
 
 	if err := s.flush(); err != nil {
 		res.violate("Flush: %s", describe(err))
-		return res, nil
+		return res
 	}
 	if err := s.verify(); err != nil && !sc.errOK {
 		res.violate("VerifyAll after replay: %v", err)
@@ -346,7 +337,7 @@ func (sc *scenario) run(start int) (*DeviceResult, error) {
 	}
 	sc.readCheck("final", false)
 	s.extraChecks("final")
-	return res, nil
+	return res
 }
 
 // checkReport enforces the accounting of the power-loss recovery: a report

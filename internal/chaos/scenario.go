@@ -81,8 +81,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, _ := sc.run(0)
-	return c.result(res), nil
+	return c.result(sc.run()), nil
 }
 
 // ctrlStack drives one bare memctrl.Controller. It owns sim time and the

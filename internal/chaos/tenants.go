@@ -65,7 +65,7 @@ type tenantStack struct {
 
 func newTenantScenario(cfg TenantConfig) (*scenario, *tenantStack, error) {
 	cfg = cfg.normalized()
-	dev, err := newDevice(cfg.Mode, cfg.Shards, cfg.Strategy, false)
+	dev, err := newDevice(cfg.Mode, cfg.Shards, cfg.Strategy)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -239,7 +239,7 @@ func TenantRun(cfg TenantConfig) (*DeviceResult, error) {
 		return nil, err
 	}
 	defer t.dev.Close()
-	return sc.run(0)
+	return sc.run(), nil
 }
 
 // TenantCrashSweep probes the workload for its boundary count, then

@@ -25,9 +25,8 @@
 // operation in flight per shard therefore produces byte-identical telemetry
 // snapshots at any worker count (cmd/loadgen's golden test), and a
 // single-goroutine driver makes the whole device a pure function of its
-// call sequence: Checkpoint/Restore round-trip it byte-for-byte and a
-// recorded Trace replays it, which is what the tenant service and the chaos
-// replay harness build on.
+// call sequence, which is what lets a chaos repro line replay a failing
+// run exactly.
 package device
 
 import (
@@ -62,10 +61,6 @@ type Options struct {
 	// Telemetry attaches a per-shard registry to every controller stack;
 	// Snapshot merges them in shard order.
 	Telemetry bool
-	// Trace records the canonical event trace (per-shard execution streams,
-	// concatenated in shard order) for chaos replay and determinism
-	// golden tests.
-	Trace bool
 }
 
 // Info describes a running device (served to loadgen over the wire so the
@@ -93,12 +88,10 @@ type Device struct {
 	// closed is set by Close. Data operations check it again under the
 	// shard lock, so none runs once Close has visited its shard.
 	closed atomic.Bool
-	// nextID is the device-wide id the next executed data operation takes.
-	nextID atomic.Uint64
 
 	// ctl serializes control-plane operations (Crash/Recover/Flush/
-	// VerifyAll/Stats/SetShardHooks/Checkpoint/Restore/Close) so their
-	// shard visits never interleave.
+	// VerifyAll/Stats/SetShardHooks/Close) so their shard visits never
+	// interleave.
 	ctl sync.Mutex
 	// hooked records that some shard has an inject.Hook installed
 	// (guarded by ctl); see control.
@@ -427,22 +420,11 @@ func (d *Device) Close() error {
 	if d.closed.Swap(true) {
 		return nil
 	}
-	d.lockShards()
-	d.unlockShards()
-	return nil
-}
-
-// lockShards takes every shard lock in shard order (callers hold d.ctl, the
-// only path that holds more than one), stopping the data plane at an
-// operation boundary on every shard.
-func (d *Device) lockShards() {
+	// Data operations check closed under their shard's lock, so taking
+	// each lock once waits out the one executing there.
 	for _, s := range d.shards {
 		s.mu.Lock()
-	}
-}
-
-func (d *Device) unlockShards() {
-	for _, s := range d.shards {
 		s.mu.Unlock()
 	}
+	return nil
 }

@@ -10,8 +10,7 @@ import (
 	"soteria/internal/telemetry"
 )
 
-// opcode selects the operation exec runs on a shard. The data-plane values
-// (opRead..opDrain) are recorded in traces and must keep their values.
+// opcode selects the operation exec runs on a shard.
 type opcode uint8
 
 const (
@@ -48,10 +47,6 @@ type shard struct {
 
 	// now is the shard's private simulated clock.
 	now sim.Time
-	// execSeq numbers the data ops this shard has executed; trace is their
-	// record when Options.Trace is set.
-	execSeq uint64
-	trace   []TraceEvent
 
 	// Coalescing scratch, reused across ExecBatch groups so the steady
 	// state allocates nothing.
@@ -68,10 +63,7 @@ type shard struct {
 // exec runs one operation on the controller, converting an inject.PowerLoss
 // unwind into a typed error and a device-wide crash barrier. addr is
 // shard-local; epoch is the barrier generation the caller read before it
-// took s.mu. Each data op that passes the barrier takes the next op id and
-// the shard's next execution sequence number, and is recorded in the trace
-// before it runs, so a checkpoint plus the trace suffix replays the run
-// exactly.
+// took s.mu.
 func (s *shard) exec(op opcode, addr uint64, data *nvm.Line, epoch uint64) (res response) {
 	d := s.dev
 	if op <= opDrain {
@@ -84,12 +76,6 @@ func (s *shard) exec(op opcode, addr uint64, data *nvm.Line, epoch uint64) (res 
 		if d.down.Load() {
 			return response{err: memctrl.ErrCrashed}
 		}
-		id := d.nextID.Add(1) - 1
-		if d.opts.Trace {
-			s.trace = append(s.trace,
-				TraceEvent{Shard: s.id, Seq: s.execSeq, At: s.now, Op: uint8(op), Addr: addr, ID: id})
-		}
-		s.execSeq++
 	}
 
 	defer func() {

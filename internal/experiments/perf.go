@@ -269,10 +269,7 @@ func Fig4(r *PerfResults) *stats.Table {
 	// Find the deepest tree among runs (constant across workloads).
 	levels := 0
 	for _, name := range r.Names {
-		res := r.Get(name, memctrl.ModeSRC)
-		if res.Meta.EvictionsByLevel != nil && res.Meta.EvictionsByLevel.Buckets()-1 > levels {
-			levels = res.Meta.EvictionsByLevel.Buckets() - 1
-		}
+		levels = max(levels, len(r.Get(name, memctrl.ModeSRC).Meta.EvictionsByLevel)-1)
 	}
 	headers := []string{"workload"}
 	for l := 1; l <= levels; l++ {
@@ -280,12 +277,15 @@ func Fig4(r *PerfResults) *stats.Table {
 	}
 	t := stats.NewTable("Fig 4 — eviction share per Merkle-tree level (lazy update)", headers...)
 	for _, name := range r.Names {
-		res := r.Get(name, memctrl.ModeSRC)
+		byLevel := r.Get(name, memctrl.ModeSRC).Meta.EvictionsByLevel
+		var total uint64
+		for _, n := range byLevel {
+			total += n
+		}
 		row := make([]interface{}, 0, levels+1)
 		row = append(row, name)
-		h := res.Meta.EvictionsByLevel
 		for l := 1; l <= levels; l++ {
-			row = append(row, h.Fraction(l)*100)
+			row = append(row, float64(byLevel[l])/float64(max(total, 1))*100)
 		}
 		t.AddRow(row...)
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"soteria/internal/ctrenc"
-	"soteria/internal/sim"
 	"soteria/internal/telemetry"
 )
 
@@ -310,36 +309,4 @@ func (b *BMT) VerifyAll() error {
 		}
 	}
 	return nil
-}
-
-// Checkpoint serializes the BMT's on-chip state: the root register and the
-// trusted node copy (an untrusted node as a bare false flag). The stored
-// lines themselves live in the NVM device, checkpointed by its owner.
-func (b *BMT) Checkpoint(w *sim.SnapW) {
-	w.U64(b.root)
-	for i := range b.nodes {
-		trusted := !b.untrusted(uint64(i))
-		w.Bool(trusted)
-		if trusted {
-			w.Raw(b.nodes[i][:])
-		}
-	}
-}
-
-// RestoreBMT rebuilds a BMT from a Checkpoint over the same geometry. It
-// reads nothing from the store: the node copy comes from the checkpoint.
-func RestoreBMT(eng *ctrenc.Engine, store LineStore, leafBase, leaves, treeBase uint64, r *sim.SnapR) (*BMT, error) {
-	b, err := shape(eng, store, leafBase, leaves, treeBase)
-	if err != nil {
-		return nil, err
-	}
-	b.root = r.U64()
-	for i := range b.nodes {
-		if !r.Bool() {
-			b.distrustNode(uint64(i))
-			continue
-		}
-		copy(b.nodes[i][:], r.Raw(BlockSize))
-	}
-	return b, r.Err()
 }

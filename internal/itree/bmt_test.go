@@ -1,12 +1,10 @@
 package itree
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
 	"soteria/internal/ctrenc"
-	"soteria/internal/sim"
 )
 
 // countingStore counts the line reads that reach its backing store.
@@ -161,54 +159,5 @@ func TestBMTAttachUnreadableNode(t *testing.T) {
 	}
 	if err := a.Update(24, &l); err != nil {
 		t.Fatalf("update elsewhere: %v", err)
-	}
-}
-
-// Checkpoint carries the node copy, trust marks included, and restoring it
-// reads nothing from the store.
-func TestBMTCheckpointRoundTrip(t *testing.T) {
-	const leaves = 64
-	const treeBase = uint64(leaves * BlockSize)
-	e := ctrenc.MustNewEngine([]byte("bmt"))
-	store := &countingStore{mapStore: newMapStore()}
-	b, err := NewBMT(e, store, 0, leaves, treeBase)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.poison[treeBase+BlockSize] = true // level 0, node 1
-	a, err := AttachBMT(e, store, 0, leaves, treeBase, b.Root())
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := &sim.SnapW{}
-	a.Checkpoint(w)
-	store.reads = 0
-	r, err := RestoreBMT(e, store, 0, leaves, treeBase, sim.NewSnapR(w.Data()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if store.reads != 0 {
-		t.Fatalf("restore read %d lines", store.reads)
-	}
-	w2 := &sim.SnapW{}
-	r.Checkpoint(w2)
-	if !bytes.Equal(w.Data(), w2.Data()) {
-		t.Fatal("checkpoint of the restored tree differs")
-	}
-	var l [BlockSize]byte
-	if err := r.Update(9, &l); !errors.Is(err, ErrUntrusted) {
-		t.Fatalf("restored tree forgot an untrusted node: %v", err)
-	}
-	if err := a.Update(3, &l); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Update(3, &l); err != nil {
-		t.Fatal(err)
-	}
-	if a.Root() != r.Root() {
-		t.Fatal("restored tree's root diverged")
-	}
-	if _, err := RestoreBMT(e, store, 0, leaves, treeBase, sim.NewSnapR(w.Data()[:len(w.Data())-1])); err == nil {
-		t.Fatal("truncated checkpoint accepted")
 	}
 }

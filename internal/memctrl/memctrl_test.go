@@ -228,13 +228,15 @@ func TestEvictionsHappenAndAreMostlyLeafLevel(t *testing.T) {
 	if ms.DirtyTreeEvictions == 0 {
 		t.Fatal("no metadata evictions despite thrashing")
 	}
-	leaf := ms.EvictionsByLevel.Count(1)
-	total := ms.EvictionsByLevel.Total()
+	leaf, total := ms.EvictionsByLevel[1], uint64(0)
+	for _, n := range ms.EvictionsByLevel {
+		total += n
+	}
 	if float64(leaf)/float64(total) < 0.5 {
 		t.Fatalf("leaf evictions only %d of %d; lazy update should bias leaves", leaf, total)
 	}
 	// Upper levels must be rarer than lower levels overall (Fig 4).
-	if top := ms.EvictionsByLevel.Count(c.Layout().TopLevel()); top > leaf {
+	if top := ms.EvictionsByLevel[c.Layout().TopLevel()]; top > leaf {
 		t.Fatalf("top-level evictions (%d) exceed leaf (%d)", top, leaf)
 	}
 }

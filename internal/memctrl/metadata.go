@@ -507,7 +507,7 @@ func (c *Controller) inflightCopy(home uint64) *metacache.Block {
 	return nil
 }
 
-// resetTransient empties the per-operation stacks (crash, restore).
+// resetTransient empties the per-operation stacks (crash).
 func (c *Controller) resetTransient() {
 	c.inflight = c.inflight[:0]
 	c.forcing = c.forcing[:0]

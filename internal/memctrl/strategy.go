@@ -7,7 +7,6 @@ import (
 
 	"soteria/internal/metacache"
 	"soteria/internal/shadow"
-	"soteria/internal/sim"
 	"soteria/internal/telemetry"
 )
 
@@ -62,13 +61,6 @@ type strategy interface {
 	trackedSlots(c *Controller) []uint64
 	shadowStats(c *Controller) shadow.Stats
 	attachTelemetry(c *Controller, r *telemetry.Registry)
-	// checkpoint/restore serialize the strategy's volatile state (tracking
-	// table handles, persistent registers not already held by the
-	// controller, deferred work queues) as part of Controller.Checkpoint.
-	// restore runs on a freshly installed strategy whose NVM image has
-	// already been restored.
-	checkpoint(c *Controller, w *sim.SnapW)
-	restore(c *Controller, r *sim.SnapR) error
 }
 
 // DefaultStrategy is the strategy selected by an empty Options.Strategy.
@@ -124,10 +116,6 @@ func validateStrategyOptions(s strategy, opt Options) error {
 	}
 	return nil
 }
-
-// Strategy returns the name of the controller's metadata-persistence
-// strategy.
-func (c *Controller) Strategy() string { return c.strat.name() }
 
 // StrategyReliability describes the named strategy's persistent footprint
 // for reliability modeling (faultsim scheme sizing): the shadow-region line

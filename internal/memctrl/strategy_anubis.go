@@ -6,7 +6,6 @@ import (
 	"soteria/internal/itree"
 	"soteria/internal/metacache"
 	"soteria/internal/shadow"
-	"soteria/internal/sim"
 	"soteria/internal/telemetry"
 )
 
@@ -129,38 +128,6 @@ func (s *anubisStrategy) attachTelemetry(c *Controller, r *telemetry.Registry) {
 	if s.tbl != nil {
 		s.tbl.AttachTelemetry(r)
 	}
-}
-
-// checkpoint: the persistent root register plus the live table's volatile
-// state (nil after a crash).
-func (s *anubisStrategy) checkpoint(c *Controller, w *sim.SnapW) {
-	w.U64(s.root)
-	w.U64(s.slots)
-	w.Bool(s.tbl != nil)
-	if s.tbl != nil {
-		s.tbl.Checkpoint(w)
-	}
-}
-
-func (s *anubisStrategy) restore(c *Controller, r *sim.SnapR) error {
-	s.root = r.U64()
-	if slots := r.U64(); r.Err() == nil && slots != s.slots {
-		return fmt.Errorf("memctrl: checkpoint content slots %d, strategy has %d", slots, s.slots)
-	}
-	if !r.Bool() {
-		s.tbl = nil
-		return r.Err()
-	}
-	tbl, err := shadow.RestoreContentTable(c.eng, c.shadowStore(), c.layout.ShadowBase, s.slots,
-		c.layout.ShadowTreeBase, r)
-	if err != nil {
-		return err
-	}
-	s.tbl = tbl
-	if c.telReg != nil {
-		tbl.AttachTelemetry(c.telReg)
-	}
-	return nil
 }
 
 // recover reattaches the content table using the persistent BMT root,

@@ -4,7 +4,6 @@ import (
 	"soteria/internal/itree"
 	"soteria/internal/metacache"
 	"soteria/internal/shadow"
-	"soteria/internal/sim"
 	"soteria/internal/telemetry"
 )
 
@@ -92,33 +91,6 @@ func (s *soteriaStrategy) attachTelemetry(c *Controller, r *telemetry.Registry) 
 	if c.shadow != nil {
 		c.shadow.AttachTelemetry(r)
 	}
-}
-
-// checkpoint: the live table's volatile state, or just its absence (after a
-// crash the handle is nil and the root register — serialized by the
-// controller — is all that survives).
-func (s *soteriaStrategy) checkpoint(c *Controller, w *sim.SnapW) {
-	w.Bool(c.shadow != nil)
-	if c.shadow != nil {
-		c.shadow.Checkpoint(w)
-	}
-}
-
-func (s *soteriaStrategy) restore(c *Controller, r *sim.SnapR) error {
-	if !r.Bool() {
-		c.shadow = nil
-		return r.Err()
-	}
-	tbl, err := shadow.RestoreTable(c.eng, c.shadowStore(), c.layout.ShadowBase, c.layout.ShadowEntries,
-		c.layout.ShadowTreeBase, c.shadowOptions(), r)
-	if err != nil {
-		return err
-	}
-	c.shadow = tbl
-	if c.telReg != nil {
-		tbl.AttachTelemetry(c.telReg)
-	}
-	return nil
 }
 
 // recover rebuilds a consistent, verifiable memory image after Crash():

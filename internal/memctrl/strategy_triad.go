@@ -8,7 +8,6 @@ import (
 	"soteria/internal/metacache"
 	"soteria/internal/osiris"
 	"soteria/internal/shadow"
-	"soteria/internal/sim"
 	"soteria/internal/telemetry"
 	"soteria/internal/wpq"
 )
@@ -160,29 +159,6 @@ func (s *triadStrategy) trackedSlots(c *Controller) []uint64 { return nil }
 func (s *triadStrategy) shadowStats(c *Controller) shadow.Stats { return shadow.Stats{} }
 
 func (s *triadStrategy) attachTelemetry(c *Controller, r *telemetry.Registry) {}
-
-// checkpoint: only the deferred-force queue is volatile strategy state.
-func (s *triadStrategy) checkpoint(c *Controller, w *sim.SnapW) {
-	w.U32(uint32(len(s.deferForce)))
-	for _, home := range s.deferForce {
-		w.U64(home)
-	}
-}
-
-func (s *triadStrategy) restore(c *Controller, r *sim.SnapR) error {
-	n := r.Count(8)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	s.deferForce = s.deferForce[:0]
-	s.deferSet = make(map[uint64]bool, n)
-	for i := 0; i < n; i++ {
-		home := r.U64()
-		s.deferForce = append(s.deferForce, home)
-		s.deferSet[home] = true
-	}
-	return r.Err()
-}
 
 // storedSlot reads the smallest readable stored value of one parent slot
 // (home or clone; the copies agree unless faulted, and a faulted copy must

@@ -290,7 +290,7 @@ func TestMetacacheDifferential(t *testing.T) {
 				}
 			}
 			for l := 0; l <= levels; l++ {
-				if got, want := uint64(st.EvictionsByLevel.Count(l)), ref.dirtyEvByLevel[l]; got != want {
+				if got, want := st.EvictionsByLevel[l], ref.dirtyEvByLevel[l]; got != want {
 					t.Errorf("EvictionsByLevel[%d] = %d, reference %d", l, got, want)
 				}
 			}

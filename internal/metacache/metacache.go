@@ -22,7 +22,6 @@ import (
 	"soteria/internal/ctrenc"
 	"soteria/internal/itree"
 	"soteria/internal/nvm"
-	"soteria/internal/stats"
 	"soteria/internal/telemetry"
 )
 
@@ -77,10 +76,9 @@ type Block struct {
 // Stats aggregates metadata-cache behaviour for the evaluation figures.
 type Stats struct {
 	cache.Stats
-	// EvictionsByLevel histograms dirty tree evictions per level
-	// (bucket i = level i; bucket 0 = MAC lines), the data behind
-	// Fig 4.
-	EvictionsByLevel *stats.Histogram
+	// EvictionsByLevel counts dirty tree evictions per level (element i
+	// = level i; element 0 = MAC lines), the data behind Fig 4.
+	EvictionsByLevel []uint64
 	// DirtyTreeEvictions counts dirty counter/node evictions only
 	// (the numerator of Fig 10c).
 	DirtyTreeEvictions uint64
@@ -171,7 +169,7 @@ func New(cfg config.CacheConfig, levels int) (*Cache, error) {
 		ways:    cfg.Ways,
 		setMask: uint64(nsets - 1),
 		levels:  levels,
-		st:      Stats{EvictionsByLevel: stats.NewHistogram(levels + 1)},
+		st:      Stats{EvictionsByLevel: make([]uint64, levels+1)},
 	}
 	for s := config.BlockSize; s > 1; s >>= 1 {
 		m.lineBits++
@@ -312,7 +310,7 @@ func (m *Cache) Claim(homeAddr uint64, dirty bool) (*Block, Evicted, bool) {
 			m.cs.Writebacks++
 		}
 		if ev.Dirty && ev.Kind != KindMAC {
-			m.st.EvictionsByLevel.Observe(ev.Level)
+			m.st.EvictionsByLevel[ev.Level]++
 			m.st.DirtyTreeEvictions++
 			m.tel.dirtyEvict.Inc()
 			noteLevel(m.tel.evByLevel, ev.Level)
@@ -361,7 +359,7 @@ func (m *Cache) Touch(homeAddr uint64) {
 // events no longer surface as dirty evictions in Insert; this keeps the
 // Fig 4 per-level histogram counting them.
 func (m *Cache) NoteEvictionWriteback(level int) {
-	m.st.EvictionsByLevel.Observe(level)
+	m.st.EvictionsByLevel[level]++
 	m.st.DirtyTreeEvictions++
 	m.tel.dirtyEvict.Inc()
 	noteLevel(m.tel.evByLevel, level)

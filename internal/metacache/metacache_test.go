@@ -33,12 +33,12 @@ func TestEvictionHistogramOnlyCountsDirtyTreeBlocks(t *testing.T) {
 		t.Fatal("no eviction")
 	}
 	st := m.Stats()
-	if st.DirtyTreeEvictions != 1 || st.EvictionsByLevel.Count(1) != 1 {
+	if st.DirtyTreeEvictions != 1 || st.EvictionsByLevel[1] != 1 {
 		t.Fatalf("histogram %v, dirty %d", st.EvictionsByLevel, st.DirtyTreeEvictions)
 	}
 	// Evict the node (dirty, level 2).
 	m.Insert(384, Block{Kind: KindMAC}, false)
-	if m.Stats().EvictionsByLevel.Count(2) != 1 {
+	if m.Stats().EvictionsByLevel[2] != 1 {
 		t.Fatal("level-2 eviction not histogrammed")
 	}
 	// Clean MAC eviction must not count.

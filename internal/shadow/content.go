@@ -94,13 +94,7 @@ func NewContentTable(eng *ctrenc.Engine, store Store, base uint64, slots uint64,
 	if slots == 0 {
 		return nil, fmt.Errorf("shadow: need at least one content slot")
 	}
-	t := &ContentTable{
-		eng:    eng,
-		store:  store,
-		base:   base,
-		slots:  slots,
-		mirror: make([]contentMirror, slots),
-	}
+	t := newContentTable(eng, store, base, slots)
 	var zero nvm.Line
 	invalid := encodeContentHeader(invalidAddr, 0)
 	for i := uint64(0); i < slots; i++ {
@@ -123,18 +117,19 @@ func AttachContent(eng *ctrenc.Engine, store Store, base uint64, slots uint64, t
 	if err != nil {
 		return nil, err
 	}
-	return contentOnBMT(eng, store, base, slots, bmt), nil
+	t := newContentTable(eng, store, base, slots)
+	t.bmt = bmt
+	return t, nil
 }
 
-// contentOnBMT wraps an attached or restored BMT in a content table with an
-// empty mirror.
-func contentOnBMT(eng *ctrenc.Engine, store Store, base uint64, slots uint64, bmt *itree.BMT) *ContentTable {
+// newContentTable returns a content table with an empty mirror and no BMT
+// yet.
+func newContentTable(eng *ctrenc.Engine, store Store, base uint64, slots uint64) *ContentTable {
 	return &ContentTable{
 		eng:    eng,
 		store:  store,
 		base:   base,
 		slots:  slots,
-		bmt:    bmt,
 		mirror: make([]contentMirror, slots),
 	}
 }

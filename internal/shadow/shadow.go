@@ -161,15 +161,7 @@ func NewTable(eng *ctrenc.Engine, store Store, base uint64, slots uint64, treeBa
 	if slots == 0 {
 		return nil, fmt.Errorf("shadow: need at least one slot")
 	}
-	t := &Table{
-		eng:    eng,
-		store:  store,
-		base:   base,
-		slots:  slots,
-		duped:  opt.Duplicate,
-		norep:  opt.DisableHalfRepair,
-		mirror: make([]Entry, slots),
-	}
+	t := newTable(eng, store, base, slots, opt)
 	// Initialize all slots to invalid before hanging the BMT over them.
 	line := t.encode(Entry{})
 	for i := uint64(0); i < slots; i++ {
@@ -191,17 +183,18 @@ func Attach(eng *ctrenc.Engine, store Store, base uint64, slots uint64, treeBase
 	if err != nil {
 		return nil, err
 	}
-	return onBMT(eng, store, base, slots, bmt, opt), nil
+	t := newTable(eng, store, base, slots, opt)
+	t.bmt = bmt
+	return t, nil
 }
 
-// onBMT wraps an attached or restored BMT in a table with an empty mirror.
-func onBMT(eng *ctrenc.Engine, store Store, base uint64, slots uint64, bmt *itree.BMT, opt Options) *Table {
+// newTable returns a table with an empty mirror and no BMT yet.
+func newTable(eng *ctrenc.Engine, store Store, base uint64, slots uint64, opt Options) *Table {
 	return &Table{
 		eng:    eng,
 		store:  store,
 		base:   base,
 		slots:  slots,
-		bmt:    bmt,
 		duped:  opt.Duplicate,
 		norep:  opt.DisableHalfRepair,
 		mirror: make([]Entry, slots),

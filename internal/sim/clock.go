@@ -98,26 +98,3 @@ func (b *Banks) Reset() {
 		b.free[i] = 0
 	}
 }
-
-// Checkpoint serializes the per-bank busy horizon.
-func (b *Banks) Checkpoint(w *SnapW) {
-	w.U32(uint32(len(b.free)))
-	for _, t := range b.free {
-		w.Time(t)
-	}
-}
-
-// Restore loads a Checkpoint written by a Banks model of the same size.
-func (b *Banks) Restore(r *SnapR) error {
-	n := r.Count(8)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if n != len(b.free) {
-		return fmt.Errorf("sim: bank count %d, want %d", n, len(b.free))
-	}
-	for i := range b.free {
-		b.free[i] = r.Time()
-	}
-	return r.Err()
-}

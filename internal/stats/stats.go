@@ -1,5 +1,5 @@
-// Package stats provides the lightweight metric-collection and table
-// rendering utilities used by every experiment harness in the repository.
+// Package stats provides the means and table rendering used by every
+// experiment harness in the repository.
 package stats
 
 import (
@@ -9,128 +9,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// Counters is a named bag of monotonically increasing uint64 counters.
-type Counters struct {
-	m     map[string]uint64
-	order []string
-}
-
-// NewCounters returns an empty counter bag.
-func NewCounters() *Counters {
-	return &Counters{m: make(map[string]uint64)}
-}
-
-// Add increments the named counter by n, creating it at zero if needed.
-func (c *Counters) Add(name string, n uint64) {
-	if _, ok := c.m[name]; !ok {
-		c.order = append(c.order, name)
-	}
-	c.m[name] += n
-}
-
-// Inc increments the named counter by one.
-func (c *Counters) Inc(name string) { c.Add(name, 1) }
-
-// Get returns the current value of the named counter (zero if absent).
-func (c *Counters) Get(name string) uint64 { return c.m[name] }
-
-// Names returns the counter names in insertion order.
-func (c *Counters) Names() []string {
-	out := make([]string, len(c.order))
-	copy(out, c.order)
-	return out
-}
-
-// Ratio returns numerator/denominator as a float, or zero when the
-// denominator counter is zero.
-func (c *Counters) Ratio(num, den string) float64 {
-	d := c.m[den]
-	if d == 0 {
-		return 0
-	}
-	return float64(c.m[num]) / float64(d)
-}
-
-// WriteTo dumps the counters one per line in insertion order.
-func (c *Counters) WriteTo(w io.Writer) (int64, error) {
-	var total int64
-	for _, name := range c.order {
-		n, err := fmt.Fprintf(w, "%-40s %12d\n", name, c.m[name])
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-// Histogram is a fixed-bucket histogram over integer keys (for example
-// Merkle-tree levels). Keys outside the preallocated range are clamped.
-type Histogram struct {
-	counts []uint64
-	total  uint64
-}
-
-// NewHistogram returns a histogram with buckets [0, n).
-func NewHistogram(n int) *Histogram {
-	return &Histogram{counts: make([]uint64, n)}
-}
-
-// Observe adds one sample at key k.
-func (h *Histogram) Observe(k int) {
-	if k < 0 {
-		k = 0
-	}
-	if k >= len(h.counts) {
-		k = len(h.counts) - 1
-	}
-	h.counts[k]++
-	h.total++
-}
-
-// Count returns the number of samples in bucket k.
-func (h *Histogram) Count(k int) uint64 {
-	if k < 0 || k >= len(h.counts) {
-		return 0
-	}
-	return h.counts[k]
-}
-
-// Total returns the total number of samples observed.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Fraction returns the share of samples in bucket k (0 when empty).
-func (h *Histogram) Fraction(k int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Count(k)) / float64(h.total)
-}
-
-// Buckets returns the number of buckets.
-func (h *Histogram) Buckets() int { return len(h.counts) }
-
-// Counts returns a copy of the per-bucket counts.
-func (h *Histogram) Counts() []uint64 {
-	out := make([]uint64, len(h.counts))
-	copy(out, h.counts)
-	return out
-}
-
-// SetCounts replaces the histogram contents (checkpoint restore). The
-// bucket count must match the histogram's layout.
-func (h *Histogram) SetCounts(counts []uint64) error {
-	if len(counts) != len(h.counts) {
-		return fmt.Errorf("stats: histogram has %d buckets, restore has %d", len(h.counts), len(counts))
-	}
-	h.total = 0
-	for i, c := range counts {
-		h.counts[i] = c
-		h.total += c
-	}
-	return nil
-}
 
 // GeoMean returns the geometric mean of the inputs, ignoring non-positive
 // values (which would otherwise collapse the product to zero). It returns

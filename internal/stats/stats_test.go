@@ -7,56 +7,6 @@ import (
 	"testing"
 )
 
-func TestCounters(t *testing.T) {
-	c := NewCounters()
-	c.Inc("a")
-	c.Add("a", 4)
-	c.Add("b", 10)
-	if c.Get("a") != 5 || c.Get("b") != 10 || c.Get("missing") != 0 {
-		t.Fatalf("counter values wrong: %d %d", c.Get("a"), c.Get("b"))
-	}
-	if names := c.Names(); len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names %v", names)
-	}
-	if r := c.Ratio("a", "b"); r != 0.5 {
-		t.Fatalf("ratio %v", r)
-	}
-	if c.Ratio("a", "zero") != 0 {
-		t.Fatal("zero denominator must give 0")
-	}
-	var buf bytes.Buffer
-	if _, err := c.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "a") {
-		t.Fatal("WriteTo missing counter")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(4)
-	h.Observe(0)
-	h.Observe(1)
-	h.Observe(1)
-	h.Observe(99) // clamped to last bucket
-	h.Observe(-3) // clamped to first
-	if h.Total() != 5 {
-		t.Fatalf("total %d", h.Total())
-	}
-	if h.Count(1) != 2 || h.Count(3) != 1 || h.Count(0) != 2 {
-		t.Fatal("bucket counts wrong")
-	}
-	if h.Fraction(1) != 0.4 {
-		t.Fatalf("fraction %v", h.Fraction(1))
-	}
-	if h.Count(42) != 0 {
-		t.Fatal("out-of-range Count should be 0")
-	}
-	if NewHistogram(2).Fraction(0) != 0 {
-		t.Fatal("empty histogram fraction must be 0")
-	}
-}
-
 func TestGeoMeanAndMean(t *testing.T) {
 	if g := GeoMean([]float64{1, 100}); math.Abs(g-10) > 1e-9 {
 		t.Fatalf("geomean %v", g)

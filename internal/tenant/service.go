@@ -79,7 +79,7 @@ type tenantState struct {
 // Service is the multi-tenant secure-memory service over one device. All
 // methods are safe for concurrent use (one internal mutex serializes them,
 // so the device underneath sees a single closed-loop caller and stays
-// deterministic), and the whole service state rides Checkpoint/Restore.
+// deterministic).
 //
 // Crash-safety protocol of the data path — the invariant the per-tenant
 // chaos oracle checks:
@@ -117,10 +117,10 @@ type Service struct {
 	active   int
 
 	// engines caches the per-(tenant, epoch) data engines; pure key
-	// derivations, rebuilt on demand, never serialized.
+	// derivations, rebuilt on demand.
 	engines map[uint64]*ctrenc.Engine
 	// guards caches guard lines (volatile write-through cache; dropped on
-	// crash/recover/restore). Entries are committed only after the device
+	// crash/recover). Entries are committed only after the device
 	// acknowledged the corresponding write, so the cache never runs ahead
 	// of durable state.
 	guards map[uint64]*nvm.Line

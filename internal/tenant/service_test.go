@@ -1,7 +1,6 @@
 package tenant_test
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
@@ -342,93 +341,6 @@ func TestCrashRecoverMidRotation(t *testing.T) {
 	}
 	if err := svc.VerifyTenant(1); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestCheckpointRestoreGolden: tenant state round-trips byte-identically
-// through Checkpoint/Restore — including mid-rotation, mid-window state —
-// and a restored service serves the same data.
-func TestCheckpointRestoreGolden(t *testing.T) {
-	dev, svc := newService(t, 4, tenant.Options{QuotaWindow: 128})
-	if _, err := svc.Provision(1, 24, 100); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Provision(3, 8, 0); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 24; i++ {
-		if _, err := svc.Write(1, uint64(i)*nvm.LineSize, fill(byte(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := svc.Rotate(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := svc.RotateStep(1, 10); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Write(3, 0, fill(0x33)); err != nil {
-		t.Fatal(err)
-	}
-
-	ckpt, err := svc.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Identity: re-checkpoint without restore is already byte-identical.
-	again, err := svc.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ckpt, again) {
-		t.Fatal("checkpoint is not deterministic")
-	}
-
-	// Mutate, then restore and verify the checkpoint round-trips.
-	if _, err := svc.Write(1, 0, fill(0xFF)); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Restore(ckpt); err != nil {
-		t.Fatal(err)
-	}
-	back, err := svc.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ckpt, back) {
-		t.Fatal("Checkpoint -> Restore -> Checkpoint is not byte-identical")
-	}
-	got, _, err := svc.Read(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != *fill(0) {
-		t.Fatalf("restored line 0 = %x, want pre-mutation value", got[0])
-	}
-	st, err := svc.RotateStatus(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Rotating || st.Cursor != 10 || st.Epoch != 2 {
-		t.Fatalf("restored rotation state: %+v", st)
-	}
-
-	// A fresh service over the same device restores the same bytes too.
-	svc2, err := tenant.New(dev, tenant.Options{
-		MasterKey: []byte("tenant-test-master-key"), QuotaWindow: 128,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc2.Restore(ckpt); err != nil {
-		t.Fatal(err)
-	}
-	back2, err := svc2.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ckpt, back2) {
-		t.Fatal("restore onto a fresh service is not byte-identical")
 	}
 }
 

@@ -2,6 +2,7 @@ package wpq
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,9 +11,9 @@ import (
 )
 
 // FuzzWPQMatchesReference drives Queue and the map-indexed refQueue through
-// the same script of Push / PushAtomic / Pending / Depth / FlushTime /
-// Checkpoint->Restore calls at non-decreasing times and requires identical
-// answers, returned times, statistics, checkpoint bytes and device images.
+// the same script of Push / PushAtomic / Pending / Depth / FlushTime calls
+// at non-decreasing times and requires identical answers, returned times,
+// statistics, pending entries, bank horizons and device images.
 // Addresses come from a small pool so coalescing, duplicate entries from
 // atomic groups, stalls and out-of-order bank completions all occur.
 func FuzzWPQMatchesReference(f *testing.F) {
@@ -76,22 +77,7 @@ func FuzzWPQMatchesReference(f *testing.F) {
 					t.Fatalf("step %d: FlushTime = %v, reference %v", i, a, b)
 				}
 			case 5:
-				var qw, rw sim.SnapW
-				q.Checkpoint(&qw)
-				ref.Checkpoint(&rw)
-				if !bytes.Equal(qw.Data(), rw.Data()) {
-					t.Fatalf("step %d: checkpoint bytes differ from the reference", i)
-				}
-				if q, err = New(qDev, qBanks, capacity, writeLat); err != nil {
-					t.Fatal(err)
-				}
-				ref = newRefQueue(rDev, rBanks, capacity, writeLat)
-				if err := q.Restore(sim.NewSnapR(qw.Data())); err != nil {
-					t.Fatal(err)
-				}
-				if err := ref.Restore(sim.NewSnapR(rw.Data())); err != nil {
-					t.Fatal(err)
-				}
+				sameState(t, i, q, ref)
 			case 6:
 				now += sim.Time(arg) * writeLat / 16
 			}
@@ -99,17 +85,36 @@ func FuzzWPQMatchesReference(f *testing.F) {
 				t.Fatalf("step %d: stats %+v, reference %+v", i, q.Stats(), ref.stats)
 			}
 		}
-		var qw, rw sim.SnapW
-		q.Checkpoint(&qw)
-		ref.Checkpoint(&rw)
-		if !bytes.Equal(qw.Data(), rw.Data()) {
-			t.Fatal("final checkpoint bytes differ from the reference")
-		}
-		var qd, rd sim.SnapW
-		qDev.Checkpoint(&qd)
-		rDev.Checkpoint(&rd)
-		if !bytes.Equal(qd.Data(), rd.Data()) {
-			t.Fatal("device images differ from the reference's")
-		}
+		sameState(t, len(script), q, ref)
+		sameImage(t, qDev, rDev)
 	})
+}
+
+// sameState fails unless the queue and the reference hold the same
+// statistics, pending entries (in order) and bank horizons.
+func sameState(t *testing.T, step int, q *Queue, ref *refQueue) {
+	t.Helper()
+	if a, b := q.dump(), ref.dump(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("step %d: queue state %+v, reference %+v", step, a, b)
+	}
+}
+
+// sameImage fails unless the two devices hold the same lines, cells, wear
+// and statistics.
+func sameImage(t *testing.T, a, b *nvm.Device) {
+	t.Helper()
+	var la, lb []uint64
+	a.ForEachTouched(func(addr uint64) { la = append(la, addr) })
+	b.ForEachTouched(func(addr uint64) { lb = append(lb, addr) })
+	if !reflect.DeepEqual(la, lb) {
+		t.Fatalf("device lines %v, reference %v", la, lb)
+	}
+	for _, addr := range la {
+		if a.ReadRaw(addr) != b.ReadRaw(addr) || a.WearOf(addr) != b.WearOf(addr) {
+			t.Fatalf("device line %#x differs from the reference's", addr)
+		}
+	}
+	if a.Stats() != b.Stats() {
+		t.Fatalf("device stats %+v, reference %+v", a.Stats(), b.Stats())
+	}
 }

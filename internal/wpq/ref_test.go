@@ -11,7 +11,7 @@ import (
 // occupancy map: every Pending/Push consults inQueue, drain filters the
 // whole queue on every call, and stalls search the minimum completion.
 // FuzzWPQMatchesReference holds Queue to its answers, times, statistics,
-// checkpoint bytes and device image. Hooks and telemetry are left out:
+// pending entries, bank horizons and device image. Hooks and telemetry are left out:
 // they observe, they do not decide.
 type refQueue struct {
 	dev      *nvm.Device
@@ -127,48 +127,4 @@ func (q *refQueue) FlushTime(now sim.Time) sim.Time {
 	return t
 }
 
-func (q *refQueue) Checkpoint(w *sim.SnapW) {
-	w.U32(uint32(q.capacity))
-	w.Time(q.writeLat)
-	w.U64(q.stats.Inserts)
-	w.U64(q.stats.Coalesced)
-	w.U64(q.stats.Stalls)
-	w.Time(q.stats.StallTime)
-	w.I64(int64(q.stats.MaxDepth))
-	w.U64(q.stats.AtomicSets)
-	w.U32(uint32(len(q.pending)))
-	for _, e := range q.pending {
-		w.U64(e.addr)
-		w.Time(e.completion)
-	}
-}
-
-func (q *refQueue) Restore(r *sim.SnapR) error {
-	if c := r.U32(); int(c) != q.capacity {
-		return fmt.Errorf("wpq: checkpoint capacity %d, queue has %d", c, q.capacity)
-	}
-	if lat := r.Time(); lat != q.writeLat {
-		return fmt.Errorf("wpq: checkpoint write latency %v, queue has %v", lat, q.writeLat)
-	}
-	q.stats.Inserts = r.U64()
-	q.stats.Coalesced = r.U64()
-	q.stats.Stalls = r.U64()
-	q.stats.StallTime = r.Time()
-	q.stats.MaxDepth = int(r.I64())
-	q.stats.AtomicSets = r.U64()
-	n := r.Count(16)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if n > q.capacity {
-		return fmt.Errorf("wpq: checkpoint has %d pending entries, capacity %d", n, q.capacity)
-	}
-	q.pending = q.pending[:0]
-	q.inQueue = make(map[uint64]int, n)
-	for i := 0; i < n; i++ {
-		e := entry{addr: r.U64(), completion: r.Time()}
-		q.pending = append(q.pending, e)
-		q.inQueue[e.addr]++
-	}
-	return r.Err()
-}
+func (q *refQueue) dump() state { return dumpState(q.stats, q.pending, q.banks) }
