@@ -1,16 +1,17 @@
-// Package cache implements the generic set-associative, write-back, LRU
-// cache used for every cache in the simulated system: the L1/L2/LLC data
-// hierarchy and the on-chip security-metadata cache. The cache is generic
-// over its payload so the data hierarchy can carry empty payloads (presence
-// only) while the metadata cache carries decoded counter blocks and tree
-// nodes.
+// Package cache is the one set-associative, write-back, true-LRU cache of
+// the simulated system. Its two users instantiate it with their own
+// payload: cpusim's L1/L2/LLC data hierarchy carries plaintext lines, and
+// metacache carries decoded counter blocks, tree nodes and MAC lines.
+//
+// The backing store is a single flat array of sets×ways, indexed
+// set*ways+way, with the line number, valid/dirty bits, an inline LRU tick
+// and the payload in the way itself: a probe is a shift, a mask and a scan
+// of one set, with no per-entry heap boxes. The cache is a purely
+// functional model — it charges no latency (timing is the caller's
+// business).
 package cache
 
-import (
-	"fmt"
-
-	"soteria/internal/config"
-)
+import "soteria/internal/config"
 
 // Stats aggregates cache activity counters.
 type Stats struct {
@@ -29,31 +30,30 @@ func (s Stats) MissRatio() float64 {
 	return float64(s.Misses) / float64(t)
 }
 
-// Entry is an evicted cache line handed back to the caller.
-type Entry[V any] struct {
+// Evicted identifies a line an insertion displaces — its address and
+// dirty bit — without copying its payload.
+type Evicted struct {
 	Addr  uint64 // line-aligned byte address
 	Dirty bool
-	Value V
 }
 
+// way is one (set, way) slot of the flat backing array.
 type way[V any] struct {
 	valid bool
 	dirty bool
-	tag   uint64
-	lru   uint64
+	line  uint64 // addr / BlockSize; its low bits are the set index
+	lru   uint64 // tick of the last use; 0 while the way is free
 	value V
 }
 
-// Cache is a set-associative write-back cache with true-LRU replacement.
-// It is a purely functional model: it tracks presence, dirtiness, and an
-// arbitrary payload, but charges no latency itself (timing is the
-// controller's business).
+// Cache is a set-associative write-back cache with true-LRU replacement,
+// backed by one flat array indexed ways[set*assoc+way].
 type Cache[V any] struct {
-	sets     []([]way[V])
-	setMask  uint64
-	lineBits uint
-	tick     uint64
-	stats    Stats
+	ways    []way[V]
+	assoc   int
+	setMask uint64
+	tick    uint64
+	stats   Stats
 }
 
 // New constructs a cache from a config.CacheConfig.
@@ -62,69 +62,59 @@ func New[V any](cfg config.CacheConfig) (*Cache[V], error) {
 		return nil, err
 	}
 	nsets := cfg.Sets()
-	c := &Cache[V]{
-		sets:     make([][]way[V], nsets),
-		setMask:  uint64(nsets - 1),
-		lineBits: lineBits(),
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]way[V], cfg.Ways)
-	}
-	return c, nil
+	return &Cache[V]{
+		ways:    make([]way[V], nsets*cfg.Ways),
+		assoc:   cfg.Ways,
+		setMask: uint64(nsets - 1),
+	}, nil
 }
 
-func lineBits() uint {
-	b := uint(0)
-	for s := config.BlockSize; s > 1; s >>= 1 {
-		b++
-	}
-	return b
+// set returns addr's line number and the offset of its set in c.ways.
+func (c *Cache[V]) set(addr uint64) (line uint64, base int) {
+	line = addr / config.BlockSize
+	return line, int(line&c.setMask) * c.assoc
 }
 
-// MustNew is New for known-good configurations; it panics on error.
-func MustNew[V any](cfg config.CacheConfig) *Cache[V] {
-	c, err := New[V](cfg)
-	if err != nil {
-		panic(fmt.Sprintf("cache: %v", err))
+// find returns the slot holding addr, or -1.
+func (c *Cache[V]) find(addr uint64) int {
+	line, base := c.set(addr)
+	ws := c.ways[base : base+c.assoc]
+	for i := range ws {
+		if ws[i].valid && ws[i].line == line {
+			return base + i
+		}
 	}
-	return c
+	return -1
 }
 
-// Stats returns a copy of the accumulated statistics.
-func (c *Cache[V]) Stats() Stats { return c.stats }
-
-// Sets returns the number of sets.
-func (c *Cache[V]) Sets() int { return len(c.sets) }
-
-// Ways returns the associativity.
-func (c *Cache[V]) Ways() int { return len(c.sets[0]) }
-
-func (c *Cache[V]) index(addr uint64) (set uint64, tag uint64) {
-	line := addr >> c.lineBits
-	return line & c.setMask, line >> uint(popcount(c.setMask))
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
+// wayFor is the cache's replacement policy: the slot an insertion of addr
+// occupies is its resident way, else the set's least recently used way. A
+// free way was never used (its tick is 0), so it goes before any resident
+// line; the occupant of a valid victim is evicted (evict is true).
+func (c *Cache[V]) wayFor(addr uint64) (slot int, line uint64, evict bool) {
+	line, base := c.set(addr)
+	ws := c.ways[base : base+c.assoc]
+	victim := 0
+	for i := range ws {
+		if ws[i].valid && ws[i].line == line {
+			return base + i, line, false
+		}
+		if ws[i].lru < ws[victim].lru {
+			victim = i
+		}
 	}
-	return n
+	return base + victim, line, ws[victim].valid
 }
 
 // Lookup probes the cache. On a hit it refreshes LRU state and returns a
 // pointer to the payload (callers may mutate it in place). Stats are
 // updated.
 func (c *Cache[V]) Lookup(addr uint64) (*V, bool) {
-	set, tag := c.index(addr)
-	ws := c.sets[set]
-	for i := range ws {
-		if ws[i].valid && ws[i].tag == tag {
-			c.tick++
-			ws[i].lru = c.tick
-			c.stats.Hits++
-			return &ws[i].value, true
-		}
+	if i := c.find(addr); i >= 0 {
+		c.tick++
+		c.ways[i].lru = c.tick
+		c.stats.Hits++
+		return &c.ways[i].value, true
 	}
 	c.stats.Misses++
 	return nil, false
@@ -132,221 +122,116 @@ func (c *Cache[V]) Lookup(addr uint64) (*V, bool) {
 
 // Peek probes without touching LRU state or statistics.
 func (c *Cache[V]) Peek(addr uint64) (*V, bool) {
-	set, tag := c.index(addr)
-	ws := c.sets[set]
-	for i := range ws {
-		if ws[i].valid && ws[i].tag == tag {
-			return &ws[i].value, true
-		}
+	if i := c.find(addr); i >= 0 {
+		return &c.ways[i].value, true
 	}
 	return nil, false
 }
 
-// Contains reports presence without disturbing anything.
-func (c *Cache[V]) Contains(addr uint64) bool {
-	_, ok := c.Peek(addr)
-	return ok
-}
-
-// MarkDirty sets the dirty bit of a resident line; it reports whether the
-// line was present.
-func (c *Cache[V]) MarkDirty(addr uint64) bool {
-	set, tag := c.index(addr)
-	ws := c.sets[set]
-	for i := range ws {
-		if ws[i].valid && ws[i].tag == tag {
-			ws[i].dirty = true
-			return true
-		}
-	}
-	return false
-}
-
-// Insert fills addr with value. If the victim way holds a valid line, that
-// line is returned as evicted (dirty lines are the caller's responsibility
-// to write back). Inserting an address that is already resident replaces
-// its payload and returns no eviction.
-func (c *Cache[V]) Insert(addr uint64, value V, dirty bool) (evicted Entry[V], hasEvict bool) {
-	set, tag := c.index(addr)
-	ws := c.sets[set]
+// Claim makes addr resident and returns its way's payload for the caller
+// to fill in place. It reports the line it evicted, if any; until the
+// caller overwrites the payload it still holds the victim's, so a caller
+// that must write the victim back reads it there without a copy.
+// Claiming a resident address reuses its way (dirty bits OR together) and
+// evicts nothing.
+func (c *Cache[V]) Claim(addr uint64, dirty bool) (*V, Evicted, bool) {
 	c.tick++
-	// Already resident: replace in place.
-	for i := range ws {
-		if ws[i].valid && ws[i].tag == tag {
-			ws[i].value = value
-			ws[i].dirty = ws[i].dirty || dirty
-			ws[i].lru = c.tick
-			return Entry[V]{}, false
-		}
-	}
-	// Free way?
-	victim := -1
-	for i := range ws {
-		if !ws[i].valid {
-			victim = i
-			break
-		}
-	}
-	// LRU victim.
-	if victim == -1 {
-		victim = 0
-		for i := 1; i < len(ws); i++ {
-			if ws[i].lru < ws[victim].lru {
-				victim = i
-			}
-		}
-		evicted = Entry[V]{
-			Addr:  c.addrOf(set, ws[victim].tag),
-			Dirty: ws[victim].dirty,
-			Value: ws[victim].value,
-		}
-		hasEvict = true
+	i, line, evict := c.wayFor(addr)
+	w := &c.ways[i]
+	var ev Evicted
+	if evict {
+		ev = Evicted{Addr: w.line * config.BlockSize, Dirty: w.dirty}
 		c.stats.Evictions++
-		if ws[victim].dirty {
+		if w.dirty {
 			c.stats.Writebacks++
 		}
+	} else if w.valid {
+		dirty = dirty || w.dirty
 	}
-	ws[victim] = way[V]{valid: true, dirty: dirty, tag: tag, lru: c.tick, value: value}
-	return evicted, hasEvict
+	w.valid, w.dirty, w.line, w.lru = true, dirty, line, c.tick
+	return &w.value, ev, evict
 }
 
-// Victim predicts what Insert(addr, ...) would evict right now, without
-// changing any state: nothing when addr is already resident or its set has
-// a free way, otherwise the set's LRU line. The secure controller uses
-// this to write back a dirty victim *before* the insertion so the victim's
-// shadow-table entry stays valid until its contents are durable.
-func (c *Cache[V]) Victim(addr uint64) (Entry[V], bool) {
-	set, tag := c.index(addr)
-	ws := c.sets[set]
-	for i := range ws {
-		if ws[i].valid && ws[i].tag == tag {
-			return Entry[V]{}, false
-		}
+// Victim predicts what Claim(addr, ...) would evict right now, without
+// changing any state: nothing when addr is resident or its set has a free
+// way, otherwise the set's LRU line, whose payload is returned in place.
+// The secure controller uses this to write back a dirty victim *before*
+// the insertion so the victim's shadow-table entry stays valid until its
+// contents are durable.
+func (c *Cache[V]) Victim(addr uint64) (*V, Evicted, bool) {
+	i, _, evict := c.wayFor(addr)
+	if !evict {
+		return nil, Evicted{}, false
 	}
-	for i := range ws {
-		if !ws[i].valid {
-			return Entry[V]{}, false
-		}
-	}
-	victim := 0
-	for i := 1; i < len(ws); i++ {
-		if ws[i].lru < ws[victim].lru {
-			victim = i
-		}
-	}
-	return Entry[V]{
-		Addr:  c.addrOf(set, ws[victim].tag),
-		Dirty: ws[victim].dirty,
-		Value: ws[victim].value,
-	}, true
+	w := &c.ways[i]
+	return &w.value, Evicted{Addr: w.line * config.BlockSize, Dirty: w.dirty}, true
 }
 
 // Touch refreshes the LRU state of a resident line without counting a hit.
 // The controller uses it to steer victim selection away from a line whose
 // write-back is already in progress.
 func (c *Cache[V]) Touch(addr uint64) {
-	set, tag := c.index(addr)
-	ws := c.sets[set]
-	for i := range ws {
-		if ws[i].valid && ws[i].tag == tag {
-			c.tick++
-			ws[i].lru = c.tick
-			return
-		}
+	if i := c.find(addr); i >= 0 {
+		c.tick++
+		c.ways[i].lru = c.tick
 	}
 }
 
-func (c *Cache[V]) addrOf(set, tag uint64) uint64 {
-	line := tag<<uint(popcount(c.setMask)) | set
-	return line << c.lineBits
-}
-
-// Invalidate drops a resident line (returning it) without write-back —
-// what a power loss does to volatile state.
-func (c *Cache[V]) Invalidate(addr uint64) (Entry[V], bool) {
-	set, tag := c.index(addr)
-	ws := c.sets[set]
-	for i := range ws {
-		if ws[i].valid && ws[i].tag == tag {
-			e := Entry[V]{Addr: addr &^ (config.BlockSize - 1), Dirty: ws[i].dirty, Value: ws[i].value}
-			ws[i] = way[V]{}
-			return e, true
-		}
+// MarkDirty sets the dirty bit of a resident line; it reports whether the
+// line was present.
+func (c *Cache[V]) MarkDirty(addr uint64) bool {
+	i := c.find(addr)
+	if i >= 0 {
+		c.ways[i].dirty = true
 	}
-	return Entry[V]{}, false
+	return i >= 0
 }
 
-// DropAll invalidates every line without write-back and returns the lines
-// that were dirty. It models the loss of volatile state at a crash.
-func (c *Cache[V]) DropAll() []Entry[V] {
-	var dirty []Entry[V]
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			e := &c.sets[s][w]
-			if e.valid && e.dirty {
-				dirty = append(dirty, Entry[V]{Addr: c.addrOf(uint64(s), e.tag), Dirty: true, Value: e.value})
-			}
-			*e = way[V]{}
-		}
+// CleanLine clears the dirty bit of a resident line (after a write-back).
+func (c *Cache[V]) CleanLine(addr uint64) {
+	if i := c.find(addr); i >= 0 {
+		c.ways[i].dirty = false
 	}
-	return dirty
 }
 
-// DirtyEntries returns (without invalidating) every dirty resident line,
-// in set order. Used by flush paths and by Anubis-style tracking audits.
-func (c *Cache[V]) DirtyEntries() []Entry[V] {
-	var out []Entry[V]
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			e := &c.sets[s][w]
-			if e.valid && e.dirty {
-				out = append(out, Entry[V]{Addr: c.addrOf(uint64(s), e.tag), Dirty: true, Value: e.value})
-			}
+// IsDirty reports whether addr is resident and dirty.
+func (c *Cache[V]) IsDirty(addr uint64) bool {
+	i := c.find(addr)
+	return i >= 0 && c.ways[i].dirty
+}
+
+// Invalidate drops a resident line without write-back; it reports whether
+// the line was present.
+func (c *Cache[V]) Invalidate(addr uint64) bool {
+	i := c.find(addr)
+	if i >= 0 {
+		c.ways[i] = way[V]{}
+	}
+	return i >= 0
+}
+
+// DropAll invalidates every line without write-back — what a power loss
+// does to volatile state.
+func (c *Cache[V]) DropAll() { clear(c.ways) }
+
+// DirtyLines returns the address of every dirty resident line, in slot
+// order.
+func (c *Cache[V]) DirtyLines() []uint64 {
+	var out []uint64
+	for i := range c.ways {
+		if w := &c.ways[i]; w.valid && w.dirty {
+			out = append(out, w.line*config.BlockSize)
 		}
 	}
 	return out
 }
 
-// CleanLine clears the dirty bit of a resident line (after a write-back).
-func (c *Cache[V]) CleanLine(addr uint64) {
-	set, tag := c.index(addr)
-	ws := c.sets[set]
-	for i := range ws {
-		if ws[i].valid && ws[i].tag == tag {
-			ws[i].dirty = false
-			return
-		}
-	}
-}
+// SlotOf returns the slot (set*ways + way) of a resident line, or -1. The
+// Anubis shadow table has exactly one entry per slot.
+func (c *Cache[V]) SlotOf(addr uint64) int { return c.find(addr) }
 
-// Len returns the number of valid lines currently resident.
-func (c *Cache[V]) Len() int {
-	n := 0
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].valid {
-				n++
-			}
-		}
-	}
-	return n
-}
+// Slots returns the total number of (set, way) slots.
+func (c *Cache[V]) Slots() int { return len(c.ways) }
 
-// WayOf returns the way index at which addr is resident, or -1. The Anubis
-// shadow table is indexed by (set, way), so the controller needs this.
-func (c *Cache[V]) WayOf(addr uint64) int {
-	set, tag := c.index(addr)
-	ws := c.sets[set]
-	for i := range ws {
-		if ws[i].valid && ws[i].tag == tag {
-			return i
-		}
-	}
-	return -1
-}
-
-// SetOf returns the set index addr maps to.
-func (c *Cache[V]) SetOf(addr uint64) int {
-	set, _ := c.index(addr)
-	return int(set)
-}
+// Stats returns a copy of the accumulated statistics.
+func (c *Cache[V]) Stats() Stats { return c.stats }

@@ -12,12 +12,33 @@ func tiny() config.CacheConfig {
 	return config.CacheConfig{SizeBytes: 512, Ways: 2, LatencyCycles: 1}
 }
 
+func newCache[V any](t *testing.T, cfg config.CacheConfig) *Cache[V] {
+	t.Helper()
+	c, err := New[V](cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// insert is Claim with the payload supplied by value.
+func insert[V any](c *Cache[V], addr uint64, v V, dirty bool) (Evicted, bool) {
+	p, ev, has := c.Claim(addr, dirty)
+	*p = v
+	return ev, has
+}
+
+func resident[V any](c *Cache[V], addr uint64) bool {
+	_, ok := c.Peek(addr)
+	return ok
+}
+
 func TestBasicHitMiss(t *testing.T) {
-	c := MustNew[int](tiny())
+	c := newCache[int](t, tiny())
 	if _, ok := c.Lookup(0); ok {
 		t.Fatal("hit in empty cache")
 	}
-	c.Insert(0, 42, false)
+	insert(c, 0, 42, false)
 	v, ok := c.Lookup(0)
 	if !ok || *v != 42 {
 		t.Fatalf("lookup after insert: %v %v", v, ok)
@@ -37,28 +58,33 @@ func TestBasicHitMiss(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := MustNew[string](tiny()) // 4 sets, 2 ways
+	c := newCache[string](t, tiny()) // 4 sets, 2 ways
 	// Three lines mapping to set 0: line addresses 0, 256, 512 (4 sets * 64 = 256 stride).
-	c.Insert(0, "a", false)
-	c.Insert(256, "b", false)
+	insert(c, 0, "a", false)
+	insert(c, 256, "b", false)
 	c.Lookup(0) // make "a" most recently used
-	ev, has := c.Insert(512, "c", false)
+	if _, ev, has := c.Victim(512); !has || ev.Addr != 256 {
+		t.Fatalf("Victim predicted %+v %v, want line 256", ev, has)
+	}
+	p, ev, has := c.Claim(512, false)
 	if !has {
 		t.Fatal("no eviction from full set")
 	}
-	if ev.Addr != 256 || ev.Value != "b" {
-		t.Fatalf("evicted %+v, want line 256 (b)", ev)
+	// The claimed way still holds the victim's payload until overwritten.
+	if ev.Addr != 256 || *p != "b" {
+		t.Fatalf("evicted %+v holding %q, want line 256 (b)", ev, *p)
 	}
-	if !c.Contains(0) || !c.Contains(512) || c.Contains(256) {
+	*p = "c"
+	if !resident(c, 0) || !resident(c, 512) || resident(c, 256) {
 		t.Fatal("post-eviction contents wrong")
 	}
 }
 
 func TestDirtyEvictionReported(t *testing.T) {
-	c := MustNew[int](tiny())
-	c.Insert(0, 1, true)
-	c.Insert(256, 2, false)
-	ev, has := c.Insert(512, 3, false)
+	c := newCache[int](t, tiny())
+	insert(c, 0, 1, true)
+	insert(c, 256, 2, false)
+	ev, has := insert(c, 512, 3, false)
 	if !has || !ev.Dirty || ev.Addr != 0 {
 		t.Fatalf("dirty eviction wrong: %+v %v", ev, has)
 	}
@@ -68,64 +94,54 @@ func TestDirtyEvictionReported(t *testing.T) {
 }
 
 func TestInsertExistingMergesDirty(t *testing.T) {
-	c := MustNew[int](tiny())
-	c.Insert(0, 1, true)
-	if _, has := c.Insert(0, 2, false); has {
+	c := newCache[int](t, tiny())
+	insert(c, 0, 1, true)
+	if _, has := insert(c, 0, 2, false); has {
 		t.Fatal("re-insert evicted something")
 	}
 	v, _ := c.Peek(0)
 	if *v != 2 {
 		t.Fatal("payload not replaced")
 	}
-	e, ok := c.Invalidate(0)
-	if !ok || !e.Dirty {
+	if !c.IsDirty(0) {
 		t.Fatal("dirty bit lost on re-insert")
+	}
+	if !c.Invalidate(0) || resident(c, 0) {
+		t.Fatal("invalidate left the line resident")
 	}
 }
 
 func TestMarkDirtyAndClean(t *testing.T) {
-	c := MustNew[int](tiny())
+	c := newCache[int](t, tiny())
 	if c.MarkDirty(0) {
 		t.Fatal("marked absent line dirty")
 	}
-	c.Insert(0, 1, false)
+	insert(c, 0, 1, false)
 	if !c.MarkDirty(0) {
 		t.Fatal("failed to mark resident line")
 	}
-	if got := c.DirtyEntries(); len(got) != 1 || got[0].Addr != 0 {
-		t.Fatalf("dirty entries %v", got)
+	if got := c.DirtyLines(); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("dirty lines %v", got)
 	}
 	c.CleanLine(0)
-	if len(c.DirtyEntries()) != 0 {
+	if len(c.DirtyLines()) != 0 {
 		t.Fatal("clean line still dirty")
 	}
 }
 
-func TestDropAllReturnsDirtyOnly(t *testing.T) {
-	c := MustNew[int](tiny())
-	c.Insert(0, 1, true)
-	c.Insert(64, 2, false)
-	c.Insert(128, 3, true)
-	dirty := c.DropAll()
-	if len(dirty) != 2 {
-		t.Fatalf("dropped %d dirty lines, want 2", len(dirty))
+func TestDropAllEmptiesCache(t *testing.T) {
+	c := newCache[int](t, tiny())
+	insert(c, 0, 1, true)
+	insert(c, 64, 2, false)
+	insert(c, 128, 3, true)
+	if n := len(c.DirtyLines()); n != 2 {
+		t.Fatalf("%d dirty lines before DropAll, want 2", n)
 	}
-	if c.Len() != 0 {
-		t.Fatal("cache not empty after DropAll")
-	}
-}
-
-func TestWaySetOf(t *testing.T) {
-	c := MustNew[int](tiny())
-	c.Insert(256, 7, false) // set 0 (line 4, 4 sets -> set 0)
-	if c.SetOf(256) != 0 {
-		t.Fatalf("SetOf(256) = %d", c.SetOf(256))
-	}
-	if w := c.WayOf(256); w != 0 {
-		t.Fatalf("WayOf = %d", w)
-	}
-	if c.WayOf(64) != -1 {
-		t.Fatal("WayOf for absent line should be -1")
+	c.DropAll()
+	for _, a := range []uint64{0, 64, 128} {
+		if resident(c, a) {
+			t.Fatalf("line %d resident after DropAll", a)
+		}
 	}
 }
 
@@ -134,15 +150,23 @@ func TestWaySetOf(t *testing.T) {
 func TestCapacityInvariant(t *testing.T) {
 	cfg := config.CacheConfig{SizeBytes: 2048, Ways: 4, LatencyCycles: 1}
 	capacity := cfg.SizeBytes / config.BlockSize
-	c := MustNew[uint64](cfg)
+	c := newCache[uint64](t, cfg)
+	seen := map[uint64]bool{}
 	f := func(addrs []uint16) bool {
 		for _, a := range addrs {
 			addr := uint64(a) * config.BlockSize
-			c.Insert(addr, addr, a%2 == 0)
-			if !c.Contains(addr) {
+			insert(c, addr, addr, a%2 == 0)
+			seen[addr] = true
+			if !resident(c, addr) {
 				return false
 			}
-			if c.Len() > capacity {
+			n := 0
+			for a := range seen {
+				if resident(c, a) {
+					n++
+				}
+			}
+			if n > capacity {
 				return false
 			}
 		}
@@ -157,13 +181,13 @@ func TestCapacityInvariant(t *testing.T) {
 // resident after being inserted back-to-back (no premature eviction).
 func TestFullSetResidency(t *testing.T) {
 	cfg := config.CacheConfig{SizeBytes: 4096, Ways: 8, LatencyCycles: 1}
-	c := MustNew[int](cfg)
+	c := newCache[int](t, cfg)
 	sets := uint64(cfg.Sets())
 	for i := uint64(0); i < 8; i++ {
-		c.Insert(i*sets*config.BlockSize, int(i), false)
+		insert(c, i*sets*config.BlockSize, int(i), false)
 	}
 	for i := uint64(0); i < 8; i++ {
-		if !c.Contains(i * sets * config.BlockSize) {
+		if !resident(c, i*sets*config.BlockSize) {
 			t.Fatalf("way %d evicted early", i)
 		}
 	}

@@ -1,14 +1,15 @@
 // Package cpusim is the trace-driven core and cache-hierarchy model that
 // drives the secure memory controller for the performance experiments
-// (Fig 10). It models the Table-3 hierarchy — private L1/L2 per stream, a
-// shared LLC — charges fixed hit latencies, and forwards LLC misses and
-// dirty LLC evictions to the memory controller, which charges NVM, WPQ and
-// security-metadata timing.
+// (Fig 10). It runs one trace on one core with the Table-3 L1, L2 and LLC
+// — each an internal/cache core carrying plaintext lines — charges fixed
+// hit latencies, and forwards LLC misses and dirty LLC evictions to the
+// memory controller, which charges NVM, WPQ and security-metadata timing.
 //
-// The model is deliberately simpler than gem5 (in-order, one outstanding
-// miss): Soteria's evaluation depends on the *relative* cost of metadata
-// cloning, which is governed by eviction rates and write traffic, not by
-// out-of-order overlap. DESIGN.md records this substitution.
+// The model is deliberately simpler than gem5 (one in-order core, one
+// outstanding miss): Soteria's evaluation depends on the *relative* cost
+// of metadata cloning, which is governed by eviction rates and write
+// traffic, not by out-of-order overlap or core count. DESIGN.md records
+// this substitution.
 package cpusim
 
 import (
@@ -126,6 +127,33 @@ func (c *CPU) Run(gen trace.Generator, memOps uint64) (Result, error) {
 	return c.result(gen.Name()), nil
 }
 
+// step executes one trace record on the core.
+func (c *CPU) step(rec *trace.Record) error {
+	c.instructions += uint64(rec.Gap)
+	c.now += c.cycles(float64(rec.Gap) * c.cfg.CPU.NonMemCPI)
+	var err error
+	switch rec.Op {
+	case trace.OpRead:
+		err = c.doRead(c.align(rec.Addr))
+	case trace.OpWrite:
+		err = c.doWrite(c.align(rec.Addr), false)
+	case trace.OpWritePersist:
+		err = c.doWrite(c.align(rec.Addr), true)
+	case trace.OpBarrier:
+		c.barriers++
+		c.now = c.ctrl.DrainWPQ(c.now)
+		return nil // barriers are not memory operations
+	default:
+		return fmt.Errorf("cpusim: unknown op %v", rec.Op)
+	}
+	if err != nil {
+		return err
+	}
+	c.instructions++
+	c.memOps++
+	return nil
+}
+
 func (c *CPU) result(name string) Result {
 	return Result{
 		Workload:     name,
@@ -241,15 +269,14 @@ func (c *CPU) access(addr uint64) (*line, error) {
 		}
 		c.installL2(addr, content, false)
 	}
-	// Allocate in L1.
-	if ev, has := c.l1.Insert(addr, content, false); has && ev.Dirty {
-		c.installL2(ev.Addr, ev.Value, true)
+	// Allocate in L1; the claimed way holds a dirty victim until it is
+	// overwritten.
+	p, ev, has := c.l1.Claim(addr, false)
+	if has && ev.Dirty {
+		c.installL2(ev.Addr, *p, true)
 	}
-	v2, ok2 := c.l1.Peek(addr)
-	if !ok2 {
-		panic("cpusim: line vanished from L1 after insert")
-	}
-	return v2, nil
+	*p = content
+	return p, nil
 }
 
 func (c *CPU) installL2(addr uint64, content line, dirty bool) {
@@ -261,14 +288,19 @@ func (c *CPU) installL2(addr uint64, content line, dirty bool) {
 			return
 		}
 	}
-	if ev, has := c.l2.Insert(addr, content, dirty); has && ev.Dirty {
-		c.installLLCOrDrop(ev.Addr, ev.Value)
+	p, ev, has := c.l2.Claim(addr, dirty)
+	if has && ev.Dirty {
+		c.installLLCOrDrop(ev.Addr, *p)
 	}
+	*p = content
 }
 
 func (c *CPU) installLLC(addr uint64, content line, dirty bool) error {
-	if ev, has := c.llc.Insert(addr, content, dirty); has && ev.Dirty {
-		now, err := c.ctrl.WriteBlock(c.now, ev.Addr, &ev.Value)
+	p, ev, has := c.llc.Claim(addr, dirty)
+	victim := *p
+	*p = content
+	if has && ev.Dirty {
+		now, err := c.ctrl.WriteBlock(c.now, ev.Addr, &victim)
 		if err != nil {
 			return err
 		}

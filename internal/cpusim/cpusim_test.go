@@ -137,73 +137,3 @@ func TestCacheHierarchyFiltersTraffic(t *testing.T) {
 		t.Fatal("no L1 hits")
 	}
 }
-
-func TestMultiCoreRun(t *testing.T) {
-	cfg := config.TestSystem()
-	ctrl, err := memctrl.New(cfg, memctrl.ModeSRC, []byte("k"), memctrl.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMulti(cfg, ctrl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Cores() != cfg.CPU.Cores {
-		t.Fatalf("cores = %d, want %d", m.Cores(), cfg.CPU.Cores)
-	}
-	gens := make([]trace.Generator, m.Cores())
-	for i := range gens {
-		gens[i] = workload.ByNameMust("hashmap").New(1<<20, int64(i+1))
-	}
-	res, err := m.Run(gens, 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MemOps != uint64(3000*m.Cores()) {
-		t.Fatalf("memOps = %d", res.MemOps)
-	}
-	if res.ExecTime <= 0 || res.Ctrl.MemRequests == 0 {
-		t.Fatal("no progress")
-	}
-	// All cores share the LLC: its accesses must reflect every core's
-	// misses, and the shared controller must have seen traffic from all.
-	if res.LLC.Hits+res.LLC.Misses == 0 {
-		t.Fatal("shared LLC unused")
-	}
-}
-
-func TestMultiCoreSharedLLCConstructiveSharing(t *testing.T) {
-	cfg := config.TestSystem()
-	ctrl, _ := memctrl.New(cfg, memctrl.ModeBaseline, []byte("k"), memctrl.Options{})
-	m, _ := NewMulti(cfg, ctrl)
-	// Every core streams the same small region with the same seed: after
-	// one core faults a line into the shared LLC, the others hit it.
-	gens := make([]trace.Generator, m.Cores())
-	for i := range gens {
-		gens[i] = workload.ByNameMust("gcc").New(1<<14, 7)
-	}
-	res, err := m.Run(gens, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LLC.Hits == 0 {
-		t.Fatal("no constructive sharing in the shared LLC")
-	}
-}
-
-func TestMultiCoreRejectsBadInput(t *testing.T) {
-	cfg := config.TestSystem()
-	cfg.CPU.Cores = 0
-	ctrl, _ := memctrl.New(config.TestSystem(), memctrl.ModeBaseline, []byte("k"), memctrl.Options{})
-	if _, err := NewMulti(cfg, ctrl); err == nil {
-		t.Fatal("zero cores accepted")
-	}
-	cfg.CPU.Cores = 2
-	m, err := NewMulti(cfg, ctrl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(nil, 10); err == nil {
-		t.Fatal("nil generators accepted")
-	}
-}

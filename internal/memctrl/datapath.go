@@ -317,26 +317,24 @@ func (c *Controller) FlushAll(now sim.Time) sim.Time {
 		if pass > c.layout.TopLevel()+2 {
 			panic("memctrl: FlushAll failed to reach a fixpoint")
 		}
-		dirty := c.mcache.DirtyEntries()
+		dirty := c.mcache.DirtyLines()
 		// Lowest level first: leaf write-backs dirty their parents,
 		// which later iterations of this pass pick up.
 		work := false
 		for level := 0; level <= c.layout.TopLevel(); level++ {
-			for _, e := range dirty {
-				if e.Value.Level != level || e.Value.Kind == metacache.KindMAC {
-					continue
-				}
+			for _, addr := range dirty {
 				// Skip if a cascade already evicted or cleaned it.
-				if !c.mcache.IsDirty(e.Addr) {
+				b, ok := c.mcache.Peek(addr)
+				if !ok || b.Level != level || b.Kind == metacache.KindMAC || !c.mcache.IsDirty(addr) {
 					continue
 				}
-				if err := c.forceWriteback(e.Addr); err != nil {
+				if err := c.forceWriteback(addr); err != nil {
 					// Unverifiable parent chain: the update is lost
 					// (already accounted); clean the line so the
 					// flush can terminate.
 					c.stats.RecoveryLost++
 					c.tel.recoveryLost.Inc()
-					c.mcache.CleanLine(e.Addr)
+					c.mcache.CleanLine(addr)
 				}
 				work = true
 			}

@@ -57,7 +57,7 @@ func TestEagerLeavesNothingDirty(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := len(c.mcache.DirtyEntries()); n != 0 {
+	if n := len(c.mcache.DirtyLines()); n != 0 {
 		t.Fatalf("%d dirty blocks after eager writes", n)
 	}
 	if c.ShadowStats().EntryWrites != 0 {

@@ -357,7 +357,7 @@ func TestCrashRecoveryPreservesData(t *testing.T) {
 				}
 			}
 			// Crash with plenty of dirty metadata in the cache.
-			if len(c.mcache.DirtyEntries()) == 0 {
+			if len(c.mcache.DirtyLines()) == 0 {
 				t.Fatal("test wants dirty state at crash")
 			}
 			c.Crash()

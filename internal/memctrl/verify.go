@@ -23,7 +23,7 @@ func (c *Controller) VerifyAll() error {
 	if c.crashed {
 		return ErrCrashed
 	}
-	if dirty := c.mcache.DirtyEntries(); len(dirty) != 0 {
+	if dirty := c.mcache.DirtyLines(); len(dirty) != 0 {
 		return fmt.Errorf("memctrl: VerifyAll with %d dirty cached blocks; call FlushAll first", len(dirty))
 	}
 

@@ -1,17 +1,14 @@
-// Package metacache implements the security-metadata cache with the
-// payload types and the per-level eviction statistics that drive Figures 4
-// and 10c of the paper. The metadata cache is the volatile on-chip
-// structure (Table 3: 512 kB, 8-way) holding decoded counter blocks, ToC
-// nodes and packed data-MAC lines; everything in it is trusted (it is
-// inside the processor), and everything in it is lost at a crash.
+// Package metacache is the security-metadata cache: the payload types
+// and the per-level eviction accounting that drive Figures 4 and 10c of
+// the paper, over internal/cache's set-associative LRU core. The metadata
+// cache is the volatile on-chip structure (Table 3: 512 kB, 8-way) holding
+// decoded counter blocks, ToC nodes and packed data-MAC lines; everything
+// in it is trusted (it is inside the processor), and everything in it is
+// lost at a crash.
 //
-// Unlike the data hierarchy (internal/cache), the metadata cache sits on
-// the controller's per-access critical path, so its backing store is a
-// single flat array of sets×ways lines — direct set/way indexing, inline
-// LRU stamps, no per-entry heap boxes — while preserving the generic
-// cache's observable semantics exactly (the differential test drives both
-// against the same reference model). It reuses internal/cache's Stats and
-// Entry types so callers are unchanged.
+// Set/way placement and replacement belong to the core; this package adds
+// what the paper measures on top of it: dirty tree evictions by level,
+// the payload kind and level of a victim, and telemetry.
 package metacache
 
 import (
@@ -99,26 +96,10 @@ type telemetryHooks struct {
 	dropAll     *telemetry.Counter
 }
 
-// line is one (set, way) slot of the flat backing array.
-type line struct {
-	valid bool
-	dirty bool
-	tag   uint64
-	lru   uint64
-	block Block
-}
-
-// Cache is the metadata cache: set-associative, write-back, true-LRU,
-// backed by one flat array indexed as lines[set*ways+way].
+// Cache is the metadata cache: the set-associative LRU core carrying
+// Blocks, plus the eviction accounting and telemetry.
 type Cache struct {
-	lines    []line
-	ways     int
-	setMask  uint64
-	setBits  uint
-	lineBits uint
-	tick     uint64
-
-	cs     cache.Stats
+	c      *cache.Cache[Block]
 	levels int
 	st     Stats
 	tel    telemetryHooks
@@ -160,102 +141,42 @@ func noteLevel(ctrs []*telemetry.Counter, level int) {
 // New constructs a metadata cache from its configuration; levels is the
 // number of stored tree levels (for the eviction histogram).
 func New(cfg config.CacheConfig, levels int) (*Cache, error) {
-	if err := cfg.Validate(); err != nil {
+	c, err := cache.New[Block](cfg)
+	if err != nil {
 		return nil, err
 	}
-	nsets := cfg.Sets()
-	m := &Cache{
-		lines:   make([]line, nsets*cfg.Ways),
-		ways:    cfg.Ways,
-		setMask: uint64(nsets - 1),
-		levels:  levels,
-		st:      Stats{EvictionsByLevel: make([]uint64, levels+1)},
-	}
-	for s := config.BlockSize; s > 1; s >>= 1 {
-		m.lineBits++
-	}
-	for s := nsets; s > 1; s >>= 1 {
-		m.setBits++
-	}
-	return m, nil
-}
-
-// index splits addr into its set and tag.
-func (m *Cache) index(addr uint64) (set uint64, tag uint64) {
-	l := addr >> m.lineBits
-	return l & m.setMask, l >> m.setBits
-}
-
-// set returns the ways of one set as a subslice of the flat array.
-func (m *Cache) set(set uint64) []line {
-	base := int(set) * m.ways
-	return m.lines[base : base+m.ways]
-}
-
-// addrOf reassembles the line-aligned address of a (set, tag) pair.
-func (m *Cache) addrOf(set, tag uint64) uint64 {
-	return (tag<<m.setBits | set) << m.lineBits
-}
-
-// find returns the way index holding addr within its set, or -1.
-func (m *Cache) find(ws []line, tag uint64) int {
-	for i := range ws {
-		if ws[i].valid && ws[i].tag == tag {
-			return i
-		}
-	}
-	return -1
+	return &Cache{c: c, levels: levels, st: Stats{EvictionsByLevel: make([]uint64, levels+1)}}, nil
 }
 
 // Lookup probes for the block with the given home address. On a hit it
 // refreshes LRU state and returns a pointer to the payload (callers may
 // mutate it in place).
 func (m *Cache) Lookup(homeAddr uint64) (*Block, bool) {
-	set, tag := m.index(homeAddr)
-	ws := m.set(set)
-	if i := m.find(ws, tag); i >= 0 {
-		m.tick++
-		ws[i].lru = m.tick
-		m.cs.Hits++
+	b, ok := m.c.Lookup(homeAddr)
+	if ok {
 		m.tel.hits.Inc()
-		noteLevel(m.tel.hitsByLevel, ws[i].block.Level)
-		return &ws[i].block, true
+		noteLevel(m.tel.hitsByLevel, b.Level)
+	} else {
+		m.tel.misses.Inc()
 	}
-	m.cs.Misses++
-	m.tel.misses.Inc()
-	return nil, false
+	return b, ok
 }
 
 // Peek probes without LRU/statistics side effects.
-func (m *Cache) Peek(homeAddr uint64) (*Block, bool) {
-	set, tag := m.index(homeAddr)
-	ws := m.set(set)
-	if i := m.find(ws, tag); i >= 0 {
-		return &ws[i].block, true
-	}
-	return nil, false
-}
+func (m *Cache) Peek(homeAddr uint64) (*Block, bool) { return m.c.Peek(homeAddr) }
 
 // MarkDirty marks a resident block dirty.
-func (m *Cache) MarkDirty(homeAddr uint64) bool {
-	set, tag := m.index(homeAddr)
-	ws := m.set(set)
-	if i := m.find(ws, tag); i >= 0 {
-		ws[i].dirty = true
-		return true
-	}
-	return false
-}
+func (m *Cache) MarkDirty(homeAddr uint64) bool { return m.c.MarkDirty(homeAddr) }
 
 // CleanLine clears a resident block's dirty bit after write-back.
 func (m *Cache) CleanLine(homeAddr uint64) {
 	m.tel.writebacks.Inc()
-	set, tag := m.index(homeAddr)
-	ws := m.set(set)
-	if i := m.find(ws, tag); i >= 0 {
-		ws[i].dirty = false
-	}
+	m.c.CleanLine(homeAddr)
 }
+
+// IsDirty reports whether the block at homeAddr is resident and dirty,
+// without touching LRU state.
+func (m *Cache) IsDirty(homeAddr uint64) bool { return m.c.IsDirty(homeAddr) }
 
 // Evicted identifies a line an insertion displaces: enough to decide what
 // to do about it (write it back, steer around it) without copying its
@@ -268,25 +189,9 @@ type Evicted struct {
 	Level int
 }
 
-// wayFor returns the way an insertion of tag into ws occupies: its
-// resident way, else the first free way, else the LRU way, whose occupant
-// is then evicted (evict is true).
-func (m *Cache) wayFor(ws []line, tag uint64) (way int, evict bool) {
-	if i := m.find(ws, tag); i >= 0 {
-		return i, false
-	}
-	for i := range ws {
-		if !ws[i].valid {
-			return i, false
-		}
-	}
-	victim := 0
-	for i := 1; i < len(ws); i++ {
-		if ws[i].lru < ws[victim].lru {
-			victim = i
-		}
-	}
-	return victim, true
+// evicted describes the core's victim ev, whose payload is b.
+func evicted(b *Block, ev cache.Evicted) Evicted {
+	return Evicted{Addr: ev.Addr, Dirty: ev.Dirty, Kind: b.Kind, Level: b.Level}
 }
 
 // Claim makes homeAddr resident and returns its way's payload, zeroed, for
@@ -295,29 +200,17 @@ func (m *Cache) wayFor(ws []line, tag uint64) (way int, evict bool) {
 // are histogrammed by level. Claiming a resident address reuses its way
 // (dirty bits OR together) and evicts nothing.
 func (m *Cache) Claim(homeAddr uint64, dirty bool) (*Block, Evicted, bool) {
-	set, tag := m.index(homeAddr)
-	ws := m.set(set)
-	m.tick++
-	w, evict := m.wayFor(ws, tag)
-	l := &ws[w]
-	wasDirty := l.valid && !evict && l.dirty // resident re-claim
+	b, cev, evict := m.c.Claim(homeAddr, dirty)
 	var ev Evicted
 	if evict {
-		ev = Evicted{Addr: m.addrOf(set, l.tag), Dirty: l.dirty, Kind: l.block.Kind, Level: l.block.Level}
-		m.cs.Evictions++
+		ev = evicted(b, cev)
 		m.tel.evictions.Inc()
-		if ev.Dirty {
-			m.cs.Writebacks++
-		}
 		if ev.Dirty && ev.Kind != KindMAC {
-			m.st.EvictionsByLevel[ev.Level]++
-			m.st.DirtyTreeEvictions++
-			m.tel.dirtyEvict.Inc()
-			noteLevel(m.tel.evByLevel, ev.Level)
+			m.NoteEvictionWriteback(ev.Level)
 		}
 	}
-	*l = line{valid: true, dirty: dirty || wasDirty, tag: tag, lru: m.tick}
-	return &l.block, ev, evict
+	*b = Block{}
+	return b, ev, evict
 }
 
 // Insert is Claim with the payload supplied by value.
@@ -329,34 +222,22 @@ func (m *Cache) Insert(homeAddr uint64, b Block, dirty bool) (Evicted, bool) {
 
 // Victim predicts what Claim(homeAddr, ...) would evict, without
 // changing any cache state: nothing when the address is resident or its
-// set has a free way, otherwise the set's LRU line. The secure controller
-// uses this to write back a dirty victim *before* the insertion so the
-// victim's shadow-table entry stays valid until its contents are durable.
+// set has a free way, otherwise the set's LRU line.
 func (m *Cache) Victim(homeAddr uint64) (Evicted, bool) {
-	set, tag := m.index(homeAddr)
-	ws := m.set(set)
-	w, evict := m.wayFor(ws, tag)
+	b, ev, evict := m.c.Victim(homeAddr)
 	if !evict {
 		return Evicted{}, false
 	}
-	l := &ws[w]
-	return Evicted{Addr: m.addrOf(set, l.tag), Dirty: l.dirty, Kind: l.block.Kind, Level: l.block.Level}, true
+	return evicted(b, ev), true
 }
 
 // Touch refreshes a resident block's LRU state (no hit is counted).
-func (m *Cache) Touch(homeAddr uint64) {
-	set, tag := m.index(homeAddr)
-	ws := m.set(set)
-	if i := m.find(ws, tag); i >= 0 {
-		m.tick++
-		ws[i].lru = m.tick
-	}
-}
+func (m *Cache) Touch(homeAddr uint64) { m.c.Touch(homeAddr) }
 
 // NoteEvictionWriteback records one dirty tree block written back under
 // eviction pressure. The controller pre-cleans dirty victims (write-back
 // while still resident, then evict clean) for crash safety, so these
-// events no longer surface as dirty evictions in Insert; this keeps the
+// events no longer surface as dirty evictions in Claim; this keeps the
 // Fig 4 per-level histogram counting them.
 func (m *Cache) NoteEvictionWriteback(level int) {
 	m.st.EvictionsByLevel[level]++
@@ -365,99 +246,37 @@ func (m *Cache) NoteEvictionWriteback(level int) {
 	noteLevel(m.tel.evByLevel, level)
 }
 
-// Invalidate drops one line without write-back.
-func (m *Cache) Invalidate(homeAddr uint64) (cache.Entry[Block], bool) {
-	set, tag := m.index(homeAddr)
-	ws := m.set(set)
-	if i := m.find(ws, tag); i >= 0 {
-		e := cache.Entry[Block]{
-			Addr:  homeAddr &^ (config.BlockSize - 1),
-			Dirty: ws[i].dirty,
-			Value: ws[i].block,
-		}
-		ws[i] = line{}
+// Invalidate drops one block without write-back; it reports whether the
+// block was resident.
+func (m *Cache) Invalidate(homeAddr uint64) bool {
+	ok := m.c.Invalidate(homeAddr)
+	if ok {
 		m.tel.invalidates.Inc()
-		return e, true
 	}
-	return cache.Entry[Block]{}, false
+	return ok
 }
 
-// DropAll models power loss: every line vanishes; the dirty ones are
-// returned so tests can reason about what recovery must reconstruct.
-func (m *Cache) DropAll() []cache.Entry[Block] {
+// DropAll models power loss: every block vanishes.
+func (m *Cache) DropAll() {
 	m.tel.dropAll.Inc()
-	var dirty []cache.Entry[Block]
-	for i := range m.lines {
-		l := &m.lines[i]
-		if l.valid && l.dirty {
-			set := uint64(i / m.ways)
-			dirty = append(dirty, cache.Entry[Block]{
-				Addr:  m.addrOf(set, l.tag),
-				Dirty: true,
-				Value: l.block,
-			})
-		}
-		*l = line{}
-	}
-	return dirty
+	m.c.DropAll()
 }
 
-// IsDirty reports whether the block at homeAddr is resident and dirty,
-// without allocating or touching LRU state.
-func (m *Cache) IsDirty(homeAddr uint64) bool {
-	set, tag := m.index(homeAddr)
-	ws := m.set(set)
-	i := m.find(ws, tag)
-	return i >= 0 && ws[i].dirty
-}
-
-// DirtyEntries lists resident dirty blocks, in set order.
-func (m *Cache) DirtyEntries() []cache.Entry[Block] {
-	var out []cache.Entry[Block]
-	for i := range m.lines {
-		l := &m.lines[i]
-		if l.valid && l.dirty {
-			set := uint64(i / m.ways)
-			out = append(out, cache.Entry[Block]{
-				Addr:  m.addrOf(set, l.tag),
-				Dirty: true,
-				Value: l.block,
-			})
-		}
-	}
-	return out
-}
+// DirtyLines lists the home addresses of resident dirty blocks, in slot
+// order.
+func (m *Cache) DirtyLines() []uint64 { return m.c.DirtyLines() }
 
 // SlotOf returns the shadow-table slot (set*ways + way) of a resident
 // block, or -1. The Anubis shadow table has exactly one entry per cache
 // way.
-func (m *Cache) SlotOf(homeAddr uint64) int {
-	set, tag := m.index(homeAddr)
-	ws := m.set(set)
-	w := m.find(ws, tag)
-	if w < 0 {
-		return -1
-	}
-	return int(set)*m.ways + w
-}
+func (m *Cache) SlotOf(homeAddr uint64) int { return m.c.SlotOf(homeAddr) }
 
 // Slots returns the total number of (set, way) slots.
-func (m *Cache) Slots() int { return len(m.lines) }
+func (m *Cache) Slots() int { return m.c.Slots() }
 
 // Stats returns a snapshot of the metadata cache statistics.
 func (m *Cache) Stats() Stats {
 	s := m.st
-	s.Stats = m.cs
+	s.Stats = m.c.Stats()
 	return s
-}
-
-// Len returns the number of resident blocks.
-func (m *Cache) Len() int {
-	n := 0
-	for i := range m.lines {
-		if m.lines[i].valid {
-			n++
-		}
-	}
-	return n
 }

@@ -70,31 +70,25 @@ func TestSlotOfMatchesSetWay(t *testing.T) {
 func TestDirtyLifecycle(t *testing.T) {
 	m := newMC(t)
 	m.Insert(0, Block{Kind: KindCounter, Level: 1, UpdatesPerSlot: [64]uint32{}}, false)
-	if len(m.DirtyEntries()) != 0 {
+	if len(m.DirtyLines()) != 0 {
 		t.Fatal("clean insert is dirty")
 	}
 	if !m.MarkDirty(0) {
 		t.Fatal("mark failed")
 	}
-	if len(m.DirtyEntries()) != 1 {
+	if !m.IsDirty(0) || len(m.DirtyLines()) != 1 {
 		t.Fatal("dirty not listed")
 	}
 	m.CleanLine(0)
-	if len(m.DirtyEntries()) != 0 {
+	if m.IsDirty(0) || len(m.DirtyLines()) != 0 {
 		t.Fatal("clean failed")
 	}
 	b, ok := m.Peek(0)
 	if !ok || b.Kind != KindCounter {
 		t.Fatal("peek failed")
 	}
-	if m.Len() != 1 {
-		t.Fatal("len wrong")
-	}
-	dropped := m.DropAll()
-	if len(dropped) != 0 { // it was clean
-		t.Fatal("clean drop returned entries")
-	}
-	if m.Len() != 0 {
+	m.DropAll()
+	if _, ok := m.Peek(0); ok {
 		t.Fatal("DropAll left residents")
 	}
 }
@@ -102,11 +96,13 @@ func TestDirtyLifecycle(t *testing.T) {
 func TestInvalidate(t *testing.T) {
 	m := newMC(t)
 	m.Insert(0, Block{Kind: KindNode, Level: 3}, true)
-	e, ok := m.Invalidate(0)
-	if !ok || !e.Dirty || e.Value.Level != 3 {
-		t.Fatalf("invalidate: %+v %v", e, ok)
+	if !m.Invalidate(0) {
+		t.Fatal("invalidate missed a resident block")
 	}
 	if _, ok := m.Lookup(0); ok {
 		t.Fatal("still resident")
+	}
+	if m.Invalidate(0) {
+		t.Fatal("invalidated an absent block")
 	}
 }
