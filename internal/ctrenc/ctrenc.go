@@ -416,24 +416,44 @@ func CounterLineMAC(e *Engine, blockIndex, parentCounter uint64, line *[BlockSiz
 }
 
 // packMinors packs 64 6-bit values into 48 bytes, minor i in bits
-// [6i, 6i+6) of the little-endian bit string: four minors fill three bytes.
+// [6i, 6i+6) little-endian. Sixteen minors at a time become two 48-bit words
+// (squeezeMinors) stored as twelve bytes, never past dst.
 func packMinors(dst []byte, minors *[CountersPerBlock]uint8) {
 	dst = dst[:CountersPerBlock*MinorBits/8]
-	for i := 0; i < CountersPerBlock/4; i++ {
-		m := minors[i*4 : i*4+4 : i*4+4]
-		v := uint32(m[0]&MinorMax) | uint32(m[1]&MinorMax)<<6 | uint32(m[2]&MinorMax)<<12 | uint32(m[3]&MinorMax)<<18
-		d := dst[i*3 : i*3+3 : i*3+3]
-		d[0], d[1], d[2] = byte(v), byte(v>>8), byte(v>>16)
+	for i := 0; i < CountersPerBlock/16; i++ {
+		lo := squeezeMinors(binary.LittleEndian.Uint64(minors[i*16:]))
+		hi := squeezeMinors(binary.LittleEndian.Uint64(minors[i*16+8:]))
+		d := dst[i*12 : i*12+12 : i*12+12]
+		binary.LittleEndian.PutUint64(d, lo|hi<<48)
+		binary.LittleEndian.PutUint32(d[8:], uint32(hi>>16))
 	}
 }
 
 // unpackMinors reverses packMinors.
 func unpackMinors(src []byte, minors *[CountersPerBlock]uint8) {
 	src = src[:CountersPerBlock*MinorBits/8]
-	for i := 0; i < CountersPerBlock/4; i++ {
-		s := src[i*3 : i*3+3 : i*3+3]
-		v := uint32(s[0]) | uint32(s[1])<<8 | uint32(s[2])<<16
-		m := minors[i*4 : i*4+4 : i*4+4]
-		m[0], m[1], m[2], m[3] = uint8(v)&MinorMax, uint8(v>>6)&MinorMax, uint8(v>>12)&MinorMax, uint8(v>>18)&MinorMax
+	for i := 0; i < CountersPerBlock/16; i++ {
+		s := src[i*12 : i*12+12 : i*12+12]
+		lo := binary.LittleEndian.Uint64(s)
+		hi := lo>>48 | uint64(binary.LittleEndian.Uint32(s[8:]))<<16
+		binary.LittleEndian.PutUint64(minors[i*16:], widenMinors(lo))
+		binary.LittleEndian.PutUint64(minors[i*16+8:], widenMinors(hi))
 	}
+}
+
+// squeezeMinors turns eight minors, one per byte of x, into 48 bits, minor j
+// in bits [6j, 6j+6), by closing the gaps between lanes: 8-bit lanes to 6,
+// 16-bit to 12, 32-bit to 24. Bits above MinorMax are dropped.
+func squeezeMinors(x uint64) uint64 {
+	x &= 0x3f3f3f3f3f3f3f3f
+	x = x&0x003f003f003f003f | (x&0x3f003f003f003f00)>>2
+	x = x&0x00000fff00000fff | (x&0x0fff00000fff0000)>>4
+	return x&0x0000000000ffffff | (x&0x00ffffff00000000)>>8
+}
+
+// widenMinors reverses squeezeMinors, reading only the low 48 bits of x.
+func widenMinors(x uint64) uint64 {
+	x = x&0x0000000000ffffff | (x&0x0000ffffff000000)<<8
+	x = x&0x00000fff00000fff | (x&0x00fff00000fff000)<<4
+	return x&0x003f003f003f003f | (x&0x0fc00fc00fc00fc0)<<2
 }

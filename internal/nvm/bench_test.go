@@ -59,18 +59,30 @@ func BenchmarkDeviceWrite(b *testing.B) {
 
 var sinkRead ReadResult
 
+// BenchmarkDeviceRead reads lines as the write path leaves them, fresh, so
+// no decode runs. Its settled rows read the same lines after ClearFaults has
+// encoded their check bytes, so every read takes the decode path.
 func BenchmarkDeviceRead(b *testing.B) {
-	for _, f := range benchFootprints {
-		b.Run(f.name, func(b *testing.B) {
-			d, addrs := benchDevice(b, f.lines, f.random)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sinkRead = d.Read(addrs[i&(len(addrs)-1)])
+	for _, settled := range []bool{false, true} {
+		for _, f := range benchFootprints {
+			name := f.name
+			if settled {
+				name = "settled/" + name
 			}
-			if sinkRead.Uncorrectable {
-				b.Fatal("clean device read uncorrectable:", sinkRead.BadWords)
-			}
-		})
+			b.Run(name, func(b *testing.B) {
+				d, addrs := benchDevice(b, f.lines, f.random)
+				if settled {
+					d.ClearFaults()
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sinkRead = d.Read(addrs[i&(len(addrs)-1)])
+				}
+				if sinkRead.Uncorrectable {
+					b.Fatal("clean device read uncorrectable:", sinkRead.BadWords)
+				}
+			})
+		}
 	}
 }

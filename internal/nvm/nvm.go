@@ -9,6 +9,15 @@
 // two-level directory, and only pages holding a written (or faulted) line are
 // allocated, so a nominally 16 GB device costs memory proportional to its
 // touched footprint.
+//
+// Check bytes are deferred. A line that is newly materialized, or was last
+// written with no stuck cells, is fresh: its check bytes have not been
+// computed and its cells hold exactly what was last written. Reading a fresh
+// line returns its cells and decodes nothing, which is what decoding a
+// just-encoded, untouched codeword would give. Every fault-injection entry
+// point first settles the line it touches (encodes its check bytes from the
+// cells), so a fault meets the check bytes a device that encodes on every
+// write would hold. ClearFaults settles every line.
 package nvm
 
 import (
@@ -34,12 +43,16 @@ const maxCheckBytes = 16
 // storedLine is one record of a page: a line's raw cells, its stored ECC
 // check bytes (the first Codec.CheckBytes() of check) and its write count,
 // contiguous so a read or write touches one record and nothing else. present
-// marks a materialized line; an absent record is all zero.
+// marks a materialized line; an absent record is all zero. fresh means check
+// is stale and data is exactly what was last written (zeroes for a line
+// never written); settle computes check and clears it. The record stays 96
+// bytes.
 type storedLine struct {
 	data    Line
 	check   [maxCheckBytes]byte
 	wear    uint64
 	present bool
+	fresh   bool
 }
 
 // stuckCells describes a line's permanently faulty cells: after any write,
@@ -99,9 +112,10 @@ type Device struct {
 
 	// rdBuf shields the read path from an interface-escape allocation:
 	// slices passed through the ecc.Codec interface are assumed by the
-	// compiler to escape, so a read decodes in this owned buffer instead
-	// of a stack one. (A write encodes straight from the stored record.)
-	// The device, like the controller driving it, is single-goroutine.
+	// compiler to escape, so a read of a settled line decodes in this owned
+	// buffer instead of a stack one. A fresh line is read straight from its
+	// record, and settle encodes in place. The device, like the controller
+	// driving it, is single-goroutine.
 	rdBuf Line
 }
 
@@ -259,37 +273,52 @@ func (d *Device) line(idx uint64) *storedLine {
 	l := &(*pp)[idx&(pageLines-1)]
 	if !l.present {
 		l.present = true
+		l.fresh = true
 		d.touched++
-		d.codec.EncodeInto(l.check[:d.nCheck], l.data[:])
 	}
 	return l
 }
 
-// Write stores one line at the given (aligned) byte address, regenerating
-// its ECC check bytes. Stuck-at cells re-assert their faulty values after
-// the write, exactly like worn-out PCM cells.
+// settle computes a fresh line's check bytes from its cells, the ones an
+// encode on every write would have stored. Every fault injection calls it
+// before touching cells or check bytes.
+func (d *Device) settle(l *storedLine) {
+	if l.fresh {
+		d.codec.EncodeInto(l.check[:d.nCheck], l.data[:])
+		l.fresh = false
+	}
+}
+
+// Write stores one line at the given (aligned) byte address. Its check bytes
+// are left to settle unless the line has stuck cells: those re-assert their
+// faulty values after the write, exactly like worn-out PCM cells, under check
+// bytes encoded from the intended data.
 func (d *Device) Write(addr uint64, data *Line) {
 	idx := d.checkAddr(addr)
 	if d.hook != nil {
 		d.hook.Event(inject.Event{Kind: inject.DeviceWrite, Addr: addr})
 	}
 	l := d.line(idx)
-	// The controller computes ECC over the data it sends; stuck cells
-	// then corrupt the stored copy, so the check bytes reflect the
-	// intended value while the array holds the faulty one.
 	l.data = *data
-	d.codec.EncodeInto(l.check[:d.nCheck], l.data[:])
 	var stuck *stuckCells
 	if len(d.stuck) != 0 {
 		stuck = d.stuck[idx]
 	}
 	if stuck != nil {
+		// The controller computes ECC over the data it sends; stuck
+		// cells then corrupt the stored copy, so the check bytes
+		// reflect the intended value while the array holds the faulty
+		// one. (StickBits settled the line, so it is not fresh.)
+		d.codec.EncodeInto(l.check[:d.nCheck], l.data[:])
 		stuck.assert(&l.data)
 		// Write-verify: ECP allocates pointers for the cells that did
 		// not take the new value.
 		d.ecpRepairAfterWrite(idx, data, l)
-	} else if d.ecpBudget > 0 && len(d.ecp) != 0 {
-		delete(d.ecp, idx) // healthy write; retire stale pointers
+	} else {
+		l.fresh = true
+		if d.ecpBudget > 0 && len(d.ecp) != 0 {
+			delete(d.ecp, idx) // healthy write; retire stale pointers
+		}
 	}
 	d.stats.Writes++
 	d.tel.writes.Inc()
@@ -318,8 +347,8 @@ type ReadResult struct {
 	BadWords []int
 }
 
-// Read fetches one line, running ECC decode. Reads of never-written lines
-// return zeroes.
+// Read fetches one line, running ECC decode over a settled line. Reads of
+// never-written lines return zeroes.
 func (d *Device) Read(addr uint64) ReadResult {
 	idx := d.checkAddr(addr)
 	d.stats.Reads++
@@ -327,6 +356,12 @@ func (d *Device) Read(addr uint64) ReadResult {
 	l := d.lookup(idx)
 	if l == nil {
 		return ReadResult{}
+	}
+	if l.fresh {
+		// Nothing to decode: the cells are a clean codeword's data,
+		// and ECP has no pointers for a line written without stuck
+		// cells.
+		return ReadResult{Data: l.data}
 	}
 	buf := &d.rdBuf
 	*buf = l.data
@@ -371,6 +406,7 @@ func (d *Device) FlipBit(addr uint64, bit uint) {
 	idx := addr / LineSize
 	d.checkAddr(idx * LineSize)
 	l := d.line(idx)
+	d.settle(l)
 	l.data[addr%LineSize] ^= 1 << (bit % 8)
 }
 
@@ -379,6 +415,7 @@ func (d *Device) FlipBit(addr uint64, bit uint) {
 func (d *Device) FlipCheckBit(addr uint64, byteIdx int, bit uint) {
 	idx := d.checkAddr(addr)
 	l := d.line(idx)
+	d.settle(l)
 	if d.nCheck == 0 {
 		return
 	}
@@ -391,6 +428,7 @@ func (d *Device) FlipCheckBit(addr uint64, byteIdx int, bit uint) {
 func (d *Device) CorruptWord(addr uint64, w int) {
 	idx := d.checkAddr(addr)
 	l := d.line(idx)
+	d.settle(l)
 	w = w % 8
 	// Flip exactly two bits in two different byte lanes of the word:
 	// a double-bit error for SECDED (detected, not corrected) and a
@@ -413,6 +451,7 @@ func (d *Device) CorruptLine(addr uint64) {
 func (d *Device) StickBits(addr uint64, mask, val *Line) {
 	idx := d.checkAddr(addr)
 	l := d.line(idx)
+	d.settle(l)
 	s := d.stuck[idx]
 	if s == nil {
 		if d.stuck == nil {
@@ -436,5 +475,6 @@ func (d *Device) ClearFaults() {
 	d.stuck = nil
 	d.forEach(func(_ uint64, l *storedLine) {
 		d.codec.EncodeInto(l.check[:d.nCheck], l.data[:])
+		l.fresh = false
 	})
 }
