@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"soteria/internal/itree"
 	"soteria/internal/memctrl"
 )
 
@@ -143,5 +144,32 @@ func TestReproIncludesSchedule(t *testing.T) {
 		if !strings.Contains(r, want) {
 			t.Errorf("repro %q missing %q", r, want)
 		}
+	}
+}
+
+// Every line the controller touches is NVM, so seeded fault runs on a
+// cloning layout must reach the clone regions too.
+func TestFaultsReachCloneRegions(t *testing.T) {
+	ctrl, err := newCtrl(Config{Mode: memctrl.ModeSRC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay := ctrl.Layout()
+	total, clones := 0, 0
+	for seed := int64(1); seed <= 10 && clones == 0; seed++ {
+		res, err := Run(Config{Seed: seed, Writes: 200, Mode: memctrl.ModeSRC, CrashAt: -1, NestedCrashAt: -1, FaultRate: 0.02})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range res.Faults {
+			total++
+			if lay.Locate(f.Addr).Kind == itree.RegionClone {
+				clones++
+			}
+		}
+	}
+	t.Logf("%d of %d faults on a clone", clones, total)
+	if clones == 0 {
+		t.Fatalf("none of %d faults landed on a clone region", total)
 	}
 }

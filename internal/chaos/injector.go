@@ -61,18 +61,14 @@ type Injector struct {
 	dev       *nvm.Device
 	rng       *rand.Rand
 	faultRate float64
-	// faultCeil bounds fault targets from above: addresses at or past it
-	// model on-chip ADR SRAM (the shadow BMT), which NVM cell faults
-	// cannot reach. Zero means no bound.
-	faultCeil uint64
 	seals     inject.SealTracker
 	disarmed  bool
 }
 
 // NewInjector builds an injector over the given device. rng drives the
 // probabilistic fault schedule (may be nil when faultRate is zero).
-func NewInjector(dev *nvm.Device, rng *rand.Rand, faultRate float64, faultCeil uint64) *Injector {
-	return &Injector{dev: dev, CrashAt: -1, rng: rng, faultRate: faultRate, faultCeil: faultCeil}
+func NewInjector(dev *nvm.Device, rng *rand.Rand, faultRate float64) *Injector {
+	return &Injector{dev: dev, CrashAt: -1, rng: rng, faultRate: faultRate}
 }
 
 // StopFaults ends probabilistic fault injection; crash targeting stays
@@ -130,11 +126,7 @@ func (in *Injector) boundary() {
 // ECC codeword) or a row failure at line scale (line).
 func (in *Injector) applyFault(b int) {
 	var lines []uint64
-	in.dev.ForEachTouched(func(a uint64) {
-		if in.faultCeil == 0 || a < in.faultCeil {
-			lines = append(lines, a)
-		}
-	})
+	in.dev.ForEachTouched(func(a uint64) { lines = append(lines, a) })
 	if len(lines) == 0 {
 		return
 	}

@@ -113,20 +113,13 @@ func newCtrlScenario(cfg Config) (*scenario, *ctrlStack, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	var dataLines, faultCeil uint64
+	var dataLines uint64
 	if l := ctrl.Layout(); l != nil {
 		dataLines = l.DataBlocks
-		// Faults land anywhere below the shadow BMT (an SRAM stand-in).
-		// Strategies without a shadow region leave ShadowTreeBase at 0;
-		// their whole layout is fault-eligible.
-		faultCeil = l.ShadowTreeBase
-		if l.ShadowEntries == 0 {
-			faultCeil = l.Total
-		}
 	} else {
 		dataLines = ctrl.Device().Capacity() / nvm.LineSize
 	}
-	inj := NewInjector(ctrl.Device(), rand.New(rand.NewSource(cfg.Seed^0x5eedfa11)), cfg.FaultRate, faultCeil)
+	inj := NewInjector(ctrl.Device(), rand.New(rand.NewSource(cfg.Seed^0x5eedfa11)), cfg.FaultRate)
 	inj.CrashAt = cfg.CrashAt
 	ctrl.SetHook(inj)
 

@@ -79,7 +79,8 @@ func TestLayoutRegionsDisjointAndLocatable(t *testing.T) {
 		}
 	}
 	probes = append(probes, probe{l.ShadowEntryAddr(0), Location{Kind: RegionShadow}})
-	probes = append(probes, probe{l.ShadowTreeBase, Location{Kind: RegionShadowTree}})
+	// The range the shadow BMT's nodes once occupied stays reserved.
+	probes = append(probes, probe{l.ShadowEntryAddr(l.ShadowEntries-1) + BlockSize, Location{Kind: RegionUnused}})
 	for _, p := range probes {
 		got := l.Locate(p.addr)
 		if got.Kind != p.want.Kind || got.Level != p.want.Level || got.Index != p.want.Index || got.Clone != p.want.Clone {
@@ -259,8 +260,7 @@ func TestBMTDetectsLeafTamper(t *testing.T) {
 func TestBMTDetectsNodeTamperAndReplay(t *testing.T) {
 	e := ctrenc.MustNewEngine([]byte("bmt"))
 	store := newMapStore()
-	treeBase := uint64(64 * 64)
-	b, err := NewBMT(e, store, 0, 64, treeBase)
+	b, err := NewBMT(e, store, 0, 64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,16 +270,14 @@ func TestBMTDetectsNodeTamperAndReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	oldLeaf := store.m[0]
-	oldNode := store.m[treeBase]
 	if err := b.Update(0, &v2); err != nil {
 		t.Fatal(err)
 	}
-	// Replay the old leaf + matching old internal node: root must
-	// catch it (BMT root is eager).
+	// Replay the old leaf: the store holds no node to replay with it,
+	// and the on-chip node vouches only for v2.
 	store.m[0] = oldLeaf
-	store.m[treeBase] = oldNode
 	if _, err := b.Verify(0); err == nil {
-		t.Fatal("replay of old leaf+node not detected by eager root")
+		t.Fatal("replay of old leaf not detected by the on-chip nodes")
 	}
 }
 
@@ -293,18 +291,6 @@ func TestBMTSurfacesUncorrectable(t *testing.T) {
 	store.poison[5*64] = true
 	if _, err := b.Verify(5); err == nil {
 		t.Fatal("uncorrectable leaf not surfaced")
-	}
-}
-
-func TestBMTStorageLinesMatchesLayout(t *testing.T) {
-	for _, n := range []uint64{1, 2, 8, 9, 64, 65, 512, 1000} {
-		l, err := NewLayout(Params{DataBytes: 1 << 20, CounterArity: 64, TreeArity: 8, ShadowEntries: n})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if l.ShadowTreeLn != BMTStorageLines(n) {
-			t.Fatalf("n=%d: layout allocates %d lines, BMT wants %d", n, l.ShadowTreeLn, BMTStorageLines(n))
-		}
 	}
 }
 

@@ -51,7 +51,6 @@ const (
 	RegionMetadata // home copy of a counter block or tree node
 	RegionClone    // one of Soteria's clone copies
 	RegionShadow   // Anubis shadow table
-	RegionShadowTree
 	RegionUnused
 )
 
@@ -67,8 +66,6 @@ func (r RegionKind) String() string {
 		return "clone"
 	case RegionShadow:
 		return "shadow"
-	case RegionShadowTree:
-		return "shadow-tree"
 	default:
 		return "unused"
 	}
@@ -86,7 +83,7 @@ type Location struct {
 // Layout is the complete NVM address map of a protected memory. All
 // regions are line-aligned and consecutive:
 //
-//	data | data MACs | L1..Lk home | clones | shadow | shadow tree
+//	data | data MACs | L1..Lk home | shadow | (reserved) | clones
 type Layout struct {
 	DataBytes    uint64
 	DataBlocks   uint64
@@ -100,14 +97,12 @@ type Layout struct {
 
 	// DataBase is the byte address where the data region starts (zero
 	// unless CloneRegionsFirst moved the clones below it).
-	DataBase       uint64
-	MACBase        uint64
-	MACLines       uint64
-	ShadowBase     uint64
-	ShadowEntries  uint64
-	ShadowTreeBase uint64
-	ShadowTreeLn   uint64
-	Total          uint64
+	DataBase      uint64
+	MACBase       uint64
+	MACLines      uint64
+	ShadowBase    uint64
+	ShadowEntries uint64
+	Total         uint64
 }
 
 // Params configures a layout.
@@ -229,22 +224,14 @@ func NewLayout(p Params) (*Layout, error) {
 		cover *= uint64(p.TreeArity)
 	}
 
-	// Shadow region and its eagerly updated protection tree.
+	// Shadow region. Its BMT's nodes are on-chip SRAM, but the range
+	// they once occupied stays reserved so the clone regions above keep
+	// their addresses and banks.
 	if p.ShadowEntries > 0 {
 		l.ShadowBase = cursor
 		l.ShadowEntries = p.ShadowEntries
 		cursor = alignUp(cursor + p.ShadowEntries*BlockSize)
-		// The shadow BMT stores every level down to a single top node
-		// (whose hash is the on-chip root): arity 8 over
-		// ShadowEntries leaves.
-		l.ShadowTreeBase = cursor
-		for n := ceilDiv(p.ShadowEntries, 8); ; n = ceilDiv(n, 8) {
-			l.ShadowTreeLn += n
-			if n == 1 {
-				break
-			}
-		}
-		cursor = alignUp(cursor + l.ShadowTreeLn*BlockSize)
+		cursor = alignUp(cursor + BMTStorageLines(p.ShadowEntries)*BlockSize)
 	}
 
 	if !p.CloneRegionsFirst {
@@ -454,13 +441,8 @@ func (l *Layout) Locate(addr uint64) Location {
 			}
 		}
 	}
-	if l.ShadowEntries > 0 {
-		if addr >= l.ShadowBase && addr < l.ShadowBase+l.ShadowEntries*BlockSize {
-			return Location{Kind: RegionShadow, Index: (addr - l.ShadowBase) / BlockSize}
-		}
-		if addr >= l.ShadowTreeBase && addr < l.ShadowTreeBase+l.ShadowTreeLn*BlockSize {
-			return Location{Kind: RegionShadowTree, Index: (addr - l.ShadowTreeBase) / BlockSize}
-		}
+	if addr >= l.ShadowBase && addr < l.ShadowBase+l.ShadowEntries*BlockSize {
+		return Location{Kind: RegionShadow, Index: (addr - l.ShadowBase) / BlockSize}
 	}
 	return Location{Kind: RegionUnused}
 }

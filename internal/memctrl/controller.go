@@ -196,10 +196,11 @@ type Controller struct {
 	fh     *core.FaultHandler
 	strat  strategy
 
-	// Persistent on-chip registers (survive power loss in the ADR
-	// domain): the ToC root node and the shadow-BMT root.
+	// Persistent on-chip state (survives power loss in the ADR domain):
+	// the ToC root node, and the shadow table's BMT — its root register
+	// and its internal nodes, which are SRAM, not NVM.
 	root       itree.Node
-	shadowRoot uint64
+	shadowTree *itree.BMT
 
 	readLat, writeLat sim.Time
 	fwdLat            sim.Time
@@ -499,18 +500,10 @@ func (s shadowStore) ReadLine(addr uint64) ([nvm.LineSize]byte, error) {
 	return r.Data, nil
 }
 
+// WriteLine writes one shadow-table line, the Anubis "shadow log" cost.
+// The BMT above the table never comes here: its nodes are ADR-backed
+// on-chip SRAM, like the WPQ, and persist without NVM write bandwidth.
 func (s shadowStore) WriteLine(addr uint64, data *[nvm.LineSize]byte) {
-	// The shadow *table* lives in NVM and its writes are the Anubis
-	// "shadow log" cost. The shadow *tree* above it is tiny (tens of kB)
-	// and is held in ADR-protected on-chip SRAM — like the WPQ, it
-	// persists across power loss without consuming NVM write bandwidth.
-	// The device stands in for that SRAM functionally: the BMT writes
-	// each updated node through to it from its trusted on-chip copy and
-	// reads it back only to attach after a crash and to verify.
-	if s.c.layout.ShadowTreeLn > 0 && addr >= s.c.layout.ShadowTreeBase {
-		s.c.dev.Write(addr, data)
-		return
-	}
 	s.c.pushWrite(addr, data, WCShadow)
 }
 

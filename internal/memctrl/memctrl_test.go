@@ -573,3 +573,32 @@ func TestRejectsBadAddresses(t *testing.T) {
 		t.Fatal("out-of-range write accepted")
 	}
 }
+
+// TestSystem's layout is pinned: the shadow BMT's nodes are on chip, but
+// the range they once occupied stays reserved, so every clone region keeps
+// the address (and bank) every committed result was measured with.
+func TestSystemLayoutPinned(t *testing.T) {
+	for _, tc := range []struct {
+		mode     Mode
+		strategy string
+		clones   [][]uint64 // per level
+		total    uint64
+	}{
+		{ModeSRC, "soteria", [][]uint64{{0x494940}, {0x4a4940}, {0x4a6940}, {0x4a6d40}}, 0x4a6dc0},
+		{ModeSAC, "soteria", [][]uint64{{0x494940}, {0x4a4940}, {0x4a6940, 0x4a6d40}, {0x4a7140, 0x4a71c0, 0x4a7240, 0x4a72c0}}, 0x4a7340},
+		{ModeSAC, "anubis-shadow", [][]uint64{{0x496dc0}, {0x4a6dc0}, {0x4a8dc0, 0x4a91c0}, {0x4a95c0, 0x4a9640, 0x4a96c0, 0x4a9740}}, 0x4a97c0},
+	} {
+		c, err := New(config.TestSystem(), tc.mode, []byte("test-key"), Options{Strategy: tc.strategy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := c.Layout()
+		var got [][]uint64
+		for _, li := range l.Levels {
+			got = append(got, li.CloneBases)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.clones) || l.Total != tc.total {
+			t.Errorf("%v/%s: clone bases %#x total %#x, want %#x total %#x", tc.mode, tc.strategy, got, l.Total, tc.clones, tc.total)
+		}
+	}
+}

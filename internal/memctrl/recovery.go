@@ -14,15 +14,14 @@ import (
 // Crash models a sudden power loss: every volatile structure (the metadata
 // cache, the WPQ occupancy bookkeeping, in-flight write-back state and the
 // shadow table's in-memory mirror) vanishes. Writes already accepted by
-// the WPQ are durable (ADR), and the two on-chip roots survive in their
-// persistent registers. The controller refuses further data operations
-// until Recover is called.
+// the WPQ are durable (ADR), and the ToC root and the shadow table's BMT
+// survive on chip. The controller refuses further data operations until
+// Recover is called.
 //
 // Crashing an already-crashed controller returns ErrCrashed — unless a
 // recovery is in progress, in which case the nested crash is legal: the
-// shadow-BMT root is re-captured from the live table (recovery's own
-// shadow writes moved it) and the next Recover starts over from the
-// entries that survive on NVM.
+// shadow BMT already holds recovery's own shadow writes, and the next
+// Recover starts over from the entries that survive on NVM.
 func (c *Controller) Crash() error {
 	if c.mode == ModeNonSecure {
 		return nil // nothing volatile matters

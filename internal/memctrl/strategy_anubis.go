@@ -19,7 +19,7 @@ import (
 // Soteria's Fig 8b closes).
 type anubisStrategy struct {
 	tbl   *shadow.ContentTable
-	root  uint64 // persistent on-chip register: the content-table BMT root
+	tree  *itree.BMT // persistent on-chip state: the content table's BMT
 	slots uint64
 }
 
@@ -32,13 +32,12 @@ func (s *anubisStrategy) shadowLines(cacheSlots uint64) uint64 {
 
 func (s *anubisStrategy) install(c *Controller) error {
 	slots := c.layout.ShadowEntries / shadow.ContentLinesPerSlot
-	tbl, err := shadow.NewContentTable(c.eng, c.shadowStore(), c.layout.ShadowBase, slots,
-		c.layout.ShadowTreeBase)
+	tbl, err := shadow.NewContentTable(c.eng, c.shadowStore(), c.layout.ShadowBase, slots)
 	if err != nil {
 		return err
 	}
 	s.tbl = tbl
-	s.root = tbl.Root()
+	s.tree = tbl.Tree()
 	s.slots = slots
 	return nil
 }
@@ -101,12 +100,7 @@ func (s *anubisStrategy) needsForce(c *Controller, blk *metacache.Block, slot in
 
 func (s *anubisStrategy) afterOp(c *Controller) error { return nil }
 
-func (s *anubisStrategy) onCrash(c *Controller) {
-	if s.tbl != nil {
-		s.root = s.tbl.Root()
-		s.tbl = nil
-	}
-}
+func (s *anubisStrategy) onCrash(c *Controller) { s.tbl = nil }
 
 func (s *anubisStrategy) retireSlot(c *Controller, slot int) { s.invalidate(c, slot) }
 
@@ -130,26 +124,13 @@ func (s *anubisStrategy) attachTelemetry(c *Controller, r *telemetry.Registry) {
 	}
 }
 
-// recover reattaches the content table using the persistent BMT root,
+// recover reattaches the content table to its surviving BMT,
 // replays every tracked block's exact image, reseeds and flushes. Each
 // entry already carries a verified image (BMT plus header MAC), so there
 // is no reconstruction step to fail: an entry either loads or its slot is
 // lost.
 func (s *anubisStrategy) recover(c *Controller) (*RecoveryReport, error) {
-	root := s.root
-	if s.tbl != nil {
-		// A previous Recover attempt was interrupted after installing the
-		// table; its root is the current one.
-		root = s.tbl.Root()
-		s.tbl = nil
-	}
-	tbl, err := shadow.AttachContent(c.eng, c.shadowStore(), c.layout.ShadowBase, s.slots,
-		c.layout.ShadowTreeBase, root)
-	if err != nil {
-		return nil, err
-	}
-	// Install immediately: every shadow mutation from here on lands in the
-	// live table, so a nested crash re-captures a root that matches NVM.
+	tbl := shadow.AttachContent(c.eng, c.shadowStore(), c.layout.ShadowBase, s.slots, s.tree)
 	s.tbl = tbl
 	if c.telReg != nil {
 		tbl.AttachTelemetry(c.telReg)

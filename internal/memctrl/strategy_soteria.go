@@ -18,20 +18,20 @@ type soteriaStrategy struct{}
 
 func (s *soteriaStrategy) name() string { return "soteria" }
 
-// shadowLines: one shadow line per cache slot (the entry), plus the BMT the
-// layout adds on top.
+// shadowLines: one shadow line per cache slot (the entry); the BMT over
+// them is on chip.
 func (s *soteriaStrategy) shadowLines(cacheSlots uint64) uint64 { return cacheSlots }
 
 // install builds the shadow table over the reserved region; those boot-time
 // writes go straight to the device (bootstrap is set by the caller).
 func (s *soteriaStrategy) install(c *Controller) error {
 	tbl, err := shadow.NewTable(c.eng, c.shadowStore(), c.layout.ShadowBase, c.layout.ShadowEntries,
-		c.layout.ShadowTreeBase, c.shadowOptions())
+		0, c.shadowOptions())
 	if err != nil {
 		return err
 	}
 	c.shadow = tbl
-	c.shadowRoot = tbl.Root()
+	c.shadowTree = tbl.Tree()
 	return nil
 }
 
@@ -62,14 +62,9 @@ func (s *soteriaStrategy) needsForce(c *Controller, blk *metacache.Block, slot i
 
 func (s *soteriaStrategy) afterOp(c *Controller) error { return nil }
 
-// onCrash re-captures the shadow-BMT root into its persistent register; the
-// table handle itself is volatile.
-func (s *soteriaStrategy) onCrash(c *Controller) {
-	if c.shadow != nil {
-		c.shadowRoot = c.shadow.Root()
-		c.shadow = nil
-	}
-}
+// onCrash drops the volatile table handle; its BMT survives in
+// c.shadowTree.
+func (s *soteriaStrategy) onCrash(c *Controller) { c.shadow = nil }
 
 func (s *soteriaStrategy) retireSlot(c *Controller, slot int) { c.invalidateSlot(slot) }
 
@@ -95,8 +90,9 @@ func (s *soteriaStrategy) attachTelemetry(c *Controller, r *telemetry.Registry) 
 
 // recover rebuilds a consistent, verifiable memory image after Crash():
 //
-//  1. Reattach the shadow table using the persistent BMT root; read every
-//     entry, repairing half-dead entries from their Soteria duplicates.
+//  1. Reattach the shadow table to its BMT, which survived on chip; read
+//     every entry, repairing half-dead entries from their Soteria
+//     duplicates.
 //  2. Reconstruct each tracked metadata block independently: a stale NVM
 //     copy (home or any clone) plus the entry's 16-bit counter LSBs; leaf
 //     minors come back through Osiris trials against the persisted data
@@ -111,20 +107,8 @@ func (s *soteriaStrategy) attachTelemetry(c *Controller, r *telemetry.Registry) 
 //  4. Finally clear whatever slots remain valid (unreconstructible blocks,
 //     already counted as lost).
 func (s *soteriaStrategy) recover(c *Controller) (*RecoveryReport, error) {
-	root := c.shadowRoot
-	if c.shadow != nil {
-		// A previous Recover attempt was interrupted after installing the
-		// table; its root is the current one.
-		root = c.shadow.Root()
-		c.shadow = nil
-	}
-	tbl, err := shadow.Attach(c.eng, c.shadowStore(), c.layout.ShadowBase, c.layout.ShadowEntries,
-		c.layout.ShadowTreeBase, root, c.shadowOptions())
-	if err != nil {
-		return nil, err
-	}
-	// Install immediately: every shadow mutation from here on lands in the
-	// live table, so a nested crash re-captures a root that matches NVM.
+	tbl := shadow.Attach(c.eng, c.shadowStore(), c.layout.ShadowBase, c.layout.ShadowEntries,
+		c.shadowTree, c.shadowOptions())
 	c.shadow = tbl
 	if c.telReg != nil {
 		tbl.AttachTelemetry(c.telReg)

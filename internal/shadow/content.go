@@ -88,9 +88,8 @@ func encodeContentHeader(addr uint64, mac uint64) nvm.Line {
 }
 
 // NewContentTable creates a fresh content table of `slots` slots at base
-// (occupying slots*ContentLinesPerSlot lines), with its BMT at treeBase;
-// all slots start invalid.
-func NewContentTable(eng *ctrenc.Engine, store Store, base uint64, slots uint64, treeBase uint64) (*ContentTable, error) {
+// (occupying slots*ContentLinesPerSlot lines); all slots start invalid.
+func NewContentTable(eng *ctrenc.Engine, store Store, base uint64, slots uint64) (*ContentTable, error) {
 	if slots == 0 {
 		return nil, fmt.Errorf("shadow: need at least one content slot")
 	}
@@ -101,7 +100,7 @@ func NewContentTable(eng *ctrenc.Engine, store Store, base uint64, slots uint64,
 		store.WriteLine(t.headerAddr(i), &invalid)
 		store.WriteLine(t.contentAddr(i), &zero)
 	}
-	bmt, err := itree.NewBMT(eng, store, base, slots*ContentLinesPerSlot, treeBase)
+	bmt, err := itree.NewBMT(eng, store, base, slots*ContentLinesPerSlot, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -109,17 +108,14 @@ func NewContentTable(eng *ctrenc.Engine, store Store, base uint64, slots uint64,
 	return t, nil
 }
 
-// AttachContent reconnects to an existing content table after a crash,
-// using the BMT root that survived on chip: the BMT reads and verifies its
-// nodes, no writes are performed.
-func AttachContent(eng *ctrenc.Engine, store Store, base uint64, slots uint64, treeBase uint64, root uint64) (*ContentTable, error) {
-	bmt, err := itree.AttachBMT(eng, store, base, slots*ContentLinesPerSlot, treeBase, root)
-	if err != nil {
-		return nil, err
-	}
+// AttachContent reconnects to an existing content table after a crash.
+// bmt is the table's tree, which survived in ADR-backed on-chip SRAM; the
+// table's mirror and stats are volatile and start afresh. No writes are
+// performed.
+func AttachContent(eng *ctrenc.Engine, store Store, base uint64, slots uint64, bmt *itree.BMT) *ContentTable {
 	t := newContentTable(eng, store, base, slots)
 	t.bmt = bmt
-	return t, nil
+	return t
 }
 
 // newContentTable returns a content table with an empty mirror and no BMT
@@ -134,9 +130,9 @@ func newContentTable(eng *ctrenc.Engine, store Store, base uint64, slots uint64)
 	}
 }
 
-// Root returns the BMT root that must be kept in a persistent on-chip
-// register across power loss.
-func (t *ContentTable) Root() uint64 { return t.bmt.Root() }
+// Tree returns the table's BMT, which must be kept in ADR-backed on-chip
+// SRAM across power loss.
+func (t *ContentTable) Tree() *itree.BMT { return t.bmt }
 
 // Stats returns a copy of the activity counters (HalfRepairs is always
 // zero: the content table has no duplicated halves to repair from).
@@ -146,8 +142,8 @@ func (t *ContentTable) Stats() Stats { return t.stats }
 func (t *ContentTable) Slots() uint64 { return t.slots }
 
 // Write records the full image of the tracked block at addr in slot i: the
-// content line, then the header binding it (two NVM line writes plus their
-// eager BMT updates, which mostly coalesce in the WPQ).
+// content line, then the header binding it (two NVM line writes, which
+// mostly coalesce in the WPQ, plus their eager on-chip BMT updates).
 func (t *ContentTable) Write(slot int, addr uint64, content *nvm.Line) error {
 	if uint64(slot) >= t.slots {
 		return fmt.Errorf("shadow: content slot %d out of range (%d)", slot, t.slots)

@@ -15,7 +15,7 @@
 // one codeword is repaired by copying the surviving half; and the counter
 // LSBs shrink from Anubis's 49 bits to 16 bits to make the duplication fit.
 // The whole region is protected against replay by a small, eagerly updated
-// BMT whose root stays on chip.
+// BMT whose nodes and root stay on chip.
 package shadow
 
 import (
@@ -84,7 +84,7 @@ func decodeHalf(h []byte) Entry {
 }
 
 // Store is the NVM access the shadow table needs: ordinary line I/O for
-// the BMT, plus raw access with per-codeword error attribution for the
+// the entries (through the BMT), plus raw access with per-codeword error attribution for the
 // half-repair path.
 type Store interface {
 	itree.LineStore
@@ -155,9 +155,11 @@ type Options struct {
 	DisableHalfRepair bool
 }
 
-// NewTable creates a fresh shadow table over `slots` entries at base, with
-// its BMT at treeBase; all slots start invalid.
-func NewTable(eng *ctrenc.Engine, store Store, base uint64, slots uint64, treeBase uint64, opt Options) (*Table, error) {
+// NewTable creates a fresh shadow table over `slots` entries at base; all
+// slots start invalid. The last parameter is ignored: it was the NVM base
+// of the BMT's nodes, which are now on chip, and stays so existing callers
+// keep compiling.
+func NewTable(eng *ctrenc.Engine, store Store, base uint64, slots uint64, _ uint64, opt Options) (*Table, error) {
 	if slots == 0 {
 		return nil, fmt.Errorf("shadow: need at least one slot")
 	}
@@ -167,7 +169,7 @@ func NewTable(eng *ctrenc.Engine, store Store, base uint64, slots uint64, treeBa
 	for i := uint64(0); i < slots; i++ {
 		store.WriteLine(base+i*nvm.LineSize, &line)
 	}
-	bmt, err := itree.NewBMT(eng, store, base, slots, treeBase)
+	bmt, err := itree.NewBMT(eng, store, base, slots, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -175,17 +177,13 @@ func NewTable(eng *ctrenc.Engine, store Store, base uint64, slots uint64, treeBa
 	return t, nil
 }
 
-// Attach reconnects to an existing shadow table after a crash, using the
-// BMT root that survived on chip: the BMT reads and verifies its nodes, no
-// writes are performed.
-func Attach(eng *ctrenc.Engine, store Store, base uint64, slots uint64, treeBase uint64, root uint64, opt Options) (*Table, error) {
-	bmt, err := itree.AttachBMT(eng, store, base, slots, treeBase, root)
-	if err != nil {
-		return nil, err
-	}
+// Attach reconnects to an existing shadow table after a crash. bmt is the
+// table's tree, which survived in ADR-backed on-chip SRAM; the table's
+// mirror and stats are volatile and start afresh. No writes are performed.
+func Attach(eng *ctrenc.Engine, store Store, base uint64, slots uint64, bmt *itree.BMT, opt Options) *Table {
 	t := newTable(eng, store, base, slots, opt)
 	t.bmt = bmt
-	return t, nil
+	return t
 }
 
 // newTable returns a table with an empty mirror and no BMT yet.
@@ -201,9 +199,9 @@ func newTable(eng *ctrenc.Engine, store Store, base uint64, slots uint64, opt Op
 	}
 }
 
-// Root returns the BMT root that must be kept in a persistent on-chip
-// register across power loss.
-func (t *Table) Root() uint64 { return t.bmt.Root() }
+// Tree returns the table's BMT, which must be kept in ADR-backed on-chip
+// SRAM across power loss.
+func (t *Table) Tree() *itree.BMT { return t.bmt }
 
 // Stats returns a copy of the activity counters.
 func (t *Table) Stats() Stats { return t.stats }
@@ -217,18 +215,16 @@ func (t *Table) encode(e Entry) nvm.Line {
 	copy(line[:HalfSize], h[:])
 	if t.duped {
 		copy(line[HalfSize:], h[:])
-	} else if !e.Valid {
-		// Keep the second half's address field invalid too so decode
-		// of either half is unambiguous.
-		binary.LittleEndian.PutUint64(line[HalfSize:HalfSize+8], invalidAddr)
 	} else {
+		// Keep the second half's address field invalid so decode of
+		// either half is unambiguous.
 		binary.LittleEndian.PutUint64(line[HalfSize:HalfSize+8], invalidAddr)
 	}
 	return line
 }
 
-// Write records entry e in slot i (one NVM line write plus the eager BMT
-// update, which mostly coalesces in the WPQ).
+// Write records entry e in slot i: one NVM line write, which mostly
+// coalesces in the WPQ, plus the eager on-chip BMT update.
 func (t *Table) Write(slot int, e Entry) error {
 	if uint64(slot) >= t.slots {
 		return fmt.Errorf("shadow: slot %d out of range (%d)", slot, t.slots)

@@ -46,8 +46,7 @@ func setupOn(t *testing.T, dev *nvm.Device, dup bool) (*Table, *nvm.Device) {
 	t.Helper()
 	eng := ctrenc.MustNewEngine([]byte("shadow-test"))
 	const slots = 32
-	treeBase := uint64(slots * nvm.LineSize)
-	tb, err := NewTable(eng, devStore{dev}, 0, slots, treeBase, Options{Duplicate: dup})
+	tb, err := NewTable(eng, devStore{dev}, 0, slots, 0, Options{Duplicate: dup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,15 +180,27 @@ func TestAttachAfterCrashRecoversEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	root := tb.Root()
-	// "Crash": all volatile state gone; reattach from NVM + saved root.
-	tb2, err := Attach(eng, devStore{dev}, 0, tb.Slots(), tb.Slots()*nvm.LineSize, root, Options{Duplicate: true})
-	if err != nil {
+	// Slot 10 is rewritten before the crash, and its old line is replayed
+	// into NVM across it.
+	const replayed = 10
+	if err := tb.Write(replayed, sampleEntry(0x1000)); err != nil {
 		t.Fatal(err)
 	}
+	old := dev.ReadRaw(replayed * nvm.LineSize)
+	if err := tb.Write(replayed, sampleEntry(0x2000)); err != nil {
+		t.Fatal(err)
+	}
+	// "Crash": the table's volatile state is gone; its BMT survives on
+	// chip and the table reattaches to it.
+	tree := tb.Tree()
+	dev.Write(replayed*nvm.LineSize, &old)
+	tb2 := Attach(eng, devStore{dev}, 0, tb.Slots(), tree, Options{Duplicate: true})
+	if _, _, err := tb2.Load(replayed); err == nil {
+		t.Fatal("entry replayed across the crash passed BMT verification")
+	}
 	entries, lost := tb2.LoadAll()
-	if len(lost) != 0 {
-		t.Fatalf("lost slots: %v", lost)
+	if len(lost) != 1 || lost[0] != replayed {
+		t.Fatalf("lost slots: %v, want [%d]", lost, replayed)
 	}
 	if len(entries) != 10 {
 		t.Fatalf("recovered %d entries, want 10", len(entries))
@@ -258,8 +269,7 @@ func TestDisableHalfRepairDropsRecoverableEntry(t *testing.T) {
 	}
 	eng := ctrenc.MustNewEngine([]byte("shadow-test"))
 	const slots = 32
-	treeBase := uint64(slots * nvm.LineSize)
-	tb, err := NewTable(eng, devStore{dev}, 0, slots, treeBase,
+	tb, err := NewTable(eng, devStore{dev}, 0, slots, 0,
 		Options{Duplicate: true, DisableHalfRepair: true})
 	if err != nil {
 		t.Fatal(err)
