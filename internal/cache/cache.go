@@ -41,6 +41,7 @@ type Evicted struct {
 type way[V any] struct {
 	valid bool
 	dirty bool
+	pins  uint32 // holders that need the line to stay resident
 	line  uint64 // addr / BlockSize; its low bits are the set index
 	lru   uint64 // tick of the last use; 0 while the way is free
 	value V
@@ -88,20 +89,25 @@ func (c *Cache[V]) find(addr uint64) int {
 }
 
 // wayFor is the cache's replacement policy: the slot an insertion of addr
-// occupies is its resident way, else the set's least recently used way. A
-// free way was never used (its tick is 0), so it goes before any resident
-// line; the occupant of a valid victim is evicted (evict is true).
+// occupies is its resident way, else the least recently used of the set's
+// unpinned ways. A free way was never used (its tick is 0), so it goes
+// before any resident line; the occupant of a valid victim is evicted
+// (evict is true). When addr is not resident and every way is pinned there
+// is no slot (-1).
 func (c *Cache[V]) wayFor(addr uint64) (slot int, line uint64, evict bool) {
 	line, base := c.set(addr)
 	ws := c.ways[base : base+c.assoc]
-	victim := 0
+	victim := -1
 	for i := range ws {
 		if ws[i].valid && ws[i].line == line {
 			return base + i, line, false
 		}
-		if ws[i].lru < ws[victim].lru {
+		if ws[i].pins == 0 && (victim < 0 || ws[i].lru < ws[victim].lru) {
 			victim = i
 		}
+	}
+	if victim < 0 {
+		return -1, line, false
 	}
 	return base + victim, line, ws[victim].valid
 }
@@ -133,10 +139,14 @@ func (c *Cache[V]) Peek(addr uint64) (*V, bool) {
 // caller overwrites the payload it still holds the victim's, so a caller
 // that must write the victim back reads it there without a copy.
 // Claiming a resident address reuses its way (dirty bits OR together) and
-// evicts nothing.
+// evicts nothing. When every way of the set is pinned nothing changes and
+// the payload is nil.
 func (c *Cache[V]) Claim(addr uint64, dirty bool) (*V, Evicted, bool) {
-	c.tick++
 	i, line, evict := c.wayFor(addr)
+	if i < 0 {
+		return nil, Evicted{}, false
+	}
+	c.tick++
 	w := &c.ways[i]
 	var ev Evicted
 	if evict {
@@ -153,8 +163,9 @@ func (c *Cache[V]) Claim(addr uint64, dirty bool) (*V, Evicted, bool) {
 }
 
 // Victim predicts what Claim(addr, ...) would evict right now, without
-// changing any state: nothing when addr is resident or its set has a free
-// way, otherwise the set's LRU line, whose payload is returned in place.
+// changing any state: nothing when addr is resident, its set has a free
+// way or every way is pinned, otherwise the set's LRU unpinned line, whose
+// payload is returned in place.
 // The secure controller uses this to write back a dirty victim *before*
 // the insertion so the victim's shadow-table entry stays valid until its
 // contents are durable.
@@ -167,13 +178,19 @@ func (c *Cache[V]) Victim(addr uint64) (*V, Evicted, bool) {
 	return &w.value, Evicted{Addr: w.line * config.BlockSize, Dirty: w.dirty}, true
 }
 
-// Touch refreshes the LRU state of a resident line without counting a hit.
-// The controller uses it to steer victim selection away from a line whose
-// write-back is already in progress.
-func (c *Cache[V]) Touch(addr uint64) {
+// Pin keeps a resident line from being chosen as a victim until a
+// matching Unpin; pins nest. Pinning an absent line does nothing.
+// Invalidate and DropAll drop a line's pins with it.
+func (c *Cache[V]) Pin(addr uint64) {
 	if i := c.find(addr); i >= 0 {
-		c.tick++
-		c.ways[i].lru = c.tick
+		c.ways[i].pins++
+	}
+}
+
+// Unpin releases one Pin of a resident line.
+func (c *Cache[V]) Unpin(addr uint64) {
+	if i := c.find(addr); i >= 0 && c.ways[i].pins > 0 {
+		c.ways[i].pins--
 	}
 }
 

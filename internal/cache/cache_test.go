@@ -80,6 +80,48 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// A pinned way is never a victim: selection falls to the LRU unpinned way,
+// and a set whose every way is pinned yields no way at all.
+func TestPinnedWaysAreNotVictims(t *testing.T) {
+	c := newCache[string](t, tiny()) // 4 sets, 2 ways; 0, 256, 512 share set 0
+	insert(c, 0, "a", false)
+	insert(c, 256, "b", false)
+	c.Pin(0)
+	c.Pin(64) // absent: no effect
+	if resident(c, 64) {
+		t.Fatal("Pin of an absent line made it resident")
+	}
+	if _, ev, has := c.Victim(512); !has || ev.Addr != 256 {
+		t.Fatalf("Victim predicted %+v %v, want the unpinned line 256", ev, has)
+	}
+	c.Pin(256)
+	if _, _, has := c.Victim(512); has {
+		t.Fatal("Victim chose a pinned way")
+	}
+	before := c.Stats()
+	if p, _, has := c.Claim(512, true); p != nil || has {
+		t.Fatalf("Claim into a fully pinned set returned %v, %v", p, has)
+	}
+	if c.Stats() != before || resident(c, 512) || !resident(c, 0) || !resident(c, 256) {
+		t.Fatal("a refused Claim changed the cache")
+	}
+	// A resident line is still claimable in a fully pinned set.
+	if p, _, _ := c.Claim(256, false); p == nil || *p != "b" {
+		t.Fatal("Claim of a resident pinned line refused")
+	}
+	c.Pin(0) // pins nest
+	c.Unpin(0)
+	c.Unpin(256)
+	if _, ev, has := c.Victim(512); !has || ev.Addr != 256 {
+		t.Fatalf("after Unpin, Victim predicted %+v %v, want line 256", ev, has)
+	}
+	c.Unpin(0)
+	c.Lookup(256)
+	if _, ev, has := c.Victim(512); !has || ev.Addr != 0 {
+		t.Fatalf("after the last Unpin, Victim predicted %+v %v, want line 0", ev, has)
+	}
+}
+
 func TestDirtyEvictionReported(t *testing.T) {
 	c := newCache[int](t, tiny())
 	insert(c, 0, 1, true)

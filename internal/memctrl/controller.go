@@ -154,6 +154,11 @@ var (
 	ErrCrashed = errors.New("memctrl: controller crashed; call Recover")
 	// ErrNotCrashed: Recover was called on a live controller.
 	ErrNotCrashed = errors.New("memctrl: Recover called without a crash")
+	// ErrSetCapacity: a metadata block must be filled into a cache set
+	// whose every way is pinned by the operation in progress. The
+	// operation stops before it changes what it was refused; no
+	// acknowledged update is lost, and a retry may succeed.
+	ErrSetCapacity = errors.New("memctrl: metadata cache set has no unpinned way")
 )
 
 // Options tune non-default controller behaviour.
@@ -222,28 +227,13 @@ type Controller struct {
 	hook      inject.Hook
 	sealDepth int
 
-	// forcing, pinned and inflight hold at most the current write-back
-	// cascade depth (a handful of entries), so they are scanned slices,
-	// not maps.
-	//
-	// forcing marks home addresses whose forced write-back is already on
-	// the stack, so a nested insertion steers victim selection away from
-	// them instead of recursing into the same write-back.
-	forcing addrSet
-
-	// pinned marks home addresses held by an in-progress data write: the
-	// leaf counter advances in cache before the sealed data commit, and an
-	// eviction in that window would make the increment durable ahead of
-	// the ciphertext. Victim selection steers around pinned blocks.
-	pinned addrSet
-
-	// inflight holds metadata blocks currently being written back, with
-	// their home addresses. While a block is in flight, getBlock serves
-	// the in-flight copy so that nested write-backs (eviction cascades)
-	// apply their parent-counter bumps to the copy that will actually be
-	// serialized — otherwise a concurrent re-fetch of the stale NVM copy
-	// could roll those bumps back.
-	inflight []inflightEntry
+	// fills holds the verified NVM lines of fetches waiting for their
+	// cache way (pending-fill registers, innermost last). Claiming the way
+	// can write back a dirty victim, and that cascade can write the very
+	// block being fetched back to NVM with newer counters; writebackBlock
+	// then overwrites the pending line with what it persisted, so the fill
+	// never decodes content older than memory. Lines are held by value.
+	fills []pendingFill
 
 	// wbAddrs/wbWrites are write-back scratch, reused across calls: the
 	// copy-address list and its atomic write group are fully consumed by

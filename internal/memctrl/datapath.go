@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"errors"
 	"fmt"
 
 	"soteria/internal/ctrenc"
@@ -109,40 +110,36 @@ func (c *Controller) WriteBlock(now sim.Time, addr uint64, data *[nvm.LineSize]b
 	}
 	home := c.layout.NodeAddr(1, leafIdx)
 	// Pin the leaf for the duration of this write. Its counter is about to
-	// advance in cache; if an eviction cascade (the MAC-line miss below,
-	// or a re-encryption fetch) wrote the bumped counter and its shadow
-	// entry back before the sealed data commit lands, a crash in between
-	// would recover the new counter with the old ciphertext still in NVM —
-	// the block would decrypt under neither value. Hardware pins the MSHR
-	// entry of an in-progress write the same way.
-	c.pinned.push(home)
-	defer c.pinned.pop()
-	if cb.Counter.Increment(slot) {
+	// advance in cache; if an eviction cascade (a re-encryption fetch, say)
+	// wrote the bumped counter and its shadow entry back before the sealed
+	// data commit lands, a crash in between would recover the new counter
+	// with the old ciphertext still in NVM — the block would decrypt under
+	// neither value. Hardware pins the MSHR entry of an in-progress write
+	// the same way. The pin also keeps cb valid.
+	c.mcache.Pin(home)
+	defer c.mcache.Unpin(home)
+
+	if cb.Counter.Minors[slot] == ctrenc.MinorMax {
 		// Minor overflow: re-encrypt the whole covered page under an
-		// incremented major counter, then retry the bump.
-		if err := c.reencryptPage(leafIdx); err != nil {
+		// incremented major counter before the bump.
+		if err := c.reencryptPage(leafIdx, cb); err != nil {
 			return c.now, err
 		}
-		cb, err = c.getBlock(1, leafIdx)
-		if err != nil {
-			return c.now, err
-		}
-		if cb.Counter.Increment(slot) {
-			panic("memctrl: minor overflow immediately after page re-encryption")
-		}
+	}
+	// Ensure the MAC line is resident before the counter moves (and after
+	// a re-encryption, whose MAC-line fills can evict it): its miss path
+	// can trigger eviction cascades, which must not run inside the sealed
+	// commit below, and a failure here leaves the write without effect.
+	if _, err := c.getMACLine(blockIdx); err != nil {
+		return c.now, err
+	}
+	if cb.Counter.Increment(slot) {
+		panic("memctrl: minor overflow immediately after page re-encryption")
 	}
 	counter := cb.Counter.Counter(slot)
 	cb.UpdatesPerSlot[slot]++
 	needForce := c.strat.needsForce(c, cb, slot)
 	c.mcache.MarkDirty(home)
-
-	// Pre-ensure the MAC line is resident: its miss path can trigger
-	// eviction cascades, which must not run inside the sealed commit
-	// below. The pin above keeps those cascades away from the leaf, whose
-	// incremented counter must stay volatile until the commit.
-	if _, err := c.getMACLine(blockIdx); err != nil {
-		return c.now, err
-	}
 
 	// The paper's "maximum of three writes (cipher, data MAC and Shadow
 	// log) per write" commit atomically from the ADR domain: ciphertext,
@@ -203,32 +200,26 @@ func (c *Controller) eagerPropagate(leafIdx uint64) error {
 	}
 }
 
-// reencryptPage handles a minor-counter overflow: the major counter bumps,
-// every minor resets, and all covered blocks that exist in memory are
-// re-encrypted and re-MACed under their new counters. The whole rewrite is
-// modelled as one crash-atomic transaction — a page caught half
-// re-encrypted under a bumped major would be unrecoverable, so real
-// hardware must (and the paper's rarity argument lets it) commit the
+// reencryptPage handles a minor-counter overflow of the pinned leaf cb:
+// the major counter bumps, every minor resets, and all covered blocks that
+// exist in memory are re-encrypted and re-MACed under their new counters.
+// The whole rewrite is modelled as one crash-atomic transaction — a page
+// caught half re-encrypted under a bumped major would be unrecoverable, so
+// real hardware must (and the paper's rarity argument lets it) commit the
 // overflow handling atomically.
-func (c *Controller) reencryptPage(leafIdx uint64) error {
+func (c *Controller) reencryptPage(leafIdx uint64, cb *metacache.Block) error {
 	c.seal("page-reencrypt")
-	err := c.reencryptPageInner(leafIdx)
+	err := c.reencryptPageInner(leafIdx, cb)
 	c.unseal("page-reencrypt")
 	return err
 }
 
-func (c *Controller) reencryptPageInner(leafIdx uint64) error {
-	cb, err := c.getBlock(1, leafIdx)
-	if err != nil {
-		return err
-	}
-	home := c.layout.NodeAddr(1, leafIdx)
+func (c *Controller) reencryptPageInner(leafIdx uint64, cb *metacache.Block) error {
 	var oldCounters [ctrenc.CountersPerBlock]uint64
 	for i := range oldCounters {
 		oldCounters[i] = cb.Counter.Counter(i)
 	}
 	cb.Counter.BumpMajor()
-	newMajorCounter := cb.Counter // value copy for stable counters during the loop
 
 	firstBlock := leafIdx * uint64(ctrenc.CountersPerBlock)
 	for i := 0; i < ctrenc.CountersPerBlock; i++ {
@@ -253,27 +244,22 @@ func (c *Controller) reencryptPageInner(leafIdx uint64) error {
 			return fmt.Errorf("%w: block %#x during page re-encryption", ErrMACMismatch, addr)
 		}
 		pt := c.eng.Decrypt(addr, oldCounters[i], &ct)
-		nct := c.eng.Encrypt(addr, newMajorCounter.Counter(i), &pt)
+		nct := c.eng.Encrypt(addr, cb.Counter.Counter(i), &pt)
 		c.pushWrite(addr, &nct, WCData)
-		if err := c.setDataMAC(blockIdx, c.eng.DataMAC(addr, newMajorCounter.Counter(i), &nct)); err != nil {
+		if err := c.setDataMAC(blockIdx, c.eng.DataMAC(addr, cb.Counter.Counter(i), &nct)); err != nil {
 			return err
 		}
 	}
 
 	// The leaf changed wholesale: refresh bookkeeping and its tracking
-	// state. (Re-peek: the loop may have reshuffled the cache.)
-	if blk, ok := c.mcache.Peek(home); ok {
-		for i := range blk.UpdatesPerSlot {
-			blk.UpdatesPerSlot[i] = 0
-		}
-		c.mcache.MarkDirty(home)
-		if err := c.strat.commitLeaf(c, home); err != nil {
-			return err
-		}
-	} else {
-		// Evicted mid-loop (written back with the new major). Nothing
-		// more to do: memory already holds the re-encrypted state.
-		_ = blk
+	// state.
+	for i := range cb.UpdatesPerSlot {
+		cb.UpdatesPerSlot[i] = 0
+	}
+	home := c.layout.NodeAddr(1, leafIdx)
+	c.mcache.MarkDirty(home)
+	if err := c.strat.commitLeaf(c, home); err != nil {
+		return err
 	}
 	c.stats.PageReencrypt++
 	c.tel.pageReencrypt.Inc()
@@ -328,7 +314,11 @@ func (c *Controller) FlushAll(now sim.Time) sim.Time {
 				if !ok || b.Level != level || b.Kind == metacache.KindMAC || !c.mcache.IsDirty(addr) {
 					continue
 				}
-				if err := c.forceWriteback(addr); err != nil {
+				if err := c.forceWriteback(addr); errors.Is(err, ErrSetCapacity) {
+					// No way for its parent: the block stays dirty and
+					// tracked, so nothing is lost.
+					continue
+				} else if err != nil {
 					// Unverifiable parent chain: the update is lost
 					// (already accounted); clean the line so the
 					// flush can terminate.

@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"soteria/internal/core"
@@ -92,24 +93,24 @@ func (c *Controller) parentCounterOf(level int, index uint64) (uint64, error) {
 }
 
 // getBlock returns a trusted metadata block, fetching and verifying it (and
-// its ancestor chain) as needed. If the block is currently being written
-// back, its in-flight copy is returned — that copy is what will reach NVM,
-// so counter bumps must land there. The returned pointer is valid only
-// until the next cache-mutating call.
+// its ancestor chain) as needed. The returned pointer is valid only until
+// the next cache-mutating call, unless the caller pins the block.
 func (c *Controller) getBlock(level int, index uint64) (*metacache.Block, error) {
 	home := c.layout.NodeAddr(level, index)
-	if b := c.inflightCopy(home); b != nil {
+	if b, ok := c.mcache.Lookup(home); ok {
 		return b, nil
 	}
-	for tries := 0; tries < 64; tries++ {
-		if b, ok := c.mcache.Lookup(home); ok {
-			return b, nil
-		}
-		if err := c.fetchBlock(level, index); err != nil {
-			return nil, err
-		}
+	if err := c.fetchBlock(level, index); err != nil {
+		return nil, err
 	}
-	panic(fmt.Sprintf("memctrl: livelock fetching metadata L%d[%d]", level, index))
+	b, _ := c.mcache.Lookup(home)
+	return b, nil
+}
+
+// pendingFill is one fetched line waiting for its cache way.
+type pendingFill struct {
+	home uint64
+	line nvm.Line
 }
 
 // fetchBlock reads node (level, index) from NVM, verifies it through the
@@ -145,10 +146,16 @@ func (c *Controller) fetchBlock(level int, index uint64) error {
 	if level >= 0 && level < len(c.tel.fillsByLevel) {
 		c.tel.fillsByLevel[level].Inc()
 	}
-	if b := c.claimWay(home); b != nil {
-		decodeInto(b, level, index, &line)
+	// The line waits in a pending-fill register while its way is claimed:
+	// the claim's cascade may write this block back (see c.fills).
+	c.fills = append(c.fills, pendingFill{home, line})
+	b, err := c.claimWay(home)
+	fill := c.fills[len(c.fills)-1]
+	c.fills = c.fills[:len(c.fills)-1]
+	if b != nil {
+		decodeInto(b, level, index, &fill.line)
 	}
-	return nil
+	return err
 }
 
 // chargeReadLatency advances time for one NVM line read without performing
@@ -169,46 +176,29 @@ func (c *Controller) chargeReadLatency(addr uint64) {
 // claimWay makes room for the block at home in the metadata cache, fully
 // handling the eviction this causes (write-back with lazy parent update,
 // clone writes, shadow maintenance), and returns the clean, zeroed way the
-// block now occupies for the caller to fill in place. It returns nil when
-// the block became resident during that cascade: the resident copy is then
-// authoritative and must not be overwritten.
-func (c *Controller) claimWay(home uint64) *metacache.Block {
+// block now occupies for the caller to fill in place. It returns a nil way
+// when the block became resident during that cascade: the resident copy is
+// then authoritative and must not be overwritten. It fails with
+// ErrSetCapacity when every way of the set is pinned; a dirty victim whose
+// write-back was refused that way stays dirty and tracked.
+func (c *Controller) claimWay(home uint64) (*metacache.Block, error) {
 	// Crash safety: a dirty victim's shadow entry must stay valid until
 	// the victim's write-back clone group is durable, and its slot is only
 	// then handed to the new occupant. Evicting first and writing back
 	// afterwards would force an early entry invalidation, leaving the
 	// victim's in-cache updates untracked across a crash in the window. So
 	// dirty victims are force-written *while still resident* (which clears
-	// their entry after the group is pushed), and only then replaced.
-	for guard := 0; ; guard++ {
-		if guard > maxCascade {
-			panic("memctrl: victim pre-clean failed to converge")
-		}
+	// their entry after the group is pushed), and only then replaced. A
+	// write-back only moves dirtiness up the tree, so the loop ends.
+	for {
 		v, has := c.mcache.Victim(home)
 		if !has || !v.Dirty {
 			break
 		}
-		if v.Kind == metacache.KindMAC {
-			// MAC lines are write-through and should never be dirty;
-			// handle defensively.
-			mb, _ := c.mcache.Peek(v.Addr)
-			line := mb.Raw
-			c.pushWrite(c.macLineAddr(mb.Index), &line, WCDataMAC)
-			c.mcache.CleanLine(v.Addr)
-			continue
-		}
-		if c.forcing.has(v.Addr) || c.pinned.has(v.Addr) {
-			// The victim's write-back is already on the stack (this
-			// insertion is part of its parent-ensure cascade), or the
-			// block is pinned by the data write in progress — persisting
-			// its bumped counter before the sealed data commit would
-			// strand the data on a crash in between. Refresh its LRU
-			// state so selection moves to another way instead.
-			c.mcache.Touch(v.Addr)
-			continue
-		}
 		c.mcache.NoteEvictionWriteback(v.Level)
-		if err := c.forceWriteback(v.Addr); err != nil {
+		if err := c.forceWriteback(v.Addr); errors.Is(err, ErrSetCapacity) {
+			return nil, err
+		} else if err != nil {
 			// Unverifiable parent chain: the update is lost (the fault
 			// handler accounted the coverage loss). Drop the tracking
 			// entry so the insertion can proceed.
@@ -224,15 +214,18 @@ func (c *Controller) claimWay(home uint64) *metacache.Block {
 	// with the stale decoded line would roll those bumps back and break
 	// the children's MACs.
 	if _, ok := c.mcache.Peek(home); ok {
-		return nil
+		return nil, nil
 	}
 	// Victim and Claim select the same way, and the loop above left it
 	// clean, so the claim drops nothing that is not already in memory.
 	b, ev, _ := c.mcache.Claim(home, false)
+	if b == nil {
+		return nil, fmt.Errorf("%w: %#x", ErrSetCapacity, home)
+	}
 	if ev.Dirty {
 		panic(fmt.Sprintf("memctrl: claiming %#x evicted dirty %#x", home, ev.Addr))
 	}
-	return b
+	return b, nil
 }
 
 // writebackBlock persists a metadata block: it bumps the parent counter
@@ -240,11 +233,9 @@ func (c *Controller) claimWay(home uint64) *metacache.Block {
 // counter, and pushes the home copy plus every configured clone through the
 // WPQ as one atomic group.
 //
-// blk must be a stable pointer (a resident way protected by a pre-ensured
-// parent — see forceWriteback).
-// The block is registered as in-flight for the duration, so any nested
-// write-back that needs to bump one of blk's own counters mutates *this*
-// copy, which is serialized only afterwards.
+// blk must be a pinned resident way whose parent is resident (see
+// forceWriteback), so any nested write-back that bumps one of blk's own
+// counters mutates *this* copy, which is serialized only afterwards.
 func (c *Controller) writebackBlock(blk *metacache.Block) error {
 	c.cascade++
 	defer func() { c.cascade-- }()
@@ -252,12 +243,6 @@ func (c *Controller) writebackBlock(blk *metacache.Block) error {
 		panic("memctrl: eviction cascade exceeded bound")
 	}
 	level, index := blk.Level, blk.Index
-	home := c.layout.NodeAddr(level, index)
-	if c.inflightCopy(home) != nil {
-		panic(fmt.Sprintf("memctrl: L%d[%d] written back re-entrantly", level, index))
-	}
-	c.inflight = append(c.inflight, inflightEntry{home, blk})
-	defer func() { c.inflight = c.inflight[:len(c.inflight)-1] }()
 
 	_, pindex, slot, stored := c.layout.Parent(level, index)
 	var pctr uint64
@@ -287,6 +272,13 @@ func (c *Controller) writebackBlock(blk *metacache.Block) error {
 		blk.Node.MAC = blk.Node.ContentMAC(c.eng, level, index, pctr)
 	}
 	line := serializeBlock(blk)
+	// A fetch of this block waiting for its way read the older image.
+	home := c.layout.NodeAddr(level, index)
+	for i := range c.fills {
+		if c.fills[i].home == home {
+			c.fills[i].line = line
+		}
+	}
 
 	// The addr/write scratch is consumed before any path that could
 	// re-enter writebackBlock (the parent cascade above is done), so one
@@ -367,39 +359,24 @@ func (c *Controller) invalidateSlot(slot int) {
 
 // forceWriteback flushes a resident dirty block to memory without evicting
 // it (the Osiris in-cache update bound and FlushAll both use this). The
-// block stays cached, clean.
+// block stays cached, clean. It is pinned for the duration: the parent
+// fetch below can cascade into other write-backs, and the pin keeps the
+// block resident, so its pointer stays valid and nested bumps of its own
+// counters land in the copy serialized here.
 func (c *Controller) forceWriteback(home uint64) error {
 	blk, ok := c.mcache.Peek(home)
 	if !ok {
 		return nil
 	}
-	if c.forcing.has(home) {
-		// Already being written back higher on the stack; that call will
-		// complete the job.
-		return nil
-	}
-	c.forcing.push(home)
-	defer c.forcing.pop()
-	// Pre-ensure the parent chain: the fetch cascade this can trigger
-	// must run *before* we commit to writing the resident copy, because
-	// the cascade may evict (and thereby already write back) this very
-	// block, or modify its counters via nested write-backs.
-	level, index := blk.Level, blk.Index
-	if _, pindex, _, stored := c.layout.Parent(level, index); stored {
-		if _, err := c.getBlock(level+1, pindex); err != nil {
+	c.mcache.Pin(home)
+	defer c.mcache.Unpin(home)
+	// Ensure the parent first: once it is resident, writebackBlock's
+	// parent lookup hits and no cache mutation can happen.
+	if _, pindex, _, stored := c.layout.Parent(blk.Level, blk.Index); stored {
+		if _, err := c.getBlock(blk.Level+1, pindex); err != nil {
 			return err
 		}
 	}
-	blk, ok = c.mcache.Peek(home)
-	if !ok {
-		// The pre-ensure cascade evicted it — which wrote it back.
-		c.stats.ForcedWB++
-		c.tel.forcedWB.Inc()
-		return nil
-	}
-	// From here on no cache mutation can happen (the parent is resident,
-	// so writebackBlock's lookup hits), making the resident pointer
-	// stable for the duration.
 	if err := c.writebackBlock(blk); err != nil {
 		return err
 	}
@@ -416,35 +393,31 @@ func (c *Controller) forceWriteback(home uint64) error {
 
 // --- data-MAC lines ---------------------------------------------------------
 
-func (c *Controller) macLineAddr(lineIdx uint64) uint64 {
-	return c.layout.MACBase + lineIdx*nvm.LineSize
-}
-
 // getMACLine returns the cached packed-MAC line covering dataBlock,
 // fetching it from NVM on a miss. MAC lines sit outside the tree (the data
 // MAC itself is the authenticator), so no verification chain is needed.
 func (c *Controller) getMACLine(dataBlock uint64) (*metacache.Block, error) {
 	lineAddr, _ := c.layout.DataMACAddr(dataBlock)
-	lineIdx := (lineAddr - c.layout.MACBase) / nvm.LineSize
-	for tries := 0; tries < 64; tries++ {
-		if b, ok := c.mcache.Lookup(lineAddr); ok {
-			return b, nil
-		}
-		r := c.readNVM(lineAddr)
-		if r.Uncorrectable {
-			return nil, fmt.Errorf("%w: MAC line %d", ErrDataError, lineIdx)
-		}
-		if _, ok := c.mcache.Peek(lineAddr); ok {
-			continue // raced with a cascade; resident copy wins
-		}
-		if len(c.tel.fillsByLevel) > 0 {
-			c.tel.fillsByLevel[0].Inc() // MAC lines fill as level 0
-		}
-		if b := c.claimWay(lineAddr); b != nil {
-			b.Kind, b.Index, b.Raw = metacache.KindMAC, lineIdx, r.Data
-		}
+	if b, ok := c.mcache.Lookup(lineAddr); ok {
+		return b, nil
 	}
-	panic("memctrl: livelock fetching MAC line")
+	lineIdx := (lineAddr - c.layout.MACBase) / nvm.LineSize
+	r := c.readNVM(lineAddr)
+	if r.Uncorrectable {
+		return nil, fmt.Errorf("%w: MAC line %d", ErrDataError, lineIdx)
+	}
+	if len(c.tel.fillsByLevel) > 0 {
+		c.tel.fillsByLevel[0].Inc() // MAC lines fill as level 0
+	}
+	b, err := c.claimWay(lineAddr)
+	if err != nil {
+		return nil, err
+	}
+	if b != nil {
+		b.Kind, b.Index, b.Raw = metacache.KindMAC, lineIdx, r.Data
+	}
+	b, _ = c.mcache.Lookup(lineAddr)
+	return b, nil
 }
 
 // dataMAC reads the stored MAC of a data block.
@@ -471,45 +444,4 @@ func (c *Controller) setDataMAC(dataBlock uint64, mac uint64) error {
 	line := b.Raw
 	c.pushWrite(lineAddr, &line, WCDataMAC)
 	return nil
-}
-
-// addrSet is a set of home addresses pushed and popped in stack order by
-// the write-back and data-write frames that own them. It holds at most the
-// cascade depth, so membership is a scan.
-type addrSet []uint64
-
-func (s addrSet) has(addr uint64) bool {
-	for _, a := range s {
-		if a == addr {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *addrSet) push(addr uint64) { *s = append(*s, addr) }
-
-func (s *addrSet) pop() { *s = (*s)[:len(*s)-1] }
-
-// inflightEntry is one block on the write-back stack.
-type inflightEntry struct {
-	home uint64
-	blk  *metacache.Block
-}
-
-// inflightCopy returns the in-flight copy of the block at home, or nil.
-func (c *Controller) inflightCopy(home uint64) *metacache.Block {
-	for i := range c.inflight {
-		if c.inflight[i].home == home {
-			return c.inflight[i].blk
-		}
-	}
-	return nil
-}
-
-// resetTransient empties the per-operation stacks (crash).
-func (c *Controller) resetTransient() {
-	c.inflight = c.inflight[:0]
-	c.forcing = c.forcing[:0]
-	c.pinned = c.pinned[:0]
 }

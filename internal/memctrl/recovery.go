@@ -32,7 +32,7 @@ func (c *Controller) Crash() error {
 	c.mcache.DropAll()
 	c.strat.onCrash(c)
 	c.q.Reset()
-	c.resetTransient()
+	c.fills = c.fills[:0]
 	c.cascade = 0
 	c.sealDepth = 0
 	c.recovering = false

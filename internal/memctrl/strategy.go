@@ -154,7 +154,7 @@ func StrategyReliability(name string, trackedSlots uint64) (shadowLines uint64, 
 // still-valid entry at that slot would belong to a block with a smaller
 // minimum slot — re-inserted earlier, its old slots already retired. The
 // re-insert therefore never overwrites a live entry.
-func (c *Controller) reseedRecovered(recovered map[uint64]metacache.Block, slotsOf map[uint64][]uint64) {
+func (c *Controller) reseedRecovered(recovered map[uint64]metacache.Block, slotsOf map[uint64][]uint64) error {
 	c.crashed = false
 	c.recovering = false
 	c.note("recover-reseed")
@@ -166,7 +166,11 @@ func (c *Controller) reseedRecovered(recovered map[uint64]metacache.Block, slots
 		return slices.Min(slotsOf[order[i]]) < slices.Min(slotsOf[order[j]])
 	})
 	for _, addr := range order {
-		if b := c.claimWay(addr); b != nil {
+		b, err := c.claimWay(addr)
+		if err != nil {
+			return err
+		}
+		if b != nil {
 			*b = recovered[addr]
 		}
 		c.mcache.MarkDirty(addr)
@@ -179,16 +183,26 @@ func (c *Controller) reseedRecovered(recovered map[uint64]metacache.Block, slots
 		}
 	}
 	c.FlushAll(c.now)
+	return nil
 }
 
 // wipeSlots clears tracking slots as recovery cleanup: each one describes
 // content that now matches memory (or was already counted lost), so the
-// wipe writes bypass the WPQ books like other recovery bookkeeping.
+// wipe writes bypass the WPQ books like other recovery bookkeeping. The
+// slot of a block still dirty in cache is kept: the flush was refused
+// with ErrSetCapacity, and that entry is what tracks the block.
 func (c *Controller) wipeSlots(reset func(uint64) error, slotLists ...[]uint64) error {
+	held := make(map[uint64]bool)
+	for _, addr := range c.mcache.DirtyLines() {
+		held[uint64(c.mcache.SlotOf(addr))] = true
+	}
 	c.bootstrap = true
 	defer func() { c.bootstrap = false }()
 	for _, slots := range slotLists {
 		for _, s := range slots {
+			if held[s] {
+				continue
+			}
 			c.seal("shadow-op")
 			err := reset(s)
 			c.unseal("shadow-op")

@@ -168,7 +168,9 @@ func (s *anubisStrategy) recover(c *Controller) (*RecoveryReport, error) {
 	c.stats.RecoveredOK += uint64(len(recovered))
 	c.tel.recoveredOK.Add(uint64(len(recovered)))
 
-	c.reseedRecovered(recovered, slotsOf)
+	if err := c.reseedRecovered(recovered, slotsOf); err != nil {
+		return rep, err
+	}
 
 	if err := c.wipeSlots(tbl.Reset, tbl.ValidSlots(), lostSlots); err != nil {
 		return rep, err

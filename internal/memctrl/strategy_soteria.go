@@ -177,7 +177,9 @@ func (s *soteriaStrategy) recover(c *Controller) (*RecoveryReport, error) {
 	// through the ordinary write-back path. The shadow table has one slot
 	// per cache way and the tracked blocks were simultaneously resident
 	// before the crash, so reinsertion cannot evict.
-	c.reseedRecovered(recovered, slotsOf)
+	if err := c.reseedRecovered(recovered, slotsOf); err != nil {
+		return rep, err
+	}
 
 	// Cleanup: the flush untracked the re-seeded blocks; what remains
 	// valid is stale pre-crash entries at old slots (the blocks moved

@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -124,7 +125,9 @@ func (s *triadStrategy) needsForce(c *Controller, blk *metacache.Block, slot int
 
 // afterOp drains the deferred-force queue outside any seal. A node that went
 // clean in the meantime (eviction, FlushAll) is skipped; an unverifiable
-// parent chain loses the update, accounted exactly like FlushAll does.
+// parent chain loses the update, accounted exactly like FlushAll does. A
+// node refused with ErrSetCapacity stays dirty, and its next bump queues it
+// again: only a bump adds drift, so it is retried whenever drift grows.
 func (s *triadStrategy) afterOp(c *Controller) error {
 	if len(s.deferForce) == 0 {
 		return nil
@@ -137,7 +140,7 @@ func (s *triadStrategy) afterOp(c *Controller) error {
 		if !c.mcache.IsDirty(home) {
 			continue
 		}
-		if err := c.forceWriteback(home); err != nil {
+		if err := c.forceWriteback(home); err != nil && !errors.Is(err, ErrSetCapacity) {
 			c.stats.RecoveryLost++
 			c.tel.recoveryLost.Inc()
 			c.mcache.CleanLine(home)

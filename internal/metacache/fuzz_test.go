@@ -13,6 +13,7 @@ import (
 type refLine struct {
 	valid bool
 	dirty bool
+	pins  int
 	addr  uint64
 	lru   uint64
 	block Block
@@ -21,8 +22,9 @@ type refLine struct {
 // refCache is a deliberately naive re-implementation of the metadata
 // cache's contract: plain per-set slices, linear scans, explicit LRU
 // timestamps. It mirrors the documented semantics of internal/cache
-// (true-LRU with free ways first, write-back, replace-in-place on
-// re-insert, one slot per (set, way)) without sharing any code with it, so
+// (true-LRU with free ways first, pinned ways never chosen, write-back,
+// replace-in-place on re-insert, one slot per (set, way)) without sharing
+// any code with it, so
 // the fuzz target below can catch a divergence in either implementation.
 type refCache struct {
 	sets     [][]refLine
@@ -90,10 +92,17 @@ func (r *refCache) isDirty(addr uint64) bool {
 	return l != nil && l.dirty
 }
 
-func (r *refCache) touch(addr uint64) {
-	if l := r.find(addr); l != nil {
-		r.tick++
-		l.lru = r.tick
+func (r *refCache) pin(addr uint64) bool {
+	l := r.find(addr)
+	if l != nil {
+		l.pins++
+	}
+	return l != nil
+}
+
+func (r *refCache) unpin(addr uint64) {
+	if l := r.find(addr); l != nil && l.pins > 0 {
+		l.pins--
 	}
 }
 
@@ -109,14 +118,16 @@ func (r *refCache) lookup(addr uint64) (Block, bool) {
 	return Block{}, false
 }
 
-func (r *refCache) insert(addr uint64, b Block, dirty bool) (ev Evicted, hasEvict bool) {
-	r.tick++
+// insert reports the line it evicted, if any, and ok=false (changing
+// nothing) when addr is not resident and every way of its set is pinned.
+func (r *refCache) insert(addr uint64, b Block, dirty bool) (ev Evicted, hasEvict, ok bool) {
 	base := addr &^ (config.BlockSize - 1)
 	if l := r.find(addr); l != nil {
+		r.tick++
 		l.block = b
 		l.dirty = l.dirty || dirty
 		l.lru = r.tick
-		return Evicted{}, false
+		return Evicted{}, false, true
 	}
 	ws := r.set(addr)
 	victim := -1
@@ -127,11 +138,13 @@ func (r *refCache) insert(addr uint64, b Block, dirty bool) (ev Evicted, hasEvic
 		}
 	}
 	if victim == -1 {
-		victim = 0
-		for i := 1; i < len(ws); i++ {
-			if ws[i].lru < ws[victim].lru {
+		for i := range ws {
+			if ws[i].pins == 0 && (victim == -1 || ws[i].lru < ws[victim].lru) {
 				victim = i
 			}
+		}
+		if victim == -1 {
+			return Evicted{}, false, false
 		}
 		v := &ws[victim]
 		ev, hasEvict = Evicted{Addr: v.addr, Dirty: v.dirty, Kind: v.block.Kind, Level: v.block.Level}, true
@@ -144,8 +157,9 @@ func (r *refCache) insert(addr uint64, b Block, dirty bool) (ev Evicted, hasEvic
 			r.dirtyEvByLevel[ws[victim].block.Level]++
 		}
 	}
+	r.tick++
 	ws[victim] = refLine{valid: true, dirty: dirty, addr: base, lru: r.tick, block: b}
-	return ev, hasEvict
+	return ev, hasEvict, true
 }
 
 func (r *refCache) markDirty(addr uint64) bool {
@@ -205,12 +219,16 @@ func randomBlock(rng *rand.Rand, levels int, index uint64) Block {
 // hit/miss results, eviction victims (address, dirty bit, payload kind and
 // level) as predicted by Victim and as reported by the insertion, and —
 // every 32 operations — the residency, dirty bit and shadow-table slot of
-// every address; then the statistics and telemetry counters at the end. Insertions alternate
-// between Insert and Claim with the payload filled in place.
+// every address; then the statistics and telemetry counters at the end.
+// Insertions alternate between Insert and Claim with the payload filled in
+// place, and Pin/Unpin calls leave some sets with no way to give, where
+// both must refuse the insertion.
 func FuzzMetacacheMatchesReference(f *testing.F) {
 	for _, seed := range []int64{1, 2, 42} {
 		f.Add(seed, uint16(10_000), uint8(2)) // 4 ways
 	}
+	f.Add(int64(3), uint16(10_000), uint8(1)) // 2 ways: sets fill with pins
+	f.Add(int64(4), uint16(10_000), uint8(0)) // direct-mapped
 	f.Fuzz(func(t *testing.T, seed int64, ops uint16, waySel uint8) {
 		const (
 			levels = 5
@@ -231,6 +249,13 @@ func FuzzMetacacheMatchesReference(f *testing.F) {
 		addr := func() uint64 {
 			return uint64(rng.Intn(universe)) * config.BlockSize
 		}
+		// lastIns is the address most recently inserted, which Pin takes;
+		// held lists pins not yet released (Invalidate and DropAll may
+		// have dropped some already, which Unpin must tolerate).
+		var (
+			lastIns uint64
+			held    []uint64
+		)
 
 		for i := 0; i < int(ops); i++ {
 			switch op := rng.Intn(100); {
@@ -246,43 +271,62 @@ func FuzzMetacacheMatchesReference(f *testing.F) {
 				}
 			case op < 75: // insert
 				a := addr()
+				lastIns = a
 				b := randomBlock(rng, levels, uint64(i))
 				dirty := rng.Intn(2) == 0
 				pv, phas := m.Victim(a)
 				var (
+					p   *Block
 					ev  Evicted
 					has bool
 				)
 				if rng.Intn(2) == 0 {
-					ev, has = m.Insert(a, b, dirty)
+					p, ev, has = m.Insert(a, b, dirty)
 				} else {
-					var p *Block
 					p, ev, has = m.Claim(a, dirty)
-					if *p != (Block{}) {
+					if p != nil && *p != (Block{}) {
 						t.Fatalf("op %d: Claim(%#x) returned a way holding %+v, want it zeroed", i, a, *p)
 					}
-					*p = b
+					if p != nil {
+						*p = b
+					}
 				}
-				want, wHas := ref.insert(a, b, dirty)
+				want, wHas, wOK := ref.insert(a, b, dirty)
+				if (p != nil) != wOK {
+					t.Fatalf("op %d: Insert(%#x) found a way=%v, reference says %v", i, a, p != nil, wOK)
+				}
 				if has != wHas || phas != wHas {
 					t.Fatalf("op %d: Insert(%#x) evicted=%v (Victim predicted %v), reference says %v", i, a, has, phas, wHas)
 				}
 				if has && (ev != want || pv != want) {
 					t.Fatalf("op %d: Insert(%#x) evicted %+v (Victim predicted %+v), reference %+v", i, a, ev, pv, want)
 				}
-			case op < 85: // mark dirty
+			case op < 83: // mark dirty
 				a := addr()
 				if got, want := m.MarkDirty(a), ref.markDirty(a); got != want {
 					t.Fatalf("op %d: MarkDirty(%#x) = %v, reference %v", i, a, got, want)
 				}
-			case op < 90: // clean (counts a writeback in telemetry)
+			case op < 87: // clean (counts a writeback in telemetry)
 				a := addr()
 				m.CleanLine(a)
 				ref.cleanLine(a)
-			case op < 94: // steer replacement away from a line
-				a := addr()
-				m.Touch(a)
-				ref.touch(a)
+			case op < 92: // pin the last insertion (pins nest)
+				_, got := m.Peek(lastIns)
+				if want := ref.pin(lastIns); got != want {
+					t.Fatalf("op %d: Pin(%#x) found resident=%v, reference %v", i, lastIns, got, want)
+				}
+				m.Pin(lastIns)
+				held = append(held, lastIns)
+			case op < 94: // release a pin taken earlier
+				if len(held) == 0 {
+					continue
+				}
+				j := rng.Intn(len(held))
+				a := held[j]
+				held[j] = held[len(held)-1]
+				held = held[:len(held)-1]
+				m.Unpin(a)
+				ref.unpin(a)
 			case op < 99: // invalidate
 				a := addr()
 				if got, want := m.Invalidate(a), ref.invalidate(a); got != want {

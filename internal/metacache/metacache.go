@@ -179,7 +179,7 @@ func (m *Cache) CleanLine(homeAddr uint64) {
 func (m *Cache) IsDirty(homeAddr uint64) bool { return m.c.IsDirty(homeAddr) }
 
 // Evicted identifies a line an insertion displaces: enough to decide what
-// to do about it (write it back, steer around it) without copying its
+// to do about it (write it back first) without copying its
 // ~500-byte payload. A caller that needs the payload of a predicted victim
 // reads it in place with Peek(Addr).
 type Evicted struct {
@@ -198,9 +198,13 @@ func evicted(b *Block, ev cache.Evicted) Evicted {
 // the caller to fill in place — a fetched line decodes once, straight into
 // the cache. It reports the line it evicted, if any; dirty tree evictions
 // are histogrammed by level. Claiming a resident address reuses its way
-// (dirty bits OR together) and evicts nothing.
+// (dirty bits OR together) and evicts nothing. When every way of the set
+// is pinned the payload is nil and nothing changes.
 func (m *Cache) Claim(homeAddr uint64, dirty bool) (*Block, Evicted, bool) {
 	b, cev, evict := m.c.Claim(homeAddr, dirty)
+	if b == nil {
+		return nil, Evicted{}, false
+	}
 	var ev Evicted
 	if evict {
 		ev = evicted(b, cev)
@@ -213,16 +217,20 @@ func (m *Cache) Claim(homeAddr uint64, dirty bool) (*Block, Evicted, bool) {
 	return b, ev, evict
 }
 
-// Insert is Claim with the payload supplied by value.
-func (m *Cache) Insert(homeAddr uint64, b Block, dirty bool) (Evicted, bool) {
+// Insert is Claim with the payload supplied by value; the returned way is
+// nil, and nothing is inserted, when every way of the set is pinned.
+func (m *Cache) Insert(homeAddr uint64, b Block, dirty bool) (*Block, Evicted, bool) {
 	p, ev, has := m.Claim(homeAddr, dirty)
-	*p = b
-	return ev, has
+	if p != nil {
+		*p = b
+	}
+	return p, ev, has
 }
 
 // Victim predicts what Claim(homeAddr, ...) would evict, without
-// changing any cache state: nothing when the address is resident or its
-// set has a free way, otherwise the set's LRU line.
+// changing any cache state: nothing when the address is resident, its set
+// has a free way or every way is pinned, otherwise the set's LRU unpinned
+// line.
 func (m *Cache) Victim(homeAddr uint64) (Evicted, bool) {
 	b, ev, evict := m.c.Victim(homeAddr)
 	if !evict {
@@ -231,8 +239,12 @@ func (m *Cache) Victim(homeAddr uint64) (Evicted, bool) {
 	return evicted(b, ev), true
 }
 
-// Touch refreshes a resident block's LRU state (no hit is counted).
-func (m *Cache) Touch(homeAddr uint64) { m.c.Touch(homeAddr) }
+// Pin keeps a resident block from being evicted until a matching Unpin;
+// pins nest. Pinning an absent block does nothing.
+func (m *Cache) Pin(homeAddr uint64) { m.c.Pin(homeAddr) }
+
+// Unpin releases one Pin of a resident block.
+func (m *Cache) Unpin(homeAddr uint64) { m.c.Unpin(homeAddr) }
 
 // NoteEvictionWriteback records one dirty tree block written back under
 // eviction pressure. The controller pre-cleans dirty victims (write-back

@@ -29,7 +29,7 @@ func TestEvictionHistogramOnlyCountsDirtyTreeBlocks(t *testing.T) {
 	m.Insert(0, Block{Kind: KindCounter, Level: 1}, true)
 	m.Insert(128, Block{Kind: KindNode, Level: 2}, true)
 	// Evict the counter block (LRU).
-	if _, has := m.Insert(256, Block{Kind: KindMAC}, false); !has {
+	if _, _, has := m.Insert(256, Block{Kind: KindMAC}, false); !has {
 		t.Fatal("no eviction")
 	}
 	st := m.Stats()
