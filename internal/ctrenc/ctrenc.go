@@ -15,6 +15,7 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding"
 	"encoding/binary"
 	"fmt"
@@ -203,9 +204,7 @@ func (e *Engine) otp(addr, counter uint64) {
 func (e *Engine) Encrypt(addr, counter uint64, plaintext *[BlockSize]byte) [BlockSize]byte {
 	e.otp(addr, counter)
 	var ct [BlockSize]byte
-	for i := range ct {
-		ct[i] = plaintext[i] ^ e.pad[i]
-	}
+	subtle.XORBytes(ct[:], plaintext[:], e.pad[:])
 	return ct
 }
 

@@ -1,7 +1,6 @@
 package itree
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"soteria/internal/ctrenc"
@@ -16,39 +15,33 @@ type LineStore interface {
 	WriteLine(addr uint64, data *[BlockSize]byte)
 }
 
-// BMT is a Bonsai-Merkle-style hash tree over a contiguous run of 64-byte
-// leaves: every internal node packs eight 64-bit keyed hashes of its
-// children, and the root hash is held on chip. Unlike the ToC, any node is
-// recomputable from its children, so the tree supports only eager updates —
-// which is exactly why the paper (and Anubis before it) uses a small eager
-// BMT to protect the shadow region while the main tree stays a lazy ToC.
+// BMT protects a contiguous run of 64-byte leaves in the store with the
+// leaf level of a Bonsai-Merkle tree: one 64-bit keyed hash per leaf,
+// bound to the leaf's index and held in ADR-backed on-chip SRAM. The
+// paper (and Anubis before it) hangs a small eager BMT over the shadow
+// region because the shadow lines are rewritten on every metadata update
+// and must be verifiable after a crash without the lazy ToC.
 //
-// Only the leaves live in the store. The internal nodes are ADR-backed
-// on-chip SRAM, like the root register: the BMT holds the one trusted copy
-// of every node, and a crash does not lose it. Update changes the path in
-// that copy; Verify reads the leaf from the store and checks it up the
-// same path, so a replayed or corrupted leaf is caught there.
+// Every level above the leaf hashes would be on-chip SRAM too, so they
+// would only vouch for state that is already trusted: an eager root over
+// them adds a MAC per level to each update and catches nothing the leaf
+// comparison does not. The tree is therefore one level deep. Update
+// writes the leaf to the store and records its hash; Verify reads the
+// leaf back and compares. Each slot's hash vouches for exactly the line
+// last written there, so a corrupted, replayed or cross-slot leaf fails
+// that comparison, and a crash does not lose the on-chip copy.
 type BMT struct {
 	eng      *ctrenc.Engine
 	store    LineStore
 	leafBase uint64
-	leaves   uint64
-	// levelNodes[i] is the node count of internal level i (level 0 is
-	// nearest the leaves) and levelOff[i] its first index in nodes. The
-	// last level always has one node.
-	levelNodes []uint64
-	levelOff   []uint64
-	root       uint64 // on-chip root hash
-	tel        telemetryHooks
-
-	// nodes is the on-chip copy of every internal node, level by level.
-	nodes [][BlockSize]byte
+	hashes   []uint64 // on-chip leaf hashes, one per leaf
+	tel      telemetryHooks
 
 	// leafBuf is Update scratch. WriteLine is an interface call, so a
 	// line routed through it must live somewhere the compiler can prove
-	// heap-resident — this BMT-owned buffer, like nodes — or every update
-	// would allocate. The BMT is single-goroutine, like the shadow table
-	// and controller that drive it.
+	// heap-resident — this BMT-owned buffer — or every update would
+	// allocate. The BMT is single-goroutine, like the shadow table and
+	// controller that drive it.
 	leafBuf [BlockSize]byte
 }
 
@@ -76,8 +69,10 @@ func (b *BMT) AttachTelemetry(r *telemetry.Registry) {
 	}
 }
 
-// BMTStorageLines returns the number of internal nodes a BMT over n
-// leaves keeps on chip, in 64-byte lines.
+// BMTStorageLines returns the number of 64-byte lines a full eight-ary
+// hash tree over n leaves would need for its internal nodes. The BMT keeps
+// none of them; the layout still reserves that range behind the shadow
+// region so every address after it stays where it was.
 func BMTStorageLines(n uint64) uint64 {
 	if n == 0 {
 		return 0
@@ -92,110 +87,56 @@ func BMTStorageLines(n uint64) uint64 {
 }
 
 // NewBMT builds a BMT over `leaves` lines starting at leafBase and
-// initializes it from the current leaf contents. The last parameter is
-// ignored: it was the NVM base of the internal nodes, which are now on
-// chip, and stays so existing callers keep compiling.
+// initializes its on-chip hashes from the current leaf contents. The last
+// parameter is ignored: it was the NVM base of the internal nodes, which
+// the BMT no longer has, and stays so existing callers keep compiling.
 func NewBMT(eng *ctrenc.Engine, store LineStore, leafBase, leaves, _ uint64) (*BMT, error) {
 	if leaves == 0 {
 		return nil, fmt.Errorf("itree: BMT needs at least one leaf")
 	}
-	b := &BMT{eng: eng, store: store, leafBase: leafBase, leaves: leaves}
-	var off uint64
-	for n := ceilDiv(leaves, 8); ; n = ceilDiv(n, 8) {
-		b.levelNodes = append(b.levelNodes, n)
-		b.levelOff = append(b.levelOff, off)
-		off += n
-		if n == 1 {
-			break
-		}
-	}
-	b.nodes = make([][BlockSize]byte, off)
+	b := &BMT{eng: eng, store: store, leafBase: leafBase, hashes: make([]uint64, leaves)}
 	if err := b.rebuild(); err != nil {
 		return nil, err
 	}
 	return b, nil
 }
 
-// slotHash reads the child hash stored in one slot of a node.
-func slotHash(node *[BlockSize]byte, slot uint64) uint64 {
-	return binary.LittleEndian.Uint64(node[slot*8 : slot*8+8])
-}
-
-// Root returns the on-chip root hash.
-func (b *BMT) Root() uint64 { return b.root }
-
 // leafHash hashes one leaf line bound to its index.
 func (b *BMT) leafHash(index uint64, line *[BlockSize]byte) uint64 {
 	return b.eng.MAC(ctrenc.DomainShadowTree, index, 0, line[:])
 }
 
-// nodeHash hashes one internal node line bound to (level+1, index).
-func (b *BMT) nodeHash(level int, index uint64, line *[BlockSize]byte) uint64 {
-	return b.eng.MAC(ctrenc.DomainShadowTree, uint64(level+1)<<56|index, 1, line[:])
-}
-
-// rebuild computes the whole tree from the leaves in the store, filling
-// the on-chip node copy and the root.
+// rebuild recomputes every on-chip leaf hash from the store.
 func (b *BMT) rebuild() error {
 	b.tel.rebuilds.Inc()
-	children := b.leaves
-	for lvl := range b.levelNodes {
-		for n := uint64(0); n < b.levelNodes[lvl]; n++ {
-			node := &b.nodes[b.levelOff[lvl]+n]
-			*node = [BlockSize]byte{}
-			for c := uint64(0); c < 8 && n*8+c < children; c++ {
-				child := n*8 + c
-				var h uint64
-				if lvl == 0 {
-					line, err := b.store.ReadLine(b.leafBase + child*BlockSize)
-					if err != nil {
-						return err
-					}
-					h = b.leafHash(child, &line)
-				} else {
-					h = b.nodeHash(lvl-1, child, &b.nodes[b.levelOff[lvl-1]+child])
-				}
-				binary.LittleEndian.PutUint64(node[c*8:c*8+8], h)
-			}
+	for i := range b.hashes {
+		line, err := b.store.ReadLine(b.leafBase + uint64(i)*BlockSize)
+		if err != nil {
+			return err
 		}
-		children = b.levelNodes[lvl]
+		b.hashes[i] = b.leafHash(uint64(i), &line)
 	}
-	top := len(b.levelNodes) - 1
-	b.root = b.nodeHash(top, 0, &b.nodes[b.levelOff[top]])
 	return nil
 }
 
-// Update writes a leaf and eagerly propagates hashes to the root — the
-// BMT's root is always fresh, giving the shadow region a single point of
-// verification after a crash. Only the leaf is written to the store; each
-// node on the path changes in the on-chip copy, and the store is never
-// read.
+// Update writes a leaf to the store and records its hash on chip: one MAC,
+// one line write, no store read.
 func (b *BMT) Update(index uint64, line *[BlockSize]byte) error {
-	if index >= b.leaves {
-		return fmt.Errorf("itree: BMT leaf %d out of range (%d)", index, b.leaves)
+	if index >= uint64(len(b.hashes)) {
+		return fmt.Errorf("itree: BMT leaf %d out of range (%d)", index, len(b.hashes))
 	}
 	b.tel.updates.Inc()
 	b.leafBuf = *line
 	b.store.WriteLine(b.leafBase+index*BlockSize, &b.leafBuf)
-	h := b.leafHash(index, &b.leafBuf)
-	child := index
-	for lvl := range b.levelNodes {
-		nodeIdx := child / 8
-		node := &b.nodes[b.levelOff[lvl]+nodeIdx]
-		binary.LittleEndian.PutUint64(node[child%8*8:child%8*8+8], h)
-		h = b.nodeHash(lvl, nodeIdx, node)
-		child = nodeIdx
-	}
-	b.root = h
+	b.hashes[index] = b.leafHash(index, &b.leafBuf)
 	return nil
 }
 
-// Verify reads a leaf from the store and checks its hash chain, over the
-// on-chip nodes, against the root. It returns the leaf contents when
-// authentic.
+// Verify reads a leaf from the store and checks its hash against the
+// on-chip one. It returns the leaf contents when authentic.
 func (b *BMT) Verify(index uint64) ([BlockSize]byte, error) {
-	if index >= b.leaves {
-		return [BlockSize]byte{}, fmt.Errorf("itree: BMT leaf %d out of range (%d)", index, b.leaves)
+	if index >= uint64(len(b.hashes)) {
+		return [BlockSize]byte{}, fmt.Errorf("itree: BMT leaf %d out of range (%d)", index, len(b.hashes))
 	}
 	b.tel.verifies.Inc()
 	leaf, err := b.store.ReadLine(b.leafBase + index*BlockSize)
@@ -203,30 +144,17 @@ func (b *BMT) Verify(index uint64) ([BlockSize]byte, error) {
 		b.tel.verifyFail.Inc()
 		return [BlockSize]byte{}, err
 	}
-	h := b.leafHash(index, &leaf)
-	child := index
-	for lvl := range b.levelNodes {
-		nodeIdx := child / 8
-		slot := child % 8
-		node := &b.nodes[b.levelOff[lvl]+nodeIdx]
-		if got := slotHash(node, slot); got != h {
-			b.tel.verifyFail.Inc()
-			return [BlockSize]byte{}, fmt.Errorf("itree: BMT hash mismatch at level %d node %d slot %d", lvl, nodeIdx, slot)
-		}
-		h = b.nodeHash(lvl, nodeIdx, node)
-		child = nodeIdx
-	}
-	if h != b.root {
+	if b.leafHash(index, &leaf) != b.hashes[index] {
 		b.tel.verifyFail.Inc()
-		return [BlockSize]byte{}, fmt.Errorf("itree: BMT root mismatch")
+		return [BlockSize]byte{}, fmt.Errorf("itree: BMT hash mismatch at leaf %d", index)
 	}
 	return leaf, nil
 }
 
 // VerifyAll verifies every leaf; the first failure aborts.
 func (b *BMT) VerifyAll() error {
-	for i := uint64(0); i < b.leaves; i++ {
-		if _, err := b.Verify(i); err != nil {
+	for i := range b.hashes {
+		if _, err := b.Verify(uint64(i)); err != nil {
 			return err
 		}
 	}

@@ -88,3 +88,48 @@ func TestBMTUpdateDoesNotLaunderReplayedNode(t *testing.T) {
 		}
 	})
 }
+
+// sliceStore is a flat line store for the benchmarks, so they time the
+// BMT rather than map hashing.
+type sliceStore [][BlockSize]byte
+
+func (s sliceStore) ReadLine(addr uint64) ([BlockSize]byte, error) {
+	return s[addr/BlockSize], nil
+}
+
+func (s sliceStore) WriteLine(addr uint64, data *[BlockSize]byte) { s[addr/BlockSize] = *data }
+
+// benchBMT returns a BMT over 8192 leaves, the shadow table of the
+// default 512 KB metadata cache.
+func benchBMT(b *testing.B) *BMT {
+	const leaves = 8192
+	t, err := NewBMT(ctrenc.MustNewEngine([]byte("bmt-bench")), make(sliceStore, leaves), 0, leaves, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return t
+}
+
+func BenchmarkBMTUpdate(b *testing.B) {
+	t := benchBMT(b)
+	var l [BlockSize]byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l[0] = byte(i)
+		if err := t.Update(uint64(i)*2654435761%8192, &l); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkBMTVerify(b *testing.B) {
+	t := benchBMT(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := t.Verify(uint64(i) * 2654435761 % 8192); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -294,18 +294,59 @@ func TestBMTSurfacesUncorrectable(t *testing.T) {
 	}
 }
 
-func TestBMTRootSurvivesRebuild(t *testing.T) {
+// A BMT rebuilt over leaves an earlier BMT updated (the boot-time path)
+// must vouch for every one of them.
+func TestBMTRebuildVerifiesUpdatedLeaves(t *testing.T) {
 	e := ctrenc.MustNewEngine([]byte("bmt"))
 	store := newMapStore()
-	b, _ := NewBMT(e, store, 0, 32, 32*64)
+	b, err := NewBMT(e, store, 0, 32, 32*64)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var l [BlockSize]byte
-	l[1] = 9
-	_ = b.Update(7, &l)
-	root := b.Root()
-	// Rebuild from the same leaves must reproduce the root.
-	b2, _ := NewBMT(e, store, 0, 32, 32*64)
-	if b2.Root() != root {
-		t.Fatal("rebuild changed the root")
+	for i := uint64(0); i < 32; i += 3 {
+		l[1] = byte(i + 9)
+		if err := b.Update(i, &l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b2, err := NewBMT(e, store, 0, 32, 32*64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 32; i++ {
+		got, err := b2.Verify(i)
+		if err != nil {
+			t.Fatalf("leaf %d after rebuild: %v", i, err)
+		}
+		if got != store.m[i*64] {
+			t.Fatalf("leaf %d after rebuild returned other contents", i)
+		}
+	}
+}
+
+// Two leaves that are each valid in their own slot must not verify once
+// swapped: the on-chip hash binds a leaf to its index.
+func TestBMTDetectsCrossSlotSwap(t *testing.T) {
+	e := ctrenc.MustNewEngine([]byte("bmt"))
+	store := newMapStore()
+	b, err := NewBMT(e, store, 0, 16, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, c [BlockSize]byte
+	a[0], c[0] = 0xA, 0xC
+	if err := b.Update(2, &a); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Update(11, &c); err != nil {
+		t.Fatal(err)
+	}
+	store.m[2*64], store.m[11*64] = store.m[11*64], store.m[2*64]
+	for _, i := range []uint64{2, 11} {
+		if _, err := b.Verify(i); err == nil {
+			t.Fatalf("leaf swapped into slot %d verifies", i)
+		}
 	}
 }
 

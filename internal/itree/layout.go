@@ -2,8 +2,8 @@
 // secure memory controller: the physical layout of security metadata in
 // NVM (encryption counters, ToC tree levels, data MACs, the Anubis shadow
 // region and Soteria's clone regions), the SGX-style Tree of Counters node
-// format, and a Bonsai-Merkle-Tree (BMT) hash tree used both as a baseline
-// and to protect the shadow region.
+// format, and the on-chip leaf level of a Bonsai-Merkle Tree (BMT) that
+// protects the shadow region.
 //
 // Level numbering follows the paper: level 1 is the leaf level (encryption
 // counter blocks), higher levels are ToC nodes, and the root lives on-chip
@@ -224,9 +224,10 @@ func NewLayout(p Params) (*Layout, error) {
 		cover *= uint64(p.TreeArity)
 	}
 
-	// Shadow region. Its BMT's nodes are on-chip SRAM, but the range
-	// they once occupied stays reserved so the clone regions above keep
-	// their addresses and banks.
+	// Shadow region. Its BMT is one on-chip MAC per entry with no
+	// internal nodes, but the range a full tree's nodes would occupy
+	// stays reserved so the clone regions above keep their addresses and
+	// banks.
 	if p.ShadowEntries > 0 {
 		l.ShadowBase = cursor
 		l.ShadowEntries = p.ShadowEntries

@@ -202,8 +202,8 @@ type Controller struct {
 	strat  strategy
 
 	// Persistent on-chip state (survives power loss in the ADR domain):
-	// the ToC root node, and the shadow table's BMT — its root register
-	// and its internal nodes, which are SRAM, not NVM.
+	// the ToC root node, and the shadow table's BMT — one leaf MAC per
+	// shadow line, in SRAM, not NVM.
 	root       itree.Node
 	shadowTree *itree.BMT
 
@@ -491,7 +491,7 @@ func (s shadowStore) ReadLine(addr uint64) ([nvm.LineSize]byte, error) {
 }
 
 // WriteLine writes one shadow-table line, the Anubis "shadow log" cost.
-// The BMT above the table never comes here: its nodes are ADR-backed
+// The BMT over the table never comes here: its leaf MACs are ADR-backed
 // on-chip SRAM, like the WPQ, and persist without NVM write bandwidth.
 func (s shadowStore) WriteLine(addr uint64, data *[nvm.LineSize]byte) {
 	s.c.pushWrite(addr, data, WCShadow)

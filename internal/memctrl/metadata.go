@@ -265,13 +265,17 @@ func (c *Controller) writebackBlock(blk *metacache.Block) error {
 		c.strat.onDirty(c, pHome)
 	}
 
+	// Both codecs are lossless and keep the MAC out of bytes 0..55, so the
+	// line is serialized once and its new MAC patched into bytes 56..63.
+	line := serializeBlock(blk)
 	switch blk.Kind {
 	case metacache.KindCounter:
-		blk.Counter.MAC = blk.Counter.ContentMAC(c.eng, index, pctr)
+		blk.Counter.MAC = ctrenc.CounterLineMAC(c.eng, index, pctr, &line)
+		binary.LittleEndian.PutUint64(line[56:], blk.Counter.MAC)
 	case metacache.KindNode:
-		blk.Node.MAC = blk.Node.ContentMAC(c.eng, level, index, pctr)
+		blk.Node.MAC = itree.NodeLineMAC(c.eng, level, index, pctr, &line)
+		binary.LittleEndian.PutUint64(line[56:], blk.Node.MAC)
 	}
-	line := serializeBlock(blk)
 	// A fetch of this block waiting for its way read the older image.
 	home := c.layout.NodeAddr(level, index)
 	for i := range c.fills {
@@ -334,10 +338,10 @@ func (c *Controller) shadowUpdate(home uint64) {
 			e.LSBs[i] = uint16(ctr & 0xFFFF)
 		}
 	}
-	// One shadow-table operation — the entry line plus its eager BMT
-	// update and the on-chip root — commits atomically from the ADR
-	// domain; a torn entry/tree pair would fail BMT verification and lose
-	// the tracked block.
+	// One shadow-table operation — the entry line plus its on-chip BMT
+	// leaf MAC — commits atomically from the ADR domain; a torn
+	// entry/MAC pair would fail BMT verification and lose the tracked
+	// block.
 	c.seal("shadow-op")
 	err := c.shadow.Write(slot, e)
 	c.unseal("shadow-op")

@@ -14,8 +14,10 @@
 // halves that land in different ECC codewords, so an uncorrectable error in
 // one codeword is repaired by copying the surviving half; and the counter
 // LSBs shrink from Anubis's 49 bits to 16 bits to make the duplication fit.
-// The whole region is protected against replay by a small, eagerly updated
-// BMT whose nodes and root stay on chip.
+// The whole region is protected against tampering, replay and cross-slot
+// swaps by the leaf level of an eagerly updated BMT: one keyed MAC per
+// shadow line, bound to its slot and held in on-chip SRAM, so each entry
+// write costs exactly one tree MAC.
 package shadow
 
 import (

@@ -288,3 +288,58 @@ func TestDisableHalfRepairDropsRecoverableEntry(t *testing.T) {
 		t.Fatalf("HalfRepairs = %d, want 0", got)
 	}
 }
+
+// Two content-table entries, each a consistent header/image pair, must not
+// load once their slots are swapped: the BMT binds each line to its slot.
+func TestContentTableDetectsCrossSlotSwap(t *testing.T) {
+	dev, err := nvm.NewDevice(1<<20, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := ctrenc.MustNewEngine([]byte("shadow-test"))
+	tb, err := NewContentTable(eng, devStore{dev}, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var x, y nvm.Line
+	x[0], y[0] = 0xA, 0xB
+	if err := tb.Write(1, 0x1000, &x); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Write(5, 0x2000, &y); err != nil {
+		t.Fatal(err)
+	}
+	for line := uint64(0); line < ContentLinesPerSlot; line++ {
+		a := tb.headerAddr(1) + line*nvm.LineSize
+		b := tb.headerAddr(5) + line*nvm.LineSize
+		la, lb := dev.ReadRaw(a), dev.ReadRaw(b)
+		dev.Write(a, &lb)
+		dev.Write(b, &la)
+	}
+	for _, slot := range []uint64{1, 5} {
+		if _, _, ok, err := tb.Load(slot); err == nil || ok {
+			t.Fatalf("entry swapped into content slot %d loads", slot)
+		}
+	}
+}
+
+func BenchmarkShadowWrite(b *testing.B) {
+	dev, err := nvm.NewDevice(1<<20, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const slots = 8192
+	tb, err := NewTable(ctrenc.MustNewEngine([]byte("shadow-bench")), devStore{dev}, 0, slots, 0, Options{Duplicate: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := sampleEntry(0x40)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.LSBs[0] = uint16(i)
+		if err := tb.Write(i*2654435761%slots, e); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
