@@ -94,40 +94,25 @@ func sweepTranscripts(t *testing.T) string {
 		return res
 	}
 	const stride = 5
-
-	base := Config{Seed: 1, Writes: 60, Mode: memctrl.ModeSRC, CrashAt: -1, NestedCrashAt: -1}
-	sweep("crash sweep", func(logf func(string, ...any)) (*CampaignResult, error) { return CrashSweep(base, stride, logf) })
-	probe := ctrl(base, Run)
-	for k := 0; k < probe.Boundaries; k += stride {
-		cfg := base
-		cfg.CrashAt = k
-		ctrl(cfg, Run)
-	}
-
-	nested := base
-	nested.CrashAt = probe.Boundaries / 2
-	sweep("nested sweep", func(logf func(string, ...any)) (*CampaignResult, error) { return NestedSweep(nested, stride, logf) })
-	first := ctrl(nested, Run)
-	for k := 0; k < first.RecoveryBoundaries; k += stride {
-		cfg := nested
-		cfg.NestedCrashAt = k
-		ctrl(cfg, Run)
-	}
-
-	for _, strategy := range memctrl.Strategies() {
-		sb := base
-		sb.Strategy = strategy
-		sweep("crash sweep "+strategy, func(logf func(string, ...any)) (*CampaignResult, error) {
-			return CrashSweep(sb, stride, logf)
-		})
-		p := ctrl(sb, Run)
-		for k := 0; k < p.Boundaries; k += stride {
-			cfg := sb
+	crashRuns := func(name string, base Config) *Result {
+		sweep(name, func(logf func(string, ...any)) (*CampaignResult, error) { return CrashSweep(base, stride, logf) })
+		probe := ctrl(base, Run)
+		for k := 0; k < probe.Boundaries; k += stride {
+			cfg := base
 			cfg.CrashAt = k
 			ctrl(cfg, Run)
 		}
+		return probe
 	}
-
+	nestedRuns := func(name string, nested Config) {
+		sweep(name, func(logf func(string, ...any)) (*CampaignResult, error) { return NestedSweep(nested, stride, logf) })
+		first := ctrl(nested, Run)
+		for k := 0; k < first.RecoveryBoundaries; k += stride {
+			cfg := nested
+			cfg.NestedCrashAt = k
+			ctrl(cfg, Run)
+		}
+	}
 	campaign := func(name string, base Config, trials int, run func(Config, int, func(string, ...any)) (*CampaignResult, error)) {
 		sweep(name, func(logf func(string, ...any)) (*CampaignResult, error) { return run(base, trials, logf) })
 		for i := 0; i < trials; i++ {
@@ -143,6 +128,28 @@ func sweepTranscripts(t *testing.T) string {
 			ctrl(cfg, Run)
 		}
 	}
+
+	base := Config{Seed: 1, Writes: 60, Mode: memctrl.ModeSRC, CrashAt: -1, NestedCrashAt: -1}
+	probe := crashRuns("crash sweep", base)
+	nested := base
+	nested.CrashAt = probe.Boundaries / 2
+	nestedRuns("nested sweep", nested)
+
+	// Every registered strategy faces all three conformance legs: the crash
+	// sweep, the nested crash-during-recovery sweep anchored at its middle
+	// boundary, and the fault campaign.
+	for _, strategy := range memctrl.Strategies() {
+		sb := base
+		sb.Strategy = strategy
+		p := crashRuns("crash sweep "+strategy, sb)
+		nb := sb
+		nb.CrashAt = p.Boundaries / 2
+		nestedRuns("nested sweep "+strategy, nb)
+		fb := sb
+		fb.FaultRate = 0.01
+		campaign("fault campaign "+strategy, fb, 5, FaultCampaign)
+	}
+
 	faulty := base
 	faulty.FaultRate = 0.01
 	campaign("fault campaign", faulty, 5, FaultCampaign)
