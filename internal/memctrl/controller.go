@@ -4,8 +4,9 @@
 //   - counter-mode encryption with split counters (internal/ctrenc),
 //   - a lazily updated SGX-style Tree of Counters (internal/itree),
 //   - the volatile metadata cache (internal/metacache),
-//   - Anubis shadow tracking with Soteria's duplicated entries
-//     (internal/shadow) and Osiris counter recovery (internal/osiris),
+//   - Anubis shadow tracking (internal/shadow): Soteria's duplicated
+//     counter-LSB entries, or full-image entries for the anubis-shadow
+//     strategy, with Osiris counter recovery (osiris.go),
 //   - Soteria metadata cloning and fault handling (internal/core),
 //   - an ADR write-pending queue over a fault-injectable, ECC-protected
 //     NVM device (internal/wpq, internal/nvm, internal/ecc).
@@ -29,7 +30,6 @@ import (
 	"soteria/internal/nvm"
 	"soteria/internal/shadow"
 	"soteria/internal/sim"
-	"soteria/internal/telemetry"
 	"soteria/internal/wpq"
 )
 
@@ -197,15 +197,17 @@ type Controller struct {
 	q      *wpq.Queue
 	eng    *ctrenc.Engine
 	mcache *metacache.Cache
-	shadow *shadow.Table
 	fh     *core.FaultHandler
 	strat  strategy
 
+	// shadow is the tracking table of the shadow strategies, in their
+	// entry format; nil for Triad. Its lines and its BMT's leaf MACs
+	// (on-chip SRAM, not NVM) survive power loss; Crash drops the rest.
+	shadow *shadow.Table
+
 	// Persistent on-chip state (survives power loss in the ADR domain):
-	// the ToC root node, and the shadow table's BMT — one leaf MAC per
-	// shadow line, in SRAM, not NVM.
-	root       itree.Node
-	shadowTree *itree.BMT
+	// the ToC root node.
+	root itree.Node
 
 	readLat, writeLat sim.Time
 	fwdLat            sim.Time
@@ -220,7 +222,6 @@ type Controller struct {
 	cascade    int
 	opt        Options
 	tel        telemetryHooks
-	telReg     *telemetry.Registry // remembered so Recover can re-attach the fresh shadow table
 
 	// hook observes seal/note events (chaos injection); sealDepth tracks
 	// nesting so helpers stay balanced across early returns.
@@ -369,15 +370,6 @@ const defaultOsirisLimit = 8
 
 func roundUp(v, m uint64) uint64 { return (v + m - 1) / m * m }
 
-// shadowOptions derives the shadow-table options from the mode and the
-// debug knobs.
-func (c *Controller) shadowOptions() shadow.Options {
-	return shadow.Options{
-		Duplicate:         c.mode != ModeBaseline,
-		DisableHalfRepair: c.opt.DisableShadowHalfRepair,
-	}
-}
-
 // SetHook installs the chaos-injection hook on the controller and on every
 // layer below it (WPQ, device). Passing nil removes it everywhere.
 func (c *Controller) SetHook(h inject.Hook) {
@@ -413,16 +405,17 @@ func (c *Controller) note(label string) {
 // Mode returns the controller's protection mode.
 func (c *Controller) Mode() Mode { return c.mode }
 
-// TrackedSlots lists the tracking slots currently holding valid entries —
+// TrackedSlots lists the shadow slots currently holding valid entries —
 // the blocks the strategy is tracking right now. Empty in non-secure mode,
-// after a crash (table handles are volatile), and for strategies that keep
-// no tracking table. The chaos harness uses it to aim shadow-entry faults
-// at entries that actually matter.
+// after a crash until Recover reads the table back (the valid flags are
+// volatile), and for strategies that keep no shadow table. The chaos
+// harness uses it to aim shadow-entry faults at entries that actually
+// matter.
 func (c *Controller) TrackedSlots() []uint64 {
-	if c.mode == ModeNonSecure {
+	if c.shadow == nil {
 		return nil
 	}
-	return c.strat.trackedSlots(c)
+	return c.shadow.ValidSlots()
 }
 
 // Layout exposes the NVM address map (nil in non-secure mode).
@@ -456,13 +449,14 @@ func (c *Controller) FaultStats() core.Stats {
 	return c.fh.Stats()
 }
 
-// ShadowStats returns tracking-table statistics (zero value in non-secure
-// mode and for strategies without a tracking table).
+// ShadowStats returns shadow-table statistics since construction or the
+// last crash (zero value in non-secure mode and for strategies without a
+// shadow table).
 func (c *Controller) ShadowStats() shadow.Stats {
-	if c.mode == ModeNonSecure {
+	if c.shadow == nil {
 		return shadow.Stats{}
 	}
-	return c.strat.shadowStats(c)
+	return c.shadow.Stats()
 }
 
 // devMem adapts the device for the fault handler (repair writes bypass the

@@ -10,7 +10,6 @@ import (
 	"soteria/internal/itree"
 	"soteria/internal/metacache"
 	"soteria/internal/nvm"
-	"soteria/internal/shadow"
 	"soteria/internal/wpq"
 )
 
@@ -205,7 +204,7 @@ func (c *Controller) claimWay(home uint64) (*metacache.Block, error) {
 			c.stats.RecoveryLost++
 			c.tel.recoveryLost.Inc()
 			c.mcache.CleanLine(v.Addr)
-			c.strat.onDrop(c, v.Addr)
+			c.untrack(v.Addr)
 		}
 	}
 	// The pre-clean cascade can fetch (and advance the counters of) this
@@ -310,43 +309,13 @@ func (c *Controller) writebackBlock(blk *metacache.Block) error {
 	return nil
 }
 
-// shadowUpdate (re)writes the shadow entry describing the dirty block at
-// home — called on every in-cache modification, the Anubis "shadow log"
-// write.
-func (c *Controller) shadowUpdate(home uint64) {
-	if c.shadow == nil || c.eager {
-		// Eager mode keeps the root fresh on every write; there is no
-		// stale state for a shadow entry to recover, so the Anubis log
-		// is not maintained.
-		return
-	}
-	blk, ok := c.mcache.Peek(home)
-	if !ok || blk.Kind == metacache.KindMAC {
-		return
-	}
-	slot := c.mcache.SlotOf(home)
-	line := serializeBlock(blk)
-	e := shadow.Entry{
-		Valid: true,
-		Addr:  home,
-		MAC:   shadow.ContentMAC(c.eng, home, &line),
-	}
-	if blk.Kind == metacache.KindCounter {
-		e.LSBs[0] = uint16(blk.Counter.Major & 0xFFFF)
-	} else {
-		for i, ctr := range blk.Node.Counters {
-			e.LSBs[i] = uint16(ctr & 0xFFFF)
-		}
-	}
-	// One shadow-table operation — the entry line plus its on-chip BMT
-	// leaf MAC — commits atomically from the ADR domain; a torn
-	// entry/MAC pair would fail BMT verification and lose the tracked
-	// block.
-	c.seal("shadow-op")
-	err := c.shadow.Write(slot, e)
-	c.unseal("shadow-op")
-	if err != nil {
-		panic(fmt.Sprintf("memctrl: shadow write: %v", err))
+// untrack retires the shadow entry of the block at home, if the strategy
+// keeps a table: after the block's write-back group was pushed (the entry
+// describes content memory now holds), or when its update was lost, so
+// recovery does not look for content that never landed.
+func (c *Controller) untrack(home uint64) {
+	if slot := c.mcache.SlotOf(home); slot >= 0 && c.shadow != nil {
+		c.invalidateSlot(slot)
 	}
 }
 
@@ -389,7 +358,7 @@ func (c *Controller) forceWriteback(home uint64) error {
 	// group has been accepted into the persistence domain: a crash between
 	// the two steps merely leaves a benign entry describing content that
 	// already matches memory.
-	c.strat.onClean(c, home)
+	c.untrack(home)
 	c.stats.ForcedWB++
 	c.tel.forcedWB.Inc()
 	return nil

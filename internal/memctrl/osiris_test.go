@@ -1,16 +1,18 @@
-package osiris
+package memctrl
 
 import (
 	"testing"
 	"testing/quick"
+
+	"soteria/internal/ctrenc"
 )
 
 func TestRecoverValueFindsTruth(t *testing.T) {
 	f := func(stale uint64, deltaRaw uint8) bool {
 		stale &= 1<<40 - 1 // keep additions far from overflow
-		delta := uint64(deltaRaw % (DefaultLimit + 1))
+		delta := uint64(deltaRaw % (defaultOsirisLimit + 1))
 		truth := stale + delta
-		v, ok := RecoverValue(stale, DefaultLimit, func(c uint64) bool { return c == truth })
+		v, ok := recoverValue(stale, defaultOsirisLimit, func(c uint64) bool { return c == truth })
 		return ok && v == truth
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -20,7 +22,7 @@ func TestRecoverValueFindsTruth(t *testing.T) {
 
 func TestRecoverValueFailsBeyondLimit(t *testing.T) {
 	truth := uint64(100)
-	_, ok := RecoverValue(90, 8, func(c uint64) bool { return c == truth })
+	_, ok := recoverValue(90, 8, func(c uint64) bool { return c == truth })
 	if ok {
 		t.Fatal("recovered a counter 10 increments ahead with limit 8")
 	}
@@ -41,8 +43,8 @@ func TestRestoreLSB(t *testing.T) {
 		{1<<56 - 2, 0x0001, (1<<56 - 2) - 0xFFFE + 0xFFFF + 2}, // near top
 	}
 	for _, c := range cases {
-		if got := RestoreLSB(c.stale, c.lsb); got != c.want {
-			t.Errorf("RestoreLSB(%#x, %#x) = %#x, want %#x", c.stale, c.lsb, got, c.want)
+		if got := restoreLSB(c.stale, c.lsb); got != c.want {
+			t.Errorf("restoreLSB(%#x, %#x) = %#x, want %#x", c.stale, c.lsb, got, c.want)
 		}
 	}
 }
@@ -53,7 +55,7 @@ func TestRestoreLSBProperty(t *testing.T) {
 	f := func(staleRaw uint64, adv uint16) bool {
 		stale := staleRaw & (1<<48 - 1)
 		truth := stale + uint64(adv)
-		got := RestoreLSB(stale, uint16(truth&0xFFFF))
+		got := restoreLSB(stale, uint16(truth&0xFFFF))
 		return got == truth
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -62,7 +64,7 @@ func TestRestoreLSBProperty(t *testing.T) {
 }
 
 func TestRecoverBlockMinorsIndependently(t *testing.T) {
-	var truth SplitCounters
+	var truth ctrenc.CounterBlock
 	truth.Major = 7
 	stale := truth
 	// Advance a few minors by varying amounts within the limit.
@@ -71,7 +73,7 @@ func TestRecoverBlockMinorsIndependently(t *testing.T) {
 	truth.Minors[63] = 1
 	stale.Minors[13] = 5 // stale by 3
 	verify := func(slot int, counter uint64) bool { return counter == truth.Counter(slot) }
-	rec, failed, err := RecoverBlock(stale, uint16(truth.Major&0xFFFF), DefaultLimit, verify)
+	rec, failed, err := recoverCounterBlock(stale, uint16(truth.Major&0xFFFF), defaultOsirisLimit, verify)
 	if err != nil || len(failed) != 0 {
 		t.Fatalf("failed slots %v err %v", failed, err)
 	}
@@ -84,14 +86,14 @@ func TestRecoverBlockAfterMajorBump(t *testing.T) {
 	// The cached block did a major bump (page re-encryption) after the
 	// last write-back: stale minors are garbage; recovery must restart
 	// minors from zero under the new major.
-	var truth SplitCounters
+	var truth ctrenc.CounterBlock
 	truth.Major = 0x10001
 	truth.Minors[2] = 4
-	stale := SplitCounters{Major: 0x10000}
+	stale := ctrenc.CounterBlock{Major: 0x10000}
 	stale.Minors[2] = 60
 	stale.Minors[9] = 33
 	verify := func(slot int, counter uint64) bool { return counter == truth.Counter(slot) }
-	rec, failed, err := RecoverBlock(stale, uint16(truth.Major&0xFFFF), DefaultLimit, verify)
+	rec, failed, err := recoverCounterBlock(stale, uint16(truth.Major&0xFFFF), defaultOsirisLimit, verify)
 	if err != nil || len(failed) != 0 {
 		t.Fatalf("failed %v err %v", failed, err)
 	}
@@ -101,11 +103,11 @@ func TestRecoverBlockAfterMajorBump(t *testing.T) {
 }
 
 func TestRecoverBlockReportsFailedSlots(t *testing.T) {
-	var truth SplitCounters
+	var truth ctrenc.CounterBlock
 	stale := truth
-	truth.Minors[5] = DefaultLimit + 3 // beyond the trial bound
+	truth.Minors[5] = defaultOsirisLimit + 3 // beyond the trial bound
 	verify := func(slot int, counter uint64) bool { return counter == truth.Counter(slot) }
-	_, failed, err := RecoverBlock(stale, 0, DefaultLimit, verify)
+	_, failed, err := recoverCounterBlock(stale, 0, defaultOsirisLimit, verify)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +117,7 @@ func TestRecoverBlockReportsFailedSlots(t *testing.T) {
 }
 
 func TestRecoverBlockRejectsNegativeLimit(t *testing.T) {
-	if _, _, err := RecoverBlock(SplitCounters{}, 0, -1, func(int, uint64) bool { return true }); err == nil {
+	if _, _, err := recoverCounterBlock(ctrenc.CounterBlock{}, 0, -1, func(int, uint64) bool { return true }); err == nil {
 		t.Fatal("negative limit accepted")
 	}
 }
@@ -141,8 +143,8 @@ func TestRestoreLSBWrapEdges(t *testing.T) {
 		{"zero stale, lsb only", 0, 0x1234, 0x1234},
 	}
 	for _, c := range cases {
-		if got := RestoreLSB(c.stale, c.lsb); got != c.want {
-			t.Errorf("%s: RestoreLSB(%#x, %#x) = %#x, want %#x", c.name, c.stale, c.lsb, got, c.want)
+		if got := restoreLSB(c.stale, c.lsb); got != c.want {
+			t.Errorf("%s: restoreLSB(%#x, %#x) = %#x, want %#x", c.name, c.stale, c.lsb, got, c.want)
 		}
 	}
 }
@@ -165,9 +167,9 @@ func TestRecoverValueEdgeCases(t *testing.T) {
 		{"truth one past the limit", 10, 8, func(v uint64) bool { return v == 19 }, 0, false},
 	}
 	for _, c := range cases {
-		got, ok := RecoverValue(c.stale, c.limit, c.verify)
+		got, ok := recoverValue(c.stale, c.limit, c.verify)
 		if ok != c.wantOK || got != c.want {
-			t.Errorf("%s: RecoverValue(%d, %d) = (%d, %v), want (%d, %v)",
+			t.Errorf("%s: recoverValue(%d, %d) = (%d, %v), want (%d, %v)",
 				c.name, c.stale, c.limit, got, ok, c.want, c.wantOK)
 		}
 	}

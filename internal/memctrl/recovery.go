@@ -7,16 +7,16 @@ import (
 	"soteria/internal/itree"
 	"soteria/internal/metacache"
 	"soteria/internal/nvm"
-	"soteria/internal/osiris"
 	"soteria/internal/shadow"
 )
 
 // Crash models a sudden power loss: every volatile structure (the metadata
-// cache, the WPQ occupancy bookkeeping, in-flight write-back state and the
-// shadow table's in-memory mirror) vanishes. Writes already accepted by
-// the WPQ are durable (ADR), and the ToC root and the shadow table's BMT
-// survive on chip. The controller refuses further data operations until
-// Recover is called.
+// cache, the WPQ occupancy bookkeeping, in-flight write-back state, and the
+// shadow table's valid flags and stats) vanishes. Writes already accepted
+// by the WPQ are durable (ADR), and the ToC root and the shadow table's BMT
+// leaf MACs survive on chip, so the table itself stays in place and
+// TrackedSlots is empty until Recover reads it back. The controller refuses
+// further data operations until Recover is called.
 //
 // Crashing an already-crashed controller returns ErrCrashed — unless a
 // recovery is in progress, in which case the nested crash is legal: the
@@ -64,9 +64,10 @@ type RecoveryReport struct {
 }
 
 // Recover rebuilds a consistent, verifiable memory image after Crash().
-// The mechanics are the strategy's: Soteria reattaches the shadow table and
-// patches stale copies with tracked counter LSBs (leaf minors through
-// Osiris), the Anubis content table replays exact block images, and Triad
+// The mechanics are the strategy's: the shadow strategies read every entry
+// back through the surviving BMT, then Soteria patches stale copies with
+// tracked counter LSBs (leaf minors through Osiris) while anubis-shadow
+// decodes the exact block images its content entries hold; Triad
 // re-derives its relaxed tree levels from the persisted ones by bounded
 // counter search. All of them end with the reconstructed blocks reseeded as
 // dirty cache contents and flushed through the ordinary lazy write-back
@@ -108,7 +109,7 @@ func counterTotal(b *metacache.Block) uint64 {
 // check used on the normal read path — and unlike that check it does not
 // depend on how far the parent's own write-back had progressed when power
 // failed.
-func (c *Controller) recoverBlock(level int, index uint64, e shadow.Entry) (metacache.Block, error) {
+func (c *Controller) recoverBlock(level int, index uint64, e *shadow.Entry) (metacache.Block, error) {
 	var lastErr error
 	for _, addr := range c.layout.CopyAddrs(level, index) {
 		r := c.dev.Read(addr)
@@ -135,7 +136,7 @@ func (c *Controller) recoverBlock(level int, index uint64, e shadow.Entry) (meta
 // reconstruct patches one stale copy of (level, index) with the entry's
 // counter LSBs (leaf minors via Osiris) and accepts the result iff it
 // reproduces the entry's content MAC.
-func (c *Controller) reconstruct(level int, index uint64, e shadow.Entry, line *nvm.Line) (metacache.Block, error) {
+func (c *Controller) reconstruct(level int, index uint64, e *shadow.Entry, line *nvm.Line) (metacache.Block, error) {
 	var blk metacache.Block
 	if level == 1 {
 		stale := ctrenc.DeserializeCounterBlock(line)
@@ -151,7 +152,7 @@ func (c *Controller) reconstruct(level int, index uint64, e shadow.Entry, line *
 		stale := itree.DeserializeNode(line)
 		rec := stale
 		for i := range rec.Counters {
-			rec.Counters[i] = osiris.RestoreLSB(stale.Counters[i], e.LSBs[i]) & itree.CounterMask
+			rec.Counters[i] = restoreLSB(stale.Counters[i], e.LSBs[i]) & itree.CounterMask
 		}
 		blk = metacache.Block{Kind: metacache.KindNode, Level: level, Index: index, Node: rec}
 	}
@@ -184,10 +185,6 @@ func nonzero(m []uint8) map[int]uint8 {
 // shadow LSBs, each minor via Osiris trials against the persisted per-block
 // data MACs.
 func (c *Controller) recoverLeaf(index uint64, stale ctrenc.CounterBlock, majorLSB uint16) (ctrenc.CounterBlock, error) {
-	var sc osiris.SplitCounters
-	sc.Major = stale.Major
-	copy(sc.Minors[:], stale.Minors[:])
-
 	firstBlock := index * uint64(ctrenc.CountersPerBlock)
 	verify := func(slot int, counter uint64) bool {
 		blockIdx := firstBlock + uint64(slot)
@@ -220,15 +217,12 @@ func (c *Controller) recoverLeaf(index uint64, stale ctrenc.CounterBlock, majorL
 		return c.eng.DataMAC(addr, counter, &ct) == want
 	}
 
-	rec, failed, err := osiris.RecoverBlock(sc, majorLSB, c.osirisLimit, verify)
+	rec, failed, err := recoverCounterBlock(stale, majorLSB, c.osirisLimit, verify)
 	if err != nil {
 		return ctrenc.CounterBlock{}, err
 	}
 	if len(failed) > 0 {
 		return ctrenc.CounterBlock{}, fmt.Errorf("memctrl: Osiris could not recover %d minors of counter block %d", len(failed), index)
 	}
-	var out ctrenc.CounterBlock
-	out.Major = rec.Major
-	copy(out.Minors[:], rec.Minors[:])
-	return out, nil
+	return rec, nil
 }

@@ -234,7 +234,7 @@ func TestSetCapacityNeverLosesWrites(t *testing.T) {
 func assertDirtyTracked(t *testing.T, c *Controller) {
 	t.Helper()
 	valid := map[uint64]bool{}
-	for _, s := range c.strat.trackedSlots(c) {
+	for _, s := range c.TrackedSlots() {
 		valid[s] = true
 	}
 	for _, addr := range c.mcache.DirtyLines() {

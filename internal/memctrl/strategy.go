@@ -6,8 +6,6 @@ import (
 	"sort"
 
 	"soteria/internal/metacache"
-	"soteria/internal/shadow"
-	"soteria/internal/telemetry"
 )
 
 // strategy is the metadata-persistence policy of the controller: what extra
@@ -27,11 +25,6 @@ import (
 //   - commitLeaf fires inside the sealed data-commit (and page-reencrypt)
 //     transaction for the leaf counter block of the written data; whatever
 //     it persists commits atomically with the ciphertext and data MAC.
-//   - onClean fires after a block's write-back group was pushed; tracking
-//     state for it may be retired.
-//   - onDrop fires when a dirty block's update is lost (unverifiable
-//     parent chain); tracking state must be retired so recovery does not
-//     look for content that never landed.
 //   - needsForce bounds in-cache counter drift: returning true forces a
 //     write-back of the leaf after the sealed commit.
 //   - afterOp runs at the end of every data operation, outside any seal;
@@ -42,6 +35,11 @@ import (
 //   - recover rebuilds a verified image. It must clear c.crashed and
 //     c.recovering itself (before reseeding the cache) and emit the
 //     "recover-done" note on success.
+//
+// A strategy that tracks blocks in a shadow table installs it as c.shadow.
+// The controller retires a block's entry itself (untrack) once the block's
+// write-back group is pushed or its update is lost, and TrackedSlots,
+// ShadowStats and AttachTelemetry read the table directly.
 type strategy interface {
 	name() string
 	// shadowLines returns how many NVM lines of shadow region the layout
@@ -49,18 +47,11 @@ type strategy interface {
 	shadowLines(cacheSlots uint64) uint64
 	install(c *Controller) error
 	onDirty(c *Controller, home uint64)
-	onClean(c *Controller, home uint64)
-	onDrop(c *Controller, home uint64)
 	commitLeaf(c *Controller, home uint64) error
 	needsForce(c *Controller, blk *metacache.Block, slot int) bool
 	afterOp(c *Controller) error
 	onCrash(c *Controller)
 	recover(c *Controller) (*RecoveryReport, error)
-	// retireSlot drops one stale tracking slot during recovery reseed.
-	retireSlot(c *Controller, slot int)
-	trackedSlots(c *Controller) []uint64
-	shadowStats(c *Controller) shadow.Stats
-	attachTelemetry(c *Controller, r *telemetry.Registry)
 }
 
 // DefaultStrategy is the strategy selected by an empty Options.Strategy.
@@ -73,8 +64,8 @@ var strategyFactories = []struct {
 	name string
 	make func() strategy
 }{
-	{"soteria", func() strategy { return &soteriaStrategy{} }},
-	{"anubis-shadow", func() strategy { return &anubisStrategy{} }},
+	{"soteria", func() strategy { return &shadowStrategy{} }},
+	{"anubis-shadow", func() strategy { return &shadowStrategy{content: true} }},
 	{"triad-nvm", func() strategy { return &triadStrategy{persistLevels: 1} }},
 	{"triad-nvm-2", func() strategy { return &triadStrategy{persistLevels: 2} }},
 }
@@ -178,7 +169,7 @@ func (c *Controller) reseedRecovered(recovered map[uint64]metacache.Block, slots
 		newSlot := c.mcache.SlotOf(addr)
 		for _, s := range slotsOf[addr] {
 			if int(s) != newSlot {
-				c.strat.retireSlot(c, int(s))
+				c.invalidateSlot(int(s))
 			}
 		}
 	}
@@ -191,7 +182,7 @@ func (c *Controller) reseedRecovered(recovered map[uint64]metacache.Block, slots
 // wipe writes bypass the WPQ books like other recovery bookkeeping. The
 // slot of a block still dirty in cache is kept: the flush was refused
 // with ErrSetCapacity, and that entry is what tracks the block.
-func (c *Controller) wipeSlots(reset func(uint64) error, slotLists ...[]uint64) error {
+func (c *Controller) wipeSlots(slotLists ...[]uint64) error {
 	held := make(map[uint64]bool)
 	for _, addr := range c.mcache.DirtyLines() {
 		held[uint64(c.mcache.SlotOf(addr))] = true
@@ -204,7 +195,7 @@ func (c *Controller) wipeSlots(reset func(uint64) error, slotLists ...[]uint64) 
 				continue
 			}
 			c.seal("shadow-op")
-			err := reset(s)
+			err := c.shadow.Reset(s)
 			c.unseal("shadow-op")
 			if err != nil {
 				return err

@@ -7,9 +7,6 @@ import (
 
 	"soteria/internal/itree"
 	"soteria/internal/metacache"
-	"soteria/internal/osiris"
-	"soteria/internal/shadow"
-	"soteria/internal/telemetry"
 	"soteria/internal/wpq"
 )
 
@@ -88,9 +85,6 @@ func (s *triadStrategy) onDirty(c *Controller, home uint64) {
 	s.deferForce = append(s.deferForce, home)
 }
 
-func (s *triadStrategy) onClean(c *Controller, home uint64) {}
-func (s *triadStrategy) onDrop(c *Controller, home uint64)  {}
-
 // commitLeaf persists the leaf counter block and its ancestors up to the
 // persisted-level threshold. The caller holds the data-commit seal, so the
 // chain lands atomically with the ciphertext and data MAC — a crash can
@@ -154,14 +148,6 @@ func (s *triadStrategy) onCrash(c *Controller) {
 	s.deferForce = s.deferForce[:0]
 	clear(s.deferSet)
 }
-
-func (s *triadStrategy) retireSlot(c *Controller, slot int) {}
-
-func (s *triadStrategy) trackedSlots(c *Controller) []uint64 { return nil }
-
-func (s *triadStrategy) shadowStats(c *Controller) shadow.Stats { return shadow.Stats{} }
-
-func (s *triadStrategy) attachTelemetry(c *Controller, r *telemetry.Registry) {}
 
 // storedSlot reads the smallest readable stored value of one parent slot
 // (home or clone; the copies agree unless faulted, and a faulted copy must
@@ -243,7 +229,7 @@ func (s *triadStrategy) recover(c *Controller) (*RecoveryReport, error) {
 				continue
 			}
 			line := r.Data
-			if v, ok := osiris.RecoverValue(base, triadWindow, func(v uint64) bool {
+			if v, ok := recoverValue(base, triadWindow, func(v uint64) bool {
 				return c.verifyLine(1, idx, v&itree.CounterMask, &line)
 			}); ok {
 				exact, found = v&itree.CounterMask, true

@@ -33,7 +33,6 @@ type telemetryHooks struct {
 // them. Span durations are measured on the controller's *simulated* clock,
 // so for a fixed seed the whole registry snapshot is deterministic.
 func (c *Controller) AttachTelemetry(r *telemetry.Registry) {
-	c.telReg = r
 	if r == nil {
 		c.tel = telemetryHooks{}
 	} else {
@@ -73,8 +72,8 @@ func (c *Controller) AttachTelemetry(r *telemetry.Registry) {
 	if c.mcache != nil {
 		c.mcache.AttachTelemetry(r)
 	}
-	if c.strat != nil && c.mode != ModeNonSecure && c.layout != nil {
-		c.strat.attachTelemetry(c, r)
+	if c.shadow != nil {
+		c.shadow.AttachTelemetry(r)
 	}
 	if c.fh != nil {
 		c.fh.AttachTelemetry(r)

@@ -1,23 +1,32 @@
 // Package shadow implements the Anubis shadow table with Soteria's
 // resilience modifications (Fig 8 of the paper).
 //
-// The shadow table lives in NVM and has one 64-byte entry per (set, way)
-// slot of the volatile metadata cache. Whenever a metadata block is
-// modified in the cache, its slot's shadow entry is (re)written with the
-// block's home address, the 16-bit LSBs of its counters, and a MAC over the
-// block's current content. After a crash, recovery reads the shadow table,
-// reconstructs each tracked block from its stale memory copy plus the LSBs,
-// and checks the MAC — restoring the metadata cache's effects without
-// walking the whole tree.
+// The shadow table lives in NVM and has one slot per (set, way) of the
+// volatile metadata cache. Whenever a metadata block is modified in the
+// cache, its slot's entry is (re)written; after a crash, recovery reads the
+// table back and restores the metadata cache's effects without walking the
+// whole tree. A table holds one of two entry formats, fixed at construction:
 //
-// Soteria's change (Fig 8b): each entry is stored as two identical 32-byte
-// halves that land in different ECC codewords, so an uncorrectable error in
-// one codeword is repaired by copying the surviving half; and the counter
-// LSBs shrink from Anubis's 49 bits to 16 bits to make the duplication fit.
-// The whole region is protected against tampering, replay and cross-slot
-// swaps by the leaf level of an eagerly updated BMT: one keyed MAC per
-// shadow line, bound to its slot and held in on-chip SRAM, so each entry
-// write costs exactly one tree MAC.
+//   - LSB entries (NewTable): one line per slot holding the block's home
+//     address, the 16-bit LSBs of its counters and a MAC over its current
+//     content. Recovery reconstructs the block from its stale memory copy
+//     plus the LSBs and checks the MAC. Soteria's change (Fig 8b): each
+//     entry is stored as two identical 32-byte halves that land in
+//     different ECC codewords, so an uncorrectable error in one codeword is
+//     repaired by copying the surviving half; the counter LSBs shrink from
+//     Anubis's 49 bits to 16 bits to make the duplication fit.
+//   - Content entries (NewContentTable): the SMC-style tracking of Huang &
+//     Hua. Two lines per slot: a header binding the home address to a MAC
+//     of the image, and the block's full 64-byte image. Recovery decodes the
+//     image, with no stale-copy patching, at twice the footprint and two
+//     lines per update. There are no duplicated halves: an uncorrectable
+//     error in either line loses the entry.
+//
+// Either way the whole region is protected against tampering, replay and
+// cross-slot swaps by the leaf level of an eagerly updated BMT: one keyed
+// MAC per shadow line, bound to its line index and held in on-chip SRAM,
+// so each line write costs exactly one tree MAC. The BMT and the NVM lines
+// survive power loss; Crash drops only the volatile valid flags and stats.
 package shadow
 
 import (
@@ -34,6 +43,10 @@ import (
 // eight 16-bit counter LSBs (16) + MAC (8).
 const HalfSize = 32
 
+// ContentLinesPerSlot is how many NVM lines one content-entry slot
+// occupies: a header line (address + image MAC) and the full block image.
+const ContentLinesPerSlot = 2
+
 // invalidAddr marks an unoccupied shadow slot.
 const invalidAddr = ^uint64(0)
 
@@ -45,20 +58,32 @@ type Entry struct {
 	Addr uint64
 	// LSBs holds the low 16 bits of the block's eight ToC counters; for
 	// leaf counter blocks only LSBs[0] is used (major counter LSBs) —
-	// minors are recovered by the Osiris data-MAC trials.
+	// minors are recovered by the Osiris data-MAC trials. LSB entries only.
 	LSBs [8]uint16
-	// MAC authenticates the tracked block's current (in-cache) content.
+	// MAC authenticates the tracked block's current (in-cache) content. A
+	// content entry's MAC is computed by Write over Image.
 	MAC uint64
+	// Image is the tracked block's full serialized line. Content entries
+	// only.
+	Image nvm.Line
 }
 
-// ContentMAC computes the MAC stored in shadow entries: a keyed MAC over
+// ContentMAC computes the MAC stored in LSB entries: a keyed MAC over
 // the block's serialized content (the 56 content bytes, excluding the
 // block's own stored MAC field) bound to its home address.
 func ContentMAC(e *ctrenc.Engine, addr uint64, serialized *[nvm.LineSize]byte) uint64 {
 	return e.MAC(ctrenc.DomainShadow, addr, 0, serialized[:56])
 }
 
-func (e Entry) serializeHalf() [HalfSize]byte {
+// imageMAC authenticates a content entry's full image, bound to its home
+// address. tweak2=1 domain-separates it from the 56-byte ContentMAC
+// (tweak2=0), so a content header can never be confused with an LSB entry
+// MAC.
+func imageMAC(e *ctrenc.Engine, addr uint64, image *nvm.Line) uint64 {
+	return e.MAC(ctrenc.DomainShadow, addr, 1, image[:])
+}
+
+func (e *Entry) serializeHalf() [HalfSize]byte {
 	var h [HalfSize]byte
 	if !e.Valid {
 		binary.LittleEndian.PutUint64(h[0:8], invalidAddr)
@@ -106,16 +131,17 @@ type Stats struct {
 
 // Table is the shadow table plus its protecting BMT.
 type Table struct {
-	eng    *ctrenc.Engine
-	store  Store
-	base   uint64
-	slots  uint64
-	bmt    *itree.BMT
-	duped  bool // Soteria duplicated halves (vs Anubis single copy)
-	norep  bool // debug: skip half-repair (Options.DisableHalfRepair)
-	mirror []Entry
-	stats  Stats
-	tel    telemetryHooks
+	eng     *ctrenc.Engine
+	store   Store
+	base    uint64
+	slots   uint64
+	bmt     *itree.BMT
+	content bool // content entries (header + image) instead of LSB entries
+	duped   bool // Soteria duplicated halves (vs Anubis single copy)
+	norep   bool // debug: skip half-repair (Options.DisableHalfRepair)
+	valid   []bool
+	stats   Stats
+	tel     telemetryHooks
 }
 
 // telemetryHooks holds the table's metric handles; nil handles (no
@@ -128,23 +154,30 @@ type telemetryHooks struct {
 }
 
 // AttachTelemetry registers the shadow-table metrics on r (nil detaches)
-// and cascades to the protecting BMT.
+// and cascades to the protecting BMT. Content tables use the
+// shadow_content_* series, so a registry never mixes the two formats'
+// counts; they have no half repairs to count.
 func (t *Table) AttachTelemetry(r *telemetry.Registry) {
+	t.bmt.AttachTelemetry(r)
 	if r == nil {
 		t.tel = telemetryHooks{}
-		t.bmt.AttachTelemetry(nil)
 		return
 	}
-	t.tel = telemetryHooks{
-		entryWrites:   r.Counter("shadow_entry_writes_total"),
-		invalidations: r.Counter("shadow_invalidations_total"),
-		halfRepairs:   r.Counter("shadow_half_repairs_total"),
-		lostEntries:   r.Counter("shadow_lost_entries_total"),
+	prefix := "shadow_"
+	if t.content {
+		prefix = "shadow_content_"
 	}
-	t.bmt.AttachTelemetry(r)
+	t.tel = telemetryHooks{
+		entryWrites:   r.Counter(prefix + "entry_writes_total"),
+		invalidations: r.Counter(prefix + "invalidations_total"),
+		lostEntries:   r.Counter(prefix + "lost_entries_total"),
+	}
+	if !t.content {
+		t.tel.halfRepairs = r.Counter("shadow_half_repairs_total")
+	}
 }
 
-// Options configures a Table.
+// Options configures a Table of LSB entries.
 type Options struct {
 	// Duplicate enables Soteria's duplicated halves; when false the
 	// entry occupies only the first half (Anubis baseline, Fig 8a) and
@@ -157,21 +190,37 @@ type Options struct {
 	DisableHalfRepair bool
 }
 
-// NewTable creates a fresh shadow table over `slots` entries at base; all
-// slots start invalid. The last parameter is ignored: it was the NVM base
-// of the BMT's nodes, which are now on chip, and stays so existing callers
-// keep compiling.
+// NewTable creates a fresh table of LSB entries over `slots` lines at base;
+// all slots start invalid. The fifth parameter is ignored: it was the NVM
+// base of the BMT's nodes, which are now on chip, and stays so existing
+// callers keep compiling.
 func NewTable(eng *ctrenc.Engine, store Store, base uint64, slots uint64, _ uint64, opt Options) (*Table, error) {
-	if slots == 0 {
+	return newTable(&Table{eng: eng, store: store, base: base, slots: slots,
+		duped: opt.Duplicate, norep: opt.DisableHalfRepair})
+}
+
+// NewContentTable creates a fresh table of content entries: `slots` slots
+// at base, occupying slots*ContentLinesPerSlot lines; all slots start
+// invalid.
+func NewContentTable(eng *ctrenc.Engine, store Store, base uint64, slots uint64) (*Table, error) {
+	return newTable(&Table{eng: eng, store: store, base: base, slots: slots, content: true})
+}
+
+// newTable writes every slot of t invalid and hangs the BMT over them.
+func newTable(t *Table) (*Table, error) {
+	if t.slots == 0 {
 		return nil, fmt.Errorf("shadow: need at least one slot")
 	}
-	t := newTable(eng, store, base, slots, opt)
-	// Initialize all slots to invalid before hanging the BMT over them.
-	line := t.encode(Entry{})
-	for i := uint64(0); i < slots; i++ {
-		store.WriteLine(base+i*nvm.LineSize, &line)
+	t.valid = make([]bool, t.slots)
+	var zero nvm.Line
+	invalid := t.encode(&Entry{})
+	for i := uint64(0); i < t.slots; i++ {
+		t.store.WriteLine(t.lineAddr(i), &invalid)
+		if t.content {
+			t.store.WriteLine(t.lineAddr(i)+nvm.LineSize, &zero)
+		}
 	}
-	bmt, err := itree.NewBMT(eng, store, base, slots, 0)
+	bmt, err := itree.NewBMT(t.eng, t.store, t.base, t.slots*t.linesPerSlot(), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -179,40 +228,54 @@ func NewTable(eng *ctrenc.Engine, store Store, base uint64, slots uint64, _ uint
 	return t, nil
 }
 
-// Attach reconnects to an existing shadow table after a crash. bmt is the
-// table's tree, which survived in ADR-backed on-chip SRAM; the table's
-// mirror and stats are volatile and start afresh. No writes are performed.
-func Attach(eng *ctrenc.Engine, store Store, base uint64, slots uint64, bmt *itree.BMT, opt Options) *Table {
-	t := newTable(eng, store, base, slots, opt)
-	t.bmt = bmt
-	return t
+// Crash models power loss: the valid flags and stats are volatile and
+// start afresh, while the NVM lines and the BMT's on-chip leaf MACs
+// survive. Load (or LoadAllSlots) brings the flags back from NVM.
+func (t *Table) Crash() {
+	clear(t.valid)
+	t.stats = Stats{}
 }
 
-// newTable returns a table with an empty mirror and no BMT yet.
-func newTable(eng *ctrenc.Engine, store Store, base uint64, slots uint64, opt Options) *Table {
-	return &Table{
-		eng:    eng,
-		store:  store,
-		base:   base,
-		slots:  slots,
-		duped:  opt.Duplicate,
-		norep:  opt.DisableHalfRepair,
-		mirror: make([]Entry, slots),
-	}
-}
-
-// Tree returns the table's BMT, which must be kept in ADR-backed on-chip
-// SRAM across power loss.
-func (t *Table) Tree() *itree.BMT { return t.bmt }
-
-// Stats returns a copy of the activity counters.
+// Stats returns a copy of the activity counters (HalfRepairs is always
+// zero for content entries: there are no duplicated halves to repair from).
 func (t *Table) Stats() Stats { return t.stats }
 
 // Slots returns the number of shadow slots.
 func (t *Table) Slots() uint64 { return t.slots }
 
-func (t *Table) encode(e Entry) nvm.Line {
+func (t *Table) linesPerSlot() uint64 {
+	if t.content {
+		return ContentLinesPerSlot
+	}
+	return 1
+}
+
+// leaf is the BMT index of slot's first line: the LSB entry, or the
+// content header (the image is leaf+1).
+func (t *Table) leaf(slot uint64) uint64 { return slot * t.linesPerSlot() }
+
+func (t *Table) lineAddr(slot uint64) uint64 { return t.base + t.leaf(slot)*nvm.LineSize }
+
+func (t *Table) checkSlot(slot uint64) error {
+	if slot >= t.slots {
+		return fmt.Errorf("shadow: slot %d out of range (%d)", slot, t.slots)
+	}
+	return nil
+}
+
+// encode returns slot's first line for e: the LSB entry, or the content
+// header binding e.Image to e.Addr.
+func (t *Table) encode(e *Entry) nvm.Line {
 	var line nvm.Line
+	if t.content {
+		addr, mac := invalidAddr, uint64(0)
+		if e.Valid {
+			addr, mac = e.Addr, imageMAC(t.eng, e.Addr, &e.Image)
+		}
+		binary.LittleEndian.PutUint64(line[0:8], addr)
+		binary.LittleEndian.PutUint64(line[8:16], mac)
+		return line
+	}
 	h := e.serializeHalf()
 	copy(line[:HalfSize], h[:])
 	if t.duped {
@@ -225,56 +288,81 @@ func (t *Table) encode(e Entry) nvm.Line {
 	return line
 }
 
-// Write records entry e in slot i: one NVM line write, which mostly
-// coalesces in the WPQ, plus the eager on-chip BMT update.
+// Write records entry e in slot i: one NVM line write for an LSB entry, or
+// the image then the header binding it for a content entry (line writes
+// mostly coalesce in the WPQ), each with its eager on-chip BMT update.
 func (t *Table) Write(slot int, e Entry) error {
-	if uint64(slot) >= t.slots {
-		return fmt.Errorf("shadow: slot %d out of range (%d)", slot, t.slots)
-	}
-	line := t.encode(e)
-	if err := t.bmt.Update(uint64(slot), &line); err != nil {
+	if err := t.checkSlot(uint64(slot)); err != nil {
 		return err
 	}
-	t.mirror[slot] = e
+	leaf := t.leaf(uint64(slot))
+	if t.content {
+		if err := t.bmt.Update(leaf+1, &e.Image); err != nil {
+			return err
+		}
+	}
+	line := t.encode(&e)
+	if err := t.bmt.Update(leaf, &line); err != nil {
+		return err
+	}
+	t.valid[slot] = e.Valid
 	t.stats.EntryWrites++
 	t.tel.entryWrites.Inc()
 	return nil
 }
 
 // Invalidate clears slot i if it is currently valid (skipping the write
-// when the in-memory mirror already shows it invalid).
+// when the volatile valid flag already shows it invalid).
 func (t *Table) Invalidate(slot int) error {
-	if uint64(slot) >= t.slots {
-		return fmt.Errorf("shadow: slot %d out of range (%d)", slot, t.slots)
-	}
-	if !t.mirror[slot].Valid {
+	if uint64(slot) < t.slots && !t.valid[slot] {
 		return nil
 	}
-	line := t.encode(Entry{})
-	if err := t.bmt.Update(uint64(slot), &line); err != nil {
+	return t.Reset(uint64(slot))
+}
+
+// Reset unconditionally writes an invalid entry to the slot, regardless of
+// its valid flag — used by recovery to clear slots whose stored entries are
+// stale or unreadable before the tracked blocks are re-seeded at (possibly
+// different) slots. A content slot's header alone is rewritten; the stale
+// image it no longer vouches for is unreachable.
+func (t *Table) Reset(slot uint64) error {
+	if err := t.checkSlot(slot); err != nil {
 		return err
 	}
-	t.mirror[slot] = Entry{}
+	line := t.encode(&Entry{})
+	if err := t.bmt.Update(t.leaf(slot), &line); err != nil {
+		return err
+	}
+	t.valid[slot] = false
 	t.stats.Invalidations++
 	t.tel.invalidations.Inc()
 	return nil
 }
 
-// Load reads slot i after a crash, repairing a half-dead entry from its
-// duplicate when possible and verifying the result against the BMT. It
-// returns ok=false (with no error) for entries whose slot is intact but
-// invalid, and an error when the entry is unrecoverable.
+// lost counts one unrecoverable entry and returns its error.
+func (t *Table) lost(format string, args ...any) (Entry, bool, error) {
+	t.stats.LostEntries++
+	t.tel.lostEntries.Inc()
+	return Entry{}, false, fmt.Errorf(format, args...)
+}
+
+// Load reads slot i after a crash and verifies it against the BMT: an LSB
+// entry after repairing a half-dead line from its duplicate when possible,
+// a content entry's image also against its header MAC. It returns ok=false
+// (with no error) for entries whose slot is intact but invalid, and an
+// error when the entry is unrecoverable.
 func (t *Table) Load(slot uint64) (Entry, bool, error) {
-	if slot >= t.slots {
-		return Entry{}, false, fmt.Errorf("shadow: slot %d out of range (%d)", slot, t.slots)
+	if err := t.checkSlot(slot); err != nil {
+		return Entry{}, false, err
 	}
-	addr := t.base + slot*nvm.LineSize
+	if t.content {
+		return t.loadContent(slot)
+	}
+	addr := t.lineAddr(slot)
 	raw, bad, unc := t.store.ReadRaw(addr)
 	if unc {
 		if !t.duped || t.norep {
-			t.stats.LostEntries++
-			t.tel.lostEntries.Inc()
-			return Entry{}, false, fmt.Errorf("shadow: slot %d uncorrectable and not duplicated", slot)
+			return t.lost("shadow: slot %d uncorrectable and not duplicated", slot)
 		}
 		lowBad, highBad := false, false
 		for _, w := range bad {
@@ -285,9 +373,7 @@ func (t *Table) Load(slot uint64) (Entry, bool, error) {
 			}
 		}
 		if lowBad && highBad {
-			t.stats.LostEntries++
-			t.tel.lostEntries.Inc()
-			return Entry{}, false, fmt.Errorf("shadow: slot %d lost both halves", slot)
+			return t.lost("shadow: slot %d lost both halves", slot)
 		}
 		// Copy the surviving half over the dead one; halves are exact
 		// duplicates, so this reconstructs the original line.
@@ -302,28 +388,46 @@ func (t *Table) Load(slot uint64) (Entry, bool, error) {
 	}
 	verified, err := t.bmt.Verify(slot)
 	if err != nil {
-		t.stats.LostEntries++
-		t.tel.lostEntries.Inc()
-		return Entry{}, false, fmt.Errorf("shadow: slot %d failed BMT verification: %w", slot, err)
+		return t.lost("shadow: slot %d failed BMT verification: %w", slot, err)
 	}
 	e := decodeHalf(verified[:HalfSize])
-	// Keep the volatile mirror in sync with what was actually read, so
-	// post-crash invalidations are not suppressed by a stale mirror.
-	t.mirror[slot] = e
-	if !e.Valid {
+	// Keep the valid flag in sync with what was actually read, so
+	// post-crash invalidations are not suppressed by a stale flag.
+	t.valid[slot] = e.Valid
+	return e, e.Valid, nil
+}
+
+// loadContent is Load for a content slot. Any dead line loses the entry.
+func (t *Table) loadContent(slot uint64) (Entry, bool, error) {
+	leaf := t.leaf(slot)
+	header, err := t.bmt.Verify(leaf)
+	if err != nil {
+		return t.lost("shadow: content slot %d header: %w", slot, err)
+	}
+	e := Entry{Addr: binary.LittleEndian.Uint64(header[0:8]), MAC: binary.LittleEndian.Uint64(header[8:16])}
+	if e.Addr == invalidAddr {
+		t.valid[slot] = false
 		return Entry{}, false, nil
 	}
+	if e.Image, err = t.bmt.Verify(leaf + 1); err != nil {
+		return t.lost("shadow: content slot %d image: %w", slot, err)
+	}
+	if imageMAC(t.eng, e.Addr, &e.Image) != e.MAC {
+		return t.lost("shadow: content slot %d image fails header MAC", slot)
+	}
+	e.Valid = true
+	t.valid[slot] = true
 	return e, true, nil
 }
 
-// ValidSlots lists every slot whose in-memory mirror currently holds a
-// valid entry (after LoadAllSlots, the slots that tracked blocks before
-// the crash; during operation, the slots of dirty cached blocks).
+// ValidSlots lists every slot whose volatile valid flag is set (after
+// LoadAllSlots, the slots that tracked blocks before the crash; during
+// operation, the slots of dirty cached blocks).
 func (t *Table) ValidSlots() []uint64 {
 	var out []uint64
-	for i := uint64(0); i < t.slots; i++ {
-		if t.mirror[i].Valid {
-			out = append(out, i)
+	for i, v := range t.valid {
+		if v {
+			out = append(out, uint64(i))
 		}
 	}
 	return out
@@ -346,40 +450,6 @@ func (t *Table) LoadAllSlots() (entries []SlotEntry, lost []uint64) {
 		}
 		if ok {
 			entries = append(entries, SlotEntry{Slot: i, Entry: e})
-		}
-	}
-	return entries, lost
-}
-
-// Reset unconditionally writes an invalid entry to the slot, regardless of
-// the mirror — used by recovery to clear slots whose stored entries are
-// stale or unreadable before the tracked blocks are re-seeded at (possibly
-// different) slots.
-func (t *Table) Reset(slot uint64) error {
-	if slot >= t.slots {
-		return fmt.Errorf("shadow: slot %d out of range (%d)", slot, t.slots)
-	}
-	line := t.encode(Entry{})
-	if err := t.bmt.Update(slot, &line); err != nil {
-		return err
-	}
-	t.mirror[slot] = Entry{}
-	t.stats.Invalidations++
-	t.tel.invalidations.Inc()
-	return nil
-}
-
-// LoadAll returns every valid entry recovered from the table, plus the
-// slots that could not be recovered.
-func (t *Table) LoadAll() (entries []Entry, lost []uint64) {
-	for i := uint64(0); i < t.slots; i++ {
-		e, ok, err := t.Load(i)
-		if err != nil {
-			lost = append(lost, i)
-			continue
-		}
-		if ok {
-			entries = append(entries, e)
 		}
 	}
 	return entries, lost

@@ -33,24 +33,44 @@ func (s devStore) ReadRaw(addr uint64) (nvm.Line, []int, bool) {
 	return r.Data, nil, false
 }
 
-func setup(t *testing.T, dup bool) (*Table, *nvm.Device) {
+// layout is one of the table's three entry formats.
+type layout struct {
+	name    string
+	content bool
+	dup     bool
+}
+
+var layouts = []layout{
+	{name: "duplicated-lsb", dup: true},
+	{name: "single-lsb"},
+	{name: "content", content: true},
+}
+
+func newDevice(t testing.TB, codec ecc.Codec) *nvm.Device {
 	t.Helper()
-	dev, err := nvm.NewDevice(1<<20, nil) // SECDED added per-test where needed
+	dev, err := nvm.NewDevice(1<<20, codec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return setupOn(t, dev, dup)
+	return dev
 }
 
-func setupOn(t *testing.T, dev *nvm.Device, dup bool) (*Table, *nvm.Device) {
+// newTableOn builds a 32-slot table in layout l at address 0 of dev.
+func newTableOn(t testing.TB, dev *nvm.Device, l layout) *Table {
 	t.Helper()
 	eng := ctrenc.MustNewEngine([]byte("shadow-test"))
 	const slots = 32
-	tb, err := NewTable(eng, devStore{dev}, 0, slots, 0, Options{Duplicate: dup})
+	var tb *Table
+	var err error
+	if l.content {
+		tb, err = NewContentTable(eng, devStore{dev}, 0, slots)
+	} else {
+		tb, err = NewTable(eng, devStore{dev}, 0, slots, 0, Options{Duplicate: l.dup})
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tb, dev
+	return tb
 }
 
 func sampleEntry(addr uint64) Entry {
@@ -61,43 +81,89 @@ func sampleEntry(addr uint64) Entry {
 	return e
 }
 
-func TestWriteLoadRoundTrip(t *testing.T) {
-	tb, _ := setup(t, true)
-	e := sampleEntry(0x4000)
-	if err := tb.Write(3, e); err != nil {
-		t.Fatal(err)
+// sampleFor returns an entry in tb's format; a content entry carries the
+// MAC Write will bind its image with, so a loaded entry compares equal.
+func sampleFor(tb *Table, addr uint64) Entry {
+	if !tb.content {
+		return sampleEntry(addr)
 	}
-	got, ok, err := tb.Load(3)
-	if err != nil || !ok {
-		t.Fatalf("load: %v %v", ok, err)
+	e := Entry{Valid: true, Addr: addr}
+	for i := range e.Image {
+		e.Image[i] = byte(addr>>6) + byte(i)
 	}
-	if got != e {
-		t.Fatalf("got %+v want %+v", got, e)
+	e.MAC = imageMAC(tb.eng, addr, &e.Image)
+	return e
+}
+
+// slotLines returns the raw NVM lines of one slot.
+func slotLines(tb *Table, dev *nvm.Device, slot uint64) []nvm.Line {
+	var out []nvm.Line
+	for l := uint64(0); l < tb.linesPerSlot(); l++ {
+		out = append(out, dev.ReadRaw(tb.lineAddr(slot)+l*nvm.LineSize))
 	}
-	// Untouched slot loads as invalid without error.
-	if _, ok, err := tb.Load(4); ok || err != nil {
-		t.Fatalf("empty slot: ok=%v err=%v", ok, err)
+	return out
+}
+
+// putSlotLines writes raw lines into one slot behind the table's back.
+func putSlotLines(tb *Table, dev *nvm.Device, slot uint64, lines []nvm.Line) {
+	for l := range lines {
+		dev.Write(tb.lineAddr(slot)+uint64(l)*nvm.LineSize, &lines[l])
 	}
 }
 
+func forEachLayout(t *testing.T, f func(t *testing.T, l layout)) {
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) { f(t, l) })
+	}
+}
+
+func TestWriteLoadRoundTrip(t *testing.T) {
+	forEachLayout(t, func(t *testing.T, l layout) {
+		tb := newTableOn(t, newDevice(t, nil), l)
+		e := sampleFor(tb, 0x4000)
+		if err := tb.Write(3, e); err != nil {
+			t.Fatal(err)
+		}
+		got, ok, err := tb.Load(3)
+		if err != nil || !ok {
+			t.Fatalf("load: %v %v", ok, err)
+		}
+		if got != e {
+			t.Fatalf("got %+v want %+v", got, e)
+		}
+		// Untouched slot loads as invalid without error.
+		if _, ok, err := tb.Load(4); ok || err != nil {
+			t.Fatalf("empty slot: ok=%v err=%v", ok, err)
+		}
+	})
+}
+
 func TestInvalidateSkipsRedundantWrites(t *testing.T) {
-	tb, _ := setup(t, true)
-	if err := tb.Invalidate(5); err != nil {
-		t.Fatal(err)
-	}
-	if tb.Stats().Invalidations != 0 {
-		t.Fatal("invalidating an empty slot should be free")
-	}
-	_ = tb.Write(5, sampleEntry(0x100))
-	if err := tb.Invalidate(5); err != nil {
-		t.Fatal(err)
-	}
-	if tb.Stats().Invalidations != 1 {
-		t.Fatal("invalidation not counted")
-	}
-	if _, ok, _ := tb.Load(5); ok {
-		t.Fatal("slot still valid after invalidation")
-	}
+	forEachLayout(t, func(t *testing.T, l layout) {
+		tb := newTableOn(t, newDevice(t, nil), l)
+		if err := tb.Invalidate(5); err != nil {
+			t.Fatal(err)
+		}
+		if tb.Stats().Invalidations != 0 {
+			t.Fatal("invalidating an empty slot should be free")
+		}
+		_ = tb.Write(5, sampleFor(tb, 0x100))
+		if err := tb.Invalidate(5); err != nil {
+			t.Fatal(err)
+		}
+		if tb.Stats().Invalidations != 1 {
+			t.Fatal("invalidation not counted")
+		}
+		if err := tb.Invalidate(5); err != nil || tb.Stats().Invalidations != 1 {
+			t.Fatalf("second invalidation: err=%v count=%d", err, tb.Stats().Invalidations)
+		}
+		if _, ok, _ := tb.Load(5); ok {
+			t.Fatal("slot still valid after invalidation")
+		}
+		if err := tb.Invalidate(int(tb.Slots())); err == nil {
+			t.Fatal("out-of-range slot accepted")
+		}
+	})
 }
 
 func TestHalfRepairFromDuplicate(t *testing.T) {
@@ -105,7 +171,7 @@ func TestHalfRepairFromDuplicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, _ := setupOn(t, dev, true)
+	tb := newTableOn(t, dev, layouts[0])
 	e := sampleEntry(0x8000)
 	if err := tb.Write(7, e); err != nil {
 		t.Fatal(err)
@@ -132,7 +198,7 @@ func TestBothHalvesDeadIsLost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, _ := setupOn(t, dev, true)
+	tb := newTableOn(t, dev, layouts[0])
 	_ = tb.Write(2, sampleEntry(0x40))
 	dev.CorruptWord(2*nvm.LineSize, 0)
 	dev.CorruptWord(2*nvm.LineSize, 5)
@@ -145,71 +211,126 @@ func TestBothHalvesDeadIsLost(t *testing.T) {
 	}
 }
 
+// Without duplicated halves a dead codeword in any line of the slot loses
+// the entry: the single-copy LSB entry, and either line of a content entry.
 func TestAnubisBaselineLosesEntryOnUncorrectable(t *testing.T) {
-	dev, err := nvm.NewDevice(1<<20, secded())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, _ := setupOn(t, dev, false)
-	_ = tb.Write(2, sampleEntry(0x40))
-	dev.CorruptWord(2*nvm.LineSize, 0)
-	if _, _, err := tb.Load(2); err == nil {
-		t.Fatal("non-duplicated entry with dead codeword recovered")
+	for _, l := range layouts {
+		if l.dup {
+			continue
+		}
+		lines := uint64(1)
+		if l.content {
+			lines = ContentLinesPerSlot
+		}
+		for line := uint64(0); line < lines; line++ {
+			dev := newDevice(t, secded())
+			tb := newTableOn(t, dev, l)
+			_ = tb.Write(2, sampleFor(tb, 0x40))
+			dev.CorruptWord(tb.lineAddr(2)+line*nvm.LineSize, 0)
+			if _, _, err := tb.Load(2); err == nil {
+				t.Fatalf("%s: entry with a dead codeword in line %d recovered", l.name, line)
+			}
+			if got := tb.Stats(); got.LostEntries != 1 || got.HalfRepairs != 0 {
+				t.Fatalf("%s: stats %+v, want one lost entry and no repair", l.name, got)
+			}
+		}
 	}
 }
 
 func TestReplayOfOldEntryDetectedByBMT(t *testing.T) {
-	tb, dev := setup(t, true)
-	e1 := sampleEntry(0x1000)
-	e2 := sampleEntry(0x2000)
-	_ = tb.Write(9, e1)
-	old := dev.ReadRaw(9 * nvm.LineSize)
-	_ = tb.Write(9, e2)
-	// Attacker replays the old entry line.
-	dev.Write(9*nvm.LineSize, &old)
-	if _, _, err := tb.Load(9); err == nil {
-		t.Fatal("replayed shadow entry passed BMT verification")
-	}
+	forEachLayout(t, func(t *testing.T, l layout) {
+		dev := newDevice(t, nil)
+		tb := newTableOn(t, dev, l)
+		_ = tb.Write(9, sampleFor(tb, 0x1000))
+		old := slotLines(tb, dev, 9)
+		_ = tb.Write(9, sampleFor(tb, 0x2000))
+		// Attacker replays the old slot, line by line and as a whole.
+		for i := range old {
+			cur := slotLines(tb, dev, 9)
+			dev.Write(tb.lineAddr(9)+uint64(i)*nvm.LineSize, &old[i])
+			if _, _, err := tb.Load(9); err == nil {
+				t.Fatalf("replayed line %d passed BMT verification", i)
+			}
+			putSlotLines(tb, dev, 9, cur)
+		}
+		putSlotLines(tb, dev, 9, old)
+		if _, _, err := tb.Load(9); err == nil {
+			t.Fatal("replayed shadow entry passed BMT verification")
+		}
+	})
 }
 
-func TestAttachAfterCrashRecoversEntries(t *testing.T) {
-	tb, dev := setup(t, true)
-	eng := ctrenc.MustNewEngine([]byte("shadow-test"))
-	for i := 0; i < 10; i++ {
-		if err := tb.Write(i, sampleEntry(uint64(i)*0x40)); err != nil {
+// Two entries, each self-consistent, must not load once their slots are
+// swapped: the BMT binds each line to its index.
+func TestCrossSlotSwapDetectedByBMT(t *testing.T) {
+	forEachLayout(t, func(t *testing.T, l layout) {
+		dev := newDevice(t, nil)
+		tb := newTableOn(t, dev, l)
+		if err := tb.Write(1, sampleFor(tb, 0x1000)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Slot 10 is rewritten before the crash, and its old line is replayed
-	// into NVM across it.
-	const replayed = 10
-	if err := tb.Write(replayed, sampleEntry(0x1000)); err != nil {
-		t.Fatal(err)
-	}
-	old := dev.ReadRaw(replayed * nvm.LineSize)
-	if err := tb.Write(replayed, sampleEntry(0x2000)); err != nil {
-		t.Fatal(err)
-	}
-	// "Crash": the table's volatile state is gone; its BMT survives on
-	// chip and the table reattaches to it.
-	tree := tb.Tree()
-	dev.Write(replayed*nvm.LineSize, &old)
-	tb2 := Attach(eng, devStore{dev}, 0, tb.Slots(), tree, Options{Duplicate: true})
-	if _, _, err := tb2.Load(replayed); err == nil {
-		t.Fatal("entry replayed across the crash passed BMT verification")
-	}
-	entries, lost := tb2.LoadAll()
-	if len(lost) != 1 || lost[0] != replayed {
-		t.Fatalf("lost slots: %v, want [%d]", lost, replayed)
-	}
-	if len(entries) != 10 {
-		t.Fatalf("recovered %d entries, want 10", len(entries))
-	}
-	for i, e := range entries {
-		if e.Addr != uint64(i)*0x40 {
-			t.Fatalf("entry %d addr %#x", i, e.Addr)
+		if err := tb.Write(5, sampleFor(tb, 0x2000)); err != nil {
+			t.Fatal(err)
 		}
-	}
+		a, b := slotLines(tb, dev, 1), slotLines(tb, dev, 5)
+		putSlotLines(tb, dev, 1, b)
+		putSlotLines(tb, dev, 5, a)
+		for _, slot := range []uint64{1, 5} {
+			if _, ok, err := tb.Load(slot); err == nil || ok {
+				t.Fatalf("entry swapped into slot %d loads", slot)
+			}
+		}
+	})
+}
+
+// TestCrashRecoversEntries: Crash drops the valid flags and stats, and
+// LoadAllSlots brings back every entry from NVM through the surviving
+// on-chip BMT — except a slot whose old lines were replayed across the
+// crash, which it reports as lost.
+func TestCrashRecoversEntries(t *testing.T) {
+	forEachLayout(t, func(t *testing.T, l layout) {
+		dev := newDevice(t, nil)
+		tb := newTableOn(t, dev, l)
+		for i := 0; i < 10; i++ {
+			if err := tb.Write(i, sampleFor(tb, uint64(i)*0x40)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const replayed = 10
+		if err := tb.Write(replayed, sampleFor(tb, 0x1000)); err != nil {
+			t.Fatal(err)
+		}
+		old := slotLines(tb, dev, replayed)
+		if err := tb.Write(replayed, sampleFor(tb, 0x2000)); err != nil {
+			t.Fatal(err)
+		}
+		tb.Crash()
+		if v := tb.ValidSlots(); len(v) != 0 {
+			t.Fatalf("valid slots after crash: %v", v)
+		}
+		if s := tb.Stats(); s != (Stats{}) {
+			t.Fatalf("stats after crash: %+v", s)
+		}
+		putSlotLines(tb, dev, replayed, old)
+		entries, lost := tb.LoadAllSlots()
+		if len(lost) != 1 || lost[0] != replayed {
+			t.Fatalf("lost slots: %v, want [%d]", lost, replayed)
+		}
+		if len(entries) != 10 {
+			t.Fatalf("recovered %d entries, want 10", len(entries))
+		}
+		for i, se := range entries {
+			if se.Slot != uint64(i) || se.Entry != sampleFor(tb, uint64(i)*0x40) {
+				t.Fatalf("entry %d: slot %d %+v", i, se.Slot, se.Entry)
+			}
+		}
+		if v := tb.ValidSlots(); len(v) != 10 {
+			t.Fatalf("valid slots after load: %v", v)
+		}
+		if s := tb.Stats(); s.LostEntries != 1 || s.EntryWrites != 0 || s.Invalidations != 0 {
+			t.Fatalf("stats after load: %+v", s)
+		}
+	})
 }
 
 func TestContentMACBindsAddress(t *testing.T) {
@@ -238,7 +359,7 @@ func TestBothHalvesFaultedAcrossLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, _ := setupOn(t, dev, true)
+	tb := newTableOn(t, dev, layouts[0])
 	if err := tb.Write(9, sampleEntry(0x1000)); err != nil {
 		t.Fatal(err)
 	}
@@ -286,40 +407,6 @@ func TestDisableHalfRepairDropsRecoverableEntry(t *testing.T) {
 	}
 	if got := tb.Stats().HalfRepairs; got != 0 {
 		t.Fatalf("HalfRepairs = %d, want 0", got)
-	}
-}
-
-// Two content-table entries, each a consistent header/image pair, must not
-// load once their slots are swapped: the BMT binds each line to its slot.
-func TestContentTableDetectsCrossSlotSwap(t *testing.T) {
-	dev, err := nvm.NewDevice(1<<20, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := ctrenc.MustNewEngine([]byte("shadow-test"))
-	tb, err := NewContentTable(eng, devStore{dev}, 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var x, y nvm.Line
-	x[0], y[0] = 0xA, 0xB
-	if err := tb.Write(1, 0x1000, &x); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.Write(5, 0x2000, &y); err != nil {
-		t.Fatal(err)
-	}
-	for line := uint64(0); line < ContentLinesPerSlot; line++ {
-		a := tb.headerAddr(1) + line*nvm.LineSize
-		b := tb.headerAddr(5) + line*nvm.LineSize
-		la, lb := dev.ReadRaw(a), dev.ReadRaw(b)
-		dev.Write(a, &lb)
-		dev.Write(b, &la)
-	}
-	for _, slot := range []uint64{1, 5} {
-		if _, _, ok, err := tb.Load(slot); err == nil || ok {
-			t.Fatalf("entry swapped into content slot %d loads", slot)
-		}
 	}
 }
 
