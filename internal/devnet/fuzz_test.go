@@ -1,9 +1,12 @@
 package devnet
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"testing"
+	"testing/iotest"
 
 	"soteria/internal/config"
 	"soteria/internal/device"
@@ -12,18 +15,12 @@ import (
 )
 
 // frameBytes renders a valid frame for the seed corpus.
-func frameBytes(payload []byte) []byte {
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, payload); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
-}
+func frameBytes(payload []byte) []byte { return appendFrame(nil, payload) }
 
 // FuzzDecodeFrame throws arbitrary byte streams at the full inbound
 // decode path — framing, request parsing, response parsing. The
 // invariants: no panic, no over-allocation from a lying length header
-// (readFramePayloadInto grows with the bytes that actually arrive), and a
+// (readFrameInto grows with the bytes that actually arrive), and a
 // frame that decodes must re-encode to the same payload.
 func FuzzDecodeFrame(f *testing.F) {
 	// Valid frames: ping request, one-entry write batch, OK response,
@@ -52,11 +49,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			return
 		}
 		// A frame that decoded must survive a round trip bit-for-bit.
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, payload); err != nil {
-			t.Fatalf("re-encode of decoded frame failed: %v", err)
-		}
-		reread, err := readFrame(bytes.NewReader(buf.Bytes()))
+		reread, err := readFrame(bytes.NewReader(appendFrame(nil, payload)))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
@@ -71,6 +64,88 @@ func FuzzDecodeFrame(f *testing.F) {
 		if resp, err := parseResponse(payload); err == nil {
 			_ = resp.status
 			_ = resp.body
+		}
+	})
+}
+
+// countingReader counts the reads that reach the stream under a buffer.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// FuzzFrameStream feeds a stream of concatenated frames through the
+// buffered reader both ends of a connection read with, under arbitrary
+// chunking of the stream below it and buffers smaller and larger than the
+// frames. Whatever the chunking, it must yield exactly the frames a
+// whole-stream decode yields and stop with the same error: the end of the
+// stream, a truncation, or the same *FrameError reject. And frameBuffered
+// — the burst rule's "would wait" test — may claim a frame only if
+// reading it then reaches no further into the stream.
+func FuzzFrameStream(f *testing.F) {
+	ping := frameBytes(encodeRequest(OpPing, 1, 1, 0))
+	batch := batchFuzzFrame(42, 2, 32)
+	resp := frameBytes(respOK(3, 0, []byte("body")))
+	stream := append(append(append([]byte{}, ping...), batch...), resp...)
+	f.Add(stream, uint8(0))
+	f.Add(stream, uint8(1))
+	f.Add(stream, uint8(6))
+	f.Add(stream[:len(stream)-3], uint8(2))
+	corrupt := append([]byte{}, stream...)
+	corrupt[len(ping)+frameHeaderSize+5] ^= 0x10
+	f.Add(corrupt, uint8(5))
+	f.Add(append(append([]byte{}, ping...), 0x40, 0, 0, 0, 0, 0, 0, 0), uint8(9))
+	f.Add([]byte{}, uint8(3))
+
+	f.Fuzz(func(t *testing.T, data []byte, chunking uint8) {
+		var want [][]byte
+		whole := bytes.NewReader(data)
+		var wantErr error
+		for wantErr == nil {
+			payload, err := readFrame(whole)
+			if err != nil {
+				wantErr = err
+				break
+			}
+			want = append(want, payload)
+		}
+
+		var under io.Reader = bytes.NewReader(data)
+		switch chunking % 3 {
+		case 1:
+			under = iotest.OneByteReader(under)
+		case 2:
+			under = iotest.HalfReader(under)
+		}
+		cr := &countingReader{r: under}
+		size := [...]int{16, 64, 1024, readBufSize}[chunking/3%4]
+		br := bufio.NewReaderSize(cr, size)
+		var scratch []byte
+		for i := 0; ; i++ {
+			ready := frameBuffered(br)
+			before := cr.reads
+			payload, err := readFrameInto(br, &scratch)
+			if ready && cr.reads != before {
+				t.Fatalf("frame %d was claimed buffered, but reading it took %d more reads", i, cr.reads-before)
+			}
+			if err != nil {
+				if i != len(want) || err.Error() != wantErr.Error() {
+					t.Fatalf("buffered decode stopped at frame %d with %v, whole-stream decode at %d with %v", i, err, len(want), wantErr)
+				}
+				var fe *FrameError
+				if errors.As(err, &fe) != errors.As(wantErr, &fe) {
+					t.Fatalf("error %v and %v differ in kind", err, wantErr)
+				}
+				return
+			}
+			if i >= len(want) || !bytes.Equal(payload, want[i]) {
+				t.Fatalf("frame %d differs from the whole-stream decode", i)
+			}
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package devnet
 
 import (
+	"bufio"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -45,8 +46,9 @@ func (p RetryPolicy) retries(c Class) bool {
 type Options struct {
 	// DialTimeout bounds each (re)connection attempt. Default 5s.
 	DialTimeout time.Duration
-	// OpTimeout is the deadline on sending one request frame and on
-	// receiving one response frame; past it the attempt counts as a
+	// OpTimeout is the deadline on one burst write (every request frame
+	// sealed since the last one, sent in one Write) and on one socket
+	// read while a response is awaited; past it the attempt counts as a
 	// transport timeout and is retried. Default 30s.
 	OpTimeout time.Duration
 	// Retry is the retry policy; its zero value selects the defaults.
@@ -105,10 +107,11 @@ func randomSession() uint64 {
 }
 
 // frame is one sealed request: its sequence number and its wire bytes,
-// frame header included, so sending it is one conn.Write and resending it
-// repeats the original bytes. ops has one element per entry of a batch
-// frame and is empty for every other op: the link checks a batch response
-// against it, and the Pipe keeps its callers' tags there.
+// frame header included, so sending it is one append to the link's
+// pending bytes and resending it repeats the original bytes. ops has one
+// element per entry of a batch frame and is empty for every other op: the
+// link checks a batch response against it, and the Pipe keeps its
+// callers' tags there.
 type frame struct {
 	seq uint64
 	buf []byte
@@ -120,11 +123,14 @@ type frame struct {
 // everything that is not about which ops a caller wants — the connection
 // (dial, redial, drop), deadlines and timeout accounting, the session
 // and sequence numbers, the tenant binding and its replay on every new
-// connection, the pooled receive buffer, the FIFO window of sealed frames
-// not answered yet, the single recovery routine with its backoff schedule
-// and retry budget, and the two retry rules of the data plane (answer for
-// a frame, requeue for an op inside an executed batch). Not safe for
-// concurrent use.
+// connection, the buffered reader and the pooled receive buffer, the
+// pending bytes of frames sent but not yet written, the FIFO window of
+// sealed frames not answered yet, the single recovery routine with its
+// backoff schedule and retry budget, and the two retry rules of the data
+// plane (answer for a frame, requeue for an op inside an executed batch).
+// Sends wait for the next read that would block: every frame sealed since
+// the last write leaves in one Write right before it, so a window of
+// frames costs one syscall. Not safe for concurrent use.
 type link struct {
 	addr string
 	opts Options
@@ -136,7 +142,9 @@ type link struct {
 	tenant uint32
 	token  uint64
 
-	conn net.Conn
+	conn *deadlineConn // nil once dropped
+	br   *bufio.Reader // reads conn; reset on every dial
+	out  []byte        // sent frames not written yet: a suffix of the window
 	seq  uint64
 	rng  *mrand.Rand
 	rbuf []byte // pooled receive buffer; responses alias it until the next read
@@ -165,7 +173,7 @@ var errNoConn = fmt.Errorf("devnet: no connection: %w", net.ErrClosed)
 // server fails fast; later reconnects happen inside recover.
 func dialLink(addr string, opts Options) (*link, error) {
 	opts.fill()
-	l := &link{addr: addr, opts: opts, rng: mrand.New(mrand.NewSource(opts.Seed))}
+	l := &link{addr: addr, opts: opts, rng: mrand.New(mrand.NewSource(opts.Seed)), br: bufio.NewReaderSize(nil, readBufSize)}
 	reg := opts.Telemetry
 	l.retries = reg.Counter("devnet_client_retries_total")
 	l.resent = l.retries
@@ -177,17 +185,26 @@ func dialLink(addr string, opts Options) (*link, error) {
 	return l, l.dial()
 }
 
-func (l *link) dial() (err error) {
-	l.conn, err = net.DialTimeout("tcp", l.addr, l.opts.DialTimeout)
-	return err
+// dial connects and resets the reader over the new connection, so no
+// byte received on a dropped one is ever parsed.
+func (l *link) dial() error {
+	conn, err := net.DialTimeout("tcp", l.addr, l.opts.DialTimeout)
+	if err != nil {
+		return err
+	}
+	l.conn = &deadlineConn{Conn: conn, read: l.opts.OpTimeout, write: l.opts.OpTimeout}
+	l.br.Reset(l.conn)
+	return nil
 }
 
-// drop discards a connection recovery no longer trusts.
+// drop discards a connection recovery no longer trusts, with the bytes
+// still pending for it.
 func (l *link) drop() {
 	if l.conn != nil {
 		l.conn.Close()
 		l.conn = nil
 	}
+	l.out = l.out[:0]
 }
 
 // close drops the connection and forgets every unanswered frame.
@@ -220,14 +237,28 @@ func (l *link) next() *frame {
 	return f
 }
 
-// send puts a sealed frame at the back of the window and writes it. A
-// failed write is recovered here, so an error means the budget ran out.
-func (l *link) send(f *frame) error {
+// send puts a sealed frame at the back of the window and its bytes at
+// the back of the pending ones. They go out with every other pending
+// frame in one Write, right before the link next blocks on a read (or on
+// push).
+func (l *link) send(f *frame) {
 	l.window = append(l.window, f)
-	if err := l.write(f.buf); err != nil {
-		return l.recover(err)
+	l.out = append(l.out, f.buf...)
+}
+
+// push writes the pending frames now rather than at the next blocking
+// read. A failed write is recovered here, so an error means the budget
+// ran out.
+func (l *link) push() error {
+	for {
+		err := l.flush()
+		if err == nil {
+			return nil
+		}
+		if err = l.recover(err); err != nil {
+			return err
+		}
 	}
-	return nil
 }
 
 // answer returns the StatusOK response to the oldest unanswered frame,
@@ -265,9 +296,7 @@ func (l *link) answer() (wireResponse, error) {
 // and is valid until the next read.
 func (l *link) exchange(f *frame) (wireResponse, error) {
 	defer l.ack() // answered or given up on, the frame leaves the window
-	if err := l.send(f); err != nil {
-		return wireResponse{}, err
-	}
+	l.send(f)
 	return l.answer()
 }
 
@@ -335,9 +364,7 @@ func (l *link) greet() error {
 	if l.tenant == 0 {
 		return nil
 	}
-	if err := l.write(appendAttach(nil, 0, 0, l.tenant, l.token)); err != nil {
-		return err
-	}
+	l.out = appendAttach(l.out, 0, 0, l.tenant, l.token) // a fresh connection has nothing pending
 	resp, err := l.read(0)
 	if err != nil {
 		return err
@@ -353,26 +380,36 @@ func (l *link) ack() {
 	l.failures = 0
 }
 
-// write sends one sealed frame under the op deadline.
-func (l *link) write(buf []byte) error {
+// flush writes the pending frames in one Write under the op deadline.
+func (l *link) flush() error {
+	if len(l.out) == 0 {
+		return nil
+	}
 	if l.conn == nil {
 		return errNoConn
 	}
-	l.conn.SetWriteDeadline(time.Now().Add(l.opts.OpTimeout))
-	if _, err := l.conn.Write(buf); err != nil {
+	_, err := l.conn.Write(l.out)
+	l.out = l.out[:0]
+	if err != nil {
 		return l.noteTimeout(fmt.Errorf("devnet: send: %w", err))
 	}
 	return nil
 }
 
-// read receives one response under the op deadline and checks that it
-// answers sequence number want.
+// read receives one response and checks that it answers sequence number
+// want. A response not already whole in the buffer means blocking, so
+// the pending frames go out first; each socket read runs under the op
+// deadline.
 func (l *link) read(want uint64) (wireResponse, error) {
 	if l.conn == nil {
 		return wireResponse{}, errNoConn
 	}
-	l.conn.SetReadDeadline(time.Now().Add(l.opts.OpTimeout))
-	payload, err := readFrameInto(l.conn, &l.rbuf)
+	if !frameBuffered(l.br) {
+		if err := l.flush(); err != nil {
+			return wireResponse{}, err
+		}
+	}
+	payload, err := readFrameInto(l.br, &l.rbuf)
 	if err != nil {
 		return wireResponse{}, l.noteTimeout(fmt.Errorf("devnet: receive: %w", err))
 	}
@@ -458,8 +495,10 @@ func (l *link) recover(cause error) error {
 	}
 }
 
-// retransmit writes every unanswered frame again, over a replacement
-// connection (greeted first) if the old one was dropped.
+// retransmit sends every unanswered frame again, over a replacement
+// connection (greeted first) if the old one was dropped. The pending
+// bytes are a suffix of the window, so they are discarded and the whole
+// window queued afresh; it goes out at the next read.
 func (l *link) retransmit() error {
 	if l.conn == nil {
 		if err := l.dial(); err != nil {
@@ -474,10 +513,9 @@ func (l *link) retransmit() error {
 			return err
 		}
 	}
+	l.out = l.out[:0]
 	for _, f := range l.window {
-		if err := l.write(f.buf); err != nil {
-			return err
-		}
+		l.out = append(l.out, f.buf...)
 		l.resent.Inc()
 	}
 	return nil

@@ -145,10 +145,12 @@ func (p *Pipe) AttachTenant(id uint32, token uint64) error {
 }
 
 // Submit enqueues one op. op is a device.Batch* code; line is required
-// for BatchWrite. The op's outcome arrives via the handler during a
-// later Submit, Kick, Wait, or Flush call. A non-nil return means the
-// pipe has failed fatally (the handler has already seen every pending
-// op's error).
+// for BatchWrite. A batch is sealed when it fills. Sealed batches reach
+// the wire together, in one Write, when the pipe next blocks on a
+// response (in Wait, Flush, or a Submit that finds the window full) or
+// on Kick. The op's outcome arrives via the handler during a later
+// Submit, Kick, Wait, or Flush call. A non-nil return means the pipe has
+// failed fatally (the handler has already seen every pending op's error).
 func (p *Pipe) Submit(tag uint64, op uint8, addr uint64, line *nvm.Line) error {
 	if p.err != nil {
 		return p.err
@@ -177,8 +179,9 @@ func (p *Pipe) Submit(tag uint64, op uint8, addr uint64, line *nvm.Line) error {
 	return nil
 }
 
-// Kick seals and sends the open batch (if any) without waiting for
-// responses, after flushing any owed retries.
+// Kick seals the open batch (if any), after flushing any owed retries,
+// and writes every sealed batch not yet on the wire, without waiting for
+// responses.
 func (p *Pipe) Kick() error {
 	if p.err != nil {
 		return p.err
@@ -186,7 +189,13 @@ func (p *Pipe) Kick() error {
 	if err := p.flushRetries(); err != nil {
 		return err
 	}
-	return p.seal()
+	if err := p.seal(); err != nil {
+		return err
+	}
+	if err := p.l.push(); err != nil {
+		return p.fail(err)
+	}
+	return nil
 }
 
 // Wait makes progress: it seals pending work if nothing is in flight,
@@ -247,7 +256,8 @@ func (p *Pipe) ensureCur() *frame {
 	return p.cur
 }
 
-// seal closes the open batch, waits for window space, and sends it.
+// seal closes the open batch, waits for window space, and sends it: its
+// bytes join the link's pending ones (link.send).
 func (p *Pipe) seal() error {
 	b := p.cur
 	if b == nil || len(b.ops) == 0 {
@@ -260,9 +270,7 @@ func (p *Pipe) seal() error {
 	}
 	p.cur = nil
 	sealBatchFrame(b.buf, b.seq, len(b.ops))
-	if err := p.l.send(b); err != nil {
-		return p.fail(err)
-	}
+	p.l.send(b)
 	return nil
 }
 

@@ -4,7 +4,7 @@
 // share one transport (link.go): Client is stop-and-wait, making
 // in-process and over-the-wire use interchangeable; Pipe keeps a window
 // of batch frames in flight. The link under both is self-healing —
-// per-frame deadlines, automatic reconnect with capped exponential
+// per-read deadlines, automatic reconnect with capped exponential
 // backoff (replaying the tenant binding first), and go-back-N
 // retransmission of every unanswered frame under one retry budget, made
 // exactly-once by the (session, sequence) pair the server deduplicates.
@@ -13,7 +13,9 @@
 // of the payload][payload]. The checksum makes corruption on the wire a
 // typed *FrameError instead of silent protocol desync — a corrupted
 // frame poisons only its connection, and the client retries over a
-// fresh one.
+// fresh one. Both ends read frames through a buffer and write when they
+// would wait: the frames they hold leave in one Write before a read that
+// would block (see DESIGN.md "Burst I/O").
 //
 // A request payload is [u8 op][u64 session][u64 seq][op-specific body].
 // A non-zero session enrolls the request in the server's dedup window:
@@ -58,10 +60,13 @@
 package devnet
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
+	"time"
 )
 
 // Protocol ops. The values are the wire protocol; the gaps are the
@@ -133,8 +138,14 @@ const maxFrame = 16 << 20
 
 // frameChunk bounds how much readFrame allocates ahead of bytes actually
 // received, so a lying length header cannot make the receiver allocate
-// maxFrame from a 8-byte prefix.
+// maxFrame from a 8-byte prefix. It also bounds the responses a server
+// holds for one burst write.
 const frameChunk = 64 << 10
+
+// readBufSize is the read buffer at each end of a connection: one socket
+// read takes every frame that has arrived, and parsing the ones already
+// buffered costs no syscall.
+const readBufSize = 32 << 10
 
 // Header sizes: frame = [u32 len][u32 crc]; request payload starts
 // [u8 op][u64 session][u64 seq]; response payload starts
@@ -147,16 +158,12 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// writeFrame sends one checksummed length-prefixed payload.
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [frameHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+// appendFrame appends payload to dst as one checksummed length-prefixed
+// frame, so a burst of frames leaves in one Write.
+func appendFrame(dst, payload []byte) []byte {
+	dst = putU32(dst, uint32(len(payload)))
+	dst = putU32(dst, crc32.Checksum(payload, castagnoli))
+	return append(dst, payload...)
 }
 
 // readFrame receives one frame into a fresh buffer.
@@ -165,14 +172,18 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return readFrameInto(r, &scratch)
 }
 
-// readFramePayloadInto reads and verifies a frame body whose header has
-// already been consumed, reusing *scratch's capacity across calls so a
-// steady-state receive loop allocates nothing once the buffer has grown
-// to its working-set size. The buffer grows in bounded chunks as bytes
-// actually arrive, so a header claiming maxFrame cannot make the receiver
-// allocate maxFrame before the stream has to deliver. The returned
-// payload aliases *scratch and is valid until the next call.
-func readFramePayloadInto(r io.Reader, hdr [frameHeaderSize]byte, scratch *[]byte) ([]byte, error) {
+// readFrameInto receives and verifies one frame, reusing *scratch's
+// capacity across calls so a steady-state receive loop allocates nothing
+// once the buffer has grown to its working-set size. The buffer grows in
+// bounded chunks as bytes actually arrive, so a header claiming maxFrame
+// cannot make the receiver allocate maxFrame before the stream has to
+// deliver. The returned payload aliases *scratch and is valid until the
+// next call.
+func readFrameInto(r io.Reader, scratch *[]byte) ([]byte, error) {
+	var hdr [frameHeaderSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
 	n := binary.BigEndian.Uint32(hdr[:4])
 	want := binary.BigEndian.Uint32(hdr[4:])
 	if n > maxFrame {
@@ -202,14 +213,36 @@ func readFramePayloadInto(r io.Reader, hdr [frameHeaderSize]byte, scratch *[]byt
 	return payload, nil
 }
 
-// readFrameInto receives one frame into *scratch: header, then payload,
-// then CRC check.
-func readFrameInto(r io.Reader, scratch *[]byte) ([]byte, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// frameBuffered reports whether br already holds a whole frame, so
+// reading it needs no socket read. It is the "would wait" test of the
+// burst rule both ends follow: write what is held before a read that
+// would block.
+func frameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < frameHeaderSize {
+		return false
 	}
-	return readFramePayloadInto(r, hdr, scratch)
+	hdr, _ := br.Peek(frameHeaderSize)
+	return uint64(n-frameHeaderSize) >= uint64(beU32(hdr))
+}
+
+// deadlineConn arms a fresh deadline before every Read and Write that
+// reaches the socket: read bounds one socket read, write one burst write.
+// It sits under a bufio.Reader, so frames already buffered cost neither a
+// syscall nor a deadline; the owner sets read for the state of the stream.
+type deadlineConn struct {
+	net.Conn
+	read, write time.Duration
+}
+
+func (c *deadlineConn) Read(p []byte) (int, error) {
+	c.Conn.SetReadDeadline(time.Now().Add(c.read))
+	return c.Conn.Read(p)
+}
+
+func (c *deadlineConn) Write(p []byte) (int, error) {
+	c.Conn.SetWriteDeadline(time.Now().Add(c.write))
+	return c.Conn.Write(p)
 }
 
 // wireRequest is one parsed request payload.
@@ -232,7 +265,7 @@ func newRequestFrame(buf []byte, op uint8, session, seq uint64) []byte {
 }
 
 // encodeRequest builds the same request header unframed, with room for
-// body bytes; writeFrame frames it.
+// body bytes; appendFrame frames it.
 func encodeRequest(op uint8, session, seq uint64, bodyCap int) []byte {
 	buf := make([]byte, 0, frameHeaderSize+reqHeaderSize+bodyCap)
 	return newRequestFrame(buf, op, session, seq)[frameHeaderSize:]

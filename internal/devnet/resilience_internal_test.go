@@ -50,7 +50,7 @@ func rawServer(t *testing.T, sopts ServerOptions) (*device.Device, *telemetry.Re
 // exchange writes one request frame and reads the response payload.
 func exchange(t *testing.T, conn net.Conn, req []byte) []byte {
 	t.Helper()
-	if err := writeFrame(conn, req); err != nil {
+	if _, err := conn.Write(appendFrame(nil, req)); err != nil {
 		t.Fatalf("write frame: %v", err)
 	}
 	resp, err := readFrame(conn)
@@ -251,12 +251,7 @@ func TestCorruptFrameRejected(t *testing.T) {
 	}
 	defer conn.Close()
 
-	var buf bytes.Buffer
-	req := encodeRequest(OpPing, 9, 1, 0)
-	if err := writeFrame(&buf, req); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := frameBytes(encodeRequest(OpPing, 9, 1, 0))
 	raw[frameHeaderSize] ^= 0x40 // corrupt the first payload byte
 	if _, err := conn.Write(raw); err != nil {
 		t.Fatal(err)
@@ -285,11 +280,7 @@ func TestStalledPeerDropped(t *testing.T) {
 	}
 	defer conn.Close()
 
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, encodeRequest(OpPing, 0, 1, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(buf.Bytes()[:frameHeaderSize+3]); err != nil {
+	if _, err := conn.Write(frameBytes(encodeRequest(OpPing, 0, 1, 0))[:frameHeaderSize+3]); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -328,11 +319,7 @@ func TestIdleConnectionDropped(t *testing.T) {
 // TestFrameLengthCapped: a header claiming more than maxFrame bytes is a
 // typed frame error, not an allocation.
 func TestFrameLengthCapped(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, make([]byte, 32)); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := frameBytes(make([]byte, 32))
 	raw[0], raw[1], raw[2], raw[3] = 0xff, 0xff, 0xff, 0xff
 	_, err := readFrame(bytes.NewReader(raw))
 	var fe *FrameError
@@ -345,11 +332,7 @@ func TestFrameLengthCapped(t *testing.T) {
 // payload surfaces as unexpected EOF, which the client taxonomy
 // classifies as retryable transport.
 func TestTruncatedFrameIsTransportError(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, make([]byte, 64)); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()[:frameHeaderSize+20]
+	raw := frameBytes(make([]byte, 64))[:frameHeaderSize+20]
 	_, err := readFrame(bytes.NewReader(raw))
 	if !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
 		t.Fatalf("truncated frame: got %v, want unexpected EOF", err)

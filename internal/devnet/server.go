@@ -1,6 +1,7 @@
 package devnet
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,7 +24,8 @@ type ServerOptions struct {
 	// once its first byte has arrived: a peer that stalls mid-frame is
 	// disconnected, a slow-but-moving peer is not. Default 5s.
 	ReadStall time.Duration
-	// WriteTimeout bounds writing one response frame. Default 10s.
+	// WriteTimeout bounds one burst write: the responses a connection
+	// holds, sent in one Write. Default 10s.
 	WriteTimeout time.Duration
 	// IdleTimeout bounds how long a connection may sit between requests
 	// before it is dropped (half-dead peers cannot pin a goroutine
@@ -269,23 +271,16 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// stallConn re-arms the read deadline before every Read, so a transfer
-// that keeps making progress never times out while a stalled peer does.
-type stallConn struct {
-	net.Conn
-	stall time.Duration
-}
-
-func (c stallConn) Read(p []byte) (int, error) {
-	c.Conn.SetReadDeadline(time.Now().Add(c.stall))
-	return c.Conn.Read(p)
-}
-
-// serveConn runs the request/response loop for one connection. Waiting
-// for a request polls with a short deadline so a drain is noticed
-// between requests and an idle budget can expire; once a frame starts
-// arriving, stall-based deadlines take over. A panic anywhere in the
-// loop takes down only this connection.
+// serveConn runs the request loop for one connection. Requests are read
+// through a buffer and executed in order; their responses are held and
+// leave in one Write per burst — when the next request is not already
+// whole in the buffer, when the held bytes reach frameChunk, and before
+// the loop exits — so a pipelined window costs one socket read and one
+// write instead of two of each per frame, and a drain still answers every
+// request that executed. Waiting for a request polls with a short
+// deadline so a drain is noticed between requests and an idle budget can
+// expire; once a frame starts arriving, the stall deadline takes over. A
+// panic anywhere in the loop takes down only this connection.
 func (s *Server) serveConn(conn net.Conn) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -299,22 +294,31 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.wg.Done()
 	}()
 	s.logf("devnet: %v connected", conn.RemoteAddr())
+	dc := &deadlineConn{Conn: conn, write: s.opts.WriteTimeout}
+	br := bufio.NewReaderSize(dc, readBufSize)
 	// bound is this connection's authenticated tenant (0 = none). It is
 	// per-connection on purpose: a binding must not outlive the transport
 	// that proved possession of the token.
 	var bound uint32
-	// Per-connection receive buffer and batch scratch: the request loop
-	// reuses both across frames, so a steady stream of batches costs no
-	// per-frame allocations on the server.
-	var rbuf []byte
+	// Per-connection receive, response and batch scratch: the request
+	// loop reuses all three across frames, so a steady stream of batches
+	// costs no per-frame allocations on the server.
+	var rbuf, out []byte
 	var bs batchScratch
 	for {
-		hdr, err := s.awaitHeader(conn)
-		if err != nil {
-			s.logf("devnet: %v gone: %v", conn.RemoteAddr(), err)
-			return
+		if len(out) >= frameChunk || len(out) > 0 && !frameBuffered(br) {
+			if _, err := dc.Write(out); err != nil {
+				s.logf("devnet: %v write: %v", conn.RemoteAddr(), err)
+				return
+			}
+			out = out[:0]
 		}
-		payload, err := readFramePayloadInto(stallConn{conn, s.opts.ReadStall}, hdr, &rbuf)
+		if err := s.awaitHeader(dc, br); err != nil {
+			s.logf("devnet: %v gone: %v", conn.RemoteAddr(), err)
+			break
+		}
+		dc.read = s.opts.ReadStall
+		payload, err := readFrameInto(br, &rbuf)
 		if err != nil {
 			var fe *FrameError
 			if errors.As(err, &fe) {
@@ -324,62 +328,62 @@ func (s *Server) serveConn(conn net.Conn) {
 				s.stallDrops.Inc()
 			}
 			s.logf("devnet: %v bad frame: %v", conn.RemoteAddr(), err)
-			return
+			break
 		}
-		conn.SetReadDeadline(time.Time{})
-		resp := s.dispatch(payload, &bound, &bs)
-		conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-		if err := writeFrame(conn, resp); err != nil {
+		out = appendFrame(out, s.dispatch(payload, &bound, &bs))
+	}
+	if len(out) > 0 {
+		if _, err := dc.Write(out); err != nil {
 			s.logf("devnet: %v write: %v", conn.RemoteAddr(), err)
-			return
 		}
-		conn.SetWriteDeadline(time.Time{})
 	}
 }
 
-// awaitHeader blocks until a full frame header arrives, the idle budget
-// expires, or the server drains. The wait polls in short slices so a
-// drain is honored promptly; once the first byte is in, the peer is
-// mid-frame and the stall rule applies to the header's remainder.
-func (s *Server) awaitHeader(conn net.Conn) ([frameHeaderSize]byte, error) {
-	var hdr [frameHeaderSize]byte
+// awaitHeader blocks until a full frame header is buffered, the idle
+// budget expires, or the server drains; the drain is checked first, so a
+// draining server executes nothing more even when requests are buffered.
+// The wait polls in short slices so a drain is honored promptly; once the
+// first byte is in, the peer is mid-frame and the stall rule applies to
+// the header's remainder.
+func (s *Server) awaitHeader(dc *deadlineConn, br *bufio.Reader) error {
 	const poll = 250 * time.Millisecond
 	idleDeadline := time.Now().Add(s.opts.IdleTimeout)
-	got := 0
-	for got < frameHeaderSize {
+	for {
 		s.mu.Lock()
 		draining := s.draining
 		s.mu.Unlock()
 		if draining {
-			return hdr, errors.New("draining")
+			return errors.New("draining")
 		}
-		wait := poll
-		if got > 0 && s.opts.ReadStall < wait {
-			wait = s.opts.ReadStall
+		got := br.Buffered()
+		if got >= frameHeaderSize {
+			return nil
 		}
-		conn.SetReadDeadline(time.Now().Add(wait))
-		n, err := conn.Read(hdr[got:])
-		got += n
-		if err != nil {
-			if !isTimeout(err) {
-				return hdr, err
-			}
-			// Timeout slice. Mid-header, a single stall window is the
-			// whole budget; idle (no bytes yet) runs down IdleTimeout.
-			if got > 0 {
-				if n == 0 {
-					s.stallDrops.Inc()
-					return hdr, fmt.Errorf("peer stalled mid-header after %d bytes", got)
-				}
-				continue
-			}
-			if s.opts.IdleTimeout >= 0 && time.Now().After(idleDeadline) {
-				s.idleDrops.Inc()
-				return hdr, fmt.Errorf("idle for %v", s.opts.IdleTimeout)
-			}
+		dc.read = poll
+		if got > 0 && s.opts.ReadStall < poll {
+			dc.read = s.opts.ReadStall
+		}
+		// Peeking one byte past the buffered ones is exactly one socket
+		// read, which takes everything that has arrived.
+		_, err := br.Peek(got + 1)
+		if err == nil {
+			continue
+		}
+		if !isTimeout(err) {
+			return err
+		}
+		// Timeout slice with nothing read. Mid-header, a single stall
+		// window is the whole budget; idle (no bytes yet) runs down
+		// IdleTimeout.
+		if got > 0 {
+			s.stallDrops.Inc()
+			return fmt.Errorf("peer stalled mid-header after %d bytes", got)
+		}
+		if s.opts.IdleTimeout >= 0 && time.Now().After(idleDeadline) {
+			s.idleDrops.Inc()
+			return fmt.Errorf("idle for %v", s.opts.IdleTimeout)
 		}
 	}
-	return hdr, nil
 }
 
 // dispatch parses one request payload, applies the dedup window and the
