@@ -116,15 +116,33 @@ func (c *Cache[V]) wayFor(addr uint64) (slot int, line uint64, evict bool) {
 // pointer to the payload (callers may mutate it in place). Stats are
 // updated.
 func (c *Cache[V]) Lookup(addr uint64) (*V, bool) {
+	v, slot := c.LookupSlot(addr)
+	return v, slot >= 0
+}
+
+// LookupSlot is Lookup that also names the slot of a hit (-1 on a miss).
+// A caller that goes on working on the line — Hit, Pin, Unpin,
+// MarkDirtyAt — passes the slot instead of probing the set again. A slot
+// names its line until the line leaves the cache; a pinned line stays.
+func (c *Cache[V]) LookupSlot(addr uint64) (*V, int) {
 	if i := c.find(addr); i >= 0 {
-		c.tick++
-		c.ways[i].lru = c.tick
-		c.stats.Hits++
-		return &c.ways[i].value, true
+		c.Hit(i)
+		return &c.ways[i].value, i
 	}
 	c.stats.Misses++
-	return nil, false
+	return nil, -1
 }
+
+// Hit records one more use of the resident line at slot: the LRU refresh
+// and hit count of a Lookup, without the probe.
+func (c *Cache[V]) Hit(slot int) {
+	c.tick++
+	c.ways[slot].lru = c.tick
+	c.stats.Hits++
+}
+
+// At returns the payload of the resident line at slot.
+func (c *Cache[V]) At(slot int) *V { return &c.ways[slot].value }
 
 // Peek probes without touching LRU state or statistics.
 func (c *Cache[V]) Peek(addr uint64) (*V, bool) {
@@ -178,19 +196,16 @@ func (c *Cache[V]) Victim(addr uint64) (*V, Evicted, bool) {
 	return &w.value, Evicted{Addr: w.line * config.BlockSize, Dirty: w.dirty}, true
 }
 
-// Pin keeps a resident line from being chosen as a victim until a
-// matching Unpin; pins nest. Pinning an absent line does nothing.
-// Invalidate and DropAll drop a line's pins with it.
-func (c *Cache[V]) Pin(addr uint64) {
-	if i := c.find(addr); i >= 0 {
-		c.ways[i].pins++
-	}
-}
+// Pin keeps the resident line at slot from being chosen as a victim
+// until a matching Unpin; pins nest. Invalidate and DropAll drop a line's
+// pins with it, and its holder must not Unpin it afterwards (an empty
+// slot ignores an Unpin).
+func (c *Cache[V]) Pin(slot int) { c.ways[slot].pins++ }
 
-// Unpin releases one Pin of a resident line.
-func (c *Cache[V]) Unpin(addr uint64) {
-	if i := c.find(addr); i >= 0 && c.ways[i].pins > 0 {
-		c.ways[i].pins--
+// Unpin releases one Pin of the line at slot.
+func (c *Cache[V]) Unpin(slot int) {
+	if c.ways[slot].pins > 0 {
+		c.ways[slot].pins--
 	}
 }
 
@@ -199,10 +214,13 @@ func (c *Cache[V]) Unpin(addr uint64) {
 func (c *Cache[V]) MarkDirty(addr uint64) bool {
 	i := c.find(addr)
 	if i >= 0 {
-		c.ways[i].dirty = true
+		c.MarkDirtyAt(i)
 	}
 	return i >= 0
 }
+
+// MarkDirtyAt sets the dirty bit of the resident line at slot.
+func (c *Cache[V]) MarkDirtyAt(slot int) { c.ways[slot].dirty = true }
 
 // CleanLine clears the dirty bit of a resident line (after a write-back).
 func (c *Cache[V]) CleanLine(addr uint64) {

@@ -86,15 +86,12 @@ func TestPinnedWaysAreNotVictims(t *testing.T) {
 	c := newCache[string](t, tiny()) // 4 sets, 2 ways; 0, 256, 512 share set 0
 	insert(c, 0, "a", false)
 	insert(c, 256, "b", false)
-	c.Pin(0)
-	c.Pin(64) // absent: no effect
-	if resident(c, 64) {
-		t.Fatal("Pin of an absent line made it resident")
-	}
+	a, b := c.SlotOf(0), c.SlotOf(256)
+	c.Pin(a)
 	if _, ev, has := c.Victim(512); !has || ev.Addr != 256 {
 		t.Fatalf("Victim predicted %+v %v, want the unpinned line 256", ev, has)
 	}
-	c.Pin(256)
+	c.Pin(b)
 	if _, _, has := c.Victim(512); has {
 		t.Fatal("Victim chose a pinned way")
 	}
@@ -109,13 +106,13 @@ func TestPinnedWaysAreNotVictims(t *testing.T) {
 	if p, _, _ := c.Claim(256, false); p == nil || *p != "b" {
 		t.Fatal("Claim of a resident pinned line refused")
 	}
-	c.Pin(0) // pins nest
-	c.Unpin(0)
-	c.Unpin(256)
+	c.Pin(a) // pins nest
+	c.Unpin(a)
+	c.Unpin(b)
 	if _, ev, has := c.Victim(512); !has || ev.Addr != 256 {
 		t.Fatalf("after Unpin, Victim predicted %+v %v, want line 256", ev, has)
 	}
-	c.Unpin(0)
+	c.Unpin(a)
 	c.Lookup(256)
 	if _, ev, has := c.Victim(512); !has || ev.Addr != 0 {
 		t.Fatalf("after the last Unpin, Victim predicted %+v %v, want line 0", ev, has)

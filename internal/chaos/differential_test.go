@@ -39,10 +39,10 @@ func TestDifferentialStrategies(t *testing.T) {
 			}
 
 			type outcome struct {
-				image       map[uint64]nvm.Line
-				shadowOps   uint64
-				recoveryWr  uint64
-				metadataWr  uint64
+				image      map[uint64]nvm.Line
+				shadowOps  uint64
+				recoveryWr uint64
+				metadataWr uint64
 			}
 			results := map[string]outcome{}
 			for _, strategy := range memctrl.Strategies() {

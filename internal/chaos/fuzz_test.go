@@ -16,8 +16,8 @@ func FuzzStrategyCrashRecover(f *testing.F) {
 	for i := range memctrl.Strategies() {
 		f.Add(int64(7+i), 40, 13, byte(i))
 	}
-	f.Add(int64(99), 80, 0, byte(1))      // crash at the very first boundary
-	f.Add(int64(5), 10, 1<<20, byte(2))   // crash point past the workload: clean run
+	f.Add(int64(99), 80, 0, byte(1))    // crash at the very first boundary
+	f.Add(int64(5), 10, 1<<20, byte(2)) // crash point past the workload: clean run
 	f.Fuzz(func(t *testing.T, seed int64, writes int, crashAt int, stratIdx byte) {
 		strategies := memctrl.Strategies()
 		strategy := strategies[int(stratIdx)%len(strategies)]

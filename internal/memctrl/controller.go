@@ -507,11 +507,12 @@ func (c *Controller) pushWrite(addr uint64, data *nvm.Line, cat WriteCat) {
 		c.dev.Write(addr, data)
 		return
 	}
-	if !c.q.Pending(c.now, addr) {
+	now, coalesced := c.q.PushReport(c.now, addr, data)
+	if !coalesced {
 		c.stats.NVMWrites[cat]++
 		c.tel.nvmWrites[cat].Inc()
 	}
-	c.now = c.q.Push(c.now, addr, data)
+	c.now = now
 }
 
 // ResetStats zeroes every statistics counter (controller, metadata cache
@@ -528,15 +529,6 @@ func (c *Controller) ResetStats() {
 // readNVM reads one line, forwarding from the WPQ when the write is still
 // pending, otherwise charging the bank read latency.
 func (c *Controller) readNVM(addr uint64) nvm.ReadResult {
-	if c.q.Pending(c.now, addr) {
-		c.stats.WPQForwards++
-		c.tel.wpqForwards.Inc()
-		c.now += c.fwdLat
-		return c.dev.Read(addr)
-	}
-	bank := c.banks.BankFor(addr / nvm.LineSize)
-	c.now = c.banks.Schedule(bank, c.now, c.readLat)
-	c.stats.NVMReads++
-	c.tel.nvmReads.Inc()
+	c.chargeReadLatency(addr)
 	return c.dev.Read(addr)
 }

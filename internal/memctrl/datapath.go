@@ -38,7 +38,7 @@ func (c *Controller) ReadBlock(now sim.Time, addr uint64) ([nvm.LineSize]byte, s
 	leafIdx := c.layout.CounterBlockOf(blockIdx)
 	slot := c.layout.SlotOf(blockIdx)
 
-	cb, err := c.getBlock(1, leafIdx)
+	cb, _, err := c.getBlock(1, leafIdx)
 	if err != nil {
 		return nvm.Line{}, c.now, err
 	}
@@ -83,6 +83,10 @@ func (c *Controller) ReadBlock(now sim.Time, addr uint64) ([nvm.LineSize]byte, s
 // MAC persist through the WPQ, and the Anubis shadow entry for the counter
 // block is refreshed — the paper's "maximum of three writes (cipher, data
 // MAC and Shadow log) per write".
+//
+// WriteBlock holds the write's two releases — its span and the leaf pin —
+// and writeSecure does the work: with this few returns both defers are
+// open-coded, and they still run when a panic unwinds the write.
 func (c *Controller) WriteBlock(now sim.Time, addr uint64, data *[nvm.LineSize]byte) (sim.Time, error) {
 	if err := c.checkDataAddr(addr); err != nil {
 		return now, err
@@ -102,36 +106,44 @@ func (c *Controller) WriteBlock(now sim.Time, addr uint64, data *[nvm.LineSize]b
 
 	blockIdx := addr / nvm.LineSize
 	leafIdx := c.layout.CounterBlockOf(blockIdx)
-	slot := c.layout.SlotOf(blockIdx)
-
-	cb, err := c.getBlock(1, leafIdx)
-	if err != nil {
-		return c.now, err
+	cb, leaf, err := c.getBlock(1, leafIdx)
+	if err == nil {
+		// Pin the leaf for the duration of this write. Its counter is
+		// about to advance in cache; if an eviction cascade (a
+		// re-encryption fetch, say) wrote the bumped counter and its
+		// shadow entry back before the sealed data commit lands, a crash
+		// in between would recover the new counter with the old
+		// ciphertext still in NVM — the block would decrypt under neither
+		// value. Hardware pins the MSHR entry of an in-progress write the
+		// same way. The pin also keeps cb and the leaf's slot valid.
+		c.mcache.Pin(leaf)
+		defer c.mcache.Unpin(leaf)
+		err = c.writeSecure(addr, blockIdx, leafIdx, cb, leaf, data)
 	}
-	home := c.layout.NodeAddr(1, leafIdx)
-	// Pin the leaf for the duration of this write. Its counter is about to
-	// advance in cache; if an eviction cascade (a re-encryption fetch, say)
-	// wrote the bumped counter and its shadow entry back before the sealed
-	// data commit lands, a crash in between would recover the new counter
-	// with the old ciphertext still in NVM — the block would decrypt under
-	// neither value. Hardware pins the MSHR entry of an in-progress write
-	// the same way. The pin also keeps cb valid.
-	c.mcache.Pin(home)
-	defer c.mcache.Unpin(home)
+	return c.now, err
+}
 
+// writeSecure is WriteBlock's secure path for the pinned leaf cb at cache
+// slot leaf.
+func (c *Controller) writeSecure(addr, blockIdx, leafIdx uint64, cb *metacache.Block, leaf int, data *[nvm.LineSize]byte) error {
+	home := c.layout.NodeAddr(1, leafIdx)
+	slot := c.layout.SlotOf(blockIdx)
 	if cb.Counter.Minors[slot] == ctrenc.MinorMax {
 		// Minor overflow: re-encrypt the whole covered page under an
 		// incremented major counter before the bump.
-		if err := c.reencryptPage(leafIdx, cb); err != nil {
-			return c.now, err
+		if err := c.reencryptPage(leafIdx, cb, leaf); err != nil {
+			return err
 		}
 	}
 	// Ensure the MAC line is resident before the counter moves (and after
 	// a re-encryption, whose MAC-line fills can evict it): its miss path
 	// can trigger eviction cascades, which must not run inside the sealed
 	// commit below, and a failure here leaves the write without effect.
-	if _, err := c.getMACLine(blockIdx); err != nil {
-		return c.now, err
+	// Nothing from here to the MAC store touches the cache, so the line
+	// stays at macSlot.
+	mb, macSlot, err := c.getMACLine(blockIdx)
+	if err != nil {
+		return err
 	}
 	if cb.Counter.Increment(slot) {
 		panic("memctrl: minor overflow immediately after page re-encryption")
@@ -139,7 +151,7 @@ func (c *Controller) WriteBlock(now sim.Time, addr uint64, data *[nvm.LineSize]b
 	counter := cb.Counter.Counter(slot)
 	cb.UpdatesPerSlot[slot]++
 	needForce := c.strat.needsForce(c, cb, slot)
-	c.mcache.MarkDirty(home)
+	c.mcache.MarkDirty(leaf)
 
 	// The paper's "maximum of three writes (cipher, data MAC and Shadow
 	// log) per write" commit atomically from the ADR domain: ciphertext,
@@ -149,35 +161,30 @@ func (c *Controller) WriteBlock(now sim.Time, addr uint64, data *[nvm.LineSize]b
 	ct := c.eng.Encrypt(addr, counter, data)
 	c.seal("data-commit")
 	c.pushWrite(addr, &ct, WCData)
-	err = c.setDataMAC(blockIdx, c.eng.DataMAC(addr, counter, &ct))
-	if err == nil {
-		// Strategy commit: the Soteria shadow-log write, or Triad's
-		// persisted-level write-back chain — atomic with the ciphertext
-		// and MAC, so a crash can never strand an acknowledged write.
-		err = c.strat.commitLeaf(c, home)
-	}
+	c.setDataMAC(mb, macSlot, blockIdx, c.eng.DataMAC(addr, counter, &ct))
+	// Strategy commit: the Soteria shadow-log write, or Triad's
+	// persisted-level write-back chain — atomic with the ciphertext and
+	// MAC, so a crash can never strand an acknowledged write.
+	err = c.strat.commitLeaf(c, home, leaf)
 	c.unseal("data-commit")
 	if err != nil {
-		return c.now, err
+		return err
 	}
 	if needForce {
 		// Osiris bound: the counter may not drift further from its
 		// NVM copy than recovery can search.
 		if err := c.forceWriteback(home); err != nil {
-			return c.now, err
+			return err
 		}
 	}
 	if c.eager {
 		// Eager-update ablation (§2.5): flush the whole branch so the
 		// on-chip root reflects this write immediately.
 		if err := c.eagerPropagate(leafIdx); err != nil {
-			return c.now, err
+			return err
 		}
 	}
-	if err := c.strat.afterOp(c); err != nil {
-		return c.now, err
-	}
-	return c.now, nil
+	return c.strat.afterOp(c)
 }
 
 // eagerPropagate force-writes the leaf's branch bottom-up; each write-back
@@ -186,11 +193,8 @@ func (c *Controller) WriteBlock(now sim.Time, addr uint64, data *[nvm.LineSize]b
 func (c *Controller) eagerPropagate(leafIdx uint64) error {
 	level, index := 1, leafIdx
 	for {
-		home := c.layout.NodeAddr(level, index)
-		if _, ok := c.mcache.Peek(home); ok {
-			if err := c.forceWriteback(home); err != nil {
-				return err
-			}
+		if err := c.forceWriteback(c.layout.NodeAddr(level, index)); err != nil {
+			return err
 		}
 		_, pindex, _, stored := c.layout.Parent(level, index)
 		if !stored {
@@ -207,14 +211,14 @@ func (c *Controller) eagerPropagate(leafIdx uint64) error {
 // caught half re-encrypted under a bumped major would be unrecoverable, so
 // real hardware must (and the paper's rarity argument lets it) commit the
 // overflow handling atomically.
-func (c *Controller) reencryptPage(leafIdx uint64, cb *metacache.Block) error {
+func (c *Controller) reencryptPage(leafIdx uint64, cb *metacache.Block, leaf int) error {
 	c.seal("page-reencrypt")
-	err := c.reencryptPageInner(leafIdx, cb)
+	err := c.reencryptPageInner(leafIdx, cb, leaf)
 	c.unseal("page-reencrypt")
 	return err
 }
 
-func (c *Controller) reencryptPageInner(leafIdx uint64, cb *metacache.Block) error {
+func (c *Controller) reencryptPageInner(leafIdx uint64, cb *metacache.Block, leaf int) error {
 	var oldCounters [ctrenc.CountersPerBlock]uint64
 	for i := range oldCounters {
 		oldCounters[i] = cb.Counter.Counter(i)
@@ -236,19 +240,17 @@ func (c *Controller) reencryptPageInner(leafIdx uint64, cb *metacache.Block) err
 			return fmt.Errorf("%w: block %#x during page re-encryption", ErrDataError, addr)
 		}
 		ct := r.Data
-		want, err := c.dataMAC(blockIdx)
+		mb, macSlot, err := c.getMACLine(blockIdx)
 		if err != nil {
 			return err
 		}
-		if got := c.eng.DataMAC(addr, oldCounters[i], &ct); got != want {
+		if got := c.eng.DataMAC(addr, oldCounters[i], &ct); got != c.storedMAC(mb, blockIdx) {
 			return fmt.Errorf("%w: block %#x during page re-encryption", ErrMACMismatch, addr)
 		}
 		pt := c.eng.Decrypt(addr, oldCounters[i], &ct)
 		nct := c.eng.Encrypt(addr, cb.Counter.Counter(i), &pt)
 		c.pushWrite(addr, &nct, WCData)
-		if err := c.setDataMAC(blockIdx, c.eng.DataMAC(addr, cb.Counter.Counter(i), &nct)); err != nil {
-			return err
-		}
+		c.setDataMAC(mb, macSlot, blockIdx, c.eng.DataMAC(addr, cb.Counter.Counter(i), &nct))
 	}
 
 	// The leaf changed wholesale: refresh bookkeeping and its tracking
@@ -256,9 +258,8 @@ func (c *Controller) reencryptPageInner(leafIdx uint64, cb *metacache.Block) err
 	for i := range cb.UpdatesPerSlot {
 		cb.UpdatesPerSlot[i] = 0
 	}
-	home := c.layout.NodeAddr(1, leafIdx)
-	c.mcache.MarkDirty(home)
-	if err := c.strat.commitLeaf(c, home); err != nil {
+	c.mcache.MarkDirty(leaf)
+	if err := c.strat.commitLeaf(c, c.layout.NodeAddr(1, leafIdx), leaf); err != nil {
 		return err
 	}
 	c.stats.PageReencrypt++

@@ -84,26 +84,27 @@ func (c *Controller) parentCounterOf(level int, index uint64) (uint64, error) {
 	if !stored {
 		return c.root.Counters[slot], nil
 	}
-	pb, err := c.getBlock(level+1, pindex)
+	pb, _, err := c.getBlock(level+1, pindex)
 	if err != nil {
 		return 0, err
 	}
 	return pb.Node.Counters[slot], nil
 }
 
-// getBlock returns a trusted metadata block, fetching and verifying it (and
-// its ancestor chain) as needed. The returned pointer is valid only until
-// the next cache-mutating call, unless the caller pins the block.
-func (c *Controller) getBlock(level int, index uint64) (*metacache.Block, error) {
+// getBlock returns a trusted metadata block and its cache slot, fetching
+// and verifying it (and its ancestor chain) as needed. The pointer and the
+// slot are valid only until the next cache-mutating call, unless the
+// caller pins the block.
+func (c *Controller) getBlock(level int, index uint64) (*metacache.Block, int, error) {
 	home := c.layout.NodeAddr(level, index)
-	if b, ok := c.mcache.Lookup(home); ok {
-		return b, nil
+	if b, slot := c.mcache.LookupSlot(home); slot >= 0 {
+		return b, slot, nil
 	}
 	if err := c.fetchBlock(level, index); err != nil {
-		return nil, err
+		return nil, -1, err
 	}
-	b, _ := c.mcache.Lookup(home)
-	return b, nil
+	b, slot := c.mcache.LookupSlot(home)
+	return b, slot, nil
 }
 
 // pendingFill is one fetched line waiting for its cache way.
@@ -204,7 +205,7 @@ func (c *Controller) claimWay(home uint64) (*metacache.Block, error) {
 			c.stats.RecoveryLost++
 			c.tel.recoveryLost.Inc()
 			c.mcache.CleanLine(v.Addr)
-			c.untrack(v.Addr)
+			c.untrack(c.mcache.SlotOf(v.Addr))
 		}
 	}
 	// The pre-clean cascade can fetch (and advance the counters of) this
@@ -249,8 +250,7 @@ func (c *Controller) writebackBlock(blk *metacache.Block) error {
 		c.root.Increment(slot)
 		pctr = c.root.Counters[slot]
 	} else {
-		pHome := c.layout.NodeAddr(level+1, pindex)
-		pb, err := c.getBlock(level+1, pindex)
+		pb, pway, err := c.getBlock(level+1, pindex)
 		if err != nil {
 			return err
 		}
@@ -260,8 +260,8 @@ func (c *Controller) writebackBlock(blk *metacache.Block) error {
 		// counters can drift from NVM — Triad's relaxed levels use it the
 		// way Osiris uses leaf UpdatesPerSlot.
 		pb.UpdatesPerSlot[slot]++
-		c.mcache.MarkDirty(pHome)
-		c.strat.onDirty(c, pHome)
+		c.mcache.MarkDirty(pway)
+		c.strat.onDirty(c, c.layout.NodeAddr(level+1, pindex), pway)
 	}
 
 	// Both codecs are lossless and keep the MAC out of bytes 0..55, so the
@@ -309,13 +309,14 @@ func (c *Controller) writebackBlock(blk *metacache.Block) error {
 	return nil
 }
 
-// untrack retires the shadow entry of the block at home, if the strategy
-// keeps a table: after the block's write-back group was pushed (the entry
-// describes content memory now holds), or when its update was lost, so
-// recovery does not look for content that never landed.
-func (c *Controller) untrack(home uint64) {
-	if slot := c.mcache.SlotOf(home); slot >= 0 && c.shadow != nil {
-		c.invalidateSlot(slot)
+// untrack retires the shadow entry of the block at cache slot way (-1:
+// not resident), if the strategy keeps a table: after the block's
+// write-back group was pushed (the entry describes content memory now
+// holds), or when its update was lost, so recovery does not look for
+// content that never landed.
+func (c *Controller) untrack(way int) {
+	if way >= 0 && c.shadow != nil {
+		c.invalidateSlot(way)
 	}
 }
 
@@ -337,16 +338,17 @@ func (c *Controller) invalidateSlot(slot int) {
 // block resident, so its pointer stays valid and nested bumps of its own
 // counters land in the copy serialized here.
 func (c *Controller) forceWriteback(home uint64) error {
-	blk, ok := c.mcache.Peek(home)
-	if !ok {
+	way := c.mcache.SlotOf(home)
+	if way < 0 {
 		return nil
 	}
-	c.mcache.Pin(home)
-	defer c.mcache.Unpin(home)
+	blk := c.mcache.At(way)
+	c.mcache.Pin(way)
+	defer c.mcache.Unpin(way)
 	// Ensure the parent first: once it is resident, writebackBlock's
 	// parent lookup hits and no cache mutation can happen.
 	if _, pindex, _, stored := c.layout.Parent(blk.Level, blk.Index); stored {
-		if _, err := c.getBlock(blk.Level+1, pindex); err != nil {
+		if _, _, err := c.getBlock(blk.Level+1, pindex); err != nil {
 			return err
 		}
 	}
@@ -358,7 +360,7 @@ func (c *Controller) forceWriteback(home uint64) error {
 	// group has been accepted into the persistence domain: a crash between
 	// the two steps merely leaves a benign entry describing content that
 	// already matches memory.
-	c.untrack(home)
+	c.untrack(way)
 	c.stats.ForcedWB++
 	c.tel.forcedWB.Inc()
 	return nil
@@ -366,55 +368,57 @@ func (c *Controller) forceWriteback(home uint64) error {
 
 // --- data-MAC lines ---------------------------------------------------------
 
-// getMACLine returns the cached packed-MAC line covering dataBlock,
-// fetching it from NVM on a miss. MAC lines sit outside the tree (the data
-// MAC itself is the authenticator), so no verification chain is needed.
-func (c *Controller) getMACLine(dataBlock uint64) (*metacache.Block, error) {
+// getMACLine returns the cached packed-MAC line covering dataBlock and its
+// cache slot, fetching it from NVM on a miss. MAC lines sit outside the
+// tree (the data MAC itself is the authenticator), so no verification
+// chain is needed.
+func (c *Controller) getMACLine(dataBlock uint64) (*metacache.Block, int, error) {
 	lineAddr, _ := c.layout.DataMACAddr(dataBlock)
-	if b, ok := c.mcache.Lookup(lineAddr); ok {
-		return b, nil
+	if b, slot := c.mcache.LookupSlot(lineAddr); slot >= 0 {
+		return b, slot, nil
 	}
 	lineIdx := (lineAddr - c.layout.MACBase) / nvm.LineSize
 	r := c.readNVM(lineAddr)
 	if r.Uncorrectable {
-		return nil, fmt.Errorf("%w: MAC line %d", ErrDataError, lineIdx)
+		return nil, -1, fmt.Errorf("%w: MAC line %d", ErrDataError, lineIdx)
 	}
 	if len(c.tel.fillsByLevel) > 0 {
 		c.tel.fillsByLevel[0].Inc() // MAC lines fill as level 0
 	}
 	b, err := c.claimWay(lineAddr)
 	if err != nil {
-		return nil, err
+		return nil, -1, err
 	}
 	if b != nil {
 		b.Kind, b.Index, b.Raw = metacache.KindMAC, lineIdx, r.Data
 	}
-	b, _ = c.mcache.Lookup(lineAddr)
-	return b, nil
+	b, slot := c.mcache.LookupSlot(lineAddr)
+	return b, slot, nil
+}
+
+// storedMAC reads dataBlock's MAC out of its MAC line mb.
+func (c *Controller) storedMAC(mb *metacache.Block, dataBlock uint64) uint64 {
+	_, off := c.layout.DataMACAddr(dataBlock)
+	return binary.LittleEndian.Uint64(mb.Raw[off : off+8])
 }
 
 // dataMAC reads the stored MAC of a data block.
 func (c *Controller) dataMAC(dataBlock uint64) (uint64, error) {
-	b, err := c.getMACLine(dataBlock)
+	mb, _, err := c.getMACLine(dataBlock)
 	if err != nil {
 		return 0, err
 	}
-	_, off := c.layout.DataMACAddr(dataBlock)
-	return binary.LittleEndian.Uint64(b.Raw[off : off+8]), nil
+	return c.storedMAC(mb, dataBlock), nil
 }
 
-// setDataMAC updates a data block's MAC: the cached line is modified and
-// written through immediately (MAC persists together with the ciphertext,
-// which is what makes Osiris recovery possible).
-func (c *Controller) setDataMAC(dataBlock uint64, mac uint64) error {
-	b, err := c.getMACLine(dataBlock)
-	if err != nil {
-		return err
-	}
-	_, off := c.layout.DataMACAddr(dataBlock)
-	binary.LittleEndian.PutUint64(b.Raw[off:off+8], mac)
-	lineAddr, _ := c.layout.DataMACAddr(dataBlock)
-	line := b.Raw
-	c.pushWrite(lineAddr, &line, WCDataMAC)
-	return nil
+// setDataMAC updates a data block's MAC in its MAC line mb, which the
+// caller resolved with getMACLine and which is still resident at macSlot:
+// the store is one more access to the line, and the line is written
+// through immediately (MAC persists together with the ciphertext, which
+// is what makes Osiris recovery possible).
+func (c *Controller) setDataMAC(mb *metacache.Block, macSlot int, dataBlock uint64, mac uint64) {
+	c.mcache.Hit(macSlot)
+	lineAddr, off := c.layout.DataMACAddr(dataBlock)
+	binary.LittleEndian.PutUint64(mb.Raw[off:off+8], mac)
+	c.pushWrite(lineAddr, &mb.Raw, WCDataMAC)
 }

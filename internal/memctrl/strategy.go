@@ -25,6 +25,9 @@ import (
 //   - commitLeaf fires inside the sealed data-commit (and page-reencrypt)
 //     transaction for the leaf counter block of the written data; whatever
 //     it persists commits atomically with the ciphertext and data MAC.
+//   - onDirty and commitLeaf name the block by its home address and by the
+//     metadata-cache slot it is resident at (its shadow-table slot), so a
+//     hook reaches the way without probing the cache.
 //   - needsForce bounds in-cache counter drift: returning true forces a
 //     write-back of the leaf after the sealed commit.
 //   - afterOp runs at the end of every data operation, outside any seal;
@@ -46,8 +49,8 @@ type strategy interface {
 	// must reserve for cacheSlots tracked blocks (0 = no shadow region).
 	shadowLines(cacheSlots uint64) uint64
 	install(c *Controller) error
-	onDirty(c *Controller, home uint64)
-	commitLeaf(c *Controller, home uint64) error
+	onDirty(c *Controller, home uint64, way int)
+	commitLeaf(c *Controller, home uint64, way int) error
 	needsForce(c *Controller, blk *metacache.Block, slot int) bool
 	afterOp(c *Controller) error
 	onCrash(c *Controller)
@@ -164,11 +167,11 @@ func (c *Controller) reseedRecovered(recovered map[uint64]metacache.Block, slots
 		if b != nil {
 			*b = recovered[addr]
 		}
-		c.mcache.MarkDirty(addr)
-		c.strat.onDirty(c, addr)
-		newSlot := c.mcache.SlotOf(addr)
+		way := c.mcache.SlotOf(addr)
+		c.mcache.MarkDirty(way)
+		c.strat.onDirty(c, addr, way)
 		for _, s := range slotsOf[addr] {
-			if int(s) != newSlot {
+			if int(s) != way {
 				c.invalidateSlot(int(s))
 			}
 		}

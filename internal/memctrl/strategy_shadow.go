@@ -59,17 +59,18 @@ func (s *shadowStrategy) install(c *Controller) error {
 	return err
 }
 
-// onDirty (re)writes the entry describing the dirty block at home — the
-// Anubis "shadow log" write, made on every in-cache modification.
-func (s *shadowStrategy) onDirty(c *Controller, home uint64) {
+// onDirty (re)writes the entry describing the dirty block at home, resident
+// at cache slot way — the Anubis "shadow log" write, made on every
+// in-cache modification.
+func (s *shadowStrategy) onDirty(c *Controller, home uint64, way int) {
 	if c.eager {
 		// Eager mode keeps the root fresh on every write; there is no
 		// stale state for a shadow entry to recover, so the Anubis log
 		// is not maintained.
 		return
 	}
-	blk, ok := c.mcache.Peek(home)
-	if !ok || blk.Kind == metacache.KindMAC {
+	blk := c.mcache.At(way)
+	if blk.Kind == metacache.KindMAC {
 		return
 	}
 	line := serializeBlock(blk)
@@ -91,15 +92,15 @@ func (s *shadowStrategy) onDirty(c *Controller, home uint64) {
 	// entry/MAC pair would fail BMT verification and lose the tracked
 	// block.
 	c.seal("shadow-op")
-	err := c.shadow.Write(c.mcache.SlotOf(home), e)
+	err := c.shadow.Write(way, e)
 	c.unseal("shadow-op")
 	if err != nil {
 		panic(fmt.Sprintf("memctrl: shadow write: %v", err))
 	}
 }
 
-func (s *shadowStrategy) commitLeaf(c *Controller, home uint64) error {
-	s.onDirty(c, home)
+func (s *shadowStrategy) commitLeaf(c *Controller, home uint64, way int) error {
+	s.onDirty(c, home, way)
 	return nil
 }
 

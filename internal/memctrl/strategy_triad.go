@@ -63,9 +63,9 @@ func (s *triadStrategy) install(c *Controller) error {
 // onDirty watches relaxed-level drift: once any slot of a relaxed node has
 // absorbed triadBumpLimit bumps since its last write-back, the node is
 // queued for a deferred force so the recovery search window stays sound.
-func (s *triadStrategy) onDirty(c *Controller, home uint64) {
-	blk, ok := c.mcache.Peek(home)
-	if !ok || blk.Kind != metacache.KindNode || blk.Level <= s.persistLevels {
+func (s *triadStrategy) onDirty(c *Controller, home uint64, way int) {
+	blk := c.mcache.At(way)
+	if blk.Kind != metacache.KindNode || blk.Level <= s.persistLevels {
 		return
 	}
 	if s.deferSet[home] {
@@ -89,11 +89,8 @@ func (s *triadStrategy) onDirty(c *Controller, home uint64) {
 // persisted-level threshold. The caller holds the data-commit seal, so the
 // chain lands atomically with the ciphertext and data MAC — a crash can
 // never strand an acknowledged write behind an unpersisted counter.
-func (s *triadStrategy) commitLeaf(c *Controller, home uint64) error {
-	blk, ok := c.mcache.Peek(home)
-	if !ok {
-		return nil
-	}
+func (s *triadStrategy) commitLeaf(c *Controller, home uint64, way int) error {
+	blk := c.mcache.At(way)
 	level, index := blk.Level, blk.Index
 	for level <= s.persistLevels {
 		h := c.layout.NodeAddr(level, index)

@@ -3,6 +3,7 @@ package metacache
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"soteria/internal/config"
@@ -250,11 +251,16 @@ func FuzzMetacacheMatchesReference(f *testing.F) {
 			return uint64(rng.Intn(universe)) * config.BlockSize
 		}
 		// lastIns is the address most recently inserted, which Pin takes;
-		// held lists pins not yet released (Invalidate and DropAll may
-		// have dropped some already, which Unpin must tolerate).
+		// held lists pins not yet released, by address and slot.
+		// Invalidate and DropAll drop a line's pins, and their holders
+		// with them: a slot names its line only while it is resident.
+		type pin struct {
+			addr uint64
+			slot int
+		}
 		var (
 			lastIns uint64
-			held    []uint64
+			held    []pin
 		)
 
 		for i := 0; i < int(ops); i++ {
@@ -303,38 +309,46 @@ func FuzzMetacacheMatchesReference(f *testing.F) {
 				}
 			case op < 83: // mark dirty
 				a := addr()
-				if got, want := m.MarkDirty(a), ref.markDirty(a); got != want {
-					t.Fatalf("op %d: MarkDirty(%#x) = %v, reference %v", i, a, got, want)
+				slot := m.SlotOf(a)
+				if slot >= 0 {
+					m.MarkDirty(slot)
+				}
+				if got, want := slot >= 0, ref.markDirty(a); got != want {
+					t.Fatalf("op %d: MarkDirty(%#x) found resident=%v, reference %v", i, a, got, want)
 				}
 			case op < 87: // clean (counts a writeback in telemetry)
 				a := addr()
 				m.CleanLine(a)
 				ref.cleanLine(a)
 			case op < 92: // pin the last insertion (pins nest)
-				_, got := m.Peek(lastIns)
-				if want := ref.pin(lastIns); got != want {
+				slot := m.SlotOf(lastIns)
+				if got, want := slot >= 0, ref.pin(lastIns); got != want {
 					t.Fatalf("op %d: Pin(%#x) found resident=%v, reference %v", i, lastIns, got, want)
 				}
-				m.Pin(lastIns)
-				held = append(held, lastIns)
+				if slot >= 0 {
+					m.Pin(slot)
+					held = append(held, pin{lastIns, slot})
+				}
 			case op < 94: // release a pin taken earlier
 				if len(held) == 0 {
 					continue
 				}
 				j := rng.Intn(len(held))
-				a := held[j]
+				p := held[j]
 				held[j] = held[len(held)-1]
 				held = held[:len(held)-1]
-				m.Unpin(a)
-				ref.unpin(a)
+				m.Unpin(p.slot)
+				ref.unpin(p.addr)
 			case op < 99: // invalidate
 				a := addr()
 				if got, want := m.Invalidate(a), ref.invalidate(a); got != want {
 					t.Fatalf("op %d: Invalidate(%#x) = %v, reference %v", i, a, got, want)
 				}
+				held = slices.DeleteFunc(held, func(p pin) bool { return p.addr == a })
 			default: // rare power loss
 				got := len(m.DirtyLines())
 				m.DropAll()
+				held = held[:0]
 				if want := ref.dropAll(); got != want {
 					t.Fatalf("op %d: DropAll dropped %d dirty lines, reference %d", i, got, want)
 				}

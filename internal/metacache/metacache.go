@@ -152,21 +152,44 @@ func New(cfg config.CacheConfig, levels int) (*Cache, error) {
 // refreshes LRU state and returns a pointer to the payload (callers may
 // mutate it in place).
 func (m *Cache) Lookup(homeAddr uint64) (*Block, bool) {
-	b, ok := m.c.Lookup(homeAddr)
-	if ok {
-		m.tel.hits.Inc()
-		noteLevel(m.tel.hitsByLevel, b.Level)
+	b, slot := m.LookupSlot(homeAddr)
+	return b, slot >= 0
+}
+
+// LookupSlot is Lookup that also returns the block's slot (-1 on a
+// miss), through which Hit, Pin, Unpin and MarkDirty reach the way
+// without probing its set again. The slot names the block until it leaves
+// the cache; a pinned block stays.
+func (m *Cache) LookupSlot(homeAddr uint64) (*Block, int) {
+	b, slot := m.c.LookupSlot(homeAddr)
+	if slot >= 0 {
+		m.noteHit(b)
 	} else {
 		m.tel.misses.Inc()
 	}
-	return b, ok
+	return b, slot
 }
+
+// Hit records one more access to the resident block at slot, counted and
+// LRU-refreshed exactly as a Lookup hit, without the probe.
+func (m *Cache) Hit(slot int) {
+	m.c.Hit(slot)
+	m.noteHit(m.c.At(slot))
+}
+
+func (m *Cache) noteHit(b *Block) {
+	m.tel.hits.Inc()
+	noteLevel(m.tel.hitsByLevel, b.Level)
+}
+
+// At returns the resident block at slot.
+func (m *Cache) At(slot int) *Block { return m.c.At(slot) }
 
 // Peek probes without LRU/statistics side effects.
 func (m *Cache) Peek(homeAddr uint64) (*Block, bool) { return m.c.Peek(homeAddr) }
 
-// MarkDirty marks a resident block dirty.
-func (m *Cache) MarkDirty(homeAddr uint64) bool { return m.c.MarkDirty(homeAddr) }
+// MarkDirty marks the resident block at slot dirty.
+func (m *Cache) MarkDirty(slot int) { m.c.MarkDirtyAt(slot) }
 
 // CleanLine clears a resident block's dirty bit after write-back.
 func (m *Cache) CleanLine(homeAddr uint64) {
@@ -239,12 +262,13 @@ func (m *Cache) Victim(homeAddr uint64) (Evicted, bool) {
 	return evicted(b, ev), true
 }
 
-// Pin keeps a resident block from being evicted until a matching Unpin;
-// pins nest. Pinning an absent block does nothing.
-func (m *Cache) Pin(homeAddr uint64) { m.c.Pin(homeAddr) }
+// Pin keeps the resident block at slot from being evicted until a
+// matching Unpin; pins nest. Invalidate and DropAll drop the pins with the
+// block.
+func (m *Cache) Pin(slot int) { m.c.Pin(slot) }
 
-// Unpin releases one Pin of a resident block.
-func (m *Cache) Unpin(homeAddr uint64) { m.c.Unpin(homeAddr) }
+// Unpin releases one Pin of the block at slot.
+func (m *Cache) Unpin(slot int) { m.c.Unpin(slot) }
 
 // NoteEvictionWriteback records one dirty tree block written back under
 // eviction pressure. The controller pre-cleans dirty victims (write-back

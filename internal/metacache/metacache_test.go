@@ -73,9 +73,7 @@ func TestDirtyLifecycle(t *testing.T) {
 	if len(m.DirtyLines()) != 0 {
 		t.Fatal("clean insert is dirty")
 	}
-	if !m.MarkDirty(0) {
-		t.Fatal("mark failed")
-	}
+	m.MarkDirty(m.SlotOf(0))
 	if !m.IsDirty(0) || len(m.DirtyLines()) != 1 {
 		t.Fatal("dirty not listed")
 	}

@@ -13,7 +13,9 @@ import (
 // FuzzWPQMatchesReference drives Queue and the map-indexed refQueue through
 // the same script of Push / PushAtomic / Pending / Depth / FlushTime calls
 // at non-decreasing times and requires identical answers, returned times,
-// statistics, pending entries, bank horizons and device images.
+// statistics, pending entries, bank horizons and device images. Every
+// push goes through PushReport, whose coalesce report must match the
+// reference's and what Pending answered just before the push.
 // Addresses come from a small pool so coalescing, duplicate entries from
 // atomic groups, stalls and out-of-order bank completions all occur.
 func FuzzWPQMatchesReference(f *testing.F) {
@@ -48,9 +50,15 @@ func FuzzWPQMatchesReference(f *testing.F) {
 			line[0], line[1] = byte(i), byte(i>>8)
 			switch op {
 			case 0:
-				a, b := q.Push(now, addr(arg), &line), ref.Push(now, addr(arg), &line)
+				pending := q.Pending(now, addr(arg))
+				a, aCoalesced := q.PushReport(now, addr(arg), &line)
+				b, bCoalesced := ref.Push(now, addr(arg), &line)
 				if a != b {
 					t.Fatalf("step %d: Push returned %v, reference %v", i, a, b)
+				}
+				if aCoalesced != bCoalesced || aCoalesced != pending {
+					t.Fatalf("step %d: Push(%#x) coalesced=%v, reference %v, Pending before it %v",
+						i, addr(arg), aCoalesced, bCoalesced, pending)
 				}
 				now = a
 			case 1:

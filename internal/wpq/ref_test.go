@@ -63,12 +63,14 @@ func (q *refQueue) earliest() sim.Time {
 	return earliest
 }
 
-func (q *refQueue) Push(now sim.Time, addr uint64, data *nvm.Line) sim.Time {
+// Push returns the producer's time after any stall and whether the write
+// coalesced into a queued entry.
+func (q *refQueue) Push(now sim.Time, addr uint64, data *nvm.Line) (sim.Time, bool) {
 	q.drain(now)
 	if q.inQueue[addr] > 0 {
 		q.dev.Write(addr, data)
 		q.stats.Coalesced++
-		return now
+		return now, true
 	}
 	if len(q.pending) >= q.capacity {
 		earliest := q.earliest()
@@ -86,7 +88,7 @@ func (q *refQueue) Push(now sim.Time, addr uint64, data *nvm.Line) sim.Time {
 	if len(q.pending) > q.stats.MaxDepth {
 		q.stats.MaxDepth = len(q.pending)
 	}
-	return now
+	return now, false
 }
 
 func (q *refQueue) PushAtomic(now sim.Time, writes []Write) sim.Time {

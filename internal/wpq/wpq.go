@@ -185,11 +185,19 @@ func (q *Queue) stall(now sim.Time) sim.Time {
 // entry and no extra bank time. This is what makes the eagerly rewritten
 // shadow-tree lines nearly free in steady state.
 func (q *Queue) Push(now sim.Time, addr uint64, data *nvm.Line) sim.Time {
+	now, _ = q.PushReport(now, addr, data)
+	return now
+}
+
+// PushReport is Push that also reports whether the write coalesced into a
+// queued entry — what Pending(now, addr) would have answered just before —
+// so a caller that books NVM writes needs no second scan of the queue.
+func (q *Queue) PushReport(now sim.Time, addr uint64, data *nvm.Line) (sim.Time, bool) {
 	if q.Pending(now, addr) {
 		q.dev.Write(addr, data)
 		q.stats.Coalesced++
 		q.tel.coalesced.Inc()
-		return now
+		return now, true
 	}
 	if len(q.pending) >= q.capacity {
 		// Stall until an entry drains. Entries complete in the order
@@ -206,7 +214,7 @@ func (q *Queue) Push(now sim.Time, addr uint64, data *nvm.Line) sim.Time {
 		q.stats.MaxDepth = len(q.pending)
 	}
 	q.tel.depthMax.SetMax(int64(len(q.pending)))
-	return now
+	return now, false
 }
 
 // PushAtomic accepts a group of writes that must commit together (for

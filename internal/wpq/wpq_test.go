@@ -8,7 +8,7 @@ import (
 	"soteria/internal/sim"
 )
 
-func newQ(t *testing.T, capacity, banks int) (*Queue, *nvm.Device) {
+func newQ(t testing.TB, capacity, banks int) (*Queue, *nvm.Device) {
 	t.Helper()
 	dev, err := nvm.NewDevice(1<<20, nil)
 	if err != nil {
