@@ -1,7 +1,7 @@
 // Package cache is the one set-associative, write-back, true-LRU cache of
 // the simulated system. Its two users instantiate it with their own
 // payload: cpusim's L1/L2/LLC data hierarchy carries plaintext lines, and
-// metacache carries decoded counter blocks, tree nodes and MAC lines.
+// metacache carries counter blocks, tree nodes and MAC lines as stored.
 //
 // The backing store is a single flat array of sets×ways, indexed
 // set*ways+way, with the line number, valid/dirty bits, an inline LRU tick
@@ -88,28 +88,35 @@ func (c *Cache[V]) find(addr uint64) int {
 	return -1
 }
 
-// wayFor is the cache's replacement policy: the slot an insertion of addr
-// occupies is its resident way, else the least recently used of the set's
-// unpinned ways. A free way was never used (its tick is 0), so it goes
-// before any resident line; the occupant of a valid victim is evicted
-// (evict is true). When addr is not resident and every way is pinned there
-// is no slot (-1).
-func (c *Cache[V]) wayFor(addr uint64) (slot int, line uint64, evict bool) {
+// Place is the cache's replacement policy: it names the slot an insertion
+// of addr would occupy right now, without changing any state. That is
+// addr's own way when it is resident (resident is true), else the least
+// recently used of the set's unpinned ways. A free way was never used (its
+// tick is 0), so it goes before any resident line; the occupant of a valid
+// victim would be evicted, and ev names it (evict is true) while its
+// payload still sits in the slot. When addr is not resident and every way
+// is pinned there is no slot (-1). ClaimAt(slot, addr, dirty) then claims
+// the named way without probing the set again.
+func (c *Cache[V]) Place(addr uint64) (slot int, resident bool, ev Evicted, evict bool) {
 	line, base := c.set(addr)
 	ws := c.ways[base : base+c.assoc]
 	victim := -1
 	for i := range ws {
 		if ws[i].valid && ws[i].line == line {
-			return base + i, line, false
+			return base + i, true, Evicted{}, false
 		}
 		if ws[i].pins == 0 && (victim < 0 || ws[i].lru < ws[victim].lru) {
 			victim = i
 		}
 	}
 	if victim < 0 {
-		return -1, line, false
+		return -1, false, Evicted{}, false
 	}
-	return base + victim, line, ws[victim].valid
+	w := &ws[victim]
+	if !w.valid {
+		return base + victim, false, Evicted{}, false
+	}
+	return base + victim, false, Evicted{Addr: w.line * config.BlockSize, Dirty: w.dirty}, true
 }
 
 // Lookup probes the cache. On a hit it refreshes LRU state and returns a
@@ -160,13 +167,21 @@ func (c *Cache[V]) Peek(addr uint64) (*V, bool) {
 // evicts nothing. When every way of the set is pinned nothing changes and
 // the payload is nil.
 func (c *Cache[V]) Claim(addr uint64, dirty bool) (*V, Evicted, bool) {
-	i, line, evict := c.wayFor(addr)
-	if i < 0 {
+	slot, _, _, _ := c.Place(addr)
+	if slot < 0 {
 		return nil, Evicted{}, false
 	}
+	return c.ClaimAt(slot, addr, dirty)
+}
+
+// ClaimAt is Claim into the slot Place(addr) named, with no state changed
+// in between: it evicts that way's occupant unless it already holds addr.
+func (c *Cache[V]) ClaimAt(slot int, addr uint64, dirty bool) (*V, Evicted, bool) {
 	c.tick++
-	w := &c.ways[i]
+	line := addr / config.BlockSize
+	w := &c.ways[slot]
 	var ev Evicted
+	evict := w.valid && w.line != line
 	if evict {
 		ev = Evicted{Addr: w.line * config.BlockSize, Dirty: w.dirty}
 		c.stats.Evictions++
@@ -178,22 +193,6 @@ func (c *Cache[V]) Claim(addr uint64, dirty bool) (*V, Evicted, bool) {
 	}
 	w.valid, w.dirty, w.line, w.lru = true, dirty, line, c.tick
 	return &w.value, ev, evict
-}
-
-// Victim predicts what Claim(addr, ...) would evict right now, without
-// changing any state: nothing when addr is resident, its set has a free
-// way or every way is pinned, otherwise the set's LRU unpinned line, whose
-// payload is returned in place.
-// The secure controller uses this to write back a dirty victim *before*
-// the insertion so the victim's shadow-table entry stays valid until its
-// contents are durable.
-func (c *Cache[V]) Victim(addr uint64) (*V, Evicted, bool) {
-	i, _, evict := c.wayFor(addr)
-	if !evict {
-		return nil, Evicted{}, false
-	}
-	w := &c.ways[i]
-	return &w.value, Evicted{Addr: w.line * config.BlockSize, Dirty: w.dirty}, true
 }
 
 // Pin keeps the resident line at slot from being chosen as a victim

@@ -63,10 +63,11 @@ func TestLRUEviction(t *testing.T) {
 	insert(c, 0, "a", false)
 	insert(c, 256, "b", false)
 	c.Lookup(0) // make "a" most recently used
-	if _, ev, has := c.Victim(512); !has || ev.Addr != 256 {
-		t.Fatalf("Victim predicted %+v %v, want line 256", ev, has)
+	slot, res, pev, phas := c.Place(512)
+	if res || !phas || pev.Addr != 256 || slot != c.SlotOf(256) {
+		t.Fatalf("Place(512) = %d %v %+v %v, want line 256's slot %d", slot, res, pev, phas, c.SlotOf(256))
 	}
-	p, ev, has := c.Claim(512, false)
+	p, ev, has := c.ClaimAt(slot, 512, false)
 	if !has {
 		t.Fatal("no eviction from full set")
 	}
@@ -88,12 +89,15 @@ func TestPinnedWaysAreNotVictims(t *testing.T) {
 	insert(c, 256, "b", false)
 	a, b := c.SlotOf(0), c.SlotOf(256)
 	c.Pin(a)
-	if _, ev, has := c.Victim(512); !has || ev.Addr != 256 {
-		t.Fatalf("Victim predicted %+v %v, want the unpinned line 256", ev, has)
+	if slot, _, ev, has := c.Place(512); !has || ev.Addr != 256 || slot != b {
+		t.Fatalf("Place predicted %d %+v %v, want the unpinned line 256", slot, ev, has)
 	}
 	c.Pin(b)
-	if _, _, has := c.Victim(512); has {
-		t.Fatal("Victim chose a pinned way")
+	if slot, _, _, has := c.Place(512); has || slot != -1 {
+		t.Fatalf("Place chose pinned way %d", slot)
+	}
+	if slot, res, _, has := c.Place(256); !res || has || slot != b {
+		t.Fatalf("Place(256) = %d %v %v, want its own pinned slot %d", slot, res, has, b)
 	}
 	before := c.Stats()
 	if p, _, has := c.Claim(512, true); p != nil || has {
@@ -109,13 +113,13 @@ func TestPinnedWaysAreNotVictims(t *testing.T) {
 	c.Pin(a) // pins nest
 	c.Unpin(a)
 	c.Unpin(b)
-	if _, ev, has := c.Victim(512); !has || ev.Addr != 256 {
-		t.Fatalf("after Unpin, Victim predicted %+v %v, want line 256", ev, has)
+	if _, _, ev, has := c.Place(512); !has || ev.Addr != 256 {
+		t.Fatalf("after Unpin, Place predicted %+v %v, want line 256", ev, has)
 	}
 	c.Unpin(a)
 	c.Lookup(256)
-	if _, ev, has := c.Victim(512); !has || ev.Addr != 0 {
-		t.Fatalf("after the last Unpin, Victim predicted %+v %v, want line 0", ev, has)
+	if _, _, ev, has := c.Place(512); !has || ev.Addr != 0 {
+		t.Fatalf("after the last Unpin, Place predicted %+v %v, want line 0", ev, has)
 	}
 }
 

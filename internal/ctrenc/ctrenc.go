@@ -414,6 +414,52 @@ func CounterLineMAC(e *Engine, blockIndex, parentCounter uint64, line *[BlockSiz
 	return e.MAC(DomainCounter, blockIndex, parentCounter, line[:56])
 }
 
+// CounterLine is a split-counter block in its stored form, the 64-byte line
+// CounterBlock.Serialize produces, read and updated in place: a metadata
+// cache way holds the line NVM stores, so a fill is a copy and a
+// write-back MACs the way's own bytes. Its methods mirror CounterBlock's.
+type CounterLine [BlockSize]byte
+
+// Major returns the major counter (bytes 0..7).
+func (l *CounterLine) Major() uint64 { return binary.LittleEndian.Uint64(l[0:8]) }
+
+// minorAt returns the byte offset and bit shift of slot i's minor: bits
+// [6i, 6i+6) of bytes 8..55, inside the little-endian 16-bit word at off.
+func minorAt(i int) (off int, shift uint) {
+	bit := i * MinorBits
+	return 8 + bit/8, uint(bit % 8)
+}
+
+// Minor returns slot i's minor counter.
+func (l *CounterLine) Minor(i int) uint8 {
+	off, shift := minorAt(i)
+	return uint8(binary.LittleEndian.Uint16(l[off:])>>shift) & MinorMax
+}
+
+// Counter returns the full encryption counter for slot i, as
+// CounterBlock.Counter does.
+func (l *CounterLine) Counter(i int) uint64 {
+	return l.Major()<<MinorBits | uint64(l.Minor(i))
+}
+
+// Increment advances slot i's minor counter, or reports overflow=true and
+// changes nothing when it is at MinorMax, as CounterBlock.Increment does.
+// Below MinorMax the add cannot carry out of the 6-bit field.
+func (l *CounterLine) Increment(i int) (overflow bool) {
+	if l.Minor(i) == MinorMax {
+		return true
+	}
+	off, shift := minorAt(i)
+	binary.LittleEndian.PutUint16(l[off:], binary.LittleEndian.Uint16(l[off:])+1<<shift)
+	return false
+}
+
+// BumpMajor increments the major counter and clears every minor.
+func (l *CounterLine) BumpMajor() {
+	binary.LittleEndian.PutUint64(l[0:8], l.Major()+1)
+	clear(l[8:56])
+}
+
 // packMinors packs 64 6-bit values into 48 bytes, minor i in bits
 // [6i, 6i+6) little-endian. Sixteen minors at a time become two 48-bit words
 // (squeezeMinors) stored as twelve bytes, never past dst.

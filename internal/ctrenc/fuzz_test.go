@@ -54,3 +54,67 @@ func FuzzCtrEncRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCounterLineMatchesBlock runs one op script over a CounterBlock and
+// over its stored form, a CounterLine, from the same starting state
+// (major, MAC and minors from the inputs, each minor masked to MinorMax),
+// and demands that after every op the line equals the block's Serialize()
+// and that Major, Minor and Counter read the block's fields.
+//
+// The script is read a byte at a time: 0xFF bumps the major counter,
+// 0x80..0xBF increments slot op&63 until it overflows at MinorMax (both
+// sides must report the overflow at the same step and change nothing), and
+// any other byte increments slot op%64 once.
+func FuzzCounterLineMatchesBlock(f *testing.F) {
+	f.Add(uint64(0), uint64(0), []byte{}, []byte{0, 1, 63, 0xFF, 0})
+	f.Add(uint64(7), uint64(0xDEADBEEF), bytes.Repeat([]byte{MinorMax}, CountersPerBlock), []byte{5, 0x85, 0xFF, 5})
+	f.Add(^uint64(0), ^uint64(0), []byte{62, 63, 1}, []byte{0x80, 1, 1, 0xBF, 0xFF, 0x81})
+	f.Fuzz(func(t *testing.T, major, mac uint64, minors, script []byte) {
+		cb := CounterBlock{Major: major, MAC: mac}
+		for i := 0; i < len(minors) && i < CountersPerBlock; i++ {
+			cb.Minors[i] = minors[i] & MinorMax
+		}
+		l := CounterLine(cb.Serialize())
+		check := func(step int) {
+			t.Helper()
+			if [BlockSize]byte(l) != cb.Serialize() {
+				t.Fatalf("step %d: line %x, block serializes to %x", step, l, cb.Serialize())
+			}
+			if l.Major() != cb.Major {
+				t.Fatalf("step %d: Major %d, block %d", step, l.Major(), cb.Major)
+			}
+			for i := 0; i < CountersPerBlock; i++ {
+				if l.Minor(i) != cb.Minors[i] || l.Counter(i) != cb.Counter(i) {
+					t.Fatalf("step %d: slot %d reads minor %d counter %d, block %d/%d",
+						step, i, l.Minor(i), l.Counter(i), cb.Minors[i], cb.Counter(i))
+				}
+			}
+		}
+		inc := func(step, slot int) bool {
+			t.Helper()
+			got, want := l.Increment(slot), cb.Increment(slot)
+			if got != want {
+				t.Fatalf("step %d: Increment(%d) overflow=%v, block %v", step, slot, got, want)
+			}
+			check(step)
+			return got
+		}
+		check(-1)
+		for step, op := range script {
+			switch {
+			case op == 0xFF:
+				l.BumpMajor()
+				cb.BumpMajor()
+				check(step)
+			case op&0xC0 == 0x80:
+				for n := 0; !inc(step, int(op&63)); n++ {
+					if n > MinorMax {
+						t.Fatalf("step %d: slot %d never overflowed", step, op&63)
+					}
+				}
+			default:
+				inc(step, int(op%CountersPerBlock))
+			}
+		}
+	})
+}

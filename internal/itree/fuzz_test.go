@@ -1,6 +1,8 @@
 package itree
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"soteria/internal/ctrenc"
@@ -98,6 +100,56 @@ func FuzzITreeVerifyAfterUpdate(f *testing.F) {
 		store.WriteLine(victim*BlockSize, &raw)
 		if _, err := b.Verify(victim); err == nil {
 			t.Fatalf("tampered leaf %d still verifies", victim)
+		}
+	})
+}
+
+// FuzzNodeLineMatchesNode runs one op script over a Node and over its
+// stored form, a NodeLine, from the same starting state (counters taken
+// from init eight bytes at a time, masked to CounterMask; the MAC from
+// mac), and demands that after every op the line equals the node's
+// Serialize() and that each 7-byte field, read byte by byte, and Counter
+// hold the node's counter. Every script byte increments slot op%8; a
+// counter at CounterMask wraps to zero on both sides.
+func FuzzNodeLineMatchesNode(f *testing.F) {
+	f.Add([]byte{}, uint64(0), []byte{0, 1, 7, 7, 3})
+	f.Add(bytes.Repeat([]byte{0xFF}, 64), ^uint64(0), []byte{0, 2, 4, 6, 0, 8, 15})
+	f.Add([]byte{0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x00}, uint64(42), []byte{0, 0, 0})
+	f.Fuzz(func(t *testing.T, init []byte, mac uint64, script []byte) {
+		n := Node{MAC: mac}
+		for i := range n.Counters {
+			var w [8]byte
+			if len(init) > i*8 {
+				copy(w[:], init[i*8:])
+			}
+			n.Counters[i] = binary.LittleEndian.Uint64(w[:]) & CounterMask
+		}
+		l := NodeLine(n.Serialize())
+		check := func(step int) {
+			t.Helper()
+			if [BlockSize]byte(l) != n.Serialize() {
+				t.Fatalf("step %d: line %x, node serializes to %x", step, l, n.Serialize())
+			}
+			for i, c := range n.Counters {
+				for k := 0; k < 7; k++ {
+					if l[i*7+k] != byte(c>>(8*k)) {
+						t.Fatalf("step %d: counter %d byte %d is %#x, node counter %#x", step, i, k, l[i*7+k], c)
+					}
+				}
+				if l.Counter(i) != c {
+					t.Fatalf("step %d: Counter(%d) = %#x, node %#x", step, i, l.Counter(i), c)
+				}
+			}
+			if binary.LittleEndian.Uint64(l[56:]) != n.MAC {
+				t.Fatalf("step %d: MAC bytes %x, node MAC %#x", step, l[56:], n.MAC)
+			}
+		}
+		check(-1)
+		for step, op := range script {
+			slot := int(op % CountersPerNode)
+			l.Increment(slot)
+			n.Increment(slot)
+			check(step)
 		}
 	})
 }

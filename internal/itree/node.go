@@ -14,32 +14,36 @@ const CounterBits = 56
 // CounterMask masks a ToC counter to its stored width.
 const CounterMask = (uint64(1) << CounterBits) - 1
 
+// CountersPerNode is the number of child counters in a ToC node.
+const CountersPerNode = 8
+
 // Node is one intermediate node of the Tree of Counters: one counter per
 // child plus an embedded MAC. The MAC covers the node's own counters and is
 // keyed by the node's position and its parent's counter for this subtree —
 // the inter-level dependency that makes ToC replay-resistant but also, as
 // the paper stresses, *not* recomputable from children after an error.
 type Node struct {
-	Counters [8]uint64 // each at most CounterBits wide
+	Counters [CountersPerNode]uint64 // each at most CounterBits wide
 	MAC      uint64
 }
 
 // Serialize packs the node into one 64-byte line: eight 7-byte counters
 // followed by the 8-byte MAC.
 func (n *Node) Serialize() [BlockSize]byte {
-	var out [BlockSize]byte
+	var l NodeLine
 	for i, c := range n.Counters {
-		putUint56(out[i*7:(i+1)*7], c&CounterMask)
+		l.SetCounter(i, c)
 	}
-	binary.LittleEndian.PutUint64(out[56:64], n.MAC)
-	return out
+	binary.LittleEndian.PutUint64(l[56:64], n.MAC)
+	return l
 }
 
 // DeserializeNode unpacks a 64-byte line into a ToC node.
 func DeserializeNode(line *[BlockSize]byte) Node {
 	var n Node
+	l := (*NodeLine)(line)
 	for i := range n.Counters {
-		n.Counters[i] = getUint56(line[i*7 : (i+1)*7])
+		n.Counters[i] = l.Counter(i)
 	}
 	n.MAC = binary.LittleEndian.Uint64(line[56:64])
 	return n
@@ -69,16 +73,24 @@ func (n *Node) Increment(slot int) {
 	n.Counters[slot] = (n.Counters[slot] + 1) & CounterMask
 }
 
-func putUint56(dst []byte, v uint64) {
-	for i := 0; i < 7; i++ {
-		dst[i] = byte(v >> uint(8*i))
-	}
+// NodeLine is a ToC node in its stored form, the 64-byte line
+// Node.Serialize produces, read and updated in place: a metadata cache way
+// holds the line NVM stores. Counter i is the little-endian 7-byte field at
+// bytes 7i..7i+6; the MAC is bytes 56..63.
+type NodeLine [BlockSize]byte
+
+// Counter returns child slot i's counter.
+func (l *NodeLine) Counter(i int) uint64 {
+	return binary.LittleEndian.Uint64(l[i*7:]) & CounterMask
 }
 
-func getUint56(src []byte) uint64 {
-	var v uint64
-	for i := 0; i < 7; i++ {
-		v |= uint64(src[i]) << uint(8*i)
-	}
-	return v
+// SetCounter stores v, masked to CounterBits, as child slot i's counter,
+// leaving the byte after the field as it is.
+func (l *NodeLine) SetCounter(i int, v uint64) {
+	w := binary.LittleEndian.Uint64(l[i*7:])
+	binary.LittleEndian.PutUint64(l[i*7:], w&^CounterMask|v&CounterMask)
 }
+
+// Increment bumps child slot i's counter, wrapping at CounterMask, as
+// Node.Increment does.
+func (l *NodeLine) Increment(i int) { l.SetCounter(i, l.Counter(i)+1) }

@@ -42,7 +42,7 @@ func (c *Controller) ReadBlock(now sim.Time, addr uint64) ([nvm.LineSize]byte, s
 	if err != nil {
 		return nvm.Line{}, c.now, err
 	}
-	counter := cb.Counter.Counter(slot)
+	counter := cb.Counter().Counter(slot)
 
 	// Cold-read semantics: a never-written block reads as zeroes with
 	// nothing to verify. (The counter can be non-zero here: a page
@@ -128,7 +128,7 @@ func (c *Controller) WriteBlock(now sim.Time, addr uint64, data *[nvm.LineSize]b
 func (c *Controller) writeSecure(addr, blockIdx, leafIdx uint64, cb *metacache.Block, leaf int, data *[nvm.LineSize]byte) error {
 	home := c.layout.NodeAddr(1, leafIdx)
 	slot := c.layout.SlotOf(blockIdx)
-	if cb.Counter.Minors[slot] == ctrenc.MinorMax {
+	if cb.Counter().Minor(slot) == ctrenc.MinorMax {
 		// Minor overflow: re-encrypt the whole covered page under an
 		// incremented major counter before the bump.
 		if err := c.reencryptPage(leafIdx, cb, leaf); err != nil {
@@ -145,10 +145,10 @@ func (c *Controller) writeSecure(addr, blockIdx, leafIdx uint64, cb *metacache.B
 	if err != nil {
 		return err
 	}
-	if cb.Counter.Increment(slot) {
+	if cb.Counter().Increment(slot) {
 		panic("memctrl: minor overflow immediately after page re-encryption")
 	}
-	counter := cb.Counter.Counter(slot)
+	counter := cb.Counter().Counter(slot)
 	cb.UpdatesPerSlot[slot]++
 	needForce := c.strat.needsForce(c, cb, slot)
 	c.mcache.MarkDirty(leaf)
@@ -221,9 +221,9 @@ func (c *Controller) reencryptPage(leafIdx uint64, cb *metacache.Block, leaf int
 func (c *Controller) reencryptPageInner(leafIdx uint64, cb *metacache.Block, leaf int) error {
 	var oldCounters [ctrenc.CountersPerBlock]uint64
 	for i := range oldCounters {
-		oldCounters[i] = cb.Counter.Counter(i)
+		oldCounters[i] = cb.Counter().Counter(i)
 	}
-	cb.Counter.BumpMajor()
+	cb.Counter().BumpMajor()
 
 	firstBlock := leafIdx * uint64(ctrenc.CountersPerBlock)
 	for i := 0; i < ctrenc.CountersPerBlock; i++ {
@@ -248,9 +248,9 @@ func (c *Controller) reencryptPageInner(leafIdx uint64, cb *metacache.Block, lea
 			return fmt.Errorf("%w: block %#x during page re-encryption", ErrMACMismatch, addr)
 		}
 		pt := c.eng.Decrypt(addr, oldCounters[i], &ct)
-		nct := c.eng.Encrypt(addr, cb.Counter.Counter(i), &pt)
+		nct := c.eng.Encrypt(addr, cb.Counter().Counter(i), &pt)
 		c.pushWrite(addr, &nct, WCData)
-		c.setDataMAC(mb, macSlot, blockIdx, c.eng.DataMAC(addr, cb.Counter.Counter(i), &nct))
+		c.setDataMAC(mb, macSlot, blockIdx, c.eng.DataMAC(addr, cb.Counter().Counter(i), &nct))
 	}
 
 	// The leaf changed wholesale: refresh bookkeeping and its tracking

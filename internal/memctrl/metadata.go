@@ -10,6 +10,7 @@ import (
 	"soteria/internal/itree"
 	"soteria/internal/metacache"
 	"soteria/internal/nvm"
+	"soteria/internal/telemetry"
 	"soteria/internal/wpq"
 )
 
@@ -51,30 +52,15 @@ func (c *Controller) verifyLine(level int, index, pctr uint64, l *nvm.Line) bool
 	return mac == binary.LittleEndian.Uint64(l[56:])
 }
 
-// decodeInto decodes a verified line of node (level, index) into b, which
-// must be zero (a freshly claimed cache way, or a new variable).
+// decodeInto fills b, a freshly claimed way or a new variable, with the
+// verified line of node (level, index): the way holds the stored line
+// itself, so the fill is a copy.
 func decodeInto(b *metacache.Block, level int, index uint64, line *nvm.Line) {
-	b.Level, b.Index = level, index
+	b.Kind, b.Level, b.Index = metacache.KindNode, level, index
 	if level == 1 {
 		b.Kind = metacache.KindCounter
-		b.Counter = ctrenc.DeserializeCounterBlock(line)
-		return
 	}
-	b.Kind = metacache.KindNode
-	b.Node = itree.DeserializeNode(line)
-}
-
-// serializeBlock renders a metadata block's current content (MAC field
-// included as stored).
-func serializeBlock(b *metacache.Block) nvm.Line {
-	switch b.Kind {
-	case metacache.KindCounter:
-		return b.Counter.Serialize()
-	case metacache.KindNode:
-		return b.Node.Serialize()
-	default:
-		return b.Raw
-	}
+	b.Line = *line // alone, so the copy needs no temporary
 }
 
 // parentCounterOf returns the counter protecting node (level, index),
@@ -88,7 +74,7 @@ func (c *Controller) parentCounterOf(level int, index uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return pb.Node.Counters[slot], nil
+	return pb.Node().Counter(slot), nil
 }
 
 // getBlock returns a trusted metadata block and its cache slot, fetching
@@ -100,11 +86,12 @@ func (c *Controller) getBlock(level int, index uint64) (*metacache.Block, int, e
 	if b, slot := c.mcache.LookupSlot(home); slot >= 0 {
 		return b, slot, nil
 	}
-	if err := c.fetchBlock(level, index); err != nil {
+	slot, err := c.fetchBlock(level, index)
+	if err != nil {
 		return nil, -1, err
 	}
-	b, slot := c.mcache.LookupSlot(home)
-	return b, slot, nil
+	c.mcache.Hit(slot)
+	return c.mcache.At(slot), slot, nil
 }
 
 // pendingFill is one fetched line waiting for its cache way.
@@ -114,13 +101,13 @@ type pendingFill struct {
 }
 
 // fetchBlock reads node (level, index) from NVM, verifies it through the
-// Soteria fault handler (which consults clones on failure), and inserts it
-// clean into the metadata cache.
-func (c *Controller) fetchBlock(level int, index uint64) error {
+// Soteria fault handler (which consults clones on failure), inserts it
+// clean into the metadata cache and returns its slot.
+func (c *Controller) fetchBlock(level int, index uint64) (int, error) {
 	home := c.layout.NodeAddr(level, index)
 	pctr, err := c.parentCounterOf(level, index)
 	if err != nil {
-		return err
+		return -1, err
 	}
 	line, out, clones := c.fh.ReadVerified(level, index, func(l *nvm.Line) bool {
 		return c.verifyLine(level, index, pctr, l)
@@ -132,30 +119,19 @@ func (c *Controller) fetchBlock(level int, index uint64) error {
 	}
 	switch out {
 	case core.OutcomeUnverifiable:
-		return fmt.Errorf("%w: L%d[%d]", ErrUnverifiable, level, index)
+		return -1, fmt.Errorf("%w: L%d[%d]", ErrUnverifiable, level, index)
 	case core.OutcomeTamper:
-		return fmt.Errorf("%w: L%d[%d]", ErrTamper, level, index)
-	}
-	// The parent fetch above can cascade into write-backs that
-	// themselves pull this very block into the cache (and advance its
-	// counters). Inserting the NVM copy now would roll those updates
-	// back; the resident copy is authoritative.
-	if _, ok := c.mcache.Peek(home); ok {
-		return nil
-	}
-	if level >= 0 && level < len(c.tel.fillsByLevel) {
-		c.tel.fillsByLevel[level].Inc()
+		return -1, fmt.Errorf("%w: L%d[%d]", ErrTamper, level, index)
 	}
 	// The line waits in a pending-fill register while its way is claimed:
 	// the claim's cascade may write this block back (see c.fills).
 	c.fills = append(c.fills, pendingFill{home, line})
-	b, err := c.claimWay(home)
-	fill := c.fills[len(c.fills)-1]
-	c.fills = c.fills[:len(c.fills)-1]
+	b, slot, err := c.claimWay(home, c.tel.fill(level))
 	if b != nil {
-		decodeInto(b, level, index, &fill.line)
+		decodeInto(b, level, index, &c.fills[len(c.fills)-1].line)
 	}
-	return err
+	c.fills = c.fills[:len(c.fills)-1]
+	return slot, err
 }
 
 // chargeReadLatency advances time for one NVM line read without performing
@@ -176,12 +152,14 @@ func (c *Controller) chargeReadLatency(addr uint64) {
 // claimWay makes room for the block at home in the metadata cache, fully
 // handling the eviction this causes (write-back with lazy parent update,
 // clone writes, shadow maintenance), and returns the clean, zeroed way the
-// block now occupies for the caller to fill in place. It returns a nil way
-// when the block became resident during that cascade: the resident copy is
-// then authoritative and must not be overwritten. It fails with
+// block now occupies for the caller to fill in place, with its slot. It
+// returns a nil way when the block is already resident, possibly pulled in
+// by that cascade: the resident copy is then authoritative and must not be
+// overwritten, and the slot is its own. fill counts the fill (nil counts
+// nothing) when the block is absent at the first probe. It fails with
 // ErrSetCapacity when every way of the set is pinned; a dirty victim whose
 // write-back was refused that way stays dirty and tracked.
-func (c *Controller) claimWay(home uint64) (*metacache.Block, error) {
+func (c *Controller) claimWay(home uint64, fill *telemetry.Counter) (*metacache.Block, int, error) {
 	// Crash safety: a dirty victim's shadow entry must stay valid until
 	// the victim's write-back clone group is durable, and its slot is only
 	// then handed to the new occupant. Evicting first and writing back
@@ -189,43 +167,45 @@ func (c *Controller) claimWay(home uint64) (*metacache.Block, error) {
 	// victim's in-cache updates untracked across a crash in the window. So
 	// dirty victims are force-written *while still resident* (which clears
 	// their entry after the group is pushed), and only then replaced. A
-	// write-back only moves dirtiness up the tree, so the loop ends.
-	for {
-		v, has := c.mcache.Victim(home)
-		if !has || !v.Dirty {
-			break
+	// write-back only moves dirtiness up the tree, so the loop ends. Each
+	// turn probes the set once; only a write-back's cascade sends it
+	// round again.
+	for turn := 0; ; turn++ {
+		slot, resident, v, evict := c.mcache.Place(home)
+		if resident {
+			// A parent fetch or the pre-clean cascade can pull this very
+			// block into the cache (and advance its counters) while
+			// writing back a victim that happens to be one of its
+			// children. Overwriting it with the stale fetched line would
+			// roll those bumps back and break the children's MACs.
+			return nil, slot, nil
+		}
+		if turn == 0 {
+			fill.Inc()
+		}
+		if slot < 0 {
+			return nil, -1, fmt.Errorf("%w: %#x", ErrSetCapacity, home)
+		}
+		if !evict || !v.Dirty {
+			// Nothing changed since Place, so the claim takes that way
+			// and drops nothing that is not already in memory.
+			b, _, _ := c.mcache.ClaimAt(slot, home, false)
+			return b, slot, nil
 		}
 		c.mcache.NoteEvictionWriteback(v.Level)
 		if err := c.forceWriteback(v.Addr); errors.Is(err, ErrSetCapacity) {
-			return nil, err
+			return nil, -1, err
 		} else if err != nil {
 			// Unverifiable parent chain: the update is lost (the fault
 			// handler accounted the coverage loss). Drop the tracking
-			// entry so the insertion can proceed.
+			// entry so the insertion can proceed; the victim stayed
+			// pinned at its slot through the write-back.
 			c.stats.RecoveryLost++
 			c.tel.recoveryLost.Inc()
 			c.mcache.CleanLine(v.Addr)
-			c.untrack(c.mcache.SlotOf(v.Addr))
+			c.untrack(slot)
 		}
 	}
-	// The pre-clean cascade can fetch (and advance the counters of) this
-	// very block while writing back a victim that happens to be one of its
-	// children. The resident copy is then authoritative; overwriting it
-	// with the stale decoded line would roll those bumps back and break
-	// the children's MACs.
-	if _, ok := c.mcache.Peek(home); ok {
-		return nil, nil
-	}
-	// Victim and Claim select the same way, and the loop above left it
-	// clean, so the claim drops nothing that is not already in memory.
-	b, ev, _ := c.mcache.Claim(home, false)
-	if b == nil {
-		return nil, fmt.Errorf("%w: %#x", ErrSetCapacity, home)
-	}
-	if ev.Dirty {
-		panic(fmt.Sprintf("memctrl: claiming %#x evicted dirty %#x", home, ev.Addr))
-	}
-	return b, nil
 }
 
 // writebackBlock persists a metadata block: it bumps the parent counter
@@ -254,8 +234,8 @@ func (c *Controller) writebackBlock(blk *metacache.Block) error {
 		if err != nil {
 			return err
 		}
-		pb.Node.Increment(slot)
-		pctr = pb.Node.Counters[slot]
+		pb.Node().Increment(slot)
+		pctr = pb.Node().Counter(slot)
 		// Per-slot bump accounting bounds how far the parent's in-cache
 		// counters can drift from NVM — Triad's relaxed levels use it the
 		// way Osiris uses leaf UpdatesPerSlot.
@@ -264,17 +244,15 @@ func (c *Controller) writebackBlock(blk *metacache.Block) error {
 		c.strat.onDirty(c, c.layout.NodeAddr(level+1, pindex), pway)
 	}
 
-	// Both codecs are lossless and keep the MAC out of bytes 0..55, so the
-	// line is serialized once and its new MAC patched into bytes 56..63.
-	line := serializeBlock(blk)
+	// Both codecs keep the MAC out of bytes 0..55, so the way's line is
+	// MACed where it is and the new MAC patched into bytes 56..63.
 	switch blk.Kind {
 	case metacache.KindCounter:
-		blk.Counter.MAC = ctrenc.CounterLineMAC(c.eng, index, pctr, &line)
-		binary.LittleEndian.PutUint64(line[56:], blk.Counter.MAC)
+		binary.LittleEndian.PutUint64(blk.Line[56:], ctrenc.CounterLineMAC(c.eng, index, pctr, &blk.Line))
 	case metacache.KindNode:
-		blk.Node.MAC = itree.NodeLineMAC(c.eng, level, index, pctr, &line)
-		binary.LittleEndian.PutUint64(line[56:], blk.Node.MAC)
+		binary.LittleEndian.PutUint64(blk.Line[56:], itree.NodeLineMAC(c.eng, level, index, pctr, &blk.Line))
 	}
+	line := blk.Line
 	// A fetch of this block waiting for its way read the older image.
 	home := c.layout.NodeAddr(level, index)
 	for i := range c.fills {
@@ -382,24 +360,21 @@ func (c *Controller) getMACLine(dataBlock uint64) (*metacache.Block, int, error)
 	if r.Uncorrectable {
 		return nil, -1, fmt.Errorf("%w: MAC line %d", ErrDataError, lineIdx)
 	}
-	if len(c.tel.fillsByLevel) > 0 {
-		c.tel.fillsByLevel[0].Inc() // MAC lines fill as level 0
-	}
-	b, err := c.claimWay(lineAddr)
+	b, slot, err := c.claimWay(lineAddr, c.tel.fill(0)) // MAC lines fill as level 0
 	if err != nil {
 		return nil, -1, err
 	}
 	if b != nil {
-		b.Kind, b.Index, b.Raw = metacache.KindMAC, lineIdx, r.Data
+		b.Kind, b.Index, b.Line = metacache.KindMAC, lineIdx, r.Data
 	}
-	b, slot := c.mcache.LookupSlot(lineAddr)
-	return b, slot, nil
+	c.mcache.Hit(slot)
+	return c.mcache.At(slot), slot, nil
 }
 
 // storedMAC reads dataBlock's MAC out of its MAC line mb.
 func (c *Controller) storedMAC(mb *metacache.Block, dataBlock uint64) uint64 {
 	_, off := c.layout.DataMACAddr(dataBlock)
-	return binary.LittleEndian.Uint64(mb.Raw[off : off+8])
+	return binary.LittleEndian.Uint64(mb.Line[off : off+8])
 }
 
 // dataMAC reads the stored MAC of a data block.
@@ -419,6 +394,6 @@ func (c *Controller) dataMAC(dataBlock uint64) (uint64, error) {
 func (c *Controller) setDataMAC(mb *metacache.Block, macSlot int, dataBlock uint64, mac uint64) {
 	c.mcache.Hit(macSlot)
 	lineAddr, off := c.layout.DataMACAddr(dataBlock)
-	binary.LittleEndian.PutUint64(mb.Raw[off:off+8], mac)
-	c.pushWrite(lineAddr, &mb.Raw, WCDataMAC)
+	binary.LittleEndian.PutUint64(mb.Line[off:off+8], mac)
+	c.pushWrite(lineAddr, &mb.Line, WCDataMAC)
 }

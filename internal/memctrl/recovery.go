@@ -92,12 +92,12 @@ func counterTotal(b *metacache.Block) uint64 {
 	var t uint64
 	if b.Kind == metacache.KindCounter {
 		for i := 0; i < ctrenc.CountersPerBlock; i++ {
-			t += b.Counter.Counter(i)
+			t += b.Counter().Counter(i)
 		}
 		return t
 	}
-	for _, v := range b.Node.Counters {
-		t += v
+	for i := 0; i < itree.CountersPerNode; i++ {
+		t += b.Node().Counter(i)
 	}
 	return t
 }
@@ -137,33 +137,28 @@ func (c *Controller) recoverBlock(level int, index uint64, e *shadow.Entry) (met
 // counter LSBs (leaf minors via Osiris) and accepts the result iff it
 // reproduces the entry's content MAC.
 func (c *Controller) reconstruct(level int, index uint64, e *shadow.Entry, line *nvm.Line) (metacache.Block, error) {
-	var blk metacache.Block
+	blk := metacache.Block{Kind: metacache.KindNode, Level: level, Index: index}
+	var stale, rec ctrenc.CounterBlock
 	if level == 1 {
-		stale := ctrenc.DeserializeCounterBlock(line)
-		rec, err := c.recoverLeaf(index, stale, e.LSBs[0])
-		if err != nil {
+		stale = ctrenc.DeserializeCounterBlock(line)
+		var err error
+		if rec, err = c.recoverLeaf(index, stale, e.LSBs[0]); err != nil {
 			return metacache.Block{}, err
 		}
-		blk = metacache.Block{
-			Kind: metacache.KindCounter, Level: 1, Index: index,
-			Counter: rec,
-		}
+		blk.Kind, blk.Line = metacache.KindCounter, rec.Serialize()
 	} else {
-		stale := itree.DeserializeNode(line)
-		rec := stale
-		for i := range rec.Counters {
-			rec.Counters[i] = restoreLSB(stale.Counters[i], e.LSBs[i]) & itree.CounterMask
+		n := itree.DeserializeNode(line)
+		for i := range n.Counters {
+			n.Counters[i] = restoreLSB(n.Counters[i], e.LSBs[i]) & itree.CounterMask
 		}
-		blk = metacache.Block{Kind: metacache.KindNode, Level: level, Index: index, Node: rec}
+		blk.Line = n.Serialize()
 	}
 
-	ser := serializeBlock(&blk)
-	if shadow.ContentMAC(c.eng, e.Addr, &ser) != e.MAC {
+	if shadow.ContentMAC(c.eng, e.Addr, &blk.Line) != e.MAC {
 		detail := ""
 		if level == 1 {
-			stale := ctrenc.DeserializeCounterBlock(line)
 			detail = fmt.Sprintf(" (stale major=%d minors=%v; rec major=%d minors=%v; lsb=%#x)",
-				stale.Major, nonzero(stale.Minors[:]), blk.Counter.Major, nonzero(blk.Counter.Minors[:]), e.LSBs[0])
+				stale.Major, nonzero(stale.Minors[:]), rec.Major, nonzero(rec.Minors[:]), e.LSBs[0])
 		}
 		return metacache.Block{}, fmt.Errorf("memctrl: reconstructed L%d[%d] fails shadow MAC%s", level, index, detail)
 	}

@@ -250,13 +250,10 @@ func assertDirtyTracked(t *testing.T, c *Controller) {
 func decryptsTo(c *Controller, addr uint64, want nvm.Line) bool {
 	blockIdx := addr / nvm.LineSize
 	home := c.layout.NodeAddr(1, c.layout.CounterBlockOf(blockIdx))
-	var cb ctrenc.CounterBlock
+	line := ctrenc.CounterLine(c.dev.Read(home).Data)
 	if b, ok := c.mcache.Peek(home); ok {
-		cb = b.Counter
-	} else {
-		line := c.dev.Read(home).Data
-		cb = ctrenc.DeserializeCounterBlock(&line)
+		line = *b.Counter()
 	}
 	ct := c.dev.Read(addr).Data
-	return c.eng.Decrypt(addr, cb.Counter(c.layout.SlotOf(blockIdx)), &ct) == want
+	return c.eng.Decrypt(addr, line.Counter(c.layout.SlotOf(blockIdx)), &ct) == want
 }

@@ -160,14 +160,13 @@ func (c *Controller) reseedRecovered(recovered map[uint64]metacache.Block, slots
 		return slices.Min(slotsOf[order[i]]) < slices.Min(slotsOf[order[j]])
 	})
 	for _, addr := range order {
-		b, err := c.claimWay(addr)
+		b, way, err := c.claimWay(addr, nil)
 		if err != nil {
 			return err
 		}
 		if b != nil {
 			*b = recovered[addr]
 		}
-		way := c.mcache.SlotOf(addr)
 		c.mcache.MarkDirty(way)
 		c.strat.onDirty(c, addr, way)
 		for _, s := range slotsOf[addr] {

@@ -73,17 +73,16 @@ func (s *shadowStrategy) onDirty(c *Controller, home uint64, way int) {
 	if blk.Kind == metacache.KindMAC {
 		return
 	}
-	line := serializeBlock(blk)
 	e := shadow.Entry{Valid: true, Addr: home}
 	if s.content {
-		e.Image = line
+		e.Image = blk.Line
 	} else {
-		e.MAC = shadow.ContentMAC(c.eng, home, &line)
+		e.MAC = shadow.ContentMAC(c.eng, home, &blk.Line)
 		if blk.Kind == metacache.KindCounter {
-			e.LSBs[0] = uint16(blk.Counter.Major & 0xFFFF)
+			e.LSBs[0] = uint16(blk.Counter().Major())
 		} else {
-			for i, ctr := range blk.Node.Counters {
-				e.LSBs[i] = uint16(ctr & 0xFFFF)
+			for i := range e.LSBs {
+				e.LSBs[i] = uint16(blk.Node().Counter(i))
 			}
 		}
 	}

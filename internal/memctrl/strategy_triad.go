@@ -72,8 +72,8 @@ func (s *triadStrategy) onDirty(c *Controller, home uint64, way int) {
 		return
 	}
 	over := false
-	for i := range blk.Node.Counters {
-		if blk.UpdatesPerSlot[i] >= triadBumpLimit {
+	for _, n := range blk.UpdatesPerSlot[:itree.CountersPerNode] {
+		if n >= triadBumpLimit {
 			over = true
 			break
 		}
@@ -297,8 +297,7 @@ func (s *triadStrategy) recover(c *Controller) (*RecoveryReport, error) {
 				pctr = rebuild[level+1][pindex].counters[slot]
 			}
 			node.MAC = node.ContentMAC(c.eng, level, index, pctr)
-			blk := metacache.Block{Kind: metacache.KindNode, Level: level, Index: index, Node: node}
-			line := serializeBlock(&blk)
+			line := node.Serialize()
 			addrs := c.layout.CopyAddrs(level, index)
 			writes := make([]wpq.Write, len(addrs))
 			for i, a := range addrs {

@@ -27,6 +27,15 @@ type telemetryHooks struct {
 	writeSpan telemetry.SpanHandle // WriteBlock, in sim-time ticks
 }
 
+// fill returns the fill counter of a metadata level, or nil (which counts
+// nothing) when telemetry is detached.
+func (h *telemetryHooks) fill(level int) *telemetry.Counter {
+	if level >= 0 && level < len(h.fillsByLevel) {
+		return h.fillsByLevel[level]
+	}
+	return nil
+}
+
 // AttachTelemetry registers the controller's metrics on r and cascades to
 // every layer beneath it (metadata cache, WPQ, NVM device, crypto engine,
 // shadow table and its BMT, fault handler). Passing nil detaches all of

@@ -217,13 +217,15 @@ func randomBlock(rng *rand.Rand, levels int, index uint64) Block {
 // it the internal/cache core — and the naive reference model through the
 // same seeded random access sequence, at an associativity of 1, 2, 4 or 8
 // ways, and demands identical observable behaviour at every step:
-// hit/miss results, eviction victims (address, dirty bit, payload kind and
-// level) as predicted by Victim and as reported by the insertion, and —
-// every 32 operations — the residency, dirty bit and shadow-table slot of
-// every address; then the statistics and telemetry counters at the end.
-// Insertions alternate between Insert and Claim with the payload filled in
-// place, and Pin/Unpin calls leave some sets with no way to give, where
-// both must refuse the insertion.
+// hit/miss results, the slot and eviction victim (address, dirty bit,
+// payload kind and level) Place names, the victim the insertion reports,
+// and — every 32 operations — the residency, dirty bit and shadow-table
+// slot of every address; then the statistics and telemetry counters at
+// the end. Every insertion is preceded by a Place, which must change no
+// statistic or LRU stamp, and is an Insert, a Claim or a ClaimAt into
+// Place's slot, the last two with the payload filled in place; all three
+// must take the way Place named. Pin/Unpin calls leave some sets with no
+// way to give, where Place names none and the insertion is refused.
 func FuzzMetacacheMatchesReference(f *testing.F) {
 	for _, seed := range []int64{1, 2, 42} {
 		f.Add(seed, uint16(10_000), uint8(2)) // 4 ways
@@ -280,32 +282,49 @@ func FuzzMetacacheMatchesReference(f *testing.F) {
 				lastIns = a
 				b := randomBlock(rng, levels, uint64(i))
 				dirty := rng.Intn(2) == 0
-				pv, phas := m.Victim(a)
+				// Place names the way and victim without touching LRU
+				// state or any count; the reference model catches a stamp.
+				before := m.Stats()
+				slot, resident, pv, phas := m.Place(a)
+				if after := m.Stats(); after.Stats != before.Stats || after.DirtyTreeEvictions != before.DirtyTreeEvictions {
+					t.Fatalf("op %d: Place(%#x) changed stats %+v -> %+v", i, a, before.Stats, after.Stats)
+				}
+				if want := ref.slotOf(a); resident != (want >= 0) || resident && slot != want {
+					t.Fatalf("op %d: Place(%#x) = slot %d resident=%v, reference slot %d", i, a, slot, resident, want)
+				}
 				var (
 					p   *Block
 					ev  Evicted
 					has bool
 				)
-				if rng.Intn(2) == 0 {
+				switch rng.Intn(3) {
+				case 0:
 					p, ev, has = m.Insert(a, b, dirty)
-				} else {
+				case 1:
 					p, ev, has = m.Claim(a, dirty)
-					if p != nil && *p != (Block{}) {
+				default:
+					if slot >= 0 {
+						p, ev, has = m.ClaimAt(slot, a, dirty)
+					}
+				}
+				if p != nil && p != m.At(slot) {
+					t.Fatalf("op %d: Insert(%#x) took a way other than Place's slot %d", i, a, slot)
+				}
+				if p != nil && *p != b {
+					if *p != (Block{}) {
 						t.Fatalf("op %d: Claim(%#x) returned a way holding %+v, want it zeroed", i, a, *p)
 					}
-					if p != nil {
-						*p = b
-					}
+					*p = b
 				}
 				want, wHas, wOK := ref.insert(a, b, dirty)
-				if (p != nil) != wOK {
-					t.Fatalf("op %d: Insert(%#x) found a way=%v, reference says %v", i, a, p != nil, wOK)
+				if (p != nil) != wOK || (slot >= 0) != wOK {
+					t.Fatalf("op %d: Insert(%#x) found a way=%v (Place slot %d), reference says %v", i, a, p != nil, slot, wOK)
 				}
 				if has != wHas || phas != wHas {
-					t.Fatalf("op %d: Insert(%#x) evicted=%v (Victim predicted %v), reference says %v", i, a, has, phas, wHas)
+					t.Fatalf("op %d: Insert(%#x) evicted=%v (Place predicted %v), reference says %v", i, a, has, phas, wHas)
 				}
 				if has && (ev != want || pv != want) {
-					t.Fatalf("op %d: Insert(%#x) evicted %+v (Victim predicted %+v), reference %+v", i, a, ev, pv, want)
+					t.Fatalf("op %d: Insert(%#x) evicted %+v (Place predicted %+v), reference %+v", i, a, ev, pv, want)
 				}
 			case op < 83: // mark dirty
 				a := addr()

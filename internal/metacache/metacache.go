@@ -2,9 +2,9 @@
 // and the per-level eviction accounting that drive Figures 4 and 10c of
 // the paper, over internal/cache's set-associative LRU core. The metadata
 // cache is the volatile on-chip structure (Table 3: 512 kB, 8-way) holding
-// decoded counter blocks, ToC nodes and packed data-MAC lines; everything
-// in it is trusted (it is inside the processor), and everything in it is
-// lost at a crash.
+// counter blocks, ToC nodes and packed data-MAC lines, each as the 64-byte
+// line NVM stores; everything in it is trusted (it is inside the
+// processor), and everything in it is lost at a crash.
 //
 // Set/way placement and replacement belong to the core; this package adds
 // what the paper measures on top of it: dirty tree evictions by level,
@@ -50,25 +50,30 @@ func (k Kind) String() string {
 	}
 }
 
-// Block is the decoded payload of one metadata cache line.
+// Block is the payload of one metadata cache line: the line itself, as
+// NVM stores it, plus what the cache knows about it.
 type Block struct {
 	Kind  Kind
 	Level int    // 1 for counters, >=2 for nodes, 0 for MAC lines
 	Index uint64 // node index within its level, or MAC line index
-	// Counter holds the decoded split-counter block when Kind ==
-	// KindCounter.
-	Counter ctrenc.CounterBlock
-	// Node holds the decoded ToC node when Kind == KindNode.
-	Node itree.Node
-	// Raw holds the packed MAC line when Kind == KindMAC.
-	Raw nvm.Line
+	// Line is the block's stored image, read and updated in place: a
+	// packed split-counter block (Counter), a ToC node (Node) or eight
+	// packed data MACs. A fill copies it from NVM, and a write-back
+	// MACs and writes it as it is.
+	Line nvm.Line
 	// UpdatesPerSlot counts in-cache minor-counter increments since the
 	// block was last written back; the Osiris bound forces a write-back
 	// when any slot reaches the recovery limit. Only used for
-	// KindCounter. A fixed array (not a slice) so a decoded block never
-	// drags a heap allocation into the cache line.
+	// KindCounter. A fixed array (not a slice) so a block never drags a
+	// heap allocation into the cache line.
 	UpdatesPerSlot [ctrenc.CountersPerBlock]uint32
 }
+
+// Counter views a KindCounter block's line as its split counters.
+func (b *Block) Counter() *ctrenc.CounterLine { return (*ctrenc.CounterLine)(&b.Line) }
+
+// Node views a KindNode block's line as its ToC counters.
+func (b *Block) Node() *itree.NodeLine { return (*itree.NodeLine)(&b.Line) }
 
 // Stats aggregates metadata-cache behaviour for the evaluation figures.
 type Stats struct {
@@ -202,9 +207,9 @@ func (m *Cache) CleanLine(homeAddr uint64) {
 func (m *Cache) IsDirty(homeAddr uint64) bool { return m.c.IsDirty(homeAddr) }
 
 // Evicted identifies a line an insertion displaces: enough to decide what
-// to do about it (write it back first) without copying its
-// ~500-byte payload. A caller that needs the payload of a predicted victim
-// reads it in place with Peek(Addr).
+// to do about it (write it back first) without copying its 344-byte
+// payload. A caller that needs the payload of a predicted victim reads it
+// in place at the slot Place named.
 type Evicted struct {
 	Addr  uint64
 	Dirty bool
@@ -218,16 +223,22 @@ func evicted(b *Block, ev cache.Evicted) Evicted {
 }
 
 // Claim makes homeAddr resident and returns its way's payload, zeroed, for
-// the caller to fill in place — a fetched line decodes once, straight into
-// the cache. It reports the line it evicted, if any; dirty tree evictions
-// are histogrammed by level. Claiming a resident address reuses its way
-// (dirty bits OR together) and evicts nothing. When every way of the set
-// is pinned the payload is nil and nothing changes.
+// the caller to fill in place. It reports the line it evicted, if any;
+// dirty tree evictions are histogrammed by level. Claiming a resident
+// address reuses its way (dirty bits OR together) and evicts nothing. When
+// every way of the set is pinned the payload is nil and nothing changes.
 func (m *Cache) Claim(homeAddr uint64, dirty bool) (*Block, Evicted, bool) {
-	b, cev, evict := m.c.Claim(homeAddr, dirty)
-	if b == nil {
+	slot, _, _, _ := m.c.Place(homeAddr)
+	if slot < 0 {
 		return nil, Evicted{}, false
 	}
+	return m.ClaimAt(slot, homeAddr, dirty)
+}
+
+// ClaimAt is Claim into the slot Place(homeAddr) named, with no cache
+// state changed in between, so the set is not probed again.
+func (m *Cache) ClaimAt(slot int, homeAddr uint64, dirty bool) (*Block, Evicted, bool) {
+	b, cev, evict := m.c.ClaimAt(slot, homeAddr, dirty)
 	var ev Evicted
 	if evict {
 		ev = evicted(b, cev)
@@ -250,16 +261,19 @@ func (m *Cache) Insert(homeAddr uint64, b Block, dirty bool) (*Block, Evicted, b
 	return p, ev, has
 }
 
-// Victim predicts what Claim(homeAddr, ...) would evict, without
-// changing any cache state: nothing when the address is resident, its set
-// has a free way or every way is pinned, otherwise the set's LRU unpinned
-// line.
-func (m *Cache) Victim(homeAddr uint64) (Evicted, bool) {
-	b, ev, evict := m.c.Victim(homeAddr)
-	if !evict {
-		return Evicted{}, false
+// Place names the slot Claim(homeAddr, ...) would take, without changing
+// any cache state: homeAddr's own way when it is resident, else the set's
+// LRU unpinned way, whose occupant ev would be evicted (evict is true),
+// or -1 when every way is pinned. The controller writes a dirty victim
+// back *before* the insertion so the victim's shadow-table entry stays
+// valid until its contents are durable, then claims the named way with
+// ClaimAt.
+func (m *Cache) Place(homeAddr uint64) (slot int, resident bool, ev Evicted, evict bool) {
+	slot, resident, cev, evict := m.c.Place(homeAddr)
+	if evict {
+		ev = evicted(m.c.At(slot), cev)
 	}
-	return evicted(b, ev), true
+	return slot, resident, ev, evict
 }
 
 // Pin keeps the resident block at slot from being evicted until a

@@ -2,6 +2,7 @@ package metacache
 
 import (
 	"testing"
+	"unsafe"
 
 	"soteria/internal/config"
 )
@@ -102,5 +103,15 @@ func TestInvalidate(t *testing.T) {
 	}
 	if m.Invalidate(0) {
 		t.Fatal("invalidated an absent block")
+	}
+}
+
+// TestBlockStays344Bytes pins the way payload: kind, level and index (24
+// bytes), the stored line (64) and the per-slot update counts (256). A
+// decoded copy of the line beside it would grow every way the set probe
+// strides over.
+func TestBlockStays344Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Block{}); n != 344 {
+		t.Fatalf("Block is %d bytes, want 344", n)
 	}
 }
