@@ -121,7 +121,8 @@ func TestReadVerifiedClean(t *testing.T) {
 	var line nvm.Line
 	line[0] = 0x11
 	writeNode(lay, dev, 2, 3, &line)
-	got, out, clones := h.ReadVerified(2, 3, func(l *nvm.Line) bool { return l[0] == 0x11 })
+	var got nvm.Line
+	out, clones := h.ReadVerified(2, 3, &got, func(l *nvm.Line) bool { return l[0] == 0x11 })
 	if out != OutcomeClean || got != line || clones != 0 {
 		t.Fatalf("outcome %v after %d clone reads", out, clones)
 	}
@@ -133,7 +134,8 @@ func TestRepairFromCloneAfterUncorrectable(t *testing.T) {
 	line[7] = 0x42
 	writeNode(lay, dev, 1, 5, &line)
 	dev.CorruptLine(lay.NodeAddr(1, 5)) // home copy dies
-	got, out, clones := h.ReadVerified(1, 5, func(l *nvm.Line) bool { return l[7] == 0x42 })
+	var got nvm.Line
+	out, clones := h.ReadVerified(1, 5, &got, func(l *nvm.Line) bool { return l[7] == 0x42 })
 	if out != OutcomeRepaired || got != line || clones != 1 {
 		t.Fatalf("outcome %v after %d clone reads", out, clones)
 	}
@@ -145,7 +147,7 @@ func TestRepairFromCloneAfterUncorrectable(t *testing.T) {
 		t.Fatal("repair not counted")
 	}
 	// Next read is clean.
-	if _, out, _ := h.ReadVerified(1, 5, func(l *nvm.Line) bool { return l[7] == 0x42 }); out != OutcomeClean {
+	if out, _ := h.ReadVerified(1, 5, new(nvm.Line), func(l *nvm.Line) bool { return l[7] == 0x42 }); out != OutcomeClean {
 		t.Fatalf("post-repair outcome %v", out)
 	}
 }
@@ -157,7 +159,7 @@ func TestAllCopiesDeadIsUnverifiable(t *testing.T) {
 	for _, a := range lay.CopyAddrs(2, 0) {
 		dev.CorruptLine(a)
 	}
-	_, out, clones := h.ReadVerified(2, 0, func(l *nvm.Line) bool { return true })
+	out, clones := h.ReadVerified(2, 0, new(nvm.Line), func(l *nvm.Line) bool { return true })
 	if out != OutcomeUnverifiable || clones != lay.CloneDepths[1]-1 {
 		t.Fatalf("outcome %v after %d clone reads", out, clones)
 	}
@@ -179,7 +181,7 @@ func TestBaselineHasNoClonesToFallBackOn(t *testing.T) {
 	var line nvm.Line
 	writeNode(lay, dev, 2, 1, &line)
 	dev.CorruptLine(lay.NodeAddr(2, 1))
-	_, out, clones := h.ReadVerified(2, 1, func(l *nvm.Line) bool { return true })
+	out, clones := h.ReadVerified(2, 1, new(nvm.Line), func(l *nvm.Line) bool { return true })
 	if out != OutcomeUnverifiable || clones != 0 {
 		t.Fatalf("baseline outcome %v, want unverifiable", out)
 	}
@@ -196,7 +198,7 @@ func TestReplayOfAllCopiesDetectedAsTamper(t *testing.T) {
 	// verification (which in the real controller checks the MAC under
 	// the *current* parent counter) rejects the stale content.
 	writeNode(lay, dev, 2, 2, &v1)
-	_, out, _ := h.ReadVerified(2, 2, func(l *nvm.Line) bool { return l[0] == 2 })
+	out, _ := h.ReadVerified(2, 2, new(nvm.Line), func(l *nvm.Line) bool { return l[0] == 2 })
 	if out != OutcomeTamper {
 		t.Fatalf("outcome %v, want tamper", out)
 	}
@@ -215,7 +217,8 @@ func TestReplayOfSingleCloneIsRepaired(t *testing.T) {
 	writeNode(lay, dev, 2, 2, &v2)
 	// Replay only the home copy.
 	dev.Write(lay.NodeAddr(2, 2), &v1)
-	got, out, _ := h.ReadVerified(2, 2, func(l *nvm.Line) bool { return l[0] == 2 })
+	var got nvm.Line
+	out, _ := h.ReadVerified(2, 2, &got, func(l *nvm.Line) bool { return l[0] == 2 })
 	if out != OutcomeRepaired || got != v2 {
 		t.Fatalf("outcome %v", out)
 	}
@@ -259,7 +262,7 @@ func TestResetStatsReturnsCappedEvents(t *testing.T) {
 	for i := uint64(0); i < 3; i++ {
 		writeNode(lay, dev, 2, i, &line)
 		killNode(lay, dev, 2, i)
-		if _, out, _ := h.ReadVerified(2, i, func(*nvm.Line) bool { return true }); out != OutcomeUnverifiable {
+		if out, _ := h.ReadVerified(2, i, new(nvm.Line), func(*nvm.Line) bool { return true }); out != OutcomeUnverifiable {
 			t.Fatalf("incident %d: outcome %v, want unverifiable", i, out)
 		}
 	}
@@ -286,7 +289,7 @@ func TestResetStatsReturnsCappedEvents(t *testing.T) {
 	// the returned snapshot (deep copy, no aliasing).
 	writeNode(lay, dev, 2, 7, &line)
 	killNode(lay, dev, 2, 7)
-	if _, out, _ := h.ReadVerified(2, 7, func(*nvm.Line) bool { return true }); out != OutcomeUnverifiable {
+	if out, _ := h.ReadVerified(2, 7, new(nvm.Line), func(*nvm.Line) bool { return true }); out != OutcomeUnverifiable {
 		t.Fatalf("post-reset incident: outcome %v", out)
 	}
 	if st := h.Stats(); len(st.Events) != 1 || st.Events[0].Index != 7 || st.EventsDropped != 0 {

@@ -100,12 +100,6 @@ type FaultHandler struct {
 	stats      Stats
 	eventLimit int
 	tel        telemetryHooks
-
-	// buf is the line every candidate copy is read into and verified in
-	// place. The predicate is a function value, so the compiler must assume
-	// it keeps the pointer it is handed; a stack line would move to the
-	// heap on every read. ReadVerified never re-enters, so one suffices.
-	buf nvm.Line
 }
 
 // telemetryHooks holds the handler's metric handles; nil handles (no
@@ -173,39 +167,42 @@ func (h *FaultHandler) ResetStats() Stats {
 	return prev
 }
 
-// ReadVerified reads metadata node (level, index), verifying each candidate
-// copy with the caller-supplied predicate (MAC check under the parent
-// counter). The predicate sees a handler-owned buffer that is valid only
-// for the duration of the call. ReadVerified returns the verified line, the
-// outcome and how many clones it consulted (each one an extra device read);
-// for OutcomeUnverifiable and OutcomeTamper the returned line must not be
-// trusted.
-func (h *FaultHandler) ReadVerified(level int, index uint64, verify func(line *nvm.Line) bool) (nvm.Line, Outcome, int) {
+// ReadVerified reads metadata node (level, index) into dst, verifying each
+// candidate copy there with the caller-supplied predicate (MAC check under
+// the parent counter). It returns the outcome and how many clones it
+// consulted (each one an extra device read). For OutcomeClean and
+// OutcomeRepaired dst holds the verified line; for OutcomeUnverifiable and
+// OutcomeTamper it holds the last copy read and must not be trusted.
+//
+// The predicate is a function value, so the compiler must assume it keeps
+// the pointer it is handed: dst should not be a stack variable on a hot
+// path, or it moves to the heap on every read.
+func (h *FaultHandler) ReadVerified(level int, index uint64, dst *nvm.Line, verify func(line *nvm.Line) bool) (Outcome, int) {
 	h.stats.Reads++
 	h.tel.reads.Inc()
 	var unc bool
-	h.buf, unc = h.mem.ReadLine(h.layout.NodeAddr(level, index))
-	if !unc && verify(&h.buf) {
-		return h.buf, OutcomeClean, 0
+	*dst, unc = h.mem.ReadLine(h.layout.NodeAddr(level, index))
+	if !unc && verify(dst) {
+		return OutcomeClean, 0
 	}
-	homeECCBad, line := unc, h.buf
+	homeECCBad := unc
 
 	// Step 4 of Fig 9: bring all clones and attempt to verify/repair.
 	copies := h.layout.CopyAddrs(level, index)
 	for i, addr := range copies[1:] {
 		h.stats.CloneLookups++
 		h.tel.cloneLookups.Inc()
-		h.buf, unc = h.mem.ReadLine(addr)
-		if unc || !verify(&h.buf) {
+		*dst, unc = h.mem.ReadLine(addr)
+		if unc || !verify(dst) {
 			continue
 		}
 		// Step 6-7: a clone passed; purify all affected copies.
 		for _, a := range copies {
-			h.mem.WriteLine(a, &h.buf)
+			h.mem.WriteLine(a, dst)
 		}
 		h.stats.Repairs++
 		h.tel.repairs.Inc()
-		return h.buf, OutcomeRepaired, i + 1
+		return OutcomeRepaired, i + 1
 	}
 	clones := len(copies) - 1
 
@@ -216,7 +213,7 @@ func (h *FaultHandler) ReadVerified(level int, index uint64, verify func(line *n
 	if !homeECCBad {
 		h.stats.TamperDetections++
 		h.tel.tampers.Inc()
-		return line, OutcomeTamper, clones
+		return OutcomeTamper, clones
 	}
 	start, end := h.layout.CoverageOf(level, index)
 	h.stats.UnverifiableNodes++
@@ -229,7 +226,7 @@ func (h *FaultHandler) ReadVerified(level int, index uint64, verify func(line *n
 		h.stats.EventsDropped++
 		h.tel.eventsDropped.Inc()
 	}
-	return line, OutcomeUnverifiable, clones
+	return OutcomeUnverifiable, clones
 }
 
 // WriteWithClones writes a node's line to its home address and every clone

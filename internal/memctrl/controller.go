@@ -233,7 +233,8 @@ type Controller struct {
 	// can write back a dirty victim, and that cascade can write the very
 	// block being fetched back to NVM with newer counters; writebackBlock
 	// then overwrites the pending line with what it persisted, so the fill
-	// never decodes content older than memory. Lines are held by value.
+	// never decodes content older than memory. Lines are held by value,
+	// and a fetch reads its line straight into its register.
 	fills []pendingFill
 
 	// wbAddrs/wbWrites are write-back scratch, reused across calls: the
@@ -328,6 +329,7 @@ func newController(cfg config.SystemConfig, mode Mode, policy core.ClonePolicy, 
 		return nil, err
 	}
 	c.layout = layout
+	c.fills = make([]pendingFill, 0, fillRegisters)
 
 	dev, err := nvm.NewDevice(roundUp(layout.Total, nvm.LineSize), ecc.NewChipkill())
 	if err != nil {
