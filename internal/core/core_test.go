@@ -27,8 +27,8 @@ func TestPolicyDepthBounds(t *testing.T) {
 		for top := 1; top <= 12; top++ {
 			for lvl := 1; lvl <= top; lvl++ {
 				d := p.Depth(lvl, top)
-				if d < 1 || d > MaxDepth {
-					t.Fatalf("%s: depth %d at level %d/%d outside [1,%d]", p.Name, d, lvl, top, MaxDepth)
+				if d < 1 || d > itree.MaxCloneDepth {
+					t.Fatalf("%s: depth %d at level %d/%d outside [1,%d]", p.Name, d, lvl, top, itree.MaxCloneDepth)
 				}
 			}
 		}
@@ -62,7 +62,7 @@ func TestCustomPolicy(t *testing.T) {
 		t.Fatal("custom depth table misapplied")
 	}
 	if _, err := Custom("bad", []int{7}); err == nil {
-		t.Fatal("depth above MaxDepth accepted")
+		t.Fatal("depth above MaxCloneDepth accepted")
 	}
 	if _, err := Custom("empty", nil); err == nil {
 		t.Fatal("empty table accepted")
@@ -80,27 +80,8 @@ func (m devMem) WriteLine(addr uint64, line *nvm.Line) { m.dev.Write(addr, line)
 
 func handlerFixture(t *testing.T, policy ClonePolicy) (*FaultHandler, *itree.Layout, *nvm.Device) {
 	t.Helper()
-	lay, err := itree.NewLayout(itree.Params{
-		DataBytes:    1 << 20,
-		CounterArity: 64,
-		TreeArity:    8,
-		CloneDepths:  policy.Depths(2), // 1MB -> levels: 256 counters, 32 nodes... computed below
-	})
+	lay, err := policy.Layout(itree.Params{DataBytes: 1 << 20, CounterArity: 64, TreeArity: 8})
 	if err != nil {
-		// Depth table length mismatch is fine; rebuild with the real
-		// level count.
-		t.Fatal(err)
-	}
-	lay, err = itree.NewLayout(itree.Params{
-		DataBytes:    1 << 20,
-		CounterArity: 64,
-		TreeArity:    8,
-		CloneDepths:  policy.Depths(lay.TopLevel()),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckDepths(lay, policy); err != nil {
 		t.Fatal(err)
 	}
 	dev, err := nvm.NewDevice(lay.Total+nvm.LineSize, ecc.SECDED{})
@@ -108,6 +89,38 @@ func handlerFixture(t *testing.T, policy ClonePolicy) (*FaultHandler, *itree.Lay
 		t.Fatal(err)
 	}
 	return NewFaultHandler(devMem{dev}, lay), lay, dev
+}
+
+// The layout a policy builds carries exactly the policy's depth at every
+// stored level, with one clone region per extra copy, for trees of one to
+// ten levels.
+func TestPolicyLayoutMatchesDepths(t *testing.T) {
+	sac9, err := Custom("nine", []int{2, 2, 3, 3, 4, 4, 4, 4, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, policy := range []ClonePolicy{Baseline(), SRC(), SAC(), sac9} {
+		for _, size := range []uint64{4 << 10, 64 << 10, 1 << 20, 16 << 20, 1 << 30, 1 << 40} {
+			p := itree.Params{DataBytes: size, CounterArity: 64, TreeArity: 8, ShadowEntries: 64}
+			lay, err := policy.Layout(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			top := lay.TopLevel()
+			if n, err := itree.StoredLevels(p); err != nil || n != top {
+				t.Fatalf("%s/%d: StoredLevels %d (%v), layout has %d", policy.Name, size, n, err, top)
+			}
+			for i, want := range policy.Depths(top) {
+				if got := lay.CloneDepths[i]; got != want || len(lay.Levels[i].CloneBases) != want-1 {
+					t.Fatalf("%s/%d: level %d has depth %d and %d clone regions, policy wants %d",
+						policy.Name, size, i+1, got, len(lay.Levels[i].CloneBases), want)
+				}
+			}
+		}
+	}
+	if _, err := SRC().Layout(itree.Params{DataBytes: 100, CounterArity: 64, TreeArity: 8}); err == nil {
+		t.Fatal("unaligned data size accepted")
+	}
 }
 
 func writeNode(lay *itree.Layout, dev *nvm.Device, level int, index uint64, line *nvm.Line) {
@@ -227,16 +240,67 @@ func TestReplayOfSingleCloneIsRepaired(t *testing.T) {
 	}
 }
 
-func TestWriteWithClonesAddressesMatchLayoutAndWPQBound(t *testing.T) {
-	h, lay, _ := handlerFixture(t, SAC())
+// A node's copy list is the atomic write group a write-back pushes through
+// the WPQ: one address per copy the policy asks for, never more than the
+// WPQ can commit at once.
+func TestCopyAddrsMatchPolicyAndWPQBound(t *testing.T) {
+	_, lay, _ := handlerFixture(t, SAC())
 	for lvl := 1; lvl <= lay.TopLevel(); lvl++ {
-		addrs := h.WriteWithClones(lvl, 0, &nvm.Line{})
-		if len(addrs) != lay.CloneDepths[lvl-1] {
-			t.Fatalf("level %d: %d copies, want %d", lvl, len(addrs), lay.CloneDepths[lvl-1])
+		addrs := lay.CopyAddrs(lvl, 0)
+		if want := SAC().Depth(lvl, lay.TopLevel()); len(addrs) != want {
+			t.Fatalf("level %d: %d copies, want %d", lvl, len(addrs), want)
 		}
-		if len(addrs) > MaxDepth {
+		if len(addrs) > itree.MaxCloneDepth {
 			t.Fatalf("level %d exceeds WPQ-safe depth", lvl)
 		}
+	}
+}
+
+// stuckMem is an allocation-free Mem over a fixed set of lines, in which
+// the line at bad always reads as uncorrectable. It keeps the device's own
+// decode work out of the handler's allocation count.
+type stuckMem struct {
+	lines map[uint64]nvm.Line
+	bad   uint64
+}
+
+func (m *stuckMem) ReadLine(addr uint64) (nvm.Line, bool) { return m.lines[addr], addr == m.bad }
+func (m *stuckMem) WriteLine(addr uint64, line *nvm.Line) { m.lines[addr] = *line }
+
+// A read that repairs a dead home copy from a clone, and one that finds
+// every copy replayed, allocate nothing: a fault storm must not turn into
+// garbage-collector work on the path that degrades most.
+func TestReadVerifiedFaultPathZeroAllocs(t *testing.T) {
+	lay, err := SAC().Layout(itree.Params{DataBytes: 1 << 20, CounterArity: 64, TreeArity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := lay.TopLevel()
+	mem := &stuckMem{lines: map[uint64]nvm.Line{}, bad: lay.NodeAddr(top, 0)}
+	var good, stale nvm.Line
+	good[7], stale[7] = 0x42, 0x41
+	for _, a := range lay.CopyAddrs(top, 0) {
+		mem.lines[a] = good
+	}
+	for _, a := range lay.CopyAddrs(1, 3) {
+		mem.lines[a] = stale
+	}
+	h := NewFaultHandler(mem, lay)
+	dst := new(nvm.Line)
+	verify := func(l *nvm.Line) bool { return l[7] == 0x42 }
+
+	repair := testing.AllocsPerRun(100, func() {
+		if out, _ := h.ReadVerified(top, 0, dst, verify); out != OutcomeRepaired {
+			t.Fatalf("outcome %v, want repaired", out)
+		}
+	})
+	tamper := testing.AllocsPerRun(100, func() {
+		if out, _ := h.ReadVerified(1, 3, dst, verify); out != OutcomeTamper {
+			t.Fatalf("outcome %v, want tamper", out)
+		}
+	})
+	if repair != 0 || tamper != 0 {
+		t.Fatalf("allocs per read: repair %v, tamper %v; want 0", repair, tamper)
 	}
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"soteria/internal/itree"
 	"soteria/internal/nvm"
 	"soteria/internal/telemetry"
@@ -188,23 +186,23 @@ func (h *FaultHandler) ReadVerified(level int, index uint64, dst *nvm.Line, veri
 	homeECCBad := unc
 
 	// Step 4 of Fig 9: bring all clones and attempt to verify/repair.
-	copies := h.layout.CopyAddrs(level, index)
-	for i, addr := range copies[1:] {
+	clones := len(h.layout.Levels[level-1].CloneBases)
+	for c := 0; c < clones; c++ {
 		h.stats.CloneLookups++
 		h.tel.cloneLookups.Inc()
-		*dst, unc = h.mem.ReadLine(addr)
+		*dst, unc = h.mem.ReadLine(h.layout.CloneAddr(level, index, c))
 		if unc || !verify(dst) {
 			continue
 		}
-		// Step 6-7: a clone passed; purify all affected copies.
-		for _, a := range copies {
-			h.mem.WriteLine(a, dst)
+		// Step 6-7: a clone passed; purify the home copy and every clone.
+		h.mem.WriteLine(h.layout.NodeAddr(level, index), dst)
+		for k := 0; k < clones; k++ {
+			h.mem.WriteLine(h.layout.CloneAddr(level, index, k), dst)
 		}
 		h.stats.Repairs++
 		h.tel.repairs.Inc()
-		return OutcomeRepaired, i + 1
+		return OutcomeRepaired, c + 1
 	}
-	clones := len(copies) - 1
 
 	// No copy verified. Distinguish "random faults killed everything"
 	// from "consistent content that simply fails verification", which
@@ -227,24 +225,4 @@ func (h *FaultHandler) ReadVerified(level int, index uint64, dst *nvm.Line, veri
 		h.tel.eventsDropped.Inc()
 	}
 	return OutcomeUnverifiable, clones
-}
-
-// WriteWithClones writes a node's line to its home address and every clone
-// slot, returning the full list of (addr, line) writes so the controller
-// can push them through the WPQ as one atomic group. The group size equals
-// the level's configured depth and is guaranteed <= MaxDepth.
-func (h *FaultHandler) WriteWithClones(level int, index uint64, line *nvm.Line) []uint64 {
-	return h.layout.CopyAddrs(level, index)
-}
-
-// CheckDepths validates that a layout's clone allocation matches a policy
-// (defensive check used at controller construction).
-func CheckDepths(layout *itree.Layout, policy ClonePolicy) error {
-	top := layout.TopLevel()
-	for i, want := range policy.Depths(top) {
-		if got := layout.CloneDepths[i]; got != want {
-			return fmt.Errorf("core: layout depth %d at level %d, policy %q wants %d", got, i+1, policy.Name, want)
-		}
-	}
-	return nil
 }

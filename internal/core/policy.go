@@ -8,7 +8,11 @@
 // duplicates, not with a stronger code in the DIMM.
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"soteria/internal/itree"
+)
 
 // ClonePolicy decides how many copies (original included) each tree level
 // keeps. Depth 1 means no clones.
@@ -29,8 +33,8 @@ func (p ClonePolicy) Depth(level, top int) int {
 	if d < 1 {
 		return 1
 	}
-	if d > MaxDepth {
-		return MaxDepth
+	if d > itree.MaxCloneDepth {
+		return itree.MaxCloneDepth
 	}
 	return d
 }
@@ -45,11 +49,18 @@ func (p ClonePolicy) Depths(top int) []int {
 	return out
 }
 
-// MaxDepth is the WPQ-imposed bound on copies per node (§3.2.1): a minimum
-// 8-entry WPQ less the three writes a secure NVM store can already generate
-// (ciphertext, data MAC, shadow log) leaves room to commit at most five
-// copies atomically.
-const MaxDepth = 5
+// Layout builds the NVM address map params describes with this policy's
+// clone depth at every stored level; params.CloneDepths is ignored. It is
+// the one place a scheme's layout is decided: the controller, the fault
+// simulator and the expected-loss model all build theirs here.
+func (p ClonePolicy) Layout(params itree.Params) (*itree.Layout, error) {
+	top, err := itree.StoredLevels(params)
+	if err != nil {
+		return nil, err
+	}
+	params.CloneDepths = p.Depths(top)
+	return itree.NewLayout(params)
+}
 
 // Baseline is the no-cloning policy (the paper's "Secure Baseline").
 func Baseline() ClonePolicy {
@@ -97,8 +108,8 @@ func Custom(name string, depths []int) (ClonePolicy, error) {
 		return ClonePolicy{}, fmt.Errorf("core: custom policy needs at least one depth")
 	}
 	for i, d := range depths {
-		if d < 1 || d > MaxDepth {
-			return ClonePolicy{}, fmt.Errorf("core: depth %d at level %d outside [1,%d]", d, i+1, MaxDepth)
+		if d < 1 || d > itree.MaxCloneDepth {
+			return ClonePolicy{}, fmt.Errorf("core: depth %d at level %d outside [1,%d]", d, i+1, itree.MaxCloneDepth)
 		}
 	}
 	tbl := append([]int(nil), depths...)

@@ -7,6 +7,7 @@ import (
 	"soteria/internal/core"
 	"soteria/internal/cpusim"
 	"soteria/internal/faultsim"
+	"soteria/internal/itree"
 	"soteria/internal/memctrl"
 	"soteria/internal/stats"
 	"soteria/internal/workload"
@@ -36,7 +37,7 @@ func AblationCloneDepth(perf PerfParams, rel RelParams, fit float64) (*stats.Tab
 		fmt.Sprintf("Ablation — uniform clone depth (hashmap writes; UDR at FIT=%g)", fit),
 		"depth", "NVM writes", "write overhead %", "UDR", "UDR vs depth-1")
 	var baseWrites, baseUDR float64
-	for depth := 1; depth <= core.MaxDepth; depth++ {
+	for depth := 1; depth <= itree.MaxCloneDepth; depth++ {
 		policy, err := core.Custom(fmt.Sprintf("uniform-%d", depth), []int{depth})
 		if err != nil {
 			return nil, err

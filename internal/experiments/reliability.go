@@ -21,11 +21,11 @@ func Fig3(memBytes uint64, maxErrors int) (*stats.Table, error) {
 	if maxErrors <= 0 {
 		maxErrors = 10
 	}
-	sec, err := reliability.NewExpectedLossModel(memBytes, true, nil)
+	sec, err := reliability.NewExpectedLossModel(memBytes, true, core.Baseline())
 	if err != nil {
 		return nil, err
 	}
-	non, err := reliability.NewExpectedLossModel(memBytes, false, nil)
+	non, err := reliability.NewExpectedLossModel(memBytes, false, core.Baseline())
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +265,7 @@ func TreeComparison(p RelParams, fit float64) (*stats.Table, error) {
 		return nil, err
 	}
 	bmt.Name = "BMT"
-	bmt.RecomputableIntermediates = true
+	bmt.RecomputableAbove = 1
 	leafPolicy, err := core.Custom("BMT+leaf-clones", []int{2, 1})
 	if err != nil {
 		return nil, err
@@ -274,7 +274,7 @@ func TreeComparison(p RelParams, fit float64) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	bmtClones.RecomputableIntermediates = true
+	bmtClones.RecomputableAbove = 1
 
 	res, err := p.engine().RunFaultPoint(
 		p.sweep("trees", fsCfg, []*faultsim.Scheme{tocBase, bmt, bmtClones, tocSRC}), fit)

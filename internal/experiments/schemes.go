@@ -10,6 +10,7 @@ import (
 	"soteria/internal/faultsim"
 	"soteria/internal/memctrl"
 	"soteria/internal/nvm"
+	"soteria/internal/runner"
 	"soteria/internal/sim"
 	"soteria/internal/stats"
 )
@@ -201,14 +202,15 @@ func schemeUDRs(p SchemeZooParams) (map[string]float64, error) {
 		}
 		schemes = append(schemes, s)
 	}
-	res, err := faultsim.Run(faultsim.Options{
+	eng := runner.New(runner.Options{Workers: p.Workers})
+	res, err := eng.RunFaultPoint(runner.FaultSweep{
 		Config:      fsCfg,
-		TotalFIT:    p.FIT,
 		Trials:      p.Trials,
 		Seed:        p.Seed,
-		Workers:     p.Workers,
 		Conditional: true,
-	}, schemes)
+		Schemes:     schemes,
+		Label:       "schemes",
+	}, p.FIT)
 	if err != nil {
 		return nil, err
 	}

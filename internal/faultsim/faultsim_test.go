@@ -272,47 +272,6 @@ func TestRectForAddrRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMonteCarloShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("Monte Carlo shape test is slow")
-	}
-	d := config.Table4()
-	schemes := []*Scheme{NonSecureScheme(d.DIMM)}
-	for _, p := range []core.ClonePolicy{core.Baseline(), core.SRC(), core.SAC()} {
-		s, err := BuildScheme(d.DIMM, p, 8192)
-		if err != nil {
-			t.Fatal(err)
-		}
-		schemes = append(schemes, s)
-	}
-	res, err := Run(Options{Config: d, TotalFIT: 80, Trials: 60_000, Seed: 42, Conditional: true}, schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Weight <= 0 || res.Weight >= 1 {
-		t.Fatalf("importance weight %v out of range", res.Weight)
-	}
-	ns, base, src, sac := res.Schemes[0], res.Schemes[1], res.Schemes[2], res.Schemes[3]
-	if ns.TotalLUnv != 0 {
-		t.Fatal("non-secure memory reported unverifiable data")
-	}
-	if base.TotalLUnv == 0 {
-		t.Fatal("baseline saw no unverifiable data at FIT=80; increase trials?")
-	}
-	// The paper's ordering: baseline >> SRC >= SAC.
-	if src.TotalLUnv > base.TotalLUnv {
-		t.Fatalf("SRC (%v) lost more than baseline (%v)", src.TotalLUnv, base.TotalLUnv)
-	}
-	if sac.TotalLUnv > src.TotalLUnv {
-		t.Fatalf("SAC (%v) lost more than SRC (%v)", sac.TotalLUnv, src.TotalLUnv)
-	}
-	// L_error is scheme-independent (same physical faults, ~same data
-	// capacity).
-	if base.TotalLErr == 0 || ns.TotalLErr == 0 {
-		t.Fatal("no direct data errors at FIT=80")
-	}
-}
-
 func TestPoissonMean(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const lambda = 0.5
@@ -425,7 +384,7 @@ func TestLossOrderingProperty(t *testing.T) {
 		}
 		// A BMT variant of the baseline can never lose more.
 		bmt := *base
-		bmt.RecomputableIntermediates = true
+		bmt.RecomputableAbove = 1
 		_, mUnv := bmt.Loss(d, rects)
 		if mUnv > bUnv {
 			t.Fatalf("trial %d: BMT (%d) lost more than ToC (%d)", trial, mUnv, bUnv)

@@ -157,40 +157,22 @@ type Scheme struct {
 	// Secure is false for the plain (non-secure) memory, which has no
 	// metadata and loses only L_error.
 	Secure bool
-	// RecomputableIntermediates models a BMT-style tree (§6.1): an
-	// intermediate node is just a hash of its children, so a dead
-	// intermediate node is regenerated rather than lost — only leaf
-	// (encryption counter) faults render data unverifiable. The ToC
-	// trades this recomputability away for parallel updates and
-	// stronger replay resistance, which is exactly the gap Soteria's
-	// clones fill.
-	RecomputableIntermediates bool
-	// RecomputableAbove generalizes RecomputableIntermediates to Triad-style
-	// selective persistence: tree levels strictly above this threshold are
-	// re-derived at recovery (relaxed levels rebuilt by bounded counter
-	// search), so their faults do not lose coverage. For persisted levels N,
-	// set N+1: level N+1's stored counters seed the recovery search and so
-	// still matter, while everything above it is rewritten wholesale.
-	// 0 means no levels are recomputable (unless RecomputableIntermediates).
+	// RecomputableAbove marks tree levels strictly above it as re-derived
+	// at recovery rather than lost, so their faults cost no coverage; 0
+	// means none. A BMT-style tree (§6.1) sets 1: an intermediate node is
+	// just a hash of its children, so only leaf (encryption counter)
+	// faults render data unverifiable. The ToC trades this
+	// recomputability away for parallel updates and stronger replay
+	// resistance, which is exactly the gap Soteria's clones fill.
+	// Triad-style selective persistence of N levels sets N+1: level N+1's
+	// stored counters seed the bounded recovery search and so still
+	// matter, while everything above it is rewritten wholesale.
 	RecomputableAbove int
-}
-
-// recomputableAbove resolves the two recomputability knobs into one level
-// threshold (0 = none).
-func (s *Scheme) recomputableAbove() int {
-	above := 0
-	if s.RecomputableIntermediates {
-		above = 1
-	}
-	if s.RecomputableAbove > above {
-		above = s.RecomputableAbove
-	}
-	return above
 }
 
 // NonSecureScheme is the conventional memory: the whole DIMM is data.
 func NonSecureScheme(d config.DIMMConfig) *Scheme {
-	lay, err := itree.NewLayout(itree.Params{DataBytes: d.CapacityBytes(), CounterArity: 64, TreeArity: 8})
+	lay, err := core.Baseline().Layout(itree.Params{DataBytes: d.CapacityBytes(), CounterArity: 64, TreeArity: 8})
 	if err != nil {
 		panic(err)
 	}
@@ -208,15 +190,10 @@ func BuildScheme(d config.DIMMConfig, policy core.ClonePolicy, shadowSlots uint6
 	// upper-level clone regions — land in distinct banks.
 	rowBytes := uint64(d.Cols * d.BytesPerBeat())
 	build := func(mib uint64) (*itree.Layout, error) {
-		probe, err := itree.NewLayout(itree.Params{DataBytes: mib << 20, CounterArity: 64, TreeArity: 8})
-		if err != nil {
-			return nil, err
-		}
-		return itree.NewLayout(itree.Params{
+		return policy.Layout(itree.Params{
 			DataBytes:     mib << 20,
 			CounterArity:  64,
 			TreeArity:     8,
-			CloneDepths:   policy.Depths(probe.TopLevel()),
 			ShadowEntries: shadowSlots,
 			RegionAlign:   rowBytes,
 			// Clones live at the bottom of the address space — the
@@ -281,9 +258,8 @@ func (s *Scheme) Loss(d config.DIMMConfig, rects []Rect) (lErr, lUnv uint64) {
 	// home-lost node are then probed individually — the candidate set is
 	// already narrowed to the home losses, so enumeration stays small.
 	var lost intervalSet
-	above := s.recomputableAbove()
 	for _, li := range s.Layout.Levels {
-		if above > 0 && li.Level > above {
+		if s.RecomputableAbove > 0 && li.Level > s.RecomputableAbove {
 			continue // regenerate from children instead of losing coverage
 		}
 		lostIdx := lostNodeIndices(&u, li.Base, li.Nodes)
@@ -316,8 +292,6 @@ func (s *Scheme) Loss(d config.DIMMConfig, rects []Rect) (lErr, lUnv uint64) {
 // idxRange is a half-open range of node indices.
 type idxRange struct{ Lo, Hi uint64 }
 
-var _ = intersectIdx // retained for ablation experiments over unpermuted layouts
-
 // lostNodeIndices returns the node-index ranges of a region whose 64-byte
 // lines intersect the uncorrectable set.
 func lostNodeIndices(u *intervalSet, base uint64, nodes uint64) []idxRange {
@@ -337,24 +311,6 @@ func lostNodeIndices(u *intervalSet, base uint64, nodes uint64) []idxRange {
 			continue
 		}
 		out = append(out, idxRange{i0, i1})
-	}
-	return out
-}
-
-// intersectIdx intersects two sorted index-range lists.
-func intersectIdx(a, b []idxRange) []idxRange {
-	var out []idxRange
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		lo, hi := maxu(a[i].Lo, b[j].Lo), minu(a[i].Hi, b[j].Hi)
-		if lo < hi {
-			out = append(out, idxRange{lo, hi})
-		}
-		if a[i].Hi < b[j].Hi {
-			i++
-		} else {
-			j++
-		}
 	}
 	return out
 }

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"soteria/internal/config"
 	"soteria/internal/telemetry"
@@ -27,18 +24,10 @@ type Options struct {
 	Trials int
 	// Seed makes the run reproducible.
 	Seed int64
-	// Workers bounds parallelism (default: GOMAXPROCS). Results do not
-	// depend on it: trials are scheduled in fixed-size blocks with
-	// per-block RNG streams, and block partials merge in block order.
-	Workers int
 	// BlockSize is the trials-per-block granularity of the deterministic
 	// schedule (default DefaultBlockSize). Results depend on it (it
 	// defines the RNG streams), so treat it as part of the seed.
 	BlockSize int
-	// Progress, when non-nil, is called after each completed block with
-	// the cumulative number of finished trials. It may be called
-	// concurrently from multiple workers.
-	Progress func(doneTrials, totalTrials int)
 	// Conditional enables importance sampling: trials are drawn
 	// conditioned on at least two faults arriving (the only trials that
 	// can produce Chipkill-uncorrectable errors) and every loss is
@@ -357,9 +346,9 @@ type Partial struct {
 }
 
 // BlockRunner executes a Monte Carlo run as a sequence of independently
-// schedulable, deterministic trial blocks. Run drives it with its own
-// goroutines; the runner package drives many BlockRunners (one per sweep
-// point) through a single shared worker pool.
+// schedulable, deterministic trial blocks. Run drives it block by block;
+// the runner package drives many BlockRunners (one per sweep point)
+// through a single shared worker pool.
 type BlockRunner struct {
 	opt     Options
 	schemes []*Scheme
@@ -557,42 +546,17 @@ func promSafe(name string) string {
 
 // Run executes the Monte Carlo simulation for every scheme over a shared
 // fault stream (schemes see identical fault histories, like the paper's
-// common FaultSim traces). Workers pull trial blocks from a shared
-// counter; the outcome is bit-identical for any Workers value.
+// common FaultSim traces), one block after another. It is the sequential
+// reference for runner.Engine, which schedules the same blocks across a
+// worker pool and merges them in the same block order.
 func Run(opt Options, schemes []*Scheme) (*Result, error) {
 	br, err := NewBlockRunner(opt, schemes)
 	if err != nil {
 		return nil, err
 	}
-	blocks := br.NumBlocks()
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	parts := make([]Partial, br.NumBlocks())
+	for b := range parts {
+		parts[b] = br.RunBlock(b)
 	}
-	if workers > blocks {
-		workers = blocks
-	}
-
-	parts := make([]Partial, blocks)
-	var next, done atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				b := int(next.Add(1))
-				if b >= blocks {
-					return
-				}
-				parts[b] = br.RunBlock(b)
-				if opt.Progress != nil {
-					opt.Progress(int(done.Add(int64(br.BlockTrials(b)))), br.trials)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 	return br.Merge(parts), nil
 }

@@ -1,60 +1,10 @@
 package faultsim
 
 import (
-	"math"
-	"reflect"
-	"sync"
 	"testing"
 
 	"soteria/internal/config"
-	"soteria/internal/core"
 )
-
-func mcSchemes(t testing.TB) []*Scheme {
-	t.Helper()
-	d := config.Table4().DIMM
-	schemes := []*Scheme{NonSecureScheme(d)}
-	for _, pol := range []core.ClonePolicy{core.Baseline(), core.SRC(), core.SAC()} {
-		s, err := BuildScheme(d, pol, 8192)
-		if err != nil {
-			t.Fatal(err)
-		}
-		schemes = append(schemes, s)
-	}
-	return schemes
-}
-
-// The tentpole guarantee: the same seed produces bit-identical Results at
-// Workers = 1, 4 and 16, because trials are scheduled in fixed blocks with
-// per-block RNG streams and partials merge in block order.
-func TestRunWorkerCountInvariance(t *testing.T) {
-	schemes := mcSchemes(t)
-	base := Options{
-		Config: config.Table4(), TotalFIT: 80, Trials: 6_000, Seed: 3,
-		Conditional: true, BlockSize: 512,
-	}
-	var want *Result
-	for _, workers := range []int{1, 4, 16} {
-		opt := base
-		opt.Workers = workers
-		got, err := Run(opt, schemes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = got
-			continue
-		}
-		// DeepEqual compares the float sums bit-for-bit — scheduling must
-		// not reorder a single addition.
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Workers=%d diverged:\n got %+v\nwant %+v", workers, got, want)
-		}
-	}
-	if want.Schemes[1].TotalLUnv == 0 {
-		t.Fatal("degenerate run: baseline saw no unverifiable loss at FIT 80")
-	}
-}
 
 // Block seeds must differ across blocks and depend on the master seed.
 func TestBlockSeedDecorrelates(t *testing.T) {
@@ -92,109 +42,5 @@ func TestBlockRunnerPartition(t *testing.T) {
 	}
 	if total != 1000 {
 		t.Fatalf("blocks cover %d trials, want 1000", total)
-	}
-}
-
-func TestRunReportsProgress(t *testing.T) {
-	var mu sync.Mutex
-	var last, calls int
-	_, err := Run(Options{
-		Config: config.Table4(), TotalFIT: 80, Trials: 2_000, Seed: 1,
-		Conditional: true, BlockSize: 256, Workers: 4,
-		Progress: func(done, total int) {
-			mu.Lock()
-			defer mu.Unlock()
-			calls++
-			if total != 2_000 {
-				t.Errorf("progress total = %d, want 2000", total)
-			}
-			if done > last {
-				last = done
-			}
-		},
-	}, mcSchemes(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 8 { // ceil(2000/256) blocks
-		t.Fatalf("progress calls = %d, want 8", calls)
-	}
-	if last != 2_000 {
-		t.Fatalf("final progress = %d, want 2000", last)
-	}
-}
-
-// Statistical cross-check of the importance-sampling path: conditioned
-// sampling (weighted by P(N >= 2)) must agree with plain sampling on the
-// baseline scheme's UDR at FIT 80 within 3 combined standard errors.
-func TestConditionalMatchesRawUDR(t *testing.T) {
-	if testing.Short() {
-		t.Skip("statistical cross-check is slow")
-	}
-	cfg := config.Table4()
-	d := cfg.DIMM
-	base, err := BuildScheme(d, core.Baseline(), 8192)
-	if err != nil {
-		t.Fatal(err)
-	}
-	schemes := []*Scheme{base}
-
-	cond, err := Run(Options{
-		Config: cfg, TotalFIT: 80, Trials: 20_000, Seed: 17, Conditional: true,
-	}, schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Plain sampling wastes ~99.8% of trials on fault-free lifetimes, so
-	// it needs far more trials for far less precision — which is exactly
-	// why the Conditional path exists. Fault-free trials are nearly free,
-	// so the raw run stays fast despite the count.
-	raw, err := Run(Options{
-		Config: cfg, TotalFIT: 80, Trials: 4_000_000, Seed: 23,
-	}, schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	udrC, sigC := cond.Schemes[0].UDR(cond.Trials), cond.Schemes[0].UDRSigma(cond.Trials)
-	udrR, sigR := raw.Schemes[0].UDR(raw.Trials), raw.Schemes[0].UDRSigma(raw.Trials)
-	if udrC <= 0 {
-		t.Fatal("conditional run saw no unverifiable loss")
-	}
-	if raw.Schemes[0].TrialsWithUnv == 0 {
-		t.Fatal("raw run saw no unverifiable loss; increase trials")
-	}
-	sigma := math.Sqrt(sigC*sigC + sigR*sigR)
-	if diff := math.Abs(udrC - udrR); diff > 3*sigma {
-		t.Fatalf("importance sampling disagrees with plain sampling: |%.3g - %.3g| = %.3g > 3σ = %.3g",
-			udrC, udrR, diff, 3*sigma)
-	}
-}
-
-// UDRSigma sanity: a run with loss events reports a positive, finite
-// standard error that shrinks roughly like 1/sqrt(trials).
-func TestUDRSigmaScaling(t *testing.T) {
-	cfg := config.Table4()
-	base, err := BuildScheme(cfg.DIMM, core.Baseline(), 8192)
-	if err != nil {
-		t.Fatal(err)
-	}
-	small, err := Run(Options{Config: cfg, TotalFIT: 80, Trials: 4_000, Seed: 5, Conditional: true}, []*Scheme{base})
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := Run(Options{Config: cfg, TotalFIT: 80, Trials: 16_000, Seed: 5, Conditional: true}, []*Scheme{base})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sSmall := small.Schemes[0].UDRSigma(small.Trials)
-	sBig := big.Schemes[0].UDRSigma(big.Trials)
-	if sSmall <= 0 || sBig <= 0 || math.IsInf(sSmall, 0) || math.IsNaN(sSmall) {
-		t.Fatalf("degenerate sigmas %g, %g", sSmall, sBig)
-	}
-	// 4x the trials should cut sigma roughly in half; allow slack for the
-	// heavy-tailed loss distribution.
-	if sBig > sSmall {
-		t.Fatalf("sigma grew with trials: %g -> %g", sSmall, sBig)
 	}
 }

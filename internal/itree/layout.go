@@ -135,26 +135,42 @@ type Params struct {
 	CloneRegionsFirst bool
 }
 
-// NewLayout computes the full address map.
-func NewLayout(p Params) (*Layout, error) {
+// levelCounts validates the geometry in p and returns each stored level's
+// node count: L1 = counter blocks; L_{i+1} = ceil(L_i/arity) until a level
+// fits under one on-chip root node.
+func levelCounts(p Params) ([]uint64, error) {
 	if p.DataBytes == 0 || p.DataBytes%BlockSize != 0 {
 		return nil, fmt.Errorf("itree: data bytes %d must be a positive multiple of %d", p.DataBytes, BlockSize)
 	}
 	if p.CounterArity <= 0 || p.TreeArity <= 1 {
 		return nil, fmt.Errorf("itree: invalid arities counter=%d tree=%d", p.CounterArity, p.TreeArity)
 	}
+	counts := []uint64{ceilDiv(p.DataBytes/BlockSize, uint64(p.CounterArity))}
+	for counts[len(counts)-1] > uint64(p.TreeArity) {
+		counts = append(counts, ceilDiv(counts[len(counts)-1], uint64(p.TreeArity)))
+	}
+	return counts, nil
+}
+
+// StoredLevels returns the number of stored tree levels (root excluded)
+// of the layout p describes, which is what a clone policy needs to fill
+// p.CloneDepths before the layout is built.
+func StoredLevels(p Params) (int, error) {
+	counts, err := levelCounts(p)
+	return len(counts), err
+}
+
+// NewLayout computes the full address map.
+func NewLayout(p Params) (*Layout, error) {
+	counts, err := levelCounts(p)
+	if err != nil {
+		return nil, err
+	}
 	l := &Layout{
 		DataBytes:    p.DataBytes,
 		DataBlocks:   p.DataBytes / BlockSize,
 		CounterArity: p.CounterArity,
 		TreeArity:    p.TreeArity,
-	}
-
-	// Level node counts: L1 = counter blocks; L_{i+1} = ceil(L_i/arity)
-	// until a level fits under one on-chip root node.
-	counts := []uint64{ceilDiv(l.DataBlocks, uint64(p.CounterArity))}
-	for counts[len(counts)-1] > uint64(p.TreeArity) {
-		counts = append(counts, ceilDiv(counts[len(counts)-1], uint64(p.TreeArity)))
 	}
 
 	depth := func(level int) int {
@@ -249,15 +265,13 @@ func NewLayout(p Params) (*Layout, error) {
 	return l, nil
 }
 
-// MaxCloneDepth is the WPQ-imposed bound on copies per node (§3.2.1: the
-// minimum WPQ holds 8 entries; three are reserved for cipher, data MAC and
-// shadow log, so at most 5 copies can be committed atomically).
+// MaxCloneDepth is the WPQ-imposed bound on copies per node (§3.2.1): a
+// minimum 8-entry WPQ less the three writes a secure NVM store can already
+// generate (ciphertext, data MAC, shadow log) leaves room to commit at most
+// five copies atomically.
 const MaxCloneDepth = 5
 
 func ceilDiv(a, b uint64) uint64 { return (a + b - 1) / b }
-
-// NumLevels returns the number of stored levels (root excluded).
-func (l *Layout) NumLevels() int { return len(l.Levels) }
 
 // TopLevel returns the highest stored level number; its nodes are the
 // on-chip root's direct children.

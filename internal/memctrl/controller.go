@@ -306,26 +306,13 @@ func newController(cfg config.SystemConfig, mode Mode, policy core.ClonePolicy, 
 	mcfg := cfg.Security.MetadataCache
 	shadowLines := c.strat.shadowLines(uint64(mcfg.Sets() * mcfg.Ways))
 
-	// First pass to learn the level count, second to size clone regions.
-	probe, err := itree.NewLayout(itree.Params{
-		DataBytes:    cfg.NVM.CapacityBytes,
-		CounterArity: cfg.Security.CounterArity,
-		TreeArity:    cfg.Security.TreeArity,
-	})
-	if err != nil {
-		return nil, err
-	}
-	layout, err := itree.NewLayout(itree.Params{
+	layout, err := policy.Layout(itree.Params{
 		DataBytes:     cfg.NVM.CapacityBytes,
 		CounterArity:  cfg.Security.CounterArity,
 		TreeArity:     cfg.Security.TreeArity,
-		CloneDepths:   policy.Depths(probe.TopLevel()),
 		ShadowEntries: shadowLines,
 	})
 	if err != nil {
-		return nil, err
-	}
-	if err := core.CheckDepths(layout, policy); err != nil {
 		return nil, err
 	}
 	c.layout = layout

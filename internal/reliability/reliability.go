@@ -7,6 +7,7 @@ package reliability
 import (
 	"fmt"
 
+	"soteria/internal/core"
 	"soteria/internal/itree"
 	"soteria/internal/stats"
 )
@@ -16,40 +17,36 @@ import (
 // errors land uniformly at random over the occupied storage (data plus, for
 // the secure memory, counters and tree nodes).
 type ExpectedLossModel struct {
+	// Layout is the memory's address map. Its clone depths model
+	// Soteria: a level-i node only loses its coverage if all copies are
+	// hit, which for a handful of uniform errors is negligible — exactly
+	// Soteria's argument.
 	Layout *itree.Layout
 	// Secure selects whether metadata exists (and hence whether errors
 	// can amplify into unverifiable regions).
 	Secure bool
-	// CloneDepths optionally models Soteria: a level-i node only loses
-	// its coverage if all copies are hit, which for a handful of
-	// uniform errors is negligible — exactly Soteria's argument.
-	CloneDepths []int
 }
 
 // NewExpectedLossModel builds the model for a memory of dataBytes with the
-// paper's 64-ary counters and 8-ary tree.
-func NewExpectedLossModel(dataBytes uint64, secure bool, cloneDepths []int) (*ExpectedLossModel, error) {
-	lay, err := itree.NewLayout(itree.Params{
+// paper's 64-ary counters and 8-ary tree, cloned as policy says.
+func NewExpectedLossModel(dataBytes uint64, secure bool, policy core.ClonePolicy) (*ExpectedLossModel, error) {
+	lay, err := policy.Layout(itree.Params{
 		DataBytes:    dataBytes,
 		CounterArity: 64,
 		TreeArity:    8,
-		CloneDepths:  cloneDepths,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &ExpectedLossModel{Layout: lay, Secure: secure, CloneDepths: cloneDepths}, nil
+	return &ExpectedLossModel{Layout: lay, Secure: secure}, nil
 }
 
 // totalBytes is the storage errors can land in.
 func (m *ExpectedLossModel) totalBytes() float64 {
 	t := float64(m.Layout.DataBytes)
 	if m.Secure {
-		t += float64(m.Layout.MetadataBytes())
 		for i, li := range m.Layout.Levels {
-			if i < len(m.CloneDepths) && m.CloneDepths[i] > 1 {
-				t += float64(li.Nodes*itree.BlockSize) * float64(m.CloneDepths[i]-1)
-			}
+			t += float64(li.Nodes*itree.BlockSize) * float64(m.Layout.CloneDepths[i])
 		}
 	}
 	return t
@@ -74,10 +71,7 @@ func (m *ExpectedLossModel) ExpectedLossBytes(errors int) float64 {
 	perError := float64(m.Layout.DataBytes) / total * itree.BlockSize
 	if m.Secure {
 		for i, li := range m.Layout.Levels {
-			depth := 1
-			if i < len(m.CloneDepths) && m.CloneDepths[i] > 0 {
-				depth = m.CloneDepths[i]
-			}
+			depth := m.Layout.CloneDepths[i]
 			pNodeHit := float64(itree.BlockSize) / total
 			if depth == 1 {
 				// Expected loss from this level: nodes * P(node hit) * coverage.
@@ -116,11 +110,11 @@ func combinations(n, k int) float64 {
 // memory to the non-secure memory — Fig 3's headline "12x" for a 4 TB
 // system.
 func AmplificationFactor(dataBytes uint64) (float64, error) {
-	sec, err := NewExpectedLossModel(dataBytes, true, nil)
+	sec, err := NewExpectedLossModel(dataBytes, true, core.Baseline())
 	if err != nil {
 		return 0, err
 	}
-	non, err := NewExpectedLossModel(dataBytes, false, nil)
+	non, err := NewExpectedLossModel(dataBytes, false, core.Baseline())
 	if err != nil {
 		return 0, err
 	}

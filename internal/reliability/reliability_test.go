@@ -8,7 +8,7 @@ import (
 )
 
 func TestNonSecureLossIsLinear(t *testing.T) {
-	m, err := NewExpectedLossModel(4<<40, false, nil)
+	m, err := NewExpectedLossModel(4<<40, false, core.Baseline())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestSecureAmplificationMatchesPaper(t *testing.T) {
 }
 
 func TestExpectedLossScalesWithErrors(t *testing.T) {
-	m, _ := NewExpectedLossModel(4<<40, true, nil)
+	m, _ := NewExpectedLossModel(4<<40, true, core.Baseline())
 	l1 := m.ExpectedLossBytes(1)
 	l5 := m.ExpectedLossBytes(5)
 	if math.Abs(l5-5*l1) > l1*0.3 {
@@ -52,9 +52,8 @@ func TestExpectedLossScalesWithErrors(t *testing.T) {
 }
 
 func TestCloningCollapsesExpectedLoss(t *testing.T) {
-	plain, _ := NewExpectedLossModel(1<<40, true, nil)
-	probe := plain.Layout.TopLevel()
-	src, err := NewExpectedLossModel(1<<40, true, core.SRC().Depths(probe))
+	plain, _ := NewExpectedLossModel(1<<40, true, core.Baseline())
+	src, err := NewExpectedLossModel(1<<40, true, core.SRC())
 	if err != nil {
 		t.Fatal(err)
 	}

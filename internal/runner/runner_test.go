@@ -174,6 +174,42 @@ func TestFaultSweepCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// A scheme's recomputable level changes its losses, so it must be part of
+// the cache key: a sweep that differs only there has to run its blocks
+// and match a direct run, not be served the other sweep's entry.
+func TestFaultSweepCacheKeyCoversRecomputableLevel(t *testing.T) {
+	dir := t.TempDir()
+	sweep := testSweep(t, 800, []float64{80})
+	first, err := New(Options{Workers: 4, CacheDir: dir}).RunFaultSweep(sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	relaxed := *sweep.Schemes[1]
+	relaxed.RecomputableAbove = 2
+	sweep.Schemes = []*faultsim.Scheme{sweep.Schemes[0], &relaxed, sweep.Schemes[2]}
+	var units atomic.Int32
+	e := New(Options{Workers: 4, CacheDir: dir, ProgressEvery: 1,
+		OnProgress: func(Progress) { units.Add(1) }})
+	got, err := e.RunFaultSweep(sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if units.Load() == 0 {
+		t.Fatal("sweep with a different recomputable level was served from the cache")
+	}
+	want, err := faultsim.Run(sweep.options(80), sweep.Schemes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got[0], want) {
+		t.Fatalf("sweep %+v != direct %+v", got[0], want)
+	}
+	if reflect.DeepEqual(got[0], first[0]) {
+		t.Fatal("the recomputable level changed no number; a stale entry would pass unnoticed")
+	}
+}
+
 // Per-point telemetry inherits the engine's headline guarantee: the
 // merged snapshot is byte-identical JSON at any worker count.
 func TestFaultSweepTelemetryWorkerInvariance(t *testing.T) {

@@ -46,12 +46,12 @@ func (s FaultSweep) options(fit float64) faultsim.Options {
 
 // pointKey builds the cache key of one FIT point. Everything that can
 // change the numbers is hashed: the full fault-sim configuration, the
-// sampling options, and each scheme's complete layout (which encodes the
-// clone policy, shadow sizing and address map).
+// sampling options, and each scheme's recomputable level and complete
+// layout (which encodes the clone policy, shadow sizing and address map).
 func (s FaultSweep) pointKey(fit float64) string {
 	parts := []interface{}{s.Config, fit, s.Trials, s.Seed, s.Conditional, s.ECC, s.BlockSize}
 	for _, sc := range s.Schemes {
-		parts = append(parts, sc.Name, sc.Secure, sc.RecomputableIntermediates, *sc.Layout)
+		parts = append(parts, sc.Name, sc.Secure, sc.RecomputableAbove, *sc.Layout)
 	}
 	return cacheKey("fsim", parts...)
 }
