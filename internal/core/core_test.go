@@ -257,8 +257,7 @@ func TestCopyAddrsMatchPolicyAndWPQBound(t *testing.T) {
 }
 
 // stuckMem is an allocation-free Mem over a fixed set of lines, in which
-// the line at bad always reads as uncorrectable. It keeps the device's own
-// decode work out of the handler's allocation count.
+// the line at bad always reads as uncorrectable.
 type stuckMem struct {
 	lines map[uint64]nvm.Line
 	bad   uint64
@@ -301,6 +300,32 @@ func TestReadVerifiedFaultPathZeroAllocs(t *testing.T) {
 	})
 	if repair != 0 || tamper != 0 {
 		t.Fatalf("allocs per read: repair %v, tamper %v; want 0", repair, tamper)
+	}
+
+	// The same repair over a real device, whose decode of the dead home
+	// copy reports every word bad, allocates nothing under either codec.
+	for _, codec := range []ecc.Codec{ecc.SECDED{}, ecc.NewChipkill()} {
+		dev, err := nvm.NewDevice(lay.Total, codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range lay.CopyAddrs(top, 0) {
+			dev.Write(a, &good)
+		}
+		h := NewFaultHandler(devMem{dev}, lay)
+		home := lay.NodeAddr(top, 0)
+		allocs := testing.AllocsPerRun(100, func() {
+			dev.CorruptLine(home)
+			if out, _ := h.ReadVerified(top, 0, dst, verify); out != OutcomeRepaired {
+				t.Fatalf("%s: outcome %v, want repaired", codec.Name(), out)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: allocs per repaired read %v, want 0", codec.Name(), allocs)
+		}
+		if dev.Stats().UncorrectableHits < 100 {
+			t.Fatalf("%s: %d uncorrectable reads, want one per run", codec.Name(), dev.Stats().UncorrectableHits)
+		}
 	}
 }
 

@@ -32,7 +32,7 @@ func (c refChipkill) Decode(data, check []byte) Result {
 		n, ok := c.rs.Decode(data[b*8:b*8+8], check[b*2:b*2+2])
 		if !ok {
 			res.Uncorrectable = true
-			res.BadWords = append(res.BadWords, b)
+			res.BadWords |= 1 << b
 			continue
 		}
 		if n > 0 {

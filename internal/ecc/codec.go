@@ -15,11 +15,11 @@ type Result struct {
 	// Uncorrectable is true when the line contains a detected
 	// uncorrectable error; the data contents must not be trusted.
 	Uncorrectable bool
-	// BadWords lists the 8-byte word indices that failed to decode.
+	// BadWords has bit w set when 8-byte word w failed to decode.
 	// Soteria's duplicated shadow entries (Fig 8) exploit this
 	// per-codeword granularity: the surviving half of an entry is
 	// readable even when the other half's codeword is dead.
-	BadWords []int
+	BadWords uint8
 }
 
 // Codec protects a 64-byte memory line with some error-correcting code.
@@ -142,7 +142,7 @@ func (c *Chipkill) Decode(data, check []byte) Result {
 		n, ok := c.rs.Decode(data[b*8:b*8+8], check[b*2:b*2+2])
 		if !ok {
 			res.Uncorrectable = true
-			res.BadWords = append(res.BadWords, b)
+			res.BadWords |= 1 << b
 			continue
 		}
 		res.Corrected = true

@@ -129,7 +129,7 @@ func TestSECDEDLineCodec(t *testing.T) {
 	// Flip two bits in word 5: uncorrectable, BadWords names word 5.
 	got[5*8] ^= 0x03
 	res = codec.Decode(got, check)
-	if !res.Uncorrectable || len(res.BadWords) != 1 || res.BadWords[0] != 5 {
+	if !res.Uncorrectable || res.BadWords != 1<<5 {
 		t.Fatalf("double-bit line error not attributed to word 5: %+v", res)
 	}
 }
@@ -348,6 +348,45 @@ func BenchmarkChipkillDecodeClean(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if ck.Decode(line, check).Uncorrectable {
 			b.Fatal("clean line reported uncorrectable")
+		}
+	}
+}
+
+// Decoding a line with a correctable or an uncorrectable error in every
+// word allocates nothing, under either line codec: a fault storm must not
+// turn into garbage-collector work below the controller.
+func TestFaultyDecodeDoesNotAllocate(t *testing.T) {
+	for _, codec := range []Codec{NewChipkill(), SECDED{}} {
+		var line, check [64]byte
+		for i := range line {
+			line[i] = byte(i*37 + 11)
+		}
+		codec.EncodeInto(check[:codec.CheckBytes()], line[:])
+		for _, c := range []struct {
+			name string
+			flip [2]byte // XORed into bytes 0 and 3 of every word
+			want Result
+		}{
+			{"corrected", [2]byte{0x04, 0}, Result{Corrected: true, SymbolsCorrected: 8}},
+			{"uncorrectable", [2]byte{0x01, 0x80}, Result{Uncorrectable: true, BadWords: 0xFF}},
+		} {
+			var got Result
+			data, chk := make([]byte, 64), make([]byte, codec.CheckBytes())
+			allocs := testing.AllocsPerRun(100, func() {
+				copy(data, line[:])
+				copy(chk, check[:])
+				for w := 0; w < 8; w++ {
+					data[w*8] ^= c.flip[0]
+					data[w*8+3] ^= c.flip[1]
+				}
+				got = codec.Decode(data, chk)
+			})
+			if got != c.want {
+				t.Fatalf("%s %s: %+v, want %+v", codec.Name(), c.name, got, c.want)
+			}
+			if allocs != 0 {
+				t.Fatalf("%s %s: Decode allocates %v times", codec.Name(), c.name, allocs)
+			}
 		}
 	}
 }

@@ -8,12 +8,6 @@ import "fmt"
 type RS struct {
 	k, nsym int
 	gen     []byte // generator polynomial, highest-degree first
-
-	// cw/syn are decode scratch: one codec instance serves one device,
-	// which (like the controller above it) is single-goroutine, so a
-	// clean codeword decodes without allocating.
-	cw  []byte
-	syn []byte
 }
 
 // NewRS builds a Reed-Solomon code with k data symbols and nsym check
@@ -26,11 +20,7 @@ func NewRS(k, nsym int) (*RS, error) {
 	for i := 0; i < nsym; i++ {
 		gen = polyMul(gen, []byte{1, gfPow(i)})
 	}
-	return &RS{
-		k: k, nsym: nsym, gen: gen,
-		cw:  make([]byte, k+nsym),
-		syn: make([]byte, nsym),
-	}, nil
+	return &RS{k: k, nsym: nsym, gen: gen}, nil
 }
 
 // K returns the number of data symbols per codeword.
@@ -87,49 +77,50 @@ func (r *RS) Decode(msg, check []byte) (corrected int, ok bool) {
 	if len(msg) != r.k || len(check) != r.nsym {
 		panic("ecc: RS.Decode called with wrong lengths")
 	}
-	// Scratch buffers keep the clean exit allocation-free.
-	cw := r.cw
+	// The codeword and every polynomial below fit fixed arrays (n <= 255,
+	// at most nsym+1 coefficients), so decoding allocates nothing, and
+	// one RS may decode on several goroutines at once.
+	var cwBuf [255]byte
+	cw := cwBuf[:r.k+r.nsym]
 	copy(cw, msg)
 	copy(cw[r.k:], check)
 
-	syn := r.syn
+	var synBuf [254]byte
+	syn := synBuf[:r.nsym]
 	if r.syndromesInto(syn, cw) {
 		return 0, true
 	}
 
 	// Berlekamp-Massey: find the error-locator polynomial sigma
 	// (lowest-degree first here for convenience).
-	sigma := []byte{1}
-	prev := []byte{1}
+	var sigma, prev [256]byte
+	sigma[0], prev[0] = 1, 1
+	nSigma, nPrev := 1, 1
 	var l, m int = 0, 1
 	b := byte(1)
 	for n := 0; n < r.nsym; n++ {
 		var d byte = syn[n]
-		for i := 1; i <= l; i++ {
-			if i < len(sigma) {
-				d ^= gfMul(sigma[i], syn[n-i])
-			}
+		for i := 1; i <= l && i < nSigma; i++ {
+			d ^= gfMul(sigma[i], syn[n-i])
 		}
 		if d == 0 {
 			m++
 			continue
 		}
+		coef := gfDiv(d, b)
 		if 2*l <= n {
-			t := make([]byte, len(sigma))
-			copy(t, sigma)
-			coef := gfDiv(d, b)
-			sigma = polyAddShifted(sigma, prev, coef, m)
+			saved, nSaved := sigma, nSigma
+			nSigma = addShifted(&sigma, nSigma, &prev, nPrev, coef, m)
 			l = n + 1 - l
-			prev = t
+			prev, nPrev = saved, nSaved
 			b = d
 			m = 1
 		} else {
-			coef := gfDiv(d, b)
-			sigma = polyAddShifted(sigma, prev, coef, m)
+			nSigma = addShifted(&sigma, nSigma, &prev, nPrev, coef, m)
 			m++
 		}
 	}
-	degree := len(sigma) - 1
+	degree := nSigma - 1
 	for degree > 0 && sigma[degree] == 0 {
 		degree--
 	}
@@ -139,44 +130,46 @@ func (r *RS) Decode(msg, check []byte) (corrected int, ok bool) {
 
 	// Chien search for error positions.
 	n := r.k + r.nsym
-	var errPos []int
+	var errPos [255]uint8
+	nErr := 0
 	for i := 0; i < n; i++ {
 		// Position i (highest-degree-first index) corresponds to
 		// codeword exponent n-1-i; a root at alpha^{-(n-1-i)} marks an
 		// error there.
 		xinv := gfPow(255 - (n-1-i)%255)
 		var v byte
-		for j := len(sigma) - 1; j >= 0; j-- {
+		for j := nSigma - 1; j >= 0; j-- {
 			v = gfMul(v, xinv) ^ sigma[j]
 		}
 		if v == 0 {
-			errPos = append(errPos, i)
+			errPos[nErr] = uint8(i)
+			nErr++
 		}
 	}
-	if len(errPos) != degree {
+	if nErr != degree {
 		return 0, false // locator polynomial has wrong root count
 	}
 
 	// Forney's algorithm for error magnitudes.
 	// Omega(x) = [S(x) * sigma(x)] mod x^nsym, with S lowest-first.
-	omega := make([]byte, r.nsym)
+	var omega [255]byte
 	for i := 0; i < r.nsym; i++ {
-		for j := 0; j <= i && j < len(sigma); j++ {
+		for j := 0; j <= i && j < nSigma; j++ {
 			omega[i] ^= gfMul(sigma[j], syn[i-j])
 		}
 	}
-	for _, pos := range errPos {
-		xiExp := (n - 1 - pos) % 255
+	for _, pos := range errPos[:nErr] {
+		xiExp := (n - 1 - int(pos)) % 255
 		xi := gfPow(xiExp)
 		xiInv := gfInv(xi)
 		// omega(xi^-1)
 		var num byte
-		for i := len(omega) - 1; i >= 0; i-- {
+		for i := r.nsym - 1; i >= 0; i-- {
 			num = gfMul(num, xiInv) ^ omega[i]
 		}
 		// sigma'(xi^-1): formal derivative keeps odd-power terms.
 		var den byte
-		for i := 1; i < len(sigma); i += 2 {
+		for i := 1; i < nSigma; i += 2 {
 			term := sigma[i]
 			for j := 0; j < i-1; j++ {
 				term = gfMul(term, xiInv)
@@ -196,24 +189,14 @@ func (r *RS) Decode(msg, check []byte) (corrected int, ok bool) {
 	}
 	copy(msg, cw[:r.k])
 	copy(check, cw[r.k:])
-	return len(errPos), true
+	return nErr, true
 }
 
-// polyAddShifted returns a + coef * b * x^shift where polynomials are
-// lowest-degree-first.
-func polyAddShifted(a, b []byte, coef byte, shift int) []byte {
-	need := len(b) + shift
-	out := make([]byte, max(len(a), need))
-	copy(out, a)
-	for i, c := range b {
-		out[i+shift] ^= gfMul(c, coef)
+// addShifted adds coef * b * x^shift into a (na coefficients; b has nb),
+// both lowest-degree-first, and returns a's new length.
+func addShifted(a *[256]byte, na int, b *[256]byte, nb int, coef byte, shift int) int {
+	for i, c := range b[:nb] {
+		a[i+shift] ^= gfMul(c, coef)
 	}
-	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return max(na, nb+shift)
 }

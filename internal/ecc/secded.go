@@ -166,7 +166,7 @@ func (SECDED) Decode(data, check []byte) Result {
 		v, corr, unc := secdedDecode(word(data, w), check[w])
 		if unc {
 			res.Uncorrectable = true
-			res.BadWords = append(res.BadWords, w)
+			res.BadWords |= 1 << w
 			continue
 		}
 		if corr {

@@ -163,9 +163,6 @@ var (
 
 // Options tune non-default controller behaviour.
 type Options struct {
-	// OsirisLimit bounds in-cache counter increments between forced
-	// write-backs; zero selects the default.
-	OsirisLimit int
 	// EagerTreeUpdate switches the ToC from the paper's lazy update to
 	// the eager scheme of §2.5: every data write propagates fresh MACs
 	// along the whole branch to the root. The root is always current, so
@@ -211,7 +208,6 @@ type Controller struct {
 
 	readLat, writeLat sim.Time
 	fwdLat            sim.Time
-	osirisLimit       int
 	eager             bool
 
 	now        sim.Time
@@ -266,18 +262,14 @@ func newController(cfg config.SystemConfig, mode Mode, policy core.ClonePolicy, 
 	}
 
 	c := &Controller{
-		cfg:         cfg,
-		mode:        mode,
-		policy:      policy,
-		readLat:     sim.FromDuration(cfg.NVM.ReadLatency),
-		writeLat:    sim.FromDuration(cfg.NVM.WriteLatency),
-		fwdLat:      sim.FromDuration(cfg.NVM.ReadLatency) / 10,
-		osirisLimit: opt.OsirisLimit,
-		eager:       opt.EagerTreeUpdate,
-		opt:         opt,
-	}
-	if c.osirisLimit <= 0 {
-		c.osirisLimit = defaultOsirisLimit
+		cfg:      cfg,
+		mode:     mode,
+		policy:   policy,
+		readLat:  sim.FromDuration(cfg.NVM.ReadLatency),
+		writeLat: sim.FromDuration(cfg.NVM.WriteLatency),
+		fwdLat:   sim.FromDuration(cfg.NVM.ReadLatency) / 10,
+		eager:    opt.EagerTreeUpdate,
+		opt:      opt,
 	}
 	strat, err := newStrategy(opt.Strategy)
 	if err != nil {
@@ -355,7 +347,9 @@ func newController(cfg config.SystemConfig, mode Mode, policy core.ClonePolicy, 
 	return c, nil
 }
 
-const defaultOsirisLimit = 8
+// osirisLimit bounds a counter's in-cache increments between forced
+// write-backs, so Osiris recovery tries at most osirisLimit+1 candidates.
+const osirisLimit = 8
 
 func roundUp(v, m uint64) uint64 { return (v + m - 1) / m * m }
 

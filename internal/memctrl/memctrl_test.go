@@ -479,7 +479,7 @@ func TestOsirisBoundForcesWriteback(t *testing.T) {
 	var now sim.Time
 	var err error
 	var l nvm.Line
-	for i := 0; i < defaultOsirisLimit+2; i++ {
+	for i := 0; i < osirisLimit+2; i++ {
 		if now, err = c.WriteBlock(now, 0, &l); err != nil {
 			t.Fatal(err)
 		}

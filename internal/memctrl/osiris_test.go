@@ -10,9 +10,9 @@ import (
 func TestRecoverValueFindsTruth(t *testing.T) {
 	f := func(stale uint64, deltaRaw uint8) bool {
 		stale &= 1<<40 - 1 // keep additions far from overflow
-		delta := uint64(deltaRaw % (defaultOsirisLimit + 1))
+		delta := uint64(deltaRaw % (osirisLimit + 1))
 		truth := stale + delta
-		v, ok := recoverValue(stale, defaultOsirisLimit, func(c uint64) bool { return c == truth })
+		v, ok := recoverValue(stale, osirisLimit, func(c uint64) bool { return c == truth })
 		return ok && v == truth
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -73,7 +73,7 @@ func TestRecoverBlockMinorsIndependently(t *testing.T) {
 	truth.Minors[63] = 1
 	stale.Minors[13] = 5 // stale by 3
 	verify := func(slot int, counter uint64) bool { return counter == truth.Counter(slot) }
-	rec, failed, err := recoverCounterBlock(stale, uint16(truth.Major&0xFFFF), defaultOsirisLimit, verify)
+	rec, failed, err := recoverCounterBlock(stale, uint16(truth.Major&0xFFFF), osirisLimit, verify)
 	if err != nil || len(failed) != 0 {
 		t.Fatalf("failed slots %v err %v", failed, err)
 	}
@@ -93,7 +93,7 @@ func TestRecoverBlockAfterMajorBump(t *testing.T) {
 	stale.Minors[2] = 60
 	stale.Minors[9] = 33
 	verify := func(slot int, counter uint64) bool { return counter == truth.Counter(slot) }
-	rec, failed, err := recoverCounterBlock(stale, uint16(truth.Major&0xFFFF), defaultOsirisLimit, verify)
+	rec, failed, err := recoverCounterBlock(stale, uint16(truth.Major&0xFFFF), osirisLimit, verify)
 	if err != nil || len(failed) != 0 {
 		t.Fatalf("failed %v err %v", failed, err)
 	}
@@ -105,9 +105,9 @@ func TestRecoverBlockAfterMajorBump(t *testing.T) {
 func TestRecoverBlockReportsFailedSlots(t *testing.T) {
 	var truth ctrenc.CounterBlock
 	stale := truth
-	truth.Minors[5] = defaultOsirisLimit + 3 // beyond the trial bound
+	truth.Minors[5] = osirisLimit + 3 // beyond the trial bound
 	verify := func(slot int, counter uint64) bool { return counter == truth.Counter(slot) }
-	_, failed, err := recoverCounterBlock(stale, 0, defaultOsirisLimit, verify)
+	_, failed, err := recoverCounterBlock(stale, 0, osirisLimit, verify)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -212,7 +212,7 @@ func (c *Controller) recoverLeaf(index uint64, stale ctrenc.CounterBlock, majorL
 		return c.eng.DataMAC(addr, counter, &ct) == want
 	}
 
-	rec, failed, err := recoverCounterBlock(stale, majorLSB, c.osirisLimit, verify)
+	rec, failed, err := recoverCounterBlock(stale, majorLSB, osirisLimit, verify)
 	if err != nil {
 		return ctrenc.CounterBlock{}, err
 	}

@@ -108,7 +108,7 @@ func (s *shadowStrategy) commitLeaf(c *Controller, home uint64, way int) error {
 // entry is the exact in-cache image, so its counters may drift arbitrarily
 // far.
 func (s *shadowStrategy) needsForce(c *Controller, blk *metacache.Block, slot int) bool {
-	return !s.content && !c.eager && blk.UpdatesPerSlot[slot] >= uint32(c.osirisLimit)
+	return !s.content && !c.eager && blk.UpdatesPerSlot[slot] >= osirisLimit
 }
 
 func (s *shadowStrategy) afterOp(c *Controller) error { return nil }

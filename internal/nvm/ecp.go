@@ -51,15 +51,15 @@ func (d *Device) ECPStats() ECPStats {
 
 // ecpRepairAfterWrite runs the write-verify step: diff the intended line
 // against the stored cells and allocate pointers for cells that did not
-// take the value. Returns true when the line now reads back correctly
-// (possibly via pointers).
-func (d *Device) ecpRepairAfterWrite(idx uint64, intended *Line, l *storedLine) bool {
+// take the value, or drop the line's pointers when none are needed or
+// more than the budget would be.
+func (d *Device) ecpRepairAfterWrite(idx uint64, intended, cells *Line) {
 	if d.ecpBudget <= 0 {
-		return false
+		return
 	}
 	var entries []ecpEntry
 	for byteIdx := 0; byteIdx < LineSize; byteIdx++ {
-		diff := intended[byteIdx] ^ l.data[byteIdx]
+		diff := intended[byteIdx] ^ cells[byteIdx]
 		for bit := uint16(0); diff != 0; bit++ {
 			if diff&1 != 0 {
 				entries = append(entries, ecpEntry{
@@ -70,17 +70,15 @@ func (d *Device) ecpRepairAfterWrite(idx uint64, intended *Line, l *storedLine) 
 			diff >>= 1
 		}
 	}
-	if len(entries) == 0 {
+	switch {
+	case len(entries) == 0:
 		delete(d.ecp, idx)
-		return false
-	}
-	if len(entries) > d.ecpBudget {
+	case len(entries) > d.ecpBudget:
 		d.ecpExhausted++
 		delete(d.ecp, idx) // stale pointers would mask the real damage
-		return false
+	default:
+		d.ecp[idx] = entries
 	}
-	d.ecp[idx] = entries
-	return true
 }
 
 // ecpApply substitutes repaired cells into a line image before ECC decode.

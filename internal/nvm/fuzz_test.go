@@ -3,6 +3,7 @@ package nvm
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -115,7 +116,13 @@ func (r *eagerDevice) Read(addr uint64) ReadResult {
 	if res.Uncorrectable {
 		r.stats.UncorrectableHits++
 	}
-	return ReadResult{Data: buf, Corrected: res.Corrected, Uncorrectable: res.Uncorrectable, BadWords: res.BadWords}
+	var bad []int
+	for w := 0; w < 8; w++ {
+		if res.BadWords&(1<<w) != 0 {
+			bad = append(bad, w)
+		}
+	}
+	return ReadResult{Data: buf, Corrected: res.Corrected, Uncorrectable: res.Uncorrectable, BadWords: bad}
 }
 
 func (r *eagerDevice) ReadRaw(addr uint64) Line {
@@ -169,6 +176,16 @@ func (r *eagerDevice) ClearFaults() {
 	}
 }
 
+// touched lists the materialized line addresses in ascending order.
+func (r *eagerDevice) touched() []uint64 {
+	var addrs []uint64
+	for a := range r.lines {
+		addrs = append(addrs, a)
+	}
+	slices.Sort(addrs)
+	return addrs
+}
+
 func (r *eagerDevice) ECPStats() ECPStats {
 	s := ECPStats{Exhausted: r.ecpExhausted}
 	for _, entries := range r.ecp {
@@ -178,15 +195,40 @@ func (r *eagerDevice) ECPStats() ECPStats {
 	return s
 }
 
-// fuzzLines is how many lines the fuzz scripts address; the device holds
-// twice as many, so some stay untouched.
-const fuzzLines = 4
+// fuzzDeviceLines is the fuzz device's size: two directory nodes and the
+// first pages of a third, so the scripts reach every boundary the storage
+// has.
+const fuzzDeviceLines = 2*pageLines*dirPages + 2*pageLines
+
+// fuzzIdx are the lines the fuzz scripts address: either side of a bitmap
+// word (a page), of a directory node, and the device's last line.
+var fuzzIdx = [8]uint64{
+	0, pageLines - 1, pageLines,
+	pageLines*dirPages - 1, pageLines * dirPages, pageLines*dirPages + 1,
+	2 * pageLines * dirPages, fuzzDeviceLines - 1,
+}
+
+// fuzzProbes are the lines whose state is compared after every step: the
+// addressed lines and untouched neighbours of each.
+var fuzzProbes = func() []uint64 {
+	var p []uint64
+	for _, idx := range fuzzIdx {
+		p = append(p, idx)
+		if idx+1 < fuzzDeviceLines {
+			p = append(p, idx+1)
+		}
+		if idx > 0 {
+			p = append(p, idx-1)
+		}
+	}
+	return p
+}()
 
 // FuzzDeviceMatchesEagerECC runs a script of device operations on a Device
 // and on eagerDevice and requires the same results and the same observable
 // state after every step. Each step is three bytes: op, selector and
-// argument. The selector's low two bits pick the line, its top three a bit
-// within a byte, and its top six are a stuck-cell mask.
+// argument. The selector's low three bits pick the line from fuzzIdx, its
+// top three a bit within a byte, and its top six are a stuck-cell mask.
 func FuzzDeviceMatchesEagerECC(f *testing.F) {
 	// Hand-written: write then fault then read, for each fault kind.
 	f.Add(uint8(0), uint8(0), []byte{0, 1, 7, 4, 1, 3, 1, 1, 0, 0, 2, 9, 3, 0x42, 9, 1, 2, 0})
@@ -204,7 +246,7 @@ func FuzzDeviceMatchesEagerECC(f *testing.F) {
 	f.Fuzz(func(t *testing.T, codecSel, ecpSel uint8, script []byte) {
 		codec := codecs[int(codecSel)%len(codecs)]
 		budget := []int{0, 2, 6}[int(ecpSel)%3]
-		d, err := NewDevice(2*fuzzLines*LineSize, codec)
+		d, err := NewDevice(fuzzDeviceLines*LineSize, codec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +258,7 @@ func FuzzDeviceMatchesEagerECC(f *testing.F) {
 		var data, mask, val Line
 		for i := 0; i+2 < len(script); i += 3 {
 			op, sel, arg := script[i]%10, script[i+1], script[i+2]
-			addr := uint64(sel%fuzzLines) * LineSize
+			addr := fuzzIdx[sel%8] * LineSize
 			bit := uint(sel >> 5)
 			switch op {
 			case 0, 1:
@@ -267,7 +309,7 @@ func FuzzDeviceMatchesEagerECC(f *testing.F) {
 			if got, want := d.TouchedLines(), len(ref.lines); got != want {
 				t.Fatalf("step %d (op %d): TouchedLines %d, eager %d", i/3, op, got, want)
 			}
-			for k := uint64(0); k < 2*fuzzLines; k++ {
+			for _, k := range fuzzProbes {
 				a := k * LineSize
 				if got, want := d.ReadRaw(a), ref.ReadRaw(a); got != want {
 					t.Fatalf("step %d (op %d): line %d cells %x, eager %x", i/3, op, k, got, want)
@@ -275,11 +317,19 @@ func FuzzDeviceMatchesEagerECC(f *testing.F) {
 				if got, want := d.WearOf(a), ref.WearOf(a); got != want {
 					t.Fatalf("step %d (op %d): line %d wear %d, eager %d", i/3, op, k, got, want)
 				}
+				if got, want := d.Materialized(a), ref.lines[a] != nil; got != want {
+					t.Fatalf("step %d (op %d): line %d Materialized %v, eager %v", i/3, op, k, got, want)
+				}
+			}
+			var touched []uint64
+			d.ForEachTouched(func(a uint64) { touched = append(touched, a) })
+			if want := ref.touched(); !slices.Equal(touched, want) {
+				t.Fatalf("step %d (op %d): ForEachTouched %v, eager %v", i/3, op, touched, want)
 			}
 		}
 		// A final read of every line catches check bytes that differ
 		// without a read in the script to show it.
-		for k := uint64(0); k < fuzzLines; k++ {
+		for _, k := range fuzzIdx {
 			a := k * LineSize
 			if got, want := d.Read(a), ref.Read(a); !reflect.DeepEqual(got, want) {
 				t.Fatalf("final Read(%#x) = %+v, eager %+v", a, got, want)
@@ -288,9 +338,31 @@ func FuzzDeviceMatchesEagerECC(f *testing.F) {
 	})
 }
 
-// The fresh bit must fit the record's padding: peak RSS scales with it.
-func TestStoredLineStays96Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(storedLine{}); n != 96 {
-		t.Fatalf("storedLine is %d bytes, want 96", n)
+// A page keeps its cells at offset 0 and is allocated from the runtime's
+// 6144-byte size class, a multiple of 64, so every line is one host cache
+// line. A directory entry is the page pointer and two bitmap words: 24 B on
+// 64-bit hosts and 20 B where a pointer is 4 B (GOARCH=386), so a directory
+// node is 12 KB (10 KB).
+func TestPageAndDirEntryLayout(t *testing.T) {
+	if off := unsafe.Offsetof(page{}.data); off != 0 {
+		t.Fatalf("page data at offset %d, want 0", off)
+	}
+	if n := unsafe.Sizeof(page{}); n != 5632 {
+		t.Fatalf("page is %d bytes, want 5632", n)
+	}
+	want := map[uintptr]uintptr{8: 24, 4: 20}[unsafe.Sizeof(uintptr(0))]
+	if n := unsafe.Sizeof(dirEntry{}); n != want {
+		t.Fatalf("dirEntry is %d bytes, want %d with %d-byte pointers", n, want, unsafe.Sizeof(uintptr(0)))
+	}
+	d, err := NewDevice(pageLines*dirPages*LineSize, ecc.NewChipkill())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for idx := uint64(0); idx < pageLines*dirPages; idx += 5 * pageLines {
+		d.Write(idx*LineSize, &Line{})
+		e, i := d.lookup(idx)
+		if a := uintptr(unsafe.Pointer(&e.page.data[i])); a%LineSize != 0 {
+			t.Fatalf("line %d cells at %#x, not %d-byte aligned", idx, a, LineSize)
+		}
 	}
 }

@@ -5,10 +5,13 @@
 // region and Soteria's clone regions in it, and the fault-injection API lets
 // tests and experiments plant correctable and uncorrectable errors anywhere.
 //
-// Storage is sparse: lines live in fixed-size pages of value records behind a
-// two-level directory, and only pages holding a written (or faulted) line are
+// Storage is sparse: lines live in fixed-size pages behind a two-level
+// directory, and only pages holding a written (or faulted) line are
 // allocated, so a nominally 16 GB device costs memory proportional to its
-// touched footprint.
+// touched footprint. A page keeps its lines' cells, check bytes and write
+// counts in separate arrays, and the directory entry pointing to it holds
+// the page's present and fresh bitmaps, so reading a fresh line touches that
+// entry and the line's one host cache line.
 //
 // Check bytes are deferred. A line that is newly materialized, or was last
 // written with no stuck cells, is fresh: its check bytes have not been
@@ -22,6 +25,7 @@ package nvm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"soteria/internal/config"
 	"soteria/internal/ecc"
@@ -37,23 +41,8 @@ const LineSize = config.BlockSize
 // and tree layers.
 type Line = [LineSize]byte
 
-// maxCheckBytes is the widest per-line ECC a record holds inline (Chipkill).
+// maxCheckBytes is the widest per-line ECC a page holds (Chipkill).
 const maxCheckBytes = 16
-
-// storedLine is one record of a page: a line's raw cells, its stored ECC
-// check bytes (the first Codec.CheckBytes() of check) and its write count,
-// contiguous so a read or write touches one record and nothing else. present
-// marks a materialized line; an absent record is all zero. fresh means check
-// is stale and data is exactly what was last written (zeroes for a line
-// never written); settle computes check and clears it. The record stays 96
-// bytes.
-type storedLine struct {
-	data    Line
-	check   [maxCheckBytes]byte
-	wear    uint64
-	present bool
-	fresh   bool
-}
 
 // stuckCells describes a line's permanently faulty cells: after any write,
 // bits in mask take the value in val.
@@ -61,13 +50,12 @@ type stuckCells struct {
 	mask, val Line
 }
 
-// A line index splits into directory slot, page slot and record: pages of
-// pageLines records, dirPages pages to a directory node. The root is sized
+// A line index splits into directory slot, page slot and line: pages of
+// pageLines lines, dirPages pages to a directory node. The root is sized
 // from the capacity at construction; nodes and pages are allocated on first
 // touch, so untouched address space costs one nil root pointer per
-// pageLines*dirPages lines (2 MB): 64 KB for a 16 GB device. Peak RSS of the
-// four soteria-bench workloads is flat (within 2 %) from 32 to 256 lines a
-// page; 64 keeps an isolated line at 6 KB.
+// pageLines*dirPages lines (2 MB): 64 KB for a 16 GB device. A page is 64
+// lines so that one bitmap word covers it.
 const (
 	pageShift = 6
 	pageLines = 1 << pageShift
@@ -75,10 +63,27 @@ const (
 	dirPages  = 1 << dirShift
 )
 
-type (
-	page    [pageLines]storedLine
-	dirNode [dirPages]*page
-)
+// page holds pageLines lines as struct-of-arrays: the cells first, so every
+// line is one 64-byte-aligned host cache line, then each line's stored ECC
+// check bytes (the first Codec.CheckBytes() of its row) and write count.
+type page struct {
+	data  [pageLines]Line
+	check [pageLines][maxCheckBytes]byte
+	wear  [pageLines]uint64
+}
+
+// dirEntry is a page's slot in its directory node, with one bit per line of
+// the page: present marks a materialized line (an absent one is all zero);
+// fresh means the line's check bytes are stale and its cells are exactly
+// what was last written (zeroes for a line never written), and settle
+// computes the check bytes and clears it. A lookup reads this entry and the
+// line's cells, nothing else.
+type dirEntry struct {
+	page           *page
+	present, fresh uint64
+}
+
+type dirNode [dirPages]dirEntry
 
 // Stats aggregates device activity.
 type Stats struct {
@@ -114,9 +119,11 @@ type Device struct {
 	// slices passed through the ecc.Codec interface are assumed by the
 	// compiler to escape, so a read of a settled line decodes in this owned
 	// buffer instead of a stack one. A fresh line is read straight from its
-	// record, and settle encodes in place. The device, like the controller
-	// driving it, is single-goroutine.
-	rdBuf Line
+	// page, and settle encodes in place. badWords backs the BadWords of an
+	// uncorrectable read. The device, like the controller driving it, is
+	// single-goroutine.
+	rdBuf    Line
+	badWords [8]int
 }
 
 // telemetryHooks holds the device's metric handles; nil handles (no
@@ -158,19 +165,11 @@ func NewDevice(capacity uint64, codec ecc.Codec) (*Device, error) {
 		codec = ecc.NoECC{}
 	}
 	if n := codec.CheckBytes(); n < 0 || n > maxCheckBytes {
-		return nil, fmt.Errorf("nvm: codec %s stores %d check bytes per line, a record holds %d", codec.Name(), n, maxCheckBytes)
+		return nil, fmt.Errorf("nvm: codec %s stores %d check bytes per line, a page holds %d", codec.Name(), n, maxCheckBytes)
 	}
-	d := &Device{capacity: capacity, codec: codec, nCheck: codec.CheckBytes()}
-	d.reset()
-	return d, nil
-}
-
-// reset drops every line, leaving the device as constructed.
-func (d *Device) reset() {
-	nodeLines := uint64(pageLines * dirPages)
-	d.root = make([]*dirNode, (d.capacity/LineSize+nodeLines-1)/nodeLines)
-	d.touched = 0
-	d.stuck = nil
+	const nodeLines = pageLines * dirPages
+	root := make([]*dirNode, (capacity/LineSize+nodeLines-1)/nodeLines)
+	return &Device{capacity: capacity, codec: codec, nCheck: codec.CheckBytes(), root: root}, nil
 }
 
 // Capacity returns the device capacity in bytes.
@@ -187,8 +186,8 @@ func (d *Device) Stats() Stats { return d.stats }
 
 // WearOf returns the write count of the line containing addr.
 func (d *Device) WearOf(addr uint64) uint64 {
-	if l := d.lookup(addr / LineSize); l != nil {
-		return l.wear
+	if e, i := d.lookup(addr / LineSize); e != nil {
+		return e.page.wear[i]
 	}
 	return 0
 }
@@ -199,93 +198,90 @@ func (d *Device) TouchedLines() int { return d.touched }
 // Materialized reports whether the line containing addr has ever been
 // written or faulted. The secure controller uses this for cold-read
 // semantics: a never-touched line reads as zeroes without verification.
-func (d *Device) Materialized(addr uint64) bool { return d.lookup(addr/LineSize) != nil }
+func (d *Device) Materialized(addr uint64) bool {
+	e, _ := d.lookup(addr / LineSize)
+	return e != nil
+}
 
 // ForEachTouched visits every materialized line address in ascending order.
 // Callers depend on the order: chaos.Injector draws fault targets by
 // position, and memctrl.VerifyAll reports the lowest failing block.
 func (d *Device) ForEachTouched(fn func(lineAddr uint64)) {
-	d.forEach(func(idx uint64, _ *storedLine) { fn(idx * LineSize) })
+	d.forEach(func(idx uint64, _ *dirEntry, _ uint) { fn(idx * LineSize) })
 }
 
-// forEach visits every materialized record in ascending line order.
-func (d *Device) forEach(fn func(idx uint64, l *storedLine)) {
+// forEach visits every materialized line in ascending order, with its page's
+// directory entry and its slot in the page.
+func (d *Device) forEach(fn func(idx uint64, e *dirEntry, i uint)) {
 	for ni, node := range d.root {
 		if node == nil {
 			continue
 		}
-		for pi, p := range node {
-			if p == nil {
-				continue
-			}
+		for pi := range node {
+			e := &node[pi]
 			base := (uint64(ni)<<dirShift | uint64(pi)) << pageShift
-			for i := range p {
-				if p[i].present {
-					fn(base|uint64(i), &p[i])
-				}
+			for m := e.present; m != 0; m &= m - 1 {
+				i := uint(bits.TrailingZeros64(m))
+				fn(base|uint64(i), e, i)
 			}
 		}
 	}
 }
 
+// checkAddr returns the line index of an aligned address within the
+// capacity, and panics on any other.
 func (d *Device) checkAddr(addr uint64) uint64 {
-	if addr%LineSize != 0 {
-		panic(fmt.Sprintf("nvm: unaligned line address %#x", addr))
-	}
-	if addr >= d.capacity {
-		panic(fmt.Sprintf("nvm: address %#x beyond capacity %#x", addr, d.capacity))
+	if addr%LineSize != 0 || addr >= d.capacity {
+		panic(badAddr(addr))
 	}
 	return addr / LineSize
 }
 
-// lookup returns the stored line, or nil when it has not materialized. idx
-// may be anything; beyond the capacity nothing is materialized.
-func (d *Device) lookup(idx uint64) *storedLine {
-	ni := idx >> (pageShift + dirShift)
-	if ni >= uint64(len(d.root)) {
-		return nil
+// badAddr is the panic value of an access checkAddr refuses.
+type badAddr uint64
+
+func (a badAddr) Error() string { return fmt.Sprintf("nvm: bad line address %#x", uint64(a)) }
+
+// lookup returns the directory entry and page slot of a materialized line,
+// or a nil entry when the line has not materialized. idx may be anything;
+// beyond the capacity nothing is materialized.
+func (d *Device) lookup(idx uint64) (*dirEntry, uint) {
+	i := uint(idx & (pageLines - 1))
+	if ni := idx >> (pageShift + dirShift); ni < uint64(len(d.root)) && d.root[ni] != nil {
+		if e := &d.root[ni][idx>>pageShift&(dirPages-1)]; e.present>>i&1 != 0 {
+			return e, i
+		}
 	}
-	node := d.root[ni]
-	if node == nil {
-		return nil
-	}
-	p := node[idx>>pageShift&(dirPages-1)]
-	if p == nil {
-		return nil
-	}
-	if l := &p[idx&(pageLines-1)]; l.present {
-		return l
-	}
-	return nil
+	return nil, i
 }
 
-// line returns the stored line of an index within the capacity, materializing
-// a zero line (and its page and directory node) when absent.
-func (d *Device) line(idx uint64) *storedLine {
+// line returns the directory entry and page slot of a line within the
+// capacity, materializing a zero, fresh line (and its page and directory
+// node) when absent.
+func (d *Device) line(idx uint64) (*dirEntry, uint) {
 	np := &d.root[idx>>(pageShift+dirShift)]
 	if *np == nil {
 		*np = new(dirNode)
 	}
-	pp := &(*np)[idx>>pageShift&(dirPages-1)]
-	if *pp == nil {
-		*pp = new(page)
-	}
-	l := &(*pp)[idx&(pageLines-1)]
-	if !l.present {
-		l.present = true
-		l.fresh = true
+	e, i := &(*np)[idx>>pageShift&(dirPages-1)], uint(idx&(pageLines-1))
+	if e.present>>i&1 == 0 {
+		if e.page == nil {
+			e.page = new(page)
+		}
+		e.present |= 1 << i
+		e.fresh |= 1 << i
 		d.touched++
 	}
-	return l
+	return e, i
 }
 
 // settle computes a fresh line's check bytes from its cells, the ones an
 // encode on every write would have stored. Every fault injection calls it
 // before touching cells or check bytes.
-func (d *Device) settle(l *storedLine) {
-	if l.fresh {
-		d.codec.EncodeInto(l.check[:d.nCheck], l.data[:])
-		l.fresh = false
+func (d *Device) settle(e *dirEntry, i uint) {
+	if e.fresh>>i&1 != 0 {
+		d.codec.EncodeInto(e.page.check[i][:d.nCheck], e.page.data[i][:])
+		e.fresh &^= 1 << i
 	}
 }
 
@@ -298,8 +294,9 @@ func (d *Device) Write(addr uint64, data *Line) {
 	if d.hook != nil {
 		d.hook.Event(inject.Event{Kind: inject.DeviceWrite, Addr: addr})
 	}
-	l := d.line(idx)
-	l.data = *data
+	e, i := d.line(idx)
+	p := e.page
+	p.data[i] = *data
 	var stuck *stuckCells
 	if len(d.stuck) != 0 {
 		stuck = d.stuck[idx]
@@ -309,20 +306,20 @@ func (d *Device) Write(addr uint64, data *Line) {
 		// cells then corrupt the stored copy, so the check bytes
 		// reflect the intended value while the array holds the faulty
 		// one. (StickBits settled the line, so it is not fresh.)
-		d.codec.EncodeInto(l.check[:d.nCheck], l.data[:])
-		stuck.assert(&l.data)
+		d.codec.EncodeInto(p.check[i][:d.nCheck], p.data[i][:])
+		stuck.assert(&p.data[i])
 		// Write-verify: ECP allocates pointers for the cells that did
 		// not take the new value.
-		d.ecpRepairAfterWrite(idx, data, l)
+		d.ecpRepairAfterWrite(idx, data, &p.data[i])
 	} else {
-		l.fresh = true
+		e.fresh |= 1 << i
 		if d.ecpBudget > 0 && len(d.ecp) != 0 {
 			delete(d.ecp, idx) // healthy write; retire stale pointers
 		}
 	}
 	d.stats.Writes++
 	d.tel.writes.Inc()
-	l.wear++
+	p.wear[i]++
 }
 
 // assert forces the stuck cells of a line image to their stuck values.
@@ -343,7 +340,9 @@ type ReadResult struct {
 	// uncorrectable error.
 	Uncorrectable bool
 	// BadWords lists 8-byte words that failed to decode (per-codeword
-	// granularity used by Soteria's duplicated shadow entries).
+	// granularity used by Soteria's duplicated shadow entries), in
+	// ascending order; nil when none did. It is the device's own buffer,
+	// valid until the next Read.
 	BadWords []int
 }
 
@@ -353,20 +352,21 @@ func (d *Device) Read(addr uint64) ReadResult {
 	idx := d.checkAddr(addr)
 	d.stats.Reads++
 	d.tel.reads.Inc()
-	l := d.lookup(idx)
-	if l == nil {
+	e, i := d.lookup(idx)
+	if e == nil {
 		return ReadResult{}
 	}
-	if l.fresh {
+	p := e.page
+	if e.fresh>>i&1 != 0 {
 		// Nothing to decode: the cells are a clean codeword's data,
 		// and ECP has no pointers for a line written without stuck
 		// cells.
-		return ReadResult{Data: l.data}
+		return ReadResult{Data: p.data[i]}
 	}
 	buf := &d.rdBuf
-	*buf = l.data
+	*buf = p.data[i]
 	d.ecpApply(idx, buf)
-	check := l.check[:d.nCheck]
+	check := p.check[i][:d.nCheck]
 	res := d.codec.Decode(buf[:], check)
 	if res.Corrected {
 		d.stats.CorrectedLines++
@@ -374,26 +374,31 @@ func (d *Device) Read(addr uint64) ReadResult {
 		// A patrol-scrub style write-back of the corrected value keeps
 		// correctable faults from accumulating, mirroring real
 		// controllers (demand scrubbing).
-		l.data = *buf
+		p.data[i] = *buf
 		d.codec.EncodeInto(check, buf[:])
 	}
+	var bad []int
 	if res.Uncorrectable {
 		d.stats.UncorrectableHits++
 		d.tel.uncorrectable.Inc()
+		bad = d.badWords[:0]
+		for m := res.BadWords; m != 0; m &= m - 1 {
+			bad = append(bad, bits.TrailingZeros8(m))
+		}
 	}
 	return ReadResult{
 		Data:          *buf,
 		Corrected:     res.Corrected,
 		Uncorrectable: res.Uncorrectable,
-		BadWords:      res.BadWords,
+		BadWords:      bad,
 	}
 }
 
 // ReadRaw returns the raw cell contents without ECC decoding (used by
 // recovery paths that want to inspect a corrupt line's surviving words).
 func (d *Device) ReadRaw(addr uint64) Line {
-	if l := d.lookup(d.checkAddr(addr)); l != nil {
-		return l.data
+	if e, i := d.lookup(d.checkAddr(addr)); e != nil {
+		return e.page.data[i]
 	}
 	return Line{}
 }
@@ -403,38 +408,34 @@ func (d *Device) ReadRaw(addr uint64) Line {
 // FlipBit flips a single data bit: addr addresses the byte, bit the bit
 // within it. Under SECDED this is correctable; the next Read repairs it.
 func (d *Device) FlipBit(addr uint64, bit uint) {
-	idx := addr / LineSize
-	d.checkAddr(idx * LineSize)
-	l := d.line(idx)
-	d.settle(l)
-	l.data[addr%LineSize] ^= 1 << (bit % 8)
+	e, i := d.line(d.checkAddr(addr - addr%LineSize))
+	d.settle(e, i)
+	e.page.data[i][addr%LineSize] ^= 1 << (bit % 8)
 }
 
 // FlipCheckBit flips one bit of the stored ECC check bytes of the line at
 // the given line-aligned address.
 func (d *Device) FlipCheckBit(addr uint64, byteIdx int, bit uint) {
-	idx := d.checkAddr(addr)
-	l := d.line(idx)
-	d.settle(l)
+	e, i := d.line(d.checkAddr(addr))
+	d.settle(e, i)
 	if d.nCheck == 0 {
 		return
 	}
-	l.check[byteIdx%d.nCheck] ^= 1 << (bit % 8)
+	e.page.check[i][byteIdx%d.nCheck] ^= 1 << (bit % 8)
 }
 
 // CorruptWord plants a detectably uncorrectable error in 8-byte word w of
 // the line at addr by flipping several bits across distinct symbol lanes.
 // Tests assert that both SECDED and Chipkill report it uncorrectable.
 func (d *Device) CorruptWord(addr uint64, w int) {
-	idx := d.checkAddr(addr)
-	l := d.line(idx)
-	d.settle(l)
+	e, i := d.line(d.checkAddr(addr))
+	d.settle(e, i)
 	w = w % 8
 	// Flip exactly two bits in two different byte lanes of the word:
 	// a double-bit error for SECDED (detected, not corrected) and a
 	// double-symbol error for Chipkill (ditto).
-	l.data[w*8+0] ^= 0x01
-	l.data[w*8+3] ^= 0x80
+	e.page.data[i][w*8+0] ^= 0x01
+	e.page.data[i][w*8+3] ^= 0x80
 }
 
 // CorruptLine plants an uncorrectable error in every word of the line —
@@ -450,8 +451,8 @@ func (d *Device) CorruptLine(addr uint64) {
 // modelling worn-out PCM cells.
 func (d *Device) StickBits(addr uint64, mask, val *Line) {
 	idx := d.checkAddr(addr)
-	l := d.line(idx)
-	d.settle(l)
+	e, i := d.line(idx)
+	d.settle(e, i)
 	s := d.stuck[idx]
 	if s == nil {
 		if d.stuck == nil {
@@ -460,12 +461,12 @@ func (d *Device) StickBits(addr uint64, mask, val *Line) {
 		s = &stuckCells{}
 		d.stuck[idx] = s
 	}
-	for i := range mask {
-		s.mask[i] |= mask[i]
-		s.val[i] = (s.val[i] &^ mask[i]) | (val[i] & mask[i])
+	for b := range mask {
+		s.mask[b] |= mask[b]
+		s.val[b] = (s.val[b] &^ mask[b]) | (val[b] & mask[b])
 	}
 	// Assert immediately on current contents.
-	s.assert(&l.data)
+	s.assert(&e.page.data[i])
 }
 
 // ClearFaults removes all injected faults and re-encodes every materialized
@@ -473,8 +474,8 @@ func (d *Device) StickBits(addr uint64, mask, val *Line) {
 // for experiments).
 func (d *Device) ClearFaults() {
 	d.stuck = nil
-	d.forEach(func(_ uint64, l *storedLine) {
-		d.codec.EncodeInto(l.check[:d.nCheck], l.data[:])
-		l.fresh = false
+	d.forEach(func(_ uint64, e *dirEntry, i uint) {
+		d.codec.EncodeInto(e.page.check[i][:d.nCheck], e.page.data[i][:])
+		e.fresh &^= 1 << i
 	})
 }

@@ -108,6 +108,30 @@ func TestCorruptLineAllWordsBad(t *testing.T) {
 	}
 }
 
+// Reading a line with an uncorrectable error in every word allocates
+// nothing under either codec: BadWords is the device's own buffer, and it
+// is nil again on the next clean read.
+func TestUncorrectableReadZeroAllocs(t *testing.T) {
+	for _, codec := range []ecc.Codec{ecc.NewChipkill(), ecc.SECDED{}} {
+		d := newDev(t, codec)
+		var l Line
+		d.Write(0, &l)
+		d.Write(64, &l)
+		d.CorruptLine(0)
+		var res ReadResult
+		if n := testing.AllocsPerRun(100, func() { res = d.Read(0) }); n != 0 {
+			t.Fatalf("%s: uncorrectable Read allocates %v times", codec.Name(), n)
+		}
+		if !res.Uncorrectable || len(res.BadWords) != 8 || res.BadWords[0] != 0 || res.BadWords[7] != 7 {
+			t.Fatalf("%s: %+v, want every word bad", codec.Name(), res)
+		}
+		d.ClearFaults()
+		if res := d.Read(64); res.BadWords != nil {
+			t.Fatalf("%s: clean read reports bad words %v", codec.Name(), res.BadWords)
+		}
+	}
+}
+
 func TestOverwriteHealsInjectedFault(t *testing.T) {
 	d := newDev(t, ecc.SECDED{})
 	var l Line
