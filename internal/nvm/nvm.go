@@ -240,7 +240,9 @@ func (d *Device) checkAddr(addr uint64) uint64 {
 // badAddr is the panic value of an access checkAddr refuses.
 type badAddr uint64
 
-func (a badAddr) Error() string { return fmt.Sprintf("nvm: bad line address %#x", uint64(a)) }
+func (a badAddr) Error() string {
+	return fmt.Sprintf("nvm: line address %#x unaligned or beyond capacity", uint64(a))
+}
 
 // lookup returns the directory entry and page slot of a materialized line,
 // or a nil entry when the line has not materialized. idx may be anything;

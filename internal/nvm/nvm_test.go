@@ -97,21 +97,10 @@ func TestCorruptWordIsUncorrectable(t *testing.T) {
 	}
 }
 
+// A line with an uncorrectable error in every word reports all eight
+// words bad under either codec, without allocating: BadWords is the
+// device's own buffer, and it is nil again on the next clean read.
 func TestCorruptLineAllWordsBad(t *testing.T) {
-	d := newDev(t, ecc.SECDED{})
-	var l Line
-	d.Write(0, &l)
-	d.CorruptLine(0)
-	res := d.Read(0)
-	if !res.Uncorrectable || len(res.BadWords) != 8 {
-		t.Fatalf("corrupt line: %+v", res)
-	}
-}
-
-// Reading a line with an uncorrectable error in every word allocates
-// nothing under either codec: BadWords is the device's own buffer, and it
-// is nil again on the next clean read.
-func TestUncorrectableReadZeroAllocs(t *testing.T) {
 	for _, codec := range []ecc.Codec{ecc.NewChipkill(), ecc.SECDED{}} {
 		d := newDev(t, codec)
 		var l Line
@@ -123,7 +112,7 @@ func TestUncorrectableReadZeroAllocs(t *testing.T) {
 			t.Fatalf("%s: uncorrectable Read allocates %v times", codec.Name(), n)
 		}
 		if !res.Uncorrectable || len(res.BadWords) != 8 || res.BadWords[0] != 0 || res.BadWords[7] != 7 {
-			t.Fatalf("%s: %+v, want every word bad", codec.Name(), res)
+			t.Fatalf("%s: corrupt line: %+v, want every word bad", codec.Name(), res)
 		}
 		d.ClearFaults()
 		if res := d.Read(64); res.BadWords != nil {
