@@ -54,9 +54,11 @@ type Engine struct {
 	rk     [176]byte    // the same key's round keys, for the four-lane pad
 	macKey [32]byte     // key for MAC derivation
 
-	// k0/k1 are the 128-bit hot-path PRF subkeys, derived from the MAC
-	// key through the midstate-cached keyed digest below.
+	// k0/k1 are the 128-bit hot-path PRF subkeys and nh the NH hash key
+	// of MAC, all derived from the MAC key through the midstate-cached
+	// keyed digest below.
 	k0, k1 uint64
+	nh     [10]uint64
 
 	// mid is the serialized SHA-256 state after absorbing the MAC key —
 	// computed once at NewEngine. keyedSum restores it into the scratch
@@ -134,12 +136,18 @@ func NewEngine(rootKey []byte) (*Engine, error) {
 	}
 	e.scratch = sha256.New().(sha256State)
 
-	// The per-line 64-bit MAC runs on a SipHash-style PRF whose subkeys
+	// The per-line 64-bit MAC runs NH into a SipHash-1-3 PRF whose keys
 	// come out of the keyed digest, so the whole MAC hierarchy is still
 	// rooted in the SHA-256-derived MAC key.
 	sub := e.keyedSum([]byte("soteria-mac-subkeys"))
 	e.k0 = binary.LittleEndian.Uint64(sub[0:8])
 	e.k1 = binary.LittleEndian.Uint64(sub[8:16])
+	for i := range e.nh {
+		if i%4 == 0 {
+			sub = e.keyedSum([]byte("soteria-mac-nh"), []byte{byte(i / 4)})
+		}
+		e.nh[i] = binary.LittleEndian.Uint64(sub[i%4*8:])
+	}
 	return e, nil
 }
 
@@ -238,68 +246,78 @@ const (
 	DomainTenant
 )
 
-// MAC computes the keyed 64-bit MAC over the given parts within a domain.
-// tweak1/tweak2 carry the binding context (address or level/index plus the
-// protecting parent counter), which is what defeats cross-location replay.
+// MAC computes the keyed 64-bit MAC of msg (at most one 64-byte line; a
+// longer message panics) within a domain. tweak1/tweak2 carry the binding
+// context (address or level/index plus the protecting parent counter),
+// which is what defeats cross-location replay.
 //
-// The construction is a SipHash-1-3 PRF keyed from the SHA-256-derived MAC
-// key (via the midstate-cached keyed digest in NewEngine): the tweaks are
-// absorbed first, then the parts as little-endian 64-bit words, then an
-// unambiguous trailer of (partial word, total length, domain). MAC values
-// never leave an engine's key lifetime — they are recomputed from the key
-// on every boot and never compared across keys — so a fast 64-bit PRF
-// preserves every observable result while running in a handful of
-// nanoseconds with zero allocations. See DESIGN.md § Performance for the
-// measurements behind this choice.
-func (e *Engine) MAC(domain MACDomain, tweak1, tweak2 uint64, parts ...[]byte) uint64 {
+// The construction is hash-then-PRF, as in UMAC/VMAC. msg is zero-padded
+// to eight little-endian words m0..m7 and compressed with one NH pass,
+//
+//	H = Σ_{i<4} (m_{2i}+K_{2i})·(m_{2i+1}+K_{2i+1}) + (tweak1+K8)·(tweak2+K9)  mod 2^128
+//
+// (word sums mod 2^64): five independent 64×64→128-bit products. NH is
+// 2^-64-almost-universal on equal-length inputs, so H of two distinct
+// (msg, tweak1, tweak2) of one length collide with probability at most
+// 2^-64 over the key. Then SipHash-1-3 under k0/k1 absorbs lo(H), hi(H)
+// and len|domain<<56: a PRF over an almost-universal hash is a MAC, and
+// the length and domain word separates lengths (and so the zero padding)
+// and domains. That is 3 compression and 3 finalisation rounds, 6 serial
+// rounds in all. All keys come from the SHA-256-derived MAC key through
+// the midstate-cached keyed digest in NewEngine. MAC values never leave an
+// engine's key lifetime — they are recomputed from the key on every boot
+// and never compared across keys — so the construction may change without
+// moving any observable result. See DESIGN.md "Midstate-keyed MAC engine".
+func (e *Engine) MAC(domain MACDomain, tweak1, tweak2 uint64, msg []byte) uint64 {
 	if int(domain) < len(e.tel.macs) {
 		e.tel.macs[domain].Inc()
 	}
+	// Every caller passes a whole line or its first 56 bytes; both are
+	// read in place, and only other lengths are copied to be padded.
+	le := binary.LittleEndian
+	var (
+		b      *[BlockSize - 8]byte
+		m7     uint64
+		padded [BlockSize]byte
+	)
+	switch len(msg) {
+	case BlockSize:
+		m7 = le.Uint64(msg[BlockSize-8:])
+		fallthrough
+	case BlockSize - 8:
+		b = (*[BlockSize - 8]byte)(msg)
+	default:
+		if len(msg) > BlockSize {
+			panic(fmt.Sprintf("ctrenc: MAC message of %d bytes exceeds one %d-byte line", len(msg), BlockSize))
+		}
+		copy(padded[:], msg)
+		b = (*[BlockSize - 8]byte)(padded[:])
+		m7 = le.Uint64(padded[BlockSize-8:])
+	}
+
+	// The five products are independent; only the 128-bit sum chains.
+	k := &e.nh
+	h0, l0 := bits.Mul64(le.Uint64(b[0:])+k[0], le.Uint64(b[8:])+k[1])
+	h1, l1 := bits.Mul64(le.Uint64(b[16:])+k[2], le.Uint64(b[24:])+k[3])
+	h2, l2 := bits.Mul64(le.Uint64(b[32:])+k[4], le.Uint64(b[40:])+k[5])
+	h3, l3 := bits.Mul64(le.Uint64(b[48:])+k[6], m7+k[7])
+	h4, l4 := bits.Mul64(tweak1+k[8], tweak2+k[9])
+	h0, l0 = add128(h0, l0, h1, l1)
+	h2, l2 = add128(h2, l2, h3, l3)
+	h0, l0 = add128(h0, l0, h4, l4)
+	hi, lo := add128(h0, l0, h2, l2)
+
 	v0 := e.k0 ^ 0x736f6d6570736575
 	v1 := e.k1 ^ 0x646f72616e646f6d
 	v2 := e.k0 ^ 0x6c7967656e657261
 	v3 := e.k1 ^ 0x7465646279746573
-
-	v3 ^= tweak1
+	fin := uint64(len(msg)) | uint64(domain)<<56
+	v3 ^= lo
 	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
-	v0 ^= tweak1
-	v3 ^= tweak2
+	v0 ^= lo
+	v3 ^= hi
 	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
-	v0 ^= tweak2
-
-	var (
-		n     uint64 // total part bytes absorbed
-		pend  uint64 // partial word under assembly (crosses part boundaries)
-		shift uint   // filled bits of pend
-	)
-	for _, p := range parts {
-		n += uint64(len(p))
-		if shift == 0 {
-			for len(p) >= 8 {
-				w := binary.LittleEndian.Uint64(p)
-				v3 ^= w
-				v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
-				v0 ^= w
-				p = p[8:]
-			}
-		}
-		for _, b := range p {
-			pend |= uint64(b) << shift
-			shift += 8
-			if shift == 64 {
-				v3 ^= pend
-				v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
-				v0 ^= pend
-				pend, shift = 0, 0
-			}
-		}
-	}
-	// Trailer: the partial word (zero-padded), then length and domain in
-	// one word. The exact byte count disambiguates the zero padding.
-	v3 ^= pend
-	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
-	v0 ^= pend
-	fin := n | uint64(domain)<<56
+	v0 ^= hi
 	v3 ^= fin
 	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
 	v0 ^= fin
@@ -309,6 +327,13 @@ func (e *Engine) MAC(domain MACDomain, tweak1, tweak2 uint64, parts ...[]byte) u
 	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
 	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
 	return v0 ^ v1 ^ v2 ^ v3
+}
+
+// add128 returns (ah:al + bh:bl) mod 2^128.
+func add128(ah, al, bh, bl uint64) (hi, lo uint64) {
+	lo, c := bits.Add64(al, bl, 0)
+	hi, _ = bits.Add64(ah, bh, c)
+	return hi, lo
 }
 
 // sipRound is one SipHash ARX round. Small enough for the compiler to

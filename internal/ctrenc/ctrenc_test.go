@@ -203,6 +203,17 @@ func BenchmarkDataMAC(b *testing.B) {
 	}
 }
 
+// BenchmarkContentMAC is the 56-byte shape: the counter-line, ToC-node and
+// shadow-entry MACs all cover a line's first 56 bytes.
+func BenchmarkContentMAC(b *testing.B) {
+	e := eng(b)
+	var line [BlockSize]byte
+	b.SetBytes(56)
+	for i := 0; i < b.N; i++ {
+		allocSink = CounterLineMAC(e, uint64(i), 1, &line)
+	}
+}
+
 // TestDeriveSubkeySeparation: subkeys are deterministic, and distinct
 // across label, id and epoch — the properties the tenant layer's
 // per-(tenant, epoch) key domains lean on.
