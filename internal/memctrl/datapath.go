@@ -44,22 +44,21 @@ func (c *Controller) ReadBlock(now sim.Time, addr uint64) ([nvm.LineSize]byte, s
 	}
 	counter := cb.Counter().Counter(slot)
 
-	// Cold-read semantics: a never-written block reads as zeroes with
-	// nothing to verify. (The counter can be non-zero here: a page
-	// re-encryption bumps the major counter of untouched siblings.)
-	if !c.dev.Materialized(addr) {
-		// The hardware still performs the array read; only the
-		// zero-content semantics are a simulation convenience.
-		c.chargeReadLatency(addr)
+	// The data fetch and OTP generation overlap (Fig 1), so only the
+	// memory latency is charged; the MAC fetch may add a second access
+	// on a MAC-line miss.
+	c.chargeReadLatency(addr)
+	var r nvm.ReadResult
+	if !c.dev.ReadIfMaterialized(addr, &r) {
+		// Cold-read semantics: a never-written block reads as zeroes
+		// with nothing to verify. (The counter can be non-zero here: a
+		// page re-encryption bumps the major counter of untouched
+		// siblings.) The hardware still performs the array read; only
+		// the zero-content semantics are a simulation convenience.
 		c.stats.ColdReads++
 		c.tel.coldReads.Inc()
 		return nvm.Line{}, c.now, c.strat.afterOp(c)
 	}
-
-	// The data fetch and OTP generation overlap (Fig 1), so only the
-	// memory latency is charged; the MAC fetch may add a second access
-	// on a MAC-line miss.
-	r := c.readNVM(addr)
 	if r.Uncorrectable {
 		return nvm.Line{}, c.now, fmt.Errorf("%w: block %#x", ErrDataError, addr)
 	}
@@ -232,10 +231,11 @@ func (c *Controller) reencryptPageInner(leafIdx uint64, cb *metacache.Block, lea
 			break
 		}
 		addr := blockIdx * nvm.LineSize
-		if !c.dev.Materialized(addr) {
+		var r nvm.ReadResult
+		if !c.dev.ReadIfMaterialized(addr, &r) {
 			continue // never written; nothing to re-encrypt
 		}
-		r := c.readNVM(addr)
+		c.chargeReadLatency(addr)
 		if r.Uncorrectable {
 			return fmt.Errorf("%w: block %#x during page re-encryption", ErrDataError, addr)
 		}

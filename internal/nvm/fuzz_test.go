@@ -268,6 +268,22 @@ func FuzzDeviceMatchesEagerECC(f *testing.F) {
 				d.Write(addr, &data)
 				ref.Write(addr, &data)
 			case 2:
+				if arg&1 != 0 {
+					// The one-walk read: a line that never
+					// materialized is no read at all.
+					var got ReadResult
+					ok := d.ReadIfMaterialized(addr, &got)
+					if want := ref.lines[addr] != nil; ok != want {
+						t.Fatalf("step %d: ReadIfMaterialized(%#x) ok %v, eager materialized %v", i/3, addr, ok, want)
+					}
+					if !ok {
+						break
+					}
+					if want := ref.Read(addr); !reflect.DeepEqual(got, want) {
+						t.Fatalf("step %d: ReadIfMaterialized(%#x) = %+v, eager %+v", i/3, addr, got, want)
+					}
+					break
+				}
 				got, want := d.Read(addr), ref.Read(addr)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("step %d: Read(%#x) = %+v, eager %+v", i/3, addr, got, want)

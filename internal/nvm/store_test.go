@@ -165,6 +165,14 @@ func TestQueriesByLineState(t *testing.T) {
 	if d.ReadRaw(7*LineSize) != (Line{}) || d.Materialized(7*LineSize) {
 		t.Fatal("queries materialized an untouched line")
 	}
+	reads := d.Stats().Reads
+	var r ReadResult
+	if d.ReadIfMaterialized(7*LineSize, &r) || d.Stats().Reads != reads {
+		t.Fatal("ReadIfMaterialized reported an untouched line or counted its read")
+	}
+	if ok := d.ReadIfMaterialized(3*LineSize, &r); !ok || r.Data != *pattern(3, 5) || d.Stats().Reads != reads+1 {
+		t.Fatalf("ReadIfMaterialized of a written line: ok %v, data %x, %d reads counted", ok, r.Data, d.Stats().Reads-reads)
+	}
 }
 
 // ForEachTouched visits lines in ascending address order whatever order they
