@@ -13,7 +13,7 @@ import (
 // (8192 shadow slots), and the SRC layout at each scheme-zoo strategy's
 // shadow size (soteria one line per slot, anubis-shadow two, the Triad
 // variants none). A change here moves every Fig 11/12, §6.1/§6.2 and
-// scheme-zoo number.
+// scheme-zoo number. No layout may reach past the DIMM.
 func TestSchemeLayoutPinned(t *testing.T) {
 	d := config.Table4().DIMM
 	for _, tc := range []struct {
@@ -26,8 +26,7 @@ func TestSchemeLayoutPinned(t *testing.T) {
 		clones [][]uint64 // per level
 		total  uint64
 	}{
-		{"non-secure", core.ClonePolicy{}, 0, 0x400000000, 0, 0,
-			[][]uint64{nil, nil, nil, nil, nil, nil, nil, nil}, 0x492492480},
+		{"non-secure", core.ClonePolicy{}, 0, 0x400000000, 0, 0, nil, 0x400000000},
 		{"baseline", core.Baseline(), 8192, 0x37ff00000, 0, 0x3ffef8000,
 			[][]uint64{nil, nil, nil, nil, nil, nil, nil, nil}, 0x3fff90000},
 		{"SRC", core.SRC(), 8192, 0x372200000, 0xfc30000, 0x3ffea0000,
@@ -54,6 +53,9 @@ func TestSchemeLayoutPinned(t *testing.T) {
 			}
 		}
 		l := s.Layout
+		if l.Total > d.CapacityBytes() {
+			t.Errorf("%s: layout total %#x lies past the %#x-byte DIMM", tc.name, l.Total, d.CapacityBytes())
+		}
 		var clones [][]uint64
 		for _, li := range l.Levels {
 			clones = append(clones, li.CloneBases)

@@ -170,12 +170,11 @@ type Scheme struct {
 	RecomputableAbove int
 }
 
-// NonSecureScheme is the conventional memory: the whole DIMM is data.
+// NonSecureScheme is the conventional memory: the whole DIMM is data, and
+// its layout has no metadata regions at all.
 func NonSecureScheme(d config.DIMMConfig) *Scheme {
-	lay, err := core.Baseline().Layout(itree.Params{DataBytes: d.CapacityBytes(), CounterArity: 64, TreeArity: 8})
-	if err != nil {
-		panic(err)
-	}
+	c := d.CapacityBytes()
+	lay := &itree.Layout{DataBytes: c, DataBlocks: c / itree.BlockSize, Total: c}
 	return &Scheme{Name: "non-secure", Layout: lay, Secure: false}
 }
 
