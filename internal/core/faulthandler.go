@@ -53,18 +53,6 @@ func (o Outcome) String() string {
 	}
 }
 
-// LossEvent records one unverifiable-node incident.
-type LossEvent struct {
-	Level int
-	Index uint64
-	Bytes uint64 // data bytes rendered unverifiable
-}
-
-// DefaultEventLimit bounds the per-incident Events log. Aggregate counters
-// keep counting past the cap; only the detailed log stops growing, which
-// keeps million-trial Monte Carlo campaigns from blowing up memory.
-const DefaultEventLimit = 4096
-
 // Stats aggregates fault-handler activity.
 type Stats struct {
 	Reads             uint64
@@ -73,10 +61,6 @@ type Stats struct {
 	TamperDetections  uint64
 	UnverifiableNodes uint64
 	UnverifiableBytes uint64
-	// Events holds up to the configured event limit of detailed
-	// unverifiable-node records; EventsDropped counts the overflow.
-	Events        []LossEvent
-	EventsDropped uint64
 }
 
 // UDR returns the Unverifiable Data Ratio accumulated so far against the
@@ -93,75 +77,49 @@ func (s Stats) UDR(totalBytes uint64) float64 {
 // clones, adopts the first copy that passes integrity verification, and
 // purifies every copy from it.
 type FaultHandler struct {
-	mem        Mem
-	layout     *itree.Layout
-	stats      Stats
-	eventLimit int
-	tel        telemetryHooks
+	mem    Mem
+	layout *itree.Layout
+	// stats counts every event since construction; Stats reports the
+	// growth since atReset, the books as the last ResetStats left them.
+	stats, atReset Stats
 }
 
-// telemetryHooks holds the handler's metric handles; nil handles (no
-// registry attached) are no-ops. Unlike Stats, these are lifetime
-// counters: ResetStats does not touch them, so per-run resets can never
-// drop events from the telemetry view.
-type telemetryHooks struct {
-	reads         *telemetry.Counter
-	cloneLookups  *telemetry.Counter
-	repairs       *telemetry.Counter
-	tampers       *telemetry.Counter
-	unverifiable  *telemetry.Counter
-	unverifBytes  *telemetry.Counter
-	eventsDropped *telemetry.Counter
-}
-
-// AttachTelemetry registers the fault-handler metrics on r (nil detaches).
+// AttachTelemetry exports the handler's books to r as the fault_*
+// counters (nil exports nothing).
 func (h *FaultHandler) AttachTelemetry(r *telemetry.Registry) {
-	if r == nil {
-		h.tel = telemetryHooks{}
-		return
-	}
-	h.tel = telemetryHooks{
-		reads:         r.Counter("fault_reads_total"),
-		cloneLookups:  r.Counter("fault_clone_lookups_total"),
-		repairs:       r.Counter("fault_repairs_total"),
-		tampers:       r.Counter("fault_tamper_detections_total"),
-		unverifiable:  r.Counter("fault_unverifiable_nodes_total"),
-		unverifBytes:  r.Counter("fault_unverifiable_bytes_total"),
-		eventsDropped: r.Counter("fault_events_dropped_total"),
-	}
+	r.Export("fault_reads_total", func() uint64 { return h.stats.Reads })
+	r.Export("fault_clone_lookups_total", func() uint64 { return h.stats.CloneLookups })
+	r.Export("fault_repairs_total", func() uint64 { return h.stats.Repairs })
+	r.Export("fault_tamper_detections_total", func() uint64 { return h.stats.TamperDetections })
+	r.Export("fault_unverifiable_nodes_total", func() uint64 { return h.stats.UnverifiableNodes })
+	r.Export("fault_unverifiable_bytes_total", func() uint64 { return h.stats.UnverifiableBytes })
 }
 
 // NewFaultHandler builds a handler over the given memory and layout.
 func NewFaultHandler(mem Mem, layout *itree.Layout) *FaultHandler {
-	return &FaultHandler{mem: mem, layout: layout, eventLimit: DefaultEventLimit}
+	return &FaultHandler{mem: mem, layout: layout}
 }
 
-// SetEventLimit adjusts how many detailed LossEvents are retained. Zero
-// disables the detailed log entirely (counters still accumulate); negative
-// removes the bound.
-func (h *FaultHandler) SetEventLimit(n int) { h.eventLimit = n }
-
-// Stats returns a copy of the accumulated statistics. The Events log is
-// deep-copied so the snapshot cannot alias (and later disagree with) the
-// handler's live log.
+// Stats returns the statistics accumulated since the last ResetStats.
 func (h *FaultHandler) Stats() Stats {
-	s := h.stats
-	s.Events = append([]LossEvent(nil), h.stats.Events...)
-	return s
+	s, z := h.stats, h.atReset
+	return Stats{
+		Reads:             s.Reads - z.Reads,
+		CloneLookups:      s.CloneLookups - z.CloneLookups,
+		Repairs:           s.Repairs - z.Repairs,
+		TamperDetections:  s.TamperDetections - z.TamperDetections,
+		UnverifiableNodes: s.UnverifiableNodes - z.UnverifiableNodes,
+		UnverifiableBytes: s.UnverifiableBytes - z.UnverifiableBytes,
+	}
 }
 
 // ResetStats clears the accumulated statistics (between experiment runs)
-// and returns the statistics as they stood immediately before the reset.
-// Returning the pre-reset snapshot (with a deep-copied Events log) closes
-// a window where an experiment harness that called Stats() and then
-// ResetStats() separately could lose incidents recorded in between — any
-// event accumulated up to the reset instant is in the returned value.
-// Telemetry counters attached via AttachTelemetry are lifetime totals and
-// are deliberately not reset here.
+// and returns the statistics as they stood immediately before the reset,
+// so a harness cannot lose incidents recorded between a Stats() call and
+// the reset. The exported telemetry counts on across it.
 func (h *FaultHandler) ResetStats() Stats {
-	prev := h.stats
-	prev.Events = append([]LossEvent(nil), h.stats.Events...)
-	h.stats = Stats{}
+	prev := h.Stats()
+	h.atReset = h.stats
 	return prev
 }
 
@@ -177,7 +135,6 @@ func (h *FaultHandler) ResetStats() Stats {
 // path, or it moves to the heap on every read.
 func (h *FaultHandler) ReadVerified(level int, index uint64, dst *nvm.Line, verify func(line *nvm.Line) bool) (Outcome, int) {
 	h.stats.Reads++
-	h.tel.reads.Inc()
 	var unc bool
 	*dst, unc = h.mem.ReadLine(h.layout.NodeAddr(level, index))
 	if !unc && verify(dst) {
@@ -189,7 +146,6 @@ func (h *FaultHandler) ReadVerified(level int, index uint64, dst *nvm.Line, veri
 	clones := len(h.layout.Levels[level-1].CloneBases)
 	for c := 0; c < clones; c++ {
 		h.stats.CloneLookups++
-		h.tel.cloneLookups.Inc()
 		*dst, unc = h.mem.ReadLine(h.layout.CloneAddr(level, index, c))
 		if unc || !verify(dst) {
 			continue
@@ -200,7 +156,6 @@ func (h *FaultHandler) ReadVerified(level int, index uint64, dst *nvm.Line, veri
 			h.mem.WriteLine(h.layout.CloneAddr(level, index, k), dst)
 		}
 		h.stats.Repairs++
-		h.tel.repairs.Inc()
 		return OutcomeRepaired, c + 1
 	}
 
@@ -210,19 +165,10 @@ func (h *FaultHandler) ReadVerified(level int, index uint64, dst *nvm.Line, veri
 	// ECC complaint) manifests.
 	if !homeECCBad {
 		h.stats.TamperDetections++
-		h.tel.tampers.Inc()
 		return OutcomeTamper, clones
 	}
 	start, end := h.layout.CoverageOf(level, index)
 	h.stats.UnverifiableNodes++
 	h.stats.UnverifiableBytes += end - start
-	h.tel.unverifiable.Inc()
-	h.tel.unverifBytes.Add(end - start)
-	if h.eventLimit < 0 || len(h.stats.Events) < h.eventLimit {
-		h.stats.Events = append(h.stats.Events, LossEvent{Level: level, Index: index, Bytes: end - start})
-	} else {
-		h.stats.EventsDropped++
-		h.tel.eventsDropped.Inc()
-	}
 	return OutcomeUnverifiable, clones
 }

@@ -401,12 +401,16 @@ func (d *Device) SetShardHooks(hooks []inject.Hook) error {
 }
 
 // Snapshot merges the per-shard telemetry registries in shard order (an
-// empty snapshot on a device built without Telemetry). The result is
-// deterministic whenever each shard's operation order is.
+// empty snapshot on a device built without Telemetry). Each shard's
+// registry exports its controller stack's books, so it is read under that
+// shard's lock. The result is deterministic whenever each shard's
+// operation order is.
 func (d *Device) Snapshot() *telemetry.Snapshot {
 	merged := &telemetry.Snapshot{}
 	for _, s := range d.shards {
+		s.mu.Lock()
 		merged.Merge(s.reg.Snapshot())
+		s.mu.Unlock()
 	}
 	return merged
 }

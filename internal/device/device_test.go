@@ -316,6 +316,51 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	}
 }
 
+// TestSnapshotWhileWriting scrapes the telemetry while four writers run:
+// every snapshot reads the shards' books under their locks (the race
+// detector is the verdict), the exported write count never falls, and the
+// last snapshot counts every write.
+func TestSnapshotWhileWriting(t *testing.T) {
+	d := newTestDevice(t, func(o *device.Options) {
+		o.Shards = 4
+		o.Telemetry = true
+	})
+	const writers, writes = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < writes; i++ {
+				addr := uint64((w*writes+i)%2048) * 64
+				line := fill(addr, uint64(i))
+				if _, err := d.Write(addr, &line); err != nil {
+					t.Errorf("write: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	var last uint64
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+		}
+		got := d.Snapshot().Counters["memctrl_data_writes_total"]
+		if got < last {
+			t.Errorf("memctrl_data_writes_total fell from %d to %d", last, got)
+		}
+		last = got
+	}
+	if last != writers*writes {
+		t.Fatalf("memctrl_data_writes_total = %d after the writers, want %d", last, writers*writes)
+	}
+}
+
 // TestRejectionOrder pins the one rejection order of every data op —
 // ErrClosed, then an address error, then memctrl.ErrCrashed — across Read,
 // Write, Drain and each ExecBatch op code.

@@ -76,29 +76,12 @@ func AblationCloneDepth(perf PerfParams, rel RelParams, fit float64) (*stats.Tab
 // controller by construction-equivalent means: a custom policy maps onto
 // the nearest mode semantics via depth table).
 func runPolicy(w workload.Workload, policy core.ClonePolicy, p PerfParams) (cpusim.Result, error) {
-	cfg := config.Table3()
-	if p.MetaCacheBytes > 0 {
-		cfg.Security.MetadataCache.SizeBytes = p.MetaCacheBytes
-	}
-	if p.LLCBytes > 0 {
-		cfg.LLC.SizeBytes = p.LLCBytes
-	}
+	cfg := p.system()
 	ctrl, err := memctrl.NewWithPolicy(cfg, policy, []byte("ablation"), memctrl.Options{})
 	if err != nil {
 		return cpusim.Result{}, err
 	}
-	cpu, err := cpusim.New(cfg, ctrl)
-	if err != nil {
-		return cpusim.Result{}, err
-	}
-	gen := w.New(p.Footprint, p.Seed)
-	if p.Warmup > 0 {
-		if _, err := cpu.Run(gen, p.Warmup); err != nil {
-			return cpusim.Result{}, err
-		}
-		ctrl.ResetStats()
-	}
-	return cpu.Run(gen, p.Warmup+p.Ops)
+	return measure(cfg, ctrl, w, p, nil)
 }
 
 // AblationEagerLazy compares the paper's lazy tree update against the eager
@@ -136,29 +119,12 @@ func AblationEagerLazy(p PerfParams) (*stats.Table, error) {
 }
 
 func runWithOptions(w workload.Workload, p PerfParams, opt memctrl.Options) (cpusim.Result, error) {
-	cfg := config.Table3()
-	if p.MetaCacheBytes > 0 {
-		cfg.Security.MetadataCache.SizeBytes = p.MetaCacheBytes
-	}
-	if p.LLCBytes > 0 {
-		cfg.LLC.SizeBytes = p.LLCBytes
-	}
+	cfg := p.system()
 	ctrl, err := memctrl.New(cfg, memctrl.ModeBaseline, []byte("ablation"), opt)
 	if err != nil {
 		return cpusim.Result{}, err
 	}
-	cpu, err := cpusim.New(cfg, ctrl)
-	if err != nil {
-		return cpusim.Result{}, err
-	}
-	gen := w.New(p.Footprint, p.Seed)
-	if p.Warmup > 0 {
-		if _, err := cpu.Run(gen, p.Warmup); err != nil {
-			return cpusim.Result{}, err
-		}
-		ctrl.ResetStats()
-	}
-	return cpu.Run(gen, p.Warmup+p.Ops)
+	return measure(cfg, ctrl, w, p, nil)
 }
 
 // MetaMissTable reports the §5.1 observation that the metadata cache miss

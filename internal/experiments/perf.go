@@ -162,6 +162,24 @@ func RunPerf(p PerfParams) (*PerfResults, error) {
 }
 
 func runOne(w workload.Workload, mode memctrl.Mode, p PerfParams) (cpusim.Result, *telemetry.Snapshot, error) {
+	cfg := p.system()
+	ctrl, err := memctrl.New(cfg, mode, []byte("experiments"), memctrl.Options{})
+	if err != nil {
+		return cpusim.Result{}, nil, err
+	}
+	var reg *telemetry.Registry
+	if p.CollectTelemetry {
+		reg = telemetry.NewRegistry()
+	}
+	res, err := measure(cfg, ctrl, w, p, reg)
+	if err != nil {
+		return cpusim.Result{}, nil, err
+	}
+	return res, reg.Snapshot(), nil
+}
+
+// system is Table 3 with p's metadata-cache and LLC size overrides.
+func (p PerfParams) system() config.SystemConfig {
 	cfg := config.Table3()
 	if p.MetaCacheBytes > 0 {
 		cfg.Security.MetadataCache.SizeBytes = p.MetaCacheBytes
@@ -169,31 +187,28 @@ func runOne(w workload.Workload, mode memctrl.Mode, p PerfParams) (cpusim.Result
 	if p.LLCBytes > 0 {
 		cfg.LLC.SizeBytes = p.LLCBytes
 	}
-	ctrl, err := memctrl.New(cfg, mode, []byte("experiments"), memctrl.Options{})
-	if err != nil {
-		return cpusim.Result{}, nil, err
-	}
+	return cfg
+}
+
+// measure drives ctrl, built over cfg, with workload w on a fresh core:
+// p.Warmup operations, then the controller's books reset and reg attached
+// (nil attaches nothing), then p.Ops more.
+func measure(cfg config.SystemConfig, ctrl *memctrl.Controller, w workload.Workload, p PerfParams, reg *telemetry.Registry) (cpusim.Result, error) {
 	cpu, err := cpusim.New(cfg, ctrl)
 	if err != nil {
-		return cpusim.Result{}, nil, err
+		return cpusim.Result{}, err
 	}
 	gen := w.New(p.Footprint, p.Seed)
 	if p.Warmup > 0 {
 		if _, err := cpu.Run(gen, p.Warmup); err != nil {
-			return cpusim.Result{}, nil, err
+			return cpusim.Result{}, err
 		}
 		ctrl.ResetStats()
 	}
-	var reg *telemetry.Registry
-	if p.CollectTelemetry {
-		reg = telemetry.NewRegistry()
+	if reg != nil {
 		ctrl.AttachTelemetry(reg)
 	}
-	res, err := cpu.Run(gen, p.Warmup+p.Ops)
-	if err != nil {
-		return cpusim.Result{}, nil, err
-	}
-	return res, reg.Snapshot(), nil
+	return cpu.Run(gen, p.Warmup+p.Ops)
 }
 
 // Fig10a renders the execution-time overhead of SRC and SAC over the secure

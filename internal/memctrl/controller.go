@@ -214,10 +214,12 @@ type Controller struct {
 	crashed    bool
 	recovering bool
 	bootstrap  bool
-	stats      Stats
-	cascade    int
-	opt        Options
-	tel        telemetryHooks
+	// stats counts every event since construction; Stats reports the
+	// growth since atReset, the books as the last ResetStats left them.
+	stats, atReset Stats
+	cascade        int
+	opt            Options
+	tel            telemetryHooks
 
 	// hook observes seal/note events (chaos injection); sealDepth tracks
 	// nesting so helpers stay balanced across early returns.
@@ -408,8 +410,24 @@ func (c *Controller) Layout() *itree.Layout { return c.layout }
 // experiments.
 func (c *Controller) Device() *nvm.Device { return c.dev }
 
-// Stats returns a copy of the controller statistics.
-func (c *Controller) Stats() Stats { return c.stats }
+// Stats returns the controller statistics since the last ResetStats.
+func (c *Controller) Stats() Stats {
+	s, z := c.stats, c.atReset
+	s.MemRequests -= z.MemRequests
+	s.DataReads -= z.DataReads
+	s.DataWrites -= z.DataWrites
+	s.ColdReads -= z.ColdReads
+	for i := range s.NVMWrites {
+		s.NVMWrites[i] -= z.NVMWrites[i]
+	}
+	s.NVMReads -= z.NVMReads
+	s.WPQForwards -= z.WPQForwards
+	s.PageReencrypt -= z.PageReencrypt
+	s.ForcedWB -= z.ForcedWB
+	s.RecoveredOK -= z.RecoveredOK
+	s.RecoveryLost -= z.RecoveryLost
+	return s
+}
 
 // MetaStats returns the metadata cache statistics (zero value in
 // non-secure mode).
@@ -493,17 +511,17 @@ func (c *Controller) pushWrite(addr uint64, data *nvm.Line, cat WriteCat) {
 	now, coalesced := c.q.PushReport(c.now, addr, data)
 	if !coalesced {
 		c.stats.NVMWrites[cat]++
-		c.tel.nvmWrites[cat].Inc()
 	}
 	c.now = now
 }
 
-// ResetStats zeroes every statistics counter (controller, metadata cache
-// excluded — its histograms reset with it — WPQ and fault handler), so
-// experiments can discard warm-up effects. The metadata cache and WPQ keep
-// their contents; only the books are cleared.
+// ResetStats zeroes the controller's and the fault handler's statistics,
+// so experiments can discard warm-up effects. The metadata cache, WPQ and
+// NVM device books are not reset: they, and so cpusim.Result's Meta and
+// WPQ (like its own L1/L2/LLC stats), include the warm-up. Exported
+// telemetry counts on across the reset.
 func (c *Controller) ResetStats() {
-	c.stats = Stats{}
+	c.atReset = c.stats
 	if c.fh != nil {
 		c.fh.ResetStats()
 	}

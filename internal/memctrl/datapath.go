@@ -21,8 +21,6 @@ func (c *Controller) ReadBlock(now sim.Time, addr uint64) ([nvm.LineSize]byte, s
 	c.now = now
 	c.stats.MemRequests++
 	c.stats.DataReads++
-	c.tel.memRequests.Inc()
-	c.tel.dataReads.Inc()
 	sp := c.tel.readSpan.Start()
 	defer sp.End()
 
@@ -56,7 +54,6 @@ func (c *Controller) ReadBlock(now sim.Time, addr uint64) ([nvm.LineSize]byte, s
 		// siblings.) The hardware still performs the array read; only
 		// the zero-content semantics are a simulation convenience.
 		c.stats.ColdReads++
-		c.tel.coldReads.Inc()
 		return nvm.Line{}, c.now, c.strat.afterOp(c)
 	}
 	if r.Uncorrectable {
@@ -93,8 +90,6 @@ func (c *Controller) WriteBlock(now sim.Time, addr uint64, data *[nvm.LineSize]b
 	c.now = now
 	c.stats.MemRequests++
 	c.stats.DataWrites++
-	c.tel.memRequests.Inc()
-	c.tel.dataWrites.Inc()
 	sp := c.tel.writeSpan.Start()
 	defer sp.End()
 
@@ -263,7 +258,6 @@ func (c *Controller) reencryptPageInner(leafIdx uint64, cb *metacache.Block, lea
 		return err
 	}
 	c.stats.PageReencrypt++
-	c.tel.pageReencrypt.Inc()
 	return nil
 }
 
@@ -324,7 +318,6 @@ func (c *Controller) FlushAll(now sim.Time) sim.Time {
 					// (already accounted); clean the line so the
 					// flush can terminate.
 					c.stats.RecoveryLost++
-					c.tel.recoveryLost.Inc()
 					c.mcache.CleanLine(addr)
 				}
 				work = true

@@ -151,14 +151,12 @@ func (c *Controller) fetchBlock(level int, index uint64) (int, error) {
 func (c *Controller) chargeReadLatency(addr uint64) {
 	if c.q.Pending(c.now, addr) {
 		c.stats.WPQForwards++
-		c.tel.wpqForwards.Inc()
 		c.now += c.fwdLat
 		return
 	}
 	bank := c.banks.BankFor(addr / nvm.LineSize)
 	c.now = c.banks.Schedule(bank, c.now, c.readLat)
 	c.stats.NVMReads++
-	c.tel.nvmReads.Inc()
 }
 
 // claimWay makes room for the block at home in the metadata cache, fully
@@ -213,7 +211,6 @@ func (c *Controller) claimWay(home uint64, fill *telemetry.Counter) (*metacache.
 			// entry so the insertion can proceed; the victim stayed
 			// pinned at its slot through the write-back.
 			c.stats.RecoveryLost++
-			c.tel.recoveryLost.Inc()
 			c.mcache.CleanLine(v.Addr)
 			c.untrack(slot)
 		}
@@ -287,9 +284,7 @@ func (c *Controller) writebackBlock(blk *metacache.Block) error {
 	}
 	c.now = c.q.PushAtomic(c.now, writes)
 	c.stats.NVMWrites[WCMetadata]++
-	c.tel.nvmWrites[WCMetadata].Inc()
 	c.stats.NVMWrites[WCClone] += uint64(len(addrs) - 1)
-	c.tel.nvmWrites[WCClone].Add(uint64(len(addrs) - 1))
 	// The persisted copy is in sync with the cache again: reset the
 	// per-slot drift accounting (Osiris bound for leaves, Triad relaxed
 	// bound for nodes).
@@ -352,7 +347,6 @@ func (c *Controller) forceWriteback(home uint64) error {
 	// already matches memory.
 	c.untrack(way)
 	c.stats.ForcedWB++
-	c.tel.forcedWB.Inc()
 	return nil
 }
 

@@ -139,7 +139,6 @@ func (s *shadowStrategy) recover(c *Controller) (*RecoveryReport, error) {
 	slotEntries, lostSlots := tbl.LoadAllSlots()
 	rep := &RecoveryReport{TrackedEntries: len(slotEntries), LostSlots: lostSlots, HalfRepairs: tbl.Stats().HalfRepairs}
 	c.stats.RecoveryLost += uint64(len(lostSlots))
-	c.tel.recoveryLost.Add(uint64(len(lostSlots)))
 	c.note("recover-load-done")
 
 	// Rebuild every tracked block. Entries are self-contained, so no
@@ -164,7 +163,6 @@ func (s *shadowStrategy) recover(c *Controller) (*RecoveryReport, error) {
 		if loc.Kind != itree.RegionMetadata {
 			rep.FailedBlocks = append(rep.FailedBlocks, FailedBlock{Addr: e.Addr, Reason: outside})
 			c.stats.RecoveryLost++
-			c.tel.recoveryLost.Inc()
 			continue
 		}
 		slotsOf[e.Addr] = append(slotsOf[e.Addr], se.Slot)
@@ -196,11 +194,9 @@ func (s *shadowStrategy) recover(c *Controller) (*RecoveryReport, error) {
 		reported[addr] = true
 		rep.FailedBlocks = append(rep.FailedBlocks, FailedBlock{Addr: addr, Reason: failReason[addr]})
 		c.stats.RecoveryLost++
-		c.tel.recoveryLost.Inc()
 	}
 	rep.RecoveredBlocks = len(recovered)
 	c.stats.RecoveredOK += uint64(len(recovered))
-	c.tel.recoveredOK.Add(uint64(len(recovered)))
 
 	// Fresh volatile state: seed the cache with the rebuilt blocks as
 	// dirty — which writes their entries at their new slots — and flush

@@ -133,7 +133,6 @@ func (s *triadStrategy) afterOp(c *Controller) error {
 		}
 		if err := c.forceWriteback(home); err != nil && !errors.Is(err, ErrSetCapacity) {
 			c.stats.RecoveryLost++
-			c.tel.recoveryLost.Inc()
 			c.mcache.CleanLine(home)
 		}
 	}
@@ -236,14 +235,12 @@ func (s *triadStrategy) recover(c *Controller) (*RecoveryReport, error) {
 		if found {
 			rep.RecoveredBlocks++
 			c.stats.RecoveredOK++
-			c.tel.recoveredOK.Inc()
 		} else {
 			rep.FailedBlocks = append(rep.FailedBlocks, FailedBlock{
 				Addr:   c.layout.NodeAddr(1, idx),
 				Reason: "no leaf copy verifies within the Triad search window",
 			})
 			c.stats.RecoveryLost++
-			c.tel.recoveryLost.Inc()
 		}
 		if !stored {
 			continue // degenerate single-level tree: the root register is exact
@@ -305,7 +302,6 @@ func (s *triadStrategy) recover(c *Controller) (*RecoveryReport, error) {
 			}
 			c.now = c.q.PushAtomic(c.now, writes)
 			c.stats.NVMWrites[WCRecovery] += uint64(len(addrs))
-			c.tel.nvmWrites[WCRecovery].Add(uint64(len(addrs)))
 		}
 	}
 

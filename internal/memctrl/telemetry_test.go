@@ -158,8 +158,10 @@ func TestTelemetryDetached(t *testing.T) {
 	}
 }
 
-// TestTelemetrySurvivesRecovery: crash recovery swaps in a fresh shadow
-// table; its activity must keep landing in the attached registry.
+// TestTelemetrySurvivesRecovery: the shadow table's activity must keep
+// landing in the attached registry after crash recovery, and no counter
+// may fall across ResetStats, Crash or Recover, although the books they
+// export report only the activity since the last reset.
 func TestTelemetrySurvivesRecovery(t *testing.T) {
 	c, err := New(config.TestSystem(), ModeSRC, []byte("rec"), Options{})
 	if err != nil {
@@ -168,11 +170,29 @@ func TestTelemetrySurvivesRecovery(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c.AttachTelemetry(reg)
 	runTelemetryWorkload(t, c, 5, 100)
+	prev := reg.Snapshot()
+	noneFell := func(step string) {
+		t.Helper()
+		now := reg.Snapshot()
+		for name, v := range prev.Counters {
+			if now.Counters[name] < v {
+				t.Errorf("%s fell across %s: %d -> %d", name, step, v, now.Counters[name])
+			}
+		}
+		prev = now
+	}
+	c.ResetStats()
+	noneFell("ResetStats")
 	if err := c.Crash(); err != nil {
 		t.Fatal(err)
 	}
+	noneFell("Crash")
 	if _, err := c.Recover(); err != nil {
 		t.Fatal(err)
+	}
+	noneFell("Recover")
+	if c.ShadowStats().EntryWrites >= prev.Counters["shadow_entry_writes_total"] {
+		t.Errorf("shadow books not reset by the crash: %d entry writes", c.ShadowStats().EntryWrites)
 	}
 	before := reg.Snapshot().Counters["shadow_entry_writes_total"]
 	runTelemetryWorkload(t, c, 6, 100)

@@ -86,17 +86,12 @@ type Stats struct {
 	DirtyTreeEvictions uint64
 }
 
-// telemetryHooks holds the cache's metric handles. All fields are nil
-// until AttachTelemetry is called, and nil handles are no-ops, so an
-// unattached cache pays one nil check per event.
+// telemetryHooks holds the cache's metric handles for what its books do
+// not count. All fields are nil until AttachTelemetry is called, and nil
+// handles are no-ops, so an unattached cache pays one nil check per event.
 type telemetryHooks struct {
-	hits        *telemetry.Counter
-	misses      *telemetry.Counter
-	evictions   *telemetry.Counter
-	writebacks  *telemetry.Counter
 	hitsByLevel []*telemetry.Counter // bucket 0 = MAC lines, i = tree level i
-	evByLevel   []*telemetry.Counter // dirty tree evictions per level
-	dirtyEvict  *telemetry.Counter
+	writebacks  *telemetry.Counter   // CleanLine calls
 	invalidates *telemetry.Counter
 	dropAll     *telemetry.Counter
 }
@@ -110,36 +105,26 @@ type Cache struct {
 	tel    telemetryHooks
 }
 
-// AttachTelemetry registers the cache's metrics on r (nil detaches). The
-// per-level series mirror Fig 4: bucket 0 is MAC lines, bucket i is tree
-// level i.
+// AttachTelemetry exports the cache's books to r and registers its
+// handles there (nil detaches the handles). The per-level series mirror
+// Fig 4: bucket 0 is MAC lines, bucket i is tree level i.
 func (m *Cache) AttachTelemetry(r *telemetry.Registry) {
-	if r == nil {
-		m.tel = telemetryHooks{}
-		return
+	r.Export("metacache_hits_total", func() uint64 { return m.c.Stats().Hits })
+	r.Export("metacache_misses_total", func() uint64 { return m.c.Stats().Misses })
+	r.Export("metacache_evictions_total", func() uint64 { return m.c.Stats().Evictions })
+	r.Export("metacache_dirty_tree_evictions_total", func() uint64 { return m.st.DirtyTreeEvictions })
+	for l := range m.st.EvictionsByLevel {
+		r.Export(fmt.Sprintf("metacache_dirty_evictions_level_%d_total", l), func() uint64 { return m.st.EvictionsByLevel[l] })
+	}
+	hits := make([]*telemetry.Counter, m.levels+1)
+	for l := range hits {
+		hits[l] = r.Counter(fmt.Sprintf("metacache_hits_level_%d_total", l))
 	}
 	m.tel = telemetryHooks{
-		hits:        r.Counter("metacache_hits_total"),
-		misses:      r.Counter("metacache_misses_total"),
-		evictions:   r.Counter("metacache_evictions_total"),
+		hitsByLevel: hits,
 		writebacks:  r.Counter("metacache_writebacks_total"),
-		dirtyEvict:  r.Counter("metacache_dirty_tree_evictions_total"),
 		invalidates: r.Counter("metacache_invalidates_total"),
 		dropAll:     r.Counter("metacache_dropall_total"),
-	}
-	m.tel.hitsByLevel = make([]*telemetry.Counter, m.levels+1)
-	m.tel.evByLevel = make([]*telemetry.Counter, m.levels+1)
-	for l := 0; l <= m.levels; l++ {
-		m.tel.hitsByLevel[l] = r.Counter(fmt.Sprintf("metacache_hits_level_%d_total", l))
-		m.tel.evByLevel[l] = r.Counter(fmt.Sprintf("metacache_dirty_evictions_level_%d_total", l))
-	}
-}
-
-// noteLevel increments a per-level counter, tolerating out-of-range
-// levels (defensive: MAC lines carry level 0).
-func noteLevel(ctrs []*telemetry.Counter, level int) {
-	if level >= 0 && level < len(ctrs) {
-		ctrs[level].Inc()
 	}
 }
 
@@ -169,8 +154,6 @@ func (m *Cache) LookupSlot(homeAddr uint64) (*Block, int) {
 	b, slot := m.c.LookupSlot(homeAddr)
 	if slot >= 0 {
 		m.noteHit(b)
-	} else {
-		m.tel.misses.Inc()
 	}
 	return b, slot
 }
@@ -182,9 +165,12 @@ func (m *Cache) Hit(slot int) {
 	m.noteHit(m.c.At(slot))
 }
 
+// noteHit counts a hit on b's level, tolerating out-of-range levels
+// (defensive: MAC lines carry level 0).
 func (m *Cache) noteHit(b *Block) {
-	m.tel.hits.Inc()
-	noteLevel(m.tel.hitsByLevel, b.Level)
+	if b.Level >= 0 && b.Level < len(m.tel.hitsByLevel) {
+		m.tel.hitsByLevel[b.Level].Inc()
+	}
 }
 
 // At returns the resident block at slot.
@@ -242,7 +228,6 @@ func (m *Cache) ClaimAt(slot int, homeAddr uint64, dirty bool) (*Block, Evicted,
 	var ev Evicted
 	if evict {
 		ev = evicted(b, cev)
-		m.tel.evictions.Inc()
 		if ev.Dirty && ev.Kind != KindMAC {
 			m.NoteEvictionWriteback(ev.Level)
 		}
@@ -292,8 +277,6 @@ func (m *Cache) Unpin(slot int) { m.c.Unpin(slot) }
 func (m *Cache) NoteEvictionWriteback(level int) {
 	m.st.EvictionsByLevel[level]++
 	m.st.DirtyTreeEvictions++
-	m.tel.dirtyEvict.Inc()
-	noteLevel(m.tel.evByLevel, level)
 }
 
 // Invalidate drops one block without write-back; it reports whether the

@@ -113,7 +113,6 @@ type Device struct {
 
 	// hook, when set, observes every write boundary (chaos injection).
 	hook inject.Hook
-	tel  telemetryHooks
 
 	// rdBuf shields the read path from an interface-escape allocation:
 	// slices passed through the ecc.Codec interface are assumed by the
@@ -126,27 +125,13 @@ type Device struct {
 	badWords [8]int
 }
 
-// telemetryHooks holds the device's metric handles; nil handles (no
-// registry attached) are no-ops.
-type telemetryHooks struct {
-	reads         *telemetry.Counter
-	writes        *telemetry.Counter
-	corrected     *telemetry.Counter
-	uncorrectable *telemetry.Counter
-}
-
-// AttachTelemetry registers the device's metrics on r (nil detaches).
+// AttachTelemetry exports the device's books to r (nil exports nothing);
+// the nvm_* counters there start from the books as they stand.
 func (d *Device) AttachTelemetry(r *telemetry.Registry) {
-	if r == nil {
-		d.tel = telemetryHooks{}
-		return
-	}
-	d.tel = telemetryHooks{
-		reads:         r.Counter("nvm_reads_total"),
-		writes:        r.Counter("nvm_writes_total"),
-		corrected:     r.Counter("nvm_corrected_lines_total"),
-		uncorrectable: r.Counter("nvm_uncorrectable_hits_total"),
-	}
+	r.Export("nvm_reads_total", func() uint64 { return d.stats.Reads })
+	r.Export("nvm_writes_total", func() uint64 { return d.stats.Writes })
+	r.Export("nvm_corrected_lines_total", func() uint64 { return d.stats.CorrectedLines })
+	r.Export("nvm_uncorrectable_hits_total", func() uint64 { return d.stats.UncorrectableHits })
 }
 
 // SetWriteHook installs (or, with nil, removes) the injection hook fired
@@ -320,7 +305,6 @@ func (d *Device) Write(addr uint64, data *Line) {
 		}
 	}
 	d.stats.Writes++
-	d.tel.writes.Inc()
 	p.wear[i]++
 }
 
@@ -353,7 +337,6 @@ type ReadResult struct {
 func (d *Device) Read(addr uint64) ReadResult {
 	idx := d.checkAddr(addr)
 	d.stats.Reads++
-	d.tel.reads.Inc()
 	e, i := d.lookup(idx)
 	if e == nil {
 		return ReadResult{}
@@ -372,7 +355,6 @@ func (d *Device) Read(addr uint64) ReadResult {
 	res := d.codec.Decode(buf[:], check)
 	if res.Corrected {
 		d.stats.CorrectedLines++
-		d.tel.corrected.Inc()
 		// A patrol-scrub style write-back of the corrected value keeps
 		// correctable faults from accumulating, mirroring real
 		// controllers (demand scrubbing).
@@ -382,7 +364,6 @@ func (d *Device) Read(addr uint64) ReadResult {
 	var bad []int
 	if res.Uncorrectable {
 		d.stats.UncorrectableHits++
-		d.tel.uncorrectable.Inc()
 		bad = d.badWords[:0]
 		for m := res.BadWords; m != 0; m &= m - 1 {
 			bad = append(bad, bits.TrailingZeros8(m))
@@ -413,7 +394,6 @@ func (d *Device) ReadIfMaterialized(addr uint64, r *ReadResult) bool {
 		return false
 	case e.fresh>>i&1 != 0:
 		d.stats.Reads++
-		d.tel.reads.Inc()
 		*r = ReadResult{Data: e.page.data[i]} // as in Read
 	default:
 		*r = d.Read(addr)

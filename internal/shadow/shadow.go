@@ -140,40 +140,26 @@ type Table struct {
 	duped   bool // Soteria duplicated halves (vs Anubis single copy)
 	norep   bool // debug: skip half-repair (Options.DisableHalfRepair)
 	valid   []bool
-	stats   Stats
-	tel     telemetryHooks
+	// stats counts every event since construction; Stats reports the
+	// growth since atCrash, the books as the last Crash left them.
+	stats, atCrash Stats
 }
 
-// telemetryHooks holds the table's metric handles; nil handles (no
-// registry attached) are no-ops.
-type telemetryHooks struct {
-	entryWrites   *telemetry.Counter
-	invalidations *telemetry.Counter
-	halfRepairs   *telemetry.Counter
-	lostEntries   *telemetry.Counter
-}
-
-// AttachTelemetry registers the shadow-table metrics on r (nil detaches)
-// and cascades to the protecting BMT. Content tables use the
+// AttachTelemetry exports the shadow-table books to r (nil exports
+// nothing) and cascades to the protecting BMT. Content tables use the
 // shadow_content_* series, so a registry never mixes the two formats'
 // counts; they have no half repairs to count.
 func (t *Table) AttachTelemetry(r *telemetry.Registry) {
 	t.bmt.AttachTelemetry(r)
-	if r == nil {
-		t.tel = telemetryHooks{}
-		return
-	}
 	prefix := "shadow_"
 	if t.content {
 		prefix = "shadow_content_"
 	}
-	t.tel = telemetryHooks{
-		entryWrites:   r.Counter(prefix + "entry_writes_total"),
-		invalidations: r.Counter(prefix + "invalidations_total"),
-		lostEntries:   r.Counter(prefix + "lost_entries_total"),
-	}
+	r.Export(prefix+"entry_writes_total", func() uint64 { return t.stats.EntryWrites })
+	r.Export(prefix+"invalidations_total", func() uint64 { return t.stats.Invalidations })
+	r.Export(prefix+"lost_entries_total", func() uint64 { return t.stats.LostEntries })
 	if !t.content {
-		t.tel.halfRepairs = r.Counter("shadow_half_repairs_total")
+		r.Export("shadow_half_repairs_total", func() uint64 { return t.stats.HalfRepairs })
 	}
 }
 
@@ -233,12 +219,20 @@ func newTable(t *Table) (*Table, error) {
 // survive. Load (or LoadAllSlots) brings the flags back from NVM.
 func (t *Table) Crash() {
 	clear(t.valid)
-	t.stats = Stats{}
+	t.atCrash = t.stats
 }
 
-// Stats returns a copy of the activity counters (HalfRepairs is always
-// zero for content entries: there are no duplicated halves to repair from).
-func (t *Table) Stats() Stats { return t.stats }
+// Stats returns the activity counters since the last Crash (HalfRepairs is
+// always zero for content entries: there are no duplicated halves to
+// repair from). The exported telemetry counts on across a Crash.
+func (t *Table) Stats() Stats {
+	return Stats{
+		EntryWrites:   t.stats.EntryWrites - t.atCrash.EntryWrites,
+		Invalidations: t.stats.Invalidations - t.atCrash.Invalidations,
+		HalfRepairs:   t.stats.HalfRepairs - t.atCrash.HalfRepairs,
+		LostEntries:   t.stats.LostEntries - t.atCrash.LostEntries,
+	}
+}
 
 // Slots returns the number of shadow slots.
 func (t *Table) Slots() uint64 { return t.slots }
@@ -307,7 +301,6 @@ func (t *Table) Write(slot int, e Entry) error {
 	}
 	t.valid[slot] = e.Valid
 	t.stats.EntryWrites++
-	t.tel.entryWrites.Inc()
 	return nil
 }
 
@@ -335,14 +328,12 @@ func (t *Table) Reset(slot uint64) error {
 	}
 	t.valid[slot] = false
 	t.stats.Invalidations++
-	t.tel.invalidations.Inc()
 	return nil
 }
 
 // lost counts one unrecoverable entry and returns its error.
 func (t *Table) lost(format string, args ...any) (Entry, bool, error) {
 	t.stats.LostEntries++
-	t.tel.lostEntries.Inc()
 	return Entry{}, false, fmt.Errorf(format, args...)
 }
 
@@ -384,7 +375,6 @@ func (t *Table) Load(slot uint64) (Entry, bool, error) {
 		}
 		t.store.WriteLine(addr, &raw)
 		t.stats.HalfRepairs++
-		t.tel.halfRepairs.Inc()
 	}
 	verified, err := t.bmt.Verify(slot)
 	if err != nil {

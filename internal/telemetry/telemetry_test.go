@@ -24,7 +24,6 @@ func TestNilSafety(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil metrics must stay zero")
 	}
-	r.Reset() // must not panic
 	snap := r.Snapshot()
 	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 || len(snap.Histograms) != 0 {
 		t.Fatal("nil registry snapshot must be empty")
@@ -172,20 +171,25 @@ func TestSnapshotMerge(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
+// TestExportCountsFromRegistration: an export reports its book's growth
+// since Export, and adds up with counters and exports of the same name.
+func TestExportCountsFromRegistration(t *testing.T) {
+	var book, other uint64 = 40, 7
 	r := NewRegistry()
-	c := r.Counter("c")
-	h := r.Histogram("h", ExpBounds(4))
-	c.Add(9)
-	h.Observe(3)
-	r.Reset()
-	if c.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
-		t.Fatal("reset must zero metrics in place")
+	r.Export("x", func() uint64 { return book })
+	book += 3
+	if got := r.Snapshot().Counters["x"]; got != 3 {
+		t.Fatalf("export = %d, want its growth since registration 3", got)
 	}
-	c.Inc() // handle stays live
-	if c.Value() != 1 {
-		t.Fatal("handle dead after reset")
+	r.Counter("x").Add(2)
+	r.Export("x", func() uint64 { return other })
+	other += 5
+	book++
+	if got := r.Snapshot().Counters["x"]; got != 11 {
+		t.Fatalf("export+counter+export = %d, want 4+2+5", got)
 	}
+	var nilReg *Registry
+	nilReg.Export("x", func() uint64 { return book }) // must not panic
 }
 
 func TestPrometheusExport(t *testing.T) {

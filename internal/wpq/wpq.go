@@ -54,32 +54,24 @@ type Queue struct {
 // never is the soonest completion of an empty queue.
 const never = sim.Time(math.MaxInt64)
 
-// telemetryHooks holds the queue's metric handles; nil handles (no
-// registry attached) are no-ops.
+// telemetryHooks holds the queue's metric handles for what its books do
+// not count; nil handles (no registry attached) are no-ops.
 type telemetryHooks struct {
-	inserts    *telemetry.Counter
-	coalesced  *telemetry.Counter
-	stalls     *telemetry.Counter
-	stallTicks *telemetry.Counter
-	atomicSets *telemetry.Counter
-	depthMax   *telemetry.Gauge
+	depthMax   *telemetry.Gauge     // high-water mark since attach
 	drainTicks *telemetry.Histogram // scheduled completion - push time
 }
 
-// AttachTelemetry registers the queue's metrics on r (nil detaches). The
-// drain-latency histogram records, per accepted write, how long the entry
-// will sit in the queue before its bank retires it.
+// AttachTelemetry exports the queue's books to r and registers its
+// handles there (nil detaches the handles). The drain-latency histogram
+// records, per accepted write, how long the entry will sit in the queue
+// before its bank retires it.
 func (q *Queue) AttachTelemetry(r *telemetry.Registry) {
-	if r == nil {
-		q.tel = telemetryHooks{}
-		return
-	}
+	r.Export("wpq_inserts_total", func() uint64 { return q.stats.Inserts })
+	r.Export("wpq_coalesced_total", func() uint64 { return q.stats.Coalesced })
+	r.Export("wpq_stalls_total", func() uint64 { return q.stats.Stalls })
+	r.Export("wpq_stall_ticks_total", func() uint64 { return uint64(q.stats.StallTime) })
+	r.Export("wpq_atomic_sets_total", func() uint64 { return q.stats.AtomicSets })
 	q.tel = telemetryHooks{
-		inserts:    r.Counter("wpq_inserts_total"),
-		coalesced:  r.Counter("wpq_coalesced_total"),
-		stalls:     r.Counter("wpq_stalls_total"),
-		stallTicks: r.Counter("wpq_stall_ticks_total"),
-		atomicSets: r.Counter("wpq_atomic_sets_total"),
 		depthMax:   r.Gauge("wpq_depth_max"),
 		drainTicks: r.Histogram("wpq_drain_ticks", telemetry.ExpBounds(24)),
 	}
@@ -168,8 +160,6 @@ func (q *Queue) enqueue(now sim.Time, addr uint64) sim.Time {
 func (q *Queue) stall(now sim.Time) sim.Time {
 	q.stats.Stalls++
 	q.stats.StallTime += q.soonest - now
-	q.tel.stalls.Inc()
-	q.tel.stallTicks.Add(uint64(q.soonest - now))
 	now = q.soonest
 	q.drain(now)
 	return now
@@ -196,7 +186,6 @@ func (q *Queue) PushReport(now sim.Time, addr uint64, data *nvm.Line) (sim.Time,
 	if q.Pending(now, addr) {
 		q.dev.Write(addr, data)
 		q.stats.Coalesced++
-		q.tel.coalesced.Inc()
 		return now, true
 	}
 	if len(q.pending) >= q.capacity {
@@ -208,7 +197,6 @@ func (q *Queue) PushReport(now sim.Time, addr uint64, data *nvm.Line) (sim.Time,
 	done := q.enqueue(now, addr)
 	q.dev.Write(addr, data)
 	q.stats.Inserts++
-	q.tel.inserts.Inc()
 	q.tel.drainTicks.Observe(uint64(done - now))
 	if len(q.pending) > q.stats.MaxDepth {
 		q.stats.MaxDepth = len(q.pending)
@@ -237,7 +225,6 @@ func (q *Queue) PushAtomic(now sim.Time, writes []Write) sim.Time {
 		done := q.enqueue(now, writes[i].Addr)
 		q.dev.Write(writes[i].Addr, &writes[i].Data)
 		q.stats.Inserts++
-		q.tel.inserts.Inc()
 		q.tel.drainTicks.Observe(uint64(done - now))
 	}
 	if q.hook != nil {
@@ -248,7 +235,6 @@ func (q *Queue) PushAtomic(now sim.Time, writes []Write) sim.Time {
 	}
 	q.tel.depthMax.SetMax(int64(len(q.pending)))
 	q.stats.AtomicSets++
-	q.tel.atomicSets.Inc()
 	return now
 }
 
