@@ -3,15 +3,20 @@
 // payload: cpusim's L1/L2/LLC data hierarchy carries plaintext lines, and
 // metacache carries counter blocks, tree nodes and MAC lines as stored.
 //
-// The backing store is a single flat array of sets×ways, indexed
-// set*ways+way, with the line number, valid/dirty bits, an inline LRU tick
-// and the payload in the way itself: a probe is a shift, a mask and a scan
-// of one set, with no per-entry heap boxes. The cache is a purely
-// functional model — it charges no latency (timing is the caller's
-// business).
+// Every (set, way) slot is numbered set*ways+way and lives in three
+// parallel flat arrays: the tags (line number plus one, 0 for a free way),
+// the replacement state (LRU tick, pins, dirty bit) and the payloads. A
+// probe is a shift, a mask and a scan of one set's tags — one 64-byte host
+// line at 8 ways — and never touches a payload; there are no per-entry heap
+// boxes. The cache is a purely functional model — it charges no latency
+// (timing is the caller's business).
 package cache
 
-import "soteria/internal/config"
+import (
+	"math"
+
+	"soteria/internal/config"
+)
 
 // Stats aggregates cache activity counters.
 type Stats struct {
@@ -37,20 +42,23 @@ type Evicted struct {
 	Dirty bool
 }
 
-// way is one (set, way) slot of the flat backing array.
-type way[V any] struct {
-	valid bool
-	dirty bool
-	pins  uint32 // holders that need the line to stay resident
-	line  uint64 // addr / BlockSize; its low bits are the set index
+// wayMeta is the replacement state of one (set, way) slot.
+type wayMeta struct {
 	lru   uint64 // tick of the last use; 0 while the way is free
-	value V
+	pins  uint32 // holders that need the line to stay resident
+	dirty bool
 }
 
-// Cache is a set-associative write-back cache with true-LRU replacement,
-// backed by one flat array indexed ways[set*assoc+way].
+// Cache is a set-associative write-back cache with true-LRU replacement.
+// Its slots are numbered set*assoc+way and kept in three parallel arrays:
+// keys holds each slot's line number plus one (0 while the way is free),
+// meta its replacement state and vals its payload. A probe reads only the
+// set's keys — one 64-byte run at 8 ways — and a victim choice adds the
+// set's meta; neither touches a payload.
 type Cache[V any] struct {
-	ways    []way[V]
+	keys    []uint64
+	meta    []wayMeta
+	vals    []V
 	assoc   int
 	setMask uint64
 	tick    uint64
@@ -62,26 +70,28 @@ func New[V any](cfg config.CacheConfig) (*Cache[V], error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	nsets := cfg.Sets()
+	n := cfg.Sets() * cfg.Ways
 	return &Cache[V]{
-		ways:    make([]way[V], nsets*cfg.Ways),
+		keys:    make([]uint64, n),
+		meta:    make([]wayMeta, n),
+		vals:    make([]V, n),
 		assoc:   cfg.Ways,
-		setMask: uint64(nsets - 1),
+		setMask: uint64(cfg.Sets() - 1),
 	}, nil
 }
 
-// set returns addr's line number and the offset of its set in c.ways.
-func (c *Cache[V]) set(addr uint64) (line uint64, base int) {
-	line = addr / config.BlockSize
-	return line, int(line&c.setMask) * c.assoc
+// set returns addr's key (line number plus one) and the first slot of its
+// set.
+func (c *Cache[V]) set(addr uint64) (key uint64, base int) {
+	line := addr / config.BlockSize
+	return line + 1, int(line&c.setMask) * c.assoc
 }
 
 // find returns the slot holding addr, or -1.
 func (c *Cache[V]) find(addr uint64) int {
-	line, base := c.set(addr)
-	ws := c.ways[base : base+c.assoc]
-	for i := range ws {
-		if ws[i].valid && ws[i].line == line {
+	key, base := c.set(addr)
+	for i, k := range c.keys[base : base+c.assoc] {
+		if k == key {
 			return base + i
 		}
 	}
@@ -98,25 +108,26 @@ func (c *Cache[V]) find(addr uint64) int {
 // is pinned there is no slot (-1). ClaimAt(slot, addr, dirty) then claims
 // the named way without probing the set again.
 func (c *Cache[V]) Place(addr uint64) (slot int, resident bool, ev Evicted, evict bool) {
-	line, base := c.set(addr)
-	ws := c.ways[base : base+c.assoc]
+	key, base := c.set(addr)
+	keys := c.keys[base : base+c.assoc]
+	meta := c.meta[base : base+len(keys)]
 	victim := -1
-	for i := range ws {
-		if ws[i].valid && ws[i].line == line {
+	oldest := uint64(math.MaxUint64) // above every tick
+	for i, k := range keys {
+		if k == key {
 			return base + i, true, Evicted{}, false
 		}
-		if ws[i].pins == 0 && (victim < 0 || ws[i].lru < ws[victim].lru) {
-			victim = i
+		if m := &meta[i]; m.pins == 0 && m.lru < oldest {
+			victim, oldest = i, m.lru
 		}
 	}
 	if victim < 0 {
 		return -1, false, Evicted{}, false
 	}
-	w := &ws[victim]
-	if !w.valid {
-		return base + victim, false, Evicted{}, false
+	if k := keys[victim]; k != 0 {
+		return base + victim, false, Evicted{Addr: (k - 1) * config.BlockSize, Dirty: meta[victim].dirty}, true
 	}
-	return base + victim, false, Evicted{Addr: w.line * config.BlockSize, Dirty: w.dirty}, true
+	return base + victim, false, Evicted{}, false
 }
 
 // Lookup probes the cache. On a hit it refreshes LRU state and returns a
@@ -134,7 +145,7 @@ func (c *Cache[V]) Lookup(addr uint64) (*V, bool) {
 func (c *Cache[V]) LookupSlot(addr uint64) (*V, int) {
 	if i := c.find(addr); i >= 0 {
 		c.Hit(i)
-		return &c.ways[i].value, i
+		return &c.vals[i], i
 	}
 	c.stats.Misses++
 	return nil, -1
@@ -144,17 +155,17 @@ func (c *Cache[V]) LookupSlot(addr uint64) (*V, int) {
 // and hit count of a Lookup, without the probe.
 func (c *Cache[V]) Hit(slot int) {
 	c.tick++
-	c.ways[slot].lru = c.tick
+	c.meta[slot].lru = c.tick
 	c.stats.Hits++
 }
 
 // At returns the payload of the resident line at slot.
-func (c *Cache[V]) At(slot int) *V { return &c.ways[slot].value }
+func (c *Cache[V]) At(slot int) *V { return &c.vals[slot] }
 
 // Peek probes without touching LRU state or statistics.
 func (c *Cache[V]) Peek(addr uint64) (*V, bool) {
 	if i := c.find(addr); i >= 0 {
-		return &c.ways[i].value, true
+		return &c.vals[i], true
 	}
 	return nil, false
 }
@@ -178,33 +189,35 @@ func (c *Cache[V]) Claim(addr uint64, dirty bool) (*V, Evicted, bool) {
 // in between: it evicts that way's occupant unless it already holds addr.
 func (c *Cache[V]) ClaimAt(slot int, addr uint64, dirty bool) (*V, Evicted, bool) {
 	c.tick++
-	line := addr / config.BlockSize
-	w := &c.ways[slot]
+	key := addr/config.BlockSize + 1
+	m := &c.meta[slot]
 	var ev Evicted
-	evict := w.valid && w.line != line
+	old := c.keys[slot]
+	evict := old != 0 && old != key
 	if evict {
-		ev = Evicted{Addr: w.line * config.BlockSize, Dirty: w.dirty}
+		ev = Evicted{Addr: (old - 1) * config.BlockSize, Dirty: m.dirty}
 		c.stats.Evictions++
-		if w.dirty {
+		if m.dirty {
 			c.stats.Writebacks++
 		}
-	} else if w.valid {
-		dirty = dirty || w.dirty
+	} else if old != 0 {
+		dirty = dirty || m.dirty
 	}
-	w.valid, w.dirty, w.line, w.lru = true, dirty, line, c.tick
-	return &w.value, ev, evict
+	c.keys[slot] = key
+	m.dirty, m.lru = dirty, c.tick
+	return &c.vals[slot], ev, evict
 }
 
 // Pin keeps the resident line at slot from being chosen as a victim
 // until a matching Unpin; pins nest. Invalidate and DropAll drop a line's
 // pins with it, and its holder must not Unpin it afterwards (an empty
 // slot ignores an Unpin).
-func (c *Cache[V]) Pin(slot int) { c.ways[slot].pins++ }
+func (c *Cache[V]) Pin(slot int) { c.meta[slot].pins++ }
 
 // Unpin releases one Pin of the line at slot.
 func (c *Cache[V]) Unpin(slot int) {
-	if c.ways[slot].pins > 0 {
-		c.ways[slot].pins--
+	if c.meta[slot].pins > 0 {
+		c.meta[slot].pins--
 	}
 }
 
@@ -219,19 +232,19 @@ func (c *Cache[V]) MarkDirty(addr uint64) bool {
 }
 
 // MarkDirtyAt sets the dirty bit of the resident line at slot.
-func (c *Cache[V]) MarkDirtyAt(slot int) { c.ways[slot].dirty = true }
+func (c *Cache[V]) MarkDirtyAt(slot int) { c.meta[slot].dirty = true }
 
 // CleanLine clears the dirty bit of a resident line (after a write-back).
 func (c *Cache[V]) CleanLine(addr uint64) {
 	if i := c.find(addr); i >= 0 {
-		c.ways[i].dirty = false
+		c.meta[i].dirty = false
 	}
 }
 
 // IsDirty reports whether addr is resident and dirty.
 func (c *Cache[V]) IsDirty(addr uint64) bool {
 	i := c.find(addr)
-	return i >= 0 && c.ways[i].dirty
+	return i >= 0 && c.meta[i].dirty
 }
 
 // Invalidate drops a resident line without write-back; it reports whether
@@ -239,22 +252,27 @@ func (c *Cache[V]) IsDirty(addr uint64) bool {
 func (c *Cache[V]) Invalidate(addr uint64) bool {
 	i := c.find(addr)
 	if i >= 0 {
-		c.ways[i] = way[V]{}
+		var zero V
+		c.keys[i], c.meta[i], c.vals[i] = 0, wayMeta{}, zero
 	}
 	return i >= 0
 }
 
 // DropAll invalidates every line without write-back — what a power loss
 // does to volatile state.
-func (c *Cache[V]) DropAll() { clear(c.ways) }
+func (c *Cache[V]) DropAll() {
+	clear(c.keys)
+	clear(c.meta)
+	clear(c.vals)
+}
 
 // DirtyLines returns the address of every dirty resident line, in slot
 // order.
 func (c *Cache[V]) DirtyLines() []uint64 {
 	var out []uint64
-	for i := range c.ways {
-		if w := &c.ways[i]; w.valid && w.dirty {
-			out = append(out, w.line*config.BlockSize)
+	for i, k := range c.keys {
+		if k != 0 && c.meta[i].dirty {
+			out = append(out, (k-1)*config.BlockSize)
 		}
 	}
 	return out
@@ -265,7 +283,7 @@ func (c *Cache[V]) DirtyLines() []uint64 {
 func (c *Cache[V]) SlotOf(addr uint64) int { return c.find(addr) }
 
 // Slots returns the total number of (set, way) slots.
-func (c *Cache[V]) Slots() int { return len(c.ways) }
+func (c *Cache[V]) Slots() int { return len(c.keys) }
 
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache[V]) Stats() Stats { return c.stats }

@@ -33,16 +33,11 @@ type BatchResult struct {
 	Err     error
 }
 
-// batchGroup is the per-shard slice of one batch: shard-local copies of
-// the ops plus their original indices.
-type batchGroup struct {
-	ops []BatchOp
-	idx []int32
-}
-
-// batchRun is the pooled scratch of one ExecBatch call.
+// batchRun is the pooled scratch of one ExecBatch call: per shard, the
+// indices of that shard's ops in the batch, and the shards in order of
+// their first op.
 type batchRun struct {
-	groups []batchGroup
+	groups [][]int32
 	used   []int32
 }
 
@@ -71,7 +66,7 @@ func (d *Device) ExecBatch(ops []BatchOp, res []BatchResult) error {
 	}
 	br, _ := d.batchPool.Get().(*batchRun)
 	if br == nil {
-		br = &batchRun{groups: make([]batchGroup, d.opts.Shards)}
+		br = &batchRun{groups: make([][]int32, d.opts.Shards)}
 	}
 	br.used = br.used[:0]
 
@@ -86,19 +81,16 @@ func (d *Device) ExecBatch(ops []BatchOp, res []BatchResult) error {
 			continue
 		}
 		sh := int32(d.ShardOf(op.Addr))
-		g := &br.groups[sh]
-		if len(g.ops) == 0 {
+		if len(br.groups[sh]) == 0 {
 			br.used = append(br.used, sh)
 		}
-		g.ops = append(g.ops, BatchOp{Op: op.Op, Addr: d.localAddr(op.Addr), Line: op.Line})
-		g.idx = append(g.idx, int32(i))
+		br.groups[sh] = append(br.groups[sh], int32(i))
 	}
 
 	epoch := d.epoch.Load()
 	for _, sh := range br.used {
-		g := &br.groups[sh]
-		d.shards[sh].execGroup(g.ops, g.idx, res, epoch)
-		g.ops, g.idx = g.ops[:0], g.idx[:0]
+		d.shards[sh].execGroup(ops, br.groups[sh], res, epoch)
+		br.groups[sh] = br.groups[sh][:0]
 	}
 	d.batchPool.Put(br)
 	return nil
@@ -116,10 +108,10 @@ func batchOpcode(op uint8) opcode {
 	}
 }
 
-// execGroup runs one shard's group of a batch under the shard lock:
-// coalesce writes within the group, execute the survivors in order, and
-// write each op's outcome into the batch's result slice at its original
-// index.
+// execGroup runs one shard's group of a batch — the ops at idx, in order —
+// under the shard lock: coalesce writes within the group, execute the
+// survivors in order straight into the batch's result slice at each op's
+// index, and acknowledge each dropped write with its absorber's outcome.
 func (s *shard) execGroup(ops []BatchOp, idx []int32, out []BatchResult, epoch uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -130,24 +122,21 @@ func (s *shard) execGroup(ops []BatchOp, idx []int32, out []BatchResult, epoch u
 		return
 	}
 	s.batches.Inc()
-	s.batched.Observe(uint64(len(ops)))
+	s.batched.Observe(uint64(len(idx)))
 
-	s.planReset()
-	for i := range ops {
-		s.planOp(i, batchOpcode(ops[i].Op), ops[i].Addr)
-	}
-	for i := range ops {
-		if _, dropped := s.supersededBy[i]; dropped {
+	absorber := s.plan(ops, idx)
+	for k, ix := range idx {
+		if absorber[k] >= 0 {
 			s.coalesced.Inc()
 			continue
 		}
-		res := s.exec(batchOpcode(ops[i].Op), ops[i].Addr, &ops[i].Line, epoch)
-		out[idx[i]] = BatchResult{Data: res.data, Latency: res.latency, Err: res.err}
+		op := &ops[ix]
+		s.exec(batchOpcode(op.Op), s.dev.localAddr(op.Addr), &op.Line, epoch, &out[ix])
 	}
-	for i := range ops {
-		if j, ok := s.absorber(i); ok {
+	for k, ix := range idx {
+		if j := absorber[k]; j >= 0 {
 			// Mirror the absorbing write's outcome at zero added latency.
-			out[idx[i]] = BatchResult{Err: out[idx[j]].Err}
+			out[ix] = BatchResult{Err: out[idx[j]].Err}
 		}
 	}
 }

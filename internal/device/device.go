@@ -194,41 +194,42 @@ func (d *Device) admit(addr uint64) error {
 // do executes one data-plane operation in place under the owning shard's
 // lock. The epoch is read before the lock is taken, so a caller still
 // waiting for its shard when Crash advances the barrier is retired.
-func (d *Device) do(op opcode, addr uint64, data *nvm.Line) response {
+func (d *Device) do(op opcode, addr uint64, data *nvm.Line) (res BatchResult) {
 	if err := d.admit(addr); err != nil {
-		return response{err: err}
+		return BatchResult{Err: err}
 	}
 	epoch := d.epoch.Load()
 	s := d.shards[d.ShardOf(addr)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if d.closed.Load() {
-		return response{err: ErrClosed}
+		return BatchResult{Err: ErrClosed}
 	}
 	s.batches.Inc()
 	s.batched.Observe(1)
-	return s.exec(op, d.localAddr(addr), data, epoch)
+	s.exec(op, d.localAddr(addr), data, epoch, &res)
+	return res
 }
 
 // Read services one 64-byte read. The returned time is the simulated
 // latency of the access on its shard's clock.
 func (d *Device) Read(addr uint64) (nvm.Line, sim.Time, error) {
 	r := d.do(opRead, addr, nil)
-	return r.data, r.latency, r.err
+	return r.Data, r.Latency, r.Err
 }
 
 // Write services one 64-byte write (encrypt, MAC, shadow log, WPQ on the
 // owning shard). data is not retained past the call.
 func (d *Device) Write(addr uint64, data *nvm.Line) (sim.Time, error) {
 	r := d.do(opWrite, addr, data)
-	return r.latency, r.err
+	return r.Latency, r.Err
 }
 
 // Drain waits until every write accepted by the shard owning addr has
 // left its write pending queue (the per-shard sfence). Device-wide
 // durability is Flush.
 func (d *Device) Drain(addr uint64) error {
-	return d.do(opDrain, addr, nil).err
+	return d.do(opDrain, addr, nil).Err
 }
 
 // powerCut takes the device down and advances the crash barrier. The two
@@ -255,7 +256,7 @@ func (d *Device) control(op opcode) []response {
 		for i := int(next.Add(1)) - 1; i < len(d.shards); i = int(next.Add(1)) - 1 {
 			s := d.shards[i]
 			s.mu.Lock()
-			out[i] = s.exec(op, 0, nil, 0)
+			out[i].report = s.exec(op, 0, nil, 0, &out[i].BatchResult)
 			s.mu.Unlock()
 		}
 	}
@@ -278,8 +279,8 @@ func (d *Device) control(op opcode) []response {
 
 func firstErr(rs []response) error {
 	for _, r := range rs {
-		if r.err != nil {
-			return r.err
+		if r.Err != nil {
+			return r.Err
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"math/bits"
 	"sync"
 
 	"soteria/internal/inject"
@@ -25,12 +26,11 @@ const (
 	opVerify
 )
 
-// response carries everything any opcode can return.
+// response carries everything any opcode can return: a data op's
+// outcome, and the report of a recovery.
 type response struct {
-	data    nvm.Line
-	latency sim.Time
-	report  *memctrl.RecoveryReport
-	err     error
+	BatchResult
+	report *memctrl.RecoveryReport
 }
 
 // shard is one slice of the device: a controller, its simulated clock and
@@ -50,8 +50,9 @@ type shard struct {
 
 	// Coalescing scratch, reused across ExecBatch groups so the steady
 	// state allocates nothing.
-	supersededBy map[int]int    // dropped write index -> absorbing write index
-	lastWrite    map[uint64]int // local line addr -> pending write index
+	absorber []int32    // per group position: the surviving write, or -1
+	table    []planSlot // open writes by line; see plan
+	gen      uint32     // the table's current generation
 
 	retired   *telemetry.Counter
 	powerLoss *telemetry.Counter
@@ -63,18 +64,21 @@ type shard struct {
 // exec runs one operation on the controller, converting an inject.PowerLoss
 // unwind into a typed error and a device-wide crash barrier. addr is
 // shard-local; epoch is the barrier generation the caller read before it
-// took s.mu.
-func (s *shard) exec(op opcode, addr uint64, data *nvm.Line, epoch uint64) (res response) {
+// took s.mu. The outcome is written into res, which a batch points at the
+// caller's result slot; the report of an opRecover is returned.
+func (s *shard) exec(op opcode, addr uint64, data *nvm.Line, epoch uint64, res *BatchResult) (report *memctrl.RecoveryReport) {
 	d := s.dev
 	if op <= opDrain {
 		// A data op stamped before the last crash barrier is retired
 		// unexecuted: power was lost while it waited for the shard.
 		if epoch < d.epoch.Load() {
 			s.retired.Inc()
-			return response{err: ErrRetired}
+			*res = BatchResult{Err: ErrRetired}
+			return nil
 		}
 		if d.down.Load() {
-			return response{err: memctrl.ErrCrashed}
+			*res = BatchResult{Err: memctrl.ErrCrashed}
+			return nil
 		}
 	}
 
@@ -85,78 +89,105 @@ func (s *shard) exec(op opcode, addr uint64, data *nvm.Line, epoch uint64) (res 
 				// down and retire everything waiting behind the barrier.
 				s.powerLoss.Inc()
 				d.powerCut()
-				res = response{err: &PowerError{Shard: s.id, Boundary: pl.Boundary}}
+				*res, report = BatchResult{Err: &PowerError{Shard: s.id, Boundary: pl.Boundary}}, nil
 				return
 			}
-			res = response{err: &PanicError{Shard: s.id, Value: p}}
+			*res, report = BatchResult{Err: &PanicError{Shard: s.id, Value: p}}, nil
 		}
 	}()
 
+	*res = BatchResult{} // a batch's result slot may hold an old outcome
 	before := s.now
 	switch op {
 	case opRead:
-		res.data, s.now, res.err = s.ctrl.ReadBlock(s.now, addr)
+		res.Data, s.now, res.Err = s.ctrl.ReadBlock(s.now, addr)
 	case opWrite:
-		s.now, res.err = s.ctrl.WriteBlock(s.now, addr, data)
+		s.now, res.Err = s.ctrl.WriteBlock(s.now, addr, data)
 	case opDrain:
 		s.now = s.ctrl.DrainWPQ(s.now)
 	case opFlush:
 		s.now = s.ctrl.FlushAll(s.now)
 	case opCrash:
-		res.err = s.ctrl.Crash()
+		res.Err = s.ctrl.Crash()
 	case opRecover:
-		res.report, res.err = s.ctrl.Recover()
+		report, res.Err = s.ctrl.Recover()
 	case opVerify:
-		res.err = s.ctrl.VerifyAll()
+		res.Err = s.ctrl.VerifyAll()
 	}
-	res.latency = s.now - before
-	return res
+	res.Latency = s.now - before
+	return report
 }
 
 // Write coalescing: within one ExecBatch shard group a write superseded by
 // a later write to the same line — with no read of that line and no drain
 // in between — is dropped and acknowledged with its superseder's outcome,
-// exactly the semantics of an ADR write-combining buffer. planReset starts
-// a group, planOp feeds it op i in order; supersededBy then holds the
-// dropped indices and absorber resolves each to its surviving write.
+// exactly the semantics of an ADR write-combining buffer.
 
-func (s *shard) planReset() {
-	if s.supersededBy == nil {
-		s.supersededBy = make(map[int]int)
-		s.lastWrite = make(map[uint64]int)
-	}
-	clear(s.supersededBy)
-	clear(s.lastWrite)
+// planSlot is one line's entry in the plan's open-addressed table: the
+// group position of its open write (-1 when a read has fenced it), valid
+// while gen is the table's current generation.
+type planSlot struct {
+	addr uint64
+	gen  uint32
+	open int32
 }
 
-func (s *shard) planOp(i int, op opcode, addr uint64) {
-	switch op {
-	case opWrite:
-		if j, ok := s.lastWrite[addr]; ok {
-			s.supersededBy[j] = i
-		}
-		s.lastWrite[addr] = i
-	case opRead:
-		delete(s.lastWrite, addr)
-	default:
-		// A drain orders against every write.
-		clear(s.lastWrite)
+// plan returns, for every position k of the group (the ops at idx), the
+// position of the surviving write that carries op k's durability, or -1
+// when op k executes itself. The lines' open writes live in a table of at
+// least twice the group's size, indexed by a hash of the line: a wire batch
+// may put thousands of distinct lines in one group, too many to scan per
+// op. A new generation starts each group and each drain, which empties the
+// table without touching it.
+func (s *shard) plan(ops []BatchOp, idx []int32) []int32 {
+	size := 2 << bits.Len(uint(len(idx)))
+	if len(s.table) < size {
+		s.table = make([]planSlot, size)
 	}
+	table := s.table[:size]
+	s.nextGen()
+	s.absorber = s.absorber[:0]
+	for k, ix := range idx {
+		s.absorber = append(s.absorber, -1)
+		op, addr := batchOpcode(ops[ix].Op), ops[ix].Addr
+		if op == opDrain {
+			// A drain orders against every write.
+			s.nextGen()
+			continue
+		}
+		h := int(addr/nvm.LineSize*0x9E3779B97F4A7C15>>32) & (size - 1)
+		for table[h].gen == s.gen && table[h].addr != addr {
+			h = (h + 1) & (size - 1)
+		}
+		e := &table[h]
+		if e.gen != s.gen {
+			*e = planSlot{addr: addr, gen: s.gen, open: -1}
+		}
+		if op == opWrite {
+			if e.open >= 0 {
+				s.absorber[e.open] = int32(k)
+			}
+			e.open = int32(k)
+		} else {
+			e.open = -1
+		}
+	}
+	// A superseder is always later and may itself be superseded: resolve
+	// each chain to its last write, back to front.
+	for k := len(s.absorber) - 1; k >= 0; k-- {
+		if j := s.absorber[k]; j >= 0 && s.absorber[j] >= 0 {
+			s.absorber[k] = s.absorber[j]
+		}
+	}
+	return s.absorber
 }
 
-// absorber returns the surviving write that carries dropped op i's
-// durability. Chains resolve because a superseder is never itself
-// superseded by an earlier index.
-func (s *shard) absorber(i int) (int, bool) {
-	j, ok := s.supersededBy[i]
-	if !ok {
-		return 0, false
-	}
-	for {
-		k, again := s.supersededBy[j]
-		if !again {
-			return j, true
-		}
-		j = k
+// nextGen starts a new plan generation; once the counter wraps, the
+// table is cleared so no entry of an old generation can look current.
+func (s *shard) nextGen() {
+	s.gen++
+	if s.gen == 0 {
+		clear(s.table)
+		s.gen = 1
 	}
 }

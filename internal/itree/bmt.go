@@ -40,8 +40,9 @@ type BMT struct {
 	// leafBuf is Update scratch. WriteLine is an interface call, so a
 	// line routed through it must live somewhere the compiler can prove
 	// heap-resident — this BMT-owned buffer — or every update would
-	// allocate. The BMT is single-goroutine, like the shadow table and
-	// controller that drive it.
+	// allocate. A caller that builds a leaf builds it here (Leaf) and
+	// saves the copy. The BMT is single-goroutine, like the shadow table
+	// and controller that drive it.
 	leafBuf [BlockSize]byte
 }
 
@@ -119,6 +120,10 @@ func (b *BMT) rebuild() error {
 	return nil
 }
 
+// Leaf returns the BMT's leaf scratch line. A caller may build the next
+// leaf there and pass it to Update, which then writes it without a copy.
+func (b *BMT) Leaf() *[BlockSize]byte { return &b.leafBuf }
+
 // Update writes a leaf to the store and records its hash on chip: one MAC,
 // one line write, no store read.
 func (b *BMT) Update(index uint64, line *[BlockSize]byte) error {
@@ -126,7 +131,9 @@ func (b *BMT) Update(index uint64, line *[BlockSize]byte) error {
 		return fmt.Errorf("itree: BMT leaf %d out of range (%d)", index, len(b.hashes))
 	}
 	b.tel.updates.Inc()
-	b.leafBuf = *line
+	if line != &b.leafBuf {
+		b.leafBuf = *line
+	}
 	b.store.WriteLine(b.leafBase+index*BlockSize, &b.leafBuf)
 	b.hashes[index] = b.leafHash(index, &b.leafBuf)
 	return nil

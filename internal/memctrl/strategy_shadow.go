@@ -91,7 +91,7 @@ func (s *shadowStrategy) onDirty(c *Controller, home uint64, way int) {
 	// entry/MAC pair would fail BMT verification and lose the tracked
 	// block.
 	c.seal("shadow-op")
-	err := c.shadow.Write(way, e)
+	err := c.shadow.Put(way, &e)
 	c.unseal("shadow-op")
 	if err != nil {
 		panic(fmt.Sprintf("memctrl: shadow write: %v", err))

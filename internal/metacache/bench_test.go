@@ -59,3 +59,42 @@ func BenchmarkPlaceClaim(b *testing.B) {
 		allocSink += ev.Addr
 	}
 }
+
+// BenchmarkCacheProbe measures the set probe at the shipped metadata
+// geometry (512 KB, 8 ways: 1024 sets, 8192 slots) with every slot
+// resident and the probes spread over the whole tag array in a fixed
+// permutation, so each one lands on a set the previous probes left cold in
+// the host's L1. hit probes resident lines (the scan, the LRU refresh and
+// the hit accounting); miss probes lines of the same sets that are not
+// resident (a scan of all eight tags).
+func BenchmarkCacheProbe(b *testing.B) {
+	const slots = (512 << 10) / config.BlockSize
+	for _, bc := range []struct {
+		name string
+		base uint64 // first line number probed
+		hit  bool
+	}{{"hit", 0, true}, {"miss", slots, false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			m, err := New(config.CacheConfig{SizeBytes: 512 << 10, Ways: 8}, 4)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := uint64(0); i < slots; i++ {
+				m.Insert(i*config.BlockSize, Block{Kind: KindCounter, Level: 1, Index: i}, false)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// An odd multiplier permutes the slots.
+				line := bc.base + uint64(i)*2654435761%slots
+				blk, ok := m.Lookup(line * config.BlockSize)
+				if ok != bc.hit {
+					b.Fatalf("probe of line %d: hit=%v, want %v", line, ok, bc.hit)
+				}
+				if ok {
+					allocSink += blk.Index
+				}
+			}
+		})
+	}
+}

@@ -83,18 +83,17 @@ func imageMAC(e *ctrenc.Engine, addr uint64, image *nvm.Line) uint64 {
 	return e.MAC(ctrenc.DomainShadow, addr, 1, image[:])
 }
 
-func (e *Entry) serializeHalf() [HalfSize]byte {
-	var h [HalfSize]byte
+// putHalf writes e's duplicated half into h, whose bytes must be zero.
+func (e *Entry) putHalf(h []byte) {
 	if !e.Valid {
 		binary.LittleEndian.PutUint64(h[0:8], invalidAddr)
-		return h
+		return
 	}
 	binary.LittleEndian.PutUint64(h[0:8], e.Addr)
 	for i, v := range e.LSBs {
 		binary.LittleEndian.PutUint16(h[8+i*2:10+i*2], v)
 	}
 	binary.LittleEndian.PutUint64(h[24:32], e.MAC)
-	return h
 }
 
 func decodeHalf(h []byte) Entry {
@@ -198,8 +197,8 @@ func newTable(t *Table) (*Table, error) {
 		return nil, fmt.Errorf("shadow: need at least one slot")
 	}
 	t.valid = make([]bool, t.slots)
-	var zero nvm.Line
-	invalid := t.encode(&Entry{})
+	var zero, invalid nvm.Line
+	t.encode(&Entry{}, &invalid)
 	for i := uint64(0); i < t.slots; i++ {
 		t.store.WriteLine(t.lineAddr(i), &invalid)
 		if t.content {
@@ -257,10 +256,10 @@ func (t *Table) checkSlot(slot uint64) error {
 	return nil
 }
 
-// encode returns slot's first line for e: the LSB entry, or the content
-// header binding e.Image to e.Addr.
-func (t *Table) encode(e *Entry) nvm.Line {
-	var line nvm.Line
+// encode writes slot's first line for e into line: the LSB entry, or the
+// content header binding e.Image to e.Addr.
+func (t *Table) encode(e *Entry, line *nvm.Line) {
+	*line = nvm.Line{}
 	if t.content {
 		addr, mac := invalidAddr, uint64(0)
 		if e.Valid {
@@ -268,24 +267,26 @@ func (t *Table) encode(e *Entry) nvm.Line {
 		}
 		binary.LittleEndian.PutUint64(line[0:8], addr)
 		binary.LittleEndian.PutUint64(line[8:16], mac)
-		return line
+		return
 	}
-	h := e.serializeHalf()
-	copy(line[:HalfSize], h[:])
+	e.putHalf(line[:HalfSize])
 	if t.duped {
-		copy(line[HalfSize:], h[:])
+		copy(line[HalfSize:], line[:HalfSize])
 	} else {
 		// Keep the second half's address field invalid so decode of
 		// either half is unambiguous.
 		binary.LittleEndian.PutUint64(line[HalfSize:HalfSize+8], invalidAddr)
 	}
-	return line
 }
 
 // Write records entry e in slot i: one NVM line write for an LSB entry, or
 // the image then the header binding it for a content entry (line writes
 // mostly coalesce in the WPQ), each with its eager on-chip BMT update.
-func (t *Table) Write(slot int, e Entry) error {
+func (t *Table) Write(slot int, e Entry) error { return t.Put(slot, &e) }
+
+// Put is Write of *e, without copying the entry: its first line is encoded
+// straight into the BMT's leaf buffer.
+func (t *Table) Put(slot int, e *Entry) error {
 	if err := t.checkSlot(uint64(slot)); err != nil {
 		return err
 	}
@@ -295,8 +296,9 @@ func (t *Table) Write(slot int, e Entry) error {
 			return err
 		}
 	}
-	line := t.encode(&e)
-	if err := t.bmt.Update(leaf, &line); err != nil {
+	line := t.bmt.Leaf()
+	t.encode(e, line)
+	if err := t.bmt.Update(leaf, line); err != nil {
 		return err
 	}
 	t.valid[slot] = e.Valid
@@ -322,8 +324,9 @@ func (t *Table) Reset(slot uint64) error {
 	if err := t.checkSlot(slot); err != nil {
 		return err
 	}
-	line := t.encode(&Entry{})
-	if err := t.bmt.Update(t.leaf(slot), &line); err != nil {
+	line := t.bmt.Leaf()
+	t.encode(&Entry{}, line)
+	if err := t.bmt.Update(t.leaf(slot), line); err != nil {
 		return err
 	}
 	t.valid[slot] = false

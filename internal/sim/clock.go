@@ -61,6 +61,9 @@ func CyclesToTime(cycles float64, hz float64) Time {
 // for its service latency.
 type Banks struct {
 	free []Time
+	// mask is n-1 when the bank count n is a power of two (every shipped
+	// configuration), so BankFor masks instead of dividing; -1 otherwise.
+	mask int64
 }
 
 // NewBanks returns a bank model with n banks, all free at time zero.
@@ -68,14 +71,23 @@ func NewBanks(n int) *Banks {
 	if n <= 0 {
 		n = 1
 	}
-	return &Banks{free: make([]Time, n)}
+	mask := int64(-1)
+	if n&(n-1) == 0 {
+		mask = int64(n - 1)
+	}
+	return &Banks{free: make([]Time, n), mask: mask}
 }
 
 // N returns the number of banks.
 func (b *Banks) N() int { return len(b.free) }
 
 // BankFor maps a line address to a bank by low-order interleaving.
-func (b *Banks) BankFor(lineAddr uint64) int { return int(lineAddr % uint64(len(b.free))) }
+func (b *Banks) BankFor(lineAddr uint64) int {
+	if b.mask >= 0 {
+		return int(lineAddr & uint64(b.mask))
+	}
+	return int(lineAddr % uint64(len(b.free)))
+}
 
 // Schedule reserves bank `bank` for `service` starting no earlier than
 // `earliest` and returns the completion time.

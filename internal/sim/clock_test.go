@@ -82,6 +82,18 @@ func TestBankForStableAndInRange(t *testing.T) {
 	}
 }
 
+// BankFor masks when the bank count is a power of two and divides
+// otherwise; both must interleave exactly as line % n.
+func TestBankForMatchesModulo(t *testing.T) {
+	for n := 1; n <= 17; n++ {
+		b := NewBanks(n)
+		f := func(line uint64) bool { return b.BankFor(line) == int(line%uint64(n)) }
+		if err := quick.Check(f, nil); err != nil {
+			t.Fatalf("%d banks: %v", n, err)
+		}
+	}
+}
+
 func TestBanksZeroClampsToOne(t *testing.T) {
 	b := NewBanks(0)
 	if b.N() != 1 {

@@ -12,10 +12,11 @@ import (
 
 // FuzzWPQMatchesReference drives Queue and the map-indexed refQueue through
 // the same script of Push / PushAtomic / Pending / Depth / FlushTime calls
-// at non-decreasing times and requires identical answers, returned times,
-// statistics, pending entries, bank horizons and device images. Every
-// push goes through PushReport, whose coalesce report must match the
-// reference's and what Pending answered just before the push.
+// at times that mostly advance but also step back (as a caller's clock does
+// after Recover) and requires identical answers, returned times,
+// statistics, entries queued at the last call, bank horizons and device
+// images. Every push goes through PushReport, whose coalesce report must
+// match the reference's and what Pending answered just before the push.
 // Addresses come from a small pool so coalescing, duplicate entries from
 // atomic groups, stalls and out-of-order bank completions all occur.
 func FuzzWPQMatchesReference(f *testing.F) {
@@ -46,7 +47,7 @@ func FuzzWPQMatchesReference(f *testing.F) {
 		var line nvm.Line
 		addr := func(b byte) uint64 { return uint64(b%24) * nvm.LineSize }
 		for i := 0; i+1 < len(script); i += 2 {
-			op, arg := script[i]%7, script[i+1]
+			op, arg := script[i]%8, script[i+1]
 			line[0], line[1] = byte(i), byte(i>>8)
 			switch op {
 			case 0:
@@ -88,6 +89,8 @@ func FuzzWPQMatchesReference(f *testing.F) {
 				sameState(t, i, q, ref)
 			case 6:
 				now += sim.Time(arg) * writeLat / 16
+			case 7:
+				now = max(0, now-sim.Time(arg)*writeLat/16)
 			}
 			if q.Stats() != ref.stats {
 				t.Fatalf("step %d: stats %+v, reference %+v", i, q.Stats(), ref.stats)
@@ -99,7 +102,8 @@ func FuzzWPQMatchesReference(f *testing.F) {
 }
 
 // sameState fails unless the queue and the reference hold the same
-// statistics, pending entries (in order) and bank horizons.
+// statistics, entries queued at their last call (in order) and bank
+// horizons.
 func sameState(t *testing.T, step int, q *Queue, ref *refQueue) {
 	t.Helper()
 	if a, b := q.dump(), ref.dump(); !reflect.DeepEqual(a, b) {

@@ -2,6 +2,7 @@ package wpq
 
 import (
 	"fmt"
+	"math"
 
 	"soteria/internal/nvm"
 	"soteria/internal/sim"
@@ -129,4 +130,6 @@ func (q *refQueue) FlushTime(now sim.Time) sim.Time {
 	return t
 }
 
-func (q *refQueue) dump() state { return dumpState(q.stats, q.pending, q.banks) }
+// dump keeps every pending entry: the reference drains at every call, so
+// none of them has retired by its last one.
+func (q *refQueue) dump() state { return dumpState(q.stats, q.pending, math.MinInt64, q.banks) }

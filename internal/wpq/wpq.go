@@ -37,6 +37,9 @@ type entry struct {
 //
 // pending holds at most capacity entries (16 or 32 in the shipped
 // configurations), so "is this line queued" is a scan of it, not a map.
+// An entry is queued at now while its completion is later than now; the
+// slice is compacted only where occupancy matters (an insert, Depth,
+// FlushTime), so it may still hold entries that have already retired.
 type Queue struct {
 	dev      *nvm.Device
 	banks    *sim.Banks
@@ -46,9 +49,16 @@ type Queue struct {
 	// soonest is the earliest completion among pending entries (never
 	// when empty): until then drain has nothing to retire.
 	soonest sim.Time
-	stats   Stats
-	hook    inject.Hook
-	tel     telemetryHooks
+	// sig has sigBit(addr) set for every pending entry (retired ones may
+	// linger until the next compaction): a clear bit proves a line is
+	// not queued without a scan.
+	sig uint64
+	// now is the time of the latest call, a stall's end included; see
+	// advance.
+	now   sim.Time
+	stats Stats
+	hook  inject.Hook
+	tel   telemetryHooks
 }
 
 // never is the soonest completion of an empty queue.
@@ -87,7 +97,7 @@ func (q *Queue) SetHook(h inject.Hook) { q.hook = h }
 // the occupancy/timing state is volatile controller state.
 func (q *Queue) Reset() {
 	q.pending = q.pending[:0]
-	q.soonest = never
+	q.soonest, q.sig = never, 0
 }
 
 // New builds a WPQ of the given capacity in front of dev, draining into the
@@ -110,6 +120,7 @@ func (q *Queue) Capacity() int { return q.capacity }
 
 // Depth returns the current occupancy at the given time.
 func (q *Queue) Depth(now sim.Time) int {
+	q.advance(now)
 	q.drain(now)
 	return len(q.pending)
 }
@@ -117,34 +128,66 @@ func (q *Queue) Depth(now sim.Time) int {
 // Stats returns a copy of the accumulated statistics.
 func (q *Queue) Stats() Stats { return q.stats }
 
+// advance moves the queue's clock to now. Only a compaction retires
+// entries, so while calls come in time order an entry that retired before
+// now is merely skipped. A caller may resume on an earlier clock — after
+// Recover, whose own writes ran on the controller's clock — and an entry
+// that had retired at the time it left would then look queued again, so
+// the queue first compacts at that time, as an eager drain on every call
+// would have.
+func (q *Queue) advance(now sim.Time) {
+	if now < q.now {
+		q.drain(q.now)
+	}
+	q.now = now
+}
+
+// sigBit is addr's bit in the queue signature: the top six bits of a
+// Fibonacci hash of its line number.
+func sigBit(addr uint64) uint64 {
+	return 1 << ((addr / nvm.LineSize * 0x9E3779B97F4A7C15) >> 58)
+}
+
 // Pending reports whether a write to the given line is still queued at
-// `now` — the controller forwards reads from the WPQ in that case.
+// `now` — the controller forwards reads from the WPQ in that case. It
+// retires nothing (unless now is earlier than the last call; see advance),
+// and a line whose signature bit is clear is answered without a scan.
 func (q *Queue) Pending(now sim.Time, lineAddr uint64) bool {
-	q.drain(now)
+	q.advance(now)
+	return q.queued(now, lineAddr)
+}
+
+// queued is Pending after advance.
+func (q *Queue) queued(now sim.Time, lineAddr uint64) bool {
+	if q.sig&sigBit(lineAddr) == 0 {
+		return false
+	}
 	for i := range q.pending {
-		if q.pending[i].addr == lineAddr {
+		if q.pending[i].addr == lineAddr && q.pending[i].completion > now {
 			return true
 		}
 	}
 	return false
 }
 
-// drain retires every entry whose NVM write completed by now. Completions
-// are not FIFO — banks finish independently — so once the soonest one is
-// due the whole queue is filtered, not just a prefix.
+// drain retires every entry whose NVM write completed by now and rebuilds
+// the signature. Completions are not FIFO — banks finish independently —
+// so once the soonest one is due the whole queue is filtered, not just a
+// prefix.
 func (q *Queue) drain(now sim.Time) {
 	if now < q.soonest {
 		return
 	}
 	kept := q.pending[:0]
-	q.soonest = never
+	soonest, sig := never, uint64(0)
 	for _, e := range q.pending {
 		if e.completion > now {
 			kept = append(kept, e)
-			q.soonest = min(q.soonest, e.completion)
+			soonest = min(soonest, e.completion)
+			sig |= sigBit(e.addr)
 		}
 	}
-	q.pending = kept
+	q.pending, q.soonest, q.sig = kept, soonest, sig
 }
 
 // enqueue schedules one new entry on addr's bank.
@@ -152,6 +195,7 @@ func (q *Queue) enqueue(now sim.Time, addr uint64) sim.Time {
 	done := q.banks.Schedule(q.banks.BankFor(addr/nvm.LineSize), now, q.writeLat)
 	q.pending = append(q.pending, entry{addr: addr, completion: done})
 	q.soonest = min(q.soonest, done)
+	q.sig |= sigBit(addr)
 	return done
 }
 
@@ -161,6 +205,7 @@ func (q *Queue) stall(now sim.Time) sim.Time {
 	q.stats.Stalls++
 	q.stats.StallTime += q.soonest - now
 	now = q.soonest
+	q.now = now
 	q.drain(now)
 	return now
 }
@@ -183,11 +228,13 @@ func (q *Queue) Push(now sim.Time, addr uint64, data *nvm.Line) sim.Time {
 // queued entry — what Pending(now, addr) would have answered just before —
 // so a caller that books NVM writes needs no second scan of the queue.
 func (q *Queue) PushReport(now sim.Time, addr uint64, data *nvm.Line) (sim.Time, bool) {
-	if q.Pending(now, addr) {
+	q.advance(now)
+	if q.queued(now, addr) {
 		q.dev.Write(addr, data)
 		q.stats.Coalesced++
 		return now, true
 	}
+	q.drain(now)
 	if len(q.pending) >= q.capacity {
 		// Stall until an entry drains. Entries complete in the order
 		// their banks free up, so the head is not necessarily the
@@ -214,6 +261,7 @@ func (q *Queue) PushAtomic(now sim.Time, writes []Write) sim.Time {
 	if len(writes) > q.capacity {
 		panic(fmt.Sprintf("wpq: atomic group of %d exceeds WPQ capacity %d", len(writes), q.capacity))
 	}
+	q.advance(now)
 	q.drain(now)
 	for len(q.pending)+len(writes) > q.capacity {
 		now = q.stall(now)
@@ -247,6 +295,7 @@ type Write struct {
 // FlushTime returns the instant at which every currently queued write has
 // drained (used by persist barriers in workloads and by orderly shutdown).
 func (q *Queue) FlushTime(now sim.Time) sim.Time {
+	q.advance(now)
 	q.drain(now)
 	t := now
 	for _, e := range q.pending {

@@ -159,3 +159,26 @@ func TestDuplicateAddressCoalesces(t *testing.T) {
 		t.Fatal("entry should have drained once")
 	}
 }
+
+// Pending retires nothing, yet a caller that resumes on an earlier clock
+// (as one does after Recover) must not see a write queued again that had
+// retired at the time of the previous call: the answers stay those of a
+// queue that drained eagerly on every call.
+func TestEarlierTimeDoesNotRequeue(t *testing.T) {
+	q, _ := newQ(t, 4, 4)
+	var l nvm.Line
+	w := sim.FromDuration(300 * time.Nanosecond)
+	q.Push(0, 0, &l) // completes at w
+	if q.Pending(2*w, 64) {
+		t.Fatal("an unwritten line is pending")
+	}
+	if q.Pending(w/2, 0) {
+		t.Fatal("a write retired at the previous call is pending again at an earlier time")
+	}
+	if _, coalesced := q.PushReport(w/2, 0, &l); coalesced {
+		t.Fatal("a push at an earlier time coalesced into a retired write")
+	}
+	if q.Depth(w/2) != 1 {
+		t.Fatalf("depth %d, want only the new write", q.Depth(w/2))
+	}
+}
