@@ -248,19 +248,16 @@ func newDeviceScenario(cfg DeviceConfig) (*scenario, *devStack, error) {
 	return d.sc, d, nil
 }
 
-func (d *devStack) op(i int, k key, line *nvm.Line) {
-	var got nvm.Line
-	var err error
+func (d *devStack) op(_ int, k key, line *nvm.Line) (nvm.Line, error) {
 	if line == nil {
-		got, err = d.read(k)
-	} else {
-		_, err = d.dev.Write(k.addr, line)
+		return d.read(k)
 	}
-	d.sc.done(i, got, err)
+	_, err := d.dev.Write(k.Addr, line)
+	return nvm.Line{}, err
 }
 
 func (d *devStack) read(k key) (nvm.Line, error) {
-	got, _, err := d.dev.Read(k.addr)
+	got, _, err := d.dev.Read(k.Addr)
 	return got, err
 }
 

@@ -7,6 +7,7 @@ import (
 	"soteria/internal/config"
 	"soteria/internal/memctrl"
 	"soteria/internal/nvm"
+	"soteria/internal/oracle"
 	"soteria/internal/sim"
 )
 
@@ -53,7 +54,8 @@ func TestDifferentialStrategies(t *testing.T) {
 				var now sim.Time
 				runOp := func(i int) {
 					if sched[i].write {
-						line := lineFor(seed, 0, i)
+						var line nvm.Line
+						oracle.Fill(&line, seed, 0, i)
 						if now, err = ctrl.WriteBlock(now, sched[i].addr, &line); err != nil {
 							t.Fatalf("%s op %d: %v", strategy, i, err)
 						}

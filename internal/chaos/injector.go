@@ -53,8 +53,6 @@ type Injector struct {
 	Boundary int
 	// CrashAt cuts power at that boundary; negative disables.
 	CrashAt int
-	// Fired reports whether the crash trigger went off.
-	Fired bool
 	// Applied lists the device faults injected so far.
 	Applied []AppliedFault
 
@@ -71,11 +69,6 @@ func NewInjector(dev *nvm.Device, rng *rand.Rand, faultRate float64) *Injector {
 	return &Injector{dev: dev, CrashAt: -1, rng: rng, faultRate: faultRate}
 }
 
-// StopFaults ends probabilistic fault injection; crash targeting stays
-// armed. Called once power has been lost: the fault schedule models wear
-// during operation, not during the recovery that follows.
-func (in *Injector) StopFaults() { in.faultRate = 0 }
-
 // Disarm stops both crash targeting and fault injection. Boundary counting
 // continues, so phase totals stay meaningful.
 func (in *Injector) Disarm() {
@@ -85,12 +78,14 @@ func (in *Injector) Disarm() {
 }
 
 // Rearm restarts boundary numbering at zero with a fresh crash target, so
-// a follow-on phase (recovery) can be swept independently. It also clears
-// any seal depth left dangling by the PowerLoss unwind.
+// the recovery that follows a power loss can be swept independently. It
+// ends probabilistic fault injection — the fault schedule models wear
+// during operation, not during recovery — and clears any seal depth left
+// dangling by the PowerLoss unwind.
 func (in *Injector) Rearm(crashAt int) {
 	in.Boundary = 0
 	in.CrashAt = crashAt
-	in.Fired = false
+	in.faultRate = 0
 	in.seals.Reset()
 	in.disarmed = false
 }
@@ -115,7 +110,6 @@ func (in *Injector) boundary() {
 		in.applyFault(b)
 	}
 	if in.CrashAt >= 0 && b == in.CrashAt {
-		in.Fired = true
 		panic(inject.PowerLoss{Boundary: b})
 	}
 }

@@ -194,19 +194,17 @@ func (n *netStack) deliver(tag uint64, op uint8, data *nvm.Line, _ sim.Time, err
 	n.sc.done(int(tag), got, err)
 }
 
-func (n *netStack) op(i int, k key, line *nvm.Line) {
+func (n *netStack) op(i int, k key, line *nvm.Line) (got nvm.Line, err error) {
 	restarted := n.events(i)
 	if n.pipe == nil {
 		c := n.clients[i%len(n.clients)]
-		var got nvm.Line
-		var err error
 		if line == nil {
-			got, _, err = c.Read(k.addr)
-		} else if _, err = c.Write(k.addr, line); err == nil {
+			got, _, err = c.Read(k.Addr)
+		} else if _, err = c.Write(k.Addr, line); err == nil {
 			n.acked++
 		}
-		n.sc.done(i, got, err)
 	} else {
+		err = errPending
 		if n.keys[k] {
 			n.wait()
 		}
@@ -215,7 +213,7 @@ func (n *netStack) op(i int, k key, line *nvm.Line) {
 		if line != nil {
 			op = device.BatchWrite
 		}
-		if err := n.pipe.Submit(uint64(i), op, k.addr, line); err != nil {
+		if err := n.pipe.Submit(uint64(i), op, k.Addr, line); err != nil {
 			n.sc.halt("op %d: pipe failed: %v", i, err)
 		}
 		if restarted != nil {
@@ -227,6 +225,7 @@ func (n *netStack) op(i int, k key, line *nvm.Line) {
 			n.sc.halt("kill cycle at op %d: restart: %v", i, err)
 		}
 	}
+	return got, err
 }
 
 // events fires the fault phases and kill cycles keyed to op i the first
@@ -292,10 +291,10 @@ func (n *netStack) wait() {
 
 func (n *netStack) read(k key) (nvm.Line, error) {
 	if n.pipe == nil {
-		got, _, err := n.clients[0].Read(k.addr)
+		got, _, err := n.clients[0].Read(k.Addr)
 		return got, err
 	}
-	if err := n.pipe.Submit(readTag, device.BatchRead, k.addr, nil); err != nil {
+	if err := n.pipe.Submit(readTag, device.BatchRead, k.Addr, nil); err != nil {
 		return nvm.Line{}, err
 	}
 	n.pipe.Flush() // the outcome, a failure included, arrives through deliver

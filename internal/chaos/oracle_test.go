@@ -7,6 +7,7 @@ import (
 	"soteria/internal/device"
 	"soteria/internal/memctrl"
 	"soteria/internal/nvm"
+	"soteria/internal/oracle"
 )
 
 // plant is one lie a faulty stack tells the oracle after recovery.
@@ -43,13 +44,12 @@ func (f *faultyStack) recover() (*device.RecoveryReport, error) {
 
 // op answers the first workload read of a committed line with the line
 // as it was before its first write.
-func (f *faultyStack) op(i int, k key, line *nvm.Line) {
-	if _, ok := f.sc.committed[k]; ok && line == nil && f.plant == plantStaleRead && !f.planted {
+func (f *faultyStack) op(i int, k key, line *nvm.Line) (nvm.Line, error) {
+	if _, ok := f.sc.book.Acked[oracle.Key(k)]; ok && line == nil && f.plant == plantStaleRead && !f.planted {
 		f.planted = true
-		f.sc.done(i, nvm.Line{}, nil)
-		return
+		return nvm.Line{}, nil
 	}
-	f.stack.op(i, k, line)
+	return f.stack.op(i, k, line)
 }
 
 func (f *faultyStack) read(k key) (nvm.Line, error) {
@@ -57,13 +57,17 @@ func (f *faultyStack) read(k key) (nvm.Line, error) {
 	if !f.recovered || f.planted || err != nil {
 		return got, err
 	}
+	cut := f.sc.book.InFlight
+	inFlight := cut != nil && cut.Key == oracle.Key(k)
 	switch {
-	case f.plant == plantStale && k != f.sc.inFlightKey:
+	case f.plant == plantStale && !inFlight:
 		f.planted = true
 		return nvm.Line{}, nil // the line as it was before its first write
-	case f.plant == plantInFlight && k == f.sc.inFlightKey:
+	case f.plant == plantInFlight && inFlight:
 		f.planted = true
-		return lineFor(f.sc.seed, k.tenant, len(f.sc.ops)), nil
+		var third nvm.Line
+		oracle.Fill(&third, f.sc.book.Seed, k.Stream, len(f.sc.ops))
+		return third, nil
 	}
 	return got, err
 }
@@ -137,7 +141,7 @@ func TestOracleCatchesPlantedFaults(t *testing.T) {
 					sc := st.build(t, k)
 					sc.stack = &faultyStack{stack: sc.stack, sc: sc, plant: p.plant}
 					res := sc.run()
-					if ran = res.Crashed && sc.inFlight >= 0; !ran {
+					if ran = res.Crashed && sc.ops[sc.crashOp].kind == opWrite; !ran {
 						continue
 					}
 					caught := false

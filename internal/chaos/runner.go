@@ -4,11 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"soteria/internal/device"
 	"soteria/internal/inject"
 	"soteria/internal/nvm"
+	"soteria/internal/oracle"
 )
 
 type opKind int
@@ -61,25 +61,6 @@ func genOps(seed int64, writes int, dataLines uint64) []wop {
 	return ops
 }
 
-// lineFor is the deterministic content of tenant t's i-th workload write
-// (tenant 0 for a flat stack); the oracle recomputes it instead of
-// remembering it (splitmix64 over seed, tenant and i).
-func lineFor(seed int64, t uint32, i int) nvm.Line {
-	var l nvm.Line
-	x := uint64(seed)*0x9e3779b97f4a7c15 + uint64(t)*0x94d049bb133111eb + uint64(i+1)*0xbf58476d1ce4e5b9
-	for off := 0; off < nvm.LineSize; off += 8 {
-		x ^= x >> 30
-		x *= 0xbf58476d1ce4e5b9
-		x ^= x >> 27
-		x *= 0x94d049bb133111eb
-		x ^= x >> 31
-		for k := 0; k < 8; k++ {
-			l[off+k] = byte(x >> (8 * uint(k)))
-		}
-	}
-	return l
-}
-
 // guard runs f on a bare controller, converting an inject.PowerLoss panic
 // into a *device.PowerError and any other panic into a *device.PanicError:
 // the errors a device shard returns for the same two events, so the runner
@@ -125,18 +106,16 @@ func orNop(logf func(string, ...any)) func(string, ...any) {
 	return logf
 }
 
-// key names one line the oracle tracks: a tenant-local address, or with
-// tenant 0 an address in a controller's or device's flat space.
-type key struct {
-	tenant uint32
-	addr   uint64
-}
+// key names one line the oracle tracks: Stream is its tenant and Addr a
+// tenant-local address, or with Stream 0 Addr is in a controller's or
+// device's flat space.
+type key oracle.Key
 
 func (k key) String() string {
-	if k.tenant == 0 {
-		return fmt.Sprintf("%#x", k.addr)
+	if k.Stream == 0 {
+		return fmt.Sprintf("%#x", k.Addr)
 	}
-	return fmt.Sprintf("tenant %d %#x", k.tenant, k.addr)
+	return fmt.Sprintf("tenant %d %#x", k.Stream, k.Addr)
 }
 
 // stack is one system under test — a bare controller, the sharded device,
@@ -144,10 +123,10 @@ func (k key) String() string {
 // scenario runner drives it. Whatever the stack, a power loss surfaces as
 // a *device.PowerError and any other panic as a *device.PanicError.
 type stack interface {
-	// op starts workload op i — a write of line to k, or a read of k when
-	// line is nil — and reports its outcome through sc.done: inline, or
-	// for a pipelined stack from a later op or wait.
-	op(i int, k key, line *nvm.Line)
+	// op runs workload op i — a write of line to k, or a read of k when
+	// line is nil — and returns its outcome, or errPending when a
+	// pipelined stack reports it through sc.done from a later op or wait.
+	op(i int, k key, line *nvm.Line) (nvm.Line, error)
 	// wait returns once every op started so far has reported its outcome.
 	wait()
 	read(k key) (nvm.Line, error)
@@ -170,7 +149,6 @@ type stack interface {
 // executes, and the acknowledged-write oracle over it.
 type scenario struct {
 	stack   stack
-	seed    int64
 	ops     []wop
 	tenants int  // op i belongs to tenant 1+i%tenants; 0: one flat space
 	shards  int  // recovery reports owed; more than one names each shard
@@ -178,24 +156,21 @@ type scenario struct {
 	lossOK  bool // recovery may report lost blocks (device faults)
 	logf    func(format string, args ...any)
 
-	res         *DeviceResult
-	committed   map[key]int // line -> op index of its last acknowledged write
-	inFlight    int         // op index of the write the power loss cut, or -1
-	inFlightKey key
-	crashOp     int
-	settled     []bool // op i was acknowledged, or failed before the power loss
-	replayFrom  int    // lowest op the power loss left unacknowledged
-	cut         bool   // the power loss was seen and recovery has not run yet
-	stopped     bool   // a fatal outcome ended the run
-	what        string // "op", or "replay op" once recovery ran
+	res        *DeviceResult
+	book       oracle.Book // versions are op indices
+	crashOp    int
+	settled    []bool // op i was acknowledged, or failed before the power loss
+	replayFrom int    // lowest op the power loss left unacknowledged
+	cut        bool   // the power loss was seen and recovery has not run yet
+	stopped    bool   // a fatal outcome ended the run
+	what       string // "op", or "replay op" once recovery ran
 }
 
 func newScenario(s stack, seed int64, ops []wop, shards int, logf func(string, ...any)) *scenario {
 	return &scenario{
-		stack: s, seed: seed, ops: ops, shards: shards, logf: orNop(logf),
+		stack: s, ops: ops, shards: shards, logf: orNop(logf),
 		res:        &DeviceResult{CrashBoundary: -1, CrashShard: -1},
-		committed:  make(map[key]int),
-		inFlight:   -1,
+		book:       oracle.Book{Seed: seed},
 		crashOp:    -1,
 		settled:    make([]bool, len(ops)),
 		replayFrom: len(ops),
@@ -204,21 +179,26 @@ func newScenario(s stack, seed int64, ops []wop, shards int, logf func(string, .
 }
 
 func (sc *scenario) key(i int) key {
-	k := key{addr: sc.ops[i].addr}
+	k := key{Addr: sc.ops[i].addr}
 	if sc.tenants > 0 {
-		k.tenant = uint32(1 + i%sc.tenants)
+		k.Stream = uint64(1 + i%sc.tenants)
 	}
 	return k
 }
 
+// errPending is op's outcome for an op whose outcome arrives later.
+var errPending = errors.New("chaos: outcome pending")
+
 func (sc *scenario) exec(i int) {
 	k := sc.key(i)
-	if sc.ops[i].kind == opRead {
-		sc.stack.op(i, k, nil)
-		return
+	var line *nvm.Line
+	if sc.ops[i].kind == opWrite {
+		line = new(nvm.Line)
+		oracle.Fill(line, sc.book.Seed, k.Stream, i)
 	}
-	line := lineFor(sc.seed, k.tenant, i)
-	sc.stack.op(i, k, &line)
+	if got, err := sc.stack.op(i, k, line); err != errPending {
+		sc.done(i, got, err)
+	}
 }
 
 // halt records a violation that leaves the run unable to go on.
@@ -244,9 +224,6 @@ func (sc *scenario) done(i int, got nvm.Line, err error) {
 		res.Crashed, res.CrashBoundary, res.CrashShard = true, pe.Boundary, pe.Shard
 		sc.crashOp, sc.cut = i, true
 		sc.replayFrom = min(sc.replayFrom, i)
-		if sc.ops[i].kind == opWrite {
-			sc.inFlight, sc.inFlightKey = i, k
-		}
 		return
 	}
 	if msg, ok := fatal(err); ok {
@@ -258,16 +235,16 @@ func (sc *scenario) done(i int, got nvm.Line, err error) {
 		return
 	}
 	sc.settled[i] = true
-	switch c, ok := sc.committed[k]; {
+	switch {
 	case err != nil:
 		res.OpErrors++
 		if !sc.errOK {
 			res.violate("%s %d (%v %v): unexpected error: %v", sc.what, i, sc.ops[i].kind, k, err)
 		}
 	case sc.ops[i].kind == opWrite:
-		sc.committed[k] = i
-	case ok && got != lineFor(sc.seed, k.tenant, c):
-		res.violate("%s %d (read %v): stale or corrupt read: committed op %d does not read back", sc.what, i, k, c)
+		sc.book.Ack(oracle.Key(k), i)
+	case sc.book.Check(oracle.Key(k), &got) == oracle.Stale:
+		res.violate("%s %d (read %v): stale or corrupt read: committed op %d does not read back", sc.what, i, k, sc.book.Acked[oracle.Key(k)])
 	}
 }
 
@@ -300,7 +277,13 @@ func (sc *scenario) run() *DeviceResult {
 		}
 		res.Report = rep
 		sc.checkReport(rep)
-		sc.readCheck("post-recovery", true)
+		// Only this read-back exempts the write the power loss cut; the
+		// replay settles it.
+		if sc.ops[sc.crashOp].kind == opWrite {
+			sc.book.Cut(oracle.Key(sc.key(sc.crashOp)), sc.crashOp)
+		}
+		sc.readCheck("post-recovery")
+		sc.book.InFlight = nil
 		s.extraChecks("post-recovery")
 		// Replay what the power loss left unacknowledged, disarmed.
 		sc.cut, sc.what = false, "replay op"
@@ -315,7 +298,7 @@ func (sc *scenario) run() *DeviceResult {
 		}
 	} else {
 		s.disarm()
-		sc.readCheck("post-workload", false)
+		sc.readCheck("post-workload")
 		s.extraChecks("post-workload")
 	}
 
@@ -335,7 +318,7 @@ func (sc *scenario) run() *DeviceResult {
 	} else if !sc.lossOK && !rep.Clean() {
 		res.violate("clean-round recovery lost blocks: %d failed, %d lost slots", rep.FailedBlocks(), rep.LostSlots())
 	}
-	sc.readCheck("final", false)
+	sc.readCheck("final")
 	s.extraChecks("final")
 	return res
 }
@@ -374,61 +357,38 @@ func (sc *scenario) checkReport(rep *device.RecoveryReport) {
 	}
 }
 
-// readCheck verifies every acknowledged write reads back exactly. With
-// inFlightExempt the one write the power loss interrupted may hold its old
-// or its new value, and on a never-written line zero or the new value.
-func (sc *scenario) readCheck(phase string, inFlightExempt bool) {
-	res := sc.res
-	keys := make([]key, 0, len(sc.committed))
-	for k := range sc.committed {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].tenant != keys[j].tenant {
-			return keys[i].tenant < keys[j].tenant
-		}
-		return keys[i].addr < keys[j].addr
-	})
-	exempt := inFlightExempt && sc.inFlight >= 0
-	for _, k := range keys {
+// readCheck verifies every line the book holds reads back as it allows:
+// an acknowledged write exactly, and the one write the power loss cut, if
+// the book holds it, old or new (on a never-written line zero or new).
+func (sc *scenario) readCheck(phase string) {
+	res, b := sc.res, &sc.book
+	for _, bk := range b.Keys() {
+		k := key(bk)
+		c, acked := b.Acked[bk]
 		got, err := sc.stack.read(k)
-		if msg, ok := fatal(err); ok {
+		msg, isFatal := fatal(err)
+		switch {
+		case isFatal && acked:
 			res.violate("%s: read %v: %s", phase, k, msg)
 			return
-		}
-		if err != nil {
-			if !sc.errOK {
-				res.violate("%s: read %v (committed op %d) failed: %v", phase, k, sc.committed[k], err)
-			}
-			continue
-		}
-		want := lineFor(sc.seed, k.tenant, sc.committed[k])
-		if exempt && k == sc.inFlightKey {
-			if got != want && got != lineFor(sc.seed, k.tenant, sc.inFlight) {
-				res.violate("%s: in-flight block %v holds neither the old value (op %d) nor the new (op %d)",
-					phase, k, sc.committed[k], sc.inFlight)
-			}
-			continue
-		}
-		if got != want {
-			res.violate("%s: silent corruption at %v: committed op %d does not read back", phase, k, sc.committed[k])
-		}
-	}
-	if _, ok := sc.committed[sc.inFlightKey]; !exempt || ok {
-		return
-	}
-	k := sc.inFlightKey
-	got, err := sc.stack.read(k)
-	msg, isFatal := fatal(err)
-	switch {
-	case isFatal:
-		res.violate("%s: read in-flight %v: %s", phase, k, msg)
-	case err != nil:
-		if !sc.errOK {
+		case isFatal:
+			res.violate("%s: read in-flight %v: %s", phase, k, msg)
+		case err != nil && sc.errOK:
+		case err != nil && acked:
+			res.violate("%s: read %v (committed op %d) failed: %v", phase, k, c, err)
+		case err != nil:
 			res.violate("%s: read in-flight %v failed: %v", phase, k, err)
+		default:
+			switch b.Check(bk, &got) {
+			case oracle.Stale:
+				res.violate("%s: silent corruption at %v: committed op %d does not read back", phase, k, c)
+			case oracle.NeitherOldNorNew:
+				res.violate("%s: in-flight block %v holds neither the old value (op %d) nor the new (op %d)",
+					phase, k, c, b.InFlight.Version)
+			case oracle.NeitherZeroNorNew:
+				res.violate("%s: in-flight cold block %v is neither zero nor the new value", phase, k)
+			}
 		}
-	case got != (nvm.Line{}) && got != lineFor(sc.seed, k.tenant, sc.inFlight):
-		res.violate("%s: in-flight cold block %v is neither zero nor the new value", phase, k)
 	}
 }
 

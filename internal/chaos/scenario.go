@@ -41,26 +41,20 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Result is what one scenario observed.
+// Result is what one scenario observed: what every stack reports (its
+// Boundaries count the workload's write boundaries, up to the crash or to
+// the end), plus the controller's own recovery and fault records.
 type Result struct {
-	// Boundaries counts workload write boundaries (up to the crash, or
-	// the whole workload when no crash fired).
-	Boundaries int
+	DeviceResult
 	// RecoveryBoundaries counts write boundaries inside Recover (only
 	// meaningful when the scenario crashed and NestedCrashAt < 0).
 	RecoveryBoundaries int
-	Crashed            bool
-	CrashBoundary      int
 	NestedCrashed      bool
-	Report             *memctrl.RecoveryReport
-	Faults             []AppliedFault
-	ShadowFaultNotes   []string
-	// OpErrors counts workload operations that returned a typed error
-	// (legal under fault injection; a violation without it).
-	OpErrors int
-	// Violations lists every invariant breach. Empty means the scenario
-	// upheld the paper's guarantees.
-	Violations []string
+	// Report is the power-loss recovery's report, the one shard of
+	// DeviceResult.Report.
+	Report           *memctrl.RecoveryReport
+	Faults           []AppliedFault
+	ShadowFaultNotes []string
 }
 
 // Run executes one scenario end to end on a bare controller: workload
@@ -137,15 +131,11 @@ func newCtrlScenario(cfg Config) (*scenario, *ctrlStack, error) {
 // result is the controller's view of a run.
 func (c *ctrlStack) result(r *DeviceResult) *Result {
 	res := &Result{
-		Boundaries:         r.Boundaries,
+		DeviceResult:       *r,
 		RecoveryBoundaries: c.recoveryBoundaries,
-		Crashed:            r.Crashed,
-		CrashBoundary:      r.CrashBoundary,
 		NestedCrashed:      c.nested,
 		Faults:             c.inj.Applied,
 		ShadowFaultNotes:   c.shadowNotes,
-		OpErrors:           r.OpErrors,
-		Violations:         r.Violations,
 	}
 	if r.Report != nil {
 		res.Report = r.Report.Shards[0]
@@ -153,25 +143,21 @@ func (c *ctrlStack) result(r *DeviceResult) *Result {
 	return res
 }
 
-func (c *ctrlStack) op(i int, k key, line *nvm.Line) {
-	var got nvm.Line
-	var err error
+func (c *ctrlStack) op(_ int, k key, line *nvm.Line) (nvm.Line, error) {
 	if line == nil {
-		got, err = c.read(k)
-	} else {
-		err = guard(func() (err error) {
-			c.now, err = c.ctrl.WriteBlock(c.now, k.addr, line)
-			return err
-		})
+		return c.read(k)
 	}
-	c.sc.done(i, got, err)
+	return nvm.Line{}, guard(func() (err error) {
+		c.now, err = c.ctrl.WriteBlock(c.now, k.Addr, line)
+		return err
+	})
 }
 
 func (c *ctrlStack) wait() {}
 
 func (c *ctrlStack) read(k key) (got nvm.Line, err error) {
 	err = guard(func() (err error) {
-		got, c.now, err = c.ctrl.ReadBlock(c.now, k.addr)
+		got, c.now, err = c.ctrl.ReadBlock(c.now, k.Addr)
 		return err
 	})
 	return got, err
@@ -187,14 +173,13 @@ func (c *ctrlStack) crash() error {
 	return c.ctrl.Crash()
 }
 
-// recover, after the workload's power loss, stops device faults, plants
-// the shadow-entry faults and arms the nested crash; once injection is
-// disarmed it is a plain guarded Recover.
+// recover, after the workload's power loss, plants the shadow-entry
+// faults and arms the nested crash; once injection is disarmed it is a
+// plain guarded Recover.
 func (c *ctrlStack) recover() (*device.RecoveryReport, error) {
 	if c.inj.disarmed {
 		return recoverCtrl(c.ctrl)
 	}
-	c.inj.StopFaults()
 	if c.cfg.ShadowFaults > 0 && c.ctrl.Layout() != nil {
 		c.applyShadowFaults()
 	}

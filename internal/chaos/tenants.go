@@ -98,12 +98,7 @@ func newTenantScenario(cfg TenantConfig) (*scenario, *tenantStack, error) {
 
 // op executes the data op, preceded by the rotation kickoff at RotateAt
 // and followed by a rotation sweep step while a rotation is in progress.
-func (t *tenantStack) op(i int, k key, line *nvm.Line) {
-	got, err := t.data(i, k, line)
-	t.sc.done(i, got, err)
-}
-
-func (t *tenantStack) data(i int, k key, line *nvm.Line) (got nvm.Line, err error) {
+func (t *tenantStack) op(i int, k key, line *nvm.Line) (got nvm.Line, err error) {
 	// ErrRotating is tolerated on the kickoff: a crash during the kickoff's
 	// record persist may have landed the flag durably before the replay
 	// re-runs this op.
@@ -114,7 +109,7 @@ func (t *tenantStack) data(i int, k key, line *nvm.Line) (got nvm.Line, err erro
 		t.rotating = true
 	}
 	if line != nil {
-		_, err = t.svc.Write(k.tenant, k.addr, line)
+		_, err = t.svc.Write(uint32(k.Stream), k.Addr, line)
 	} else {
 		got, err = t.read(k)
 	}
@@ -130,7 +125,7 @@ func (t *tenantStack) data(i int, k key, line *nvm.Line) (got nvm.Line, err erro
 }
 
 func (t *tenantStack) read(k key) (nvm.Line, error) {
-	got, _, err := t.svc.Read(k.tenant, k.addr)
+	got, _, err := t.svc.Read(uint32(k.Stream), k.Addr)
 	return got, err
 }
 

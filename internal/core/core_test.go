@@ -310,8 +310,11 @@ func TestReadVerifiedFaultPathZeroAllocs(t *testing.T) {
 		t.Fatalf("allocs per read: repair %v, tamper %v, unverifiable %v; want 0", repair, tamper, lost)
 	}
 
-	// The same repair over a real device, whose decode of the dead home
-	// copy reports every word bad, allocates nothing under either codec.
+	// The same three reads over a real device, whose decode of a home copy
+	// killed through CorruptLine reports every word bad, allocate nothing
+	// under either codec. A repair rewrites the home copy, so each repair
+	// run kills it again; the unverifiable runs write nothing, so one kill
+	// (CorruptLine flips bits, and a second one would undo it) lasts them.
 	for _, codec := range []ecc.Codec{ecc.SECDED{}, ecc.NewChipkill()} {
 		dev, err := nvm.NewDevice(lay.Total, codec)
 		if err != nil {
@@ -320,19 +323,34 @@ func TestReadVerifiedFaultPathZeroAllocs(t *testing.T) {
 		for _, a := range lay.CopyAddrs(top, 0) {
 			dev.Write(a, &good)
 		}
+		for _, a := range lay.CopyAddrs(1, 3) {
+			dev.Write(a, &stale)
+		}
 		h := NewFaultHandler(devMem{dev}, lay)
 		home := lay.NodeAddr(top, 0)
-		allocs := testing.AllocsPerRun(100, func() {
+		repair := testing.AllocsPerRun(100, func() {
 			dev.CorruptLine(home)
 			if out, _ := h.ReadVerified(top, 0, dst, verify); out != OutcomeRepaired {
 				t.Fatalf("%s: outcome %v, want repaired", codec.Name(), out)
 			}
 		})
-		if allocs != 0 {
-			t.Fatalf("%s: allocs per repaired read %v, want 0", codec.Name(), allocs)
+		tamper := testing.AllocsPerRun(100, func() {
+			if out, _ := h.ReadVerified(1, 3, dst, verify); out != OutcomeTamper {
+				t.Fatalf("%s: outcome %v, want tamper", codec.Name(), out)
+			}
+		})
+		dev.CorruptLine(home)
+		lost := testing.AllocsPerRun(100, func() {
+			if out, _ := h.ReadVerified(top, 0, dst, reject); out != OutcomeUnverifiable {
+				t.Fatalf("%s: outcome %v, want unverifiable", codec.Name(), out)
+			}
+		})
+		if repair != 0 || tamper != 0 || lost != 0 {
+			t.Fatalf("%s: allocs per read: repair %v, tamper %v, unverifiable %v; want 0", codec.Name(), repair, tamper, lost)
 		}
-		if dev.Stats().UncorrectableHits < 100 {
-			t.Fatalf("%s: %d uncorrectable reads, want one per run", codec.Name(), dev.Stats().UncorrectableHits)
+		// AllocsPerRun makes one warm-up call before its 100 runs.
+		if hits := dev.Stats().UncorrectableHits; hits < 2*101 {
+			t.Fatalf("%s: %d uncorrectable reads, want one per repair and unverifiable run", codec.Name(), hits)
 		}
 	}
 }

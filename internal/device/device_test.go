@@ -15,6 +15,7 @@ import (
 	"soteria/internal/inject"
 	"soteria/internal/memctrl"
 	"soteria/internal/nvm"
+	"soteria/internal/oracle"
 )
 
 func newTestDevice(t *testing.T, mutate func(*device.Options)) *device.Device {
@@ -36,18 +37,10 @@ func newTestDevice(t *testing.T, mutate func(*device.Options)) *device.Device {
 	return d
 }
 
-// fill derives deterministic line content from an address and a salt.
+// fill is the salt-th payload of the stream named by an address.
 func fill(addr uint64, salt uint64) nvm.Line {
 	var l nvm.Line
-	x := addr*0x9e3779b97f4a7c15 + salt*0xbf58476d1ce4e5b9 + 1
-	for off := 0; off < nvm.LineSize; off += 8 {
-		x ^= x >> 30
-		x *= 0xbf58476d1ce4e5b9
-		x ^= x >> 27
-		for k := 0; k < 8; k++ {
-			l[off+k] = byte(x >> (8 * uint(k)))
-		}
-	}
+	oracle.Fill(&l, 0, addr, int(salt))
 	return l
 }
 

@@ -15,7 +15,8 @@
 //
 // Every front end — stop-and-wait, pipelined, multi-tenant — is the same
 // stream loop (stream.go) and checks every read of a line the run itself
-// wrote against one content oracle.
+// wrote against the acknowledged-write oracle of internal/oracle, the
+// one the chaos harness holds every crash scenario to.
 package loadgen
 
 import (

@@ -10,24 +10,38 @@ import (
 	"soteria/internal/sim"
 )
 
-// corrupter flips one byte of the first read that returns a line the run
-// wrote through the same connection — a silently corrupted line the
-// content oracle must catch. armed=false leaves every read intact.
+// corrupter plants one fault in the first read that can show it: a
+// flipped byte in a line the run wrote through the same connection, or
+// with stale set the value a line held before its last write — a
+// silently corrupted or lost line the content oracle must catch.
+// armed=false leaves every read intact.
 type corrupter struct {
-	armed   bool
-	fired   bool
-	written map[uint64]bool
+	armed, stale bool
+	fired        bool
+	last, prev   map[uint64]nvm.Line // by address: the last write, the one before
 }
 
-func (c *corrupter) wrote(addr uint64) {
-	if c.written == nil {
-		c.written = map[uint64]bool{}
+func (c *corrupter) wrote(addr uint64, l *nvm.Line) {
+	if c.last == nil {
+		c.last, c.prev = map[uint64]nvm.Line{}, map[uint64]nvm.Line{}
 	}
-	c.written[addr] = true
+	if old, ok := c.last[addr]; ok {
+		c.prev[addr] = old
+	}
+	c.last[addr] = *l
 }
 
 func (c *corrupter) read(addr uint64, l *nvm.Line) {
-	if c.armed && !c.fired && c.written[addr] {
+	if !c.armed || c.fired {
+		return
+	}
+	_, written := c.last[addr]
+	prev, rewritten := c.prev[addr]
+	switch {
+	case c.stale && rewritten:
+		c.fired = true
+		*l = prev
+	case !c.stale && written:
 		c.fired = true
 		l[17] ^= 0x40
 	}
@@ -47,7 +61,7 @@ func (k corruptConn) Read(addr uint64) (nvm.Line, sim.Time, error) {
 }
 
 func (k corruptConn) Write(addr uint64, data *nvm.Line) (sim.Time, error) {
-	k.c.wrote(addr)
+	k.c.wrote(addr, data)
 	return k.Conn.Write(addr, data)
 }
 
@@ -64,7 +78,7 @@ func (k corruptTenantConn) Read(addr uint64) (nvm.Line, sim.Time, error) {
 }
 
 func (k corruptTenantConn) Write(addr uint64, data *nvm.Line) (sim.Time, error) {
-	k.c.wrote(addr)
+	k.c.wrote(addr, data)
 	return k.TenantConn.Write(addr, data)
 }
 
@@ -117,10 +131,11 @@ func (p *localPipe) Flush() error {
 
 func (p *localPipe) Close() error { return nil }
 
-// TestOracleCatchesCorruptedRead plants one corrupted byte in one read
-// and requires every front end — flat stop-and-wait, flat pipelined and
-// multi-tenant — to fail the run on it. The same run with the corrupter
-// disarmed must pass and verify reads, so the failure is the oracle's.
+// TestOracleCatchesCorruptedRead plants one corrupted byte, or one stale
+// line, in one read and requires every front end — flat stop-and-wait,
+// flat pipelined and multi-tenant — to fail the run on it. The same run
+// with the corrupter disarmed must pass and verify reads, so the failure
+// is the oracle's.
 func TestOracleCatchesCorruptedRead(t *testing.T) {
 	fronts := map[string]func(c *corrupter) (verified uint64, err error){
 		"stop-and-wait": func(c *corrupter) (uint64, error) {
@@ -176,13 +191,15 @@ func TestOracleCatchesCorruptedRead(t *testing.T) {
 			if err != nil || verified == 0 {
 				t.Fatalf("clean run: %d reads verified, err %v", verified, err)
 			}
-			c := &corrupter{armed: true}
-			_, err = run(c)
-			if !c.fired {
-				t.Fatal("the run never re-read a line it wrote; nothing was corrupted")
-			}
-			if err == nil || !strings.Contains(err.Error(), "stale or foreign content") {
-				t.Fatalf("corrupted read was not caught: err %v", err)
+			for _, stale := range []bool{false, true} {
+				c := &corrupter{armed: true, stale: stale}
+				_, err = run(c)
+				if !c.fired {
+					t.Fatalf("stale=%t: the run never re-read a line it wrote; nothing was planted", stale)
+				}
+				if err == nil || !strings.Contains(err.Error(), "stale or foreign content") {
+					t.Fatalf("stale=%t: planted read was not caught: err %v", stale, err)
+				}
 			}
 		})
 	}

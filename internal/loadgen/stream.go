@@ -6,6 +6,7 @@ import (
 
 	"soteria/internal/device"
 	"soteria/internal/nvm"
+	"soteria/internal/oracle"
 	"soteria/internal/sim"
 	"soteria/internal/trace"
 )
@@ -15,8 +16,7 @@ import (
 // it, and every op it issues goes through its target.
 type stream struct {
 	name      string // "shard 3", "tenant 2": error context
-	key       uint64 // content key: shard+1, or the tenant ID
-	seed      int64
+	key       uint64 // payload stream: shard+1, or the tenant ID
 	gen       trace.Generator
 	remaining int
 	target    PipeConn
@@ -27,9 +27,10 @@ type stream struct {
 	// local·stride + offset. A tenant stream has stride 1 and offset 0.
 	lines, stride, offset uint64
 	writeIdx              int
-	// committed is the content oracle: local line -> index of the last
-	// write to it that completed, so every later read can be verified.
-	committed map[uint64]int
+	// book is the content oracle: it keys each local line under the
+	// stream's key with the index of the last write to it that completed,
+	// so every later read can be verified.
+	book oracle.Book
 
 	reads, writes                 classHist
 	barriers, throttled, verified uint64
@@ -37,29 +38,13 @@ type stream struct {
 }
 
 func newStream(name string, key uint64, seed int64, gen trace.Generator, budget int, lines, stride, offset uint64) *stream {
-	return &stream{name: name, key: key, seed: seed, gen: gen, remaining: budget,
-		lines: lines, stride: stride, offset: offset, committed: map[uint64]int{}}
+	return &stream{name: name, key: key, gen: gen, remaining: budget,
+		lines: lines, stride: stride, offset: offset, book: oracle.Book{Seed: seed}}
 }
 
 // addr maps a stream-local line to the address its target takes.
 func (s *stream) addr(line uint64) uint64 {
 	return (line*s.stride + s.offset) * nvm.LineSize
-}
-
-// content derives the deterministic payload of the stream's i-th write
-// (splitmix64, like the chaos harness's content oracle).
-func (s *stream) content(i int) nvm.Line {
-	var l nvm.Line
-	x := uint64(s.seed)*0x9e3779b97f4a7c15 + s.key*0x94d049bb133111eb + uint64(i+1)*0xbf58476d1ce4e5b9
-	for off := 0; off < nvm.LineSize; off += 8 {
-		x ^= x >> 30
-		x *= 0xbf58476d1ce4e5b9
-		x ^= x >> 27
-		for k := 0; k < 8; k++ {
-			l[off+k] = byte(x >> (8 * uint(k)))
-		}
-	}
-	return l
 }
 
 // flight is one submitted op awaiting its completion.
@@ -161,8 +146,8 @@ func (d *driver) step(s *stream) (bool, error) {
 	}
 	var line *nvm.Line
 	if f.op == device.BatchWrite {
-		c := s.content(f.write)
-		line = &c
+		line = new(nvm.Line)
+		oracle.Fill(line, s.book.Seed, s.key, f.write)
 	}
 	d.tag++
 	d.flights[d.tag] = f
@@ -210,22 +195,22 @@ func (d *driver) complete(tag uint64, op uint8, data *nvm.Line, lat sim.Time, er
 		s.pending = &f
 		return
 	case err != nil:
-		d.fail(fmt.Errorf("loadgen: %s %s %#x: %w", s.name, opName(op), s.addr(f.line), err))
+		d.fail(fmt.Errorf("loadgen: %s %s %#x: %w", s.name, opNames[op], s.addr(f.line), err))
 		return
 	}
 	switch op {
 	case device.BatchRead:
-		if idx, ok := s.committed[f.line]; ok {
-			if *data != s.content(idx) {
-				d.fail(fmt.Errorf("loadgen: %s line %#x: read returned stale or foreign content (want write %d)", s.name, s.addr(f.line), idx))
-				return
-			}
+		switch k := (oracle.Key{Stream: s.key, Addr: f.line}); s.book.Check(k, data) {
+		case oracle.Stale:
+			d.fail(fmt.Errorf("loadgen: %s line %#x: read returned stale or foreign content (want write %d)", s.name, s.addr(f.line), s.book.Acked[k]))
+			return
+		case oracle.OK:
 			s.verified++
 		}
 		s.reads.observe(lat)
 		s.simBusy += uint64(lat)
 	case device.BatchWrite:
-		s.committed[f.line] = f.write
+		s.book.Ack(oracle.Key{Stream: s.key, Addr: f.line}, f.write)
 		s.writes.observe(lat)
 		s.simBusy += uint64(lat)
 	default:
@@ -239,15 +224,7 @@ func (d *driver) fail(err error) {
 	}
 }
 
-func opName(op uint8) string {
-	switch op {
-	case device.BatchRead:
-		return "read"
-	case device.BatchWrite:
-		return "write"
-	}
-	return "drain"
-}
+var opNames = [...]string{device.BatchRead: "read", device.BatchWrite: "write", device.BatchDrain: "drain"}
 
 // inline adapts a blocking connection to PipeConn: Submit runs the op and
 // reports it to the handler before returning, so nothing is ever left to
