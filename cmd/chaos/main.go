@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"soteria/internal/chaos"
@@ -33,40 +34,75 @@ import (
 )
 
 func main() {
-	var (
-		seed         = flag.Int64("seed", 1, "master seed for workload, fault schedule and crash points")
-		writes       = flag.Int("writes", 200, "workload length in data operations")
-		modeName     = flag.String("mode", "src", "controller mode: nonsecure|baseline|src|sac")
-		strategyName = flag.String("strategy", "", "metadata-persistence strategy: "+strings.Join(memctrl.Strategies(), "|")+" (default soteria)")
-		schemes      = flag.Bool("schemes", false, "run the cross-scheme conformance suite: every registered strategy through crash sweep, nested sweep and fault campaign")
-		sweep        = flag.Bool("sweep", false, "crash at every stride-th workload boundary")
-		nested       = flag.Bool("nested", false, "sweep a second crash over the recovery's own boundaries")
-		stride       = flag.Int("stride", 1, "boundary step for -sweep and -nested")
-		crashAt      = flag.Int("crash-at", -1, "crash at this workload boundary (single run, or first crash for -nested)")
-		crashAt2     = flag.Int("crash-at2", -1, "crash at this boundary of the recovery (needs -crash-at)")
-		campaign     = flag.String("campaign", "", "randomized campaign: fault|shadow")
-		trials       = flag.Int("trials", 20, "trials per campaign")
-		faultRate    = flag.Float64("fault-rate", 0.01, "per-boundary device fault probability (single runs only when set explicitly)")
-		shadowFaults = flag.Int("shadow-faults", 2, "shadow entry halves to corrupt before recovery (single runs only when set explicitly)")
-		breakRepair  = flag.Bool("break-half-repair", false, "disable Soteria half repair; the harness must catch the resulting loss")
-		quick        = flag.Bool("quick", false, "smoke-test sizes: writes 60, stride 5, trials 5 (unless set explicitly)")
-		deviceRun    = flag.Bool("device", false, "run against the sharded internal/device service instead of a bare controller")
-		tenantsRun   = flag.Bool("tenants", false, "run the multi-tenant service leg: per-tenant acked-write oracle, cross-tenant isolation oracle and online rotation under crashes; combine with -sweep or -schemes")
-		tenantCount  = flag.Int("tenant-count", 3, "provisioned tenants for -tenants")
-		rotateAt     = flag.Int("rotate-at", -1, "for -tenants: begin an online key rotation of tenant 1 before this workload op (default: mid-workload; -1 disables only when set explicitly)")
-		shards       = flag.Int("shards", 4, "shard count for -device, -tenants and -net")
-		netRun       = flag.Bool("net", false, "serve the device over TCP behind a fault proxy (server + proxy + retrying clients); combine with -sweep to crash-sweep every fault case")
-		netFault     = flag.String("net-fault", "clean", "fault schedule for -net: clean|latency|throttle|corrupt|reset|truncate|partition|combined")
-		netClients   = flag.Int("net-clients", 3, "stop-and-wait clients for -net (op i goes to client i mod n)")
-		netPipeline  = flag.Int("pipeline", 0, "for -net: send the workload through one pipe with this many batch frames in flight")
-		netBatch     = flag.Int("net-batch", 0, "for -net with -pipeline: max ops per batch frame (default 8)")
-		kills        = flag.Int("kills", 0, "server kill/restart cycles mid-workload for -net")
-		verbose      = flag.Bool("v", false, "per-run progress output")
-	)
-	flag.Parse()
+	inv, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fatal(err)
+	}
+	inv.exec()
+}
 
+// invocation is what one command line asks for.
+type invocation struct {
+	// target is the chosen stack's config: the single run, or the base of
+	// a sweep, campaign or suite.
+	target chaos.Target
+	// leg names a device-backed stack in report lines ("device", "tenant"
+	// or "net"); what describes its single run.
+	leg, what              string
+	sweep, nested, schemes bool
+	campaign               string // "fault", "shadow" or none
+	stride, trials         int
+	// invert (-break-half-repair) makes finding violations the success.
+	invert bool
+	logf   func(string, ...any)
+}
+
+// Flags only one stack honours; every other stack refuses them.
+var (
+	harnessOnly = []string{"campaign", "nested", "crash-at2", "fault-rate", "shadow-faults", "break-half-repair"}
+	tenantOnly  = []string{"tenant-count", "rotate-at"}
+	netOnly     = []string{"net-fault", "net-clients", "pipeline", "net-batch", "kills"}
+)
+
+// parseFlags defines the command's flags on fs, parses args and returns
+// the chosen stack's invocation, or an error that refuses, in one
+// message, every flag set that the stack cannot honour.
+func parseFlags(fs *flag.FlagSet, args []string) (*invocation, error) {
+	var (
+		seed         = fs.Int64("seed", 1, "master seed for workload, fault schedule and crash points")
+		writes       = fs.Int("writes", 200, "workload length in data operations")
+		modeName     = fs.String("mode", "src", "controller mode: nonsecure|baseline|src|sac")
+		strategyName = fs.String("strategy", "", "metadata-persistence strategy: "+strings.Join(memctrl.Strategies(), "|")+" (default soteria)")
+		schemes      = fs.Bool("schemes", false, "run the cross-scheme conformance suite: every registered strategy through crash sweep, nested sweep and fault campaign")
+		sweep        = fs.Bool("sweep", false, "crash at every stride-th workload boundary")
+		nested       = fs.Bool("nested", false, "sweep a second crash over the recovery's own boundaries")
+		stride       = fs.Int("stride", 1, "boundary step for -sweep and -nested")
+		crashAt      = fs.Int("crash-at", -1, "crash at this workload boundary (single run, or first crash for -nested)")
+		crashAt2     = fs.Int("crash-at2", -1, "crash at this boundary of the recovery (needs -crash-at)")
+		campaign     = fs.String("campaign", "", "randomized campaign: fault|shadow")
+		trials       = fs.Int("trials", 20, "trials per campaign")
+		faultRate    = fs.Float64("fault-rate", 0.01, "per-boundary device fault probability (single runs only when set explicitly)")
+		shadowFaults = fs.Int("shadow-faults", 2, "shadow entry halves to corrupt before recovery (single runs only when set explicitly)")
+		breakRepair  = fs.Bool("break-half-repair", false, "disable Soteria half repair; the harness must catch the resulting loss")
+		quick        = fs.Bool("quick", false, "smoke-test sizes: writes 60, stride 5, trials 5 (unless set explicitly)")
+		deviceRun    = fs.Bool("device", false, "run against the sharded internal/device service instead of a bare controller")
+		tenantsRun   = fs.Bool("tenants", false, "run the multi-tenant service leg: per-tenant acked-write oracle, cross-tenant isolation oracle and online rotation under crashes; combine with -sweep or -schemes")
+		tenantCount  = fs.Int("tenant-count", 3, "provisioned tenants for -tenants")
+		rotateAt     = fs.Int("rotate-at", -1, "for -tenants: begin an online key rotation of tenant 1 before this workload op (default: mid-workload; -1 disables only when set explicitly)")
+		shards       = fs.Int("shards", 4, "shard count for -device, -tenants and -net")
+		netRun       = fs.Bool("net", false, "serve the device over TCP behind a fault proxy (server + proxy + retrying clients); combine with -sweep to crash-sweep every fault case")
+		netFault     = fs.String("net-fault", "clean", "fault schedule for -net: clean|latency|throttle|corrupt|reset|truncate|partition|combined")
+		netClients   = fs.Int("net-clients", 3, "stop-and-wait clients for -net (op i goes to client i mod n)")
+		netPipeline  = fs.Int("pipeline", 0, "for -net: send the workload through one pipe with this many batch frames in flight")
+		netBatch     = fs.Int("net-batch", 0, "for -net with -pipeline: max ops per batch frame (default 8)")
+		kills        = fs.Int("kills", 0, "server kill/restart cycles mid-workload for -net")
+		verbose      = fs.Bool("v", false, "per-run progress output")
+	)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if *quick {
 		if !set["writes"] {
 			*writes = 60
@@ -78,240 +114,223 @@ func main() {
 			*trials = 5
 		}
 	}
-
 	mode, err := chaos.ParseMode(*modeName)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	base := chaos.Config{
-		Seed:            *seed,
-		Writes:          *writes,
-		Mode:            mode,
-		Strategy:        *strategyName,
-		CrashAt:         *crashAt,
-		NestedCrashAt:   *crashAt2,
-		BreakHalfRepair: *breakRepair,
-	}
-	logf := func(string, ...any) {}
+	inv := &invocation{sweep: *sweep, nested: *nested, schemes: *schemes, campaign: *campaign,
+		stride: *stride, trials: *trials, invert: *breakRepair, logf: func(string, ...any) {}}
+	var logf func(string, ...any) // the runs' progress; nil without -v
 	if *verbose {
 		logf = func(format string, a ...any) { fmt.Printf(format+"\n", a...) }
-		base.Logf = logf
+		inv.logf = logf
 	}
-	// The device under the -device, -tenants and -net legs.
-	dbase := chaos.DeviceConfig{Seed: *seed, Writes: *writes, Shards: *shards, Mode: mode,
-		Strategy: *strategyName, CrashAt: *crashAt, Logf: base.Logf}
+	// The device under the -device, -tenants and -net stacks.
+	dev := chaos.DeviceConfig{Seed: *seed, Writes: *writes, Shards: *shards, Mode: mode,
+		Strategy: *strategyName, CrashAt: *crashAt, Logf: logf}
+	// -schemes runs every strategy, each through its own crash points.
+	suiteOnly := []string{"sweep", "crash-at", "strategy"}
 
-	if *netRun {
-		if err := netFlagsErr(set, *netPipeline, *netClients); err != nil {
-			fatal(err)
+	var leg string
+	var refused []string
+	switch {
+	case *netRun:
+		leg = "-net supports single runs and -sweep only"
+		refused = slices.Concat(harnessOnly, tenantOnly, []string{"device", "tenants", "schemes"})
+		inv.leg, inv.what = "net", fmt.Sprintf("net run: %d shards, fault %s, %d kills", *shards, *netFault, *kills)
+		inv.target = chaos.NetConfig{DeviceConfig: dev, Clients: *netClients, Kills: *kills,
+			FaultName: *netFault, Pipeline: *netPipeline, Batch: *netBatch}
+	case *tenantsRun:
+		leg = "-tenants supports single runs, -sweep and -schemes only"
+		refused = slices.Concat(harnessOnly, netOnly, []string{"device"})
+		if *schemes {
+			refused = slices.Concat(refused, suiteOnly)
 		}
-		nbase := chaos.NetConfig{
-			DeviceConfig: dbase,
-			Clients:      *netClients,
-			Kills:        *kills,
-			FaultName:    *netFault,
-			Pipeline:     *netPipeline,
-			Batch:        *netBatch,
-		}
-		if *sweep {
-			res, err := chaos.NetSweep(nbase, *stride, logf)
-			report("net sweep", res, err, false)
-			return
-		}
-		res, err := chaos.NetRun(nbase)
-		if err != nil {
-			fatal(err)
-		}
-		runLine(fmt.Sprintf("net run: %d shards, fault %s, %d kills", *shards, *netFault, *kills), res)
-		report("net run", single(chaos.NetRepro(nbase), res.Boundaries, res.Violations), nil, false)
-		return
-	}
-
-	if *tenantsRun {
-		if err := flagsErr("-tenants supports single runs, -sweep and -schemes only", set, append(harnessOnly, "device")...); err != nil {
-			fatal(err)
-		}
-		tbase := chaos.TenantConfig{DeviceConfig: dbase, Tenants: *tenantCount, RotateAt: *rotateAt}
+		inv.leg, inv.what = "tenant", fmt.Sprintf("tenant run: %d tenants, %d shards", *tenantCount, *shards)
+		cfg := chaos.TenantConfig{DeviceConfig: dev, Tenants: *tenantCount, RotateAt: *rotateAt}
 		if !set["rotate-at"] {
 			// Rotation coverage on by default: kick off tenant 1's key
 			// rotation mid-workload so sweeps cross the rotation window.
-			tbase.RotateAt = *writes / 2
+			cfg.RotateAt = *writes / 2
 		}
-		if *schemes {
-			bad := false
-			for _, strategy := range memctrl.Strategies() {
-				cfg := tbase
-				cfg.Strategy = strategy
-				res, err := chaos.TenantCrashSweep(cfg, *stride, cfg.Logf)
-				if err != nil {
-					fatal(err)
-				}
-				bad = schemeLine("tenants", strategy, res.Runs, res.Failures) || bad
-			}
-			if bad {
-				os.Exit(1)
-			}
-			return
-		}
-		if *sweep {
-			res, err := chaos.TenantCrashSweep(tbase, *stride, logf)
-			report("tenant crash sweep", res, err, false)
-			return
-		}
-		res, err := chaos.TenantRun(tbase)
-		if err != nil {
-			fatal(err)
-		}
-		runLine(fmt.Sprintf("tenant run: %d tenants, %d shards", *tenantCount, *shards), res)
-		report("tenant run", single(chaos.TenantRepro(tbase), res.Boundaries, res.Violations), nil, false)
-		return
-	}
-
-	if *deviceRun {
-		if err := flagsErr("-device supports single runs and -sweep only", set, harnessOnly...); err != nil {
-			fatal(err)
-		}
-		if *sweep {
-			res, err := chaos.DeviceCrashSweep(dbase, *stride, logf)
-			report("device crash sweep", res, err, false)
-			return
-		}
-		res, err := chaos.DeviceRun(dbase)
-		if err != nil {
-			fatal(err)
-		}
-		runLine(fmt.Sprintf("device run: %d shards", *shards), res)
-		report("device run", single(chaos.DeviceRepro(dbase), res.Boundaries, res.Violations), nil, false)
-		return
-	}
-
-	if *schemes {
-		if *campaign != "" || *nested || *sweep || *crashAt >= 0 || *breakRepair || set["shadow-faults"] {
-			fatal(fmt.Errorf("-schemes is a self-contained suite; combine only with -seed/-writes/-stride/-trials/-fault-rate/-quick"))
-		}
-		cfg := chaos.ConformanceConfig{
-			Seed:        *seed,
-			Writes:      *writes,
-			Mode:        mode,
-			Stride:      *stride,
-			FaultTrials: *trials,
-			FaultRate:   *faultRate,
-			Logf:        base.Logf,
-		}
-		bad := false
-		for _, strategy := range memctrl.Strategies() {
-			r, err := chaos.Conformance(strategy, cfg)
-			if err != nil {
-				fatal(err)
-			}
-			bad = schemeLine("schemes", strategy, r.Runs(), r.Failures()) || bad
-		}
-		if bad {
-			os.Exit(1)
-		}
-		return
-	}
-
-	switch {
-	case *campaign == "fault":
-		base.FaultRate = *faultRate
-		base.CrashAt, base.NestedCrashAt = -1, -1
-		res, err := chaos.FaultCampaign(base, *trials, logf)
-		report("fault campaign", res, err, *breakRepair)
-
-	case *campaign == "shadow" || (*breakRepair && *campaign == "" && !set["crash-at"]):
-		// -break-half-repair on its own means "prove the harness catches a
-		// sabotaged recovery": run the shadow campaign against it. With an
-		// explicit -crash-at (a printed repro line) the single-run path
-		// below replays the exact scenario instead.
-		base.ShadowFaults = *shadowFaults
-		base.CrashAt, base.NestedCrashAt = -1, -1
-		res, err := chaos.ShadowCampaign(base, *trials, logf)
-		report("shadow campaign", res, err, *breakRepair)
-
-	case *campaign != "":
-		fatal(fmt.Errorf("unknown -campaign %q (want fault|shadow)", *campaign))
-
-	case *nested:
-		if set["fault-rate"] {
-			base.FaultRate = *faultRate
-		}
-		res, err := chaos.NestedSweep(base, *stride, logf)
-		report("nested sweep", res, err, *breakRepair)
-
-	case *sweep:
-		if set["fault-rate"] {
-			base.FaultRate = *faultRate
-		}
-		res, err := chaos.CrashSweep(base, *stride, logf)
-		report("crash sweep", res, err, *breakRepair)
-
+		inv.target = cfg
+	case *deviceRun:
+		leg = "-device supports single runs and -sweep only"
+		refused = slices.Concat(harnessOnly, tenantOnly, netOnly, []string{"schemes"})
+		inv.leg, inv.what = "device", fmt.Sprintf("device run: %d shards", *shards)
+		inv.target = dev
 	default:
-		// Single scripted run: exactly what a printed repro line replays.
-		if base.NestedCrashAt >= 0 && base.CrashAt < 0 {
-			fmt.Println("note: -crash-at2 has no effect without -crash-at (no first crash to recover from)")
+		leg = "the bare controller has no shards, tenants or network"
+		refused = slices.Concat(tenantOnly, netOnly, []string{"shards"})
+		if *schemes {
+			leg = "-schemes is a self-contained suite"
+			refused = slices.Concat(refused, suiteOnly, []string{"campaign", "nested", "crash-at2", "shadow-faults", "break-half-repair"})
+		}
+		cfg := chaos.Config{Seed: *seed, Writes: *writes, Mode: mode, Strategy: *strategyName,
+			CrashAt: *crashAt, NestedCrashAt: *crashAt2, BreakHalfRepair: *breakRepair, Logf: logf}
+		if *breakRepair && *campaign == "" && !set["crash-at"] {
+			// -break-half-repair on its own means "prove the harness
+			// catches a sabotaged recovery": run the shadow campaign
+			// against it. With an explicit -crash-at (a printed repro
+			// line) the single run replays the exact scenario instead.
+			inv.campaign = "shadow"
+		}
+		// A campaign draws its own crash points.
+		campaignOnly := []string{"sweep", "nested", "crash-at", "crash-at2"}
+		switch {
+		case *schemes:
+			cfg.FaultRate = *faultRate // the suite's fault campaign
+		case inv.campaign == "fault":
+			refused = slices.Concat(refused, campaignOnly, []string{"shadow-faults"})
+			cfg.FaultRate = *faultRate
+			cfg.CrashAt, cfg.NestedCrashAt = -1, -1
+		case inv.campaign == "shadow":
+			refused = slices.Concat(refused, campaignOnly, []string{"fault-rate"})
+			cfg.ShadowFaults = *shadowFaults
+			cfg.CrashAt, cfg.NestedCrashAt = -1, -1
+		case inv.campaign != "":
+			return nil, fmt.Errorf("unknown -campaign %q (want fault|shadow)", *campaign)
+		case *nested:
+			refused = slices.Concat(refused, []string{"sweep", "crash-at2", "shadow-faults"})
+		case *sweep:
+			refused = slices.Concat(refused, []string{"crash-at", "crash-at2", "shadow-faults"})
 		}
 		if set["fault-rate"] {
-			base.FaultRate = *faultRate
+			cfg.FaultRate = *faultRate
 		}
 		if set["shadow-faults"] {
-			base.ShadowFaults = *shadowFaults
+			cfg.ShadowFaults = *shadowFaults
 		}
-		res, err := chaos.Run(base)
-		if err != nil {
-			fatal(err)
-		}
-		if res.Crashed {
-			fmt.Printf("run: %d boundaries, crashed at %d", res.Boundaries, res.CrashBoundary)
-			if res.NestedCrashed {
-				fmt.Printf(" (nested crash during recovery)")
-			}
-			if res.Report != nil {
-				fmt.Printf(", recovered %d/%d tracked blocks", res.Report.RecoveredBlocks, res.Report.TrackedEntries)
-			}
-			fmt.Println()
-		} else {
-			fmt.Printf("run: %d boundaries, no crash\n", res.Boundaries)
-		}
-		if len(res.Faults) > 0 {
-			fmt.Printf("injected %d device faults\n", len(res.Faults))
-		}
-		report("run", single(chaos.Repro(base), res.Boundaries, res.Violations), nil, *breakRepair)
+		inv.target = cfg
 	}
-}
-
-// harnessOnly names the flags only the single-controller harness honours:
-// campaigns, nested crashes and device fault schedules.
-var harnessOnly = []string{"campaign", "nested", "crash-at2", "fault-rate", "shadow-faults", "break-half-repair"}
-
-// flagsErr refuses, with one message, every flag set that a leg cannot
-// honour.
-func flagsErr(leg string, set map[string]bool, flags ...string) error {
 	var bad []string
-	for _, f := range flags {
+	for _, f := range refused {
 		if set[f] {
 			bad = append(bad, "-"+f)
 		}
 	}
 	if len(bad) > 0 {
-		return fmt.Errorf("%s; drop %s", leg, strings.Join(bad, " "))
+		return nil, fmt.Errorf("%s; drop %s", leg, strings.Join(bad, " "))
 	}
-	return nil
+	if *netPipeline > 0 && set["net-clients"] && *netClients > 1 {
+		return nil, fmt.Errorf("-pipeline sends through one pipe; it cannot be combined with -net-clients %d", *netClients)
+	}
+	return inv, nil
 }
 
-// netFlagsErr refuses the flags a -net run cannot honour.
-func netFlagsErr(set map[string]bool, pipeline, clients int) error {
-	if err := flagsErr("-net supports single runs and -sweep only", set, append(harnessOnly, "device", "tenants", "schemes")...); err != nil {
-		return err
+// exec runs the invocation, prints its report and exits non-zero on
+// failure. Campaigns and nested sweeps are the controller's alone, and
+// the net stack's sweep is NetSweep, every fault case in turn.
+func (inv *invocation) exec() {
+	cfg, _ := inv.target.(chaos.Config)
+	what := inv.name("crash sweep")
+	var res *chaos.CampaignResult
+	var err error
+	switch {
+	case inv.schemes:
+		inv.suite()
+		return
+	case inv.campaign == "fault":
+		what = "fault campaign"
+		res, err = chaos.FaultCampaign(cfg, inv.trials, inv.logf)
+	case inv.campaign == "shadow":
+		what = "shadow campaign"
+		res, err = chaos.ShadowCampaign(cfg, inv.trials, inv.logf)
+	case inv.nested:
+		what = "nested sweep"
+		res, err = chaos.NestedSweep(cfg, inv.stride, inv.logf)
+	case inv.sweep && inv.leg == "net":
+		what = "net sweep"
+		res, err = chaos.NetSweep(inv.target.(chaos.NetConfig), inv.stride, inv.logf)
+	case inv.sweep:
+		res, err = chaos.CrashSweep(inv.target, inv.stride, inv.logf)
+	default:
+		what = inv.name("run")
+		res, err = inv.single()
 	}
-	if pipeline > 0 && set["net-clients"] && clients > 1 {
-		return fmt.Errorf("-pipeline sends through one pipe; it cannot be combined with -net-clients %d", clients)
+	report(what, res, err, inv.invert)
+}
+
+// name prefixes a report's name with the device-backed leg.
+func (inv *invocation) name(what string) string {
+	if inv.leg == "" {
+		return what
 	}
-	return nil
+	return inv.leg + " " + what
+}
+
+// suite runs every registered strategy through the stack's suite — the
+// three conformance legs on the controller, a crash sweep on the tenant
+// service — printing a line per strategy.
+func (inv *invocation) suite() {
+	bad := false
+	for _, strategy := range memctrl.Strategies() {
+		name, res, err := "tenants", (*chaos.CampaignResult)(nil), error(nil)
+		switch cfg := inv.target.(type) {
+		case chaos.Config:
+			cfg.Strategy = strategy
+			var r *chaos.ConformanceResult
+			if r, err = chaos.Conformance(cfg, inv.stride, inv.trials); err == nil {
+				name, res = "schemes", &chaos.CampaignResult{Runs: r.Runs(), Failures: r.Failures()}
+			}
+		case chaos.TenantConfig:
+			cfg.Strategy = strategy
+			res, err = chaos.CrashSweep(cfg, inv.stride, inv.logf)
+		}
+		if err != nil {
+			fatal(err)
+		}
+		bad = schemeLine(name, strategy, res.Runs, res.Failures) || bad
+	}
+	if bad {
+		os.Exit(1)
+	}
+}
+
+// single is one scripted run — exactly what a printed repro line replays —
+// as a one-run campaign, so it reports like a sweep.
+func (inv *invocation) single() (*chaos.CampaignResult, error) {
+	cfg, ctrl := inv.target.(chaos.Config)
+	if ctrl && cfg.NestedCrashAt >= 0 && cfg.CrashAt < 0 {
+		fmt.Println("note: -crash-at2 has no effect without -crash-at (no first crash to recover from)")
+	}
+	res, err := chaos.Run(inv.target)
+	if err != nil {
+		return nil, err
+	}
+	if ctrl {
+		ctrlLine(res)
+	} else {
+		runLine(inv.what, res)
+	}
+	out := &chaos.CampaignResult{Runs: 1, Boundaries: res.Boundaries}
+	if len(res.Violations) > 0 {
+		out.Failures = []chaos.Failure{{Repro: inv.target.Repro(), Violations: res.Violations}}
+	}
+	return out, nil
+}
+
+// ctrlLine prints a controller run's crash coordinates and fault count.
+func ctrlLine(res *chaos.Result) {
+	if res.Crashed {
+		fmt.Printf("run: %d boundaries, crashed at %d", res.Boundaries, res.CrashBoundary)
+		if res.NestedCrashed {
+			fmt.Printf(" (nested crash during recovery)")
+		}
+		if res.Report != nil {
+			fmt.Printf(", recovered %d/%d tracked blocks", res.Report.RecoveredBlocks(), res.Report.TrackedEntries())
+		}
+		fmt.Println()
+	} else {
+		fmt.Printf("run: %d boundaries, no crash\n", res.Boundaries)
+	}
+	if len(res.Faults) > 0 {
+		fmt.Printf("injected %d device faults\n", len(res.Faults))
+	}
 }
 
 // runLine prints a device-backed single run's crash coordinates.
-func runLine(what string, res *chaos.DeviceResult) {
+func runLine(what string, res *chaos.Result) {
 	if !res.Crashed {
 		fmt.Printf("%s, %d boundaries, no crash\n", what, res.Boundaries)
 		return
@@ -338,15 +357,6 @@ func schemeLine(suite, strategy string, runs int, fails []chaos.Failure) bool {
 	}
 	fmt.Printf("%s %-13s %4d runs, %s\n", suite, strategy+":", runs, status)
 	return len(fails) > 0
-}
-
-// single is one run as a one-run campaign, so it reports like a sweep.
-func single(repro string, boundaries int, violations []string) *chaos.CampaignResult {
-	out := &chaos.CampaignResult{Runs: 1, Boundaries: boundaries}
-	if len(violations) > 0 {
-		out.Failures = []chaos.Failure{{Repro: repro, Violations: violations}}
-	}
-	return out
 }
 
 // report prints failures with their repro lines and exits. With inverted

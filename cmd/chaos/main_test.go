@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"io"
 	"strings"
 	"testing"
 
@@ -9,41 +10,63 @@ import (
 	"soteria/internal/memctrl"
 )
 
-// parseDeviceRepro feeds a printed repro line back through a flag set
-// mirroring the one main defines (same names, same defaults). If main's
-// flags and this mirror drift apart, the round-trip below fails — which is
-// the point: a repro line must stay parseable by this binary forever.
-func parseDeviceRepro(t *testing.T, line string) chaos.DeviceConfig {
+// parse feeds args through the command's own flag parser.
+func parse(args ...string) (*invocation, error) {
+	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return parseFlags(fs, args)
+}
+
+// parseRepro parses a printed repro line, which must ask for one single
+// run.
+func parseRepro(t *testing.T, line string) chaos.Target {
 	t.Helper()
 	args := strings.Fields(line)
-	if len(args) < 4 || args[0] != "go" || args[1] != "run" || args[2] != "./cmd/chaos" {
+	if len(args) < 3 || strings.Join(args[:3], " ") != "go run ./cmd/chaos" {
 		t.Fatalf("repro line does not invoke cmd/chaos: %q", line)
 	}
-	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
-	seed := fs.Int64("seed", 1, "")
-	writes := fs.Int("writes", 200, "")
-	modeName := fs.String("mode", "src", "")
-	strategyName := fs.String("strategy", "", "")
-	crashAt := fs.Int("crash-at", -1, "")
-	deviceRun := fs.Bool("device", false, "")
-	shards := fs.Int("shards", 4, "")
-	if err := fs.Parse(args[3:]); err != nil {
+	inv, err := parse(args[3:]...)
+	if err != nil {
 		t.Fatalf("repro line does not parse: %v\nline: %s", err, line)
 	}
-	if !*deviceRun {
-		t.Fatalf("repro line lost -device: %s", line)
+	if inv.sweep || inv.nested || inv.schemes || inv.campaign != "" {
+		t.Fatalf("repro line does not ask for a single run: %s", line)
 	}
-	mode, err := chaos.ParseMode(*modeName)
+	return inv.target
+}
+
+// roundTrip checks that cfg's repro line parses back to a config with the
+// same line (a fixpoint) that replays the byte-identical scenario, and
+// returns the original run's result.
+func roundTrip(t *testing.T, cfg chaos.Target) *chaos.Result {
+	t.Helper()
+	line := cfg.Repro()
+	parsed := parseRepro(t, line)
+	if got := parsed.Repro(); got != line {
+		t.Fatalf("repro is not a fixpoint:\n got %q\nwant %q", got, line)
+	}
+	a, err := chaos.Run(cfg)
 	if err != nil {
-		t.Fatalf("repro line mode: %v", err)
+		t.Fatalf("original run: %v", err)
 	}
-	return chaos.DeviceConfig{
-		Seed:     *seed,
-		Writes:   *writes,
-		Shards:   *shards,
-		Mode:     mode,
-		Strategy: *strategyName,
-		CrashAt:  *crashAt,
+	b, err := chaos.Run(parsed)
+	if err != nil {
+		t.Fatalf("parsed run: %v", err)
+	}
+	if a.Summary() != b.Summary() {
+		t.Fatalf("%s replays a different scenario\n--- original ---\n%s--- parsed ---\n%s", line, a.Summary(), b.Summary())
+	}
+	return a
+}
+
+// TestControllerReproRoundTrip: the controller line carries the nested
+// crash, the fault schedule and both shadow-entry knobs.
+func TestControllerReproRoundTrip(t *testing.T) {
+	res := roundTrip(t, chaos.Config{Seed: 3, Writes: 60, Mode: memctrl.ModeSRC, CrashAt: 30, NestedCrashAt: 5,
+		FaultRate: 0.05, ShadowFaults: 1, BreakHalfRepair: true})
+	if !res.Crashed || !res.NestedCrashed || len(res.Faults) == 0 || len(res.ShadowFaultNotes) == 0 {
+		t.Fatalf("scenario exercises too little: crashed %t, nested %t, %d faults, shadow faults %v",
+			res.Crashed, res.NestedCrashed, len(res.Faults), res.ShadowFaultNotes)
 	}
 }
 
@@ -53,126 +76,123 @@ func parseDeviceRepro(t *testing.T, line string) chaos.DeviceConfig {
 // strategy — here the full flag set must survive a parse round-trip AND
 // replay the byte-identical scenario.
 func TestDeviceReproRoundTrip(t *testing.T) {
-	orig := chaos.DeviceConfig{Seed: 11, Writes: 90, Shards: 4, Mode: memctrl.ModeSAC, Strategy: "triad-nvm-2", CrashAt: 33}
-	line := chaos.DeviceRepro(orig)
-	if !strings.Contains(line, "-strategy triad-nvm-2") {
+	cfg := chaos.DeviceConfig{Seed: 11, Writes: 90, Shards: 4, Mode: memctrl.ModeSAC, Strategy: "triad-nvm-2", CrashAt: 33}
+	if line := cfg.Repro(); !strings.Contains(line, "-strategy triad-nvm-2") {
 		t.Fatalf("repro line omits the strategy: %s", line)
 	}
-	parsed := parseDeviceRepro(t, line)
-	if got := chaos.DeviceRepro(parsed); got != line {
-		t.Fatalf("repro is not a fixpoint:\n got %q\nwant %q", got, line)
-	}
-
-	origRes, err := chaos.DeviceRun(orig)
-	if err != nil {
-		t.Fatalf("original run: %v", err)
-	}
-	parsedRes, err := chaos.DeviceRun(parsed)
-	if err != nil {
-		t.Fatalf("parsed run: %v", err)
-	}
-	if origRes.Summary() != parsedRes.Summary() {
-		t.Fatalf("parsed repro replays a different scenario\n--- original ---\n%s--- parsed ---\n%s",
-			origRes.Summary(), parsedRes.Summary())
-	}
+	roundTrip(t, cfg)
 }
 
 // TestDeviceReproDefaultStrategy: even a defaulted strategy is spelled out,
 // so the line keeps meaning the same scenario if the default ever changes.
 func TestDeviceReproDefaultStrategy(t *testing.T) {
-	line := chaos.DeviceRepro(chaos.DeviceConfig{Seed: 1, Writes: 60, Mode: memctrl.ModeSRC, CrashAt: -1})
+	line := chaos.DeviceConfig{Seed: 1, Writes: 60, Mode: memctrl.ModeSRC, CrashAt: -1}.Repro()
 	if !strings.Contains(line, "-strategy "+memctrl.DefaultStrategy) {
 		t.Fatalf("repro line omits the defaulted strategy: %s", line)
 	}
-	parsed := parseDeviceRepro(t, line)
-	if parsed.Strategy != memctrl.DefaultStrategy || parsed.Shards != 4 {
-		t.Fatalf("parsed defaults wrong: %+v", parsed)
+	parsed, ok := parseRepro(t, line).(chaos.DeviceConfig)
+	if !ok || parsed.Strategy != memctrl.DefaultStrategy || parsed.Shards != 4 {
+		t.Fatalf("parsed defaults wrong: %#v", parsed)
 	}
 }
 
-// TestNetReproRoundTrip: a -net repro line carries the strategy and the
-// crash point, parses back to the same scenario, and replays it.
+// TestTenantReproRoundTrip: the tenant line names the tenant count and
+// the rotation point — also when rotation is off, since cmd/chaos rotates
+// mid-workload when -rotate-at is absent.
+func TestTenantReproRoundTrip(t *testing.T) {
+	roundTrip(t, chaos.TenantConfig{DeviceConfig: chaos.DeviceConfig{Seed: 3, Writes: 50, Shards: 2, Mode: memctrl.ModeSRC, CrashAt: 12},
+		Tenants: 5, RotateAt: 9})
+	off := chaos.TenantConfig{DeviceConfig: chaos.DeviceConfig{Seed: 1, Writes: 40, Mode: memctrl.ModeSRC, CrashAt: -1}, RotateAt: -1}
+	if line := off.Repro(); !strings.Contains(line, "-rotate-at -1") {
+		t.Fatalf("repro line omits the disabled rotation: %s", line)
+	}
+	roundTrip(t, off)
+}
+
+// TestNetReproRoundTrip: a -net repro line carries the strategy, the
+// front end and the crash point, parses back to the same scenario, and
+// replays it.
 func TestNetReproRoundTrip(t *testing.T) {
-	orig := chaos.NetConfig{
-		DeviceConfig: chaos.DeviceConfig{Seed: 4, Writes: 40, Shards: 2, Mode: memctrl.ModeSRC, Strategy: "triad-nvm", CrashAt: 17},
-		FaultName:    "corrupt", Kills: 1, Pipeline: 4,
-	}
-	line := chaos.NetRepro(orig)
-	for _, want := range []string{"-net ", "-strategy triad-nvm", "-crash-at 17", "-writes 40", "-pipeline 4", "-kills 1"} {
-		if !strings.Contains(line, want) {
-			t.Fatalf("repro line lacks %q: %s", want, line)
+	dev := chaos.DeviceConfig{Seed: 4, Writes: 40, Shards: 2, Mode: memctrl.ModeSRC, Strategy: "triad-nvm", CrashAt: 17}
+	for _, tc := range []struct {
+		cfg  chaos.NetConfig
+		want []string
+	}{
+		{chaos.NetConfig{DeviceConfig: dev, Clients: 2, FaultName: "reset"}, []string{"-net-clients 2", "-net-fault reset"}},
+		{chaos.NetConfig{DeviceConfig: dev, FaultName: "corrupt", Kills: 1, Pipeline: 4}, []string{"-pipeline 4", "-kills 1"}},
+	} {
+		line := tc.cfg.Repro()
+		for _, want := range append(tc.want, "-net ", "-strategy triad-nvm", "-crash-at 17", "-writes 40") {
+			if !strings.Contains(line, want) {
+				t.Fatalf("repro line lacks %q: %s", want, line)
+			}
 		}
-	}
-	args := strings.Fields(line)
-	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
-	seed := fs.Int64("seed", 1, "")
-	writes := fs.Int("writes", 200, "")
-	modeName := fs.String("mode", "src", "")
-	strategyName := fs.String("strategy", "", "")
-	crashAt := fs.Int("crash-at", -1, "")
-	shards := fs.Int("shards", 4, "")
-	netRun := fs.Bool("net", false, "")
-	netFault := fs.String("net-fault", "clean", "")
-	netClients := fs.Int("net-clients", 3, "")
-	pipeline := fs.Int("pipeline", 0, "")
-	batch := fs.Int("net-batch", 0, "")
-	kills := fs.Int("kills", 0, "")
-	if err := fs.Parse(args[3:]); err != nil || !*netRun {
-		t.Fatalf("repro line does not parse as a -net run (%v): %s", err, line)
-	}
-	mode, err := chaos.ParseMode(*modeName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parsed := chaos.NetConfig{
-		DeviceConfig: chaos.DeviceConfig{Seed: *seed, Writes: *writes, Shards: *shards, Mode: mode, Strategy: *strategyName, CrashAt: *crashAt},
-		Clients:      *netClients, Kills: *kills, FaultName: *netFault, Pipeline: *pipeline, Batch: *batch,
-	}
-	if got := chaos.NetRepro(parsed); got != line {
-		t.Fatalf("repro is not a fixpoint:\n got %q\nwant %q", got, line)
-	}
-	a, err := chaos.NetRun(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := chaos.NetRun(parsed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Crashed || a.Summary() != b.Summary() || len(a.Violations) > 0 {
-		t.Fatalf("parsed repro replays a different or failing scenario\n--- original ---\n%s--- parsed ---\n%s", a.Summary(), b.Summary())
+		if res := roundTrip(t, tc.cfg); !res.Crashed || len(res.Violations) > 0 {
+			t.Fatalf("%s: crashed %t, violations %v", line, res.Crashed, res.Violations)
+		}
 	}
 }
 
-// TestNetFlagsRefused: -net honours -strategy and -crash-at, and refuses
-// every flag it cannot honour with one message instead of ignoring it.
-func TestNetFlagsRefused(t *testing.T) {
-	cases := []struct {
-		set      []string
-		pipeline int
-		clients  int
-		refused  string // substring of the error, "" for none
+// TestFlagsRefused: every stack honours its own flags — each combination
+// CI runs among them — and refuses, in one message, every flag it cannot
+// honour instead of ignoring it.
+func TestFlagsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		args    string
+		refused string // substring of the error, "" for none
 	}{
-		{[]string{"strategy", "crash-at", "sweep", "writes"}, 0, 3, ""},
-		{[]string{"pipeline"}, 4, 3, ""}, // the default client count does not conflict
-		{[]string{"pipeline", "net-clients"}, 4, 1, ""},
-		{[]string{"pipeline", "net-clients"}, 4, 2, "-net-clients 2"},
-		{[]string{"tenants"}, 0, 3, "-tenants"},
-		{[]string{"schemes", "tenants"}, 0, 3, "-tenants -schemes"},
-		{[]string{"fault-rate", "shadow-faults", "break-half-repair"}, 0, 3, "-fault-rate -shadow-faults -break-half-repair"},
-		{[]string{"campaign", "nested", "crash-at2", "device"}, 0, 3, "-campaign -nested -crash-at2 -device"},
-	}
-	for _, tc := range cases {
-		set := map[string]bool{}
-		for _, f := range tc.set {
-			set[f] = true
-		}
-		err := netFlagsErr(set, tc.pipeline, tc.clients)
+		// The controller.
+		{"-seed 1 -quick -sweep", ""},
+		{"-seed 1 -quick -nested", ""},
+		{"-seed 1 -quick -nested -crash-at 10", ""},
+		{"-seed 1 -campaign shadow -trials 40", ""},
+		{"-seed 1 -campaign fault -trials 40", ""},
+		{"-seed 1 -quick -schemes", ""},
+		{"-seed 1 -schemes -fault-rate 0.02 -mode sac", ""},
+		{"-seed 7 -quick -break-half-repair", ""},
+		{"-seed 7 -campaign shadow -break-half-repair", ""},
+		{"-seed 3 -writes 60 -crash-at 30 -crash-at2 5 -fault-rate 0.05 -shadow-faults 1 -break-half-repair", ""},
+		{"-seed 14 -writes 200 -mode baseline -strategy triad-nvm-2 -fault-rate 0.01", ""},
+		{"-quick -shards 8 -tenant-count 5", "; drop -tenant-count -shards"},
+		{"-quick -pipeline 4 -kills 1", "; drop -pipeline -kills"},
+		{"-quick -schemes -sweep -crash-at 3 -strategy triad-nvm -break-half-repair", "-schemes is a self-contained suite; drop -sweep -crash-at -strategy -break-half-repair"},
+		{"-campaign fault -crash-at 3 -shadow-faults 1", "; drop -crash-at -shadow-faults"},
+		{"-campaign shadow -nested -fault-rate 0.1", "; drop -nested -fault-rate"},
+		{"-quick -break-half-repair -sweep", "; drop -sweep"},
+		{"-quick -nested -crash-at2 3", "; drop -crash-at2"},
+		{"-quick -sweep -crash-at 4 -shadow-faults 1", "; drop -crash-at -shadow-faults"},
+		{"-campaign bogus", "unknown -campaign"},
+		// The sharded device.
+		{"-device -shards 4 -seed 1 -quick -sweep", ""},
+		{"-device -shards 4 -seed 5 -writes 120 -crash-at 50", ""},
+		{"-device -schemes -quick", "-device supports single runs and -sweep only; drop -schemes"},
+		{"-device -tenant-count 5 -kills 1 -net-fault corrupt", "; drop -tenant-count -net-fault -kills"},
+		{"-device -fault-rate 0.1 -nested", "; drop -nested -fault-rate"},
+		// The tenant service.
+		{"-tenants -seed 1 -quick -sweep", ""},
+		{"-tenants -schemes -seed 1 -quick -stride 10", ""},
+		{"-tenants -seed 1 -quick -crash-at 40 -tenant-count 5 -rotate-at -1", ""},
+		{"-tenants -kills 2 -net-fault corrupt", "-tenants supports single runs, -sweep and -schemes only; drop -net-fault -kills"},
+		{"-tenants -schemes -sweep -strategy soteria", "; drop -sweep -strategy"},
+		{"-tenants -device -break-half-repair", "; drop -break-half-repair -device"},
+		// The device over TCP.
+		{"-net -sweep -seed 1 -quick", ""},
+		{"-net -sweep -seed 1 -quick -pipeline 4", ""},
+		{"-net -seed 1 -quick -pipeline 4 -net-fault combined -kills 1 -crash-at 25", ""},
+		{"-net -strategy triad-nvm -crash-at 3 -writes 40", ""},
+		{"-net -pipeline 4 -net-clients 1", ""},
+		{"-net -pipeline 4 -net-clients 2", "-net-clients 2"},
+		{"-net -schemes -tenants", "-net supports single runs and -sweep only; drop -tenants -schemes"},
+		{"-net -fault-rate 0.1 -shadow-faults 1 -break-half-repair", "; drop -fault-rate -shadow-faults -break-half-repair"},
+		{"-net -campaign fault -nested -crash-at2 1 -device", "; drop -campaign -nested -crash-at2 -device"},
+		{"-net -tenant-count 2 -rotate-at 3", "; drop -tenant-count -rotate-at"},
+	} {
+		_, err := parse(strings.Fields(tc.args)...)
 		switch {
 		case tc.refused == "" && err != nil:
-			t.Errorf("%v refused: %v", tc.set, err)
+			t.Errorf("%s refused: %v", tc.args, err)
 		case tc.refused != "" && (err == nil || !strings.Contains(err.Error(), tc.refused)):
-			t.Errorf("%v: got %v, want a refusal naming %q", tc.set, err, tc.refused)
+			t.Errorf("%s: got %v, want a refusal naming %q", tc.args, err, tc.refused)
 		}
 	}
 }

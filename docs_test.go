@@ -1,6 +1,7 @@
 package soteria
 
 import (
+	"cmp"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -11,20 +12,27 @@ import (
 	"testing"
 )
 
-// codeSpan is one inline code span of a Markdown line.
-var codeSpan = regexp.MustCompile("`([^`]+)`")
+// codeSpan is one inline code span of a Markdown paragraph; it may wrap
+// a line.
+var codeSpan = regexp.MustCompile("`((?:[^`\n]|\n[^`\n])+)`")
 
 // pkgRef is a pkg.Name reference inside a code span. The prefix may not
 // follow a path, another selector or an identifier character, so
 // `internal/chaos/device.go` and `x.nvm.Line` name nothing.
 var pkgRef = regexp.MustCompile(`(?:^|[^\w./*-])([a-z][a-z0-9]*)\.([A-Za-z_]\w*)`)
 
+// methodRef is a method expression, `pkg.(*T).M` or, with the package
+// left implicit, `(*T).M`.
+var methodRef = regexp.MustCompile(`(?:^|[^\w./*-])(?:([a-z][a-z0-9]*)\.)?\(\*([A-Za-z_]\w*)\)\.([A-Za-z_]\w*)`)
+
 // TestDocReferencesResolve: every `pkg.Name` the documents put in a code
 // span, where pkg is a package under internal/, names a declaration in
 // that package's non-test files — a package-level name, a method or a
-// struct field — so a rename or deletion cannot leave the
-// documents pointing at code that is gone. Fenced code blocks are
-// skipped: they are commands and examples, not references.
+// struct field — and every `pkg.(*T).M` names a method M of T there (a
+// bare `(*T).M`, in some package under internal/), so a rename or
+// deletion cannot leave the documents pointing at code that is gone.
+// Fenced code blocks are skipped: they are commands and examples, not
+// references.
 func TestDocReferencesResolve(t *testing.T) {
 	decls := map[string]map[string]bool{} // package dir -> declared names
 	dirs, err := os.ReadDir("internal")
@@ -41,22 +49,39 @@ func TestDocReferencesResolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Blank the fenced blocks, keeping the line numbers.
+		lines := strings.Split(string(src), "\n")
 		fenced := false
-		for n, line := range strings.Split(string(src), "\n") {
-			if strings.HasPrefix(strings.TrimSpace(line), "```") {
-				fenced = !fenced
-				continue
+		for i, line := range lines {
+			fence := strings.HasPrefix(strings.TrimSpace(line), "```")
+			fenced = fenced != fence
+			if fence || fenced {
+				lines[i] = ""
 			}
-			if fenced {
-				continue
+		}
+		text := strings.Join(lines, "\n")
+		for _, m := range codeSpan.FindAllStringSubmatchIndex(text, -1) {
+			line := strings.Count(text[:m[0]], "\n") + 1
+			span := strings.ReplaceAll(text[m[2]:m[3]], "\n", " ")
+			for _, ref := range pkgRef.FindAllStringSubmatch(span, -1) {
+				// `runner.go` is a file name, not a reference.
+				names, ok := decls[ref[1]]
+				if ok && ref[2] != "go" && !names[ref[2]] {
+					t.Errorf("%s:%d: `%s` names %s.%s, which internal/%s does not declare", doc, line, span, ref[1], ref[2], ref[1])
+				}
 			}
-			for _, span := range codeSpan.FindAllStringSubmatch(line, -1) {
-				for _, ref := range pkgRef.FindAllStringSubmatch(span[1], -1) {
-					// `runner.go` is a file name, not a reference.
-					names, ok := decls[ref[1]]
-					if ok && ref[2] != "go" && !names[ref[2]] {
-						t.Errorf("%s:%d: `%s` names %s.%s, which internal/%s does not declare", doc, n+1, span[1], ref[1], ref[2], ref[1])
+			for _, ref := range methodRef.FindAllStringSubmatch(span, -1) {
+				// Types outside internal/ (`aes.(*Block).Encrypt`, the
+				// runtime's `(*_panic).nextDefer`) are not checked.
+				method, ours, found := ref[2]+"."+ref[3], false, false
+				for pkg, names := range decls {
+					if ref[1] == "" || ref[1] == pkg {
+						ours = ours || names[ref[2]]
+						found = found || names[method]
 					}
+				}
+				if ours && !found {
+					t.Errorf("%s:%d: `%s` names method %s, which internal/%s does not declare", doc, line, span, method, cmp.Or(ref[1], "*"))
 				}
 			}
 		}
@@ -66,7 +91,7 @@ func TestDocReferencesResolve(t *testing.T) {
 // declaredNames lists what dir's non-test Go files declare at package
 // level — functions, types, variables, constants — plus the methods and
 // struct fields a document may name as pkg.Name (`device.ExecBatch`,
-// `memctrl.fills`).
+// `memctrl.fills`), and each method once more as T.M.
 func declaredNames(t *testing.T, dir string) map[string]bool {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -83,6 +108,15 @@ func declaredNames(t *testing.T, dir string) map[string]bool {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
 					names[d.Name.Name] = true
+					if d.Recv != nil {
+						recv := d.Recv.List[0].Type
+						if star, ok := recv.(*ast.StarExpr); ok {
+							recv = star.X
+						}
+						if id, ok := recv.(*ast.Ident); ok {
+							names[id.Name+"."+d.Name.Name] = true
+						}
+					}
 				case *ast.GenDecl:
 					for _, s := range d.Specs {
 						switch s := s.(type) {

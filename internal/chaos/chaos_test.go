@@ -68,7 +68,7 @@ func TestNestedCrashRecovers(t *testing.T) {
 			t.Fatalf("nested at %d: first crash never fired", k)
 		}
 		if len(res.Violations) > 0 {
-			t.Errorf("nested at %d: violations: %v\nrepro: %s", k, res.Violations, Repro(cfg))
+			t.Errorf("nested at %d: violations: %v\nrepro: %s", k, res.Violations, cfg.Repro())
 		}
 	}
 }
@@ -81,9 +81,9 @@ func TestShadowHalfFaultAbsorbed(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.Violations) > 0 {
-		t.Fatalf("half faults not absorbed: %v\nrepro: %s", res.Violations, Repro(cfg))
+		t.Fatalf("half faults not absorbed: %v\nrepro: %s", res.Violations, cfg.Repro())
 	}
-	if res.Report == nil || res.Report.HalfRepairs == 0 {
+	if res.Report == nil || res.Report.Shards[0].HalfRepairs == 0 {
 		t.Fatalf("expected half repairs to fire (faults %v)", res.ShadowFaultNotes)
 	}
 }
@@ -138,7 +138,7 @@ func TestModeFlagRoundTrip(t *testing.T) {
 func TestReproIncludesSchedule(t *testing.T) {
 	cfg := Config{Seed: 9, Writes: 50, Mode: memctrl.ModeSAC, CrashAt: 7, NestedCrashAt: 3,
 		FaultRate: 0.5, ShadowFaults: 1, BreakHalfRepair: true}
-	r := Repro(cfg)
+	r := cfg.Repro()
 	for _, want := range []string{"-seed 9", "-writes 50", "-mode sac", "-crash-at 7",
 		"-crash-at2 3", "-fault-rate 0.5", "-shadow-faults 1", "-break-half-repair"} {
 		if !strings.Contains(r, want) {

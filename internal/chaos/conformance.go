@@ -1,27 +1,6 @@
 package chaos
 
-import (
-	"fmt"
-
-	"soteria/internal/memctrl"
-)
-
-// ConformanceConfig shapes one strategy's trip through the shared
-// conformance suite. The same config drives every registered strategy, so
-// the suite is an apples-to-apples contract: identical workload, identical
-// crash schedule, identical acknowledged-write oracle.
-type ConformanceConfig struct {
-	Seed   int64
-	Writes int
-	Mode   memctrl.Mode
-	// Stride thins the crash-point sweeps (1 = every boundary).
-	Stride int
-	// FaultTrials is the number of fault-campaign trials (0 skips the
-	// campaign); FaultRate is its per-boundary fault probability.
-	FaultTrials int
-	FaultRate   float64
-	Logf        func(format string, args ...any)
-}
+import "fmt"
 
 // ConformanceResult is one strategy's outcome across the three legs of the
 // suite: the full crash-point sweep, the nested crash-during-recovery
@@ -59,22 +38,22 @@ func (r *ConformanceResult) Runs() int {
 	return n
 }
 
-// Conformance runs one strategy through the shared suite. The nested sweep
-// anchors its first crash at the middle workload boundary — the point where
-// the most tracked state is in flight.
-func Conformance(strategy string, cfg ConformanceConfig) (*ConformanceResult, error) {
-	logf := orNop(cfg.Logf)
-	base := Config{
-		Seed:     cfg.Seed,
-		Writes:   cfg.Writes,
-		Mode:     cfg.Mode,
-		Strategy: strategy,
-		CrashAt:  -1, NestedCrashAt: -1,
-	}
+// Conformance runs base.Strategy through the shared suite. The same
+// suite drives every registered strategy, so it is an apples-to-apples
+// contract: identical workload, identical crash schedule, identical
+// acknowledged-write oracle. stride thins the crash-point sweeps (1 =
+// every boundary); faultTrials fault-campaign trials (0 skips the
+// campaign) run at base.FaultRate (default 0.01), which the sweeps leave
+// out. base.Logf receives the legs' progress, not the runs'. The nested
+// sweep anchors its first crash at the middle workload boundary — the
+// point where the most tracked state is in flight.
+func Conformance(base Config, stride, faultTrials int) (*ConformanceResult, error) {
+	logf, rate, strategy := orNop(base.Logf), base.FaultRate, base.Strategy
+	base.CrashAt, base.NestedCrashAt, base.FaultRate, base.Logf = -1, -1, 0, nil
 	out := &ConformanceResult{Strategy: strategy}
 
 	logf("[%s] crash sweep", strategy)
-	cs, err := CrashSweep(base, cfg.Stride, logf)
+	cs, err := CrashSweep(base, stride, logf)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %s crash sweep: %w", strategy, err)
 	}
@@ -84,21 +63,21 @@ func Conformance(strategy string, cfg ConformanceConfig) (*ConformanceResult, er
 		nested := base
 		nested.CrashAt = cs.Boundaries / 2
 		logf("[%s] nested sweep (first crash at %d)", strategy, nested.CrashAt)
-		ns, err := NestedSweep(nested, cfg.Stride, logf)
+		ns, err := NestedSweep(nested, stride, logf)
 		if err != nil {
 			return nil, fmt.Errorf("chaos: %s nested sweep: %w", strategy, err)
 		}
 		out.NestedSweep = ns
 	}
 
-	if cfg.FaultTrials > 0 {
+	if faultTrials > 0 {
 		faulty := base
-		faulty.FaultRate = cfg.FaultRate
+		faulty.FaultRate = rate
 		if faulty.FaultRate <= 0 {
 			faulty.FaultRate = 0.01
 		}
-		logf("[%s] fault campaign (%d trials, rate %v)", strategy, cfg.FaultTrials, faulty.FaultRate)
-		fc, err := FaultCampaign(faulty, cfg.FaultTrials, logf)
+		logf("[%s] fault campaign (%d trials, rate %v)", strategy, faultTrials, faulty.FaultRate)
+		fc, err := FaultCampaign(faulty, faultTrials, logf)
 		if err != nil {
 			return nil, fmt.Errorf("chaos: %s fault campaign: %w", strategy, err)
 		}

@@ -12,20 +12,16 @@ import (
 // same acknowledged-write oracle. A new strategy registered in memctrl is
 // pulled into this table automatically.
 func TestConformanceAllStrategies(t *testing.T) {
-	cfg := ConformanceConfig{
-		Seed:        11,
-		Writes:      60,
-		Mode:        memctrl.ModeSRC,
-		Stride:      4,
-		FaultTrials: 3,
-		FaultRate:   0.01,
-	}
+	cfg := Config{Seed: 11, Writes: 60, Mode: memctrl.ModeSRC, FaultRate: 0.01}
+	stride, trials := 4, 3
 	if testing.Short() {
-		cfg.Writes, cfg.Stride, cfg.FaultTrials = 30, 8, 1
+		cfg.Writes, stride, trials = 30, 8, 1
 	}
 	for _, strategy := range memctrl.Strategies() {
 		t.Run(strategy, func(t *testing.T) {
-			res, err := Conformance(strategy, cfg)
+			cfg := cfg
+			cfg.Strategy = strategy
+			res, err := Conformance(cfg, stride, trials)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,9 +42,7 @@ func TestConformanceAllStrategies(t *testing.T) {
 // SRC-only: the clone-policy variant passes under a second mode too.
 func TestConformanceSweepsCoverSACMode(t *testing.T) {
 	for _, strategy := range []string{"soteria", "triad-nvm"} {
-		res, err := Conformance(strategy, ConformanceConfig{
-			Seed: 13, Writes: 30, Mode: memctrl.ModeSAC, Stride: 6,
-		})
+		res, err := Conformance(Config{Seed: 13, Writes: 30, Mode: memctrl.ModeSAC, Strategy: strategy}, 6, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,10 +70,10 @@ func TestSoteriaOnlyKnobsRejected(t *testing.T) {
 // names the strategy it ran under, so a cross-scheme sweep failure is
 // unambiguous.
 func TestReproNamesStrategy(t *testing.T) {
-	if got := Repro(Config{Seed: 5, Writes: 20, Mode: memctrl.ModeSRC, Strategy: "triad-nvm", CrashAt: 3}); !contains(got, "-strategy triad-nvm") {
+	if got := (Config{Seed: 5, Writes: 20, Mode: memctrl.ModeSRC, Strategy: "triad-nvm", CrashAt: 3}).Repro(); !contains(got, "-strategy triad-nvm") {
 		t.Errorf("repro %q does not name the strategy", got)
 	}
-	if got := Repro(Config{Seed: 5, Writes: 20, Mode: memctrl.ModeSRC, CrashAt: -1}); !contains(got, "-strategy soteria") {
+	if got := (Config{Seed: 5, Writes: 20, Mode: memctrl.ModeSRC, CrashAt: -1}).Repro(); !contains(got, "-strategy soteria") {
 		t.Errorf("repro %q does not name the default strategy", got)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // boundary, recover, verify — zero violations expected.
 func TestDeviceCrashSweepQuick(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		res, err := DeviceCrashSweep(DeviceConfig{
+		res, err := CrashSweep(DeviceConfig{
 			Seed:    1,
 			Writes:  40,
 			Shards:  shards,
@@ -35,7 +35,7 @@ func TestDeviceCrashSweepQuick(t *testing.T) {
 // and observes the same counts, every time.
 func TestDeviceRunDeterministic(t *testing.T) {
 	cfg := DeviceConfig{Seed: 7, Writes: 50, Shards: 4, Mode: memctrl.ModeSAC, CrashAt: 20}
-	first, err := DeviceRun(cfg)
+	first, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestDeviceRunDeterministic(t *testing.T) {
 		t.Fatalf("violations: %v", first.Violations)
 	}
 	for i := 0; i < 2; i++ {
-		again, err := DeviceRun(cfg)
+		again, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,14 +63,14 @@ func TestDeviceRunDeterministic(t *testing.T) {
 // in particular the strategy, which used to be dropped when a failure was
 // found via -schemes.
 func TestDeviceReproSelfContained(t *testing.T) {
-	got := DeviceRepro(DeviceConfig{Seed: 9, Writes: 80, Shards: 8, Mode: memctrl.ModeSRC, Strategy: "triad-nvm", CrashAt: 17})
+	got := DeviceConfig{Seed: 9, Writes: 80, Shards: 8, Mode: memctrl.ModeSRC, Strategy: "triad-nvm", CrashAt: 17}.Repro()
 	want := "go run ./cmd/chaos -device -shards 8 -seed 9 -writes 80 -mode src -strategy triad-nvm -crash-at 17"
 	if got != want {
 		t.Fatalf("repro line:\n got %q\nwant %q", got, want)
 	}
 	// Defaulted fields are named explicitly so the line replays the same
 	// scenario no matter what the defaults become later.
-	got = DeviceRepro(DeviceConfig{Seed: 1, Writes: 60, Mode: memctrl.ModeSAC, CrashAt: -1})
+	got = DeviceConfig{Seed: 1, Writes: 60, Mode: memctrl.ModeSAC, CrashAt: -1}.Repro()
 	want = "go run ./cmd/chaos -device -shards 4 -seed 1 -writes 60 -mode sac -strategy soteria"
 	if got != want {
 		t.Fatalf("defaulted repro line:\n got %q\nwant %q", got, want)

@@ -45,7 +45,7 @@ func FuzzStrategyCrashRecover(f *testing.F) {
 			t.Fatalf("%s: %v", strategy, err)
 		}
 		for _, v := range res.Violations {
-			t.Errorf("%s: %s: %s", strategy, Repro(cfg), v)
+			t.Errorf("%s: %s: %s", strategy, cfg.Repro(), v)
 		}
 	})
 }

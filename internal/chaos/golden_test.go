@@ -61,56 +61,38 @@ func sweepTranscripts(t *testing.T) string {
 			fmt.Fprintf(&b, "log: %s\n", l)
 		}
 	}
-	ctrl := func(cfg Config, run func(Config) (*Result, error)) *Result {
-		var logs []string
-		cfg.Logf = func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
-		res, err := run(cfg)
+	// run renders one scenario whose config logs through logf.
+	var logs []string
+	logf := func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
+	run := func(cfg Target, render func(string, []string, *Result) string) *Result {
+		logs = nil
+		res, err := Run(cfg)
 		must(err)
-		b.WriteString(renderResult(Repro(cfg), logs, res))
+		b.WriteString(render(cfg.Repro(), logs, res))
 		return res
 	}
-	dev := func(cfg DeviceConfig) *DeviceResult {
-		var logs []string
-		cfg.Logf = func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
-		res, err := DeviceRun(cfg)
-		must(err)
-		b.WriteString(renderDeviceResult(DeviceRepro(cfg), logs, res))
-		return res
-	}
-	ten := func(cfg TenantConfig) *DeviceResult {
-		var logs []string
-		cfg.Logf = func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
-		res, err := TenantRun(cfg)
-		must(err)
-		b.WriteString(renderDeviceResult(TenantRepro(cfg), logs, res))
-		return res
-	}
-	netRun := func(cfg NetConfig) *DeviceResult {
-		var logs []string
-		cfg.Logf = func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
-		res, err := NetRun(cfg)
-		must(err)
-		b.WriteString(renderDeviceResult(NetRepro(cfg), logs, res))
-		return res
-	}
+	ctrl := func(cfg Config) *Result { cfg.Logf = logf; return run(cfg, renderResult) }
+	dev := func(cfg DeviceConfig) *Result { cfg.Logf = logf; return run(cfg, renderDeviceResult) }
+	ten := func(cfg TenantConfig) *Result { cfg.Logf = logf; return run(cfg, renderDeviceResult) }
+	netRun := func(cfg NetConfig) *Result { cfg.Logf = logf; return run(cfg, renderDeviceResult) }
 	const stride = 5
 	crashRuns := func(name string, base Config) *Result {
 		sweep(name, func(logf func(string, ...any)) (*CampaignResult, error) { return CrashSweep(base, stride, logf) })
-		probe := ctrl(base, Run)
+		probe := ctrl(base)
 		for k := 0; k < probe.Boundaries; k += stride {
 			cfg := base
 			cfg.CrashAt = k
-			ctrl(cfg, Run)
+			ctrl(cfg)
 		}
 		return probe
 	}
 	nestedRuns := func(name string, nested Config) {
 		sweep(name, func(logf func(string, ...any)) (*CampaignResult, error) { return NestedSweep(nested, stride, logf) })
-		first := ctrl(nested, Run)
+		first := ctrl(nested)
 		for k := 0; k < first.RecoveryBoundaries; k += stride {
 			cfg := nested
 			cfg.NestedCrashAt = k
-			ctrl(cfg, Run)
+			ctrl(cfg)
 		}
 	}
 	campaign := func(name string, base Config, trials int, run func(Config, int, func(string, ...any)) (*CampaignResult, error)) {
@@ -120,12 +102,12 @@ func sweepTranscripts(t *testing.T) string {
 			cfg.Seed = base.Seed + int64(i)
 			probe := cfg
 			probe.ShadowFaults = 0
-			p := ctrl(probe, Run)
+			p := ctrl(probe)
 			if p.Boundaries == 0 {
 				continue
 			}
 			cfg.CrashAt = crashPointFor(cfg.Seed, p.Boundaries)
-			ctrl(cfg, Run)
+			ctrl(cfg)
 		}
 	}
 
@@ -159,7 +141,7 @@ func sweepTranscripts(t *testing.T) string {
 
 	dbase := DeviceConfig{Seed: 1, Writes: 60, Shards: 4, Mode: memctrl.ModeSRC, CrashAt: -1}
 	sweep("device crash sweep", func(logf func(string, ...any)) (*CampaignResult, error) {
-		return DeviceCrashSweep(dbase, stride, logf)
+		return CrashSweep(dbase, stride, logf)
 	})
 	dp := dev(dbase)
 	for k := 0; k < dp.Boundaries; k += stride {
@@ -170,7 +152,7 @@ func sweepTranscripts(t *testing.T) string {
 
 	tbase := TenantConfig{DeviceConfig: DeviceConfig{Seed: 1, Writes: 60, Shards: 4, Mode: memctrl.ModeSRC, CrashAt: -1}, Tenants: 3, RotateAt: 30}
 	sweep("tenant crash sweep", func(logf func(string, ...any)) (*CampaignResult, error) {
-		return TenantCrashSweep(tbase, stride, logf)
+		return CrashSweep(tbase, stride, logf)
 	})
 	tp := ten(tbase)
 	for k := 0; k < tp.Boundaries; k += stride {
@@ -187,7 +169,7 @@ func sweepTranscripts(t *testing.T) string {
 		{DeviceConfig: ndev, FaultName: "combined", Kills: 1, Pipeline: 4},
 	} {
 		sweep("net crash sweep", func(logf func(string, ...any)) (*CampaignResult, error) {
-			return NetCrashSweep(nbase, stride, logf)
+			return CrashSweep(nbase, stride, logf)
 		})
 		np := netRun(nbase)
 		for k := 0; k < np.Boundaries; k += stride {
@@ -239,13 +221,13 @@ func renderResult(repro string, logs []string, r *Result) string {
 		fmt.Fprintf(&b, " | shadow fault: %s", n)
 	}
 	if r.Report != nil {
-		renderShard(&b, 0, r.Report)
+		renderShard(&b, 0, r.Report.Shards[0])
 	}
 	renderViolations(&b, r.Violations)
 	return b.String()
 }
 
-func renderDeviceResult(repro string, logs []string, r *DeviceResult) string {
+func renderDeviceResult(repro string, logs []string, r *Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s | boundaries=%d crashed=%t crash-boundary=%d crash-op=%s crash-shard=%d op-errors=%d",
 		repro, r.Boundaries, r.Crashed, r.CrashBoundary, crashOp(logs), r.CrashShard, r.OpErrors)

@@ -15,6 +15,7 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"soteria/internal/inject"
 	"soteria/internal/nvm"
@@ -42,38 +43,81 @@ func (f AppliedFault) String() string {
 	}
 }
 
-// Injector implements inject.Hook. It numbers write boundaries following
-// the conventions documented in package inject (each device write outside
-// a sealed section is one boundary; a sealed transaction is a single
-// boundary at its SealBegin; nested seals ride inside the outer one),
-// panics with inject.PowerLoss at a target boundary, and applies seeded
-// probabilistic device faults at boundaries.
+// Injector is one device-wide write-boundary counter fed by per-shard
+// hooks. It numbers write boundaries following the conventions documented
+// in package inject (each device write outside a sealed section is one
+// boundary; a sealed transaction is a single boundary at its SealBegin;
+// nested seals ride inside the outer one). Each shard's hook keeps its own
+// SealTracker, since seal nesting is per-controller state, so crashing "at
+// boundary k" means the k-th boundary the device as a whole crosses,
+// whichever shard crosses it; a bare controller installs the one hook of
+// a one-shard injector. At a boundary the injector counts it, then — if
+// armed — may apply a seeded device fault (the controller stack's
+// schedule) and panics with inject.PowerLoss at the target.
+//
+// Boundary numbering is deterministic exactly when the request order is —
+// under the closed-loop drive of the scenario runner. Concurrent drivers
+// (the recovery tests in internal/device) still get a valid crash at
+// *some* boundary; they must not assume which.
 type Injector struct {
-	// Boundary is the index the next write boundary will get.
-	Boundary int
-	// CrashAt cuts power at that boundary; negative disables.
-	CrashAt int
-	// Applied lists the device faults injected so far.
-	Applied []AppliedFault
+	mu         sync.Mutex
+	hooks      []*shardHook
+	boundary   int
+	crashAt    int
+	fired      bool
+	firedShard int
+	disarmed   bool
+	// down, when set, reports the device down; boundaries crossed then (a
+	// kill's crash and restart recovery) are neither counted nor armed.
+	down func() bool
 
+	// The optional fault schedule: at each armed boundary, with
+	// probability faultRate, one fault on a line of dev drawn from rng.
 	dev       *nvm.Device
 	rng       *rand.Rand
 	faultRate float64
-	seals     inject.SealTracker
-	disarmed  bool
+	applied   []AppliedFault
 }
 
-// NewInjector builds an injector over the given device. rng drives the
-// probabilistic fault schedule (may be nil when faultRate is zero).
-func NewInjector(dev *nvm.Device, rng *rand.Rand, faultRate float64) *Injector {
-	return &Injector{dev: dev, CrashAt: -1, rng: rng, faultRate: faultRate}
+// NewInjector builds an injector that cuts power at the given boundary
+// (negative: never).
+func NewInjector(crashAt int) *Injector {
+	return &Injector{crashAt: crashAt, firedShard: -1}
 }
 
-// Disarm stops both crash targeting and fault injection. Boundary counting
-// continues, so phase totals stay meaningful.
+// ShardHooks returns one hook per shard, suitable for
+// device.SetShardHooks (or, with n = 1, memctrl.Controller.SetHook).
+func (in *Injector) ShardHooks(n int) []inject.Hook {
+	in.hooks = make([]*shardHook, n)
+	hooks := make([]inject.Hook, n)
+	for i := range hooks {
+		in.hooks[i] = &shardHook{in: in, shard: i}
+		hooks[i] = in.hooks[i]
+	}
+	return hooks
+}
+
+// Boundaries returns the number of boundaries counted so far.
+func (in *Injector) Boundaries() int {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.boundary
+}
+
+// Fired reports whether the crash trigger went off, and on which shard.
+func (in *Injector) Fired() (bool, int) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.fired, in.firedShard
+}
+
+// Disarm stops both crash targeting and fault injection. Boundary
+// counting continues, so phase totals stay meaningful.
 func (in *Injector) Disarm() {
+	in.mu.Lock()
+	defer in.mu.Unlock()
 	in.disarmed = true
-	in.CrashAt = -1
+	in.crashAt = -1
 	in.faultRate = 0
 }
 
@@ -83,33 +127,39 @@ func (in *Injector) Disarm() {
 // during operation, not during recovery — and clears any seal depth left
 // dangling by the PowerLoss unwind.
 func (in *Injector) Rearm(crashAt int) {
-	in.Boundary = 0
-	in.CrashAt = crashAt
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	in.boundary, in.crashAt = 0, crashAt
+	in.fired, in.firedShard = false, -1
 	in.faultRate = 0
-	in.seals.Reset()
 	in.disarmed = false
-}
-
-// Event implements inject.Hook.
-func (in *Injector) Event(ev inject.Event) {
-	// Act before Advance: if the boundary panics at an outermost SealBegin,
-	// no seal has opened yet and the unwind leaves the tracker balanced.
-	if in.seals.IsBoundary(ev) {
-		in.boundary()
+	for _, h := range in.hooks {
+		h.seals.Reset()
 	}
-	in.seals.Advance(ev)
 }
 
-func (in *Injector) boundary() {
-	b := in.Boundary
-	in.Boundary++
-	if in.disarmed {
+// hit is called by a shard hook at each boundary crossing; it panics with
+// inject.PowerLoss (unwinding that shard's in-flight operation) when the
+// crossing is the armed one.
+func (in *Injector) hit(shard int) {
+	if in.down != nil && in.down() {
 		return
 	}
-	if in.faultRate > 0 && in.rng.Float64() < in.faultRate {
-		in.applyFault(b)
+	in.mu.Lock()
+	b := in.boundary
+	in.boundary++
+	fire := false
+	if !in.disarmed {
+		if in.faultRate > 0 && in.rng.Float64() < in.faultRate {
+			in.applyFault(b)
+		}
+		fire = in.crashAt >= 0 && b == in.crashAt
 	}
-	if in.CrashAt >= 0 && b == in.CrashAt {
+	if fire {
+		in.fired, in.firedShard = true, shard
+	}
+	in.mu.Unlock()
+	if fire {
 		panic(inject.PowerLoss{Boundary: b})
 	}
 }
@@ -137,5 +187,24 @@ func (in *Injector) applyFault(b int) {
 		f.Class = "line"
 		in.dev.CorruptLine(addr)
 	}
-	in.Applied = append(in.Applied, f)
+	in.applied = append(in.applied, f)
+}
+
+// shardHook adapts one shard's event stream to the shared counter. It is
+// only ever called under its shard's lock, so the seal tracker needs no
+// locking of its own.
+type shardHook struct {
+	in    *Injector
+	shard int
+	seals inject.SealTracker
+}
+
+// Event implements inject.Hook. Act before Advance: if the boundary
+// panics at an outermost SealBegin, no seal has opened yet and the unwind
+// leaves the tracker balanced.
+func (h *shardHook) Event(ev inject.Event) {
+	if h.seals.IsBoundary(ev) {
+		h.in.hit(h.shard)
+	}
+	h.seals.Advance(ev)
 }

@@ -50,8 +50,9 @@ func (cfg NetConfig) normalized() NetConfig {
 	return cfg
 }
 
-// NetRepro renders the cmd/chaos invocation that replays cfg.
-func NetRepro(cfg NetConfig) string {
+// Repro names the front end: -net-clients for stop-and-wait, -pipeline
+// and -net-batch for the pipe.
+func (cfg NetConfig) Repro() string {
 	cfg = cfg.normalized()
 	s := fmt.Sprintf("go run ./cmd/chaos -net %s -net-fault %s -kills %d", cfg.flags(), cfg.FaultName, cfg.Kills)
 	if cfg.Pipeline > 0 {
@@ -60,6 +61,21 @@ func NetRepro(cfg NetConfig) string {
 		s += fmt.Sprintf(" -net-clients %d", cfg.Clients)
 	}
 	return s + crashFlag(cfg.CrashAt)
+}
+
+func (cfg NetConfig) header() string {
+	cfg = cfg.normalized()
+	front := fmt.Sprintf("stop-and-wait (%d clients)", cfg.Clients)
+	if cfg.Pipeline > 0 {
+		front = fmt.Sprintf("pipelined (window %d, batch %d)", cfg.Pipeline, cfg.Batch)
+	}
+	return fmt.Sprintf("net crash sweep: %s, fault %s, %d kills, ", front, cfg.FaultName, cfg.Kills) +
+		"%d workload boundaries, stride %d"
+}
+
+func (cfg NetConfig) crashingAt(k int) Target {
+	cfg.CrashAt = k
+	return cfg
 }
 
 // partitionCap is how long a partition phase holds before it heals.
@@ -90,15 +106,16 @@ type netStack struct {
 	healed  chan struct{} // closed once an armed partition has healed
 }
 
-func newNetScenario(cfg NetConfig) (*scenario, *netStack, error) {
+// build serves the device scenario of cfg.DeviceConfig over TCP.
+func (cfg NetConfig) build() (*scenario, error) {
 	cfg = cfg.normalized()
 	phases, ok := netFaults[cfg.FaultName]
 	if !ok {
-		return nil, nil, fmt.Errorf("chaos: unknown net fault %q (want clean|latency|throttle|corrupt|reset|truncate|partition|combined)", cfg.FaultName)
+		return nil, fmt.Errorf("chaos: unknown net fault %q (want clean|latency|throttle|corrupt|reset|truncate|partition|combined)", cfg.FaultName)
 	}
-	sc, d, err := newDeviceScenario(cfg.DeviceConfig)
+	sc, err := cfg.DeviceConfig.build()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// The server, the proxy and the runner log from their own goroutines.
 	var mu sync.Mutex
@@ -108,16 +125,16 @@ func newNetScenario(cfg NetConfig) (*scenario, *netStack, error) {
 		defer mu.Unlock()
 		logf(format, args...)
 	}
-	n := &netStack{devStack: *d, cfg: cfg, phases: phases, keys: map[key]bool{}}
+	n := &netStack{devStack: *sc.stack.(*devStack), cfg: cfg, phases: phases, keys: map[key]bool{}}
 	sc.stack = n
 	// A kill crashes and recovers the device at an op boundary; the
 	// boundaries it crosses are not the workload's.
-	n.inj.down = n.dev.Down
+	sc.inj.down = n.dev.Down
 	if err := n.start(); err != nil {
 		n.close()
-		return nil, nil, err
+		return nil, err
 	}
-	return sc, n, nil
+	return sc, nil
 }
 
 // start brings up the server, the proxy and the front end.
@@ -311,36 +328,6 @@ func (n *netStack) extraChecks(phase string) {
 	}
 }
 
-// NetRun executes one network chaos scenario through the scenario runner:
-// the same acknowledged-write, read and recovery oracle as DeviceRun, plus
-// the exactly-once check on the server's applied-write counter.
-func NetRun(cfg NetConfig) (*DeviceResult, error) {
-	sc, n, err := newNetScenario(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer n.close()
-	return sc.run(), nil
-}
-
-// NetCrashSweep probes the network scenario for its device-wide boundary
-// count, then replays it crashing at every stride-th boundary.
-func NetCrashSweep(base NetConfig, stride int, logf func(string, ...any)) (*CampaignResult, error) {
-	base = base.normalized()
-	front := fmt.Sprintf("stop-and-wait (%d clients)", base.Clients)
-	if base.Pipeline > 0 {
-		front = fmt.Sprintf("pipelined (window %d, batch %d)", base.Pipeline, base.Batch)
-	}
-	header := fmt.Sprintf("net crash sweep: %s, fault %s, %d kills, ", front, base.FaultName, base.Kills) +
-		"%d workload boundaries, stride %d"
-	return sweep(header, stride, logf, func(k int) (point, error) {
-		cfg := base
-		cfg.CrashAt = k
-		res, err := NetRun(cfg)
-		return res.sweepPoint(NetRepro(cfg), err)
-	})
-}
-
 // netFaults maps each -net-fault flag value to its fault phases.
 var netFaults = map[string][]netchaos.Faults{
 	"clean":     {{Name: "clean"}},
@@ -360,7 +347,7 @@ var netFaults = map[string][]netchaos.Faults{
 	},
 }
 
-// NetSweep runs NetCrashSweep over the standard network sweep — every
+// NetSweep runs CrashSweep over the standard network sweep — every
 // fault family alone, the combined schedule, and the combined schedule
 // with two kill/restart cycles — and aggregates the failures, each with
 // its one-line repro.
@@ -373,7 +360,7 @@ func NetSweep(base NetConfig, stride int, logf func(string, ...any)) (*CampaignR
 		if i == len(faults)-1 {
 			cfg.Kills = 2
 		}
-		res, err := NetCrashSweep(cfg, stride, logf)
+		res, err := CrashSweep(cfg, stride, logf)
 		if err != nil {
 			return nil, err
 		}

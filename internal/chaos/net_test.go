@@ -7,13 +7,21 @@ import (
 	"soteria/internal/memctrl"
 )
 
-func TestNetRunCleanSchedule(t *testing.T) {
-	cfg := NetConfig{DeviceConfig: DeviceConfig{Seed: 11, Writes: 40, Shards: 2, Mode: memctrl.ModeSRC, CrashAt: -1}, Clients: 2}
-	sc, n, err := newNetScenario(cfg)
+// buildNet builds cfg's net scenario, closed when the test ends.
+func buildNet(t *testing.T, cfg NetConfig) (*scenario, *netStack) {
+	t.Helper()
+	sc, err := cfg.build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer n.close()
+	n := sc.stack.(*netStack)
+	t.Cleanup(n.close)
+	return sc, n
+}
+
+func TestNetRunCleanSchedule(t *testing.T) {
+	cfg := NetConfig{DeviceConfig: DeviceConfig{Seed: 11, Writes: 40, Shards: 2, Mode: memctrl.ModeSRC, CrashAt: -1}, Clients: 2}
+	sc, n := buildNet(t, cfg)
 	if len(sc.ops) != 40 {
 		t.Fatalf("workload has %d ops, want Writes = 40 in total", len(sc.ops))
 	}
@@ -28,14 +36,10 @@ func TestNetRunCleanSchedule(t *testing.T) {
 
 func TestNetRunCombinedWithKill(t *testing.T) {
 	cfg := NetConfig{DeviceConfig: DeviceConfig{Seed: 5, Writes: 50, Shards: 2, Mode: memctrl.ModeSRC, CrashAt: -1}, Clients: 3, Kills: 1, FaultName: "combined"}
-	sc, n, err := newNetScenario(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.close()
+	sc, n := buildNet(t, cfg)
 	res := sc.run()
 	if len(res.Violations) > 0 {
-		t.Fatalf("combined+kill run violated: %v\nrepro: %s", res.Violations, NetRepro(cfg))
+		t.Fatalf("combined+kill run violated: %v\nrepro: %s", res.Violations, cfg.Repro())
 	}
 	if n.sup.Kills() != 1 {
 		t.Fatalf("kills = %d, want 1", n.sup.Kills())
@@ -48,14 +52,14 @@ func TestNetRunCombinedWithKill(t *testing.T) {
 // go-back-N recovery in play.
 func TestNetRunPipelinedCombinedWithKill(t *testing.T) {
 	cfg := NetConfig{DeviceConfig: DeviceConfig{Seed: 5, Writes: 50, Shards: 2, Mode: memctrl.ModeSRC, CrashAt: 30}, Kills: 1, FaultName: "combined", Pipeline: 4}
-	res, err := NetRun(cfg)
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Violations) > 0 || !res.Crashed {
-		t.Fatalf("pipelined combined+kill run: crashed %t, violations %v\nrepro: %s", res.Crashed, res.Violations, NetRepro(cfg))
+		t.Fatalf("pipelined combined+kill run: crashed %t, violations %v\nrepro: %s", res.Crashed, res.Violations, cfg.Repro())
 	}
-	if repro := NetRepro(cfg); !strings.Contains(repro, "-pipeline 4 -net-batch 8") || !strings.Contains(repro, "-crash-at 30") {
+	if repro := cfg.Repro(); !strings.Contains(repro, "-pipeline 4 -net-batch 8") || !strings.Contains(repro, "-crash-at 30") {
 		t.Fatalf("repro missing the pipeline or crash point: %s", repro)
 	}
 }
@@ -69,14 +73,14 @@ func TestNetReportDeterministic(t *testing.T) {
 		{DeviceConfig: dev, Pipeline: 4, FaultName: "corrupt", Kills: 1},
 	} {
 		run := func() string {
-			res, err := NetRun(cfg)
+			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !res.Crashed {
-				t.Fatalf("%s never crashed (%d boundaries)", NetRepro(cfg), res.Boundaries)
+				t.Fatalf("%s never crashed (%d boundaries)", cfg.Repro(), res.Boundaries)
 			}
-			return renderDeviceResult(NetRepro(cfg), nil, res)
+			return renderDeviceResult(cfg.Repro(), nil, res)
 		}
 		if a, b := run(), run(); a != b {
 			t.Fatalf("same config rendered different transcripts:\n%s\nvs\n%s", a, b)
@@ -90,7 +94,7 @@ func TestNetFaultScheduleNames(t *testing.T) {
 			t.Errorf("schedule %q has no phases", name)
 		}
 	}
-	if _, err := NetRun(NetConfig{DeviceConfig: DeviceConfig{Writes: 4, CrashAt: -1}, FaultName: "bogus"}); err == nil {
+	if _, err := Run(NetConfig{DeviceConfig: DeviceConfig{Writes: 4, CrashAt: -1}, FaultName: "bogus"}); err == nil {
 		t.Error("bogus schedule accepted")
 	}
 }
@@ -99,7 +103,7 @@ func TestNetFaultScheduleNames(t *testing.T) {
 // metadata-persistence scheme, so its boundary count is that scheme's.
 func TestNetRunHonoursStrategy(t *testing.T) {
 	boundaries := func(cfg NetConfig) int {
-		res, err := NetRun(cfg)
+		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +112,7 @@ func TestNetRunHonoursStrategy(t *testing.T) {
 	for _, strategy := range []string{"soteria", "triad-nvm"} {
 		cfg := NetConfig{DeviceConfig: DeviceConfig{Seed: 1, Writes: 60, Shards: 1, Mode: memctrl.ModeSRC, CrashAt: -1, Strategy: strategy}, Clients: 1}
 		dev := DeviceConfig{Seed: 1, Writes: 60, Shards: 1, Mode: memctrl.ModeSRC, CrashAt: -1, Strategy: strategy}
-		dres, err := DeviceRun(dev)
+		dres, err := Run(dev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,11 +145,7 @@ func (s *settledAtCrash) wait() {
 // and was cut. Committing by acknowledgement keeps the oracle clean;
 // committing in submission order would expect 5 and not 8.
 func TestPipeCutRule(t *testing.T) {
-	sc, n, err := newNetScenario(NetConfig{DeviceConfig: DeviceConfig{Seed: 1, Writes: 40, Shards: 4, Mode: memctrl.ModeSRC, CrashAt: 6}, Pipeline: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.close()
+	sc, n := buildNet(t, NetConfig{DeviceConfig: DeviceConfig{Seed: 1, Writes: 40, Shards: 4, Mode: memctrl.ModeSRC, CrashAt: 6}, Pipeline: 4})
 	rec := &settledAtCrash{stack: sc.stack, sc: sc}
 	sc.stack = rec
 	res := sc.run()

@@ -77,48 +77,23 @@ func (f *faultyStack) read(k key) (nvm.Line, error) {
 // plant must be clean.
 func TestOracleCatchesPlantedFaults(t *testing.T) {
 	stacks := []struct {
-		name  string
-		build func(t *testing.T, crashAt int) *scenario
+		name string
+		cfg  Target
 	}{
-		{"controller", func(t *testing.T, k int) *scenario {
-			sc, _, err := newCtrlScenario(Config{Seed: 3, Writes: 40, Mode: memctrl.ModeSRC, CrashAt: k, NestedCrashAt: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sc
-		}},
-		{"device", func(t *testing.T, k int) *scenario {
-			sc, d, err := newDeviceScenario(DeviceConfig{Seed: 3, Writes: 40, Shards: 2, Mode: memctrl.ModeSRC, CrashAt: k})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { d.dev.Close() })
-			return sc
-		}},
-		{"tenant", func(t *testing.T, k int) *scenario {
-			sc, ts, err := newTenantScenario(TenantConfig{DeviceConfig: DeviceConfig{Seed: 3, Writes: 40, Shards: 2, Mode: memctrl.ModeSRC, CrashAt: k}, Tenants: 2, RotateAt: 10})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { ts.dev.Close() })
-			return sc
-		}},
-		{"net stop-and-wait", func(t *testing.T, k int) *scenario {
-			sc, n, err := newNetScenario(NetConfig{DeviceConfig: DeviceConfig{Seed: 3, Writes: 40, Shards: 2, Mode: memctrl.ModeSRC, CrashAt: k}, Clients: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(n.close)
-			return sc
-		}},
-		{"net pipe", func(t *testing.T, k int) *scenario {
-			sc, n, err := newNetScenario(NetConfig{DeviceConfig: DeviceConfig{Seed: 3, Writes: 40, Shards: 2, Mode: memctrl.ModeSRC, CrashAt: k}, Pipeline: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(n.close)
-			return sc
-		}},
+		{"controller", Config{Seed: 3, Writes: 40, Mode: memctrl.ModeSRC, NestedCrashAt: -1}},
+		{"device", DeviceConfig{Seed: 3, Writes: 40, Shards: 2, Mode: memctrl.ModeSRC}},
+		{"tenant", TenantConfig{DeviceConfig: DeviceConfig{Seed: 3, Writes: 40, Shards: 2, Mode: memctrl.ModeSRC}, Tenants: 2, RotateAt: 10}},
+		{"net stop-and-wait", NetConfig{DeviceConfig: DeviceConfig{Seed: 3, Writes: 40, Shards: 2, Mode: memctrl.ModeSRC}, Clients: 2}},
+		{"net pipe", NetConfig{DeviceConfig: DeviceConfig{Seed: 3, Writes: 40, Shards: 2, Mode: memctrl.ModeSRC}, Pipeline: 4}},
+	}
+	// build makes cfg's scenario crashing at k, closed when the test ends.
+	build := func(t *testing.T, cfg Target, k int) *scenario {
+		sc, err := cfg.crashingAt(k).build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sc.stack.close)
+		return sc
 	}
 	plants := []struct {
 		plant plant
@@ -132,13 +107,13 @@ func TestOracleCatchesPlantedFaults(t *testing.T) {
 	}
 	for _, st := range stacks {
 		t.Run(st.name, func(t *testing.T) {
-			probe := st.build(t, -1).run()
+			probe := build(t, st.cfg, -1).run()
 			for _, p := range plants {
 				// Crash mid-workload on a write, so there is an in-flight
 				// line as well as acknowledged ones.
 				ran := false
 				for k := probe.Boundaries / 2; k < probe.Boundaries && !ran; k++ {
-					sc := st.build(t, k)
+					sc := build(t, st.cfg, k)
 					sc.stack = &faultyStack{stack: sc.stack, sc: sc, plant: p.plant}
 					res := sc.run()
 					if ran = res.Crashed && sc.ops[sc.crashOp].kind == opWrite; !ran {

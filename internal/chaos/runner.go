@@ -4,12 +4,102 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"soteria/internal/device"
 	"soteria/internal/inject"
+	"soteria/internal/memctrl"
 	"soteria/internal/nvm"
 	"soteria/internal/oracle"
 )
+
+// Target is the config of one stack under test — Config (a bare
+// controller), DeviceConfig, TenantConfig or NetConfig — and fully
+// determines one scenario on it: same config, same outcome. Run and
+// CrashSweep take any of them; the unexported methods keep the set closed.
+type Target interface {
+	// Repro renders the cmd/chaos invocation that replays the config
+	// exactly: every scenario-shaping parameter is on the line, defaults
+	// spelled out, so a reported failure is a one-command repro.
+	Repro() string
+	// header is the crash sweep's log line; it takes the probe's boundary
+	// count and the stride.
+	header() string
+	// build makes the stack, its injector and its workload.
+	build() (*scenario, error)
+	// crashingAt returns a copy that cuts power at workload boundary k
+	// (negative: never).
+	crashingAt(k int) Target
+}
+
+// Result is what one scenario observed. Boundaries counts the workload's
+// write boundaries, up to the crash or to the end.
+type Result struct {
+	Boundaries    int
+	Crashed       bool
+	CrashBoundary int
+	// CrashShard is the shard whose in-flight operation the power loss
+	// unwound (-1 when no crash fired).
+	CrashShard int
+	// Report is the power-loss recovery's report, one entry per shard.
+	Report     *device.RecoveryReport
+	OpErrors   int
+	Violations []string
+
+	// Only the controller stack fills these in. RecoveryBoundaries counts
+	// write boundaries inside Recover (meaningful when the scenario
+	// crashed and NestedCrashAt < 0).
+	RecoveryBoundaries int
+	NestedCrashed      bool
+	Faults             []AppliedFault
+	ShadowFaultNotes   []string
+}
+
+func (r *Result) violate(format string, args ...any) {
+	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
+}
+
+// Summary renders the outcome deterministically — crash coordinates,
+// per-shard recovery accounting, every violation — so two runs of one
+// repro line compare byte for byte.
+func (r *Result) Summary() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "boundaries=%d crashed=%t crash-boundary=%d crash-shard=%d op-errors=%d\n",
+		r.Boundaries, r.Crashed, r.CrashBoundary, r.CrashShard, r.OpErrors)
+	if r.Report != nil {
+		for i, sr := range r.Report.Shards {
+			if sr == nil {
+				fmt.Fprintf(&b, "shard %d: no report\n", i)
+				continue
+			}
+			fmt.Fprintf(&b, "shard %d: %s\n", i, accounting(sr))
+		}
+	}
+	for _, v := range r.Violations {
+		fmt.Fprintf(&b, "violation: %s\n", v)
+	}
+	return b.String()
+}
+
+func accounting(r *memctrl.RecoveryReport) string {
+	return fmt.Sprintf("tracked=%d recovered=%d failed=%d lost-slots=%d half-repairs=%d",
+		r.TrackedEntries, r.RecoveredBlocks, len(r.FailedBlocks), len(r.LostSlots), r.HalfRepairs)
+}
+
+// Run executes one scenario end to end: the workload (with its crash
+// point and, on the controller, fault schedule), recovery (on the
+// controller with an optional nested crash and shadow-entry faults),
+// then the runner's invariant oracle plus the stack's own checks.
+func Run(cfg Target) (*Result, error) {
+	sc, err := cfg.build()
+	if err != nil {
+		return nil, err
+	}
+	defer sc.stack.close()
+	res := sc.run()
+	res.Faults = sc.inj.applied
+	return res, nil
+}
 
 type opKind int
 
@@ -130,10 +220,6 @@ type stack interface {
 	// wait returns once every op started so far has reported its outcome.
 	wait()
 	read(k key) (nvm.Line, error)
-	// boundaries counts the write boundaries crossed so far.
-	boundaries() int
-	// disarm ends crash and fault injection on a run that did not crash.
-	disarm()
 	crash() error
 	// recover brings the crashed stack back, ending injection after a
 	// power loss, and reports per shard.
@@ -143,12 +229,16 @@ type stack interface {
 	verify() error
 	// extraChecks runs the stack's own invariants after each read-back.
 	extraChecks(phase string)
+	// close releases the stack.
+	close()
 }
 
-// scenario is one run in progress: a stack, the deterministic workload it
-// executes, and the acknowledged-write oracle over it.
+// scenario is one run in progress: a stack, the injector its hooks feed,
+// the deterministic workload it executes, and the acknowledged-write
+// oracle over it.
 type scenario struct {
 	stack   stack
+	inj     *Injector
 	ops     []wop
 	tenants int  // op i belongs to tenant 1+i%tenants; 0: one flat space
 	shards  int  // recovery reports owed; more than one names each shard
@@ -156,7 +246,7 @@ type scenario struct {
 	lossOK  bool // recovery may report lost blocks (device faults)
 	logf    func(format string, args ...any)
 
-	res        *DeviceResult
+	res        *Result
 	book       oracle.Book // versions are op indices
 	crashOp    int
 	settled    []bool // op i was acknowledged, or failed before the power loss
@@ -166,10 +256,10 @@ type scenario struct {
 	what       string // "op", or "replay op" once recovery ran
 }
 
-func newScenario(s stack, seed int64, ops []wop, shards int, logf func(string, ...any)) *scenario {
+func newScenario(s stack, inj *Injector, seed int64, ops []wop, shards int, logf func(string, ...any)) *scenario {
 	return &scenario{
-		stack: s, ops: ops, shards: shards, logf: orNop(logf),
-		res:        &DeviceResult{CrashBoundary: -1, CrashShard: -1},
+		stack: s, inj: inj, ops: ops, shards: shards, logf: orNop(logf),
+		res:        &Result{CrashBoundary: -1, CrashShard: -1},
 		book:       oracle.Book{Seed: seed},
 		crashOp:    -1,
 		settled:    make([]bool, len(ops)),
@@ -253,7 +343,7 @@ func (sc *scenario) done(i int, got nvm.Line, err error) {
 // in-flight write may hold its old or its new value, replay of what the
 // power loss left unacknowledged, flush and VerifyAll, a clean
 // crash/recover round, and a final strict read-back.
-func (sc *scenario) run() *DeviceResult {
+func (sc *scenario) run() *Result {
 	s, res := sc.stack, sc.res
 	for i := 0; i < len(sc.ops) && sc.crashOp < 0 && !sc.stopped; i++ {
 		sc.exec(i)
@@ -262,7 +352,7 @@ func (sc *scenario) run() *DeviceResult {
 	if sc.stopped {
 		return res
 	}
-	res.Boundaries = s.boundaries()
+	res.Boundaries = sc.inj.Boundaries()
 
 	if res.Crashed {
 		sc.logf("power loss at boundary %d (op %d, shard %d)", res.CrashBoundary, sc.crashOp, res.CrashShard)
@@ -297,7 +387,7 @@ func (sc *scenario) run() *DeviceResult {
 			return res
 		}
 	} else {
-		s.disarm()
+		sc.inj.Disarm()
 		sc.readCheck("post-workload")
 		s.extraChecks("post-workload")
 	}

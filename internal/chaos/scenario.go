@@ -41,26 +41,58 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Result is what one scenario observed: what every stack reports (its
-// Boundaries count the workload's write boundaries, up to the crash or to
-// the end), plus the controller's own recovery and fault records.
-type Result struct {
-	DeviceResult
-	// RecoveryBoundaries counts write boundaries inside Recover (only
-	// meaningful when the scenario crashed and NestedCrashAt < 0).
-	RecoveryBoundaries int
-	NestedCrashed      bool
-	// Report is the power-loss recovery's report, the one shard of
-	// DeviceResult.Report.
-	Report           *memctrl.RecoveryReport
-	Faults           []AppliedFault
-	ShadowFaultNotes []string
+// ctrlStack drives one bare memctrl.Controller. It owns sim time and the
+// PowerLoss guard, and the recovery that follows the workload's power loss
+// is where shadow-entry faults land and a nested power loss may cut in.
+type ctrlStack struct {
+	cfg     Config
+	sc      *scenario
+	ctrl    *memctrl.Controller
+	now     sim.Time
+	tracked []uint64 // shadow slots in use when power was lost
 }
 
-// Run executes one scenario end to end on a bare controller: workload
-// (with optional crash and fault schedule), recovery (with optional nested
-// crash), then the runner's invariant oracle.
-func Run(cfg Config) (*Result, error) {
+func newCtrl(cfg Config) (*memctrl.Controller, error) {
+	return memctrl.New(config.TestSystem(), cfg.Mode, []byte("chaos-harness-key"),
+		memctrl.Options{DisableShadowHalfRepair: cfg.BreakHalfRepair, Strategy: cfg.Strategy})
+}
+
+// Repro renders the cmd/chaos invocation that replays cfg exactly. Every
+// parameter that shapes the scenario (seed, crash points, fault schedule)
+// is on the line, so a reported failure is a one-command repro.
+func (cfg Config) Repro() string {
+	strategy := cfg.Strategy
+	if strategy == "" {
+		strategy = memctrl.DefaultStrategy
+	}
+	s := fmt.Sprintf("go run ./cmd/chaos -seed %d -writes %d -mode %s -strategy %s",
+		cfg.Seed, cfg.Writes, ModeFlag(cfg.Mode), strategy) + crashFlag(cfg.CrashAt)
+	if cfg.NestedCrashAt >= 0 {
+		s += fmt.Sprintf(" -crash-at2 %d", cfg.NestedCrashAt)
+	}
+	if cfg.FaultRate > 0 {
+		s += fmt.Sprintf(" -fault-rate %v", cfg.FaultRate)
+	}
+	if cfg.ShadowFaults > 0 {
+		s += fmt.Sprintf(" -shadow-faults %d", cfg.ShadowFaults)
+	}
+	if cfg.BreakHalfRepair {
+		s += " -break-half-repair"
+	}
+	return s
+}
+
+func (cfg Config) header() string { return "crash sweep: %d workload boundaries, stride %d" }
+
+// crashingAt also clears the nested crash: a sweep's runs crash once.
+func (cfg Config) crashingAt(k int) Target {
+	cfg.CrashAt, cfg.NestedCrashAt = k, -1
+	return cfg
+}
+
+// build makes the controller, its injector — the one that carries the
+// seeded fault schedule — and the workload for cfg.
+func (cfg Config) build() (*scenario, error) {
 	if cfg.Strategy != "" && cfg.Strategy != "soteria" {
 		// Shadow-entry faults and the half-repair kill switch target the
 		// Soteria duplicated-entry table specifically.
@@ -71,41 +103,9 @@ func Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("chaos: BreakHalfRepair requires the soteria strategy (got %q)", cfg.Strategy)
 		}
 	}
-	sc, c, err := newCtrlScenario(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return c.result(sc.run()), nil
-}
-
-// ctrlStack drives one bare memctrl.Controller. It owns sim time and the
-// PowerLoss guard, and the recovery that follows the workload's power loss
-// is where shadow-entry faults land and a nested power loss may cut in.
-type ctrlStack struct {
-	cfg  Config
-	sc   *scenario
-	ctrl *memctrl.Controller
-	inj  *Injector
-	now  sim.Time
-
-	tracked []uint64 // shadow slots in use when power was lost
-	// What the power-loss recovery observed, for Result.
-	nested             bool
-	recoveryBoundaries int
-	shadowNotes        []string
-}
-
-func newCtrl(cfg Config) (*memctrl.Controller, error) {
-	return memctrl.New(config.TestSystem(), cfg.Mode, []byte("chaos-harness-key"),
-		memctrl.Options{DisableShadowHalfRepair: cfg.BreakHalfRepair, Strategy: cfg.Strategy})
-}
-
-// newCtrlScenario builds the controller, its injector and the workload
-// for cfg.
-func newCtrlScenario(cfg Config) (*scenario, *ctrlStack, error) {
 	ctrl, err := newCtrl(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var dataLines uint64
 	if l := ctrl.Layout(); l != nil {
@@ -113,34 +113,18 @@ func newCtrlScenario(cfg Config) (*scenario, *ctrlStack, error) {
 	} else {
 		dataLines = ctrl.Device().Capacity() / nvm.LineSize
 	}
-	inj := NewInjector(ctrl.Device(), rand.New(rand.NewSource(cfg.Seed^0x5eedfa11)), cfg.FaultRate)
-	inj.CrashAt = cfg.CrashAt
-	ctrl.SetHook(inj)
+	inj := NewInjector(cfg.CrashAt)
+	inj.dev, inj.rng, inj.faultRate = ctrl.Device(), rand.New(rand.NewSource(cfg.Seed^0x5eedfa11)), cfg.FaultRate
+	ctrl.SetHook(inj.ShardHooks(1)[0])
 
-	c := &ctrlStack{cfg: cfg, ctrl: ctrl, inj: inj}
-	sc := newScenario(c, cfg.Seed, genOps(cfg.Seed, cfg.Writes, dataLines), 1, cfg.Logf)
-	c.sc = sc
+	c := &ctrlStack{cfg: cfg, ctrl: ctrl}
+	c.sc = newScenario(c, inj, cfg.Seed, genOps(cfg.Seed, cfg.Writes, dataLines), 1, cfg.Logf)
 	// With random device faults (or deliberately broken recovery) reads
 	// and ops may legitimately fail with a typed error; what is never
 	// legitimate is wrong data without an error, or a panic.
-	sc.errOK = cfg.FaultRate > 0 || cfg.BreakHalfRepair
-	sc.lossOK = cfg.FaultRate > 0
-	return sc, c, nil
-}
-
-// result is the controller's view of a run.
-func (c *ctrlStack) result(r *DeviceResult) *Result {
-	res := &Result{
-		DeviceResult:       *r,
-		RecoveryBoundaries: c.recoveryBoundaries,
-		NestedCrashed:      c.nested,
-		Faults:             c.inj.Applied,
-		ShadowFaultNotes:   c.shadowNotes,
-	}
-	if r.Report != nil {
-		res.Report = r.Report.Shards[0]
-	}
-	return res
+	c.sc.errOK = cfg.FaultRate > 0 || cfg.BreakHalfRepair
+	c.sc.lossOK = cfg.FaultRate > 0
+	return c.sc, nil
 }
 
 func (c *ctrlStack) op(_ int, k key, line *nvm.Line) (nvm.Line, error) {
@@ -163,9 +147,6 @@ func (c *ctrlStack) read(k key) (got nvm.Line, err error) {
 	return got, err
 }
 
-func (c *ctrlStack) boundaries() int { return c.inj.Boundary }
-func (c *ctrlStack) disarm()         { c.inj.Disarm() }
-
 func (c *ctrlStack) crash() error {
 	// Tracked slots must be read before Crash wipes the volatile table
 	// handle.
@@ -177,28 +158,29 @@ func (c *ctrlStack) crash() error {
 // faults and arms the nested crash; once injection is disarmed it is a
 // plain guarded Recover.
 func (c *ctrlStack) recover() (*device.RecoveryReport, error) {
-	if c.inj.disarmed {
+	inj, res := c.sc.inj, c.sc.res
+	if inj.disarmed {
 		return recoverCtrl(c.ctrl)
 	}
 	if c.cfg.ShadowFaults > 0 && c.ctrl.Layout() != nil {
 		c.applyShadowFaults()
 	}
-	c.inj.Rearm(c.cfg.NestedCrashAt)
+	inj.Rearm(c.cfg.NestedCrashAt)
 	rep, err := recoverCtrl(c.ctrl)
 	var pe *device.PowerError
 	if errors.As(err, &pe) {
-		c.nested = true
+		res.NestedCrashed = true
 		c.sc.logf("nested power loss at recovery boundary %d", pe.Boundary)
 		if err := c.ctrl.Crash(); err != nil {
 			return nil, fmt.Errorf("Crash() during interrupted recovery: %w", err)
 		}
-		c.inj.Disarm()
+		inj.Disarm()
 		rep, err = recoverCtrl(c.ctrl)
 	}
-	c.recoveryBoundaries = c.inj.Boundary
-	c.inj.Disarm()
-	if err == nil && !c.cfg.BreakHalfRepair && len(c.shadowNotes) > 0 && rep.Shards[0].HalfRepairs == 0 {
-		c.sc.res.violate("shadow faults injected (%v) but recovery performed no half repairs", c.shadowNotes)
+	res.RecoveryBoundaries = inj.Boundaries()
+	inj.Disarm()
+	if err == nil && !c.cfg.BreakHalfRepair && len(res.ShadowFaultNotes) > 0 && rep.Shards[0].HalfRepairs == 0 {
+		res.violate("shadow faults injected (%v) but recovery performed no half repairs", res.ShadowFaultNotes)
 	}
 	return rep, err
 }
@@ -222,6 +204,7 @@ func (c *ctrlStack) flush() error {
 
 func (c *ctrlStack) verify() error      { return c.ctrl.VerifyAll() }
 func (c *ctrlStack) extraChecks(string) {}
+func (c *ctrlStack) close()             {}
 
 // applyShadowFaults kills one word of one half of cfg.ShadowFaults shadow
 // entries, preferring slots that were actually tracking blocks at crash
@@ -244,6 +227,6 @@ func (c *ctrlStack) applyShadowFaults() {
 		word := 4*frng.Intn(2) + frng.Intn(4) // one word of one 32-byte half
 		addr := c.ctrl.Layout().ShadowBase + slot*nvm.LineSize
 		c.ctrl.Device().CorruptWord(addr, word)
-		c.shadowNotes = append(c.shadowNotes, fmt.Sprintf("slot %d word %d (line %#x)", slot, word, addr))
+		c.sc.res.ShadowFaultNotes = append(c.sc.res.ShadowFaultNotes, fmt.Sprintf("slot %d word %d (line %#x)", slot, word, addr))
 	}
 }

@@ -29,32 +29,12 @@ func ParseMode(s string) (memctrl.Mode, error) {
 	return 0, fmt.Errorf("chaos: unknown mode %q (want nonsecure|baseline|src|sac)", s)
 }
 
-// Repro renders the cmd/chaos invocation that replays cfg exactly. Every
-// parameter that shapes the scenario (seed, crash points, fault schedule)
-// is on the line, so a reported failure is a one-command repro.
-func Repro(cfg Config) string {
-	strategy := cfg.Strategy
-	if strategy == "" {
-		strategy = memctrl.DefaultStrategy
+// crashFlag renders a repro's crash point, "" for none.
+func crashFlag(k int) string {
+	if k < 0 {
+		return ""
 	}
-	s := fmt.Sprintf("go run ./cmd/chaos -seed %d -writes %d -mode %s -strategy %s",
-		cfg.Seed, cfg.Writes, ModeFlag(cfg.Mode), strategy)
-	if cfg.CrashAt >= 0 {
-		s += fmt.Sprintf(" -crash-at %d", cfg.CrashAt)
-	}
-	if cfg.NestedCrashAt >= 0 {
-		s += fmt.Sprintf(" -crash-at2 %d", cfg.NestedCrashAt)
-	}
-	if cfg.FaultRate > 0 {
-		s += fmt.Sprintf(" -fault-rate %v", cfg.FaultRate)
-	}
-	if cfg.ShadowFaults > 0 {
-		s += fmt.Sprintf(" -shadow-faults %d", cfg.ShadowFaults)
-	}
-	if cfg.BreakHalfRepair {
-		s += " -break-half-repair"
-	}
-	return s
+	return fmt.Sprintf(" -crash-at %d", k)
 }
 
 // Failure couples one failing scenario's violations with its repro command.
@@ -89,24 +69,19 @@ func (c *CampaignResult) collect(repro string, violations []string) {
 	}
 }
 
-// ctrlSweep is the crash sweep of one controller scenario runner.
-func ctrlSweep(header string, run func(Config) (*Result, error), base Config, stride int, logf func(string, ...any)) (*CampaignResult, error) {
-	return sweep(header, stride, logf, func(k int) (point, error) {
-		cfg := base
-		cfg.CrashAt, cfg.NestedCrashAt = k, -1
-		res, err := run(cfg)
+// CrashSweep first probes the workload to count its write boundaries, then
+// replays it crashing at every stride-th boundary: "crash at write k,
+// recover, verify, for all k". On the tenant stack that includes, when
+// RotateAt is set, the boundaries inside the rotation window.
+func CrashSweep(base Target, stride int, logf func(string, ...any)) (*CampaignResult, error) {
+	return sweep(base.header(), stride, logf, func(k int) (point, error) {
+		cfg := base.crashingAt(k)
+		res, err := Run(cfg)
 		if err != nil {
 			return point{}, err
 		}
-		return point{res.Boundaries, res.Crashed, Repro(cfg), res.Violations}, nil
+		return point{res.Boundaries, res.Crashed, cfg.Repro(), res.Violations}, nil
 	})
-}
-
-// CrashSweep first probes the workload to count its write boundaries, then
-// replays it crashing at every stride-th boundary: "crash at write k,
-// recover, verify, for all k".
-func CrashSweep(base Config, stride int, logf func(string, ...any)) (*CampaignResult, error) {
-	return ctrlSweep("crash sweep: %d workload boundaries, stride %d", Run, base, stride, logf)
 }
 
 // NestedSweep crashes the workload at base.CrashAt — when negative, at the
@@ -133,7 +108,7 @@ func NestedSweep(base Config, stride int, logf func(string, ...any)) (*CampaignR
 		if !res.Crashed {
 			return point{}, fmt.Errorf("chaos: crash-at %d never fired (workload has %d boundaries)", base.CrashAt, res.Boundaries)
 		}
-		return point{res.RecoveryBoundaries, true, Repro(cfg), res.Violations}, nil
+		return point{res.RecoveryBoundaries, true, cfg.Repro(), res.Violations}, nil
 	})
 }
 
@@ -158,7 +133,7 @@ func campaign(base Config, trials int, trial func(t int, cfg Config, boundaries 
 		if err != nil {
 			return nil, err
 		}
-		out.collect(Repro(probe), pres.Violations)
+		out.collect(probe.Repro(), pres.Violations)
 		if pres.Boundaries == 0 {
 			continue
 		}
@@ -167,7 +142,7 @@ func campaign(base Config, trials int, trial func(t int, cfg Config, boundaries 
 		if err != nil {
 			return nil, err
 		}
-		out.collect(Repro(cfg), res.Violations)
+		out.collect(cfg.Repro(), res.Violations)
 		trial(t, cfg, pres.Boundaries, res)
 	}
 	return out, nil
@@ -199,7 +174,7 @@ func ShadowCampaign(base Config, trials int, logf func(string, ...any)) (*Campai
 	return campaign(base, trials, func(t int, cfg Config, boundaries int, res *Result) {
 		half := uint64(0)
 		if res.Report != nil {
-			half = res.Report.HalfRepairs
+			half = res.Report.Shards[0].HalfRepairs
 		}
 		logf("shadow trial %d: seed %d, crash-at %d/%d, faults [%v], %d half repairs, %d violations",
 			t, cfg.Seed, cfg.CrashAt, boundaries, res.ShadowFaultNotes, half, len(res.Violations))

@@ -42,14 +42,22 @@ func (cfg TenantConfig) normalized() TenantConfig {
 	return cfg
 }
 
-// TenantRepro renders the cmd/chaos invocation that replays cfg.
-func TenantRepro(cfg TenantConfig) string {
+// Repro always names the rotation point, -1 included: cmd/chaos rotates
+// mid-workload when -rotate-at is absent.
+func (cfg TenantConfig) Repro() string {
 	cfg = cfg.normalized()
-	s := fmt.Sprintf("go run ./cmd/chaos -tenants -tenant-count %d %s", cfg.Tenants, cfg.flags())
-	if cfg.RotateAt >= 0 {
-		s += fmt.Sprintf(" -rotate-at %d", cfg.RotateAt)
-	}
-	return s + crashFlag(cfg.CrashAt)
+	return fmt.Sprintf("go run ./cmd/chaos -tenants -tenant-count %d %s -rotate-at %d",
+		cfg.Tenants, cfg.flags(), cfg.RotateAt) + crashFlag(cfg.CrashAt)
+}
+
+func (cfg TenantConfig) header() string {
+	n := cfg.normalized()
+	return fmt.Sprintf("tenant crash sweep: %d tenants, %d shards, ", n.Tenants, n.Shards) + "%d workload boundaries, stride %d"
+}
+
+func (cfg TenantConfig) crashingAt(k int) Target {
+	cfg.CrashAt = k
+	return cfg
 }
 
 // tenantStack drives the tenant service over the sharded device: tenant
@@ -63,37 +71,35 @@ type tenantStack struct {
 	rotationDone bool
 }
 
-func newTenantScenario(cfg TenantConfig) (*scenario, *tenantStack, error) {
+func (cfg TenantConfig) build() (*scenario, error) {
 	cfg = cfg.normalized()
-	dev, err := newDevice(cfg.Mode, cfg.Shards, cfg.Strategy)
+	d, err := newDevStack(cfg.DeviceConfig)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	svc, err := tenant.New(dev, tenant.Options{MasterKey: []byte("chaos-tenant-master")})
-	if err != nil {
-		dev.Close()
-		return nil, nil, err
+	t := &tenantStack{devStack: *d, cfg: cfg}
+	if t.svc, err = tenant.New(d.dev, tenant.Options{MasterKey: []byte("chaos-tenant-master")}); err != nil {
+		d.close()
+		return nil, err
 	}
-	for t := 1; t <= cfg.Tenants; t++ {
+	for id := 1; id <= cfg.Tenants; id++ {
 		// Quota 0 (unlimited): the oracle wants every op admitted, and the
 		// quota path has its own tests.
-		if _, err := svc.Provision(uint32(t), cfg.LinesPerTenant, 0); err != nil {
-			dev.Close()
-			return nil, nil, err
+		if _, err := t.svc.Provision(uint32(id), cfg.LinesPerTenant, 0); err != nil {
+			d.close()
+			return nil, err
 		}
 	}
 	// Hooks go in only after provisioning: the registry setup is the
 	// fixture, the workload is the scenario, so boundary numbering starts
 	// at the first workload write.
-	t := &tenantStack{devStack: devStack{dev: dev, inj: NewDeviceInjector(cfg.CrashAt)}, svc: svc, cfg: cfg}
-	if err := dev.SetShardHooks(t.inj.ShardHooks(cfg.Shards)); err != nil {
-		dev.Close()
-		return nil, nil, err
+	inj, err := d.arm(cfg.DeviceConfig)
+	if err != nil {
+		return nil, err
 	}
-	sc := newScenario(t, cfg.Seed, genOps(cfg.Seed, cfg.Writes, cfg.LinesPerTenant), cfg.Shards, cfg.Logf)
-	sc.tenants = cfg.Tenants
-	t.sc = sc
-	return sc, t, nil
+	t.sc = newScenario(t, inj, cfg.Seed, genOps(cfg.Seed, cfg.Writes, cfg.LinesPerTenant), cfg.Shards, cfg.Logf)
+	t.sc.tenants = cfg.Tenants
+	return t.sc, nil
 }
 
 // op executes the data op, preceded by the rotation kickoff at RotateAt
@@ -132,7 +138,7 @@ func (t *tenantStack) read(k key) (nvm.Line, error) {
 func (t *tenantStack) crash() error { return t.svc.Crash() }
 
 func (t *tenantStack) recover() (*device.RecoveryReport, error) {
-	t.inj.Disarm()
+	t.sc.inj.Disarm()
 	rep, err := t.svc.Recover()
 	if err == nil && t.rotating {
 		// The crash may have landed mid-rotation; the persisted epoch and
@@ -223,30 +229,4 @@ func (t *tenantStack) finishRotation() {
 		}
 	}
 	t.rotationDone = true
-}
-
-// TenantRun executes one multi-tenant scenario closed-loop and checks the
-// per-tenant acknowledged-write oracle, the cross-tenant isolation
-// oracle, and rotation completion under crashes.
-func TenantRun(cfg TenantConfig) (*DeviceResult, error) {
-	sc, t, err := newTenantScenario(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer t.dev.Close()
-	return sc.run(), nil
-}
-
-// TenantCrashSweep probes the workload for its boundary count, then
-// replays it crashing at every stride-th boundary — including, when
-// RotateAt is set, the boundaries inside the rotation window.
-func TenantCrashSweep(base TenantConfig, stride int, logf func(string, ...any)) (*CampaignResult, error) {
-	n := base.normalized()
-	header := fmt.Sprintf("tenant crash sweep: %d tenants, %d shards, ", n.Tenants, n.Shards) + "%d workload boundaries, stride %d"
-	return sweep(header, stride, logf, func(k int) (point, error) {
-		cfg := base
-		cfg.CrashAt = k
-		res, err := TenantRun(cfg)
-		return res.sweepPoint(TenantRepro(cfg), err)
-	})
 }

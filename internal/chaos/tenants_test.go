@@ -12,7 +12,7 @@ import (
 // tenant's acked writes survive, no cross-tenant read ever succeeds, and
 // the rotation completes — zero violations expected.
 func TestTenantCrashSweepQuick(t *testing.T) {
-	res, err := TenantCrashSweep(TenantConfig{DeviceConfig: DeviceConfig{Seed: 1, Writes: 30, Shards: 4, Mode: memctrl.ModeSAC, CrashAt: -1}, Tenants: 3, RotateAt: 10}, 25, t.Logf)
+	res, err := CrashSweep(TenantConfig{DeviceConfig: DeviceConfig{Seed: 1, Writes: 30, Shards: 4, Mode: memctrl.ModeSAC, CrashAt: -1}, Tenants: 3, RotateAt: 10}, 25, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestTenantCrashSweepQuick(t *testing.T) {
 // the same counts, every time.
 func TestTenantRunDeterministic(t *testing.T) {
 	cfg := TenantConfig{DeviceConfig: DeviceConfig{Seed: 7, Writes: 40, Shards: 4, Mode: memctrl.ModeSAC, CrashAt: 60}, Tenants: 3, RotateAt: 8}
-	first, err := TenantRun(cfg)
+	first, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestTenantRunDeterministic(t *testing.T) {
 	if len(first.Violations) > 0 {
 		t.Fatalf("violations: %v", first.Violations)
 	}
-	again, err := TenantRun(cfg)
+	again, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestTenantConformanceAllStrategies(t *testing.T) {
 	for _, strategy := range memctrl.Strategies() {
 		cfg := TenantConfig{DeviceConfig: DeviceConfig{Seed: 2, Writes: 20, Shards: 2, Mode: memctrl.ModeSAC, Strategy: strategy, CrashAt: -1},
 			Tenants: 2, RotateAt: 6}
-		res, err := TenantCrashSweep(cfg, 40, nil)
+		res, err := CrashSweep(cfg, 40, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestTenantConformanceAllStrategies(t *testing.T) {
 // TestTenantReproSelfContained: the repro line names every
 // scenario-shaping knob, including the tenant count and rotation point.
 func TestTenantReproSelfContained(t *testing.T) {
-	repro := TenantRepro(TenantConfig{DeviceConfig: DeviceConfig{Seed: 3, Writes: 50, Mode: memctrl.ModeSRC, CrashAt: 12}, Tenants: 5, RotateAt: 9})
+	repro := TenantConfig{DeviceConfig: DeviceConfig{Seed: 3, Writes: 50, Mode: memctrl.ModeSRC, CrashAt: 12}, Tenants: 5, RotateAt: 9}.Repro()
 	for _, want := range []string{"-tenants", "-tenant-count 5", "-seed 3",
 		"-writes 50", "-mode src", "-strategy " + memctrl.DefaultStrategy,
 		"-rotate-at 9", "-crash-at 12"} {

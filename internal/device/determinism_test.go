@@ -19,7 +19,7 @@ import (
 // writes to shard 0 (line 0) until it fires.
 func cutPowerOnShard0(t testing.TB, h *device.Device, shards int) {
 	t.Helper()
-	if err := h.SetShardHooks(chaos.NewDeviceInjector(2).ShardHooks(shards)); err != nil {
+	if err := h.SetShardHooks(chaos.NewInjector(2).ShardHooks(shards)); err != nil {
 		t.Fatal(err)
 	}
 	line := fill(0, 1)
@@ -41,7 +41,7 @@ func driveWorkload(t *testing.T, dev *device.Device, shards int) string {
 	t.Helper()
 	var log bytes.Buffer
 
-	inj := chaos.NewDeviceInjector(40)
+	inj := chaos.NewInjector(40)
 	hooks := inj.ShardHooks(shards)
 	for i := range hooks {
 		if i != 1 {

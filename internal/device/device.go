@@ -364,22 +364,12 @@ func (d *Device) Stats() memctrl.Stats {
 	return total
 }
 
-// SetHook installs the same chaos-injection hook on every shard's
-// controller stack. The device calls a shared hook from one goroutine at a
-// time during control operations; data operations call it from whichever
-// goroutine issued them, so it is only safe under a driver that keeps at
-// most one data operation in flight device-wide (closed-loop chaos
-// harness). Concurrent drivers must use SetShardHooks with per-shard state.
-func (d *Device) SetHook(h inject.Hook) error {
-	hooks := make([]inject.Hook, len(d.shards))
-	for i := range hooks {
-		hooks[i] = h
-	}
-	return d.SetShardHooks(hooks)
-}
-
 // SetShardHooks installs hooks[i] on shard i's controller stack (nil
-// entries detach). len(hooks) must equal the shard count.
+// entries detach). len(hooks) must equal the shard count. One hook may
+// fill several entries: control operations visit the shards one at a
+// time, but data operations call a shard's hook from whichever goroutine
+// issued them, so a shared hook needs its own locking under concurrent
+// drivers.
 func (d *Device) SetShardHooks(hooks []inject.Hook) error {
 	if len(hooks) != len(d.shards) {
 		return fmt.Errorf("device: got %d hooks for %d shards", len(hooks), len(d.shards))

@@ -497,7 +497,11 @@ func TestSharedHookControlIsSerial(t *testing.T) {
 	const shards = 8
 	d := newTestDevice(t, func(o *device.Options) { o.Shards = shards })
 	h := &countingHook{}
-	if err := d.SetHook(h); err != nil {
+	hooks := make([]inject.Hook, shards)
+	for i := range hooks {
+		hooks[i] = h
+	}
+	if err := d.SetShardHooks(hooks); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 4*shards; i++ {

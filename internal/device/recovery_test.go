@@ -41,7 +41,7 @@ func TestCrashMidBatchPerShard(t *testing.T) {
 
 				// Crash only when the *target* shard crosses its
 				// crashAt-th boundary: keep its hook, detach the rest.
-				inj := chaos.NewDeviceInjector(crashAt)
+				inj := chaos.NewInjector(crashAt)
 				hooks := inj.ShardHooks(shards)
 				for i := range hooks {
 					if i != targetShard {
@@ -157,7 +157,7 @@ func TestCrashMidBatchPerShard(t *testing.T) {
 // service.
 func TestPowerLossTypedError(t *testing.T) {
 	d := newTestDevice(t, func(o *device.Options) { o.Shards = 2 })
-	inj := chaos.NewDeviceInjector(2)
+	inj := chaos.NewInjector(2)
 	if err := d.SetShardHooks(inj.ShardHooks(2)); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestNestedCrashDuringRecoverDeterministic(t *testing.T) {
 	// the boundary counts before and after the first Recover.
 	run := func(crashAt int) (before, after int, perr *device.PowerError) {
 		d := newTestDevice(t, func(o *device.Options) { o.Shards = shards })
-		inj := chaos.NewDeviceInjector(crashAt)
+		inj := chaos.NewInjector(crashAt)
 		if err := d.SetShardHooks(inj.ShardHooks(shards)); err != nil {
 			t.Fatal(err)
 		}
@@ -276,4 +276,4 @@ func TestNestedCrashDuringRecoverDeterministic(t *testing.T) {
 
 // Interface check: the chaos hook wiring used above matches what the
 // device expects.
-var _ []inject.Hook = (*chaos.DeviceInjector)(nil).ShardHooks(0)
+var _ func(int) []inject.Hook = (*chaos.Injector)(nil).ShardHooks

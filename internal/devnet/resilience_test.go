@@ -295,7 +295,13 @@ func TestOverloadShedsWithBusy(t *testing.T) {
 	dev, reg, addr := startServerWith(t, devnet.ServerOptions{MaxInFlight: 1})
 	hook := newGateHook()
 	defer hook.release()
-	if err := dev.SetHook(hook); err != nil {
+	// The one gate is every shard's hook: the first device write blocks,
+	// whichever shard it lands on.
+	hooks := make([]inject.Hook, dev.Info().Shards)
+	for i := range hooks {
+		hooks[i] = hook
+	}
+	if err := dev.SetShardHooks(hooks); err != nil {
 		t.Fatal(err)
 	}
 
@@ -350,7 +356,7 @@ func TestOverloadShedsWithBusy(t *testing.T) {
 	if err := <-writeDone; err != nil {
 		t.Fatalf("blocked writer failed after release: %v", err)
 	}
-	if err := dev.SetHook(nil); err != nil {
+	if err := dev.SetShardHooks(make([]inject.Hook, len(hooks))); err != nil {
 		t.Fatal(err)
 	}
 	// With the gate open the shed clears and retries succeed.

@@ -189,8 +189,9 @@ func (d *Device) Materialized(addr uint64) bool {
 }
 
 // ForEachTouched visits every materialized line address in ascending order.
-// Callers depend on the order: chaos.Injector draws fault targets by
-// position, and memctrl.VerifyAll reports the lowest failing block.
+// Callers depend on the order: chaos.Injector's fault schedule draws
+// fault targets by position, and memctrl.VerifyAll reports the lowest
+// failing block.
 func (d *Device) ForEachTouched(fn func(lineAddr uint64)) {
 	d.forEach(func(idx uint64, _ *dirEntry, _ uint) { fn(idx * LineSize) })
 }

@@ -176,7 +176,8 @@ func TestQueriesByLineState(t *testing.T) {
 }
 
 // ForEachTouched visits lines in ascending address order whatever order they
-// materialized in; chaos.Injector and memctrl.VerifyAll rely on it.
+// materialized in; chaos.Injector's fault schedule and memctrl.VerifyAll
+// rely on it.
 func TestForEachTouchedAscending(t *testing.T) {
 	d, err := NewDevice(1<<30, ecc.NewChipkill())
 	if err != nil {
