@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -67,6 +68,39 @@ func TestControllerReproRoundTrip(t *testing.T) {
 	if !res.Crashed || !res.NestedCrashed || len(res.Faults) == 0 || len(res.ShadowFaultNotes) == 0 {
 		t.Fatalf("scenario exercises too little: crashed %t, nested %t, %d faults, shadow faults %v",
 			res.Crashed, res.NestedCrashed, len(res.Faults), res.ShadowFaultNotes)
+	}
+}
+
+// TestGoldenControllerReprosAreSingleRuns: every bare-controller repro
+// line pinned in the chaos sweep transcripts parses to one single run
+// whose config prints that same line again, so pasting any of them
+// replays the one run it names — a sabotaged probe with no crash point
+// included, which would otherwise run the whole shadow campaign.
+func TestGoldenControllerReprosAreSingleRuns(t *testing.T) {
+	golden, err := os.ReadFile("../../internal/chaos/testdata/sweeps.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, l := range strings.Split(string(golden), "\n") {
+		line, _, _ := strings.Cut(l, " | ")
+		if !strings.HasPrefix(line, "go run ./cmd/chaos ") {
+			continue
+		}
+		if f := " " + line + " "; strings.Contains(f, " -device ") || strings.Contains(f, " -tenants ") || strings.Contains(f, " -net ") {
+			continue
+		}
+		n++
+		cfg, ok := parseRepro(t, line).(chaos.Config)
+		if !ok {
+			t.Fatalf("controller repro parses to another stack: %s", line)
+		}
+		if got := cfg.Repro(); got != line {
+			t.Errorf("golden repro is not a fixpoint:\n got %q\nwant %q", got, line)
+		}
+	}
+	if n == 0 {
+		t.Fatal("no controller repro lines in sweeps.golden")
 	}
 }
 

@@ -77,6 +77,12 @@ func (cfg Config) Repro() string {
 		s += fmt.Sprintf(" -shadow-faults %d", cfg.ShadowFaults)
 	}
 	if cfg.BreakHalfRepair {
+		if cfg.CrashAt < 0 {
+			// Without a crash point cmd/chaos reads -break-half-repair
+			// as "run the shadow campaign"; an explicit -crash-at -1
+			// keeps the line a single run.
+			s += " -crash-at -1"
+		}
 		s += " -break-half-repair"
 	}
 	return s
