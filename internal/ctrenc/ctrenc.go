@@ -92,7 +92,7 @@ type sha256State interface {
 // is the line-crypto op count); MACs are tracked per domain.
 type telemetryHooks struct {
 	otps *telemetry.Counter
-	macs [DomainTenant + 1]*telemetry.Counter
+	macs [256]*telemetry.Counter // by MACDomain, so indexing needs no check
 }
 
 // AttachTelemetry registers the engine's metrics on r (nil detaches).
@@ -269,9 +269,24 @@ const (
 // and never compared across keys — so the construction may change without
 // moving any observable result. See DESIGN.md "Midstate-keyed MAC engine".
 func (e *Engine) MAC(domain MACDomain, tweak1, tweak2 uint64, msg []byte) uint64 {
-	if int(domain) < len(e.tel.macs) {
-		e.tel.macs[domain].Inc()
-	}
+	return e.mac(e.tel.macs[domain], domain, tweak1, tweak2, msg)
+}
+
+// BookMAC counts one MAC in domain's ctrenc_mac_*_total without computing
+// it: the modeled hardware computes that MAC, but the simulator defers or
+// skips the host work (the shadow BMT hashes only when a verifier asks).
+func (e *Engine) BookMAC(domain MACDomain) { e.tel.macs[domain].Inc() }
+
+// ComputeMAC is MAC without the booking, for host work that stands in for
+// a MAC already booked with BookMAC.
+func (e *Engine) ComputeMAC(domain MACDomain, tweak1, tweak2 uint64, msg []byte) uint64 {
+	return e.mac(nil, domain, tweak1, tweak2, msg)
+}
+
+// mac is MAC, booked in book (nil books nothing). MAC and ComputeMAC
+// inline to one call of it.
+func (e *Engine) mac(book *telemetry.Counter, domain MACDomain, tweak1, tweak2 uint64, msg []byte) uint64 {
+	book.Inc()
 	// Every caller passes a whole line or its first 56 bytes; both are
 	// read in place, and only other lengths are copied to be padded.
 	le := binary.LittleEndian

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"soteria/internal/telemetry"
 )
 
 func eng(t testing.TB) *Engine {
@@ -76,6 +78,25 @@ func TestMACDomainSeparation(t *testing.T) {
 	}
 	if e.MAC(DomainData, 1, 3, body) == m1 {
 		t.Fatal("MAC ignores tweak2")
+	}
+}
+
+// MAC is BookMAC plus ComputeMAC: booking counts one MAC in its domain
+// and computes nothing, computing returns MAC's value and books nothing.
+func TestBookMACAndComputeMACSplitMAC(t *testing.T) {
+	e := eng(t)
+	reg := telemetry.NewRegistry()
+	e.AttachTelemetry(reg)
+	count := func(name string) uint64 { return reg.Counter("ctrenc_mac_" + name + "_total").Value() }
+	body := []byte("one line of shadow state")
+	m := e.MAC(DomainShadowTree, 3, 0, body)
+	if got := e.ComputeMAC(DomainShadowTree, 3, 0, body); got != m {
+		t.Fatalf("ComputeMAC = %#x, MAC = %#x", got, m)
+	}
+	e.BookMAC(DomainShadowTree)
+	e.BookMAC(DomainShadow)
+	if st, sh, d := count("shadow_tree"), count("shadow"), count("data"); st != 2 || sh != 1 || d != 0 {
+		t.Fatalf("booked shadow_tree %d, shadow %d, data %d; want 2, 1, 0", st, sh, d)
 	}
 }
 

@@ -30,11 +30,19 @@ type LineStore interface {
 // leaf back and compares. Each slot's hash vouches for exactly the line
 // last written there, so a corrupted, replayed or cross-slot leaf fails
 // that comparison, and a crash does not lose the on-chip copy.
+//
+// The model holds 8 B per leaf; the simulator holds the leaf line itself
+// and hashes only when a verifier asks. Verify accepts a read that equals
+// the held line (its hash is the held hash) and otherwise compares the
+// two keyed hashes, so it accepts and rejects exactly what the eager
+// comparison would, collisions included. The MACs the model computes —
+// one per Update, one per Verify, one per leaf at build — are booked with
+// ctrenc's BookMAC; the host hashes Verify falls back to are not.
 type BMT struct {
 	eng      *ctrenc.Engine
 	store    LineStore
 	leafBase uint64
-	hashes   []uint64 // on-chip leaf hashes, one per leaf
+	held     [][BlockSize]byte // the line last written to each leaf
 	tel      telemetryHooks
 
 	// leafBuf is Update scratch. WriteLine is an interface call, so a
@@ -95,27 +103,30 @@ func NewBMT(eng *ctrenc.Engine, store LineStore, leafBase, leaves, _ uint64) (*B
 	if leaves == 0 {
 		return nil, fmt.Errorf("itree: BMT needs at least one leaf")
 	}
-	b := &BMT{eng: eng, store: store, leafBase: leafBase, hashes: make([]uint64, leaves)}
+	b := &BMT{eng: eng, store: store, leafBase: leafBase, held: make([][BlockSize]byte, leaves)}
 	if err := b.rebuild(); err != nil {
 		return nil, err
 	}
 	return b, nil
 }
 
-// leafHash hashes one leaf line bound to its index.
+// leafHash hashes one leaf line bound to its index. Callers book the
+// modeled MAC themselves.
 func (b *BMT) leafHash(index uint64, line *[BlockSize]byte) uint64 {
-	return b.eng.MAC(ctrenc.DomainShadowTree, index, 0, line[:])
+	return b.eng.ComputeMAC(ctrenc.DomainShadowTree, index, 0, line[:])
 }
 
-// rebuild recomputes every on-chip leaf hash from the store.
+// rebuild takes every on-chip leaf hash from the store: one modeled MAC
+// per leaf, held as the line it hashes.
 func (b *BMT) rebuild() error {
 	b.tel.rebuilds.Inc()
-	for i := range b.hashes {
+	for i := range b.held {
 		line, err := b.store.ReadLine(b.leafBase + uint64(i)*BlockSize)
 		if err != nil {
 			return err
 		}
-		b.hashes[i] = b.leafHash(uint64(i), &line)
+		b.eng.BookMAC(ctrenc.DomainShadowTree)
+		b.held[i] = line
 	}
 	return nil
 }
@@ -125,25 +136,28 @@ func (b *BMT) rebuild() error {
 func (b *BMT) Leaf() *[BlockSize]byte { return &b.leafBuf }
 
 // Update writes a leaf to the store and records its hash on chip: one MAC,
-// one line write, no store read.
+// one line write, no store read. The hash is recorded only once the write
+// returns, so a power-loss panic inside it leaves the leaf vouching for
+// its previous line.
 func (b *BMT) Update(index uint64, line *[BlockSize]byte) error {
-	if index >= uint64(len(b.hashes)) {
-		return fmt.Errorf("itree: BMT leaf %d out of range (%d)", index, len(b.hashes))
+	if index >= uint64(len(b.held)) {
+		return fmt.Errorf("itree: BMT leaf %d out of range (%d)", index, len(b.held))
 	}
 	b.tel.updates.Inc()
 	if line != &b.leafBuf {
 		b.leafBuf = *line
 	}
 	b.store.WriteLine(b.leafBase+index*BlockSize, &b.leafBuf)
-	b.hashes[index] = b.leafHash(index, &b.leafBuf)
+	b.eng.BookMAC(ctrenc.DomainShadowTree)
+	b.held[index] = b.leafBuf
 	return nil
 }
 
 // Verify reads a leaf from the store and checks its hash against the
 // on-chip one. It returns the leaf contents when authentic.
 func (b *BMT) Verify(index uint64) ([BlockSize]byte, error) {
-	if index >= uint64(len(b.hashes)) {
-		return [BlockSize]byte{}, fmt.Errorf("itree: BMT leaf %d out of range (%d)", index, len(b.hashes))
+	if index >= uint64(len(b.held)) {
+		return [BlockSize]byte{}, fmt.Errorf("itree: BMT leaf %d out of range (%d)", index, len(b.held))
 	}
 	b.tel.verifies.Inc()
 	leaf, err := b.store.ReadLine(b.leafBase + index*BlockSize)
@@ -151,7 +165,8 @@ func (b *BMT) Verify(index uint64) ([BlockSize]byte, error) {
 		b.tel.verifyFail.Inc()
 		return [BlockSize]byte{}, err
 	}
-	if b.leafHash(index, &leaf) != b.hashes[index] {
+	b.eng.BookMAC(ctrenc.DomainShadowTree)
+	if held := &b.held[index]; leaf != *held && b.leafHash(index, &leaf) != b.leafHash(index, held) {
 		b.tel.verifyFail.Inc()
 		return [BlockSize]byte{}, fmt.Errorf("itree: BMT hash mismatch at leaf %d", index)
 	}
@@ -160,7 +175,7 @@ func (b *BMT) Verify(index uint64) ([BlockSize]byte, error) {
 
 // VerifyAll verifies every leaf; the first failure aborts.
 func (b *BMT) VerifyAll() error {
-	for i := range b.hashes {
+	for i := range b.held {
 		if _, err := b.Verify(uint64(i)); err != nil {
 			return err
 		}

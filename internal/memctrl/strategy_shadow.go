@@ -73,25 +73,27 @@ func (s *shadowStrategy) onDirty(c *Controller, home uint64, way int) {
 	if blk.Kind == metacache.KindMAC {
 		return
 	}
-	e := shadow.Entry{Valid: true, Addr: home}
-	if s.content {
-		e.Image = blk.Line
-	} else {
-		e.MAC = shadow.ContentMAC(c.eng, home, &blk.Line)
-		if blk.Kind == metacache.KindCounter {
-			e.LSBs[0] = uint16(blk.Counter().Major())
-		} else {
-			for i := range e.LSBs {
-				e.LSBs[i] = uint16(blk.Node().Counter(i))
-			}
-		}
-	}
 	// One shadow-table operation — the entry's lines plus their on-chip
 	// BMT leaf MACs — commits atomically from the ADR domain; a torn
 	// entry/MAC pair would fail BMT verification and lose the tracked
 	// block.
 	c.seal("shadow-op")
-	err := c.shadow.Put(way, &e)
+	var err error
+	if s.content {
+		err = c.shadow.Put(way, &shadow.Entry{Valid: true, Addr: home, Image: blk.Line})
+	} else {
+		// An LSB entry is built in place from its fields: a counter
+		// block's major LSBs, or a node's eight counter LSBs.
+		var lsbs [8]uint16
+		if blk.Kind == metacache.KindCounter {
+			lsbs[0] = uint16(blk.Counter().Major())
+		} else {
+			for i := range lsbs {
+				lsbs[i] = uint16(blk.Node().Counter(i))
+			}
+		}
+		err = c.shadow.PutLSB(way, home, shadow.PackLSBs(&lsbs), shadow.ContentMAC(c.eng, home, &blk.Line))
+	}
 	c.unseal("shadow-op")
 	if err != nil {
 		panic(fmt.Sprintf("memctrl: shadow write: %v", err))

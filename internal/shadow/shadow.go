@@ -24,9 +24,11 @@
 //
 // Either way the whole region is protected against tampering, replay and
 // cross-slot swaps by the leaf level of an eagerly updated BMT: one keyed
-// MAC per shadow line, bound to its line index and held in on-chip SRAM,
-// so each line write costs exactly one tree MAC. The BMT and the NVM lines
-// survive power loss; Crash drops only the volatile valid flags and stats.
+// MAC per shadow line, bound to its line index and held in on-chip SRAM.
+// The model books one tree MAC per line write; the simulator computes it
+// only when a Load verifies the line (see itree.BMT). The BMT and the NVM
+// lines survive power loss; Crash drops only the volatile valid flags and
+// stats.
 package shadow
 
 import (
@@ -83,17 +85,14 @@ func imageMAC(e *ctrenc.Engine, addr uint64, image *nvm.Line) uint64 {
 	return e.MAC(ctrenc.DomainShadow, addr, 1, image[:])
 }
 
-// putHalf writes e's duplicated half into h, whose bytes must be zero.
-func (e *Entry) putHalf(h []byte) {
-	if !e.Valid {
-		binary.LittleEndian.PutUint64(h[0:8], invalidAddr)
-		return
+// PackLSBs packs eight counter LSBs four to a word, LSB i in bits
+// 16(i%4)..16(i%4)+15 of word i/4: the little-endian layout of an LSB
+// entry's counter field, as PutLSB takes it.
+func PackLSBs(l *[8]uint16) [2]uint64 {
+	return [2]uint64{
+		uint64(l[0]) | uint64(l[1])<<16 | uint64(l[2])<<32 | uint64(l[3])<<48,
+		uint64(l[4]) | uint64(l[5])<<16 | uint64(l[6])<<32 | uint64(l[7])<<48,
 	}
-	binary.LittleEndian.PutUint64(h[0:8], e.Addr)
-	for i, v := range e.LSBs {
-		binary.LittleEndian.PutUint16(h[8+i*2:10+i*2], v)
-	}
-	binary.LittleEndian.PutUint64(h[24:32], e.MAC)
 }
 
 func decodeHalf(h []byte) Entry {
@@ -198,7 +197,7 @@ func newTable(t *Table) (*Table, error) {
 	}
 	t.valid = make([]bool, t.slots)
 	var zero, invalid nvm.Line
-	t.encode(&Entry{}, &invalid)
+	t.invalidLine(&invalid)
 	for i := uint64(0); i < t.slots; i++ {
 		t.store.WriteLine(t.lineAddr(i), &invalid)
 		if t.content {
@@ -256,35 +255,48 @@ func (t *Table) checkSlot(slot uint64) error {
 	return nil
 }
 
-// encode writes slot's first line for e into line: the LSB entry, or the
-// content header binding e.Image to e.Addr.
-func (t *Table) encode(e *Entry, line *nvm.Line) {
+// lsbLine builds an LSB entry's line in place, word by word: the home
+// address, the counter LSBs as PackLSBs packs them and the content MAC,
+// then that half again (duplicated) or a half whose address field is
+// invalid, so decode of either half is unambiguous.
+func (t *Table) lsbLine(line *nvm.Line, addr uint64, lsbs [2]uint64, mac uint64) {
+	le := binary.LittleEndian
+	le.PutUint64(line[0:], addr)
+	le.PutUint64(line[8:], lsbs[0])
+	le.PutUint64(line[16:], lsbs[1])
+	le.PutUint64(line[24:], mac)
+	if !t.duped {
+		addr, lsbs, mac = invalidAddr, [2]uint64{}, 0
+	}
+	le.PutUint64(line[32:], addr)
+	le.PutUint64(line[40:], lsbs[0])
+	le.PutUint64(line[48:], lsbs[1])
+	le.PutUint64(line[56:], mac)
+}
+
+// headerLine builds a content slot's header in place: the home address
+// and the MAC binding the image to it, zero after them.
+func headerLine(line *nvm.Line, addr, mac uint64) {
 	*line = nvm.Line{}
+	binary.LittleEndian.PutUint64(line[0:], addr)
+	binary.LittleEndian.PutUint64(line[8:], mac)
+}
+
+// invalidLine builds the first line of an unoccupied slot in place.
+func (t *Table) invalidLine(line *nvm.Line) {
 	if t.content {
-		addr, mac := invalidAddr, uint64(0)
-		if e.Valid {
-			addr, mac = e.Addr, imageMAC(t.eng, e.Addr, &e.Image)
-		}
-		binary.LittleEndian.PutUint64(line[0:8], addr)
-		binary.LittleEndian.PutUint64(line[8:16], mac)
+		headerLine(line, invalidAddr, 0)
 		return
 	}
-	e.putHalf(line[:HalfSize])
-	if t.duped {
-		copy(line[HalfSize:], line[:HalfSize])
-	} else {
-		// Keep the second half's address field invalid so decode of
-		// either half is unambiguous.
-		binary.LittleEndian.PutUint64(line[HalfSize:HalfSize+8], invalidAddr)
-	}
+	t.lsbLine(line, invalidAddr, [2]uint64{}, 0)
 }
 
 // Write records entry e in slot i: one NVM line write for an LSB entry, or
 // the image then the header binding it for a content entry (line writes
-// mostly coalesce in the WPQ), each with its eager on-chip BMT update.
+// mostly coalesce in the WPQ), each with its on-chip BMT update.
 func (t *Table) Write(slot int, e Entry) error { return t.Put(slot, &e) }
 
-// Put is Write of *e, without copying the entry: its first line is encoded
+// Put is Write of *e, without copying the entry: its first line is built
 // straight into the BMT's leaf buffer.
 func (t *Table) Put(slot int, e *Entry) error {
 	if err := t.checkSlot(uint64(slot)); err != nil {
@@ -297,11 +309,38 @@ func (t *Table) Put(slot int, e *Entry) error {
 		}
 	}
 	line := t.bmt.Leaf()
-	t.encode(e, line)
-	if err := t.bmt.Update(leaf, line); err != nil {
+	switch {
+	case !e.Valid:
+		t.invalidLine(line)
+	case t.content:
+		headerLine(line, e.Addr, imageMAC(t.eng, e.Addr, &e.Image))
+	default:
+		t.lsbLine(line, e.Addr, PackLSBs(&e.LSBs), e.MAC)
+	}
+	return t.commit(slot, leaf, e.Valid)
+}
+
+// PutLSB is Put of a valid LSB entry given by its fields: the tracked
+// block's home address, its counter LSBs packed as PackLSBs packs them
+// and its ContentMAC. The line is built once, in the BMT's leaf buffer.
+func (t *Table) PutLSB(slot int, addr uint64, lsbs [2]uint64, mac uint64) error {
+	if err := t.checkSlot(uint64(slot)); err != nil {
 		return err
 	}
-	t.valid[slot] = e.Valid
+	if t.content {
+		return fmt.Errorf("shadow: PutLSB on a table of content entries")
+	}
+	t.lsbLine(t.bmt.Leaf(), addr, lsbs, mac)
+	return t.commit(slot, t.leaf(uint64(slot)), true)
+}
+
+// commit writes the entry line built in the BMT's leaf buffer to leaf and
+// books it as slot's entry write.
+func (t *Table) commit(slot int, leaf uint64, valid bool) error {
+	if err := t.bmt.Update(leaf, t.bmt.Leaf()); err != nil {
+		return err
+	}
+	t.valid[slot] = valid
 	t.stats.EntryWrites++
 	return nil
 }
@@ -325,7 +364,7 @@ func (t *Table) Reset(slot uint64) error {
 		return err
 	}
 	line := t.bmt.Leaf()
-	t.encode(&Entry{}, line)
+	t.invalidLine(line)
 	if err := t.bmt.Update(t.leaf(slot), line); err != nil {
 		return err
 	}

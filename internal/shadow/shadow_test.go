@@ -430,3 +430,33 @@ func BenchmarkShadowWrite(b *testing.B) {
 		}
 	}
 }
+
+// TestInPlaceEntryWritesZeroAllocs pins the shadow-log commit of an LSB
+// entry — built in the BMT's leaf buffer — and the Reset and Invalidate
+// that clear it at zero heap allocations.
+func TestInPlaceEntryWritesZeroAllocs(t *testing.T) {
+	tb := newTableOn(t, newDevice(t, nil), layouts[0])
+	e := sampleEntry(0x40)
+	lsbs := PackLSBs(&e.LSBs)
+	i := 0
+	for name, op := range map[string]func() error{
+		"PutLSB": func() error { return tb.PutLSB(i%32, e.Addr, lsbs, e.MAC) },
+		"Reset":  func() error { return tb.Reset(uint64(i % 32)) },
+		"PutLSB+Invalidate": func() error {
+			if err := tb.PutLSB(i%32, e.Addr, lsbs, e.MAC); err != nil {
+				return err
+			}
+			return tb.Invalidate(i % 32)
+		},
+	} {
+		avg := testing.AllocsPerRun(256, func() {
+			if err := op(); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if avg != 0 {
+			t.Fatalf("%s allocates %.2f objects/op, want 0", name, avg)
+		}
+	}
+}
