@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"soteria/internal/ecc"
 	"soteria/internal/itree"
 	"soteria/internal/nvm"
 )
@@ -84,7 +83,7 @@ func handlerFixture(t *testing.T, policy ClonePolicy) (*FaultHandler, *itree.Lay
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev, err := nvm.NewDevice(lay.Total+nvm.LineSize, ecc.SECDED{})
+	dev, err := nvm.NewDevice(lay.Total+nvm.LineSize, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,47 +310,45 @@ func TestReadVerifiedFaultPathZeroAllocs(t *testing.T) {
 	}
 
 	// The same three reads over a real device, whose decode of a home copy
-	// killed through CorruptLine reports every word bad, allocate nothing
-	// under either codec. A repair rewrites the home copy, so each repair
-	// run kills it again; the unverifiable runs write nothing, so one kill
-	// (CorruptLine flips bits, and a second one would undo it) lasts them.
-	for _, codec := range []ecc.Codec{ecc.SECDED{}, ecc.NewChipkill()} {
-		dev, err := nvm.NewDevice(lay.Total, codec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, a := range lay.CopyAddrs(top, 0) {
-			dev.Write(a, &good)
-		}
-		for _, a := range lay.CopyAddrs(1, 3) {
-			dev.Write(a, &stale)
-		}
-		h := NewFaultHandler(devMem{dev}, lay)
-		home := lay.NodeAddr(top, 0)
-		repair := testing.AllocsPerRun(100, func() {
-			dev.CorruptLine(home)
-			if out, _ := h.ReadVerified(top, 0, dst, verify); out != OutcomeRepaired {
-				t.Fatalf("%s: outcome %v, want repaired", codec.Name(), out)
-			}
-		})
-		tamper := testing.AllocsPerRun(100, func() {
-			if out, _ := h.ReadVerified(1, 3, dst, verify); out != OutcomeTamper {
-				t.Fatalf("%s: outcome %v, want tamper", codec.Name(), out)
-			}
-		})
+	// killed through CorruptLine reports every word bad, allocate nothing.
+	// A repair rewrites the home copy, so each repair run kills it again;
+	// the unverifiable runs write nothing, so one kill (CorruptLine flips
+	// bits, and a second one would undo it) lasts them.
+	dev, err := nvm.NewDevice(lay.Total, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range lay.CopyAddrs(top, 0) {
+		dev.Write(a, &good)
+	}
+	for _, a := range lay.CopyAddrs(1, 3) {
+		dev.Write(a, &stale)
+	}
+	h = NewFaultHandler(devMem{dev}, lay)
+	home := lay.NodeAddr(top, 0)
+	repair = testing.AllocsPerRun(100, func() {
 		dev.CorruptLine(home)
-		lost := testing.AllocsPerRun(100, func() {
-			if out, _ := h.ReadVerified(top, 0, dst, reject); out != OutcomeUnverifiable {
-				t.Fatalf("%s: outcome %v, want unverifiable", codec.Name(), out)
-			}
-		})
-		if repair != 0 || tamper != 0 || lost != 0 {
-			t.Fatalf("%s: allocs per read: repair %v, tamper %v, unverifiable %v; want 0", codec.Name(), repair, tamper, lost)
+		if out, _ := h.ReadVerified(top, 0, dst, verify); out != OutcomeRepaired {
+			t.Fatalf("device: outcome %v, want repaired", out)
 		}
-		// AllocsPerRun makes one warm-up call before its 100 runs.
-		if hits := dev.Stats().UncorrectableHits; hits < 2*101 {
-			t.Fatalf("%s: %d uncorrectable reads, want one per repair and unverifiable run", codec.Name(), hits)
+	})
+	tamper = testing.AllocsPerRun(100, func() {
+		if out, _ := h.ReadVerified(1, 3, dst, verify); out != OutcomeTamper {
+			t.Fatalf("device: outcome %v, want tamper", out)
 		}
+	})
+	dev.CorruptLine(home)
+	lost = testing.AllocsPerRun(100, func() {
+		if out, _ := h.ReadVerified(top, 0, dst, reject); out != OutcomeUnverifiable {
+			t.Fatalf("device: outcome %v, want unverifiable", out)
+		}
+	})
+	if repair != 0 || tamper != 0 || lost != 0 {
+		t.Fatalf("device: allocs per read: repair %v, tamper %v, unverifiable %v; want 0", repair, tamper, lost)
+	}
+	// AllocsPerRun makes one warm-up call before its 100 runs.
+	if hits := dev.Stats().UncorrectableHits; hits < 2*101 {
+		t.Fatalf("device: %d uncorrectable reads, want one per repair and unverifiable run", hits)
 	}
 }
 

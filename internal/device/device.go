@@ -56,7 +56,8 @@ type Options struct {
 	Key []byte
 	// Shards is the number of independent controllers (default 1).
 	Shards int
-	// Ctrl passes through controller options (Osiris limit, ablations).
+	// Ctrl passes through controller options (persistence strategy,
+	// eager tree update, the half-repair switch).
 	Ctrl memctrl.Options
 	// Telemetry attaches a per-shard registry to every controller stack;
 	// Snapshot merges them in shard order.

@@ -42,10 +42,11 @@ func (p RetryPolicy) retries(c Class) bool {
 	return c == ClassTransport || c == ClassBusy || c == ClassRetired || (c == ClassDown && p.RetryDown)
 }
 
+// dialTimeout bounds each (re)connection attempt of a client.
+const dialTimeout = 5 * time.Second
+
 // Options configures a resilient client.
 type Options struct {
-	// DialTimeout bounds each (re)connection attempt. Default 5s.
-	DialTimeout time.Duration
 	// OpTimeout is the deadline on one burst write (every request frame
 	// sealed since the last one, sent in one Write) and on one socket
 	// read while a response is awaited; past it the attempt counts as a
@@ -66,9 +67,6 @@ type Options struct {
 }
 
 func (o *Options) fill() {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
 	if o.OpTimeout <= 0 {
 		o.OpTimeout = 30 * time.Second
 	}
@@ -188,7 +186,7 @@ func dialLink(addr string, opts Options) (*link, error) {
 // dial connects and resets the reader over the new connection, so no
 // byte received on a dropped one is ever parsed.
 func (l *link) dial() error {
-	conn, err := net.DialTimeout("tcp", l.addr, l.opts.DialTimeout)
+	conn, err := net.DialTimeout("tcp", l.addr, dialTimeout)
 	if err != nil {
 		return err
 	}

@@ -16,17 +16,19 @@ import (
 	"soteria/internal/tenant"
 )
 
+// burstWriteTimeout bounds one burst write of a served connection: the
+// responses it holds, sent in one Write.
+const burstWriteTimeout = 10 * time.Second
+
 // ServerOptions harden one server against misbehaving peers and
 // overload. The zero value selects production-shaped defaults; tests
-// shrink the timeouts to keep regression runs fast.
+// shrink the read-side timeouts to keep regression runs fast. A burst
+// write is always bounded by burstWriteTimeout.
 type ServerOptions struct {
 	// ReadStall bounds the gap between consecutive bytes of one frame
 	// once its first byte has arrived: a peer that stalls mid-frame is
 	// disconnected, a slow-but-moving peer is not. Default 5s.
 	ReadStall time.Duration
-	// WriteTimeout bounds one burst write: the responses a connection
-	// holds, sent in one Write. Default 10s.
-	WriteTimeout time.Duration
 	// IdleTimeout bounds how long a connection may sit between requests
 	// before it is dropped (half-dead peers cannot pin a goroutine
 	// forever). Default 2 minutes; negative disables.
@@ -57,9 +59,6 @@ type ServerOptions struct {
 func (o *ServerOptions) fill() {
 	if o.ReadStall <= 0 {
 		o.ReadStall = 5 * time.Second
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 10 * time.Second
 	}
 	if o.IdleTimeout == 0 {
 		o.IdleTimeout = 2 * time.Minute
@@ -294,7 +293,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.wg.Done()
 	}()
 	s.logf("devnet: %v connected", conn.RemoteAddr())
-	dc := &deadlineConn{Conn: conn, write: s.opts.WriteTimeout}
+	dc := &deadlineConn{Conn: conn, write: burstWriteTimeout}
 	br := bufio.NewReaderSize(dc, readBufSize)
 	// bound is this connection's authenticated tenant (0 = none). It is
 	// per-connection on purpose: a binding must not outlive the transport

@@ -41,99 +41,6 @@ func TestGFDistributive(t *testing.T) {
 	}
 }
 
-func TestSECDEDCleanRoundTrip(t *testing.T) {
-	f := func(data uint64) bool {
-		check := secdedEncode(data)
-		out, corrected, unc := secdedDecode(data, check)
-		return out == data && !corrected && !unc
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSECDEDSingleBitCorrection(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 2000; trial++ {
-		data := rng.Uint64()
-		check := secdedEncode(data)
-		bit := rng.Intn(72)
-		flippedData, flippedCheck := data, check
-		if bit < 64 {
-			flippedData ^= 1 << uint(bit)
-		} else {
-			flippedCheck ^= 1 << uint(bit-64)
-		}
-		out, corrected, unc := secdedDecode(flippedData, flippedCheck)
-		if unc {
-			t.Fatalf("single-bit flip at %d reported uncorrectable", bit)
-		}
-		if !corrected {
-			t.Fatalf("single-bit flip at %d not reported corrected", bit)
-		}
-		if out != data {
-			t.Fatalf("single-bit flip at %d miscorrected: got %x want %x", bit, out, data)
-		}
-	}
-}
-
-func TestSECDEDDoubleBitDetection(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 2000; trial++ {
-		data := rng.Uint64()
-		check := secdedEncode(data)
-		b1 := rng.Intn(72)
-		b2 := rng.Intn(72)
-		for b2 == b1 {
-			b2 = rng.Intn(72)
-		}
-		fd, fc := data, check
-		for _, b := range []int{b1, b2} {
-			if b < 64 {
-				fd ^= 1 << uint(b)
-			} else {
-				fc ^= 1 << uint(b-64)
-			}
-		}
-		out, _, unc := secdedDecode(fd, fc)
-		if !unc && out != data {
-			t.Fatalf("double flip (%d,%d) silently miscorrected", b1, b2)
-		}
-		if !unc {
-			t.Fatalf("double flip (%d,%d) not detected", b1, b2)
-		}
-	}
-}
-
-func TestSECDEDLineCodec(t *testing.T) {
-	var codec SECDED
-	line := make([]byte, 64)
-	for i := range line {
-		line[i] = byte(i * 7)
-	}
-	check := codec.Encode(line)
-	if len(check) != codec.CheckBytes() {
-		t.Fatalf("check length %d != %d", len(check), codec.CheckBytes())
-	}
-	got := append([]byte(nil), line...)
-	res := codec.Decode(got, check)
-	if res.Corrected || res.Uncorrectable {
-		t.Fatalf("clean line decoded with flags %+v", res)
-	}
-	// Flip one bit in word 3: corrected.
-	got[3*8+2] ^= 0x10
-	res = codec.Decode(got, check)
-	if !res.Corrected || res.Uncorrectable || !bytes.Equal(got, line) {
-		t.Fatalf("single-bit line error not corrected: %+v", res)
-	}
-	// Flip two bits in word 5: uncorrectable, BadWords names word 5.
-	got[5*8] ^= 0x03
-	res = codec.Decode(got, check)
-	if !res.Uncorrectable || res.BadWords != 1<<5 {
-		t.Fatalf("double-bit line error not attributed to word 5: %+v", res)
-	}
-}
-
 func TestRSRoundTrip(t *testing.T) {
 	rs, err := NewRS(8, 2)
 	if err != nil {
@@ -254,7 +161,7 @@ func TestChipkillChipFailure(t *testing.T) {
 	line := make([]byte, 64)
 	rng := rand.New(rand.NewSource(6))
 	rng.Read(line)
-	check := ck.Encode(line)
+	check := encode(ck, line)
 
 	// A whole-chip failure corrupts byte lane `chip` in every beat.
 	got := append([]byte(nil), line...)
@@ -290,7 +197,7 @@ func TestChipkillECCChipFailure(t *testing.T) {
 	for i := range line {
 		line[i] = byte(i)
 	}
-	check := ck.Encode(line)
+	check := encode(ck, line)
 	got := append([]byte(nil), line...)
 	gc := append([]byte(nil), check...)
 	// Kill one ECC device (check byte lane 0 of every beat).
@@ -300,26 +207,6 @@ func TestChipkillECCChipFailure(t *testing.T) {
 	res := ck.Decode(got, gc)
 	if res.Uncorrectable || !bytes.Equal(got, line) {
 		t.Fatalf("ECC-chip failure not transparent: %+v", res)
-	}
-}
-
-func TestNoECC(t *testing.T) {
-	var n NoECC
-	if n.CheckBytes() != 0 || n.Encode(nil) != nil {
-		t.Fatal("NoECC must be a true no-op")
-	}
-	res := n.Decode(make([]byte, 64), nil)
-	if res.Corrected || res.Uncorrectable {
-		t.Fatal("NoECC flagged an error")
-	}
-}
-
-func BenchmarkSECDEDEncodeLine(b *testing.B) {
-	var codec SECDED
-	line := make([]byte, 64)
-	b.SetBytes(64)
-	for i := 0; i < b.N; i++ {
-		codec.Encode(line)
 	}
 }
 
@@ -341,7 +228,7 @@ func BenchmarkChipkillDecodeClean(b *testing.B) {
 	ck := NewChipkill()
 	line := make([]byte, 64)
 	rand.New(rand.NewSource(1)).Read(line)
-	check := ck.Encode(line)
+	check := encode(ck, line)
 	b.SetBytes(64)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -353,40 +240,47 @@ func BenchmarkChipkillDecodeClean(b *testing.B) {
 }
 
 // Decoding a line with a correctable or an uncorrectable error in every
-// word allocates nothing, under either line codec: a fault storm must not
-// turn into garbage-collector work below the controller.
+// word allocates nothing: a fault storm must not turn into garbage-collector
+// work below the controller.
 func TestFaultyDecodeDoesNotAllocate(t *testing.T) {
-	for _, codec := range []Codec{NewChipkill(), SECDED{}} {
-		var line, check [64]byte
-		for i := range line {
-			line[i] = byte(i*37 + 11)
+	ck := NewChipkill()
+	var line [64]byte
+	var check [16]byte
+	for i := range line {
+		line[i] = byte(i*37 + 11)
+	}
+	ck.EncodeInto(check[:], line[:])
+	for _, c := range []struct {
+		name string
+		flip [2]byte // XORed into bytes 0 and 3 of every word
+		want Result
+	}{
+		{"corrected", [2]byte{0x04, 0}, Result{Corrected: true, SymbolsCorrected: 8}},
+		{"uncorrectable", [2]byte{0x01, 0x80}, Result{Uncorrectable: true, BadWords: 0xFF}},
+	} {
+		var got Result
+		data, chk := make([]byte, 64), make([]byte, ck.CheckBytes())
+		allocs := testing.AllocsPerRun(100, func() {
+			copy(data, line[:])
+			copy(chk, check[:])
+			for w := 0; w < 8; w++ {
+				data[w*8] ^= c.flip[0]
+				data[w*8+3] ^= c.flip[1]
+			}
+			got = ck.Decode(data, chk)
+		})
+		if got != c.want {
+			t.Fatalf("%s: %+v, want %+v", c.name, got, c.want)
 		}
-		codec.EncodeInto(check[:codec.CheckBytes()], line[:])
-		for _, c := range []struct {
-			name string
-			flip [2]byte // XORed into bytes 0 and 3 of every word
-			want Result
-		}{
-			{"corrected", [2]byte{0x04, 0}, Result{Corrected: true, SymbolsCorrected: 8}},
-			{"uncorrectable", [2]byte{0x01, 0x80}, Result{Uncorrectable: true, BadWords: 0xFF}},
-		} {
-			var got Result
-			data, chk := make([]byte, 64), make([]byte, codec.CheckBytes())
-			allocs := testing.AllocsPerRun(100, func() {
-				copy(data, line[:])
-				copy(chk, check[:])
-				for w := 0; w < 8; w++ {
-					data[w*8] ^= c.flip[0]
-					data[w*8+3] ^= c.flip[1]
-				}
-				got = codec.Decode(data, chk)
-			})
-			if got != c.want {
-				t.Fatalf("%s %s: %+v, want %+v", codec.Name(), c.name, got, c.want)
-			}
-			if allocs != 0 {
-				t.Fatalf("%s %s: Decode allocates %v times", codec.Name(), c.name, allocs)
-			}
+		if allocs != 0 {
+			t.Fatalf("%s: Decode allocates %v times", c.name, allocs)
 		}
 	}
+}
+
+// encode returns the Chipkill check bytes of line in a new slice.
+func encode(ck *Chipkill, line []byte) []byte {
+	check := make([]byte, ck.CheckBytes())
+	ck.EncodeInto(check, line)
+	return check
 }

@@ -1,10 +1,3 @@
-// Package ecc implements the error-correction substrate the Soteria
-// reproduction runs on: a real Hamming SECDED(72,64) code, a Reed-Solomon
-// code over GF(2^8) arranged as a Chipkill-Correct line codec, and a
-// no-op codec for non-protected configurations. The codecs are functional —
-// they genuinely encode check bytes and correct/detect injected bit errors —
-// so the fault-handling pipeline of the paper (Fig 9) can be exercised end
-// to end rather than modelled probabilistically.
 package ecc
 
 // GF(2^8) arithmetic with the conventional primitive polynomial

@@ -23,12 +23,6 @@ func NewRS(k, nsym int) (*RS, error) {
 	return &RS{k: k, nsym: nsym, gen: gen}, nil
 }
 
-// K returns the number of data symbols per codeword.
-func (r *RS) K() int { return r.k }
-
-// NSym returns the number of check symbols per codeword.
-func (r *RS) NSym() int { return r.nsym }
-
 // Encode computes the nsym check symbols for the k data symbols in msg.
 func (r *RS) Encode(msg []byte) []byte {
 	rem := make([]byte, r.nsym)

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"soteria/internal/stats"
-	"soteria/internal/wear"
 )
 
 // WearLeveling demonstrates the Start-Gap substrate (§2.3/§7 background):
@@ -51,7 +50,7 @@ func WearLeveling(lines uint64, writes int, psi uint64, seed int64) (*stats.Tabl
 		unleveled := make([]uint64, lines)
 		leveledWear := make([]uint64, lines+1)
 		store := make([][64]byte, lines+1)
-		region, err := wear.NewRegion(lines, psi,
+		region, err := newWearRegion(lines, psi,
 			func(phys uint64) [64]byte { return store[phys] },
 			func(phys uint64, d *[64]byte) { leveledWear[phys]++; store[phys] = *d })
 		if err != nil {
@@ -63,13 +62,13 @@ func WearLeveling(lines uint64, writes int, psi uint64, seed int64) (*stats.Tabl
 			unleveled[la]++
 			region.Write(la, &v)
 		}
-		un := wear.WearSpread(unleveled)
-		lv := wear.WearSpread(leveledWear)
+		un := wearSpread(unleveled)
+		lv := wearSpread(leveledWear)
 		improvement := 0.0
 		if lv > 0 {
 			improvement = un / lv
 		}
-		overhead := float64(region.StartGapState().Moves()) / float64(writes) * 100
+		overhead := float64(region.sg.Moves()) / float64(writes) * 100
 		t.AddRow(p.name, un, lv, improvement, overhead)
 	}
 	return t, nil

@@ -12,34 +12,35 @@ import (
 
 // eagerDevice is the device with no deferred check bytes: every write
 // encodes, every read decodes, every new line is encoded as zeroes. It keeps
-// its lines in a map and shares no storage or fault code with Device, so
-// FuzzDeviceMatchesEagerECC can hold the deferred device to it op for op.
+// its lines in a map, decodes with the plain RS(10,8) decoder beat by beat
+// rather than Chipkill's table encoder, and shares no storage or fault code
+// with Device, so FuzzDeviceMatchesEagerECC can hold the deferred device to
+// it op for op.
 type eagerDevice struct {
-	codec        ecc.Codec
-	lines        map[uint64]*eagerLine
-	stuck        map[uint64]*eagerStuck
-	ecpBudget    int
-	ecp          map[uint64][]ecpEntry
-	ecpExhausted uint64
-	stats        Stats
+	rs    *ecc.RS
+	lines map[uint64]*eagerLine
+	stats Stats
 }
 
 type eagerLine struct {
 	data  Line
-	check []byte
+	check [16]byte
 	wear  uint64
 }
 
-// eagerStuck is a line's stuck cells: bits in mask read as the bits of val.
-type eagerStuck struct{ mask, val Line }
+func newEagerDevice(t testing.TB) *eagerDevice {
+	rs, err := ecc.NewRS(8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &eagerDevice{rs: rs, lines: make(map[uint64]*eagerLine)}
+}
 
-func newEagerDevice(codec ecc.Codec, ecpBudget int) *eagerDevice {
-	return &eagerDevice{
-		codec:     codec,
-		lines:     make(map[uint64]*eagerLine),
-		stuck:     make(map[uint64]*eagerStuck),
-		ecpBudget: ecpBudget,
-		ecp:       make(map[uint64][]ecpEntry),
+// encode sets l's check bytes from its cells: two RS check symbols per
+// 8-byte beat.
+func (r *eagerDevice) encode(l *eagerLine) {
+	for b := 0; b < 8; b++ {
+		r.rs.EncodeTo(l.check[b*2:b*2+2], l.data[b*8:b*8+8])
 	}
 }
 
@@ -47,47 +48,16 @@ func (r *eagerDevice) line(addr uint64) *eagerLine {
 	l := r.lines[addr]
 	if l == nil {
 		l = &eagerLine{}
-		l.check = r.codec.Encode(l.data[:])
+		r.encode(l)
 		r.lines[addr] = l
 	}
 	return l
 }
 
-func (r *eagerDevice) assertStuck(addr uint64, data *Line) {
-	if s := r.stuck[addr]; s != nil {
-		for i := range data {
-			data[i] = data[i]&^s.mask[i] | s.val[i]&s.mask[i]
-		}
-	}
-}
-
 func (r *eagerDevice) Write(addr uint64, data *Line) {
 	l := r.line(addr)
 	l.data = *data
-	l.check = r.codec.Encode(l.data[:])
-	if r.stuck[addr] != nil {
-		r.assertStuck(addr, &l.data)
-		if r.ecpBudget > 0 {
-			var entries []ecpEntry
-			for bit := 0; bit < LineSize*8; bit++ {
-				want := data[bit/8] >> (bit % 8) & 1
-				if l.data[bit/8]>>(bit%8)&1 != want {
-					entries = append(entries, ecpEntry{bit: uint16(bit), val: want == 1})
-				}
-			}
-			switch {
-			case len(entries) == 0:
-				delete(r.ecp, addr)
-			case len(entries) > r.ecpBudget:
-				r.ecpExhausted++
-				delete(r.ecp, addr)
-			default:
-				r.ecp[addr] = entries
-			}
-		}
-	} else if r.ecpBudget > 0 {
-		delete(r.ecp, addr)
-	}
+	r.encode(l)
 	r.stats.Writes++
 	l.wear++
 }
@@ -98,31 +68,28 @@ func (r *eagerDevice) Read(addr uint64) ReadResult {
 	if l == nil {
 		return ReadResult{}
 	}
-	buf := l.data
-	if r.ecpBudget > 0 {
-		for _, e := range r.ecp[addr] {
-			buf[e.bit/8] &^= 1 << (e.bit % 8)
-			if e.val {
-				buf[e.bit/8] |= 1 << (e.bit % 8)
-			}
+	buf, check := l.data, l.check
+	var corrected, uncorrectable bool
+	var bad []int
+	for b := 0; b < 8; b++ {
+		n, ok := r.rs.Decode(buf[b*8:b*8+8], check[b*2:b*2+2])
+		switch {
+		case !ok:
+			uncorrectable = true
+			bad = append(bad, b)
+		case n > 0:
+			corrected = true
 		}
 	}
-	res := r.codec.Decode(buf[:], l.check)
-	if res.Corrected {
+	if corrected {
 		r.stats.CorrectedLines++
 		l.data = buf
-		l.check = r.codec.Encode(buf[:])
+		r.encode(l)
 	}
-	if res.Uncorrectable {
+	if uncorrectable {
 		r.stats.UncorrectableHits++
 	}
-	var bad []int
-	for w := 0; w < 8; w++ {
-		if res.BadWords&(1<<w) != 0 {
-			bad = append(bad, w)
-		}
-	}
-	return ReadResult{Data: buf, Corrected: res.Corrected, Uncorrectable: res.Uncorrectable, BadWords: bad}
+	return ReadResult{Data: buf, Corrected: corrected, Uncorrectable: uncorrectable, BadWords: bad}
 }
 
 func (r *eagerDevice) ReadRaw(addr uint64) Line {
@@ -144,9 +111,7 @@ func (r *eagerDevice) FlipBit(addr uint64, bit uint) {
 }
 
 func (r *eagerDevice) FlipCheckBit(addr uint64, byteIdx int, bit uint) {
-	if l := r.line(addr); len(l.check) != 0 {
-		l.check[byteIdx%len(l.check)] ^= 1 << (bit % 8)
-	}
+	r.line(addr).check[byteIdx%16] ^= 1 << (bit % 8)
 }
 
 func (r *eagerDevice) CorruptWord(addr uint64, w int) {
@@ -155,24 +120,9 @@ func (r *eagerDevice) CorruptWord(addr uint64, w int) {
 	l.data[w%8*8+3] ^= 0x80
 }
 
-func (r *eagerDevice) StickBits(addr uint64, mask, val *Line) {
-	l := r.line(addr)
-	s := r.stuck[addr]
-	if s == nil {
-		s = new(eagerStuck)
-		r.stuck[addr] = s
-	}
-	for i := range mask {
-		s.mask[i] |= mask[i]
-		s.val[i] = s.val[i]&^mask[i] | val[i]&mask[i]
-	}
-	r.assertStuck(addr, &l.data)
-}
-
 func (r *eagerDevice) ClearFaults() {
-	clear(r.stuck)
 	for _, l := range r.lines {
-		l.check = r.codec.Encode(l.data[:])
+		r.encode(l)
 	}
 }
 
@@ -184,15 +134,6 @@ func (r *eagerDevice) touched() []uint64 {
 	}
 	slices.Sort(addrs)
 	return addrs
-}
-
-func (r *eagerDevice) ECPStats() ECPStats {
-	s := ECPStats{Exhausted: r.ecpExhausted}
-	for _, entries := range r.ecp {
-		s.LinesRepaired++
-		s.PointersUsed += len(entries)
-	}
-	return s
 }
 
 // fuzzDeviceLines is the fuzz device's size: two directory nodes and the
@@ -227,37 +168,33 @@ var fuzzProbes = func() []uint64 {
 // FuzzDeviceMatchesEagerECC runs a script of device operations on a Device
 // and on eagerDevice and requires the same results and the same observable
 // state after every step. Each step is three bytes: op, selector and
-// argument. The selector's low three bits pick the line from fuzzIdx, its
-// top three a bit within a byte, and its top six are a stuck-cell mask.
+// argument. The selector's low three bits pick the line from fuzzIdx and its
+// top three a bit within a byte.
 func FuzzDeviceMatchesEagerECC(f *testing.F) {
-	// Hand-written: write then fault then read, for each fault kind.
-	f.Add(uint8(0), uint8(0), []byte{0, 1, 7, 4, 1, 3, 1, 1, 0, 0, 2, 9, 3, 0x42, 9, 1, 2, 0})
-	f.Add(uint8(0), uint8(1), []byte{0, 0, 5, 7, 0x20, 3, 0, 0, 5, 1, 0, 0, 7, 0x40, 70, 0, 0, 6, 1, 0, 0})
-	f.Add(uint8(1), uint8(2), []byte{7, 0, 9, 7, 0x21, 9, 0, 1, 4, 1, 1, 0, 8, 0, 0, 1, 1, 0, 0, 1, 4, 1, 1, 0})
-	f.Add(uint8(1), uint8(0), []byte{6, 2, 0, 1, 2, 0, 8, 0, 0, 1, 2, 0, 5, 3, 4, 1, 3, 0, 2, 3, 0})
-	// Seeded random scripts over every codec and ECP setting.
+	// Hand-written: write then fault then read, for each fault kind; a
+	// fault on a never-written line; a line with one correctable and one
+	// uncorrectable beat, read twice.
+	f.Add([]byte{0, 0, 7, 3, 0x40, 9, 2, 0, 0, 4, 0x20, 5, 2, 0, 0, 5, 0, 3, 2, 0, 0, 7, 0, 0, 2, 0, 1})
+	f.Add([]byte{6, 1, 0, 2, 1, 1, 8, 1, 0, 1, 1, 4, 2, 1, 0, 6, 1, 0, 2, 1, 0})
+	f.Add([]byte{0, 2, 9, 3, 2, 40, 5, 2, 1, 2, 2, 0, 2, 2, 1, 8, 2, 0})
+	f.Add([]byte{4, 7, 0, 4, 0xe7, 15, 2, 7, 0, 3, 5, 7, 7, 5, 0, 2, 5, 1})
+	// Seeded random scripts.
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		script := make([]byte, 3*96)
 		rng.Read(script)
-		f.Add(uint8(seed), uint8(seed/2), script)
+		f.Add(script)
 	}
-	codecs := []ecc.Codec{ecc.NewChipkill(), ecc.SECDED{}, ecc.NoECC{}}
-	f.Fuzz(func(t *testing.T, codecSel, ecpSel uint8, script []byte) {
-		codec := codecs[int(codecSel)%len(codecs)]
-		budget := []int{0, 2, 6}[int(ecpSel)%3]
-		d, err := NewDevice(fuzzDeviceLines*LineSize, codec)
+	f.Fuzz(func(t *testing.T, script []byte) {
+		d, err := NewDevice(fuzzDeviceLines*LineSize, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if budget > 0 {
-			d.EnableECP(budget)
-		}
-		ref := newEagerDevice(codec, budget)
+		ref := newEagerDevice(t)
 
-		var data, mask, val Line
+		var data Line
 		for i := 0; i+2 < len(script); i += 3 {
-			op, sel, arg := script[i]%10, script[i+1], script[i+2]
+			op, sel, arg := script[i]%9, script[i+1], script[i+2]
 			addr := fuzzIdx[sel%8] * LineSize
 			bit := uint(sel >> 5)
 			switch op {
@@ -303,24 +240,15 @@ func FuzzDeviceMatchesEagerECC(f *testing.F) {
 					ref.CorruptWord(addr, w)
 				}
 			case 7:
-				mask, val = Line{}, Line{}
-				mask[arg%LineSize] = sel >> 2 // up to six bits, or none
-				val[arg%LineSize] = arg
-				d.StickBits(addr, &mask, &val)
-				ref.StickBits(addr, &mask, &val)
-			case 8:
 				d.ClearFaults()
 				ref.ClearFaults()
-			case 9:
+			case 8:
 				if got, want := d.ReadRaw(addr), ref.ReadRaw(addr); got != want {
 					t.Fatalf("step %d: ReadRaw(%#x) = %x, eager %x", i/3, addr, got, want)
 				}
 			}
 			if got, want := d.Stats(), ref.stats; got != want {
 				t.Fatalf("step %d (op %d): Stats %+v, eager %+v", i/3, op, got, want)
-			}
-			if got, want := d.ECPStats(), ref.ECPStats(); got != want {
-				t.Fatalf("step %d (op %d): ECPStats %+v, eager %+v", i/3, op, got, want)
 			}
 			if got, want := d.TouchedLines(), len(ref.lines); got != want {
 				t.Fatalf("step %d (op %d): TouchedLines %d, eager %d", i/3, op, got, want)
@@ -370,7 +298,7 @@ func TestPageAndDirEntryLayout(t *testing.T) {
 	if n := unsafe.Sizeof(dirEntry{}); n != want {
 		t.Fatalf("dirEntry is %d bytes, want %d with %d-byte pointers", n, want, unsafe.Sizeof(uintptr(0)))
 	}
-	d, err := NewDevice(pageLines*dirPages*LineSize, ecc.NewChipkill())
+	d, err := NewDevice(pageLines*dirPages*LineSize, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

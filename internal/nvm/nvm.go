@@ -1,5 +1,5 @@
 // Package nvm models a byte-accurate non-volatile main memory built from
-// 64-byte lines, each protected by a pluggable ECC codec. The device is the
+// 64-byte lines, each protected by Chipkill-Correct ECC. The device is the
 // persistence substrate for the whole reproduction: the secure memory
 // controller stores data, counters, tree nodes, MACs, the Anubis shadow
 // region and Soteria's clone regions in it, and the fault-injection API lets
@@ -13,14 +13,14 @@
 // the page's present and fresh bitmaps, so reading a fresh line touches that
 // entry and the line's one host cache line.
 //
-// Check bytes are deferred. A line that is newly materialized, or was last
-// written with no stuck cells, is fresh: its check bytes have not been
-// computed and its cells hold exactly what was last written. Reading a fresh
-// line returns its cells and decodes nothing, which is what decoding a
-// just-encoded, untouched codeword would give. Every fault-injection entry
-// point first settles the line it touches (encodes its check bytes from the
-// cells), so a fault meets the check bytes a device that encodes on every
-// write would hold. ClearFaults settles every line.
+// Check bytes are deferred. A line that is newly materialized or written is
+// fresh: its check bytes have not been computed and its cells hold exactly
+// what was last written. Reading a fresh line returns its cells and decodes
+// nothing, which is what decoding a just-encoded, untouched codeword would
+// give. Every fault-injection entry point first settles the line it touches
+// (encodes its check bytes from the cells), so a fault meets the check bytes
+// a device that encodes on every write would hold. ClearFaults settles every
+// line.
 package nvm
 
 import (
@@ -41,15 +41,6 @@ const LineSize = config.BlockSize
 // and tree layers.
 type Line = [LineSize]byte
 
-// maxCheckBytes is the widest per-line ECC a page holds (Chipkill).
-const maxCheckBytes = 16
-
-// stuckCells describes a line's permanently faulty cells: after any write,
-// bits in mask take the value in val.
-type stuckCells struct {
-	mask, val Line
-}
-
 // A line index splits into directory slot, page slot and line: pages of
 // pageLines lines, dirPages pages to a directory node. The root is sized
 // from the capacity at construction; nodes and pages are allocated on first
@@ -64,11 +55,11 @@ const (
 )
 
 // page holds pageLines lines as struct-of-arrays: the cells first, so every
-// line is one 64-byte-aligned host cache line, then each line's stored ECC
-// check bytes (the first Codec.CheckBytes() of its row) and write count.
+// line is one 64-byte-aligned host cache line, then each line's 16 stored
+// Chipkill check bytes and its write count.
 type page struct {
 	data  [pageLines]Line
-	check [pageLines][maxCheckBytes]byte
+	check [pageLines][16]byte
 	wear  [pageLines]uint64
 }
 
@@ -96,32 +87,16 @@ type Stats struct {
 // Device is the simulated NVM module.
 type Device struct {
 	capacity uint64 // bytes
-	codec    ecc.Codec
-	nCheck   int // codec.CheckBytes()
+	codec    *ecc.Chipkill
 	root     []*dirNode
 	touched  int // materialized lines
 	stats    Stats
 
-	// stuck holds the stuck-at faults of the few lines that have any;
-	// Write consults it only when it is non-empty.
-	stuck map[uint64]*stuckCells
-
-	// ECP state (EnableECP).
-	ecpBudget    int
-	ecp          map[uint64][]ecpEntry
-	ecpExhausted uint64
-
 	// hook, when set, observes every write boundary (chaos injection).
 	hook inject.Hook
 
-	// rdBuf shields the read path from an interface-escape allocation:
-	// slices passed through the ecc.Codec interface are assumed by the
-	// compiler to escape, so a read of a settled line decodes in this owned
-	// buffer instead of a stack one. A fresh line is read straight from its
-	// page, and settle encodes in place. badWords backs the BadWords of an
-	// uncorrectable read. The device, like the controller driving it, is
-	// single-goroutine.
-	rdBuf    Line
+	// badWords backs the BadWords of an uncorrectable read. The device,
+	// like the controller driving it, is single-goroutine.
 	badWords [8]int
 }
 
@@ -140,28 +115,23 @@ func (d *Device) AttachTelemetry(r *telemetry.Registry) {
 // its previous contents.
 func (d *Device) SetWriteHook(h inject.Hook) { d.hook = h }
 
-// NewDevice creates an NVM device of the given capacity protected by codec.
-// Capacity must be a positive multiple of the line size.
-func NewDevice(capacity uint64, codec ecc.Codec) (*Device, error) {
+// NewDevice creates an NVM device of the given capacity protected by codec;
+// a nil codec gets one of its own from ecc.NewChipkill. Capacity must be a
+// positive multiple of the line size.
+func NewDevice(capacity uint64, codec *ecc.Chipkill) (*Device, error) {
 	if capacity == 0 || capacity%LineSize != 0 {
 		return nil, fmt.Errorf("nvm: capacity %d must be a positive multiple of %d", capacity, LineSize)
 	}
 	if codec == nil {
-		codec = ecc.NoECC{}
-	}
-	if n := codec.CheckBytes(); n < 0 || n > maxCheckBytes {
-		return nil, fmt.Errorf("nvm: codec %s stores %d check bytes per line, a page holds %d", codec.Name(), n, maxCheckBytes)
+		codec = ecc.NewChipkill()
 	}
 	const nodeLines = pageLines * dirPages
 	root := make([]*dirNode, (capacity/LineSize+nodeLines-1)/nodeLines)
-	return &Device{capacity: capacity, codec: codec, nCheck: codec.CheckBytes(), root: root}, nil
+	return &Device{capacity: capacity, codec: codec, root: root}, nil
 }
 
 // Capacity returns the device capacity in bytes.
 func (d *Device) Capacity() uint64 { return d.capacity }
-
-// Codec returns the ECC codec protecting the device.
-func (d *Device) Codec() ecc.Codec { return d.codec }
 
 // Lines returns the number of addressable lines.
 func (d *Device) Lines() uint64 { return d.capacity / LineSize }
@@ -268,52 +238,23 @@ func (d *Device) line(idx uint64) (*dirEntry, uint) {
 // before touching cells or check bytes.
 func (d *Device) settle(e *dirEntry, i uint) {
 	if e.fresh>>i&1 != 0 {
-		d.codec.EncodeInto(e.page.check[i][:d.nCheck], e.page.data[i][:])
+		d.codec.EncodeInto(e.page.check[i][:], e.page.data[i][:])
 		e.fresh &^= 1 << i
 	}
 }
 
-// Write stores one line at the given (aligned) byte address. Its check bytes
-// are left to settle unless the line has stuck cells: those re-assert their
-// faulty values after the write, exactly like worn-out PCM cells, under check
-// bytes encoded from the intended data.
+// Write stores one line at the given (aligned) byte address and leaves its
+// check bytes to settle.
 func (d *Device) Write(addr uint64, data *Line) {
 	idx := d.checkAddr(addr)
 	if d.hook != nil {
 		d.hook.Event(inject.Event{Kind: inject.DeviceWrite, Addr: addr})
 	}
 	e, i := d.line(idx)
-	p := e.page
-	p.data[i] = *data
-	var stuck *stuckCells
-	if len(d.stuck) != 0 {
-		stuck = d.stuck[idx]
-	}
-	if stuck != nil {
-		// The controller computes ECC over the data it sends; stuck
-		// cells then corrupt the stored copy, so the check bytes
-		// reflect the intended value while the array holds the faulty
-		// one. (StickBits settled the line, so it is not fresh.)
-		d.codec.EncodeInto(p.check[i][:d.nCheck], p.data[i][:])
-		stuck.assert(&p.data[i])
-		// Write-verify: ECP allocates pointers for the cells that did
-		// not take the new value.
-		d.ecpRepairAfterWrite(idx, data, &p.data[i])
-	} else {
-		e.fresh |= 1 << i
-		if d.ecpBudget > 0 && len(d.ecp) != 0 {
-			delete(d.ecp, idx) // healthy write; retire stale pointers
-		}
-	}
+	e.page.data[i] = *data
+	e.fresh |= 1 << i
 	d.stats.Writes++
-	p.wear[i]++
-}
-
-// assert forces the stuck cells of a line image to their stuck values.
-func (s *stuckCells) assert(data *Line) {
-	for i := range data {
-		data[i] = (data[i] &^ s.mask[i]) | (s.val[i] & s.mask[i])
-	}
+	e.page.wear[i]++
 }
 
 // ReadResult describes one line read.
@@ -344,22 +285,18 @@ func (d *Device) Read(addr uint64) ReadResult {
 	}
 	p := e.page
 	if e.fresh>>i&1 != 0 {
-		// Nothing to decode: the cells are a clean codeword's data,
-		// and ECP has no pointers for a line written without stuck
-		// cells.
+		// Nothing to decode: the cells are a clean codeword's data.
 		return ReadResult{Data: p.data[i]}
 	}
-	buf := &d.rdBuf
-	*buf = p.data[i]
-	d.ecpApply(idx, buf)
-	check := p.check[i][:d.nCheck]
+	buf := p.data[i]
+	check := p.check[i][:]
 	res := d.codec.Decode(buf[:], check)
 	if res.Corrected {
 		d.stats.CorrectedLines++
 		// A patrol-scrub style write-back of the corrected value keeps
 		// correctable faults from accumulating, mirroring real
 		// controllers (demand scrubbing).
-		p.data[i] = *buf
+		p.data[i] = buf
 		d.codec.EncodeInto(check, buf[:])
 	}
 	var bad []int
@@ -371,7 +308,7 @@ func (d *Device) Read(addr uint64) ReadResult {
 		}
 	}
 	return ReadResult{
-		Data:          *buf,
+		Data:          buf,
 		Corrected:     res.Corrected,
 		Uncorrectable: res.Uncorrectable,
 		BadWords:      bad,
@@ -414,7 +351,8 @@ func (d *Device) ReadRaw(addr uint64) Line {
 // --- Fault injection -------------------------------------------------------
 
 // FlipBit flips a single data bit: addr addresses the byte, bit the bit
-// within it. Under SECDED this is correctable; the next Read repairs it.
+// within it. Alone in its Chipkill beat it is correctable: the next Read
+// repairs it.
 func (d *Device) FlipBit(addr uint64, bit uint) {
 	e, i := d.line(d.checkAddr(addr - addr%LineSize))
 	d.settle(e, i)
@@ -426,22 +364,19 @@ func (d *Device) FlipBit(addr uint64, bit uint) {
 func (d *Device) FlipCheckBit(addr uint64, byteIdx int, bit uint) {
 	e, i := d.line(d.checkAddr(addr))
 	d.settle(e, i)
-	if d.nCheck == 0 {
-		return
-	}
-	e.page.check[i][byteIdx%d.nCheck] ^= 1 << (bit % 8)
+	check := &e.page.check[i]
+	check[byteIdx%len(check)] ^= 1 << (bit % 8)
 }
 
 // CorruptWord plants a detectably uncorrectable error in 8-byte word w of
-// the line at addr by flipping several bits across distinct symbol lanes.
-// Tests assert that both SECDED and Chipkill report it uncorrectable.
+// the line at addr by flipping two bits in distinct symbol lanes.
 func (d *Device) CorruptWord(addr uint64, w int) {
 	e, i := d.line(d.checkAddr(addr))
 	d.settle(e, i)
 	w = w % 8
 	// Flip exactly two bits in two different byte lanes of the word:
-	// a double-bit error for SECDED (detected, not corrected) and a
-	// double-symbol error for Chipkill (ditto).
+	// a double-symbol error in one Chipkill beat (detected, not
+	// corrected).
 	e.page.data[i][w*8+0] ^= 0x01
 	e.page.data[i][w*8+3] ^= 0x80
 }
@@ -454,36 +389,12 @@ func (d *Device) CorruptLine(addr uint64) {
 	}
 }
 
-// StickBits makes the masked bits of the line at addr permanently stuck at
-// the corresponding value bits: every subsequent write re-asserts them,
-// modelling worn-out PCM cells.
-func (d *Device) StickBits(addr uint64, mask, val *Line) {
-	idx := d.checkAddr(addr)
-	e, i := d.line(idx)
-	d.settle(e, i)
-	s := d.stuck[idx]
-	if s == nil {
-		if d.stuck == nil {
-			d.stuck = make(map[uint64]*stuckCells)
-		}
-		s = &stuckCells{}
-		d.stuck[idx] = s
-	}
-	for b := range mask {
-		s.mask[b] |= mask[b]
-		s.val[b] = (s.val[b] &^ mask[b]) | (val[b] & mask[b])
-	}
-	// Assert immediately on current contents.
-	s.assert(&e.page.data[i])
-}
-
-// ClearFaults removes all injected faults and re-encodes every materialized
-// line's ECC from its current contents (a repair-everything escape hatch
-// for experiments).
+// ClearFaults re-encodes every materialized line's ECC from its current
+// cells, so no injected fault is detected any more (a repair-everything
+// escape hatch for experiments).
 func (d *Device) ClearFaults() {
-	d.stuck = nil
 	d.forEach(func(_ uint64, e *dirEntry, i uint) {
-		d.codec.EncodeInto(e.page.check[i][:d.nCheck], e.page.data[i][:])
+		d.codec.EncodeInto(e.page.check[i][:], e.page.data[i][:])
 		e.fresh &^= 1 << i
 	})
 }

@@ -3,13 +3,12 @@ package nvm
 import (
 	"testing"
 	"testing/quick"
-
-	"soteria/internal/ecc"
 )
 
-func newDev(t *testing.T, codec ecc.Codec) *Device {
+// newDev returns a 1 MB device with its own Chipkill codec.
+func newDev(t *testing.T) *Device {
 	t.Helper()
-	d, err := NewDevice(1<<20, codec)
+	d, err := NewDevice(1<<20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +25,7 @@ func TestDeviceRejectsBadCapacity(t *testing.T) {
 }
 
 func TestReadOfUnwrittenLineIsZero(t *testing.T) {
-	d := newDev(t, ecc.SECDED{})
+	d := newDev(t)
 	res := d.Read(128)
 	if res.Corrected || res.Uncorrectable {
 		t.Fatalf("unexpected flags: %+v", res)
@@ -40,7 +39,7 @@ func TestReadOfUnwrittenLineIsZero(t *testing.T) {
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	d := newDev(t, ecc.SECDED{})
+	d := newDev(t)
 	f := func(seed [LineSize]byte, lineIdx uint16) bool {
 		addr := uint64(lineIdx) % d.Lines() * LineSize
 		l := Line(seed)
@@ -53,8 +52,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFlipBitIsCorrectedBySECDED(t *testing.T) {
-	d := newDev(t, ecc.SECDED{})
+func TestFlipBitIsCorrected(t *testing.T) {
+	d := newDev(t)
 	var l Line
 	for i := range l {
 		l[i] = byte(i)
@@ -79,50 +78,46 @@ func TestFlipBitIsCorrectedBySECDED(t *testing.T) {
 }
 
 func TestCorruptWordIsUncorrectable(t *testing.T) {
-	for _, codec := range []ecc.Codec{ecc.SECDED{}, ecc.NewChipkill()} {
-		d := newDev(t, codec)
-		var l Line
-		d.Write(64, &l)
-		d.CorruptWord(64, 2)
-		res := d.Read(64)
-		if !res.Uncorrectable {
-			t.Fatalf("%s: corrupt word not flagged", codec.Name())
-		}
-		if len(res.BadWords) != 1 || res.BadWords[0] != 2 {
-			t.Fatalf("%s: bad words %v, want [2]", codec.Name(), res.BadWords)
-		}
-		if d.Stats().UncorrectableHits != 1 {
-			t.Fatalf("%s: uncorrectable stat wrong", codec.Name())
-		}
+	d := newDev(t)
+	var l Line
+	d.Write(64, &l)
+	d.CorruptWord(64, 2)
+	res := d.Read(64)
+	if !res.Uncorrectable {
+		t.Fatal("corrupt word not flagged")
+	}
+	if len(res.BadWords) != 1 || res.BadWords[0] != 2 {
+		t.Fatalf("bad words %v, want [2]", res.BadWords)
+	}
+	if d.Stats().UncorrectableHits != 1 {
+		t.Fatal("uncorrectable stat wrong")
 	}
 }
 
 // A line with an uncorrectable error in every word reports all eight
-// words bad under either codec, without allocating: BadWords is the
-// device's own buffer, and it is nil again on the next clean read.
+// words bad without allocating: BadWords is the device's own buffer, and it
+// is nil again on the next clean read.
 func TestCorruptLineAllWordsBad(t *testing.T) {
-	for _, codec := range []ecc.Codec{ecc.NewChipkill(), ecc.SECDED{}} {
-		d := newDev(t, codec)
-		var l Line
-		d.Write(0, &l)
-		d.Write(64, &l)
-		d.CorruptLine(0)
-		var res ReadResult
-		if n := testing.AllocsPerRun(100, func() { res = d.Read(0) }); n != 0 {
-			t.Fatalf("%s: uncorrectable Read allocates %v times", codec.Name(), n)
-		}
-		if !res.Uncorrectable || len(res.BadWords) != 8 || res.BadWords[0] != 0 || res.BadWords[7] != 7 {
-			t.Fatalf("%s: corrupt line: %+v, want every word bad", codec.Name(), res)
-		}
-		d.ClearFaults()
-		if res := d.Read(64); res.BadWords != nil {
-			t.Fatalf("%s: clean read reports bad words %v", codec.Name(), res.BadWords)
-		}
+	d := newDev(t)
+	var l Line
+	d.Write(0, &l)
+	d.Write(64, &l)
+	d.CorruptLine(0)
+	var res ReadResult
+	if n := testing.AllocsPerRun(100, func() { res = d.Read(0) }); n != 0 {
+		t.Fatalf("uncorrectable Read allocates %v times", n)
+	}
+	if !res.Uncorrectable || len(res.BadWords) != 8 || res.BadWords[0] != 0 || res.BadWords[7] != 7 {
+		t.Fatalf("corrupt line: %+v, want every word bad", res)
+	}
+	d.ClearFaults()
+	if res := d.Read(64); res.BadWords != nil {
+		t.Fatalf("clean read reports bad words %v", res.BadWords)
 	}
 }
 
 func TestOverwriteHealsInjectedFault(t *testing.T) {
-	d := newDev(t, ecc.SECDED{})
+	d := newDev(t)
 	var l Line
 	d.Write(0, &l)
 	d.CorruptWord(0, 0)
@@ -134,29 +129,8 @@ func TestOverwriteHealsInjectedFault(t *testing.T) {
 	}
 }
 
-func TestStuckBitsPersistAcrossWrites(t *testing.T) {
-	d := newDev(t, ecc.SECDED{})
-	var mask, val Line
-	mask[5] = 0x0F
-	val[5] = 0x0A
-	d.StickBits(0, &mask, &val)
-	var l Line
-	l[5] = 0xF0
-	d.Write(0, &l)
-	res := d.Read(0)
-	// Stored byte 5 = intended high nibble | stuck low nibble = 0xFA;
-	// check bytes cover 0xF0, so ECC sees a multi-bit mismatch.
-	raw := d.ReadRaw(0)
-	if raw[5] != 0xFA {
-		t.Fatalf("stuck cells not asserted: %#x", raw[5])
-	}
-	if !res.Corrected && !res.Uncorrectable {
-		t.Fatal("stuck-at corruption invisible to ECC")
-	}
-}
-
 func TestWearTracking(t *testing.T) {
-	d := newDev(t, nil)
+	d := newDev(t)
 	var l Line
 	for i := 0; i < 5; i++ {
 		d.Write(192, &l)
@@ -169,22 +143,8 @@ func TestWearTracking(t *testing.T) {
 	}
 }
 
-func TestNoECCPassesCorruptionThrough(t *testing.T) {
-	d := newDev(t, ecc.NoECC{})
-	var l Line
-	d.Write(0, &l)
-	d.FlipBit(0, 0)
-	res := d.Read(0)
-	if res.Corrected || res.Uncorrectable {
-		t.Fatal("NoECC reported a flag")
-	}
-	if res.Data[0] != 1 {
-		t.Fatal("corruption did not pass through")
-	}
-}
-
 func TestPanicsOnBadAddress(t *testing.T) {
-	d := newDev(t, nil)
+	d := newDev(t)
 	for _, fn := range []func(){
 		func() { d.Read(13) },
 		func() { var l Line; d.Write(1<<20, &l) },

@@ -20,8 +20,8 @@ func pattern(idx uint64, ver byte) *Line {
 }
 
 // imageDigest hashes what the device's public queries report: statistics,
-// ECP books, the materialized-line count and, for every materialized line in
-// ascending order, its address, wear and raw cells.
+// the materialized-line count and, for every materialized line in ascending
+// order, its address, wear and raw cells.
 func imageDigest(d *Device) string {
 	var b []byte
 	u := func(vs ...uint64) {
@@ -29,9 +29,8 @@ func imageDigest(d *Device) string {
 			b = binary.LittleEndian.AppendUint64(b, v)
 		}
 	}
-	s, e := d.Stats(), d.ECPStats()
+	s := d.Stats()
 	u(s.Reads, s.Writes, s.CorrectedLines, s.UncorrectableHits)
-	u(uint64(e.LinesRepaired), uint64(e.PointersUsed), e.Exhausted)
 	u(uint64(d.TouchedLines()))
 	d.ForEachTouched(func(a uint64) {
 		raw := d.ReadRaw(a)
@@ -50,14 +49,13 @@ func oneBit(byteIdx int, bit uint) *Line {
 
 // scriptedHistory drives one device through every kind of state the image
 // can hold and returns it with the image digest taken just before
-// ClearFaults (stuck-at masks and ECP pointers still in place).
+// ClearFaults (line 77's flipped check bit still in place).
 func scriptedHistory(t *testing.T) (d *Device, faulted string) {
 	t.Helper()
 	d, err := NewDevice(1<<20, ecc.NewChipkill())
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.EnableECP(2)
 	for ver, idx := range []uint64{900, 3, 77, 16383, 0, 3, 255, 256} {
 		d.Write(idx*LineSize, pattern(idx, byte(ver)))
 	}
@@ -68,35 +66,24 @@ func scriptedHistory(t *testing.T) (d *Device, faulted string) {
 	d.FlipCheckBit(77*LineSize, 5, 2)
 	d.CorruptWord(900*LineSize, 6)
 
-	// Line 40: one stuck cell, within the ECP budget (repaired).
-	d.StickBits(40*LineSize, oneBit(12, 4), oneBit(12, 4))
-	d.Write(40*LineSize, pattern(40, 0xFF))
-	// Line 41: three stuck cells, over budget (exhausted). Two share beat
-	// 1, one sits alone in beat 5, so a read corrects one beat, fails
-	// another and demand-scrubs around the failure.
-	stuck := Line{}
-	stuck[8], stuck[11], stuck[40] = 1, 1, 1
-	d.StickBits(41*LineSize, &stuck, &Line{})
+	// Line 41: a correctable flip in beat 5 and an uncorrectable word in
+	// beat 1, so a read corrects one beat, fails another and
+	// demand-scrubs around the failure.
 	full := Line{}
 	for i := range full {
 		full[i] = 0xFF
 	}
 	d.Write(41*LineSize, &full)
-	// Line 42: pointers allocated, then retired by a write the cells take.
-	d.StickBits(42*LineSize, oneBit(0, 0), &Line{})
-	d.Write(42*LineSize, &full)
-	d.Write(42*LineSize, &Line{})
+	d.FlipBit(41*LineSize+40, 0)
+	d.CorruptWord(41*LineSize, 1)
 
 	// A corrected read demand-scrubs line 3.
 	d.FlipBit(3*LineSize+17, 0)
 	if r := d.Read(3 * LineSize); !r.Corrected || r.Uncorrectable || r.Data != *pattern(3, 5) {
 		t.Fatalf("line 3: %+v", r)
 	}
-	if r := d.Read(40 * LineSize); r.Corrected || r.Uncorrectable || r.Data != *pattern(40, 0xFF) {
-		t.Fatalf("ECP-repaired line 40: %+v", r)
-	}
 	if r := d.Read(41 * LineSize); !r.Corrected || !r.Uncorrectable || len(r.BadWords) != 1 || r.BadWords[0] != 1 {
-		t.Fatalf("exhausted line 41: %+v", r)
+		t.Fatalf("line 41: %+v", r)
 	}
 	if r := d.Read(900 * LineSize); !r.Uncorrectable || len(r.BadWords) != 1 || r.BadWords[0] != 6 {
 		t.Fatalf("corrupt line 900: %+v", r)
@@ -108,10 +95,10 @@ func scriptedHistory(t *testing.T) (d *Device, faulted string) {
 	return d, faulted
 }
 
-// The digests below were computed at the commit whose device checkpoint
-// bytes still matched the hashes the map-backed store produced at commit
-// 5caa187, so they pin the same images. ClearFaults changes only check bytes
-// and stuck-at masks, which no query reports, so both states share a digest.
+// The digest below was computed for this script with the device of commit
+// e715e18, whose images earlier pins tied to the map-backed store of commit
+// 5caa187. ClearFaults changes only check bytes, which no query reports, so
+// both states share a digest.
 func TestImageDigestPinned(t *testing.T) {
 	d, faulted := scriptedHistory(t)
 	if faulted != pinnedImage {
@@ -151,7 +138,7 @@ func TestQueriesByLineState(t *testing.T) {
 			t.Errorf("%s: ReadRaw = %x, want %x", c.name, got, *c.raw)
 		}
 	}
-	want := []uint64{0, 3, 5, 40, 41, 42, 77, 255, 256, 900, 16383}
+	want := []uint64{0, 3, 5, 41, 77, 255, 256, 900, 16383}
 	var got []uint64
 	d.ForEachTouched(func(a uint64) { got = append(got, a/LineSize) })
 	if len(got) != len(want) || d.TouchedLines() != len(want) {
@@ -234,4 +221,4 @@ func TestSparseFootprint(t *testing.T) {
 	}
 }
 
-const pinnedImage = "5e4a76d91c6c52236a4dee92363c29ee5aea4bf0c9b515e2db41d08cdf861194"
+const pinnedImage = "a50ae86d06d25ffe4bc8b00844be67edf4b1cc05c883621e9f69da5cd6e78d46"

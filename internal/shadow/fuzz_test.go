@@ -229,7 +229,7 @@ func (r *refTable) validSlots() []uint64 {
 }
 
 // FuzzShadowTableMatchesReference runs one script over a Table and over
-// refTable, each on its own SECDED device, and demands that after every
+// refTable, each on its own Chipkill device, and demands that after every
 // step both devices hold the same bytes over the table's region, that
 // every Load and LoadAllSlots returns the same entries, the same ok and
 // the same error-or-not, that Stats and ValidSlots agree, and that the
@@ -389,11 +389,11 @@ func FuzzShadowTableMatchesReference(f *testing.F) {
 	})
 }
 
-// newSmallDevice is a SECDED device just large enough for the fuzzed
+// newSmallDevice is a Chipkill device just large enough for the fuzzed
 // tables, so each input builds two quickly.
 func newSmallDevice(t *testing.T) *nvm.Device {
 	t.Helper()
-	dev, err := nvm.NewDevice(4096, secded())
+	dev, err := nvm.NewDevice(4096, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"soteria/internal/ctrenc"
-	"soteria/internal/ecc"
 	"soteria/internal/nvm"
 )
 
@@ -46,9 +45,10 @@ var layouts = []layout{
 	{name: "content", content: true},
 }
 
-func newDevice(t testing.TB, codec ecc.Codec) *nvm.Device {
+// newDevice returns a 1 MB device with its own Chipkill codec.
+func newDevice(t testing.TB) *nvm.Device {
 	t.Helper()
-	dev, err := nvm.NewDevice(1<<20, codec)
+	dev, err := nvm.NewDevice(1<<20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func forEachLayout(t *testing.T, f func(t *testing.T, l layout)) {
 
 func TestWriteLoadRoundTrip(t *testing.T) {
 	forEachLayout(t, func(t *testing.T, l layout) {
-		tb := newTableOn(t, newDevice(t, nil), l)
+		tb := newTableOn(t, newDevice(t), l)
 		e := sampleFor(tb, 0x4000)
 		if err := tb.Write(3, e); err != nil {
 			t.Fatal(err)
@@ -140,7 +140,7 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 
 func TestInvalidateSkipsRedundantWrites(t *testing.T) {
 	forEachLayout(t, func(t *testing.T, l layout) {
-		tb := newTableOn(t, newDevice(t, nil), l)
+		tb := newTableOn(t, newDevice(t), l)
 		if err := tb.Invalidate(5); err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestInvalidateSkipsRedundantWrites(t *testing.T) {
 }
 
 func TestHalfRepairFromDuplicate(t *testing.T) {
-	dev, err := nvm.NewDevice(1<<20, secded())
+	dev, err := nvm.NewDevice(1<<20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestHalfRepairFromDuplicate(t *testing.T) {
 }
 
 func TestBothHalvesDeadIsLost(t *testing.T) {
-	dev, err := nvm.NewDevice(1<<20, secded())
+	dev, err := nvm.NewDevice(1<<20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestAnubisBaselineLosesEntryOnUncorrectable(t *testing.T) {
 			lines = ContentLinesPerSlot
 		}
 		for line := uint64(0); line < lines; line++ {
-			dev := newDevice(t, secded())
+			dev := newDevice(t)
 			tb := newTableOn(t, dev, l)
 			_ = tb.Write(2, sampleFor(tb, 0x40))
 			dev.CorruptWord(tb.lineAddr(2)+line*nvm.LineSize, 0)
@@ -239,7 +239,7 @@ func TestAnubisBaselineLosesEntryOnUncorrectable(t *testing.T) {
 
 func TestReplayOfOldEntryDetectedByBMT(t *testing.T) {
 	forEachLayout(t, func(t *testing.T, l layout) {
-		dev := newDevice(t, nil)
+		dev := newDevice(t)
 		tb := newTableOn(t, dev, l)
 		_ = tb.Write(9, sampleFor(tb, 0x1000))
 		old := slotLines(tb, dev, 9)
@@ -264,7 +264,7 @@ func TestReplayOfOldEntryDetectedByBMT(t *testing.T) {
 // swapped: the BMT binds each line to its index.
 func TestCrossSlotSwapDetectedByBMT(t *testing.T) {
 	forEachLayout(t, func(t *testing.T, l layout) {
-		dev := newDevice(t, nil)
+		dev := newDevice(t)
 		tb := newTableOn(t, dev, l)
 		if err := tb.Write(1, sampleFor(tb, 0x1000)); err != nil {
 			t.Fatal(err)
@@ -289,7 +289,7 @@ func TestCrossSlotSwapDetectedByBMT(t *testing.T) {
 // crash, which it reports as lost.
 func TestCrashRecoversEntries(t *testing.T) {
 	forEachLayout(t, func(t *testing.T, l layout) {
-		dev := newDevice(t, nil)
+		dev := newDevice(t)
 		tb := newTableOn(t, dev, l)
 		for i := 0; i < 10; i++ {
 			if err := tb.Write(i, sampleFor(tb, uint64(i)*0x40)); err != nil {
@@ -348,14 +348,12 @@ func TestContentMACBindsAddress(t *testing.T) {
 	}
 }
 
-func secded() ecc.Codec { return ecc.SECDED{} }
-
 func TestBothHalvesFaultedAcrossLoads(t *testing.T) {
 	// Both halves faulted, but in separate codewords of each half:
 	// word 0 (half one) and word 7 (half two) dead means neither half
 	// survives intact, so the entry is unrecoverable even with
 	// duplication — and must be reported as lost, not silently dropped.
-	dev, err := nvm.NewDevice(1<<20, secded())
+	dev, err := nvm.NewDevice(1<<20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +382,7 @@ func TestDisableHalfRepairDropsRecoverableEntry(t *testing.T) {
 	// The debug flag must turn an otherwise-recoverable single-half fault
 	// into a lost entry — this is the deliberately-broken recovery the
 	// chaos harness proves it can catch.
-	dev, err := nvm.NewDevice(1<<20, secded())
+	dev, err := nvm.NewDevice(1<<20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +433,7 @@ func BenchmarkShadowWrite(b *testing.B) {
 // entry — built in the BMT's leaf buffer — and the Reset and Invalidate
 // that clear it at zero heap allocations.
 func TestInPlaceEntryWritesZeroAllocs(t *testing.T) {
-	tb := newTableOn(t, newDevice(t, nil), layouts[0])
+	tb := newTableOn(t, newDevice(t), layouts[0])
 	e := sampleEntry(0x40)
 	lsbs := PackLSBs(&e.LSBs)
 	i := 0
