@@ -9,16 +9,18 @@ import (
 	"soteria/internal/sim"
 )
 
-// Client drives a remote device over TCP with the in-process device's
-// surface, reconstructing its typed errors from the wire statuses so code
-// written against a *device.Device runs unchanged against a server. It is
-// a link with a window of one frame (strict stop-and-wait), so it
-// inherits the link's self-healing: every exchange runs under a
-// deadline, a broken connection is replaced with capped exponential
-// backoff, and the unanswered request is retransmitted with its original
-// (session, seq) so the server deduplicates it. After AttachTenant the
-// same Read/Write/Drain run in the tenant's space. A Client serializes
-// its requests; open several clients, or a Pipe, for concurrency.
+// Client drives a remote device over TCP: Read, Write and Drain, Ping,
+// Info and SnapshotJSON, and the tenant ops (AttachTenant, TenantCreate,
+// TenantRotate, TenantRotateStep). It reconstructs the device's typed
+// errors from the wire statuses, so a data op fails over the wire with
+// the error it would return in-process. It is a link with a window of
+// one frame (strict stop-and-wait), so it inherits the link's
+// self-healing: every exchange runs under a deadline, a broken
+// connection is replaced with capped exponential backoff, and the
+// unanswered request is retransmitted with its original (session, seq)
+// so the server deduplicates it. After AttachTenant the same
+// Read/Write/Drain run in the tenant's space. A Client serializes its
+// requests; open several clients, or a Pipe, for concurrency.
 type Client struct {
 	mu sync.Mutex
 	l  *link
@@ -38,9 +40,6 @@ func DialWith(addr string, opts Options) (*Client, error) {
 	return &Client{l: l}, nil
 }
 
-// Session returns the client's dedup session id.
-func (c *Client) Session() uint64 { return c.l.opts.Session }
-
 // Close closes the connection. The remote device keeps running.
 func (c *Client) Close() error {
 	c.mu.Lock()
@@ -49,7 +48,7 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// do runs one control, introspection or tenant-admin op: success and
+// do runs one introspection or tenant-admin op: success and
 // non-retryable statuses go back to the caller (leaving the link usable),
 // retryable ones go back to the link until its budget runs out. The
 // response body aliases the link's receive buffer and is valid only until
@@ -64,15 +63,6 @@ func (c *Client) do(opName string, op uint8, body []byte) ([]byte, error) {
 	sealFrame(f.buf)
 	resp, err := l.exchange(f)
 	return resp.body, err
-}
-
-// doJSON is do for the ops answered in JSON, decoded into v.
-func (c *Client) doJSON(opName string, op uint8, body []byte, v any) error {
-	data, err := c.do(opName, op, body)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(data, v)
 }
 
 // data runs one read, write or drain as a batch of one entry over the
@@ -120,13 +110,11 @@ func (c *Client) Ping() error {
 // Info fetches the remote device description.
 func (c *Client) Info() (device.Info, error) {
 	var info device.Info
-	return info, c.doJSON("info", OpInfo, nil, &info)
-}
-
-// Health fetches the server's readiness probe.
-func (c *Client) Health() (Health, error) {
-	var h Health
-	return h, c.doJSON("health", OpHealth, nil, &h)
+	data, err := c.do("info", OpInfo, nil)
+	if err != nil {
+		return info, err
+	}
+	return info, json.Unmarshal(data, &info)
 }
 
 // Read services one 64-byte read.
@@ -151,27 +139,6 @@ func (c *Client) Write(addr uint64, data *nvm.Line) (sim.Time, error) {
 func (c *Client) Drain(addr uint64) error {
 	_, _, err := c.data(device.BatchDrain, addr, nil)
 	return err
-}
-
-// Flush is the device-wide durability barrier.
-func (c *Client) Flush() error {
-	_, err := c.do("flush", OpFlush, nil)
-	return err
-}
-
-// Crash cuts power across the whole remote device.
-func (c *Client) Crash() error {
-	_, err := c.do("crash", OpCrash, nil)
-	return err
-}
-
-// Recover rebuilds the remote device and returns its report.
-func (c *Client) Recover() (*device.RecoveryReport, error) {
-	rep := &device.RecoveryReport{}
-	if err := c.doJSON("recover", OpRecover, nil, rep); err != nil {
-		return nil, err
-	}
-	return rep, nil
 }
 
 // SnapshotJSON fetches the remote device's merged telemetry snapshot in

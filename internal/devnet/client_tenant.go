@@ -1,10 +1,6 @@
 package devnet
 
-import (
-	"fmt"
-
-	"soteria/internal/telemetry"
-)
+import "fmt"
 
 // doTenant is do for a tenant-plane op, its body rendered by the one
 // tenant frame codec.
@@ -52,25 +48,4 @@ func (c *Client) TenantRotateStep(id uint32, max uint32) (rotated uint32, cursor
 		return 0, 0, false, &FrameError{Reason: fmt.Sprintf("tenant step returned %d bytes", len(body))}
 	}
 	return beU32(body[1:]), beU64(body[5:]), body[0] != 0, nil
-}
-
-// TenantInfo fetches one tenant's record and rotation progress.
-func (c *Client) TenantInfo(id uint32) (TenantInfo, error) {
-	var info TenantInfo
-	f := TenantFrame{Op: OpTenantInfo, Tenant: id}
-	return info, c.doJSON("tenant-info", f.Op, f.Encode(), &info)
-}
-
-// TenantList fetches the provisioned tenants (operator plane).
-func (c *Client) TenantList() ([]TenantRecord, error) {
-	var out []TenantRecord
-	f := TenantFrame{Op: OpTenantList}
-	return out, c.doJSON("tenant-list", f.Op, f.Encode(), &out)
-}
-
-// TenantMetrics fetches one tenant's telemetry snapshot.
-func (c *Client) TenantMetrics(id uint32) (*telemetry.Snapshot, error) {
-	snap := &telemetry.Snapshot{}
-	f := TenantFrame{Op: OpTenantMetrics, Tenant: id}
-	return snap, c.doJSON("tenant-metrics", f.Op, f.Encode(), snap)
 }

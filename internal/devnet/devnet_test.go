@@ -97,9 +97,6 @@ func TestWireRoundTrip(t *testing.T) {
 	if err := c.Drain(0); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if err := c.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
 
 	// The wire snapshot must be byte-identical to the local rendering.
 	wire, err := c.SnapshotJSON()
@@ -116,7 +113,7 @@ func TestWireRoundTrip(t *testing.T) {
 }
 
 func TestWireErrorSurface(t *testing.T) {
-	_, addr := startServer(t, nil)
+	dev, addr := startServer(t, nil)
 	c, err := devnet.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -127,14 +124,14 @@ func TestWireErrorSurface(t *testing.T) {
 	if _, err := c.Write(0, &line); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Crash(); err != nil {
+	if err := dev.Crash(); err != nil {
 		t.Fatalf("crash: %v", err)
 	}
 	// Down: data ops come back as the same sentinel the local API uses.
 	if _, _, err := c.Read(0); !errors.Is(err, memctrl.ErrCrashed) {
 		t.Fatalf("read while down: %v", err)
 	}
-	rep, err := c.Recover()
+	rep, err := dev.Recover()
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}

@@ -53,7 +53,8 @@ const (
 	ClassRetired
 	// ClassDown: the device is crashed or lost power. Retryable only in
 	// supervised deployments where something will run recovery
-	// (RetryPolicy.RetryDown); otherwise the caller must Recover.
+	// (RetryPolicy.RetryDown); otherwise it goes back to the caller. The
+	// wire offers no recovery: the process that owns the device runs it.
 	ClassDown
 	// ClassQuota: the tenant's hard per-window operation budget is
 	// exhausted. NOT retryable — unlike ClassBusy backpressure the budget
@@ -118,15 +119,10 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// Retryable reports whether the default client policy would retry err
-// (transport faults, backpressure, and crash-barrier retirement; not
-// ClassDown, which needs RetryPolicy.RetryDown).
-func Retryable(err error) bool { return RetryPolicy{}.retries(ClassOf(err)) }
-
 // OpError is returned when the client's retry budget ran out. It wraps
 // the last underlying error, so errors.Is/As still see the typed cause.
 type OpError struct {
-	// Op names the operation ("write", "recover", ...).
+	// Op names the operation ("write", "tenant-create", ...).
 	Op string
 	// Attempts is how many times the operation was tried.
 	Attempts int

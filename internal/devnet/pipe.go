@@ -130,9 +130,6 @@ func DialPipe(addr string, h PipeHandler, opts PipeOptions) (*Pipe, error) {
 	return p, nil
 }
 
-// Session returns the pipe's dedup session id.
-func (p *Pipe) Session() uint64 { return p.l.opts.Session }
-
 // AttachTenant authenticates the pipe's connection as tenant id, after
 // driving everything already submitted to its outcome: every op submitted
 // afterwards takes a tenant-local address and runs in the tenant's space.

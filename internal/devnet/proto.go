@@ -36,23 +36,19 @@
 //
 //	 1 OpPing          —
 //	 2 OpInfo          —                       response: device.Info JSON
-//	 6 OpFlush         —
-//	 7 OpCrash         —
-//	 8 OpRecover       —                       response: device.RecoveryReport JSON
 //	 9 OpSnapshot      —                       response: telemetry snapshot JSON
-//	10 OpHealth        —                       response: Health JSON
 //	11 OpTenantAttach  [u32 tenant][u64 token]
 //	14 OpTenantCreate  [u32 tenant][u64 lines][u32 quota]  response: [u64 token]
 //	15 OpTenantRotate  [u32 tenant]
 //	16 OpTenantStep    [u32 tenant][u32 max]   response: [u8 done][u32 rotated][u64 cursor]
-//	17 OpTenantInfo    [u32 tenant]            response: TenantInfo JSON
-//	18 OpTenantList    —                       response: []TenantRecord JSON
-//	19 OpTenantMetrics [u32 tenant]            response: telemetry snapshot JSON
 //	20 OpBatch         see batch.go
 //
-// Opcodes 3, 4, 5 (OpRead, OpWrite, OpDrain) and 12, 13 (OpTenantRead,
-// OpTenantWrite) were the single-op data frames. They are retired:
-// reserved, never reused, and answered "unknown op".
+// Opcodes 3–8, 10, 12, 13 and 17–19 are retired: reserved, never reused,
+// and answered "unknown op". 3, 4, 5, 12 and 13 were the single-op data
+// frames; 6, 7, 8 and 10 (flush, crash, recover, health) and 17, 18, 19
+// (tenant info, list, metrics) were operator and introspection ops that
+// no client sent. Readiness and tenant listing and metrics are served
+// over HTTP by cmd/soteria-serve.
 //
 // Error statuses carry typed bodies so the client can reconstruct the
 // device's error surface exactly (see StatusBusy etc.; wireerr.go is the
@@ -74,11 +70,7 @@ import (
 const (
 	OpPing     uint8 = 1
 	OpInfo     uint8 = 2
-	OpFlush    uint8 = 6
-	OpCrash    uint8 = 7
-	OpRecover  uint8 = 8
 	OpSnapshot uint8 = 9
-	OpHealth   uint8 = 10
 
 	// Tenant plane (see tenantframe.go for the body codec). OpTenantAttach
 	// binds the connection to a tenant after checking its token; every
@@ -86,13 +78,10 @@ const (
 	// space. The binding is per-connection, so attach bypasses the dedup
 	// window and the client link replays it after every reconnect. The
 	// rest are operator-plane ops and need no binding.
-	OpTenantAttach  uint8 = 11
-	OpTenantCreate  uint8 = 14
-	OpTenantRotate  uint8 = 15
-	OpTenantStep    uint8 = 16
-	OpTenantInfo    uint8 = 17
-	OpTenantList    uint8 = 18
-	OpTenantMetrics uint8 = 19
+	OpTenantAttach uint8 = 11
+	OpTenantCreate uint8 = 14
+	OpTenantRotate uint8 = 15
+	OpTenantStep   uint8 = 16
 
 	// OpBatch is the data plane: one frame carries up to maxBatchOps
 	// read/write/drain operations, executed by the server as one unit (see
@@ -110,7 +99,7 @@ const (
 	// Shard -1 means the server itself shed the request (max-in-flight
 	// cap), -2 the tenant fair-share gate.
 	StatusBusy
-	// StatusCrashed: the device is down; Recover it. Empty body.
+	// StatusCrashed: the device is down and awaits recovery. Empty body.
 	StatusCrashed
 	// StatusClosed: the device is shut down. Empty body.
 	StatusClosed

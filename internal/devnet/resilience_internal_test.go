@@ -126,17 +126,23 @@ func TestSessionZeroBypassesDedup(t *testing.T) {
 	}
 }
 
-// TestRetiredOpcodesAnswerUnknownOp: the single-op data frames are gone;
-// their opcode numbers are reserved and must not execute anything.
+// TestRetiredOpcodesAnswerUnknownOp: the single-op data frames and the
+// operator and introspection ops no client sent (flush, crash, recover,
+// health, tenant info, list, metrics) are gone; their opcode numbers are
+// reserved, must not execute anything, and leave the connection usable.
 func TestRetiredOpcodesAnswerUnknownOp(t *testing.T) {
-	_, reg, addr := rawServer(t, ServerOptions{})
+	dev, reg, addr := rawServer(t, ServerOptions{})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// Each retired number with the body its single-op frame used to take.
-	for op, n := range map[uint8]int{3: 8, 4: 8 + nvm.LineSize, 5: 8, 12: 12, 13: 12 + nvm.LineSize} {
+	// Each retired number with the body its frame used to take.
+	retired := map[uint8]int{
+		3: 8, 4: 8 + nvm.LineSize, 5: 8, 6: 0, 7: 0, 8: 0, 10: 0,
+		12: 12, 13: 12 + nvm.LineSize, 17: 4, 18: 0, 19: 4,
+	}
+	for op, n := range retired {
 		req := append(encodeRequest(op, 9, uint64(op), n), make([]byte, n)...)
 		resp, err := parseResponse(exchange(t, conn, req))
 		if err != nil {
@@ -148,6 +154,13 @@ func TestRetiredOpcodesAnswerUnknownOp(t *testing.T) {
 	}
 	if got := reg.Counter("devnet_server_applied_writes_total").Value(); got != 0 {
 		t.Fatalf("a retired opcode applied %d writes", got)
+	}
+	if dev.Down() {
+		t.Fatal("the retired crash opcode cut power to the device")
+	}
+	resp, err := parseResponse(exchange(t, conn, encodeRequest(OpPing, 9, 100, 0)))
+	if err != nil || resp.status != StatusOK {
+		t.Fatalf("ping after the retired opcodes: status %d (%v)", resp.status, err)
 	}
 }
 
@@ -340,7 +353,7 @@ func TestTruncatedFrameIsTransportError(t *testing.T) {
 	if ClassOf(err) != ClassTransport {
 		t.Fatalf("truncated frame classed %v, want transport", ClassOf(err))
 	}
-	if !Retryable(err) {
+	if !(RetryPolicy{}).retries(ClassOf(err)) {
 		t.Fatal("truncated frame should be retryable")
 	}
 }

@@ -317,7 +317,7 @@ func TestOverloadShedsWithBusy(t *testing.T) {
 			writeDone <- err
 			return
 		}
-		writeDone <- blocked.Flush()
+		writeDone <- blocked.Drain(0)
 	}()
 	select {
 	case <-hook.blocked:
@@ -365,43 +365,39 @@ func TestOverloadShedsWithBusy(t *testing.T) {
 	}
 }
 
-// TestHealthProbe checks the readiness bit tracks device state.
+// TestHealthProbe checks the readiness bit tracks device state and the
+// server's drain.
 func TestHealthProbe(t *testing.T) {
-	dev, _, addr := startServerWith(t, devnet.ServerOptions{})
-	c, err := devnet.Dial(addr)
+	dev, err := device.New(device.Options{
+		System: config.TestSystem(),
+		Mode:   memctrl.ModeSRC,
+		Key:    []byte("devnet-health-key"),
+		Shards: 4,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	defer dev.Close()
+	srv := devnet.NewServer(dev)
 
-	h, err := c.Health()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !h.Ready || h.DeviceDown || h.Shards != 4 {
+	if h := srv.Health(); !h.Ready || h.DeviceDown || h.Shards != 4 {
 		t.Fatalf("healthy probe = %+v", h)
 	}
-
 	if err := dev.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	h, err = c.Health()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Ready || !h.DeviceDown {
+	if h := srv.Health(); h.Ready || !h.DeviceDown {
 		t.Fatalf("post-crash probe = %+v", h)
 	}
-
 	if _, err := dev.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	h, err = c.Health()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !h.Ready {
+	if h := srv.Health(); !h.Ready {
 		t.Fatalf("post-recovery probe = %+v", h)
+	}
+	srv.Shutdown()
+	if h := srv.Health(); h.Ready || !h.Draining {
+		t.Fatalf("post-shutdown probe = %+v", h)
 	}
 }
 
@@ -444,11 +440,7 @@ func TestHandlerPanicIsolated(t *testing.T) {
 	if err := c.Ping(); err != nil {
 		t.Fatalf("ping after handler panic: %v", err)
 	}
-	h, err := c.Health()
-	if err != nil {
-		t.Fatalf("health after handler panic: %v", err)
-	}
-	if h.Shards != 0 {
+	if h := srv.Health(); h.Shards != 0 {
 		t.Fatalf("nil-device health shards = %d", h.Shards)
 	}
 }

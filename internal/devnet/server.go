@@ -48,9 +48,8 @@ type ServerOptions struct {
 	// Tenants, when non-nil, enables the tenant plane (OpTenantAttach and
 	// friends) against this multi-tenant service: batch frames on a
 	// connection bound to a tenant run through it. The flat device may
-	// then be nil, in which case unbound batch frames are denied and the
-	// control ops (flush, crash, recover, snapshot) route to the service's
-	// device.
+	// then be nil, in which case unbound batch frames are denied and info,
+	// snapshot and Health describe the service's device.
 	Tenants *tenant.Service
 	// Logf, when non-nil, receives connection lifecycle lines.
 	Logf func(format string, args ...any)
@@ -71,7 +70,8 @@ func (o *ServerOptions) fill() {
 	}
 }
 
-// Health is the readiness probe served by OpHealth.
+// Health is the server's readiness, which cmd/soteria-serve serves on
+// its HTTP /readyz endpoint.
 type Health struct {
 	// Ready: accepting connections and the device is up.
 	Ready bool `json:"ready"`
@@ -118,15 +118,12 @@ type Server struct {
 	appliedWrites *telemetry.Counter
 }
 
-// control is what the flat control and introspection ops (info, health,
-// flush, crash, recover, snapshot) act on: the flat device, or on a
-// tenant-only server the device under the tenant service.
+// control is what the introspection ops (info, snapshot) and Health
+// read: the flat device, or on a tenant-only server the device under the
+// tenant service.
 type control interface {
 	Info() device.Info
 	Down() bool
-	Flush() error
-	Crash() error
-	Recover() (*device.RecoveryReport, error)
 	Snapshot() *telemetry.Snapshot
 }
 
@@ -149,7 +146,7 @@ func NewServerWith(dev *device.Device, opts ServerOptions) *Server {
 	opts.fill()
 	s := &Server{dev: dev, opts: opts, sessions: opts.Sessions, conns: map[net.Conn]struct{}{}}
 	// The control target is picked once; with neither a device nor a
-	// tenant service it stays nil and only ping and health answer.
+	// tenant service it stays nil and only ping and Health answer.
 	if dev != nil {
 		s.ctl = dev
 	} else if opts.Tenants != nil {
@@ -460,8 +457,8 @@ func (s *Server) handleSafe(req wireRequest, bound *uint32, bs *batchScratch) (r
 	return s.handle(req)
 }
 
-// handle executes one control or introspection request against the
-// control target and builds the response payload.
+// handle executes one introspection request against the control target
+// and builds the response payload.
 func (s *Server) handle(req wireRequest) []byte {
 	op, seq := req.op, req.seq
 	switch op {
@@ -469,18 +466,6 @@ func (s *Server) handle(req wireRequest) []byte {
 		return respOK(seq, 0, nil)
 	case OpInfo:
 		return respJSON(seq, s.ctl.Info())
-	case OpHealth:
-		return respJSON(seq, s.Health())
-	case OpFlush:
-		return respDone(seq, 0, s.ctl.Flush())
-	case OpCrash:
-		return respDone(seq, 0, s.ctl.Crash())
-	case OpRecover:
-		rep, err := s.ctl.Recover()
-		if err != nil {
-			return respFromErr(seq, err)
-		}
-		return respJSON(seq, rep)
 	case OpSnapshot:
 		return respSnapshot(seq, s.ctl.Snapshot())
 	default:
@@ -501,14 +486,6 @@ func respOK(seq uint64, lat sim.Time, body []byte) []byte {
 
 func respErr(seq uint64, err error) []byte {
 	return append(respHeader(StatusError, seq, 0, len(err.Error())), err.Error()...)
-}
-
-// respDone answers an op whose success carries no body.
-func respDone(seq uint64, lat sim.Time, err error) []byte {
-	if err != nil {
-		return respFromErr(seq, err)
-	}
-	return respOK(seq, lat, nil)
 }
 
 // respJSON answers with v's JSON rendering.

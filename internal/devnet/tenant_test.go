@@ -20,14 +20,14 @@ import (
 // startTenantServer brings up a device, a tenant service
 // over it, and a tenant-enabled server (no flat device) on a loopback
 // port.
-func startTenantServer(t *testing.T, sopts devnet.ServerOptions) (*tenant.Service, string) {
+func startTenantServer(t *testing.T, sopts devnet.ServerOptions) (*tenant.Service, *devnet.Server, string) {
 	t.Helper()
 	return startTenantServerWith(t, sopts, tenant.Options{})
 }
 
 // startTenantServerWith is startTenantServer with explicit tenant-layer
 // options (quota window, burst factor); the master key is filled in.
-func startTenantServerWith(t *testing.T, sopts devnet.ServerOptions, topts tenant.Options) (*tenant.Service, string) {
+func startTenantServerWith(t *testing.T, sopts devnet.ServerOptions, topts tenant.Options) (*tenant.Service, *devnet.Server, string) {
 	t.Helper()
 	dev, err := device.New(device.Options{
 		System: config.TestSystem(),
@@ -56,14 +56,14 @@ func startTenantServerWith(t *testing.T, sopts devnet.ServerOptions, topts tenan
 		<-done
 		dev.Close()
 	})
-	return svc, ln.Addr().String()
+	return svc, srv, ln.Addr().String()
 }
 
 // TestTenantWireRoundTrip drives the full tenant plane over TCP:
-// provision, attach, data ops, rotation, introspection, and the control
-// plane routed through the tenant service.
+// provision, attach, data ops, rotation, and introspection routed
+// through the tenant service.
 func TestTenantWireRoundTrip(t *testing.T) {
-	svc, addr := startTenantServer(t, devnet.ServerOptions{})
+	svc, srv, addr := startTenantServer(t, devnet.ServerOptions{})
 	c, err := devnet.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -74,9 +74,8 @@ func TestTenantWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	want, err := svc.Token(1)
-	if err != nil || token != want {
-		t.Fatalf("token over the wire %x, local %x (%v)", token, want, err)
+	if err := svc.Authenticate(1, token); err != nil {
+		t.Fatalf("token over the wire %x does not authenticate: %v", token, err)
 	}
 
 	// Data ops before attach must be denied with the typed error: on a
@@ -121,12 +120,8 @@ func TestTenantWireRoundTrip(t *testing.T) {
 			break
 		}
 	}
-	info, err := c.TenantInfo(1)
-	if err != nil {
-		t.Fatalf("info: %v", err)
-	}
-	if info.Epoch != 2 || info.Rotating {
-		t.Fatalf("post-rotation info: %+v", info)
+	if st, err := svc.RotateStatus(1); err != nil || st.Epoch != 2 || st.Rotating {
+		t.Fatalf("post-rotation status: %+v (%v)", st, err)
 	}
 	got, _, err := c.Read(0)
 	if err != nil || got != testLine(0, 7) {
@@ -141,18 +136,16 @@ func TestTenantWireRoundTrip(t *testing.T) {
 		t.Fatal("read one line past the tenant's extent succeeded")
 	}
 
-	list, err := c.TenantList()
-	if err != nil || len(list) != 1 || list[0].ID != 1 {
-		t.Fatalf("list: %+v (%v)", list, err)
+	if list := svc.Tenants(); len(list) != 1 || list[0].ID != 1 {
+		t.Fatalf("tenants: %+v", list)
 	}
 
-	// Control plane routes to the tenant service's device.
-	if err := c.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
+	// Info and readiness describe the tenant service's device.
+	if info, err := c.Info(); err != nil || info.Shards != 4 {
+		t.Fatalf("info: %+v (%v)", info, err)
 	}
-	h, err := c.Health()
-	if err != nil || !h.Ready || h.Shards != 4 {
-		t.Fatalf("health: %+v (%v)", h, err)
+	if h := srv.Health(); !h.Ready || h.Shards != 4 {
+		t.Fatalf("health: %+v", h)
 	}
 }
 
@@ -160,7 +153,7 @@ func TestTenantWireRoundTrip(t *testing.T) {
 // as a typed *TenantQuotaError — ClassQuota, not ClassBusy — without
 // burning the retry budget.
 func TestTenantQuotaNotRetried(t *testing.T) {
-	_, addr := startTenantServer(t, devnet.ServerOptions{})
+	_, _, addr := startTenantServer(t, devnet.ServerOptions{})
 	c, err := devnet.DialWith(addr, devnet.Options{
 		// A long backoff makes an accidental retry visible as a timeout.
 		Retry: devnet.RetryPolicy{MaxAttempts: 5, BaseBackoff: 2 * time.Second},
@@ -196,9 +189,6 @@ func TestTenantQuotaNotRetried(t *testing.T) {
 	if devnet.ClassOf(err) != devnet.ClassQuota {
 		t.Fatalf("class: %v", devnet.ClassOf(err))
 	}
-	if devnet.Retryable(err) {
-		t.Fatal("quota error claims to be retryable")
-	}
 	if elapsed > time.Second {
 		t.Fatalf("quota rejection took %v — it was retried", elapsed)
 	}
@@ -208,7 +198,7 @@ func TestTenantQuotaNotRetried(t *testing.T) {
 // attached client must not strand it — the client replays the binding on
 // its self-healed connection and the retried data op lands.
 func TestTenantReattachAfterReconnect(t *testing.T) {
-	_, addr := startTenantServer(t, devnet.ServerOptions{})
+	_, _, addr := startTenantServer(t, devnet.ServerOptions{})
 	c, err := devnet.DialWith(addr, devnet.Options{
 		Retry: devnet.RetryPolicy{MaxAttempts: 8, BaseBackoff: time.Millisecond},
 	})
@@ -401,7 +391,7 @@ func TestTenantPipeAcrossServerRestart(t *testing.T) {
 // before it can reach a larger quota.
 func TestTenantBatchPerEntryRejects(t *testing.T) {
 	// Three active tenants and a 12-op window: the fair share is 2*12/3 = 8.
-	svc, addr := startTenantServerWith(t, devnet.ServerOptions{}, tenant.Options{QuotaWindow: 12})
+	svc, _, addr := startTenantServerWith(t, devnet.ServerOptions{}, tenant.Options{QuotaWindow: 12})
 	tokens := map[uint32]uint64{}
 	for id, quota := range map[uint32]uint32{1: 3, 2: 0, 3: 0} {
 		var err error
@@ -485,7 +475,7 @@ func TestTenantBatchPerEntryRejects(t *testing.T) {
 // before any entry runs.
 func TestUnboundBatchDeniedOnTenantOnlyServer(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	svc, addr := startTenantServer(t, devnet.ServerOptions{Telemetry: reg})
+	svc, _, addr := startTenantServer(t, devnet.ServerOptions{Telemetry: reg})
 	if _, err := svc.Provision(1, 8, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +514,7 @@ func TestUnboundBatchDeniedOnTenantOnlyServer(t *testing.T) {
 // range or out of it. (That it cannot obtain another tenant's cached
 // responses either is TestDedupReplayRequiresSameBinding.)
 func TestTenantIsolationOnTheWire(t *testing.T) {
-	svc, addr := startTenantServer(t, devnet.ServerOptions{})
+	svc, _, addr := startTenantServer(t, devnet.ServerOptions{})
 	const tenants, lines, rounds = 4, 32, 4
 	pipes := make([]*tenantPipe, tenants)
 	for i := range pipes {

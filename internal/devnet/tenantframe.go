@@ -14,9 +14,9 @@ import (
 // decodes into a frame that re-encodes to the same bytes, or is rejected
 // with a typed *FrameError — never a panic, never a silent truncation.
 type TenantFrame struct {
-	// Op is the tenant-plane opcode (OpTenantAttach..OpTenantMetrics).
+	// Op is the tenant-plane opcode (OpTenantAttach..OpTenantStep).
 	Op uint8
-	// Tenant is the addressed tenant id (every op except OpTenantList).
+	// Tenant is the addressed tenant id.
 	Tenant uint32
 	// Token is the access token (OpTenantAttach).
 	Token uint64
@@ -36,12 +36,10 @@ func tenantBodyLen(op uint8) int {
 		return 12
 	case OpTenantCreate:
 		return 16
-	case OpTenantRotate, OpTenantInfo, OpTenantMetrics:
+	case OpTenantRotate:
 		return 4
 	case OpTenantStep:
 		return 8
-	case OpTenantList:
-		return 0
 	default:
 		return -1
 	}
@@ -57,10 +55,7 @@ func ParseTenantFrame(op uint8, body []byte) (TenantFrame, error) {
 	if len(body) != want {
 		return TenantFrame{}, &FrameError{Reason: fmt.Sprintf("tenant op %d body is %d bytes, want %d", op, len(body), want)}
 	}
-	f := TenantFrame{Op: op}
-	if op != OpTenantList {
-		f.Tenant = binary.BigEndian.Uint32(body[:4])
-	}
+	f := TenantFrame{Op: op, Tenant: binary.BigEndian.Uint32(body[:4])}
 	switch op {
 	case OpTenantAttach:
 		f.Token = binary.BigEndian.Uint64(body[4:12])
@@ -80,10 +75,7 @@ func (f *TenantFrame) Encode() []byte {
 	if n < 0 {
 		return nil
 	}
-	out := make([]byte, 0, n)
-	if f.Op != OpTenantList {
-		out = putU32(out, f.Tenant)
-	}
+	out := putU32(make([]byte, 0, n), f.Tenant)
 	switch f.Op {
 	case OpTenantAttach:
 		out = putU64(out, f.Token)

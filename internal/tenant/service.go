@@ -330,16 +330,6 @@ func (s *Service) Provision(id uint32, dataLines uint64, quotaOps uint32) (uint6
 	return rec.AuthCheck, nil
 }
 
-// Token re-derives tenant id's access token (operator convenience).
-func (s *Service) Token(id uint32) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.lookup(id); err != nil {
-		return 0, err
-	}
-	return s.token(id), nil
-}
-
 // Authenticate verifies an access token for tenant id.
 func (s *Service) Authenticate(id uint32, token uint64) error {
 	s.mu.Lock()
@@ -365,17 +355,6 @@ func (s *Service) Tenants() []Record {
 		}
 	}
 	return out
-}
-
-// Info returns tenant id's record.
-func (s *Service) Info(id uint32) (Record, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ts, err := s.lookup(id)
-	if err != nil {
-		return Record{}, err
-	}
-	return ts.rec, nil
 }
 
 // lookup resolves an active tenant (callers hold s.mu).
