@@ -84,7 +84,11 @@ func (r *eagerDevice) Read(addr uint64) ReadResult {
 	if corrected {
 		r.stats.CorrectedLines++
 		l.data = buf
-		r.encode(l)
+		for b := 0; b < 8; b++ {
+			if !slices.Contains(bad, b) {
+				r.rs.EncodeTo(l.check[b*2:b*2+2], l.data[b*8:b*8+8])
+			}
+		}
 	}
 	if uncorrectable {
 		r.stats.UncorrectableHits++

@@ -295,9 +295,16 @@ func (d *Device) Read(addr uint64) ReadResult {
 		d.stats.CorrectedLines++
 		// A patrol-scrub style write-back of the corrected value keeps
 		// correctable faults from accumulating, mirroring real
-		// controllers (demand scrubbing).
+		// controllers (demand scrubbing). A beat that failed to decode
+		// keeps its old check bytes: encoding them from its corrupt cells
+		// would make the next read return the corrupt word as clean.
+		old := p.check[i]
 		p.data[i] = buf
 		d.codec.EncodeInto(check, buf[:])
+		for m := res.BadWords; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros8(m)
+			copy(check[b*2:b*2+2], old[b*2:])
+		}
 	}
 	var bad []int
 	if res.Uncorrectable {

@@ -94,6 +94,28 @@ func TestCorruptWordIsUncorrectable(t *testing.T) {
 	}
 }
 
+// The demand scrub of a read that corrects one beat must not re-encode a
+// beat it could not correct: the next read still reports that word bad.
+func TestScrubKeepsUncorrectableWordBad(t *testing.T) {
+	d := newDev(t)
+	l := Line{}
+	for i := range l {
+		l[i] = 0xff
+	}
+	d.Write(0, &l)
+	d.FlipBit(40, 0)
+	d.CorruptWord(0, 1)
+	for read := 1; read <= 2; read++ {
+		res := d.Read(0)
+		if !res.Uncorrectable || len(res.BadWords) != 1 || res.BadWords[0] != 1 {
+			t.Fatalf("read %d: %+v, want word 1 bad", read, res)
+		}
+		if res.Data[40] != 0xff {
+			t.Fatalf("read %d: corrected byte 40 = %#x", read, res.Data[40])
+		}
+	}
+}
+
 // A line with an uncorrectable error in every word reports all eight
 // words bad without allocating: BadWords is the device's own buffer, and it
 // is nil again on the next clean read.
