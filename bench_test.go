@@ -24,7 +24,6 @@ import (
 	"soteria/internal/experiments"
 	"soteria/internal/faultsim"
 	"soteria/internal/memctrl"
-	"soteria/internal/reliability"
 	"soteria/internal/runner"
 	"soteria/internal/telemetry"
 	"soteria/internal/tenant"
@@ -78,7 +77,7 @@ func BenchmarkFig3ExpectedLoss(b *testing.B) {
 	var amp float64
 	for i := 0; i < b.N; i++ {
 		var err error
-		amp, err = reliability.AmplificationFactor(4 << 40)
+		amp, err = experiments.AmplificationFactor(4 << 40)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -253,8 +252,8 @@ func BenchmarkMTBF(b *testing.B) {
 	var m float64
 	for i := 0; i < b.N; i++ {
 		var err error
-		m, err = reliability.SystemMTBF(80, reliability.PaperClusterNodes,
-			reliability.PaperClusterDIMMs, reliability.PaperClusterChips)
+		m, err = experiments.SystemMTBF(80, experiments.PaperClusterNodes,
+			experiments.PaperClusterDIMMs, experiments.PaperClusterChips)
 		if err != nil {
 			b.Fatal(err)
 		}

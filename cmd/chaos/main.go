@@ -114,7 +114,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*invocation, error) {
 			*trials = 5
 		}
 	}
-	mode, err := chaos.ParseMode(*modeName)
+	mode, err := memctrl.ParseMode(*modeName)
 	if err != nil {
 		return nil, err
 	}

@@ -40,10 +40,10 @@ import (
 	"syscall"
 	"time"
 
-	"soteria/internal/chaos"
 	"soteria/internal/config"
 	"soteria/internal/device"
 	"soteria/internal/devnet"
+	"soteria/internal/memctrl"
 	"soteria/internal/telemetry"
 	"soteria/internal/tenant"
 )
@@ -68,7 +68,7 @@ func main() {
 	)
 	flag.Parse()
 
-	mode, err := chaos.ParseMode(*modeName)
+	mode, err := memctrl.ParseMode(*modeName)
 	if err != nil {
 		fatal(err)
 	}

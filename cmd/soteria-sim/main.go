@@ -126,7 +126,7 @@ func main() {
 
 	var modes []memctrl.Mode
 	for _, s := range strings.Split(*mode, ",") {
-		m, err := parseMode(strings.TrimSpace(s))
+		m, err := memctrl.ParseMode(strings.TrimSpace(s))
 		if err != nil {
 			fatal(err)
 		}
@@ -214,20 +214,6 @@ func printRun(mode memctrl.Mode, res cpusim.Result, check bool) {
 	if check {
 		fmt.Println("\nend-to-end data integrity verified on every read: OK")
 	}
-}
-
-func parseMode(s string) (memctrl.Mode, error) {
-	switch strings.ToLower(s) {
-	case "nonsecure", "non-secure", "ns":
-		return memctrl.ModeNonSecure, nil
-	case "baseline", "secure-baseline":
-		return memctrl.ModeBaseline, nil
-	case "src":
-		return memctrl.ModeSRC, nil
-	case "sac":
-		return memctrl.ModeSAC, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q", s)
 }
 
 func fatal(err error) {

@@ -125,12 +125,22 @@ func TestRunsAreDeterministic(t *testing.T) {
 
 func TestModeFlagRoundTrip(t *testing.T) {
 	for _, m := range []memctrl.Mode{memctrl.ModeNonSecure, memctrl.ModeBaseline, memctrl.ModeSRC, memctrl.ModeSAC} {
-		got, err := ParseMode(ModeFlag(m))
+		got, err := memctrl.ParseMode(ModeFlag(m))
 		if err != nil || got != m {
 			t.Errorf("round trip %v -> %q -> %v, %v", m, ModeFlag(m), got, err)
 		}
 	}
-	if _, err := ParseMode("bogus"); err == nil {
+	aliases := map[string]memctrl.Mode{
+		"non-secure": memctrl.ModeNonSecure, "NS": memctrl.ModeNonSecure,
+		"secure-baseline": memctrl.ModeBaseline, "Baseline": memctrl.ModeBaseline,
+		"SRC": memctrl.ModeSRC, "Sac": memctrl.ModeSAC,
+	}
+	for s, want := range aliases {
+		if got, err := memctrl.ParseMode(s); err != nil || got != want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	if _, err := memctrl.ParseMode("bogus"); err == nil {
 		t.Error("ParseMode accepted a bogus mode")
 	}
 }

@@ -11,22 +11,13 @@ import (
 var modeFlags = [...]string{memctrl.ModeNonSecure: "nonsecure", memctrl.ModeBaseline: "baseline",
 	memctrl.ModeSRC: "src", memctrl.ModeSAC: "sac"}
 
-// ModeFlag renders a mode as the cmd/chaos -mode flag value.
+// ModeFlag renders a mode as the cmd/chaos -mode flag value, which
+// memctrl.ParseMode reads back.
 func ModeFlag(m memctrl.Mode) string {
 	if uint(m) < uint(len(modeFlags)) {
 		return modeFlags[m]
 	}
 	return "src"
-}
-
-// ParseMode is the inverse of ModeFlag.
-func ParseMode(s string) (memctrl.Mode, error) {
-	for m, f := range modeFlags {
-		if f == s {
-			return memctrl.Mode(m), nil
-		}
-	}
-	return 0, fmt.Errorf("chaos: unknown mode %q (want nonsecure|baseline|src|sac)", s)
 }
 
 // crashFlag renders a repro's crash point, "" for none.

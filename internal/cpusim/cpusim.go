@@ -47,15 +47,6 @@ type Result struct {
 	L1, L2, LLC  cache.Stats
 }
 
-// CPI returns cycles per instruction at the configured clock.
-func (r Result) CPI(hz float64) float64 {
-	if r.Instructions == 0 {
-		return 0
-	}
-	cycles := float64(r.ExecTime.Picoseconds()) * hz / 1e12
-	return cycles / float64(r.Instructions)
-}
-
 // CPU is the trace-driven core model.
 type CPU struct {
 	cfg    config.SystemConfig

@@ -88,13 +88,6 @@ func (p PerfParams) workloads() []workload.Workload {
 	return out
 }
 
-// PerfRun is the result of one (workload, mode) simulation.
-type PerfRun struct {
-	Workload string
-	Mode     memctrl.Mode
-	Result   cpusim.Result
-}
-
 // PerfResults indexes runs by workload and mode.
 type PerfResults struct {
 	Params PerfParams

@@ -6,7 +6,6 @@ import (
 	"soteria/internal/config"
 	"soteria/internal/core"
 	"soteria/internal/faultsim"
-	"soteria/internal/reliability"
 	"soteria/internal/runner"
 	"soteria/internal/stats"
 )
@@ -21,11 +20,11 @@ func Fig3(memBytes uint64, maxErrors int) (*stats.Table, error) {
 	if maxErrors <= 0 {
 		maxErrors = 10
 	}
-	sec, err := reliability.NewExpectedLossModel(memBytes, true, core.Baseline())
+	sec, err := NewExpectedLossModel(memBytes, true, core.Baseline())
 	if err != nil {
 		return nil, err
 	}
-	non, err := reliability.NewExpectedLossModel(memBytes, false, core.Baseline())
+	non, err := NewExpectedLossModel(memBytes, false, core.Baseline())
 	if err != nil {
 		return nil, err
 	}
@@ -66,8 +65,8 @@ func MTBFTable(fits []float64) (*stats.Table, error) {
 	t := stats.NewTable("§4 — system MTBF for 20k nodes x 4 DIMMs x 18 chips",
 		"FIT/chip", "MTBF (hours)")
 	for _, f := range fits {
-		m, err := reliability.SystemMTBF(f, reliability.PaperClusterNodes,
-			reliability.PaperClusterDIMMs, reliability.PaperClusterChips)
+		m, err := SystemMTBF(f, PaperClusterNodes,
+			PaperClusterDIMMs, PaperClusterChips)
 		if err != nil {
 			return nil, err
 		}
@@ -181,8 +180,8 @@ func Fig11(p RelParams) (*Fig11Result, error) {
 	floor := 64.0 / (float64(p.Trials) * float64(schemes[0].Layout.DataBytes))
 	return &Fig11Result{
 		Table:   t,
-		GainSRC: reliability.ResilienceGain(udrs["baseline"], udrs["SRC"], floor),
-		GainSAC: reliability.ResilienceGain(udrs["baseline"], udrs["SAC"], floor),
+		GainSRC: ResilienceGain(udrs["baseline"], udrs["SRC"], floor),
+		GainSAC: ResilienceGain(udrs["baseline"], udrs["SAC"], floor),
 		UDRs:    udrs,
 	}, nil
 }

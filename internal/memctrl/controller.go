@@ -19,6 +19,7 @@ package memctrl
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"soteria/internal/config"
 	"soteria/internal/core"
@@ -65,6 +66,23 @@ func (m Mode) String() string {
 	default:
 		return "?"
 	}
+}
+
+// ParseMode reads a mode name as the command-line tools take it, in any
+// case: nonsecure (non-secure, ns), baseline (secure-baseline), src or
+// sac.
+func ParseMode(s string) (Mode, error) {
+	switch strings.ToLower(s) {
+	case "nonsecure", "non-secure", "ns":
+		return ModeNonSecure, nil
+	case "baseline", "secure-baseline":
+		return ModeBaseline, nil
+	case "src":
+		return ModeSRC, nil
+	case "sac":
+		return ModeSAC, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q (want nonsecure|baseline|src|sac)", s)
 }
 
 // Policy returns the clone policy a mode implies.

@@ -1,8 +1,9 @@
 // Package sim provides the tiny timing substrate shared by the performance
-// model: a picosecond-resolution clock and a bank-busy resource model. The
-// reproduction is trace-driven rather than cycle-accurate, so the only
-// global ordering primitive needed is a monotonically advancing clock that
-// components charge latencies against.
+// model: a picosecond time type and a bank-busy resource model. The
+// reproduction is trace-driven rather than cycle-accurate, and there is no
+// global clock: each component (a controller, a device shard, a CPU model)
+// keeps its own current time and charges latencies against it, and a
+// caller passes that time into the next call.
 package sim
 
 import (
@@ -26,35 +27,6 @@ func (t Time) Picoseconds() int64 { return int64(t) }
 
 // String renders the time in nanoseconds for human consumption.
 func (t Time) String() string { return fmt.Sprintf("%dns", t/1000) }
-
-// Clock is the global simulation clock. The zero value starts at time zero.
-type Clock struct {
-	now Time
-}
-
-// Now returns the current simulated time.
-func (c *Clock) Now() Time { return c.now }
-
-// Advance moves the clock forward by d. Negative advances are ignored so
-// that out-of-order latency reports cannot move time backwards.
-func (c *Clock) Advance(d Time) {
-	if d > 0 {
-		c.now += d
-	}
-}
-
-// AdvanceTo moves the clock to t if t is in the future.
-func (c *Clock) AdvanceTo(t Time) {
-	if t > c.now {
-		c.now = t
-	}
-}
-
-// CyclesToTime converts a cycle count at the given frequency into simulated
-// picoseconds, rounding to the nearest picosecond.
-func CyclesToTime(cycles float64, hz float64) Time {
-	return Time(cycles * 1e12 / hz)
-}
 
 // Banks models a set of independently busy resources (NVM banks). A request
 // to bank b issued at time t starts at max(t, free[b]) and occupies the bank

@@ -20,30 +20,6 @@ func TestTimeConversions(t *testing.T) {
 	}
 }
 
-func TestClockMonotonic(t *testing.T) {
-	var c Clock
-	c.Advance(100)
-	c.Advance(-50) // ignored
-	if c.Now() != 100 {
-		t.Fatalf("now = %v", c.Now())
-	}
-	c.AdvanceTo(50) // in the past; ignored
-	if c.Now() != 100 {
-		t.Fatal("clock moved backwards")
-	}
-	c.AdvanceTo(200)
-	if c.Now() != 200 {
-		t.Fatal("AdvanceTo failed")
-	}
-}
-
-func TestCyclesToTime(t *testing.T) {
-	// 2 cycles at 2 GHz = 1 ns = 1000 ps.
-	if got := CyclesToTime(2, 2e9); got != 1000 {
-		t.Fatalf("got %d ps", got)
-	}
-}
-
 func TestBanksSerializeSameBank(t *testing.T) {
 	b := NewBanks(4)
 	d1 := b.Schedule(0, 0, 100)
