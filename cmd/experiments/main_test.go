@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -31,6 +32,9 @@ func TestStdoutIsMachineParsable(t *testing.T) {
 		{[]string{"-run", "table2,table3,mtbf"}, ""},
 		{[]string{"-run", "fig11", "-trials", "2000"}, "geo-mean UDR reduction"},
 		{[]string{"-run", "fig4", "-ops", "2000", "-warmup", "500", "-workloads", "hashmap"}, "1 workloads x 3 modes"},
+		{[]string{"-run", "fig11", "-fits", "20,80", "-trials", "2000", "-progress"}, "fig11: "},
+		{[]string{"-run", "fig12", "-fit", "40", "-trials", "3000"}, ""},
+		{[]string{"-run", "stats", "-workloads", "hashmap", "-modes", "SAC", "-ops", "2000", "-warmup", "500", "-check"}, "verified on every read"},
 	} {
 		var stdout, stderr bytes.Buffer
 		cmd := exec.Command(bin, tc.args...)
@@ -48,6 +52,40 @@ func TestStdoutIsMachineParsable(t *testing.T) {
 		}
 		if tc.stderr != "" && !strings.Contains(stderr.String(), tc.stderr) {
 			t.Errorf("%v: stderr missing %q:\n%s", tc.args, tc.stderr, stderr.String())
+		}
+	}
+}
+
+// A name the command does not know is an error that lists the valid
+// names, whether it is an experiment, a workload or a mode; nothing is
+// printed to stdout and the exit status is 1.
+func TestUnknownNamesAreRejected(t *testing.T) {
+	bin := buildCLI(t, t.TempDir())
+	for _, tc := range []struct {
+		args   []string
+		stderr []string // substrings the error must carry
+	}{
+		{[]string{"-run", "fig11x"}, []string{`unknown experiment "fig11x"`, "fig11", "stats"}},
+		{[]string{"-run", "fig4", "-workloads", "nope", "-ops", "100"}, []string{`unknown workload "nope"`, "hashmap"}},
+		{[]string{"-run", "stats", "-modes", "SRC,fast"}, []string{`"fast"`}},
+		{[]string{"-run", "fig4", "-modes", "SAC"}, []string{"-modes applies only to -run stats"}},
+	} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, tc.args...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%v: err = %v, want exit status 1\nstderr:\n%s", tc.args, err, stderr.String())
+			continue
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: stdout not empty:\n%s", tc.args, stdout.String())
+		}
+		for _, want := range tc.stderr {
+			if !strings.Contains(stderr.String(), want) {
+				t.Errorf("%v: stderr missing %q:\n%s", tc.args, want, stderr.String())
+			}
 		}
 	}
 }

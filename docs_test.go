@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -137,6 +138,151 @@ func declaredNames(t *testing.T, dir string) map[string]bool {
 					}
 				}
 			}
+		}
+	}
+	return names
+}
+
+// recipeDocs are the documents whose `go run ./cmd/<name>` recipes
+// TestRecipesNameRealCommandsAndFlags keeps runnable.
+var recipeDocs = []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"}
+
+// goRun is a `go run ./cmd/<name>` recipe; the capture is the command
+// directory, and the rest of the text up to a shell operator, a comment
+// or the end of the snippet is its argument list.
+var goRun = regexp.MustCompile(`go run \./cmd/([\w-]+)([^|;&<>#()` + "`" + `]*)`)
+
+// flagArg is one -flag or --flag=value argument; the capture is the name.
+var flagArg = regexp.MustCompile(`^--?([A-Za-z][\w-]*)`)
+
+// TestRecipesNameRealCommandsAndFlags: every `go run ./cmd/<name>` in
+// the documents — in fenced blocks (with backslash continuations joined)
+// and in inline code spans — names a directory under cmd/, and every
+// -flag it passes is declared by a flag constructor call
+// (`flag.Int("name", …)`, `fs.BoolVar(&v, "name", …)`) in that command's
+// non-test files, so a removed command or flag cannot leave a recipe
+// behind that no longer runs.
+func TestRecipesNameRealCommandsAndFlags(t *testing.T) {
+	flags := map[string]map[string]bool{} // command -> declared flags
+	for _, doc := range recipeDocs {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, snip := range codeSnippets(string(src)) {
+			for _, m := range goRun.FindAllStringSubmatch(snip.text, -1) {
+				cmdName := m[1]
+				declared, ok := flags[cmdName]
+				if !ok {
+					declared = declaredFlags(t, filepath.Join("cmd", cmdName))
+					flags[cmdName] = declared
+				}
+				if declared == nil {
+					t.Errorf("%s:%d: `go run ./cmd/%s`: there is no directory cmd/%s", doc, snip.line, cmdName, cmdName)
+					continue
+				}
+				for _, arg := range strings.Fields(m[2]) {
+					if f := flagArg.FindStringSubmatch(arg); f != nil && !declared[f[1]] {
+						t.Errorf("%s:%d: `go run ./cmd/%s` passes -%s, which cmd/%s does not declare", doc, snip.line, cmdName, f[1], cmdName)
+					}
+				}
+			}
+		}
+	}
+}
+
+// snippet is a piece of a Markdown document that holds code: one fenced
+// line (continuations joined) or one inline code span (wraps joined).
+type snippet struct {
+	line int
+	text string
+}
+
+// codeSnippets splits a Markdown document into its code: each line of a
+// fenced block, with a trailing-backslash continuation joined to the next
+// line, and each inline code span of the text outside the fences.
+func codeSnippets(src string) []snippet {
+	var out []snippet
+	lines := strings.Split(src, "\n")
+	fenced, cont := false, -1
+	for i, line := range lines {
+		fence := strings.HasPrefix(strings.TrimSpace(line), "```")
+		if fence || fenced {
+			lines[i] = ""
+		}
+		if fence {
+			fenced, cont = !fenced, -1
+			continue
+		}
+		if !fenced {
+			continue
+		}
+		text := strings.TrimSuffix(strings.TrimSpace(line), "\\")
+		if cont >= 0 {
+			out[cont].text += " " + text
+		} else {
+			out = append(out, snippet{line: i + 1, text: text})
+		}
+		cont = -1
+		if strings.HasSuffix(strings.TrimSpace(line), "\\") {
+			cont = len(out) - 1
+		}
+	}
+	text := strings.Join(lines, "\n")
+	for _, m := range codeSpan.FindAllStringSubmatchIndex(text, -1) {
+		out = append(out, snippet{
+			line: strings.Count(text[:m[0]], "\n") + 1,
+			text: strings.ReplaceAll(text[m[2]:m[3]], "\n", " "),
+		})
+	}
+	return out
+}
+
+// declaredFlags lists the flag names dir's non-test files declare through
+// a flag constructor — X.Bool/Int/String/…("name", …) or
+// X.BoolVar/IntVar/…(&v, "name", …) on the flag package or a FlagSet —
+// or returns nil when dir does not exist.
+func declaredFlags(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	if _, err := os.Stat(dir); err != nil {
+		return nil
+	}
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				arg := 0
+				switch sel.Sel.Name {
+				case "Bool", "Int", "Int64", "Uint", "Uint64", "String", "Float64", "Duration", "Func", "BoolFunc":
+				case "BoolVar", "IntVar", "Int64Var", "UintVar", "Uint64Var", "StringVar", "Float64Var", "DurationVar", "Var", "TextVar":
+					arg = 1
+				default:
+					return true
+				}
+				if len(call.Args) > arg {
+					if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						if name, err := strconv.Unquote(lit.Value); err == nil {
+							names[name] = true
+						}
+					}
+				}
+				return true
+			})
 		}
 	}
 	return names

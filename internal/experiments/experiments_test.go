@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -15,6 +16,52 @@ func smallPerf() PerfParams {
 	p.Footprint = 16 << 20
 	p.Workloads = []string{"uBENCH128", "hashmap"}
 	return p
+}
+
+// A workload name from user input that the suite does not have is an
+// error naming the valid workloads, not a panic.
+func TestRunPerfRejectsUnknownWorkload(t *testing.T) {
+	p := smallPerf()
+	p.Workloads = []string{"hashmap", "nope"}
+	_, err := RunPerf(p)
+	if err == nil {
+		t.Fatal("unknown workload accepted")
+	}
+	for _, want := range []string{`"nope"`, "hashmap", "uBENCH128"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+}
+
+// The stats table carries one column per (workload, mode) run and, with
+// Check on, every read of the run was verified.
+func TestStatsTable(t *testing.T) {
+	p := smallPerf()
+	p.Workloads = []string{"hashmap"}
+	p.Modes = []memctrl.Mode{memctrl.ModeNonSecure, memctrl.ModeSAC}
+	p.Check = true
+	res, err := RunPerf(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := StatsTable(res)
+	if h := tab.Headers(); len(h) != 3 || h[1] != "hashmap/non-secure" || h[2] != "hashmap/soteria-SAC" {
+		t.Fatalf("headers %v", h)
+	}
+	rows := map[string][]string{}
+	for i := 0; i < tab.NumRows(); i++ {
+		r := tab.Row(i)
+		rows[r[0]] = r[1:]
+	}
+	sac := res.Get("hashmap", memctrl.ModeSAC)
+	if got := rows["NVM writes: clone"][1]; got != fmt.Sprint(sac.Ctrl.NVMWrites[memctrl.WCClone]) || got == "0" {
+		t.Errorf("SAC clone writes cell %q, result %d", got, sac.Ctrl.NVMWrites[memctrl.WCClone])
+	}
+	l1 := rows["L1 dirty evictions"]
+	if l1 == nil || l1[0] != "" || l1[1] == "" {
+		t.Errorf("L1 eviction row %v: want blank for non-secure, a count for SAC", l1)
+	}
 }
 
 func TestRunPerfAndFigures(t *testing.T) {

@@ -6,6 +6,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"soteria/internal/config"
 	"soteria/internal/cpusim"
@@ -33,6 +34,9 @@ type PerfParams struct {
 	Workloads []string
 	// Modes filters the schemes (nil = baseline, SRC, SAC).
 	Modes []memctrl.Mode
+	// Check makes every read of a line the run has written verify the
+	// last written content (cpusim's CPU.Check); a mismatch fails the run.
+	Check bool
 	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallelism int
 	// Progress receives throttled sweep updates (nil = silent).
@@ -77,15 +81,19 @@ func (p PerfParams) modes() []memctrl.Mode {
 	return []memctrl.Mode{memctrl.ModeBaseline, memctrl.ModeSRC, memctrl.ModeSAC}
 }
 
-func (p PerfParams) workloads() []workload.Workload {
+func (p PerfParams) workloads() ([]workload.Workload, error) {
 	if len(p.Workloads) == 0 {
-		return workload.All()
+		return workload.All(), nil
 	}
 	var out []workload.Workload
 	for _, n := range p.Workloads {
-		out = append(out, workload.ByNameMust(n))
+		w, err := workload.ByName(n)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, w)
 	}
-	return out
+	return out, nil
 }
 
 // PerfResults indexes runs by workload and mode.
@@ -110,7 +118,10 @@ func RunPerf(p PerfParams) (*PerfResults, error) {
 	if p.Ops == 0 {
 		p = DefaultPerfParams()
 	}
-	ws := p.workloads()
+	ws, err := p.workloads()
+	if err != nil {
+		return nil, err
+	}
 	modes := p.modes()
 	res := &PerfResults{Params: p, Runs: make(map[string]map[memctrl.Mode]cpusim.Result)}
 	for _, w := range ws {
@@ -131,7 +142,7 @@ func RunPerf(p PerfParams) (*PerfResults, error) {
 	eng := runner.New(runner.Options{Workers: p.Parallelism, OnProgress: p.Progress})
 	runs := make([]cpusim.Result, len(jobs))
 	snaps := make([]*telemetry.Snapshot, len(jobs))
-	err := eng.Do("perf", len(jobs), func(i int) error {
+	err = eng.Do("perf", len(jobs), func(i int) error {
 		r, snap, err := runOne(jobs[i].w, jobs[i].mode, p)
 		if err != nil {
 			return fmt.Errorf("%s/%s: %w", jobs[i].w.Name, jobs[i].mode, err)
@@ -191,6 +202,7 @@ func measure(cfg config.SystemConfig, ctrl *memctrl.Controller, w workload.Workl
 	if err != nil {
 		return cpusim.Result{}, err
 	}
+	cpu.Check = p.Check
 	gen := w.New(p.Footprint, p.Seed)
 	if p.Warmup > 0 {
 		if _, err := cpu.Run(gen, p.Warmup); err != nil {
@@ -296,6 +308,85 @@ func Fig4(r *PerfResults) *stats.Table {
 			row = append(row, float64(byLevel[l])/float64(max(total, 1))*100)
 		}
 		t.AddRow(row...)
+	}
+	return t
+}
+
+// StatsTable renders every (workload, mode) run's counter breakdown, one
+// column per run: core and cache counts, NVM traffic by write category,
+// WPQ and metadata-cache behaviour, and each tree level's dirty evictions
+// with its share of the run's total (blank for the non-secure mode, which
+// has no tree).
+func StatsTable(r *PerfResults) *stats.Table {
+	modes := r.Params.modes()
+	headers := []string{"counter"}
+	var runs []cpusim.Result
+	for _, name := range r.Names {
+		for _, m := range modes {
+			headers = append(headers, name+"/"+m.String())
+			runs = append(runs, r.Get(name, m))
+		}
+	}
+	t := stats.NewTable(fmt.Sprintf("Simulator counters — %d warm-up + %d measured memory ops per run", r.Params.Warmup, r.Params.Ops), headers...)
+	row := func(label string, cell func(cpusim.Result) interface{}) {
+		cells := []interface{}{label}
+		for _, res := range runs {
+			cells = append(cells, cell(res))
+		}
+		t.AddRow(cells...)
+	}
+	row("simulated time (ns)", func(res cpusim.Result) interface{} { return res.ExecTime.Duration().Nanoseconds() })
+	row("instructions", func(res cpusim.Result) interface{} { return res.Instructions })
+	row("memory ops", func(res cpusim.Result) interface{} { return res.MemOps })
+	row("reads", func(res cpusim.Result) interface{} { return res.Reads })
+	row("writes", func(res cpusim.Result) interface{} { return res.Writes })
+	row("persist barriers", func(res cpusim.Result) interface{} { return res.Barriers })
+	row("L1 hits", func(res cpusim.Result) interface{} { return res.L1.Hits })
+	row("L1 misses", func(res cpusim.Result) interface{} { return res.L1.Misses })
+	row("LLC misses", func(res cpusim.Result) interface{} { return res.LLC.Misses })
+	row("controller requests", func(res cpusim.Result) interface{} { return res.Ctrl.MemRequests })
+	row("NVM reads", func(res cpusim.Result) interface{} { return res.Ctrl.NVMReads })
+	for c := memctrl.WCData; c <= memctrl.WCRecovery; c++ {
+		row("NVM writes: "+c.String(), func(res cpusim.Result) interface{} { return res.Ctrl.NVMWrites[c] })
+	}
+	row("WPQ forwards", func(res cpusim.Result) interface{} { return res.Ctrl.WPQForwards })
+	row("WPQ stalls", func(res cpusim.Result) interface{} { return res.WPQ.Stalls })
+	row("page re-encryptions", func(res cpusim.Result) interface{} { return res.Ctrl.PageReencrypt })
+	row("Osiris forced write-backs", func(res cpusim.Result) interface{} { return res.Ctrl.ForcedWB })
+	row("metadata cache hits", func(res cpusim.Result) interface{} { return res.Meta.Hits })
+	row("metadata cache misses", func(res cpusim.Result) interface{} { return res.Meta.Misses })
+	row("dirty tree evictions", func(res cpusim.Result) interface{} { return res.Meta.DirtyTreeEvictions })
+
+	// One pair of rows per tree level that any run evicted from.
+	levels := 0
+	for _, res := range runs {
+		levels = max(levels, len(res.Meta.EvictionsByLevel)-1)
+	}
+	for l := 1; l <= levels; l++ {
+		byLevel := func(res cpusim.Result) (n, total uint64, ok bool) {
+			if l >= len(res.Meta.EvictionsByLevel) {
+				return 0, 0, false
+			}
+			for _, k := range res.Meta.EvictionsByLevel {
+				total += k
+			}
+			return res.Meta.EvictionsByLevel[l], total, true
+		}
+		if !slices.ContainsFunc(runs, func(res cpusim.Result) bool { n, _, _ := byLevel(res); return n > 0 }) {
+			continue
+		}
+		row(fmt.Sprintf("L%d dirty evictions", l), func(res cpusim.Result) interface{} {
+			if n, _, ok := byLevel(res); ok {
+				return n
+			}
+			return ""
+		})
+		row(fmt.Sprintf("L%d eviction share %%", l), func(res cpusim.Result) interface{} {
+			if n, total, ok := byLevel(res); ok {
+				return float64(n) / float64(max(total, 1)) * 100
+			}
+			return ""
+		})
 	}
 	return t
 }

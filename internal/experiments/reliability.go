@@ -88,23 +88,17 @@ type RelParams struct {
 	// Workers bounds sweep parallelism (0 = GOMAXPROCS). Results are
 	// bit-identical for any value.
 	Workers int
-	// CacheDir enables on-disk Monte Carlo result caching ("" = off).
-	CacheDir string
 	// Progress receives throttled sweep updates (nil = silent).
 	Progress func(runner.Progress)
 	// OnPoint receives every completed sweep point with its result and
 	// telemetry snapshot (nil = discard). See runner.Options.OnPoint.
 	OnPoint func(runner.Point)
-	// Logf receives engine warnings, e.g. corrupt cache entries being
-	// invalidated (nil = discard). See runner.Options.Logf.
-	Logf func(format string, args ...interface{})
 }
 
 // engine builds the experiment engine the reliability sweeps share.
 func (p RelParams) engine() *runner.Engine {
 	return runner.New(runner.Options{
-		Workers: p.Workers, CacheDir: p.CacheDir, OnProgress: p.Progress,
-		OnPoint: p.OnPoint, Logf: p.Logf,
+		Workers: p.Workers, OnProgress: p.Progress, OnPoint: p.OnPoint,
 	})
 }
 

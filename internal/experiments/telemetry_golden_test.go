@@ -1,4 +1,4 @@
-package main
+package experiments
 
 import (
 	"bytes"
@@ -13,17 +13,18 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden telemetry snapshot")
 
 // goldenParams is the fixed trace behind the golden snapshot: a 1k-access
-// hashmap run in all three secure modes. Everything that could move the
-// numbers is pinned.
-func goldenParams(workers int) simParams {
-	return simParams{
-		workload:  "hashmap",
-		modes:     []memctrl.Mode{memctrl.ModeBaseline, memctrl.ModeSRC, memctrl.ModeSAC},
-		ops:       1000,
-		warmup:    100,
-		footprint: 4 << 20,
-		seed:      3,
-		workers:   workers,
+// hashmap run in all three secure modes at Table 3's cache sizes.
+// Everything that could move the numbers is pinned.
+func goldenParams(workers int) PerfParams {
+	return PerfParams{
+		Workloads:        []string{"hashmap"},
+		Modes:            []memctrl.Mode{memctrl.ModeBaseline, memctrl.ModeSRC, memctrl.ModeSAC},
+		Ops:              1000,
+		Warmup:           100,
+		Footprint:        4 << 20,
+		Seed:             3,
+		Parallelism:      workers,
+		CollectTelemetry: true,
 	}
 }
 
@@ -32,17 +33,17 @@ func goldenParams(workers int) simParams {
 // across commits (via the checked-in golden file). Any counter that
 // becomes nondeterministic — a map-ordered merge, a wall-clock-derived
 // value, a data race — breaks this test. Refresh intentionally changed
-// numbers with `go test ./cmd/soteria-sim -run Golden -update`.
+// numbers with `go test ./internal/experiments -run Golden -update`.
 func TestGoldenTelemetrySnapshot(t *testing.T) {
 	golden := filepath.Join("testdata", "golden_telemetry.json")
 
 	var first []byte
 	for _, workers := range []int{1, 2, 4} {
-		_, merged, err := runSim(goldenParams(workers))
+		res, err := RunPerf(goldenParams(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := merged.MarshalIndentJSON()
+		data, err := res.Telemetry.MarshalIndentJSON()
 		if err != nil {
 			t.Fatal(err)
 		}

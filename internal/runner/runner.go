@@ -1,15 +1,13 @@
 // Package runner is the unified parallel experiment engine: one worker
 // pool drives both the faultsim FIT sweeps and the performance pipeline.
-// It adds three properties every evaluation harness in this repository
+// It adds two properties every evaluation harness in this repository
 // shares:
 //
 //   - determinism — work is scheduled in fixed units whose results do not
 //     depend on the worker count (faultsim trial blocks carry their own
 //     RNG streams and merge in block order);
 //   - progress — long sweeps report done/total and an ETA through one
-//     throttled callback;
-//   - caching — sweep results persist to disk keyed by a config+seed
-//     hash, so re-running an unchanged sweep is instant.
+//     throttled callback.
 package runner
 
 import (
@@ -40,12 +38,6 @@ type Options struct {
 	// Workers bounds worker-pool parallelism (0 = GOMAXPROCS). Results
 	// never depend on it.
 	Workers int
-	// CacheDir enables on-disk result caching when non-empty. Entries
-	// are keyed by a hash of the full sweep configuration (config,
-	// seed, trials, schemes, cache format version), so a stale hit is
-	// only possible when the simulation code changes without a
-	// cacheFormat bump.
-	CacheDir string
 	// OnProgress, when non-nil, receives throttled progress updates.
 	// It is called from worker goroutines, but never concurrently.
 	OnProgress func(Progress)
@@ -53,13 +45,9 @@ type Options struct {
 	// update of a sweep is always delivered.
 	ProgressEvery time.Duration
 	// OnPoint, when non-nil, receives every completed fault-sweep point
-	// (including cache hits) with its full result and telemetry
-	// snapshot. Calls are serialized and arrive in point order.
+	// with its full result and telemetry snapshot. Calls are serialized
+	// and arrive in point order.
 	OnPoint func(Point)
-	// Logf, when non-nil, receives warnings the engine would otherwise
-	// swallow — corrupt cache entries being invalidated, for example.
-	// Pass log.Printf (or a stderr writer) from a CLI; nil discards.
-	Logf func(format string, args ...interface{})
 }
 
 // Engine executes experiment sweeps through one bounded worker pool.
@@ -70,13 +58,6 @@ type Engine struct {
 // New returns an engine with the given options.
 func New(opt Options) *Engine {
 	return &Engine{opt: opt}
-}
-
-// logf forwards to Options.Logf when set.
-func (e *Engine) logf(format string, args ...interface{}) {
-	if e.opt.Logf != nil {
-		e.opt.Logf(format, args...)
-	}
 }
 
 // Workers returns the effective pool size.

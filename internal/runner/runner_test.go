@@ -137,79 +137,6 @@ func TestFaultSweepMatchesDirectRun(t *testing.T) {
 	}
 }
 
-func TestFaultSweepCacheRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	sweep := testSweep(t, 800, []float64{80})
-
-	e := New(Options{Workers: 4, CacheDir: dir})
-	first, err := e.RunFaultSweep(sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Second run must be served from disk: verify by giving the engine a
-	// job function counter via progress (no blocks should run).
-	var units atomic.Int32
-	e2 := New(Options{Workers: 4, CacheDir: dir, ProgressEvery: 1,
-		OnProgress: func(Progress) { units.Add(1) }})
-	second, err := e2.RunFaultSweep(sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if units.Load() != 0 {
-		t.Fatalf("cache hit still ran %d work units", units.Load())
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("cached result diverged:\n got %+v\nwant %+v", second, first)
-	}
-
-	// A different seed must miss.
-	sweep.Seed++
-	third, err := e2.RunFaultSweep(sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(first, third) && first[0].Schemes[1].TotalLUnv != 0 {
-		t.Fatal("different seed served the old cache entry")
-	}
-}
-
-// A scheme's recomputable level changes its losses, so it must be part of
-// the cache key: a sweep that differs only there has to run its blocks
-// and match a direct run, not be served the other sweep's entry.
-func TestFaultSweepCacheKeyCoversRecomputableLevel(t *testing.T) {
-	dir := t.TempDir()
-	sweep := testSweep(t, 800, []float64{80})
-	first, err := New(Options{Workers: 4, CacheDir: dir}).RunFaultSweep(sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	relaxed := *sweep.Schemes[1]
-	relaxed.RecomputableAbove = 2
-	sweep.Schemes = []*faultsim.Scheme{sweep.Schemes[0], &relaxed, sweep.Schemes[2]}
-	var units atomic.Int32
-	e := New(Options{Workers: 4, CacheDir: dir, ProgressEvery: 1,
-		OnProgress: func(Progress) { units.Add(1) }})
-	got, err := e.RunFaultSweep(sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if units.Load() == 0 {
-		t.Fatal("sweep with a different recomputable level was served from the cache")
-	}
-	want, err := faultsim.Run(sweep.options(80), sweep.Schemes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got[0], want) {
-		t.Fatalf("sweep %+v != direct %+v", got[0], want)
-	}
-	if reflect.DeepEqual(got[0], first[0]) {
-		t.Fatal("the recomputable level changed no number; a stale entry would pass unnoticed")
-	}
-}
-
 // Per-point telemetry inherits the engine's headline guarantee: the
 // merged snapshot is byte-identical JSON at any worker count.
 func TestFaultSweepTelemetryWorkerInvariance(t *testing.T) {
@@ -241,60 +168,26 @@ func TestFaultSweepTelemetryWorkerInvariance(t *testing.T) {
 	}
 }
 
-// OnPoint must fire once per point, in point order, flag cache hits, and
-// round-trip the telemetry snapshot through the on-disk cache.
+// OnPoint must fire once per point, in point order, with the point's
+// result and telemetry snapshot.
 func TestFaultSweepOnPoint(t *testing.T) {
-	dir := t.TempDir()
 	sweep := testSweep(t, 600, []float64{40, 80})
-
-	run := func() []Point {
-		var pts []Point
-		e := New(Options{Workers: 4, CacheDir: dir, OnPoint: func(p Point) {
-			pts = append(pts, p)
-		}})
-		if _, err := e.RunFaultSweep(sweep); err != nil {
-			t.Fatal(err)
-		}
-		return pts
+	var pts []Point
+	e := New(Options{Workers: 4, OnPoint: func(p Point) {
+		pts = append(pts, p)
+	}})
+	if _, err := e.RunFaultSweep(sweep); err != nil {
+		t.Fatal(err)
 	}
-
-	fresh := run()
-	if len(fresh) != 2 {
-		t.Fatalf("OnPoint fired %d times, want 2", len(fresh))
+	if len(pts) != 2 {
+		t.Fatalf("OnPoint fired %d times, want 2", len(pts))
 	}
-	for i, p := range fresh {
+	for i, p := range pts {
 		if p.Index != i || p.FIT != sweep.FITs[i] || p.Label != "faultsim" {
 			t.Fatalf("point %d mislabeled: %+v", i, p)
 		}
-		if p.Cached {
-			t.Fatalf("point %d flagged cached on a cold run", i)
-		}
 		if p.Result == nil || p.Result.Telemetry == nil {
 			t.Fatalf("point %d missing result or telemetry", i)
-		}
-	}
-
-	cached := run()
-	if len(cached) != 2 {
-		t.Fatalf("cached OnPoint fired %d times, want 2", len(cached))
-	}
-	for i, p := range cached {
-		if !p.Cached {
-			t.Fatalf("point %d not flagged cached on a warm run", i)
-		}
-		if p.Result.Telemetry == nil {
-			t.Fatalf("point %d telemetry lost through the cache", i)
-		}
-		a, err := p.Result.Telemetry.MarshalIndentJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := fresh[i].Result.Telemetry.MarshalIndentJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("point %d cached telemetry diverged:\n%s\n---\n%s", i, a, b)
 		}
 	}
 }
@@ -303,33 +196,5 @@ func TestFaultSweepRejectsEmpty(t *testing.T) {
 	e := New(Options{})
 	if _, err := e.RunFaultSweep(FaultSweep{}); err == nil {
 		t.Fatal("empty sweep did not error")
-	}
-}
-
-func TestCacheKeyDiscriminates(t *testing.T) {
-	s := testSweep(t, 800, []float64{80})
-	base := s.pointKey(80)
-	if s.pointKey(40) == base {
-		t.Fatal("FIT not in key")
-	}
-	s2 := s
-	s2.Seed++
-	if s2.pointKey(80) == base {
-		t.Fatal("seed not in key")
-	}
-	s3 := s
-	s3.Trials++
-	if s3.pointKey(80) == base {
-		t.Fatal("trials not in key")
-	}
-	s4 := s
-	s4.Schemes = s.Schemes[:2]
-	if s4.pointKey(80) == base {
-		t.Fatal("scheme set not in key")
-	}
-	s5 := s
-	s5.BlockSize = 512
-	if s5.pointKey(80) == base {
-		t.Fatal("block size not in key")
 	}
 }

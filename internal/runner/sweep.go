@@ -44,18 +44,6 @@ func (s FaultSweep) options(fit float64) faultsim.Options {
 	}
 }
 
-// pointKey builds the cache key of one FIT point. Everything that can
-// change the numbers is hashed: the full fault-sim configuration, the
-// sampling options, and each scheme's recomputable level and complete
-// layout (which encodes the clone policy, shadow sizing and address map).
-func (s FaultSweep) pointKey(fit float64) string {
-	parts := []interface{}{s.Config, fit, s.Trials, s.Seed, s.Conditional, s.ECC, s.BlockSize}
-	for _, sc := range s.Schemes {
-		parts = append(parts, sc.Name, sc.Secure, sc.RecomputableAbove, *sc.Layout)
-	}
-	return cacheKey("fsim", parts...)
-}
-
 // Point is one completed sweep point, delivered through Options.OnPoint.
 // Result carries the per-scheme numbers and, when the simulator recorded
 // any, the merged telemetry snapshot (Result.Telemetry).
@@ -66,9 +54,6 @@ type Point struct {
 	Index int
 	// FIT is the swept per-chip failure rate.
 	FIT float64
-	// Cached reports that the point was served from the on-disk cache
-	// without running any trials.
-	Cached bool
 	// Result is the full point result (never nil).
 	Result *faultsim.Result
 }
@@ -77,8 +62,6 @@ type Point struct {
 // engine's worker pool. Parallelism spans the whole campaign — the pool
 // draws (point, block) work units, so a single slow point cannot idle the
 // other workers — and the result is bit-identical for any worker count.
-// Points whose cache entry exists are served from disk without running a
-// single trial.
 func (e *Engine) RunFaultSweep(s FaultSweep) ([]*faultsim.Result, error) {
 	if len(s.FITs) == 0 {
 		return nil, fmt.Errorf("runner: fault sweep needs at least one FIT point")
@@ -88,46 +71,14 @@ func (e *Engine) RunFaultSweep(s FaultSweep) ([]*faultsim.Result, error) {
 		label = "faultsim"
 	}
 
-	results := make([]*faultsim.Result, len(s.FITs))
-	keys := make([]string, len(s.FITs))
-	fromCache := make([]bool, len(s.FITs))
-	var pending []int
-	for i, fit := range s.FITs {
-		keys[i] = s.pointKey(fit)
-		var cached faultsim.Result
-		if e.cacheLoad(keys[i], &cached, func() bool {
-			return cached.Trials > 0 && len(cached.Schemes) > 0
-		}) {
-			results[i] = &cached
-			fromCache[i] = true
-			continue
-		}
-		pending = append(pending, i)
-	}
-	emitPoints := func() {
-		if e.opt.OnPoint == nil {
-			return
-		}
-		for i, fit := range s.FITs {
-			e.opt.OnPoint(Point{
-				Label: label, Index: i, FIT: fit,
-				Cached: fromCache[i], Result: results[i],
-			})
-		}
-	}
-	if len(pending) == 0 {
-		emitPoints()
-		return results, nil
-	}
-
-	// Flatten the pending points into one (point, block) job list so the
-	// pool load-balances across the whole campaign.
+	// Flatten the points into one (point, block) job list so the pool
+	// load-balances across the whole campaign.
 	type job struct{ point, block int }
 	runners := make([]*faultsim.BlockRunner, len(s.FITs))
 	parts := make([][]faultsim.Partial, len(s.FITs))
 	var jobs []job
-	for _, i := range pending {
-		br, err := faultsim.NewBlockRunner(s.options(s.FITs[i]), s.Schemes)
+	for i, fit := range s.FITs {
+		br, err := faultsim.NewBlockRunner(s.options(fit), s.Schemes)
 		if err != nil {
 			return nil, err
 		}
@@ -145,11 +96,13 @@ func (e *Engine) RunFaultSweep(s FaultSweep) ([]*faultsim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, i := range pending {
+	results := make([]*faultsim.Result, len(s.FITs))
+	for i, fit := range s.FITs {
 		results[i] = runners[i].Merge(parts[i])
-		e.cacheStore(keys[i], results[i])
+		if e.opt.OnPoint != nil {
+			e.opt.OnPoint(Point{Label: label, Index: i, FIT: fit, Result: results[i]})
+		}
 	}
-	emitPoints()
 	return results, nil
 }
 

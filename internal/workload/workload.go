@@ -15,6 +15,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"soteria/internal/trace"
 )
@@ -315,7 +316,7 @@ func ByName(name string) (Workload, error) {
 			return w, nil
 		}
 	}
-	return Workload{}, fmt.Errorf("workload: unknown workload %q", name)
+	return Workload{}, fmt.Errorf("workload: unknown workload %q (known: %s)", name, strings.Join(Names(), ", "))
 }
 
 // ByNameMust is ByName for known-good names; it panics on error.
