@@ -234,10 +234,13 @@ func main() {
 	}
 	if all || want["fig12"] {
 		p := relParams()
+		start := time.Now()
+		fmt.Fprintf(os.Stderr, "running Fig 12 Monte Carlo (%d trials at FIT %g)...\n", p.Trials, *fit)
 		t, err := experiments.Fig12(p, *fit, 8<<40)
 		if err != nil {
 			fatal(err)
 		}
+		fmt.Fprintf(os.Stderr, "Fig 12 done in %v\n", time.Since(start).Round(time.Second))
 		emit(t)
 	}
 	if all || want["strongecc"] {

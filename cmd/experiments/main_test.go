@@ -32,8 +32,6 @@ func TestStdoutIsMachineParsable(t *testing.T) {
 		{[]string{"-run", "table2,table3,mtbf"}, ""},
 		{[]string{"-run", "fig11", "-trials", "2000"}, "geo-mean UDR reduction"},
 		{[]string{"-run", "fig4", "-ops", "2000", "-warmup", "500", "-workloads", "hashmap"}, "1 workloads x 3 modes"},
-		{[]string{"-run", "fig11", "-fits", "20,80", "-trials", "2000", "-progress"}, "fig11: "},
-		{[]string{"-run", "fig12", "-fit", "40", "-trials", "3000"}, ""},
 		{[]string{"-run", "stats", "-workloads", "hashmap", "-modes", "SAC", "-ops", "2000", "-warmup", "500", "-check"}, "verified on every read"},
 	} {
 		var stdout, stderr bytes.Buffer
@@ -52,6 +50,41 @@ func TestStdoutIsMachineParsable(t *testing.T) {
 		}
 		if tc.stderr != "" && !strings.Contains(stderr.String(), tc.stderr) {
 			t.Errorf("%v: stderr missing %q:\n%s", tc.args, tc.stderr, stderr.String())
+		}
+	}
+}
+
+// The Monte Carlo runs that used to be the faultsim command — one FIT
+// point and a FIT sweep — keep the same contract: every run header,
+// progress line and wall-clock figure goes to stderr, so piping stdout
+// into a parser (or diffing two runs) never sees nondeterministic text.
+func TestFaultSimStdoutIsMachineParsable(t *testing.T) {
+	bin := buildCLI(t, t.TempDir())
+	for _, tc := range []struct {
+		args   []string
+		stderr []string // substrings the human-facing stream must carry
+	}{
+		{[]string{"-run", "fig12", "-fit", "40", "-trials", "3000", "-seed", "5"}, []string{"trials"}},
+		{[]string{"-run", "fig11", "-fits", "20,80", "-trials", "2000", "-seed", "5", "-progress"}, []string{"trials", "fig11: "}},
+	} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, tc.args...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("%v: %v\nstderr:\n%s", tc.args, err, stderr.String())
+		}
+		for _, line := range strings.Split(stdout.String(), "\n") {
+			if line == "" {
+				continue
+			}
+			if !strings.HasPrefix(line, "#") && !strings.HasPrefix(line, "|") {
+				t.Errorf("%v: non-table stdout line: %q", tc.args, line)
+			}
+		}
+		for _, want := range tc.stderr {
+			if !strings.Contains(stderr.String(), want) {
+				t.Errorf("%v: stderr missing %q:\n%s", tc.args, want, stderr.String())
+			}
 		}
 	}
 }
