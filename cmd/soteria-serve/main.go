@@ -7,21 +7,22 @@
 //
 //	soteria-serve -addr 127.0.0.1:9650 -shards 4 -mode src
 //	soteria-serve -shards 8 -metrics-addr 127.0.0.1:9651 -metrics final.prom
-//	soteria-serve -tenants 4 -tenant-lines 256 -metrics-addr 127.0.0.1:9651
+//	soteria-serve -tenants 4 -provision 4 -tenant-lines 256 -metrics-addr 127.0.0.1:9651
 //
 // With -tenants N the same device is wrapped in a tenant service and the
-// server runs in multi-tenant mode: the registry accepts tenant ids 1..N,
-// a connection attaches to one tenant with OpTenantAttach (after
-// provisioning over the wire's operator plane: TenantCreate — cmd/loadgen
-// -tenants does this itself) and its batch frames, stop-and-wait or
+// server runs in multi-tenant mode: the registry accepts tenant ids 1..N.
+// Tenants are provisioned only here, at start-up: -provision M provisions
+// tenants 1..M and prints their access tokens to stderr, one per line,
+// before the server listens, for the operator to hand out (cmd/loadgen
+// -tenants takes them as -tenant-tokens). A connection attaches to one
+// tenant with OpTenantAttach and its batch frames, stop-and-wait or
 // pipelined, then run in that tenant's space with tenant-local addresses;
-// batch frames from a connection that never attached are denied.
-// -provision M additionally provisions tenants 1..M at startup
-// and prints their access tokens to stderr, one per line, for the
-// operator to hand out. Online key rotation runs over the operator
-// plane (TenantRotate/TenantStep), and the metrics endpoint gains
-// /tenants (registry listing) and /tenant-metrics?id=N (one tenant's
-// counters).
+// the same connection may rotate that tenant's keys online
+// (TenantRotate/TenantRotateStep) and nothing else's. An unbound
+// connection may only ping and attach, and no tenant sees the device-wide
+// info or telemetry: the operator reads those, and the registry listing
+// (/tenants) and one tenant's counters (/tenant-metrics?id=N), from the
+// metrics endpoint.
 //
 // SIGINT/SIGTERM shuts down gracefully: in-flight requests are answered,
 // connections drained, the device flushed, and the -metrics snapshot
@@ -67,6 +68,9 @@ func main() {
 		verbose     = flag.Bool("v", false, "log connection lifecycle")
 	)
 	flag.Parse()
+	if *provision > *tenants {
+		fatal(fmt.Errorf("-provision %d exceeds -tenants %d", *provision, *tenants))
+	}
 
 	mode, err := memctrl.ParseMode(*modeName)
 	if err != nil {
@@ -100,9 +104,6 @@ func main() {
 		})
 		if err != nil {
 			fatal(err)
-		}
-		if *provision > *tenants {
-			fatal(fmt.Errorf("-provision %d exceeds -tenants %d", *provision, *tenants))
 		}
 		for id := 1; id <= *provision; id++ {
 			token, err := svc.Provision(uint32(id), *tenantLines, uint32(*tenantQuota))

@@ -22,6 +22,11 @@ var codeSpan = regexp.MustCompile("`((?:[^`\n]|\n[^`\n])+)`")
 // `internal/chaos/device.go` and `x.nvm.Line` name nothing.
 var pkgRef = regexp.MustCompile(`(?:^|[^\w./*-])([a-z][a-z0-9]*)\.([A-Za-z_]\w*)`)
 
+// bareName is a code span that is exactly one protocol or error name:
+// an opcode, a wire status, an error sentinel or an error class
+// (`OpBatch`, `StatusBusy`, `ErrAuth`, `ClassQuota`).
+var bareName = regexp.MustCompile(`^(Op|Status|Err|Class)[A-Z]\w*$`)
+
 // methodRef is a method expression, `pkg.(*T).M` or, with the package
 // left implicit, `(*T).M`.
 var methodRef = regexp.MustCompile(`(?:^|[^\w./*-])(?:([a-z][a-z0-9]*)\.)?\(\*([A-Za-z_]\w*)\)\.([A-Za-z_]\w*)`)
@@ -30,12 +35,15 @@ var methodRef = regexp.MustCompile(`(?:^|[^\w./*-])(?:([a-z][a-z0-9]*)\.)?\(\*([
 // span, where pkg is a package under internal/, names a declaration in
 // that package's non-test files — a package-level name, a method or a
 // struct field — and every `pkg.(*T).M` names a method M of T there (a
-// bare `(*T).M`, in some package under internal/), so a rename or
-// deletion cannot leave the documents pointing at code that is gone.
+// bare `(*T).M`, in some package under internal/), and every span that is
+// a bare protocol or error name is declared in some package under
+// internal/, so a rename or deletion cannot leave the documents pointing
+// at code that is gone.
 // Fenced code blocks are skipped: they are commands and examples, not
 // references.
 func TestDocReferencesResolve(t *testing.T) {
 	decls := map[string]map[string]bool{} // package dir -> declared names
+	anywhere := map[string]bool{}         // names declared in any of them
 	dirs, err := os.ReadDir("internal")
 	if err != nil {
 		t.Fatal(err)
@@ -43,6 +51,9 @@ func TestDocReferencesResolve(t *testing.T) {
 	for _, d := range dirs {
 		if d.IsDir() {
 			decls[d.Name()] = declaredNames(t, filepath.Join("internal", d.Name()))
+			for name := range decls[d.Name()] {
+				anywhere[name] = true
+			}
 		}
 	}
 	for _, doc := range []string{"DESIGN.md", "EXPERIMENTS.md", "README.md"} {
@@ -64,6 +75,9 @@ func TestDocReferencesResolve(t *testing.T) {
 		for _, m := range codeSpan.FindAllStringSubmatchIndex(text, -1) {
 			line := strings.Count(text[:m[0]], "\n") + 1
 			span := strings.ReplaceAll(text[m[2]:m[3]], "\n", " ")
+			if bareName.MatchString(span) && !anywhere[span] {
+				t.Errorf("%s:%d: `%s` is declared in no package under internal/", doc, line, span)
+			}
 			for _, ref := range pkgRef.FindAllStringSubmatch(span, -1) {
 				// `runner.go` is a file name, not a reference.
 				names, ok := decls[ref[1]]

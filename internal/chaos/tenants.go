@@ -123,7 +123,7 @@ func (t *tenantStack) op(i int, k key, line *nvm.Line) (got nvm.Line, err error)
 		return got, err
 	}
 	_, done, err := t.svc.RotateStep(1, 2)
-	if err != nil && !errors.Is(err, tenant.ErrNotRotating) {
+	if err != nil {
 		return got, err
 	}
 	t.rotationDone = done
@@ -218,9 +218,6 @@ func (t *tenantStack) finishRotation() {
 	for {
 		_, done, err := t.svc.RotateStep(1, 16)
 		if err != nil {
-			if errors.Is(err, tenant.ErrNotRotating) {
-				break
-			}
 			t.sc.res.violate("rotation completion: %v", err)
 			return
 		}

@@ -10,8 +10,8 @@ import (
 )
 
 // Client drives a remote device over TCP: Read, Write and Drain, Ping,
-// Info and SnapshotJSON, and the tenant ops (AttachTenant, TenantCreate,
-// TenantRotate, TenantRotateStep). It reconstructs the device's typed
+// Info and SnapshotJSON, and the tenant ops (AttachTenant, then the
+// attached tenant's TenantRotate and TenantRotateStep). It reconstructs the device's typed
 // errors from the wire statuses, so a data op fails over the wire with
 // the error it would return in-process. It is a link with a window of
 // one frame (strict stop-and-wait), so it inherits the link's
@@ -48,7 +48,7 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// do runs one introspection or tenant-admin op: success and
+// do runs one introspection or tenant-plane op: success and
 // non-retryable statuses go back to the caller (leaving the link usable),
 // retryable ones go back to the link until its budget runs out. The
 // response body aliases the link's receive buffer and is valid only until
@@ -107,7 +107,8 @@ func (c *Client) Ping() error {
 	return err
 }
 
-// Info fetches the remote device description.
+// Info fetches the remote flat device's description (denied to a
+// tenant-attached client and on a tenant-only server).
 func (c *Client) Info() (device.Info, error) {
 	var info device.Info
 	data, err := c.do("info", OpInfo, nil)
@@ -143,7 +144,8 @@ func (c *Client) Drain(addr uint64) error {
 
 // SnapshotJSON fetches the remote device's merged telemetry snapshot in
 // its canonical JSON rendering (byte-identical to a local
-// Snapshot().MarshalIndentJSON()).
+// Snapshot().MarshalIndentJSON()). Like Info, it is denied to a
+// tenant-attached client and on a tenant-only server.
 func (c *Client) SnapshotJSON() ([]byte, error) {
 	body, err := c.do("snapshot", OpSnapshot, nil)
 	if err != nil {

@@ -18,34 +18,23 @@ func (c *Client) AttachTenant(id uint32, token uint64) error {
 	return c.l.attachTenant(id, token)
 }
 
-// TenantCreate provisions a tenant (operator plane) and returns its
-// access token.
-func (c *Client) TenantCreate(id uint32, lines uint64, quotaOps uint32) (uint64, error) {
-	body, err := c.doTenant("tenant-create", TenantFrame{Op: OpTenantCreate, Tenant: id, Lines: lines, Quota: quotaOps})
-	if err != nil {
-		return 0, err
-	}
-	if len(body) != 8 {
-		return 0, &FrameError{Reason: fmt.Sprintf("tenant create returned %d bytes", len(body))}
-	}
-	return beU64(body), nil
-}
-
-// TenantRotate begins an online key rotation (operator plane).
+// TenantRotate begins an online key rotation of tenant id, which must be
+// the tenant this client is attached as.
 func (c *Client) TenantRotate(id uint32) error {
 	_, err := c.doTenant("tenant-rotate", TenantFrame{Op: OpTenantRotate, Tenant: id})
 	return err
 }
 
-// TenantRotateStep advances a rotation sweep by up to max lines,
-// reporting progress (operator plane).
-func (c *Client) TenantRotateStep(id uint32, max uint32) (rotated uint32, cursor uint64, done bool, err error) {
+// TenantRotateStep advances the attached tenant id's rotation sweep by up
+// to max lines, reporting the lines it re-encrypted and whether the
+// rotation is complete.
+func (c *Client) TenantRotateStep(id uint32, max uint32) (rotated uint32, done bool, err error) {
 	body, err := c.doTenant("tenant-step", TenantFrame{Op: OpTenantStep, Tenant: id, Max: max})
 	if err != nil {
-		return 0, 0, false, err
+		return 0, false, err
 	}
-	if len(body) != 13 {
-		return 0, 0, false, &FrameError{Reason: fmt.Sprintf("tenant step returned %d bytes", len(body))}
+	if len(body) != 5 {
+		return 0, false, &FrameError{Reason: fmt.Sprintf("tenant step returned %d bytes", len(body))}
 	}
-	return beU32(body[1:]), beU64(body[5:]), body[0] != 0, nil
+	return beU32(body[1:]), body[0] != 0, nil
 }

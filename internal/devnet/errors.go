@@ -122,7 +122,7 @@ func isTimeout(err error) bool {
 // OpError is returned when the client's retry budget ran out. It wraps
 // the last underlying error, so errors.Is/As still see the typed cause.
 type OpError struct {
-	// Op names the operation ("write", "tenant-create", ...).
+	// Op names the operation ("write", "tenant-step", ...).
 	Op string
 	// Attempts is how many times the operation was tried.
 	Attempts int

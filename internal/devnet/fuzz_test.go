@@ -190,15 +190,14 @@ func FuzzParseResponse(f *testing.F) {
 }
 
 // FuzzTenantFrame throws arbitrary (op, body) pairs at the tenant-plane
-// body codec — the single parse point for the attach and admin ops the
-// server accepts. The invariants: never panic, reject with a typed
+// body codec — the single parse point for the attach, rotate and step
+// ops the server accepts. The invariants: never panic, reject with a typed
 // *FrameError on any length mismatch or non-tenant op (the retired tenant
-// opcodes 12, 13 and 17–19 included), and any accepted body must re-encode
+// opcodes 12–14 and 17–19 included), and any accepted body must re-encode
 // byte-identically (no silently ignored trailing bytes, no lossy fields).
 func FuzzTenantFrame(f *testing.F) {
 	seed := []TenantFrame{
 		{Op: OpTenantAttach, Tenant: 1, Token: 0xdeadbeefcafef00d},
-		{Op: OpTenantCreate, Tenant: 4, Lines: 4096, Quota: 100},
 		{Op: OpTenantRotate, Tenant: 5},
 		{Op: OpTenantStep, Tenant: 6, Max: 32},
 	}
@@ -207,13 +206,14 @@ func FuzzTenantFrame(f *testing.F) {
 	}
 	// Off-by-one lengths, truncations, non-tenant ops, trailing garbage.
 	f.Add(OpTenantAttach, []byte{})
-	f.Add(OpTenantCreate, make([]byte, 12))
 	f.Add(OpTenantStep, make([]byte, 13))
 	f.Add(OpTenantRotate, make([]byte, 5))
-	// The retired tenant opcodes (read, write, info, list, metrics) with
-	// the bodies they used to take: not tenant ops any more.
+	// The retired tenant opcodes (read, write, create, info, list,
+	// metrics) with the bodies they used to take: not tenant ops any more.
 	f.Add(uint8(12), make([]byte, 12))
 	f.Add(uint8(13), make([]byte, 12+64))
+	f.Add(uint8(14), make([]byte, 16))
+	f.Add(uint8(14), make([]byte, 12))
 	f.Add(uint8(17), make([]byte, 4))
 	f.Add(uint8(18), []byte{})
 	f.Add(uint8(19), make([]byte, 4))
@@ -229,7 +229,7 @@ func FuzzTenantFrame(f *testing.F) {
 			}
 			return
 		}
-		if op < OpTenantAttach || op > OpTenantStep || op == 12 || op == 13 {
+		if op < OpTenantAttach || op > OpTenantStep || op >= 12 && op <= 14 {
 			t.Fatalf("op %d accepted as a tenant op", op)
 		}
 		re := frame.Encode()

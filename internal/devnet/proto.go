@@ -38,17 +38,22 @@
 //	 2 OpInfo          —                       response: device.Info JSON
 //	 9 OpSnapshot      —                       response: telemetry snapshot JSON
 //	11 OpTenantAttach  [u32 tenant][u64 token]
-//	14 OpTenantCreate  [u32 tenant][u64 lines][u32 quota]  response: [u64 token]
 //	15 OpTenantRotate  [u32 tenant]
-//	16 OpTenantStep    [u32 tenant][u32 max]   response: [u8 done][u32 rotated][u64 cursor]
+//	16 OpTenantStep    [u32 tenant][u32 max]   response: [u8 done][u32 rotated]
 //	20 OpBatch         see batch.go
 //
-// Opcodes 3–8, 10, 12, 13 and 17–19 are retired: reserved, never reused,
+// Info and snapshot describe the flat device, so they answer only an
+// unbound connection on a server that has one; a tenant's connection, and
+// any peer of a tenant-only server, is denied (StatusTenantDenied).
+// Rotate and step act only on the tenant the connection is bound to.
+//
+// Opcodes 3–8, 10, 12–14 and 17–19 are retired: reserved, never reused,
 // and answered "unknown op". 3, 4, 5, 12 and 13 were the single-op data
-// frames; 6, 7, 8 and 10 (flush, crash, recover, health) and 17, 18, 19
-// (tenant info, list, metrics) were operator and introspection ops that
-// no client sent. Readiness and tenant listing and metrics are served
-// over HTTP by cmd/soteria-serve.
+// frames; 6, 7, 8 and 10 (flush, crash, recover, health), 14 (tenant
+// create) and 17, 18, 19 (tenant info, list, metrics) were operator and
+// introspection ops. Tenants are provisioned when the server's owner
+// starts it; readiness and tenant listing and metrics are served over
+// HTTP by cmd/soteria-serve.
 //
 // Error statuses carry typed bodies so the client can reconstruct the
 // device's error surface exactly (see StatusBusy etc.; wireerr.go is the
@@ -76,10 +81,9 @@ const (
 	// binds the connection to a tenant after checking its token; every
 	// batch frame that follows on the connection runs in that tenant's
 	// space. The binding is per-connection, so attach bypasses the dedup
-	// window and the client link replays it after every reconnect. The
-	// rest are operator-plane ops and need no binding.
+	// window and the client link replays it after every reconnect. Rotate
+	// and step drive the bound tenant's own key rotation.
 	OpTenantAttach uint8 = 11
-	OpTenantCreate uint8 = 14
 	OpTenantRotate uint8 = 15
 	OpTenantStep   uint8 = 16
 

@@ -127,8 +127,8 @@ func TestSessionZeroBypassesDedup(t *testing.T) {
 }
 
 // TestRetiredOpcodesAnswerUnknownOp: the single-op data frames and the
-// operator and introspection ops no client sent (flush, crash, recover,
-// health, tenant info, list, metrics) are gone; their opcode numbers are
+// operator and introspection ops (flush, crash, recover, health, tenant
+// create, info, list, metrics) are gone; their opcode numbers are
 // reserved, must not execute anything, and leave the connection usable.
 func TestRetiredOpcodesAnswerUnknownOp(t *testing.T) {
 	dev, reg, addr := rawServer(t, ServerOptions{})
@@ -140,7 +140,7 @@ func TestRetiredOpcodesAnswerUnknownOp(t *testing.T) {
 	// Each retired number with the body its frame used to take.
 	retired := map[uint8]int{
 		3: 8, 4: 8 + nvm.LineSize, 5: 8, 6: 0, 7: 0, 8: 0, 10: 0,
-		12: 12, 13: 12 + nvm.LineSize, 17: 4, 18: 0, 19: 4,
+		12: 12, 13: 12 + nvm.LineSize, 14: 16, 17: 4, 18: 0, 19: 4,
 	}
 	for op, n := range retired {
 		req := append(encodeRequest(op, 9, uint64(op), n), make([]byte, n)...)

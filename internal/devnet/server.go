@@ -46,10 +46,10 @@ type ServerOptions struct {
 	// registries so wire snapshots stay byte-identical to local ones.
 	Telemetry *telemetry.Registry
 	// Tenants, when non-nil, enables the tenant plane (OpTenantAttach and
-	// friends) against this multi-tenant service: batch frames on a
-	// connection bound to a tenant run through it. The flat device may
-	// then be nil, in which case unbound batch frames are denied and info,
-	// snapshot and Health describe the service's device.
+	// the bound tenant's rotation) against this multi-tenant service: batch
+	// frames on a connection bound to a tenant run through it. The flat
+	// device may then be nil, in which case an unbound peer may only ping
+	// and attach, and Health describes the service's device.
 	Tenants *tenant.Service
 	// Logf, when non-nil, receives connection lifecycle lines.
 	Logf func(format string, args ...any)
@@ -119,20 +119,12 @@ type Server struct {
 }
 
 // control is what the introspection ops (info, snapshot) and Health
-// read: the flat device, or on a tenant-only server the device under the
-// tenant service.
+// read: the flat device. A tenant-only server has none.
 type control interface {
 	Info() device.Info
 	Down() bool
 	Snapshot() *telemetry.Snapshot
 }
-
-// tenantControl adapts a tenant service to control: its own Info and
-// Snapshot describe one tenant, the device-wide ones carry other names.
-type tenantControl struct{ *tenant.Service }
-
-func (t tenantControl) Info() device.Info             { return t.DeviceInfo() }
-func (t tenantControl) Snapshot() *telemetry.Snapshot { return t.DeviceSnapshot() }
 
 // NewServer wraps a device with default hardening options. The caller
 // keeps ownership of the device: Shutdown stops serving but does not
@@ -145,12 +137,10 @@ func NewServer(dev *device.Device) *Server {
 func NewServerWith(dev *device.Device, opts ServerOptions) *Server {
 	opts.fill()
 	s := &Server{dev: dev, opts: opts, sessions: opts.Sessions, conns: map[net.Conn]struct{}{}}
-	// The control target is picked once; with neither a device nor a
-	// tenant service it stays nil and only ping and Health answer.
+	// Without a flat device the control target stays nil; a tenant-only
+	// server denies info and snapshot.
 	if dev != nil {
 		s.ctl = dev
-	} else if opts.Tenants != nil {
-		s.ctl = tenantControl{opts.Tenants}
 	}
 	reg := opts.Telemetry
 	s.connsTotal = reg.Counter("devnet_server_conns_total")
@@ -250,6 +240,8 @@ func (s *Server) Health() Health {
 	down, shards := false, 0
 	if s.ctl != nil {
 		down, shards = s.ctl.Down(), s.ctl.Info().Shards
+	} else if svc := s.opts.Tenants; svc != nil {
+		down, shards = svc.Down(), svc.DeviceInfo().Shards
 	}
 	return Health{
 		Ready:      !draining && !down,
@@ -454,19 +446,25 @@ func (s *Server) handleSafe(req wireRequest, bound *uint32, bs *batchScratch) (r
 	if tenantBodyLen(req.op) >= 0 {
 		return s.handleTenant(req, bound)
 	}
-	return s.handle(req)
+	return s.handle(req, *bound)
 }
 
 // handle executes one introspection request against the control target
-// and builds the response payload.
-func (s *Server) handle(req wireRequest) []byte {
+// and builds the response payload. Info and snapshot describe the whole
+// flat device, so a connection bound to a tenant, and every peer of a
+// tenant-only server, is denied them.
+func (s *Server) handle(req wireRequest, bound uint32) []byte {
 	op, seq := req.op, req.seq
 	switch op {
 	case OpPing:
 		return respOK(seq, 0, nil)
-	case OpInfo:
-		return respJSON(seq, s.ctl.Info())
-	case OpSnapshot:
+	case OpInfo, OpSnapshot:
+		if bound != 0 || s.ctl == nil && s.opts.Tenants != nil {
+			return respFromErr(seq, &tenant.AuthError{Tenant: bound})
+		}
+		if op == OpInfo {
+			return respJSON(seq, s.ctl.Info())
+		}
 		return respSnapshot(seq, s.ctl.Snapshot())
 	default:
 		return respErr(seq, fmt.Errorf("unknown op %d", op))

@@ -59,9 +59,9 @@ func startTenantServerWith(t *testing.T, sopts devnet.ServerOptions, topts tenan
 	return svc, srv, ln.Addr().String()
 }
 
-// TestTenantWireRoundTrip drives the full tenant plane over TCP:
-// provision, attach, data ops, rotation, and introspection routed
-// through the tenant service.
+// TestTenantWireRoundTrip drives the tenant plane over TCP: attach to a
+// tenant provisioned in-process, data ops, the tenant's own rotation over
+// its bound client, and readiness read through the tenant service.
 func TestTenantWireRoundTrip(t *testing.T) {
 	svc, srv, addr := startTenantServer(t, devnet.ServerOptions{})
 	c, err := devnet.Dial(addr)
@@ -70,12 +70,9 @@ func TestTenantWireRoundTrip(t *testing.T) {
 	}
 	defer c.Close()
 
-	token, err := c.TenantCreate(1, 64, 0)
+	token, err := svc.Provision(1, 64, 0)
 	if err != nil {
-		t.Fatalf("create: %v", err)
-	}
-	if err := svc.Authenticate(1, token); err != nil {
-		t.Fatalf("token over the wire %x does not authenticate: %v", token, err)
+		t.Fatalf("provision: %v", err)
 	}
 
 	// Data ops before attach must be denied with the typed error: on a
@@ -107,12 +104,12 @@ func TestTenantWireRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Rotation over the wire, driven to completion.
+	// Rotation over the bound client, driven to completion.
 	if err := c.TenantRotate(1); err != nil {
 		t.Fatalf("rotate: %v", err)
 	}
 	for {
-		_, _, done, err := c.TenantRotateStep(1, 16)
+		_, done, err := c.TenantRotateStep(1, 16)
 		if err != nil {
 			t.Fatalf("step: %v", err)
 		}
@@ -140,9 +137,10 @@ func TestTenantWireRoundTrip(t *testing.T) {
 		t.Fatalf("tenants: %+v", list)
 	}
 
-	// Info and readiness describe the tenant service's device.
-	if info, err := c.Info(); err != nil || info.Shards != 4 {
-		t.Fatalf("info: %+v (%v)", info, err)
+	// A tenant does not see the device-wide info; readiness, the
+	// operator's, describes the tenant service's device.
+	if _, err := c.Info(); !errors.Is(err, tenant.ErrAuth) {
+		t.Fatalf("info on a tenant-attached client: %v, want a tenant denial", err)
 	}
 	if h := srv.Health(); !h.Ready || h.Shards != 4 {
 		t.Fatalf("health: %+v", h)
@@ -153,7 +151,7 @@ func TestTenantWireRoundTrip(t *testing.T) {
 // as a typed *TenantQuotaError — ClassQuota, not ClassBusy — without
 // burning the retry budget.
 func TestTenantQuotaNotRetried(t *testing.T) {
-	_, _, addr := startTenantServer(t, devnet.ServerOptions{})
+	svc, _, addr := startTenantServer(t, devnet.ServerOptions{})
 	c, err := devnet.DialWith(addr, devnet.Options{
 		// A long backoff makes an accidental retry visible as a timeout.
 		Retry: devnet.RetryPolicy{MaxAttempts: 5, BaseBackoff: 2 * time.Second},
@@ -163,7 +161,7 @@ func TestTenantQuotaNotRetried(t *testing.T) {
 	}
 	defer c.Close()
 
-	token, err := c.TenantCreate(1, 8, 3)
+	token, err := svc.Provision(1, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +196,7 @@ func TestTenantQuotaNotRetried(t *testing.T) {
 // attached client must not strand it — the client replays the binding on
 // its self-healed connection and the retried data op lands.
 func TestTenantReattachAfterReconnect(t *testing.T) {
-	_, _, addr := startTenantServer(t, devnet.ServerOptions{})
+	svc, _, addr := startTenantServer(t, devnet.ServerOptions{})
 	c, err := devnet.DialWith(addr, devnet.Options{
 		Retry: devnet.RetryPolicy{MaxAttempts: 8, BaseBackoff: time.Millisecond},
 	})
@@ -207,7 +205,7 @@ func TestTenantReattachAfterReconnect(t *testing.T) {
 	}
 	defer c.Close()
 
-	token, err := c.TenantCreate(1, 8, 0)
+	token, err := svc.Provision(1, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,24 +6,22 @@ import (
 )
 
 // TenantFrame is the parsed body of one tenant-plane request: the attach
-// that binds a connection, and the operator ops. (Tenant data ops have no
-// frame of their own; they are batch entries on a bound connection.) One
+// that binds a connection, and the bound tenant's rotate and step. (Tenant
+// data ops have no frame of their own; they are batch entries on a bound
+// connection.) One
 // codec (ParseTenantFrame / Encode) is the single entry and exit point
 // for every tenant op body on both sides of the wire, so the fuzz target
 // exercises exactly what the server parses: any byte string either
 // decodes into a frame that re-encodes to the same bytes, or is rejected
 // with a typed *FrameError — never a panic, never a silent truncation.
 type TenantFrame struct {
-	// Op is the tenant-plane opcode (OpTenantAttach..OpTenantStep).
+	// Op is the tenant-plane opcode: OpTenantAttach, OpTenantRotate or
+	// OpTenantStep.
 	Op uint8
 	// Tenant is the addressed tenant id.
 	Tenant uint32
 	// Token is the access token (OpTenantAttach).
 	Token uint64
-	// Lines is the extent size in lines (OpTenantCreate).
-	Lines uint64
-	// Quota is the per-window op budget, 0 = unlimited (OpTenantCreate).
-	Quota uint32
 	// Max is the sweep step bound (OpTenantStep).
 	Max uint32
 }
@@ -34,8 +32,6 @@ func tenantBodyLen(op uint8) int {
 	switch op {
 	case OpTenantAttach:
 		return 12
-	case OpTenantCreate:
-		return 16
 	case OpTenantRotate:
 		return 4
 	case OpTenantStep:
@@ -59,9 +55,6 @@ func ParseTenantFrame(op uint8, body []byte) (TenantFrame, error) {
 	switch op {
 	case OpTenantAttach:
 		f.Token = binary.BigEndian.Uint64(body[4:12])
-	case OpTenantCreate:
-		f.Lines = binary.BigEndian.Uint64(body[4:12])
-		f.Quota = binary.BigEndian.Uint32(body[12:16])
 	case OpTenantStep:
 		f.Max = binary.BigEndian.Uint32(body[4:8])
 	}
@@ -79,9 +72,6 @@ func (f *TenantFrame) Encode() []byte {
 	switch f.Op {
 	case OpTenantAttach:
 		out = putU64(out, f.Token)
-	case OpTenantCreate:
-		out = putU64(out, f.Lines)
-		out = putU32(out, f.Quota)
 	case OpTenantStep:
 		out = putU32(out, f.Max)
 	}

@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -15,15 +14,15 @@ import (
 
 // TenantConn is the connection surface the multi-tenant generator needs:
 // a session it can bind to one tenant, after which Read and Write take
-// tenant-local addresses, plus the operator plane that drives an online
-// key rotation (used on an unbound control connection). devnet.Client
-// implements it over TCP, NewLocalTenantConn in-process.
+// tenant-local addresses and TenantRotate and TenantRotateStep drive that
+// tenant's online key rotation. devnet.Client implements it over TCP,
+// NewLocalTenantConn in-process.
 type TenantConn interface {
 	AttachTenant(id uint32, token uint64) error
 	Read(addr uint64) (nvm.Line, sim.Time, error)
 	Write(addr uint64, data *nvm.Line) (sim.Time, error)
 	TenantRotate(id uint32) error
-	TenantRotateStep(id uint32, max uint32) (rotated uint32, cursor uint64, done bool, err error)
+	TenantRotateStep(id uint32, max uint32) (rotated uint32, done bool, err error)
 	Close() error
 }
 
@@ -39,9 +38,8 @@ type TenantSpec struct {
 
 // TenantParams configures one multi-tenant run.
 type TenantParams struct {
-	// Dial opens one connection: one per tenant stream (a connection is
-	// bound to a single tenant at attach time), plus a control
-	// connection when a rotation is armed.
+	// Dial opens one connection per tenant stream (a connection is bound
+	// to a single tenant at attach time).
 	Dial func() (TenantConn, error)
 	// Tenants lists the streams. Each must already be provisioned.
 	Tenants []TenantSpec
@@ -55,7 +53,8 @@ type TenantParams struct {
 	// RotateTenant, when non-zero, kicks an online key rotation for that
 	// tenant once RotateAt operations have completed, then interleaves
 	// RotateStride-line sweep steps with the data streams until it
-	// finishes — measuring rotation cost under live load.
+	// finishes — measuring rotation cost under live load. It must be one
+	// of Tenants: the rotation runs over that tenant's own session.
 	RotateTenant uint32
 	// RotateAt is the global completed-op count that triggers the
 	// rotation. Default: half the budget.
@@ -110,10 +109,11 @@ type TenantReport struct {
 }
 
 // rotation is the online key rotation a tenant run interleaves with its
-// streams: armed once enough ops have completed, then one sweep step
-// between rounds until the sweep is done.
+// streams, over the rotating tenant's own session: armed once enough ops
+// have completed, then one sweep step between rounds until the sweep is
+// done.
 type rotation struct {
-	admin   TenantConn
+	conn    TenantConn
 	at      uint64
 	stride  uint32
 	running bool
@@ -124,7 +124,7 @@ func (r *rotation) arm(completed uint64) error {
 	if r.running || r.res.Done || completed < r.at {
 		return nil
 	}
-	if err := r.admin.TenantRotate(r.res.Tenant); err != nil {
+	if err := r.conn.TenantRotate(r.res.Tenant); err != nil {
 		return fmt.Errorf("loadgen: rotate tenant %d: %w", r.res.Tenant, err)
 	}
 	r.running = true
@@ -134,7 +134,7 @@ func (r *rotation) arm(completed uint64) error {
 
 // step re-encrypts the next stride of lines and reports whether any moved.
 func (r *rotation) step(completed uint64) (bool, error) {
-	moved, _, done, err := r.admin.TenantRotateStep(r.res.Tenant, r.stride)
+	moved, done, err := r.conn.TenantRotateStep(r.res.Tenant, r.stride)
 	if err != nil {
 		return false, fmt.Errorf("loadgen: rotate step: %w", err)
 	}
@@ -170,6 +170,16 @@ func RunTenants(p TenantParams) (*TenantReport, error) {
 		return nil, err
 	}
 
+	var rot *rotation
+	if p.RotateTenant != 0 {
+		rot = &rotation{at: uint64(p.Ops / 2), stride: 8, res: RotationResult{Tenant: p.RotateTenant}}
+		if p.RotateAt > 0 {
+			rot.at = uint64(p.RotateAt)
+		}
+		if p.RotateStride > 0 {
+			rot.stride = uint32(p.RotateStride)
+		}
+	}
 	d := newDriver()
 	n := len(p.Tenants)
 	streams := make([]*stream, n)
@@ -185,26 +195,17 @@ func RunTenants(p TenantParams) (*TenantReport, error) {
 		if err := conn.AttachTenant(spec.ID, spec.Token); err != nil {
 			return nil, fmt.Errorf("loadgen: tenant %d attach: %w", spec.ID, err)
 		}
+		if rot != nil && spec.ID == rot.res.Tenant {
+			rot.conn = conn
+		}
 		streams[i] = newStream(fmt.Sprintf("tenant %d", spec.ID), uint64(spec.ID), p.Seed,
 			wl.New(spec.Lines*nvm.LineSize, p.Seed+int64(spec.ID)*0x9e37), p.Ops/n+btoi(i < p.Ops%n),
 			spec.Lines, 1, 0)
 		streams[i].target = &inline{c: conn, h: d.complete}
 	}
 
-	var rot *rotation
-	if p.RotateTenant != 0 {
-		admin, err := p.Dial()
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: control dial: %w", err)
-		}
-		defer admin.Close()
-		rot = &rotation{admin: admin, at: uint64(p.Ops / 2), stride: 8, res: RotationResult{Tenant: p.RotateTenant}}
-		if p.RotateAt > 0 {
-			rot.at = uint64(p.RotateAt)
-		}
-		if p.RotateStride > 0 {
-			rot.stride = uint32(p.RotateStride)
-		}
+	if rot != nil && rot.conn == nil {
+		return nil, fmt.Errorf("loadgen: rotate tenant %d has no stream", p.RotateTenant)
 	}
 	if err := d.run(streams, rot); err != nil {
 		return nil, err
@@ -320,18 +321,9 @@ func (c *localTenantConn) Write(addr uint64, data *nvm.Line) (sim.Time, error) {
 
 func (c *localTenantConn) TenantRotate(id uint32) error { return c.svc.Rotate(id) }
 
-// TenantRotateStep mirrors the server handler's shape: ErrNotRotating
-// means the sweep already finished.
-func (c *localTenantConn) TenantRotateStep(id uint32, max uint32) (uint32, uint64, bool, error) {
+func (c *localTenantConn) TenantRotateStep(id uint32, max uint32) (uint32, bool, error) {
 	rotated, done, err := c.svc.RotateStep(id, int(max))
-	if err != nil && !errors.Is(err, tenant.ErrNotRotating) {
-		return 0, 0, false, err
-	}
-	st, err := c.svc.RotateStatus(id)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	return uint32(rotated), st.Cursor, done || !st.Rotating, nil
+	return uint32(rotated), done, err
 }
 
 func (c *localTenantConn) Close() error { return nil }

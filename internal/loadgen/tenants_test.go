@@ -3,6 +3,7 @@ package loadgen_test
 import (
 	"bytes"
 	"net"
+	"strings"
 	"testing"
 
 	"soteria/internal/config"
@@ -129,9 +130,29 @@ func TestRunTenantsRotationUnderLoad(t *testing.T) {
 	}
 }
 
+// TestRunTenantsRotatesOnlyAStream: the rotation runs over the rotating
+// tenant's own session, so a rotation armed for a tenant with no stream
+// is refused before any op runs.
+func TestRunTenantsRotatesOnlyAStream(t *testing.T) {
+	svc, specs := newTenantService(t, 2, 16)
+	_, err := loadgen.RunTenants(loadgen.TenantParams{
+		Dial:         func() (loadgen.TenantConn, error) { return loadgen.NewLocalTenantConn(svc), nil },
+		Tenants:      specs[:1],
+		Ops:          100,
+		Workload:     "hashmap",
+		RotateTenant: 2,
+	})
+	if err == nil || !strings.Contains(err.Error(), "rotate tenant 2") {
+		t.Fatalf("rotation of a tenant without a stream: %v", err)
+	}
+	if st, err := svc.RotateStatus(2); err != nil || st.Epoch != 1 || st.Rotating {
+		t.Fatalf("tenant 2 rotation status %+v (%v)", st, err)
+	}
+}
+
 // TestRunTenantsOverWire runs the same generator against a tenant-mode
-// server over TCP, one session per tenant, rotation driven over the
-// operator plane.
+// server over TCP, one session per tenant, the rotation driven over the
+// rotating tenant's own session (the server denies it on any other).
 func TestRunTenantsOverWire(t *testing.T) {
 	svc, specs := newTenantService(t, 2, 32)
 	addr := serveTenants(t, svc)

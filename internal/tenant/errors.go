@@ -29,8 +29,6 @@ var (
 	// ErrRotating: the operation cannot start while a rotation is already
 	// in progress for the tenant.
 	ErrRotating = errors.New("tenant: key rotation already in progress")
-	// ErrNotRotating: RotateStep on a tenant with no rotation in progress.
-	ErrNotRotating = errors.New("tenant: no key rotation in progress")
 )
 
 // QuotaError is the hard admission rejection: the tenant used its whole

@@ -55,7 +55,8 @@ func (s *Service) Rotate(id uint32) error {
 // RotateStep advances tenant id's rotation sweep by up to maxLines lines,
 // re-encrypting any line still sealed under the previous epoch. It
 // returns the number of lines actually rewritten and whether the rotation
-// completed. Completion (clearing Rotating, retiring the old epoch's
+// is complete — a tenant with no rotation in progress is done with none
+// rewritten. Completion (clearing Rotating, retiring the old epoch's
 // keys) is again a single persisted record write.
 //
 // The sweep is idempotent: a line already under the current epoch is
@@ -70,7 +71,7 @@ func (s *Service) RotateStep(id uint32, maxLines int) (rotated int, done bool, e
 		return 0, false, err
 	}
 	if !ts.rec.Rotating {
-		return 0, true, ErrNotRotating
+		return 0, true, nil
 	}
 	if maxLines <= 0 {
 		maxLines = 1

@@ -676,13 +676,6 @@ func (s *Service) VerifyAll() error {
 	return s.dev.VerifyAll()
 }
 
-// DeviceSnapshot merges the device's per-shard telemetry registries.
-func (s *Service) DeviceSnapshot() *telemetry.Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dev.Snapshot()
-}
-
 // Snapshot returns tenant id's metric registry snapshot (empty when
 // telemetry is disabled).
 func (s *Service) Snapshot(id uint32) (*telemetry.Snapshot, error) {
@@ -697,6 +690,3 @@ func (s *Service) Snapshot(id uint32) (*telemetry.Snapshot, error) {
 	}
 	return ts.reg.Snapshot(), nil
 }
-
-// Close marks the service closed. The device stays with its owner.
-func (s *Service) Close() error { return nil }

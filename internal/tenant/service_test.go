@@ -261,8 +261,8 @@ func TestRotationUnderLoad(t *testing.T) {
 		}
 		step++
 	}
-	if _, _, err := svc.RotateStep(1, 8); !errors.Is(err, tenant.ErrNotRotating) {
-		t.Fatalf("step after completion: %v", err)
+	if rotated, done, err := svc.RotateStep(1, 8); rotated != 0 || !done || err != nil {
+		t.Fatalf("step after completion: %d rotated, done %v, %v", rotated, done, err)
 	}
 	st, _ := svc.RotateStatus(1)
 	if st.Epoch != 2 {
