@@ -18,17 +18,18 @@
 //
 //	loadgen -conns 4 -pipeline 8 -batch 64 -ops 100000
 //
-// Against a tenant-mode server (soteria-serve -tenants N -provision M),
-// -tenants switches to the multi-tenant generator: it attaches to tenants
-// 1..N with the tokens soteria-serve printed at start-up (-tenant-tokens),
-// runs one closed-loop stream per tenant (one session each — the protocol
-// binds a session to its tenant at attach; its reads and writes are then
+// Against a tenant-mode server (soteria-serve -tenants N), -tenants
+// switches to the multi-tenant generator: it attaches to tenants 1..N
+// with the tokens soteria-serve printed at start-up (-tenant-tokens),
+// runs one closed-loop stream per tenant over the tenant's whole extent
+// (one session each — the protocol binds a session to its tenant at
+// attach, which answers the extent size; its reads and writes are then
 // ordinary one-entry batch frames with tenant-local addresses) and
 // reports per-tenant latency plus a Jain fairness index. An online key
 // rotation can be armed mid-run, over the rotating tenant's own session,
 // to measure its cost under load:
 //
-//	loadgen -tenants 4 -tenant-tokens T1,T2,T3,T4 -tenant-lines 256 -ops 20000
+//	loadgen -tenants 4 -tenant-tokens T1,T2,T3,T4 -ops 20000
 //	loadgen -tenants 4 -tenant-tokens T1,T2,T3,T4 -rotate-tenant 2 -rotate-at 5000
 package main
 
@@ -64,8 +65,7 @@ func main() {
 		batchSize = flag.Int("batch", 64, "max operations per batch frame")
 
 		tenants      = flag.Int("tenants", 0, "drive this many tenant streams against a tenant-mode server (0 = flat device)")
-		tenantLines  = flag.Uint64("tenant-lines", 256, "extent size, in 64-byte lines, of each tenant (soteria-serve's -tenant-lines)")
-		tenantTokens = flag.String("tenant-tokens", "", "comma-separated hex tokens of tenants 1..N, as soteria-serve -provision printed them (required with -tenants)")
+		tenantTokens = flag.String("tenant-tokens", "", "comma-separated hex tokens of tenants 1..N, as soteria-serve -tenants N printed them (required with -tenants)")
 		rotateTenant = flag.Uint("rotate-tenant", 0, "arm an online key rotation for this tenant mid-run (0 = none)")
 		rotateAt     = flag.Int("rotate-at", 0, "completed-op count that triggers the rotation (0 = half of -ops)")
 		rotateStride = flag.Int("rotate-stride", 8, "lines re-encrypted per interleaved rotation step")
@@ -88,7 +88,7 @@ func main() {
 	dial := func() (loadgen.Conn, error) { return dialClient() }
 
 	if *tenants > 0 {
-		runTenants(dialClient, *tenants, *tenantLines, *tenantTokens, *ops, *seed, *wlName,
+		runTenants(dialClient, *tenants, *tenantTokens, *ops, *seed, *wlName,
 			uint32(*rotateTenant), *rotateAt, *rotateStride)
 		return
 	}
@@ -155,10 +155,10 @@ func main() {
 // runTenants attaches to the tenants soteria-serve provisioned at
 // start-up, then runs the multi-tenant generator: one session per tenant
 // stream.
-func runTenants(dial func() (*devnet.Client, error), tenants int, lines uint64,
+func runTenants(dial func() (*devnet.Client, error), tenants int,
 	tokens string, ops int, seed int64, wlName string, rotTenant uint32, rotAt, rotStride int) {
 	if tokens == "" {
-		fmt.Fprintf(os.Stderr, "loadgen: -tenants needs -tenant-tokens: start the server with soteria-serve -provision %d and pass the tokens it prints\n", tenants)
+		fmt.Fprintf(os.Stderr, "loadgen: -tenants needs -tenant-tokens: start the server with soteria-serve -tenants %d and pass the tokens it prints\n", tenants)
 		os.Exit(1)
 	}
 	given := strings.Split(tokens, ",")
@@ -174,7 +174,7 @@ func runTenants(dial func() (*devnet.Client, error), tenants int, lines uint64,
 			fmt.Fprintf(os.Stderr, "loadgen: tenant %d token %q: %v\n", id, given[i], err)
 			os.Exit(1)
 		}
-		specs[i] = loadgen.TenantSpec{ID: id, Token: token, Lines: lines}
+		specs[i] = loadgen.TenantSpec{ID: id, Token: token}
 	}
 
 	start := time.Now()

@@ -7,18 +7,19 @@
 //
 //	soteria-serve -addr 127.0.0.1:9650 -shards 4 -mode src
 //	soteria-serve -shards 8 -metrics-addr 127.0.0.1:9651 -metrics final.prom
-//	soteria-serve -tenants 4 -provision 4 -tenant-lines 256 -metrics-addr 127.0.0.1:9651
+//	soteria-serve -tenants 4 -tenant-lines 256 -metrics-addr 127.0.0.1:9651
 //
 // With -tenants N the same device is wrapped in a tenant service and the
-// server runs in multi-tenant mode: the registry accepts tenant ids 1..N.
-// Tenants are provisioned only here, at start-up: -provision M provisions
-// tenants 1..M and prints their access tokens to stderr, one per line,
-// before the server listens, for the operator to hand out (cmd/loadgen
-// -tenants takes them as -tenant-tokens). A connection attaches to one
-// tenant with OpTenantAttach and its batch frames, stop-and-wait or
-// pipelined, then run in that tenant's space with tenant-local addresses;
-// the same connection may rotate that tenant's keys online
-// (TenantRotate/TenantRotateStep) and nothing else's. An unbound
+// server runs in multi-tenant mode. Tenants are provisioned only here, at
+// start-up: -tenants N provisions tenants 1..N, each with a -tenant-lines
+// extent, and prints their access tokens to stderr, one per line, before
+// the server listens, for the operator to hand out (cmd/loadgen -tenants
+// takes them as -tenant-tokens). A connection attaches to one tenant with
+// OpTenantAttach, which answers the tenant's extent size, and its batch
+// frames, stop-and-wait or pipelined, then run in that tenant's space
+// with tenant-local addresses; the same connection may rotate that
+// tenant's keys online (TenantRotate/TenantRotateStep) and nothing
+// else's. An unbound
 // connection may only ping and attach, and no tenant sees the device-wide
 // info or telemetry: the operator reads those, and the registry listing
 // (/tenants) and one tenant's counters (/tenant-metrics?id=N), from the
@@ -60,17 +61,13 @@ func main() {
 		readStall   = flag.Duration("read-stall", 5*time.Second, "drop a peer that stalls this long mid-frame")
 		idleTimeout = flag.Duration("idle-timeout", 2*time.Minute, "drop a connection idle this long between requests (negative disables)")
 		maxInFlight = flag.Int("max-inflight", 64, "server-wide cap on concurrently executing requests; excess is shed with a busy/retry-after response (negative disables)")
-		tenants     = flag.Int("tenants", 0, "run in multi-tenant mode accepting this many tenant ids (0 = flat device)")
-		provision   = flag.Int("provision", 0, "provision tenants 1..N at startup and print their tokens")
-		tenantLines = flag.Uint64("tenant-lines", 256, "extent size, in 64-byte lines, of each startup-provisioned tenant")
-		tenantQuota = flag.Uint("tenant-quota", 0, "hard per-window op budget of each startup-provisioned tenant (0 = unlimited)")
+		tenants     = flag.Int("tenants", 0, "run in multi-tenant mode: provision tenants 1..N at startup and print their tokens (0 = flat device)")
+		tenantLines = flag.Uint64("tenant-lines", 256, "extent size, in 64-byte lines, of each tenant")
+		tenantQuota = flag.Uint("tenant-quota", 0, "hard per-window op budget of each tenant (0 = unlimited)")
 		masterKey   = flag.String("master-key", "soteria-serve-tenant-master", "master key rooting every tenant key domain")
 		verbose     = flag.Bool("v", false, "log connection lifecycle")
 	)
 	flag.Parse()
-	if *provision > *tenants {
-		fatal(fmt.Errorf("-provision %d exceeds -tenants %d", *provision, *tenants))
-	}
 
 	mode, err := memctrl.ParseMode(*modeName)
 	if err != nil {
@@ -105,7 +102,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		for id := 1; id <= *provision; id++ {
+		for id := 1; id <= *tenants; id++ {
 			token, err := svc.Provision(uint32(id), *tenantLines, uint32(*tenantQuota))
 			if err != nil {
 				fatal(fmt.Errorf("provision tenant %d: %w", id, err))

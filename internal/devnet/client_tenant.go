@@ -8,10 +8,11 @@ func (c *Client) doTenant(opName string, f TenantFrame) ([]byte, error) {
 	return c.do(opName, f.Op, f.Encode())
 }
 
-// AttachTenant authenticates this client's connection as tenant id. From
-// then on Read, Write and Drain take tenant-local addresses and run in
-// the tenant's space; the link re-attaches after every reconnect.
-func (c *Client) AttachTenant(id uint32, token uint64) error {
+// AttachTenant authenticates this client's connection as tenant id and
+// returns the tenant's extent size in lines. From then on Read, Write and
+// Drain take tenant-local addresses and run in the tenant's space; the
+// link re-attaches after every reconnect.
+func (c *Client) AttachTenant(id uint32, token uint64) (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.l.what = "tenant-attach"

@@ -337,19 +337,24 @@ func appendAttach(buf []byte, session, seq uint64, id uint32, token uint64) []by
 	return buf
 }
 
-// attachTenant binds the idle link's connection to tenant id: every batch
-// frame sent from now on runs in that tenant's space. The binding is
-// remembered and replayed on every replacement connection (greet).
-func (l *link) attachTenant(id uint32, token uint64) error {
+// attachTenant binds the idle link's connection to tenant id, returning
+// the tenant's extent size in lines: every batch frame sent from now on
+// runs in that tenant's space. The binding is remembered and replayed on
+// every replacement connection (greet).
+func (l *link) attachTenant(id uint32, token uint64) (uint64, error) {
 	f := l.next()
 	f.buf = appendAttach(f.buf, l.opts.Session, f.seq, id, token)
-	_, err := l.exchange(f)
+	resp, err := l.exchange(f)
+	if err == nil && len(resp.body) != 8 {
+		err = &FrameError{Reason: fmt.Sprintf("tenant attach returned %d bytes", len(resp.body))}
+	}
 	if err != nil {
 		// The server leaves a connection whose attach failed unbound.
-		id, token = 0, 0
+		l.tenant, l.token = 0, 0
+		return 0, err
 	}
 	l.tenant, l.token = id, token
-	return err
+	return beU64(resp.body), nil
 }
 
 // greet runs on every replacement connection before anything is

@@ -131,12 +131,13 @@ func DialPipe(addr string, h PipeHandler, opts PipeOptions) (*Pipe, error) {
 }
 
 // AttachTenant authenticates the pipe's connection as tenant id, after
-// driving everything already submitted to its outcome: every op submitted
-// afterwards takes a tenant-local address and runs in the tenant's space.
-// The link re-attaches after every reconnect, before it retransmits.
-func (p *Pipe) AttachTenant(id uint32, token uint64) error {
+// driving everything already submitted to its outcome, and returns the
+// tenant's extent size in lines: every op submitted afterwards takes a
+// tenant-local address and runs in the tenant's space. The link
+// re-attaches after every reconnect, before it retransmits.
+func (p *Pipe) AttachTenant(id uint32, token uint64) (uint64, error) {
 	if err := p.Flush(); err != nil {
-		return err
+		return 0, err
 	}
 	return p.l.attachTenant(id, token)
 }

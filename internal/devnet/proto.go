@@ -37,7 +37,7 @@
 //	 1 OpPing          —
 //	 2 OpInfo          —                       response: device.Info JSON
 //	 9 OpSnapshot      —                       response: telemetry snapshot JSON
-//	11 OpTenantAttach  [u32 tenant][u64 token]
+//	11 OpTenantAttach  [u32 tenant][u64 token]  response: [u64 extent lines]
 //	15 OpTenantRotate  [u32 tenant]
 //	16 OpTenantStep    [u32 tenant][u32 max]   response: [u8 done][u32 rotated]
 //	20 OpBatch         see batch.go

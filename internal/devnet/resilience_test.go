@@ -401,12 +401,16 @@ func TestHealthProbe(t *testing.T) {
 	}
 }
 
-// TestHandlerPanicIsolated serves a nil device, so any data op panics
-// inside the handler. The panic must come back as a typed server error
-// on the same connection, which stays usable.
+// TestHandlerPanicIsolated serves a control target whose snapshot
+// panics inside the handler. The panic must come back as a typed server
+// error on the same connection, which stays usable.
 func TestHandlerPanicIsolated(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	srv := devnet.NewServerWith(nil, devnet.ServerOptions{Telemetry: reg})
+	if h := srv.Health(); h.Shards != 0 {
+		t.Fatalf("nil-device health shards = %d", h.Shards)
+	}
+	srv.PanicOnSnapshotForTest()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -423,9 +427,9 @@ func TestHandlerPanicIsolated(t *testing.T) {
 	}
 	defer c.Close()
 
-	_, err = c.Info()
+	_, err = c.SnapshotJSON()
 	if err == nil {
-		t.Fatal("info on a nil device succeeded")
+		t.Fatal("panicking snapshot succeeded")
 	}
 	if !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("want panic surfaced as server error, got %v", err)
@@ -439,8 +443,5 @@ func TestHandlerPanicIsolated(t *testing.T) {
 	// Same connection, next request: the server must still answer.
 	if err := c.Ping(); err != nil {
 		t.Fatalf("ping after handler panic: %v", err)
-	}
-	if h := srv.Health(); h.Shards != 0 {
-		t.Fatalf("nil-device health shards = %d", h.Shards)
 	}
 }

@@ -452,14 +452,14 @@ func (s *Server) handleSafe(req wireRequest, bound *uint32, bs *batchScratch) (r
 // handle executes one introspection request against the control target
 // and builds the response payload. Info and snapshot describe the whole
 // flat device, so a connection bound to a tenant, and every peer of a
-// tenant-only server, is denied them.
+// server without one, is denied them.
 func (s *Server) handle(req wireRequest, bound uint32) []byte {
 	op, seq := req.op, req.seq
 	switch op {
 	case OpPing:
 		return respOK(seq, 0, nil)
 	case OpInfo, OpSnapshot:
-		if bound != 0 || s.ctl == nil && s.opts.Tenants != nil {
+		if bound != 0 || s.ctl == nil {
 			return respFromErr(seq, &tenant.AuthError{Tenant: bound})
 		}
 		if op == OpInfo {

@@ -8,7 +8,8 @@ import (
 
 // handleTenant executes one tenant-plane request against the configured
 // tenant service. Attach binds the connection, which is what routes its
-// batch frames into the tenant's space (handleBatch). Rotate and step are
+// batch frames into the tenant's space (handleBatch), and answers the
+// tenant's extent size. Rotate and step are
 // the bound tenant's own acts: a frame from an unbound connection, or one
 // naming another tenant, is denied and executes nothing. Provisioning is
 // not a wire op; the service's owner does it at start-up.
@@ -24,12 +25,13 @@ func (s *Server) handleTenant(req wireRequest, bound *uint32) []byte {
 		return respErr(seq, err)
 	}
 	if f.Op == OpTenantAttach {
-		if err := svc.Authenticate(f.Tenant, f.Token); err != nil {
+		lines, err := svc.Authenticate(f.Tenant, f.Token)
+		if err != nil {
 			*bound = 0
 			return respFromErr(seq, err)
 		}
 		*bound = f.Tenant
-		return respOK(seq, 0, nil)
+		return respOK(seq, 0, putU64(nil, lines))
 	}
 	if *bound == 0 || f.Tenant != *bound {
 		return respFromErr(seq, &tenant.AuthError{Tenant: f.Tenant})

@@ -69,7 +69,7 @@ func TestTeardownLeaksNoGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := pipes[1].AttachTenant(1, token); err != nil {
+	if _, err := pipes[1].AttachTenant(1, token); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range pipes {

@@ -80,12 +80,13 @@ func TestTenantWireRoundTrip(t *testing.T) {
 	if _, _, err := c.Read(0); !errors.Is(err, tenant.ErrAuth) {
 		t.Fatalf("unattached read: %v", err)
 	}
-	// Attach with a wrong token must fail and not bind.
-	if err := c.AttachTenant(1, token^1); !errors.Is(err, tenant.ErrAuth) {
+	// Attach with a wrong token must fail and not bind; the right one
+	// answers the tenant's extent size.
+	if _, err := c.AttachTenant(1, token^1); !errors.Is(err, tenant.ErrAuth) {
 		t.Fatalf("bad-token attach: %v", err)
 	}
-	if err := c.AttachTenant(1, token); err != nil {
-		t.Fatalf("attach: %v", err)
+	if lines, err := c.AttachTenant(1, token); err != nil || lines != 64 {
+		t.Fatalf("attach: %d lines, %v", lines, err)
 	}
 
 	for i := uint64(0); i < 64; i++ {
@@ -165,7 +166,7 @@ func TestTenantQuotaNotRetried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AttachTenant(1, token); err != nil {
+	if _, err := c.AttachTenant(1, token); err != nil {
 		t.Fatal(err)
 	}
 	var line nvm.Line
@@ -209,7 +210,7 @@ func TestTenantReattachAfterReconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AttachTenant(1, token); err != nil {
+	if _, err := c.AttachTenant(1, token); err != nil {
 		t.Fatal(err)
 	}
 	line := testLine(0, 9)
@@ -255,7 +256,7 @@ func dialTenantPipe(t *testing.T, addr string, id uint32, token uint64, opts dev
 	t.Cleanup(func() { p.Close() })
 	tp.Pipe = p
 	if id != 0 {
-		if err := p.AttachTenant(id, token); err != nil {
+		if _, err := p.AttachTenant(id, token); err != nil {
 			t.Fatalf("attach tenant %d: %v", id, err)
 		}
 	}

@@ -98,7 +98,7 @@ func tenantRun(p TenantExpParams, n int, rotate uint32, rotateAt int) (*loadgen.
 		if err != nil {
 			return nil, fmt.Errorf("provision tenant %d: %w", id, err)
 		}
-		specs[i] = loadgen.TenantSpec{ID: id, Token: token, Lines: p.Lines}
+		specs[i] = loadgen.TenantSpec{ID: id, Token: token}
 	}
 	return loadgen.RunTenants(loadgen.TenantParams{
 		Dial:         func() (loadgen.TenantConn, error) { return loadgen.NewLocalTenantConn(svc), nil },

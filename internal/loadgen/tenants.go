@@ -13,12 +13,13 @@ import (
 )
 
 // TenantConn is the connection surface the multi-tenant generator needs:
-// a session it can bind to one tenant, after which Read and Write take
-// tenant-local addresses and TenantRotate and TenantRotateStep drive that
-// tenant's online key rotation. devnet.Client implements it over TCP,
-// NewLocalTenantConn in-process.
+// a session it can bind to one tenant, learning the tenant's extent size
+// in lines, after which Read and Write take tenant-local addresses and
+// TenantRotate and TenantRotateStep drive that tenant's online key
+// rotation. devnet.Client implements it over TCP, NewLocalTenantConn
+// in-process.
 type TenantConn interface {
-	AttachTenant(id uint32, token uint64) error
+	AttachTenant(id uint32, token uint64) (lines uint64, err error)
 	Read(addr uint64) (nvm.Line, sim.Time, error)
 	Write(addr uint64, data *nvm.Line) (sim.Time, error)
 	TenantRotate(id uint32) error
@@ -26,14 +27,11 @@ type TenantConn interface {
 	Close() error
 }
 
-// TenantSpec names one tenant stream: the tenant to attach and the
-// extent the stream walks.
+// TenantSpec names one tenant stream: the tenant to attach. The stream
+// walks the tenant's whole extent, whose size the attach reports.
 type TenantSpec struct {
 	ID    uint32
 	Token uint64
-	// Lines is the tenant's extent size in 64-byte lines (the stream's
-	// footprint).
-	Lines uint64
 }
 
 // TenantParams configures one multi-tenant run.
@@ -184,23 +182,21 @@ func RunTenants(p TenantParams) (*TenantReport, error) {
 	n := len(p.Tenants)
 	streams := make([]*stream, n)
 	for i, spec := range p.Tenants {
-		if spec.Lines == 0 {
-			return nil, fmt.Errorf("loadgen: tenant %d has a zero-line extent", spec.ID)
-		}
 		conn, err := p.Dial()
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: tenant %d dial: %w", spec.ID, err)
 		}
 		defer conn.Close()
-		if err := conn.AttachTenant(spec.ID, spec.Token); err != nil {
+		lines, err := conn.AttachTenant(spec.ID, spec.Token)
+		if err != nil {
 			return nil, fmt.Errorf("loadgen: tenant %d attach: %w", spec.ID, err)
 		}
 		if rot != nil && spec.ID == rot.res.Tenant {
 			rot.conn = conn
 		}
 		streams[i] = newStream(fmt.Sprintf("tenant %d", spec.ID), uint64(spec.ID), p.Seed,
-			wl.New(spec.Lines*nvm.LineSize, p.Seed+int64(spec.ID)*0x9e37), p.Ops/n+btoi(i < p.Ops%n),
-			spec.Lines, 1, 0)
+			wl.New(lines*nvm.LineSize, p.Seed+int64(spec.ID)*0x9e37), p.Ops/n+btoi(i < p.Ops%n),
+			lines, 1, 0)
 		streams[i].target = &inline{c: conn, h: d.complete}
 	}
 
@@ -303,12 +299,12 @@ type localTenantConn struct {
 // generator (and its tests) can drive it without a socket.
 func NewLocalTenantConn(svc *tenant.Service) TenantConn { return &localTenantConn{svc: svc} }
 
-func (c *localTenantConn) AttachTenant(id uint32, token uint64) error {
-	if err := c.svc.Authenticate(id, token); err != nil {
-		return err
+func (c *localTenantConn) AttachTenant(id uint32, token uint64) (uint64, error) {
+	lines, err := c.svc.Authenticate(id, token)
+	if err == nil {
+		c.bound = id
 	}
-	c.bound = id
-	return nil
+	return lines, err
 }
 
 func (c *localTenantConn) Read(addr uint64) (nvm.Line, sim.Time, error) {

@@ -46,7 +46,7 @@ func newTenantService(t *testing.T, n int, lines uint64) (*tenant.Service, []loa
 		if err != nil {
 			t.Fatal(err)
 		}
-		specs[i] = loadgen.TenantSpec{ID: id, Token: token, Lines: lines}
+		specs[i] = loadgen.TenantSpec{ID: id, Token: token}
 	}
 	return svc, specs
 }

@@ -330,18 +330,16 @@ func (s *Service) Provision(id uint32, dataLines uint64, quotaOps uint32) (uint6
 	return rec.AuthCheck, nil
 }
 
-// Authenticate verifies an access token for tenant id.
-func (s *Service) Authenticate(id uint32, token uint64) error {
+// Authenticate verifies an access token for tenant id and returns the
+// tenant's extent size in data lines.
+func (s *Service) Authenticate(id uint32, token uint64) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ts, err := s.lookup(id)
-	if err != nil {
-		return &AuthError{Tenant: id}
+	if err != nil || token != ts.rec.AuthCheck {
+		return 0, &AuthError{Tenant: id}
 	}
-	if token != ts.rec.AuthCheck {
-		return &AuthError{Tenant: id}
-	}
-	return nil
+	return ts.rec.DataLines, nil
 }
 
 // Tenants lists the provisioned records in id order.

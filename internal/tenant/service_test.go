@@ -55,8 +55,8 @@ func TestRoundTripAndPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Authenticate(1, tok); err != nil {
-		t.Fatal(err)
+	if lines, err := svc.Authenticate(1, tok); err != nil || lines != 32 {
+		t.Fatalf("authenticate: %d lines, %v", lines, err)
 	}
 	for i := 0; i < 32; i += 2 {
 		if _, err := svc.Write(1, uint64(i)*nvm.LineSize, fill(byte(i+1))); err != nil {
@@ -106,7 +106,7 @@ func TestTypedErrors(t *testing.T) {
 	if _, _, err := svc.Read(2, 0); !errors.Is(err, tenant.ErrNoSuchTenant) {
 		t.Fatalf("absent tenant: %v", err)
 	}
-	if err := svc.Authenticate(1, 0xdead); !errors.Is(err, tenant.ErrAuth) {
+	if _, err := svc.Authenticate(1, 0xdead); !errors.Is(err, tenant.ErrAuth) {
 		t.Fatalf("bad token: %v", err)
 	}
 	var re *tenant.RangeError

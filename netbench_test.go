@@ -107,7 +107,7 @@ func benchNetStopAndWait(b *testing.B, conns int, tenants bool) {
 		}
 		defer cl.Close()
 		if tenants {
-			if err := cl.AttachTenant(uint32(c+1), tokens[c]); err != nil {
+			if _, err := cl.AttachTenant(uint32(c+1), tokens[c]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -169,7 +169,7 @@ func benchNetPipelined(b *testing.B, conns, window, batch int, tenants bool) {
 			}
 			defer p.Close()
 			if tenants {
-				if err := p.AttachTenant(uint32(c+1), tokens[c]); err != nil {
+				if _, err := p.AttachTenant(uint32(c+1), tokens[c]); err != nil {
 					b.Error(err)
 					return
 				}
